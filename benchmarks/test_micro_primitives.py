@@ -57,6 +57,22 @@ def test_bench_vclock_join(benchmark):
     assert out is False
 
 
+def test_bench_notice_table_add(benchmark):
+    """A barrier release's worth of notices: 8 creators x 100 intervals in
+    arrival order (appends), then the same list again (all duplicates)."""
+    notices = [
+        WriteNotice(c, i, PageId(0, i % 16), VClock.zero(8).with_component(c, i))
+        for c in range(8)
+        for i in range(1, 101)
+    ]
+
+    def run():
+        t = NoticeTable(8)
+        return len(t.add_all(notices)), len(t.add_all(notices))
+
+    assert benchmark(run) == (800, 0)
+
+
 def test_bench_notice_table_between(benchmark):
     t = NoticeTable(8)
     for c in range(8):

@@ -706,12 +706,8 @@ class ReplayDriver:
         proto = self.proto
         old = proto.vt
         joined = old.join(new_vt)
-        notices = self.peer_notices.between(old, joined)
-        for wn in notices:
-            if wn.creator == self.pid:
-                continue
-            if proto.notices.add(wn):
-                proto._note_invalidation(wn)
+        # replayed notices are not counted in stats.notices_applied
+        proto._apply_notices(self.peer_notices.between(old, joined))
         proto.vt = joined
         self.apply_eligible_home_diffs()
 

@@ -3,57 +3,53 @@
 Every process keeps a :class:`NoticeTable` of all write notices it knows
 about — its own (which double as the FT layer's ``wn_log``, §4.2.1: "logging
 write notices is done as part of the base protocol") and those received in
-lock grants and barrier releases. Notices are indexed by creator and
-interval so that the happened-before filtering of lazy release consistency
-(send exactly the notices in intervals ``(acq_vt[c], rel_vt[c]]``) is a
-range query.
+lock grants and barrier releases. The table is flat: per creator, one list
+of notices sorted by interval (insertion order within an interval) and a
+parallel list of just the intervals to bisect on. The happened-before
+filtering of lazy release consistency (send exactly the notices in
+intervals ``(acq_vt[c], rel_vt[c]]``) is then a list slice per creator,
+and a notice arriving in interval order — nearly all of them — is an
+append.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from typing import Iterable, List
 
 from repro.dsm.messages import WriteNotice
-from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 
 __all__ = ["NoticeTable"]
 
 
 class NoticeTable:
-    """Per-process store of write notices, indexed by (creator, interval)."""
+    """Per-process store of write notices, sorted by interval per creator."""
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
-        # creator -> sorted list of intervals; creator -> interval -> notices
+        # creator -> notices sorted by interval; creator -> their intervals
+        self._notices: List[List[WriteNotice]] = [[] for _ in range(num_procs)]
         self._intervals: List[List[int]] = [[] for _ in range(num_procs)]
-        self._by_interval: List[Dict[int, List[WriteNotice]]] = [
-            {} for _ in range(num_procs)
-        ]
-        # (creator, interval) -> pages already present, for O(1) dedup
-        self._pages: List[Dict[int, Set[PageId]]] = [
-            {} for _ in range(num_procs)
-        ]
 
     def add(self, notice: WriteNotice) -> bool:
         """Insert a notice; returns False if already known."""
-        creator = notice.creator
+        ivs = self._intervals[notice.creator]
+        wns = self._notices[notice.creator]
         interval = notice.interval
-        table = self._by_interval[creator]
-        bucket = table.get(interval)
-        if bucket is None:
-            bucket = []
-            table[interval] = bucket
-            self._pages[creator][interval] = set()
-            insort(self._intervals[creator], interval)
-        pages = self._pages[creator][interval]
-        if notice.page in pages:
-            return False
-        pages.add(notice.page)
-        bucket.append(notice)
+        if not ivs or interval > ivs[-1]:
+            ivs.append(interval)
+            wns.append(notice)
+            return True
+        # same interval as a known notice, or out of order: look for the
+        # page among the (few) notices of that interval
+        end = bisect_right(ivs, interval)
+        page = notice.page
+        for k in range(bisect_left(ivs, interval, 0, end), end):
+            if wns[k].page == page:
+                return False
+        ivs.insert(end, interval)
+        wns.insert(end, notice)
         return True
 
     def add_all(self, notices: Iterable[WriteNotice]) -> List[WriteNotice]:
@@ -67,38 +63,17 @@ class NoticeTable:
         time ``high`` must send to an acquirer at time ``low``.
         """
         out: List[WriteNotice] = []
-        if self.n >= VClock.ARRAY_WIDTH:
-            # wide clusters: find the (typically few) creators whose range
-            # is non-empty in one vectorized compare instead of an O(n)
-            # Python scan per grant
-            la, ha = low.as_array(), high.as_array()
-            for c in np.flatnonzero(ha > la).tolist():
-                lo, hi = int(la[c]), int(ha[c])
+        for c, (lo, hi) in enumerate(zip(low, high)):
+            if hi > lo:
                 ivs = self._intervals[c]
-                start = bisect_right(ivs, lo)
-                end = bisect_right(ivs, hi)
-                for k in range(start, end):
-                    out.extend(self._by_interval[c][ivs[k]])
-            return out
-        for c in range(self.n):
-            lo, hi = low[c], high[c]
-            if hi <= lo:
-                continue
-            ivs = self._intervals[c]
-            start = bisect_right(ivs, lo)
-            end = bisect_right(ivs, hi)
-            for k in range(start, end):
-                out.extend(self._by_interval[c][ivs[k]])
+                start, end = bisect_right(ivs, lo), bisect_right(ivs, hi)
+                out += self._notices[c][start:end]
         return out
 
     def own_after(self, creator: int, min_interval: int) -> List[WriteNotice]:
         """Notices created by ``creator`` in intervals > ``min_interval``."""
-        ivs = self._intervals[creator]
-        start = bisect_right(ivs, min_interval)
-        out: List[WriteNotice] = []
-        for k in range(start, len(ivs)):
-            out.extend(self._by_interval[creator][ivs[k]])
-        return out
+        start = bisect_right(self._intervals[creator], min_interval)
+        return self._notices[creator][start:]
 
     def trim_creator_before(self, creator: int, min_keep_interval: int) -> int:
         """Drop notices of ``creator`` with interval < ``min_keep_interval``.
@@ -106,24 +81,13 @@ class NoticeTable:
         Implements Rule 1 (wn_log trimming) when applied to the process's
         own notices. Returns the number of notices dropped.
         """
-        ivs = self._intervals[creator]
-        cut = bisect_left(ivs, min_keep_interval)
-        dropped = 0
-        for k in range(cut):
-            dropped += len(self._by_interval[creator].pop(ivs[k]))
-            self._pages[creator].pop(ivs[k], None)
-        del ivs[:cut]
-        return dropped
+        cut = bisect_left(self._intervals[creator], min_keep_interval)
+        del self._intervals[creator][:cut]
+        del self._notices[creator][:cut]
+        return cut
 
     def count(self) -> int:
-        return sum(
-            len(b) for table in self._by_interval for b in table.values()
-        )
+        return sum(map(len, self._notices))
 
     def all_notices(self) -> List[WriteNotice]:
-        return [
-            n
-            for table in self._by_interval
-            for bucket in table.values()
-            for n in bucket
-        ]
+        return [n for wns in self._notices for n in wns]

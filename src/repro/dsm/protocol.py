@@ -543,7 +543,7 @@ class DsmProcess:
         st.rel_vt = None
         self._pending_acquires.pop(lock_id, None)
         self._completed_seq[lock_id] = self._acq_seq.get(lock_id, 0)
-        self._apply_notices(grant.notices)
+        self.stats.notices_applied += self._apply_notices(grant.notices)
         # the acquire starts a new local interval (bump); this guarantees
         # every acquire has a unique, strictly increasing own-component,
         # which Rule 2 trimming and replay alignment rely on
@@ -692,7 +692,7 @@ class DsmProcess:
         )
 
     def _complete_barrier(self, release: BarrierRelease) -> None:
-        self._apply_notices(release.notices)
+        self.stats.notices_applied += self._apply_notices(release.notices)
         self.vt = self.vt.join(release.global_vt)
         self.last_barrier_global = release.global_vt
         self.barrier_episode += 1
@@ -704,32 +704,62 @@ class DsmProcess:
     # ------------------------------------------------------------------
     # invalidations
     # ------------------------------------------------------------------
-    def _apply_notices(self, notices: List[WriteNotice]) -> None:
-        for wn in notices:
-            if wn.creator == self.pid:
-                continue
-            if not self.notices.add(wn):
-                continue
-            self.stats.notices_applied += 1
-            self._note_invalidation(wn)
+    def _apply_notices(self, notices: List[WriteNotice]) -> int:
+        """Record received notices and invalidate the pages they name.
 
-    def _note_invalidation(self, wn: WriteNotice) -> None:
-        entry = self.entries[wn.page]
-        # the minimal version accumulates *write intervals* per creator —
-        # page versions at homes advance only when diffs are applied, so
-        # joining full causal timestamps here would demand versions that
-        # never materialize
-        base = entry.needed_v or VClock.zero(self.n)
-        if wn.interval <= base[wn.creator]:
+        The one write-notice path (grants, barrier releases, recovery
+        replay): notices already in the table and our own are dropped,
+        the rest are grouped by page and each page is invalidated once.
+        Returns how many notices were new.
+        """
+        fresh = self.notices.add_all(
+            wn for wn in notices if wn.creator != self.pid
+        )
+        by_page: Dict[PageId, List[WriteNotice]] = {}
+        for wn in fresh:
+            by_page.setdefault(wn.page, []).append(wn)
+        for page, group in by_page.items():
+            self._invalidate(page, group)
+        return len(fresh)
+
+    def _invalidate(self, page: PageId, group: List[WriteNotice]) -> None:
+        """Fold one page's new notices, in arrival order, into ``needed_v``.
+
+        The minimal version accumulates *write intervals* per creator —
+        page versions at homes advance only when diffs are applied, so
+        joining full causal timestamps here would demand versions that
+        never materialize. A notice raises its creator's component unless
+        the version needed so far *with* it is still covered by the local
+        copy; once one notice is not covered, none after it is (which
+        makes the outcome depend on arrival order). The new clock is
+        built once per page, not once per notice.
+        """
+        entry = self.entries[page]
+        have = self.have_v[page]
+        base = entry.needed_v
+        if base is None:
+            base = VClock.zero(self.n)
+            covered = True
+        else:
+            covered = base.leq(have)
+        known = base.v
+        newer: Dict[int, int] = {}
+        for wn in group:
+            creator, interval = wn.creator, wn.interval
+            if interval <= newer.get(creator, known[creator]):
+                continue
+            if covered:
+                if interval <= have[creator]:
+                    continue  # local copy already incorporates these writes
+                covered = False
+            newer[creator] = interval
+        if not newer:
             return
-        needed = base.with_component(wn.creator, wn.interval)
-        if needed.leq(self.have_v[wn.page]):
-            return  # local copy already incorporates these writes
-        entry.needed_v = needed
-        if not self.is_home(wn.page):
+        entry.needed_v = base.with_components(newer)
+        if not self.is_home(page):
             if entry.dirty:
                 raise RuntimeError(
-                    f"invalidation hit dirty page {wn.page} at {self.pid}; "
+                    f"invalidation hit dirty page {page} at {self.pid}; "
                     "intervals must be flushed before applying notices"
                 )
             entry.state = PageState.INVALID

@@ -37,7 +37,7 @@ never see which representation is live.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -271,6 +271,27 @@ class VClock:
         if v[i] == value:
             return self
         return VClock._make(v[:i] + (value,) + v[i + 1 :])
+
+    def with_components(self, updates: Mapping[int, int]) -> "VClock":
+        """New clock with every ``updates[i]`` stored at component ``i``.
+
+        One copy however many components change — the batched form of
+        :meth:`with_component` for folding a list of write notices.
+        """
+        n = self._n
+        for i, value in updates.items():
+            if not (0 <= i < n):
+                raise IndexError(i)
+            if value < 0:
+                raise ValueError(f"negative component: {value}")
+        if n >= _ARRAY_WIDTH:
+            out = self.as_array().copy()
+            out[list(updates)] = list(updates.values())
+            return VClock._make_arr(out)
+        v = list(self.v)
+        for i, value in updates.items():
+            v[i] = value
+        return VClock._make(tuple(v))
 
     def _check(self, other: "VClock") -> None:
         if self._n != other._n:

@@ -291,17 +291,6 @@ class Engine:
     def _future_step(self, proc: SimProcess, value: Any) -> None:
         self.call_soon(partial(self._step, proc, value))
 
-    def _handle_effect(self, proc: SimProcess, effect: Any) -> None:
-        """Schedule ``proc``'s continuation for ``effect`` (compat shim)."""
-        if isinstance(effect, Delay):
-            self.schedule(effect.seconds, proc._resume)
-        elif isinstance(effect, Future):
-            effect.add_callback(partial(self._future_step, proc))
-        else:
-            raise SimulationError(
-                f"process {proc.name} yielded unsupported effect {effect!r}"
-            )
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------

@@ -294,11 +294,14 @@ def test_observe_session_crash_carries_recovery_records(tmp_path, capsys):
 
 
 def test_crashsweep_session_subcommand(tmp_path, capsys):
+    # a 22-point campaign: the CLI plumbing is what is under test here; the
+    # lock class and full-size sweeps run in tests/integration/test_crashsweep.py
+    # and are recorded in benchmarks/SWEEP_session.json
     out_path = tmp_path / "sweep_session.json"
     rc = main([
         "crashsweep", "session",
-        "--procs", "4", "--rate", "5000",
-        "--every", "200", "--classes", "lock,recovery",
+        "--procs", "4", "--rate", "5000", "--steps", "2",
+        "--every", "60", "--classes", "barrier,recovery",
         "--out", str(out_path),
     ])
     assert rc == 0

@@ -111,3 +111,55 @@ def test_trim_rule1_keeps_everything_at_or_after(entries, keep_from):
     t.trim_creator_before(1, keep_from)
     after = {(n.interval, n.page) for n in t.all_notices()}
     assert after == {(i, p) for i, p in before if i >= keep_from}
+
+
+@given(
+    st.sampled_from([8, 32]),  # tuple clocks and array clocks
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 12), st.integers(0, 4)),
+        max_size=60,
+    ),
+    st.lists(st.integers(0, 12), min_size=6, max_size=6),
+    st.lists(st.integers(0, 12), min_size=6, max_size=6),
+    st.integers(0, 5),
+    st.integers(0, 13),
+)
+def test_query_order_and_trim_match_model(n, entries, lo, hi, who, keep_from):
+    """Lock grants and barrier arrivals ship ``between``/``own_after``
+    verbatim, so bit-identical runs depend on their *order*: creator-major,
+    interval ascending, insertion order within an interval — whatever the
+    order (and however often) the notices were inserted."""
+    t = NoticeTable(n)
+    model = []  # first insertion of each (creator, interval, page)
+    for c, i, p in entries:
+        notice = WriteNotice(
+            c, i, PageId(0, p), VClock.zero(n).with_component(c, i)
+        )
+        new = notice not in model
+        assert t.add(notice) is new
+        if new:
+            model.append(notice)
+
+    def ordered(keep):
+        # sorted() is stable: insertion order survives within an interval
+        return sorted(filter(keep, model), key=lambda m: (m.creator, m.interval))
+
+    pad = [0] * (n - 6)
+    low, high = VClock(lo + pad), VClock(hi + pad)
+    assert t.between(low, high) == ordered(
+        lambda m: low[m.creator] < m.interval <= high[m.creator]
+    )
+    assert t.own_after(who, keep_from) == ordered(
+        lambda m: m.creator == who and m.interval > keep_from
+    )
+    assert t.all_notices() == ordered(lambda m: True)
+
+    dropped = t.trim_creator_before(who, keep_from)
+    kept = ordered(lambda m: m.creator != who or m.interval >= keep_from)
+    assert dropped == len(model) - len(kept)
+    assert t.all_notices() == kept
+    assert t.count() == len(kept)
+    assert t.own_after(who, 0) == [m for m in kept if m.creator == who]
+    # a trimmed notice is forgotten, a kept one still deduplicates
+    for m in model:
+        assert t.add(m) is (m not in kept)

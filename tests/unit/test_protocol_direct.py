@@ -7,10 +7,12 @@ the integration tests only exercise indirectly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
-from repro.dsm.messages import DiffMsg, PageFetchReply
+from repro.dsm.messages import DiffMsg, PageFetchReply, WriteNotice
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
@@ -195,8 +197,6 @@ def test_notice_skipped_when_copy_fresh():
     page = PageId(0, 0)
     p1.entries[page].state = PageState.RO
     p1.have_v[page] = VClock((4, 0))
-    from repro.dsm.messages import WriteNotice
-
     wn = WriteNotice(0, 3, page, VClock((3, 0)))
     p1._apply_notices([wn])
     # the local copy already includes interval 3: stays valid
@@ -207,6 +207,104 @@ def test_notice_skipped_when_copy_fresh():
     assert p1.entries[page].needed_v[0] == 5
 
 
+def _apply_one_by_one(proc, notices):
+    """The per-notice path ``_apply_notices`` replaced, kept as its oracle:
+    one table insert, one clock copy and one vector compare per notice."""
+    applied = 0
+    for wn in notices:
+        if wn.creator == proc.pid or not proc.notices.add(wn):
+            continue
+        applied += 1
+        entry = proc.entries[wn.page]
+        base = entry.needed_v or VClock.zero(proc.n)
+        if wn.interval <= base[wn.creator]:
+            continue
+        needed = base.with_component(wn.creator, wn.interval)
+        if needed.leq(proc.have_v[wn.page]):
+            continue
+        entry.needed_v = needed
+        if not proc.is_home(wn.page):
+            entry.state = PageState.INVALID
+    return applied
+
+
+FOLD_PAGES = 4
+#: few creators (1 is the process under test) so that duplicates, own
+#: notices and several notices per (page, creator) are common
+FOLD_CREATORS = (0, 1, 2, 3)
+
+
+def _fold_harness(n, have, needed):
+    h = Harness(n=n, elements=8 * FOLD_PAGES, page_size=64)
+    proc = h.procs[1]
+    pad = (0,) * (n - len(FOLD_CREATORS))
+    for k in range(FOLD_PAGES):
+        page = PageId(0, k)
+        proc.entries[page].state = PageState.RO
+        proc.have_v[page] = VClock(tuple(have[k]) + pad)
+        if needed[k] is not None:
+            proc.entries[page].needed_v = VClock(tuple(needed[k]) + pad)
+    return proc
+
+
+def _notice(n, creator, interval, page):
+    stamp = VClock.zero(n).with_component(creator, interval)
+    return WriteNotice(creator, interval, page, stamp)
+
+
+def _fold_state(proc):
+    return (
+        {p: (e.needed_v, e.state) for p, e in proc.entries.items()},
+        proc.notices.all_notices(),
+    )
+
+
+_clock = st.lists(st.integers(0, 6), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([4, 32]),  # tuple clocks and array clocks
+    st.lists(_clock, min_size=FOLD_PAGES, max_size=FOLD_PAGES),
+    st.lists(st.none() | _clock, min_size=FOLD_PAGES, max_size=FOLD_PAGES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(FOLD_CREATORS),
+            st.integers(1, 8),
+            st.integers(0, FOLD_PAGES - 1),
+        ),
+        max_size=30,
+    ),
+    st.integers(0, 30),
+)
+def test_batched_fold_matches_per_notice_reference(n, have, needed, raw, split):
+    """Stale notices (interval <= have_v[c]) before and after a fresh one on
+    the same page are the order-dependent case; page 1 is a home page."""
+    batch = [_notice(n, c, i, PageId(0, k)) for c, i, k in raw]
+    got, want = _fold_harness(n, have, needed), _fold_harness(n, have, needed)
+    assert got.is_home(PageId(0, 1)) and not got.is_home(PageId(0, 0))
+    for part in (batch[:split], batch[split:]):
+        assert got._apply_notices(part) == _apply_one_by_one(want, part)
+        assert _fold_state(got) == _fold_state(want)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_fold_outcome_depends_on_arrival_order(n):
+    """A stale notice is skipped while the page is still covered by the
+    local copy, and absorbed once a fresh one has uncovered it."""
+    page = PageId(0, 0)
+    stale, fresh = _notice(n, 0, 3, page), _notice(n, 2, 9, page)
+    have = [(4, 0, 0, 0)] * FOLD_PAGES
+    seen = []
+    for batch in ([stale, fresh], [fresh, stale]):
+        proc = _fold_harness(n, have, [None] * FOLD_PAGES)
+        assert proc._apply_notices(batch) == 2
+        seen.append(proc.entries[page].needed_v)
+        assert proc.entries[page].state is PageState.INVALID
+    assert seen[0] == VClock.zero(n).with_component(2, 9)
+    assert seen[1] == seen[0].with_component(0, 3)
+
+
 def test_dirty_page_invalidation_is_protocol_error():
     h = Harness(n=2, elements=8, page_size=64)
     p1 = h.procs[1]
@@ -214,7 +312,12 @@ def test_dirty_page_invalidation_is_protocol_error():
     entry = p1.entries[page]
     entry.state = PageState.RW
     entry.dirty = True
-    from repro.dsm.messages import WriteNotice
-
+    # a stale notice first, so the guard is reached mid-fold
+    p1.have_v[page] = VClock((4, 0))
+    batch = [
+        WriteNotice(0, 3, page, VClock((3, 0))),
+        WriteNotice(0, 8, page, VClock((8, 0))),
+        WriteNotice(0, 9, page, VClock((9, 0))),
+    ]
     with pytest.raises(RuntimeError, match="dirty"):
-        p1._note_invalidation(WriteNotice(0, 9, page, VClock((9, 0))))
+        p1._apply_notices(batch)

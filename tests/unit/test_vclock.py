@@ -49,10 +49,15 @@ def test_bump_and_with_component():
     assert a.bump(0) == VClock((2, 1))
     assert a.bump(1, by=3) == VClock((1, 4))
     assert a.with_component(0, 9) == VClock((9, 1))
+    assert a.with_components({1: 4, 0: 9}) == VClock((9, 4))
     with pytest.raises(IndexError):
         a.bump(5)
     with pytest.raises(ValueError):
         a.bump(0, by=-1)
+    with pytest.raises(IndexError):
+        a.with_components({2: 1})
+    with pytest.raises(ValueError):
+        a.with_components({0: -1})
 
 
 def test_length_mismatch_rejected():
@@ -180,6 +185,12 @@ def test_array_and_tuple_representations_agree(wab):
     assert a_t.meet(b) == a_a.meet(b)
     assert a_a.bump(w - 1) == a_t.bump(w - 1)
     assert a_a.with_component(0, 7) == a_t.with_component(0, 7)
+    # the batched form is the one-at-a-time form folded, on both backings
+    updates = {w - 1: vb[w - 1], 0: 7}
+    want = a_t.with_component(w - 1, vb[w - 1]).with_component(0, 7)
+    assert a_a.with_components(updates) == want
+    assert a_t.with_components(updates) == want
+    assert a_a.v == tuple(va)  # immutable: the source is untouched
     assert list(a_a.as_array()) == list(va)
 
 
