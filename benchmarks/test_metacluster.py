@@ -15,7 +15,7 @@ from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
 from repro.baselines import coordinated_cluster
 from repro.core import LogOverflowPolicy
 from repro.harness.experiment import HARNESS_DISK
-from repro.metrics.report import Table
+from repro.render import Table
 from repro.sim.network import MetaClusterConfig, NetworkConfig
 
 

@@ -13,7 +13,7 @@ from repro import DsmCluster, DsmConfig
 from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
 from repro.core import LogOverflowPolicy
 from repro.harness.experiment import HARNESS_DISK
-from repro.metrics.report import Table, format_pct
+from repro.render import Table, format_pct
 
 SIZES = [2, 4, 8, 16]
 

@@ -14,7 +14,7 @@ import time
 from repro import DsmCluster, DsmConfig
 from repro.apps.barnes import BarnesApp, BarnesConfig
 from repro.core import LogOverflowPolicy
-from repro.metrics.report import Table
+from repro.render import Table
 
 
 def make_cluster():

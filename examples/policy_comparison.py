@@ -17,7 +17,7 @@ from repro.core import (
     LogOverflowPolicy,
     NeverPolicy,
 )
-from repro.metrics.report import Table, format_bytes
+from repro.render import Table, format_bytes
 
 
 def run(policy_factory):

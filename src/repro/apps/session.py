@@ -33,8 +33,8 @@ crash schedules — crash-sweep's recovery-equivalence oracle holds for
 every injection point. Reads return values that depend on interleaving
 and are deliberately **not** stored in checkpointable state or asserted.
 
-Latency observation happens through ``proc.obs`` (the per-node probe)
-when an observer is attached, and costs nothing otherwise:
+Latencies are announced as ``APP_LATENCY`` events on the run's bus
+(``sim.trace``), which cost one attribute test when nothing subscribes:
 
 * ``lat.request`` — arrival → completion, per request;
 * ``lat.request.read`` / ``lat.request.write`` — the same, split by op;
@@ -51,6 +51,7 @@ import numpy as np
 from repro.apps.base import AppConfig, DsmApp, phase_loop
 from repro.dsm.protocol import DsmProcess
 from repro.sim.engine import Delay
+from repro.sim.trace import APP_LATENCY
 
 __all__ = ["SessionConfig", "SessionApp"]
 
@@ -192,13 +193,14 @@ class SessionApp(DsmApp):
                     view[0] = view[0] + _write_delta(proc.pid, r)
                 yield from proc.compute(cfg.compute_per_op)
                 yield from proc.release(stripe)
-                obs = proc.obs
-                if obs is not None:
-                    done = proc.engine.now
-                    obs.app_latency("lat.queue").observe(service_start - arrival)
-                    obs.app_latency("lat.request").observe(done - arrival)
-                    cls = "read" if is_read else "write"
-                    obs.app_latency(f"lat.request.{cls}").observe(done - arrival)
+                bus = proc.bus
+                if bus.active:
+                    pid = proc.pid
+                    total = proc.engine.now - arrival
+                    bus.emit(APP_LATENCY, pid, "lat.queue", service_start - arrival)
+                    bus.emit(APP_LATENCY, pid, "lat.request", total)
+                    by_op = "lat.request.read" if is_read else "lat.request.write"
+                    bus.emit(APP_LATENCY, pid, by_op, total)
             yield from proc.barrier()
 
         yield from phase_loop(proc, state, cfg.steps, [phase_serve])

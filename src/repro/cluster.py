@@ -32,6 +32,7 @@ from repro.sim.engine import Engine, SimProcess
 from repro.sim.network import Network, NetworkConfig, TrafficStats
 from repro.sim.node import CpuModel, TimeStats
 from repro.sim.storage import CheckpointStore, Disk, DiskConfig, ReplicaStore
+from repro.sim.trace import FAILURE, OP_CLOSE, OP_OPEN, RECOVERY_BEGIN
 
 __all__ = ["DsmCluster", "ProcHost", "RunResult", "PolicyFactory"]
 
@@ -84,7 +85,7 @@ class ProcHost:
     # ------------------------------------------------------------------
     def make_protocol(self) -> DsmProcess:
         cluster = self.cluster
-        proto = DsmProcess(
+        return DsmProcess(
             pid=self.pid,
             config=cluster.config,
             regions=cluster.regions,
@@ -92,9 +93,6 @@ class ProcHost:
             send_fn=cluster.send,
             cpu=CpuModel(),
         )
-        if cluster.observer is not None:
-            proto.obs = cluster.observer.node_probe(self.pid)
-        return proto
 
     def deliver(self, src: int, msg: Message) -> None:
         if isinstance(msg, (RecoveryQuery, RecoveryReply, RecoveryDone)):
@@ -179,13 +177,6 @@ class DsmCluster:
         #: or "rollback" (coordinated baseline: everyone restarts from
         #: the last global cut)
         self.recovery_style = "independent"
-        #: optional probe consumer (tracer / fault-injection campaign):
-        #: called as probe(pid, kind, detail) at instrumented points
-        self.probe: Optional[Callable[[int, str, str], None]] = None
-        #: attached observability layer (repro.observe.ClusterObserver);
-        #: set by the observer itself, consulted whenever a protocol or
-        #: FT instance is (re)created so probes survive crash/recovery
-        self.observer: Any = None
         #: recovery queries held because the responder was down (§4.3
         #: overlapping-failure message-hold path)
         self.held_recovery_msgs = 0
@@ -263,8 +254,6 @@ class DsmCluster:
         )
         host.ft.proc_host = host
         host.ft.app_state_fn = lambda h=host: h.state
-        if self.observer is not None:
-            host.ft.obs = self.observer
         if self.replication:
             from repro.core.replica import Replicator
 
@@ -321,9 +310,16 @@ class DsmCluster:
             self._recompute_buddies()
 
     def _app_main(self, host: ProcHost) -> Iterator[Any]:
-        yield from self.app.run(host.proto, host.state)
-        host.finished = True
-        self._unfinished -= 1
+        bus = self.engine.bus
+        if bus.active:
+            bus.emit(OP_OPEN, host.pid, "app", host.crashed_count)
+        try:
+            yield from self.app.run(host.proto, host.state)
+            host.finished = True
+            self._unfinished -= 1
+        finally:
+            if bus.active:
+                bus.emit(OP_CLOSE, host.pid, "app", None)
 
     def _run_loop(self, max_steps: int) -> None:
         # the stop predicate runs after every event; a counter maintained
@@ -392,12 +388,12 @@ class DsmCluster:
         host = self.hosts[pid]
         if host.finished or (not host.live and not host.recovering):
             return  # already done, or already down awaiting recovery
-        # announce the fail-stop on the probe hook *before* the kill, so
-        # observers (flat tracer, span tracer) see the failure while the
-        # victim's state is still intact — the span tracer abandons the
-        # victim's open spans on this event
-        if self.probe is not None:
-            self.probe(pid, "failure", "fail-stop")
+        # announce the fail-stop *before* the kill, so observers see the
+        # failure while the victim's state is still intact — the span
+        # tracer abandons the victim's open spans on this event
+        bus = self.engine.bus
+        if bus.active:
+            bus.emit(FAILURE, pid)
         self.crashes += 1
         host.crashed_count += 1
         host.last_crash_time = self.engine.now
@@ -442,8 +438,9 @@ class DsmCluster:
         if host.live or host.finished or host.recovering:
             return  # already back (or a restarted recovery is underway)
         host.recovering = True
-        if self.probe is not None:
-            self.probe(pid, "recovery", f"begin incarnation={host.crashed_count}")
+        bus = self.engine.bus
+        if bus.active:
+            bus.emit(RECOVERY_BEGIN, pid, host.crashed_count)
         rm = RecoveryManager(host)
         host.simproc = self.engine.spawn(rm.recover_and_resume(), name=f"rec{pid}")
 

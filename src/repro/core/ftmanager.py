@@ -47,6 +47,15 @@ from repro.dsm.vclock import VClock
 from repro.sim.engine import Delay
 from repro.sim.node import TimeBucket
 from repro.sim.storage import Disk
+from repro.sim.trace import (
+    CGC,
+    CHECKPOINT_TAKEN,
+    CKPT_WRITE_BEGIN,
+    CKPT_WRITE_END,
+    LLT,
+    OP_CLOSE,
+    OP_OPEN,
+)
 
 __all__ = ["FtConfig", "FtStats", "FtManager"]
 
@@ -132,19 +141,7 @@ class FtManager(FtHooks):
         #: set by the cluster: the ProcHost we live on (None when the
         #: manager is driven directly, e.g. in unit tests)
         self.proc_host: Any = None
-        #: observability sink (repro.observe.ClusterObserver); record-only
-        self.obs: Any = None
         self._install()
-
-    def _probe(self, kind: str, detail: str) -> None:
-        """Emit a cluster probe event (fault-injection instrumentation).
-
-        No-op unless a probe consumer (tracer / crash-sweep campaign) is
-        attached to the cluster — two attribute checks when disabled.
-        """
-        host = self.proc_host
-        if host is not None and host.cluster.probe is not None:
-            host.cluster.probe(self.pid, kind, detail)
 
     def _install(self) -> None:
         self.proc.ft = self
@@ -313,6 +310,9 @@ class FtManager(FtHooks):
     def take_checkpoint(self) -> Iterator[Any]:
         """The full checkpoint operation (see module docstring)."""
         proc = self.proc
+        bus = proc.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "ckpt", None)
         yield from proc.cpu.drain_debt()
         yield from proc._end_interval()
         proc.vt = proc.vt.bump(self.pid)  # clean cut: Tckp < everything after
@@ -369,16 +369,15 @@ class FtManager(FtHooks):
         write_cost = self.disk.write_cost(total_write)
         self.disk.bytes_written += total_write
         self.disk.write_time += write_cost
-        self._probe(
-            "ckpt_write", f"begin seqno={seqno} bytes={total_write}"
-        )
+        if bus.active:
+            bus.emit(CKPT_WRITE_BEGIN, self.pid, seqno, total_write)
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, write_cost)
-        self._probe("ckpt_write", f"end seqno={seqno}")
-        self.stats.time_disk += proc.engine.now - t0
-        if self.obs is not None:
-            # write+commit duration: the commit marker lands in zero
-            # virtual time right after the write completes
-            self.obs.on_ckpt_write(self.pid, proc.engine.now - t0)
+        duration = proc.engine.now - t0
+        if bus.active:
+            # also the write+commit duration: the commit marker lands in
+            # zero virtual time right after the write completes
+            bus.emit(CKPT_WRITE_END, self.pid, seqno, duration)
+        self.stats.time_disk += duration
 
         # -- commit marker ---------------------------------------------------
         self.logs.diff.mark_all_saved()
@@ -398,8 +397,10 @@ class FtManager(FtHooks):
         disk_log = self.logs.diff.saved_bytes
         self.stats.max_log_disk = max(self.stats.max_log_disk, disk_log)
         self.stats.log_points.append((self.stats.checkpoints_taken, disk_log))
-        if self.obs is not None:
-            self.obs.on_checkpoint(self.pid, self.stats.checkpoints_taken, disk_log)
+        if bus.active:
+            taken = self.stats.checkpoints_taken
+            bus.emit(CHECKPOINT_TAKEN, self.pid, taken, proc.vt, disk_log)
+            bus.emit(OP_CLOSE, self.pid, "ckpt", taken)
 
     # ==================================================================
     # LLT (Rules 1, 2, 3.2) — §4.4
@@ -450,15 +451,10 @@ class FtManager(FtHooks):
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]
         self.stats.wn_trimmed += out["wn"]
-        if self.obs is not None:
-            self.obs.on_llt(self.pid, out)
-        # fires synchronously at the end of the pass, so a probe consumer
-        # (the invariant monitor) reads the logs exactly as LLT left them
-        self._probe(
-            "llt",
-            f"diff_bytes={out['diff_bytes']} rel={out['rel']} "
-            f"acq={out['acq']} wn={out['wn']}",
-        )
+        # synchronously at the end of the pass, so a subscriber (the
+        # invariant monitor) reads the logs exactly as LLT left them
+        if self.proc.bus.active:
+            self.proc.bus.emit(LLT, self.pid, out)
         return out
 
     # ==================================================================
@@ -489,13 +485,10 @@ class FtManager(FtHooks):
                 )
             # the home is its own writer: trim its own diff log directly
             self.trim.learn_p0v(page, p0.version[self.pid])
-        if self.obs is not None:
-            self.obs.on_cgc(self.pid, freed)
-        # synchronous end-of-pass probe: Tmin and the retained copies are
-        # exactly the ones this pass computed when a consumer reads them
-        self._probe(
-            "cgc", f"freed={freed} window={self.ckpt_mgr.window_size}"
-        )
+        # synchronously at the end of the pass: Tmin and the retained
+        # copies are exactly the ones this pass computed when read
+        if self.proc.bus.active:
+            self.proc.bus.emit(CGC, self.pid, freed, self.ckpt_mgr.window_size)
         return freed
 
     # ==================================================================

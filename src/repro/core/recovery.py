@@ -56,6 +56,13 @@ from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Future
 from repro.sim.node import TimeBucket
+from repro.sim.trace import (
+    RECOVERY_ANNOTATE,
+    RECOVERY_LIVE,
+    RECOVERY_PHASES,
+    REPL_FETCH,
+    RPHASE,
+)
 
 __all__ = [
     "OverlappingFailureError",
@@ -308,10 +315,9 @@ class RecoveryManager:
                     "chain was lost before a re-sync could repair it "
                     "(overlapping failures exceed what one buddy covers)"
                 )
-            if cluster.probe is not None:
-                cluster.probe(
-                    self.pid, "repl", f"fetch kind={kind} lost={lost} holder={holder}"
-                )
+            bus = cluster.engine.bus
+            if bus.active:
+                bus.emit(REPL_FETCH, self.pid, kind, lost, holder)
             t0 = cluster.engine.now
             payload = yield from self.query(holder, "replica_" + kind, (lost, detail))
             self.replica_fetches += 1
@@ -359,17 +365,18 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # the recovery procedure
     # ------------------------------------------------------------------
-    def _rphase(self, detail: str) -> None:
-        """Announce a recovery-phase boundary on the probe hook."""
-        if self.cluster.probe is not None:
-            self.cluster.probe(self.pid, "rphase", detail)
+    def _rphase(self, phase: str, edge: str) -> None:
+        """Announce a recovery-phase boundary (``edge``: begin | end)."""
+        bus = self.cluster.engine.bus
+        if bus.active:
+            bus.emit(RPHASE, self.pid, phase, edge)
 
     def recover_and_resume(self) -> Iterator[Any]:
         host = self.host
         cluster = self.cluster
         host.recovery_mgr = self
         self._t_begin = cluster.engine.now
-        self._rphase("restore begin")
+        self._rphase("restore", "begin")
 
         # 1. rebuild volatile infrastructure -----------------------------
         proto = host.make_protocol()
@@ -394,17 +401,18 @@ class RecoveryManager:
 
         # a crash during a checkpoint disk write leaves a marker-less
         # (torn) record on stable storage; it must not be a restart point
+        bus = cluster.engine.bus
         torn = host.ckpt_mgr.discard_torn()
-        if torn and cluster.probe is not None:
-            cluster.probe(self.pid, "recovery", f"discarded_torn n={torn}")
+        if torn and bus.active:
+            bus.emit(RECOVERY_ANNOTATE, self.pid, "discarded_torn n", torn)
 
         ckpt: Optional[Checkpoint] = host.ckpt_mgr.restart_checkpoint()
         if ckpt is not None:
             self._restore_from_checkpoint(proto, ft, ckpt)
             host.state = ckpt.restore_app_state()
-            if cluster.probe is not None:
-                cluster.probe(
-                    self.pid, "recovery", f"restart_ckpt seqno={ckpt.seqno}"
+            if bus.active:
+                bus.emit(
+                    RECOVERY_ANNOTATE, self.pid, "restart_ckpt seqno", ckpt.seqno
                 )
         else:
             # restart from the virtual checkpoint 0: initial private
@@ -426,10 +434,10 @@ class RecoveryManager:
             TimeBucket.LOG_CKPT, host.disk.read_cost(restore_bytes)
         )
         self._t_restored = cluster.engine.now
-        self._rphase("restore end")
+        self._rphase("restore", "end")
 
         # 2. handshake ----------------------------------------------------
-        self._rphase("handshake begin")
+        self._rphase("handshake", "begin")
         replies = yield from self.query_all("handshake")
         driver = ReplayDriver(proto, ft, self, tckp, ckpt)
         driver.ingest_handshakes(replies)
@@ -437,10 +445,10 @@ class RecoveryManager:
         home_diffs = yield from self.query_all("home_diffs")
         driver.ingest_home_diffs(home_diffs)
         self._t_handshake = cluster.engine.now
-        self._rphase("handshake end")
+        self._rphase("handshake", "end")
 
         # 3. replay -------------------------------------------------------
-        self._rphase("replay begin")
+        self._rphase("replay", "begin")
         proto.replay = driver
         driver.apply_eligible_home_diffs()
         driver.on_live = self._go_live
@@ -456,7 +464,7 @@ class RecoveryManager:
     def _finish_phases(self) -> None:
         """Record this incarnation's completed recovery anatomy.
 
-        Emitted at the live switch, *before* the ``recovery live`` probe
+        Emitted at the live switch, *before* the ``RECOVERY_LIVE`` event
         so the span tracer closes the replay child span while its parent
         recovery span is still open. Phase durations (all virtual time):
 
@@ -476,7 +484,7 @@ class RecoveryManager:
         """
         host = self.host
         t_live = self.cluster.engine.now
-        self._rphase("replay end")
+        self._rphase("replay", "end")
         rec = {
             "incarnation": host.crashed_count,
             "crash_time": self.crash_time,
@@ -490,9 +498,9 @@ class RecoveryManager:
             "replica_fetch_s": self.replica_fetch_s,
         }
         host.recovery_phases.append(rec)
-        obs = self.cluster.observer
-        if obs is not None:
-            obs.on_recovery_phases(self.pid, rec)
+        bus = self.cluster.engine.bus
+        if bus.active:
+            bus.emit(RECOVERY_PHASES, self.pid, rec)
 
     def _go_live(self) -> None:
         """Called by the driver at the live switch."""
@@ -503,8 +511,8 @@ class RecoveryManager:
         host.live = True
         cluster.recoveries += 1
         host.recovered_count += 1
-        if cluster.probe is not None:
-            cluster.probe(self.pid, "recovery", "live")
+        if cluster.engine.bus.active:
+            cluster.engine.bus.emit(RECOVERY_LIVE, self.pid)
         for j in range(cluster.config.num_procs):
             if j != self.pid:
                 cluster.send(self.pid, j, RecoveryDone(proc=self.pid))

@@ -38,6 +38,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.logs import RelEntry
 from repro.dsm.messages import ReplicaAck, ReplicaUpdate, WriteNotice
+from repro.sim.trace import (
+    REPL_ACK,
+    REPL_BEGIN,
+    REPL_COMMIT,
+    REPL_RETARGET,
+    REPL_SYNC,
+)
 
 __all__ = ["ReplicaRecord", "Replicator", "replica_apply", "serve_replica_query"]
 
@@ -187,6 +194,7 @@ class Replicator:
         self.ft = ft
         self.host = host
         self.cluster = host.cluster
+        self.bus = host.cluster.engine.bus
         self.pid = ft.pid
         self.n = ft.n
         self.buddy: Optional[int] = None
@@ -200,11 +208,6 @@ class Replicator:
         self.bytes_sent = 0
         self.ops_sent = 0
         self.syncs_sent = 0
-        #: commit-send virtual times per seqno, kept only while an
-        #: observer is attached — popped on ack to feed the transfer/ack
-        #: lag percentile distribution (observer-private accounting; the
-        #: protocol never reads it)
-        self._commit_sent: Dict[int, float] = {}
 
     # -- buddy assignment ----------------------------------------------
     def choose_buddy(self) -> Optional[int]:
@@ -227,13 +230,13 @@ class Replicator:
         self.buddy = new
         self.gen += 1
         self.acked_seqno = -1  # nothing buddy-held until the new sync acks
-        self._commit_sent.clear()  # stale-gen sends will never be acked
         if old is not None and self.cluster.hosts[old].live:
             self._send(
                 ReplicaUpdate(kind="drop", protected=self.pid, gen=self.gen),
                 dst=old,
             )
-        self.ft._probe("repl", f"retarget old={old} new={new} gen={self.gen}")
+        if self.bus.active:
+            self.bus.emit(REPL_RETARGET, self.pid, old, new, self.gen)
         if new is not None:
             self.full_sync()
 
@@ -265,7 +268,8 @@ class Replicator:
                 body_size=size,
             )
         )
-        self.ft._probe("repl", f"sync seqno={seqno} dst={self.buddy}")
+        if self.bus.active:
+            self.bus.emit(REPL_SYNC, self.pid, seqno, self.buddy)
 
     def on_ckpt_begin(
         self, seqno: int, tckp: Any, bar_ep: int, homed: Dict[Any, Tuple[bytes, Any]]
@@ -292,7 +296,8 @@ class Replicator:
                 body_size=size,
             )
         )
-        self.ft._probe("repl", f"begin seqno={seqno} dst={self.buddy}")
+        if self.bus.active:
+            self.bus.emit(REPL_BEGIN, self.pid, seqno, self.buddy)
 
     def on_ckpt_commit(self, seqno: int) -> None:
         if not self._streaming():
@@ -302,10 +307,8 @@ class Replicator:
                 kind="commit", protected=self.pid, seqno=seqno, gen=self.gen
             )
         )
-        self.ft._probe("repl", f"commit seqno={seqno} dst={self.buddy}")
-        # getattr: unit tests drive the replicator with a bare ft stub
-        if getattr(self.ft, "obs", None) is not None:
-            self._commit_sent[seqno] = self.ft.proc.engine.now
+        if self.bus.active:
+            self.bus.emit(REPL_COMMIT, self.pid, seqno, self.buddy)
 
     def op(self, op: Tuple) -> None:
         """Mirror one incremental log event."""
@@ -327,18 +330,8 @@ class Replicator:
             return  # ack from a previous buddy epoch: its records are gone
         if msg.seqno > self.acked_seqno:
             self.acked_seqno = msg.seqno
-            self.ft._probe("repl", f"ack seqno={msg.seqno}")
-            obs = getattr(self.ft, "obs", None)
-            if obs is not None and self._commit_sent:
-                # acks are cumulative: this one covers every commit sent
-                # at or before msg.seqno (same-gen, so times are valid)
-                now = self.ft.proc.engine.now
-                for seqno in sorted(self._commit_sent):
-                    if seqno > msg.seqno:
-                        break
-                    obs.on_replica_ack(
-                        self.pid, now - self._commit_sent.pop(seqno)
-                    )
+            if self.bus.active:
+                self.bus.emit(REPL_ACK, self.pid, msg.seqno)
 
     @property
     def lag(self) -> int:

@@ -59,6 +59,16 @@ from repro.dsm.pages import PageEntry, PageId, PageState, RegionSet, SharedRegio
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Delay, Engine, Future
 from repro.sim.node import CpuModel, TimeBucket
+from repro.sim.trace import (
+    BARRIER_DONE,
+    INTERVAL_FLUSHED,
+    LOCK_ACQUIRED,
+    LOCK_RELEASE,
+    OP_CLOSE,
+    OP_OPEN,
+    PAGE_FETCHED,
+    WAIT,
+)
 
 __all__ = ["DsmProcess", "FtHooks", "ProtocolStats"]
 
@@ -159,6 +169,10 @@ class DsmProcess:
         self.n = config.num_procs
         self.regions = regions
         self.engine = engine
+        #: the run's event bus (``sim.trace``): instrumented sites cost
+        #: one attribute test while nothing subscribes, and subscribers
+        #: only read and record, so observation cannot perturb the run
+        self.bus = engine.bus
         self._send_raw = send_fn
         self.cpu = cpu or CpuModel()
 
@@ -200,11 +214,6 @@ class DsmProcess:
         )
 
         self.ft: FtHooks = FtHooks()
-        #: observability probe (repro.observe.NodeProbe); None = no
-        #: observer attached — instrumented sites cost one attribute
-        #: check, and the probe itself only reads/records (never
-        #: schedules), so observation cannot perturb the run
-        self.obs: Any = None
         #: recovery replay driver (duck-typed); None = live operation
         self.replay: Any = None
 
@@ -261,7 +270,12 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def compute(self, seconds: float) -> Iterator[Delay]:
         """Charge ``seconds`` of application computation."""
+        bus = self.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "compute", None)
         yield from self.cpu.charge(TimeBucket.COMPUTE, seconds)
+        if bus.active:
+            bus.emit(OP_CLOSE, self.pid, "compute", None)
 
     # ------------------------------------------------------------------
     # application API — checkpointing
@@ -384,33 +398,38 @@ class DsmProcess:
         self._dirty.append(page)
 
     def _fetch(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
+        bus = self.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "fetch", page)
         if self.replay is not None:
             yield from self.replay.replay_fetch(page, entry)
-            return
-        t0 = self.engine.now
-        fut = Future(f"fetch p{page} @{self.pid}")
-        self._fetch_waiting[page] = fut
-        needed = entry.needed_v or VClock.zero(self.n)
-        req = PageFetchReq(page=page, requester=self.pid, needed_v=needed)
-        self._pending_fetch_req[page] = req
-        self._send(self.regions.home_of(page), req)
-        reply: PageFetchReply = yield fut
-        self._pending_fetch_req.pop(page, None)
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
-        if self.obs is not None:
-            self.obs.fetch_wait.observe(wait)
-            self.obs.fetch_lat.observe(wait)
-        # install the page
-        buf = self.page_bytes(page)
-        buf[:] = np.frombuffer(reply.data, dtype=np.uint8)
-        copy_cost = len(reply.data) * self.cpu.costs.twin_create_per_byte
-        yield from self.cpu.charge(TimeBucket.OVERHEAD, copy_cost)
-        entry.state = PageState.RO
-        entry.needed_v = None
-        self.have_v[page] = reply.version
-        self.stats.page_fetches += 1
-        self.stats.page_fetch_bytes += len(reply.data)
+        else:
+            t0 = self.engine.now
+            fut = Future(f"fetch p{page} @{self.pid}")
+            self._fetch_waiting[page] = fut
+            needed = entry.needed_v or VClock.zero(self.n)
+            req = PageFetchReq(page=page, requester=self.pid, needed_v=needed)
+            self._pending_fetch_req[page] = req
+            self._send(self.regions.home_of(page), req)
+            reply: PageFetchReply = yield fut
+            self._pending_fetch_req.pop(page, None)
+            wait = self.engine.now - t0
+            self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
+            if bus.active:
+                bus.emit(WAIT, self.pid, TimeBucket.PAGE_WAIT, wait, "fetch")
+            # install the page
+            buf = self.page_bytes(page)
+            buf[:] = np.frombuffer(reply.data, dtype=np.uint8)
+            copy_cost = len(reply.data) * self.cpu.costs.twin_create_per_byte
+            yield from self.cpu.charge(TimeBucket.OVERHEAD, copy_cost)
+            entry.state = PageState.RO
+            entry.needed_v = None
+            self.have_v[page] = reply.version
+            self.stats.page_fetches += 1
+            self.stats.page_fetch_bytes += len(reply.data)
+        if bus.active:
+            bus.emit(PAGE_FETCHED, self.pid, page)
+            bus.emit(OP_CLOSE, self.pid, "fetch", None)
 
     def _ensure_home_ready(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
         """Home access path: wait for in-flight diffs if a notice demands."""
@@ -420,12 +439,19 @@ class DsmProcess:
         hp = self.home[page]
         needed = entry.needed_v
         if needed is not None and not hp.ready_for(needed):
+            bus = self.bus
+            if bus.active:
+                bus.emit(OP_OPEN, self.pid, "home_wait", page)
             t0 = self.engine.now
             fut = Future(f"homewait p{page} @{self.pid}")
             self._home_waiting[page] = fut
             hp.wait_fetch(self.pid, needed, lambda: fut.resolve(None))
             yield fut
-            self.cpu.stats.add(TimeBucket.PAGE_WAIT, self.engine.now - t0)
+            wait = self.engine.now - t0
+            self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
+            if bus.active:
+                bus.emit(WAIT, self.pid, TimeBucket.PAGE_WAIT, wait, "home_wait")
+                bus.emit(OP_CLOSE, self.pid, "home_wait", None)
         entry.needed_v = None
 
     # ------------------------------------------------------------------
@@ -435,6 +461,9 @@ class DsmProcess:
         """Flush dirty pages: create diffs + notices, send diffs to homes."""
         if not self._dirty:
             return
+        bus = self.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "flush", len(self._dirty))
         dirty, self._dirty = self._dirty, []
         new_interval = self.vt[self.pid] + 1
         self.vt = self.vt.bump(self.pid)
@@ -483,58 +512,67 @@ class DsmProcess:
                 )
                 self.stats.diffs_sent += 1
                 self.stats.diff_bytes_sent += diff.size_bytes
+        if bus.active:
+            bus.emit(INTERVAL_FLUSHED, self.pid, new_interval, len(dirty))
+            bus.emit(OP_CLOSE, self.pid, "flush", None)
 
     # ------------------------------------------------------------------
     # application API — locks
     # ------------------------------------------------------------------
     def acquire(self, lock_id: int) -> Iterator[Any]:
         """Acquire a global lock (LRC acquire semantics)."""
-        yield from self.cpu.drain_debt()
-        yield from self._end_interval()
-        seq = self._acq_seq.get(lock_id, 0) + 1
-        self._acq_seq[lock_id] = seq
-        if self.replay is not None:
-            done = yield from self.replay.replay_acquire(lock_id, seq)
-            if done:
-                self.stats.lock_acquires += 1
+        bus = self.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "acquire", lock_id)
+        try:
+            yield from self.cpu.drain_debt()
+            yield from self._end_interval()
+            seq = self._acq_seq.get(lock_id, 0) + 1
+            self._acq_seq[lock_id] = seq
+            if self.replay is not None:
+                done = yield from self.replay.replay_acquire(lock_id, seq)
+                if done:
+                    self.stats.lock_acquires += 1
+                    return
+                # replay exhausted mid-acquire: fall through to a live acquire
+            st = self.locks.token(lock_id)
+            if st.has_token and st.successor is None and not st.held:
+                # token is resting here and nobody was promised it
+                grant = LockGrant(
+                    lock_id=lock_id,
+                    grantor=self.pid,
+                    rel_vt=st.rel_vt or VClock.zero(self.n),
+                    notices=[],
+                )
+                self._complete_acquire(lock_id, grant, local=True)
+                self._record_self_grant(lock_id)
                 return
-            # replay exhausted mid-acquire: fall through to a live acquire
-        st = self.locks.token(lock_id)
-        if st.has_token and st.successor is None and not st.held:
-            # token is resting here and nobody was promised it
-            grant = LockGrant(
-                lock_id=lock_id,
-                grantor=self.pid,
-                rel_vt=st.rel_vt or VClock.zero(self.n),
-                notices=[],
+            t0 = self.engine.now
+            fut = Future(f"lock{lock_id} @{self.pid}")
+            self._lock_waiting[lock_id] = fut
+            req = LockAcquireReq(
+                lock_id=lock_id, acquirer=self.pid, acq_vt=self.vt, seq=seq
             )
-            self._complete_acquire(lock_id, grant, local=True)
-            self._record_self_grant(lock_id)
-            return
-        t0 = self.engine.now
-        fut = Future(f"lock{lock_id} @{self.pid}")
-        self._lock_waiting[lock_id] = fut
-        req = LockAcquireReq(
-            lock_id=lock_id, acquirer=self.pid, acq_vt=self.vt, seq=seq
-        )
-        self._pending_acquires[lock_id] = req
-        manager = self.config.lock_manager(lock_id)
-        if manager == self.pid:
-            self._manager_handle_acquire(req)
-        else:
-            self._send(manager, req)
-        grant: LockGrant = yield fut
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.LOCK_WAIT, wait)
-        if self.obs is not None:
-            self.obs.lock_wait.observe(wait)
-            self.obs.lock_lat.observe(wait)
-        self._complete_acquire(lock_id, grant, local=False)
-        yield from self.cpu.charge(
-            TimeBucket.OVERHEAD,
-            self.cpu.costs.message_handler
-            + len(grant.notices) * 1e-6,
-        )
+            self._pending_acquires[lock_id] = req
+            manager = self.config.lock_manager(lock_id)
+            if manager == self.pid:
+                self._manager_handle_acquire(req)
+            else:
+                self._send(manager, req)
+            grant: LockGrant = yield fut
+            wait = self.engine.now - t0
+            self.cpu.stats.add(TimeBucket.LOCK_WAIT, wait)
+            if bus.active:
+                bus.emit(WAIT, self.pid, TimeBucket.LOCK_WAIT, wait, "acquire")
+            self._complete_acquire(lock_id, grant, local=False)
+            yield from self.cpu.charge(
+                TimeBucket.OVERHEAD,
+                self.cpu.costs.message_handler
+                + len(grant.notices) * 1e-6,
+            )
+        finally:
+            if bus.active:
+                bus.emit(OP_CLOSE, self.pid, "acquire", None)
 
     def _complete_acquire(self, lock_id: int, grant: LockGrant, local: bool) -> None:
         st = self.locks.token(lock_id)
@@ -551,9 +589,13 @@ class DsmProcess:
         self.stats.lock_acquires += 1
         if not local:
             self.ft.on_acquire_done(lock_id, grant.grantor, self.vt)
+        if self.bus.active:
+            self.bus.emit(LOCK_ACQUIRED, self.pid, lock_id, grant.grantor, local)
 
     def release(self, lock_id: int) -> Iterator[Any]:
         """Release a lock: flush the interval, then pass the token if owed."""
+        if self.bus.active:
+            self.bus.emit(LOCK_RELEASE, self.pid, lock_id)
         yield from self.cpu.drain_debt()
         st = self.locks.token(lock_id)
         if not st.held:
@@ -641,55 +683,61 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def barrier(self) -> Iterator[Any]:
         """Global barrier over all processes."""
-        yield from self.cpu.drain_debt()
-        yield from self.ft.at_sync_point(at_barrier=True)
-        yield from self._end_interval()
-        episode = self.barrier_episode
-        if self.replay is not None:
-            done = yield from self.replay.replay_barrier(episode)
-            if done:
-                self.barrier_episode += 1
-                self.stats.barriers += 1
+        bus = self.bus
+        if bus.active:
+            bus.emit(OP_OPEN, self.pid, "barrier", self.barrier_episode)
+        try:
+            yield from self.cpu.drain_debt()
+            yield from self.ft.at_sync_point(at_barrier=True)
+            yield from self._end_interval()
+            episode = self.barrier_episode
+            if self.replay is not None:
+                done = yield from self.replay.replay_barrier(episode)
+                if done:
+                    self.barrier_episode += 1
+                    self.stats.barriers += 1
+                    return
+            if (
+                self._stashed_release is not None
+                and self._stashed_release.episode == episode
+            ):
+                # the release for this episode already arrived (it answered a
+                # pre-crash arrival, delivered during the post-recovery drain)
+                release = self._stashed_release
+                self._stashed_release = None
+                self._complete_barrier(release)
+                yield from self.cpu.charge(
+                    TimeBucket.OVERHEAD,
+                    self.cpu.costs.message_handler + len(release.notices) * 1e-6,
+                )
                 return
-        if (
-            self._stashed_release is not None
-            and self._stashed_release.episode == episode
-        ):
-            # the release for this episode already arrived (it answered a
-            # pre-crash arrival, delivered during the post-recovery drain)
-            release = self._stashed_release
-            self._stashed_release = None
+            own = self.notices.own_after(self.pid, self.last_barrier_global[self.pid])
+            arrive = BarrierArrive(
+                episode=episode, proc=self.pid, vt=self.vt, notices=own
+            )
+            t0 = self.engine.now
+            fut = Future(f"barrier{episode} @{self.pid}")
+            self._barrier_future = fut
+            self._pending_arrive = arrive
+            mgr = self.config.barrier_manager
+            if mgr == self.pid:
+                self._manager_handle_arrive(arrive)
+            else:
+                self._send(mgr, arrive)
+            release: BarrierRelease = yield fut
+            self._pending_arrive = None
+            wait = self.engine.now - t0
+            self.cpu.stats.add(TimeBucket.BARRIER_WAIT, wait)
+            if bus.active:
+                bus.emit(WAIT, self.pid, TimeBucket.BARRIER_WAIT, wait, "barrier")
             self._complete_barrier(release)
             yield from self.cpu.charge(
                 TimeBucket.OVERHEAD,
                 self.cpu.costs.message_handler + len(release.notices) * 1e-6,
             )
-            return
-        own = self.notices.own_after(self.pid, self.last_barrier_global[self.pid])
-        arrive = BarrierArrive(
-            episode=episode, proc=self.pid, vt=self.vt, notices=own
-        )
-        t0 = self.engine.now
-        fut = Future(f"barrier{episode} @{self.pid}")
-        self._barrier_future = fut
-        self._pending_arrive = arrive
-        mgr = self.config.barrier_manager
-        if mgr == self.pid:
-            self._manager_handle_arrive(arrive)
-        else:
-            self._send(mgr, arrive)
-        release: BarrierRelease = yield fut
-        self._pending_arrive = None
-        wait = self.engine.now - t0
-        self.cpu.stats.add(TimeBucket.BARRIER_WAIT, wait)
-        if self.obs is not None:
-            self.obs.barrier_wait.observe(wait)
-            self.obs.barrier_lat.observe(wait)
-        self._complete_barrier(release)
-        yield from self.cpu.charge(
-            TimeBucket.OVERHEAD,
-            self.cpu.costs.message_handler + len(release.notices) * 1e-6,
-        )
+        finally:
+            if bus.active:
+                bus.emit(OP_CLOSE, self.pid, "barrier", None)
 
     def _complete_barrier(self, release: BarrierRelease) -> None:
         self.stats.notices_applied += self._apply_notices(release.notices)
@@ -698,8 +746,8 @@ class DsmProcess:
         self.barrier_episode += 1
         self.stats.barriers += 1
         self.ft.on_barrier_done(release.episode, release.global_vt)
-        if self.obs is not None:
-            self.obs.on_barrier(release.episode)
+        if self.bus.active:
+            self.bus.emit(BARRIER_DONE, self.pid, release.episode)
 
     # ------------------------------------------------------------------
     # invalidations

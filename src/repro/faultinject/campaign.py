@@ -9,14 +9,14 @@ A sweep is three phases:
    injection.
 2. **Enumeration** — every Nth traced event, plus targeted classes:
    mid lock transfer, mid barrier, during a checkpoint disk write
-   (between the ``ckpt_write begin``/``end`` probes), and — from
+   (between ``CKPT_WRITE_BEGIN`` and ``CKPT_WRITE_END``), and — from
    single-crash discovery runs — during another node's recovery. With
    ``faults=2`` the schedule adds the ``double`` class (second crashes
    across recovery windows opened at several reference anchors: the
    recovering node again, its ring buddy — both ends of the replica
    chain — and a plain responder) and the ``repl`` class (either end of
    a checkpoint's begin→commit replication window, from the reference
-   run's ``repl`` probes).
+   run's ``REPL_BEGIN``/``REPL_COMMIT`` events).
 3. **Injection runs** — one fresh cluster per point with
    ``schedule_crash_at_step``; each must satisfy :func:`check_oracle`
    (recovery equivalence — the same bit-identical bar at k=2 as at
@@ -42,7 +42,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.recovery import OverlappingFailureError
 from repro.observe.latency import exact_percentile
-from repro.sim.trace import Tracer
+from repro.sim.trace import (
+    CKPT_WRITE_BEGIN,
+    CKPT_WRITE_END,
+    LOCK_ACQUIRED,
+    RECOVERY_BEGIN,
+    RECOVERY_LIVE,
+    REPL_BEGIN,
+    REPL_COMMIT,
+    Tracer,
+)
 
 __all__ = [
     "CLASSES",
@@ -491,7 +500,7 @@ class CrashSweep:
                 add("every", ev.step, ev.pid)
         if "lock" in self.classes:
             for ev in events:
-                if ev.kind == "lock" and ev.detail.startswith("acquired"):
+                if ev.event == LOCK_ACQUIRED:
                     # just before completion (token in flight) and just after
                     add("lock", ev.step - 1, ev.pid)
                     add("lock", ev.step, ev.pid)
@@ -501,15 +510,12 @@ class CrashSweep:
                     add("barrier", ev.step - 1, ev.pid)
                     add("barrier", ev.step, ev.pid)
         if "ckpt_write" in self.classes:
-            begins: Dict[Tuple[int, str], int] = {}
+            begins: Dict[Tuple[int, int], int] = {}  # (pid, seqno) -> step
             for ev in events:
-                if ev.kind != "ckpt_write":
-                    continue
-                tag = ev.detail.split()[1]  # "seqno=K"
-                if ev.detail.startswith("begin"):
-                    begins[(ev.pid, tag)] = ev.step
-                elif ev.detail.startswith("end"):
-                    b = begins.pop((ev.pid, tag), None)
+                if ev.event == CKPT_WRITE_BEGIN:
+                    begins[(ev.pid, ev.args[0])] = ev.step
+                elif ev.event == CKPT_WRITE_END:
+                    b = begins.pop((ev.pid, ev.args[0]), None)
                     if b is None:
                         continue
                     # strictly inside the write: after it started, before
@@ -541,9 +547,9 @@ class CrashSweep:
         for ev in tracer.events:
             if ev.pid != anchor_pid:
                 continue
-            if ev.detail.startswith("begin") and begin is None:
+            if ev.event == RECOVERY_BEGIN and begin is None:
                 begin = ev.step
-            elif ev.detail == "live" and begin is not None:
+            elif ev.event == RECOVERY_LIVE and begin is not None:
                 live = ev.step
                 break
         window = None
@@ -614,31 +620,28 @@ class CrashSweep:
 
     def _repl_points(self, events: List[Any]) -> List[CrashPoint]:
         """Crashes in the middle of a replication exchange, enumerated
-        from the reference run's ``repl`` probes: for each checkpoint's
+        from the reference run's ``repl`` events: for each checkpoint's
         begin→commit replication window, kill the buddy (it dies holding
         a torn replica record) and the sender (its checkpoint commits
         but the replica ack never arrives)."""
-        windows: Dict[Tuple[int, str], int] = {}
+        windows: Dict[Tuple[int, int], int] = {}  # (pid, seqno) -> step
         out: List[CrashPoint] = []
         found = False
         for ev in events:
-            if ev.kind != "repl":
-                continue
-            parts = ev.detail.split()
-            if parts[0] == "begin":
+            if ev.event == REPL_BEGIN:
                 found = True
-                windows[(ev.pid, parts[1])] = ev.step
-            elif parts[0] == "commit":
-                b = windows.pop((ev.pid, parts[1]), None)
+                windows[(ev.pid, ev.args[0])] = ev.step
+            elif ev.event == REPL_COMMIT:
+                seqno, buddy = ev.args
+                b = windows.pop((ev.pid, seqno), None)
                 if b is None:
                     continue
                 mid = max(b, min((b + ev.step) // 2, ev.step - 1))
-                buddy = int(parts[2].split("=")[1])  # "dst=B"
                 out.append(CrashPoint("repl", mid, buddy))
                 out.append(CrashPoint("repl", mid, ev.pid))
         if not found:
             self.notes.append(
-                "no replication probes in the reference run (replication "
+                "no replication events in the reference run (replication "
                 "disabled?); repl class skipped"
             )
         return out

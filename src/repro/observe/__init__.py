@@ -23,7 +23,7 @@ from repro.observe.invariants import (
     write_flight_record,
 )
 from repro.observe.latency import LatencyHistogram, exact_percentile
-from repro.observe.observer import ClusterObserver, NodeProbe
+from repro.observe.observer import ClusterObserver
 from repro.observe.registry import (
     CLUSTER_NODE,
     Counter,
@@ -85,7 +85,6 @@ __all__ = [
     "KEY_SERIES",
     "LatencyHistogram",
     "MetricsRegistry",
-    "NodeProbe",
     "Objective",
     "SloResult",
     "Span",

@@ -5,10 +5,9 @@ An :class:`InvariantMonitor` attaches to a
 checks five invariant classes derived from the paper (Sultan et al.,
 SC 2000); see DESIGN.md §9 for the catalog mapping each check to its
 theorem/section. Like the observer and the span tracer it is strictly
-read-only: it wraps the network send/deliver entry points, chains onto
-the cluster probe hook and installs the engine's event tap, but performs
-no scheduling, no sends and no state mutation — a monitored run is
-bit-identical to an unmonitored one (golden-determinism test).
+read-only: it subscribes to the run's event bus (``repro.sim.trace``)
+and performs no scheduling, no sends and no state mutation — a monitored
+run is bit-identical to an unmonitored one (golden-determinism test).
 
 The five invariant classes:
 
@@ -71,12 +70,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.dsm.vclock import VClock
 from repro.observe.invariants.recorder import FlightRecorder
+from repro.sim.trace import (
+    CGC,
+    CKPT_WRITE_BEGIN,
+    CKPT_WRITE_END,
+    DELIVER,
+    FAILURE,
+    LLT,
+    RECOVERY_LIVE,
+    SEND,
+)
 
 __all__ = ["INVARIANTS", "Violation", "InvariantMonitor"]
 
@@ -118,7 +127,7 @@ class InvariantMonitor:
 
     ``scan_every`` throttles the structural recoverability scan (the one
     check that walks every host's checkpoint store) to every Nth message
-    delivery; probe-triggered scans (checkpoint commits, recoveries) and
+    delivery; event-triggered scans (checkpoint commits, recoveries) and
     the final :meth:`finish` scan always run. Violations are collected,
     deduplicated on (invariant, pid, detail) and capped; the first one
     snapshots a flight record (:attr:`violation_dump`), as does every
@@ -135,7 +144,7 @@ class InvariantMonitor:
         if scan_every is None:
             # default cadence: every delivery on paper-scale clusters;
             # throttled on wide ones, where the scan is O(N) and
-            # deliveries are O(N^2) per barrier (probe-triggered and
+            # deliveries are O(N^2) per barrier (event-triggered and
             # final scans still always run)
             n_default = cluster.config.num_procs
             scan_every = (
@@ -177,44 +186,27 @@ class InvariantMonitor:
         self._homes: Optional[Dict[Any, int]] = None
         #: home pid -> its pages (built with _homes)
         self._pages_by_home: Dict[int, List[Any]] = {}
-        self._install()
+        self._subscribe()
 
     # ==================================================================
-    # attachment (read-only wrapping, tracer-style chaining)
+    # attachment
     # ==================================================================
-    def _install(self) -> None:
-        cluster = self.cluster
-        net = cluster.network
-        mon = self
-
-        orig_send = net.send
-
-        def send(src: int, dst: int, payload: Any, size: int,
-                 category: str, ft_bytes: int = 0) -> None:
-            mon._on_send(src, dst, payload)
-            orig_send(src, dst, payload, size, category, ft_bytes)
-
-        net.send = send
-
-        orig_deliver = net._deliver
-
-        def deliver(src: int, dst: int, payload: Any, epoch: int,
-                    size: int = 0) -> None:
-            mon._on_deliver(src, dst, payload)
-            orig_deliver(src, dst, payload, epoch, size)
-
-        net._deliver = deliver
-
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            mon._on_probe(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-        cluster.engine.event_tap = self.recorder.on_engine_event
+    def _subscribe(self) -> None:
+        """Subscription order is dispatch order: a message is checked
+        before the recorder rings it, an FT/recovery event is rung before
+        it is checked — so a violation's flight record ends with what
+        led to it, not with the message that revealed it."""
+        engine = self.cluster.engine
+        bus = engine.bus
+        bus.subscribe(SEND, self._on_send)
+        bus.subscribe(DELIVER, self._on_deliver)
+        self.recorder.attach(engine)
+        bus.subscribe(LLT, self._check_llt)
+        bus.subscribe(CGC, self._check_cgc)
+        bus.subscribe(CKPT_WRITE_BEGIN, self._on_ckpt_write_begin)
+        bus.subscribe(CKPT_WRITE_END, self._on_ckpt_write_end)
+        bus.subscribe(FAILURE, self._on_failure)
+        bus.subscribe(RECOVERY_LIVE, self._on_recovery_live)
 
     # ==================================================================
     # event handlers
@@ -223,10 +215,8 @@ class InvariantMonitor:
         self._chan.setdefault((src, dst), deque()).append(payload)
         self._refresh_vclocks((src, dst))
         self._check_stamps(src, payload)
-        eng = self.cluster.engine
-        self.recorder.on_message("send", eng.now, eng.steps, src, dst, payload)
 
-    def _on_deliver(self, src: int, dst: int, payload: Any) -> None:
+    def _on_deliver(self, src: int, dst: int, payload: Any, epoch: int) -> None:
         q = self._chan.get((src, dst))
         if not q:
             self._violate(
@@ -253,38 +243,29 @@ class InvariantMonitor:
         self._deliveries += 1
         if self._deliveries % self.scan_every == 0:
             self._scan_structural()
-        eng = self.cluster.engine
-        self.recorder.on_message(
-            "deliver", eng.now, eng.steps, src, dst, payload
-        )
 
-    def _on_probe(self, pid: int, kind: str, detail: str) -> None:
-        eng = self.cluster.engine
-        self.recorder.on_probe(eng.now, eng.steps, pid, kind, detail)
-        if kind == "llt":
-            self._check_llt(pid)
-        elif kind == "cgc":
-            self._check_cgc(pid)
-        elif kind == "ckpt_write":
-            if detail.startswith("begin"):
-                self._ckpt_writing.add(pid)
-            else:
-                # the commit marker lands later in this same engine
-                # event (probe fires before commit_staged), so do NOT
-                # scan here — the next delivery-driven scan runs after
-                # the commit and must find no torn keys
-                self._ckpt_writing.discard(pid)
-        elif kind == "failure":
-            # emitted before the kill: snapshot the victim's last state
-            self._ckpt_writing.discard(pid)
-            self._last_vt[pid] = None
-            self.crash_dumps.append(
-                self.flight_record(f"crash of p{pid} (fail-stop)")
-            )
-            del self.crash_dumps[:-4]
-        elif kind == "recovery" and detail == "live":
-            self._last_vt[pid] = None
-            self._scan_structural()
+    def _on_ckpt_write_begin(self, pid: int, seqno: int, nbytes: int) -> None:
+        self._ckpt_writing.add(pid)
+
+    def _on_ckpt_write_end(self, pid: int, seqno: int, duration: float) -> None:
+        # the commit marker lands later in this same engine event (the
+        # event fires before commit_staged), so do NOT scan here — the
+        # next delivery-driven scan runs after the commit and must find
+        # no torn keys
+        self._ckpt_writing.discard(pid)
+
+    def _on_failure(self, pid: int) -> None:
+        # emitted before the kill: snapshot the victim's last state
+        self._ckpt_writing.discard(pid)
+        self._last_vt[pid] = None
+        self.crash_dumps.append(
+            self.flight_record(f"crash of p{pid} (fail-stop)")
+        )
+        del self.crash_dumps[:-4]
+
+    def _on_recovery_live(self, pid: int) -> None:
+        self._last_vt[pid] = None
+        self._scan_structural()
 
     # ==================================================================
     # violation bookkeeping
@@ -373,9 +354,9 @@ class InvariantMonitor:
                 return
 
     # ==================================================================
-    # invariant 1 — CGC (Rule 3.1), checked at every "cgc" probe
+    # invariant 1 — CGC (Rule 3.1), checked at every CGC event
     # ==================================================================
-    def _check_cgc(self, pid: int) -> None:
+    def _check_cgc(self, pid: int, *_payload: Any) -> None:
         host = self.cluster.hosts[pid]
         ft, mgr = host.ft, host.ckpt_mgr
         if ft is None or mgr is None:
@@ -431,9 +412,9 @@ class InvariantMonitor:
         self.checks["cgc"] += 1
 
     # ==================================================================
-    # invariant 2 — LLT (Rules 1/2/3.2), checked at every "llt" probe
+    # invariant 2 — LLT (Rules 1/2/3.2), checked at every LLT event
     # ==================================================================
-    def _check_llt(self, pid: int) -> None:
+    def _check_llt(self, pid: int, *_payload: Any) -> None:
         host = self.cluster.hosts[pid]
         ft = host.ft
         if ft is None:

@@ -1,18 +1,20 @@
-"""Bounded crash flight recorder: the last N engine events, probe
-firings and message send/deliver records, dumpable as a post-mortem.
+"""Bounded crash flight recorder: the last N engine events, FT and
+recovery events and message send/deliver records, dumpable as a
+post-mortem.
 
 The recorder is a fixed-size ring (``collections.deque`` with
 ``maxlen``), so it is O(1) per event and safe to leave attached for a
 whole campaign. Records are raw tuples while the run is live; they are
 normalized to JSON-friendly dicts only when a dump is requested (on an
 invariant violation or a crash), which keeps the hot path to one deque
-append. Engine events store the callable itself and resolve a label
-lazily at dump time.
+append. Engine events store the callable itself, FT/recovery events
+their payload, and both resolve to text lazily at dump time.
 
 Record shapes (first element is the record kind):
 
 * ``("engine", time, step, fn)`` — one engine event about to execute
-* ``("probe", time, step, pid, kind, detail)`` — a cluster probe firing
+* ``("probe", time, step, event, pid, args)`` — one event of the
+  ``PROBE_CATEGORIES`` (dumped as its timeline category and text)
 * ``("send"|"deliver", time, step, src, dst, msg_type, category)``
 
 A flight record (assembled by the monitor) is a dict with ``reason``,
@@ -30,6 +32,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.render import Table
+from repro.sim.trace import DELIVER, ENGINE_EVENT, SEND, TEXT
 
 __all__ = [
     "FlightRecorder",
@@ -37,6 +40,12 @@ __all__ = [
     "validate_flight_record",
     "write_flight_record",
 ]
+
+#: timeline categories (``sim.trace.TEXT``) recorded as "probe" records:
+#: what the FT layer, the replication tier and recovery announce
+PROBE_CATEGORIES = frozenset(
+    {"ckpt_write", "llt", "cgc", "failure", "recovery", "rphase", "repl"}
+)
 
 
 def _describe(fn: Any) -> str:
@@ -65,21 +74,34 @@ class FlightRecorder:
         self.ring_size = ring_size
         self.ring: deque = deque(maxlen=ring_size)
         self.recorded = 0
+        self._engine: Any = None
+
+    def attach(self, engine: Any) -> None:
+        """Record the run ``engine`` drives, from its bus."""
+        self._engine = engine
+        bus = engine.bus
+        bus.subscribe(ENGINE_EVENT, self.on_engine_event)
+        bus.subscribe(SEND, functools.partial(self._on_message, "send"))
+        bus.subscribe(DELIVER, functools.partial(self._on_message, "deliver"))
+        for event, (category, _) in TEXT.items():
+            if category in PROBE_CATEGORIES:
+                bus.subscribe(event, functools.partial(self._on_probe, event))
 
     # -- producers (hot path: one append each) --------------------------
     def on_engine_event(self, time: float, step: int, fn: Callable) -> None:
         self.ring.append(("engine", time, step, fn))
         self.recorded += 1
 
-    def on_probe(self, time: float, step: int, pid: int, kind: str,
-                 detail: str) -> None:
-        self.ring.append(("probe", time, step, pid, kind, detail))
+    def _on_probe(self, event: str, pid: int, *args: Any) -> None:
+        engine = self._engine
+        self.ring.append(("probe", engine.now, engine.steps, event, pid, args))
         self.recorded += 1
 
-    def on_message(self, which: str, time: float, step: int, src: int,
-                   dst: int, msg: Any) -> None:
+    def _on_message(self, which: str, src: int, dst: int, msg: Any,
+                    epoch: int = 0) -> None:
+        engine = self._engine
         self.ring.append(
-            (which, time, step, src, dst,
+            (which, engine.now, engine.steps, src, dst,
              type(msg).__name__, getattr(msg, "category", "?"))
         )
         self.recorded += 1
@@ -96,9 +118,11 @@ class FlightRecorder:
                      "event": _describe(rec[3])}
                 )
             elif kind == "probe":
+                category, detail = TEXT[rec[3]]
                 out.append(
                     {"rec": "probe", "time": rec[1], "step": rec[2],
-                     "pid": rec[3], "kind": rec[4], "detail": rec[5]}
+                     "pid": rec[4], "kind": category,
+                     "detail": detail(*rec[5])}
                 )
             else:  # send | deliver
                 out.append(

@@ -9,12 +9,13 @@ and nothing else. The seeded-violation tests (and the CLI's
 corresponding invariant class and produces a valid flight record. A
 monitor that stays silent on these runs is broken.
 
-``seed_violation(cluster, kind)`` must be called *after* the monitor is
-attached: the ``fifo`` seed wraps ``network._deliver`` and relies on
-sitting *outside* the monitor's own wrapper, so the reorder happens
-before the monitor's observation point (an inner wrapper would reorder
-invisibly). Seeds that hook the FT layer wrap ``cluster._install_ft``
-because the per-host managers do not exist until setup.
+``seed_violation(cluster, kind)`` is called before ``cluster.run``. The
+``fifo`` seed wraps ``network._deliver``; the ``DELIVER`` event the
+monitor subscribes to is emitted inside the real method, so the monitor
+sees the reordered stream. Seeds that hook the FT layer wrap
+``cluster._install_ft`` because the per-host managers do not exist
+until setup. This module sabotages behaviour — it is a test fixture,
+not an observer, which is why it alone still replaces methods.
 
 Some seeds corrupt protocol state the run itself depends on (``vclock``
 zeroes a vector time; ``recoverability`` deletes checkpoint copies), so
@@ -85,9 +86,7 @@ def _seed_fifo(cluster: Any) -> None:
     that has another message already in flight behind it is held back
     and delivered after that follower — a one-time adjacent swap. Only
     holding when a follower is guaranteed to arrive keeps the sabotaged
-    run from deadlocking on a request that never lands. Installed
-    OUTSIDE the monitor's wrapper (seed after attach), so the monitor
-    observes the reordered stream."""
+    run from deadlocking on a request that never lands."""
     net = cluster.network
     orig_send = net.send
     orig_deliver = net._deliver
@@ -165,7 +164,7 @@ SEEDS = {
 def seed_violation(cluster: Any, kind: str) -> None:
     """Sabotage ``cluster`` so that invariant class ``kind`` is violated.
 
-    Call after attaching the monitor and before ``cluster.run``.
+    Call before ``cluster.run``.
     """
     try:
         SEEDS[kind](cluster)

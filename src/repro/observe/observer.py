@@ -19,60 +19,40 @@ its queue and reaches the cluster's deadlock diagnostics instead of
 spinning on samples.
 
 Per-node gauges close over the :class:`~repro.cluster.ProcHost` (not the
-protocol object) so they survive crash/recovery incarnations; hosts
-re-attach probes to fresh ``DsmProcess``/``FtManager`` instances via
-``cluster.observer``.
+protocol object) so they survive crash/recovery incarnations; everything
+else arrives as events on the run's bus (``repro.sim.trace``), whichever
+incarnation emits them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
+from repro.sim.trace import (
+    APP_LATENCY,
+    BARRIER_DONE,
+    CGC,
+    CHECKPOINT_TAKEN,
+    CKPT_WRITE_END,
+    FAILURE,
+    LLT,
+    RECOVERY_PHASES,
+    REPL_ACK,
+    REPL_COMMIT,
+    REPL_RETARGET,
+    WAIT,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster import DsmCluster, ProcHost
 
-__all__ = ["ClusterObserver", "NodeProbe"]
+__all__ = ["ClusterObserver"]
 
-
-class NodeProbe:
-    """Per-process handle the protocol layer calls into.
-
-    Pre-resolved histogram references keep the instrumented hot paths to
-    one attribute load + method call; the protocol guards every use with
-    ``self.obs is not None`` so unobserved runs pay a single attribute
-    check.
-    """
-
-    __slots__ = ("pid", "observer", "fetch_wait", "lock_wait", "barrier_wait",
-                 "fetch_lat", "lock_lat", "barrier_lat")
-
-    def __init__(self, observer: "ClusterObserver", pid: int) -> None:
-        self.pid = pid
-        self.observer = observer
-        reg = observer.registry
-        self.fetch_wait = reg.histogram("dsm.fetch_wait_s", pid)
-        self.lock_wait = reg.histogram("dsm.lock_wait_s", pid)
-        self.barrier_wait = reg.histogram("dsm.barrier_wait_s", pid)
-        # log-bucketed percentile distributions (DESIGN.md §12) fed from
-        # the same protocol sites as the fixed-bucket wait histograms
-        self.fetch_lat = reg.latency("lat.fetch", pid)
-        self.lock_lat = reg.latency("lat.acquire", pid)
-        self.barrier_lat = reg.latency("lat.barrier", pid)
-
-    def on_barrier(self, episode: int) -> None:
-        self.observer.on_barrier(episode)
-
-    def app_latency(self, name: str):
-        """Application-level latency op class for this node.
-
-        How workloads (the session serving app) observe their own
-        request/queueing latencies through the same registry as the
-        protocol sites — interned, so per-request calls are one dict
-        lookup; windowed automatically when the run collects windows.
-        """
-        return self.observer.registry.latency(name, self.pid)
+#: wait op -> metric stem: ``dsm.<stem>_wait_s`` is the fixed-bucket
+#: histogram, ``lat.<op>`` the percentile distribution (DESIGN.md §12).
+#: Home waits charge PAGE_WAIT too but have no histogram of their own.
+_WAIT_METRICS = {"fetch": "fetch", "acquire": "lock", "barrier": "barrier"}
 
 
 class ClusterObserver:
@@ -102,33 +82,43 @@ class ClusterObserver:
         #: run report's ``recovery`` records and the degradation
         #: timeline's crash marks
         self.recovery_records: list = []
-        self._probes: Dict[int, NodeProbe] = {}
         self._next_episode = 0
         #: (steps, now) at the previous sample, for the events/sec series
         self._last_rate_point = (0, 0.0)
-        cluster.observer = self
+        #: (pid, wait op) -> its two distributions, created up front so
+        #: a node that never waited still reports them, empty
+        self._waits: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
+        #: pid -> seqno -> virtual time its replica commit was sent to
+        #: the current buddy; popped by the ack that covers it
+        self._commit_sent: Dict[int, Dict[int, float]] = {}
         self._install_cluster_gauges()
+        reg = self.registry
         for host in cluster.hosts:
             self._install_host_gauges(host)
-            # protos/FT managers exist only after cluster.setup(); attach
-            # now if they are already there (direct-driven unit tests)
-            if host.proto is not None:
-                host.proto.obs = self.node_probe(host.pid)
-            if host.ft is not None:
-                host.ft.obs = self
+            for op, stem in _WAIT_METRICS.items():
+                self._waits[host.pid, op] = (
+                    reg.histogram(f"dsm.{stem}_wait_s", host.pid),
+                    reg.latency(f"lat.{op}", host.pid),
+                )
+        subscribe = cluster.engine.bus.subscribe
+        subscribe(WAIT, self._on_wait)
+        subscribe(BARRIER_DONE, self._on_barrier)
+        subscribe(APP_LATENCY, self._on_app_latency)
+        subscribe(CHECKPOINT_TAKEN, self._on_checkpoint)
+        subscribe(CKPT_WRITE_END, self._on_ckpt_write)
+        subscribe(LLT, self._on_llt)
+        subscribe(CGC, self._on_cgc)
+        subscribe(RECOVERY_PHASES, self._on_recovery_phases)
+        subscribe(REPL_COMMIT, self._on_repl_commit)
+        subscribe(REPL_ACK, self._on_repl_ack)
+        # commits sent to a buddy that is gone, or by an incarnation that
+        # is gone, will never be acked
+        subscribe(REPL_RETARGET, self._forget_commits)
+        subscribe(FAILURE, self._forget_commits)
         if interval is not None:
             if interval <= 0:
                 raise ValueError(f"sample interval must be positive: {interval}")
             cluster.engine.schedule(interval, self._tick)
-
-    # ------------------------------------------------------------------
-    # attachment
-    # ------------------------------------------------------------------
-    def node_probe(self, pid: int) -> NodeProbe:
-        probe = self._probes.get(pid)
-        if probe is None:
-            probe = self._probes[pid] = NodeProbe(self, pid)
-        return probe
 
     def _install_cluster_gauges(self) -> None:
         reg = self.registry
@@ -233,7 +223,7 @@ class ClusterObserver:
             )
         self._last_rate_point = (engine.steps, now)
 
-    def on_barrier(self, episode: int) -> None:
+    def _on_barrier(self, pid: int, episode: int) -> None:
         """Barrier-episode cadence: sample once per completed episode."""
         if not self.sample_on_barrier:
             return
@@ -255,24 +245,56 @@ class ClusterObserver:
             engine.schedule(self.interval, self._tick)
 
     # ------------------------------------------------------------------
-    # FT-layer hooks (called by FtManager behind an `obs is None` guard)
+    # event handlers (record only)
     # ------------------------------------------------------------------
-    def on_checkpoint(self, pid: int, ckpt_no: int, disk_log_bytes: int) -> None:
+    def _on_wait(self, pid: int, bucket: Any, seconds: float, op: str) -> None:
+        metrics = self._waits.get((pid, op))
+        if metrics is not None:
+            metrics[0].observe(seconds)
+            metrics[1].observe(seconds)
+
+    def _on_app_latency(self, pid: int, name: str, seconds: float) -> None:
+        """A workload's own latency op class (the session serving app's
+        request/queueing latencies): same registry as the protocol
+        sites, windowed automatically when the run collects windows."""
+        self.registry.latency(name, pid).observe(seconds)
+
+    def _on_checkpoint(
+        self, pid: int, ckpt_no: int, vt: Any, disk_log_bytes: int
+    ) -> None:
         """Record the Figure 4 point: stable log size at checkpoint N."""
         self.registry.record("ft.log_disk_bytes", pid, ckpt_no, disk_log_bytes)
         self.registry.record(
             "ft.ckpt_times", pid, self.cluster.engine.now, ckpt_no
         )
 
-    def on_ckpt_write(self, pid: int, duration_s: float) -> None:
+    def _on_ckpt_write(self, pid: int, seqno: int, duration_s: float) -> None:
         """One checkpoint's write+commit duration (stage → commit marker)."""
         self.registry.latency("lat.ckpt", pid).observe(duration_s)
 
-    def on_replica_ack(self, pid: int, lag_s: float) -> None:
-        """Replica transfer/ack lag: checkpoint commit send → buddy ack."""
-        self.registry.latency("lat.replica_ack", pid).observe(lag_s)
+    def _on_repl_commit(self, pid: int, seqno: int, dst: int) -> None:
+        self._commit_sent.setdefault(pid, {})[seqno] = self.cluster.engine.now
 
-    def on_recovery_phases(self, pid: int, rec: Dict[str, float]) -> None:
+    def _on_repl_ack(self, pid: int, seqno: int) -> None:
+        """Replica transfer/ack lag: checkpoint commit send → buddy ack.
+
+        Acks are cumulative: this one covers every commit sent at or
+        before ``seqno``.
+        """
+        sent = self._commit_sent.get(pid)
+        if not sent:
+            return
+        now = self.cluster.engine.now
+        lag = self.registry.latency("lat.replica_ack", pid)
+        for s in sorted(sent):
+            if s > seqno:
+                break
+            lag.observe(now - sent.pop(s))
+
+    def _forget_commits(self, pid: int, *_: Any) -> None:
+        self._commit_sent.pop(pid, None)
+
+    def _on_recovery_phases(self, pid: int, rec: Dict[str, float]) -> None:
         """One completed recovery's phase anatomy (DESIGN.md §12).
 
         ``rec`` is the per-incarnation record appended to
@@ -288,7 +310,7 @@ class ClusterObserver:
         )
         self.recovery_records.append(dict(rec, pid=pid))
 
-    def on_llt(self, pid: int, trimmed: Dict[str, int]) -> None:
+    def _on_llt(self, pid: int, trimmed: Dict[str, int]) -> None:
         """Account one LLT pass (bytes/entries trimmed per rule)."""
         reg = self.registry
         reg.counter("ft.trim_diff_bytes", pid).inc(trimmed.get("diff_bytes", 0))
@@ -298,6 +320,6 @@ class ClusterObserver:
         reg.counter("ft.trim_wn_entries", pid).inc(trimmed.get("wn", 0))
         reg.counter("ft.trim_bar_entries", pid).inc(trimmed.get("bar", 0))
 
-    def on_cgc(self, pid: int, freed: int) -> None:
+    def _on_cgc(self, pid: int, freed: int, window: int) -> None:
         """Account one CGC pass (checkpoint bytes collected)."""
         self.registry.counter("ft.cgc_freed_bytes", pid).inc(freed)

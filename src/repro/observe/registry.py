@@ -37,9 +37,9 @@ this.
 Disabled path
 -------------
 ``MetricsRegistry(enabled=False)`` hands out shared null metric objects
-whose mutators are no-ops and records no series; instrumentation sites
-additionally guard with ``obs is not None`` so a run without an observer
-pays at most one attribute check per event.
+whose mutators are no-ops and records no series; emit sites additionally
+guard with ``bus.active`` so a run without an observer pays at most one
+attribute check per event.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ Schema history: 1 = header/series/hist/summary; 2 adds ``lat`` records
 (DESIGN.md §13). Readers accept all three.
 
 Rendering reuses the repo's ASCII reporting layer
-(:mod:`repro.metrics.report`), so Figure 4-style curves and overview
+(:mod:`repro.render`), so Figure 4-style curves and overview
 tables come out of the same pipeline the paper harness uses.
 """
 
@@ -74,7 +74,7 @@ KEY_SERIES = (
 )
 
 #: latency op classes a schema-2 report must carry records for (the
-#: NodeProbe pre-creates these three, so they exist — possibly with
+#: observer pre-creates these three, so they exist — possibly with
 #: count 0 — in every observed run; ckpt/replica/recovery classes appear
 #: only when the corresponding events happened)
 KEY_LATENCIES = ("lat.fetch", "lat.acquire", "lat.barrier")

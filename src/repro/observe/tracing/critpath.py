@@ -121,7 +121,7 @@ class _GapIndex:
             if s.status in ("closed", "abandoned") and s.kind in self.by_kind:
                 self.by_kind[s.kind][s.pid].append(s)
         # synthesize a "down" interval per crash, from the fail-stop to
-        # the recovery-begin probe: the failure-detection window, during
+        # RECOVERY_BEGIN: the failure-detection window, during
         # which the victim's timeline is legitimately empty
         for pid, t_crash in tracer.crash_points:
             rec_starts = sorted(

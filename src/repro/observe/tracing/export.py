@@ -8,7 +8,7 @@ record into the Trace Event Format understood by Perfetto
   threads per node so every track nests properly — tid 0 carries the op
   spans (app/compute/fetch/acquire/barrier/flush/ckpt), tid 1 the
   retroactive wait spans (page/lock/barrier waits, which overlap their
-  enclosing op), tid 2 the probe spans (ckpt_write, recovery — closed
+  enclosing op), tid 2 the bracketed spans (ckpt_write, recovery — closed
   out of LIFO order with respect to ops during a crash);
 * every closed/abandoned span becomes an ``"X"`` complete event
   (``ts``/``dur`` in microseconds of virtual time);

@@ -9,38 +9,37 @@ that sent it and the node that received it. On top of the DAG live the
 critical-path analysis (``critpath.py``) and the Chrome trace-event
 export (``export.py``).
 
-Span kinds
+Span kinds (all built from events on the run's bus, ``repro.sim.trace``)
 ----------
-* op spans, opened/closed by wrapping the protocol coroutines:
+* op spans, between an ``OP_OPEN`` and its ``OP_CLOSE``:
   ``app`` (one per incarnation of a node's application main),
   ``compute``, ``fetch``, ``home_wait``, ``acquire``, ``barrier``,
   ``flush`` (interval flush with dirty pages), ``ckpt`` (the whole
   checkpoint operation);
-* probe spans, derived from ``cluster.probe`` events: ``ckpt_write``
-  (the stable-storage write, between the FT manager's existing
-  begin/end probes) and ``recovery`` (failure-detection to live
-  switch);
-* wait spans, created *retroactively* whenever the protocol charges a
-  wait bucket: ``page_wait``, ``lock_wait``, ``barrier_wait``. The
-  protocol calls ``cpu.stats.add(bucket, seconds)`` exactly once per
-  wait, at the instant the wait ends, with the exact waited duration —
-  so wait spans reconcile with the :class:`~repro.sim.node.TimeStats`
-  bucket totals *by construction* (the invariant
+* bracketed spans, between a begin and an end event: ``ckpt_write``
+  (the stable-storage write), ``recovery`` (failure-detection to live
+  switch) with its ``rphase`` children, and ``repl`` (one checkpoint's
+  buddy transfer);
+* wait spans, created *retroactively* at every ``WAIT`` event:
+  ``page_wait``, ``lock_wait``, ``barrier_wait``. The protocol emits it
+  beside ``cpu.stats.add(bucket, seconds)``, exactly once per wait, at
+  the instant the wait ends, with the exact waited duration — so wait
+  spans reconcile with the :class:`~repro.sim.node.TimeStats` bucket
+  totals *by construction* (the invariant
   ``critpath.reconcile_with_time_stats`` checks).
 
 Read-only guarantee
 -------------------
-The tracer only wraps callables and records; it sends no messages,
-charges no CPU, schedules no events and never mutates protocol state
-(message identity is tracked in a side table keyed by ``id(msg)``, the
-same never-touch-the-payload discipline the observer uses for
-``cluster.probe``). The golden determinism test passes with a
+The tracer only subscribes and records; it sends no messages, charges
+no CPU, schedules no events and never mutates protocol state (message
+identity is tracked in a side table keyed by ``id(msg)``; the payload
+is never touched). The golden determinism test passes with a
 SpanTracer attached.
 
 Crash/recovery semantics
 ------------------------
 A fail-stop closes every open span on the victim as ``abandoned`` (the
-cluster emits a ``failure`` probe before killing the incarnation).
+cluster emits ``FAILURE`` before killing the incarnation).
 Recovery incarnations open fresh spans — ids are globally unique and
 every span carries its ``incarnation`` (the host's ``crashed_count`` at
 open), so the final incarnation's spans are exactly the ones that
@@ -49,8 +48,9 @@ reconcile with the final :class:`TimeStats`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsm.messages import (
     BarrierArrive,
@@ -64,13 +64,31 @@ from repro.dsm.messages import (
     PageFetchReq,
 )
 from repro.sim.node import TimeBucket
+from repro.sim.trace import (
+    CKPT_WRITE_BEGIN,
+    CKPT_WRITE_END,
+    DELIVER,
+    FAILURE,
+    OP_CLOSE,
+    OP_OPEN,
+    RECOVERY_ANNOTATE,
+    RECOVERY_BEGIN,
+    RECOVERY_LIVE,
+    REPL_BEGIN,
+    REPL_COMMIT,
+    REPL_FETCH,
+    RPHASE,
+    SEND,
+    TEXT,
+    WAIT,
+)
 
 __all__ = ["Span", "CausalEdge", "SpanTracer", "WAIT_KINDS", "OP_KINDS"]
 
 #: wait-span kinds (retroactive spans mirroring the TimeStats buckets)
 WAIT_KINDS = ("page_wait", "lock_wait", "barrier_wait")
 
-#: op/probe span kinds
+#: op and bracketed span kinds
 OP_KINDS = (
     "app",
     "compute",
@@ -86,11 +104,14 @@ OP_KINDS = (
     "repl",
 )
 
-#: which op-span kinds enclose the wait spans of each bucket
-_WAIT_PARENTS = {
-    TimeBucket.PAGE_WAIT: ("fetch", "home_wait"),
-    TimeBucket.LOCK_WAIT: ("acquire",),
-    TimeBucket.BARRIER_WAIT: ("barrier",),
+#: op -> (span detail, machine-readable key) of its OP_OPEN operand
+_OP_OPERAND = {
+    "app": lambda incarnation: (f"incarnation {incarnation}", None),
+    "fetch": lambda page: (f"page {tuple(page)}", ("page", tuple(page))),
+    "home_wait": lambda page: (f"page {tuple(page)}", ("page", tuple(page))),
+    "acquire": lambda lock_id: (f"L{lock_id}", ("lock", lock_id)),
+    "barrier": lambda episode: (f"ep{episode}", ("barrier", episode)),
+    "flush": lambda dirty: (f"{dirty} dirty", None),
 }
 
 #: message types whose arrival legitimately ends a wait, per parent kind
@@ -182,7 +203,7 @@ class SpanTracer:
         self.dropped_spans = 0
         self.dropped_edges = 0
         #: open spans per pid, in open order (innermost last). A plain
-        #: list, not a stack: probe spans (recovery) legally close out
+        #: list, not a stack: bracketed spans (recovery) legally close out
         #: of LIFO order.
         self._open: Dict[int, List[Span]] = {}
         #: in-flight edges keyed by id(msg); FIFO per object identity
@@ -190,7 +211,7 @@ class SpanTracer:
         self._inflight: Dict[int, List[CausalEdge]] = {}
         #: delivered edges per destination pid, in arrival order
         self._delivered: Dict[int, List[CausalEdge]] = {}
-        self._install()
+        self._subscribe(cluster.engine.bus)
 
     # ------------------------------------------------------------------
     # span bookkeeping
@@ -202,7 +223,7 @@ class SpanTracer:
         detail: str = "",
         key: Optional[Tuple] = None,
     ) -> Span:
-        now, step = self.engine.mark()
+        now, step = self.engine.now, self.engine.steps
         open_list = self._open.setdefault(pid, [])
         parent = open_list[-1].sid if open_list else None
         span = Span(
@@ -227,7 +248,7 @@ class SpanTracer:
     def _close_span(self, span: Span, status: str = "closed") -> None:
         if span.status != "open":
             return  # already abandoned by a crash, or dropped at the cap
-        span.t1, span.step1 = self.engine.mark()
+        span.t1, span.step1 = self.engine.now, self.engine.steps
         span.status = status
         open_list = self._open.get(span.pid)
         if open_list is not None:
@@ -248,7 +269,7 @@ class SpanTracer:
         return None
 
     def _abandon_all(self, pid: int) -> None:
-        now, step = self.engine.mark()
+        now, step = self.engine.now, self.engine.steps
         for span in self._open.get(pid, ()):
             span.t1 = now
             span.step1 = step
@@ -258,14 +279,12 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # wait spans (retroactive, exact by construction)
     # ------------------------------------------------------------------
-    def _on_wait(self, proto: Any, bucket: TimeBucket, seconds: float) -> None:
-        parent_kinds = _WAIT_PARENTS.get(bucket)
-        if parent_kinds is None:
-            return
-        pid = proto.pid
+    def _on_wait(
+        self, pid: int, bucket: TimeBucket, seconds: float, op: str
+    ) -> None:
         now = self.engine.now
         t0 = now - seconds
-        parent = self._innermost(pid, parent_kinds)
+        parent = self._innermost(pid, (op,))
         cause = None
         if parent is not None and parent.key is not None:
             cause = self._find_cause(pid, parent.kind, parent.key, t0)
@@ -320,265 +339,121 @@ class SpanTracer:
         return fallback
 
     # ------------------------------------------------------------------
-    # installation
+    # event handlers
     # ------------------------------------------------------------------
-    def _install(self) -> None:
-        cluster = self.cluster
-        tracer = self
-
-        # message sends -> causal edges (side table; payload untouched)
-        orig_send = cluster.send
-
-        def send(src: int, dst: int, msg: Any) -> None:
-            if len(tracer.edges) >= tracer.max_edges:
-                tracer.dropped_edges += 1
-            else:
-                open_span = tracer._innermost(src)
-                edge = CausalEdge(
-                    eid=len(tracer.edges),
-                    src=src,
-                    dst=dst,
-                    t_send=tracer.engine.now,
-                    msg_type=type(msg).__name__,
-                    key=_edge_key(msg),
-                    src_span=open_span.sid if open_span is not None else None,
-                )
-                tracer.edges.append(edge)
-                tracer._inflight.setdefault(id(msg), []).append(edge)
-            orig_send(src, dst, msg)
-
-        cluster.send = send
-
-        # deliveries close the edges (epoch-flushed messages are dropped,
-        # not dangling — the coordinated baseline's global rollback)
-        network = cluster.network
-        orig_deliver = network._deliver
-
-        def _deliver(
-            src: int, dst: int, payload: Any, epoch: int, size: int = 0
-        ) -> None:
-            pending = tracer._inflight.get(id(payload))
-            if pending:
-                edge = pending.pop(0)
-                if not pending:
-                    del tracer._inflight[id(payload)]
-                if epoch != network.epoch:
-                    edge.status = "dropped"
-                else:
-                    edge.t_recv = tracer.engine.now
-                    edge.status = "delivered"
-                    open_span = tracer._innermost(dst)
-                    edge.dst_span = (
-                        open_span.sid if open_span is not None else None
-                    )
-                    tracer._delivered.setdefault(dst, []).append(edge)
-            orig_deliver(src, dst, payload, epoch, size)
-
-        network._deliver = _deliver
-
-        # every protocol incarnation (setup AND recovery) flows through
-        # host.make_protocol — wrapping it here is what lets spans
-        # survive crash/recovery without touching the recovery code
-        for host in cluster.hosts:
-            self._hook_host(host)
-
-        # one app span per incarnation (start() and recovery both call
-        # cluster._app_main through the instance attribute)
-        orig_app_main = cluster._app_main
-
-        def _app_main(host: Any):
-            span = tracer._open_span(
-                host.pid, "app", f"incarnation {host.crashed_count}"
-            )
-            try:
-                result = yield from orig_app_main(host)
-            finally:
-                tracer._close_span(span)
-            return result
-
-        cluster._app_main = _app_main
-
-        # checkpoint spans need the FtManager, which is (re)created by
-        # _install_ft at setup and at every recovery
-        orig_install_ft = cluster._install_ft
-
-        def _install_ft(host: Any) -> None:
-            orig_install_ft(host)
-            tracer._hook_ft(host)
-
-        cluster._install_ft = _install_ft
-
-        # probe events: failure (abandon open spans), ckpt_write
-        # begin/end, recovery lifecycle; chain onto any consumer
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            tracer._on_probe(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-    def _hook_host(self, host: Any) -> None:
-        tracer = self
-        orig_make = host.make_protocol
-
-        def make_protocol() -> Any:
-            proto = orig_make()
-            tracer._hook_proto(proto)
-            return proto
-
-        host.make_protocol = make_protocol
-
-    def _hook_proto(self, proto: Any) -> None:
-        """Wrap one incarnation's blocking operations and wait charges."""
-        tracer = self
-        pid = proto.pid
-
-        # exact wait spans: the protocol calls stats.add once per wait,
-        # at the instant it ends, with the exact duration
-        stats = proto.cpu.stats
-        orig_add = stats.add
-
-        def add(bucket: TimeBucket, seconds: float) -> None:
-            orig_add(bucket, seconds)
-            tracer._on_wait(proto, bucket, seconds)
-
-        stats.add = add
-
-        def wrap(name: str, kind: str, detail_fn=None, key_fn=None, skip=None):
-            orig = getattr(proto, name)
-
-            def wrapped(*args: Any):
-                if skip is not None and skip(*args):
-                    result = yield from orig(*args)
-                    return result
-                span = tracer._open_span(
-                    pid,
-                    kind,
-                    detail_fn(*args) if detail_fn is not None else "",
-                    key_fn(*args) if key_fn is not None else None,
-                )
-                try:
-                    result = yield from orig(*args)
-                finally:
-                    tracer._close_span(span)
-                return result
-
-            setattr(proto, name, wrapped)
-
-        wrap("compute", "compute")
-        wrap(
-            "_fetch",
-            "fetch",
-            detail_fn=lambda page, entry: f"page {tuple(page)}",
-            key_fn=lambda page, entry: ("page", tuple(page)),
+    def _subscribe(self, bus: Any) -> None:
+        bus.subscribe(SEND, self._on_send)
+        bus.subscribe(DELIVER, self._on_deliver)
+        bus.subscribe(OP_OPEN, self._on_op_open)
+        bus.subscribe(OP_CLOSE, self._on_op_close)
+        bus.subscribe(WAIT, self._on_wait)
+        bus.subscribe(FAILURE, self._on_failure)
+        # bracketing events: the begin opens a span whose detail is the
+        # event's timeline text, the end closes the innermost such span
+        for kind, begin, end in (
+            ("ckpt_write", CKPT_WRITE_BEGIN, CKPT_WRITE_END),
+            ("recovery", RECOVERY_BEGIN, RECOVERY_LIVE),
+            ("repl", REPL_BEGIN, REPL_COMMIT),
+        ):
+            bus.subscribe(begin, partial(self._on_begin, kind, TEXT[begin][1]))
+            bus.subscribe(end, partial(self._on_end, kind))
+        bus.subscribe(RPHASE, self._on_rphase)
+        bus.subscribe(
+            RECOVERY_ANNOTATE, partial(self._annotate, TEXT[RECOVERY_ANNOTATE][1])
         )
-        wrap(
-            "_ensure_home_ready",
-            "home_wait",
-            detail_fn=lambda page, entry: f"page {tuple(page)}",
-            key_fn=lambda page, entry: ("page", tuple(page)),
-            # pure pre-check mirroring _ensure_home_ready's wait
-            # condition: only actual home waits get a span
-            skip=lambda page, entry: (
-                proto.replay is not None
-                or entry.needed_v is None
-                or proto.home[page].ready_for(entry.needed_v)
-            ),
-        )
-        wrap(
-            "acquire",
-            "acquire",
-            detail_fn=lambda lock_id: f"L{lock_id}",
-            key_fn=lambda lock_id: ("lock", lock_id),
-        )
-        wrap(
-            "barrier",
-            "barrier",
-            detail_fn=lambda: f"ep{proto.barrier_episode}",
-            key_fn=lambda: ("barrier", proto.barrier_episode),
-        )
-        wrap(
-            "_end_interval",
-            "flush",
-            detail_fn=lambda: f"{len(proto._dirty)} dirty",
-            skip=lambda: not proto._dirty,
-        )
+        bus.subscribe(REPL_FETCH, self._on_repl_fetch)
 
-    def _hook_ft(self, host: Any) -> None:
-        tracer = self
-        ft = host.ft
-        take = getattr(ft, "take_checkpoint", None)
-        if take is None:
+    def _on_send(self, src: int, dst: int, msg: Any) -> None:
+        """A message becomes a causal edge (side table; payload untouched)."""
+        if len(self.edges) >= self.max_edges:
+            self.dropped_edges += 1
             return
+        open_span = self._innermost(src)
+        edge = CausalEdge(
+            eid=len(self.edges),
+            src=src,
+            dst=dst,
+            t_send=self.engine.now,
+            msg_type=type(msg).__name__,
+            key=_edge_key(msg),
+            src_span=open_span.sid if open_span is not None else None,
+        )
+        self.edges.append(edge)
+        self._inflight.setdefault(id(msg), []).append(edge)
 
-        def take_checkpoint(*args: Any, **kwargs: Any):
-            span = tracer._open_span(host.pid, "ckpt")
-            try:
-                result = yield from take(*args, **kwargs)
-                span.detail = f"#{ft.stats.checkpoints_taken}"
-            finally:
-                tracer._close_span(span)
-            return result
+    def _on_deliver(self, src: int, dst: int, msg: Any, epoch: int) -> None:
+        """A delivery closes its edge (epoch-flushed messages are dropped,
+        not dangling — the coordinated baseline's global rollback)."""
+        pending = self._inflight.get(id(msg))
+        if not pending:
+            return
+        edge = pending.pop(0)
+        if not pending:
+            del self._inflight[id(msg)]
+        if epoch != self.cluster.network.epoch:
+            edge.status = "dropped"
+            return
+        edge.t_recv = self.engine.now
+        edge.status = "delivered"
+        open_span = self._innermost(dst)
+        edge.dst_span = open_span.sid if open_span is not None else None
+        self._delivered.setdefault(dst, []).append(edge)
 
-        ft.take_checkpoint = take_checkpoint
+    def _on_op_open(self, pid: int, op: str, arg: Any) -> None:
+        operand = _OP_OPERAND.get(op)  # compute and ckpt have none
+        detail, key = operand(arg) if operand is not None else ("", None)
+        self._open_span(pid, op, detail, key)
 
-    def _on_probe(self, pid: int, kind: str, detail: str) -> None:
-        if kind == "failure":
-            # emitted by cluster.crash after its guard, before the kill:
-            # everything open on the victim dies with the incarnation
-            self.crash_points.append((pid, self.engine.now))
-            self._abandon_all(pid)
-        elif kind == "ckpt_write":
-            if detail.startswith("begin"):
-                self._open_span(pid, "ckpt_write", detail)
-            else:
-                span = self._innermost(pid, ("ckpt_write",))
-                if span is not None:
-                    self._close_span(span)
-        elif kind == "recovery":
-            if detail.startswith("begin"):
-                self._open_span(pid, "recovery", detail)
-            elif detail == "live":
-                span = self._innermost(pid, ("recovery",))
-                if span is not None:
-                    self._close_span(span)
-            else:
-                # annotation (discarded_torn, restart_ckpt, ...)
-                span = self._innermost(pid, ("recovery",))
-                if span is not None:
-                    span.detail += f"; {detail}"
-        elif kind == "rphase":
-            # recovery-phase anatomy (DESIGN.md §12): restore/handshake/
-            # replay child spans nested under the open recovery span
-            # (detection elapses while the node is down, so it has no
-            # span of its own — the critical path attributes it from
-            # the crash point instead)
-            if detail.endswith("begin"):
-                self._open_span(pid, "rphase", detail.split()[0])
-            else:
-                span = self._innermost(pid, ("rphase",))
-                if span is not None:
-                    self._close_span(span)
-        elif kind == "repl":
-            # replication tier: begin/commit bracket one checkpoint's
-            # buddy transfer (overlapping the ckpt_write span); a fetch
-            # is a zero-duration marker on the recovery critical path —
-            # the recovering node pulling a lost peer's FT state from
-            # its buddy — and annotates the enclosing recovery span
-            if detail.startswith("begin"):
-                self._open_span(pid, "repl", detail)
-            elif detail.startswith("commit"):
-                span = self._innermost(pid, ("repl",))
-                if span is not None:
-                    self._close_span(span)
-            elif detail.startswith("fetch"):
-                span = self._open_span(pid, "repl", detail)
-                self._close_span(span)
-                rec = self._innermost(pid, ("recovery",))
-                if rec is not None:
-                    rec.detail += f"; {detail}"
+    def _on_op_close(self, pid: int, op: str, arg: Any) -> None:
+        # ops nest on a node's one coroutine, so the innermost open span
+        # of the kind is the one ending; there is none when a fail-stop
+        # already abandoned it (the kill unwinds through the op's exit)
+        span = self._innermost(pid, (op,))
+        if span is not None:
+            if op == "ckpt" and arg is not None:
+                span.detail = f"#{arg}"
+            self._close_span(span)
+
+    def _on_failure(self, pid: int) -> None:
+        # announced by cluster.crash after its guard, before the kill:
+        # everything open on the victim dies with the incarnation
+        self.crash_points.append((pid, self.engine.now))
+        self._abandon_all(pid)
+
+    def _on_begin(self, kind: str, text: Any, pid: int, *args: Any) -> None:
+        self._open_span(pid, kind, text(*args))
+
+    def _on_end(self, kind: str, pid: int, *args: Any) -> None:
+        span = self._innermost(pid, (kind,))
+        if span is not None:
+            self._close_span(span)
+
+    def _on_rphase(self, pid: int, phase: str, edge: str) -> None:
+        # recovery-phase anatomy (DESIGN.md §12): restore/handshake/
+        # replay child spans nested under the open recovery span
+        # (detection elapses while the node is down, so it has no span
+        # of its own — the critical path attributes it from the crash
+        # point instead)
+        if edge == "begin":
+            self._open_span(pid, "rphase", phase)
+        else:
+            self._on_end("rphase", pid)
+
+    def _annotate(self, text: Any, pid: int, *args: Any) -> None:
+        """Progress of a recovery (discarded_torn, restart_ckpt, a buddy
+        fetch) is appended to its span's detail."""
+        span = self._innermost(pid, ("recovery",))
+        if span is not None:
+            span.detail += f"; {text(*args)}"
+
+    def _on_repl_fetch(self, pid: int, *args: Any) -> None:
+        # a zero-duration marker on the recovery critical path — the
+        # recovering node pulling a lost peer's FT state from its buddy
+        # (REPL_BEGIN..REPL_COMMIT, by contrast, bracket one checkpoint's
+        # buddy transfer, overlapping the ckpt_write span)
+        text = TEXT[REPL_FETCH][1]
+        self._close_span(self._open_span(pid, "repl", text(*args)))
+        self._annotate(text, pid, *args)
 
     # ------------------------------------------------------------------
     # queries

@@ -6,9 +6,6 @@ observability run reports and the invariant monitor's flight records all
 render through these. The paper's tables are regenerated as ASCII tables;
 its figures as ASCII-rendered series (values are also returned structured
 so tests can assert on them).
-
-Historically these lived in ``repro.metrics.report``; that module remains
-as a compatibility re-export.
 """
 
 from __future__ import annotations

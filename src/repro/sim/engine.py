@@ -40,6 +40,8 @@ from collections import deque
 from functools import partial
 from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
+from repro.sim.trace import ENGINE_EVENT, EventBus
+
 __all__ = [
     "Delay",
     "Future",
@@ -189,15 +191,13 @@ class Engine:
         #: costs one int comparison per event in the main loop.
         self._breakpoints: List[Tuple[int, Callable[[], None]]] = []
         self._next_break: int = -1
-        #: optional per-event observer: called as ``tap(time, step, fn)``
-        #: right before each event executes (so the event that raises is
-        #: the last one recorded). Consumers must only record — the hook
-        #: is for the invariant monitor's flight recorder. Disabled (the
-        #: common case) this costs one local None-check per event,
+        #: the run's one instrumentation seam (see ``sim.trace``); every
+        #: layer reaches it through the engine it already holds. The main
+        #: loop itself emits ``ENGINE_EVENT(time, step, fn)`` right before
+        #: each event executes (so the event that raises is the last one
+        #: seen); with no subscriber that costs one local test per event,
         #: mirroring the breakpoint arm check.
-        self.event_tap: Optional[
-            Callable[[float, int, Callable[[], None]], None]
-        ] = None
+        self.bus = EventBus()
 
     # ------------------------------------------------------------------
     # event scheduling
@@ -218,16 +218,6 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         self._ready.append((self.now, seq, fn))
-
-    def mark(self) -> Tuple[float, int]:
-        """Current ``(virtual time, executed step count)``.
-
-        The stamp used by observers (span tracing) to timestamp span
-        opens/closes without reaching into engine internals; ``steps``
-        is the same step index ``break_at_step`` addresses, which is
-        what makes span stamps cross-referenceable with crash points.
-        """
-        return (self.now, self.steps)
 
     def break_at_step(self, step: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` right after the ``step``-th event executes.
@@ -308,7 +298,7 @@ class Engine:
         heap = self._queue
         ready = self._ready
         steps = self.steps
-        tap = self.event_tap
+        taps = self.bus.listeners(ENGINE_EVENT)
         try:
             while ready or heap:
                 if stop is not None and stop():
@@ -339,8 +329,9 @@ class Engine:
                     raise SimulationError("time went backwards")
                 steps += 1
                 self.steps = steps
-                if tap is not None:
-                    tap(t, steps, ev[2])
+                if taps:
+                    for tap in taps:
+                        tap(t, steps, ev[2])
                 ev[2]()
                 if steps == self._next_break:
                     self._fire_breakpoints()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.engine import Engine
+from repro.sim.trace import DELIVER, SEND
 
 __all__ = ["NetworkConfig", "MetaClusterConfig", "Network", "TrafficStats"]
 
@@ -145,6 +146,9 @@ class Network:
             raise ValueError("loopback sends are not modeled; call locally")
         if size < 0 or ft_bytes < 0 or ft_bytes > size:
             raise ValueError(f"bad sizes: size={size} ft_bytes={ft_bytes}")
+        bus = self.engine.bus
+        if bus.active:
+            bus.emit(SEND, src, dst, payload)
         self.traffic.record(category, size, ft_bytes)
         now = self.engine.now
         key = (src, dst)
@@ -170,6 +174,11 @@ class Network:
     def _deliver(
         self, src: int, dst: int, payload: Any, epoch: int, size: int = 0
     ) -> None:
+        bus = self.engine.bus
+        if bus.active:
+            # before the epoch test: a message a rollback voided is still
+            # announced, with the epoch it was sent in
+            bus.emit(DELIVER, src, dst, payload, epoch)
         self.inflight_bytes -= size
         self.inflight_msgs -= 1
         if epoch != self.epoch:

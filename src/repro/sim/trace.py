@@ -1,11 +1,21 @@
-"""Structured event tracing for protocol debugging and teaching.
+"""The instrumentation seam: one typed event bus, and the flat tracer on it.
+
+Every layer announces what it does on the :class:`EventBus` its engine
+owns (``engine.bus``): a fixed catalogue of event kinds with positional
+payloads that are already at hand at the emit site (ints, floats, object
+references — nothing is formatted there). Emit sites sit *inside* the
+code that runs, behind ``if bus.active:``, one plain attribute test, so
+a run nobody observes pays nothing else — and a node that recovers is
+announced like any other. Observers (metrics, spans, invariants, flight
+recorder, the flat tracer below) call ``bus.subscribe(kind, fn)`` and do
+nothing else to the cluster; they must only read and record, so
+attaching any of them, in any order, leaves the run bit-identical.
+Payloads become the text of debug timelines and flight records
+(``"begin seqno=3 bytes=4096"``) here too, in :data:`TEXT`.
 
 A :class:`Tracer` attaches to a :class:`~repro.cluster.DsmCluster`
 *before* ``run`` and records protocol-level events with virtual
-timestamps: message sends, lock acquires/releases, barrier passages,
-interval flushes, page fetches, checkpoints, crashes and recoveries.
-Events are plain records, filterable and renderable as a timeline —
-the simulator's answer to a real DSM's debug logs.
+timestamps — the simulator's answer to a real DSM's debug logs::
 
     cluster = DsmCluster(...)
     tracer = Tracer(cluster, kinds={"lock", "ckpt"})
@@ -15,10 +25,149 @@ the simulator's answer to a real DSM's debug logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["TraceEvent", "Tracer"]
+__all__ = ["CATALOGUE", "TEXT", "EventBus", "TraceEvent", "Tracer"]
+
+# ----------------------------------------------------------------------
+# the catalogue: every event kind, with its positional payload
+# ----------------------------------------------------------------------
+ENGINE_EVENT = "engine_event"
+SEND = "send"
+DELIVER = "deliver"
+OP_OPEN = "op_open"
+OP_CLOSE = "op_close"
+WAIT = "wait"
+LOCK_ACQUIRED = "lock_acquired"
+LOCK_RELEASE = "lock_release"
+BARRIER_DONE = "barrier_done"
+INTERVAL_FLUSHED = "interval_flushed"
+PAGE_FETCHED = "page_fetched"
+CHECKPOINT_TAKEN = "checkpoint_taken"
+CKPT_WRITE_BEGIN = "ckpt_write_begin"
+CKPT_WRITE_END = "ckpt_write_end"
+LLT = "llt"
+CGC = "cgc"
+FAILURE = "failure"
+RECOVERY_BEGIN = "recovery_begin"
+RECOVERY_ANNOTATE = "recovery_annotate"
+RECOVERY_LIVE = "recovery_live"
+RPHASE = "rphase"
+RECOVERY_PHASES = "recovery_phases"
+REPL_RETARGET = "repl_retarget"
+REPL_SYNC = "repl_sync"
+REPL_BEGIN = "repl_begin"
+REPL_COMMIT = "repl_commit"
+REPL_ACK = "repl_ack"
+REPL_FETCH = "repl_fetch"
+APP_LATENCY = "app_latency"
+
+#: kind -> payload field names, in emit order. Closed: subscribing to a
+#: kind that is not here raises, and a kind nothing emits is deleted.
+#: ``op`` is one of app, compute, fetch, home_wait, acquire, barrier,
+#: flush, ckpt; an op's ``arg`` is its operand (incarnation, page, lock
+#: id, barrier episode, dirty-page count; at a ckpt close the checkpoint
+#: number) or None.
+CATALOGUE: Dict[str, Tuple[str, ...]] = {
+    ENGINE_EVENT: ("time", "step", "fn"),
+    SEND: ("src", "dst", "msg"),
+    DELIVER: ("src", "dst", "msg", "epoch"),
+    OP_OPEN: ("pid", "op", "arg"),
+    OP_CLOSE: ("pid", "op", "arg"),
+    WAIT: ("pid", "bucket", "seconds", "op"),
+    LOCK_ACQUIRED: ("pid", "lock_id", "grantor", "local"),
+    LOCK_RELEASE: ("pid", "lock_id"),
+    BARRIER_DONE: ("pid", "episode"),
+    INTERVAL_FLUSHED: ("pid", "interval", "dirty_pages"),
+    PAGE_FETCHED: ("pid", "page"),
+    CHECKPOINT_TAKEN: ("pid", "ckpt_no", "vt", "disk_log_bytes"),
+    CKPT_WRITE_BEGIN: ("pid", "seqno", "bytes"),
+    CKPT_WRITE_END: ("pid", "seqno", "duration"),
+    LLT: ("pid", "trimmed"),
+    CGC: ("pid", "freed", "window"),
+    FAILURE: ("pid",),
+    RECOVERY_BEGIN: ("pid", "incarnation"),
+    RECOVERY_ANNOTATE: ("pid", "label", "value"),
+    RECOVERY_LIVE: ("pid",),
+    RPHASE: ("pid", "phase", "edge"),
+    RECOVERY_PHASES: ("pid", "rec"),
+    REPL_RETARGET: ("pid", "old", "new", "gen"),
+    REPL_SYNC: ("pid", "seqno", "dst"),
+    REPL_BEGIN: ("pid", "seqno", "dst"),
+    REPL_COMMIT: ("pid", "seqno", "dst"),
+    REPL_ACK: ("pid", "seqno"),
+    REPL_FETCH: ("pid", "kind", "lost", "holder"),
+    APP_LATENCY: ("pid", "name", "seconds"),
+}
+
+
+class EventBus:
+    """Synchronous fan-out of catalogued events to their subscribers."""
+
+    def __init__(self) -> None:
+        #: True once anything subscribed — the one test emit sites make
+        self.active = False
+        self._subs: Dict[str, List[Callable[..., None]]] = {
+            kind: [] for kind in CATALOGUE
+        }
+
+    def subscribe(self, kind: str, fn: Callable[..., None]) -> None:
+        """Call ``fn(*payload)`` at every later ``kind`` event, after the
+        subscribers already there."""
+        if kind not in self._subs:
+            raise ValueError(f"unknown event kind {kind!r}")
+        self._subs[kind].append(fn)
+        self.active = True
+
+    def listeners(self, kind: str) -> List[Callable[..., None]]:
+        """The live subscriber list of ``kind``: a loop may hoist it and
+        still see subscribers that arrive while it runs."""
+        return self._subs[kind]
+
+    def emit(self, kind: str, *payload: Any) -> None:
+        for fn in self._subs[kind]:
+            fn(*payload)
+
+
+# ----------------------------------------------------------------------
+# text: what timelines and flight records print for an event
+# ----------------------------------------------------------------------
+#: kind -> (category, detail of the payload after ``pid``)
+TEXT: Dict[str, Tuple[str, Callable[..., str]]] = {
+    SEND: ("send", lambda dst, msg: (
+        f"-> p{dst}  {type(msg).__name__} ({msg.category})")),
+    LOCK_ACQUIRED: ("lock", lambda lock_id, grantor, local: (
+        f"acquired L{lock_id} " + ("local" if local else f"from p{grantor}"))),
+    LOCK_RELEASE: ("lock", lambda lock_id: f"release L{lock_id}"),
+    BARRIER_DONE: ("barrier", lambda episode: f"passed episode {episode}"),
+    INTERVAL_FLUSHED: ("flush", lambda interval, dirty: (
+        f"interval {interval}: {dirty} dirty pages")),
+    PAGE_FETCHED: ("fetch", lambda page: f"page {tuple(page)}"),
+    CHECKPOINT_TAKEN: ("ckpt", lambda ckpt_no, vt, disk_log_bytes: (
+        f"checkpoint #{ckpt_no} Tckp={tuple(vt)}")),
+    CKPT_WRITE_BEGIN: ("ckpt_write", lambda seqno, nbytes: (
+        f"begin seqno={seqno} bytes={nbytes}")),
+    CKPT_WRITE_END: ("ckpt_write", lambda seqno, duration: f"end seqno={seqno}"),
+    LLT: ("llt", lambda t: (
+        f"diff_bytes={t['diff_bytes']} rel={t['rel']} "
+        f"acq={t['acq']} wn={t['wn']}")),
+    CGC: ("cgc", lambda freed, window: f"freed={freed} window={window}"),
+    FAILURE: ("failure", lambda: "fail-stop"),
+    RECOVERY_BEGIN: ("recovery", lambda inc: f"begin incarnation={inc}"),
+    RECOVERY_ANNOTATE: ("recovery", lambda label, value: f"{label}={value}"),
+    RECOVERY_LIVE: ("recovery", lambda: "live"),
+    RPHASE: ("rphase", lambda phase, edge: f"{phase} {edge}"),
+    REPL_RETARGET: ("repl", lambda old, new, gen: (
+        f"retarget old={old} new={new} gen={gen}")),
+    REPL_SYNC: ("repl", lambda seqno, dst: f"sync seqno={seqno} dst={dst}"),
+    REPL_BEGIN: ("repl", lambda seqno, dst: f"begin seqno={seqno} dst={dst}"),
+    REPL_COMMIT: ("repl", lambda seqno, dst: f"commit seqno={seqno} dst={dst}"),
+    REPL_ACK: ("repl", lambda seqno: f"ack seqno={seqno}"),
+    REPL_FETCH: ("repl", lambda kind, lost, holder: (
+        f"fetch kind={kind} lost={lost} holder={holder}")),
+}
 
 
 @dataclass(frozen=True)
@@ -31,6 +180,11 @@ class TraceEvent:
     #: (pid, step) names one reproducible point in the execution, which
     #: is what the crash-sweep campaign enumerates as injection targets
     step: int = -1
+    #: the catalogue kind behind the line and its payload after ``pid``
+    #: (a send keeps its destination but not the message: a trace must
+    #: not pin every payload of the run), for readers that want fields
+    event: str = ""
+    args: Tuple = ()
 
     def render(self) -> str:
         # a negative step means "emitted before the engine ran any
@@ -43,13 +197,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Records cluster events by wrapping the protocol entry points.
-
-    The ``ckpt_write`` and ``recovery`` kinds come from the cluster's
-    probe hook (begin/end of checkpoint disk writes, recovery lifecycle)
-    rather than from wrapped methods; the tracer chains onto any probe
-    consumer already attached.
-    """
+    """Records the events of the chosen categories as a flat timeline."""
 
     KINDS = {
         "send",
@@ -79,128 +227,31 @@ class Tracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        self._install()
+        bus = cluster.engine.bus
+        for event, (category, detail) in TEXT.items():
+            if category in self.kinds:
+                bus.subscribe(event, partial(self._record, event, category, detail))
 
     # ------------------------------------------------------------------
-    def _emit(self, pid: int, kind: str, detail: str) -> None:
-        if kind not in self.kinds:
-            return
+    def _record(
+        self, event: str, category: str, detail: Callable[..., str],
+        pid: int, *args: Any,
+    ) -> None:
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
+        engine = self.cluster.engine
         self.events.append(
             TraceEvent(
-                self.cluster.engine.now,
+                engine.now,
                 pid,
-                kind,
-                detail,
-                self.cluster.engine.steps,
+                category,
+                detail(*args),
+                engine.steps,
+                event,
+                args[:1] if event is SEND else args,
             )
         )
-
-    def _install(self) -> None:
-        cluster = self.cluster
-        tracer = self
-
-        # message sends
-        orig_send = cluster.send
-
-        def send(src: int, dst: int, msg: Any) -> None:
-            tracer._emit(
-                src, "send", f"-> p{dst}  {type(msg).__name__} ({msg.category})"
-            )
-            orig_send(src, dst, msg)
-
-        cluster.send = send
-
-        # per-process protocol events: wrap after protocols exist
-        orig_setup = cluster.setup
-
-        def setup(app: Any) -> None:
-            orig_setup(app)
-            for host in cluster.hosts:
-                tracer._wrap_proto(host.proto)
-
-        cluster.setup = setup
-
-        # probe events (failure fail-stops, ckpt_write begin/end,
-        # recovery lifecycle): chain onto any consumer already attached
-        orig_probe = cluster.probe
-
-        def probe(pid: int, kind: str, detail: str) -> None:
-            tracer._emit(pid, kind, detail)
-            if orig_probe is not None:
-                orig_probe(pid, kind, detail)
-
-        cluster.probe = probe
-
-    def _wrap_proto(self, proto: Any) -> None:
-        tracer = self
-
-        orig_complete = proto._complete_acquire
-
-        def complete(lock_id: int, grant: Any, local: bool) -> None:
-            orig_complete(lock_id, grant, local)
-            how = "local" if local else f"from p{grant.grantor}"
-            tracer._emit(proto.pid, "lock", f"acquired L{lock_id} {how}")
-
-        proto._complete_acquire = complete
-
-        orig_release = proto.release
-
-        def release(lock_id: int):
-            tracer._emit(proto.pid, "lock", f"release L{lock_id}")
-            return orig_release(lock_id)
-
-        proto.release = release
-
-        orig_bar = proto._complete_barrier
-
-        def complete_barrier(rel: Any) -> None:
-            orig_bar(rel)
-            tracer._emit(proto.pid, "barrier", f"passed episode {rel.episode}")
-
-        proto._complete_barrier = complete_barrier
-
-        orig_flush = proto._end_interval
-
-        def end_interval():
-            dirty = len(proto._dirty)
-            result = yield from orig_flush()
-            if dirty:
-                tracer._emit(
-                    proto.pid,
-                    "flush",
-                    f"interval {proto.vt[proto.pid]}: {dirty} dirty pages",
-                )
-            return result
-
-        proto._end_interval = end_interval
-
-        orig_fetch = proto._fetch
-
-        def fetch(page: Any, entry: Any):
-            result = yield from orig_fetch(page, entry)
-            tracer._emit(proto.pid, "fetch", f"page {tuple(page)}")
-            return result
-
-        proto._fetch = fetch
-
-        ft = proto.ft
-        take = getattr(ft, "take_checkpoint", None)
-        if take is not None:
-
-            def take_checkpoint(*a, **kw):
-                result = yield from take(*a, **kw)
-                tracer._emit(
-                    proto.pid,
-                    "ckpt",
-                    f"checkpoint #{ft.stats.checkpoints_taken} "
-                    f"Tckp={tuple(proto.vt)}",
-                )
-                return result
-
-            ft.take_checkpoint = take_checkpoint
 
     # ------------------------------------------------------------------
     def filter(

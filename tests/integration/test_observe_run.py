@@ -54,7 +54,7 @@ def test_key_series_track_the_run():
 
     # wait histograms saw every barrier crossing
     for host in cluster.hosts:
-        h = observer.node_probe(host.pid).barrier_wait
+        h = reg.histograms_by_name("dsm.barrier_wait_s")[host.pid]
         assert h.count == host.proto.stats.barriers
 
 

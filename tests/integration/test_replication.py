@@ -10,11 +10,13 @@ complete and validate when replication is on.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
-from repro.sim.trace import Tracer
+from repro.sim.trace import FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, Tracer
 from tests.conftest import make_app, make_cluster
 
 N = 4
@@ -135,12 +137,12 @@ def test_protected_death_mid_transfer_leaves_committed_base():
         seen["keys"] = store.keys()
         seen["pending2"] = store.is_pending(("replica", 2))
 
-    def probe(pid, kind, detail):
-        if kind == "failure" and pid == 0 and "sched" not in seen:
+    def on_failure(pid):
+        if pid == 0 and "sched" not in seen:
             seen["sched"] = True
             cluster.engine.schedule(5e-4, check_buddy_store)
 
-    cluster.probe = probe
+    cluster.engine.bus.subscribe(FAILURE, on_failure)
     res = cluster.run(make_app("counter"))  # check_result validates
     assert res.crashes == 1 and res.recoveries == 1
     assert seen["pending2"] is True
@@ -161,11 +163,13 @@ def overlap_schedule():
     probe_times = {}
     single = make_cluster(num_procs=N, ft=True, l_fraction=0.2)
 
-    def probe(pid, kind, detail):
-        if kind == "recovery" and pid == 3:
-            probe_times.setdefault(detail.split()[0], single.engine.now)
+    def mark(what, pid, *_):
+        if pid == 3:
+            probe_times.setdefault(what, single.engine.now)
 
-    single.probe = probe
+    bus = single.engine.bus
+    bus.subscribe(RECOVERY_BEGIN, functools.partial(mark, "begin"))
+    bus.subscribe(RECOVERY_LIVE, functools.partial(mark, "live"))
     single.schedule_crash(3, at_time=0.4 * t_free)
     single.run(make_app("counter"))
     begin = min(probe_times.values())

@@ -229,16 +229,46 @@ def test_validate_flags_capacity_overflow():
 
 
 def test_tracing_composes_with_flat_tracer_and_observer():
-    """All three observation layers ride the same probe chain."""
-    from repro.observe import ClusterObserver
+    """All four observation layers ride the same event bus, and the
+    order they subscribed in does not change what any of them sees."""
+    import dataclasses
+
+    from repro.observe import ClusterObserver, InvariantMonitor
     from repro.sim.trace import Tracer
 
-    cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
-    flat = Tracer(cluster)
-    spans = SpanTracer(cluster)
-    obs = ClusterObserver(cluster, interval=1e-3)
-    cluster.run(make_app("counter"))
-    assert flat.counts().get("ckpt_write", 0) > 0
-    assert spans.spans_by_kind("ckpt_write")
-    assert obs.registry.samples_taken > 0
-    assert spans.validate() == []
+    attachers = {
+        "flat": Tracer,
+        "spans": SpanTracer,
+        "obs": lambda cluster: ClusterObserver(cluster, interval=1e-3),
+        "monitor": InvariantMonitor,
+    }
+
+    def run(order):
+        cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
+        seen = {name: attachers[name](cluster) for name in order}
+        cluster.run(make_app("counter"))
+        assert not seen["monitor"].finish()
+        assert seen["spans"].validate() == []
+        registry = seen["obs"].registry
+        return {
+            "trace": seen["flat"].events,
+            "spans": [dataclasses.asdict(s) for s in seen["spans"].spans],
+            "edges": [dataclasses.asdict(e) for e in seen["spans"].edges],
+            "checks": seen["monitor"].checks,
+            "ring": seen["monitor"].recorder.dump(),
+            "series": registry.series,
+            "histograms": {
+                name: {n: h.summary() for n, h in registry.histograms_by_name(name).items()}
+                for name in registry.histogram_names()
+            },
+            "latencies": {
+                name: {n: h.buckets for n, h in registry.latencies_by_name(name).items()}
+                for name in registry.latency_names()
+            },
+        }
+
+    forward = run(["flat", "spans", "obs", "monitor"])
+    assert any(e.kind == "ckpt_write" for e in forward["trace"])
+    assert any(s["kind"] == "ckpt_write" for s in forward["spans"])
+    assert forward["series"] and forward["checks"]["fifo"] > 0
+    assert run(["monitor", "obs", "spans", "flat"]) == forward

@@ -92,12 +92,36 @@ def test_render_passthrough_filters():
 
 
 # ----------------------------------------------------------------------
-# span tracing across crash/recovery
+# tracing across crash/recovery
 # ----------------------------------------------------------------------
 def _ft_runtime():
     return make_cluster(num_procs=4, ft=True, l_fraction=0.1).run(
         make_app("counter")
     ).wall_time
+
+
+def test_tracer_keeps_a_recovered_nodes_protocol_events():
+    """Events come from the code that runs, not from wrappers around the
+    first incarnation: a recovered node keeps announcing its locks,
+    barriers and flushes (the wrapping tracer logged none of them)."""
+    cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
+    tracer = Tracer(cluster)
+    cluster.schedule_crash(1, at_time=_ft_runtime() * 0.5)
+    result = cluster.run(make_app("counter"))
+    assert result.crashes == 1 and result.recoveries == 1
+    live = next(
+        i for i, e in enumerate(tracer.events)
+        if e.pid == 1 and e.kind == "recovery" and e.detail == "live"
+    )
+    protocol_kinds = ("lock", "barrier", "flush", "fetch", "ckpt")
+    after = {pid: [] for pid in range(4)}
+    for e in tracer.events[live:]:
+        if e.kind in protocol_kinds:
+            after[e.pid].append(e.kind)
+    for kind in ("lock", "barrier", "flush"):
+        assert kind in after[1], f"recovered p1 logged no {kind} event"
+    # the victim finishes the same steps as everyone else
+    assert len(after[1]) >= min(len(after[p]) for p in (0, 2, 3)) > 0
 
 
 def test_spans_on_crashed_node_are_abandoned_not_leaked():

@@ -24,6 +24,8 @@ from repro.observe import (
     validate_flight_record,
     write_flight_record,
 )
+from repro.sim.engine import Engine
+from repro.sim.trace import RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
 
 
@@ -125,14 +127,17 @@ def test_violations_deduplicated_and_capped():
 # flight recorder
 # ---------------------------------------------------------------------------
 def test_flight_recorder_ring_is_bounded():
+    engine = Engine()
     rec = FlightRecorder(ring_size=8)
+    rec.attach(engine)
     for i in range(50):
-        rec.on_probe(float(i), i, 0, "kind", f"detail {i}")
+        engine.bus.emit(RECOVERY_ANNOTATE, 0, "detail", i)
     assert rec.recorded == 50
     events = rec.dump()
     assert len(events) == 8
-    assert events[0]["detail"] == "detail 42"  # oldest kept
-    assert events[-1]["detail"] == "detail 49"
+    assert events[0]["detail"] == "detail=42"  # oldest kept
+    assert events[-1]["detail"] == "detail=49"
+    assert {e["kind"] for e in events} == {"recovery"}
 
 
 def test_flight_recorder_rejects_bad_ring():

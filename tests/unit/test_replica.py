@@ -22,6 +22,7 @@ from repro.core.replica import (
 )
 from repro.dsm.messages import ReplicaAck, ReplicaUpdate
 from repro.dsm.vclock import VClock
+from repro.sim.engine import Engine
 from repro.sim.storage import CheckpointStore, ReplicaStore
 
 N = 4
@@ -45,7 +46,7 @@ class FakeHost:
         self.replica_store = ReplicaStore(pid)
         self.proto = FakeProto()
         self.recovering = False
-        self.cluster = SimpleNamespace(hosts=[])
+        self.cluster = SimpleNamespace(hosts=[], engine=Engine())
 
 
 def make_replicator(pid=0, n=N):
@@ -53,9 +54,7 @@ def make_replicator(pid=0, n=N):
         pid=pid,
         n=n,
         ckpt_mgr=SimpleNamespace(next_seqno=1),
-        probes=[],
     )
-    ft._probe = lambda kind, detail: ft.probes.append((kind, detail))
     host = FakeHost(pid)
     return Replicator(ft, host), ft
 
