@@ -83,3 +83,26 @@ def test_bench_notice_table_between(benchmark):
     high = VClock((80,) * 8)
     out = benchmark(t.between, low, high)
     assert len(out) == 8 * 60
+
+
+def test_bench_monitor_quiescent_scan(benchmark):
+    """One periodic structural scan of the invariant monitor on a settled
+    8-node barnes cluster: nothing changed since the last scan, so it
+    costs one signature test per home and per rel/acq pair (a full scan
+    of the same cluster walks every page chain against every peer)."""
+    from repro import DsmCluster, DsmConfig
+    from repro.apps.barnes import BarnesApp, BarnesConfig
+    from repro.core import LogOverflowPolicy
+    from repro.observe import InvariantMonitor
+
+    cluster = DsmCluster(
+        DsmConfig(num_procs=8), ft=True,
+        policy_factory=lambda pid, fp: LogOverflowPolicy(0.2, fp),
+    )
+    monitor = InvariantMonitor(cluster)
+    cluster.run(BarnesApp(BarnesConfig(n_bodies=128, steps=2)))
+    monitor._scan_structural(full=True)
+    before = monitor.checks["recoverability"]
+    benchmark(monitor._scan_structural)
+    assert monitor.checks["recoverability"] > before
+    assert not monitor.finish()

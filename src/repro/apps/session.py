@@ -43,6 +43,7 @@ Latencies are announced as ``APP_LATENCY`` events on the run's bus
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Tuple
 
@@ -104,6 +105,27 @@ def _zipf_cdf(cfg: SessionConfig) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
+#: entries each draw cache holds; a run asks for ``procs * steps *
+#: requests_per_step`` request draws (96 by default) and at most
+#: ``procs * n_users`` home draws
+_DRAW_CACHE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_DRAW_CACHE)
+def _request_draws(seed: int, pid: int, r: int) -> Tuple[float, ...]:
+    """The four uniforms (user, affinity, key, read/write) of request ``r``."""
+    rng = np.random.default_rng((seed, pid, _REQUEST_STREAM, r))
+    return tuple(rng.random(4).tolist())
+
+
+@functools.lru_cache(maxsize=_DRAW_CACHE)
+def _home_draw(seed: int, pid: int, user: int) -> float:
+    """The uniform that places ``user``'s sticky home key."""
+    return float(
+        np.random.default_rng((seed, pid, _ARRIVAL_STREAM, user)).random()
+    )
+
+
 def _request_params(
     cfg: SessionConfig, cdf: np.ndarray, pid: int, r: int
 ) -> Tuple[int, int, bool]:
@@ -111,17 +133,18 @@ def _request_params(
 
     Pure function of ``(seed, pid, r)`` — per-request RNG streams are
     created on the fly (nothing to checkpoint), the kvstore discipline.
+    The uniform draws are memoised: a crash sweep, recovery replay and
+    ``check_result`` ask for the same requests over and over, and
+    building a generator costs far more than the arithmetic below.
     """
-    rng = np.random.default_rng((cfg.seed, pid, _REQUEST_STREAM, r))
-    u_user, u_aff, u_key, u_rw = rng.random(4)
+    u_user, u_aff, u_key, u_rw = _request_draws(cfg.seed, pid, r)
     user = int(u_user * cfg.n_users) % cfg.n_users
     if u_aff < cfg.session_affinity:
         # sticky home key: a stable pseudo-random cell per (pid, user),
         # itself zipf-distributed so hot users share hot cells
-        home = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM, user))
-        key = int(np.searchsorted(cdf, home.random()))
+        key = int(cdf.searchsorted(_home_draw(cfg.seed, pid, user)))
     else:
-        key = int(np.searchsorted(cdf, u_key))
+        key = int(cdf.searchsorted(u_key))
     key = min(key, cfg.n_keys - 1)
     return user, key, bool(u_rw < cfg.read_fraction)
 

@@ -30,9 +30,9 @@ per-column running (min, argmin), updated in :meth:`learn_tckp` and
 recomputed for a column only when the argmin row itself advances (each
 column recompute is vectorized and amortizes against the frontier
 actually moving). Every Rule 1/2/3.2 bound query — and :meth:`tmin` off
-the cached column mins — is then O(1). The previous rescan
-implementations survive as ``_rescan_*`` reference oracles for the
-equivalence tests.
+the cached column mins — is then O(1). ``tests/unit/test_trimming.py``
+holds the O(N) rescans these replaced and checks the two agree over
+randomized learn sequences.
 """
 
 from __future__ import annotations
@@ -160,26 +160,3 @@ class TrimmingInfo:
         if not len(self._peer_rows):
             return 0
         return self._bar_min
-
-    # ------------------------------------------------------------------
-    # rescan reference implementations (oracles for the incremental state)
-    # ------------------------------------------------------------------
-    def _rescan_tmin(self) -> VClock:
-        out: Optional[VClock] = None
-        for j in range(self.n):
-            if j == self.pid:
-                continue
-            out = self.tckp[j] if out is None else out.meet(self.tckp[j])
-        if out is None:
-            return self.tckp[self.pid]
-        return out
-
-    def _rescan_wn_keep_from(self) -> int:
-        vals = [self.tckp[j][self.pid] for j in range(self.n) if j != self.pid]
-        if not vals:
-            return 1
-        return min(vals) + 1
-
-    def _rescan_bar_keep_from(self) -> int:
-        vals = [self.bar_ep[j] for j in range(self.n) if j != self.pid]
-        return min(vals) if vals else 0

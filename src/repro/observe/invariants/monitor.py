@@ -60,6 +60,50 @@ The five invariant classes:
     hold checkpoints the protected node did not commit, and no torn
     replica record survives quiescence.
 
+What a structural scan visits
+-----------------------------
+The ``recoverability`` scan runs on a cadence (``scan_every``
+deliveries), at every ``RECOVERY_LIVE`` and in :meth:`finish`. The
+periodic scans are *incremental*: they run the same per-home and
+per-pair checks as a full scan, but only on the structures that can have
+changed since they last verified clean. ``RECOVERY_LIVE`` and
+:meth:`finish` forget everything first, so they are full scans and the
+oracle for the incremental path (a structure that ever fails is never
+remembered, so it is re-checked — and re-reported — exactly as a full
+scan would). Why skipping is sound:
+
+1. **Page chains and the Rule 3 precondition.** A peer's vector time is
+   monotone between its fail-stops — the ``vclock`` class checks that on
+   every message — so once a home's chains are verified (non-empty,
+   version/seqno-monotone, ``p0.version <=`` every live peer's vt) they
+   stay true until a chain changes or a peer's baseline resets. Chain
+   change is read off the state, not off announcements: commits, CGC
+   trims and seeding all move one of ``next_seqno``, the retained /
+   discarded page bytes or ``len(page_copies)`` of the home's
+   ``CheckpointManager``, and so does deleting a page's key behind the
+   protocol's back. A baseline reset (``FAILURE``, ``RECOVERY_LIVE``, a
+   detected vt regression) forgets every home. Corruption that keeps all
+   four counters is left to the next full scan.
+2. **§4.2.1 rel/acq pairs.** Log buckets are append-only, replaced
+   wholesale by ``trim``/``restore_for`` (a new list object) and patched
+   in place only by ``RelLog.confirm`` when an ``AcqAck`` is handled. A
+   verified (acquirer, grantor) pair therefore stays verified while both
+   buckets are the same list objects at the same lengths, no ``AcqAck``
+   for it was delivered, and neither side's liveness changed
+   (``FAILURE`` / ``RECOVERY_LIVE`` forget every pair; an ``AcqAck``
+   that reached a down grantor is handled when its queue drains right
+   after ``RECOVERY_LIVE``, which is why that handler forgets *after*
+   its scan too). The acquirer's own checkpoint cut only rises, which
+   only takes entries out of consideration.
+3. **Per message**, a host whose ``proto.vt`` is the very object seen
+   last time is skipped: clocks are immutable, so there is nothing to
+   compare and its high-water mark is current. Every host is still
+   looked at on every message, at every cluster width, so a regression
+   is reported at the same engine step as before. Stamps follow the
+   same rule: the high-water marks never fall, so a stamp clock that
+   passed once is remembered by identity, and an in-order delivery —
+   the very object checked at its send — is not checked again.
+
 On the first violation — and on every crash — the attached
 :class:`~repro.observe.invariants.recorder.FlightRecorder` state is
 snapshotted into a post-mortem flight record (JSON + ASCII, see
@@ -72,8 +116,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
+from repro.dsm.messages import AcqAck
 from repro.dsm.vclock import VClock
 from repro.observe.invariants.recorder import FlightRecorder
 from repro.sim.trace import (
@@ -94,6 +137,9 @@ INVARIANTS = ("cgc", "llt", "vclock", "fifo", "recoverability")
 
 #: message attributes carrying vector-clock stamps (happened-before check)
 _STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "diff_vt", "global_vt")
+
+#: stamp clocks remembered as verified, at most (emptied when full)
+_STAMP_MEMO = 4096
 
 
 @dataclass(frozen=True)
@@ -125,10 +171,10 @@ class Violation:
 class InvariantMonitor:
     """Continuously checks the paper-bound invariants of one cluster.
 
-    ``scan_every`` throttles the structural recoverability scan (the one
-    check that walks every host's checkpoint store) to every Nth message
-    delivery; event-triggered scans (checkpoint commits, recoveries) and
-    the final :meth:`finish` scan always run. Violations are collected,
+    ``scan_every`` throttles the structural recoverability scan to every
+    Nth message delivery; those scans are incremental (module
+    docstring), the scan at every recovery and the final :meth:`finish`
+    scan always run and are full. Violations are collected,
     deduplicated on (invariant, pid, detail) and capped; the first one
     snapshots a flight record (:attr:`violation_dump`), as does every
     crash (:attr:`crash_dumps`, last four kept).
@@ -186,6 +232,18 @@ class InvariantMonitor:
         self._homes: Optional[Dict[Any, int]] = None
         #: home pid -> its pages (built with _homes)
         self._pages_by_home: Dict[int, List[Any]] = {}
+        #: per home: its manager's (next_seqno, retained page bytes,
+        #: discarded page bytes, len(page_copies)) when all of its page
+        #: chains last verified clean, else None
+        self._chains_ok: List[Optional[Tuple[int, ...]]] = [None] * n
+        #: (acquirer, grantor) -> (acq bucket, len, rel bucket, len) at
+        #: which the §4.2.1 pair last verified clean; holding the list
+        #: objects keeps their identities from being reused
+        self._pairs_ok: Dict[Tuple[int, int], Tuple[list, int, list, int]] = {}
+        #: id -> stamp clock that passed the happened-before check
+        self._stamps_ok: Dict[int, VClock] = {}
+        #: message class -> (stamp attrs, has notices, has piggyback)
+        self._stamp_shape: Dict[type, Tuple[Tuple[str, ...], bool, bool]] = {}
         self._subscribe()
 
     # ==================================================================
@@ -212,20 +270,24 @@ class InvariantMonitor:
     # event handlers
     # ==================================================================
     def _on_send(self, src: int, dst: int, payload: Any) -> None:
-        self._chan.setdefault((src, dst), deque()).append(payload)
-        self._refresh_vclocks((src, dst))
+        q = self._chan.get((src, dst))
+        if q is None:
+            q = self._chan[(src, dst)] = deque()
+        q.append(payload)
+        self._refresh_vclocks()
         self._check_stamps(src, payload)
 
     def _on_deliver(self, src: int, dst: int, payload: Any, epoch: int) -> None:
         q = self._chan.get((src, dst))
-        if not q:
+        in_order = bool(q) and q[0] is payload
+        if in_order:
+            q.popleft()
+        elif not q:
             self._violate(
                 "fifo", dst,
                 f"delivery of {type(payload).__name__} from p{src} that "
                 "was never sent on this channel",
             )
-        elif q[0] is payload:
-            q.popleft()
         else:
             self._violate(
                 "fifo", dst,
@@ -238,11 +300,18 @@ class InvariantMonitor:
             except ValueError:
                 pass
         self.checks["fifo"] += 1
-        self._refresh_vclocks((src, dst))
-        self._check_stamps(src, payload)
+        self._refresh_vclocks()
+        if not in_order:
+            # (in order, it is the very object whose stamps were checked
+            # at its send: clocks are immutable, high-water marks only rise)
+            self._check_stamps(src, payload)
         self._deliveries += 1
         if self._deliveries % self.scan_every == 0:
             self._scan_structural()
+        if type(payload) is AcqAck:
+            # the grantor's handler runs after this event and may patch
+            # its rel bucket in place: re-verify the pair at the next scan
+            self._pairs_ok.pop((src, dst), None)
 
     def _on_ckpt_write_begin(self, pid: int, seqno: int, nbytes: int) -> None:
         self._ckpt_writing.add(pid)
@@ -258,6 +327,7 @@ class InvariantMonitor:
         # emitted before the kill: snapshot the victim's last state
         self._ckpt_writing.discard(pid)
         self._last_vt[pid] = None
+        self._forget()
         self.crash_dumps.append(
             self.flight_record(f"crash of p{pid} (fail-stop)")
         )
@@ -265,7 +335,16 @@ class InvariantMonitor:
 
     def _on_recovery_live(self, pid: int) -> None:
         self._last_vt[pid] = None
-        self._scan_structural()
+        self._scan_structural(full=True)
+        # the host's queue drains right after this event, and with it
+        # the AcqAcks that were delivered while it was down
+        self._forget()
+
+    def _forget(self) -> None:
+        """Nothing verified so far may be relied on: the next structural
+        scan visits every home and every pair."""
+        self._chains_ok = [None] * len(self._chains_ok)
+        self._pairs_ok.clear()
 
     # ==================================================================
     # violation bookkeeping
@@ -289,59 +368,65 @@ class InvariantMonitor:
     # ==================================================================
     # invariant 3 — vector clocks
     # ==================================================================
-    def _refresh_vclocks(self, pids: Optional[Tuple[int, int]] = None) -> None:
+    def _refresh_vclocks(self) -> None:
         hwm = self._hwm
         last = self._last_vt
-        hosts = self.cluster.hosts
-        # Wide clusters refresh only the endpoints of the triggering
-        # message: a vt component can reach a stamp only through a send
-        # by its owner, and that send refreshes the owner first, so the
-        # high-water marks stay exact. (Regression detection then checks
-        # each host at its own next send/delivery instead of at every
-        # message — the full sweep still runs in every structural scan.)
-        if pids is not None and len(hosts) >= VClock.ARRAY_WIDTH:
-            hosts = [hosts[p] for p in dict.fromkeys(pids)]
-        for host in hosts:
+        for host in self.cluster.hosts:
             proto = host.proto
             if proto is None:
                 continue
             vt = proto.vt
             pid = host.pid
+            prev = last[pid]
+            if vt is prev:
+                continue  # immutable clock, same object: nothing moved
             own = vt.v[pid]
             if own > hwm[pid]:
                 hwm[pid] = own
-            prev = last[pid]
-            if prev is not None and prev is not vt and not prev.leq(vt):
+            if prev is not None and not prev.leq(vt):
                 self._violate(
                     "vclock", pid,
                     f"vector time regressed: {tuple(prev)} -> {tuple(vt)}",
                 )
+                self._forget()  # Rule 3 was verified against the old vt
             last[pid] = vt
         self.checks["vclock"] += 1
 
     def _check_stamps(self, origin: int, msg: Any) -> None:
-        for attr in _STAMP_ATTRS:
-            t = getattr(msg, attr, None)
-            if type(t) is VClock:
-                self._check_stamp(origin, type(msg).__name__, attr, t)
-        notices = getattr(msg, "notices", None)
-        if notices:
-            for wn in notices:
+        cls = type(msg)
+        shape = self._stamp_shape.get(cls)
+        if shape is None:
+            # messages are dataclasses: which fields an instance has is a
+            # property of its class, so one probe per class is enough
+            shape = self._stamp_shape[cls] = (
+                tuple(a for a in _STAMP_ATTRS if hasattr(msg, a)),
+                hasattr(msg, "notices"),
+                hasattr(msg, "piggyback"),
+            )
+        attrs, has_notices, has_piggyback = shape
+        ok = self._stamps_ok
+        for attr in attrs:
+            t = getattr(msg, attr)
+            if type(t) is VClock and id(t) not in ok:
+                self._check_stamp(origin, cls.__name__, attr, t)
+        if has_notices:
+            for wn in msg.notices:
                 t = getattr(wn, "vt", None)
-                if type(t) is VClock:
+                if type(t) is VClock and id(t) not in ok:
                     self._check_stamp(origin, "WriteNotice", "vt", t)
-        pb = getattr(msg, "piggyback", None)
-        if pb is not None:
-            for _proc, tckp, _bar in pb.tckps:
-                self._check_stamp(origin, "Piggyback", "tckp", tckp)
+        if has_piggyback and msg.piggyback is not None:
+            for _proc, tckp, _bar in msg.piggyback.tckps:
+                if id(tckp) not in ok:
+                    self._check_stamp(origin, "Piggyback", "tckp", tckp)
 
     def _check_stamp(self, origin: int, mname: str, attr: str,
                      t: VClock) -> None:
+        """Happened-before check of one stamp. A clock is immutable and
+        the high-water marks never fall, so a stamp that passes is
+        remembered (by identity, pinned by the reference) and the same
+        object — one vt rides on many messages, one write notice on
+        every copy of it — is not walked again."""
         hwm = self._hwm
-        if len(t) >= VClock.ARRAY_WIDTH and not bool(
-            (t.as_array() > np.asarray(hwm)).any()
-        ):
-            return  # vectorized screen; the loop below only names the culprit
         for j, c in enumerate(t.v):
             if c > hwm[j]:
                 self._violate(
@@ -352,6 +437,10 @@ class InvariantMonitor:
                     "interval its owner never started)",
                 )
                 return
+        ok = self._stamps_ok
+        if len(ok) >= _STAMP_MEMO:
+            ok.clear()
+        ok[id(t)] = t
 
     # ==================================================================
     # invariant 1 — CGC (Rule 3.1), checked at every CGC event
@@ -366,10 +455,7 @@ class InvariantMonitor:
         # with buddy replication, a copy is collectible only when it is
         # ALSO buddy-held: CGC gates on the replica-ack seqno ceiling, so
         # copies <= Tmin above the ceiling legitimately survive the pass
-        ceil = (
-            ft.cgc_seqno_ceiling()
-            if hasattr(ft, "cgc_seqno_ceiling") else None
-        )
+        ceil = ft.cgc_seqno_ceiling()
         for page, copies in mgr.page_copies.items():
             # versions are non-decreasing, so copies <= Tmin form a
             # prefix; after a correct pass only its last element remains
@@ -543,72 +629,37 @@ class InvariantMonitor:
     # ==================================================================
     # invariant 5 — structural recoverability
     # ==================================================================
-    def _scan_structural(self, final: bool = False) -> None:
+    def _scan_structural(self, full: bool = False, final: bool = False) -> None:
+        """One recoverability scan. A full scan is an incremental scan
+        that remembers nothing (module docstring); ``final`` asks the
+        §4.2.1 pairs for exact agreement (the run has quiesced)."""
+        if full:
+            self._forget()
         hosts = self.cluster.hosts
-        # Wide clusters: one componentwise min over every live vector
-        # time screens the per-(page, peer) Rule 3 loop — a copy version
-        # below the global min is below every peer's vt, so the O(pages
-        # x peers) leq loop runs only when the screen fails (and then
-        # emits exactly the violations the plain loop would).
-        vt_floor = None
-        if len(hosts) >= VClock.ARRAY_WIDTH:
-            self._refresh_vclocks()  # full monotonicity sweep (see above)
-            live_vts = [
-                h.proto.vt.as_array()
-                for h in hosts
-                if h.live and not h.recovering and h.proto is not None
-            ]
-            if live_vts:
-                vt_floor = np.minimum.reduce(live_vts)
+        live = [h for h in hosts if h.live and not h.recovering]
+        chains_ok = self._chains_ok
         for host in hosts:
             mgr = host.ckpt_mgr
             if mgr is None:
                 continue
             pid = host.pid
-            # iterate the pages that MUST have a copy sequence here (the
-            # ones homed at this node) rather than page_copies' own keys,
-            # so a vanished page is a violation, not a silent skip
-            for page in self._pages_homed_at(pid):
-                copies = mgr.page_copies.get(page)
-                if not copies:
-                    self._violate(
-                        "recoverability", pid,
-                        f"page {tuple(page)} has no retained checkpoint "
-                        "copies — no recovery could obtain a starting copy",
-                    )
-                    continue
-                for a, b in zip(copies, copies[1:]):
-                    if not (a.version.leq(b.version)
-                            and a.ckpt_seqno < b.ckpt_seqno):
-                        self._violate(
-                            "recoverability", pid,
-                            f"page {tuple(page)} retained-copy sequence "
-                            f"is not monotone at checkpoints "
-                            f"{a.ckpt_seqno}/{b.ckpt_seqno}",
-                        )
-                        break
-                # Rule 3 precondition: every live peer's replay ceiling
-                # (its current vt) dominates the oldest retained copy, so
-                # a usable starting copy exists for any single failure
-                p0 = copies[0]
-                if vt_floor is not None and bool(
-                    (p0.version.as_array() <= vt_floor).all()
-                ):
-                    continue
-                for peer in hosts:
-                    if (peer.pid == pid or not peer.live
-                            or peer.recovering or peer.proto is None):
-                        continue
-                    if not p0.version.leq(peer.proto.vt):
-                        self._violate(
-                            "recoverability", pid,
-                            f"oldest retained copy of page {tuple(page)} "
-                            f"(version {tuple(p0.version)}) is not <= "
-                            f"p{peer.pid}'s vector time "
-                            f"{tuple(peer.proto.vt)} — a crash of "
-                            f"p{peer.pid} would find no usable starting "
-                            "copy (Rule 3 precondition)",
-                        )
+            sig = (mgr.next_seqno, mgr.pages_retained_bytes,
+                   mgr.pages_discarded_bytes, len(mgr.page_copies))
+            if chains_ok[pid] != sig:
+                peers = [
+                    h for h in live if h.pid != pid and h.proto is not None
+                ]
+                clean = True
+                # iterate the pages that MUST have a copy sequence here
+                # (the ones homed at this node) rather than page_copies'
+                # own keys, so a vanished page is a violation, not a
+                # silent skip
+                for page in self._pages_homed_at(pid):
+                    if not self._check_chain(
+                        pid, page, mgr.page_copies.get(page), peers
+                    ):
+                        clean = False
+                chains_ok[pid] = sig if clean else None
             if mgr.latest is not None:
                 key = ("ckpt", mgr.latest.seqno)
                 if key not in mgr.store or mgr.store.is_pending(key):
@@ -626,30 +677,10 @@ class InvariantMonitor:
                         f"stable store holds torn keys {torn} outside any "
                         "checkpoint write window",
                     )
-        # §4.2.1 replication: every acquire a live node logged must be
-        # present in its (live) grantor's rel_log — a lost entry means a
-        # replay of our acquires would lose a grant. Caveats that bound
-        # what is checkable from metadata alone:
-        #
-        # * entries at or below our own checkpoint cut are dead (a
-        #   restart replays nothing before the cut) and may linger in
-        #   our acq_log until our next LLT pass — skipped;
-        # * grantors log the acquirer's *actual* acquire timestamp: the
-        #   initial entry carries the grant-time prediction (= actual on
-        #   every failure-free path) and the acquirer's AcqAck replaces
-        #   it with the actual vt when the two diverge (recovery-forced
-        #   resends). Entries are matched by grant identity — lock id
-        #   plus the *grantor's own* vt component, which both sides
-        #   compute identically. A matched pair must agree: exactly once
-        #   the run has quiesced (``final``), and within prediction <=
-        #   actual while an AcqAck may still be in flight. A missing
-        #   match is flagged only when the grantor retains an *older*
-        #   grant for us: correct trimming is a prefix drop in grant
-        #   order, so old-retained + new-missing is a definite loss,
-        #   while all-later/empty is just the grantor's earlier trim.
-        for host in hosts:
+        pairs_ok = self._pairs_ok
+        for host in live:
             ft = host.ft
-            if ft is None or not host.live or host.recovering:
+            if ft is None:
                 continue
             i = host.pid
             mgr = host.ckpt_mgr
@@ -666,52 +697,138 @@ class InvariantMonitor:
                 if (peer.ft is None or not peer.live or peer.recovering):
                     continue
                 rel = peer.ft.logs.rel.entries[i]
-                theirs: Dict[Tuple[int, int], List[Any]] = {}
-                for e in rel:
-                    theirs.setdefault(
-                        (e.lock_id, e.acq_t[g]), []
-                    ).append(e.acq_t)
-                oldest_rel = min((e.acq_t[g] for e in rel), default=None)
-                for e in mine:
-                    if e.acq_t[i] <= own_cut:
-                        continue  # dead: below our own restart cut
-                    logged = theirs.get((e.lock_id, e.acq_t[g]))
-                    if logged is not None:
-                        if final:
-                            if not any(t == e.acq_t for t in logged):
-                                self._violate(
-                                    "recoverability", i,
-                                    f"p{g}'s rel_log[{i}] entry for lock "
-                                    f"{e.lock_id} does not exactly match "
-                                    f"the acquirer's actual timestamp "
-                                    f"{tuple(e.acq_t)} after quiescence — "
-                                    "the §4.2.1 pair disagrees (AcqAck "
-                                    "fix-up lost)",
-                                )
-                                break
-                        elif not any(t.leq(e.acq_t) for t in logged):
-                            self._violate(
-                                "recoverability", i,
-                                f"p{g}'s rel_log[{i}] entry for lock "
-                                f"{e.lock_id} stamps a timestamp beyond "
-                                f"the acquirer's actual {tuple(e.acq_t)} "
-                                "— the grantor logged an acquire that "
-                                "never happened",
-                            )
-                            break
-                        continue
-                    if oldest_rel is not None and oldest_rel < e.acq_t[g]:
-                        self._violate(
-                            "recoverability", i,
-                            f"acq_log entry (lock {e.lock_id}, acq_t "
-                            f"{tuple(e.acq_t)}) granted by p{g} is missing "
-                            f"from p{g}'s rel_log[{i}], which still holds "
-                            f"an older grant — the §4.2.1 replicated pair "
-                            "lost an entry",
-                        )
-                        break
+                sig = (mine, len(mine), rel, len(rel))
+                seen = pairs_ok.get((i, g))
+                if (seen is not None
+                        and seen[0] is mine and seen[1] == sig[1]
+                        and seen[2] is rel and seen[3] == sig[3]):
+                    continue
+                if self._check_pair(i, g, mine, rel, own_cut, final):
+                    pairs_ok[(i, g)] = sig
+                else:
+                    pairs_ok.pop((i, g), None)
         self._scan_replicas(final)
         self.checks["recoverability"] += 1
+
+    def _check_chain(self, pid: int, page: Any, copies: Optional[List[Any]],
+                     peers: List[Any]) -> bool:
+        """One page's retained-copy chain at its home ``pid`` against the
+        live ``peers``; True when nothing was flagged."""
+        if not copies:
+            self._violate(
+                "recoverability", pid,
+                f"page {tuple(page)} has no retained checkpoint "
+                "copies — no recovery could obtain a starting copy",
+            )
+            return False
+        clean = True
+        for a, b in zip(copies, copies[1:]):
+            if not (a.version.leq(b.version)
+                    and a.ckpt_seqno < b.ckpt_seqno):
+                self._violate(
+                    "recoverability", pid,
+                    f"page {tuple(page)} retained-copy sequence "
+                    f"is not monotone at checkpoints "
+                    f"{a.ckpt_seqno}/{b.ckpt_seqno}",
+                )
+                clean = False
+                break
+        # Rule 3 precondition: every live peer's replay ceiling (its
+        # current vt) dominates the oldest retained copy, so a usable
+        # starting copy exists for any single failure
+        p0 = copies[0].version
+        for peer in peers:
+            if not p0.leq(peer.proto.vt):
+                self._violate(
+                    "recoverability", pid,
+                    f"oldest retained copy of page {tuple(page)} "
+                    f"(version {tuple(p0)}) is not <= "
+                    f"p{peer.pid}'s vector time "
+                    f"{tuple(peer.proto.vt)} — a crash of "
+                    f"p{peer.pid} would find no usable starting "
+                    "copy (Rule 3 precondition)",
+                )
+                clean = False
+        return clean
+
+    def _check_pair(self, i: int, g: int, mine: List[Any], rel: List[Any],
+                    own_cut: int, final: bool) -> bool:
+        """§4.2.1 replication of one (acquirer ``i``, grantor ``g``)
+        pair, both live: every acquire in ``mine`` (``i``'s
+        ``acq_log[g]``) must be present in ``rel`` (``g``'s
+        ``rel_log[i]``) — a lost entry means a replay of ``i``'s acquires
+        would lose a grant. True when nothing was flagged. Caveats that
+        bound what is checkable from metadata alone:
+
+        * entries at or below ``own_cut`` (``i``'s checkpoint cut) are
+          dead (a restart replays nothing before the cut) and may linger
+          in the acq_log until ``i``'s next LLT pass — skipped;
+        * grantors log the acquirer's *actual* acquire timestamp: the
+          initial entry carries the grant-time prediction (= actual on
+          every failure-free path) and the acquirer's AcqAck replaces
+          it with the actual vt when the two diverge (recovery-forced
+          resends). Entries are matched by grant identity — lock id
+          plus the *grantor's own* vt component, which both sides
+          compute identically. A matched pair must agree: exactly once
+          the run has quiesced (``final``), and within prediction <=
+          actual while an AcqAck may still be in flight. A missing
+          match is flagged only when the grantor retains an *older*
+          grant for us: correct trimming is a prefix drop in grant
+          order, so old-retained + new-missing is a definite loss,
+          while all-later/empty is just the grantor's earlier trim.
+        """
+        theirs: Dict[Tuple[int, int], List[VClock]] = {}
+        oldest_rel = None
+        for e in rel:
+            t = e.acq_t
+            own = t[g]
+            if oldest_rel is None or own < oldest_rel:
+                oldest_rel = own
+            theirs.setdefault((e.lock_id, own), []).append(t)
+        for e in mine:
+            actual = e.acq_t
+            if actual[i] <= own_cut:
+                continue  # dead: below our own restart cut
+            granted = actual[g]
+            logged = theirs.get((e.lock_id, granted))
+            if logged is None:
+                if oldest_rel is not None and oldest_rel < granted:
+                    self._violate(
+                        "recoverability", i,
+                        f"acq_log entry (lock {e.lock_id}, acq_t "
+                        f"{tuple(actual)}) granted by p{g} is missing "
+                        f"from p{g}'s rel_log[{i}], which still holds "
+                        f"an older grant — the §4.2.1 replicated pair "
+                        "lost an entry",
+                    )
+                    return False
+            elif final:
+                if actual not in logged:
+                    self._violate(
+                        "recoverability", i,
+                        f"p{g}'s rel_log[{i}] entry for lock "
+                        f"{e.lock_id} does not exactly match "
+                        f"the acquirer's actual timestamp "
+                        f"{tuple(actual)} after quiescence — "
+                        "the §4.2.1 pair disagrees (AcqAck "
+                        "fix-up lost)",
+                    )
+                    return False
+            else:
+                for t in logged:
+                    if t.leq(actual):
+                        break
+                else:
+                    self._violate(
+                        "recoverability", i,
+                        f"p{g}'s rel_log[{i}] entry for lock "
+                        f"{e.lock_id} stamps a timestamp beyond "
+                        f"the acquirer's actual {tuple(actual)} "
+                        "— the grantor logged an acquire that "
+                        "never happened",
+                    )
+                    return False
+        return True
 
     def _scan_replicas(self, final: bool) -> None:
         """Replication-tier recoverability: trims never outran buddy
@@ -804,7 +921,7 @@ class InvariantMonitor:
     def finish(self) -> List[Violation]:
         """Final full check after the run; returns all violations."""
         self._refresh_vclocks()
-        self._scan_structural(final=True)
+        self._scan_structural(full=True, final=True)
         return self.violations
 
     def flight_record(self, reason: str) -> Dict[str, Any]:

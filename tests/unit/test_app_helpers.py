@@ -163,3 +163,60 @@ def test_plummer_sorted_by_radius():
     r = np.einsum("ij,ij->i", pos, pos)
     assert (np.diff(r) >= 0).all()
     assert vel.shape == (64, 3)
+
+
+# ---------------------------------------------------------------------------
+# session app: memoised request draws
+# ---------------------------------------------------------------------------
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31), st.integers(0, 255), st.integers(0, 10_000))
+def test_session_cached_draws_equal_fresh_generator_draws(seed, pid, r):
+    from repro.apps import session as s
+
+    fresh = np.random.default_rng((seed, pid, s._REQUEST_STREAM, r)).random(4)
+    for _ in range(2):  # a miss, then a hit
+        assert s._request_draws(seed, pid, r) == tuple(fresh)
+    home = np.random.default_rng((seed, pid, s._ARRIVAL_STREAM, r)).random()
+    for _ in range(2):
+        assert s._home_draw(seed, pid, r) == home
+
+
+def test_session_request_params_match_the_unmemoised_scheme():
+    """The whole of ``_request_params`` against the scheme it replaced
+    (two generators per request, NumPy scalars throughout); two seeds
+    never share a cache entry; ``expected_total`` is what it always was."""
+    from repro.apps import session as s
+
+    def reference(cfg, cdf, pid, r):
+        rng = np.random.default_rng((cfg.seed, pid, s._REQUEST_STREAM, r))
+        u_user, u_aff, u_key, u_rw = rng.random(4)
+        user = int(u_user * cfg.n_users) % cfg.n_users
+        if u_aff < cfg.session_affinity:
+            home = np.random.default_rng(
+                (cfg.seed, pid, s._ARRIVAL_STREAM, user)
+            )
+            key = int(np.searchsorted(cdf, home.random()))
+        else:
+            key = int(np.searchsorted(cdf, u_key))
+        return user, min(key, cfg.n_keys - 1), bool(u_rw < cfg.read_fraction)
+
+    seen = {}
+    for seed in (42, 43):
+        cfg = s.SessionConfig(seed=seed)
+        cdf = s._zipf_cdf(cfg)
+        for pid in range(4):
+            for r in range(cfg.steps * cfg.requests_per_step):
+                got = s._request_params(cfg, cdf, pid, r)
+                assert got == reference(cfg, cdf, pid, r)
+                seen[seed, pid, r] = got
+    assert any(seen[42, p, r] != seen[43, p, r] for (_, p, r) in seen)
+    # default config, 4 processes: pinned before the memo existed
+    assert s.SessionApp().expected_total(4) == 105.0
+
+
+def test_session_draw_caches_are_bounded():
+    from repro.apps import session as s
+
+    assert 0 < s._DRAW_CACHE <= 1 << 16  # a few MB of tuples at most
+    for cache in (s._request_draws, s._home_draw):
+        assert cache.cache_info().maxsize == s._DRAW_CACHE

@@ -169,14 +169,26 @@ def test_trace_subcommand_crash_requires_ft(capsys):
     assert main(["trace", "counter", "--no-ft", "--crash", "2@0.5"]) == 2
 
 
+def _check_table(out: str) -> str:
+    """The check/violation table of ``repro monitor`` output."""
+    return out[out.index("invariant "):].strip()
+
+
 def test_monitor_subcommand(capsys):
     rc = main(["monitor", "counter", "--procs", "4", "--steps", "4"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "counter on 4 simulated nodes" in out
-    assert "ALL INVARIANTS HELD" in out
-    for kind in ("cgc", "llt", "vclock", "fifo", "recoverability"):
-        assert kind in out
+    # which structures a scan visits may change; what is counted as a
+    # check, and how often, may not
+    assert _check_table(out) == """\
+invariant        checks   violations
+cgc                  15            0
+llt                  15            0
+vclock              483            0
+fifo                241            0
+recoverability      242            0
+total               996   ALL INVARIANTS HELD"""
 
 
 def test_monitor_subcommand_with_crash(capsys):
@@ -187,14 +199,51 @@ def test_monitor_subcommand_with_crash(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "1 crash(es)" in out
+    assert _check_table(out) == """\
+invariant        checks   violations
+cgc                  15            0
+llt                  15            0
+vclock              527            0
+fifo                263            0
+recoverability      265            0
+total              1085   ALL INVARIANTS HELD"""
 
 
-def test_monitor_subcommand_seeded_violation(tmp_path, capsys):
+#: first violation of each seeded sabotage: (pid, engine step, detail).
+#: Detection may not move to a later scan when scans get cheaper.
+SEEDED_FIRST = {
+    "cgc": (
+        0, 373,
+        "page (0, 0): 2 retained copies <= Tmin (6, 7, 7, 7) (and "
+        "buddy-acked) after CGC — only the maximal starting copy may "
+        "remain at or below Tmin (Rule 3.1)",
+    ),
+    "llt": (
+        1, 356,
+        "rel_log[2] retains entries with acq_t[2] <= T̂ckp_2[2]=4 after "
+        "LLT (Rule 2 trim missed)",
+    ),
+    "vclock": (1, 92, "vector time regressed: (2, 3, 0, 0) -> (0, 0, 0, 0)"),
+    "fifo": (
+        0, 36,
+        "channel p1->p0 reordered: GrantInfo delivered ahead of 2 earlier "
+        "unsent-or-undelivered message(s)",
+    ),
+    "recoverability": (
+        0, 376,
+        "page (0, 0) has no retained checkpoint copies — no recovery "
+        "could obtain a starting copy",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDED_FIRST))
+def test_monitor_subcommand_seeded_violation(kind, tmp_path, capsys):
     flight = tmp_path / "flight.json"
     rc = main([
         "monitor", "counter",
         "--procs", "4", "--steps", "4",
-        "--seed-violation", "cgc", "--flight", str(flight),
+        "--seed-violation", kind, "--flight", str(flight),
     ])
     assert rc == 1
     out = capsys.readouterr().out
@@ -207,8 +256,10 @@ def test_monitor_subcommand_seeded_violation(tmp_path, capsys):
 
     dump = json.loads(flight.read_text())
     assert validate_flight_record(dump) == []
-    assert dump["violations"]
-    assert all(v["invariant"] == "cgc" for v in dump["violations"])
+    assert all(v["invariant"] == kind for v in dump["violations"])
+    first = dump["violations"][0]
+    assert (first["pid"], first["step"], first["detail"]) == SEEDED_FIRST[kind]
+    assert dump["step"] == first["step"]  # snapshotted when it was found
 
 
 def test_crashsweep_rejects_bad_class():

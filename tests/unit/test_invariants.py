@@ -24,9 +24,15 @@ from repro.observe import (
     validate_flight_record,
     write_flight_record,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import FtConfig
+from repro.core.logs import RelEntry
 from repro.sim.engine import Engine
 from repro.sim.trace import RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
+from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
 
 
 def run_monitored(kind=None, crash=None, num_procs=4, scan_every=1):
@@ -121,6 +127,158 @@ def test_violations_deduplicated_and_capped():
         monitor._violate("llt", 0, f"detail {i}")
     assert len(monitor.violations) == 3  # capped (1 cgc + 2 llt)
     assert monitor.dropped_violations == 8
+
+
+# ---------------------------------------------------------------------------
+# incremental scans vs. the full scan they stand in for
+# ---------------------------------------------------------------------------
+class FullScanMonitor(InvariantMonitor):
+    """The oracle: every periodic scan visits everything."""
+
+    def _scan_structural(self, full=False, final=False):
+        super()._scan_structural(full=True, final=final)
+
+
+def verdicts(monitor):
+    return [(v.invariant, v.pid, v.step, v.detail) for v in monitor.violations]
+
+
+def both_ways(cluster, app, scan_every, monitor_cls=InvariantMonitor,
+              kind=None, crashes=()):
+    """Run ``app`` once with an incremental monitor and a full-scan
+    shadow on the same bus (both only read, so they see the same run and
+    scan at the same deliveries); return the two verdict lists."""
+    incremental = monitor_cls(cluster, scan_every=scan_every)
+    shadow = FullScanMonitor(cluster, scan_every=scan_every)
+    if kind is not None:
+        seed_violation(cluster, kind)
+    for pid, step in crashes:
+        cluster.schedule_crash_at_step(pid, step)
+    try:
+        cluster.run(app)
+    except Exception:
+        if not shadow.violations:  # sabotage may kill the run afterwards
+            raise
+    incremental.finish()
+    shadow.finish()
+    assert incremental.checks == shadow.checks
+    return verdicts(incremental), verdicts(shadow)
+
+
+NARROW = [
+    ("counter", 4, (), False),
+    ("session", 4, (), False),
+    ("counter", 4, ((1, 250),), False),
+    ("session", 4, ((1, 250),), False),
+    ("session", 4, ((1, 250), (2, 420)), True),
+]
+#: (a full scan per delivery at N=32 is the 3 s this PR removes elsewhere)
+WIDE = [("counter", 32, (), False), ("counter", 32, ((5, 4000),), False)]
+
+
+@pytest.mark.parametrize(
+    "app_name,num_procs,crashes,replicate,scan_every",
+    [c + (1,) for c in NARROW] + [c + (10,) for c in NARROW + WIDE],
+)
+def test_incremental_scan_matches_full_scan_clean(
+    app_name, num_procs, crashes, replicate, scan_every
+):
+    cluster = make_cluster(
+        num_procs=num_procs, ft=True,
+        ft_config=FtConfig(replicate=True) if replicate else None,
+    )
+    got, want = both_ways(
+        cluster, make_app(app_name), scan_every, crashes=crashes
+    )
+    assert got == want == []
+    assert cluster.crashes == cluster.recoveries == len(crashes)
+
+
+@pytest.mark.parametrize("scan_every", [1, 10])
+@pytest.mark.parametrize("kind", INVARIANTS)
+def test_incremental_scan_matches_full_scan_seeded(kind, scan_every):
+    cluster = make_cluster(num_procs=4, ft=True)
+    got, want = both_ways(cluster, make_app("counter"), scan_every, kind=kind)
+    assert want and got == want  # same verdicts at the same engine steps
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), frac=st.floats(0.1, 0.9),
+       scan_every=st.sampled_from([1, 7, 20]))
+def test_incremental_scan_matches_full_scan_fuzz(seed, frac, scan_every):
+    from repro import DsmCluster, DsmConfig
+    from repro.core import LogOverflowPolicy
+
+    def build():
+        return DsmCluster(
+            DsmConfig(num_procs=N_PROCS), ft=True,
+            policy_factory=lambda pid, fp: LogOverflowPolicy(0.05, fp),
+        )
+
+    steps = build()
+    steps.run(FuzzApp(seed))
+    crash_step = max(1, int(steps.engine.steps * frac))
+    got, want = both_ways(
+        build(), FuzzApp(seed), scan_every,
+        crashes=((seed % N_PROCS, crash_step),),
+    )
+    assert got == want == []
+
+
+def corrupt_first_confirm(cluster):
+    """Sabotage only an in-place patch can show: the first AcqAck any
+    grantor handles leaves a rel entry stamped *beyond* the acquirer's
+    actual timestamp — same list, same length."""
+    orig_install = cluster._install_ft
+    armed = [True]
+
+    def install(host):
+        orig_install(host)
+        rel = host.ft.logs.rel
+        orig_confirm = rel.confirm
+
+        def confirm(acquirer, lock_id, actual_t, own_pid):
+            out = orig_confirm(acquirer, lock_id, actual_t, own_pid)
+            bucket = rel.entries[acquirer]
+            for k, e in enumerate(bucket):
+                if armed[0] and e.lock_id == lock_id and e.acq_t == actual_t:
+                    armed[0] = False
+                    bucket[k] = RelEntry(lock_id, actual_t.with_component(
+                        acquirer, actual_t[acquirer] + 1
+                    ))
+            return out
+
+        rel.confirm = confirm
+
+    cluster._install_ft = install
+
+
+class DeafToAcqAck(InvariantMonitor):
+    """Seeded mutation of the dirty test: a delivered AcqAck no longer
+    marks its pair for re-verification."""
+
+    class _KeepsEntries(dict):
+        def pop(self, *args):
+            return None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pairs_ok = self._KeepsEntries()
+
+
+def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
+    def run(monitor_cls):
+        cluster = make_cluster(num_procs=4, ft=True)
+        corrupt_first_confirm(cluster)
+        return both_ways(
+            cluster, make_app("session"), 1, monitor_cls=monitor_cls
+        )
+
+    got, want = run(InvariantMonitor)
+    assert want and got == want
+    assert "stamps a timestamp beyond" in want[0][3]
+    got, want = run(DeafToAcqAck)
+    assert got != want  # the differential check catches the mutation
 
 
 # ---------------------------------------------------------------------------

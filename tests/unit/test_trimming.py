@@ -146,14 +146,23 @@ _learn_seq = st.lists(
 )
 
 
+def assert_bounds_match_rescan(t):
+    """The O(1) bounds against a plain O(N) rescan of what ``t`` knows."""
+    peers = [j for j in range(t.n) if j != t.pid]
+    tmin = t.tckp[peers[0]]
+    for j in peers[1:]:
+        tmin = tmin.meet(t.tckp[j])
+    assert t.tmin() == tmin
+    assert t.wn_keep_from() == min(t.tckp[j][t.pid] for j in peers) + 1
+    assert t.bar_keep_from() == min(t.bar_ep[j] for j in peers)
+
+
 @given(_learn_seq)
 def test_incremental_bounds_match_rescan(seq):
     t = TrimmingInfo(0, N)
     for proc, vec, bar in seq:
         t.learn_tckp(proc, VClock(vec), bar)
-        assert t.tmin() == t._rescan_tmin()
-        assert t.wn_keep_from() == t._rescan_wn_keep_from()
-        assert t.bar_keep_from() == t._rescan_bar_keep_from()
+        assert_bounds_match_rescan(t)
 
 
 def test_incremental_bounds_match_rescan_wide():
@@ -168,12 +177,8 @@ def test_incremental_bounds_match_rescan_wide():
         vec = VClock(tuple(int(x) for x in rng.integers(0, 60, n)))
         t.learn_tckp(proc, vec, int(rng.integers(0, 9)))
         if step % 7 == 0:
-            assert t.tmin() == t._rescan_tmin()
-            assert t.wn_keep_from() == t._rescan_wn_keep_from()
-            assert t.bar_keep_from() == t._rescan_bar_keep_from()
-    assert t.tmin() == t._rescan_tmin()
-    assert t.wn_keep_from() == t._rescan_wn_keep_from()
-    assert t.bar_keep_from() == t._rescan_bar_keep_from()
+            assert_bounds_match_rescan(t)
+    assert_bounds_match_rescan(t)
 
 
 def test_row_gen_tracks_changes_for_gossip_delta():
