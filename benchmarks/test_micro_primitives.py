@@ -7,6 +7,7 @@ from repro.dsm.interval import NoticeTable
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
+from repro.sim.engine import Delay, Engine, Future
 
 PAGE = 4096
 
@@ -48,6 +49,44 @@ def test_bench_apply_diff(benchmark):
         apply_diff(target, d)
 
     benchmark(run)
+
+
+def test_bench_engine_timers(benchmark):
+    """Heap-path dispatch: eight coroutines sleeping on distinct delays."""
+
+    def ticker(k, dt):
+        for _ in range(k):
+            yield Delay(dt)
+
+    def run():
+        eng = Engine()
+        for i in range(8):
+            eng.spawn(ticker(2_500, 1e-6 * (i + 1)), name=f"t{i}")
+        eng.run()
+        return eng.steps
+
+    assert benchmark(run) >= 20_000
+
+
+def test_bench_engine_ready_queue(benchmark):
+    """Immediate-continuation churn: resolved futures never advance
+    virtual time, so no event here needs the time heap — the path the
+    ready queue accelerates."""
+
+    def churner(k):
+        for _ in range(k):
+            fut = Future()
+            fut.resolve(1)
+            yield fut
+
+    def run():
+        eng = Engine()
+        for i in range(4):
+            eng.spawn(churner(5_000), name=f"c{i}")
+        eng.run()
+        return eng.steps
+
+    assert benchmark(run) >= 20_000
 
 
 def test_bench_vclock_join(benchmark):

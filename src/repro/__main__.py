@@ -1,4 +1,4 @@
-"""Command-line runner: ``python -m repro [options] <app>``.
+"""Command-line runner: ``python -m repro [subcommand] <app> [options]``.
 
 Examples::
 
@@ -6,7 +6,6 @@ Examples::
     python -m repro barnes --procs 8 --ft --l 0.25 --crash 3@0.5
     python -m repro counter --ft --coordinated --wan 5e-3 --trace lock,ckpt
     python -m repro tables --scale smoke
-    python -m repro bench --smoke --check
     python -m repro crashsweep counter --every 40 --classes lock,ckpt_write
     python -m repro crashsweep counter --faults 2      # k=2, replication on
     python -m repro observe counter --procs 4 --interval 1e-3
@@ -15,936 +14,243 @@ Examples::
     python -m repro trace counter --procs 4 --crash 2@0.5
     python -m repro monitor counter --procs 4 --crash 2@0.5
     python -m repro monitor counter --seed-violation cgc   # must exit 1
+    python -m repro report benchmarks --html /tmp/dashboard.html
+
+Every subcommand is an ``(add_arguments, run)`` pair in :data:`COMMANDS`
+(``run``'s docstring is its ``--help`` description); a first argument
+that names none of them is the bare ``run`` form. Shared flags are
+declared once (``add_workload``, ``add_rate``, ``add_ft``, ``add_faults``)
+and shared steps — cluster construction, crash-spec validation, the
+failure-free pre-pass behind ``PID@FRAC``, the timed run — are
+:class:`RunBuilder`; each ``run_*`` keeps what it attaches, renders, writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
-from typing import Any, Optional
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import DsmCluster, DsmConfig
-from repro.core import LogOverflowPolicy
+from repro.apps import APPS, make_app
+from repro.core import FtConfig, LogOverflowPolicy
 from repro.sim.network import MetaClusterConfig, NetworkConfig
 from repro.sim.node import TimeBucket
+from repro.sim.trace import Tracer
 
-APPS = [
-    "counter", "kvstore", "session", "barnes", "water-nsq", "water-spatial",
-    "lu", "tables", "bench",
-]
+Parser = argparse.ArgumentParser
 
 
-def make_app(
-    name: str,
-    steps: Optional[int],
-    size: Optional[int],
-    rate: Optional[float] = None,
-) -> Any:
-    from repro.apps.barnes import BarnesApp, BarnesConfig
-    from repro.apps.counter import CounterApp, CounterConfig
-    from repro.apps.kvstore import KvStoreApp, KvStoreConfig
-    from repro.apps.lu import LuApp, LuConfig
-    from repro.apps.session import SessionApp, SessionConfig
-    from repro.apps.water_nsq import WaterNsqApp, WaterNsqConfig
-    from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
-
-    if name == "session":
-        cfg = SessionConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_keys = size
-        if rate:
-            cfg.rate = rate
-        return SessionApp(cfg)
-    if name == "counter":
-        cfg = CounterConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_elements = size
-        return CounterApp(cfg)
-    if name == "kvstore":
-        cfg = KvStoreConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_keys = size
-        return KvStoreApp(cfg)
-    if name == "barnes":
-        cfg = BarnesConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_bodies = size
-        return BarnesApp(cfg)
-    if name == "water-nsq":
-        cfg = WaterNsqConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_molecules = size
-        return WaterNsqApp(cfg)
-    if name == "water-spatial":
-        cfg = WaterSpatialConfig()
-        if steps:
-            cfg.steps = steps
-        if size:
-            cfg.n_molecules = size
-        return WaterSpatialApp(cfg)
-    if name == "lu":
-        cfg = LuConfig()
-        if size:
-            cfg.matrix_size = size
-        return LuApp(cfg)
-    raise ValueError(f"unknown app {name!r}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run a DSM workload on the simulated fault-tolerant "
-        "HLRC cluster (SC 2000 reproduction).",
-    )
-    p.add_argument("app", choices=APPS, help="workload, or 'tables' for the paper harness")
-    p.add_argument("--procs", type=int, default=8, help="cluster size (default 8)")
+# ---- argument groups, declared once ----
+def add_workload(p: Parser, procs: int) -> None:
+    p.add_argument("app", choices=list(APPS), help="workload to run")
+    p.add_argument("--procs", type=int, default=procs,
+                   help=f"cluster size (default {procs})")
     p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None, help="problem size (app-specific)")
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="open-loop arrival rate, requests per virtual second per "
-        "process (session app only)",
-    )
-    p.add_argument("--ft", action="store_true", help="enable fault tolerance")
-    p.add_argument(
-        "--replicate", action="store_true",
-        help="with --ft: buddy-replicate checkpoints + logs into the "
-        "ring successor's memory (survives overlapping failures)",
-    )
+    p.add_argument("--size", type=int, default=None,
+                   help="problem size (app-specific)")
+
+
+def add_rate(p: Parser) -> None:
+    p.add_argument("--rate", type=float, default=None,
+                   help="open-loop arrival rate, requests per virtual second "
+                   "per process (session app only)")
+
+
+def add_ft(p: Parser, no_ft: bool = False, replicate: bool = True) -> None:
     p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
-    p.add_argument(
-        "--coordinated",
-        action="store_true",
-        help="use the coordinated-checkpointing baseline instead of the "
-        "paper's independent scheme",
-    )
-    p.add_argument(
-        "--crash",
-        metavar="PID@FRAC",
-        default=None,
-        help="fail-stop PID at FRAC of the failure-free runtime (e.g. 3@0.5)",
-    )
-    p.add_argument(
-        "--wan",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="meta-cluster mode: split the cluster in two halves joined "
-        "by a WAN link with this one-way latency",
-    )
-    from repro.sim.trace import Tracer
-
-    p.add_argument(
-        "--trace",
-        default=None,
-        metavar="KINDS",
-        # derived from Tracer.KINDS so the help can never drift from
-        # what the tracer actually accepts
-        help="comma-separated trace kinds (" + ",".join(sorted(Tracer.KINDS)) + ")",
-    )
-    p.add_argument("--trace-limit", type=int, default=60)
-    p.add_argument("--scale", default="smoke", choices=["smoke", "default"],
-                   help="scale for the 'tables' harness")
-    bench = p.add_argument_group("bench", "options for the 'bench' subcommand")
-    bench.add_argument(
-        "--suite", default="core", choices=["core", "scale"],
-        help="bench: 'core' hot-path suite or the 'scale' node-count curve",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="bench: run the reduced smoke suite (used by CI)",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="bench: attach cProfile to the app benches and print hot spots",
-    )
-    bench.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="bench: baseline file to record to / check against "
-        "(default benchmarks/BENCH_core.json or BENCH_scale.json per suite)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="bench: compare against the committed baseline instead of "
-        "recording; exit 1 if events/sec regressed more than the budget",
-    )
-    bench.add_argument(
-        "--budget", type=float, default=0.30, metavar="FRAC",
-        help="bench --check: tolerated events/sec regression (default 0.30)",
-    )
-    return p
+    if no_ft:
+        p.add_argument("--no-ft", action="store_true",
+                       help="run the base protocol, without fault tolerance")
+    if replicate:
+        p.add_argument("--replicate", action="store_true",
+                       help="buddy-replicate checkpoints + logs into the ring "
+                       "successor's memory (survives overlapping failures)")
 
 
-def make_cluster(args: argparse.Namespace) -> DsmCluster:
+class CrashSpec(NamedTuple):
+    pid: int
+    frac: float
+    text: str  # as typed: what the written artifacts record
+
+
+def parse_crash(text: str) -> CrashSpec:
+    """``argparse`` ``type=`` of ``--crash``/``--crash2``."""
+    try:
+        pid_s, frac_s = text.split("@")
+        pid, frac = int(pid_s), float(frac_s)
+        if pid < 0 or not 0.0 < frac < 1.0:
+            raise ValueError(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}: expected PID@FRAC with PID a process id "
+            "and 0 < FRAC < 1 (e.g. 3@0.5)"
+        ) from None
+    return CrashSpec(pid, frac, text)
+
+
+def add_faults(p: Parser, crash2: bool = False) -> None:
+    p.add_argument("--crash", type=parse_crash, metavar="PID@FRAC",
+                   help="fail-stop PID at FRAC of the failure-free runtime "
+                   "(e.g. 3@0.5); requires fault tolerance")
+    if crash2:
+        p.add_argument("--crash2", type=parse_crash, metavar="PID@FRAC",
+                       help="a second fail-stop (overlapping failures; pair "
+                       "with --replicate)")
+
+
+# ---- the shared run builder ----
+def make_cluster(
+    procs: int,
+    ft: bool = True,
+    l: float = 0.1,
+    replicate: bool = False,
+    coordinated: bool = False,
+    wan: Optional[float] = None,
+) -> DsmCluster:
+    config = DsmConfig(num_procs=procs)
     net = NetworkConfig()
-    if args.wan is not None:
-        net = MetaClusterConfig(
-            cluster_size=max(1, args.procs // 2), wan_latency=args.wan
-        )
-    kwargs = dict(
-        config=DsmConfig(num_procs=args.procs),
-        net_config=net,
-    )
-    if not args.ft:
-        return DsmCluster(**kwargs)
-    if args.coordinated:
+    if wan is not None:
+        net = MetaClusterConfig(cluster_size=max(1, procs // 2), wan_latency=wan)
+    if not ft:
+        return DsmCluster(config=config, net_config=net)
+    if coordinated:
         from repro.baselines import coordinated_cluster
 
-        kwargs.pop("config")
-        return coordinated_cluster(
-            DsmConfig(num_procs=args.procs), l_fraction=args.l, net_config=net
-        )
-    if getattr(args, "replicate", False):
-        from repro.core.ftmanager import FtConfig
-
-        kwargs["ft_config"] = FtConfig(replicate=True)
+        return coordinated_cluster(config, l_fraction=l, net_config=net)
     return DsmCluster(
+        config=config,
+        net_config=net,
         ft=True,
-        policy_factory=lambda pid, fp: LogOverflowPolicy(args.l, fp),
-        **kwargs,
+        ft_config=FtConfig(replicate=True) if replicate else None,
+        policy_factory=lambda pid, fp: LogOverflowPolicy(l, fp),
     )
 
 
-def build_crashsweep_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro crashsweep",
-        description="Crash-point sweep fault-injection campaign: enumerate "
-        "crash points of a traced failure-free run, re-run the app once "
-        "per point, and assert the recovery-equivalence oracle.",
-    )
-    p.add_argument("app", choices=[a for a in APPS if a not in ("tables", "bench")])
-    p.add_argument("--procs", type=int, default=4, help="cluster size (default 4)")
-    p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None, help="problem size")
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="open-loop arrival rate, requests per virtual second per "
-        "process (session app only)",
-    )
-    p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
-    p.add_argument(
-        "--every", type=int, default=25,
-        help="crash after every Nth traced protocol event (default 25)",
-    )
-    p.add_argument(
-        "--classes", default=None,
-        help="comma-separated crash-point classes (default: all classes "
-        f"the --faults budget allows, out of {','.join(sweep_classes())})",
-    )
-    p.add_argument(
-        "--faults", type=int, default=1, choices=(1, 2),
-        help="fault budget: 2 adds the double/repl classes (second "
-        "crashes inside recovery windows, crashes mid-replication); "
-        "implies --replicate unless --no-replicate",
-    )
-    p.add_argument(
-        "--replicate", action="store_true",
-        help="enable the buddy-replication tier (FtConfig.replicate)",
-    )
-    p.add_argument(
-        "--no-replicate", action="store_true",
-        help="keep replication off even with --faults 2 (overlap points "
-        "then degrade explicitly instead of recovering)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="summary JSON path (default benchmarks/SWEEP_<app>.json)",
-    )
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="print one line per injected run")
-    return p
+def schedule_crashes(
+    cluster_factory: Callable[[], DsmCluster],
+    app_factory: Callable[[], Any],
+    specs: Sequence[CrashSpec],
+) -> List[Tuple[int, float]]:
+    """The ``(pid, virtual time)`` crash schedule for ``specs``: one
+    failure-free pre-pass learns the runtime the fractions refer to."""
+    if not specs:
+        return []
+    t_free = cluster_factory().run(app_factory()).wall_time
+    return [(spec.pid, spec.frac * t_free) for spec in specs]
 
 
-def sweep_classes() -> tuple:
-    from repro.faultinject import campaign
+class RunBuilder:
+    """What ``run``, ``observe``, ``trace`` and ``monitor`` share."""
 
-    return campaign.CLASSES
-
-
-def run_crashsweep(argv: list) -> int:
-    import json
-
-    from repro.faultinject import CrashSweep
-
-    args = build_crashsweep_parser().parse_args(argv)
-    replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
-    ns = argparse.Namespace(
-        procs=args.procs, ft=True, coordinated=False, wan=None, l=args.l,
-        replicate=replicate,
-    )
-    sweep = CrashSweep(
-        cluster_factory=lambda: make_cluster(ns),
-        app_factory=lambda: make_app(args.app, args.steps, args.size, args.rate),
-        every=args.every,
-        classes=tuple(args.classes.split(",")) if args.classes else None,
-        faults=args.faults,
-    )
-
-    t0 = time.time()
-
-    def progress(res) -> None:
-        if args.verbose:
-            p = res.point
-            base = f" base=p{p.base[1]}@{p.base[0]}" if p.base else ""
-            print(
-                f"  {p.cls:<10} p{p.victim}@{p.step}{base}: {res.outcome}"
-                + (f" ({res.error})" if res.error else "")
-            )
-
-    summary = sweep.run(progress=progress)
-    host_s = time.time() - t0
-
-    print(f"crash sweep   {args.app} on {args.procs} simulated nodes "
-          f"({len(summary.results)} points, {host_s:.1f}s host time)")
-    print(summary.render())
-    for note in summary.notes:
-        print(f"note: {note}")
-
-    suffix = "_k2" if args.faults >= 2 else ""
-    out = args.out or f"benchmarks/SWEEP_{args.app}{suffix}.json"
-    payload = summary.to_dict(
-        app=args.app, procs=args.procs, replicate=replicate
-    )
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"written to {out}")
-    if not summary.ok:
-        from repro.faultinject.campaign import DEGRADABLE_CLASSES
-
-        for r in summary.results:
-            if r.outcome == "failed" or (
-                r.outcome == "degraded"
-                and r.point.cls not in DEGRADABLE_CLASSES
-            ):
-                print(
-                    f"FAIL {r.point.cls} p{r.point.victim}@{r.point.step}: "
-                    f"{r.error}", file=sys.stderr,
+    def __init__(self, parser: Parser, args: argparse.Namespace, ft: bool) -> None:
+        self.args = args
+        self.ft = ft
+        self.replicate = ft and getattr(args, "replicate", False)
+        self.host_s = 0.0
+        crash, crash2 = getattr(args, "crash", None), getattr(args, "crash2", None)
+        if crash2 and not crash:
+            parser.error("--crash2 requires --crash")
+        if crash and not ft:
+            parser.error("--crash requires fault tolerance "
+                         "(pass --ft / drop --no-ft)")
+        for flag, spec in (("--crash", crash), ("--crash2", crash2)):
+            if spec and spec.pid >= args.procs:
+                parser.error(
+                    f"argument {flag}: bad value {spec.text!r}: PID must be "
+                    f"below --procs {args.procs} (expected PID@FRAC)"
                 )
-        return 1
-    return 0
+        self.crashes = schedule_crashes(
+            self.cluster, self.app, [s for s in (crash, crash2) if s]
+        )
 
+    def cluster(self) -> DsmCluster:
+        a = self.args  # flags a subcommand does not declare are off
+        return make_cluster(
+            a.procs, self.ft, a.l, self.replicate,
+            getattr(a, "coordinated", False), getattr(a, "wan", None),
+        )
 
-def build_observe_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro observe",
-        description="Run one workload with the observability layer attached "
-        "and emit a run report: per-node time series (log sizes, diff "
-        "traffic, simulator rates), wait histograms, and summary tables. "
-        "The full report is written as JSONL; a rendered version is printed.",
-    )
-    p.add_argument("app", choices=[a for a in APPS if a not in ("tables", "bench")])
-    p.add_argument("--procs", type=int, default=4, help="cluster size (default 4)")
-    p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None, help="problem size")
-    p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
-    p.add_argument(
-        "--no-ft", action="store_true",
-        help="observe the base protocol instead of the fault-tolerant one",
-    )
-    p.add_argument(
-        "--replicate", action="store_true",
-        help="enable the buddy-replication tier and report the "
-        "ft.replica_bytes / ft.replica_lag series",
-    )
-    p.add_argument(
-        "--interval", type=float, default=1e-3, metavar="SECONDS",
-        help="virtual-time sampling cadence (default 1e-3); 0 disables the "
-        "ticker, leaving barrier-episode sampling only",
-    )
-    p.add_argument(
-        "--window", type=float, default=1e-3, metavar="SECONDS",
-        help="windowed tail-latency collection: rotate every latency op "
-        "class into fixed virtual-time windows of this width (default "
-        "1e-3); 0 disables windowing (and SLO evaluation)",
-    )
-    p.add_argument(
-        "--rate", type=float, default=None,
-        help="open-loop arrival rate, requests per virtual second per "
-        "process (session app only)",
-    )
-    p.add_argument(
-        "--slo", action="append", default=None, metavar="SPEC",
-        help="declarative latency objective, e.g. 'p99(lat.request)<5ms' "
-        "(repeatable); evaluated with multi-window burn-rate rules over "
-        "the collected windows — any violation makes the exit code "
-        "nonzero (the CI gate)",
-    )
-    p.add_argument(
-        "--crash",
-        metavar="PID@FRAC",
-        default=None,
-        help="fail-stop PID at FRAC of the failure-free runtime (e.g. "
-        "1@0.5); the report then carries recovery records and the "
-        "degradation timeline overlays the crash marks",
-    )
-    p.add_argument(
-        "--crash2",
-        metavar="PID@FRAC",
-        default=None,
-        help="schedule a second fail-stop (overlapping failures; pair "
-        "with --replicate)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="JSONL report path (default benchmarks/OBSERVE_<app>.jsonl)",
-    )
-    return p
+    def app(self) -> Any:
+        a = self.args
+        return make_app(a.app, a.steps, a.size, getattr(a, "rate", None))
 
-
-def run_observe(argv: list) -> int:
-    from repro.observe import (
-        ClusterObserver,
-        build_report,
-        evaluate_report_slos,
-        parse_slo,
-        render_report,
-        validate_report,
-        write_jsonl,
-    )
-
-    args = build_observe_parser().parse_args(argv)
-    if (args.crash or args.crash2) and args.no_ft:
-        print("--crash requires fault tolerance (drop --no-ft)", file=sys.stderr)
-        return 2
-    if args.crash2 and not args.crash:
-        print("--crash2 requires --crash", file=sys.stderr)
-        return 2
-    objectives = []
-    for spec in args.slo or ():
+    def run(self, cluster: DsmCluster) -> Any:
+        """Run the app on ``cluster`` (from :meth:`cluster`, observers
+        already attached) through the crash schedule; the run's host
+        seconds land in ``host_s`` even when it raises."""
+        for pid, at_time in self.crashes:
+            cluster.schedule_crash(pid, at_time)
+        t0 = time.time()
         try:
-            objectives.append(parse_slo(spec))
-        except ValueError as exc:
-            print(f"bad --slo: {exc}", file=sys.stderr)
-            return 2
-    if objectives and not args.window:
-        print("--slo requires windowed collection (drop --window 0)",
-              file=sys.stderr)
-        return 2
-    ns = argparse.Namespace(
-        procs=args.procs, ft=not args.no_ft, coordinated=False, wan=None,
-        l=args.l, replicate=args.replicate and not args.no_ft,
-    )
+            return cluster.run(self.app())
+        finally:
+            self.host_s = time.time() - t0
 
-    # failure-free pass to learn the runtime if a crash is requested
-    crash_specs = []
-    if args.crash:
-        golden = make_cluster(ns)
-        t_free = golden.run(
-            make_app(args.app, args.steps, args.size, args.rate)
-        ).wall_time
-        for spec in (args.crash, args.crash2):
-            if spec:
-                pid_s, frac_s = spec.split("@")
-                crash_specs.append((int(pid_s), float(frac_s) * t_free))
-
-    cluster = make_cluster(ns)
-    observer = ClusterObserver(
-        cluster,
-        interval=args.interval or None,
-        sample_on_barrier=True,
-        window_s=args.window or None,
-    )
-    for spec in crash_specs:
-        cluster.schedule_crash(*spec)
-
-    from repro.core.recovery import OverlappingFailureError
-
-    t0 = time.time()
-    try:
-        result = cluster.run(
-            make_app(args.app, args.steps, args.size, args.rate)
-        )
-    except OverlappingFailureError as exc:
-        print(f"overlapping failures: {exc}", file=sys.stderr)
-        print("(the single-fault model cannot recover this schedule; "
-              "pair --crash2 with --replicate)", file=sys.stderr)
-        return 1
-    host_s = time.time() - t0
-    observer.sample()  # final snapshot at end-of-run virtual time
-
-    meta = {
-        "app": args.app,
-        "procs": args.procs,
-        "ft": not args.no_ft,
-        "replicate": ns.replicate,
-        "l_fraction": args.l,
-        "interval_s": args.interval,
-        "host_time_s": round(host_s, 3),
-    }
-    if args.rate is not None:
-        meta["rate"] = args.rate
-    if args.crash:
-        meta["crash"] = args.crash
-        meta["crash2"] = args.crash2
-
-    # SLO evaluation needs the wlat records, so build the report twice:
-    # once to evaluate against, once carrying the verdicts
-    report = build_report(
-        observer.registry, meta, result=result,
-        recoveries=observer.recovery_records,
-    )
-    slos = (
-        evaluate_report_slos(report, objectives) if objectives else None
-    )
-    if slos is not None:
-        report = build_report(
-            observer.registry, meta, result=result,
-            recoveries=observer.recovery_records, slos=slos,
-        )
-    print(render_report(report))
-
-    out = args.out or f"benchmarks/OBSERVE_{args.app}.jsonl"
-    write_jsonl(out, report)
-    print(f"\nwritten to {out}")
-
-    errors = validate_report(report, require_ft=not args.no_ft)
-    if errors:
-        for e in errors:
-            print(f"INVALID: {e}", file=sys.stderr)
-        return 1
-    failed = [s for s in slos or () if not s.ok]
-    for s in failed:
-        print(
-            f"SLO GATE: {s.objective.spec} violated in "
-            f"{len(s.violations)} window(s)", file=sys.stderr,
-        )
-    return 1 if failed else 0
+    def print_header(self, result: Any) -> None:
+        """The opening lines ``trace`` and ``monitor`` print."""
+        print(f"app           {self.args.app} on {self.args.procs} simulated "
+              f"nodes ({self.host_s:.1f}s host time)")
+        if result is not None:
+            print(f"virtual time  {result.wall_time * 1e3:10.3f} ms")
+            print_failures(result)
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run one workload with causal span tracing attached and "
-        "emit a Chrome trace-event JSON (loadable in Perfetto / "
-        "chrome://tracing) plus an ASCII critical-path report. Exits "
-        "nonzero if the span DAG is malformed or its per-node self-times "
-        "fail to reconcile with the TimeStats buckets.",
-    )
-    p.add_argument("app", choices=[a for a in APPS if a not in ("tables", "bench")])
-    p.add_argument("--procs", type=int, default=4, help="cluster size (default 4)")
-    p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None, help="problem size")
-    p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
-    p.add_argument(
-        "--no-ft", action="store_true",
-        help="trace the base protocol instead of the fault-tolerant one",
-    )
-    p.add_argument(
-        "--crash",
-        metavar="PID@FRAC",
-        default=None,
-        help="fail-stop PID at FRAC of the failure-free runtime (e.g. 2@0.5); "
-        "requires fault tolerance",
-    )
-    p.add_argument(
-        "--crash2",
-        metavar="PID@FRAC",
-        default=None,
-        help="schedule a second fail-stop (overlapping-failure traces; "
-        "pair with --replicate to see the buddy fetch on the recovery "
-        "critical path)",
-    )
-    p.add_argument(
-        "--replicate", action="store_true",
-        help="enable the buddy-replication tier (adds repl spans: "
-        "checkpoint begin→commit transfers, recovery buddy fetches)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="trace JSON path (default benchmarks/results/TRACE_<app>.json)",
-    )
-    p.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="critical-path report path "
-        "(default benchmarks/results/TRACE_<app>_critpath.txt)",
-    )
-    p.add_argument(
-        "--top", type=int, default=12,
-        help="critical-path segments to list in the report (default 12)",
-    )
-    return p
-
-
-def run_trace(argv: list) -> int:
-    import json
-    import os
-
-    from repro.observe.tracing import (
-        SpanTracer,
-        compute_critical_path,
-        reconcile_with_time_stats,
-        render_critpath_report,
-        to_chrome_trace,
-    )
-
-    args = build_trace_parser().parse_args(argv)
-    if (args.crash or args.crash2) and args.no_ft:
-        print("--crash requires fault tolerance (drop --no-ft)", file=sys.stderr)
-        return 2
-    if args.crash2 and not args.crash:
-        print("--crash2 requires --crash", file=sys.stderr)
-        return 2
-    ns = argparse.Namespace(
-        procs=args.procs, ft=not args.no_ft, coordinated=False, wan=None,
-        l=args.l, replicate=args.replicate and not args.no_ft,
-    )
-
-    # failure-free pass to learn the runtime if a crash is requested
-    crash_specs = []
-    if args.crash:
-        golden = make_cluster(ns)
-        t_free = golden.run(make_app(args.app, args.steps, args.size)).wall_time
-        for spec in (args.crash, args.crash2):
-            if spec:
-                pid_s, frac_s = spec.split("@")
-                crash_specs.append((int(pid_s), float(frac_s) * t_free))
-
-    cluster = make_cluster(ns)
-    tracer = SpanTracer(cluster)
-    for spec in crash_specs:
-        cluster.schedule_crash(*spec)
-
-    t0 = time.time()
-    result = cluster.run(make_app(args.app, args.steps, args.size))
-    host_s = time.time() - t0
-
-    errors = tracer.validate()
-    errors += reconcile_with_time_stats(tracer)
-    segments = compute_critical_path(tracer)
-    report = render_critpath_report(tracer, segments, top=args.top)
-
-    print(f"app           {args.app} on {args.procs} simulated nodes "
-          f"({host_s:.1f}s host time)")
-    print(f"virtual time  {result.wall_time * 1e3:10.3f} ms")
+def print_failures(result: Any, suffix: str = "") -> None:
     if result.crashes:
         print(f"failures      {result.crashes} crash(es), "
-              f"{result.recoveries} recover(ies)")
-    print()
-    print(report)
+              f"{result.recoveries} recover(ies){suffix}")
 
-    out = args.out or f"benchmarks/results/TRACE_{args.app}.json"
-    report_path = args.report or f"benchmarks/results/TRACE_{args.app}_critpath.txt"
-    for path in (out, report_path):
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-    trace_json = to_chrome_trace(
-        tracer,
-        meta={
-            "app": args.app,
-            "procs": args.procs,
-            "ft": not args.no_ft,
-            "replicate": ns.replicate,
-            "crash": args.crash,
-            "crash2": args.crash2,
-            "wall_time_s": result.wall_time,
-        },
+
+def write_text(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+# ---- run (the bare form) ----
+def add_run_arguments(p: Parser) -> None:
+    p.epilog = "other subcommands, each with its own --help: " + ", ".join(
+        name for name in COMMANDS if name != "run"
     )
-    with open(out, "w") as fh:
-        json.dump(trace_json, fh)
-        fh.write("\n")
-    with open(report_path, "w") as fh:
-        fh.write(report + "\n")
-    print(f"\ntrace written to {out} ({len(trace_json['traceEvents'])} events)")
-    print(f"critical-path report written to {report_path}")
-
-    if errors:
-        for e in errors:
-            print(f"MALFORMED: {e}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def build_monitor_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro monitor",
-        description="Run one fault-tolerant workload with the online "
-        "invariant monitor attached: the paper's trimming/garbage-"
-        "collection bounds, vector-clock monotonicity, per-channel FIFO "
-        "and the structural recoverability precondition are checked "
-        "continuously (DESIGN.md §9). Exits nonzero on any violation and "
-        "writes a post-mortem flight record (last-events ring + node "
-        "state snapshot) as JSON.",
-    )
-    p.add_argument("app", choices=[a for a in APPS if a not in ("tables", "bench")])
-    p.add_argument("--procs", type=int, default=4, help="cluster size (default 4)")
-    p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None, help="problem size")
-    p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
-    p.add_argument(
-        "--crash",
-        metavar="PID@FRAC",
-        default=None,
-        help="fail-stop PID at FRAC of the failure-free runtime (e.g. 2@0.5)",
-    )
-    p.add_argument(
-        "--ring", type=int, default=256,
-        help="flight-recorder ring size in events (default 256)",
-    )
-    p.add_argument(
-        "--scan-every", type=int, default=None, metavar="N",
-        help="run the structural recoverability scan every Nth message "
-        "delivery (default: every delivery on small clusters, "
-        "num_procs/16 on wide ones)",
-    )
-    p.add_argument(
-        "--flight", default=None, metavar="PATH",
-        help="flight-record JSON path, written on violation "
-        "(default benchmarks/FLIGHT_<app>.json)",
-    )
-    p.add_argument(
-        "--seed-violation",
-        choices=["cgc", "llt", "vclock", "fifo", "recoverability"],
-        default=None,
-        help="deliberately sabotage the run so the named invariant class "
-        "is violated (self-test: the exit code must be nonzero)",
-    )
-    return p
+    add_workload(p, procs=8)
+    add_rate(p)
+    p.add_argument("--ft", action="store_true", help="enable fault tolerance")
+    add_ft(p)
+    p.add_argument("--coordinated", action="store_true",
+                   help="use the coordinated-checkpointing baseline instead "
+                   "of the paper's independent scheme")
+    add_faults(p)
+    p.add_argument("--wan", type=float, default=None, metavar="SECONDS",
+                   help="meta-cluster mode: split the cluster in two halves "
+                   "joined by a WAN link with this one-way latency")
+    # derived from Tracer.KINDS so the help cannot drift from the tracer
+    p.add_argument("--trace", default=None, metavar="KINDS",
+                   help="comma-separated trace kinds ("
+                   + ",".join(sorted(Tracer.KINDS)) + ")")
+    p.add_argument("--trace-limit", type=int, default=60)
 
 
-def run_monitor(argv: list) -> int:
-    from repro.observe import (
-        InvariantMonitor,
-        render_flight_record,
-        seed_violation,
-        write_flight_record,
-    )
-
-    args = build_monitor_parser().parse_args(argv)
-    # the monitored invariants are the FT layer's — plain mode has
-    # nothing to check, so ft is always on here
-    ns = argparse.Namespace(
-        procs=args.procs, ft=True, coordinated=False, wan=None, l=args.l
-    )
-
-    crash_spec = None
-    if args.crash:
-        pid_s, frac_s = args.crash.split("@")
-        golden = make_cluster(ns)
-        t_free = golden.run(make_app(args.app, args.steps, args.size)).wall_time
-        crash_spec = (int(pid_s), float(frac_s) * t_free)
-
-    cluster = make_cluster(ns)
-    monitor = InvariantMonitor(
-        cluster, ring_size=args.ring, scan_every=args.scan_every
-    )
-    if args.seed_violation:
-        # must come after the monitor attach: the fifo seed reorders
-        # outside the monitor's observation point
-        seed_violation(cluster, args.seed_violation)
-    if crash_spec:
-        cluster.schedule_crash(*crash_spec)
-
-    t0 = time.time()
-    result = None
-    run_error = None
-    try:
-        result = cluster.run(make_app(args.app, args.steps, args.size))
-    except Exception as exc:  # seeded sabotage can corrupt the run
-        if not monitor.violations:
-            raise
-        run_error = exc
-    host_s = time.time() - t0
-    monitor.finish()
-
-    print(f"app           {args.app} on {args.procs} simulated nodes "
-          f"({host_s:.1f}s host time)")
-    if result is not None:
-        print(f"virtual time  {result.wall_time * 1e3:10.3f} ms")
-        if result.crashes:
-            print(f"failures      {result.crashes} crash(es), "
-                  f"{result.recoveries} recover(ies)")
-    else:
-        print(f"run aborted   {type(run_error).__name__}: {run_error} "
-              "(after first violation; expected under seeded sabotage)")
-    print()
-    print(monitor.render_summary())
-
-    if not monitor.violations:
-        return 0
-    dump = monitor.violation_dump or monitor.flight_record("violations")
-    out = args.flight or f"benchmarks/FLIGHT_{args.app}.json"
-    write_flight_record(out, dump)
-    print()
-    print(render_flight_record(dump))
-    print(f"\nflight record written to {out}")
-    return 1
-
-
-def build_report_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Aggregate every pipeline's artifacts (OBSERVE run "
-        "reports, TRACE span DAGs, SWEEP campaign summaries, BENCH "
-        "baselines, FLIGHT records) into one analytics dashboard. "
-        "Read-only. Exits nonzero on any malformed artifact, failed "
-        "sweep, present flight record, or bench throughput regression "
-        "beyond the threshold.",
-    )
-    p.add_argument(
-        "paths", nargs="*", default=["benchmarks"],
-        help="artifact files and/or directories to scan "
-        "(default: benchmarks/)",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="fractional aggregate-throughput drop that fails a bench "
-        "trend (default 0.10)",
-    )
-    p.add_argument(
-        "--html", default=None, metavar="PATH",
-        help="also write the dashboard as a standalone HTML page",
-    )
-    return p
-
-
-def run_report(argv: list) -> int:
-    from repro.observe.analytics import (
-        DEFAULT_THRESHOLD,
-        build_dashboard,
-        discover_artifacts,
-        load_artifact,
-        render_dashboard,
-        render_html,
-    )
-
-    args = build_report_parser().parse_args(argv)
-    paths = discover_artifacts(args.paths)
-    if not paths:
-        print(f"no artifacts found under {args.paths}", file=sys.stderr)
-        return 1
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    dash = build_dashboard(
-        [load_artifact(p) for p in paths], threshold=threshold
-    )
-    print(render_dashboard(dash))
-    if args.html:
-        with open(args.html, "w") as fh:
-            fh.write(render_html(dash))
-        print(f"\nhtml dashboard written to {args.html}")
-    return 0 if dash["ok"] else 1
-
-
-def main(argv: Optional[list] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "crashsweep":
-        return run_crashsweep(argv[1:])
-    if argv and argv[0] == "observe":
-        return run_observe(argv[1:])
-    if argv and argv[0] == "trace":
-        return run_trace(argv[1:])
-    if argv and argv[0] == "monitor":
-        return run_monitor(argv[1:])
-    if argv and argv[0] == "report":
-        return run_report(argv[1:])
-    args = build_parser().parse_args(argv)
-
-    if args.app == "bench":
-        from repro.metrics.bench import (
-            check_report,
-            check_scale_report,
-            render_report,
-            run_scale_suite,
-            run_suite,
-            write_report,
-        )
-
-        scale = args.suite == "scale"
-        bench_json = args.bench_json or (
-            "benchmarks/BENCH_scale.json" if scale
-            else "benchmarks/BENCH_core.json"
-        )
-        runner = run_scale_suite if scale else run_suite
-        report = runner(smoke=args.smoke, profile=args.profile)
-        print(render_report(report))
-        if args.check:
-            checker = check_scale_report if scale else check_report
-            ok, msg = checker(bench_json, report, budget=args.budget)
-            print(("PASS " if ok else "FAIL ") + msg)
-            return 0 if ok else 1
-        if args.smoke or args.profile:
-            # smoke/profiled numbers are not comparable to the full suite;
-            # recording them would silently corrupt the committed baseline
-            print("\n(smoke/profile run not recorded; run plain "
-                  "`repro bench` to update " + bench_json + ")")
-            return 0
-        payload = write_report(bench_json, report)
-        speedup = payload.get("speedup_events_per_sec")
-        print(f"\nrecorded to {bench_json}"
-              + (f" (x{speedup} vs baseline)" if speedup else ""))
-        return 0
-
-    if args.app == "tables":
-        from repro.harness.figures import figure3_table, figure4_render
-        from repro.harness.tables import (
-            run_all_experiments,
-            table1,
-            table2,
-            table3,
-            table4,
-        )
-
-        ex = run_all_experiments(scale=args.scale)
-        for fn in (table1, table2, table3, table4):
-            print(fn(ex).render(), end="\n\n")
-        print(figure3_table(ex).render(), end="\n\n")
-        print(figure4_render(ex))
-        return 0
-
-    if args.crash and not args.ft:
-        print("--crash requires --ft", file=sys.stderr)
+def run_app(parser: Parser, args: argparse.Namespace) -> int:
+    """Run a DSM workload on the simulated fault-tolerant HLRC cluster
+    (SC 2000 reproduction)."""
+    kinds = set(args.trace.split(",")) if args.trace else set()
+    unknown = kinds - Tracer.KINDS
+    if unknown:
+        print(f"unknown trace kinds: {','.join(sorted(unknown))} "
+              f"(choose from {','.join(sorted(Tracer.KINDS))})", file=sys.stderr)
         return 2
-
-    # failure-free pass to learn the runtime if a crash is requested
-    crash_spec = None
-    if args.crash:
-        pid_s, frac_s = args.crash.split("@")
-        golden = make_cluster(args)
-        t_free = golden.run(
-            make_app(args.app, args.steps, args.size, args.rate)
-        ).wall_time
-        crash_spec = (int(pid_s), float(frac_s) * t_free)
-
-    cluster = make_cluster(args)
-    tracer = None
-    if args.trace:
-        from repro.sim.trace import Tracer
-
-        kinds = set(args.trace.split(","))
-        unknown = kinds - Tracer.KINDS
-        if unknown:
-            print(
-                f"unknown trace kinds: {','.join(sorted(unknown))} "
-                f"(choose from {','.join(sorted(Tracer.KINDS))})",
-                file=sys.stderr,
-            )
-            return 2
-        tracer = Tracer(cluster, kinds=kinds)
-    if crash_spec:
-        cluster.schedule_crash(*crash_spec)
-
-    t0 = time.time()
-    result = cluster.run(make_app(args.app, args.steps, args.size, args.rate))
-    host_s = time.time() - t0
+    run = RunBuilder(parser, args, args.ft)
+    cluster = run.cluster()
+    tracer = Tracer(cluster, kinds=kinds) if kinds else None
+    result = run.run(cluster)
 
     print(f"app           {args.app} on {args.procs} simulated nodes")
     print(f"virtual time  {result.wall_time * 1e3:10.3f} ms")
-    print(f"host time     {host_s * 1e3:10.0f} ms")
+    print(f"host time     {run.host_s * 1e3:10.0f} ms")
     print(f"messages      {result.traffic.total_msgs:10d}  "
           f"({result.traffic.total_bytes / 1e6:.2f} MB)")
     mean = result.mean_time_stats
@@ -958,13 +264,384 @@ def main(argv: Optional[list] = None) -> int:
         print(f"checkpoints   {ckpts:10d}")
         print(f"ft piggyback  {result.traffic.ft_bytes:10d} bytes "
               f"({result.traffic.ft_overhead_percent():.2f} %)")
-    if result.crashes:
-        print(f"failures      {result.crashes} crash(es), "
-              f"{result.recoveries} recover(ies) — results verified")
+    print_failures(result, " — results verified")
     if tracer:
         print("\ntrace:")
         print(tracer.render(limit=args.trace_limit))
     return 0
+
+
+# ---- tables ----
+def add_tables_arguments(p: Parser) -> None:
+    p.add_argument("--scale", default="smoke", choices=["smoke", "default"],
+                   help="experiment scale (default smoke)")
+
+
+def run_tables(parser: Parser, args: argparse.Namespace) -> int:
+    """Run the paper's experiments (three SPLASH-2 analogs, base and FT)
+    and render Tables 1-4 and Figures 3-4."""
+    from repro.harness import figures, tables
+
+    ex = tables.run_all_experiments(scale=args.scale)
+    for fn in (tables.table1, tables.table2, tables.table3, tables.table4):
+        print(fn(ex).render(), end="\n\n")
+    print(figures.figure3_table(ex).render(), end="\n\n")
+    print(figures.figure4_render(ex))
+    return 0
+
+
+# ---- crashsweep ----
+def add_crashsweep_arguments(p: Parser) -> None:
+    from repro.faultinject.campaign import CLASSES
+
+    add_workload(p, procs=4)
+    add_rate(p)
+    add_ft(p)
+    p.add_argument("--every", type=int, default=25,
+                   help="crash after every Nth traced event (default 25)")
+    p.add_argument("--classes", default=None,
+                   help="comma-separated crash-point classes (default: all "
+                   "classes the --faults budget allows, out of "
+                   + ",".join(CLASSES) + ")")
+    p.add_argument("--faults", type=int, default=1, choices=(1, 2),
+                   help="fault budget: 2 adds the double/repl classes and "
+                   "implies --replicate unless --no-replicate")
+    p.add_argument("--no-replicate", action="store_true",
+                   help="keep replication off even with --faults 2 (overlap "
+                   "points then degrade explicitly instead of recovering)")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="summary JSON path (default benchmarks/SWEEP_<app>.json)")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="print one line per injected run")
+
+
+def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
+    """Crash-point sweep fault-injection campaign: enumerate crash points
+    of a traced failure-free run, re-run the app once per point, and
+    assert the recovery-equivalence oracle."""
+    from repro.faultinject import CrashSweep
+
+    replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
+    sweep = CrashSweep(
+        cluster_factory=lambda: make_cluster(
+            args.procs, l=args.l, replicate=replicate
+        ),
+        app_factory=lambda: make_app(args.app, args.steps, args.size, args.rate),
+        every=args.every,
+        classes=tuple(args.classes.split(",")) if args.classes else None,
+        faults=args.faults,
+    )
+
+    def progress(res: Any) -> None:
+        if args.verbose:
+            p = res.point
+            base = f" base=p{p.base[1]}@{p.base[0]}" if p.base else ""
+            print(f"  {p.cls:<10} p{p.victim}@{p.step}{base}: {res.outcome}"
+                  + (f" ({res.error})" if res.error else ""))
+
+    t0 = time.time()
+    summary = sweep.run(progress=progress)
+    host_s = time.time() - t0
+
+    print(f"crash sweep   {args.app} on {args.procs} simulated nodes "
+          f"({len(summary.results)} points, {host_s:.1f}s host time)")
+    print(summary.render())
+    for note in summary.notes:
+        print(f"note: {note}")
+
+    suffix = "_k2" if args.faults >= 2 else ""
+    out = args.out or f"benchmarks/SWEEP_{args.app}{suffix}.json"
+    write_text(
+        out, summary.to_json(app=args.app, procs=args.procs, replicate=replicate)
+    )
+    print(f"written to {out}")
+    for r in summary.failures():
+        print(f"FAIL {r.point.cls} p{r.point.victim}@{r.point.step}: {r.error}",
+              file=sys.stderr)
+    return 0 if summary.ok else 1
+
+
+# ---- observe ----
+def add_observe_arguments(p: Parser) -> None:
+    add_workload(p, procs=4)
+    add_rate(p)
+    add_ft(p, no_ft=True)
+    add_faults(p, crash2=True)
+    p.add_argument("--interval", type=float, default=1e-3, metavar="SECONDS",
+                   help="virtual-time sampling cadence (default 1e-3); 0 "
+                   "leaves barrier-episode sampling only")
+    p.add_argument("--window", type=float, default=1e-3, metavar="SECONDS",
+                   help="width of the windows every latency op class rotates "
+                   "through (default 1e-3); 0 disables windowing (and SLOs)")
+    p.add_argument("--slo", action="append", default=None, metavar="SPEC",
+                   help="latency objective, e.g. 'p99(lat.request)<5ms' "
+                   "(repeatable), evaluated with multi-window burn-rate "
+                   "rules; any violation makes the exit code nonzero")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="JSONL path (default benchmarks/OBSERVE_<app>.jsonl)")
+
+
+def run_observe(parser: Parser, args: argparse.Namespace) -> int:
+    """Run one workload with the observability layer attached and emit a
+    run report: per-node time series (log sizes, diff traffic, simulator
+    rates), wait histograms, tail latencies and summary tables. The full
+    report is written as JSONL; a rendered version is printed."""
+    from repro import observe
+    from repro.core.recovery import OverlappingFailureError
+
+    objectives = []
+    for spec in args.slo or ():
+        try:
+            objectives.append(observe.parse_slo(spec))
+        except ValueError as exc:
+            print(f"bad --slo: {exc}", file=sys.stderr)
+            return 2
+    if objectives and not args.window:
+        print("--slo requires windowed collection (drop --window 0)", file=sys.stderr)
+        return 2
+
+    run = RunBuilder(parser, args, ft=not args.no_ft)
+    cluster = run.cluster()
+    observer = observe.ClusterObserver(
+        cluster,
+        interval=args.interval or None,
+        sample_on_barrier=True,
+        window_s=args.window or None,
+    )
+    try:
+        result = run.run(cluster)
+    except OverlappingFailureError as exc:
+        print(f"overlapping failures: {exc}", file=sys.stderr)
+        print("(the single-fault model cannot recover this schedule; "
+              "pair --crash2 with --replicate)", file=sys.stderr)
+        return 1
+    observer.sample()  # final snapshot at end-of-run virtual time
+
+    meta = {
+        "app": args.app,
+        "procs": args.procs,
+        "ft": run.ft,
+        "replicate": run.replicate,
+        "l_fraction": args.l,
+        "interval_s": args.interval,
+        "host_time_s": round(run.host_s, 3),
+    }
+    if args.rate is not None:
+        meta["rate"] = args.rate
+    if args.crash:
+        meta["crash"] = args.crash.text
+        meta["crash2"] = args.crash2 and args.crash2.text
+
+    def build(slos: Any = None) -> Any:
+        return observe.build_report(
+            observer.registry, meta, result=result,
+            recoveries=observer.recovery_records, slos=slos,
+        )
+
+    # SLO evaluation needs the wlat records, so build the report twice:
+    # once to evaluate against, once carrying the verdicts
+    report = build()
+    slos = observe.evaluate_report_slos(report, objectives) if objectives else None
+    if slos is not None:
+        report = build(slos)
+    print(observe.render_report(report))
+
+    out = args.out or f"benchmarks/OBSERVE_{args.app}.jsonl"
+    observe.write_jsonl(out, report)
+    print(f"\nwritten to {out}")
+
+    errors = observe.validate_report(report, require_ft=run.ft)
+    for e in errors:
+        print(f"INVALID: {e}", file=sys.stderr)
+    if errors:
+        return 1
+    failed = [s for s in slos or () if not s.ok]
+    for s in failed:
+        print(f"SLO GATE: {s.objective.spec} violated in "
+              f"{len(s.violations)} window(s)", file=sys.stderr)
+    return 1 if failed else 0
+
+
+# ---- trace ----
+def add_trace_arguments(p: Parser) -> None:
+    add_workload(p, procs=4)
+    add_ft(p, no_ft=True)
+    add_faults(p, crash2=True)
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="trace JSON path (default "
+                   "benchmarks/results/TRACE_<app>.json)")
+    p.add_argument("--report", default=None, metavar="PATH",
+                   help="critical-path report path (default "
+                   "benchmarks/results/TRACE_<app>_critpath.txt)")
+    p.add_argument("--top", type=int, default=12,
+                   help="critical-path segments to list (default 12)")
+
+
+def run_trace(parser: Parser, args: argparse.Namespace) -> int:
+    """Run one workload with causal span tracing attached and emit a
+    Chrome trace-event JSON (loadable in Perfetto / chrome://tracing)
+    plus an ASCII critical-path report. Exits nonzero if the span DAG is
+    malformed or its self-times fail to reconcile with TimeStats."""
+    from repro.observe import tracing
+
+    run = RunBuilder(parser, args, ft=not args.no_ft)
+    cluster = run.cluster()
+    tracer = tracing.SpanTracer(cluster)
+    result = run.run(cluster)
+
+    errors = tracer.validate()
+    errors += tracing.reconcile_with_time_stats(tracer)
+    segments = tracing.compute_critical_path(tracer)
+    report = tracing.render_critpath_report(tracer, segments, top=args.top)
+
+    run.print_header(result)
+    print()
+    print(report)
+
+    out = args.out or f"benchmarks/results/TRACE_{args.app}.json"
+    report_path = args.report or f"benchmarks/results/TRACE_{args.app}_critpath.txt"
+    trace_json = tracing.to_chrome_trace(
+        tracer,
+        meta={
+            "app": args.app,
+            "procs": args.procs,
+            "ft": run.ft,
+            "replicate": run.replicate,
+            "crash": args.crash and args.crash.text,
+            "crash2": args.crash2 and args.crash2.text,
+            "wall_time_s": result.wall_time,
+        },
+    )
+    write_text(out, json.dumps(trace_json))
+    write_text(report_path, report)
+    print(f"\ntrace written to {out} ({len(trace_json['traceEvents'])} events)")
+    print(f"critical-path report written to {report_path}")
+
+    for e in errors:
+        print(f"MALFORMED: {e}", file=sys.stderr)
+    return 1 if errors else 0
+
+
+# ---- monitor ----
+def add_monitor_arguments(p: Parser) -> None:
+    add_workload(p, procs=4)
+    add_ft(p, replicate=False)
+    add_faults(p)
+    p.add_argument("--ring", type=int, default=256,
+                   help="flight-recorder ring size in events (default 256)")
+    p.add_argument("--scan-every", type=int, default=None, metavar="N",
+                   help="structural recoverability scan every Nth delivery "
+                   "(default: every one; num_procs/16 on wide clusters)")
+    p.add_argument("--flight", default=None, metavar="PATH",
+                   help="flight-record JSON path, written on violation "
+                   "(default benchmarks/FLIGHT_<app>.json)")
+    p.add_argument("--seed-violation", default=None,
+                   choices=["cgc", "llt", "vclock", "fifo", "recoverability"],
+                   help="sabotage the run so the named invariant class is "
+                   "violated (self-test: the exit code must be nonzero)")
+
+
+def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
+    """Run one fault-tolerant workload under the online invariant monitor
+    (DESIGN.md §9): the paper's LLT/CGC bounds, vector-clock monotonicity,
+    per-channel FIFO and structural recoverability, checked continuously.
+    Exits nonzero on any violation and writes a post-mortem flight record
+    (last-events ring + node state snapshot) as JSON."""
+    from repro import observe
+
+    # the invariants are the FT layer's, so ft is always on here
+    run = RunBuilder(parser, args, ft=True)
+    cluster = run.cluster()
+    monitor = observe.InvariantMonitor(
+        cluster, ring_size=args.ring, scan_every=args.scan_every
+    )
+    if args.seed_violation:
+        # after the attach: the fifo seed reorders outside the monitor's view
+        observe.seed_violation(cluster, args.seed_violation)
+
+    result = run_error = None
+    try:
+        result = run.run(cluster)
+    except Exception as exc:  # seeded sabotage can corrupt the run
+        if not monitor.violations:
+            raise
+        run_error = exc
+    monitor.finish()
+
+    run.print_header(result)
+    if run_error is not None:
+        print(f"run aborted   {type(run_error).__name__}: {run_error} "
+              "(after first violation; expected under seeded sabotage)")
+    print()
+    print(monitor.render_summary())
+
+    if not monitor.violations:
+        return 0
+    dump = monitor.violation_dump or monitor.flight_record("violations")
+    out = args.flight or f"benchmarks/FLIGHT_{args.app}.json"
+    observe.write_flight_record(out, dump)
+    print()
+    print(observe.render_flight_record(dump))
+    print(f"\nflight record written to {out}")
+    return 1
+
+
+# ---- report ----
+def add_report_arguments(p: Parser) -> None:
+    p.add_argument("paths", nargs="*", default=["benchmarks"],
+                   help="artifact files and/or directories to scan "
+                   "(default: benchmarks/)")
+    p.add_argument("--html", default=None, metavar="PATH",
+                   help="also write the dashboard as a standalone HTML page")
+
+
+def run_report(parser: Parser, args: argparse.Namespace) -> int:
+    """Aggregate every pipeline's artifacts (OBSERVE run reports, TRACE
+    span DAGs, SWEEP campaign summaries, FLIGHT records) into one
+    analytics dashboard. Read-only. Exits nonzero on any malformed
+    artifact, failed sweep or present flight record."""
+    from repro.observe import analytics
+
+    paths = analytics.discover_artifacts(args.paths)
+    if not paths:
+        print(f"no artifacts found under {args.paths}", file=sys.stderr)
+        return 1
+    dash = analytics.build_dashboard([analytics.load_artifact(p) for p in paths])
+    print(analytics.render_dashboard(dash))
+    if args.html:
+        with open(args.html, "w") as fh:
+            fh.write(analytics.render_html(dash))
+        print(f"\nhtml dashboard written to {args.html}")
+    return 0 if dash["ok"] else 1
+
+
+# ---- the registry ----
+COMMANDS = {
+    "run": (add_run_arguments, run_app),
+    "tables": (add_tables_arguments, run_tables),
+    "crashsweep": (add_crashsweep_arguments, run_crashsweep),
+    "observe": (add_observe_arguments, run_observe),
+    "trace": (add_trace_arguments, run_trace),
+    "monitor": (add_monitor_arguments, run_monitor),
+    "report": (add_report_arguments, run_report),
+}
+
+
+def build_parser(name: str = "run") -> Parser:
+    add_arguments, run = COMMANDS[name]
+    prog = "python -m repro" + ("" if name == "run" else f" {name}")
+    parser = Parser(prog=prog, description=run.__doc__)
+    add_arguments(parser)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    name = "run"  # `python -m repro <app> ...` is the bare run form
+    if argv and argv[0] in COMMANDS:
+        name, argv = argv[0], argv[1:]
+    parser = build_parser(name)
+    return COMMANDS[name][1](parser, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -10,26 +10,68 @@ paper workloads, preserving the sharing patterns that drive the results:
 * :mod:`repro.apps.water_spatial` — Water-Spatial: 3-D cell-decomposed
   MD, regular iteration structure.
 * :mod:`repro.apps.lu` — blocked LU decomposition (extra workload).
+
+:data:`APPS` is the one table of runnable workloads; the command line's
+``app`` choices and :func:`make_app` are both read off it.
 """
 
+from __future__ import annotations
+
+from typing import Dict, NamedTuple, Optional, Type
+
+from repro.apps.barnes import BarnesApp, BarnesConfig
 from repro.apps.base import AppConfig, DsmApp
+from repro.apps.counter import CounterApp, CounterConfig
+from repro.apps.kvstore import KvStoreApp, KvStoreConfig
+from repro.apps.lu import LuApp, LuConfig
+from repro.apps.session import SessionApp, SessionConfig
+from repro.apps.water_nsq import WaterNsqApp, WaterNsqConfig
+from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
 
-__all__ = ["AppConfig", "DsmApp"]  # app classes re-exported below once defined
+__all__ = [
+    "APPS", "AppConfig", "AppSpec", "DsmApp", "make_app",
+    "BarnesApp", "BarnesConfig", "CounterApp", "CounterConfig",
+    "KvStoreApp", "KvStoreConfig", "LuApp", "LuConfig",
+    "SessionApp", "SessionConfig", "WaterNsqApp", "WaterNsqConfig",
+    "WaterSpatialApp", "WaterSpatialConfig",
+]
 
-# real workloads are imported lazily to keep partial builds importable
-try:  # pragma: no cover
-    from repro.apps.barnes import BarnesApp, BarnesConfig
-    from repro.apps.counter import CounterApp, CounterConfig
-    from repro.apps.kvstore import KvStoreApp, KvStoreConfig
-    from repro.apps.water_nsq import WaterNsqApp, WaterNsqConfig
-    from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
-    from repro.apps.lu import LuApp, LuConfig
 
-    __all__ += [
-        "BarnesApp", "BarnesConfig", "CounterApp", "CounterConfig",
-        "KvStoreApp", "KvStoreConfig",
-        "WaterNsqApp", "WaterNsqConfig",
-        "WaterSpatialApp", "WaterSpatialConfig", "LuApp", "LuConfig",
-    ]
-except ImportError:
-    pass
+class AppSpec(NamedTuple):
+    """How the command line's generic knobs map onto one workload."""
+
+    app: Type[DsmApp]
+    config: Type[AppConfig]
+    size_field: str  # the config field ``--size`` sets
+    has_steps: bool = True  # ``--steps`` applies (LU's length is its size)
+    has_rate: bool = False  # ``--rate`` applies (open-loop apps only)
+
+
+APPS: Dict[str, AppSpec] = {
+    "counter": AppSpec(CounterApp, CounterConfig, "n_elements"),
+    "kvstore": AppSpec(KvStoreApp, KvStoreConfig, "n_keys"),
+    "session": AppSpec(SessionApp, SessionConfig, "n_keys", has_rate=True),
+    "barnes": AppSpec(BarnesApp, BarnesConfig, "n_bodies"),
+    "water-nsq": AppSpec(WaterNsqApp, WaterNsqConfig, "n_molecules"),
+    "water-spatial": AppSpec(WaterSpatialApp, WaterSpatialConfig, "n_molecules"),
+    "lu": AppSpec(LuApp, LuConfig, "matrix_size", has_steps=False),
+}
+
+
+def make_app(
+    name: str,
+    steps: Optional[int] = None,
+    size: Optional[int] = None,
+    rate: Optional[float] = None,
+) -> DsmApp:
+    """A fresh instance of workload ``name``; unset knobs keep the
+    config's defaults, knobs the workload does not have are ignored."""
+    spec = APPS[name]
+    cfg = spec.config()
+    if steps and spec.has_steps:
+        cfg.steps = steps
+    if size:
+        setattr(cfg, spec.size_field, size)
+    if rate and spec.has_rate:
+        cfg.rate = rate
+    return spec.app(cfg)

@@ -66,12 +66,11 @@ __all__ = [
     "recovery_distributions",
 ]
 
-#: sweep JSON schema: 1 = no ``schema`` key, points carry outcome
-#: counters only; 2 adds per-point ``recovery_phases`` (one record per
-#: completed recovery: detect/restore/handshake/replay/resume/total
-#: durations plus replica-fetch counters) and the aggregated
-#: ``recovery_by_class`` distributions. Readers accept both via
-#: :func:`load_sweep`.
+#: sweep JSON schema: points carry outcome counters and per-point
+#: ``recovery_phases`` (one record per completed recovery: detect/
+#: restore/handshake/replay/resume/total durations plus replica-fetch
+#: counters), the summary the aggregated ``recovery_by_class``
+#: distributions. :func:`load_sweep` rejects any other schema.
 SWEEP_SCHEMA = 2
 
 CLASSES = (
@@ -146,18 +145,22 @@ class SweepSummary:
             out[r.outcome] = out.get(r.outcome, 0) + 1
         return out
 
+    def failures(self) -> List[PointResult]:
+        """Points that fail acceptance: every point must recover (or be
+        harmlessly missed), and explicit degradation may appear only
+        where a second failure overlapped a recovery or destroyed a
+        replica chain."""
+        return [
+            r for r in self.results
+            if r.outcome == "failed" or (
+                r.outcome == "degraded"
+                and r.point.cls not in DEGRADABLE_CLASSES
+            )
+        ]
+
     @property
     def ok(self) -> bool:
-        """Acceptance: every point recovered (or harmlessly missed), and
-        explicit degradation appears only where a second failure
-        overlapped a recovery or destroyed a replica chain."""
-        for r in self.results:
-            if r.outcome == "failed":
-                return False
-            if (r.outcome == "degraded"
-                    and r.point.cls not in DEGRADABLE_CLASSES):
-                return False
-        return True
+        return not self.failures()
 
     def recovery_by_class(self) -> Dict[str, Dict[str, Any]]:
         return recovery_distributions(
@@ -301,14 +304,8 @@ def render_recovery_by_class(by_class: Dict[str, Dict[str, Any]]) -> str:
 
 
 def load_sweep(source: Any) -> Dict[str, Any]:
-    """Load a sweep JSON artifact, normalizing schema v1 to v2.
-
-    ``source`` is a path or an already-parsed dict. v1 artifacts (no
-    ``schema`` key — e.g. the committed ``SWEEP_counter*.json``
-    fixtures) gain ``schema: 1`` left as-is for provenance plus empty
-    ``recovery_phases``/``recovery_by_class`` fields, so readers can
-    treat every sweep uniformly. v2 artifacts pass through unchanged.
-    """
+    """Load a sweep JSON artifact (a path or an already-parsed dict);
+    anything but the current schema is rejected, not converted."""
     if isinstance(source, dict):
         data = source
     else:
@@ -316,13 +313,12 @@ def load_sweep(source: Any) -> Dict[str, Any]:
             data = json.load(fh)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError("not a sweep artifact: missing 'points'")
-    schema = data.get("schema", 1)
-    if schema not in (1, SWEEP_SCHEMA):
-        raise ValueError(f"unsupported sweep schema {schema!r}")
-    data.setdefault("schema", 1)
-    data.setdefault("recovery_by_class", {})
-    for pt in data["points"]:
-        pt.setdefault("recovery_phases", [])
+    schema = data.get("schema", 1)  # the first artifacts carried no key
+    if schema != SWEEP_SCHEMA:
+        raise ValueError(
+            f"unsupported sweep schema {schema!r}: re-record with "
+            "`repro crashsweep`"
+        )
     return data
 
 

@@ -13,13 +13,11 @@ dashboard (DESIGN.md §12, the ``repro report`` command).
 from repro.observe.analytics.aggregate import (
     ARTIFACT_KINDS,
     Artifact,
-    bench_delta,
     discover_artifacts,
     load_artifact,
     sniff_kind,
 )
 from repro.observe.analytics.dashboard import (
-    DEFAULT_THRESHOLD,
     build_dashboard,
     render_dashboard,
     render_html,
@@ -28,8 +26,6 @@ from repro.observe.analytics.dashboard import (
 __all__ = [
     "ARTIFACT_KINDS",
     "Artifact",
-    "DEFAULT_THRESHOLD",
-    "bench_delta",
     "build_dashboard",
     "discover_artifacts",
     "load_artifact",

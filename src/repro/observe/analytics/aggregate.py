@@ -4,8 +4,7 @@ The repo's pipelines each leave one kind of artifact in ``benchmarks/``:
 
 * ``OBSERVE_<app>.jsonl`` — run reports (series/hists/latency records)
 * ``TRACE_<app>.json``    — Chrome trace-event span DAGs
-* ``SWEEP_<app>*.json``   — crash-sweep campaign summaries (schema 1/2)
-* ``BENCH_*.json``        — benchmark baselines with before/after pairs
+* ``SWEEP_<app>*.json``   — crash-sweep campaign summaries
 * ``FLIGHT_<app>.json``   — invariant-monitor crash flight records
 
 This module finds them, loads them through each pipeline's own reader/
@@ -27,20 +26,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "ARTIFACT_KINDS",
     "Artifact",
-    "bench_delta",
     "discover_artifacts",
     "load_artifact",
     "sniff_kind",
 ]
 
-ARTIFACT_KINDS = ("observe", "trace", "sweep", "bench", "flight")
+ARTIFACT_KINDS = ("observe", "trace", "sweep", "flight")
 
 #: filename prefix -> kind (first match on the basename wins)
 _PREFIXES = (
     ("OBSERVE_", "observe"),
     ("TRACE_", "trace"),
     ("SWEEP_", "sweep"),
-    ("BENCH", "bench"),
     ("FLIGHT_", "flight"),
 )
 
@@ -80,8 +77,6 @@ def sniff_kind(path: str, data: Any = None) -> str:
             return "trace"
         if "points" in data and "outcomes" in data:
             return "sweep"
-        if "before" in data and "after" in data:
-            return "bench"
         if "violations" in data and "checks" in data:
             return "flight"
         if "header" in data and "series" in data:
@@ -147,22 +142,9 @@ def _load_sweep(path: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:
 
     data = load_sweep(path)
     errors: List[str] = []
-    for key in ("outcomes", "ok", "classes"):
+    for key in ("outcomes", "ok", "classes", "recovery_by_class"):
         if key not in data:
             errors.append(f"sweep missing key {key!r}")
-    return data, errors
-
-
-def _load_bench(path: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:
-    with open(path) as fh:
-        data = json.load(fh)
-    errors: List[str] = []
-    for side in ("before", "after"):
-        block = data.get(side)
-        if not isinstance(block, dict):
-            errors.append(f"bench missing {side!r} block")
-        elif "events_per_sec" not in block:
-            errors.append(f"bench {side!r} block has no events_per_sec")
     return data, errors
 
 
@@ -178,7 +160,6 @@ _LOADERS = {
     "observe": _load_observe,
     "trace": _load_trace,
     "sweep": _load_sweep,
-    "bench": _load_bench,
     "flight": _load_flight,
 }
 
@@ -205,45 +186,3 @@ def load_artifact(path: str) -> Artifact:
     except (json.JSONDecodeError, ValueError, IndexError) as exc:
         return Artifact(kind, path, errors=[f"unparseable: {exc}"])
 
-
-# ---------------------------------------------------------------------------
-# bench trend deltas
-# ---------------------------------------------------------------------------
-def bench_delta(
-    data: Dict[str, Any], threshold: float
-) -> Dict[str, Any]:
-    """Before/after throughput trend of one bench baseline.
-
-    ``delta`` is the fractional change of aggregate events/s (positive =
-    faster); a drop beyond ``threshold`` flags ``regressed``. Per-bench
-    rows carry the same delta for every named microbench present on
-    both sides.
-    """
-    before, after = data["before"], data["after"]
-    b, a = before["events_per_sec"], after["events_per_sec"]
-    delta = (a - b) / b if b else 0.0
-    rows = []
-    before_by = {x["name"]: x for x in before.get("benches", ())}
-    for bench in after.get("benches", ()):
-        old = before_by.get(bench["name"])
-        if old is None:
-            continue
-        metric = "events_per_sec" if bench.get("events_per_sec") else "ops_per_sec"
-        b0, a0 = old.get(metric, 0), bench.get(metric, 0)
-        rows.append(
-            {
-                "name": bench["name"],
-                "before": b0,
-                "after": a0,
-                "delta": (a0 - b0) / b0 if b0 else 0.0,
-            }
-        )
-    return {
-        "suite": after.get("suite", "?"),
-        "before": b,
-        "after": a,
-        "delta": delta,
-        "regressed": a < b * (1.0 - threshold),
-        "recorded": data.get("recorded", ""),
-        "benches": rows,
-    }

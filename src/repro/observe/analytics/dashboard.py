@@ -8,9 +8,9 @@ functions of the artifact set — the dashboard never touches a cluster,
 so it can run against committed artifacts in CI.
 
 Status discipline: the dashboard is *green* only when every artifact
-parsed and validated clean, no sweep reported failure, no flight record
-is present (a flight record only exists because an invariant tripped),
-and no bench trend regressed beyond the threshold.
+parsed and validated clean, no sweep reported failure, and no flight
+record is present (a flight record only exists because an invariant
+tripped).
 """
 
 from __future__ import annotations
@@ -21,26 +21,16 @@ from typing import Any, Dict, List
 from repro.faultinject.campaign import render_recovery_by_class
 from repro.observe.registry import CLUSTER_NODE
 from repro.observe.report import latency_table, slo_sections
-from repro.render import Table, format_pct
+from repro.render import Table
 
-from repro.observe.analytics.aggregate import Artifact, bench_delta
+from repro.observe.analytics.aggregate import Artifact
 
 __all__ = ["build_dashboard", "render_dashboard", "render_html"]
 
-DEFAULT_THRESHOLD = 0.10  # fractional throughput drop that fails the report
 
-
-def build_dashboard(
-    artifacts: List[Artifact], threshold: float = DEFAULT_THRESHOLD
-) -> Dict[str, Any]:
+def build_dashboard(artifacts: List[Artifact]) -> Dict[str, Any]:
     """Fold artifacts into the dashboard summary structure."""
     malformed = [a for a in artifacts if not a.ok]
-    benches = [
-        {"artifact": a, **bench_delta(a.data, threshold)}
-        for a in artifacts
-        if a.kind == "bench" and a.ok
-    ]
-    regressions = [b for b in benches if b["regressed"]]
     sweep_failures = [
         a for a in artifacts
         if a.kind == "sweep" and a.ok and not a.data.get("ok", False)
@@ -48,13 +38,10 @@ def build_dashboard(
     flights = [a for a in artifacts if a.kind == "flight" and a.ok]
     return {
         "artifacts": artifacts,
-        "benches": benches,
-        "threshold": threshold,
         "malformed": malformed,
-        "regressions": regressions,
         "sweep_failures": sweep_failures,
         "flights": flights,
-        "ok": not (malformed or regressions or sweep_failures or flights),
+        "ok": not (malformed or sweep_failures or flights),
     }
 
 
@@ -85,7 +72,7 @@ def _observe_sections(dash: Dict[str, Any]) -> List[str]:
                     lats, title=f"{app}: tail latency by op class (cluster)"
                 ).render()
             )
-        # schema-3 artifacts: the degradation timeline (windowed p50/p99
+        # the degradation timeline (windowed p50/p99
         # with crash/recovery marks) and SLO burn-rate verdicts render
         # exactly as `repro observe` printed them at collection time
         out.extend(slo_sections(a.data))
@@ -106,14 +93,8 @@ def _sweep_sections(dash: Dict[str, Any]) -> List[str]:
             f"{a.name}: {d.get('app', '?')} sweep, faults={d.get('faults')}, "
             f"schema v{d.get('schema')} — {verdict} ({outcomes})"
         ]
-        by_class = d.get("recovery_by_class") or {}
-        if by_class:
-            lines.append(render_recovery_by_class(by_class))
-        elif d.get("schema") == 1:
-            lines.append(
-                "  (schema v1 artifact: no recovery-phase records; re-run "
-                "the sweep to collect recovery anatomy)"
-            )
+        if d["recovery_by_class"]:
+            lines.append(render_recovery_by_class(d["recovery_by_class"]))
         out.append("\n".join(lines))
     return out
 
@@ -154,56 +135,12 @@ def _flight_section(dash: Dict[str, Any]) -> str:
     return table.render()
 
 
-def _bench_section(dash: Dict[str, Any]) -> str:
-    if not dash["benches"]:
-        return ""
-    table = Table(
-        "benchmark trends (events/s, after vs before)",
-        ["suite", "before", "after", "delta", "status"],
-        note=f"regression threshold: {format_pct(dash['threshold'] * 100)} drop"
-        " in aggregate throughput",
-    )
-    for b in dash["benches"]:
-        table.add(
-            b["suite"],
-            f"{b['before']:,.0f}",
-            f"{b['after']:,.0f}",
-            format_pct(b["delta"] * 100),
-            "REGRESSED" if b["regressed"] else "ok",
-        )
-    worst = [
-        (b["suite"], r)
-        for b in dash["benches"]
-        for r in b["benches"]
-        if r["delta"] < 0
-    ]
-    parts = [table.render()]
-    if worst:
-        worst.sort(key=lambda x: x[1]["delta"])
-        movers = Table(
-            "slowest-moving microbenches",
-            ["suite", "bench", "before", "after", "delta"],
-        )
-        for suite, r in worst[:5]:
-            movers.add(
-                suite, r["name"], f"{r['before']:,.0f}", f"{r['after']:,.0f}",
-                format_pct(r["delta"] * 100),
-            )
-        parts.append(movers.render())
-    return "\n\n".join(parts)
-
-
 def _verdict(dash: Dict[str, Any]) -> str:
     if dash["ok"]:
-        return "REPORT OK: all artifacts valid, no regressions"
+        return "REPORT OK: all artifacts valid"
     problems: List[str] = []
     for a in dash["malformed"]:
         problems.append(f"malformed {a.kind} artifact {a.path}: {a.errors[0]}")
-    for b in dash["regressions"]:
-        problems.append(
-            f"bench regression in suite {b['suite']!r}: "
-            f"{format_pct(b['delta'] * 100)} aggregate throughput"
-        )
     for a in dash["sweep_failures"]:
         problems.append(f"crash sweep {a.name} reported failure")
     for a in dash["flights"]:
@@ -219,8 +156,7 @@ def render_dashboard(dash: Dict[str, Any]) -> str:
     sections: List[str] = [f"{title}\n{'#' * len(title)}", _inventory(dash)]
     sections.extend(_observe_sections(dash))
     sections.extend(_sweep_sections(dash))
-    for block in (_trace_section(dash), _flight_section(dash),
-                  _bench_section(dash)):
+    for block in (_trace_section(dash), _flight_section(dash)):
         if block:
             sections.append(block)
     sections.append(_verdict(dash))
@@ -233,8 +169,7 @@ def render_html(dash: Dict[str, Any]) -> str:
     blocks: List[str] = [_inventory(dash)]
     blocks.extend(_observe_sections(dash))
     blocks.extend(_sweep_sections(dash))
-    for block in (_trace_section(dash), _flight_section(dash),
-                  _bench_section(dash)):
+    for block in (_trace_section(dash), _flight_section(dash)):
         if block:
             blocks.append(block)
     blocks.append(_verdict(dash))

@@ -34,12 +34,10 @@ charges CPU time or touches vector clocks, so attaching a registry (and
 sampling it) can never perturb a run — the golden determinism test pins
 this.
 
-Disabled path
--------------
-``MetricsRegistry(enabled=False)`` hands out shared null metric objects
-whose mutators are no-ops and records no series; emit sites additionally
-guard with ``bus.active`` so a run without an observer pays at most one
-attribute check per event.
+Off switch
+----------
+There is none here: emit sites guard with ``bus.active``, and a run
+without an observer builds no registry at all.
 """
 
 from __future__ import annotations
@@ -151,40 +149,6 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullLatency(LatencyHistogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-#: shared no-op instances handed out by a disabled registry
-NULL_COUNTER = _NullCounter("null", -1)
-NULL_GAUGE = _NullGauge("null", -1)
-NULL_HISTOGRAM = _NullHistogram("null", -1, bounds=())
-NULL_LATENCY = _NullLatency("null", -1)
-
 #: node id used for cluster-wide (not per-process) metrics
 CLUSTER_NODE = -1
 
@@ -202,11 +166,9 @@ class MetricsRegistry:
 
     def __init__(
         self,
-        enabled: bool = True,
         clock: Optional[Callable[[], float]] = None,
         window_s: Optional[float] = None,
     ) -> None:
-        self.enabled = enabled
         self._counters: Dict[Tuple[str, int], Counter] = {}
         self._gauges: Dict[Tuple[str, int], Gauge] = {}
         self._histograms: Dict[Tuple[str, int], Histogram] = {}
@@ -239,8 +201,6 @@ class MetricsRegistry:
     # metric factories (interned by (name, node))
     # ------------------------------------------------------------------
     def counter(self, name: str, node: int = CLUSTER_NODE) -> Counter:
-        if not self.enabled:
-            return NULL_COUNTER
         key = (name, node)
         c = self._counters.get(key)
         if c is None:
@@ -253,8 +213,6 @@ class MetricsRegistry:
         node: int = CLUSTER_NODE,
         fn: Optional[Callable[[], float]] = None,
     ) -> Gauge:
-        if not self.enabled:
-            return NULL_GAUGE
         key = (name, node)
         g = self._gauges.get(key)
         if g is None:
@@ -269,8 +227,6 @@ class MetricsRegistry:
         node: int = CLUSTER_NODE,
         bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
         key = (name, node)
         h = self._histograms.get(key)
         if h is None:
@@ -279,8 +235,6 @@ class MetricsRegistry:
 
     def latency(self, name: str, node: int = CLUSTER_NODE) -> LatencyHistogram:
         """Log-bucketed percentile distribution (interned by (name, node))."""
-        if not self.enabled:
-            return NULL_LATENCY
         key = (name, node)
         h = self._latencies.get(key)
         if h is None:
@@ -300,14 +254,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def record(self, name: str, node: int, x: float, value: float) -> None:
         """Append one ``(x, value)`` point to a series directly."""
-        if not self.enabled:
-            return
         self.series.setdefault((name, node), []).append((x, float(value)))
 
     def sample(self, x: float) -> None:
         """Snapshot every counter and gauge at axis position ``x``."""
-        if not self.enabled:
-            return
         self.samples_taken += 1
         series = self.series
         for key, c in self._counters.items():

@@ -11,21 +11,21 @@ line — so CI can parse it with nothing but ``json.loads``:
 * ``{"record": "lat", ...}``      — one per (op class, node) percentile
   distribution, plus one cluster-merged record per op class
   (``node = -1``); carries both summary percentiles and the raw log
-  buckets so readers can re-merge across runs (schema 2)
+  buckets so readers can re-merge across runs
 * ``{"record": "wlat", ...}``     — one per (op class, window) fixed
   virtual-time window of the cluster-merged distribution, carrying the
   window index/bounds plus the same log-bucket payload as ``lat``
-  (schema 3; only when the run collected windows)
+  (only when the run collected windows)
 * ``{"record": "recovery", ...}`` — one per completed recovery: the pid
   plus the phase anatomy (detect/restore/handshake/replay/total), the
-  degradation timeline's crash marks (schema 3)
+  degradation timeline's crash marks
 * ``{"record": "slo", ...}``      — one per evaluated objective: the
-  spec, per-window burn rates and any burn-rule violations (schema 3)
+  spec, per-window burn rates and any burn-rule violations
 * ``{"record": "summary", ...}``  — end-of-run totals (last line)
 
-Schema history: 1 = header/series/hist/summary; 2 adds ``lat`` records
-(DESIGN.md §12); 3 adds ``wlat``/``recovery``/``slo`` records
-(DESIGN.md §13). Readers accept all three.
+The header's ``schema`` is :data:`REPORT_SCHEMA`; :func:`load_jsonl`
+rejects a report written at any other (re-record it, there is no
+converter).
 
 Rendering reuses the repo's ASCII reporting layer
 (:mod:`repro.render`), so Figure 4-style curves and overview
@@ -58,6 +58,9 @@ __all__ = [
     "KEY_LATENCIES",
 ]
 
+#: the one report schema written and read
+REPORT_SCHEMA = 3
+
 #: series a healthy FT run report must contain (CI smoke asserts these):
 #: per-node stable+volatile log size, diff traffic and the retained
 #: checkpoint count (the paper's bounded-window claim) over virtual
@@ -73,7 +76,7 @@ KEY_SERIES = (
     "ft.replica_lag",
 )
 
-#: latency op classes a schema-2 report must carry records for (the
+#: latency op classes a report must carry records for (the
 #: observer pre-creates these three, so they exist — possibly with
 #: count 0 — in every observed run; ckpt/replica/recovery classes appear
 #: only when the corresponding events happened)
@@ -188,7 +191,7 @@ def build_report(
                 s.checkpoints_taken for s in result.ft_stats if s is not None
             ),
         )
-    header = {"record": "header", "schema": 3, **meta}
+    header = {"record": "header", "schema": REPORT_SCHEMA, **meta}
     if wlats and "window_s" not in header:
         header["window_s"] = window_s
     return {
@@ -219,7 +222,7 @@ def write_jsonl(path: str, report: Dict[str, Any]) -> None:
 
 
 def load_jsonl(path: str) -> Dict[str, Any]:
-    """Parse a JSONL run report (schema 1-3) into the structured form."""
+    """Parse a JSONL run report into the structured form."""
     out: Dict[str, Any] = {
         "header": None, "series": [], "hists": [], "lats": [], "wlats": [],
         "recoveries": [], "slos": [], "summary": None,
@@ -232,6 +235,12 @@ def load_jsonl(path: str) -> Dict[str, Any]:
             rec = json.loads(line)
             kind = rec.get("record")
             if kind == "header":
+                schema = rec.get("schema", 1)  # the first reports had no key
+                if schema != REPORT_SCHEMA:
+                    raise ValueError(
+                        f"unsupported run-report schema {schema!r}: re-record "
+                        "with `repro observe`"
+                    )
                 out["header"] = rec
             elif kind == "series":
                 out["series"].append(rec)
@@ -277,33 +286,26 @@ def validate_report(report: Dict[str, Any], require_ft: bool = True) -> List[str
             continue
         if all(not rec["points"] for rec in recs):
             errors.append(f"key series {name!r} is empty on every node")
-    schema = (report.get("header") or {}).get("schema", 1)
-    if schema >= 2:
-        lat_metrics = set()
-        for i, rec in enumerate(report.get("lats", ())):
-            missing = [f for f in _LAT_FIELDS if f not in rec]
-            if missing:
-                errors.append(f"lat record {i} missing fields {missing}")
-                continue
-            lat_metrics.add(rec["metric"])
-        for name in KEY_LATENCIES:
-            if name not in lat_metrics:
-                errors.append(f"missing latency op class {name!r}")
-    if schema >= 3:
-        for i, rec in enumerate(report.get("wlats", ())):
-            missing = [f for f in _WLAT_FIELDS if f not in rec]
-            if missing:
-                errors.append(f"wlat record {i} missing fields {missing}")
-        if (report.get("header") or {}).get("window_s") and not report.get(
-            "wlats"
-        ):
-            errors.append(
-                "header declares windowed collection but no wlat records"
-            )
-        for i, rec in enumerate(report.get("recoveries", ())):
-            missing = [f for f in _RECOVERY_FIELDS if f not in rec]
-            if missing:
-                errors.append(f"recovery record {i} missing fields {missing}")
+    lat_metrics = set()
+    for i, rec in enumerate(report.get("lats", ())):
+        missing = [f for f in _LAT_FIELDS if f not in rec]
+        if missing:
+            errors.append(f"lat record {i} missing fields {missing}")
+            continue
+        lat_metrics.add(rec["metric"])
+    for name in KEY_LATENCIES:
+        if name not in lat_metrics:
+            errors.append(f"missing latency op class {name!r}")
+    for i, rec in enumerate(report.get("wlats", ())):
+        missing = [f for f in _WLAT_FIELDS if f not in rec]
+        if missing:
+            errors.append(f"wlat record {i} missing fields {missing}")
+    if (report.get("header") or {}).get("window_s") and not report.get("wlats"):
+        errors.append("header declares windowed collection but no wlat records")
+    for i, rec in enumerate(report.get("recoveries", ())):
+        missing = [f for f in _RECOVERY_FIELDS if f not in rec]
+        if missing:
+            errors.append(f"recovery record {i} missing fields {missing}")
     return errors
 
 
@@ -380,7 +382,7 @@ def _timeline_metric(report: Dict[str, Any]) -> str:
 
 
 def slo_sections(report: Dict[str, Any]) -> List[str]:
-    """Degradation timeline + SLO burn-rate sections (schema 3)."""
+    """Degradation timeline + SLO burn-rate sections."""
     # lazy: repro.observe.slo is an optional consumer of this module's
     # report dicts, not a load-time dependency
     from repro.observe.slo import Objective, build_timeline, render_timeline

@@ -35,7 +35,7 @@ def build_timeline(
     """Fold a run report's ``wlat`` + ``recovery`` records into a timeline.
 
     Returns None when the report carries no cluster-merged windowed
-    series for ``metric`` (pre-schema-3 artifacts, windowing disabled).
+    series for ``metric`` (windowing disabled).
     """
     wlats = sorted(
         (

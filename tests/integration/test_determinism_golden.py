@@ -245,22 +245,6 @@ def test_golden_unchanged_with_span_tracing_enabled():
             "ckpt", "ckpt_write"} <= kinds
 
 
-@pytest.mark.parametrize("profile", [False, True], ids=["plain", "profiled"])
-def test_bench_runs_deterministic_across_profile(profile):
-    """The bench harness reports identical simulations with --profile on/off."""
-    from repro.metrics.bench import run_app_bench
-
-    results = {
-        p: run_app_bench("counter", procs=4, ft=True, profile=p)
-        for p in (False, profile)
-    }
-    a, b = results[False], results[profile]
-    assert a.virtual_time.hex() == b.virtual_time.hex()
-    assert a.total_msgs == b.total_msgs
-    assert a.total_bytes == b.total_bytes
-    assert a.events == b.events
-
-
 def test_golden_unchanged_with_monitor_attached():
     """The invariant monitor must not perturb the monitored run.
 

@@ -211,10 +211,21 @@ def test_crash_during_recovery_restarts_recovery():
     assert cluster.hosts[3].live and cluster.hosts[3].finished
 
 
+def run_expecting_known_failure(cluster, app, message):
+    """Run ``app`` (``check_result`` validates) and re-raise its known
+    failure for a strict xfail; any *other* failure fails the test."""
+    try:
+        cluster.run(app)
+    except AssertionError as exc:
+        if message not in str(exc):
+            pytest.fail(f"the known failure changed: {exc}")
+        raise
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="known recovery bug, one schedule (ROADMAP item 4): "
+    reason="known recovery bug, one schedule (ROADMAP item 1): "
     "p5: scan sum 1030.0 != 1033.0",
 )
 def test_kvstore_32_procs_crash_p5_at_half_loses_updates():
@@ -231,9 +242,28 @@ def test_kvstore_32_procs_crash_p5_at_half_loses_updates():
     t_free = cluster().run(KvStoreApp(KvStoreConfig())).wall_time
     crashed = cluster()
     crashed.schedule_crash(5, at_time=0.5 * t_free)
-    try:
-        crashed.run(KvStoreApp(KvStoreConfig()))  # check_result validates
-    except AssertionError as exc:
-        if "p5: scan sum 1030.0 != 1033.0" not in str(exc):
-            pytest.fail(f"the known failure changed: {exc}")
-        raise
+    run_expecting_known_failure(
+        crashed, KvStoreApp(KvStoreConfig()), "p5: scan sum 1030.0 != 1033.0"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known recovery bug, one schedule (ROADMAP item 1): "
+    "p1 round 0: saw sum 117.0, expected 118",
+)
+def test_fuzz_2049_crash_p1_at_step_462_reads_stale_sum():
+    """``FuzzApp(2049)``, 8 procs, p1 fail-stopped after engine step 462
+    of the 924-step run: recovered p1's round-0 validation read misses
+    one lock-guarded increment (any crash step of p1 in 358…853 does
+    it; crashing another pid recovers). A hypothesis draw found it;
+    pinned here so tier-1 draws nothing fresh and a fix shows up as an
+    unexpected pass."""
+    from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
+
+    cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
+    cluster.schedule_crash_at_step(1, 462)
+    run_expecting_known_failure(
+        cluster, FuzzApp(2049), "p1 round 0: saw sum 117.0, expected 118"
+    )

@@ -1,6 +1,6 @@
 """Unit tests for the cross-artifact analytics aggregator and the
-``repro report`` dashboard (sniffing, validation, bench trends,
-regression/malformed exit discipline, HTML output, sweep back-compat).
+``repro report`` dashboard (sniffing, validation, malformed-artifact exit
+discipline, HTML output, one schema per artifact kind).
 """
 
 import json
@@ -9,12 +9,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.faultinject import SWEEP_SCHEMA, load_sweep, recovery_distributions
-from repro.observe import (
-    ClusterObserver,
-    MetricsRegistry,
-    build_report,
-    write_jsonl,
-)
+from repro.observe import ClusterObserver, build_report, write_jsonl
 from repro.observe.analytics import (
     build_dashboard,
     discover_artifacts,
@@ -25,18 +20,6 @@ from repro.observe.analytics import (
 )
 
 from tests.conftest import make_app, make_cluster
-
-BENCH = {
-    "before": {"suite": "core", "events_per_sec": 100_000,
-               "benches": [{"name": "a", "events_per_sec": 1000,
-                            "ops_per_sec": 0}]},
-    "after": {"suite": "core", "events_per_sec": 104_000,
-              "benches": [{"name": "a", "events_per_sec": 900,
-                           "ops_per_sec": 0}]},
-    "speedup_events_per_sec": 1.04,
-    "recorded": "2026-08-08",
-}
-
 
 def observe_artifact(tmp_path, name="OBSERVE_counter.jsonl"):
     cluster = make_cluster(num_procs=4, ft=True)
@@ -58,18 +41,16 @@ def test_sniff_kind_by_prefix_and_content():
     assert sniff_kind("benchmarks/OBSERVE_lu.jsonl") == "observe"
     assert sniff_kind("x/TRACE_counter.json") == "trace"
     assert sniff_kind("SWEEP_counter_k2.json") == "sweep"
-    assert sniff_kind("BENCH_core.json") == "bench"
     assert sniff_kind("FLIGHT_counter.json") == "flight"
     # renamed files fall back to content shape
     assert sniff_kind("weird.json", {"traceEvents": []}) == "trace"
     assert sniff_kind("weird.json", {"points": [], "outcomes": {}}) == "sweep"
-    assert sniff_kind("weird.json", {"before": {}, "after": {}}) == "bench"
     assert sniff_kind("weird.json", {"violations": [], "checks": {}}) == "flight"
     assert sniff_kind("weird.json", {"other": 1}) == "unknown"
 
 
 def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
-    (tmp_path / "BENCH_x.json").write_text(json.dumps(BENCH))
+    (tmp_path / "SWEEP_x.json").write_text("{}")
     sub = tmp_path / "results"
     sub.mkdir()
     (sub / "TRACE_app.json").write_text('{"traceEvents": []}')
@@ -77,7 +58,7 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
     (tmp_path / "test_foo.py").write_text("ignored")
     found = discover_artifacts([str(tmp_path)])
     names = [p.rsplit("/", 1)[-1] for p in found]
-    assert names == ["TRACE_app.json", "BENCH_x.json"]  # kind-major order
+    assert names == ["TRACE_app.json", "SWEEP_x.json"]  # kind-major order
     # naming a file explicitly always includes it
     extra = tmp_path / "mystery.json"
     extra.write_text("{}")
@@ -85,44 +66,43 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# committed fixtures load clean (back-compat guarantee)
+# one schema per artifact kind: committed fixtures are at it, others rejected
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "path", ["benchmarks/SWEEP_counter.json", "benchmarks/SWEEP_counter_k2.json"]
-)
-def test_committed_v1_sweeps_load_unchanged(path):
-    raw = json.load(open(path))
-    assert "schema" not in raw  # they ARE v1 — keep them that way
+@pytest.mark.parametrize("name", ["counter", "counter_k2", "kvstore", "session"])
+def test_committed_sweeps_are_current_schema(name):
+    path = f"benchmarks/SWEEP_{name}.json"
     data = load_sweep(path)
-    assert data["schema"] == 1
-    assert data["recovery_by_class"] == {}
-    assert all(p["recovery_phases"] == [] for p in data["points"])
+    assert data["schema"] == SWEEP_SCHEMA
     assert data["ok"] is True
+    assert data["recovery_by_class"]
     art = load_artifact(path)
     assert art.kind == "sweep" and art.ok
 
 
-def test_load_sweep_v2_roundtrip_and_unknown_schema(tmp_path):
+def test_load_sweep_rejects_other_schemas():
     data = load_sweep("benchmarks/SWEEP_counter.json")
-    data["schema"] = SWEEP_SCHEMA
-    p = tmp_path / "SWEEP_v2.json"
-    p.write_text(json.dumps(data))
-    again = load_sweep(str(p))
-    assert again["schema"] == SWEEP_SCHEMA
-    data["schema"] = 99
-    p.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="schema"):
-        load_sweep(str(p))
-
-
-def test_committed_bench_and_trace_artifacts_load():
-    for path, kind in (
-        ("benchmarks/BENCH_core.json", "bench"),
-        ("benchmarks/BENCH_scale.json", "bench"),
-        ("benchmarks/results/TRACE_counter.json", "trace"),
+    del data["schema"]  # what PR 4 wrote
+    with pytest.raises(
+        ValueError, match="unsupported sweep schema 1: re-record with `repro"
     ):
-        art = load_artifact(path)
-        assert art.kind == kind and art.ok, (path, art.errors)
+        load_sweep(data)
+    data["schema"] = 99
+    with pytest.raises(ValueError, match="unsupported sweep schema 99"):
+        load_sweep(data)
+
+
+def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
+    data = load_sweep("benchmarks/SWEEP_counter.json")
+    data["schema"] = 1
+    (tmp_path / "SWEEP_old.json").write_text(json.dumps(data))
+    assert main(["report", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "unsupported sweep schema 1: re-record with `repro crashsweep`" in out
+
+
+def test_committed_trace_artifact_loads():
+    art = load_artifact("benchmarks/results/TRACE_counter.json")
+    assert art.kind == "trace" and art.ok, art.errors
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +129,6 @@ def test_recovery_distributions_exact_percentiles():
 # ---------------------------------------------------------------------------
 def test_dashboard_green_path(tmp_path):
     observe_artifact(tmp_path)
-    (tmp_path / "BENCH_core.json").write_text(json.dumps(BENCH))
     arts = [load_artifact(p) for p in discover_artifacts([str(tmp_path)])]
     dash = build_dashboard(arts)
     assert dash["ok"]
@@ -157,20 +136,6 @@ def test_dashboard_green_path(tmp_path):
     assert "REPORT OK" in text
     assert "tail latency by op class" in text
     assert "lat.fetch" in text
-
-
-def test_dashboard_flags_bench_regression(tmp_path):
-    doctored = json.loads(json.dumps(BENCH))
-    doctored["before"]["events_per_sec"] = 200_000  # after drops 48%
-    (tmp_path / "BENCH_core.json").write_text(json.dumps(doctored))
-    arts = [load_artifact(str(tmp_path / "BENCH_core.json"))]
-    dash = build_dashboard(arts, threshold=0.10)
-    assert not dash["ok"]
-    assert dash["regressions"]
-    text = render_dashboard(dash)
-    assert "REGRESSED" in text and "REPORT FAILED" in text
-    # a looser threshold lets the same artifact pass
-    assert build_dashboard(arts, threshold=0.60)["ok"]
 
 
 def test_dashboard_flags_malformed_artifact(tmp_path):
@@ -195,7 +160,7 @@ def test_dashboard_flags_flight_record(tmp_path):
 
 
 def test_html_rendering_escapes_and_banners(tmp_path):
-    (tmp_path / "BENCH_core.json").write_text(json.dumps(BENCH))
+    observe_artifact(tmp_path)
     arts = [load_artifact(p) for p in discover_artifacts([str(tmp_path)])]
     html = render_html(build_dashboard(arts))
     assert html.startswith("<!DOCTYPE html>")
@@ -205,16 +170,13 @@ def test_html_rendering_escapes_and_banners(tmp_path):
 
 def test_report_cli_exit_codes(tmp_path, capsys):
     observe_artifact(tmp_path)
-    (tmp_path / "BENCH_core.json").write_text(json.dumps(BENCH))
     html = tmp_path / "dash.html"
     assert main(["report", str(tmp_path), "--html", str(html)]) == 0
     assert html.read_text().startswith("<!DOCTYPE html>")
     out = capsys.readouterr().out
     assert "REPORT OK" in out and "artifact inventory" in out
 
-    doctored = json.loads(json.dumps(BENCH))
-    doctored["before"]["events_per_sec"] = 500_000
-    (tmp_path / "BENCH_core.json").write_text(json.dumps(doctored))
+    (tmp_path / "SWEEP_bad.json").write_text('{"not": "a sweep"}')
     assert main(["report", str(tmp_path)]) == 1
     # empty scan is an error, not silent success
     empty = tmp_path / "empty"

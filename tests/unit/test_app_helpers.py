@@ -17,6 +17,25 @@ from repro.apps.lu import LuConfig, _factor_diag, _initial_matrix, reference_lu
 from repro.apps.water_spatial import WaterSpatialConfig, _cell_of, _neighbors
 
 
+# -- the app table --------------------------------------------------------
+
+
+def test_make_app_maps_the_generic_knobs_per_app():
+    from repro.apps import APPS, make_app
+
+    for name, spec in APPS.items():
+        defaults = spec.config()
+        app = make_app(name, steps=7, size=96, rate=1234.0)
+        assert isinstance(app, spec.app) and type(app.cfg) is spec.config
+        assert getattr(app.cfg, spec.size_field) == 96
+        assert app.cfg.steps == (7 if spec.has_steps else defaults.steps)
+        if spec.has_rate:
+            assert app.cfg.rate == 1234.0
+        assert make_app(name).cfg == defaults  # unset knobs keep the defaults
+    assert [n for n, s in APPS.items() if not s.has_steps] == ["lu"]
+    assert [n for n, s in APPS.items() if s.has_rate] == ["session"]
+
+
 # -- block_partition ------------------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import COMMANDS, build_parser, main
 
 
 def test_base_run(capsys):
@@ -19,8 +19,104 @@ def test_ft_run_with_crash(capsys):
     assert "1 crash(es), 1 recover(ies)" in out
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run ``argv`` expecting an argparse usage error (exit 2); returns
+    the diagnosis line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+#: every subcommand's option strings, as literals: the parent's sets minus
+#: the retired bench group (run) and --threshold (report). The parent
+#: parsed `tables` with the run parser; --scale, the one flag `tables`
+#: reads, went with it and the flags it ignored stayed with run
+OPTIONS = {
+    "run": {
+        "--procs", "--steps", "--size", "--rate", "--ft", "--l", "--replicate",
+        "--coordinated", "--crash", "--wan", "--trace", "--trace-limit",
+    },
+    "tables": {"--scale"},
+    "crashsweep": {
+        "--procs", "--steps", "--size", "--rate", "--l", "--replicate",
+        "--no-replicate", "--every", "--classes", "--faults", "--out",
+        "-v", "--verbose",
+    },
+    "observe": {
+        "--procs", "--steps", "--size", "--rate", "--l", "--no-ft",
+        "--replicate", "--crash", "--crash2", "--interval", "--window",
+        "--slo", "--out",
+    },
+    "trace": {
+        "--procs", "--steps", "--size", "--l", "--no-ft", "--replicate",
+        "--crash", "--crash2", "--out", "--report", "--top",
+    },
+    "monitor": {
+        "--procs", "--steps", "--size", "--l", "--crash", "--ring",
+        "--scan-every", "--flight", "--seed-violation",
+    },
+    "report": {"--html"},
+}
+
+
+def test_registry_and_option_surface():
+    assert set(COMMANDS) == set(OPTIONS)
+    for name, expected in OPTIONS.items():
+        got = {
+            s for action in build_parser(name)._actions
+            for s in action.option_strings
+        }
+        assert got - {"-h", "--help"} == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(OPTIONS))
+def test_every_subcommand_has_help(name, capsys):
+    for argv in ([name, "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--bench-json" not in capsys.readouterr().out
+
+
+def test_bench_subcommand_is_gone(capsys):
+    assert "invalid choice: 'bench'" in _usage_error(["bench"], capsys)
+    assert "unrecognized arguments" in _usage_error(["counter", "--smoke"], capsys)
+
+
+@pytest.mark.parametrize("bad", ["3", "9@0.5", "1@abc", "1@1.5", "x@0.5", "1@2@3"])
+@pytest.mark.parametrize(
+    "sub,flag",
+    [(sub, flag) for sub in sorted(OPTIONS) for flag in ("--crash", "--crash2")
+     if flag in OPTIONS[sub]],
+)
+def test_malformed_crash_spec_is_diagnosed(sub, flag, bad, capsys):
+    """One parser for PID@FRAC: every subcommand that has the flag names
+    it, the bad value and the expected form, and exits 2 — no traceback."""
+    argv = [sub, "counter", "--procs", "4", flag, bad]
+    if sub == "run":
+        argv.append("--ft")
+    if flag == "--crash2":
+        argv += ["--crash", "1@0.5"]
+    line = _usage_error(argv, capsys)
+    assert f"argument {flag}" in line
+    assert repr(bad) in line
+    assert "PID@FRAC" in line
+
+
 def test_crash_requires_ft(capsys):
-    assert main(["counter", "--crash", "3@0.4"]) == 2
+    for argv in (
+        ["counter", "--crash", "3@0.4"],
+        ["observe", "counter", "--no-ft", "--crash", "1@0.5"],
+        ["trace", "counter", "--no-ft", "--crash", "2@0.5"],
+    ):
+        assert "--crash requires fault tolerance" in _usage_error(argv, capsys)
+
+
+def test_crash2_requires_crash(capsys):
+    for sub in ("observe", "trace"):
+        line = _usage_error([sub, "counter", "--crash2", "1@0.5"], capsys)
+        assert "--crash2 requires --crash" in line
 
 
 def test_coordinated_flag(capsys):
@@ -163,10 +259,6 @@ def test_trace_subcommand_with_crash(tmp_path, capsys):
     abandoned = [ev for ev in events
                  if ev["ph"] == "X" and ev["args"]["status"] == "abandoned"]
     assert abandoned and all(ev["pid"] == 2 for ev in abandoned)
-
-
-def test_trace_subcommand_crash_requires_ft(capsys):
-    assert main(["trace", "counter", "--no-ft", "--crash", "2@0.5"]) == 2
 
 
 def _check_table(out: str) -> str:

@@ -23,7 +23,7 @@ from repro.observe.latency import (
     LatencyHistogram,
     exact_percentile,
 )
-from repro.observe.registry import CLUSTER_NODE, NULL_LATENCY, MetricsRegistry
+from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -200,12 +200,3 @@ def test_registry_latency_interning_and_merge():
     assert merged.count == 2
     assert "lat.fetch" in reg.latency_names()
     assert reg.merged_latency("lat.nothing") is None
-
-
-def test_disabled_registry_returns_null_latency():
-    reg = MetricsRegistry(enabled=False)
-    h = reg.latency("lat.fetch", 0)
-    assert h is NULL_LATENCY
-    h.observe(1.0)  # no-op
-    assert h.count == 0
-    assert reg.latency_names() == []

@@ -14,7 +14,6 @@ from repro.observe import (
     validate_report,
     write_jsonl,
 )
-from repro.observe.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from tests.conftest import make_app, make_cluster
 
 
@@ -81,24 +80,6 @@ def test_registry_sample_snapshots_counters_and_gauges():
     assert reg.samples_taken == 2
     assert reg.series_by_name("hits") == {3: [(0.5, 2.0), (1.5, 3.0)]}
     assert "hits" in reg.names() and "depth" in reg.names()
-
-
-def test_disabled_registry_is_inert():
-    reg = MetricsRegistry(enabled=False)
-    # factories hand out shared null singletons: no allocation, no state
-    assert reg.counter("a", 1) is NULL_COUNTER
-    assert reg.gauge("b", 1) is NULL_GAUGE
-    assert reg.histogram("c", 1) is NULL_HISTOGRAM
-    reg.counter("a", 1).inc(5)
-    reg.gauge("b", 1).set(5)
-    reg.histogram("c", 1).observe(5)
-    assert NULL_COUNTER.value == 0.0
-    assert NULL_GAUGE.read() == 0.0
-    assert NULL_HISTOGRAM.count == 0
-    reg.record("a", 1, 0.0, 1.0)
-    reg.sample(0.0)
-    assert reg.series == {}
-    assert reg.samples_taken == 0
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +166,6 @@ def test_replica_series_sampled_per_node():
         assert any(v == 0 for v in values[opened:]), f"p{pid} never drained"
 
 
-def test_disabled_registry_observer_records_nothing():
-    cluster = make_cluster(num_procs=4, ft=True)
-    obs = ClusterObserver(
-        cluster,
-        registry=MetricsRegistry(enabled=False),
-        interval=1e-3,
-        sample_on_barrier=True,
-    )
-    cluster.run(make_app("counter"))
-    obs.sample()
-    assert obs.registry.series == {}
-    assert obs.registry.samples_taken == 0
-
-
 # ---------------------------------------------------------------------------
 # run reports
 # ---------------------------------------------------------------------------
@@ -232,22 +199,18 @@ def test_report_roundtrip_and_validation(tmp_path):
     assert validate_report(again) == []
 
 
-def test_schema1_report_without_lat_records_still_validates(tmp_path):
-    """Old JSONL artifacts (schema 1, no ``lat`` lines) stay loadable."""
-    reg = MetricsRegistry()
-    reg.counter("ft.log_volatile_bytes", 0).inc(10)
-    reg.counter("ft.log_saved_bytes", 0).inc(4)
-    reg.counter("dsm.diff_bytes_sent", 0).inc(2)
-    reg.gauge("ft.ckpts_retained", 0, lambda: 2.0)
-    reg.sample(0.25)
-    report = build_report(reg, {"app": "unit"})
-    report["header"]["schema"] = 1
-    report["lats"] = []
+def test_load_jsonl_rejects_other_schemas(tmp_path):
+    """A report is schema 3 or rejected: old artifacts are re-recorded,
+    not converted."""
+    report = build_report(MetricsRegistry(), {"app": "unit"})
+    report["header"]["schema"] = 2
     path = tmp_path / "old.jsonl"
     write_jsonl(str(path), report)
-    again = load_jsonl(str(path))
-    assert again["lats"] == []
-    assert validate_report(again) == []
+    with pytest.raises(
+        ValueError,
+        match="unsupported run-report schema 2: re-record with `repro observe`",
+    ):
+        load_jsonl(str(path))
 
 
 def test_validate_report_flags_missing_series():
