@@ -529,9 +529,6 @@ def add_monitor_arguments(p: Parser) -> None:
     add_faults(p)
     p.add_argument("--ring", type=int, default=256,
                    help="flight-recorder ring size in events (default 256)")
-    p.add_argument("--scan-every", type=int, default=None, metavar="N",
-                   help="structural recoverability scan every Nth delivery "
-                   "(default: every one; num_procs/16 on wide clusters)")
     p.add_argument("--flight", default=None, metavar="PATH",
                    help="flight-record JSON path, written on violation "
                    "(default benchmarks/FLIGHT_<app>.json)")
@@ -552,9 +549,7 @@ def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
     # the invariants are the FT layer's, so ft is always on here
     run = RunBuilder(parser, args, ft=True)
     cluster = run.cluster()
-    monitor = observe.InvariantMonitor(
-        cluster, ring_size=args.ring, scan_every=args.scan_every
-    )
+    monitor = observe.InvariantMonitor(cluster, ring_size=args.ring)
     if args.seed_violation:
         # after the attach: the fifo seed reorders outside the monitor's view
         observe.seed_violation(cluster, args.seed_violation)

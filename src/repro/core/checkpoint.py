@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.logs import DiffLogEntry
 from repro.dsm.messages import WriteNotice
@@ -30,7 +30,7 @@ from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.storage import CheckpointStore
 
-__all__ = ["PageCopy", "Checkpoint", "CheckpointManager"]
+__all__ = ["PageCopy", "Checkpoint", "CheckpointManager", "maximal_starting_copy"]
 
 
 @dataclass
@@ -62,15 +62,23 @@ class Checkpoint:
     def restore_app_state(self) -> Any:
         return pickle.loads(self.app_state_blob)
 
-    def size_bytes(self, page_bytes: int, log_bytes: int) -> int:
-        meta = (
-            len(self.tckp) * 4
-            + len(self.own_notices) * 16
-            + len(self.lock_tokens) * 6
-            + len(self.acq_seq) * 8
-            + 64
-        )
-        return len(self.app_state_blob) + page_bytes + log_bytes + meta
+
+def maximal_starting_copy(
+    copies: Sequence[PageCopy], needed_max: VClock
+) -> Optional[PageCopy]:
+    """Newest copy of a retained chain usable as ``p0`` for a recovery.
+
+    A copy is usable if its version is ≤ the recovering process's replay
+    ceiling (``needed_max``) — nothing beyond what happened before the
+    crash may be baked into the starting copy, or replay could observe
+    future writes. Rule 3 guarantees a usable copy exists among the
+    window a live home retains; ``None`` when this chain has none.
+    """
+    best: Optional[PageCopy] = None
+    for copy in copies:
+        if copy.version.leq(needed_max):
+            best = copy
+    return best
 
 
 class CheckpointManager:
@@ -244,30 +252,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # recovery-side queries
     # ------------------------------------------------------------------
-    def maximal_starting_copy(self, page: PageId, needed_max: VClock) -> PageCopy:
-        """Newest retained copy usable as ``p0`` for a given recovery.
-
-        A copy is usable if its version is ≤ the recovering process's
-        replay ceiling (``needed_max``) — nothing beyond what happened
-        before the crash may be baked into the starting copy, or replay
-        could observe future writes. Rule 3 guarantees a usable copy
-        exists among the retained window.
-        """
-        copies = self.page_copies.get(page)
-        if not copies:
-            raise KeyError(f"no retained copies for page {page}")
-        best: Optional[PageCopy] = None
-        for copy in copies:
-            if copy.version.leq(needed_max):
-                best = copy
-        if best is None:
-            raise RuntimeError(
-                f"CGC retained no usable starting copy for {page}: "
-                f"oldest version {copies[0].version}, ceiling {needed_max} "
-                "(Rule 3 violated)"
-            )
-        return best
-
     def restart_checkpoint(self) -> Optional[Checkpoint]:
         return self.latest
 

@@ -59,6 +59,9 @@ from repro.sim.trace import (
 
 __all__ = ["FtConfig", "FtStats", "FtManager"]
 
+#: max p0.v advertisements per message (bounds piggyback size)
+PIGGYBACK_MAX_PAGE_VERSIONS = 16
+
 
 @dataclass
 class FtConfig:
@@ -67,11 +70,6 @@ class FtConfig:
     llt_enabled: bool = True
     cgc_enabled: bool = True
     piggyback_enabled: bool = True
-    #: max p0.v advertisements per message (bounds piggyback size)
-    piggyback_max_page_versions: int = 16
-    #: also save own write notices with each checkpoint (tiny; required
-    #: for correctness, switchable only for ablation)
-    save_wn_log: bool = True
     #: buddy-replication tier: mirror committed checkpoints + sender-log
     #: segments into the ring buddy's volatile memory, so recovery can
     #: proceed from the replica when overlapping failures would otherwise
@@ -267,9 +265,8 @@ class FtManager(FtHooks):
             # the delta loop below would find every entry already sent
             return None
         if pending:
-            k = self.config.piggyback_max_page_versions
-            adverts = tuple(pending[:k])
-            del pending[:k]
+            adverts = tuple(pending[:PIGGYBACK_MAX_PAGE_VERSIONS])
+            del pending[:PIGGYBACK_MAX_PAGE_VERSIONS]
         # gossip with delta encoding: ship every known (own and learned)
         # checkpoint timestamp that this destination has not seen from us.
         # A row's change stamp (trim.row_gen) exceeds the destination's
@@ -339,11 +336,7 @@ class FtManager(FtHooks):
             seqno=seqno,
             tckp=tckp,
             app_state_blob=state_blob,
-            own_notices=(
-                self.proc.notices.own_after(self.pid, 0)
-                if self.config.save_wn_log
-                else []
-            ),
+            own_notices=self.proc.notices.own_after(self.pid, 0),
             diff_log=self.logs.diff.snapshot(),
             lock_tokens=proc.locks.token_snapshot(),
             acq_seq=dict(proc._acq_seq),
@@ -490,13 +483,3 @@ class FtManager(FtHooks):
         if self.proc.bus.active:
             self.proc.bus.emit(CGC, self.pid, freed, self.ckpt_mgr.window_size)
         return freed
-
-    # ==================================================================
-    # convenience / accounting
-    # ==================================================================
-    @property
-    def volatile_log_bytes(self) -> int:
-        return self.logs.diff.volatile_bytes
-
-    def log_append_cost(self, nbytes: int) -> float:
-        return nbytes * self.proc.cpu.costs.log_append_per_byte

@@ -278,6 +278,21 @@ class VolatileLogs:
         self.selfgrants: Dict[int, List[VClock]] = {}  # lock -> [acq_t]
         self.bar: List[BarEntry] = []
 
+    def copy(self) -> "VolatileLogs":
+        """An independent copy, whose counters and indexes are its own (a
+        buddy's image of this process advances through the same methods)."""
+        out = VolatileLogs(self.pid, self.n)
+        for peer in range(self.n):
+            out.rel.restore_for(peer, self.rel.entries[peer])
+            for e in self.acq.entries[peer]:
+                out.acq.append(peer, e.lock_id, e.acq_t)
+        for page, entries in self.diff.per_page.items():
+            for e in entries:
+                out.diff.append(page, e.diff, e.t, e.saved)
+        out.selfgrants = {l: list(ts) for l, ts in self.selfgrants.items()}
+        out.bar = list(self.bar)
+        return out
+
     # -- barrier log --------------------------------------------------------
     def log_barrier(self, episode: int, global_vt: VClock) -> None:
         self.bar.append(BarEntry(episode, global_vt))

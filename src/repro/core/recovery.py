@@ -34,15 +34,16 @@ and of race-free programs doing useful work under locks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtManager
-from repro.core.logs import RelEntry
-from repro.dsm.diff import Diff, apply_diff, concat_diffs, merge_runs
+from repro.core.replica import NO_REPLICA, FtImage, best_record
+from repro.dsm.diff import Diff, apply_diff
 from repro.dsm.interval import NoticeTable
 from repro.dsm.messages import (
     GrantInfo,
@@ -54,7 +55,7 @@ from repro.dsm.messages import (
 from repro.dsm.pages import PageEntry, PageId, PageState
 from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Future
+from repro.sim.engine import Delay, Future
 from repro.sim.node import TimeBucket
 from repro.sim.trace import (
     RECOVERY_ANNOTATE,
@@ -83,10 +84,6 @@ class OverlappingFailureError(RuntimeError):
     violated assumption and fail loudly instead of hanging or diverging.
     """
 
-REL_ENTRY_WIRE = 40  # lock id + vt, modeled
-NOTICE_WIRE = 16
-VT_WIRE = 32
-
 
 def _sum_key(t: VClock) -> int:
     """Componentwise sum: a linear extension of the vector-time order."""
@@ -99,7 +96,9 @@ def _sum_key(t: VClock) -> int:
 
 
 class RecoveryResponder:
-    """Serves recovery queries from a peer's live state.
+    """Serves recovery queries from this host's :class:`FtImage` — or,
+    for a query ``about`` a lost peer, from the replicated image this
+    host holds as that peer's buddy.
 
     Responses are computed in the message handler ("recovery of a process
     does not interfere with other operational processes") and their CPU
@@ -110,115 +109,34 @@ class RecoveryResponder:
         self.host = host
 
     def handle(self, src: int, query: RecoveryQuery) -> None:
-        kind = query.kind
-        if kind.startswith("replica_"):
-            # serve from the volatile replica tier: ``src`` lost a peer
-            # to an overlapping failure and fetches that peer's mirrored
-            # FT state from us (its buddy). detail = (protected, inner)
-            from repro.core.replica import serve_replica_query
-
-            protected, inner = query.detail
-            payload, size = serve_replica_query(
-                self.host, protected, src, kind[len("replica_") :], inner
+        host = self.host
+        if query.about is None:
+            payload, size = FtImage.live(host.ft).answer(
+                query.kind, src, query.detail
             )
-        elif kind == "handshake":
-            payload, size = self._handshake(src)
-        elif kind == "page_diffs":
-            payload, size = self._page_diffs(query.detail)
-        elif kind == "home_diffs":
-            payload, size = self._home_diffs(src)
-        elif kind == "starting_copy":
-            payload, size = self._starting_copy(query.detail)
+            if payload is NO_REPLICA:
+                raise RuntimeError(
+                    f"p{host.pid} retains no usable starting copy for "
+                    f"{query.detail} (Rule 3 violated)"
+                )
         else:
-            raise RuntimeError(f"unknown recovery query kind {kind!r}")
+            # ``src`` lost peer ``about`` to an overlapping failure
+            rec = best_record(host, query.about)
+            if rec is not None:
+                payload, size = rec.image.answer(query.kind, src, query.detail)
+            else:
+                payload, size = NO_REPLICA, 8  # no committed record survives
         reply = RecoveryReply(
-            kind=kind,
-            responder=self.host.pid,
+            kind=query.kind,
+            responder=host.pid,
             payload=payload,
             payload_size=size,
             qid=query.qid,
-            responder_crash_time=self.host.last_crash_time,
-            responder_recovering=self.host.recovering,
+            responder_crash_time=host.last_crash_time,
+            responder_recovering=host.recovering,
         )
-        self.host.proto.cpu.accrue_handler(20e-6)
-        self.host.cluster.send(self.host.pid, src, reply)
-
-    # ------------------------------------------------------------------
-    def _handshake(self, src: int) -> Tuple[Dict[str, Any], int]:
-        host = self.host
-        proto: DsmProcess = host.proto
-        ft: FtManager = host.ft
-        rel_entries = ft.logs.rel.for_acquirer(src)
-        acq_mirror = ft.logs.acq.for_grantor(src)
-        wn = proto.notices.own_after(proto.pid, 0)
-        self_grants: Dict[int, List[VClock]] = {}
-        for lock_id in proto.locks.managed_locks():
-            mgr = proto.locks.manager(lock_id)
-            entries = mgr.self_grants.get(src)
-            if entries:
-                self_grants[lock_id] = list(entries)
-        # buddy mirrors of self-grants for locks `src` manages itself
-        for lock_id, entries in ft.buddy_selfgrants.get(src, {}).items():
-            if entries:
-                self_grants.setdefault(lock_id, []).extend(entries)
-        bar_history: Dict[int, VClock] = {}
-        if proto.barrier_mgr is not None:
-            bar_history = dict(proto.barrier_mgr.history)
-        bar_mirror = [(b.episode, b.global_vt) for b in ft.logs.bar]
-        tokens = proto.locks.chain_snapshot()
-        managed_owners = {
-            lock_id: proto.locks.manager(lock_id).owner()
-            for lock_id in proto.locks.managed_locks()
-        }
-        payload = {
-            "managed_owners": managed_owners,
-            "rel_entries": rel_entries,
-            "acq_mirror": acq_mirror,
-            "wn": wn,
-            "self_grants": self_grants,
-            "bar_history": bar_history,
-            "bar_mirror": bar_mirror,
-            "tckp": ft.trim.tckp[proto.pid],
-            "bar_ep": ft.trim.bar_ep[proto.pid],
-            "tokens": tokens,
-            "completed_seq": dict(proto._completed_seq),
-        }
-        size = (
-            (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
-            + len(wn) * NOTICE_WIRE
-            + sum(len(v) for v in self_grants.values()) * VT_WIRE
-            + (len(bar_history) + len(bar_mirror)) * VT_WIRE
-            + len(tokens) * 8
-            + VT_WIRE
-        )
-        return payload, size
-
-    def _page_diffs(self, page: PageId) -> Tuple[List[Tuple[VClock, Diff]], int]:
-        ft: FtManager = self.host.ft
-        entries = [(e.t, e.diff) for e in ft.logs.diff.entries_for(page)]
-        size = sum(d.size_bytes + VT_WIRE for _, d in entries)
-        return entries, size
-
-    def _home_diffs(self, src: int) -> Tuple[Dict[PageId, List[Tuple[VClock, Diff]]], int]:
-        ft: FtManager = self.host.ft
-        proto: DsmProcess = self.host.proto
-        out: Dict[PageId, List[Tuple[VClock, Diff]]] = {}
-        size = 0
-        for page in ft.logs.diff.pages():
-            if proto.regions.home_of(page) != src:
-                continue
-            entries = [(e.t, e.diff) for e in ft.logs.diff.entries_for(page)]
-            if entries:
-                out[page] = entries
-                size += sum(d.size_bytes + VT_WIRE for _, d in entries)
-        return out, size
-
-    def _starting_copy(
-        self, detail: Tuple[PageId, VClock]
-    ) -> Tuple[Tuple[bytes, VClock], int]:
-        page, ceiling = detail
-        copy = self.host.ckpt_mgr.maximal_starting_copy(page, ceiling)
-        return (copy.data, copy.version), len(copy.data) + VT_WIRE
+        host.proto.cpu.accrue_handler(20e-6)
+        host.cluster.send(host.pid, src, reply)
 
 
 # ======================================================================
@@ -249,7 +167,9 @@ class RecoveryManager:
         self.replica_fetch_s = 0.0
 
     # -- query plumbing -------------------------------------------------
-    def query(self, dst: int, kind: str, detail: Any = None) -> Iterator[Any]:
+    def query(
+        self, dst: int, kind: str, detail: Any = None, about: Optional[int] = None
+    ) -> Iterator[Any]:
         while True:
             # qids are host-level monotonic: a restarted recovery must
             # never reuse a qid a killed incarnation has in flight, or a
@@ -260,34 +180,45 @@ class RecoveryManager:
             self.cluster.send(
                 self.pid,
                 dst,
-                RecoveryQuery(kind=kind, requester=self.pid, detail=detail, qid=qid),
+                RecoveryQuery(
+                    kind=kind, requester=self.pid, detail=detail, qid=qid,
+                    about=about,
+                ),
             )
             reply: RecoveryReply = yield fut
-            if kind.startswith("replica_"):
-                # replica fetches are served from the holder's volatile
-                # replica tier, which is valid regardless of the holder's
-                # own failure history — no overlap check applies
+            if about is not None:
+                # served from the holder's volatile replica tier, which
+                # is valid regardless of the holder's own failure
+                # history — no overlap check applies
                 return reply.payload
-            if not self.cluster.replication:
-                self._check_overlap(reply)
-                return reply.payload
-            if (
-                reply.responder_crash_time >= 0
-                and reply.responder_crash_time >= self.crash_time
-            ):
-                # overlapping failure: the responder lost the mirrors we
-                # need — fall back to its buddy's replica of them
+            # Only the *ordering* of the failures matters. A responder that
+            # crashed strictly before us rebuilt (or is rebuilding) its logs
+            # from mirrors recorded while we were still alive, and queries
+            # it cannot yet answer are held until it can — that interleaving
+            # is the workable mutual-recovery dance. A responder that failed
+            # at-or-after us lost the very mirrors our replay depends on,
+            # and its own rebuild cannot reach us for them (we are down).
+            failed_at = reply.responder_crash_time
+            if failed_at >= 0 and failed_at >= self.crash_time:
+                if not self.cluster.replication:
+                    raise OverlappingFailureError(
+                        f"recovery of p{self.pid} (crashed "
+                        f"t={self.crash_time:.6f}) depends on "
+                        f"p{reply.responder}, which failed at "
+                        f"t={failed_at:.6f} — its volatile "
+                        "logs may no longer cover this replay (overlapping "
+                        "failures exceed the single-fault model, §2)"
+                    )
+                # fall back to its buddy's replica of those mirrors
                 payload = yield from self._query_replica(dst, kind, detail)
                 return payload
-            if reply.responder_recovering:
+            if self.cluster.replication and reply.responder_recovering:
                 # the responder crashed strictly before us and is still
                 # rebuilding: its mirrors of *us* are intact but possibly
                 # not yet drained into its state — retry until it is
                 # live.  Deadlock-free: in any mutually-recovering pair
-                # exactly one side sees overlap (>= above) and completes
+                # exactly one side sees overlap (above) and completes
                 # via the replica path, unblocking the other.
-                from repro.sim.engine import Delay
-
                 yield Delay(self.cluster.config.failure_detection_delay)
                 continue
             return reply.payload
@@ -301,8 +232,6 @@ class RecoveryManager:
         (e.g. both ends crashed before a re-sync) — that is the residual,
         explicitly-diagnosed unrecoverable overlap.
         """
-        from repro.core.replica import NO_REPLICA
-
         cluster = self.cluster
         tried: List[int] = []
         while True:
@@ -319,34 +248,13 @@ class RecoveryManager:
             if bus.active:
                 bus.emit(REPL_FETCH, self.pid, kind, lost, holder)
             t0 = cluster.engine.now
-            payload = yield from self.query(holder, "replica_" + kind, (lost, detail))
+            payload = yield from self.query(holder, kind, detail, about=lost)
             self.replica_fetches += 1
             self.replica_fetch_s += cluster.engine.now - t0
-            if isinstance(payload, str) and payload == NO_REPLICA:
+            if payload is NO_REPLICA:
                 tried.append(holder)
                 continue
             return payload
-
-    def _check_overlap(self, reply: RecoveryReply) -> None:
-        # Only the *ordering* of the failures matters. A responder that
-        # crashed strictly before us rebuilt (or is rebuilding) its logs
-        # from mirrors recorded while we were still alive, and queries it
-        # cannot yet answer are held until it can — that interleaving is
-        # the workable mutual-recovery dance. A responder that failed
-        # at-or-after us lost the very mirrors our replay depends on, and
-        # its own rebuild cannot reach us for them (we are down): that is
-        # the unrecoverable overlap.
-        if (
-            reply.responder_crash_time >= 0
-            and reply.responder_crash_time >= self.crash_time
-        ):
-            raise OverlappingFailureError(
-                f"recovery of p{self.pid} (crashed t={self.crash_time:.6f}) "
-                f"depends on p{reply.responder}, which failed at "
-                f"t={reply.responder_crash_time:.6f} — its volatile logs "
-                "may no longer cover this replay (overlapping failures "
-                "exceed the single-fault model, §2)"
-            )
 
     def query_all(self, kind: str, detail: Any = None) -> Iterator[Any]:
         """Query every live peer; returns {pid: payload}."""
@@ -450,7 +358,7 @@ class RecoveryManager:
         # 3. replay -------------------------------------------------------
         self._rphase("replay", "begin")
         proto.replay = driver
-        driver.apply_eligible_home_diffs()
+        driver.apply_home_diffs(proto.vt)
         driver.on_live = self._go_live
 
         yield from cluster._app_main(host)
@@ -582,7 +490,6 @@ class _PoolEntry:
     creator: int
     t: VClock
     diff: Diff
-    applied: bool = False
 
 
 class ReplayDriver:
@@ -717,63 +624,40 @@ class ReplayDriver:
         # replayed notices are not counted in stats.notices_applied
         proto._apply_notices(self.peer_notices.between(old, joined))
         proto.vt = joined
-        self.apply_eligible_home_diffs()
+        self.apply_home_diffs(joined)
 
-    def apply_eligible_home_diffs(self) -> None:
-        """Apply collected diffs for our homed pages that happened before
-        the current replay point.
+    @staticmethod
+    def _apply_pooled(
+        pool: List[_PoolEntry],
+        version: VClock,
+        ceiling: Optional[VClock],
+        write: Callable[[Diff], None],
+    ) -> VClock:
+        """The one way pooled diffs reach a page copy at ``version``.
 
-        Newly eligible entries are batched per page: when the coverage
-        union (:func:`merge_runs`) proves their byte ranges disjoint —
-        the common case, since HLRC writers of a page partition it — the
-        batch collapses into one concatenated diff applied with a single
-        vectorized scatter; overlapping batches fall back to sequential
-        application in pool (componentwise-sum) order.
+        In pool order (a linear extension of vector time), ``write`` every
+        diff the copy does not reflect yet and that happened before
+        ``ceiling`` (``None``: every one); returns the copy's new version.
         """
-        proto = self.proto
-        vt = proto.vt
-        for page, pool in self.home_pool.items():
-            hp = proto.home[page]
-            batch = []
-            for e in pool:
-                if e.applied:
-                    continue
-                interval = e.t[e.creator]
-                if e.t[e.creator] > vt[e.creator]:
-                    continue
-                e.applied = True
-                if hp.is_duplicate(e.creator, interval):
-                    continue
-                batch.append((e, interval))
-            if batch:
-                buf = proto.page_bytes(page)
-                diffs = [e.diff for e, _ in batch]
-                if len(diffs) > 1 and sum(
-                    hi - lo for lo, hi in merge_runs(diffs)
-                ) == sum(d.payload_bytes for d in diffs):
-                    apply_diff(buf, concat_diffs(diffs))
-                else:
-                    for d in diffs:
-                        apply_diff(buf, d)
-                for e, interval in batch:
-                    hp.advance(e.creator, interval)
-            proto.have_v[page] = proto.have_v[page].join(hp.version)
+        for e in pool:
+            interval = e.t[e.creator]
+            if interval <= version[e.creator]:
+                continue  # already reflected
+            if ceiling is not None and interval > ceiling[e.creator]:
+                continue  # did not happen before the replay point
+            write(e.diff)
+            version = version.with_component(e.creator, interval)
+        return version
 
-    def apply_all_home_diffs(self) -> None:
-        """Finalize: bring every homed page fully up to the crash point."""
+    def apply_home_diffs(self, ceiling: Optional[VClock]) -> None:
+        """Bring our homed pages up to the replay point ``ceiling`` — or,
+        at the live switch (``None``), fully up to the crash point."""
         proto = self.proto
         for page, pool in self.home_pool.items():
             hp = proto.home[page]
-            buf = proto.page_bytes(page)
-            for e in pool:
-                if e.applied:
-                    continue
-                e.applied = True
-                interval = e.t[e.creator]
-                if hp.is_duplicate(e.creator, interval):
-                    continue
-                apply_diff(buf, e.diff)
-                hp.advance(e.creator, interval)
+            hp.version = self._apply_pooled(
+                pool, hp.version, ceiling, partial(proto.apply_remote_diff, page)
+            )
             proto.have_v[page] = proto.have_v[page].join(hp.version)
 
     # ------------------------------------------------------------------
@@ -856,33 +740,24 @@ class ReplayDriver:
         """Apply newly happened-before diffs to the evolving copy.
 
         Includes the recovering process's own diffs (restored + rebuilt),
-        read straight from its diff log.
+        read straight from its diff log: they grow as replay flushes.
         """
-        proto = self.proto
-        vt = proto.vt
         buf = self.evolving[page]
-        version = self.evolving_v[page]
-        pool = self.pool[page]
-        # merge own log entries lazily (they grow as replay flushes)
         own = [
             _PoolEntry(self.pid, e.t, e.diff)
             for e in self.ft.logs.diff.entries_for(page)
         ]
-        merged = sorted(pool + own, key=lambda e: _sum_key(e.t))
-        for e in merged:
-            interval = e.t[e.creator]
-            if interval <= version[e.creator]:
-                continue  # already reflected
-            if interval > vt[e.creator]:
-                continue  # did not happen before the current point
-            apply_diff(buf, e.diff)
-            version = version.with_component(e.creator, interval)
-        self.evolving_v[page] = version
+        version = self.evolving_v[page] = self._apply_pooled(
+            sorted(self.pool[page] + own, key=lambda e: _sum_key(e.t)),
+            self.evolving_v[page],
+            self.proto.vt,
+            partial(apply_diff, buf),
+        )
         return buf, version
 
     def replay_home_access(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
         proto = self.proto
-        self.apply_eligible_home_diffs()
+        self.apply_home_diffs(proto.vt)
         hp = proto.home[page]
         if entry.needed_v is not None and not hp.ready_for(entry.needed_v):
             raise RuntimeError(
@@ -907,7 +782,7 @@ class ReplayDriver:
     def finalize(self) -> None:
         proto = self.proto
         proto.replay = None
-        self.apply_all_home_diffs()
+        self.apply_home_diffs(None)
         # For locks this process manages, the GrantInfo stream that queued
         # while it was down IS its own owner tracking: every transfer the
         # grantors performed after their handshake replies went out is
@@ -931,6 +806,7 @@ class ReplayDriver:
             | set(self.arrivals)
             | set(self.owner_reports)
             | set(queued_owner)
+            | set(self.peer_token_holders)
             | set(proto.locks.known_locks())
         )
         for lock_id in all_locks:

@@ -1,43 +1,48 @@
-"""Buddy replication: in-memory checkpoint + sender-log mirrors (ROADMAP 3).
+"""The recovery image, and its buddy replication (ROADMAP 3).
 
-The paper's recovery protocol assumes at most one failure at a time: a
-recovering process rebuilds its volatile logs from *peers'* mirrors, so a
-second overlapping failure can take down exactly the responder whose
-mirrors replay needs (``OverlappingFailureError``). Following the
-in-memory-replication direction of Besta & Hoefler's resilient RMA model
-and LLFT's leader/follower replication, each node optionally mirrors its
-committed checkpoints and sender-log segments into a designated peer's
-*volatile* memory — the ring buddy ``pid -> (pid+1) % N``, re-assigned
-when a buddy dies — giving recovery a second source that survives the
-loss of the node's own volatile state.
+§4.2-4.3 has a restarting process ask its peers for "the logs they hold
+about me". :class:`FtImage` is everything one node can be asked for, in
+the classes the live node already uses, with one :meth:`FtImage.answer`
+for the four query kinds (handshake / page_diffs / home_diffs /
+starting_copy) and one modelled wire size per kind. A live node answers
+from a by-reference view of its own state (:meth:`FtImage.live`).
 
-Three moving parts live here:
+The paper assumes at most one failure at a time: a second, overlapping
+failure can take down exactly the responder whose logs replay needs
+(``OverlappingFailureError``). Following the in-memory-replication
+direction of Besta & Hoefler's resilient RMA model and LLFT's
+leader/follower replication, each node optionally ships a *copy* of its
+image (:meth:`FtImage.copy_of`) into a designated peer's *volatile*
+memory — the ring buddy ``pid -> (pid+1) % N``, re-assigned when a buddy
+dies — so recovery has a second source that answers the same way:
 
-- :class:`Replicator` — the protected node's side: streams a full **base
-  snapshot** at every checkpoint commit (two-phase ``begin``/``commit``
-  bracketing the disk write, mirroring the stable-storage commit-marker
-  discipline so a crash mid-replication leaves a detectably *torn*
-  replica record) plus **incremental ops** for every FT log event in
-  between; tracks replication acks, whose seqno is the ceiling CGC may
-  trim up to (state must be disk-stable *and* buddy-held).
-- :func:`replica_apply` — the buddy's side: applies updates into the
-  host's :class:`~repro.sim.storage.ReplicaStore` and acks committed
-  bases.
-- :func:`serve_replica_query` — recovery's second source: answers the
-  same four query kinds the live :class:`RecoveryResponder` serves
-  (handshake / page_diffs / home_diffs / starting_copy), reconstructed
-  from the newest committed base plus its op tail. Extra entries a live
-  node would already have trimmed are harmless: the recovering side
-  filters with the same predicates it applies to live answers.
+- :class:`Replicator` — the protected node's side: a full image at every
+  checkpoint (two-phase ``begin``/``commit`` bracketing the disk write,
+  mirroring the stable-storage commit-marker discipline so a crash
+  mid-replication leaves a detectably *torn* record) plus one ``op`` per
+  FT log event in between; tracks replication acks, whose seqno is the
+  ceiling CGC may trim up to (state must be disk-stable *and*
+  buddy-held).
+- :func:`replica_apply` — the buddy's side: stores images in the host's
+  :class:`~repro.sim.storage.ReplicaStore`, advances every retained one
+  when an op arrives (:meth:`FtImage.apply`, through the same log
+  methods the FT hooks call) and acks committed ones.
+- :func:`best_record` — the newest committed record, whose image the
+  responder asks on behalf of a lost peer. Extra entries a live node
+  would already have trimmed are harmless: the recovering side filters
+  with the same predicates it applies to live answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.logs import RelEntry
+from repro.core.checkpoint import PageCopy, maximal_starting_copy
+from repro.core.logs import VolatileLogs
 from repro.dsm.messages import ReplicaAck, ReplicaUpdate, WriteNotice
+from repro.dsm.pages import PageId
+from repro.dsm.vclock import VClock
 from repro.sim.trace import (
     REPL_ACK,
     REPL_BEGIN,
@@ -46,19 +51,282 @@ from repro.sim.trace import (
     REPL_SYNC,
 )
 
-__all__ = ["ReplicaRecord", "Replicator", "replica_apply", "serve_replica_query"]
+__all__ = [
+    "FtImage",
+    "SyncState",
+    "ReplicaRecord",
+    "Replicator",
+    "replica_apply",
+    "best_record",
+]
 
-NO_REPLICA = "__noreplica__"  # sentinel payload: holder has nothing usable
+NO_REPLICA = "__noreplica__"  # sentinel payload: nothing usable to answer from
 
-# modeled wire sizes (match repro.core.recovery's constants)
-_REL_WIRE = 40
-_NOTICE_WIRE = 16
-_VT_WIRE = 32
+# modeled wire sizes
+REL_ENTRY_WIRE = 40  # lock id + vt
+NOTICE_WIRE = 16
+VT_WIRE = 32
+
+DiffEntries = List[Tuple[VClock, Any]]  # [(diff.T, diff)]
+
+
+def _diff_wire(diff: Any) -> int:
+    """Modelled size of one logged diff with its timestamp."""
+    return diff.size_bytes + VT_WIRE
+
+
+# ======================================================================
+# the image
+# ======================================================================
+
+
+@dataclass
+class SyncState:
+    """The lock and barrier bookkeeping a handshake reports."""
+
+    #: lock -> (has_token, held, successor acquirer, successor seq)
+    tokens: Dict[int, Tuple[bool, bool, Optional[int], int]]
+    managed_owners: Dict[int, int]
+    completed_seq: Dict[int, int]
+    #: mirrors of peers' self-grants, held as their lock manager or as
+    #: their buddy: grantor -> lock -> [acq_t]
+    mirror_self: Dict[int, Dict[int, List[VClock]]]
+    #: barrier manager's episode -> global vt (empty elsewhere)
+    bar_history: Dict[int, VClock]
+    tckp: VClock
+    bar_ep: int
+
+    @classmethod
+    def of(
+        cls, ft: Any, tckp: Optional[VClock] = None, bar_ep: Optional[int] = None
+    ) -> "SyncState":
+        """Read a live node (``tckp``/``bar_ep``: those of a checkpoint
+        being staged, which ``ft.trim`` learns only at its commit)."""
+        proc, pid = ft.proc, ft.pid
+        locks = proc.locks
+        managed = {l: locks.manager(l) for l in locks.managed_locks()}
+        mirror_self: Dict[int, Dict[int, List[VClock]]] = {}
+
+        def mirror(grantor: int, lock_id: int, entries: List[VClock]) -> None:
+            if entries:
+                by_lock = mirror_self.setdefault(grantor, {})
+                by_lock.setdefault(lock_id, []).extend(entries)
+
+        for lock_id, mgr in managed.items():
+            for grantor, entries in mgr.self_grants.items():
+                if grantor != pid:
+                    mirror(grantor, lock_id, entries)
+        for grantor, by_lock in ft.buddy_selfgrants.items():
+            for lock_id, entries in by_lock.items():
+                mirror(grantor, lock_id, entries)
+        bar_mgr = proc.barrier_mgr
+        return cls(
+            tokens=locks.chain_snapshot(),
+            managed_owners={l: m.owner() for l, m in managed.items()},
+            completed_seq=dict(proc._completed_seq),
+            mirror_self=mirror_self,
+            bar_history=dict(bar_mgr.history) if bar_mgr is not None else {},
+            tckp=tckp if tckp is not None else ft.trim.tckp[pid],
+            bar_ep=bar_ep if bar_ep is not None else ft.trim.bar_ep[pid],
+        )
+
+    def acquired(self, lock_id: int, seq: int) -> None:
+        """The node completed acquire ``seq``: the token is here, held."""
+        self.tokens[lock_id] = (True, True, None, 0)
+        self.completed_seq[lock_id] = seq
+
+
+class FtImage:
+    """Everything a peer's recovery may ask node ``pid`` for."""
+
+    def __init__(
+        self,
+        pid: int,
+        regions: Any,
+        logs: VolatileLogs,
+        page_copies: Dict[PageId, List[PageCopy]],
+        wn: Optional[List[WriteNotice]] = None,
+        sync: Optional[SyncState] = None,
+        live_ft: Any = None,
+    ) -> None:
+        self.pid = pid
+        self.regions = regions
+        #: rel/acq/diff/bar logs
+        self.logs = logs
+        #: retained checkpoint copies of the pages homed at ``pid``
+        self.page_copies = page_copies
+        #: own write notices and sync state of a copied image; a live
+        #: view reads them from ``live_ft`` when a handshake asks
+        self.wn = wn
+        self.sync = sync
+        self.live_ft = live_ft
+
+    @classmethod
+    def live(cls, ft: Any) -> "FtImage":
+        """By-reference view of a live node: nothing is copied, and only
+        what the asked kind reads is materialised."""
+        return cls(
+            ft.pid, ft.proc.regions, ft.logs, ft.ckpt_mgr.page_copies, live_ft=ft
+        )
+
+    @classmethod
+    def copy_of(
+        cls,
+        ft: Any,
+        tckp: Optional[VClock] = None,
+        bar_ep: Optional[int] = None,
+        staged: Optional[Dict[PageId, Tuple[bytes, VClock]]] = None,
+        staged_seqno: int = 0,
+    ) -> "FtImage":
+        """Independent copy, to ship to the buddy.
+
+        ``staged`` carries the homed pages of a checkpoint currently
+        being staged (its copies join ``ckpt_mgr.page_copies`` only at
+        commit, but the image for that seqno must include them).
+        """
+        page_copies = {p: list(cs) for p, cs in ft.ckpt_mgr.page_copies.items()}
+        for page, (data, version) in (staged or {}).items():
+            page_copies.setdefault(page, []).append(
+                PageCopy(staged_seqno, version, data)
+            )
+        return cls(
+            ft.pid,
+            ft.proc.regions,
+            ft.logs.copy(),
+            page_copies,
+            wn=list(ft.proc.notices.own_after(ft.pid, 0)),
+            sync=SyncState.of(ft, tckp, bar_ep),
+        )
+
+    def size_bytes(self) -> int:
+        """Modelled size of the whole (copied) image on the wire."""
+        logs, sync = self.logs, self.sync
+        return (
+            (logs.rel.count() + logs.acq.count()) * REL_ENTRY_WIRE
+            + len(self.wn) * NOTICE_WIRE
+            + (
+                sum(len(v) for m in sync.mirror_self.values() for v in m.values())
+                + len(sync.bar_history)
+                + len(logs.bar)
+            )
+            * VT_WIRE
+            + sum(
+                _diff_wire(e.diff) for es in logs.diff.per_page.values() for e in es
+            )
+            + sum(
+                len(c.data) + VT_WIRE
+                for copies in self.page_copies.values()
+                for c in copies
+            )
+            + (len(sync.tokens) + len(sync.managed_owners)) * 8
+            + VT_WIRE
+        )
+
+    # -- the one answerer -----------------------------------------------
+    def _diffs(self, page: PageId) -> DiffEntries:
+        return [(e.t, e.diff) for e in self.logs.diff.entries_for(page)]
+
+    def answer(self, kind: str, requester: int, detail: Any = None) -> Tuple[Any, int]:
+        """``(payload, modelled size)`` for one recovery query."""
+        if kind == "handshake":
+            ft = self.live_ft
+            if ft is None:
+                wn, sync = self.wn, self.sync
+            else:
+                wn, sync = ft.proc.notices.own_after(self.pid, 0), SyncState.of(ft)
+            rel_entries = self.logs.rel.for_acquirer(requester)
+            acq_mirror = self.logs.acq.for_grantor(requester)
+            self_grants = {
+                lock_id: list(entries)
+                for lock_id, entries in sync.mirror_self.get(requester, {}).items()
+            }
+            bar_mirror = [(b.episode, b.global_vt) for b in self.logs.bar]
+            payload = {
+                "managed_owners": sync.managed_owners,
+                "rel_entries": rel_entries,
+                "acq_mirror": acq_mirror,
+                "wn": wn,
+                "self_grants": self_grants,
+                "bar_history": sync.bar_history,
+                "bar_mirror": bar_mirror,
+                "tckp": sync.tckp,
+                "bar_ep": sync.bar_ep,
+                "tokens": sync.tokens,
+                "completed_seq": sync.completed_seq,
+            }
+            size = (
+                (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
+                + len(wn) * NOTICE_WIRE
+                + sum(len(v) for v in self_grants.values()) * VT_WIRE
+                + (len(sync.bar_history) + len(bar_mirror)) * VT_WIRE
+                + len(sync.tokens) * 8
+                + VT_WIRE
+            )
+            return payload, size
+        if kind == "page_diffs":
+            entries = self._diffs(detail)
+            return entries, sum(_diff_wire(d) for _, d in entries)
+        if kind == "home_diffs":
+            out = {
+                page: self._diffs(page)
+                for page, es in self.logs.diff.per_page.items()
+                if es and self.regions.home_of(page) == requester
+            }
+            return out, sum(_diff_wire(d) for es in out.values() for _, d in es)
+        if kind == "starting_copy":
+            page, ceiling = detail
+            copy = maximal_starting_copy(self.page_copies.get(page, ()), ceiling)
+            if copy is None:
+                return NO_REPLICA, 8
+            return (copy.data, copy.version), len(copy.data) + VT_WIRE
+        raise RuntimeError(f"unknown recovery query kind {kind!r}")
+
+    # -- replica advance ------------------------------------------------
+    def apply(self, op: Tuple) -> None:
+        """Advance a copied image by one FT logging event of §4.2, through
+        the log methods the protected node's own hooks called."""
+        kind = op[0]
+        logs, sync = self.logs, self.sync
+        if kind == "rel":
+            # the protected node granted lock_id away: log + token left
+            _, acquirer, lock_id, acq_t = op
+            logs.rel.append(acquirer, lock_id, acq_t)
+            sync.tokens[lock_id] = (False, False, None, 0)
+        elif kind == "rel_fix":
+            _, acquirer, lock_id, actual_t = op
+            logs.rel.confirm(acquirer, lock_id, actual_t, self.pid)
+        elif kind == "acq":
+            _, grantor, lock_id, acq_t, seq = op
+            logs.acq.append(grantor, lock_id, acq_t)
+            sync.acquired(lock_id, seq)
+        elif kind == "self":
+            _, lock_id, _acq_t, seq = op
+            sync.acquired(lock_id, seq)
+        elif kind == "mself":
+            _, grantor, lock_id, acq_t = op
+            sync.mirror_self.setdefault(grantor, {}).setdefault(
+                lock_id, []
+            ).append(acq_t)
+        elif kind == "bar":
+            logs.log_barrier(op[1], op[2])
+        elif kind == "diff":
+            # a diff-log append and its 1:1 own write notice
+            _, page, diff, t = op
+            logs.diff.append(page, diff, t)
+            self.wn.append(WriteNotice(self.pid, t[self.pid], page, t))
+        elif kind == "owner":
+            sync.managed_owners[op[1]] = op[2]
+        else:
+            raise RuntimeError(f"unknown replica op {kind!r}")
+
+
+def _op_size(op: Tuple) -> int:
+    return _diff_wire(op[2]) if op[0] == "diff" else REL_ENTRY_WIRE
 
 
 @dataclass
 class ReplicaRecord:
-    """One replicated base generation plus the op tail appended since.
+    """One replicated image generation, advanced by the ops since.
 
     Stored in the buddy's :class:`ReplicaStore` under ``("replica",
     seqno)``; ``gen`` is the protected node's re-buddying epoch, so a
@@ -68,118 +336,7 @@ class ReplicaRecord:
 
     seqno: int
     gen: int
-    base: Dict[str, Any]
-    ops: List[Tuple] = field(default_factory=list)
-    base_size: int = 0
-
-
-# ======================================================================
-# base snapshots
-# ======================================================================
-
-
-def build_base(
-    ft: Any,
-    tckp: Any = None,
-    bar_ep: Optional[int] = None,
-    extra_copies: Optional[Dict[Any, Tuple[bytes, Any]]] = None,
-    extra_seqno: int = 0,
-) -> Tuple[Dict[str, Any], int]:
-    """Snapshot everything a recovery handshake could ask this node for.
-
-    ``extra_copies`` carries the homed pages of a checkpoint currently
-    being staged (its copies join ``ckpt_mgr.page_copies`` only at
-    commit, but the replica base for that seqno must include them).
-    Returns ``(base, modeled_size_bytes)``.
-    """
-    proc = ft.proc
-    pid = ft.pid
-    rel = [
-        (acquirer, e.lock_id, e.acq_t)
-        for acquirer, entries in enumerate(ft.logs.rel.entries)
-        for e in entries
-    ]
-    acq = [
-        (grantor, e.lock_id, e.acq_t)
-        for grantor, entries in enumerate(ft.logs.acq.entries)
-        for e in entries
-    ]
-    wn = list(proc.notices.own_after(pid, 0))
-    mirror_self: Dict[int, Dict[int, List[Any]]] = {}
-    for lock_id in proc.locks.managed_locks():
-        mgr = proc.locks.manager(lock_id)
-        for grantor, entries in mgr.self_grants.items():
-            if entries and grantor != pid:
-                mirror_self.setdefault(grantor, {}).setdefault(
-                    lock_id, []
-                ).extend(entries)
-    for grantor, locks in ft.buddy_selfgrants.items():
-        for lock_id, entries in locks.items():
-            if entries:
-                mirror_self.setdefault(grantor, {}).setdefault(
-                    lock_id, []
-                ).extend(entries)
-    bar_history: Dict[int, Any] = {}
-    if proc.barrier_mgr is not None:
-        bar_history = dict(proc.barrier_mgr.history)
-    bar_mirror = [(b.episode, b.global_vt) for b in ft.logs.bar]
-    diff: Dict[Any, List[Tuple[Any, Any]]] = {}
-    for page in ft.logs.diff.pages():
-        entries = [(e.t, e.diff) for e in ft.logs.diff.entries_for(page)]
-        if entries:
-            diff[page] = entries
-    page_copies: Dict[Any, List[Tuple[int, Any, bytes]]] = {}
-    for page, copies in ft.ckpt_mgr.page_copies.items():
-        page_copies[page] = [(c.ckpt_seqno, c.version, c.data) for c in copies]
-    if extra_copies:
-        for page, (data, version) in extra_copies.items():
-            page_copies.setdefault(page, []).append(
-                (extra_seqno, version, data)
-            )
-    base = {
-        "rel": rel,
-        "acq": acq,
-        "wn": wn,
-        "mirror_self": mirror_self,
-        "bar_history": bar_history,
-        "bar_mirror": bar_mirror,
-        "tckp": tckp if tckp is not None else ft.trim.tckp[pid],
-        "bar_ep": bar_ep if bar_ep is not None else ft.trim.bar_ep[pid],
-        "tokens": proc.locks.chain_snapshot(),
-        "managed_owners": {
-            lock_id: proc.locks.manager(lock_id).owner()
-            for lock_id in proc.locks.managed_locks()
-        },
-        "completed_seq": dict(proc._completed_seq),
-    }
-    size = (
-        (len(rel) + len(acq)) * _REL_WIRE
-        + len(wn) * _NOTICE_WIRE
-        + sum(
-            len(v) for locks in mirror_self.values() for v in locks.values()
-        )
-        * _VT_WIRE
-        + (len(bar_history) + len(bar_mirror)) * _VT_WIRE
-        + sum(
-            d.size_bytes + _VT_WIRE for es in diff.values() for _, d in es
-        )
-        + sum(
-            len(data) + _VT_WIRE
-            for copies in page_copies.values()
-            for _, _, data in copies
-        )
-        + (len(base["tokens"]) + len(base["managed_owners"])) * 8
-        + _VT_WIRE
-    )
-    base["diff"] = diff
-    base["page_copies"] = page_copies
-    return base, size
-
-
-def _op_size(op: Tuple) -> int:
-    if op[0] == "diff":
-        return op[2].size_bytes + _VT_WIRE
-    return _REL_WIRE
+    image: FtImage
 
 
 # ======================================================================
@@ -204,10 +361,6 @@ class Replicator:
         #: highest base seqno the *current* buddy has acked — the CGC trim
         #: ceiling (-1: nothing buddy-held yet, CGC must not collect)
         self.acked_seqno = -1
-        # accounting
-        self.bytes_sent = 0
-        self.ops_sent = 0
-        self.syncs_sent = 0
 
     # -- buddy assignment ----------------------------------------------
     def choose_buddy(self) -> Optional[int]:
@@ -243,38 +396,37 @@ class Replicator:
     # -- replication stream --------------------------------------------
     def _send(self, msg: ReplicaUpdate, dst: Optional[int] = None) -> None:
         dst = self.buddy if dst is None else dst
-        if dst is None:
-            return
-        self.bytes_sent += msg.body_size + 16
-        self.ft.proc._send(dst, msg)
+        if dst is not None:
+            self.ft.proc._send(dst, msg)
 
     def _streaming(self) -> bool:
         return self.buddy is not None and not self.host.recovering
 
-    def full_sync(self) -> None:
-        """Replicate the complete current state as one committed base."""
-        if not self._streaming():
-            return
-        base, size = build_base(self.ft)
-        seqno = self.ft.ckpt_mgr.next_seqno - 1
-        self.syncs_sent += 1
+    def _ship(self, kind: str, seqno: int, image: FtImage) -> None:
         self._send(
             ReplicaUpdate(
-                kind="sync",
+                kind=kind,
                 protected=self.pid,
                 seqno=seqno,
                 gen=self.gen,
-                body=base,
-                body_size=size,
+                body=image,
+                body_size=image.size_bytes(),
             )
         )
+
+    def full_sync(self) -> None:
+        """Replicate the complete current state as one committed image."""
+        if not self._streaming():
+            return
+        seqno = self.ft.ckpt_mgr.next_seqno - 1
+        self._ship("sync", seqno, FtImage.copy_of(self.ft))
         if self.bus.active:
             self.bus.emit(REPL_SYNC, self.pid, seqno, self.buddy)
 
     def on_ckpt_begin(
         self, seqno: int, tckp: Any, bar_ep: int, homed: Dict[Any, Tuple[bytes, Any]]
     ) -> None:
-        """A checkpoint disk write is starting: stage the new base.
+        """A checkpoint disk write is starting: stage the new image.
 
         Sent *before* the write so a crash during the vulnerable window
         leaves a pending (torn) replica record at the buddy, which
@@ -282,19 +434,8 @@ class Replicator:
         """
         if not self._streaming():
             return
-        base, size = build_base(
-            self.ft, tckp=tckp, bar_ep=bar_ep, extra_copies=homed,
-            extra_seqno=seqno,
-        )
-        self._send(
-            ReplicaUpdate(
-                kind="begin",
-                protected=self.pid,
-                seqno=seqno,
-                gen=self.gen,
-                body=base,
-                body_size=size,
-            )
+        self._ship(
+            "begin", seqno, FtImage.copy_of(self.ft, tckp, bar_ep, homed, seqno)
         )
         if self.bus.active:
             self.bus.emit(REPL_BEGIN, self.pid, seqno, self.buddy)
@@ -314,7 +455,6 @@ class Replicator:
         """Mirror one incremental log event."""
         if not self._streaming():
             return
-        self.ops_sent += 1
         self._send(
             ReplicaUpdate(
                 kind="op",
@@ -356,17 +496,11 @@ def replica_apply(host: Any, src: int, msg: ReplicaUpdate) -> None:
     if msg.kind == "sync":
         for k in store.keys():
             store.delete(k)
-        store.put(
-            key,
-            ReplicaRecord(msg.seqno, msg.gen, msg.body, base_size=msg.body_size),
-            msg.body_size,
-        )
+        store.put(key, ReplicaRecord(msg.seqno, msg.gen, msg.body), msg.body_size)
         _ack(host, src, msg)
     elif msg.kind == "begin":
         store.begin_put(
-            key,
-            ReplicaRecord(msg.seqno, msg.gen, msg.body, base_size=msg.body_size),
-            msg.body_size,
+            key, ReplicaRecord(msg.seqno, msg.gen, msg.body), msg.body_size
         )
     elif msg.kind == "commit":
         if key not in store:
@@ -377,10 +511,10 @@ def replica_apply(host: Any, src: int, msg: ReplicaUpdate) -> None:
                 store.delete(k)
         _ack(host, src, msg)
     elif msg.kind == "op":
-        # append to every retained record: the previous committed base
-        # needs the tail in case the in-flight one ends up torn
+        # advance every retained image: the previous committed one must
+        # keep up in case the in-flight one ends up torn
         for k in store.keys():
-            store.get(k).ops.append(msg.body)
+            store.get(k).image.apply(msg.body)
     else:
         raise RuntimeError(f"unknown replica update kind {msg.kind!r}")
 
@@ -406,166 +540,3 @@ def best_record(host: Any, protected: int) -> Optional[ReplicaRecord]:
         if best is None or (rec.gen, rec.seqno) > (best.gen, best.seqno):
             best = rec
     return best
-
-
-# ======================================================================
-# recovery's second source
-# ======================================================================
-
-
-def _view(rec: ReplicaRecord, protected: int) -> Dict[str, Any]:
-    """Materialize the record's base + op tail into handshake-shaped state.
-
-    The op stream is exactly the FT logging hook stream of §4.2, so the
-    overlay mirrors what the live node's handlers would have built.
-    """
-    base = rec.base
-    rel = [list(t) for t in base["rel"]]
-    acq = list(base["acq"])
-    wn = list(base["wn"])
-    mirror_self = {
-        g: {l: list(v) for l, v in locks.items()}
-        for g, locks in base["mirror_self"].items()
-    }
-    bar_mirror = list(base["bar_mirror"])
-    diff = {p: list(es) for p, es in base["diff"].items()}
-    tokens = dict(base["tokens"])
-    owners = dict(base["managed_owners"])
-    completed = dict(base["completed_seq"])
-    for op in rec.ops:
-        kind = op[0]
-        if kind == "rel":
-            # the protected node granted lock_id away: log + token left
-            rel.append([op[1], op[2], op[3]])
-            tokens[op[2]] = (False, False, None, 0)
-        elif kind == "rel_fix":
-            # AcqAck landed: the grantor's predicted timestamp became the
-            # acquirer's actual one (matched by the grantor's own
-            # component, identical in both)
-            _, acquirer, lock_id, actual = op
-            for e in reversed(rel):
-                if (
-                    e[0] == acquirer
-                    and e[1] == lock_id
-                    and e[2][protected] == actual[protected]
-                ):
-                    e[2] = actual
-                    break
-        elif kind == "acq":
-            _, grantor, lock_id, acq_t, seq = op
-            acq.append((grantor, lock_id, acq_t))
-            tokens[lock_id] = (True, True, None, 0)
-            completed[lock_id] = seq
-        elif kind == "self":
-            _, lock_id, acq_t, seq = op
-            tokens[lock_id] = (True, True, None, 0)
-            completed[lock_id] = seq
-        elif kind == "mself":
-            _, grantor, lock_id, acq_t = op
-            mirror_self.setdefault(grantor, {}).setdefault(lock_id, []).append(
-                acq_t
-            )
-        elif kind == "bar":
-            bar_mirror.append((op[1], op[2]))
-        elif kind == "diff":
-            # a diff-log append and its 1:1 own write notice
-            _, page, d, t = op
-            diff.setdefault(page, []).append((t, d))
-            wn.append(WriteNotice(protected, t[protected], page, t))
-        elif kind == "owner":
-            owners[op[1]] = op[2]
-    return {
-        "rel": rel,
-        "acq": acq,
-        "wn": wn,
-        "mirror_self": mirror_self,
-        "bar_history": dict(base["bar_history"]),
-        "bar_mirror": bar_mirror,
-        "diff": diff,
-        "tokens": tokens,
-        "managed_owners": owners,
-        "completed_seq": completed,
-        "tckp": base["tckp"],
-        "bar_ep": base["bar_ep"],
-        "page_copies": base["page_copies"],
-    }
-
-
-def serve_replica_query(
-    host: Any, protected: int, requester: int, kind: str, detail: Any
-) -> Tuple[Any, int]:
-    """Answer a recovery query for ``protected`` from this host's replica.
-
-    Mirrors ``RecoveryResponder`` shapes exactly; returns the
-    ``NO_REPLICA`` sentinel when no committed record survives (the
-    requester re-scans other holders or degrades with a stated reason).
-    """
-    rec = best_record(host, protected)
-    if rec is None:
-        return NO_REPLICA, 8
-    view = _view(rec, protected)
-    if kind == "handshake":
-        rel_entries = [
-            RelEntry(lock_id, acq_t)
-            for acquirer, lock_id, acq_t in view["rel"]
-            if acquirer == requester
-        ]
-        acq_mirror = [
-            RelEntry(lock_id, acq_t)
-            for grantor, lock_id, acq_t in view["acq"]
-            if grantor == requester
-        ]
-        self_grants = {
-            lock_id: list(entries)
-            for lock_id, entries in view["mirror_self"].get(requester, {}).items()
-        }
-        payload = {
-            "managed_owners": view["managed_owners"],
-            "rel_entries": rel_entries,
-            "acq_mirror": acq_mirror,
-            "wn": view["wn"],
-            "self_grants": self_grants,
-            "bar_history": view["bar_history"],
-            "bar_mirror": view["bar_mirror"],
-            "tckp": view["tckp"],
-            "bar_ep": view["bar_ep"],
-            "tokens": view["tokens"],
-            "completed_seq": view["completed_seq"],
-        }
-        size = (
-            (len(rel_entries) + len(acq_mirror)) * _REL_WIRE
-            + len(payload["wn"]) * _NOTICE_WIRE
-            + sum(len(v) for v in self_grants.values()) * _VT_WIRE
-            + (len(payload["bar_history"]) + len(payload["bar_mirror"]))
-            * _VT_WIRE
-            + len(payload["tokens"]) * 8
-            + _VT_WIRE
-        )
-        return payload, size
-    if kind == "page_diffs":
-        entries = list(view["diff"].get(detail, []))
-        return entries, sum(d.size_bytes + _VT_WIRE for _, d in entries)
-    if kind == "home_diffs":
-        proto = host.proto
-        out: Dict[Any, List[Tuple[Any, Any]]] = {}
-        size = 0
-        for page, entries in view["diff"].items():
-            if proto.regions.home_of(page) != requester:
-                continue
-            if entries:
-                out[page] = list(entries)
-                size += sum(d.size_bytes + _VT_WIRE for _, d in entries)
-        return out, size
-    if kind == "starting_copy":
-        page, ceiling = detail
-        copies = view["page_copies"].get(page)
-        if not copies:
-            return NO_REPLICA, 8
-        best = None
-        for seqno, version, data in copies:
-            if version.leq(ceiling):
-                best = (data, version)
-        if best is None:
-            return NO_REPLICA, 8
-        return best, len(best[0]) + _VT_WIRE
-    raise RuntimeError(f"unknown replica query kind {kind!r}")

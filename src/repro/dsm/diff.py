@@ -16,35 +16,27 @@ diff instead of O(runs), and both ends of the hot path are vectorized:
 :func:`apply_diff` scatters it with one fancy-indexed write, so the
 many-tiny-runs case costs the same per byte as the single-run case.
 
-Coalescing
-----------
-Adjacent runs separated by at most ``gap`` unchanged bytes can be merged
-into one run carrying the (identical) gap bytes. With
-``gap <= RUN_HEADER_BYTES`` the merge never increases ``size_bytes``:
-each merge adds ``gap`` payload bytes but saves one run header. The gap
-bytes rewrite bytes at the home that the writer did not change, which is
-safe for data-race-free programs whose concurrent writers partition a
-page at ≥ ``gap`` granularity (8 bytes — one float64 element, the finest
-partition any of the workloads uses). ``compute_diff`` defaults to
-``gap=0`` (exact diffs — the protocol's golden-pinned behavior);
-the log/bench layers opt in where density makes it pay.
+Exactness
+---------
+Diffs are exact: a run never carries a byte the writer did not change.
+Rewriting an unchanged byte at the home is not harmless — a concurrent
+writer's conflicting update can differ from it in a single byte of a
+float64 — and a logged diff that claims another writer's bytes reverts
+newer data when recovery replays it (docs/PROTOCOL.md, home-side diff
+rule).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Diff", "compute_diff", "apply_diff", "merge_runs", "concat_diffs"]
+__all__ = ["Diff", "compute_diff", "apply_diff"]
 
 #: modeled per-run wire/log overhead: (offset: u16, length: u16) plus
 #: alignment — 8 bytes, matching compact diff encodings in real systems.
 RUN_HEADER_BYTES = 8
-
-#: gap threshold at which coalescing two runs can never grow the encoded
-#: size (the gap payload it adds is at most the run header it saves)
-COALESCE_GAP = RUN_HEADER_BYTES
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_I64.setflags(write=False)
@@ -141,12 +133,6 @@ class Diff:
             )
         return h
 
-    def covered(self) -> List[Tuple[int, int]]:
-        """[(offset, end)) intervals touched by this diff."""
-        return list(
-            zip(self.offsets.tolist(), (self.offsets + self.lengths).tolist())
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Diff({len(self.offsets)} runs, {self.payload_bytes}B)"
 
@@ -165,12 +151,8 @@ def _scatter_index(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(bounds[-1])) + np.repeat(offsets - starts, lengths)
 
 
-def compute_diff(twin: np.ndarray, page: np.ndarray, gap: int = 0) -> Diff:
-    """Diff of ``page`` against its ``twin`` (both uint8, same length).
-
-    ``gap > 0`` coalesces runs separated by at most ``gap`` unchanged
-    bytes (see module docstring for the size/safety argument).
-    """
+def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
+    """Exact diff of ``page`` against its ``twin`` (both uint8, same length)."""
     if twin.shape != page.shape:
         raise ValueError(f"shape mismatch: {twin.shape} vs {page.shape}")
     if twin.dtype != np.uint8 or page.dtype != np.uint8:
@@ -183,10 +165,6 @@ def compute_diff(twin: np.ndarray, page: np.ndarray, gap: int = 0) -> Diff:
     padded = np.concatenate(([False], neq, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     starts, ends = edges[0::2], edges[1::2]
-    if gap > 0 and len(starts) > 1:
-        keep = (starts[1:] - ends[:-1]) > gap
-        starts = starts[np.concatenate(([True], keep))]
-        ends = ends[np.concatenate((keep, [True]))]
     lengths = ends - starts
     if len(starts) == 1:
         payload = page[int(starts[0]) : int(ends[0])].tobytes()
@@ -217,45 +195,4 @@ def apply_diff(page: np.ndarray, diff: Diff) -> None:
         )
     page[_scatter_index(offsets, lengths)] = np.frombuffer(
         diff.payload, dtype=np.uint8
-    )
-
-
-def merge_runs(diffs: Sequence[Diff]) -> List[Tuple[int, int]]:
-    """Union of the byte intervals covered by several diffs.
-
-    The coverage-union helper of the recovery replay path: the replay
-    driver uses it to prove a batch of pooled home diffs write disjoint
-    bytes (union size == total payload) before applying them in one
-    vectorized scatter.
-    """
-    nonempty = [d for d in diffs if len(d.offsets)]
-    if not nonempty:
-        return []
-    starts = np.concatenate([d.offsets for d in nonempty])
-    ends = starts + np.concatenate([d.lengths for d in nonempty])
-    order = np.argsort(starts, kind="stable")
-    starts, ends = starts[order], ends[order]
-    frontier = np.maximum.accumulate(ends)
-    new_run = np.concatenate(([True], starts[1:] > frontier[:-1]))
-    first = np.flatnonzero(new_run)
-    last = np.append(first[1:] - 1, len(starts) - 1)
-    return list(zip(starts[first].tolist(), frontier[last].tolist()))
-
-
-def concat_diffs(diffs: Sequence[Diff]) -> Diff:
-    """Concatenate several diffs into one (runs kept in input order).
-
-    Intended for *disjoint* diffs (checked by the caller via
-    :func:`merge_runs`); with overlaps, later runs win under
-    :func:`apply_diff`'s scatter semantics.
-    """
-    nonempty = [d for d in diffs if len(d.offsets)]
-    if not nonempty:
-        return _EMPTY_DIFF
-    if len(nonempty) == 1:
-        return nonempty[0]
-    return Diff.from_arrays(
-        np.concatenate([d.offsets for d in nonempty]),
-        np.concatenate([d.lengths for d in nonempty]),
-        b"".join(d.payload for d in nonempty),
     )

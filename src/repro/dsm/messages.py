@@ -342,15 +342,19 @@ class ReplicaAck(Message):
 class RecoveryQuery(Message):
     """Recovering process -> peer: initial handshake / log request.
 
-    ``kind`` selects what is requested (handshake, wn_log, rel_log,
-    diff_log, barrier log, starting page copies); ``detail`` carries the
-    request parameters (e.g. page ids, logical-time bounds).
+    ``kind`` selects what is requested (handshake, page_diffs,
+    home_diffs, starting_copy); ``detail`` carries the request
+    parameters (a page id, a logical-time bound). ``about`` names whose
+    state is asked for: the responder's own by default, or a lost peer's
+    whose replicated image the responder holds as its buddy. Part of the
+    constant modelled ``recovery_msg_bytes`` either way.
     """
 
     kind: str = ""
     requester: int = 0
     detail: object = None
     qid: int = 0
+    about: Optional[int] = None
     category: str = "recovery"
 
     def payload_bytes(self, config: DsmConfig) -> int:

@@ -131,9 +131,6 @@ class FtHooks:
     def record_if_channel_state(self, src: int, msg: "Message") -> None:
         """Coordinated-checkpointing hook: record cut-crossing messages."""
 
-    def log_append_cost(self, nbytes: int) -> float:
-        return 0.0
-
 
 @dataclass
 class ProtocolStats:
@@ -934,15 +931,33 @@ class DsmProcess:
                 st.rel_vt = grant.rel_vt
 
     # -- home / pages ------------------------------------------------------
+    def apply_remote_diff(self, page: PageId, diff: Diff) -> int:
+        """The one way another process's bytes enter a homed page (diff
+        messages live, pooled diffs during recovery replay); returns the
+        number of copies written.
+
+        A home that is mid-interval on the page has an open twin, and the
+        diff is applied to the twin too: the diff the home logs at its
+        flush must hold the home's own writes and nothing else, or a
+        replaying peer re-applies the remote writer's bytes over newer
+        data.
+        """
+        apply_diff(self.page_bytes(page), diff)
+        twin = self.entries[page].twin
+        if twin is None:
+            return 1
+        apply_diff(twin, diff)
+        return 2
+
     def _handle_diff(self, src: int, msg: DiffMsg) -> None:
         hp = self.home[msg.page]
         interval = msg.diff_vt[msg.writer]
         if hp.is_duplicate(msg.writer, interval):
             return
-        apply_diff(self.page_bytes(msg.page), msg.diff)
-        self.cpu.accrue_handler(
-            msg.diff.payload_bytes * self.cpu.costs.diff_apply_per_byte
-        )
+        # one apply charge per copy written (page, and twin when open)
+        cost = msg.diff.payload_bytes * self.cpu.costs.diff_apply_per_byte
+        for _copy in range(self.apply_remote_diff(msg.page, msg.diff)):
+            self.cpu.accrue_handler(cost)
         hp.advance(msg.writer, interval)
         hp.applied_bytes += msg.diff.size_bytes
         self.have_v[msg.page] = self.have_v[msg.page].join(hp.version)

@@ -334,6 +334,8 @@ def check_oracle(cluster: Any, reference: Dict[str, bytes]) -> None:
     * every process finished its application main,
     * final shared-region contents are bit-identical to the reference,
     * no held messages leaked (``host.queued`` empty everywhere),
+    * every lock any process knows has exactly one resting token (a
+      manager that never touched its lock still holds the initial one),
     * stable storage is clean: no torn (marker-less) keys, and the
       checkpoint window invariants hold (the restart checkpoint is a
       committed store key; every retained page copy has a live record).
@@ -365,6 +367,19 @@ def check_oracle(cluster: Any, reference: Dict[str, bytes]) -> None:
                         f"p{host.pid} retains page copies of checkpoint "
                         f"{seqno} but lost its record"
                     )
+    tables = [h.proto.locks for h in cluster.hosts if h.proto is not None]
+    snapshots = [t.token_snapshot() for t in tables]  # reads, never creates
+    for lock_id in sorted({l for snap in snapshots for l in snap}):
+        tokens = sum(snap[lock_id][0] for snap in snapshots if lock_id in snap)
+        untouched_manager = any(
+            t.manages(lock_id) and lock_id not in snap
+            for t, snap in zip(tables, snapshots)
+        )
+        if tokens + untouched_manager != 1:
+            problems.append(
+                f"lock {lock_id}: {tokens + untouched_manager} tokens at end "
+                "of run"
+            )
     for region in cluster.regions:
         got = cluster.shared_snapshot(region).tobytes()
         want = reference.get(region.name)
@@ -403,7 +418,6 @@ class CrashSweep:
         classes: Optional[Tuple[str, ...]] = None,
         faults: int = 1,
         monitor: bool = True,
-        monitor_scan_every: int = 10,
     ) -> None:
         if faults not in (1, 2):
             raise ValueError("--faults must be 1 or 2")
@@ -427,7 +441,6 @@ class CrashSweep:
         #: every injection run (read-only, so step indices stay valid);
         #: a violation turns the point into ``failed``
         self.monitor = monitor
-        self.monitor_scan_every = monitor_scan_every
         self.reference_snapshots: Dict[str, bytes] = {}
         self.reference_trace: List[Any] = []
         self.reference_steps = 0
@@ -443,7 +456,7 @@ class CrashSweep:
             return None
         from repro.observe import InvariantMonitor
 
-        return InvariantMonitor(cluster, scan_every=self.monitor_scan_every)
+        return InvariantMonitor(cluster)
 
     # ------------------------------------------------------------------
     def run_reference(self) -> None:

@@ -62,7 +62,7 @@ The five invariant classes:
 
 What a structural scan visits
 -----------------------------
-The ``recoverability`` scan runs on a cadence (``scan_every``
+The ``recoverability`` scan runs on a cadence (:data:`SCAN_EVERY`
 deliveries), at every ``RECOVERY_LIVE`` and in :meth:`finish`. The
 periodic scans are *incremental*: they run the same per-home and
 per-pair checks as a full scan, but only on the structures that can have
@@ -135,6 +135,11 @@ __all__ = ["INVARIANTS", "Violation", "InvariantMonitor"]
 #: the five checked invariant classes
 INVARIANTS = ("cgc", "llt", "vclock", "fifo", "recoverability")
 
+#: the structural recoverability scan runs at every Nth delivery. Ten is
+#: what every sweep and the ledger run at; scanning at every delivery
+#: costs ``sweep_session`` +27 % host time (ROADMAP item 5)
+SCAN_EVERY = 10
+
 #: message attributes carrying vector-clock stamps (happened-before check)
 _STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "diff_vt", "global_vt")
 
@@ -171,9 +176,9 @@ class Violation:
 class InvariantMonitor:
     """Continuously checks the paper-bound invariants of one cluster.
 
-    ``scan_every`` throttles the structural recoverability scan to every
-    Nth message delivery; those scans are incremental (module
-    docstring), the scan at every recovery and the final :meth:`finish`
+    The structural recoverability scan runs at every
+    :data:`SCAN_EVERY`-th message delivery; those scans are incremental
+    (module docstring), the scan at every recovery and the final :meth:`finish`
     scan always run and are full. Violations are collected,
     deduplicated on (invariant, pid, detail) and capped; the first one
     snapshots a flight record (:attr:`violation_dump`), as does every
@@ -184,22 +189,9 @@ class InvariantMonitor:
         self,
         cluster: Any,
         ring_size: int = 256,
-        scan_every: Optional[int] = None,
         max_violations: int = 64,
     ) -> None:
-        if scan_every is None:
-            # default cadence: every delivery on paper-scale clusters;
-            # throttled on wide ones, where the scan is O(N) and
-            # deliveries are O(N^2) per barrier (event-triggered and
-            # final scans still always run)
-            n_default = cluster.config.num_procs
-            scan_every = (
-                1 if n_default < VClock.ARRAY_WIDTH else max(1, n_default // 16)
-            )
-        if scan_every < 1:
-            raise ValueError("scan_every must be >= 1")
         self.cluster = cluster
-        self.scan_every = scan_every
         self.max_violations = max_violations
         self.recorder = FlightRecorder(ring_size)
         self.violations: List[Violation] = []
@@ -306,7 +298,7 @@ class InvariantMonitor:
             # at its send: clocks are immutable, high-water marks only rise)
             self._check_stamps(src, payload)
         self._deliveries += 1
-        if self._deliveries % self.scan_every == 0:
+        if self._deliveries % SCAN_EVERY == 0:
             self._scan_structural()
         if type(payload) is AcqAck:
             # the grantor's handler runs after this event and may patch

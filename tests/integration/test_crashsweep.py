@@ -188,6 +188,30 @@ def test_oracle_detects_divergence():
         check_oracle(cluster, bad)
 
 
+def test_oracle_detects_duplicated_token():
+    """Bit-identical memory is not enough: two resting tokens for one
+    lock (what a recovered manager used to mint for a lock it had never
+    touched) fail the oracle."""
+    cluster_factory, app_factory = _factories()
+    cluster = cluster_factory()
+    cluster.run(app_factory())
+    reference = {
+        region.name: cluster.shared_snapshot(region).tobytes()
+        for region in cluster.regions
+    }
+    check_oracle(cluster, reference)
+    lock_id, holder = next(
+        (l, h.pid)
+        for h in cluster.hosts
+        for l, (has_token, _) in h.proto.locks.token_snapshot().items()
+        if has_token
+    )
+    other = cluster.hosts[(holder + 1) % len(cluster.hosts)]
+    other.proto.locks.token(lock_id).has_token = True
+    with pytest.raises(OracleViolation, match=f"lock {lock_id}: 2 tokens"):
+        check_oracle(cluster, reference)
+
+
 # ======================================================================
 # overlapping failures (hold path + explicit degradation)
 # ======================================================================

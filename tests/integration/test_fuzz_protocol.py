@@ -114,11 +114,13 @@ def run_fuzz(seed: int, crash: Tuple[int, float] | None, ft: bool = True):
         # when the final memory happens to come out right
         from repro.observe import InvariantMonitor
 
-        monitor = InvariantMonitor(cluster, scan_every=20)
+        monitor = InvariantMonitor(cluster)
     if crash is not None:
         cluster.schedule_crash(crash[0], at_time=crash[1])
     app = FuzzApp(seed)
-    res = cluster.run(app)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.observe.invariants.monitor.SCAN_EVERY", 20)
+        res = cluster.run(app)
     if monitor is not None:
         violations = monitor.finish()
         assert not violations, [v.render() for v in violations]

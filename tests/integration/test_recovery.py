@@ -106,12 +106,12 @@ def test_crash_of_barrier_manager():
 def test_crash_with_llt_aggressively_trimming():
     """Small L: many checkpoints, heavy trimming — recovery must still
     find every diff it needs (Rule 3 end-to-end)."""
-    T = golden_time("water-spatial", l_fraction=0.03)
+    T = golden_time("water-spatial", l_fraction=0.02)
     cluster, res = run_with_crash(
-        "water-spatial", 3, T * 0.6, l_fraction=0.03
+        "water-spatial", 3, T * 0.6, l_fraction=0.02
     )
-    # trimming really happened
-    assert any(h.ft.logs.diff.bytes_discarded > 0 for h in cluster.hosts)
+    # trimming really happened, on every node
+    assert all(h.ft.logs.diff.bytes_discarded > 0 for h in cluster.hosts)
 
 
 def test_recovered_process_ft_state_reusable():
@@ -211,29 +211,13 @@ def test_crash_during_recovery_restarts_recovery():
     assert cluster.hosts[3].live and cluster.hosts[3].finished
 
 
-def run_expecting_known_failure(cluster, app, message):
-    """Run ``app`` (``check_result`` validates) and re-raise its known
-    failure for a strict xfail; any *other* failure fails the test."""
-    try:
-        cluster.run(app)
-    except AssertionError as exc:
-        if message not in str(exc):
-            pytest.fail(f"the known failure changed: {exc}")
-        raise
+# ---------------------------------------------------------------------------
+# schedules that used to lose updates (DESIGN.md §6, "root causes")
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known recovery bug, one schedule (ROADMAP item 1): "
-    "p5: scan sum 1030.0 != 1033.0",
-)
-def test_kvstore_32_procs_crash_p5_at_half_loses_updates():
-    """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``: the
-    recovered p5 scans a table missing three increments. N = 8, 16, 24,
-    31, 33, 40 and 64 verify, and so does ``counter`` at 32 — it is this
-    schedule, not the cluster width. Pinned so that a fix (or a change
-    that moves the schedule) shows up as an unexpected pass."""
+def kvstore_32(crash):
+    """Default kvstore on 32 nodes; ``crash(cluster, t_free)`` injects."""
     from repro.apps.kvstore import KvStoreApp, KvStoreConfig
 
     def cluster():
@@ -241,29 +225,34 @@ def test_kvstore_32_procs_crash_p5_at_half_loses_updates():
 
     t_free = cluster().run(KvStoreApp(KvStoreConfig())).wall_time
     crashed = cluster()
-    crashed.schedule_crash(5, at_time=0.5 * t_free)
-    run_expecting_known_failure(
-        crashed, KvStoreApp(KvStoreConfig()), "p5: scan sum 1030.0 != 1033.0"
-    )
+    crash(crashed, t_free)
+    res = crashed.run(KvStoreApp(KvStoreConfig()))  # check_result validates
+    assert res.crashes == 1 and res.recoveries == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known recovery bug, one schedule (ROADMAP item 1): "
-    "p1 round 0: saw sum 117.0, expected 118",
-)
-def test_fuzz_2049_crash_p1_at_step_462_reads_stale_sum():
-    """``FuzzApp(2049)``, 8 procs, p1 fail-stopped after engine step 462
-    of the 924-step run: recovered p1's round-0 validation read misses
-    one lock-guarded increment (any crash step of p1 in 358…853 does
-    it; crashing another pid recovers). A hypothesis draw found it;
-    pinned here so tier-1 draws nothing fresh and a fix shows up as an
-    unexpected pass."""
+def test_kvstore_32_procs_crash_p5_at_half_verifies():
+    """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``: a home's
+    logged diff used to carry a remote writer's bytes, and the recovered
+    p5 replayed it over newer data (``scan sum 1030.0 != 1033.0``)."""
+    kvstore_32(lambda c, t_free: c.schedule_crash(5, at_time=0.5 * t_free))
+
+
+def test_kvstore_32_procs_crash_p1_at_step_2192_keeps_one_token():
+    """p1 manages L1 but had not touched it when it fail-stopped; its
+    recovery used to leave the placement to ``LockTable.token()``'s lazy
+    "the manager starts with the token" while p30 held the real one, and
+    the two holders overwrote p15's ``+5`` (``kv total 1028.0 != 1033.0``)."""
+    kvstore_32(lambda c, t_free: c.schedule_crash_at_step(1, 2192))
+
+
+def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
+    """``FuzzApp(2049)``, 8 procs, p1 fail-stopped after every 7th engine
+    step of the 924-step run: before the home-side diff rule, any step in
+    358...853 ended with ``p1 round 0: saw sum 117.0, expected 118`` (p0's
+    logged diff carried p1's bytes and reverted one cell on replay)."""
     from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
 
-    cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
-    cluster.schedule_crash_at_step(1, 462)
-    run_expecting_known_failure(
-        cluster, FuzzApp(2049), "p1 round 0: saw sum 117.0, expected 118"
-    )
+    for step in range(7, 924, 7):
+        cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
+        cluster.schedule_crash_at_step(1, step)
+        cluster.run(FuzzApp(2049))  # check_result validates

@@ -199,3 +199,105 @@ def test_overlapping_failures_degrade_without_replication():
     cluster.schedule_crash(2, at_time=t2)
     with pytest.raises(OverlappingFailureError):
         cluster.run(make_app("counter"))
+
+
+# ---------------------------------------------------------------------------
+# the two sources of a recovery answer agree
+# ---------------------------------------------------------------------------
+def assert_live_and_replica_agree(app_name, crash=None):
+    """Every answer node ``i``'s live image gives equals the one the image
+    its ring buddy holds gives, modelled size included, once the run has
+    quiesced (network drained).
+
+    Knowingly coarser on the replica, with the reason:
+
+    * ``tokens``: only ``has_token`` is compared. A release and a queued
+      forward send no op, so the replica keeps ``held`` from the last
+      acquire and never has successor pointers; ``ingest_handshakes``
+      reads ``has_token`` and, as a chain-rebuild hint, the successor.
+    * ``managed_owners``: a manager state created since the image was
+      shipped, still owned by the manager itself, has sent no ``owner``
+      op, so the replica may lack locks the live node lists with itself
+      as owner (the requester then falls back to its own arithmetic).
+    * ``bar_history`` (the barrier manager only) is as of the shipped
+      image: a ``bar`` op advances the bar log every node keeps, not the
+      manager's history. Compared as what ``ingest_handshakes`` consumes,
+      history ∪ mirror; the handshake size may differ by ``VT_WIRE`` per
+      episode the replica's history lacks.
+    """
+    from repro.core.replica import VT_WIRE, FtImage, best_record
+
+    def episodes(payload):
+        return {**dict(payload["bar_mirror"]), **payload["bar_history"]}
+
+    def has_token(payload):
+        return {lock: t[0] for lock, t in payload["tokens"].items()}
+
+    cluster = replicated_cluster()
+    if crash is not None:
+        cluster.schedule_crash_at_step(*crash)
+    cluster.run(make_app(app_name))
+    assert cluster.recoveries == (crash is not None)
+    cluster.engine.run()  # drain what the app's end left in flight
+    assert not cluster.network.inflight_msgs
+    asked = 0
+    for host in cluster.hosts:
+        i = host.pid
+        live = FtImage.live(host.ft)
+        replica = best_record(cluster.hosts[(i + 1) % N], i).image
+        for j in (j for j in range(N) if j != i):
+            want, want_size = live.answer("handshake", j)
+            got, got_size = replica.answer("handshake", j)
+            for field in (
+                "rel_entries", "acq_mirror", "wn", "self_grants", "tckp",
+                "bar_ep", "completed_seq",
+            ):
+                assert got[field] == want[field], (i, j, field)
+            assert episodes(got) == episodes(want), (i, j)
+            stale = len(want["bar_history"]) - len(got["bar_history"])
+            assert got_size == want_size - stale * VT_WIRE, (i, j)
+            assert has_token(got) == has_token(want), (i, j)
+            for lock_id, owner in want["managed_owners"].items():
+                assert got["managed_owners"].get(lock_id, i) == owner, (i, j)
+
+            queries = [("home_diffs", None)]
+            queries += [("page_diffs", p) for p in host.ft.logs.diff.pages()]
+            ceiling = cluster.hosts[j].proto.vt
+            queries += [
+                ("starting_copy", (p, ceiling)) for p in host.proto.home.pages()
+            ]
+            for kind, detail in queries:
+                assert replica.answer(kind, j, detail) == live.answer(
+                    kind, j, detail
+                ), (i, j, kind, detail)
+            asked += 1 + len(queries)
+    assert asked > 3 * N * (N - 1)
+
+
+#: p1 fail-stopped after engine step 244: its recovery's repair forward
+#: makes a grantor's predicted acquire timestamp differ from the actual
+#: one, so a ``rel_fix`` op really rewrites an entry (failure-free runs,
+#: and most crash points, never do)
+SESSION_CRASH = (1, 244)
+
+
+@pytest.mark.parametrize(
+    "app_name,crash",
+    [("counter", None), ("session", None), ("session", SESSION_CRASH)],
+)
+def test_live_image_and_buddy_replica_answer_alike(app_name, crash):
+    assert_live_and_replica_agree(app_name, crash)
+
+
+def test_answer_agreement_catches_a_dropped_op_case(monkeypatch):
+    """Seeded mutation: an op application that ignores ``rel_fix`` leaves
+    a predicted timestamp in the replica's rel log."""
+    from repro.core.replica import FtImage
+
+    apply = FtImage.apply
+    monkeypatch.setattr(
+        FtImage, "apply",
+        lambda self, op: None if op[0] == "rel_fix" else apply(self, op),
+    )
+    with pytest.raises(AssertionError, match="rel_entries"):
+        assert_live_and_replica_agree("session", SESSION_CRASH)

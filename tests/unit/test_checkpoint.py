@@ -4,7 +4,12 @@ import pickle
 
 import pytest
 
-from repro.core.checkpoint import Checkpoint, CheckpointManager, PageCopy
+from repro.core.checkpoint import (
+    Checkpoint,
+    CheckpointManager,
+    PageCopy,
+    maximal_starting_copy,
+)
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.storage import CheckpointStore
@@ -125,16 +130,19 @@ def test_maximal_starting_copy_respects_ceiling():
         )
     # a recovery whose replay ceiling is (3,...) must get the v2 copy,
     # not the newer v5 copy
-    copy = mgr.maximal_starting_copy(P0, vt(3, 9, 9, 9))
+    copy = maximal_starting_copy(mgr.page_copies[P0], vt(3, 9, 9, 9))
     assert copy.version == vt(2, 0, 0, 0)
-    copy = mgr.maximal_starting_copy(P0, vt(9, 9, 9, 9))
+    copy = maximal_starting_copy(mgr.page_copies[P0], vt(9, 9, 9, 9))
     assert copy.version == vt(5, 0, 0, 0)
 
 
 def test_maximal_starting_copy_errors():
+    """An empty chain, or one with nothing within the ceiling, has no
+    usable copy (a live responder reports that as the Rule 3 error)."""
     mgr = mk_mgr()
-    with pytest.raises(KeyError):
-        mgr.maximal_starting_copy(PageId(5, 5), vt(0, 0, 0, 0))
+    mgr.commit(mk_ckpt(0, 1, vt(2, 0, 0, 0)), {P0: (b"x" * 64, vt(2, 0, 0, 0))})
+    assert maximal_starting_copy((), vt(0, 0, 0, 0)) is None
+    assert maximal_starting_copy(mgr.page_copies[P0][1:], vt(1, 9, 9, 9)) is None
 
 
 def test_old_checkpoint_records_pruned_with_their_copies():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.diff import RUN_HEADER_BYTES, Diff, apply_diff, compute_diff, merge_runs
+from repro.dsm.diff import RUN_HEADER_BYTES, Diff, apply_diff, compute_diff
 
 PAGE = 256
 
@@ -78,12 +78,6 @@ def test_shape_and_dtype_validation():
         compute_diff(np.zeros(8, np.float64), np.zeros(8, np.float64))
 
 
-def test_merge_runs():
-    d1 = Diff(((0, b"ab"), (10, b"c")))
-    d2 = Diff(((1, b"xy"), (20, b"z")))
-    assert merge_runs([d1, d2]) == [(0, 3), (10, 11), (20, 21)]
-
-
 # -- properties ---------------------------------------------------------
 
 bytes_pages = st.binary(min_size=PAGE, max_size=PAGE).map(
@@ -140,101 +134,6 @@ def test_size_model_consistent(twin, cur):
     d = compute_diff(twin, cur)
     assert d.size_bytes == d.payload_bytes + RUN_HEADER_BYTES * len(d.runs)
     assert d.payload_bytes == sum(len(b) for _, b in d.runs)
-
-
-# -- coalescing, coverage union, batch concatenation --------------------
-
-from repro.dsm.diff import COALESCE_GAP, concat_diffs
-
-
-def test_coalescing_merges_adjacent_runs():
-    twin = page(0)
-    cur = page(0)
-    cur[10] = 1
-    cur[13] = 2  # gap of 2 equal bytes between the two changed ones
-    d0 = compute_diff(twin, cur)
-    assert len(d0.runs) == 2
-    d = compute_diff(twin, cur, gap=2)
-    assert len(d.runs) == 1
-    off, data = d.runs[0]
-    assert off == 10 and len(data) == 4
-    out = twin.copy()
-    apply_diff(out, d)
-    assert np.array_equal(out, cur)
-
-
-def test_coalescing_never_grows_encoded_size():
-    """With gap <= COALESCE_GAP the gap payload absorbed never exceeds
-    the run header saved, so the encoded size is monotone non-increasing."""
-    rng = np.random.default_rng(4242)
-    twin = rng.integers(0, 255, size=PAGE, dtype=np.uint8)
-    for _ in range(20):
-        cur = twin.copy()
-        idx = rng.choice(PAGE, size=int(rng.integers(1, 64)), replace=False)
-        cur[idx] ^= 0xFF
-        d0 = compute_diff(twin, cur)
-        dg = compute_diff(twin, cur, gap=COALESCE_GAP)
-        assert dg.size_bytes <= d0.size_bytes
-        assert len(dg.runs) <= len(d0.runs)
-        out = twin.copy()
-        apply_diff(out, dg)
-        assert np.array_equal(out, cur)
-
-
-@given(bytes_pages, bytes_pages, st.integers(0, 16))
-@settings(max_examples=100)
-def test_roundtrip_exact_at_any_gap(twin, cur, gap):
-    d = compute_diff(twin, cur, gap=gap)
-    out = twin.copy()
-    apply_diff(out, d)
-    assert np.array_equal(out, cur)
-
-
-def test_coalescing_empty_and_full_page():
-    twin = page(0)
-    assert compute_diff(twin, twin, gap=COALESCE_GAP).empty
-    cur = page(7)
-    d = compute_diff(twin, cur, gap=COALESCE_GAP)
-    assert len(d.runs) == 1 and d.payload_bytes == PAGE
-    out = twin.copy()
-    apply_diff(out, d)
-    assert np.array_equal(out, cur)
-
-
-@given(st.lists(st.tuples(bytes_pages, bytes_pages), min_size=1, max_size=4))
-@settings(max_examples=100)
-def test_merge_runs_is_interval_union(pairs):
-    diffs = [compute_diff(t, c) for t, c in pairs]
-    covered = np.zeros(PAGE, dtype=bool)
-    for d in diffs:
-        for lo, hi in d.covered():
-            covered[lo:hi] = True
-    merged = merge_runs(diffs)
-    # maximal, sorted, disjoint intervals equal to the coverage mask
-    rebuilt = np.zeros(PAGE, dtype=bool)
-    prev_hi = -1
-    for lo, hi in merged:
-        assert lo < hi and lo > prev_hi  # sorted, disjoint, non-adjacent
-        rebuilt[lo:hi] = True
-        prev_hi = hi
-    assert np.array_equal(rebuilt, covered)
-
-
-def test_concat_diffs_of_disjoint_batch_applies_like_sequence():
-    base = page(0)
-    a = base.copy()
-    a[0:8] = 1
-    b = base.copy()
-    b[100:130] = 2
-    da, db = compute_diff(base, a), compute_diff(base, b)
-    batch = concat_diffs([da, db])
-    out1 = base.copy()
-    apply_diff(out1, batch)
-    out2 = base.copy()
-    apply_diff(out2, da)
-    apply_diff(out2, db)
-    assert np.array_equal(out1, out2)
-    assert batch.payload_bytes == da.payload_bytes + db.payload_bytes
 
 
 def test_out_of_bounds_runs_rejected_from_array_repr():

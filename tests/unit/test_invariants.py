@@ -11,6 +11,7 @@ The two halves of the monitor's contract:
   be structurally valid and renderable.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -29,28 +30,39 @@ from hypothesis import strategies as st
 
 from repro.core import FtConfig
 from repro.core.logs import RelEntry
+from repro.observe.invariants import monitor as monitor_mod
 from repro.sim.engine import Engine
 from repro.sim.trace import RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
 from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
 
 
+@contextlib.contextmanager
+def cadence(scan_every):
+    """The structural scan runs every ``scan_every``-th delivery inside
+    (every shipped caller runs at the module constant; tests vary it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monitor_mod, "SCAN_EVERY", scan_every)
+        yield
+
+
 def run_monitored(kind=None, crash=None, num_procs=4, scan_every=1):
     """One counter run with the monitor attached; optionally seeded
     with a violation or a scheduled crash. Returns the monitor."""
     cluster = make_cluster(num_procs=num_procs, ft=True)
-    monitor = InvariantMonitor(cluster, scan_every=scan_every)
+    monitor = InvariantMonitor(cluster)
     if kind is not None:
         seed_violation(cluster, kind)
     if crash is not None:
         cluster.schedule_crash_at_step(*crash)
-    try:
-        cluster.run(make_app("counter"))
-    except Exception:
-        # seeded sabotage may corrupt the run past the detection point;
-        # that is acceptable only if the violation was recorded first
-        if not monitor.violations:
-            raise
+    with cadence(scan_every):
+        try:
+            cluster.run(make_app("counter"))
+        except Exception:
+            # seeded sabotage may corrupt the run past the detection point;
+            # that is acceptable only if the violation was recorded first
+            if not monitor.violations:
+                raise
     monitor.finish()
     return monitor
 
@@ -148,17 +160,18 @@ def both_ways(cluster, app, scan_every, monitor_cls=InvariantMonitor,
     """Run ``app`` once with an incremental monitor and a full-scan
     shadow on the same bus (both only read, so they see the same run and
     scan at the same deliveries); return the two verdict lists."""
-    incremental = monitor_cls(cluster, scan_every=scan_every)
-    shadow = FullScanMonitor(cluster, scan_every=scan_every)
+    incremental = monitor_cls(cluster)
+    shadow = FullScanMonitor(cluster)
     if kind is not None:
         seed_violation(cluster, kind)
     for pid, step in crashes:
         cluster.schedule_crash_at_step(pid, step)
-    try:
-        cluster.run(app)
-    except Exception:
-        if not shadow.violations:  # sabotage may kill the run afterwards
-            raise
+    with cadence(scan_every):
+        try:
+            cluster.run(app)
+        except Exception:
+            if not shadow.violations:  # sabotage may kill the run afterwards
+                raise
     incremental.finish()
     shadow.finish()
     assert incremental.checks == shadow.checks
@@ -301,9 +314,6 @@ def test_flight_recorder_ring_is_bounded():
 def test_flight_recorder_rejects_bad_ring():
     with pytest.raises(ValueError, match="ring_size"):
         FlightRecorder(ring_size=0)
-    cluster = make_cluster(num_procs=2, ft=True)
-    with pytest.raises(ValueError, match="scan_every"):
-        InvariantMonitor(cluster, scan_every=0)
 
 
 def test_flight_record_mixes_engine_probe_and_message_events():

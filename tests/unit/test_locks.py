@@ -153,6 +153,30 @@ def test_restore_chain_cycle_guard():
     assert [e.acquirer for e in m.chain] == [1, 2]
 
 
+def test_recovering_manager_places_a_token_a_peer_reported():
+    """``ReplayDriver.finalize`` alone: a managed lock the restarted
+    process never touched has no local ``LockState``, so nothing visited
+    it and ``token()``'s lazy "the manager starts with the token" minted
+    a second one while a peer's handshake said it holds the real one."""
+    from types import SimpleNamespace
+
+    from repro.core.recovery import ReplayDriver
+
+    proto = SimpleNamespace(
+        pid=1, n=N, locks=LockTable(pid=1, num_procs=N), replay=None,
+        vt=VClock.zero(N),
+    )
+    rm = SimpleNamespace(host=SimpleNamespace(queued=[]))
+    driver = ReplayDriver(proto, None, rm, VClock.zero(N), None)
+    driver.peer_token_holders[1] = 3  # p3's handshake: has_token for lock 1
+    assert proto.locks.manages(1) and 1 not in proto.locks.known_locks()
+
+    driver.finalize()
+
+    assert proto.locks.token_snapshot()[1] == (False, False)
+    assert proto.locks.manager(1).owner() == 3
+
+
 def test_granted_seq_tracking():
     t = LockTable(pid=0, num_procs=N)
     st = t.token(0)

@@ -14,7 +14,7 @@ from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
 from repro.dsm.messages import DiffMsg, PageFetchReply, WriteNotice
 from repro.dsm.pages import PageId, PageState, RegionSet
-from repro.dsm.protocol import DsmProcess
+from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -112,6 +112,46 @@ def test_home_dedupes_replayed_diffs():
     p0.typed_view(h.region)[0] = 9.0
     p0._handle_diff(1, msg)
     assert p0.typed_view(h.region)[0] == 9.0
+
+
+def test_home_logged_diff_holds_only_the_homes_own_writes():
+    """A home that is mid-interval on its own page patches the open twin
+    with an incoming diff: the diff it logs at the flush must not claim
+    the remote writer's bytes, or a replay re-applies them over newer
+    data (docs/PROTOCOL.md, home-side diff rule)."""
+
+    class LoggingHooks(FtHooks):
+        def __init__(self):
+            self.logged = []
+
+        def home_wants_diffs(self):
+            return True
+
+        def on_interval_flush(self, page, diff, vt, is_home):
+            self.logged.append(diff)
+            return iter(())
+
+    h = Harness(n=2, elements=8, page_size=64)  # single page, home p0
+    p0, _p1 = h.procs
+    p0.ft = hooks = LoggingHooks()
+    page = PageId(0, 0)
+    remote = Diff(((24, np.float64(7.0).tobytes()),))  # element 3
+
+    def home_writer():
+        yield from p0.acquire(0)
+        v = yield from p0.write_range(h.region, 0, 1)
+        v[0] = 1.0
+        p0._handle_diff(
+            1, DiffMsg(page=page, writer=1, diff=remote, diff_vt=VClock((0, 3)))
+        )
+        yield from p0.release(0)
+
+    h.run(home_writer())
+    assert list(p0.typed_view(h.region)[[0, 3]]) == [1.0, 7.0]
+    [logged] = hooks.logged
+    assert logged.runs and all(
+        off + len(data) <= 8 for off, data in logged.runs
+    ), f"home logged bytes outside its own element 0: {logged.runs}"
 
 
 def test_stale_fetch_reply_dropped():

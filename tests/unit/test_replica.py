@@ -12,15 +12,17 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.checkpoint import CheckpointManager, PageCopy
+from repro.core.logs import VolatileLogs
+from repro.core.recovery import RecoveryResponder
 from repro.core.replica import (
     NO_REPLICA,
-    ReplicaRecord,
+    FtImage,
     Replicator,
+    SyncState,
     best_record,
     replica_apply,
-    serve_replica_query,
 )
-from repro.dsm.messages import ReplicaAck, ReplicaUpdate
+from repro.dsm.messages import RecoveryQuery, ReplicaAck, ReplicaUpdate
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Engine
 from repro.sim.storage import CheckpointStore, ReplicaStore
@@ -46,7 +48,20 @@ class FakeHost:
         self.replica_store = ReplicaStore(pid)
         self.proto = FakeProto()
         self.recovering = False
-        self.cluster = SimpleNamespace(hosts=[], engine=Engine())
+        self.last_crash_time = -1.0
+        self.replies = []
+        self.cluster = SimpleNamespace(
+            hosts=[], engine=Engine(),
+            send=lambda src, dst, msg: self.replies.append(msg),
+        )
+
+    def ask(self, about, kind="handshake", requester=2):
+        """What this host's responder answers ``requester`` about the
+        replicated image of ``about``."""
+        RecoveryResponder(self).handle(
+            requester, RecoveryQuery(kind=kind, requester=requester, about=about)
+        )
+        return self.replies.pop().payload
 
 
 def make_replicator(pid=0, n=N):
@@ -66,14 +81,13 @@ def update(kind, seqno=0, gen=0, body=None, size=0, protected=0):
     )
 
 
-def minimal_base():
-    """The smallest base build_base could produce (empty logs)."""
-    return {
-        "rel": [], "acq": [], "wn": [], "mirror_self": {},
-        "bar_history": {}, "bar_mirror": [], "diff": {},
-        "page_copies": {}, "tckp": VClock.zero(N), "bar_ep": 0,
-        "tokens": {}, "managed_owners": {}, "completed_seq": {},
-    }
+def empty_image(pid=0):
+    """The smallest image ``FtImage.copy_of`` could produce (empty logs)."""
+    sync = SyncState(
+        tokens={}, managed_owners={}, completed_seq={}, mirror_self={},
+        bar_history={}, tckp=VClock.zero(N), bar_ep=0,
+    )
+    return FtImage(pid, None, VolatileLogs(pid, N), {}, wn=[], sync=sync)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +96,9 @@ def minimal_base():
 def test_torn_record_is_invisible_until_commit():
     """A begin without its commit is torn: no usable record exists."""
     host = FakeHost()
-    replica_apply(host, 0, update("begin", seqno=1, body=minimal_base(), size=64))
+    replica_apply(host, 0, update("begin", seqno=1, body=empty_image(), size=64))
     assert best_record(host, 0) is None
-    payload, _ = serve_replica_query(host, 0, 2, "handshake", None)
-    assert payload == NO_REPLICA
+    assert host.ask(about=0) == NO_REPLICA
     # no ack may be sent for a torn record (it would move the trim ceiling
     # past state the buddy cannot actually serve)
     assert host.proto.sent == []
@@ -98,27 +111,27 @@ def test_torn_record_is_invisible_until_commit():
 
 def test_torn_record_falls_back_to_previous_committed_base():
     """Mid-transfer crash of the protected node: the previous committed
-    base (plus the op tail appended since) stays servable."""
+    image (advanced by the ops since) stays servable."""
     host = FakeHost()
-    replica_apply(host, 0, update("sync", seqno=1, body=minimal_base(), size=64))
-    replica_apply(host, 0, update("begin", seqno=2, body=minimal_base(), size=64))
+    replica_apply(host, 0, update("sync", seqno=1, body=empty_image(), size=64))
+    replica_apply(host, 0, update("begin", seqno=2, body=empty_image(), size=64))
     # ops stream on; the protected node dies before sending commit(2)
     op = ("bar", 3, VClock.zero(N))
     replica_apply(host, 0, update("op", body=op, size=40))
 
     rec = best_record(host, 0)
     assert rec is not None and rec.seqno == 1
-    # the tail was appended to the committed base too, so the fallback
-    # view is not missing the events since begin(2)
-    assert op in rec.ops
+    # the committed image advanced too, so the fallback answer is not
+    # missing the events since begin(2)
+    assert host.ask(about=0)["bar_mirror"] == [(3, VClock.zero(N))]
     store = host.replica_store.store_for(0)
     assert store.is_pending(("replica", 2))
 
 
 def test_commit_prunes_superseded_records():
     host = FakeHost()
-    replica_apply(host, 0, update("sync", seqno=1, body=minimal_base(), size=64))
-    replica_apply(host, 0, update("begin", seqno=2, body=minimal_base(), size=64))
+    replica_apply(host, 0, update("sync", seqno=1, body=empty_image(), size=64))
+    replica_apply(host, 0, update("begin", seqno=2, body=empty_image(), size=64))
     replica_apply(host, 0, update("commit", seqno=2))
     store = host.replica_store.store_for(0)
     assert store.keys() == [("replica", 2)]
@@ -136,7 +149,7 @@ def test_commit_without_record_is_noop():
 
 def test_drop_forgets_protected_peer():
     host = FakeHost()
-    replica_apply(host, 0, update("sync", seqno=1, body=minimal_base(), size=64))
+    replica_apply(host, 0, update("sync", seqno=1, body=empty_image(), size=64))
     assert host.replica_store.has(0)
     replica_apply(host, 0, update("drop"))
     assert not host.replica_store.has(0)
