@@ -34,6 +34,16 @@ def test_bench_compute_diff_dense(benchmark):
     assert d.payload_bytes > 1000
 
 
+def test_bench_compute_diff_many_runs(benchmark):
+    """What Barnes' tree pages look like: the low bytes of every other
+    float64 rewritten, 200 three-byte runs on one page."""
+    twin, _ = _page_pair()
+    cur = twin.copy()
+    cur.reshape(-1, 8)[0:400:2, :3] += 1
+    d = benchmark(compute_diff, twin, cur)
+    assert len(d.offsets) == 200 and d.payload_bytes == 600
+
+
 def test_bench_compute_diff_identical(benchmark):
     twin, _ = _page_pair()
     d = benchmark(compute_diff, twin, twin.copy())

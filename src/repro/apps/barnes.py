@@ -18,13 +18,12 @@ bit modulo node numbering — which the result check exploits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, block_partition, phase_loop
+from repro.apps.base import AppConfig, DsmApp, block_partition, golden, phase_loop
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["BarnesConfig", "BarnesApp"]
@@ -91,12 +90,6 @@ class _Tree:
     def __init__(self, nodes: np.ndarray, cfg: BarnesConfig) -> None:
         self.nodes = nodes.reshape(-1, NODE_W)
         self.cfg = cfg
-        #: node indices modified since construction (drives precise
-        #: write-range declarations in the DSM app)
-        self.touched: set = set()
-        #: lazily built per-column scalar views for force_on; any tree
-        #: mutation drops it (contents are stable across the force loop)
-        self._fc: Any = None
 
     # -- geometry ---------------------------------------------------------
     @staticmethod
@@ -116,17 +109,14 @@ class _Tree:
         return cx, cy, cz, h
 
     def init_internal(self, idx: int, cx: float, cy: float, cz: float, h: float) -> None:
-        self._fc = None
         rec = self.nodes[idx]
         rec[:] = 0.0
         rec[F_TYPE] = INTERNAL
         rec[F_CX], rec[F_CY], rec[F_CZ] = cx, cy, cz
         rec[F_HALF] = h
         rec[F_CHILD0 : F_CHILD0 + 8] = -1.0
-        self.touched.add(idx)
 
     def init_leaf(self, idx: int, body: int, cx: float, cy: float, cz: float, h: float) -> None:
-        self._fc = None
         rec = self.nodes[idx]
         rec[:] = 0.0
         rec[F_TYPE] = LEAF
@@ -134,14 +124,12 @@ class _Tree:
         rec[F_CX], rec[F_CY], rec[F_CZ] = cx, cy, cz
         rec[F_HALF] = h
         rec[F_CHILD0 : F_CHILD0 + 8] = -1.0
-        self.touched.add(idx)
 
     # -- insertion (canonical octree; order-independent shape) ------------
     def insert(
         self, root: int, body: int, p: np.ndarray, alloc: "Allocator"
     ) -> int:
         """Insert ``body`` under ``root``; returns levels descended."""
-        self._fc = None
         node = root
         depth = 0
         while True:
@@ -156,7 +144,6 @@ class _Tree:
                 cx, cy, cz, h = self.child_center(rec, oct_)
                 self.init_leaf(idx, body, cx, cy, cz, h)
                 rec[F_CHILD0 + oct_] = float(idx)
-                self.touched.add(node)
                 return depth
             crec = self.nodes[child]
             if crec[F_TYPE] == LEAF:
@@ -184,14 +171,12 @@ class _Tree:
                 cx, cy, cz, h = self.child_center(rec, oct_)
                 self.init_leaf(idx, body, cx, cy, cz, h)
                 rec[F_CHILD0 + oct_] = float(idx)
-                self.touched.add(node)
                 return depth
             node = child  # descend (only happens after repeated splits)
 
     # -- center of mass -----------------------------------------------------
     def compute_com(self, root: int, pos: np.ndarray) -> int:
         """Post-order mass/COM accumulation; returns nodes visited."""
-        self._fc = None
         visited = 0
         stack = [(root, False)]
         while stack:
@@ -225,80 +210,85 @@ class _Tree:
         return visited
 
     # -- force ---------------------------------------------------------------
-    def _build_force_cache(self) -> Tuple[Any, ...]:
-        """Per-column scalar lists + a contiguous COM block.
-
-        ``force_on`` touches a handful of scalar fields per visited node;
-        reading them through numpy row indexing allocates an ``np.float64``
-        per access and dominated profiles. Plain-list columns make those
-        reads native. The COM block stays a float64 array so the distance
-        vector and the ``d @ d`` reduction execute the exact same numpy
-        operations (and rounding) as before.
+    def _walk_tables(self) -> Tuple[np.ndarray, List[int], List[List[int]]]:
+        """The tree as the walk reads it: ``live`` (a record that is not
+        empty and has mass), and as plain lists, because numpy scalar
+        reads would dominate the walk, ``leaf_body[node]`` (the body a
+        leaf holds, -1 for an internal node) and ``kids[node]`` (an
+        internal node's children, high octant first so that octant 0 pops
+        first, without the slots the walk would pop and drop: no child,
+        or one that is not live). A stale record between allocated ones
+        may name a child beyond the pool; nothing reaches either.
         """
         nd = self.nodes
+        live = ~((nd[:, F_TYPE] == EMPTY) | (nd[:, F_MASS] <= 0.0))
+        leaf_body = np.where(nd[:, F_TYPE] == LEAF, nd[:, F_BODY], -1.0)
+        ch = nd[:, F_CHILD0 + 7 : F_CHILD0 - 1 : -1].astype(np.int64)
+        keep = (ch >= 0) & (ch < len(nd))
+        keep[keep] = live[ch[keep]]
+        flat = ch[keep].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
         return (
-            nd[:, F_TYPE].tolist(),
-            nd[:, F_BODY].tolist(),
-            nd[:, F_MASS].tolist(),
-            nd[:, F_HALF].tolist(),
-            np.ascontiguousarray(nd[:, F_MX : F_MZ + 1]),
-            nd[:, F_CHILD0 : F_CHILD0 + 8].astype(np.int64).tolist(),
+            live,
+            leaf_body.astype(np.int64).tolist(),
+            [flat[s:e] for s, e in zip([0] + ends, ends)],
         )
 
-    def force_on(self, root: int, body: int, p: np.ndarray) -> Tuple[np.ndarray, int]:
+    def forces(
+        self, root: int, bodies: Sequence[int], pos: np.ndarray
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Accelerations on ``bodies`` (one row each) and the number of
+        interactions behind each, over the nodes of this tree's pool.
+
+        Collect, then evaluate: the geometry of every (body, node) pair
+        is one block of numpy calls, each body's walk only lists the
+        nodes it interacts with, and their contributions are evaluated
+        together and summed per body in walk order. Bit for bit the
+        per-body scalar loop this replaced, which the unit tests keep as
+        the oracle; DESIGN.md ("Barnes force kernel") says which of the
+        calls below may not be swapped for a faster one.
+        """
         cfg = self.cfg
-        fc = self._fc
-        if fc is None:
-            fc = self._fc = self._build_force_cache()
-        types, bodies, masses, halves, com, children = fc
-        # Batch the geometry for every node up front so the tree walk is
-        # pure Python. Rounding contract: the broadcast subtract performs
-        # the same elementwise ops as the per-node ``com[node] - p``, and
-        # the stacked matmul dispatches the same dot kernel per row as the
-        # per-node ``d @ d`` (verified bitwise; einsum/square-sum do NOT
-        # match because the BLAS dot uses FMA).
-        dmat = com - p
-        r2s = (
-            np.matmul(dmat[:, None, :], dmat[:, :, None]).ravel()
+        nd = self.nodes
+        live, leaf_body, kids = self._walk_tables()
+        bodies = list(bodies)
+        n = len(bodies)
+        d = nd[:, F_MX : F_MZ + 1] - pos[bodies][:, None, :]
+        r2 = (
+            np.matmul(d[:, :, None, :], d[:, :, :, None]).reshape(d.shape[:2])
             + cfg.softening**2
-        ).tolist()
-        ds = dmat.tolist()
-        sqrt = math.sqrt
-        ax = ay = az = 0.0
-        interactions = 0
-        stack = [root]
-        theta2 = cfg.theta**2
-        while stack:
-            node = stack.pop()
-            ty = types[node]
-            mass = masses[node]
-            if ty == EMPTY or mass <= 0.0:
-                continue
-            r2 = r2s[node]
-            if ty == LEAF:
-                if bodies[node] != body:
-                    s = r2 * sqrt(r2)
-                    dx, dy, dz = ds[node]
-                    ax += mass * dx / s
-                    ay += mass * dy / s
-                    az += mass * dz / s
-                    interactions += 1
-                continue
-            size = 2.0 * halves[node]
-            if size * size < theta2 * r2:
-                s = r2 * sqrt(r2)
-                dx, dy, dz = ds[node]
-                ax += mass * dx / s
-                ay += mass * dy / s
-                az += mass * dz / s
-                interactions += 1
-            else:
-                # push high octant first so octant 0 pops first, exactly
-                # like the original descending-range loop
-                for c in reversed(children[node]):
-                    if c >= 0:
-                        stack.append(c)
-        return np.array((ax, ay, az)), interactions
+        )
+        size = 2.0 * nd[:, F_HALF]
+        accepts = (size * size < cfg.theta**2 * r2).tolist()
+        start = [root] if live[root] else []
+        hits: List[int] = []
+        counts: List[int] = []
+        for body, accept in zip(bodies, accepts):
+            before = len(hits)
+            stack = start.copy()
+            while stack:
+                node = stack.pop()
+                held = leaf_body[node]
+                if held >= 0:
+                    if held != body:
+                        hits.append(node)
+                elif accept[node]:
+                    hits.append(node)
+                else:
+                    stack.extend(kids[node])
+            counts.append(len(hits) - before)
+        hit = np.array(hits, dtype=np.intp)
+        count = np.array(counts, dtype=np.intp)
+        row = np.repeat(np.arange(n), count)
+        r2 = r2[row, hit]
+        terms = nd[hit, F_MASS, None] * d[row, hit] / (r2 * np.sqrt(r2))[:, None]
+        # per body ``0.0 + c0 + c1 + ...`` in walk order: row b of
+        # ``padded`` is a zero, then b's terms; b's sum is the running
+        # sum where its terms end
+        nth = np.arange(len(hit)) - np.repeat(np.cumsum(count) - count, count)
+        padded = np.zeros((n, max(counts, default=0) + 1, 3))
+        padded[row, nth + 1] = terms
+        return np.add.accumulate(padded, axis=1)[np.arange(n), count], counts
 
 
 class Allocator:
@@ -334,9 +324,9 @@ def reference_barnes(cfg: BarnesConfig) -> np.ndarray:
         for b in range(n):
             tree.insert(root, b, pos[b], alloc)
         tree.compute_com(root, pos)
-        acc = np.zeros_like(pos)
-        for b in range(n):
-            acc[b], _ = tree.force_on(root, b, pos[b])
+        # the pool keeps earlier steps' records beyond this step's ids
+        allocated = _Tree(nodes[: (counter[0] + 1) * NODE_W], cfg)
+        acc, _ = allocated.forces(root, range(n), pos)
         vel += cfg.dt * acc
         pos = pos + cfg.dt * vel
     return pos
@@ -463,13 +453,12 @@ class BarnesApp(DsmApp):
                 # bulk copy-back would also write stale unchanged bytes,
                 # which on the writer's own homed pages would clobber
                 # concurrently applied remote diffs
-                for idx in sorted(tree.touched):
+                changed = (local != orig).reshape(-1, NODE_W)
+                for idx in np.flatnonzero(changed.any(axis=1)).tolist():
                     lo, hi = idx * NODE_W, (idx + 1) * NODE_W
-                    changed = local[lo:hi] != orig[lo:hi]
-                    if not changed.any():
-                        continue
                     view = yield from proc.write_range(app.r_nodes, lo, hi)
-                    view[changed] = local[lo:hi][changed]
+                    stored = changed[idx]
+                    view[stored] = local[lo:hi][stored]
                 yield from proc.compute(cfg.insert_cost * max(levels, 1))
                 yield from proc.release(OCTANT_LOCK0 + oct_)
             yield from proc.barrier()
@@ -492,18 +481,15 @@ class BarnesApp(DsmApp):
             flat = yield from proc.read_range(app.r_pos, 0, n * 3)
             pos = flat.reshape(n, 3).copy()
             head = yield from proc.read_range(app.r_meta, 0, 2)
-            root = int(head[1])
+            root, used = int(head[1]), int(head[0])
             nview = yield from proc.read_range(app.r_nodes, 0, cfg.nodes_cap() * NODE_W)
-            tree = _Tree(nview.copy(), cfg)
+            tree = _Tree(nview[: used * NODE_W].copy(), cfg)
             aview = yield from proc.write_range(
                 app.r_acc, part.start * 3, part.stop * 3
             )
-            a = aview.reshape(-1, 3)
-            total = 0
-            for k, b in enumerate(part):
-                a[k], inter = tree.force_on(root, b, pos[b])
-                total += inter
-            yield from proc.compute(cfg.force_cost * max(total, 1))
+            acc, counts = tree.forces(root, part, pos)
+            aview.reshape(-1, 3)[:] = acc
+            yield from proc.compute(cfg.force_cost * max(sum(counts), 1))
             yield from proc.barrier()
 
         def phase_advance(proc: DsmProcess, state: Dict, step: int) -> Iterator[Any]:
@@ -531,5 +517,5 @@ class BarnesApp(DsmApp):
     # ------------------------------------------------------------------
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_bodies * 3]
-        want = reference_barnes(self.cfg).ravel()
+        want = golden(reference_barnes, self.cfg).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

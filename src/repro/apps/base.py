@@ -20,15 +20,17 @@ they are checkpointed) and seeded from the app config.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.protocol import DsmProcess
 
-__all__ = ["AppConfig", "DsmApp", "phase_loop", "block_partition"]
+__all__ = ["AppConfig", "DsmApp", "golden", "phase_loop", "block_partition"]
 
 
 @dataclass
@@ -37,6 +39,27 @@ class AppConfig:
 
     steps: int = 4
     seed: int = 42
+
+
+@functools.lru_cache(maxsize=8)
+def _golden(
+    model: Callable[[Any], np.ndarray], cfg_type: type, fields: Tuple
+) -> np.ndarray:
+    want = model(cfg_type(*fields))
+    want.setflags(write=False)
+    return want
+
+
+def golden(model: Callable[[Any], np.ndarray], cfg: AppConfig) -> np.ndarray:
+    """``model(cfg)``, the sequential golden output, integrated once per
+    process for each config value.
+
+    A golden model is a pure function of its config's fields, and one
+    config is checked against many times: base and FT runs of a setup,
+    every point of a crash sweep. The few most recent outputs are kept,
+    read-only; an input the model rejects raises on every call.
+    """
+    return _golden(model, type(cfg), dataclasses.astuple(cfg))
 
 
 class DsmApp:

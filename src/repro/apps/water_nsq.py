@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, block_partition, phase_loop
+from repro.apps.base import AppConfig, DsmApp, block_partition, golden, phase_loop
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["WaterNsqConfig", "WaterNsqApp"]
@@ -184,5 +184,5 @@ class WaterNsqApp(DsmApp):
     # ------------------------------------------------------------------
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_molecules * 3]
-        want = reference_water_nsq(self.cfg).ravel()
+        want = golden(reference_water_nsq, self.cfg).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, block_partition, phase_loop
+from repro.apps.base import AppConfig, DsmApp, block_partition, golden, phase_loop
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["WaterSpatialConfig", "WaterSpatialApp"]
@@ -246,5 +246,5 @@ class WaterSpatialApp(DsmApp):
     # ------------------------------------------------------------------
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_molecules * 3]
-        want = reference_water_spatial(self.cfg).ravel()
+        want = golden(reference_water_spatial, self.cfg).ravel()
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

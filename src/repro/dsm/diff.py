@@ -12,9 +12,9 @@ A diff is three flat pieces: an ``int64`` array of run ``offsets``, an
 buffer holding every run's data back to back. Compared to the previous
 per-run ``(offset, bytes)`` tuples this allocates O(1) Python objects per
 diff instead of O(runs), and both ends of the hot path are vectorized:
-:func:`compute_diff` gathers the payload with one fancy-indexed read and
-:func:`apply_diff` scatters it with one fancy-indexed write, so the
-many-tiny-runs case costs the same per byte as the single-run case.
+:func:`compute_diff` gathers the payload with the mask that found the
+runs and :func:`apply_diff` scatters it with one fancy-indexed write, so
+the many-tiny-runs case costs the same per byte as the single-run case.
 
 Exactness
 ---------
@@ -169,7 +169,8 @@ def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
     if len(starts) == 1:
         payload = page[int(starts[0]) : int(ends[0])].tobytes()
     else:
-        payload = page[_scatter_index(starts, lengths)].tobytes()
+        # the changed bytes in ascending order are the runs back to back
+        payload = page[neq].tobytes()
     return Diff.from_arrays(starts, lengths, payload)
 
 

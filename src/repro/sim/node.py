@@ -38,6 +38,10 @@ class TimeBucket(enum.Enum):
     OVERHEAD = "overhead"
     LOG_CKPT = "log_ckpt"
 
+    # members are singletons compared by identity; ``Enum.__hash__`` is a
+    # Python-level ``hash(self._name_)``, paid on every charge below
+    __hash__ = object.__hash__
+
 
 class TimeStats:
     """Accumulated virtual seconds per bucket for one process."""

@@ -63,6 +63,32 @@ GOLDEN = {
         },
         "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 46, "page": 88},
     },
+    # Barnes, recorded on the parent of the commit that rewrote its force
+    # phase as a collect-then-evaluate kernel: interaction counts feed
+    # ``proc.compute`` and accelerations feed positions, which decide the
+    # next tree, so a kernel that moves one bit or one count moves these
+    ("barnes", False): {
+        "wall_time_hex": "0x1.505255d9ab0ebp-5",
+        "total_bytes": 882241,
+        "total_msgs": 1905,
+        "bytes_by_category": {
+            "barrier": 16416, "diff": 77741, "lock": 17876, "page": 770208,
+        },
+        "msgs_by_category": {
+            "barrier": 72, "diff": 258, "lock": 219, "page": 1356,
+        },
+    },
+    ("barnes", True): {
+        "wall_time_hex": "0x1.d1a290df4db14p-5",
+        "total_bytes": 889743,
+        "total_msgs": 1975,
+        "bytes_by_category": {
+            "barrier": 16416, "diff": 77741, "lock": 21460, "page": 774126,
+        },
+        "msgs_by_category": {
+            "barrier": 72, "diff": 258, "lock": 283, "page": 1362,
+        },
+    },
     # buddy replication on (DESIGN.md §11): the replica stream is its own
     # traffic category; its ack timing also shifts checkpoint trimming,
     # which nudges the base-protocol byte counts slightly
@@ -99,7 +125,7 @@ def run_once(app_name: str, ft):
     }
 
 
-@pytest.mark.parametrize("app_name", ["lu", "counter"])
+@pytest.mark.parametrize("app_name", ["lu", "counter", "barnes"])
 @pytest.mark.parametrize("ft", [False, True], ids=["base", "ft"])
 def test_matches_pre_optimization_golden(app_name, ft):
     assert run_once(app_name, ft) == GOLDEN[(app_name, ft)]

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsm.diff import RUN_HEADER_BYTES, Diff, apply_diff, compute_diff
+from repro.dsm.diff import (
+    RUN_HEADER_BYTES,
+    Diff,
+    _scatter_index,
+    apply_diff,
+    compute_diff,
+)
 
 PAGE = 256
 
@@ -134,6 +140,37 @@ def test_size_model_consistent(twin, cur):
     d = compute_diff(twin, cur)
     assert d.size_bytes == d.payload_bytes + RUN_HEADER_BYTES * len(d.runs)
     assert d.payload_bytes == sum(len(b) for _, b in d.runs)
+
+
+@given(
+    st.integers(1, 300), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=200)
+def test_mask_payload_is_the_runs_back_to_back(n_runs, at_start, at_end, seed):
+    """``compute_diff`` gathers a multi-run payload with the ``!=`` mask;
+    that is the runs' bytes in run order, i.e. what the index
+    ``apply_diff`` scatters with would have gathered."""
+    size = 4096
+    rng = np.random.default_rng(seed)
+    # 2 * n_runs distinct cuts: run k is [cuts[2k], cuts[2k + 1]), so runs
+    # are non-empty and never adjacent, and at 300 runs many are one byte
+    cuts = np.sort(rng.choice(size + 1, size=2 * n_runs, replace=False))
+    if at_start:
+        cuts[0] = 0
+    if at_end:
+        cuts[-1] = size
+    starts, lengths = cuts[0::2], cuts[1::2] - cuts[0::2]
+    twin = rng.integers(0, 256, size, dtype=np.uint8)
+    cur = twin.copy()
+    for lo, n in zip(starts, lengths):
+        cur[lo : lo + n] ^= rng.integers(1, 256, n, dtype=np.uint8)
+    d = compute_diff(twin, cur)
+    assert d.offsets.tolist() == starts.tolist()
+    assert d.lengths.tolist() == lengths.tolist()
+    assert d.payload == cur[_scatter_index(starts, lengths)].tobytes()
+    out = twin.copy()
+    apply_diff(out, d)
+    assert np.array_equal(out, cur)
 
 
 def test_out_of_bounds_runs_rejected_from_array_repr():

@@ -88,6 +88,34 @@ def test_time_stats_merge_and_dict():
     assert m.as_dict()["overhead"] == 1.0
 
 
+def test_time_buckets_hash_by_identity_and_nothing_reads_the_value():
+    """``TimeStats`` is a dict keyed by members and charged on every
+    access; the keys' order is insertion order and a copy that went
+    through a checkpoint (pickle, deep copy) is keyed by the same
+    singletons."""
+    import copy
+    import pickle
+
+    assert TimeBucket.__hash__ is object.__hash__
+    order = [
+        "compute", "page_wait", "lock_wait", "barrier_wait", "overhead",
+        "log_ckpt",
+    ]
+    assert list(TimeStats().as_dict()) == order
+    ts = TimeStats()
+    for k, bucket in enumerate(TimeBucket, start=1):
+        ts.add(bucket, k / 8)
+    state = {"step": 3, "stats": ts, "bucket": TimeBucket.LOG_CKPT}
+    for restored in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert restored["bucket"] is TimeBucket.LOG_CKPT
+        back = restored["stats"]
+        assert all(a is b for a, b in zip(back.seconds, TimeBucket))
+        assert back.as_dict() == ts.as_dict()
+        assert list(back.merged(ts).as_dict()) == order
+        back.add(TimeBucket.OVERHEAD, 1.0)  # still the live keys
+        assert back.seconds[TimeBucket.OVERHEAD] == ts.seconds[TimeBucket.OVERHEAD] + 1.0
+
+
 def test_cpu_handler_debt_drains_to_overhead():
     eng = Engine()
     cpu = CpuModel()
