@@ -30,14 +30,24 @@ from typing import Callable, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):  # as the ledger's child
-    os.environ.setdefault(var, "1")
-sys.path[:0] = [os.path.join(HERE, "ledger"), SRC]
-
-import workloads  # noqa: E402  (the ledger's, read-only)
 
 TICK_S = 1e-3
 ROWS = 25
+
+
+def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
+    """Count one sample: the interrupted function, its line, its callers."""
+    code = frame.f_code
+    self_n[code.co_filename, code.co_name] += 1
+    # f_lineno is None when the tick lands on an instruction without a
+    # line (RESUME, a generated dataclass __init__)
+    lineno = frame.f_lineno
+    line_n[code.co_filename, code.co_firstlineno if lineno is None else lineno] += 1
+    on_stack = set()
+    while frame is not None:
+        on_stack.add((frame.f_code.co_filename, frame.f_code.co_name))
+        frame = frame.f_back
+    cum_n.update(on_stack)
 
 
 def sample(body: Callable[[], object]) -> Tuple[Counter, Counter, Counter]:
@@ -46,18 +56,10 @@ def sample(body: Callable[[], object]) -> Tuple[Counter, Counter, Counter]:
     self_n: Counter = Counter()
     cum_n: Counter = Counter()
     line_n: Counter = Counter()
-
-    def on_tick(_signum: int, frame) -> None:
-        code = frame.f_code
-        self_n[code.co_filename, code.co_name] += 1
-        line_n[code.co_filename, frame.f_lineno] += 1
-        on_stack = set()
-        while frame is not None:
-            on_stack.add((frame.f_code.co_filename, frame.f_code.co_name))
-            frame = frame.f_back
-        cum_n.update(on_stack)
-
-    signal.signal(signal.SIGPROF, on_tick)
+    signal.signal(
+        signal.SIGPROF,
+        lambda _signum, frame: on_tick(frame, self_n, cum_n, line_n),
+    )
     signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
     try:
         body()
@@ -74,6 +76,11 @@ def short(path: str) -> str:
 
 
 def main() -> int:
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):  # as the ledger's child
+        os.environ.setdefault(var, "1")
+    sys.path[:0] = [os.path.join(HERE, "ledger"), SRC]
+    import workloads  # the ledger's, read-only
+
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     p.add_argument("--seed", type=int, default=42)

@@ -155,3 +155,84 @@ def test_bench_monitor_quiescent_scan(benchmark):
     benchmark(monitor._scan_structural)
     assert monitor.checks["recoverability"] > before
     assert not monitor.finish()
+
+
+def _observed_cluster():
+    """An 8-node replicated FT cluster after a small run, its observer
+    attached with both cadences off: the benchmarks take the samples."""
+    from repro import DsmCluster, DsmConfig
+    from repro.apps.counter import CounterApp, CounterConfig
+    from repro.core import FtConfig, LogOverflowPolicy
+    from repro.observe import ClusterObserver
+
+    cluster = DsmCluster(
+        DsmConfig(num_procs=8), ft=True, ft_config=FtConfig(replicate=True),
+        policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
+    )
+    observer = ClusterObserver(
+        cluster, interval=None, sample_on_barrier=False, window_s=1e-3
+    )
+    cluster.run(CounterApp(CounterConfig(steps=3, n_elements=512)))
+    return observer
+
+
+def test_bench_registry_sample(benchmark):
+    """1,000 samples of 8 hosts' gauges (15 each), the cluster's 6 and the
+    trim counters: what the ticker costs a serving run."""
+    registry = _observed_cluster().registry
+
+    def run():
+        start = registry.samples_taken
+        for i in range(start, start + 1000):
+            registry.sample(i * 1e-3)
+
+    benchmark.pedantic(run, rounds=5, iterations=1)
+    assert registry.samples_taken == 5000
+    assert len(registry.get_series("ft.ckpts_retained", 7)) == 5000
+
+
+def test_bench_windowed_observe(benchmark):
+    """20 k seeded latencies filed over 600 one-millisecond windows."""
+    import random
+
+    from repro.observe import MetricsRegistry
+
+    rng = random.Random(42)
+    values = [rng.expovariate(1.0 / 3e-4) for _ in range(20_000)]
+    now = [0.0]
+
+    def run():
+        registry = MetricsRegistry()
+        registry.enable_windows(lambda: now[0], 1e-3)
+        lat = registry.latency("lat.request", 0)
+        for i, v in enumerate(values):
+            now[0] = i * 3e-5
+            lat.observe(v)
+        return lat
+
+    lat = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert lat.count == 20_000 and len(lat.windows) == 600
+    assert sum(h.count for h in lat.windows.values()) == 20_000
+
+
+def test_bench_build_report_twice(benchmark):
+    """The CLI's two ``build_report`` calls over 1,000 samples of that
+    registry; a fresh registry per round, so each round pays for the
+    first build and shows what the second one reuses."""
+    from repro.observe import build_report
+
+    def setup():
+        observer = _observed_cluster()
+        for i in range(1000):
+            observer.registry.sample(i * 1e-3)
+        return (observer.registry,), {}
+
+    def run(registry):
+        first = build_report(registry, {"app": "counter"})
+        return first, build_report(registry, {"app": "counter"})
+
+    first, second = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
+    assert second == first
+    assert len(first["series"]) > 8 * 15 and first["wlats"]
+    assert all(len(rec["points"]) == 1000 for rec in first["series"]
+               if rec["metric"] == "ft.ckpts_retained")

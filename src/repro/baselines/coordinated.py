@@ -347,9 +347,8 @@ class CoordinatedFt(FtManager):
         self.committed_round = round_id
         # drop ALL volatile logs (the coordinated scheme's GC advantage)
         self.logs.diff.clear()
-        for i in range(self.n):
-            self.logs.rel.entries[i] = []
-            self.logs.acq.entries[i] = []
+        self.logs.rel.clear()
+        self.logs.acq.clear()
         self.logs.bar = []
         self.logs.selfgrants.clear()
         # drop older stable rounds and page-copy history

@@ -58,9 +58,13 @@ class RelLog:
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
         self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
+        #: entries in all buckets together, kept by every method that
+        #: resizes one: the observer reads it per host per sample
+        self._count = 0
 
     def append(self, acquirer: int, lock_id: int, acq_t: VClock) -> None:
         self.entries[acquirer].append(RelEntry(lock_id, acq_t))
+        self._count += 1
 
     def for_acquirer(self, acquirer: int) -> List[RelEntry]:
         return list(self.entries[acquirer])
@@ -70,10 +74,17 @@ class RelLog:
         old = self.entries[acquirer]
         kept = [e for e in old if e.acq_t[acquirer] > tckp_component]
         self.entries[acquirer] = kept
+        self._count -= len(old) - len(kept)
         return len(old) - len(kept)
 
     def restore_for(self, acquirer: int, entries: Iterable[RelEntry]) -> None:
-        self.entries[acquirer] = list(entries)
+        new = list(entries)
+        self._count += len(new) - len(self.entries[acquirer])
+        self.entries[acquirer] = new
+
+    def clear(self) -> None:
+        self.entries[:] = [[] for _ in range(self.n)]
+        self._count = 0
 
     def confirm(
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
@@ -98,7 +109,7 @@ class RelLog:
         return False
 
     def count(self) -> int:
-        return sum(len(e) for e in self.entries)
+        return self._count
 
 
 class AcqLog:
@@ -110,10 +121,12 @@ class AcqLog:
         #: grantors with entries — the trim pass visits only these instead
         #: of scanning all N buckets at every checkpoint
         self._nonempty: set = set()
+        self._count = 0  # as RelLog's
 
     def append(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
         self.entries[grantor].append(RelEntry(lock_id, acq_t))
         self._nonempty.add(grantor)
+        self._count += 1
 
     def for_grantor(self, grantor: int) -> List[RelEntry]:
         return list(self.entries[grantor])
@@ -132,10 +145,16 @@ class AcqLog:
             self.entries[g] = kept
             if not kept:
                 self._nonempty.discard(g)
+        self._count -= dropped
         return dropped
 
+    def clear(self) -> None:
+        self.entries[:] = [[] for _ in range(self.n)]
+        self._nonempty.clear()
+        self._count = 0
+
     def count(self) -> int:
-        return sum(len(e) for e in self.entries)
+        return self._count
 
 
 @dataclass

@@ -31,7 +31,9 @@ estimate are exactly order-invariant.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Tuple
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "LatencyHistogram",
@@ -59,6 +61,11 @@ PERCENTILE_LABELS: Dict[float, str] = {
 }
 
 
+#: (base, growth) -> [upper_bound(0), upper_bound(1), ...]: one table per
+#: geometry, shared by its histograms and extended as larger values arrive
+_BOUNDS: Dict[Tuple[float, float], List[float]] = {}
+
+
 def _rank(p: float, n: int) -> int:
     """Rank (1-based) of the p-th percentile in n sorted samples."""
     return max(1, min(n, math.ceil(p / 100.0 * n)))
@@ -79,7 +86,7 @@ def exact_percentile(values: List[float], p: float) -> float:
 class LatencyHistogram:
     """Sparse log-bucketed distribution of non-negative durations."""
 
-    __slots__ = ("name", "node", "base", "growth", "_log_g", "buckets",
+    __slots__ = ("name", "node", "base", "growth", "_bounds", "buckets",
                  "zero_count", "count", "total", "min", "max")
 
     def __init__(
@@ -97,7 +104,7 @@ class LatencyHistogram:
         self.node = node
         self.base = base
         self.growth = growth
-        self._log_g = math.log(growth)
+        self._bounds = _BOUNDS.setdefault((base, growth), [self.upper_bound(0)])
         #: sparse {bucket index: count}; index i covers (ub(i-1), ub(i)]
         self.buckets: Dict[int, int] = {}
         self.zero_count = 0
@@ -115,29 +122,27 @@ class LatencyHistogram:
     def bucket_index(self, value: float) -> int:
         """Smallest ``i >= 0`` with ``upper_bound(i) >= value``.
 
-        Computed via a log then corrected by (at most one step of)
-        direct comparison, so the mapping is exact despite float
-        rounding in ``log`` — the monotonicity the error bound and the
+        One bisection over the geometry's bound table, whose entry ``i``
+        is the very float ``upper_bound(i)`` returns, so the mapping is
+        exact by construction — the monotonicity the error bound and the
         order-invariance guarantee both rest on.
         """
-        if value <= self.base:
-            return 0
-        i = max(0, math.ceil(math.log(value / self.base) / self._log_g))
-        while self.upper_bound(i) < value:
-            i += 1
-        while i > 0 and self.upper_bound(i - 1) >= value:
-            i -= 1
-        return i
+        bounds = self._bounds
+        while bounds[-1] < value:
+            bounds.append(self.upper_bound(len(bounds)))
+        return bisect_left(bounds, value)
 
     # ------------------------------------------------------------------
     # accumulation
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
-        value = float(value)
-        if value < 0.0:
-            # virtual durations are differences of a monotone clock;
-            # clamp defensive float dust rather than corrupting buckets
-            value = 0.0
+        # virtual durations are differences of a monotone clock; clamp
+        # defensive float dust rather than corrupting buckets
+        value = max(float(value), 0.0)
+        self.add(value, self.bucket_index(value))
+
+    def add(self, value: float, index: int) -> None:
+        """Count a non-negative ``value`` already placed in bucket ``index``."""
         self.count += 1
         self.total += value
         if value < self.min:
@@ -146,9 +151,8 @@ class LatencyHistogram:
             self.max = value
         if value == 0.0:
             self.zero_count += 1
-            return
-        i = self.bucket_index(value)
-        self.buckets[i] = self.buckets.get(i, 0) + 1
+        else:
+            self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge_from(self, other: "LatencyHistogram") -> None:
         """Add ``other``'s counts into this histogram (elementwise)."""
@@ -185,19 +189,26 @@ class LatencyHistogram:
         """Estimate of the p-th percentile (documented error bounds)."""
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile out of range: {p}")
+        return self._estimates((p,), sorted(self.buckets.items()))[0]
+
+    def _estimates(self, ps: Sequence[float], ordered: list) -> List[float]:
+        """Every ``ps`` estimate from one pass over the sorted buckets."""
         if self.count == 0:
-            return 0.0
-        rank = _rank(p, self.count)
-        cum = self.zero_count
-        if cum >= rank:
-            return 0.0
-        for i in sorted(self.buckets):
-            cum += self.buckets[i]
-            if cum >= rank:
-                est = self.upper_bound(i)
+            return [0.0] * len(ps)
+        # cums[k]: observations at or below the k-th bucket; cums[0]: zeros
+        cums = list(accumulate((c for _, c in ordered), initial=self.zero_count))
+        out: List[float] = []
+        for p in ps:
+            k = bisect_left(cums, _rank(p, self.count))
+            if k == 0:
+                out.append(0.0)
+            elif k == len(cums):
+                out.append(self.max)  # unreachable unless counts were corrupted
+            else:
+                est = self.upper_bound(ordered[k - 1][0])
                 # exact observed extrema always dominate bucket bounds
-                return min(max(est, self.min), self.max)
-        return self.max  # unreachable unless counts were corrupted
+                out.append(min(max(est, self.min), self.max))
+        return out
 
     def count_over(self, threshold: float) -> int:
         """Observations estimated to exceed ``threshold`` (SLO bad count).
@@ -225,27 +236,31 @@ class LatencyHistogram:
         return self.total / self.count if self.count else 0.0
 
     def summary(self) -> Dict[str, float]:
+        return self._summary(sorted(self.buckets.items()))
+
+    def _summary(self, ordered: list) -> Dict[str, float]:
         out: Dict[str, float] = {
             "count": self.count,
             "mean": self.mean,
             "min": self.min if self.count else 0.0,
             "max": self.max if self.count else 0.0,
         }
-        for p in PERCENTILES:
-            out[PERCENTILE_LABELS[p]] = self.percentile(p)
+        for p, estimate in zip(PERCENTILES, self._estimates(PERCENTILES, ordered)):
+            out[PERCENTILE_LABELS[p]] = estimate
         return out
 
     # ------------------------------------------------------------------
     # serialization (run-report "lat" records, analytics merging)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
+        ordered = sorted(self.buckets.items())
         return {
             "base": self.base,
             "growth": self.growth,
             "zero": self.zero_count,
-            "buckets": [[i, self.buckets[i]] for i in sorted(self.buckets)],
+            "buckets": list(map(list, ordered)),
             "sum": self.total,
-            **self.summary(),
+            **self._summary(ordered),
         }
 
     @classmethod

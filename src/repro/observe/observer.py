@@ -26,6 +26,7 @@ incarnation emits them.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
@@ -53,6 +54,15 @@ __all__ = ["ClusterObserver"]
 #: histogram, ``lat.<op>`` the percentile distribution (DESIGN.md §12).
 #: Home waits charge PAGE_WAIT too but have no histogram of their own.
 _WAIT_METRICS = {"fetch": "fetch", "acquire": "lock", "barrier": "barrier"}
+
+#: a host's sampled row (``_install_host_gauges``): ``dsm.<stat>`` for each
+#: protocol stat, then with FT on, then with buddy replication on
+_PROTO_STATS = ("page_fetches", "page_fetch_bytes", "diff_bytes_sent",
+                "diff_bytes_created", "lock_acquires", "barriers")
+_FT_GAUGES = ("ft.log_volatile_bytes", "ft.log_saved_bytes",
+              "ft.log_unsaved_bytes", "ft.rel_log_entries", "ft.wn_entries",
+              "ft.checkpoints_taken", "ft.ckpts_retained")
+_REPLICA_GAUGES = ("ft.replica_bytes", "ft.replica_lag")
 
 
 class ClusterObserver:
@@ -121,88 +131,63 @@ class ClusterObserver:
             cluster.engine.schedule(interval, self._tick)
 
     def _install_cluster_gauges(self) -> None:
-        reg = self.registry
-        cluster = self.cluster
-        engine = cluster.engine
-        net = cluster.network
+        engine = self.cluster.engine
+        net = self.cluster.network
         traffic = net.traffic
-        reg.gauge("sim.events", fn=lambda: engine.steps)
-        reg.gauge("sim.channel_bytes_inflight", fn=lambda: net.inflight_bytes)
-        reg.gauge("sim.channel_msgs_inflight", fn=lambda: net.inflight_msgs)
-        reg.gauge("net.total_bytes", fn=lambda: traffic.total_bytes)
-        reg.gauge("net.total_msgs", fn=lambda: traffic.total_msgs)
-        reg.gauge("net.ft_bytes", fn=lambda: traffic.ft_bytes)
-
-    def _install_host_gauges(self, host: "ProcHost") -> None:
-        reg = self.registry
-        pid = host.pid
-
-        def proto_stat(attr: str):
-            def read(h=host, a=attr) -> float:
-                p = h.proto
-                return getattr(p.stats, a) if p is not None else 0.0
-
-            return read
-
-        reg.gauge("dsm.page_fetches", pid, proto_stat("page_fetches"))
-        reg.gauge("dsm.page_fetch_bytes", pid, proto_stat("page_fetch_bytes"))
-        reg.gauge("dsm.diff_bytes_sent", pid, proto_stat("diff_bytes_sent"))
-        reg.gauge("dsm.diff_bytes_created", pid, proto_stat("diff_bytes_created"))
-        reg.gauge("dsm.lock_acquires", pid, proto_stat("lock_acquires"))
-        reg.gauge("dsm.barriers", pid, proto_stat("barriers"))
-        if not self.cluster.ft_enabled:
-            return
-
-        def ft_read(fn):
-            def read(h=host) -> float:
-                return fn(h) if h.ft is not None else 0.0
-
-            return read
-
-        reg.gauge(
-            "ft.log_volatile_bytes", pid,
-            ft_read(lambda h: h.ft.logs.diff.volatile_bytes),
-        )
-        reg.gauge(
-            "ft.log_saved_bytes", pid,
-            ft_read(lambda h: h.ft.logs.diff.saved_bytes),
-        )
-        reg.gauge(
-            "ft.log_unsaved_bytes", pid,
-            ft_read(lambda h: h.ft.logs.diff.unsaved_bytes),
-        )
-        reg.gauge(
-            "ft.rel_log_entries", pid,
-            ft_read(lambda h: h.ft.logs.rel.count() + h.ft.logs.acq.count()),
-        )
-        reg.gauge(
-            "ft.wn_entries", pid,
-            ft_read(lambda h: h.ft.proc.notices.count()),
-        )
-        reg.gauge(
-            "ft.checkpoints_taken", pid,
-            ft_read(lambda h: h.ft.stats.checkpoints_taken),
-        )
-        reg.gauge(
-            "ft.ckpts_retained", pid,
-            lambda h=host: (
-                len(h.ckpt_mgr.retained_seqnos) if h.ckpt_mgr is not None else 0.0
+        self.registry.gauges(
+            ("sim.events", "sim.channel_bytes_inflight",
+             "sim.channel_msgs_inflight", "net.total_bytes",
+             "net.total_msgs", "net.ft_bytes"),
+            CLUSTER_NODE,
+            lambda: (
+                engine.steps, net.inflight_bytes, net.inflight_msgs,
+                traffic.total_bytes, traffic.total_msgs, traffic.ft_bytes,
             ),
         )
-        if self.cluster.replication:
-            # bytes of *peers'* FT state this node holds (volatile
-            # replica tier) and how far its own replication trails its
-            # checkpoints (0 = buddy holds everything committed)
-            reg.gauge(
-                "ft.replica_bytes", pid,
-                lambda h=host: h.replica_store.used_bytes,
-            )
-            reg.gauge(
-                "ft.replica_lag", pid,
-                ft_read(
-                    lambda h: h.ft.repl.lag if h.ft.repl is not None else 0.0
-                ),
-            )
+
+    def _install_host_gauges(self, host: "ProcHost") -> None:
+        """One reader per host: each sample reads the host's row once.
+
+        A crashed host (``proto``/``ft`` are None until recovery installs
+        the next incarnation) reads 0 for the state it has lost.
+        """
+        ft_enabled = self.cluster.ft_enabled
+        replication = self.cluster.replication
+        proto_stats = attrgetter(*_PROTO_STATS)
+        no_proto = (0.0,) * len(_PROTO_STATS)
+
+        def read() -> Tuple[float, ...]:
+            proto, ft, mgr = host.proto, host.ft, host.ckpt_mgr
+            row = proto_stats(proto.stats) if proto is not None else no_proto
+            if not ft_enabled:
+                return row
+            if ft is None:
+                row += (0.0,) * (len(_FT_GAUGES) - 1)
+            else:
+                logs = ft.logs
+                diff = logs.diff
+                row += (
+                    diff.volatile_bytes, diff.saved_bytes, diff.unsaved_bytes,
+                    logs.rel.count() + logs.acq.count(),
+                    ft.proc.notices.count(),
+                    ft.stats.checkpoints_taken,
+                )
+            row += (len(mgr.retained_seqnos) if mgr is not None else 0.0,)
+            if replication:
+                # bytes of *peers'* FT state this node holds (volatile
+                # replica tier) and how far its own replication trails its
+                # checkpoints (0 = buddy holds everything committed)
+                repl = ft.repl if ft is not None else None
+                row += (
+                    host.replica_store.used_bytes,
+                    repl.lag if repl is not None else 0.0,
+                )
+            return row
+
+        names = tuple("dsm." + stat for stat in _PROTO_STATS)
+        if ft_enabled:
+            names += _FT_GAUGES + (_REPLICA_GAUGES if replication else ())
+        self.registry.gauges(names, host.pid, read)
 
     # ------------------------------------------------------------------
     # sampling
@@ -241,7 +226,7 @@ class ClusterObserver:
         # do not keep the event queue alive on our own: if nothing else
         # is pending the run is over (or deadlocked) and rescheduling
         # would turn queue-drain detection into a sampling livelock
-        if engine._ready or engine._queue:
+        if engine.pending():
             engine.schedule(self.interval, self._tick)
 
     # ------------------------------------------------------------------

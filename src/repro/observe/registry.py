@@ -33,18 +33,16 @@ registry-private storage. Nothing here schedules events, sends messages,
 charges CPU time or touches vector clocks, so attaching a registry (and
 sampling it) can never perturb a run — the golden determinism test pins
 this.
-
-Off switch
-----------
-There is none here: emit sites guard with ``bus.active``, and a run
-without an observer builds no registry at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observe.latency import LatencyHistogram
+from repro.observe.slo.windows import WindowedLatency, merge_windowed
 
 __all__ = [
     "Counter",
@@ -116,6 +114,8 @@ class Histogram:
         self.name = name
         self.node = node
         self.bounds: Tuple[float, ...] = tuple(bounds)
+        if list(self.bounds) != sorted(self.bounds):
+            raise ValueError(f"histogram {name!r} bounds must ascend: {bounds}")
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -129,11 +129,8 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # first bound >= value; past the last bound, the overflow bucket
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -153,35 +150,48 @@ class Histogram:
 CLUSTER_NODE = -1
 
 
+Key = Tuple[str, int]
+
+
+def _by_name(table: Dict[Key, Any], name: str) -> Dict[int, Any]:
+    return {node: m for (n, node), m in sorted(table.items()) if n == name}
+
+
 class MetricsRegistry:
     """Registry of named per-node metrics plus their sampled series.
 
     Metrics are keyed by ``(name, node)``; ``node`` is a process id or
     :data:`CLUSTER_NODE` for cluster-wide quantities. ``sample(x)``
-    snapshots every counter and gauge into ``series[(name, node)]`` as an
-    ``(x, value)`` point — ``x`` is virtual time for the cadence sampler,
-    but any monotone axis works (Figure 4 records against checkpoint
-    number via :meth:`record`).
+    snapshots every counter and gauge as one more ``(x, value)`` point of
+    its series — ``x`` is virtual time for the cadence sampler, but any
+    monotone axis works (Figure 4 records against checkpoint number via
+    :meth:`record`).
+
+    Storage is columnar (DESIGN.md §7): a series is a column of doubles
+    over an x column — the one axis ``sample(x)`` appends to, from the
+    sample count at which the metric registered, or a ``record()``
+    series' own. Points exist only in what the read accessors return.
     """
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        window_s: Optional[float] = None,
-    ) -> None:
-        self._counters: Dict[Tuple[str, int], Counter] = {}
-        self._gauges: Dict[Tuple[str, int], Gauge] = {}
-        self._histograms: Dict[Tuple[str, int], Histogram] = {}
-        self._latencies: Dict[Tuple[str, int], LatencyHistogram] = {}
-        self.series: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
-        self.samples_taken = 0
-        # windowed collection (DESIGN.md §13): when both a clock callback
-        # and a window width are set, latency() transparently hands out
-        # WindowedLatency instances so every existing instrumentation
+    def __init__(self) -> None:
+        self._counters: Dict[Key, Counter] = {}
+        self._gauges: Dict[Key, Gauge] = {}
+        self._histograms: Dict[Key, Histogram] = {}
+        self._latencies: Dict[Key, LatencyHistogram] = {}
+        self._axis = array("d")
+        #: key -> (x column, index of its first x there, value column)
+        self._series: Dict[Key, Tuple[array, int, array]] = {}
+        #: (read, columns): each sample appends ``read()``'s row to them
+        self._readers: List[Tuple[Callable[[], Sequence[float]], List[array]]] = []
+        #: derived() memo: key -> (version, value)
+        self._derived: Dict[Any, Tuple[Any, Any]] = {}
+        # windowed collection (DESIGN.md §13): once enable_windows() set a
+        # clock callback and a window width, latency() transparently hands
+        # out WindowedLatency instances so every existing instrumentation
         # site also rotates per-window — the clock only *reads* virtual
         # time, preserving the layer's read-only guarantee
-        self.clock = clock
-        self.window_s = window_s
+        self.clock: Optional[Callable[[], float]] = None
+        self.window_s: Optional[float] = None
 
     def enable_windows(
         self, clock: Callable[[], float], window_s: float
@@ -204,7 +214,9 @@ class MetricsRegistry:
         key = (name, node)
         c = self._counters.get(key)
         if c is None:
-            c = self._counters[key] = Counter(name, node)
+            c = Counter(name, node)
+            self.gauges((name,), node, lambda: (c.value,))
+            self._counters[key] = c
         return c
 
     def gauge(
@@ -216,10 +228,31 @@ class MetricsRegistry:
         key = (name, node)
         g = self._gauges.get(key)
         if g is None:
-            g = self._gauges[key] = Gauge(name, node, fn)
+            g = Gauge(name, node, fn)
+            self.gauges((name,), node, lambda: (g.read(),))
+            self._gauges[key] = g
         elif fn is not None:
             g.fn = fn
         return g
+
+    def gauges(
+        self, names: Sequence[str], node: int, read: Callable[[], Sequence[float]]
+    ) -> None:
+        """Sample ``(name, node)`` for every name from one reader: each
+        :meth:`sample` calls ``read()`` once for the row, one number per
+        name in the order of ``names``. A counter is the row ``(value,)``."""
+        columns = [self._new_series((name, node), self._axis)[2] for name in names]
+        self._readers.append((read, columns))
+
+    def _new_series(self, key: Key, xs: array) -> Tuple[array, int, array]:
+        """A value column for ``key`` over ``xs``, from its current end on."""
+        if key in self._series:
+            raise ValueError(
+                f"metric {key!r} already has a series: a key is a counter, "
+                "a gauge or record()ed points, never two of them"
+            )
+        entry = self._series[key] = (xs, len(xs), array("d"))
+        return entry
 
     def histogram(
         self,
@@ -238,9 +271,7 @@ class MetricsRegistry:
         key = (name, node)
         h = self._latencies.get(key)
         if h is None:
-            if self.clock is not None and self.window_s is not None:
-                from repro.observe.slo.windows import WindowedLatency
-
+            if self.window_s is not None:
                 h = WindowedLatency(
                     name, node, clock=self.clock, window_s=self.window_s
                 )
@@ -254,53 +285,77 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def record(self, name: str, node: int, x: float, value: float) -> None:
         """Append one ``(x, value)`` point to a series directly."""
-        self.series.setdefault((name, node), []).append((x, float(value)))
+        key = (name, node)
+        xs, _, vs = self._series.get(key) or self._new_series(key, array("d"))
+        if xs is self._axis:
+            raise ValueError(
+                f"metric {key!r} is sampled: record() would interleave "
+                "foreign x values into its series"
+            )
+        xs.append(x)
+        vs.append(value)
 
     def sample(self, x: float) -> None:
         """Snapshot every counter and gauge at axis position ``x``."""
-        self.samples_taken += 1
-        series = self.series
-        for key, c in self._counters.items():
-            series.setdefault(key, []).append((x, c.value))
-        for key, g in self._gauges.items():
-            series.setdefault(key, []).append((x, g.read()))
+        self._axis.append(x)
+        for read, columns in self._readers:
+            row = read()
+            if len(row) != len(columns):
+                raise ValueError(f"reader filled {len(row)} of {len(columns)} columns")
+            for column, value in zip(columns, row):
+                column.append(value)
 
     # ------------------------------------------------------------------
     # read access
     # ------------------------------------------------------------------
+    @property
+    def samples_taken(self) -> int:
+        return len(self._axis)
+
     def names(self) -> List[str]:
-        keys = set(self.series)
-        keys.update(self._counters, self._gauges, self._histograms,
-                    self._latencies)
+        keys = {*self._series, *self._histograms, *self._latencies}
         return sorted({name for name, _ in keys})
+
+    def columns(self) -> Iterator[Tuple[Key, array, array]]:
+        """``(key, xs, values)`` of every series with a point, in key
+        order. The arrays are the storage itself: read-only."""
+        for key in sorted(self._series):
+            xs, start, vs = self._series[key]
+            if vs:
+                yield key, (xs[start:] if start else xs), vs
+
+    @property
+    def series(self) -> Dict[Key, List[Tuple[float, float]]]:
+        return {key: list(zip(xs, vs)) for key, xs, vs in self.columns()}
 
     def series_by_name(self, name: str) -> Dict[int, List[Tuple[float, float]]]:
         """``{node: points}`` for every node with a series under ``name``."""
         return {
-            node: pts
-            for (n, node), pts in sorted(self.series.items())
+            node: list(zip(xs, vs))
+            for (n, node), xs, vs in self.columns()
             if n == name
         }
 
     def get_series(self, name: str, node: int) -> List[Tuple[float, float]]:
-        return self.series.get((name, node), [])
+        xs, start, vs = self._series.get((name, node), ((), 0, ()))
+        return list(zip(xs[start:], vs))
+
+    def derived(self, key: Any, version: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, remembered while ``version`` (a length or a count:
+        the data is append-only) compares equal, then replaced, not updated."""
+        hit = self._derived.get(key)
+        if hit is None or hit[0] != version:
+            hit = self._derived[key] = (version, build())
+        return hit[1]
 
     def histograms_by_name(self, name: str) -> Dict[int, Histogram]:
-        return {
-            node: h
-            for (n, node), h in sorted(self._histograms.items())
-            if n == name
-        }
+        return _by_name(self._histograms, name)
 
     def histogram_names(self) -> List[str]:
         return sorted({name for name, _ in self._histograms})
 
     def latencies_by_name(self, name: str) -> Dict[int, LatencyHistogram]:
-        return {
-            node: h
-            for (n, node), h in sorted(self._latencies.items())
-            if n == name
-        }
+        return _by_name(self._latencies, name)
 
     def latency_names(self) -> List[str]:
         return sorted({name for name, _ in self._latencies})
@@ -320,8 +375,6 @@ class MetricsRegistry:
         Empty when windowed collection is off (or nothing was observed);
         the input to the SLO engine and the degradation timeline.
         """
-        from repro.observe.slo.windows import WindowedLatency, merge_windowed
-
         parts = [
             h
             for h in self.latencies_by_name(name).values()

@@ -45,6 +45,7 @@ from repro.render import (
     format_duration,
 )
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
+from repro.observe.slo.windows import window_records
 
 __all__ = [
     "build_report",
@@ -112,15 +113,23 @@ def build_report(
     automatically whenever the registry collected windows — cluster-
     merged only (``node = -1``), which bounds report size at
     ``windows x op classes`` regardless of cluster size.
+
+    A report is a read-only value: two builds over one registry may
+    share their innermost lists (``[x, v]`` pairs, ``buckets``).
     """
     series = [
         {
             "record": "series",
             "metric": name,
             "node": node,
-            "points": [[float(x), float(v)] for x, v in pts],
+            # C-level pairs; a series only grows, so while it is as long
+            # an earlier build's pairs hold and are shared
+            "points": list(registry.derived(
+                ("points", name, node), len(vs),
+                lambda: list(map(list, zip(xs, vs))),
+            )),
         }
-        for (name, node), pts in sorted(registry.series.items())
+        for (name, node), xs, vs in registry.columns()
     ]
     hists = []
     for name in registry.histogram_names():
@@ -151,23 +160,20 @@ def build_report(
                         **merged.to_dict(),
                     }
                 )
-    wlats = []
+    wlats: List[Dict[str, Any]] = []
     window_s = registry.window_s
     if window_s is not None:
         for name in registry.latency_names():
-            for w, h in sorted(registry.merged_windows(name).items()):
-                wlats.append(
-                    {
-                        "record": "wlat",
-                        "metric": name,
-                        "node": CLUSTER_NODE,
-                        "window": w,
-                        "t0": w * window_s,
-                        "t1": (w + 1) * window_s,
-                        "window_s": window_s,
-                        **h.to_dict(),
-                    }
-                )
+            # every observation bumps a count, so while the op class's total
+            # stands an earlier build's records hold; each build copies them
+            parts = registry.latencies_by_name(name).values()
+            wlats += map(dict, registry.derived(
+                ("wlat", name), (window_s, sum(h.count for h in parts)),
+                lambda: [
+                    {"record": "wlat", "metric": name, "node": CLUSTER_NODE, **rec}
+                    for rec in window_records(registry.merged_windows(name), window_s)
+                ],
+            ))
     recovery_recs = [
         {"record": "recovery", **rec} for rec in (recoveries or ())
     ]

@@ -35,7 +35,7 @@ from repro.observe.latency.engine import (
     LatencyHistogram,
 )
 
-__all__ = ["WindowedLatency", "merge_windowed"]
+__all__ = ["WindowedLatency", "merge_windowed", "window_records"]
 
 
 class WindowedLatency(LatencyHistogram):
@@ -69,14 +69,16 @@ class WindowedLatency(LatencyHistogram):
         return index * self.window_s, (index + 1) * self.window_s
 
     def observe(self, value: float) -> None:
-        super().observe(value)
+        value = max(float(value), 0.0)  # as LatencyHistogram.observe
+        index = self.bucket_index(value)  # total and window: one geometry
+        self.add(value, index)
         w = self.window_index(self.clock())
         h = self.windows.get(w)
         if h is None:
             h = self.windows[w] = LatencyHistogram(
                 self.name, self.node, base=self.base, growth=self.growth
             )
-        h.observe(value)
+        h.add(value, index)
 
     def merged_windows(self) -> LatencyHistogram:
         """All windows merged back into one histogram (== the total)."""
@@ -88,20 +90,18 @@ class WindowedLatency(LatencyHistogram):
         return out
 
     def windows_to_dicts(self) -> List[Dict[str, object]]:
-        """One serializable record per non-empty window, in time order."""
-        out: List[Dict[str, object]] = []
-        for w in sorted(self.windows):
-            t0, t1 = self.window_bounds(w)
-            out.append(
-                {
-                    "window": w,
-                    "t0": t0,
-                    "t1": t1,
-                    "window_s": self.window_s,
-                    **self.windows[w].to_dict(),
-                }
-            )
-        return out
+        return window_records(self.windows, self.window_s)
+
+
+def window_records(
+    windows: Dict[int, LatencyHistogram], window_s: float
+) -> List[Dict[str, object]]:
+    """One serializable record per non-empty window, in time order."""
+    return [
+        {"window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
+         "window_s": window_s, **h.to_dict()}
+        for w, h in sorted(windows.items())
+    ]
 
 
 def merge_windowed(

@@ -219,6 +219,10 @@ class Engine:
         self._seq = seq + 1
         self._ready.append((self.now, seq, fn))
 
+    def pending(self) -> bool:
+        """True while any event is scheduled, now or later."""
+        return bool(self._ready or self._queue)
+
     def break_at_step(self, step: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` right after the ``step``-th event executes.
 

@@ -174,3 +174,33 @@ def test_figure4_log_points_recorded():
             assert ckpt_no >= 1 and size >= 0
             any_points = True
     assert any_points
+
+
+def test_rel_acq_entry_counts_equal_the_scan():
+    """``count()`` is an integer kept beside the buckets (the observer's
+    ``ft.rel_log_entries`` reads it per host per sample); after a seeded
+    run with trimming, a crash and a recovery it must equal the scan it
+    replaced, on every live log and on every buddy's image of one."""
+    cluster = make_cluster(
+        num_procs=4, ft=True, l_fraction=0.1, ft_config=FtConfig(replicate=True)
+    )
+    t_free = make_cluster(
+        num_procs=4, ft=True, l_fraction=0.1, ft_config=FtConfig(replicate=True)
+    ).run(make_app("kvstore")).wall_time
+    cluster.schedule_crash(1, 0.5 * t_free)
+    result = cluster.run(make_app("kvstore"))
+    assert (result.crashes, result.recoveries) == (1, 1)
+    all_logs = [h.ft.logs for h in cluster.hosts]
+    for h in cluster.hosts:
+        for pid in h.replica_store.protected_pids():
+            store = h.replica_store.store_for(pid)
+            all_logs += [store.get(k).image.logs for k in store.keys()]
+    assert len(all_logs) > 4
+    assert sum(s.rel_entries_trimmed for s in result.ft_stats) > 0
+    assert any(logs.rel.count() for logs in all_logs)
+    for logs in all_logs:
+        assert logs.rel.count() == sum(map(len, logs.rel.entries))
+        assert logs.acq.count() == sum(map(len, logs.acq.entries))
+    logs.rel.clear(), logs.acq.clear()
+    assert (logs.rel.count(), logs.acq.count()) == (0, 0)
+    assert not any(logs.rel.entries) and not any(logs.acq.entries)

@@ -77,3 +77,60 @@ def test_report_roundtrip_from_real_run(tmp_path):
     assert "repro observe — counter on 4 simulated nodes" in text
     assert "log size (volatile) vs virtual time" in text
     assert "synchronization waits" in text
+
+
+def test_serving_report_bytes_are_pinned(tmp_path):
+    """Every byte the observed serving path writes, recorded at PR 18's
+    HEAD (before the columnar registry): sampled series, wait histograms,
+    ``lat``/``wlat`` records, the recovery, the SLO verdict built from the
+    first report, the summary. Nothing here is re-recorded for a change
+    that only reads the run."""
+    import hashlib
+
+    from repro import DsmCluster, DsmConfig
+    from repro.apps.session import SessionApp, SessionConfig
+    from repro.core import FtConfig, LogOverflowPolicy
+    from repro.observe import evaluate_report_slos, parse_slo
+
+    cfg = SessionConfig(
+        steps=6, requests_per_step=8, n_keys=128, n_stripes=8, n_users=16,
+        rate=600.0, seed=42,
+    )
+
+    def cluster():
+        return DsmCluster(
+            config=DsmConfig(num_procs=4),
+            ft=True,
+            ft_config=FtConfig(replicate=True),
+            policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
+        )
+
+    t_free = cluster().run(SessionApp(cfg)).wall_time
+    crashed = cluster()
+    observer = ClusterObserver(
+        crashed, interval=1e-3, sample_on_barrier=True, window_s=1e-3
+    )
+    crashed.schedule_crash(3, 0.5 * t_free)
+    result = crashed.run(SessionApp(cfg))
+    observer.sample()
+    meta = {"app": "session", "procs": 4}
+
+    def build(slos=None):
+        return build_report(
+            observer.registry, meta, result=result,
+            recoveries=observer.recovery_records, slos=slos,
+        )
+
+    report = build()
+    slos = evaluate_report_slos(report, [parse_slo("p99(lat.request)<100ms")])
+    report = build(slos)
+    assert (result.crashes, result.recoveries) == (1, 1)
+    assert report["summary"]["samples"] == 140
+    assert (len(report["series"]), len(report["wlats"])) == (96, 251)
+    path = tmp_path / "serve.jsonl"
+    write_jsonl(str(path), report)
+    data = path.read_bytes()
+    assert len(data) == 475_201
+    assert hashlib.sha256(data).hexdigest() == (
+        "db735fa77d06d237b7faf847a86a0e46cffb1314e23a65e734741b7d64b3fcb9"
+    )

@@ -200,3 +200,101 @@ def test_registry_latency_interning_and_merge():
     assert merged.count == 2
     assert "lat.fetch" in reg.latency_names()
     assert reg.merged_latency("lat.nothing") is None
+
+
+# ---------------------------------------------------------------------------
+# differential oracles: the kernels the bound table and the one-pass
+# summary replaced, kept verbatim as references
+# ---------------------------------------------------------------------------
+def reference_bucket_index(h, value):
+    """``bucket_index`` as it was: a log, then corrected by comparison."""
+    if value <= h.base:
+        return 0
+    i = max(0, math.ceil(math.log(value / h.base) / math.log(h.growth)))
+    while h.upper_bound(i) < value:
+        i += 1
+    while i > 0 and h.upper_bound(i - 1) >= value:
+        i -= 1
+    return i
+
+
+def reference_percentile(h, p):
+    """``percentile`` as it was: one sorted walk per call."""
+    if h.count == 0:
+        return 0.0
+    rank = max(1, min(h.count, math.ceil(p / 100.0 * h.count)))
+    cum = h.zero_count
+    if cum >= rank:
+        return 0.0
+    for i in sorted(h.buckets):
+        cum += h.buckets[i]
+        if cum >= rank:
+            return min(max(h.upper_bound(i), h.min), h.max)
+    return h.max
+
+
+def _check_bucket_index(h):
+    values = [h.base, h.base / 2, math.nextafter(h.base, 0.0),
+              math.nextafter(h.base, 1.0), 1e9, 1e9 + 1.0]
+    for i in range(201):
+        ub = h.upper_bound(i)
+        values += [ub, math.nextafter(ub, 0.0), math.nextafter(ub, math.inf)]
+    rng = random.Random(19)
+    values += [10.0 ** rng.uniform(-12.0, 4.0) for _ in range(20_000)]
+    for v in values:
+        assert h.bucket_index(v) == reference_bucket_index(h, v), v
+
+
+@pytest.mark.parametrize(
+    "geometry", [{}, {"base": 1e-6, "growth": 1.5}, {"base": 3e-9, "growth": 1.01}]
+)
+def test_bucket_index_matches_log_and_correct_reference(geometry):
+    _check_bucket_index(LatencyHistogram("h", 0, **geometry))
+
+
+def test_bucket_index_oracle_catches_a_seeded_mutation(monkeypatch):
+    import bisect
+
+    from repro.observe.latency import engine
+
+    monkeypatch.setattr(engine, "bisect_left", bisect.bisect_right)
+    with pytest.raises(AssertionError):
+        _check_bucket_index(LatencyHistogram("h", 0))
+
+
+def test_bound_table_is_upper_bound_itself():
+    """Entry ``i`` is the float ``upper_bound(i)`` returns, also past the
+    initial table, which is what makes the bisection exact."""
+    h = LatencyHistogram("h", 0)
+    assert h.bucket_index(1e12) > 160
+    assert h._bounds == [h.upper_bound(i) for i in range(len(h._bounds))]
+
+
+def _summary_cases():
+    rng = random.Random(23)
+    yield []
+    yield [0.0, 0.0, 0.0]
+    yield [3.3e-5]
+    yield [-1e-18, 0.0, 1e-9, 2e-9]
+    for n in (2, 10, 1000, 1001):
+        yield [rng.choice((0.0, 1.0)) * rng.expovariate(1e4) for _ in range(n)]
+
+
+@pytest.mark.parametrize("values", _summary_cases(), ids=lambda v: f"n{len(v)}")
+def test_one_pass_summary_equals_four_percentile_walks(values):
+    h = fill(values)
+    expect = {
+        "p50": reference_percentile(h, 50.0),
+        "p90": reference_percentile(h, 90.0),
+        "p99": reference_percentile(h, 99.0),
+        "p999": reference_percentile(h, 99.9),
+    }
+    summary = h.summary()
+    assert {k: summary[k] for k in expect} == expect
+    d = h.to_dict()
+    assert {k: d[k] for k in expect} == expect
+    assert d["buckets"] == [[i, h.buckets[i]] for i in sorted(h.buckets)]
+    for p in (0.0, 12.5, 50.0, 99.9, 100.0):
+        assert h.percentile(p) == reference_percentile(h, p)
+    with pytest.raises(ValueError, match="out of range"):
+        h.percentile(100.5)

@@ -1,6 +1,8 @@
 """Unit tests for the observability layer (metrics registry + sampler)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observe import (
     CLUSTER_NODE,
@@ -80,6 +82,154 @@ def test_registry_sample_snapshots_counters_and_gauges():
     assert reg.samples_taken == 2
     assert reg.series_by_name("hits") == {3: [(0.5, 2.0), (1.5, 3.0)]}
     assert "hits" in reg.names() and "depth" in reg.names()
+
+
+def test_histogram_bisection_equals_linear_scan():
+    """The oracle is ``observe`` as it was: first bound >= value, else the
+    overflow bucket."""
+    bounds = (1e-5, 1e-4, 1e-4, 1e-3)
+    h = Histogram("h", 0, bounds=bounds)
+    expect = [0] * (len(bounds) + 1)
+    for v in (0.0, 1e-5, 2e-5, 1e-4, 1.0000001e-4, 1e-3, 2e-3, -1.0):
+        h.observe(v)
+        expect[next((i for i, b in enumerate(bounds) if v <= b), -1)] += 1
+    assert h.bucket_counts == expect
+    with pytest.raises(ValueError, match="ascend"):
+        Histogram("h", 0, bounds=(2.0, 1.0))
+
+
+def test_one_key_is_one_kind_of_series():
+    """A key has one column: sampling it twice, or recording into a
+    sampled series, used to interleave points silently."""
+    reg = MetricsRegistry()
+    reg.counter("a", 1)
+    with pytest.raises(ValueError, match=r"\('a', 1\) already has a series"):
+        reg.gauge("a", 1)
+    reg.gauge("b", 1)
+    with pytest.raises(ValueError, match=r"\('b', 1\) already has a series"):
+        reg.counter("b", 1)
+    with pytest.raises(ValueError, match=r"\('b', 1\) already has a series"):
+        reg.gauges(("b", "c"), 1, lambda: (0, 0))
+    assert reg.counter("a", 1) is reg.counter("a", 1)
+    assert reg.names() == ["a", "b"]
+
+
+def test_record_onto_a_sampled_key_is_an_error():
+    reg = MetricsRegistry()
+    reg.counter("a", 1)
+    with pytest.raises(ValueError, match=r"\('a', 1\) is sampled"):
+        reg.record("a", 1, 0.5, 1.0)
+    reg.record("r", 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"\('r', 1\) already has a series"):
+        reg.gauge("r", 1)
+    reg.sample(1.0)
+    assert reg.get_series("a", 1) == [(1.0, 0.0)]
+    assert reg.get_series("r", 1) == [(0.5, 1.0)]
+
+
+def test_gauge_row_reader_must_fill_every_column():
+    reg = MetricsRegistry()
+    reg.gauges(("a", "b"), 0, lambda: (1,))
+    with pytest.raises(ValueError, match="filled 1 of 2 columns"):
+        reg.sample(0.0)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the tuple-list storage the columns replaced
+# ---------------------------------------------------------------------------
+class TupleListModel:
+    """``sample``/``record`` as they were: one ``(x, value)`` tuple per
+    point, appended to a per-key list created on first use."""
+
+    def __init__(self):
+        self.counters, self.gauges, self.series = {}, {}, {}
+
+    def record(self, name, node, x, value):
+        self.series.setdefault((name, node), []).append((x, float(value)))
+
+    def sample(self, x):
+        for key, c in self.counters.items():
+            self.series.setdefault(key, []).append((x, c.value))
+        for key, g in self.gauges.items():
+            self.series.setdefault(key, []).append((x, g.read()))
+
+    def names(self):
+        keys = set(self.series) | set(self.counters) | set(self.gauges)
+        return sorted({name for name, _ in keys})
+
+    def series_by_name(self, name):
+        return {
+            node: pts for (n, node), pts in sorted(self.series.items()) if n == name
+        }
+
+    def report_series(self):
+        return [
+            {
+                "record": "series", "metric": name, "node": node,
+                "points": [[float(x), float(v)] for x, v in pts],
+            }
+            for (name, node), pts in sorted(self.series.items())
+        ]
+
+
+NODES = (0, 1, CLUSTER_NODE)
+#: each name is one kind of series, as the registry now insists
+_op = st.one_of(
+    st.tuples(st.just("inc"), st.sampled_from(["c0", "c1"]),
+              st.sampled_from(NODES), st.integers(0, 9)),
+    st.tuples(st.just("set"), st.sampled_from(["g0", "g1"]),
+              st.sampled_from(NODES), st.integers(-5, 5)),
+    st.tuples(st.just("row"), st.just("row"), st.sampled_from(NODES),
+              st.integers(0, 9)),
+    st.tuples(st.just("record"), st.sampled_from(["r0", "r1"]),
+              st.sampled_from(NODES), st.integers(0, 9)),
+    st.tuples(st.just("sample"), st.just(""), st.just(0), st.just(0)),
+)
+
+
+@given(st.lists(_op, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_columnar_registry_matches_tuple_list_model(ops):
+    """Late registration, ``inc``, ``set``, ``sample`` and ``record`` in
+    any order read back as the per-point tuple lists did."""
+    reg, model = MetricsRegistry(), TupleListModel()
+    rows = {}  # node -> the live state behind its two-column reader
+    x = 0
+    for op, name, node, n in ops:
+        x += 1
+        if op == "inc":
+            reg.counter(name, node).inc(n)
+            model.counters.setdefault((name, node), Counter(name, node)).inc(n)
+        elif op == "set":
+            reg.gauge(name, node).set(n)
+            model.gauges.setdefault((name, node), Gauge(name, node)).set(n)
+        elif op == "row":
+            if node not in rows:
+                state = rows[node] = {"a": 0, "b": 0.5}
+                reg.gauges(
+                    ("row.a", "row.b"), node,
+                    lambda s=state: (s["a"], s["b"]),
+                )
+                for col in "ab":
+                    model.gauges["row." + col, node] = Gauge(
+                        "row." + col, node, fn=lambda s=state, c=col: s[c]
+                    )
+            rows[node]["a"] += n
+            rows[node]["b"] *= 1.5
+        elif op == "record":
+            reg.record(name, node, x, n)
+            model.record(name, node, x, n)
+        else:
+            reg.sample(x / 8)
+            model.sample(x / 8)
+    assert reg.names() == model.names()
+    assert reg.series == model.series
+    for name in model.names():
+        assert reg.series_by_name(name) == model.series_by_name(name)
+        for node in NODES:
+            assert reg.get_series(name, node) == model.series.get((name, node), [])
+    assert build_report(reg, {})["series"] == model.report_series()
+    assert reg.samples_taken == sum(op[0] == "sample" for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +448,73 @@ def test_validate_flags_incomplete_wlat_and_recovery_records():
     errors = validate_report(report)
     assert any("wlat record 0 missing" in e for e in errors)
     assert any("recovery record 0 missing" in e for e in errors)
+
+
+# ---------------------------------------------------------------------------
+# report reuse: a build remembers what it materialised until the data grows
+# ---------------------------------------------------------------------------
+def _points_of(report, metric):
+    (rec,) = [r for r in report["series"] if r["metric"] == metric]
+    return rec["points"]
+
+
+def test_two_builds_with_nothing_between_are_equal():
+    from repro.observe import evaluate_report_slos, parse_slo
+
+    reg = _windowed_registry()
+    first = build_report(reg, {"app": "unit"})
+    slos = evaluate_report_slos(first, [parse_slo("p99(lat.request)<50ms")])
+    second = build_report(reg, {"app": "unit"}, slos=slos)
+    assert second.pop("slos") and first.pop("slos") == []
+    assert second == first
+    # what the second build shares with the first is the innermost lists
+    assert _points_of(second, "ft.ckpts_retained") is not _points_of(
+        first, "ft.ckpts_retained"
+    )
+    assert second["wlats"][0] is not first["wlats"][0]
+
+
+def test_sample_between_builds_shows_in_the_second_report_only():
+    reg = _windowed_registry()
+    first = build_report(reg, {"app": "unit"})
+    reg.counter("dsm.diff_bytes_sent", 0).inc(5)
+    reg.sample(0.5)
+    second = build_report(reg, {"app": "unit"})
+    assert _points_of(first, "dsm.diff_bytes_sent") == [[0.25, 2.0]]
+    assert _points_of(second, "dsm.diff_bytes_sent") == [[0.25, 2.0], [0.5, 7.0]]
+    assert (first["summary"]["samples"], second["summary"]["samples"]) == (1, 2)
+    assert second["wlats"] == first["wlats"]
+
+
+def test_record_between_builds_shows_in_the_second_report_only():
+    reg = _windowed_registry()
+    reg.record("ft.log_disk_bytes", 0, 1, 100)
+    first = build_report(reg, {"app": "unit"})
+    reg.record("ft.log_disk_bytes", 0, 2, 150)
+    reg.record("ft.ckpt_times", 0, 0.3, 2)
+    second = build_report(reg, {"app": "unit"})
+    assert _points_of(first, "ft.log_disk_bytes") == [[1.0, 100.0]]
+    assert _points_of(second, "ft.log_disk_bytes") == [[1.0, 100.0], [2.0, 150.0]]
+    assert not [r for r in first["series"] if r["metric"] == "ft.ckpt_times"]
+    assert _points_of(second, "ft.ckpt_times") == [[0.3, 2.0]]
+
+
+def test_latency_observed_between_builds_moves_lat_and_wlat():
+    reg = _windowed_registry()
+    first = build_report(reg, {"app": "unit"})
+    reg.latency("lat.request", 0).observe(3e-4)  # the clock stands in window 2
+
+    def request(report, key):
+        return [
+            (r.get("window"), r["count"], r["max"])
+            for r in report[key]
+            if r["metric"] == "lat.request" and r["node"] == CLUSTER_NODE
+        ]
+
+    second = build_report(reg, {"app": "unit"})
+    assert request(first, "lats") == [(None, 3, 8e-4)]
+    assert request(second, "lats") == [(None, 4, 8e-4)]
+    assert request(first, "wlats") == [(0, 2, 2e-4), (2, 1, 8e-4)]
+    assert request(second, "wlats") == [(0, 2, 2e-4), (2, 2, 8e-4)]
+    other = [r for r in first["wlats"] if r["metric"] != "lat.request"]
+    assert other == [r for r in second["wlats"] if r["metric"] != "lat.request"]

@@ -128,6 +128,47 @@ def test_rotation_insertion_order_invariance(evs, rng):
     _assert_same_distribution(a, b)
 
 
+#: durations as the clamp sees them: exact zeros and negative float dust too
+dusty_events = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=0.05,
+                  allow_nan=False, allow_infinity=False),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -1e-18, 1e-9]),
+            st.floats(min_value=1e-12, max_value=1e3,
+                      allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+@given(dusty_events)
+@settings(max_examples=100, deadline=None)
+def test_fused_observe_equals_observing_total_then_window(evs):
+    """The oracle is ``observe`` as it was: the total histogram observes
+    the value, then a plain histogram for the window observes it again."""
+    wl = _windowed(evs)
+    total = LatencyHistogram("lat.x", 0)
+    windows = {}
+    for t, v in evs:
+        total.observe(v)
+        w = int(t // 1e-3)
+        if w not in windows:
+            windows[w] = LatencyHistogram("lat.x", 0)
+        windows[w].observe(v)
+
+    def state(h):
+        # ``total`` compared with ==: the same additions in the same order
+        return (h.count, h.buckets, h.zero_count, h.min, h.max, h.total)
+
+    assert state(wl) == state(total)
+    assert sorted(wl.windows) == sorted(windows)
+    for w, h in windows.items():
+        assert state(wl.windows[w]) == state(h)
+
+
 def test_window_index_is_pure_function_of_instant():
     wl = _windowed([(0.0, 1e-6)], window_s=1e-3)
     assert wl.window_index(0.0) == 0
