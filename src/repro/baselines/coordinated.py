@@ -42,14 +42,11 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtConfig, FtManager
 from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
 from repro.dsm.messages import Message
-from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Delay
 from repro.sim.node import TimeBucket
@@ -228,10 +225,7 @@ class CoordinatedFt(FtManager):
         # makes in favour of its approach)
         state_blob = pickle.dumps(self.app_state_fn())
         proto_blob = pickle.dumps(self._protocol_snapshot())
-        homed: Dict[PageId, Tuple[bytes, VClock]] = {}
-        for page in proc.home.pages():
-            hp = proc.home[page]
-            homed[page] = (proc.page_snapshot(page, hp), hp.version)
+        homed = Checkpoint.homed_pages(proc)
         page_bytes = sum(len(d) for d, _ in homed.values())
         total = page_bytes + len(state_blob) + len(proto_blob)
         write_cost = self.disk.write_cost(total)
@@ -241,17 +235,8 @@ class CoordinatedFt(FtManager):
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, write_cost)
         self.stats.time_disk += proc.engine.now - t0
 
-        ckpt = Checkpoint(
-            pid=self.pid,
-            seqno=self.ckpt_mgr.next_seqno,
-            tckp=proc.vt,
-            app_state_blob=state_blob,
-            own_notices=[],
-            diff_log={},
-            lock_tokens=proc.locks.token_snapshot(),
-            acq_seq=dict(proc._acq_seq),
-            barrier_episode=proc.barrier_episode,
-            last_barrier_global=proc.last_barrier_global,
+        ckpt = Checkpoint.of(
+            proc, self.ckpt_mgr.next_seqno, state_blob, own_notices=[], diff_log={}
         )
         self.ckpt_mgr.commit(ckpt, homed)
         self.stats.checkpoints_taken += 1
@@ -350,7 +335,6 @@ class CoordinatedFt(FtManager):
         self.logs.rel.clear()
         self.logs.acq.clear()
         self.logs.bar = []
-        self.logs.selfgrants.clear()
         # drop older stable rounds and page-copy history
         store = self.proc_host.store
         for key in store.keys():
@@ -460,7 +444,8 @@ def _rebuild_lock_chains(cluster: Any) -> None:
     """
     from repro.dsm.locks import ChainEntry
 
-    n = cluster.config.num_procs
+    config = cluster.config
+    n = config.num_procs
     # collect every lock id any process knows about, and the holders
     lock_ids: Set[int] = set()
     holder: Dict[int, int] = {}
@@ -473,9 +458,10 @@ def _rebuild_lock_chains(cluster: Any) -> None:
         lock_ids.update(host.proto.locks.managed_locks())
         lock_ids.update(host.proto._completed_seq.keys())
     for lock_id in lock_ids:
-        mgr_host = cluster.hosts[lock_id % n]
-        owner = holder.get(lock_id, lock_id % n)
-        if owner == lock_id % n:
+        manager = config.lock_manager(lock_id)
+        mgr_host = cluster.hosts[manager]
+        owner = holder.get(lock_id, manager)
+        if owner == manager:
             # ensure the manager's default token exists if nobody holds it
             st = mgr_host.proto.locks.token(lock_id)
             if lock_id not in holder:
@@ -498,28 +484,8 @@ def _restore_round(host: Any, round_id: int) -> None:
     snap = host.store.get(("coord", round_id))
     ckpt: Checkpoint = snap["ckpt"]
     proto = host.proto
-    proto.vt = ckpt.tckp
     host.state = ckpt.restore_app_state()
-    # homed pages
-    for page, version in ckpt.homed_versions.items():
-        for copy in host.ckpt_mgr.page_copies[page]:
-            if copy.ckpt_seqno == ckpt.seqno:
-                proto.page_bytes(page)[:] = np.frombuffer(copy.data, dtype=np.uint8)
-                break
-        hp = proto.home[page]
-        hp.version = version
-        hp.drop_snapshot()
-        proto.have_v[page] = version
-    # lock tokens / sequence numbers / barrier position
-    for lock_id, (has_token, held) in ckpt.lock_tokens.items():
-        st = proto.locks.token(lock_id)
-        st.has_token = has_token
-        st.held = held
-        if has_token and not held:
-            st.rel_vt = ckpt.tckp
-    proto._acq_seq = dict(ckpt.acq_seq)
-    proto.barrier_episode = ckpt.barrier_episode
-    proto.last_barrier_global = ckpt.last_barrier_global
+    ckpt.restore_into(proto, host.ckpt_mgr.page_copies)
     # protocol bookkeeping from the cut (lock queue state is NOT restored:
     # the rollback rebuilds manager chains from token positions and the
     # waiters re-send their requests)

@@ -13,7 +13,7 @@ going beyond the paper's own prototype, which did not implement
 recovery).
 """
 
-from repro.core.logs import AcqLog, DiffLog, DiffLogEntry, RelLog, VolatileLogs
+from repro.core.logs import DiffLog, DiffLogEntry, GrantLog, VolatileLogs
 from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.core.policies import (
     BarrierCoordinatedPolicy,
@@ -27,10 +27,9 @@ from repro.core.trimming import TrimmingInfo
 from repro.core.ftmanager import FtManager, FtConfig
 
 __all__ = [
-    "AcqLog",
     "DiffLog",
     "DiffLogEntry",
-    "RelLog",
+    "GrantLog",
     "VolatileLogs",
     "Checkpoint",
     "CheckpointManager",

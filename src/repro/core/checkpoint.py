@@ -24,9 +24,12 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.logs import DiffLogEntry
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
+from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
 from repro.sim.storage import CheckpointStore
 
@@ -59,8 +62,70 @@ class Checkpoint:
     #: page -> version of the homed copy saved with this checkpoint
     homed_versions: Dict[PageId, VClock] = field(default_factory=dict)
 
+    @classmethod
+    def of(
+        cls,
+        proc: DsmProcess,
+        seqno: int,
+        app_state_blob: bytes,
+        own_notices: List[WriteNotice],
+        diff_log: Dict[PageId, List[DiffLogEntry]],
+    ) -> "Checkpoint":
+        """Checkpoint ``seqno`` of live process ``proc``, stamped with its
+        vector time and carrying its restartable protocol structures."""
+        return cls(
+            pid=proc.pid,
+            seqno=seqno,
+            tckp=proc.vt,
+            app_state_blob=app_state_blob,
+            own_notices=own_notices,
+            diff_log=diff_log,
+            lock_tokens=proc.locks.token_snapshot(),
+            acq_seq=dict(proc._acq_seq),
+            barrier_episode=proc.barrier_episode,
+            last_barrier_global=proc.last_barrier_global,
+        )
+
+    @staticmethod
+    def homed_pages(proc: DsmProcess) -> Dict[PageId, Tuple[bytes, VClock]]:
+        """(contents, version) of every page homed at ``proc``, now."""
+        homes = ((page, proc.home[page]) for page in proc.home.pages())
+        return {p: (proc.page_snapshot(p, hp), hp.version) for p, hp in homes}
+
     def restore_app_state(self) -> Any:
         return pickle.loads(self.app_state_blob)
+
+    def restore_into(
+        self, proto: DsmProcess, page_copies: Dict[PageId, List[PageCopy]]
+    ) -> None:
+        """Put a freshly built ``proto`` back at this checkpoint: vector
+        time, homed pages (from the copies committed with it) and the
+        protocol structures :meth:`of` saved."""
+        proto.vt = self.tckp
+        for page, version in self.homed_versions.items():
+            for copy in page_copies[page]:
+                if copy.ckpt_seqno == self.seqno:
+                    break
+            else:
+                raise RuntimeError(
+                    f"restart checkpoint {self.seqno} lost page {page} "
+                    "(CGC must never collect the latest checkpoint)"
+                )
+            proto.page_bytes(page)[:] = np.frombuffer(copy.data, dtype=np.uint8)
+            hp = proto.home[page]
+            hp.version = version
+            hp.drop_snapshot()
+            proto.have_v[page] = version
+        for lock_id, (has_token, held) in self.lock_tokens.items():
+            st = proto.locks.token(lock_id)
+            st.has_token = has_token
+            st.held = held
+            if has_token and not held:
+                st.rel_vt = self.tckp  # conservative release snapshot
+        proto._acq_seq = dict(self.acq_seq)
+        proto._completed_seq = dict(self.acq_seq)
+        proto.barrier_episode = self.barrier_episode
+        proto.last_barrier_global = self.last_barrier_global
 
 
 def maximal_starting_copy(

@@ -117,9 +117,6 @@ class FtManager(FtHooks):
         self.stats = FtStats()
         #: page -> writers that have sent diffs (advertisement targets)
         self.page_writers: Dict[PageId, Set[int]] = {}
-        #: buddy mirrors of peer lock-managers' own self-grants:
-        #: grantor -> lock -> [acq_t]
-        self.buddy_selfgrants: Dict[int, Dict[int, List[VClock]]] = {}
         #: dst -> pending (page, p0.v[dst]) advertisements
         self.pending_adverts: Dict[int, List[Tuple[PageId, int]]] = {}
         #: dst -> trim.gen synced to that destination; paired with the
@@ -192,22 +189,19 @@ class FtManager(FtHooks):
             self.repl.op(("acq", grantor, lock_id, acq_t, seq))
 
     def on_self_grant(self, lock_id: int, acq_t: VClock) -> None:
-        self.logs.log_self_grant(lock_id, acq_t)
+        # the acq half, under the bucket of the node the protocol sends
+        # the rel half to (a lone process has no such node and no peer
+        # to recover from)
+        holder = self.proc.config.self_grant_holder(lock_id, self.pid)
+        if holder is not None:
+            self.logs.acq.append(holder, lock_id, acq_t, local=True)
         self.stats.time_logging += 0.5e-6
         if self.repl is not None:
             seq = self.proc._completed_seq.get(lock_id, 0)
-            self.repl.op(("self", lock_id, acq_t, seq))
+            self.repl.op(("self", holder, lock_id, acq_t, seq))
 
-    def on_buddy_self_grant(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
-        self.buddy_selfgrants.setdefault(grantor, {}).setdefault(
-            lock_id, []
-        ).append(acq_t)
-        if self.repl is not None:
-            self.repl.op(("mself", grantor, lock_id, acq_t))
-
-    def on_mirror_self_grant(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
-        # managed-lock mirror of a peer's self-grant (already appended to
-        # the manager state by the protocol); replicate for the buddy
+    def on_self_grant_mirror(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
+        self.logs.rel.append(grantor, lock_id, acq_t, local=True)
         if self.repl is not None:
             self.repl.op(("mself", grantor, lock_id, acq_t))
 
@@ -320,10 +314,7 @@ class FtManager(FtHooks):
 
         # -- snapshot ----------------------------------------------------
         state_blob = pickle.dumps(self.app_state_fn())
-        homed: Dict[PageId, Tuple[bytes, VClock]] = {}
-        for page in proc.home.pages():
-            hp = proc.home[page]
-            homed[page] = (proc.page_snapshot(page, hp), hp.version)
+        homed = Checkpoint.homed_pages(proc)
         pack_cost = sum(len(d) for d, _ in homed.values()) * (
             proc.cpu.costs.checkpoint_pack_per_byte
         )
@@ -331,17 +322,12 @@ class FtManager(FtHooks):
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, pack_cost)
 
         seqno = self.ckpt_mgr.next_seqno
-        ckpt = Checkpoint(
-            pid=self.pid,
-            seqno=seqno,
-            tckp=tckp,
-            app_state_blob=state_blob,
-            own_notices=self.proc.notices.own_after(self.pid, 0),
+        ckpt = Checkpoint.of(
+            proc,
+            seqno,
+            state_blob,
+            own_notices=proc.notices.own_after(self.pid, 0),
             diff_log=self.logs.diff.snapshot(),
-            lock_tokens=proc.locks.token_snapshot(),
-            acq_seq=dict(proc._acq_seq),
-            barrier_episode=proc.barrier_episode,
-            last_barrier_global=proc.last_barrier_global,
         )
 
         # -- stable storage ------------------------------------------------
@@ -400,7 +386,7 @@ class FtManager(FtHooks):
     # ==================================================================
     def run_llt(self) -> Dict[str, int]:
         """Trim every log against the current (possibly stale) bounds."""
-        out = {"diff_bytes": 0, "rel": 0, "acq": 0, "wn": 0, "bar": 0, "self": 0}
+        out = {"diff_bytes": 0, "rel": 0, "acq": 0, "wn": 0, "bar": 0}
         # Rule 3.2 — the big one
         for page in self.logs.diff.pages():
             bound = self.trim.diff_bound(page)
@@ -416,9 +402,11 @@ class FtManager(FtHooks):
         for j in changed:
             if j == self.pid:
                 continue
-            out["rel"] += self.logs.rel.trim(j, trim.rel_bound(j))
-        out["acq"] += self.logs.acq.trim(self.pid, trim.acq_bound())
-        out["self"] += self.logs.trim_self_grants(trim.acq_bound())
+            out["rel"] += self.logs.rel.trim(j, j, trim.rel_bound(j))
+        acq_bound = trim.acq_bound()
+        for g, bucket in enumerate(self.logs.acq.entries):
+            if bucket:
+                out["acq"] += self.logs.acq.trim(g, self.pid, acq_bound)
         # Rule 1
         out["wn"] += self.proc.notices.trim_creator_before(
             self.pid, self.trim.wn_keep_from()
@@ -427,20 +415,6 @@ class FtManager(FtHooks):
         out["bar"] += self.logs.trim_barriers(self.trim.bar_keep_from())
         if self.proc.barrier_mgr is not None:
             self.proc.barrier_mgr.trim_history(self.trim.bar_keep_from())
-        # manager-held self-grant mirrors of peers (same delta argument:
-        # a mirror entry from j postdates j's checkpoint known then)
-        for lock_id in self.proc.locks.managed_locks():
-            mgr = self.proc.locks.manager(lock_id)
-            for j in changed:
-                mgr.trim_self_grants(j, trim.tckp[j][j])
-        # buddy-held self-grant mirrors (Rule 2 analogue)
-        for grantor in changed:
-            locks = self.buddy_selfgrants.get(grantor)
-            if not locks:
-                continue
-            bound = trim.tckp[grantor][grantor]
-            for lock_id, entries in locks.items():
-                locks[lock_id] = [t for t in entries if t[grantor] > bound]
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]
         self.stats.wn_trimmed += out["wn"]

@@ -11,9 +11,9 @@ Per process the FT layer keeps:
 * ``acq_log[i]`` — mirror entries for this process's own acquires granted
   by ``i``; restores ``i``'s ``rel_log`` after a crash of ``i``. The
   rel/acq pair is replicated on two distinct nodes, so neither needs to
-  reach stable storage (§4.2.1).
-* ``selfgrant_log`` — grantor-side mirror of local re-acquires (our
-  addition; the remote copy lives at the lock manager).
+  reach stable storage (§4.2.1). A local re-acquire (self-grant, our
+  addition) is such a pair as well: ``local`` entries, the rel half at
+  the lock's manager. Both logs are one class, :class:`GrantLog`.
 * ``bar_log`` — (episode, global vt) for each barrier passed; mirror of
   the barrier manager's history.
 * ``diff_log(p)`` — per page, every diff this process created, stamped
@@ -23,8 +23,8 @@ Per process the FT layer keeps:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId
@@ -32,8 +32,7 @@ from repro.dsm.vclock import VClock
 
 __all__ = [
     "RelEntry",
-    "RelLog",
-    "AcqLog",
+    "GrantLog",
     "DiffLogEntry",
     "DiffLog",
     "VolatileLogs",
@@ -46,14 +45,24 @@ class RelEntry:
 
     lock_id: int
     acq_t: VClock
+    #: a self-grant: the acquirer took its own resting token. Replay fuel
+    #: like any acquire, but no token moved and no AcqAck confirms it
+    local: bool = False
 
 
-#: modeled in-memory/wire size of one rel/acq entry
-REL_ENTRY_BYTES = 8
+class GrantLog:
+    """One half of §4.2.1's replicated grant pair, bucketed per peer.
 
+    A process keeps two: ``rel`` (grants it made, per acquirer) and
+    ``acq`` (its own acquires, per grantor). Neither reaches stable
+    storage: after a fail-stop each bucket is rebuilt from its twin on
+    the peer. A self-grant is a pair too — its acq half under the bucket
+    of :meth:`DsmConfig.self_grant_holder`, its rel half at that holder.
 
-class RelLog:
-    """Grants made by this process, bucketed per acquirer."""
+    A bucket is append-only, replaced wholesale by :meth:`trim` and
+    patched in place only by :meth:`confirm` (the invariant monitor's
+    incremental scan relies on exactly that).
+    """
 
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
@@ -62,25 +71,30 @@ class RelLog:
         #: resizes one: the observer reads it per host per sample
         self._count = 0
 
-    def append(self, acquirer: int, lock_id: int, acq_t: VClock) -> None:
-        self.entries[acquirer].append(RelEntry(lock_id, acq_t))
+    def append(
+        self, peer: int, lock_id: int, acq_t: VClock, local: bool = False
+    ) -> None:
+        self.entries[peer].append(RelEntry(lock_id, acq_t, local))
         self._count += 1
 
-    def for_acquirer(self, acquirer: int) -> List[RelEntry]:
-        return list(self.entries[acquirer])
+    def for_peer(self, peer: int) -> List[RelEntry]:
+        return list(self.entries[peer])
 
-    def trim(self, acquirer: int, tckp_component: int) -> int:
-        """Rule 2: keep entries with ``acq_t[acquirer] > Tckp_acquirer[acquirer]``."""
-        old = self.entries[acquirer]
-        kept = [e for e in old if e.acq_t[acquirer] > tckp_component]
-        self.entries[acquirer] = kept
+    def trim(self, peer: int, component: int, bound: int) -> int:
+        """Rule 2: keep ``peer``'s entries with ``acq_t[component] >
+        bound`` — the acquirer's component against its checkpoint cut,
+        whichever half this is. Returns the number dropped."""
+        old = self.entries[peer]
+        kept = [e for e in old if e.acq_t[component] > bound]
+        self.entries[peer] = kept
         self._count -= len(old) - len(kept)
         return len(old) - len(kept)
 
-    def restore_for(self, acquirer: int, entries: Iterable[RelEntry]) -> None:
-        new = list(entries)
-        self._count += len(new) - len(self.entries[acquirer])
-        self.entries[acquirer] = new
+    def copy(self) -> "GrantLog":
+        out = GrantLog(self.n)
+        out.entries = [list(bucket) for bucket in self.entries]
+        out._count = self._count
+        return out
 
     def clear(self) -> None:
         self.entries[:] = [[] for _ in range(self.n)]
@@ -89,69 +103,25 @@ class RelLog:
     def confirm(
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
     ) -> bool:
-        """An AcqAck landed: replace the predicted timestamp with the
-        acquirer's actual one (§4.2.1 pair symmetry).
+        """An AcqAck landed (rel side): replace the predicted timestamp
+        with the acquirer's actual one (§4.2.1 pair symmetry).
 
         The grantor's own component is identical in the prediction and
         the actual vt (both equal ``rel_vt[grantor]`` bumped nowhere), so
-        ``(lock_id, acq_t[grantor])`` identifies the grant. Returns False
-        when the entry was already trimmed under Rule 2 (the acquirer
-        checkpointed past it — nothing left to fix).
+        ``(lock_id, acq_t[grantor])`` identifies the grant — among real
+        grants: a self-grant mirror can carry the same pair and is
+        skipped. Returns False when the entry was already trimmed under
+        Rule 2 (the acquirer checkpointed past it — nothing left to fix).
         """
         lst = self.entries[acquirer]
         comp = actual_t[own_pid]
         for i in range(len(lst) - 1, -1, -1):
             e = lst[i]
-            if e.lock_id == lock_id and e.acq_t[own_pid] == comp:
+            if e.lock_id == lock_id and e.acq_t[own_pid] == comp and not e.local:
                 if e.acq_t is not actual_t and e.acq_t != actual_t:
                     lst[i] = RelEntry(lock_id, actual_t)
                 return True
         return False
-
-    def count(self) -> int:
-        return self._count
-
-
-class AcqLog:
-    """This process's own remote acquires, bucketed per grantor (mirror)."""
-
-    def __init__(self, num_procs: int) -> None:
-        self.n = num_procs
-        self.entries: List[List[RelEntry]] = [[] for _ in range(num_procs)]
-        #: grantors with entries — the trim pass visits only these instead
-        #: of scanning all N buckets at every checkpoint
-        self._nonempty: set = set()
-        self._count = 0  # as RelLog's
-
-    def append(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
-        self.entries[grantor].append(RelEntry(lock_id, acq_t))
-        self._nonempty.add(grantor)
-        self._count += 1
-
-    def for_grantor(self, grantor: int) -> List[RelEntry]:
-        return list(self.entries[grantor])
-
-    def trim(self, own_pid: int, own_tckp_component: int) -> int:
-        """Rule 2: keep entries with ``acq_t[self] > Tckp_self[self]``.
-
-        Entries at or below the own checkpoint cut restore portions of a
-        crashed grantor's rel_log that no recovery can need any more.
-        """
-        dropped = 0
-        for g in sorted(self._nonempty):
-            old = self.entries[g]
-            kept = [e for e in old if e.acq_t[own_pid] > own_tckp_component]
-            dropped += len(old) - len(kept)
-            self.entries[g] = kept
-            if not kept:
-                self._nonempty.discard(g)
-        self._count -= dropped
-        return dropped
-
-    def clear(self) -> None:
-        self.entries[:] = [[] for _ in range(self.n)]
-        self._nonempty.clear()
-        self._count = 0
 
     def count(self) -> int:
         return self._count
@@ -291,24 +261,20 @@ class VolatileLogs:
     def __init__(self, pid: int, num_procs: int) -> None:
         self.pid = pid
         self.n = num_procs
-        self.rel = RelLog(num_procs)
-        self.acq = AcqLog(num_procs)
+        self.rel = GrantLog(num_procs)
+        self.acq = GrantLog(num_procs)
         self.diff = DiffLog()
-        self.selfgrants: Dict[int, List[VClock]] = {}  # lock -> [acq_t]
         self.bar: List[BarEntry] = []
 
     def copy(self) -> "VolatileLogs":
         """An independent copy, whose counters and indexes are its own (a
         buddy's image of this process advances through the same methods)."""
         out = VolatileLogs(self.pid, self.n)
-        for peer in range(self.n):
-            out.rel.restore_for(peer, self.rel.entries[peer])
-            for e in self.acq.entries[peer]:
-                out.acq.append(peer, e.lock_id, e.acq_t)
+        out.rel = self.rel.copy()
+        out.acq = self.acq.copy()
         for page, entries in self.diff.per_page.items():
             for e in entries:
                 out.diff.append(page, e.diff, e.t, e.saved)
-        out.selfgrants = {l: list(ts) for l, ts in self.selfgrants.items()}
         out.bar = list(self.bar)
         return out
 
@@ -320,15 +286,3 @@ class VolatileLogs:
         old = len(self.bar)
         self.bar = [b for b in self.bar if b.episode >= min_keep_episode]
         return old - len(self.bar)
-
-    # -- self-grant mirror ---------------------------------------------------
-    def log_self_grant(self, lock_id: int, acq_t: VClock) -> None:
-        self.selfgrants.setdefault(lock_id, []).append(acq_t)
-
-    def trim_self_grants(self, own_tckp_component: int) -> int:
-        dropped = 0
-        for lock_id, entries in self.selfgrants.items():
-            kept = [t for t in entries if t[self.pid] > own_tckp_component]
-            dropped += len(entries) - len(kept)
-            self.selfgrants[lock_id] = kept
-        return dropped

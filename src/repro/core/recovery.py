@@ -11,8 +11,9 @@ test suite *proves* that LLT/CGC retain exactly enough state:
    (grants to the failed process — drive acquire replay), ``acq_log``
    mirrors of the failed process's own grants (restore its ``rel_log``),
    peers' write-notice logs, barrier history (or mirrors, when the failed
-   process managed the barrier), lock-manager self-grant mirrors, and
-   all diffs peers retain for pages homed at the failed process.
+   process managed the barrier), and all diffs peers retain for pages
+   homed at the failed process. Self-grants travel inside the two grant
+   logs as ``local`` entries.
 3. **Replay**: the application re-runs from the restored state; the
    :class:`ReplayDriver` satisfies each synchronization operation from
    the logs and each page miss by *local emulation of a home* — an
@@ -42,6 +43,7 @@ import numpy as np
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtManager
+from repro.core.logs import RelEntry
 from repro.core.replica import NO_REPLICA, FtImage, best_record
 from repro.dsm.diff import Diff, apply_diff
 from repro.dsm.interval import NoticeTable
@@ -438,25 +440,7 @@ class RecoveryManager:
     def _restore_from_checkpoint(
         self, proto: DsmProcess, ft: FtManager, ckpt: Checkpoint
     ) -> None:
-        proto.vt = ckpt.tckp
-        # homed pages: contents + version vectors from the restart ckpt
-        for page, version in ckpt.homed_versions.items():
-            copies = ft.ckpt_mgr.page_copies[page]
-            data = None
-            for c in copies:
-                if c.ckpt_seqno == ckpt.seqno:
-                    data = c.data
-                    break
-            if data is None:
-                raise RuntimeError(
-                    f"restart checkpoint {ckpt.seqno} lost page {page} "
-                    "(CGC must never collect the latest checkpoint)"
-                )
-            proto.page_bytes(page)[:] = np.frombuffer(data, dtype=np.uint8)
-            hp = proto.home[page]
-            hp.version = version
-            hp.drop_snapshot()
-            proto.have_v[page] = version
+        ckpt.restore_into(proto, ft.ckpt_mgr.page_copies)
         # own write notices
         for wn in ckpt.own_notices:
             proto.notices.add(wn)
@@ -466,17 +450,6 @@ class RecoveryManager:
                 ft.logs.diff.append(page, e.diff, e.t, saved=True)
             # restoring is not creating: undo the double count
             ft.logs.diff.bytes_created -= sum(e.size_bytes for e in entries)
-        # protocol bookkeeping
-        for lock_id, (has_token, held) in ckpt.lock_tokens.items():
-            st = proto.locks.token(lock_id)
-            st.has_token = has_token
-            st.held = held
-            if has_token and not held:
-                st.rel_vt = ckpt.tckp  # conservative release snapshot
-        proto._acq_seq = dict(ckpt.acq_seq)
-        proto._completed_seq = dict(ckpt.acq_seq)
-        proto.barrier_episode = ckpt.barrier_episode
-        proto.last_barrier_global = ckpt.last_barrier_global
         ft.trim.learn_tckp(self.pid, ckpt.tckp, ckpt.barrier_episode)
 
 
@@ -508,9 +481,9 @@ class ReplayDriver:
         self.rm = rm
         self.tckp = tckp
         self.pid = proto.pid
-        #: lock -> ordered pending acquire records: (acq_t, grantor|None)
-        #: grantor None means a self-grant record
-        self.acquire_records: Dict[int, List[Tuple[VClock, Optional[int]]]] = {}
+        #: lock -> ordered pending acquire records: (rel entry, the peer
+        #: that holds it — the grantor, or a self-grant's holder)
+        self.acquire_records: Dict[int, List[Tuple[RelEntry, int]]] = {}
         #: lock -> number of post-checkpoint token departures (grants by me)
         self.departures: Dict[int, int] = {}
         #: lock -> arrivals replayed (non-self acquires consumed)
@@ -550,28 +523,35 @@ class ReplayDriver:
     def ingest_handshakes(self, replies: Dict[int, Dict[str, Any]]) -> None:
         proto = self.proto
         me = self.pid
+        # a self-grant notification that reached us while we were down
+        # sits in the host's queue and logs its own rel half when the
+        # queue drains at the live switch: not restored from the twin too
+        queued_mirrors = {
+            (src, qmsg.lock_id, qmsg.acq_t)
+            for src, qmsg in self.rm.host.queued
+            if isinstance(qmsg, GrantInfo) and qmsg.acq_t is not None
+        }
         for src, payload in replies.items():
             for entry in payload["rel_entries"]:
                 if entry.acq_t[me] > self.tckp[me]:
                     self.acquire_records.setdefault(entry.lock_id, []).append(
-                        (entry.acq_t, src)
+                        (entry, src)
                     )
             for entry in payload["acq_mirror"]:
-                # grants the failed process made: restore rel_log + count
-                # post-checkpoint departures
-                self.ft.logs.rel.append(src, entry.lock_id, entry.acq_t)
-                if entry.acq_t[me] > self.tckp[me]:
+                # the twins of our rel_log[src]: restore it, and count
+                # post-checkpoint token departures (a self-grant of
+                # ``src`` that we mirror moved no token)
+                if entry.local and (src, entry.lock_id, entry.acq_t) in queued_mirrors:
+                    continue
+                self.ft.logs.rel.append(
+                    src, entry.lock_id, entry.acq_t, entry.local
+                )
+                if not entry.local and entry.acq_t[me] > self.tckp[me]:
                     self.departures[entry.lock_id] = (
                         self.departures.get(entry.lock_id, 0) + 1
                     )
             for wn in payload["wn"]:
                 self.peer_notices.add(wn)
-            for lock_id, entries in payload["self_grants"].items():
-                for acq_t in entries:
-                    if acq_t[me] > self.tckp[me]:
-                        self.acquire_records.setdefault(lock_id, []).append(
-                            (acq_t, None)
-                        )
             self.bar_history.update(payload["bar_history"])
             for episode, global_vt in payload["bar_mirror"]:
                 self.bar_history.setdefault(episode, global_vt)
@@ -592,8 +572,7 @@ class ReplayDriver:
         for lock_id in set(self.acquire_records) | set(self.departures):
             self.initial_token[lock_id] = proto.locks.token(lock_id).has_token
         for records in self.acquire_records.values():
-            records.sort(key=lambda r: r[0][me])
-
+            records.sort(key=lambda r: r[0].acq_t[me])
 
         # if we are the barrier manager, rebuild its episode state
         if proto.barrier_mgr is not None and self.bar_history:
@@ -668,27 +647,24 @@ class ReplayDriver:
         if not records:
             self.go_live()
             return False
-        acq_t, grantor = records.pop(0)
+        entry, src = records.pop(0)
         proto = self.proto
         st = proto.locks.token(lock_id)
-        if grantor is None:
-            # self-grant: the token was already resting here
-            if not st.has_token:
-                raise RuntimeError(
-                    f"replay: self-grant of lock {lock_id} without token at "
-                    f"{self.pid}"
-                )
-            st.held = True
-            st.rel_vt = None
-        else:
+        if not entry.local:
             st.has_token = True
-            st.held = True
-            st.rel_vt = None
             self.arrivals[lock_id] = self.arrivals.get(lock_id, 0) + 1
-            # rebuild the acq_log mirror (of the grantor's rel_log)
-            self.ft.logs.acq.append(grantor, lock_id, acq_t)
+        elif not st.has_token:
+            # self-grant: the token must already be resting here
+            raise RuntimeError(
+                f"replay: self-grant of lock {lock_id} without token at "
+                f"{self.pid}"
+            )
+        st.held = True
+        st.rel_vt = None
+        # rebuild the acq half of the pair ``src`` answered from
+        self.ft.logs.acq.append(src, lock_id, entry.acq_t, entry.local)
         proto._completed_seq[lock_id] = seq
-        self.advance_vt(acq_t)
+        self.advance_vt(entry.acq_t)
         self.stats_replayed_acquires += 1
         return True
         yield  # pragma: no cover — generator form for protocol symmetry

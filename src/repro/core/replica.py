@@ -88,9 +88,6 @@ class SyncState:
     tokens: Dict[int, Tuple[bool, bool, Optional[int], int]]
     managed_owners: Dict[int, int]
     completed_seq: Dict[int, int]
-    #: mirrors of peers' self-grants, held as their lock manager or as
-    #: their buddy: grantor -> lock -> [acq_t]
-    mirror_self: Dict[int, Dict[int, List[VClock]]]
     #: barrier manager's episode -> global vt (empty elsewhere)
     bar_history: Dict[int, VClock]
     tckp: VClock
@@ -104,27 +101,13 @@ class SyncState:
         being staged, which ``ft.trim`` learns only at its commit)."""
         proc, pid = ft.proc, ft.pid
         locks = proc.locks
-        managed = {l: locks.manager(l) for l in locks.managed_locks()}
-        mirror_self: Dict[int, Dict[int, List[VClock]]] = {}
-
-        def mirror(grantor: int, lock_id: int, entries: List[VClock]) -> None:
-            if entries:
-                by_lock = mirror_self.setdefault(grantor, {})
-                by_lock.setdefault(lock_id, []).extend(entries)
-
-        for lock_id, mgr in managed.items():
-            for grantor, entries in mgr.self_grants.items():
-                if grantor != pid:
-                    mirror(grantor, lock_id, entries)
-        for grantor, by_lock in ft.buddy_selfgrants.items():
-            for lock_id, entries in by_lock.items():
-                mirror(grantor, lock_id, entries)
         bar_mgr = proc.barrier_mgr
         return cls(
             tokens=locks.chain_snapshot(),
-            managed_owners={l: m.owner() for l, m in managed.items()},
+            managed_owners={
+                l: locks.manager(l).owner() for l in locks.managed_locks()
+            },
             completed_seq=dict(proc._completed_seq),
-            mirror_self=mirror_self,
             bar_history=dict(bar_mgr.history) if bar_mgr is not None else {},
             tckp=tckp if tckp is not None else ft.trim.tckp[pid],
             bar_ep=bar_ep if bar_ep is not None else ft.trim.bar_ep[pid],
@@ -204,12 +187,7 @@ class FtImage:
         return (
             (logs.rel.count() + logs.acq.count()) * REL_ENTRY_WIRE
             + len(self.wn) * NOTICE_WIRE
-            + (
-                sum(len(v) for m in sync.mirror_self.values() for v in m.values())
-                + len(sync.bar_history)
-                + len(logs.bar)
-            )
-            * VT_WIRE
+            + (len(sync.bar_history) + len(logs.bar)) * VT_WIRE
             + sum(
                 _diff_wire(e.diff) for es in logs.diff.per_page.values() for e in es
             )
@@ -234,19 +212,14 @@ class FtImage:
                 wn, sync = self.wn, self.sync
             else:
                 wn, sync = ft.proc.notices.own_after(self.pid, 0), SyncState.of(ft)
-            rel_entries = self.logs.rel.for_acquirer(requester)
-            acq_mirror = self.logs.acq.for_grantor(requester)
-            self_grants = {
-                lock_id: list(entries)
-                for lock_id, entries in sync.mirror_self.get(requester, {}).items()
-            }
+            rel_entries = self.logs.rel.for_peer(requester)
+            acq_mirror = self.logs.acq.for_peer(requester)
             bar_mirror = [(b.episode, b.global_vt) for b in self.logs.bar]
             payload = {
                 "managed_owners": sync.managed_owners,
                 "rel_entries": rel_entries,
                 "acq_mirror": acq_mirror,
                 "wn": wn,
-                "self_grants": self_grants,
                 "bar_history": sync.bar_history,
                 "bar_mirror": bar_mirror,
                 "tckp": sync.tckp,
@@ -257,7 +230,6 @@ class FtImage:
             size = (
                 (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
                 + len(wn) * NOTICE_WIRE
-                + sum(len(v) for v in self_grants.values()) * VT_WIRE
                 + (len(sync.bar_history) + len(bar_mirror)) * VT_WIRE
                 + len(sync.tokens) * 8
                 + VT_WIRE
@@ -295,18 +267,16 @@ class FtImage:
         elif kind == "rel_fix":
             _, acquirer, lock_id, actual_t = op
             logs.rel.confirm(acquirer, lock_id, actual_t, self.pid)
-        elif kind == "acq":
-            _, grantor, lock_id, acq_t, seq = op
-            logs.acq.append(grantor, lock_id, acq_t)
-            sync.acquired(lock_id, seq)
-        elif kind == "self":
-            _, lock_id, _acq_t, seq = op
+        elif kind in ("acq", "self"):
+            # an acquire of the protected node: granted by ``peer``, or a
+            # self-grant whose twin ``peer`` holds
+            _, peer, lock_id, acq_t, seq = op
+            logs.acq.append(peer, lock_id, acq_t, local=kind == "self")
             sync.acquired(lock_id, seq)
         elif kind == "mself":
+            # the twin of a peer's self-grant: no token left
             _, grantor, lock_id, acq_t = op
-            sync.mirror_self.setdefault(grantor, {}).setdefault(
-                lock_id, []
-            ).append(acq_t)
+            logs.rel.append(grantor, lock_id, acq_t, local=True)
         elif kind == "bar":
             logs.log_barrier(op[1], op[2])
         elif kind == "diff":

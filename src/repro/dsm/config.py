@@ -31,9 +31,9 @@ class DsmConfig:
         ``"round_robin"`` (default), ``"blocked"`` (contiguous chunks), or
         ``"explicit"`` (application assigns homes before sharing starts,
         standing in for first-touch allocation).
-    lock_manager_policy / barrier_manager:
-        Static placement of lock managers (round-robin over processes)
-        and of the barrier manager.
+    barrier_manager:
+        Static placement of the barrier manager (lock managers are
+        round-robin over processes, :meth:`lock_manager`).
     """
 
     num_procs: int = 8
@@ -42,7 +42,6 @@ class DsmConfig:
     notice_bytes: int = 12
     vt_entry_bytes: int = 4
     home_policy: str = "round_robin"
-    lock_manager_policy: str = "round_robin"
     barrier_manager: int = 0
     # failure detection latency for the recovery manager
     failure_detection_delay: float = 50e-3
@@ -66,3 +65,15 @@ class DsmConfig:
     def lock_manager(self, lock_id: int) -> int:
         """Static manager assignment for a lock."""
         return lock_id % self.num_procs
+
+    def self_grant_holder(self, lock_id: int, pid: int) -> Optional[int]:
+        """Where the twin of ``pid``'s self-grant records of ``lock_id``
+        lives: a distinct node (§4.2.1) — the lock's manager, or the ring
+        successor when ``pid`` manages the lock itself. ``None`` on a
+        single-process cluster, which has no second node."""
+        manager = self.lock_manager(lock_id)
+        if manager != pid:
+            return manager
+        if self.num_procs == 1:
+            return None
+        return (pid + 1) % self.num_procs

@@ -1,9 +1,10 @@
 """Distributed queue-based locks.
 
-Each lock has a statically assigned *manager* (``lock_id mod n``). An
-acquire request goes to the manager, which forwards it to the most recent
-requester it knows of, forming a distributed FIFO queue: every process in
-the chain grants the lock directly to its successor when it releases
+Each lock has a statically assigned *manager*
+(:meth:`DsmConfig.lock_manager`). An acquire request goes to the manager,
+which forwards it to the most recent requester it knows of, forming a
+distributed FIFO queue: every process in the chain grants the lock
+directly to its successor when it releases
 (§3, Figure 1 — the grant message carries the releaser's vector time and
 the write notices the acquirer is missing).
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.dsm.config import DsmConfig
 from repro.dsm.vclock import VClock
 
 __all__ = ["LockState", "LockManagerState", "LockTable"]
@@ -51,23 +53,6 @@ class LockManagerState:
         self.chain: List[ChainEntry] = [ChainEntry(manager, 0)]
         self.owner_pos: int = 0
         self.last_seq: Dict[int, int] = {}  # acquirer -> highest seq seen
-        #: remote mirror of self-grant events: proc -> [acq_t, ...]
-        #: (needed for replay of local re-acquires; trimmed by the
-        #: Rule 2 analogue using the grantor's checkpoint timestamp)
-        self.self_grants: Dict[int, List[VClock]] = {}
-
-    def log_self_grant(self, proc: int, acq_t: VClock) -> None:
-        self.self_grants.setdefault(proc, []).append(acq_t)
-
-    def trim_self_grants(self, proc: int, tckp_component: int) -> int:
-        """Keep self-grants of ``proc`` with ``acq_t[proc] > tckp_component``."""
-        entries = self.self_grants.get(proc)
-        if not entries:
-            return 0
-        kept = [t for t in entries if t[proc] > tckp_component]
-        dropped = len(entries) - len(kept)
-        self.self_grants[proc] = kept
-        return dropped
 
     @property
     def last_requester(self) -> int:
@@ -119,9 +104,9 @@ class LockManagerState:
 class LockTable:
     """All lock state at one process (token states + managed locks)."""
 
-    def __init__(self, pid: int, num_procs: int) -> None:
+    def __init__(self, pid: int, config: DsmConfig) -> None:
         self.pid = pid
-        self.n = num_procs
+        self.config = config
         self._tokens: Dict[int, LockState] = {}
         self._managed: Dict[int, LockManagerState] = {}
 
@@ -132,21 +117,18 @@ class LockTable:
             st = LockState()
             # The manager starts as the initial resting place of the token,
             # with a zero release snapshot (first acquirer needs nothing).
-            if self.manager_of(lock_id) == self.pid:
+            if self.manages(lock_id):
                 st.has_token = True
-                st.rel_vt = VClock.zero(self.n)
+                st.rel_vt = VClock.zero(self.config.num_procs)
             self._tokens[lock_id] = st
         return st
-
-    def manager_of(self, lock_id: int) -> int:
-        return lock_id % self.n
 
     def known_locks(self) -> List[int]:
         return list(self._tokens.keys())
 
     # -- manager side -------------------------------------------------------
     def manages(self, lock_id: int) -> bool:
-        return self.manager_of(lock_id) == self.pid
+        return self.config.lock_manager(lock_id) == self.pid
 
     def manager(self, lock_id: int) -> LockManagerState:
         if not self.manages(lock_id):

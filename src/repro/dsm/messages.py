@@ -137,10 +137,11 @@ class GrantInfo(Message):
     """Grantor -> lock manager: the token moved to ``grantee``.
 
     For *self*-grants (a process re-acquiring its own resting token, which
-    no peer observes) the message carries ``acq_t`` so that the manager
-    holds a remote mirror of the event; replay after a crash of the
-    grantor needs it to tell a completed local acquire apart from an
-    acquire that never finished (§4.3).
+    no peer observes) the message carries ``acq_t`` and goes to
+    :meth:`DsmConfig.self_grant_holder`, which logs the rel half of the
+    event's grant-log pair; replay after a crash of the grantor needs it
+    to tell a completed local acquire apart from an acquire that never
+    finished (§4.3).
     """
 
     lock_id: int = 0

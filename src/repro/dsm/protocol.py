@@ -95,11 +95,8 @@ class FtHooks:
     def on_self_grant(self, lock_id: int, acq_t: VClock) -> None:
         """This process re-acquired its own resting token (local acquire)."""
 
-    def on_buddy_self_grant(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
-        """Hold a buddy mirror of a manager's own self-grant."""
-
-    def on_mirror_self_grant(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
-        """Managed lock: a peer's self-grant was mirrored into manager state."""
+    def on_self_grant_mirror(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
+        """``grantor`` self-granted ``lock_id``; this process holds the twin."""
 
     def on_owner_observed(self, lock_id: int, owner: int) -> None:
         """Managed lock: the token's observed owner advanced to ``owner``."""
@@ -175,7 +172,7 @@ class DsmProcess:
 
         self.vt = VClock.zero(self.n)
         self.notices = NoticeTable(self.n)
-        self.locks = LockTable(pid, self.n)
+        self.locks = LockTable(pid, config)
         self.home = HomeDirectory(self.n)
         self.stats = ProtocolStats()
 
@@ -642,31 +639,15 @@ class DsmProcess:
             self._send(manager, info)
 
     def _record_self_grant(self, lock_id: int) -> None:
-        """Mirror a completed local (self) acquire on a *distinct* node.
-
-        Normally the mirror lives at the lock manager; when this process
-        manages the lock itself, the mirror goes to a buddy process so
-        that it survives a crash here.
-        """
+        """Tell a *distinct* node about a completed local (self) acquire:
+        nobody observed it, and replay after a crash here must tell it
+        apart from an acquire that never finished (§4.3)."""
         acq_t = self.vt
         self.ft.on_self_grant(lock_id, acq_t)
-        manager = self.config.lock_manager(lock_id)
-        if manager == self.pid:
-            self.locks.manager(lock_id).log_self_grant(self.pid, acq_t)
-            if self.n > 1:
-                buddy = (self.pid + 1) % self.n
-                self._send(
-                    buddy,
-                    GrantInfo(
-                        lock_id=lock_id,
-                        grantor=self.pid,
-                        grantee=self.pid,
-                        acq_t=acq_t,
-                    ),
-                )
-        else:
+        holder = self.config.self_grant_holder(lock_id, self.pid)
+        if holder is not None:
             self._send(
-                manager,
+                holder,
                 GrantInfo(
                     lock_id=lock_id,
                     grantor=self.pid,
@@ -822,17 +803,12 @@ class DsmProcess:
         if isinstance(msg, LockAcquireReq):
             self._manager_handle_acquire(msg)
         elif isinstance(msg, GrantInfo):
-            if msg.acq_t is not None and not self.locks.manages(msg.lock_id):
-                # buddy copy of a manager's own self-grant
-                self.ft.on_buddy_self_grant(msg.grantor, msg.lock_id, msg.acq_t)
+            if msg.acq_t is not None:
+                # a peer's self-grant: no token moved, nothing to track
+                self.ft.on_self_grant_mirror(msg.grantor, msg.lock_id, msg.acq_t)
             else:
-                mgr = self.locks.manager(msg.lock_id)
-                if msg.acq_t is not None:
-                    mgr.log_self_grant(msg.grantor, msg.acq_t)
-                    self.ft.on_mirror_self_grant(msg.grantor, msg.lock_id, msg.acq_t)
-                else:
-                    mgr.grant_observed(msg.grantee)
-                    self.ft.on_owner_observed(msg.lock_id, msg.grantee)
+                self.locks.manager(msg.lock_id).grant_observed(msg.grantee)
+                self.ft.on_owner_observed(msg.lock_id, msg.grantee)
         elif isinstance(msg, LockForward):
             self._handle_forward(msg)
         elif isinstance(msg, LockGrant):

@@ -74,11 +74,14 @@ __all__ = [
 SWEEP_SCHEMA = 2
 
 CLASSES = (
-    "every", "lock", "barrier", "ckpt_write", "recovery", "double", "repl",
+    "every", "lock", "barrier", "ckpt_write", "recovery", "sequential",
+    "double", "repl",
 )
 
 #: classes enumerable from a single-fault budget
-SINGLE_FAULT_CLASSES = ("every", "lock", "barrier", "ckpt_write", "recovery")
+SINGLE_FAULT_CLASSES = (
+    "every", "lock", "barrier", "ckpt_write", "recovery", "sequential",
+)
 
 #: classes that may legitimately end in explicit degradation: a second
 #: failure overlapping a recovery (or killing a replica chain) can
@@ -94,6 +97,10 @@ RECOVERY_FRACTIONS = (0.25, 0.5, 0.75)
 #: opened recovery window
 DOUBLE_ANCHOR_FRACTIONS = (0.2, 0.45, 0.7)
 DOUBLE_WINDOW_FRACTIONS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
+
+#: the sequential class shares those anchors; its second crashes sit at
+#: these fractions of what is left of the run once the anchor went live
+SEQUENTIAL_FRACTIONS = (0.02, 0.08, 0.2, 0.4, 0.7)
 
 
 class OracleViolation(AssertionError):
@@ -446,10 +453,11 @@ class CrashSweep:
         self.reference_steps = 0
         self.reference_wall_time = 0.0
         self.notes: List[str] = []
-        #: recovery windows discovered by single-crash runs, keyed by the
-        #: base crash (step, victim) — shared by the recovery and double
+        #: recovery windows (begin, live, last step of the run)
+        #: discovered by single-crash runs, keyed by the base crash
+        #: (step, victim) — shared by the recovery, sequential and double
         #: classes so anchors are probed at most once
-        self._windows: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
+        self._windows: Dict[Tuple[int, int], Optional[Tuple[int, int, int]]] = {}
 
     def _attach_monitor(self, cluster: Any):
         if not self.monitor:
@@ -533,6 +541,8 @@ class CrashSweep:
                     add("ckpt_write", mid, ev.pid)
         if "recovery" in self.classes:
             points.extend(self._recovery_points())
+        if "sequential" in self.classes:
+            points.extend(self._sequential_points())
         if "double" in self.classes:
             points.extend(self._double_points())
         if "repl" in self.classes:
@@ -541,10 +551,10 @@ class CrashSweep:
 
     def _recovery_window(
         self, anchor_step: int, anchor_pid: int
-    ) -> Optional[Tuple[int, int]]:
+    ) -> Optional[Tuple[int, int, int]]:
         """Discovery run: crash ``anchor_pid`` at ``anchor_step`` and
-        trace the (begin, live) step window its recovery opens. Cached —
-        the recovery and double classes share anchors."""
+        trace the (begin, live) step window its recovery opens, and the
+        run's last step. Cached — the classes share anchors."""
         base = (anchor_step, anchor_pid)
         if base in self._windows:
             return self._windows[base]
@@ -563,7 +573,7 @@ class CrashSweep:
                 break
         window = None
         if begin is not None and live is not None and live > begin + 1:
-            window = (begin, live)
+            window = (begin, live, cluster.engine.steps)
         self._windows[base] = window
         return window
 
@@ -573,9 +583,11 @@ class CrashSweep:
         anchor_frac: float,
         window_fracs: Tuple[float, ...],
         victims: Tuple[int, ...],
+        after_live: bool = False,
     ) -> List[CrashPoint]:
         """Second-crash points inside the recovery window opened by a
-        base crash at ``anchor_frac`` of the reference event stream."""
+        base crash at ``anchor_frac`` of the reference event stream — or,
+        ``after_live``, between its live switch and the end of the run."""
         events = [e for e in self.reference_trace if e.step >= 1]
         if not events:
             return []
@@ -588,14 +600,14 @@ class CrashSweep:
                 f"too narrow; {cls} points for this anchor skipped"
             )
             return []
-        begin, live = window
+        lo, hi = window[1:] if after_live else window[:2]
         n = self.cluster_factory().config.num_procs
         out: List[CrashPoint] = []
         seen: set = set()
         for frac in window_fracs:
-            step = begin + max(1, int((live - begin) * frac))
-            if step >= live:
-                step = live - 1
+            step = lo + max(1, int((hi - lo) * frac))
+            if step >= hi:
+                step = hi - 1
             for off in victims:
                 victim = (anchor.pid + off) % n
                 key = (step, victim)
@@ -610,6 +622,24 @@ class CrashSweep:
         cleanly) and a responder (overlapping failure — explicit degrade,
         or a buddy-replica fetch when replication is on)."""
         return self._window_points("recovery", 0.45, RECOVERY_FRACTIONS, (0, 1))
+
+    def _sequential_points(self) -> List[CrashPoint]:
+        """Repeated single failures: for each double-class anchor, second
+        crashes spread over the rest of the run *after* the anchor went
+        live — the first victim answers the second victim's handshake
+        from logs it rebuilt itself — on every other node (ring
+        neighbours in both directions and the lock managers all matter).
+        Nothing overlaps: any outcome but recovered/no_crash fails."""
+        others = tuple(range(1, self.cluster_factory().config.num_procs))
+        out: List[CrashPoint] = []
+        for anchor_frac in DOUBLE_ANCHOR_FRACTIONS:
+            out.extend(
+                self._window_points(
+                    "sequential", anchor_frac, SEQUENTIAL_FRACTIONS, others,
+                    after_live=True,
+                )
+            )
+        return out
 
     def _double_points(self) -> List[CrashPoint]:
         """The k=2 schedule: base crashes at several reference anchors,

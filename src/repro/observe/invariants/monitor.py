@@ -53,7 +53,8 @@ The five invariant classes:
     checkpoint write window; the rel/acq log replication of §4.2.1
     holds pairwise — every acquire a live node logged is present in its
     grantor's rel_log with the *actual* acquire timestamp (exactly at
-    quiescence, prediction <= actual while an AcqAck is in flight), so a
+    quiescence, prediction <= actual while an AcqAck is in flight), and
+    every self-grant at its holder once the network has drained, so a
     crash of either side can be replayed from the surviving copy; and,
     when the buddy-replication tier is on, the replicated-copy chains
     are sane — CGC trims never outran the buddy's acks, buddies never
@@ -85,8 +86,8 @@ scan would). Why skipping is sound:
    detected vt regression) forgets every home. Corruption that keeps all
    four counters is left to the next full scan.
 2. **§4.2.1 rel/acq pairs.** Log buckets are append-only, replaced
-   wholesale by ``trim``/``restore_for`` (a new list object) and patched
-   in place only by ``RelLog.confirm`` when an ``AcqAck`` is handled. A
+   wholesale by ``GrantLog.trim`` (a new list object) and patched
+   in place only by ``GrantLog.confirm`` when an ``AcqAck`` is handled. A
    verified (acquirer, grantor) pair therefore stays verified while both
    buckets are the same list objects at the same lengths, no ``AcqAck``
    for it was delivered, and neither side's liveness changed
@@ -767,20 +768,42 @@ class InvariantMonitor:
           match is flagged only when the grantor retains an *older*
           grant for us: correct trimming is a prefix drop in grant
           order, so old-retained + new-missing is a definite loss,
-          while all-later/empty is just the grantor's earlier trim.
+          while all-later/empty is just the grantor's earlier trim;
+        * a self-grant (``local``) is the same pair with ``g`` its holder,
+          but ``i`` logs its half *before* the notification that makes
+          ``g`` log the other is even sent: its twin can be demanded
+          only once the run has quiesced (``final``) with nothing in
+          flight, and then exactly.
         """
         theirs: Dict[Tuple[int, int], List[VClock]] = {}
         oldest_rel = None
         for e in rel:
+            if e.local:
+                continue
             t = e.acq_t
             own = t[g]
             if oldest_rel is None or own < oldest_rel:
                 oldest_rel = own
             theirs.setdefault((e.lock_id, own), []).append(t)
+        # the periodic scans never ask for a self-grant's twin
+        mirrors: Optional[Set[Tuple[int, VClock]]] = None
+        if final and not self.cluster.network.inflight_msgs:
+            mirrors = {(e.lock_id, e.acq_t) for e in rel if e.local}
         for e in mine:
             actual = e.acq_t
             if actual[i] <= own_cut:
                 continue  # dead: below our own restart cut
+            if e.local:
+                if mirrors is not None and (e.lock_id, actual) not in mirrors:
+                    self._violate(
+                        "recoverability", i,
+                        f"self-grant (lock {e.lock_id}, acq_t "
+                        f"{tuple(actual)}) has no twin in its holder "
+                        f"p{g}'s rel_log[{i}] after quiescence — the "
+                        "§4.2.1 replicated pair lost an entry",
+                    )
+                    return False
+                continue
             granted = actual[g]
             logged = theirs.get((e.lock_id, granted))
             if logged is None:

@@ -50,7 +50,7 @@ def _seed_llt(cluster: Any) -> None:
     def install(host: Any) -> None:
         orig_install(host)
         host.ft.logs.diff.trim_page = lambda page, creator, min_keep: 0
-        host.ft.logs.rel.trim = lambda acquirer, tckp_component: 0
+        host.ft.logs.rel.trim = lambda peer, component, bound: 0
 
     cluster._install_ft = install
 

@@ -300,7 +300,7 @@ class ClusterObserver:
         reg = self.registry
         reg.counter("ft.trim_diff_bytes", pid).inc(trimmed.get("diff_bytes", 0))
         reg.counter("ft.trim_rel_entries", pid).inc(
-            trimmed.get("rel", 0) + trimmed.get("acq", 0) + trimmed.get("self", 0)
+            trimmed.get("rel", 0) + trimmed.get("acq", 0)
         )
         reg.counter("ft.trim_wn_entries", pid).inc(trimmed.get("wn", 0))
         reg.counter("ft.trim_bar_entries", pid).inc(trimmed.get("bar", 0))

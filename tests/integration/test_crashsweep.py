@@ -53,7 +53,9 @@ def test_sweep_counter_bounded():
     assert summary.ok
     # targeted classes must actually enumerate points on this app
     classes_hit = {r.point.cls for r in summary.results}
-    assert {"lock", "barrier", "ckpt_write", "recovery"} <= classes_hit
+    assert {
+        "lock", "barrier", "ckpt_write", "recovery", "sequential"
+    } <= classes_hit
     # summary serializes deterministically
     payload = json.loads(summary.to_json(app="counter", procs=4))
     assert payload["ok"] is True
@@ -69,6 +71,30 @@ def test_sweep_rejects_unknown_class_and_nonft_cluster():
     )
     with pytest.raises(RuntimeError, match="FT-enabled"):
         sweep.run_reference()
+
+
+def test_sequential_class_is_every_other_node_after_the_live_switch():
+    """One failure at a time, repeated: each second crash lands after its
+    anchor went live, every node but the anchor takes one, and — nothing
+    overlaps — a degraded point fails the sweep."""
+    from repro.faultinject.campaign import PointResult
+
+    cluster_factory, app_factory = _factories()
+    sweep = CrashSweep(cluster_factory, app_factory, classes=("sequential",))
+    points = sweep.enumerate_points()
+    assert len(points) >= 30
+    victims = {}
+    for p in points:
+        _begin, live, end = sweep._windows[p.base]
+        assert live < p.step <= end
+        victims.setdefault(p.base, set()).add(p.victim)
+    assert len(victims) == 3  # the double class's anchors
+    for (_step, anchor), hit in victims.items():
+        assert hit == set(range(4)) - {anchor}
+    summary = sweep.run()
+    assert summary.ok and set(summary.outcomes()) <= {"recovered", "no_crash"}
+    summary.results.append(PointResult(points[0], "degraded"))
+    assert not summary.ok
 
 
 def test_sweep_session_lock_class():

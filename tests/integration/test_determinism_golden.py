@@ -91,14 +91,17 @@ GOLDEN = {
     },
     # buddy replication on (DESIGN.md §11): the replica stream is its own
     # traffic category; its ack timing also shifts checkpoint trimming,
-    # which nudges the base-protocol byte counts slightly
+    # which nudges the base-protocol byte counts slightly. Re-recorded at
+    # PR 20 (replica bytes 100180 -> 100284, nothing else): a shipped
+    # image now counts the acq halves of the node's self-grants, and a
+    # self-grant mirror is a 40-byte grant entry, no longer a bare vt
     ("counter", "ft-repl"): {
         "wall_time_hex": "0x1.2042dd88524dfp-5",
-        "total_bytes": 157452,
+        "total_bytes": 157556,
         "total_msgs": 311,
         "bytes_by_category": {
             "barrier": 2962, "diff": 608, "lock": 3354, "page": 50348,
-            "replica": 100180,
+            "replica": 100284,
         },
         "msgs_by_category": {
             "barrier": 36, "diff": 9, "lock": 46, "page": 88, "replica": 132,

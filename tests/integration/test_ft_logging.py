@@ -80,7 +80,7 @@ def test_rel_logs_bounded_by_rule2():
         h.ft.run_llt()
         for j in range(cluster.config.num_procs):
             bound = h.ft.trim.rel_bound(j)
-            for e in h.ft.logs.rel.for_acquirer(j):
+            for e in h.ft.logs.rel.for_peer(j):
                 assert e.acq_t[j] > bound or bound == 0
 
 

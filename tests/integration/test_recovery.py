@@ -256,3 +256,75 @@ def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
         cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
         cluster.schedule_crash_at_step(1, step)
         cluster.run(FuzzApp(2049))  # check_result validates
+
+
+# ---------------------------------------------------------------------------
+# sequential failures: the second fail-stop strictly after the first
+# victim went live (DESIGN.md §6, root cause 3)
+# ---------------------------------------------------------------------------
+
+
+SEQUENTIAL = [
+    # (app, n, first, second, frac, gap, replicate)   what PR 19's tree did
+    ("counter", 4, 1, 0, 0.2, 0.01, False),  # deadlock [0, 1, 2, 3]
+    ("counter", 8, 1, 0, 0.2, 0.05, False),  # deadlock
+    ("session", 4, 0, 1, 0.2, 0.01, False),  # session table total 98.0 != 105.0
+    ("session", 4, 0, 1, 0.4, 0.05, False),  # session table total 112.0 != 105.0
+    ("session", 4, 3, 2, 0.2, 0.01, False),  # deadlock
+    ("session", 4, 3, 2, 0.4, 0.2, True),  # deadlock [2]
+    ("session", 8, 7, 4, 0.6, 0.05, False),  # deadlock
+]
+
+
+def sequential_run(app_name, n, replicate, crashes=(), monitored=False):
+    """Default-size ``app_name`` on ``n`` nodes with ``crashes`` =
+    ``[(pid, time)]``; returns (cluster, result, monitor)."""
+    from repro.apps import APPS
+    from repro.core import FtConfig
+    from repro.observe import InvariantMonitor
+
+    cluster = DsmCluster(
+        DsmConfig(num_procs=n),
+        ft=True,
+        ft_config=FtConfig(replicate=replicate),
+        policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
+    )
+    monitor = InvariantMonitor(cluster) if monitored else None
+    for pid, at_time in crashes:
+        cluster.schedule_crash(pid, at_time)
+    spec = APPS[app_name]
+    result = cluster.run(spec.app(spec.config()))  # check_result validates
+    return cluster, result, monitor
+
+
+def sequential_schedule(app_name, n, first, second, frac, gap, replicate):
+    """The two crashes of one SEQUENTIAL row, and the failure-free memory:
+    ``second`` fail-stops ``gap * t_free`` after ``first`` went live."""
+    free, res, _ = sequential_run(app_name, n, replicate)
+    t_free = res.wall_time
+    reference = [free.shared_snapshot(r).tobytes() for r in free.regions]
+    once, _, _ = sequential_run(app_name, n, replicate, [(first, frac * t_free)])
+    live = frac * t_free + once.hosts[first].recovery_phases[0]["total"]
+    crashes = [(first, frac * t_free), (second, live + gap * t_free)]
+    return crashes, reference
+
+
+@pytest.mark.parametrize("app_name,n,first,second,frac,gap,replicate", SEQUENTIAL)
+def test_sequential_failures_recover(app_name, n, first, second, frac, gap, replicate):
+    """One failure at a time, repeated: the first victim recovers and
+    holds, as lock manager or ring buddy, the twins of its peers'
+    self-grants again, so the second victim replays all of its acquires.
+    Before the self-grant pair lived in the rel/acq logs nothing restored
+    those twins, and the second victim went live early."""
+    crashes, reference = sequential_schedule(
+        app_name, n, first, second, frac, gap, replicate
+    )
+    cluster, res, _ = sequential_run(app_name, n, replicate, crashes)
+    assert res.crashes == res.recoveries == 2
+    assert [
+        cluster.shared_snapshot(r).tobytes() for r in cluster.regions
+    ] == reference
+    for host in cluster.hosts:  # a restored twin is not logged twice
+        for bucket in host.ft.logs.rel.entries:
+            mirrors = [(e.lock_id, e.acq_t) for e in bucket if e.local]
+            assert len(mirrors) == len(set(mirrors))

@@ -249,8 +249,8 @@ def assert_live_and_replica_agree(app_name, crash=None):
             want, want_size = live.answer("handshake", j)
             got, got_size = replica.answer("handshake", j)
             for field in (
-                "rel_entries", "acq_mirror", "wn", "self_grants", "tckp",
-                "bar_ep", "completed_seq",
+                "rel_entries", "acq_mirror", "wn", "tckp", "bar_ep",
+                "completed_seq",
             ):
                 assert got[field] == want[field], (i, j, field)
             assert episodes(got) == episodes(want), (i, j)

@@ -295,6 +295,66 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
 
 
 # ---------------------------------------------------------------------------
+# the self-grant pair (a ``local`` acq entry and its twin at the holder)
+# ---------------------------------------------------------------------------
+def test_sequential_failure_schedule_monitored_clean():
+    """The pinned schedule that used to deadlock (p1, then p0 right after
+    p1 went live), monitor attached: both recoveries, no violation."""
+    from tests.integration.test_recovery import (
+        SEQUENTIAL, sequential_run, sequential_schedule,
+    )
+
+    app_name, n, first, second, frac, gap, replicate = SEQUENTIAL[0]
+    assert (app_name, n, first, second) == ("counter", 4, 1, 0)
+    crashes, _ = sequential_schedule(*SEQUENTIAL[0])
+    cluster, res, monitor = sequential_run(
+        app_name, n, replicate, crashes, monitored=True
+    )
+    assert res.crashes == res.recoveries == 2
+    assert monitor.finish() == []
+    assert monitor.checks["recoverability"] > 0
+
+
+def test_lost_self_grant_mirror_is_a_recoverability_violation():
+    """p0 recovers and gets its peers' self-grant mirrors back from their
+    acq logs. Drop one of them behind the protocol's back: at quiescence
+    the final scan names the lock and the holder; while messages are
+    still in flight a missing twin proves nothing and is not flagged."""
+    from tests.integration.test_recovery import sequential_run
+
+    free, res, _ = sequential_run("session", 4, False)
+    cluster, res, monitor = sequential_run(
+        "session", 4, False, [(0, 0.2 * res.wall_time)], monitored=True
+    )
+    assert res.recoveries == 1
+    cluster.engine.run()  # drain what the app's end left in flight
+    assert not cluster.network.inflight_msgs
+    rel = cluster.hosts[0].ft.logs.rel
+
+    def own_cut(i):
+        latest = cluster.hosts[i].ckpt_mgr.latest
+        return latest.tckp[i] if latest is not None else 0
+
+    acquirer, entry = next(
+        (i, e)
+        for i, bucket in enumerate(rel.entries)
+        for e in bucket
+        if e.local and e.acq_t[i] > own_cut(i)
+    )
+    assert entry in cluster.hosts[acquirer].ft.logs.acq.entries[0]  # the twin
+    rel.entries[acquirer] = [e for e in rel.entries[acquirer] if e is not entry]
+
+    cluster.network.inflight_msgs += 1  # as if a notification were under way
+    monitor._scan_structural(full=True, final=True)
+    assert monitor.violations == []
+    cluster.network.inflight_msgs -= 1
+    (violation,) = monitor.finish()
+    assert violation.invariant == "recoverability" and violation.pid == acquirer
+    assert f"lock {entry.lock_id}," in violation.detail
+    assert f"holder p0's rel_log[{acquirer}]" in violation.detail
+
+
+# ---------------------------------------------------------------------------
 # flight recorder
 # ---------------------------------------------------------------------------
 def test_flight_recorder_ring_is_bounded():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.logs import GrantLog
+from repro.dsm.config import DsmConfig
 from repro.dsm.locks import ChainEntry, LockManagerState, LockTable
 from repro.dsm.vclock import VClock
 
@@ -9,7 +11,7 @@ N = 4
 
 
 def test_manager_initially_holds_token():
-    t = LockTable(pid=2, num_procs=N)
+    t = LockTable(pid=2, config=DsmConfig(num_procs=N))
     st = t.token(2)  # lock 2 managed by pid 2
     assert st.has_token
     assert st.rel_vt == VClock.zero(N)
@@ -18,7 +20,7 @@ def test_manager_initially_holds_token():
 
 
 def test_manager_access_control():
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     assert t.manages(0) and t.manages(4)
     assert not t.manages(1)
     with pytest.raises(RuntimeError):
@@ -87,17 +89,26 @@ def test_chain_pruning_bounds_memory():
 
 
 def test_self_grant_log_and_trim():
-    m = LockManagerState(manager=0)
+    """The lock layer keeps no self-grant log, it only names the node
+    that holds the twin: the lock's manager, or — for the manager's own
+    re-acquires — its ring successor. The mirror is a ``local`` rel_log
+    entry there, trimmed by Rule 2."""
+    cfg = DsmConfig(num_procs=N)
+    assert cfg.self_grant_holder(lock_id=2, pid=1) == cfg.lock_manager(2) == 2
+    assert cfg.self_grant_holder(lock_id=2, pid=2) == 3
+    assert cfg.self_grant_holder(lock_id=3, pid=3) == 0  # the ring wraps
+    assert DsmConfig(num_procs=1).self_grant_holder(0, 0) is None
+    assert not hasattr(LockManagerState(manager=0), "self_grants")
+    rel = GrantLog(N)  # at the holder
     for i in (1, 3, 5):
-        m.log_self_grant(2, VClock((0, 0, i, 0)))
-    dropped = m.trim_self_grants(2, 3)
-    assert dropped == 2
-    assert [t[2] for t in m.self_grants[2]] == [5]
-    assert m.trim_self_grants(1, 10) == 0
+        rel.append(2, 6, VClock((0, 0, i, 0)), local=True)
+    assert rel.trim(2, 2, 3) == 2
+    assert [(e.acq_t[2], e.local) for e in rel.for_peer(2)] == [(5, True)]
+    assert rel.trim(1, 1, 10) == 0
 
 
 def test_chain_snapshot():
-    t = LockTable(pid=1, num_procs=N)
+    t = LockTable(pid=1, config=DsmConfig(num_procs=N))
     st = t.token(1)
     st.held = True
     st.successor = (3, VClock.zero(N), 7)
@@ -106,7 +117,7 @@ def test_chain_snapshot():
 
 
 def test_restore_chain_simple_walk():
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     t.manager(0)
     t.restore_chain(0, holder=2, edges={2: (3, 1), 3: (1, 1)})
     m = t.manager(0)
@@ -117,7 +128,7 @@ def test_restore_chain_simple_walk():
 def test_restore_chain_headless_segment_reattached():
     """A crashed holder loses its successor pointer; the orphan path is
     re-attached after the holder."""
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     t.manager(0)
     # holder 0 (us), lost edge 0->2; live edges 2->3->1
     t.restore_chain(0, holder=0, edges={2: (3, 1), 3: (1, 1)})
@@ -134,7 +145,7 @@ def test_restore_chain_headless_head_gets_sentinel_seq():
     drops it, and the token is lost (deadlock). The entry must carry the
     sentinel seq 0, which grantees always accept.
     """
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     m = t.manager(0)
     # handshake: waiter 2's last COMPLETED acquire had seq 11
     m.last_seq[2] = 11
@@ -146,7 +157,7 @@ def test_restore_chain_headless_head_gets_sentinel_seq():
 
 
 def test_restore_chain_cycle_guard():
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     t.manager(0)
     t.restore_chain(0, holder=1, edges={1: (2, 1), 2: (1, 2)})
     m = t.manager(0)
@@ -163,7 +174,7 @@ def test_recovering_manager_places_a_token_a_peer_reported():
     from repro.core.recovery import ReplayDriver
 
     proto = SimpleNamespace(
-        pid=1, n=N, locks=LockTable(pid=1, num_procs=N), replay=None,
+        pid=1, n=N, locks=LockTable(pid=1, config=DsmConfig(num_procs=N)), replay=None,
         vt=VClock.zero(N),
     )
     rm = SimpleNamespace(host=SimpleNamespace(queued=[]))
@@ -178,7 +189,7 @@ def test_recovering_manager_places_a_token_a_peer_reported():
 
 
 def test_granted_seq_tracking():
-    t = LockTable(pid=0, num_procs=N)
+    t = LockTable(pid=0, config=DsmConfig(num_procs=N))
     st = t.token(0)
     st.granted[3] = 2
     assert st.granted.get(3) == 2

@@ -1,11 +1,11 @@
-"""Unit tests for the volatile logs (rel/acq/diff/barrier/self-grant)."""
+"""Unit tests for the volatile logs (grant pair/diff/barrier)."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.logs import DiffLog, RelLog, AcqLog, VolatileLogs
+from repro.core.logs import DiffLog, GrantLog, VolatileLogs
 from repro.dsm.diff import compute_diff
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
@@ -29,36 +29,38 @@ def some_diff(nbytes=16):
 
 
 def test_rel_log_append_and_trim_rule2():
-    rl = RelLog(N)
+    rl = GrantLog(N)
     rl.append(1, 0, vt(0, 3, 0, 0))
     rl.append(1, 0, vt(0, 7, 0, 0))
     rl.append(2, 5, vt(0, 0, 2, 0))
     assert rl.count() == 3
     # Rule 2: keep entries with acq_t[acquirer] > Tckp_acquirer[acquirer]
-    dropped = rl.trim(1, 3)
+    dropped = rl.trim(1, 1, 3)
     assert dropped == 1
-    assert [e.acq_t[1] for e in rl.for_acquirer(1)] == [7]
+    assert [e.acq_t[1] for e in rl.for_peer(1)] == [7]
     assert rl.count() == 2
 
 
 def test_rel_log_restore():
-    rl = RelLog(N)
+    rl = GrantLog(N)
     rl.append(1, 0, vt(0, 3, 0, 0))
-    entries = rl.for_acquirer(1)
-    rl2 = RelLog(N)
-    rl2.restore_for(1, entries)
+    rl2 = rl.copy()
     assert rl2.count() == 1
+    assert rl2.for_peer(1) == rl.for_peer(1)
+    rl2.append(1, 0, vt(0, 4, 0, 0))  # a copy's buckets and count are its own
+    assert (rl.count(), rl2.count()) == (1, 2)
 
 
 def test_acq_log_trim_by_own_component():
-    al = AcqLog(N)  # owned by process 0
+    al = GrantLog(N)  # owned by process 0
     al.append(2, 0, vt(3, 0, 5, 0))
     al.append(2, 0, vt(8, 0, 9, 0))
     al.append(3, 1, vt(2, 0, 0, 4))
-    dropped = al.trim(own_pid=0, own_tckp_component=3)
+    # Rule 2, acq side: every bucket against the own checkpoint cut
+    dropped = sum(al.trim(g, 0, 3) for g in range(N))
     assert dropped == 2
     assert al.count() == 1
-    assert al.for_grantor(2)[0].acq_t[0] == 8
+    assert al.for_peer(2)[0].acq_t[0] == 8
 
 
 # -- diff log -----------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_diff_log_snapshot_marks_saved_and_is_independent():
     assert len(snap[P]) == 1  # snapshot unaffected by later trims
 
 
-# -- barrier & self-grant logs --------------------------------------------
+# -- barrier log & the self-grant pair -------------------------------------
 
 
 def test_barrier_log_trim():
@@ -126,11 +128,35 @@ def test_barrier_log_trim():
 
 
 def test_self_grant_log_trim():
-    logs = VolatileLogs(2, N)
+    """A self-grant is a grant-log pair: ``local`` entries, the acq half
+    at the acquirer (p2) under its holder's bucket (p3 manages lock 7),
+    the rel half at the holder — each trimmed by Rule 2 like a grant."""
+    acquirer, holder = VolatileLogs(2, N), VolatileLogs(3, N)
     for i in (1, 4, 6):
-        logs.log_self_grant(7, vt(0, 0, i, 0))
-    assert logs.trim_self_grants(4) == 2
-    assert [t[2] for t in logs.selfgrants[7]] == [6]
+        acquirer.acq.append(3, 7, vt(0, 0, i, 0), local=True)
+        holder.rel.append(2, 7, vt(0, 0, i, 0), local=True)
+    assert acquirer.acq.for_peer(3) == holder.rel.for_peer(2)  # both halves
+    assert all(e.local for e in holder.rel.for_peer(2))
+    assert acquirer.acq.trim(3, 2, 4) == 2  # acq_t[self] > Tckp_self[self]
+    assert holder.rel.trim(2, 2, 4) == 2  # acq_t[g] > T̂ckp_g[g]: same cut
+    assert [e.acq_t[2] for e in holder.rel.for_peer(2)] == [6]
+    assert acquirer.acq.for_peer(3) == holder.rel.for_peer(2)
+    # a buddy's image carries both halves, flag included
+    assert holder.copy().rel.for_peer(2) == holder.rel.for_peer(2)
+
+
+def test_confirm_skips_a_self_grant_mirror_with_the_same_identity():
+    """A mirror can share (lock, acq_t[holder]) with a real grant: the
+    AcqAck must patch the grant, never the mirror."""
+    rel = GrantLog(N)  # owned by process 3
+    rel.append(2, 7, vt(0, 0, 4, 5))  # real grant, predicted timestamp
+    rel.append(2, 7, vt(0, 0, 6, 5), local=True)  # later self-grant of p2
+    actual = vt(1, 0, 4, 5)
+    assert rel.confirm(2, 7, actual, own_pid=3)
+    real, mirror = rel.for_peer(2)
+    assert real.acq_t == actual and not real.local
+    assert mirror.acq_t == vt(0, 0, 6, 5) and mirror.local
+    assert rel.count() == 2
 
 
 @given(

@@ -200,8 +200,24 @@ def test_grant_carries_only_window_notices():
 
 
 def test_self_grant_logged_at_manager():
+    """Every local re-acquire is announced, with the very timestamp the
+    acquirer logs, to the node that keeps its twin: the lock's manager —
+    or, for the manager's own lock, its ring successor. The base protocol
+    itself stores nothing."""
     h = Harness(n=2)
-    p0 = h.procs[0]  # manager of lock 0
+    p0, p1 = h.procs  # p0 manages lock 0, p1 lock 1
+
+    class Recording(FtHooks):
+        def __init__(self):
+            self.own, self.mirrored = [], []
+
+        def on_self_grant(self, lock_id, acq_t):
+            self.own.append((lock_id, acq_t))
+
+        def on_self_grant_mirror(self, grantor, lock_id, acq_t):
+            self.mirrored.append((grantor, lock_id, acq_t))
+
+    p0.ft, p1.ft = Recording(), Recording()
 
     def body():
         yield from p0.acquire(0)
@@ -210,10 +226,17 @@ def test_self_grant_logged_at_manager():
         yield from p0.release(0)
         yield from p0.acquire(0)  # fast path: self grant
         yield from p0.release(0)
+        yield from p0.acquire(1)  # remote: p1 grants its resting token
+        yield from p0.release(1)
+        yield from p0.acquire(1)  # the token rests here now: self grant
+        yield from p0.release(1)
 
     h.run(body())
-    mgr = p0.locks.manager(0)
-    assert len(mgr.self_grants.get(0, [])) == 2  # both local acquires
+    assert [lock for lock, _ in p0.ft.own] == [0, 0, 1]  # the local acquires
+    assert p1.ft.mirrored == [(0, lock, t) for lock, t in p0.ft.own]
+    assert p0.ft.mirrored == [] and p1.ft.own == []
+    assert p0.locks.managed_locks() == []  # no manager state on the side
+    assert not hasattr(p1.locks.manager(1), "self_grants")
 
 
 def test_acquire_bumps_own_component():

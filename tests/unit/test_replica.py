@@ -84,7 +84,7 @@ def update(kind, seqno=0, gen=0, body=None, size=0, protected=0):
 def empty_image(pid=0):
     """The smallest image ``FtImage.copy_of`` could produce (empty logs)."""
     sync = SyncState(
-        tokens={}, managed_owners={}, completed_seq={}, mirror_self={},
+        tokens={}, managed_owners={}, completed_seq={},
         bar_history={}, tckp=VClock.zero(N), bar_ep=0,
     )
     return FtImage(pid, None, VolatileLogs(pid, N), {}, wn=[], sync=sync)
