@@ -1,6 +1,7 @@
 """Where one ledger workload's host time goes, sampled and untraced.
 
     python3 benchmarks/sample_profile.py --workload paper8 [--seed 42] [--smoke]
+                                         [--reps N] [--rows N] [--memory]
 
 The ledger's per-layer instrument is cProfile (``ledger/trace.py``). It
 counts calls exactly and charges each about a microsecond, so code made
@@ -14,7 +15,15 @@ layer across commits, this to decide which layer to look at.
 
 Builds the body from ``ledger/workloads.py`` as the ledger does, warms it
 with one smoke-sized run, and prints self and cumulative shares per
-(file, function) and the top source lines. Writes nothing.
+(file, function) and the top source lines over ``--reps`` runs of it.
+
+``--memory`` asks where the ledger's ``peak_rss_mb`` comes from instead:
+resident size after the imports, after the warm-up and after the untraced
+repetitions, then which source lines hold the ``tracemalloc``-traced heap
+at the peak of one more body. A snapshot cannot be asked for "at the
+peak", so that body runs twice: once to learn how high the traced heap
+gets, once more with the profiling timer watching for it to come within
+3 % of that. Traced, a body is several times slower. Writes nothing.
 """
 
 from __future__ import annotations
@@ -22,17 +31,20 @@ from __future__ import annotations
 import argparse
 import linecache
 import os
+import resource
 import signal
 import sys
 import time
+import tracemalloc
 from collections import Counter
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
 TICK_S = 1e-3
-ROWS = 25
+#: how close to the first pass's traced peak the second takes its snapshot
+NEAR_PEAK = 0.97
 
 
 def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
@@ -68,6 +80,84 @@ def sample(body: Callable[[], object]) -> Tuple[Counter, Counter, Counter]:
     return self_n, cum_n, line_n
 
 
+def rss_mb() -> Tuple[float, float]:
+    """Resident megabytes now and at the process's peak (the ledger's
+    ``peak_rss_mb`` is the second, read after its last repetition)."""
+    with open("/proc/self/statm") as fh:
+        now = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+    return now, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def snapshot_near_peak(
+    body: Callable[[], object]
+) -> Tuple[tracemalloc.Snapshot, int, int]:
+    """Run ``body`` twice under ``tracemalloc``; the snapshot taken when the
+    second run's traced heap first came within ``NEAR_PEAK`` of the first
+    run's peak (at the end of the body if it never did), the traced bytes
+    then, and that peak."""
+    tracemalloc.start()
+    try:
+        body()
+        peak = tracemalloc.get_traced_memory()[1]
+        taken: List[Tuple[tracemalloc.Snapshot, int]] = []
+
+        def snap(size: int) -> None:
+            # timer off first: a snapshot outlasts many ticks, each of which
+            # would interrupt it and start another
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+            signal.signal(signal.SIGPROF, signal.SIG_IGN)
+            taken.append((tracemalloc.take_snapshot(), size))
+
+        def watch(_signum, _frame) -> None:
+            size = tracemalloc.get_traced_memory()[0]
+            if size >= NEAR_PEAK * peak:
+                snap(size)
+
+        signal.signal(signal.SIGPROF, watch)
+        signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
+        try:
+            body()
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+        if not taken:  # never that high again: what the body leaves
+            snap(tracemalloc.get_traced_memory()[0])
+        return (*taken[0], peak)
+    finally:
+        tracemalloc.stop()
+
+
+def memory_lines(snapshot: tracemalloc.Snapshot, rows: int) -> List[str]:
+    """The ``rows`` source lines holding the most traced bytes."""
+    snapshot = snapshot.filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    )
+    out = [f"{'MB':>7} {'objects':>9} {'B/obj':>6}  line"]
+    for stat in snapshot.statistics("lineno")[:rows]:
+        frame = stat.traceback[0]
+        text = linecache.getline(frame.filename, frame.lineno).strip()
+        out.append(
+            f"{stat.size / 2**20:7.2f} {stat.count:9d} {stat.size // stat.count:6d}  "
+            f"{short(frame.filename)}:{frame.lineno}  {text[:60]}"
+        )
+    return out
+
+
+def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> int:
+    for _ in range(reps):
+        body()
+    stages.append((f"{reps} x body", rss_mb()))
+    print(f"{'RSS MB':>8} {'peak MB':>8}  after")
+    for stage, (now, peak) in stages:
+        print(f"{now:8.1f} {peak:8.1f}  {stage}")
+    snapshot, size, peak = snapshot_near_peak(body)
+    print(
+        f"\ntraced heap {size / 2**20:.1f} MB at the snapshot, "
+        f"{peak / 2**20:.1f} MB at the peak of one body"
+    )
+    print("\n".join(memory_lines(snapshot, rows)))
+    return 0
+
+
 def short(path: str) -> str:
     """``apps/barnes.py`` for the package's files, the base name otherwise."""
     if path.startswith(SRC):
@@ -75,7 +165,7 @@ def short(path: str) -> str:
     return os.path.basename(path)
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):  # as the ledger's child
         os.environ.setdefault(var, "1")
     sys.path[:0] = [os.path.join(HERE, "ledger"), SRC]
@@ -85,12 +175,20 @@ def main() -> int:
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--smoke", action="store_true", help="the ledger's tiny sizes")
-    args = p.parse_args()
+    p.add_argument("--reps", type=int, default=1, help="runs of the body")
+    p.add_argument("--rows", type=int, default=25, help="rows per table")
+    p.add_argument("--memory", action="store_true",
+                   help="resident size per stage and the lines holding the heap")
+    args = p.parse_args(argv)
+    stages = [("imports", rss_mb())]
     make_body = workloads.WORKLOADS[args.workload].make_body
     make_body(args.seed, True)()  # warm-up: imports, caches, lazy set-up
+    stages.append(("warm-up", rss_mb()))
     body = make_body(args.seed, args.smoke)
+    if args.memory:
+        return report_memory(body, args.reps, args.rows, stages)
     cpu0 = time.process_time()
-    self_n, cum_n, line_n = sample(body)
+    self_n, cum_n, line_n = sample(lambda: [body() for _ in range(args.reps)])
     cpu_s = time.process_time() - cpu0
     total = sum(self_n.values())
     print(
@@ -99,13 +197,13 @@ def main() -> int:
     )
     for title, order in (("self", self_n), ("cumulative", cum_n)):
         print(f"\n{'self %':>7} {'cum %':>7}  function, by {title} share")
-        for key, _n in order.most_common(ROWS):
+        for key, _n in order.most_common(args.rows):
             print(
                 f"{100 * self_n[key] / total:7.1f} {100 * cum_n[key] / total:7.1f}  "
                 f"{short(key[0])}:{key[1]}"
             )
     print(f"\n{'self %':>7}  line")
-    for (path, lineno), n in line_n.most_common(ROWS):
+    for (path, lineno), n in line_n.most_common(args.rows):
         text = linecache.getline(path, lineno).strip()
         print(f"{100 * n / total:7.1f}  {short(path)}:{lineno}  {text[:72]}")
     return 0 if total else 1

@@ -1,0 +1,113 @@
+"""What ``ClusterObserver`` and the run report cost a serving crash run.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_observer_cost.py -s
+
+The run is ``serve_session``'s at the ledger's full size (``repro observe
+session --procs 8 --rate 600 --crash 3@0.5 --replicate --slo ...``): the
+observer attached, both ``build_report`` calls and the SLO evaluation,
+against the same crash run plain. Two gates, each a difference between
+two runs made here, so neither needs a baseline file:
+
+* host time, best of three per side, sides alternated, observed < 2.5 x
+  plain. The columnar registry reads 1.4-2.1x (median 1.8), the
+  tuple-list one read 1.8-2.4x (2.2): twenty trials a tree overlapped,
+  so the gate is 2.5, not 2.0 (EXPERIMENTS.md "Observer attach cost").
+* resident memory, the peak of the observed run minus the plain run's,
+  each in a fresh interpreter (this file run as a script) that reads its
+  own ``VmHWM`` (``ru_maxrss`` survives ``exec``, so under pytest it
+  reads this process's size on both sides): < 35 MB. Reports that boxed
+  every point read 47 MB, reports that view the registry's columns 13 MB.
+
+Don't run it beside other simulator processes: the first gate is a ratio
+of host times.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+from repro import DsmCluster, DsmConfig
+from repro.apps.session import SessionApp, SessionConfig
+from repro.core import FtConfig, LogOverflowPolicy
+from repro.observe import (
+    ClusterObserver, build_report, evaluate_report_slos, parse_slo,
+)
+
+TIME_GATE = 2.5
+MEMORY_GATE_MB = 35.0
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+CFG = SessionConfig(
+    steps=40, requests_per_step=16, n_keys=1024, n_stripes=16,
+    n_users=64, rate=600.0, seed=42,
+)
+
+
+def cluster():
+    return DsmCluster(
+        config=DsmConfig(num_procs=8), ft=True,
+        ft_config=FtConfig(replicate=True),
+        policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
+    )
+
+
+def crash_run(attached, t_free):
+    """Host seconds of one crash run, observed and reported or plain."""
+    t0 = time.perf_counter()
+    c = cluster()
+    if attached:
+        observer = ClusterObserver(
+            c, interval=1e-3, sample_on_barrier=True, window_s=1e-3
+        )
+    c.schedule_crash(3, 0.5 * t_free)
+    result = c.run(SessionApp(CFG))
+    assert (result.crashes, result.recoveries) == (1, 1)
+    if attached:
+        observer.sample()
+        meta = {"app": "session", "procs": 8}
+        args = dict(result=result, recoveries=observer.recovery_records)
+        report = build_report(observer.registry, meta, **args)
+        slos = evaluate_report_slos(report, [parse_slo("p99(lat.request)<100ms")])
+        # both reports alive, as in the CLI and the ledger's body
+        report = build_report(observer.registry, meta, slos=slos, **args)
+    return time.perf_counter() - t0
+
+
+def test_observed_run_costs_under_two_and_a_half_plain_runs():
+    t_free = cluster().run(SessionApp(CFG)).wall_time
+    plain = observed = float("inf")
+    for _ in range(3):
+        plain = min(plain, crash_run(False, t_free))
+        observed = min(observed, crash_run(True, t_free))
+    print(f"\nserving crash run, plain              {plain:.2f} s")
+    print(f"observed + two reports + SLO          {observed:.2f} s")
+    print(f"ratio                                 {observed / plain:.2f} (gate: < {TIME_GATE})")
+    assert observed < TIME_GATE * plain
+
+
+def peak_rss_mb(side):
+    """Peak resident megabytes of one ``crash_run`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), side],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(out.stdout)["peak_rss_mb"]
+
+
+def test_observed_run_holds_under_35_mb_more_than_the_plain_run():
+    plain, observed = peak_rss_mb("plain"), peak_rss_mb("observed")
+    print(f"\nserving crash run, plain              {plain:.1f} MB peak RSS")
+    print(f"observed + two reports + SLO          {observed:.1f} MB")
+    print(f"difference                            {observed - plain:.1f} MB (gate: < {MEMORY_GATE_MB:g})")
+    assert observed - plain < MEMORY_GATE_MB
+
+
+if __name__ == "__main__":
+    crash_run(sys.argv[1] == "observed", cluster().run(SessionApp(CFG)).wall_time)
+    with open("/proc/self/status") as status:
+        (hwm,) = [line for line in status if line.startswith("VmHWM:")]
+    print(json.dumps({"peak_rss_mb": int(hwm.split()[1]) / 1024.0}))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observe.latency import LatencyHistogram
@@ -50,6 +51,7 @@ __all__ = [
     "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
+    "Points",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -153,6 +155,44 @@ CLUSTER_NODE = -1
 Key = Tuple[str, int]
 
 
+class Points(abc.Sequence):
+    """One series read as its ``[x, v]`` pairs: a view of the registry's
+    columns, not a copy. The columns only grow, so the length is pinned
+    here and the view stays what it was however many samples follow. A
+    pair exists while someone looks at it; ``==`` takes any sequence of
+    pairs, lists or tuples (a loaded report, another view)."""
+
+    __slots__ = ("_xs", "_start", "_vs", "_n")
+
+    def __init__(self, xs: Sequence[float], start: int, vs: Sequence[float]) -> None:
+        self._xs, self._start, self._vs, self._n = xs, start, vs, len(vs)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[List[float]]:
+        stop = self._start + self._n
+        return map(list, zip(self._xs[self._start:stop], self._vs[:self._n]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._n))]
+        if not -self._n <= i < self._n:
+            raise IndexError("series index out of range")
+        i %= self._n
+        return [self._xs[self._start + i], self._vs[i]]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(other) == self._n and all(
+            isinstance(b, abc.Sequence) and a == list(b) for a, b in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def _by_name(table: Dict[Key, Any], name: str) -> Dict[int, Any]:
     return {node: m for (n, node), m in sorted(table.items()) if n == name}
 
@@ -170,7 +210,8 @@ class MetricsRegistry:
     Storage is columnar (DESIGN.md §7): a series is a column of doubles
     over an x column — the one axis ``sample(x)`` appends to, from the
     sample count at which the metric registered, or a ``record()``
-    series' own. Points exist only in what the read accessors return.
+    series' own. Every read accessor, and a report, hands out
+    :class:`Points` views of the columns.
     """
 
     def __init__(self) -> None:
@@ -316,29 +357,18 @@ class MetricsRegistry:
         keys = {*self._series, *self._histograms, *self._latencies}
         return sorted({name for name, _ in keys})
 
-    def columns(self) -> Iterator[Tuple[Key, array, array]]:
-        """``(key, xs, values)`` of every series with a point, in key
-        order. The arrays are the storage itself: read-only."""
-        for key in sorted(self._series):
-            xs, start, vs = self._series[key]
-            if vs:
-                yield key, (xs[start:] if start else xs), vs
-
     @property
-    def series(self) -> Dict[Key, List[Tuple[float, float]]]:
-        return {key: list(zip(xs, vs)) for key, xs, vs in self.columns()}
+    def series(self) -> Dict[Key, Points]:
+        """Every series with a point, in key order."""
+        views = ((key, self.get_series(*key)) for key in sorted(self._series))
+        return {key: points for key, points in views if points}
 
-    def series_by_name(self, name: str) -> Dict[int, List[Tuple[float, float]]]:
+    def series_by_name(self, name: str) -> Dict[int, Points]:
         """``{node: points}`` for every node with a series under ``name``."""
-        return {
-            node: list(zip(xs, vs))
-            for (n, node), xs, vs in self.columns()
-            if n == name
-        }
+        return {node: pts for (n, node), pts in self.series.items() if n == name}
 
-    def get_series(self, name: str, node: int) -> List[Tuple[float, float]]:
-        xs, start, vs = self._series.get((name, node), ((), 0, ()))
-        return list(zip(xs[start:], vs))
+    def get_series(self, name: str, node: int) -> Points:
+        return Points(*self._series.get((name, node), ((), 0, ())))
 
     def derived(self, key: Any, version: Any, build: Callable[[], Any]) -> Any:
         """``build()``, remembered while ``version`` (a length or a count:

@@ -35,7 +35,7 @@ tables come out of the same pipeline the paper harness uses.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.render import (
     Table,
@@ -114,22 +114,15 @@ def build_report(
     merged only (``node = -1``), which bounds report size at
     ``windows x op classes`` regardless of cluster size.
 
-    A report is a read-only value: two builds over one registry may
-    share their innermost lists (``[x, v]`` pairs, ``buckets``).
+    A report is a read-only value over the registry: a series' ``points``
+    is a :class:`~repro.observe.registry.Points` view of its columns, as
+    long as they were at this build, and ``wlat`` records are the ones an
+    earlier build over the same observations returned. Only
+    :func:`write_jsonl` makes ``[x, v]`` lists, one series at a time.
     """
     series = [
-        {
-            "record": "series",
-            "metric": name,
-            "node": node,
-            # C-level pairs; a series only grows, so while it is as long
-            # an earlier build's pairs hold and are shared
-            "points": list(registry.derived(
-                ("points", name, node), len(vs),
-                lambda: list(map(list, zip(xs, vs))),
-            )),
-        }
-        for (name, node), xs, vs in registry.columns()
+        {"record": "series", "metric": name, "node": node, "points": points}
+        for (name, node), points in registry.series.items()
     ]
     hists = []
     for name in registry.histogram_names():
@@ -165,15 +158,15 @@ def build_report(
     if window_s is not None:
         for name in registry.latency_names():
             # every observation bumps a count, so while the op class's total
-            # stands an earlier build's records hold; each build copies them
+            # stands an earlier build's records hold
             parts = registry.latencies_by_name(name).values()
-            wlats += map(dict, registry.derived(
+            wlats += registry.derived(
                 ("wlat", name), (window_s, sum(h.count for h in parts)),
-                lambda: [
-                    {"record": "wlat", "metric": name, "node": CLUSTER_NODE, **rec}
-                    for rec in window_records(registry.merged_windows(name), window_s)
-                ],
-            ))
+                lambda: window_records(
+                    registry.merged_windows(name), window_s,
+                    record="wlat", metric=name, node=CLUSTER_NODE,
+                ),
+            )
     recovery_recs = [
         {"record": "recovery", **rec} for rec in (recoveries or ())
     ]
@@ -213,18 +206,14 @@ def build_report(
 
 
 def write_jsonl(path: str, report: Dict[str, Any]) -> None:
+    records = [report["header"], *report["series"], *report["hists"]]
+    for key in ("lats", "wlats", "recoveries", "slos"):
+        records += report.get(key, ())
+    records.append(report["summary"])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report["header"], sort_keys=True) + "\n")
-        for rec in report["series"]:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        for rec in report["hists"]:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        for rec in report.get("lats", ()):
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        for key in ("wlats", "recoveries", "slos"):
-            for rec in report.get(key, ()):
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.write(json.dumps(report["summary"], sort_keys=True) + "\n")
+        for rec in records:
+            # default=: a series' view becomes pairs here, for its own line
+            fh.write(json.dumps(rec, sort_keys=True, default=list) + "\n")
 
 
 def load_jsonl(path: str) -> Dict[str, Any]:
@@ -439,16 +428,12 @@ def slo_sections(report: Dict[str, Any]) -> List[str]:
     return parts
 
 
-def _node_series(
-    report: Dict[str, Any], metric: str
-) -> Dict[str, List[Tuple[float, float]]]:
-    out: Dict[str, List[Tuple[float, float]]] = {}
-    for rec in report["series"]:
-        if rec["metric"] != metric or not rec["points"]:
-            continue
-        label = "cluster" if rec["node"] == CLUSTER_NODE else f"p{rec['node']}"
-        out[label] = [(x, v) for x, v in rec["points"]]
-    return out
+def _node_series(report: Dict[str, Any], metric: str) -> Dict[str, Any]:
+    return {
+        "cluster" if rec["node"] == CLUSTER_NODE else f"p{rec['node']}": rec["points"]
+        for rec in report["series"]
+        if rec["metric"] == metric and rec["points"]
+    }
 
 
 def _last(points: List[Any]) -> float:

@@ -94,11 +94,12 @@ class WindowedLatency(LatencyHistogram):
 
 
 def window_records(
-    windows: Dict[int, LatencyHistogram], window_s: float
+    windows: Dict[int, LatencyHistogram], window_s: float, **fields: object
 ) -> List[Dict[str, object]]:
-    """One serializable record per non-empty window, in time order."""
+    """One serializable record per non-empty window, in time order, each
+    carrying ``fields`` (a report's record kind, metric and node)."""
     return [
-        {"window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
+        {**fields, "window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
          "window_s": window_s, **h.to_dict()}
         for w, h in sorted(windows.items())
     ]

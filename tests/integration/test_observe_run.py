@@ -91,7 +91,11 @@ def test_serving_report_bytes_are_pinned(tmp_path):
     and ``ft.replica_bytes`` (and the byte totals above them) count them,
     and the recovery handshake ships their twins, 1.92 us longer — every
     barrier-triggered sample after the live switch is stamped that much
-    later. All other sampled values are the ones recorded at PR 18."""
+    later. All other sampled values are the ones recorded at PR 18.
+
+    The ``render_report`` pin and the round trip were recorded at PR 20's
+    HEAD, before a report's series became views of the registry's columns:
+    the text rendered from the live report and from the loaded file."""
     import hashlib
 
     from repro import DsmCluster, DsmConfig
@@ -141,3 +145,10 @@ def test_serving_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == (
         "e7f38180cc1584ee7df3870b61271ef1d2b17ffbc4f7e6f170e70477403276c3"
     )
+    loaded = load_jsonl(str(path))
+    assert loaded["series"] == report["series"]
+    for text in (render_report(report), render_report(loaded)):
+        assert len(text.encode()) == 15_907
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "662351ee9c06724af2adfe2e017a438038e2711df7197d289e06f02b294af592"
+        )

@@ -451,7 +451,7 @@ def test_validate_flags_incomplete_wlat_and_recovery_records():
 
 
 # ---------------------------------------------------------------------------
-# report reuse: a build remembers what it materialised until the data grows
+# report reuse: builds over unchanged data read the same columns and records
 # ---------------------------------------------------------------------------
 def _points_of(report, metric):
     (rec,) = [r for r in report["series"] if r["metric"] == metric]
@@ -467,11 +467,12 @@ def test_two_builds_with_nothing_between_are_equal():
     second = build_report(reg, {"app": "unit"}, slos=slos)
     assert second.pop("slos") and first.pop("slos") == []
     assert second == first
-    # what the second build shares with the first is the innermost lists
+    # each build has its own view of the columns (its length is its own);
+    # the wlat records are one set while no observation came between
     assert _points_of(second, "ft.ckpts_retained") is not _points_of(
         first, "ft.ckpts_retained"
     )
-    assert second["wlats"][0] is not first["wlats"][0]
+    assert second["wlats"][0] is first["wlats"][0]
 
 
 def test_sample_between_builds_shows_in_the_second_report_only():
@@ -518,3 +519,96 @@ def test_latency_observed_between_builds_moves_lat_and_wlat():
     assert request(second, "wlats") == [(0, 2, 2e-4), (2, 2, 8e-4)]
     other = [r for r in first["wlats"] if r["metric"] != "lat.request"]
     assert other == [r for r in second["wlats"] if r["metric"] != "lat.request"]
+
+
+# ---------------------------------------------------------------------------
+# a series is a view of the registry's columns: semantics and allocation
+# ---------------------------------------------------------------------------
+def test_series_view_reads_as_the_pair_lists_it_replaced(tmp_path):
+    reg = MetricsRegistry()
+    early = reg.counter("early", 0)
+    for i in range(3):
+        early.inc(i)
+        reg.sample(0.5 * i)
+    reg.gauge("late", 0, lambda: 7.0)  # registers at sample 3: start > 0
+    reg.sample(1.5)
+    reg.counter("not.yet", 0)
+    pts = reg.get_series("early", 0)
+    pairs = [[0.0, 0.0], [0.5, 1.0], [1.0, 3.0], [1.5, 3.0]]
+    assert len(pts) == 4 and list(pts) == pairs
+    assert pts[0] == [0.0, 0.0] and pts[-1] == [1.5, 3.0] and pts[-4] == pts[0]
+    assert pts[1:3] == pairs[1:3] and pts[::-2] == pairs[::-2] and pts[5:] == []
+    for i in (4, -5):
+        with pytest.raises(IndexError):
+            pts[i]
+    assert pts == pairs and pairs == pts and pts == [tuple(p) for p in pairs]
+    assert pts != pairs[:3] and pts != [[0.0, 0.0]] * 4 and pts != 4
+    assert pts == reg.get_series("early", 0) and [1.0, 3.0] in pts
+    assert repr(pts) == repr(pairs)
+    assert reg.get_series("late", 0) == [[1.5, 7.0]]
+    # an empty or unknown series is an empty view, and no report record
+    for name in ("not.yet", "unknown"):
+        empty = reg.get_series(name, 0)
+        assert len(empty) == 0 and not empty and empty == [] and list(empty) == []
+    assert list(reg.series) == [("early", 0), ("late", 0)]
+
+    # a report built before further samples keeps its length and values
+    report = build_report(reg, {})
+    early.inc(10)
+    reg.sample(2.0)
+    reg.sample(2.5)
+    assert len(pts) == 4 and pts == pairs and pts[-1] == [1.5, 3.0]
+    assert [rec["points"] for rec in report["series"]] == [pairs, [[1.5, 7.0]]]
+    assert reg.get_series("not.yet", 0) == [[2.0, 0.0], [2.5, 0.0]]
+    assert reg.get_series("early", 0)[4:] == [[2.0, 13.0], [2.5, 13.0]]
+    assert reg.get_series("late", 0) == [[1.5, 7.0], [2.0, 7.0], [2.5, 7.0]]
+    path = tmp_path / "views.jsonl"
+    write_jsonl(str(path), report)
+    loaded = load_jsonl(str(path))
+    assert loaded["series"] == report["series"]
+    assert report["series"] == loaded["series"]
+    assert loaded["series"][0]["points"] == pairs
+
+
+def test_reports_hold_views_not_boxed_pairs(tmp_path):
+    """64 series x 2,000 samples: the columns hold them in 16 B a point.
+    Boxed as ``[x, v]`` lists (two floats, a list, a slot) a point is about
+    129 B, which two ``build_report`` calls used to keep alive for as long
+    as the reports lived; and writing the JSONL needs one series' pairs at
+    a time, not the report's 64: at its peak the writer holds those and
+    CPython's encoder chunks for that one line (1.4 series' worth on 3.11,
+    a ``str`` per float), so a second series alive beside them fails it."""
+    import tracemalloc
+
+    n_series, n_samples = 64, 2_000
+    reg = MetricsRegistry()
+    tick = [0]
+    reg.gauges(
+        [f"m{i:02d}" for i in range(n_series)], 0,
+        lambda: [tick[0] * 1.5 + i for i in range(n_series)],
+    )
+    for tick[0] in range(n_samples):
+        reg.sample(tick[0] * 1e-3)
+    points = n_series * n_samples
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        reports = [build_report(reg, {"app": "unit"}) for _ in range(2)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+        assert retained < 8 * points, f"{retained / points:.1f} B retained per point"
+
+        before, _ = tracemalloc.get_traced_memory()
+        pairs = list(reports[0]["series"][0]["points"])
+        one_series = tracemalloc.get_traced_memory()[0] - before
+        assert one_series > 100 * n_samples  # the boxed form is what it was
+        del pairs
+
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        write_jsonl(str(tmp_path / "big.jsonl"), reports[1])
+        peak = tracemalloc.get_traced_memory()[1] - before
+        assert peak < 3 * one_series, f"{peak} B at peak, one series is {one_series}"
+    finally:
+        tracemalloc.stop()
+    assert sum(len(rec["points"]) for rec in reports[0]["series"]) == points

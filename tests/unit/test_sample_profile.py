@@ -34,3 +34,89 @@ def test_tick_on_an_instruction_without_a_line_counts_the_def_line():
     assert line_n == {("f.py", 2): 1, ("f.py", 3): 1}
     assert self_n == {("f.py", "__init__"): 2}
     assert cum_n == {("f.py", "__init__"): 2, ("f.py", "run"): 2}
+
+
+def _spin(cpu_s):
+    """Burn CPU time, so the profiling timer ticks."""
+    import time
+
+    until = time.process_time() + cpu_s
+    while time.process_time() < until:
+        sum(range(1000))
+
+
+def test_memory_snapshot_is_taken_once_near_the_peak_and_names_its_line(monkeypatch):
+    """The snapshot outlasts many ticks: the handler that takes it turns the
+    timer off first (left on, every tick re-entered it and snapshotted the
+    snapshots, gigabytes deep on a 46 MB heap)."""
+    mod = _load()
+    snapshots = []
+    take = mod.tracemalloc.take_snapshot
+    monkeypatch.setattr(
+        mod.tracemalloc, "take_snapshot", lambda: snapshots.append(take()) or snapshots[-1]
+    )
+
+    def body():
+        held = [[i] for i in range(30_000)]  # the peak is held here
+        _spin(0.02)
+        del held
+        _spin(0.01)
+
+    snapshot, size, peak = mod.snapshot_near_peak(body)
+    assert snapshots == [snapshot]
+    assert mod.NEAR_PEAK * peak <= size <= 1.03 * peak  # two runs, not one
+    header, top, *_rest = mod.memory_lines(snapshot, 3)
+    assert header.split() == ["MB", "objects", "B/obj", "line"]
+    assert "test_sample_profile.py" in top and "the peak is held here" in top
+    assert int(top.split()[1]) >= 30_000
+
+
+def test_resident_size_now_is_at_most_the_peak_give_or_take_a_page_count():
+    now, peak = _load().rss_mb()
+    assert 5 < now < peak + 1
+
+
+def _toy_ledger(monkeypatch, body):
+    """``main`` over a one-workload stand-in for ``ledger/workloads.py``."""
+    import sys
+
+    sizes = []
+
+    def make_body(seed, smoke):
+        sizes.append(smoke)
+        return body
+
+    toy = SimpleNamespace(WORKLOADS={"toy": SimpleNamespace(make_body=make_body)})
+    monkeypatch.setitem(sys.modules, "workloads", toy)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    return sizes
+
+
+def test_reps_and_rows_replace_the_single_run_and_the_fixed_table(monkeypatch, capsys):
+    runs = []
+    sizes = _toy_ledger(monkeypatch, lambda: (runs.append(1), _spin(0.01)))
+    assert _load().main(["--workload", "toy", "--reps", "3", "--rows", "2"]) == 0
+    assert sizes == [True, False] and len(runs) == 1 + 3  # warm-up, then reps
+    out = capsys.readouterr().out
+    _self, cumulative, _lines = (t.splitlines() for t in out.split("\n\n")[1:])
+    assert len(cumulative) == 1 + 2  # of a stack six functions deep
+
+
+def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
+    def body():
+        held = [[i] for i in range(30_000)]  # held by the toy body
+        _spin(0.01)
+        return len(held)
+
+    _toy_ledger(monkeypatch, body)
+    argv = ["--workload", "toy", "--memory", "--reps", "2", "--rows", "1"]
+    assert _load().main(argv) == 0
+    stages, heap = capsys.readouterr().out.split("\n\n")
+    header, *rows = stages.splitlines()
+    assert header.split() == ["RSS", "MB", "peak", "MB", "after"]
+    assert [row.split(None, 2)[2] for row in rows] == ["imports", "warm-up", "2 x body"]
+    summary, _header, top = heap.splitlines()
+    assert summary.startswith("traced heap ") and "at the peak of one body" in summary
+    assert "held by the toy body" in top
