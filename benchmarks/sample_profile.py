@@ -23,12 +23,15 @@ repetitions, then which source lines hold the ``tracemalloc``-traced heap
 at the peak of one more body. A snapshot cannot be asked for "at the
 peak", so that body runs twice: once to learn how high the traced heap
 gets, once more with the profiling timer watching for it to come within
-3 % of that. Traced, a body is several times slower. Writes nothing.
+3 % of that; the summary line says whether it did, or how far below the
+highest snapshot of the second pass was taken. Traced, a body is several
+times slower. Writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import linecache
 import os
 import resource
@@ -45,6 +48,8 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 TICK_S = 1e-3
 #: how close to the first pass's traced peak the second takes its snapshot
 NEAR_PEAK = 0.97
+#: below that, the rise over the snapshot kept that earns a newer one
+RATCHET = 1.1
 
 
 def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
@@ -91,37 +96,46 @@ def rss_mb() -> Tuple[float, float]:
 def snapshot_near_peak(
     body: Callable[[], object]
 ) -> Tuple[tracemalloc.Snapshot, int, int]:
-    """Run ``body`` twice under ``tracemalloc``; the snapshot taken when the
-    second run's traced heap first came within ``NEAR_PEAK`` of the first
-    run's peak (at the end of the body if it never did), the traced bytes
-    then, and that peak."""
+    """Run ``body`` twice under ``tracemalloc``, each pass from a collected
+    heap; the snapshot taken when the second pass's traced heap first came
+    within ``NEAR_PEAK`` of the first pass's peak, the traced bytes then,
+    and that peak. A second pass that never gets there gives its
+    highest-water snapshot instead: from half the peak up, one is taken at
+    each ``RATCHET``-fold rise and only the last is kept (at the end of the
+    body if it stayed below half)."""
     tracemalloc.start()
     try:
+        gc.collect()
         body()
         peak = tracemalloc.get_traced_memory()[1]
-        taken: List[Tuple[tracemalloc.Snapshot, int]] = []
+        kept: Optional[Tuple[tracemalloc.Snapshot, int]] = None
 
-        def snap(size: int) -> None:
+        def watch(_signum, _frame) -> None:
+            nonlocal kept
+            size = tracemalloc.get_traced_memory()[0]
+            rung = RATCHET * kept[1] if kept else peak / 2
+            if size < min(rung, NEAR_PEAK * peak):
+                return
             # timer off first: a snapshot outlasts many ticks, each of which
             # would interrupt it and start another
             signal.setitimer(signal.ITIMER_PROF, 0.0)
             signal.signal(signal.SIGPROF, signal.SIG_IGN)
-            taken.append((tracemalloc.take_snapshot(), size))
+            kept = (tracemalloc.take_snapshot(), size)
+            if size < NEAR_PEAK * peak:  # keep climbing
+                signal.signal(signal.SIGPROF, watch)
+                signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
 
-        def watch(_signum, _frame) -> None:
-            size = tracemalloc.get_traced_memory()[0]
-            if size >= NEAR_PEAK * peak:
-                snap(size)
-
+        gc.collect()
         signal.signal(signal.SIGPROF, watch)
         signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
         try:
             body()
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0.0)
-        if not taken:  # never that high again: what the body leaves
-            snap(tracemalloc.get_traced_memory()[0])
-        return (*taken[0], peak)
+            signal.signal(signal.SIGPROF, signal.SIG_IGN)
+        if kept is None:
+            kept = (tracemalloc.take_snapshot(), tracemalloc.get_traced_memory()[0])
+        return (*kept, peak)
     finally:
         tracemalloc.stop()
 
@@ -150,8 +164,13 @@ def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> i
     for stage, (now, peak) in stages:
         print(f"{now:8.1f} {peak:8.1f}  {stage}")
     snapshot, size, peak = snapshot_near_peak(body)
+    which = (
+        "near the first pass's peak"
+        if size >= NEAR_PEAK * peak
+        else f"the second pass's high water, {100 * (1 - size / peak):.0f} % below"
+    )
     print(
-        f"\ntraced heap {size / 2**20:.1f} MB at the snapshot, "
+        f"\ntraced heap {size / 2**20:.1f} MB at the snapshot ({which}), "
         f"{peak / 2**20:.1f} MB at the peak of one body"
     )
     print("\n".join(memory_lines(snapshot, rows)))

@@ -407,14 +407,15 @@ class FtManager(FtHooks):
         for g, bucket in enumerate(self.logs.acq.entries):
             if bucket:
                 out["acq"] += self.logs.acq.trim(g, self.pid, acq_bound)
-        # Rule 1
+        # Rule 1 (a peer minimum is derived when asked: once per pass)
         out["wn"] += self.proc.notices.trim_creator_before(
-            self.pid, self.trim.wn_keep_from()
+            self.pid, trim.wn_keep_from()
         )
         # barrier log analogue
-        out["bar"] += self.logs.trim_barriers(self.trim.bar_keep_from())
+        bar_from = trim.bar_keep_from()
+        out["bar"] += self.logs.trim_barriers(bar_from)
         if self.proc.barrier_mgr is not None:
-            self.proc.barrier_mgr.trim_history(self.trim.bar_keep_from())
+            self.proc.barrier_mgr.trim_history(bar_from)
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]
         self.stats.wn_trimmed += out["wn"]

@@ -19,30 +19,31 @@ The rules:
 * **Rule 3.2** (LLT): a writer retains ``diff_log(p)`` entries with
   ``diff.T[i] > p0.v[i]``.
 
-Incremental bounds
-------------------
-The derived bounds used to rescan all N peers on every query; with every
-trim decision consulting them, that put an O(N) Python loop on the
-checkpoint path. The knowledge is monotone — ``learn_tckp`` only ever
-raises components, ``learn_p0v`` only raises versions — so the bounds
-are maintained incrementally instead: a peer-row matrix mirror carries a
-per-column running (min, argmin), updated in :meth:`learn_tckp` and
-recomputed for a column only when the argmin row itself advances (each
-column recompute is vectorized and amortizes against the frontier
-actually moving). Every Rule 1/2/3.2 bound query — and :meth:`tmin` off
-the cached column mins — is then O(1). ``tests/unit/test_trimming.py``
-holds the O(N) rescans these replaced and checks the two agree over
-randomized learn sequences.
+Bounds are derived, not stored
+------------------------------
+``tckp`` / ``bar_ep`` are the only copy of the knowledge. The three peer
+minima (:meth:`tmin`, :meth:`wn_keep_from`, :meth:`bar_keep_from`) are
+computed when an LLT/CGC pass or the invariant monitor asks: one
+reduction over the N-1 peer rows per bound per pass. Updates outnumber
+queries by 2-50x on every ledger workload (``paper8``: 3,541
+``learn_tckp`` calls against 76 queries per bound; ``scale128`` makes no
+query at all), so :meth:`learn_tckp` is a join and two stamps and nothing
+else. A per-node (N, N) mirror with running column minima made a query a
+field read, but cost O(N^2) ints per node -- half of ``scale128``'s heap
+-- and a column recompute on the update side that took 78 % of host time
+in a checkpointing N = 256 run (EXPERIMENTS.md "Trim bounds at width").
+``tests/unit/test_trimming.py`` checks the bounds against a plain-loop
+model over randomized learn sequences and pins the per-node footprint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.dsm.pages import PageId
-from repro.dsm.vclock import VClock
+from repro.dsm.vclock import VClock, vmin
 
 __all__ = ["TrimmingInfo"]
 
@@ -66,25 +67,6 @@ class TrimmingInfo:
         #: encoder ships exactly the rows newer than a destination's
         #: last-synced gen instead of rescanning all N
         self.row_gen = np.zeros(num_procs, dtype=np.int64)
-        # --- incremental Rule 1 / 3.1 state (peers only) ---------------
-        self._peer_rows = np.array(
-            [j for j in range(num_procs) if j != pid], dtype=np.int64
-        )
-        #: row j mirrors tckp[j] for peer rows (own row stays zero: it
-        #: never participates in the peer minima)
-        self._mat = np.zeros((num_procs, num_procs), dtype=np.int64)
-        #: per-column min/argmin over peer rows of ``_mat``
-        self._col_min = np.zeros(num_procs, dtype=np.int64)
-        self._col_arg = np.full(
-            num_procs, self._peer_rows[0] if len(self._peer_rows) else 0,
-            dtype=np.int64,
-        )
-        self._tmin_cache: Optional[VClock] = (
-            VClock.zero(num_procs) if len(self._peer_rows) else None
-        )
-        # --- incremental barrier bound ---------------------------------
-        self._bar_min = 0
-        self._bar_arg = int(self._peer_rows[0]) if len(self._peer_rows) else 0
 
     # ------------------------------------------------------------------
     # updates from piggybacked control data
@@ -97,28 +79,10 @@ class TrimmingInfo:
             self.tckp[proc] = new
             self.gen += 1
             self.row_gen[proc] = self.gen
-            if proc != self.pid and self.n > 1:
-                row = new.as_array()
-                grew = np.flatnonzero(row > self._mat[proc])
-                self._mat[proc] = row
-                # a column min can only change when its argmin row grew
-                stale = grew[self._col_arg[grew] == proc]
-                if len(stale):
-                    sub = self._mat[self._peer_rows[:, None], stale]
-                    arg = sub.argmin(axis=0)
-                    self._col_min[stale] = sub[arg, np.arange(len(stale))]
-                    self._col_arg[stale] = self._peer_rows[arg]
-                    self._tmin_cache = None
         if bar_ep > self.bar_ep[proc]:
             self.bar_ep[proc] = bar_ep
             self.gen += 1
             self.row_gen[proc] = self.gen
-            if proc != self.pid and proc == self._bar_arg:
-                peers = self._peer_rows
-                vals = [self.bar_ep[j] for j in peers.tolist()]
-                k = min(range(len(vals)), key=vals.__getitem__)
-                self._bar_min = vals[k]
-                self._bar_arg = int(peers[k])
 
     def learn_p0v(self, page: PageId, version_component: int) -> None:
         cur = self.p0v.get(page, 0)
@@ -128,20 +92,20 @@ class TrimmingInfo:
     # ------------------------------------------------------------------
     # derived bounds
     # ------------------------------------------------------------------
+    def _peers(self, rows: list) -> list:
+        """``rows`` without the own entry."""
+        return rows[: self.pid] + rows[self.pid + 1 :]
+
     def tmin(self) -> VClock:
         """Rule 3.1 bound: componentwise min of *other* processes' T̂ckp."""
-        if not len(self._peer_rows):  # single-process cluster
-            return self.tckp[self.pid]
-        out = self._tmin_cache
-        if out is None:
-            out = self._tmin_cache = VClock.from_array(self._col_min)
-        return out
+        peers = self._peers(self.tckp)
+        # single-process cluster: nothing but the own checkpoint bounds it
+        return vmin(peers) if peers else self.tckp[self.pid]
 
     def wn_keep_from(self) -> int:
         """Rule 1 bound: first own interval that must be retained."""
-        if not len(self._peer_rows):
-            return 1
-        return int(self._col_min[self.pid]) + 1
+        pid = self.pid
+        return min((t[pid] for t in self._peers(self.tckp)), default=0) + 1
 
     def rel_bound(self, acquirer: int) -> int:
         """Rule 2 bound for rel_log[acquirer]."""
@@ -157,6 +121,4 @@ class TrimmingInfo:
 
     def bar_keep_from(self) -> int:
         """Barrier-log analogue of Rule 2: min checkpointed episode of peers."""
-        if not len(self._peer_rows):
-            return 0
-        return self._bar_min
+        return min(self._peers(self.bar_ep), default=0)

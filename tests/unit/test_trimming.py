@@ -1,5 +1,7 @@
 """Unit + property tests for the trimming bounds (LLT/CGC inputs)."""
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -134,51 +136,71 @@ def test_llt_trim_after_recovery_mixed_saved_and_fresh_entries():
     assert dl.volatile_bytes == f2.size_bytes
 
 
-# -- incremental bounds vs full-rescan oracles --------------------------
-
-_learn_seq = st.lists(
-    st.tuples(
-        st.integers(0, N - 1),  # proc whose row advances
-        st.lists(st.integers(0, 20), min_size=N, max_size=N),
-        st.integers(0, 5),  # bar_ep
-    ),
-    max_size=30,
-)
+# -- derived bounds vs a brute-force model -------------------------------
 
 
-def assert_bounds_match_rescan(t):
-    """The O(1) bounds against a plain O(N) rescan of what ``t`` knows."""
-    peers = [j for j in range(t.n) if j != t.pid]
-    tmin = t.tckp[peers[0]]
+def assert_bounds_match_model(t, know, bar):
+    """``t``'s three peer minima against plain loops over an independent
+    model of what it was told (``know[j][k]``, ``bar[j]``): no ``vmin``,
+    no ``meet``, no ``join``."""
+    n, peers = t.n, [j for j in range(t.n) if j != t.pid]
+    assert [list(c) for c in t.tckp] == know
+    assert t.bar_ep == bar
+    if not peers:
+        assert list(t.tmin()) == know[t.pid]
+        assert (t.wn_keep_from(), t.bar_keep_from()) == (1, 0)
+        return
+    tmin = []
+    for k in range(n):
+        lo = know[peers[0]][k]
+        for j in peers[1:]:
+            if know[j][k] < lo:
+                lo = know[j][k]
+        tmin.append(lo)
+    assert list(t.tmin()) == tmin
+    assert t.wn_keep_from() == tmin[t.pid] + 1
+    lo = bar[peers[0]]
     for j in peers[1:]:
-        tmin = tmin.meet(t.tckp[j])
-    assert t.tmin() == tmin
-    assert t.wn_keep_from() == min(t.tckp[j][t.pid] for j in peers) + 1
-    assert t.bar_keep_from() == min(t.bar_ep[j] for j in peers)
+        if bar[j] < lo:
+            lo = bar[j]
+    assert t.bar_keep_from() == lo
 
 
-@given(_learn_seq)
-def test_incremental_bounds_match_rescan(seq):
-    t = TrimmingInfo(0, N)
-    for proc, vec, bar in seq:
-        t.learn_tckp(proc, VClock(vec), bar)
-        assert_bounds_match_rescan(t)
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+def test_bounds_match_brute_force(n):
+    """Randomized learn sequences on both sides of ``VClock.ARRAY_WIDTH``:
+    fresh, dominated, own-row and ``bar_ep``-only learns, from tuple- and
+    array-backed clocks."""
+    rng = np.random.default_rng(20260808 + n)
+    pid = int(rng.integers(n))
+    t = TrimmingInfo(pid, n)
+    know = [[0] * n for _ in range(n)]
+    bar = [0] * n
+    for step in range(300):
+        kind = int(rng.integers(5))
+        proc = pid if kind == 0 else int(rng.integers(n))
+        if kind == 1:  # dominated: at or below what is known
+            vec = [int(rng.integers(x + 1)) for x in know[proc]]
+        elif kind == 2:  # bar_ep only
+            vec = [0] * n
+        else:
+            vec = [int(x) for x in rng.integers(0, 60, n)]
+        ep = int(rng.integers(0, 9))
+        clock = VClock(vec) if step % 2 else VClock.from_array(np.array(vec))
+        t.learn_tckp(proc, clock, ep)
+        know[proc] = [max(a, b) for a, b in zip(know[proc], vec)]
+        bar[proc] = max(bar[proc], ep)
+        assert_bounds_match_model(t, know, bar)
 
 
-def test_incremental_bounds_match_rescan_wide():
-    """Long randomized learn sequence at a scale-out width (array path)."""
-    import numpy as np
-
-    n = 48
-    rng = np.random.default_rng(20260808)
-    t = TrimmingInfo(3, n)
-    for step in range(400):
-        proc = int(rng.integers(n))
-        vec = VClock(tuple(int(x) for x in rng.integers(0, 60, n)))
-        t.learn_tckp(proc, vec, int(rng.integers(0, 9)))
-        if step % 7 == 0:
-            assert_bounds_match_rescan(t)
-    assert_bounds_match_rescan(t)
+def test_footprint_is_linear_in_width():
+    """One process's trimming state holds no (N, N) structure: its only
+    array is the per-row change stamp."""
+    n = 256
+    arrays = [v for v in vars(TrimmingInfo(0, n)).values()
+              if isinstance(v, np.ndarray)]
+    assert all(a.ndim <= 1 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 16 * n
 
 
 def test_row_gen_tracks_changes_for_gossip_delta():
