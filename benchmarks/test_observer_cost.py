@@ -1,4 +1,5 @@
-"""What ``ClusterObserver`` and the run report cost a serving crash run.
+"""What ``ClusterObserver`` and the run report cost a serving crash run,
+and what the invariant monitor costs a Barnes run.
 
     PYTHONPATH=src python -m pytest benchmarks/test_observer_cost.py -s
 
@@ -18,8 +19,15 @@ two runs made here, so neither needs a baseline file:
   reads this process's size on both sides): < 35 MB. Reports that boxed
   every point read 47 MB, reports that view the registry's columns 13 MB.
 
-Don't run it beside other simulator processes: the first gate is a ratio
-of host times.
+The third gate is the invariant monitor's: ``repro monitor barnes --procs
+8`` over ``repro barnes --procs 8 --ft``, each the best of three fresh
+processes, < 3 x. Incremental scans read 1.18 s against 0.82 s plain
+(1.4x, 1.3-2.0x over the apps tried); it was 6.33 s (6.3x, up to 7.4x)
+when every scan visited every page and every pair (EXPERIMENTS.md
+"Invariant-monitor attach cost").
+
+Don't run it beside other simulator processes: the first and third gates
+are ratios of host times.
 """
 
 import json
@@ -37,6 +45,7 @@ from repro.observe import (
 
 TIME_GATE = 2.5
 MEMORY_GATE_MB = 35.0
+MONITOR_GATE = 3.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CFG = SessionConfig(
@@ -87,13 +96,16 @@ def test_observed_run_costs_under_two_and_a_half_plain_runs():
     assert observed < TIME_GATE * plain
 
 
+def child_env():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def peak_rss_mb(side):
     """Peak resident megabytes of one ``crash_run`` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), side],
-        check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        check=True, capture_output=True, text=True, env=child_env(),
     )
     return json.loads(out.stdout)["peak_rss_mb"]
 
@@ -104,6 +116,28 @@ def test_observed_run_holds_under_35_mb_more_than_the_plain_run():
     print(f"observed + two reports + SLO          {observed:.1f} MB")
     print(f"difference                            {observed - plain:.1f} MB (gate: < {MEMORY_GATE_MB:g})")
     assert observed - plain < MEMORY_GATE_MB
+
+
+def cli_seconds(*cli):
+    """Host seconds of ``python -m repro <cli>``, best of three processes."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "repro", *cli],
+            check=True, stdout=subprocess.DEVNULL, env=child_env(),
+        )
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_monitored_run_costs_under_three_plain_runs():
+    plain = cli_seconds("barnes", "--procs", "8", "--ft")
+    monitored = cli_seconds("monitor", "barnes", "--procs", "8")
+    print(f"\nbarnes --procs 8 --ft                 {plain:.2f} s")
+    print(f"monitor barnes --procs 8              {monitored:.2f} s")
+    print(f"ratio                                 {monitored / plain:.2f} (gate: < {MONITOR_GATE:g})")
+    assert monitored < MONITOR_GATE * plain
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtConfig, FtManager
+from repro.core.logs import DiffLog
 from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
 from repro.dsm.messages import Message
@@ -236,7 +237,8 @@ class CoordinatedFt(FtManager):
         self.stats.time_disk += proc.engine.now - t0
 
         ckpt = Checkpoint.of(
-            proc, self.ckpt_mgr.next_seqno, state_blob, own_notices=[], diff_log={}
+            proc, self.ckpt_mgr.next_seqno, state_blob, own_notices=[],
+            diff_log=DiffLog(),
         )
         self.ckpt_mgr.commit(ckpt, homed)
         self.stats.checkpoints_taken += 1
@@ -331,10 +333,7 @@ class CoordinatedFt(FtManager):
             return
         self.committed_round = round_id
         # drop ALL volatile logs (the coordinated scheme's GC advantage)
-        self.logs.diff.clear()
-        self.logs.rel.clear()
-        self.logs.acq.clear()
-        self.logs.bar = []
+        self.logs.clear()
         # drop older stable rounds and page-copy history
         store = self.proc_host.store
         for key in store.keys():

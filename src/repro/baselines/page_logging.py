@@ -21,7 +21,7 @@ model intact and its recovery exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from repro.core.ftmanager import FtConfig, FtManager
 from repro.core.policies import CheckpointPolicy, LogOverflowPolicy
 from repro.dsm.diff import RUN_HEADER_BYTES, Diff
 from repro.dsm.pages import PageId
-from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay
-from repro.sim.node import TimeBucket
 
 __all__ = ["PageLoggingFt", "page_logging_cluster"]
 
@@ -48,16 +45,8 @@ def _page_costed(diff: Diff, page_bytes: int) -> Diff:
 class PageLoggingFt(FtManager):
     """FT manager that logs whole pages instead of diffs."""
 
-    def on_interval_flush(
-        self, page: PageId, diff: Diff, vt: VClock, is_home: bool
-    ) -> Iterator[Delay]:
-        full = _page_costed(diff, len(self.proc.page_bytes(page)))
-        entry = self.logs.diff.append(page, full, vt)
-        cost = entry.size_bytes * self.proc.cpu.costs.log_append_per_byte
-        self.stats.time_logging += cost
-        if self.repl is not None:
-            self.repl.op(("diff", page, full, vt))
-        yield from self.proc.cpu.charge(TimeBucket.LOG_CKPT, cost)
+    def logged_diff(self, page: PageId, diff: Diff) -> Diff:
+        return _page_costed(diff, len(self.proc.page_bytes(page)))
 
 
 def page_logging_cluster(

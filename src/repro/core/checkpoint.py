@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.logs import DiffLogEntry
+from repro.core.logs import DiffLog
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.protocol import DsmProcess
@@ -54,7 +54,7 @@ class Checkpoint:
     tckp: VClock
     app_state_blob: bytes
     own_notices: List[WriteNotice]
-    diff_log: Dict[PageId, List[DiffLogEntry]]
+    diff_log: DiffLog  # a copy: the live log's records, its own containers
     lock_tokens: Dict[int, Tuple[bool, bool]]  # lock -> (has_token, held)
     acq_seq: Dict[int, int]
     barrier_episode: int
@@ -69,7 +69,7 @@ class Checkpoint:
         seqno: int,
         app_state_blob: bytes,
         own_notices: List[WriteNotice],
-        diff_log: Dict[PageId, List[DiffLogEntry]],
+        diff_log: DiffLog,
     ) -> "Checkpoint":
         """Checkpoint ``seqno`` of live process ``proc``, stamped with its
         vector time and carrying its restartable protocol structures."""
@@ -160,7 +160,6 @@ class CheckpointManager:
         self.store = store
         self.next_seqno = 1
         self.page_copies: Dict[PageId, List[PageCopy]] = {}
-        self.checkpoints: Dict[int, Checkpoint] = {}
         self.latest: Optional[Checkpoint] = None
         # accounting
         self.window_size = 1  # includes virtual checkpoint 0
@@ -226,7 +225,6 @@ class CheckpointManager:
                 PageCopy(ckpt.seqno, version, data)
             )
             self.pages_retained_bytes += len(data)
-        self.checkpoints[ckpt.seqno] = ckpt
         self.latest = ckpt
         self.store.commit_put(("ckpt", ckpt.seqno))
         self._update_window()
@@ -254,17 +252,12 @@ class CheckpointManager:
         disk write leaves a marker-less record that must not be used as
         a restart point. Returns the number of keys discarded.
         """
-        torn = self.store.pending_keys()
-        for key in torn:
-            self.store.delete(key)
-        self.torn_discarded += len(torn)
-        return len(torn)
+        torn = self.store.discard_pending()
+        self.torn_discarded += torn
+        return torn
 
     def _update_window(self) -> None:
-        live = {
-            c.ckpt_seqno for copies in self.page_copies.values() for c in copies
-        }
-        self.window_size = max(1, len(live))
+        self.window_size = max(1, len(self.retained_seqnos))
         self.max_window = max(self.max_window, self.window_size)
 
     # ------------------------------------------------------------------
@@ -301,16 +294,14 @@ class CheckpointManager:
                     self.pages_discarded_bytes += len(dropped.data)
                     self.pages_retained_bytes -= len(dropped.data)
                 del copies[:max_idx]
-        # prune superseded checkpoint records (keep the latest always)
-        live_seqnos = {
-            c.ckpt_seqno for copies in self.page_copies.values() for c in copies
-        }
+        # prune superseded committed records (never the latest, nor one
+        # staged and not committed yet)
+        live_seqnos = set(self.retained_seqnos)
         if self.latest is not None:
             live_seqnos.add(self.latest.seqno)
-        for seqno in [s for s in self.checkpoints if s not in live_seqnos]:
-            del self.checkpoints[seqno]
-            if ("ckpt", seqno) in self.store:
-                self.store.delete(("ckpt", seqno))
+        for key in self.store.committed_keys():
+            if key[0] == "ckpt" and key[1] not in live_seqnos:
+                self.store.delete(key)
         self._update_window()
         return freed
 

@@ -161,12 +161,16 @@ class FtManager(FtHooks):
         # notice they correspond to advances the page version at the
         # home, and replay must be able to advance the emulated copy to
         # that version
-        entry = self.logs.diff.append(page, diff, vt)
+        entry = self.logs.diff.append(page, self.logged_diff(page, diff), vt)
         cost = entry.size_bytes * self.proc.cpu.costs.log_append_per_byte
         self.stats.time_logging += cost
         if self.repl is not None:
-            self.repl.op(("diff", page, diff, vt))
+            self.repl.op(("diff", entry))
         yield from self.proc.cpu.charge(TimeBucket.LOG_CKPT, cost)
+
+    def logged_diff(self, page: PageId, diff: Diff) -> Diff:
+        """``diff`` as logged (page logging records it at whole-page cost)."""
+        return diff
 
     def on_grant(self, lock_id: int, acquirer: int, acq_t: VClock) -> None:
         self.logs.rel.append(acquirer, lock_id, acq_t)
@@ -211,8 +215,12 @@ class FtManager(FtHooks):
         if self.repl is not None:
             self.repl.op(("owner", lock_id, owner))
 
+    def on_barrier_complete(self, episode: int, global_vt: VClock) -> None:
+        # the manager's half; a buddy's image has it as shipped (no op)
+        self.logs.bar_history[episode] = global_vt
+
     def on_barrier_done(self, episode: int, global_vt: VClock) -> None:
-        self.logs.log_barrier(episode, global_vt)
+        self.logs.bar[episode] = global_vt
         self.stats.time_logging += 0.5e-6
         if self.repl is not None:
             self.repl.op(("bar", episode, global_vt))
@@ -327,7 +335,7 @@ class FtManager(FtHooks):
             seqno,
             state_blob,
             own_notices=proc.notices.own_after(self.pid, 0),
-            diff_log=self.logs.diff.snapshot(),
+            diff_log=self.logs.diff.copy(),
         )
 
         # -- stable storage ------------------------------------------------
@@ -359,7 +367,7 @@ class FtManager(FtHooks):
         self.stats.time_disk += duration
 
         # -- commit marker ---------------------------------------------------
-        self.logs.diff.mark_all_saved()
+        self.logs.diff.flush()
         self.stats.logs_saved_bytes += new_log_bytes
         self.ckpt_mgr.commit_staged(ckpt, homed)
         self.stats.ckpt_page_bytes += page_bytes
@@ -411,11 +419,8 @@ class FtManager(FtHooks):
         out["wn"] += self.proc.notices.trim_creator_before(
             self.pid, trim.wn_keep_from()
         )
-        # barrier log analogue
-        bar_from = trim.bar_keep_from()
-        out["bar"] += self.logs.trim_barriers(bar_from)
-        if self.proc.barrier_mgr is not None:
-            self.proc.barrier_mgr.trim_history(bar_from)
+        # barrier log analogue, both halves
+        out["bar"] += self.logs.trim_barriers(trim.bar_keep_from())
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]
         self.stats.wn_trimmed += out["wn"]

@@ -1,5 +1,9 @@
 """Volatile logs for sender-based message logging (§4.2).
 
+Records are immutable values: a log is appended to, trimmed (Rules
+1-3.2), saved with a checkpoint and served to a recovering peer, never
+edited, so the log, its checkpointed copy, the log restored from it and
+a buddy's image share the record objects and copy only the containers.
 Per process the FT layer keeps:
 
 * ``wn_log`` — write notices it generated. This is physically the base
@@ -14,11 +18,15 @@ Per process the FT layer keeps:
   reach stable storage (§4.2.1). A local re-acquire (self-grant, our
   addition) is such a pair as well: ``local`` entries, the rel half at
   the lock's manager. Both logs are one class, :class:`GrantLog`.
-* ``bar_log`` — (episode, global vt) for each barrier passed; mirror of
-  the barrier manager's history.
+* ``bar`` / ``bar_history`` — episode -> global vt: the barriers this
+  process passed and, at the barrier manager, the episodes it completed
+  (the twin a participant's recovery asks for), trimmed together.
 * ``diff_log(p)`` — per page, every diff this process created, stamped
-  with the creator's vector time. The dominant log by volume and the one
-  LLT targets (§5: "We consider only the diff logs for trimming").
+  with the creator's vector time and its append sequence number. The
+  dominant log by volume, the one LLT targets (§5: "We consider only the
+  diff logs for trimming") and the one saved to disk: a flush writes
+  all that is unsaved, so the disk holds a prefix of append order,
+  :attr:`DiffLog.flushed`.
 """
 
 from __future__ import annotations
@@ -127,14 +135,14 @@ class GrantLog:
         return self._count
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiffLogEntry:
     """One logged diff with its creation timestamp ``diff.T`` (§4.2.2)."""
 
     page: PageId
     diff: Diff
     t: VClock  # creator's vt at interval flush
-    saved: bool = False  # already written to stable storage
+    seq: int  # position in the creator's append order
 
     @property
     def size_bytes(self) -> int:
@@ -153,25 +161,29 @@ class DiffLog:
 
     def __init__(self) -> None:
         self.per_page: Dict[PageId, List[DiffLogEntry]] = {}
-        # lifetime accounting for Table 4
+        # lifetime accounting for Table 4 (a copy starts its own at zero)
         self.bytes_created = 0
         self.bytes_discarded = 0
-        self.bytes_discarded_saved = 0  # subset that had reached the disk
+        self.next_seq = 0
+        #: the disk prefix: an entry is on stable storage iff seq < flushed
+        self.flushed = 0
         # current-footprint counters (kept in lockstep with per_page)
         self._volatile = 0
         self._unsaved = 0
 
-    def append(
-        self, page: PageId, diff: Diff, t: VClock, saved: bool = False
-    ) -> DiffLogEntry:
-        entry = DiffLogEntry(page, diff, t, saved)
-        self.per_page.setdefault(page, []).append(entry)
-        size = entry.size_bytes
-        self.bytes_created += size
-        self._volatile += size
-        if not saved:
-            self._unsaved += size
+    def append(self, page: PageId, diff: Diff, t: VClock) -> DiffLogEntry:
+        entry = DiffLogEntry(page, diff, t, self.next_seq)
+        self.bytes_created += entry.size_bytes
+        self.adopt(entry)
         return entry
+
+    def adopt(self, entry: DiffLogEntry) -> None:
+        """Append the record its creator's log holds, in the creator's
+        order (how a buddy's image follows). Adopting is not creating."""
+        self.per_page.setdefault(entry.page, []).append(entry)
+        self.next_seq = entry.seq + 1
+        self._volatile += entry.size_bytes
+        self._unsaved += entry.size_bytes
 
     def entries_for(self, page: PageId) -> List[DiffLogEntry]:
         return list(self.per_page.get(page, ()))
@@ -195,9 +207,7 @@ class DiffLog:
                 kept.append(e)
             else:
                 dropped_bytes += e.size_bytes
-                if e.saved:
-                    self.bytes_discarded_saved += e.size_bytes
-                else:
+                if e.seq >= self.flushed:
                     self._unsaved -= e.size_bytes
         self.per_page[page] = kept
         self.bytes_discarded += dropped_bytes
@@ -228,31 +238,23 @@ class DiffLog:
         """Current stable-storage footprint of this log."""
         return self._volatile - self._unsaved
 
-    def mark_all_saved(self) -> int:
-        """Flush: mark unsaved entries saved; returns bytes newly written."""
-        written = 0
-        for es in self.per_page.values():
-            for e in es:
-                if not e.saved:
-                    e.saved = True
-                    written += e.size_bytes
-        self._unsaved -= written
+    def flush(self) -> int:
+        """All appended so far is on disk (written with a checkpoint, or
+        read back from one); returns the bytes that were not before."""
+        written = self._unsaved
+        self.flushed = self.next_seq
+        self._unsaved = 0
         return written
 
-    def snapshot(self) -> Dict[PageId, List[DiffLogEntry]]:
-        """Deep-enough copy for inclusion in a checkpoint (entries are
-        immutable apart from the ``saved`` flag, which checkpointed copies
-        never flip)."""
-        return {
-            page: [DiffLogEntry(e.page, e.diff, e.t, True) for e in es]
-            for page, es in self.per_page.items()
-        }
-
-
-@dataclass
-class BarEntry:
-    episode: int
-    global_vt: VClock
+    def copy(self) -> "DiffLog":
+        """The same records behind its own containers, footprint counters
+        and watermark (a checkpoint's, a restored log's, a buddy image's
+        log): neither side sees the other's later changes."""
+        out = DiffLog()
+        out.per_page = {page: list(es) for page, es in self.per_page.items()}
+        out.next_seq, out.flushed = self.next_seq, self.flushed
+        out._volatile, out._unsaved = self._volatile, self._unsaved
+        return out
 
 
 class VolatileLogs:
@@ -264,25 +266,32 @@ class VolatileLogs:
         self.rel = GrantLog(num_procs)
         self.acq = GrantLog(num_procs)
         self.diff = DiffLog()
-        self.bar: List[BarEntry] = []
+        #: episode -> global vt of the barriers this process passed ...
+        self.bar: Dict[int, VClock] = {}
+        #: ... and of those it completed as the barrier manager
+        self.bar_history: Dict[int, VClock] = {}
 
     def copy(self) -> "VolatileLogs":
-        """An independent copy, whose counters and indexes are its own (a
+        """An independent copy of all five logs, sharing their records (a
         buddy's image of this process advances through the same methods)."""
         out = VolatileLogs(self.pid, self.n)
         out.rel = self.rel.copy()
         out.acq = self.acq.copy()
-        for page, entries in self.diff.per_page.items():
-            for e in entries:
-                out.diff.append(page, e.diff, e.t, e.saved)
-        out.bar = list(self.bar)
+        out.diff = self.diff.copy()
+        out.bar = dict(self.bar)
+        out.bar_history = dict(self.bar_history)
         return out
 
-    # -- barrier log --------------------------------------------------------
-    def log_barrier(self, episode: int, global_vt: VClock) -> None:
-        self.bar.append(BarEntry(episode, global_vt))
+    def clear(self) -> None:
+        """Drop every log (a committed coordinated cut obsoletes them)."""
+        for log in (self.rel, self.acq, self.diff, self.bar, self.bar_history):
+            log.clear()
 
     def trim_barriers(self, min_keep_episode: int) -> int:
+        """Both halves against one bound; returns passed episodes dropped."""
         old = len(self.bar)
-        self.bar = [b for b in self.bar if b.episode >= min_keep_episode]
+        self.bar = {e: t for e, t in self.bar.items() if e >= min_keep_episode}
+        self.bar_history = {
+            e: t for e, t in self.bar_history.items() if e >= min_keep_episode
+        }
         return old - len(self.bar)

@@ -444,12 +444,9 @@ class RecoveryManager:
         # own write notices
         for wn in ckpt.own_notices:
             proto.notices.add(wn)
-        # saved diff log
-        for page, entries in ckpt.diff_log.items():
-            for e in entries:
-                ft.logs.diff.append(page, e.diff, e.t, saved=True)
-            # restoring is not creating: undo the double count
-            ft.logs.diff.bytes_created -= sum(e.size_bytes for e in entries)
+        # saved diff log: the checkpoint's records, all of them on disk
+        ft.logs.diff = ckpt.diff_log.copy()
+        ft.logs.diff.flush()
         ft.trim.learn_tckp(self.pid, ckpt.tckp, ckpt.barrier_episode)
 
 
@@ -577,7 +574,7 @@ class ReplayDriver:
         # if we are the barrier manager, rebuild its episode state
         if proto.barrier_mgr is not None and self.bar_history:
             mgr = proto.barrier_mgr
-            mgr.history = dict(self.bar_history)
+            self.ft.logs.bar_history = dict(self.bar_history)
             last = max(self.bar_history)
             mgr.next_episode = last + 1
             mgr.last_global = self.bar_history[last]
@@ -677,7 +674,7 @@ class ReplayDriver:
         proto = self.proto
         self.advance_vt(global_vt)
         proto.last_barrier_global = global_vt
-        self.ft.logs.log_barrier(episode, global_vt)
+        self.ft.logs.bar[episode] = global_vt
         self.stats_replayed_barriers += 1
         return True
         yield  # pragma: no cover

@@ -82,14 +82,12 @@ def _diff_wire(diff: Any) -> int:
 
 @dataclass
 class SyncState:
-    """The lock and barrier bookkeeping a handshake reports."""
+    """The lock bookkeeping and checkpoint position a handshake reports."""
 
     #: lock -> (has_token, held, successor acquirer, successor seq)
     tokens: Dict[int, Tuple[bool, bool, Optional[int], int]]
     managed_owners: Dict[int, int]
     completed_seq: Dict[int, int]
-    #: barrier manager's episode -> global vt (empty elsewhere)
-    bar_history: Dict[int, VClock]
     tckp: VClock
     bar_ep: int
 
@@ -101,14 +99,12 @@ class SyncState:
         being staged, which ``ft.trim`` learns only at its commit)."""
         proc, pid = ft.proc, ft.pid
         locks = proc.locks
-        bar_mgr = proc.barrier_mgr
         return cls(
             tokens=locks.chain_snapshot(),
             managed_owners={
                 l: locks.manager(l).owner() for l in locks.managed_locks()
             },
             completed_seq=dict(proc._completed_seq),
-            bar_history=dict(bar_mgr.history) if bar_mgr is not None else {},
             tckp=tckp if tckp is not None else ft.trim.tckp[pid],
             bar_ep=bar_ep if bar_ep is not None else ft.trim.bar_ep[pid],
         )
@@ -134,7 +130,7 @@ class FtImage:
     ) -> None:
         self.pid = pid
         self.regions = regions
-        #: rel/acq/diff/bar logs
+        #: rel/acq/diff logs and both barrier halves
         self.logs = logs
         #: retained checkpoint copies of the pages homed at ``pid``
         self.page_copies = page_copies
@@ -187,7 +183,7 @@ class FtImage:
         return (
             (logs.rel.count() + logs.acq.count()) * REL_ENTRY_WIRE
             + len(self.wn) * NOTICE_WIRE
-            + (len(sync.bar_history) + len(logs.bar)) * VT_WIRE
+            + (len(logs.bar_history) + len(logs.bar)) * VT_WIRE
             + sum(
                 _diff_wire(e.diff) for es in logs.diff.per_page.values() for e in es
             )
@@ -214,13 +210,14 @@ class FtImage:
                 wn, sync = ft.proc.notices.own_after(self.pid, 0), SyncState.of(ft)
             rel_entries = self.logs.rel.for_peer(requester)
             acq_mirror = self.logs.acq.for_peer(requester)
-            bar_mirror = [(b.episode, b.global_vt) for b in self.logs.bar]
+            bar_history = dict(self.logs.bar_history)
+            bar_mirror = list(self.logs.bar.items())
             payload = {
                 "managed_owners": sync.managed_owners,
                 "rel_entries": rel_entries,
                 "acq_mirror": acq_mirror,
                 "wn": wn,
-                "bar_history": sync.bar_history,
+                "bar_history": bar_history,
                 "bar_mirror": bar_mirror,
                 "tckp": sync.tckp,
                 "bar_ep": sync.bar_ep,
@@ -230,7 +227,7 @@ class FtImage:
             size = (
                 (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
                 + len(wn) * NOTICE_WIRE
-                + (len(sync.bar_history) + len(bar_mirror)) * VT_WIRE
+                + (len(bar_history) + len(bar_mirror)) * VT_WIRE
                 + len(sync.tokens) * 8
                 + VT_WIRE
             )
@@ -278,12 +275,12 @@ class FtImage:
             _, grantor, lock_id, acq_t = op
             logs.rel.append(grantor, lock_id, acq_t, local=True)
         elif kind == "bar":
-            logs.log_barrier(op[1], op[2])
+            logs.bar[op[1]] = op[2]
         elif kind == "diff":
-            # a diff-log append and its 1:1 own write notice
-            _, page, diff, t = op
-            logs.diff.append(page, diff, t)
-            self.wn.append(WriteNotice(self.pid, t[self.pid], page, t))
+            # the entry the protected node appended + its 1:1 own notice
+            entry, t = op[1], op[1].t
+            logs.diff.adopt(entry)
+            self.wn.append(WriteNotice(self.pid, t[self.pid], entry.page, t))
         elif kind == "owner":
             sync.managed_owners[op[1]] = op[2]
         else:
@@ -291,7 +288,7 @@ class FtImage:
 
 
 def _op_size(op: Tuple) -> int:
-    return _diff_wire(op[2]) if op[0] == "diff" else REL_ENTRY_WIRE
+    return _diff_wire(op[1].diff) if op[0] == "diff" else REL_ENTRY_WIRE
 
 
 @dataclass
@@ -503,9 +500,7 @@ def best_record(host: Any, protected: int) -> Optional[ReplicaRecord]:
         return None
     store = rs.store_for(protected)
     best: Optional[ReplicaRecord] = None
-    for k in store.keys():
-        if store.is_pending(k):
-            continue  # torn: begin seen, commit never arrived
+    for k in store.committed_keys():  # a torn record (no commit) is skipped
         rec = store.get(k)
         if best is None or (rec.gen, rec.seqno) > (best.gen, best.seqno):
             best = rec

@@ -56,10 +56,6 @@ class BarrierManagerState:
         self.current: Optional[BarrierEpisode] = None
         self.next_episode = 0
         self.last_global = VClock.zero(num_procs)
-        #: completed episodes: episode -> global vt (the manager-side
-        #: barrier log used for participant recovery; trimmed by Rule 2's
-        #: barrier analogue)
-        self.history: Dict[int, VClock] = {}
 
     def arrive(
         self, proc: int, episode: int, vt: VClock, notices: List[WriteNotice]
@@ -77,13 +73,5 @@ class BarrierManagerState:
             self.current = None
             self.next_episode += 1
             self.last_global = done.global_vt()
-            self.history[episode] = self.last_global
             return done
         return None
-
-    def trim_history(self, min_keep_episode: int) -> int:
-        """Drop logged episodes below ``min_keep_episode``; returns count."""
-        old = [e for e in self.history if e < min_keep_episode]
-        for e in old:
-            del self.history[e]
-        return len(old)

@@ -368,8 +368,9 @@ def check_oracle(cluster: Any, reference: Dict[str, bytes]) -> None:
                         f"p{host.pid} restart checkpoint {mgr.latest.seqno} "
                         "not committed on stable storage"
                     )
+            committed = mgr.store.committed_keys()
             for seqno in mgr.retained_seqnos:
-                if seqno != 0 and seqno not in mgr.checkpoints:
+                if seqno != 0 and ("ckpt", seqno) not in committed:
                     problems.append(
                         f"p{host.pid} retains page copies of checkpoint "
                         f"{seqno} but lost its record"

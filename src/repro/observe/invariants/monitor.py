@@ -544,7 +544,7 @@ class InvariantMonitor:
             )
         # barrier-log analogue
         bar_from = trim.bar_keep_from()
-        if bar_from and any(b.episode < bar_from for b in logs.bar):
+        if bar_from and any(ep < bar_from for ep in logs.bar):
             self._violate(
                 "llt", pid,
                 f"barrier log retains episodes below {bar_from} after LLT",

@@ -119,6 +119,17 @@ class CheckpointStore:
         """Torn (marker-less) keys, in insertion order (deterministic)."""
         return [k for k in self._data if k in self._pending]
 
+    def committed_keys(self) -> List[Any]:
+        """Keys whose commit marker is written, in insertion order."""
+        return [k for k in self._data if k not in self._pending]
+
+    def discard_pending(self) -> int:
+        """Delete every torn key; returns how many there were."""
+        torn = self.pending_keys()
+        for key in torn:
+            self.delete(key)
+        return len(torn)
+
     def get(self, key: Any) -> Any:
         return self._data[key]
 

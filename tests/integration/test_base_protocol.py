@@ -227,3 +227,15 @@ def test_varying_cluster_sizes():
     for n in (1, 2, 3, 8):
         cluster = make_cluster(num_procs=n)
         cluster.run(make_app("counter"))  # check_result runs inside
+
+
+def test_barrier_manager_keeps_no_per_episode_state():
+    """The completed-episode log is FT state (``VolatileLogs.bar_history``,
+    fed by ``FtHooks.on_barrier_complete``): a run with FT off leaves
+    nothing behind at the manager, however many barriers it passed."""
+    cluster = make_cluster(num_procs=4)
+    cluster.run(make_app("barnes"))
+    mgr = cluster.hosts[0].proto.barrier_mgr
+    assert mgr.next_episode > 10 and mgr.current is None
+    assert not hasattr(mgr, "history")
+    assert set(vars(mgr)) == {"n", "current", "next_episode", "last_global"}

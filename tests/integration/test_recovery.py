@@ -101,6 +101,11 @@ def test_crash_of_barrier_manager():
     mgr = cluster.hosts[0].proto.barrier_mgr
     assert mgr is not None
     assert mgr.next_episode > 0
+    # its half of the barrier log came back too (from the handshakes),
+    # and the new incarnation kept appending to it: no gap up to the end
+    history = list(cluster.hosts[0].ft.logs.bar_history)
+    assert history and history[-1] == mgr.next_episode - 1
+    assert history == list(range(history[0], mgr.next_episode))
 
 
 def test_crash_with_llt_aggressively_trimming():

@@ -219,9 +219,10 @@ def assert_live_and_replica_agree(app_name, crash=None):
       shipped, still owned by the manager itself, has sent no ``owner``
       op, so the replica may lack locks the live node lists with itself
       as owner (the requester then falls back to its own arithmetic).
-    * ``bar_history`` (the barrier manager only) is as of the shipped
-      image: a ``bar`` op advances the bar log every node keeps, not the
-      manager's history. Compared as what ``ingest_handshakes`` consumes,
+    * ``bar_history`` (``logs.bar_history``, non-empty at the barrier
+      manager only) is as of the shipped image: a ``bar`` op advances
+      ``logs.bar``, the half every node keeps, and completing an episode
+      sends no op. Compared as what ``ingest_handshakes`` consumes,
       history ∪ mirror; the handshake size may differ by ``VT_WIRE`` per
       episode the replica's history lacks.
     """
@@ -272,6 +273,62 @@ def assert_live_and_replica_agree(app_name, crash=None):
                 ), (i, j, kind, detail)
             asked += 1 + len(queries)
     assert asked > 3 * N * (N - 1)
+
+
+def test_checkpoint_restored_log_and_buddy_image_share_the_live_records():
+    """FT records are values: the checkpoint's ``diff_log``, the log a
+    recovery restores from it and the image the buddy holds carry the
+    very entry objects the live log appended — and each is a holder of
+    its own, untouched by what the live log trims or flushes later."""
+    from repro.core.recovery import RecoveryManager
+    from repro.core.replica import best_record
+
+    def entries(log):
+        return [e for es in log.per_page.values() for e in es]
+
+    def state(log):
+        return (
+            [id(e) for e in entries(log)], log.next_seq, log.flushed,
+            log.volatile_bytes, log.unsaved_bytes, log.saved_bytes,
+        )
+
+    cluster, _ = run_free()
+    cluster.engine.run()  # drain the ops the app's end left in flight
+    host = max(cluster.hosts, key=lambda h: len(entries(h.ft.logs.diff)))
+    live = host.ft.logs.diff
+    by_seq = {e.seq: e for e in entries(live)}
+    assert len(by_seq) == len(entries(live)) > 0
+
+    ckpt = host.ckpt_mgr.latest
+    image = best_record(cluster.hosts[(host.pid + 1) % N], host.pid).image
+    # restore the way a recovery does: fresh protocol + FT manager
+    host.proto = proto = host.make_protocol()
+    proto.rebind_homes()
+    cluster._install_ft(host)
+    RecoveryManager(host)._restore_from_checkpoint(proto, host.ft, ckpt)
+    restored = host.ft.logs.diff
+
+    for copy in (ckpt.diff_log, restored, image.logs.diff):
+        shared = [e for e in entries(copy) if e.seq in by_seq]
+        assert shared and all(e is by_seq[e.seq] for e in shared)
+    # the buddy followed every append since its image was shipped
+    assert image.logs.diff.next_seq == live.next_seq
+    assert {e.seq for e in entries(image.logs.diff)} >= set(by_seq)
+    # what was read back from disk is on disk; restoring created nothing
+    assert [id(e) for e in entries(restored)] == [
+        id(e) for e in entries(ckpt.diff_log)
+    ]
+    assert restored.flushed == restored.next_seq == ckpt.diff_log.next_seq
+    assert restored.unsaved_bytes == 0 and restored.bytes_created == 0
+
+    before = [state(log) for log in (ckpt.diff_log, restored, image.logs.diff)]
+    live.flush()
+    for page in live.pages():
+        live.trim_page(page, host.pid, 10**9)
+    assert live.volatile_bytes == 0
+    assert before == [
+        state(log) for log in (ckpt.diff_log, restored, image.logs.diff)
+    ]
 
 
 #: p1 fail-stopped after engine step 244: its recovery's repair forward

@@ -10,6 +10,7 @@ from repro.core.checkpoint import (
     PageCopy,
     maximal_starting_copy,
 )
+from repro.core.logs import DiffLog
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.storage import CheckpointStore
@@ -29,7 +30,7 @@ def mk_ckpt(pid, seqno, tckp):
         tckp=tckp,
         app_state_blob=pickle.dumps({"step": seqno}),
         own_notices=[],
-        diff_log={},
+        diff_log=DiffLog(),
         lock_tokens={},
         acq_seq={},
         barrier_episode=0,
@@ -92,7 +93,7 @@ def test_cgc_never_collects_latest():
     mgr.collect(vt(99, 99, 99, 99))
     assert mgr.latest.seqno == 1
     assert mgr.page_copies[P0][-1].ckpt_seqno == 1
-    assert 1 in mgr.checkpoints
+    assert ("ckpt", 1) in mgr.store.committed_keys()
 
 
 def test_cgc_with_zero_tmin_keeps_everything():
@@ -156,7 +157,7 @@ def test_old_checkpoint_records_pruned_with_their_copies():
     mgr.collect(vt(3, 9, 9, 9))
     assert ("ckpt", 1) not in store
     assert ("ckpt", 3) in store
-    assert 1 not in mgr.checkpoints
+    assert ("ckpt", 1) not in mgr.store.committed_keys()
 
 
 def test_staged_checkpoint_is_invisible_until_committed():
@@ -166,7 +167,7 @@ def test_staged_checkpoint_is_invisible_until_committed():
     mgr.stage(c1, homed)
     # staged but torn: not the restart point, pages not retained
     assert mgr.latest is None
-    assert 1 not in mgr.checkpoints
+    assert ("ckpt", 1) not in mgr.store.committed_keys()
     assert mgr.store.is_pending(("ckpt", 1))
     mgr.commit_staged(c1, homed)
     assert mgr.latest is c1
@@ -228,7 +229,7 @@ def test_cgc_racing_staged_checkpoint_leaves_stage_intact():
     assert mgr.latest is c1
     assert [c.ckpt_seqno for c in mgr.page_copies[P0]] == [1]
     assert mgr.store.is_pending(("ckpt", 2))
-    assert 2 not in mgr.checkpoints
+    assert ("ckpt", 2) not in mgr.store.committed_keys()
 
     # commit still lands cleanly after the racing collect
     mgr.commit_staged(c2, homed)

@@ -79,12 +79,15 @@ def test_diff_log_accounting():
 def test_diff_log_save_flush():
     dl = DiffLog()
     e1 = dl.append(P, some_diff(8), vt(1, 0, 0, 0))
-    written = dl.mark_all_saved()
+    written = dl.flush()
     assert written == e1.size_bytes
     assert dl.saved_bytes == e1.size_bytes
     assert dl.unsaved_bytes == 0
     e2 = dl.append(P, some_diff(8), vt(2, 0, 0, 0))
-    assert dl.mark_all_saved() == e2.size_bytes
+    # the disk holds a prefix of append order: one integer says which
+    assert (e1.seq, e2.seq, dl.flushed, dl.next_seq) == (0, 1, 1, 2)
+    assert dl.flush() == e2.size_bytes
+    assert dl.flush() == 0
 
 
 def test_diff_log_trim_rule32():
@@ -93,13 +96,14 @@ def test_diff_log_trim_rule32():
     for i in (1, 2, 5):
         e = dl.append(P, some_diff(8), vt(i, 0, 0, 0))
         sizes[i] = e.size_bytes
-    dl.mark_all_saved()
+    dl.flush()
     # Rule 3.2: keep entries with diff.T[creator] > p0.v[creator] = 2
     dropped = dl.trim_page(P, creator=0, min_keep_interval=2)
     assert dropped == sizes[1] + sizes[2]
     assert [e.t[0] for e in dl.entries_for(P)] == [5]
     assert dl.bytes_discarded == dropped
-    assert dl.bytes_discarded_saved == dropped  # they had reached disk
+    assert dl.saved_bytes == sizes[5]  # they had reached disk
+    assert dl.unsaved_bytes == 0
 
 
 def test_diff_log_trim_unknown_page_noop():
@@ -107,24 +111,145 @@ def test_diff_log_trim_unknown_page_noop():
     assert dl.trim_page(PageId(9, 9), 0, 100) == 0
 
 
-def test_diff_log_snapshot_marks_saved_and_is_independent():
+def test_diff_log_copy_shares_entries_and_is_independent():
     dl = DiffLog()
-    dl.append(P, some_diff(8), vt(1, 0, 0, 0))
-    snap = dl.snapshot()
-    assert all(e.saved for es in snap.values() for e in es)
+    e1 = dl.append(P, some_diff(8), vt(1, 0, 0, 0))
+    snap = dl.copy()
+    assert snap.per_page[P][0] is e1  # the record itself, not a rebuild
+    assert (snap.next_seq, snap.flushed) == (1, 0)
+    # lifetime accounting is the holder's own: a copy created nothing
+    assert (snap.bytes_created, snap.bytes_discarded) == (0, 0)
+    before = (snap.volatile_bytes, snap.unsaved_bytes, snap.saved_bytes)
+    assert before == (e1.size_bytes, e1.size_bytes, 0)
+    dl.flush()
+    dl.append(P, some_diff(8), vt(2, 0, 0, 0))
     dl.trim_page(P, 0, 10)
-    assert len(snap[P]) == 1  # snapshot unaffected by later trims
+    # unaffected by the original's later flushes, appends and trims
+    assert snap.per_page[P] == [e1] and dl.per_page[P] == []
+    assert (snap.volatile_bytes, snap.unsaved_bytes, snap.saved_bytes) == before
+    assert (snap.next_seq, snap.flushed) == (1, 0)
+
+
+def test_diff_log_entries_are_immutable_and_adopted_not_rebuilt():
+    dl = DiffLog()
+    e1 = dl.append(P, some_diff(8), vt(1, 0, 0, 0))
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        e1.seq = 7
+    image = dl.copy()
+    e2 = dl.append(P, some_diff(16), vt(2, 0, 0, 0))
+    image.adopt(e2)
+    assert image.per_page[P][1] is e2
+    assert (image.next_seq, image.volatile_bytes) == (2, dl.volatile_bytes)
+    assert image.bytes_created == 0  # adopting is not creating
+
+
+class ModelLog:
+    """Brute force: the retained entries, and an explicit set of the ones
+    on disk, per holder."""
+
+    def __init__(self):
+        self.entries, self.saved, self.discarded = [], set(), 0
+
+    def copy(self):
+        out = ModelLog()
+        out.entries, out.saved = list(self.entries), set(self.saved)
+        return out
+
+    def trim(self, page, bound):
+        drop = [e for e in self.entries if e.page == page and e.t[0] <= bound]
+        self.entries = [e for e in self.entries if e not in drop]
+        self.discarded += sum(e.size_bytes for e in drop)
+
+    def numbers(self):
+        vol = sum(e.size_bytes for e in self.entries)
+        saved = sum(e.size_bytes for e in self.entries if e.seq in self.saved)
+        return (vol, vol - saved, saved, self.discarded)
+
+
+def numbers(dl):
+    return (dl.volatile_bytes, dl.unsaved_bytes, dl.saved_bytes, dl.bytes_discarded)
+
+
+PAGES = (P, PageId(0, 1))
+STEP = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 1), st.integers(1, 32)),
+    st.tuples(st.just("flush"), st.integers(0, 3)),
+    st.tuples(st.just("trim"), st.integers(0, 3), st.integers(0, 1), st.integers(0, 40)),
+    st.tuples(st.just("copy"), st.integers(0, 3)),
+)
+
+
+@given(st.lists(STEP, max_size=40))
+def test_diff_log_counters_match_a_saved_set_model(steps):
+    """Random append / flush / trim_page / copy / adopt sequences: the
+    watermark and the running counters agree, after every step, with a
+    model that marks each entry saved one by one — on the log and on
+    every copy taken along the way. Copies follow the log's later
+    appends the way a buddy's image does (``adopt``) and flush and trim
+    on their own."""
+    logs, models = [DiffLog()], [ModelLog()]
+    interval = 0
+    for step in steps:
+        kind, k = step[0], step[1] % len(logs)
+        if kind == "append":
+            interval += 1
+            entry = logs[0].append(PAGES[step[1]], some_diff(step[2]), vt(interval, 0, 0, 0))
+            for dl, model in zip(logs, models):
+                if dl is not logs[0]:
+                    dl.adopt(entry)
+                model.entries.append(entry)
+        elif kind == "flush":
+            before = logs[k].unsaved_bytes
+            assert logs[k].flush() == before
+            models[k].saved.update(e.seq for e in models[k].entries)
+        elif kind == "trim":
+            page = PAGES[step[2]]
+            before = models[k].discarded
+            dropped = logs[k].trim_page(page, 0, step[3])
+            models[k].trim(page, step[3])
+            assert dropped == models[k].discarded - before
+        else:
+            logs.append(logs[k].copy())
+            models.append(models[k].copy())
+        for dl, model in zip(logs, models):
+            assert numbers(dl) == model.numbers()
+            held = [e for es in dl.per_page.values() for e in es]
+            assert sorted(map(id, held)) == sorted(map(id, model.entries))
 
 
 # -- barrier log & the self-grant pair -------------------------------------
 
 
 def test_barrier_log_trim():
+    """One trim for both halves of the barrier pair: the episodes this
+    process passed and, at the barrier manager, the ones it completed."""
     logs = VolatileLogs(0, N)
     for ep in range(5):
-        logs.log_barrier(ep, vt(ep, ep, ep, ep))
-    assert logs.trim_barriers(3) == 3
-    assert [b.episode for b in logs.bar] == [3, 4]
+        logs.bar[ep] = vt(ep, ep, ep, ep)
+    for ep in range(4):
+        logs.bar_history[ep] = vt(ep, ep, ep, ep)
+    assert logs.trim_barriers(3) == 3  # counts the passed half, as LLT reports
+    assert list(logs.bar) == [3, 4]
+    assert list(logs.bar_history) == [3]
+    assert logs.trim_barriers(3) == 0
+    assert (list(logs.bar), list(logs.bar_history)) == ([3, 4], [3])
+
+
+def test_volatile_logs_copy_and_clear_cover_all_five_logs():
+    logs = VolatileLogs(0, N)
+    logs.rel.append(1, 0, vt(0, 3, 0, 0))
+    logs.acq.append(2, 0, vt(4, 0, 0, 0))
+    entry = logs.diff.append(P, some_diff(8), vt(1, 0, 0, 0))
+    logs.bar[0] = logs.bar_history[0] = vt(1, 1, 1, 1)
+    image = logs.copy()
+    logs.clear()
+    assert (logs.rel.count(), logs.acq.count(), logs.diff.volatile_bytes) == (0, 0, 0)
+    assert logs.diff.bytes_discarded == entry.size_bytes
+    assert (logs.bar, logs.bar_history) == ({}, {})
+    # the image holds the same records in containers of its own
+    assert image.diff.per_page[P][0] is entry
+    assert (image.rel.count(), image.acq.count()) == (1, 1)
+    assert image.bar == image.bar_history == {0: vt(1, 1, 1, 1)}
 
 
 def test_self_grant_log_trim():

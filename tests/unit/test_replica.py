@@ -85,7 +85,7 @@ def empty_image(pid=0):
     """The smallest image ``FtImage.copy_of`` could produce (empty logs)."""
     sync = SyncState(
         tokens={}, managed_owners={}, completed_seq={},
-        bar_history={}, tckp=VClock.zero(N), bar_ep=0,
+        tckp=VClock.zero(N), bar_ep=0,
     )
     return FtImage(pid, None, VolatileLogs(pid, N), {}, wn=[], sync=sync)
 

@@ -161,10 +161,13 @@ def test_begin_put_leaves_key_pending_until_commit():
     store = CheckpointStore(0)
     store.begin_put("k", "v", 10)
     assert "k" in store and store.is_pending("k")
-    assert store.pending_keys() == ["k"]
+    assert store.pending_keys() == ["k"] and store.committed_keys() == []
     store.commit_put("k")
     assert not store.is_pending("k")
-    assert store.pending_keys() == []
+    assert store.pending_keys() == [] and store.committed_keys() == ["k"]
+    store.begin_put("torn", "v", 10)
+    assert store.discard_pending() == 1  # the torn one only
+    assert store.keys() == ["k"] and store.discard_pending() == 0
 
 
 def test_plain_put_and_delete_clear_pending():

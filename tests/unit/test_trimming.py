@@ -102,26 +102,29 @@ def test_p0v_bound_is_max_of_learned(values):
 def test_llt_trim_after_recovery_mixed_saved_and_fresh_entries():
     """LLT trim right after a recovery.
 
-    Recovery restores the checkpointed diff log with every entry marked
-    ``saved=True`` (the snapshot had reached disk with the checkpoint);
-    replay then appends fresh *unsaved* entries on top. The first LLT
-    after going live may drop a mix of both, and the byte accounting
-    must split correctly: restored entries count toward
-    ``bytes_discarded_saved``, fresh ones drain ``unsaved_bytes``, and
-    the stable-footprint view (``saved_bytes``) only loses the restored
-    share.
+    Recovery restores the checkpointed diff log as a flushed copy (its
+    records had reached disk with the checkpoint, so the watermark
+    covers all of them); replay then appends fresh *unsaved* entries on
+    top. The first LLT after going live may drop a mix of both, and the
+    byte accounting must split correctly: fresh ones drain
+    ``unsaved_bytes``, and the stable-footprint view (``saved_bytes``)
+    only loses the restored share.
     """
     from repro.core.logs import DiffLog
     from repro.dsm.diff import Diff
 
     page = PageId(0, 0)
-    dl = DiffLog()
-    # restored-from-checkpoint entries (recovery appends with saved=True)
-    r1 = dl.append(page, Diff(((0, b"x" * 8),)), vt(1, 0, 0, 0), saved=True)
-    r2 = dl.append(page, Diff(((0, b"x" * 8),)), vt(2, 0, 0, 0), saved=True)
+    before_crash = DiffLog()
+    r1 = before_crash.append(page, Diff(((0, b"x" * 8),)), vt(1, 0, 0, 0))
+    r2 = before_crash.append(page, Diff(((0, b"x" * 8),)), vt(2, 0, 0, 0))
+    # restored-from-checkpoint entries (what recovery does)
+    dl = before_crash.copy()
+    dl.flush()
+    assert dl.bytes_created == 0  # restoring is not creating
     # fresh post-recovery entries, not yet flushed
     f1 = dl.append(page, Diff(((0, b"y" * 8),)), vt(3, 0, 0, 0))
     f2 = dl.append(page, Diff(((0, b"y" * 8),)), vt(5, 0, 0, 0))
+    assert (f1.seq, f2.seq, dl.flushed) == (2, 3, 2)
     assert dl.saved_bytes == r1.size_bytes + r2.size_bytes
     assert dl.unsaved_bytes == f1.size_bytes + f2.size_bytes
 
@@ -130,7 +133,7 @@ def test_llt_trim_after_recovery_mixed_saved_and_fresh_entries():
     dropped = dl.trim_page(page, creator=0, min_keep_interval=3)
     assert dropped == r1.size_bytes + r2.size_bytes + f1.size_bytes
     assert [e.t[0] for e in dl.entries_for(page)] == [5]
-    assert dl.bytes_discarded_saved == r1.size_bytes + r2.size_bytes
+    assert dl.bytes_discarded == dropped
     assert dl.unsaved_bytes == f2.size_bytes
     assert dl.saved_bytes == 0
     assert dl.volatile_bytes == f2.size_bytes
