@@ -217,7 +217,7 @@ class SessionApp(DsmApp):
                 yield from proc.compute(cfg.compute_per_op)
                 yield from proc.release(stripe)
                 bus = proc.bus
-                if bus.active:
+                if bus.on[APP_LATENCY]:
                     pid = proc.pid
                     total = proc.engine.now - arrival
                     bus.emit(APP_LATENCY, pid, "lat.queue", service_start - arrival)

@@ -311,14 +311,14 @@ class DsmCluster:
 
     def _app_main(self, host: ProcHost) -> Iterator[Any]:
         bus = self.engine.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, host.pid, "app", host.crashed_count)
         try:
             yield from self.app.run(host.proto, host.state)
             host.finished = True
             self._unfinished -= 1
         finally:
-            if bus.active:
+            if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, host.pid, "app", None)
 
     def _run_loop(self, max_steps: int) -> None:
@@ -392,7 +392,7 @@ class DsmCluster:
         # failure while the victim's state is still intact — the span
         # tracer abandons the victim's open spans on this event
         bus = self.engine.bus
-        if bus.active:
+        if bus.on[FAILURE]:
             bus.emit(FAILURE, pid)
         self.crashes += 1
         host.crashed_count += 1
@@ -439,7 +439,7 @@ class DsmCluster:
             return  # already back (or a restarted recovery is underway)
         host.recovering = True
         bus = self.engine.bus
-        if bus.active:
+        if bus.on[RECOVERY_BEGIN]:
             bus.emit(RECOVERY_BEGIN, pid, host.crashed_count)
         rm = RecoveryManager(host)
         host.simproc = self.engine.spawn(rm.recover_and_resume(), name=f"rec{pid}")

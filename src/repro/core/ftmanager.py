@@ -310,7 +310,7 @@ class FtManager(FtHooks):
         """The full checkpoint operation (see module docstring)."""
         proc = self.proc
         bus = proc.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "ckpt", None)
         yield from proc.cpu.drain_debt()
         yield from proc._end_interval()
@@ -356,11 +356,11 @@ class FtManager(FtHooks):
         write_cost = self.disk.write_cost(total_write)
         self.disk.bytes_written += total_write
         self.disk.write_time += write_cost
-        if bus.active:
+        if bus.on[CKPT_WRITE_BEGIN]:
             bus.emit(CKPT_WRITE_BEGIN, self.pid, seqno, total_write)
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, write_cost)
         duration = proc.engine.now - t0
-        if bus.active:
+        if bus.on[CKPT_WRITE_END]:
             # also the write+commit duration: the commit marker lands in
             # zero virtual time right after the write completes
             bus.emit(CKPT_WRITE_END, self.pid, seqno, duration)
@@ -384,9 +384,10 @@ class FtManager(FtHooks):
         disk_log = self.logs.diff.saved_bytes
         self.stats.max_log_disk = max(self.stats.max_log_disk, disk_log)
         self.stats.log_points.append((self.stats.checkpoints_taken, disk_log))
-        if bus.active:
-            taken = self.stats.checkpoints_taken
+        taken = self.stats.checkpoints_taken
+        if bus.on[CHECKPOINT_TAKEN]:
             bus.emit(CHECKPOINT_TAKEN, self.pid, taken, proc.vt, disk_log)
+        if bus.on[OP_CLOSE]:
             bus.emit(OP_CLOSE, self.pid, "ckpt", taken)
 
     # ==================================================================
@@ -426,7 +427,7 @@ class FtManager(FtHooks):
         self.stats.wn_trimmed += out["wn"]
         # synchronously at the end of the pass, so a subscriber (the
         # invariant monitor) reads the logs exactly as LLT left them
-        if self.proc.bus.active:
+        if self.proc.bus.on[LLT]:
             self.proc.bus.emit(LLT, self.pid, out)
         return out
 
@@ -460,6 +461,6 @@ class FtManager(FtHooks):
             self.trim.learn_p0v(page, p0.version[self.pid])
         # synchronously at the end of the pass: Tmin and the retained
         # copies are exactly the ones this pass computed when read
-        if self.proc.bus.active:
+        if self.proc.bus.on[CGC]:
             self.proc.bus.emit(CGC, self.pid, freed, self.ckpt_mgr.window_size)
         return freed

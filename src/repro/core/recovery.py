@@ -247,7 +247,7 @@ class RecoveryManager:
                     "(overlapping failures exceed what one buddy covers)"
                 )
             bus = cluster.engine.bus
-            if bus.active:
+            if bus.on[REPL_FETCH]:
                 bus.emit(REPL_FETCH, self.pid, kind, lost, holder)
             t0 = cluster.engine.now
             payload = yield from self.query(holder, kind, detail, about=lost)
@@ -278,7 +278,7 @@ class RecoveryManager:
     def _rphase(self, phase: str, edge: str) -> None:
         """Announce a recovery-phase boundary (``edge``: begin | end)."""
         bus = self.cluster.engine.bus
-        if bus.active:
+        if bus.on[RPHASE]:
             bus.emit(RPHASE, self.pid, phase, edge)
 
     def recover_and_resume(self) -> Iterator[Any]:
@@ -313,14 +313,14 @@ class RecoveryManager:
         # (torn) record on stable storage; it must not be a restart point
         bus = cluster.engine.bus
         torn = host.ckpt_mgr.discard_torn()
-        if torn and bus.active:
+        if torn and bus.on[RECOVERY_ANNOTATE]:
             bus.emit(RECOVERY_ANNOTATE, self.pid, "discarded_torn n", torn)
 
         ckpt: Optional[Checkpoint] = host.ckpt_mgr.restart_checkpoint()
         if ckpt is not None:
             self._restore_from_checkpoint(proto, ft, ckpt)
             host.state = ckpt.restore_app_state()
-            if bus.active:
+            if bus.on[RECOVERY_ANNOTATE]:
                 bus.emit(
                     RECOVERY_ANNOTATE, self.pid, "restart_ckpt seqno", ckpt.seqno
                 )
@@ -409,7 +409,7 @@ class RecoveryManager:
         }
         host.recovery_phases.append(rec)
         bus = self.cluster.engine.bus
-        if bus.active:
+        if bus.on[RECOVERY_PHASES]:
             bus.emit(RECOVERY_PHASES, self.pid, rec)
 
     def _go_live(self) -> None:
@@ -421,7 +421,7 @@ class RecoveryManager:
         host.live = True
         cluster.recoveries += 1
         host.recovered_count += 1
-        if cluster.engine.bus.active:
+        if cluster.engine.bus.on[RECOVERY_LIVE]:
             cluster.engine.bus.emit(RECOVERY_LIVE, self.pid)
         for j in range(cluster.config.num_procs):
             if j != self.pid:

@@ -355,7 +355,7 @@ class Replicator:
                 ReplicaUpdate(kind="drop", protected=self.pid, gen=self.gen),
                 dst=old,
             )
-        if self.bus.active:
+        if self.bus.on[REPL_RETARGET]:
             self.bus.emit(REPL_RETARGET, self.pid, old, new, self.gen)
         if new is not None:
             self.full_sync()
@@ -387,7 +387,7 @@ class Replicator:
             return
         seqno = self.ft.ckpt_mgr.next_seqno - 1
         self._ship("sync", seqno, FtImage.copy_of(self.ft))
-        if self.bus.active:
+        if self.bus.on[REPL_SYNC]:
             self.bus.emit(REPL_SYNC, self.pid, seqno, self.buddy)
 
     def on_ckpt_begin(
@@ -404,7 +404,7 @@ class Replicator:
         self._ship(
             "begin", seqno, FtImage.copy_of(self.ft, tckp, bar_ep, homed, seqno)
         )
-        if self.bus.active:
+        if self.bus.on[REPL_BEGIN]:
             self.bus.emit(REPL_BEGIN, self.pid, seqno, self.buddy)
 
     def on_ckpt_commit(self, seqno: int) -> None:
@@ -415,7 +415,7 @@ class Replicator:
                 kind="commit", protected=self.pid, seqno=seqno, gen=self.gen
             )
         )
-        if self.bus.active:
+        if self.bus.on[REPL_COMMIT]:
             self.bus.emit(REPL_COMMIT, self.pid, seqno, self.buddy)
 
     def op(self, op: Tuple) -> None:
@@ -437,7 +437,7 @@ class Replicator:
             return  # ack from a previous buddy epoch: its records are gone
         if msg.seqno > self.acked_seqno:
             self.acked_seqno = msg.seqno
-            if self.bus.active:
+            if self.bus.on[REPL_ACK]:
                 self.bus.emit(REPL_ACK, self.pid, msg.seqno)
 
     @property

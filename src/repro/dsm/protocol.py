@@ -268,10 +268,10 @@ class DsmProcess:
     def compute(self, seconds: float) -> Iterator[Delay]:
         """Charge ``seconds`` of application computation."""
         bus = self.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "compute", None)
         yield from self.cpu.charge(TimeBucket.COMPUTE, seconds)
-        if bus.active:
+        if bus.on[OP_CLOSE]:
             bus.emit(OP_CLOSE, self.pid, "compute", None)
 
     # ------------------------------------------------------------------
@@ -396,7 +396,7 @@ class DsmProcess:
 
     def _fetch(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
         bus = self.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "fetch", page)
         if self.replay is not None:
             yield from self.replay.replay_fetch(page, entry)
@@ -412,7 +412,7 @@ class DsmProcess:
             self._pending_fetch_req.pop(page, None)
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
-            if bus.active:
+            if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.PAGE_WAIT, wait, "fetch")
             # install the page
             buf = self.page_bytes(page)
@@ -424,8 +424,9 @@ class DsmProcess:
             self.have_v[page] = reply.version
             self.stats.page_fetches += 1
             self.stats.page_fetch_bytes += len(reply.data)
-        if bus.active:
+        if bus.on[PAGE_FETCHED]:
             bus.emit(PAGE_FETCHED, self.pid, page)
+        if bus.on[OP_CLOSE]:
             bus.emit(OP_CLOSE, self.pid, "fetch", None)
 
     def _ensure_home_ready(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
@@ -437,7 +438,7 @@ class DsmProcess:
         needed = entry.needed_v
         if needed is not None and not hp.ready_for(needed):
             bus = self.bus
-            if bus.active:
+            if bus.on[OP_OPEN]:
                 bus.emit(OP_OPEN, self.pid, "home_wait", page)
             t0 = self.engine.now
             fut = Future(f"homewait p{page} @{self.pid}")
@@ -446,8 +447,9 @@ class DsmProcess:
             yield fut
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
-            if bus.active:
+            if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.PAGE_WAIT, wait, "home_wait")
+            if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "home_wait", None)
         entry.needed_v = None
 
@@ -459,7 +461,7 @@ class DsmProcess:
         if not self._dirty:
             return
         bus = self.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "flush", len(self._dirty))
         dirty, self._dirty = self._dirty, []
         new_interval = self.vt[self.pid] + 1
@@ -509,8 +511,9 @@ class DsmProcess:
                 )
                 self.stats.diffs_sent += 1
                 self.stats.diff_bytes_sent += diff.size_bytes
-        if bus.active:
+        if bus.on[INTERVAL_FLUSHED]:
             bus.emit(INTERVAL_FLUSHED, self.pid, new_interval, len(dirty))
+        if bus.on[OP_CLOSE]:
             bus.emit(OP_CLOSE, self.pid, "flush", None)
 
     # ------------------------------------------------------------------
@@ -519,7 +522,7 @@ class DsmProcess:
     def acquire(self, lock_id: int) -> Iterator[Any]:
         """Acquire a global lock (LRC acquire semantics)."""
         bus = self.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "acquire", lock_id)
         try:
             yield from self.cpu.drain_debt()
@@ -559,7 +562,7 @@ class DsmProcess:
             grant: LockGrant = yield fut
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.LOCK_WAIT, wait)
-            if bus.active:
+            if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.LOCK_WAIT, wait, "acquire")
             self._complete_acquire(lock_id, grant, local=False)
             yield from self.cpu.charge(
@@ -568,7 +571,7 @@ class DsmProcess:
                 + len(grant.notices) * 1e-6,
             )
         finally:
-            if bus.active:
+            if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "acquire", None)
 
     def _complete_acquire(self, lock_id: int, grant: LockGrant, local: bool) -> None:
@@ -586,12 +589,12 @@ class DsmProcess:
         self.stats.lock_acquires += 1
         if not local:
             self.ft.on_acquire_done(lock_id, grant.grantor, self.vt)
-        if self.bus.active:
+        if self.bus.on[LOCK_ACQUIRED]:
             self.bus.emit(LOCK_ACQUIRED, self.pid, lock_id, grant.grantor, local)
 
     def release(self, lock_id: int) -> Iterator[Any]:
         """Release a lock: flush the interval, then pass the token if owed."""
-        if self.bus.active:
+        if self.bus.on[LOCK_RELEASE]:
             self.bus.emit(LOCK_RELEASE, self.pid, lock_id)
         yield from self.cpu.drain_debt()
         st = self.locks.token(lock_id)
@@ -665,7 +668,7 @@ class DsmProcess:
     def barrier(self) -> Iterator[Any]:
         """Global barrier over all processes."""
         bus = self.bus
-        if bus.active:
+        if bus.on[OP_OPEN]:
             bus.emit(OP_OPEN, self.pid, "barrier", self.barrier_episode)
         try:
             yield from self.cpu.drain_debt()
@@ -709,7 +712,7 @@ class DsmProcess:
             self._pending_arrive = None
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.BARRIER_WAIT, wait)
-            if bus.active:
+            if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.BARRIER_WAIT, wait, "barrier")
             self._complete_barrier(release)
             yield from self.cpu.charge(
@@ -717,7 +720,7 @@ class DsmProcess:
                 self.cpu.costs.message_handler + len(release.notices) * 1e-6,
             )
         finally:
-            if bus.active:
+            if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "barrier", None)
 
     def _complete_barrier(self, release: BarrierRelease) -> None:
@@ -727,7 +730,7 @@ class DsmProcess:
         self.barrier_episode += 1
         self.stats.barriers += 1
         self.ft.on_barrier_done(release.episode, release.global_vt)
-        if self.bus.active:
+        if self.bus.on[BARRIER_DONE]:
             self.bus.emit(BARRIER_DONE, self.pid, release.episode)
 
     # ------------------------------------------------------------------

@@ -451,6 +451,8 @@ class CrashSweep:
         self.monitor = monitor
         self.reference_snapshots: Dict[str, bytes] = {}
         self.reference_trace: List[Any] = []
+        #: cluster width, read off the reference run's cluster
+        self.num_procs = 0
         self.reference_steps = 0
         self.reference_wall_time = 0.0
         self.notes: List[str] = []
@@ -465,7 +467,9 @@ class CrashSweep:
             return None
         from repro.observe import InvariantMonitor
 
-        return InvariantMonitor(cluster)
+        # no flight ring: a point reports a verdict, and a failing one is
+        # re-run deterministically under a monitor that keeps its ring
+        return InvariantMonitor(cluster, ring_size=0)
 
     # ------------------------------------------------------------------
     def run_reference(self) -> None:
@@ -486,6 +490,7 @@ class CrashSweep:
                 "the sweep would miss crash points"
             )
         self.reference_trace = tracer.events
+        self.num_procs = cluster.config.num_procs
         self.reference_steps = cluster.engine.steps
         self.reference_wall_time = result.wall_time
         self.reference_snapshots = {
@@ -602,7 +607,7 @@ class CrashSweep:
             )
             return []
         lo, hi = window[1:] if after_live else window[:2]
-        n = self.cluster_factory().config.num_procs
+        n = self.num_procs
         out: List[CrashPoint] = []
         seen: set = set()
         for frac in window_fracs:
@@ -631,7 +636,7 @@ class CrashSweep:
         from logs it rebuilt itself — on every other node (ring
         neighbours in both directions and the lock managers all matter).
         Nothing overlaps: any outcome but recovered/no_crash fails."""
-        others = tuple(range(1, self.cluster_factory().config.num_procs))
+        others = tuple(range(1, self.num_procs))
         out: List[CrashPoint] = []
         for anchor_frac in DOUBLE_ANCHOR_FRACTIONS:
             out.extend(

@@ -108,7 +108,12 @@ scan would). Why skipping is sound:
 On the first violation — and on every crash — the attached
 :class:`~repro.observe.invariants.recorder.FlightRecorder` state is
 snapshotted into a post-mortem flight record (JSON + ASCII, see
-``recorder.py``).
+``recorder.py``). The ring exists only where such a dump is read: with
+``ring_size=0`` the monitor builds no recorder and makes no dump, and
+checks exactly as before. The crash-sweep campaign runs that way — a
+sweep point carries a verdict, never a flight record, and a failing
+point is a deterministic re-run of ``run_point`` under
+``InvariantMonitor(cluster)`` whenever its ring is wanted.
 """
 
 from __future__ import annotations
@@ -181,9 +186,10 @@ class InvariantMonitor:
     :data:`SCAN_EVERY`-th message delivery; those scans are incremental
     (module docstring), the scan at every recovery and the final :meth:`finish`
     scan always run and are full. Violations are collected,
-    deduplicated on (invariant, pid, detail) and capped; the first one
-    snapshots a flight record (:attr:`violation_dump`), as does every
-    crash (:attr:`crash_dumps`, last four kept).
+    deduplicated on (invariant, pid, detail) and capped; with a flight
+    ring (``ring_size > 0``) the first one snapshots a flight record
+    (:attr:`violation_dump`), as does every crash (:attr:`crash_dumps`,
+    last four kept).
     """
 
     def __init__(
@@ -194,7 +200,8 @@ class InvariantMonitor:
     ) -> None:
         self.cluster = cluster
         self.max_violations = max_violations
-        self.recorder = FlightRecorder(ring_size)
+        #: the flight ring, or None (``ring_size`` 0: nothing reads a dump)
+        self.recorder = FlightRecorder(ring_size) if ring_size > 0 else None
         self.violations: List[Violation] = []
         self.dropped_violations = 0
         self.checks: Dict[str, int] = {k: 0 for k in INVARIANTS}
@@ -244,14 +251,16 @@ class InvariantMonitor:
     # ==================================================================
     def _subscribe(self) -> None:
         """Subscription order is dispatch order: a message is checked
-        before the recorder rings it, an FT/recovery event is rung before
-        it is checked — so a violation's flight record ends with what
-        led to it, not with the message that revealed it."""
+        before the recorder (when there is one) rings it, an FT/recovery
+        event is rung before it is checked — so a violation's flight
+        record ends with what led to it, not with the message that
+        revealed it."""
         engine = self.cluster.engine
         bus = engine.bus
         bus.subscribe(SEND, self._on_send)
         bus.subscribe(DELIVER, self._on_deliver)
-        self.recorder.attach(engine)
+        if self.recorder is not None:
+            self.recorder.attach(engine)
         bus.subscribe(LLT, self._check_llt)
         bus.subscribe(CGC, self._check_cgc)
         bus.subscribe(CKPT_WRITE_BEGIN, self._on_ckpt_write_begin)
@@ -321,10 +330,11 @@ class InvariantMonitor:
         self._ckpt_writing.discard(pid)
         self._last_vt[pid] = None
         self._forget()
-        self.crash_dumps.append(
-            self.flight_record(f"crash of p{pid} (fail-stop)")
-        )
-        del self.crash_dumps[:-4]
+        if self.recorder is not None:
+            self.crash_dumps.append(
+                self.flight_record(f"crash of p{pid} (fail-stop)")
+            )
+            del self.crash_dumps[:-4]
 
     def _on_recovery_live(self, pid: int) -> None:
         self._last_vt[pid] = None
@@ -353,7 +363,7 @@ class InvariantMonitor:
         eng = self.cluster.engine
         v = Violation(invariant, pid, eng.now, eng.steps, detail)
         self.violations.append(v)
-        if self.violation_dump is None:
+        if self.violation_dump is None and self.recorder is not None:
             self.violation_dump = self.flight_record(
                 f"invariant violation: [{invariant}] p{pid}: {detail}"
             )
@@ -943,6 +953,7 @@ class InvariantMonitor:
         """Assemble a post-mortem flight record at the current instant."""
         eng = self.cluster.engine
         traffic = self.cluster.network.traffic
+        recorder = self.recorder
         return {
             "reason": reason,
             "time": eng.now,
@@ -958,8 +969,8 @@ class InvariantMonitor:
                 "traffic_msgs": traffic.total_msgs,
                 "inflight_msgs": self.cluster.network.inflight_msgs,
             },
-            "events": self.recorder.dump(),
-            "events_recorded": self.recorder.recorded,
+            "events": recorder.dump() if recorder is not None else [],
+            "events_recorded": recorder.recorded if recorder is not None else 0,
         }
 
     @staticmethod

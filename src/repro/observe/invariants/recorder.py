@@ -3,16 +3,19 @@ recovery events and message send/deliver records, dumpable as a
 post-mortem.
 
 The recorder is a fixed-size ring (``collections.deque`` with
-``maxlen``), so it is O(1) per event and safe to leave attached for a
-whole campaign. Records are raw tuples while the run is live; they are
-normalized to JSON-friendly dicts only when a dump is requested (on an
-invariant violation or a crash), which keeps the hot path to one deque
-append. Engine events store the callable itself, FT/recovery events
-their payload, and both resolve to text lazily at dump time.
+``maxlen``), so it is O(1) per event. Records are raw tuples while the
+run is live; they are normalized to JSON-friendly dicts only when a dump
+is requested (on an invariant violation or a crash), which keeps the hot
+path to one deque append. An engine event is the engine's own tuple,
+rung by the bound ``ring.append`` itself — no Python frame per event;
+FT/recovery events store their payload, and both resolve to text lazily
+at dump time.
 
-Record shapes (first element is the record kind):
+Record shapes:
 
-* ``("engine", time, step, fn)`` — one engine event about to execute
+* ``(time, seq, fn)`` — one engine event about to execute. Engine steps
+  are consecutive and the newest one is ``engine.steps``, so a dump
+  numbers each by its position among the engine records in the ring
 * ``("probe", time, step, event, pid, args)`` — one event of the
   ``PROBE_CATEGORIES`` (dumped as its timeline category and text)
 * ``("send"|"deliver", time, step, src, dst, msg_type, category)``
@@ -29,7 +32,7 @@ import functools
 import json
 import os
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.render import Table
 from repro.sim.trace import DELIVER, ENGINE_EVENT, SEND, TEXT
@@ -73,14 +76,24 @@ class FlightRecorder:
             raise ValueError("ring_size must be >= 1")
         self.ring_size = ring_size
         self.ring: deque = deque(maxlen=ring_size)
-        self.recorded = 0
         self._engine: Any = None
+        #: engine steps already run at attach, and the other records rung
+        self._attached_at = 0
+        self._others = 0
+
+    @property
+    def recorded(self) -> int:
+        """Records rung since attach, the ones the ring dropped included."""
+        if self._engine is None:
+            return 0
+        return self._engine.steps - self._attached_at + self._others
 
     def attach(self, engine: Any) -> None:
         """Record the run ``engine`` drives, from its bus."""
         self._engine = engine
+        self._attached_at = engine.steps
         bus = engine.bus
-        bus.subscribe(ENGINE_EVENT, self.on_engine_event)
+        bus.subscribe(ENGINE_EVENT, self.ring.append)
         bus.subscribe(SEND, functools.partial(self._on_message, "send"))
         bus.subscribe(DELIVER, functools.partial(self._on_message, "deliver"))
         for event, (category, _) in TEXT.items():
@@ -88,14 +101,10 @@ class FlightRecorder:
                 bus.subscribe(event, functools.partial(self._on_probe, event))
 
     # -- producers (hot path: one append each) --------------------------
-    def on_engine_event(self, time: float, step: int, fn: Callable) -> None:
-        self.ring.append(("engine", time, step, fn))
-        self.recorded += 1
-
     def _on_probe(self, event: str, pid: int, *args: Any) -> None:
         engine = self._engine
         self.ring.append(("probe", engine.now, engine.steps, event, pid, args))
-        self.recorded += 1
+        self._others += 1
 
     def _on_message(self, which: str, src: int, dst: int, msg: Any,
                     epoch: int = 0) -> None:
@@ -104,18 +113,26 @@ class FlightRecorder:
             (which, engine.now, engine.steps, src, dst,
              type(msg).__name__, getattr(msg, "category", "?"))
         )
-        self.recorded += 1
+        self._others += 1
 
     # -- dump ------------------------------------------------------------
     def dump(self) -> List[Dict[str, Any]]:
         """Normalize the current ring contents (oldest first)."""
         out: List[Dict[str, Any]] = []
+        if not self.ring:
+            return out
+        # engine records are consecutive steps, and the newest one is the
+        # step running now: number them back from it
+        step = self._engine.steps - sum(
+            1 for rec in self.ring if type(rec[0]) is not str
+        )
         for rec in self.ring:
             kind = rec[0]
-            if kind == "engine":
+            if type(kind) is not str:  # the engine's (time, seq, fn)
+                step += 1
                 out.append(
-                    {"rec": "engine", "time": rec[1], "step": rec[2],
-                     "event": _describe(rec[3])}
+                    {"rec": "engine", "time": kind, "step": step,
+                     "event": _describe(rec[2])}
                 )
             elif kind == "probe":
                 category, detail = TEXT[rec[3]]
@@ -209,25 +226,43 @@ def render_flight_record(record: Dict[str, Any], tail: int = 30) -> str:
     return "\n".join(lines)
 
 
-def validate_flight_record(record: Dict[str, Any]) -> List[str]:
-    """Structural checks on a flight record; empty list = valid."""
-    errors: List[str] = []
-    for key in ("reason", "time", "step", "violations", "checks", "nodes",
-                "cluster", "events"):
-        if key not in record:
-            errors.append(f"missing key {key!r}")
+def validate_flight_record(record: Any) -> List[str]:
+    """Structural checks on a flight record; empty list = valid. Any
+    parsed JSON value may be passed: a wrong shape is an error in the
+    list, never an exception."""
+    if not isinstance(record, dict):
+        return [f"flight record is not a JSON object ({type(record).__name__})"]
+    errors = [
+        f"missing key {key!r}"
+        for key in ("reason", "time", "step", "violations", "checks",
+                    "nodes", "cluster", "events")
+        if key not in record
+    ]
     if errors:
         return errors
-    for i, v in enumerate(record["violations"]):
+    for key in ("time", "step"):
+        value = record[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            errors.append(f"{key} is not a number")
+    rows: Dict[str, List[Dict[str, Any]]] = {}
+    for key in ("violations", "events", "nodes"):
+        value = record[key]
+        if not isinstance(value, list):
+            errors.append(f"{key} is not a list")
+        elif not all(isinstance(row, dict) for row in value):
+            errors.append(f"{key} holds a non-object")
+        else:
+            rows[key] = value
+    for i, v in enumerate(rows.get("violations", ())):
         for key in ("invariant", "pid", "time", "step", "detail"):
             if key not in v:
                 errors.append(f"violation {i} missing {key!r}")
-    for i, e in enumerate(record["events"]):
+    for i, e in enumerate(rows.get("events", ())):
         if e.get("rec") not in ("engine", "probe", "send", "deliver"):
             errors.append(f"event {i} has unknown rec {e.get('rec')!r}")
         elif "time" not in e or "step" not in e:
             errors.append(f"event {i} missing time/step")
-    for i, n in enumerate(record["nodes"]):
+    for i, n in enumerate(rows.get("nodes", ())):
         if "pid" not in n or "live" not in n:
             errors.append(f"node {i} missing pid/live")
     if not isinstance(record["checks"], dict):

@@ -193,9 +193,10 @@ class Engine:
         self._next_break: int = -1
         #: the run's one instrumentation seam (see ``sim.trace``); every
         #: layer reaches it through the engine it already holds. The main
-        #: loop itself emits ``ENGINE_EVENT(time, step, fn)`` right before
-        #: each event executes (so the event that raises is the last one
-        #: seen); with no subscriber that costs one local test per event,
+        #: loop itself emits ``ENGINE_EVENT`` with the event's own
+        #: ``(time, seq, fn)`` tuple right before it executes (so the
+        #: event that raises is the last one seen, and ``steps`` is its
+        #: step); with no subscriber that costs one local test per event,
         #: mirroring the breakpoint arm check.
         self.bus = EventBus()
 
@@ -335,7 +336,7 @@ class Engine:
                 self.steps = steps
                 if taps:
                     for tap in taps:
-                        tap(t, steps, ev[2])
+                        tap(ev)
                 ev[2]()
                 if steps == self._next_break:
                     self._fire_breakpoints()

@@ -147,7 +147,7 @@ class Network:
         if size < 0 or ft_bytes < 0 or ft_bytes > size:
             raise ValueError(f"bad sizes: size={size} ft_bytes={ft_bytes}")
         bus = self.engine.bus
-        if bus.active:
+        if bus.on[SEND]:
             bus.emit(SEND, src, dst, payload)
         self.traffic.record(category, size, ft_bytes)
         now = self.engine.now
@@ -175,7 +175,7 @@ class Network:
         self, src: int, dst: int, payload: Any, epoch: int, size: int = 0
     ) -> None:
         bus = self.engine.bus
-        if bus.active:
+        if bus.on[DELIVER]:
             # before the epoch test: a message a rollback voided is still
             # announced, with the epoch it was sent in
             bus.emit(DELIVER, src, dst, payload, epoch)

@@ -4,12 +4,18 @@ Every layer announces what it does on the :class:`EventBus` its engine
 owns (``engine.bus``): a fixed catalogue of event kinds with positional
 payloads that are already at hand at the emit site (ints, floats, object
 references — nothing is formatted there). Emit sites sit *inside* the
-code that runs, behind ``if bus.active:``, one plain attribute test, so
-a run nobody observes pays nothing else — and a node that recovers is
-announced like any other. Observers (metrics, spans, invariants, flight
-recorder, the flat tracer below) call ``bus.subscribe(kind, fn)`` and do
-nothing else to the cluster; they must only read and record, so
-attaching any of them, in any order, leaves the run bit-identical.
+code that runs, each behind a test of its own kind, ``if
+bus.on[SEND]:`` — the bus keeps one truth value per kind, set by the
+first subscription to it. A kind nobody reads therefore costs one dict
+lookup per site and never a call, whatever else is subscribed: a crash
+sweep's monitor, which reads sends and deliveries, does not make every
+lock, fetch and op span pay for an ``emit`` to nobody. A node that
+recovers is announced like any other. ``Engine.run`` hoists the
+``ENGINE_EVENT`` subscriber list once per run instead (one test per
+event). Observers (metrics, spans, invariants, flight recorder, the flat
+tracer below) call ``bus.subscribe(kind, fn)`` and do nothing else to
+the cluster; they must only read and record, so attaching any of them,
+in any order, leaves the run bit-identical.
 Payloads become the text of debug timelines and flight records
 (``"begin seqno=3 bytes=4096"``) here too, in :data:`TEXT`.
 
@@ -66,12 +72,14 @@ APP_LATENCY = "app_latency"
 
 #: kind -> payload field names, in emit order. Closed: subscribing to a
 #: kind that is not here raises, and a kind nothing emits is deleted.
-#: ``op`` is one of app, compute, fetch, home_wait, acquire, barrier,
-#: flush, ckpt; an op's ``arg`` is its operand (incarnation, page, lock
-#: id, barrier episode, dirty-page count; at a ckpt close the checkpoint
-#: number) or None.
+#: ``event`` is the engine's own ``(time, seq, fn)`` tuple, passed as is
+#: so a subscriber can be a bare ``deque.append``; its step is
+#: ``engine.steps`` while it is delivered. ``op`` is one of app,
+#: compute, fetch, home_wait, acquire, barrier, flush, ckpt; an op's
+#: ``arg`` is its operand (incarnation, page, lock id, barrier episode,
+#: dirty-page count; at a ckpt close the checkpoint number) or None.
 CATALOGUE: Dict[str, Tuple[str, ...]] = {
-    ENGINE_EVENT: ("time", "step", "fn"),
+    ENGINE_EVENT: ("event",),
     SEND: ("src", "dst", "msg"),
     DELIVER: ("src", "dst", "msg", "epoch"),
     OP_OPEN: ("pid", "op", "arg"),
@@ -107,8 +115,9 @@ class EventBus:
     """Synchronous fan-out of catalogued events to their subscribers."""
 
     def __init__(self) -> None:
-        #: True once anything subscribed — the one test emit sites make
-        self.active = False
+        #: kind -> True once anything subscribed to it: the one test an
+        #: emit site makes, ``if bus.on[KIND]: bus.emit(KIND, ...)``
+        self.on: Dict[str, bool] = {kind: False for kind in CATALOGUE}
         self._subs: Dict[str, List[Callable[..., None]]] = {
             kind: [] for kind in CATALOGUE
         }
@@ -119,7 +128,7 @@ class EventBus:
         if kind not in self._subs:
             raise ValueError(f"unknown event kind {kind!r}")
         self._subs[kind].append(fn)
-        self.active = True
+        self.on[kind] = True
 
     def listeners(self, kind: str) -> List[Callable[..., None]]:
         """The live subscriber list of ``kind``: a loop may hoist it and

@@ -97,6 +97,24 @@ def test_sequential_class_is_every_other_node_after_the_live_switch():
     assert not summary.ok
 
 
+def test_sweep_builds_one_cluster_per_run():
+    """The reference, each discovery run and each point build a cluster;
+    the width the window classes need is read off the reference's."""
+    cluster_factory, app_factory = _factories()
+    builds = []
+
+    def counting_factory():
+        builds.append(1)
+        return cluster_factory()
+
+    sweep = CrashSweep(
+        counting_factory, app_factory, classes=("recovery", "sequential")
+    )
+    summary = sweep.run()
+    assert summary.ok and summary.results
+    assert len(builds) == 1 + len(sweep._windows) + len(summary.results)
+
+
 def test_sweep_session_lock_class():
     """The open-loop serving workload sweeps clean over lock crash
     points. Its zipfian hot keys build deep wait chains, which the

@@ -4,12 +4,15 @@ subscribers compose in any number and order."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import functools
 import inspect
 
 import pytest
 
 from repro.core import FtConfig
+from repro.dsm.vclock import VClock
 from repro.observe import (
     ClusterObserver,
     FlightRecorder,
@@ -45,16 +48,27 @@ def attach_everything(cluster):
 # ----------------------------------------------------------------------
 # detached is free; attached patches nothing
 # ----------------------------------------------------------------------
-def test_no_subscriber_means_no_emit(monkeypatch):
-    def emit(self, kind, *payload):
-        raise AssertionError(f"{kind} emitted with nothing subscribed")
+def spy_on_emit(monkeypatch):
+    """Every ``EventBus.emit`` call's kind, in order."""
+    kinds = []
+    emit = EventBus.emit
 
-    monkeypatch.setattr(EventBus, "emit", emit)
+    def spy(self, kind, *payload):
+        kinds.append(kind)
+        emit(self, kind, *payload)
+
+    monkeypatch.setattr(EventBus, "emit", spy)
+    return kinds
+
+
+def test_no_subscriber_means_no_emit(monkeypatch):
+    emitted = spy_on_emit(monkeypatch)
     cluster = session_cluster()
     cluster.schedule_crash(1, at_time=0.5 * session_runtime())
     result = cluster.run(make_app("session"))
     assert result.crashes == 1 and result.recoveries == 1
-    assert not cluster.engine.bus.active
+    assert emitted == []
+    assert not any(cluster.engine.bus.on.values())
 
 
 def test_subscribers_patch_nothing():
@@ -83,32 +97,81 @@ def test_unknown_kind_is_rejected():
         Engine().bus.subscribe("lock_acquird", print)
 
 
-def test_every_catalogued_kind_is_emitted():
+def plain(x):
+    """A payload as values comparable across runs: clocks as tuples,
+    messages field by field, any other object by its type."""
+    if x is None or isinstance(x, (bool, int, float, str, bytes, enum.Enum)):
+        return x
+    if isinstance(x, VClock):
+        return tuple(x)
+    if isinstance(x, (tuple, list)):
+        return tuple(plain(y) for y in x)
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            plain(getattr(x, f.name)) for f in dataclasses.fields(x)
+        )
+    return type(x).__name__
+
+
+def catalogue_cluster():
+    return make_cluster(
+        num_procs=4, ft=True, l_fraction=0.05, ft_config=FtConfig(replicate=True)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def catalogue_runtime() -> float:
+    return catalogue_cluster().run(make_app("session", steps=4)).wall_time
+
+
+def catalogue_run(kinds):
     """Two overlapping crashes of a replicated session run (the second
     victim is the first one's replica holder, so its recovery fetches
-    from a buddy) exercise the whole catalogue; a kind nothing emits
-    should be deleted from it."""
-    def cluster():
-        return make_cluster(
-            num_procs=4, ft=True, l_fraction=0.05,
-            ft_config=FtConfig(replicate=True),
+    from a buddy), which exercise the whole catalogue: kind -> the plain
+    payloads a subscriber to each of ``kinds`` saw."""
+    cluster = catalogue_cluster()
+    seen = {kind: [] for kind in kinds}
+    for kind in kinds:
+        cluster.engine.bus.subscribe(
+            kind, lambda *payload, out=seen[kind]: out.append(plain(payload))
         )
-
-    t = cluster().run(make_app("session", steps=4)).wall_time
-    observed = cluster()
-    seen = {}
-
-    def saw(kind, *payload):
-        assert len(payload) == len(CATALOGUE[kind]), (kind, payload)
-        seen[kind] = seen.get(kind, 0) + 1
-
-    for kind in CATALOGUE:
-        observed.engine.bus.subscribe(kind, functools.partial(saw, kind))
-    observed.schedule_crash(1, at_time=0.4 * t)
-    observed.schedule_crash(2, at_time=0.5 * t)
-    result = observed.run(make_app("session", steps=4))
+    t = catalogue_runtime()
+    cluster.schedule_crash(1, at_time=0.4 * t)
+    cluster.schedule_crash(2, at_time=0.5 * t)
+    result = cluster.run(make_app("session", steps=4))
     assert result.crashes == 2 and result.recoveries == 2
-    assert sorted(seen) == sorted(CATALOGUE)
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
+def everything_seen():
+    return catalogue_run(tuple(CATALOGUE))
+
+
+def test_every_catalogued_kind_is_emitted():
+    """A kind nothing emits should be deleted from the catalogue."""
+    seen = everything_seen()
+    for kind, payloads in seen.items():
+        assert payloads, f"{kind} never emitted"
+        assert {len(p) for p in payloads} == {len(CATALOGUE[kind])}, kind
+    # an engine event is the engine's own (time, seq, fn) tuple
+    events = [event for (event,) in seen[ENGINE_EVENT]]
+    assert all(len(e) == 3 for e in events)
+    times = [t for t, _, _ in events]
+    assert times == sorted(times)
+    assert len({seq for _, seq, _ in events}) == len(events)
+
+
+@pytest.mark.parametrize("kind", list(CATALOGUE))
+def test_a_lone_subscriber_sees_what_everyone_sees(kind, monkeypatch):
+    """Emit sites test their own kind: subscribing to one kind alone
+    loses none of its events, and emits no other kind to nobody."""
+    everything = everything_seen()
+    emitted = spy_on_emit(monkeypatch)
+    assert catalogue_run((kind,))[kind] == everything[kind]
+    assert set(emitted) <= {kind}
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +179,17 @@ def test_every_catalogued_kind_is_emitted():
 # ----------------------------------------------------------------------
 def test_every_engine_event_subscriber_sees_every_step():
     cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
+    engine = cluster.engine
     first, second, late = [], [], []
-    bus = cluster.engine.bus
-    bus.subscribe(ENGINE_EVENT, lambda t, step, fn: first.append(step))
-    bus.subscribe(ENGINE_EVENT, lambda t, step, fn: second.append(step))
+    bus = engine.bus
+    bus.subscribe(ENGINE_EVENT, lambda event: first.append(engine.steps))
+    bus.subscribe(ENGINE_EVENT, lambda event: second.append(engine.steps))
     # one that arrives while the loop is already running
-    cluster.engine.schedule(
+    engine.schedule(
         1e-3,
-        lambda: bus.subscribe(ENGINE_EVENT, lambda t, step, fn: late.append(step)),
+        lambda: bus.subscribe(
+            ENGINE_EVENT, lambda event: late.append(engine.steps)
+        ),
     )
     cluster.run(make_app("counter"))
     steps = cluster.engine.steps

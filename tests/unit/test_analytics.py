@@ -146,17 +146,38 @@ def test_dashboard_flags_malformed_artifact(tmp_path):
     assert "MALFORMED" in render_dashboard(dash)
 
 
+_FLIGHT = {
+    "reason": "violations", "time": 0.01, "step": 7, "violations": [],
+    "checks": {}, "nodes": [], "cluster": {}, "events": [],
+}
+
+
 def test_dashboard_flags_flight_record(tmp_path):
-    flight = {
-        "reason": "violations", "time": 0.01, "step": 7, "violations": [],
-        "checks": {}, "nodes": [], "cluster": {}, "events": [],
-    }
     p = tmp_path / "FLIGHT_counter.json"
-    p.write_text(json.dumps(flight))
+    p.write_text(json.dumps(_FLIGHT))
     dash = build_dashboard([load_artifact(str(p))])
     # a flight record only exists because an invariant tripped
     assert not dash["ok"]
     assert "flight record" in render_dashboard(dash)
+
+
+@pytest.mark.parametrize("text", [
+    "3",
+    "[]",
+    '"flight"',
+    json.dumps(dict(_FLIGHT, violations=None)),
+    json.dumps(dict(_FLIGHT, violations=[3])),
+    json.dumps(dict(_FLIGHT, events={})),
+    json.dumps(dict(_FLIGHT, events=[None])),
+    json.dumps(dict(_FLIGHT, nodes="p0")),
+    json.dumps(dict(_FLIGHT, nodes=[[0, True]])),
+    json.dumps(dict(_FLIGHT, time="soon")),
+])
+def test_report_cli_diagnoses_malformed_flight_record(text, tmp_path, capsys):
+    path = tmp_path / "FLIGHT_y.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    assert "MALFORMED" in capsys.readouterr().out
 
 
 def test_html_rendering_escapes_and_banners(tmp_path):
