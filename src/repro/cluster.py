@@ -448,10 +448,13 @@ class DsmCluster:
         host = self.hosts[dst]
         if isinstance(msg, RecoveryDone):
             # a peer finished recovering: re-issue possibly swallowed
-            # requests and repair lock forwards
-            if host.live and host.proto is not None:
-                host.proto.resend_pending(msg.proc)
-                host.proto.repair_forwards_for(msg.proc)
+            # requests and repair lock forwards — once this host is live
+            # itself, like any other message to a down host
+            if not host.live:
+                host.queued.append((src, msg))
+                return
+            host.proto.resend_pending(msg.proc)
+            host.proto.repair_forwards_for(msg.proc)
             return
         if isinstance(msg, RecoveryReply):
             if host.recovery_mgr is None:

@@ -22,10 +22,11 @@ test suite *proves* that LLT/CGC retain exactly enough state:
    partial order (componentwise-sum order).
 4. **Live switch**: when a synchronization operation finds no log entry,
    the execution has caught up with the crash point; the driver finalizes
-   (applies residual homed diffs, reconstructs lock-token placement from
-   arrival/departure counts) and the process continues live. A
-   ``RecoveryDone`` broadcast lets peers re-issue requests the failed
-   incarnation consumed and lets lock managers repair lost forwards.
+   (applies residual homed diffs, places each lock token where it is
+   held or where the lock's manager reports it) and the process
+   continues live. A ``RecoveryDone`` broadcast lets peers re-issue
+   requests the failed incarnation consumed and lets lock managers
+   repair lost forwards.
 
 Known limitation: replay alignment of lock events relies on each
 release-that-grants being distinguishable by vector time, which holds
@@ -49,6 +50,7 @@ from repro.dsm.diff import Diff, apply_diff
 from repro.dsm.interval import NoticeTable
 from repro.dsm.messages import (
     GrantInfo,
+    LockGrant,
     RecoveryDone,
     RecoveryQuery,
     RecoveryReply,
@@ -194,12 +196,13 @@ class RecoveryManager:
                 # history — no overlap check applies
                 return reply.payload
             # Only the *ordering* of the failures matters. A responder that
-            # crashed strictly before us rebuilt (or is rebuilding) its logs
-            # from mirrors recorded while we were still alive, and queries
-            # it cannot yet answer are held until it can — that interleaving
-            # is the workable mutual-recovery dance. A responder that failed
-            # at-or-after us lost the very mirrors our replay depends on,
-            # and its own rebuild cannot reach us for them (we are down).
+            # crashed strictly before us rebuilds its logs from mirrors
+            # recorded while we were still alive: until it is live again
+            # its answer may be incomplete, so it is asked again (below) —
+            # that interleaving is the workable mutual-recovery dance. A
+            # responder that failed at-or-after us lost the very mirrors
+            # our replay depends on, and its own rebuild cannot reach us
+            # for them (we are down).
             failed_at = reply.responder_crash_time
             if failed_at >= 0 and failed_at >= self.crash_time:
                 if not self.cluster.replication:
@@ -214,13 +217,13 @@ class RecoveryManager:
                 # fall back to its buddy's replica of those mirrors
                 payload = yield from self._query_replica(dst, kind, detail)
                 return payload
-            if self.cluster.replication and reply.responder_recovering:
+            if reply.responder_recovering:
                 # the responder crashed strictly before us and is still
                 # rebuilding: its mirrors of *us* are intact but possibly
                 # not yet drained into its state — retry until it is
-                # live.  Deadlock-free: in any mutually-recovering pair
-                # exactly one side sees overlap (above) and completes
-                # via the replica path, unblocking the other.
+                # live. Deadlock-free: in any mutually-recovering pair
+                # exactly one side sees overlap (above) and either
+                # degrades or completes via the replica path.
                 yield Delay(self.cluster.config.failure_detection_delay)
                 continue
             return reply.payload
@@ -295,19 +298,17 @@ class RecoveryManager:
         cluster._install_ft(host)  # fresh FtManager over the surviving store
         ft: FtManager = host.ft
 
-        if cluster.replication:
-            # answer recovery queries held while we were down *now*, not
-            # at go-live: a peer recovering concurrently retries its
-            # queries against us and would otherwise wait forever while
-            # we wait on it (replies carry responder_recovering=True, so
-            # the peer knows to retry / fall back as appropriate)
-            held = [(s, m) for (s, m) in host.queued if isinstance(m, RecoveryQuery)]
-            if held:
-                host.queued = [
-                    e for e in host.queued if not isinstance(e[1], RecoveryQuery)
-                ]
-                for s, m in held:
-                    host.responder.handle(s, m)
+        # answer recovery queries held while we were down *now*, not at
+        # go-live: a peer recovering concurrently would otherwise wait on
+        # us while we wait on it (replies carry responder_recovering=True,
+        # so the peer retries, degrades or falls back to our buddy)
+        held = [(s, m) for (s, m) in host.queued if isinstance(m, RecoveryQuery)]
+        if held:
+            host.queued = [
+                e for e in host.queued if not isinstance(e[1], RecoveryQuery)
+            ]
+            for s, m in held:
+                host.responder.handle(s, m)
 
         # a crash during a checkpoint disk write leaves a marker-less
         # (torn) record on stable storage; it must not be a restart point
@@ -429,11 +430,10 @@ class RecoveryManager:
         # repair our own managed locks / pending ops
         assert host.proto is not None
         host.proto.repair_forwards_for(self.pid)
-        if cluster.replication:
-            # re-enter the replication ring: our new incarnation picks a
-            # buddy and full-syncs; peers that had re-buddied away from
-            # us (or to a now-suboptimal ring position) re-evaluate
-            cluster._recompute_buddies()
+        # re-enter the replication ring (if any): our new incarnation
+        # picks a buddy and full-syncs; peers that had re-buddied away
+        # from us (or to a now-suboptimal ring position) re-evaluate
+        cluster._recompute_buddies()
         host.drain_queue()
 
     # ------------------------------------------------------------------
@@ -481,12 +481,6 @@ class ReplayDriver:
         #: lock -> ordered pending acquire records: (rel entry, the peer
         #: that holds it — the grantor, or a self-grant's holder)
         self.acquire_records: Dict[int, List[Tuple[RelEntry, int]]] = {}
-        #: lock -> number of post-checkpoint token departures (grants by me)
-        self.departures: Dict[int, int] = {}
-        #: lock -> arrivals replayed (non-self acquires consumed)
-        self.arrivals: Dict[int, int] = {}
-        #: lock -> initial token presence at restart
-        self.initial_token: Dict[int, bool] = {}
         #: lock -> owner as tracked by its (live) manager via GrantInfo —
         #: the authoritative token-placement source (the rel/acq mirrors
         #: may be legitimately trimmed under Rule 2)
@@ -535,18 +529,12 @@ class ReplayDriver:
                         (entry, src)
                     )
             for entry in payload["acq_mirror"]:
-                # the twins of our rel_log[src]: restore it, and count
-                # post-checkpoint token departures (a self-grant of
-                # ``src`` that we mirror moved no token)
+                # the twins of our rel_log[src]: restore it
                 if entry.local and (src, entry.lock_id, entry.acq_t) in queued_mirrors:
                     continue
                 self.ft.logs.rel.append(
                     src, entry.lock_id, entry.acq_t, entry.local
                 )
-                if not entry.local and entry.acq_t[me] > self.tckp[me]:
-                    self.departures[entry.lock_id] = (
-                        self.departures.get(entry.lock_id, 0) + 1
-                    )
             for wn in payload["wn"]:
                 self.peer_notices.add(wn)
             self.bar_history.update(payload["bar_history"])
@@ -565,9 +553,6 @@ class ReplayDriver:
                 if proto.locks.manages(lock_id):
                     mgr = proto.locks.manager(lock_id)
                     mgr.last_seq[src] = max(mgr.last_seq.get(src, -1), seq)
-        # snapshot pre-replay token presence for the finalize arithmetic
-        for lock_id in set(self.acquire_records) | set(self.departures):
-            self.initial_token[lock_id] = proto.locks.token(lock_id).has_token
         for records in self.acquire_records.values():
             records.sort(key=lambda r: r[0].acq_t[me])
 
@@ -640,28 +625,40 @@ class ReplayDriver:
     # replayed operations
     # ------------------------------------------------------------------
     def replay_acquire(self, lock_id: int, seq: int) -> Iterator[Any]:
+        """Replay acquire ``seq`` of ``lock_id``; False = live now, and the
+        caller acquires it live."""
+        proto = self.proto
         records = self.acquire_records.get(lock_id)
         if not records:
+            # the live switch. A grant that reached us while we were down
+            # and answers this very acquire completes it: it is the token
+            # this acquire waited for, not a stray one for the drain
+            queued = self.rm.host.queued
+            owed = next((
+                e for e in queued if isinstance(e[1], LockGrant)
+                and (e[1].lock_id, e[1].seq) == (lock_id, seq)
+            ), None)
+            if owed is not None:
+                queued.remove(owed)
+                proto._complete_acquire(lock_id, owed[1], local=False)
             self.go_live()
-            return False
+            return owed is not None
         entry, src = records.pop(0)
-        proto = self.proto
         st = proto.locks.token(lock_id)
-        if not entry.local:
-            st.has_token = True
-            self.arrivals[lock_id] = self.arrivals.get(lock_id, 0) + 1
-        elif not st.has_token:
+        if entry.local and not st.has_token:
             # self-grant: the token must already be resting here
             raise RuntimeError(
                 f"replay: self-grant of lock {lock_id} without token at "
                 f"{self.pid}"
             )
+        st.has_token = True
         st.held = True
         st.rel_vt = None
         # rebuild the acq half of the pair ``src`` answered from
         self.ft.logs.acq.append(src, lock_id, entry.acq_t, entry.local)
         proto._completed_seq[lock_id] = seq
         self.advance_vt(entry.acq_t)
+        proto.stats.lock_acquires += 1
         self.stats_replayed_acquires += 1
         return True
         yield  # pragma: no cover — generator form for protocol symmetry
@@ -753,69 +750,50 @@ class ReplayDriver:
         self.on_live()
 
     def finalize(self) -> None:
+        """Place every lock token by one rule: held here, or wherever the
+        lock's manager says.
+
+        A grant that queued while we were down has either completed the
+        acquire whose replay ran out (``replay_acquire``) or duplicates
+        one the replay consumed. For a lock we manage, the manager's word
+        is the ``GrantInfo`` stream that queued meanwhile: it records every
+        transfer the grantors made after answering our handshake, so its
+        last entry supersedes the (possibly long-stale) token snapshots the
+        replies carried — without it a transfer races the handshake round
+        and the manager resurrects the token at itself.
+        """
         proto = self.proto
+        locks = proto.locks
         proto.replay = None
         self.apply_home_diffs(None)
-        # For locks this process manages, the GrantInfo stream that queued
-        # while it was down IS its own owner tracking: every transfer the
-        # grantors performed after their handshake replies went out is
-        # recorded there, so the last queued entry per lock supersedes any
-        # token snapshot a (possibly long-stale) reply carried. Without
-        # this, a transfer races the sequential handshake round and the
-        # manager resurrects the token at itself.
         queued_owner: Dict[int, int] = {}
         for _src, qmsg in self.rm.host.queued:
-            if isinstance(qmsg, GrantInfo) and proto.locks.manages(qmsg.lock_id):
+            if isinstance(qmsg, GrantInfo) and locks.manages(qmsg.lock_id):
                 queued_owner[qmsg.lock_id] = qmsg.grantee
-        # reconstruct token placement. Preference order:
-        #   1. the lock manager's owner tracking (GrantInfo) — robust,
-        #   2. for locks we manage ourselves: peers' token snapshots,
-        #      corrected by the queued GrantInfo stream above,
-        #   3. fall back to initial + arrivals - departures arithmetic
-        #      (can undercount departures whose mirrors Rule 2 trimmed).
+
+        def owner(lock_id: int) -> Optional[int]:
+            if not locks.manages(lock_id):
+                return self.owner_reports.get(lock_id)
+            # here (or heading here) unless the queue or a peer says not
+            return queued_owner.get(
+                lock_id, self.peer_token_holders.get(lock_id, self.pid)
+            )
+
         all_locks = (
-            set(self.initial_token)
-            | set(self.departures)
-            | set(self.arrivals)
-            | set(self.owner_reports)
-            | set(queued_owner)
-            | set(self.peer_token_holders)
-            | set(proto.locks.known_locks())
+            set(self.acquire_records) | set(queued_owner)
+            | set(self.owner_reports) | set(self.peer_token_holders)
+            | set(locks.known_locks())
         )
         for lock_id in all_locks:
-            st = proto.locks.token(lock_id)
-            if st.held:
-                st.has_token = True
-                continue
-            owner = self.owner_reports.get(lock_id)
-            if owner is not None:
-                st.has_token = owner == self.pid
-            elif proto.locks.manages(lock_id):
-                if lock_id in queued_owner:
-                    st.has_token = queued_owner[lock_id] == self.pid
-                else:
-                    st.has_token = lock_id not in self.peer_token_holders
-            else:
-                initial = self.initial_token.get(lock_id, st.has_token)
-                present = (
-                    int(initial)
-                    + self.arrivals.get(lock_id, 0)
-                    - self.departures.get(lock_id, 0)
-                )
-                st.has_token = present > 0
-            if st.has_token and st.rel_vt is None:
-                st.rel_vt = proto.vt
-        # rebuild manager chains for this process's own managed locks,
-        # now that its own token placement is known
-        managed = set(proto.locks.managed_locks()) | {
-            l for l in all_locks if proto.locks.manages(l)
-        } | {l for l in self.succ_edges if proto.locks.manages(l)}
-        for lock_id in managed:
-            holder = queued_owner.get(
-                lock_id, self.peer_token_holders.get(lock_id)
-            )
-            if holder is None:
-                holder = self.pid  # at/heading to the recovering process
-            proto.locks.restore_chain(
-                lock_id, holder, self.succ_edges.get(lock_id, {})
+            st = locks.token(lock_id)
+            if not st.held:
+                st.has_token = owner(lock_id) == self.pid
+                if st.has_token and st.rel_vt is None:
+                    st.rel_vt = proto.vt
+        # rebuild the chains of our own managed locks from their owners
+        for lock_id in set(locks.managed_locks()) | {
+            l for l in all_locks | set(self.succ_edges) if locks.manages(l)
+        }:
+            locks.restore_chain(
+                lock_id, owner(lock_id), self.succ_edges.get(lock_id, {})
             )

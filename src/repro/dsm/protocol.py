@@ -530,9 +530,7 @@ class DsmProcess:
             seq = self._acq_seq.get(lock_id, 0) + 1
             self._acq_seq[lock_id] = seq
             if self.replay is not None:
-                done = yield from self.replay.replay_acquire(lock_id, seq)
-                if done:
-                    self.stats.lock_acquires += 1
+                if (yield from self.replay.replay_acquire(lock_id, seq)):
                     return
                 # replay exhausted mid-acquire: fall through to a live acquire
             st = self.locks.token(lock_id)

@@ -12,8 +12,11 @@ import json
 
 import pytest
 
+from repro import DsmCluster, DsmConfig
+from repro.apps import APPS
+from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
-from repro.faultinject import CrashSweep, OracleViolation, check_oracle
+from repro.faultinject import CrashPoint, CrashSweep, OracleViolation, check_oracle
 from repro.sim.engine import Future
 from repro.sim.trace import Tracer
 from tests.conftest import make_app, make_cluster
@@ -305,6 +308,49 @@ def test_overlapping_failure_holds_messages_then_degrades():
         cluster.run(app_factory())
     # the requester's query to the down responder took the hold path
     assert cluster.held_recovery_msgs >= 1
+
+
+#: one pinned double-fault point per symptom of DESIGN.md §11 "The live
+#: switch counted a token twice" (default app config but the seed, L = 0.1):
+#: (app, seed, procs, replicate, base (step, victim), point (step, victim))
+LIVE_SWITCH_PINS = {
+    "recovery_done_held_for_a_down_manager": (
+        "session", 0, 8, True, (2479, 6), (2603, 0)),
+    "owed_grant_is_not_a_second_token": (
+        "kvstore", 0, 8, True, (332, 4), (587, 5)),
+    "owed_grant_completes_the_replayed_acquire": (
+        "session", 9, 8, True, (2429, 3), (2447, 4)),
+    "owed_grant_carries_its_notices": (
+        "session", 0, 8, True, (2566, 6), (2586, 7)),
+    "no_answer_taken_from_a_rebuilding_responder": (
+        "kvstore", 1, 4, False, (115, 0), (171, 2)),
+}
+
+
+@pytest.mark.parametrize("pin", list(LIVE_SWITCH_PINS))
+def test_overlapping_recoveries_keep_one_token(pin):
+    """Two overlapping recoveries end with the failure-free result, one
+    token per lock and no invariant violation — or, without replication,
+    in an explicit degradation naming the overlapping peer. Each point
+    deadlocked, lost an update, doubled a token or replayed a self-grant
+    without its token while the live switch counted tokens twice."""
+    app, seed, procs, replicate, base, (step, victim) = LIVE_SWITCH_PINS[pin]
+    spec = APPS[app]
+    sweep = CrashSweep(
+        lambda: DsmCluster(
+            DsmConfig(num_procs=procs), ft=True,
+            ft_config=FtConfig(replicate=replicate),
+        ),
+        lambda: spec.app(spec.config(seed=seed)),
+        classes=("double",), faults=2,
+    )
+    sweep.run_reference()
+    res = sweep.run_point(CrashPoint("double", step, victim, base))
+    if replicate:
+        assert res.outcome == "recovered", res.error
+    else:
+        assert res.outcome == "degraded", res.error
+        assert "depends on p2, which failed" in res.error
 
 
 def test_recrash_of_recovering_host_restarts_recovery():

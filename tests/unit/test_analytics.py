@@ -68,7 +68,10 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
 # ---------------------------------------------------------------------------
 # one schema per artifact kind: committed fixtures are at it, others rejected
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["counter", "counter_k2", "kvstore", "session"])
+@pytest.mark.parametrize(
+    "name",
+    ["counter", "counter_k2", "kvstore", "session", "session_k2", "kvstore_k2"],
+)
 def test_committed_sweeps_are_current_schema(name):
     path = f"benchmarks/SWEEP_{name}.json"
     data = load_sweep(path)
