@@ -1,5 +1,6 @@
-"""What ``ClusterObserver`` and the run report cost a serving crash run,
-and what the invariant monitor costs a Barnes run and a crash sweep.
+"""What ``ClusterObserver`` and the run report, the span tracer and the
+flat tracer cost a serving crash run, and what the invariant monitor
+costs a Barnes run and a crash sweep.
 
     PYTHONPATH=src python -m pytest benchmarks/test_observer_cost.py -s
 
@@ -35,8 +36,15 @@ it read 1.62 (2.82 s) while every point's monitor filled a flight ring
 no one dumped and every emit site fired on one bus-wide flag
 (EXPERIMENTS.md "Observation pays for what is read").
 
-Don't run it beside other simulator processes: the first, third and
-fourth gates are ratios of host times.
+The fifth and sixth gates are the two trace observers on the serving
+crash run, best of three a side, sides alternated, each < 2 x: a
+``SpanTracer`` reads 1.46-1.50 (1.34 s against 0.90 s), the flat
+``Tracer`` with every kind 1.26-1.50 (1.10-1.36 s against 0.84-0.90 s),
+on a 2-core x86-64 box. Before per-kind emit gating they read 1.51 and 1.44
+(EXPERIMENTS.md "Observer attach cost").
+
+Don't run it beside other simulator processes: every gate but the
+second is a ratio of host times.
 """
 
 import json
@@ -54,11 +62,15 @@ from repro.faultinject import CrashSweep
 from repro.observe import (
     ClusterObserver, build_report, evaluate_report_slos, parse_slo,
 )
+from repro.observe.tracing import SpanTracer
+from repro.sim.trace import Tracer
 
 TIME_GATE = 2.5
 MEMORY_GATE_MB = 35.0
 MONITOR_GATE = 3.0
 SWEEP_GATE = 1.5
+SPAN_GATE = 2.0
+TRACER_GATE = 2.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CFG = SessionConfig(
@@ -75,14 +87,17 @@ def cluster():
     )
 
 
-def crash_run(attached, t_free):
-    """Host seconds of one crash run, observed and reported or plain."""
+def crash_run(attached, t_free, attach=None):
+    """Host seconds of one crash run: observed and reported, or plain
+    with ``attach(cluster)`` (another observer) attached when given."""
     t0 = time.perf_counter()
     c = cluster()
     if attached:
         observer = ClusterObserver(
             c, interval=1e-3, sample_on_barrier=True, window_s=1e-3
         )
+    if attach is not None:
+        attach(c)
     c.schedule_crash(3, 0.5 * t_free)
     result = c.run(SessionApp(CFG))
     assert (result.crashes, result.recoveries) == (1, 1)
@@ -107,6 +122,33 @@ def test_observed_run_costs_under_two_and_a_half_plain_runs():
     print(f"observed + two reports + SLO          {observed:.2f} s")
     print(f"ratio                                 {observed / plain:.2f} (gate: < {TIME_GATE})")
     assert observed < TIME_GATE * plain
+
+
+def attached_ratio(attach):
+    """Best-of-three host seconds of the serving crash run, plain and
+    with ``attach`` attached, sides alternated."""
+    t_free = cluster().run(SessionApp(CFG)).wall_time
+    plain = attached = float("inf")
+    for _ in range(3):
+        plain = min(plain, crash_run(False, t_free))
+        attached = min(attached, crash_run(False, t_free, attach))
+    return plain, attached
+
+
+def test_span_traced_run_costs_under_two_plain_runs():
+    plain, traced = attached_ratio(SpanTracer)
+    print(f"\nserving crash run, plain              {plain:.2f} s")
+    print(f"SpanTracer attached                   {traced:.2f} s")
+    print(f"ratio                                 {traced / plain:.2f} (gate: < {SPAN_GATE:g})")
+    assert traced < SPAN_GATE * plain
+
+
+def test_flat_traced_run_costs_under_two_plain_runs():
+    plain, traced = attached_ratio(Tracer)  # every kind
+    print(f"\nserving crash run, plain              {plain:.2f} s")
+    print(f"flat Tracer attached, every kind      {traced:.2f} s")
+    print(f"ratio                                 {traced / plain:.2f} (gate: < {TRACER_GATE:g})")
+    assert traced < TRACER_GATE * plain
 
 
 def child_env():

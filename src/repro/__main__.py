@@ -8,6 +8,7 @@ Examples::
     python -m repro tables --scale smoke
     python -m repro crashsweep counter --every 40 --classes lock,ckpt_write
     python -m repro crashsweep counter --faults 2      # k=2, replication on
+    python -m repro crashsweep session --seed 3 --faults 2
     python -m repro observe counter --procs 4 --interval 1e-3
     python -m repro observe session --rate 4000 --slo "p99(lat.request)<5ms"
     python -m repro observe session --crash 1@0.25 --replicate
@@ -309,6 +310,9 @@ def add_crashsweep_arguments(p: Parser) -> None:
     p.add_argument("--no-replicate", action="store_true",
                    help="keep replication off even with --faults 2 (overlap "
                    "points then degrade explicitly instead of recovering)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="the application's input seed (default: its "
+                   "config's); recorded in the summary JSON when given")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="summary JSON path (default benchmarks/SWEEP_<app>.json)")
     p.add_argument("-v", "--verbose", action="store_true",
@@ -326,7 +330,9 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
         cluster_factory=lambda: make_cluster(
             args.procs, l=args.l, replicate=replicate
         ),
-        app_factory=lambda: make_app(args.app, args.steps, args.size, args.rate),
+        app_factory=lambda: make_app(
+            args.app, args.steps, args.size, args.rate, args.seed
+        ),
         every=args.every,
         classes=tuple(args.classes.split(",")) if args.classes else None,
         faults=args.faults,
@@ -351,9 +357,10 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
 
     suffix = "_k2" if args.faults >= 2 else ""
     out = args.out or f"benchmarks/SWEEP_{args.app}{suffix}.json"
-    write_text(
-        out, summary.to_json(app=args.app, procs=args.procs, replicate=replicate)
-    )
+    seed = {} if args.seed is None else {"seed": args.seed}
+    write_text(out, summary.to_json(
+        app=args.app, procs=args.procs, replicate=replicate, **seed
+    ))
     print(f"written to {out}")
     for r in summary.failures():
         print(f"FAIL {r.point.cls} p{r.point.victim}@{r.point.step}: {r.error}",

@@ -63,11 +63,14 @@ def make_app(
     steps: Optional[int] = None,
     size: Optional[int] = None,
     rate: Optional[float] = None,
+    seed: Optional[int] = None,
 ) -> DsmApp:
     """A fresh instance of workload ``name``; unset knobs keep the
     config's defaults, knobs the workload does not have are ignored."""
     spec = APPS[name]
     cfg = spec.config()
+    if seed is not None:
+        cfg.seed = seed
     if steps and spec.has_steps:
         cfg.steps = steps
     if size:

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.checkpoint import Checkpoint
 from repro.core.ftmanager import FtConfig, FtManager
@@ -177,32 +178,39 @@ class CoordinatedFt(FtManager):
         self.proc._send(dst, msg)
 
     # -- message handling ------------------------------------------------------
-    def handle_ft_message(self, src: int, msg: Message) -> bool:
-        if isinstance(msg, CoordPrepare):
-            if msg.round_id > self.round_id:
-                self.prepare_pending = (msg.round_id, msg.cut_episode)
-            return True
-        if isinstance(msg, CoordMarker):
-            if msg.round_id > self.round_id:
-                self.early_markers.add(src)
-            else:
-                self.awaiting_markers.discard(src)
-                if not self.awaiting_markers and self._round_snapshot is not None:
-                    self._round_cut_complete()
-            return True
-        if isinstance(msg, CoordAck):
-            self.acks.add(msg.proc)
-            if len(self.acks) == self.n:
-                self._commit()
-            return True
-        if isinstance(msg, CoordCommit):
-            self._apply_commit(msg.round_id)
-            return True
-        return super().handle_ft_message(src, msg)
+    def message_handlers(self) -> Dict[type, Callable[[int, Any], None]]:
+        # a protocol message crossing the cut is recorded as channel
+        # state, then handled; the FT layer's own messages are not
+        return {
+            **{t: partial(self._record_then, h) for t, h in self.proc.handlers.items()},
+            **super().message_handlers(),
+            CoordPrepare: self._handle_prepare, CoordMarker: self._handle_marker,
+            CoordAck: self._handle_ack,
+            CoordCommit: lambda src, msg: self._apply_commit(msg.round_id),
+        }
 
-    def record_if_channel_state(self, src: int, msg: Message) -> None:
+    def _record_then(self, handle: Callable[[int, Any], None], src: int,
+                     msg: Message) -> None:
         if src in self.awaiting_markers:
             self.channel_state.append((src, msg))
+        handle(src, msg)
+
+    def _handle_prepare(self, src: int, msg: CoordPrepare) -> None:
+        if msg.round_id > self.round_id:
+            self.prepare_pending = (msg.round_id, msg.cut_episode)
+
+    def _handle_marker(self, src: int, msg: CoordMarker) -> None:
+        if msg.round_id > self.round_id:
+            self.early_markers.add(src)
+        else:
+            self.awaiting_markers.discard(src)
+            if not self.awaiting_markers and self._round_snapshot is not None:
+                self._round_cut_complete()
+
+    def _handle_ack(self, src: int, msg: CoordAck) -> None:
+        self.acks.add(msg.proc)
+        if len(self.acks) == self.n:
+            self._commit()
 
     # -- the snapshot -----------------------------------------------------------
     def at_safe_point(self) -> Iterator[Any]:

@@ -38,6 +38,9 @@ __all__ = ["DsmCluster", "ProcHost", "RunResult", "PolicyFactory"]
 
 PolicyFactory = Callable[[int, int], CheckpointPolicy]  # (pid, footprint) -> policy
 
+#: delivered to the recovery machinery whether or not the host is live
+_RECOVERY_MESSAGES = frozenset({RecoveryQuery, RecoveryReply, RecoveryDone})
+
 
 class ProcHost:
     """Everything living on one node."""
@@ -90,19 +93,17 @@ class ProcHost:
             config=cluster.config,
             regions=cluster.regions,
             engine=cluster.engine,
-            send_fn=cluster.send,
+            send_fn=cluster.network.send,
             cpu=CpuModel(),
         )
 
     def deliver(self, src: int, msg: Message) -> None:
-        if isinstance(msg, (RecoveryQuery, RecoveryReply, RecoveryDone)):
+        if type(msg) in _RECOVERY_MESSAGES:
             self.cluster._handle_recovery_msg(self.pid, src, msg)
-            return
-        if not self.live:
+        elif self.live:
+            self.proto.handle_message(src, msg)
+        else:
             self.queued.append((src, msg))
-            return
-        assert self.proto is not None
-        self.proto.handle_message(src, msg)
 
     def drain_queue(self) -> None:
         queued, self.queued = self.queued, []
@@ -188,8 +189,7 @@ class DsmCluster:
         return self.regions.allocate(name, num_elements, dtype)
 
     def send(self, src: int, dst: int, msg: Message) -> None:
-        size = msg.size_bytes(self.config)
-        ft_bytes = msg.ft_bytes(self.config)
+        size, ft_bytes = msg.wire_size(self.config)
         self.network.send(src, dst, msg, size, msg.category, ft_bytes)
 
     def schedule_crash(self, pid: int, at_time: float) -> None:

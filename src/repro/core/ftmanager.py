@@ -140,6 +140,7 @@ class FtManager(FtHooks):
 
     def _install(self) -> None:
         self.proc.ft = self
+        self.proc.handlers.update(self.message_handlers())
         # seed virtual checkpoint 0 with the initial homed page contents
         self.ckpt_mgr.seed_initial_pages(
             {
@@ -228,22 +229,27 @@ class FtManager(FtHooks):
     def on_diff_received(self, page: PageId, writer: int, diff_vt: VClock) -> None:
         self.page_writers.setdefault(page, set()).add(writer)
 
-    def handle_ft_message(self, src: int, msg: Any) -> bool:
-        if isinstance(msg, ReplicaUpdate):
-            replica_apply(self.proc_host, src, msg)
-            return True
-        if isinstance(msg, ReplicaAck):
-            if self.repl is not None:
-                self.repl.on_ack(msg)
-            return True
-        if isinstance(msg, AcqAck):
-            fixed = self.logs.rel.confirm(src, msg.lock_id, msg.acq_t, self.pid)
-            self.stats.time_logging += 0.5e-6
-            self.proc.cpu.accrue_handler(0.5e-6)
-            if fixed and self.repl is not None:
-                self.repl.op(("rel_fix", src, msg.lock_id, msg.acq_t))
-            return True
-        return False
+    def message_handlers(self) -> Dict[type, Callable[[int, Any], None]]:
+        """This layer's own message types, for ``proc.handlers``."""
+        return {
+            ReplicaUpdate: self._handle_replica_update,
+            ReplicaAck: self._handle_replica_ack,
+            AcqAck: self._handle_acq_ack,
+        }
+
+    def _handle_replica_update(self, src: int, msg: ReplicaUpdate) -> None:
+        replica_apply(self.proc_host, src, msg)
+
+    def _handle_replica_ack(self, src: int, msg: ReplicaAck) -> None:
+        if self.repl is not None:
+            self.repl.on_ack(msg)
+
+    def _handle_acq_ack(self, src: int, msg: AcqAck) -> None:
+        fixed = self.logs.rel.confirm(src, msg.lock_id, msg.acq_t, self.pid)
+        self.stats.time_logging += 0.5e-6
+        self.proc.cpu.accrue_handler(0.5e-6)
+        if fixed and self.repl is not None:
+            self.repl.op(("rel_fix", src, msg.lock_id, msg.acq_t))
 
     # ==================================================================
     # FtHooks — checkpoint policy evaluation
@@ -296,10 +302,6 @@ class FtManager(FtHooks):
     # ==================================================================
     # checkpointing
     # ==================================================================
-    def request_checkpoint(self) -> None:
-        """Application-initiated checkpoint request (manual policy)."""
-        self.checkpoint_requested = True
-
     def at_safe_point(self) -> Iterator[Any]:
         """Called from ``proc.ckpt_point()``; takes a pending checkpoint."""
         if self.checkpoint_requested:

@@ -1,9 +1,12 @@
 """Protocol message types and their modeled wire sizes.
 
-Each message computes its own size from the :class:`~repro.dsm.config.DsmConfig`
-cost model; the ``piggyback`` field (when present) carries the lazily
-propagated LLT/CGC control data of §4.4.4 and its size is accounted as
-``ft_bytes`` so Table 2 can compare it against base protocol traffic.
+Each message computes its own payload size from the
+:class:`~repro.dsm.config.DsmConfig` cost model, and
+:meth:`Message.wire_size` turns it into the ``(size, ft_bytes)`` pair the
+network accounts: the ``piggyback`` field (when present) carries the
+lazily propagated LLT/CGC control data of §4.4.4 and its size is
+accounted as ``ft_bytes`` so Table 2 can compare it against base protocol
+traffic; a replication message is fault-tolerance traffic whole.
 """
 
 from __future__ import annotations
@@ -82,14 +85,21 @@ class Message:
 
     category: str = "misc"
 
+    #: the whole payload is fault-tolerance traffic, not just the
+    #: piggyback (a class attribute, not a field)
+    all_ft = False
+
     def payload_bytes(self, config: DsmConfig) -> int:
         raise NotImplementedError
 
-    def ft_bytes(self, config: DsmConfig) -> int:
-        return self.piggyback.size_bytes(config) if self.piggyback else 0
-
-    def size_bytes(self, config: DsmConfig) -> int:
-        return config.msg_header + self.payload_bytes(config) + self.ft_bytes(config)
+    def wire_size(self, config: DsmConfig) -> Tuple[int, int]:
+        """``(size, ft_bytes)``: the modeled wire size (header + payload
+        + piggyback) and its fault-tolerance share."""
+        payload = self.payload_bytes(config)
+        pb = self.piggyback
+        ft = pb.size_bytes(config) if pb is not None else 0
+        size = config.msg_header + payload + ft
+        return size, (payload + ft if self.all_ft else ft)
 
 
 def _notices_bytes(notices: List[WriteNotice], config: DsmConfig) -> int:
@@ -294,18 +304,10 @@ class ReplicaUpdate(Message):
     body: object = None
     body_size: int = 0
     category: str = "replica"
+    all_ft = True
 
     def payload_bytes(self, config: DsmConfig) -> int:
         return 16 + self.body_size
-
-    def ft_bytes(self, config: DsmConfig) -> int:
-        # the whole message is FT overhead traffic
-        return self.payload_bytes(config) + (
-            self.piggyback.size_bytes(config) if self.piggyback else 0
-        )
-
-    def size_bytes(self, config: DsmConfig) -> int:
-        return config.msg_header + self.ft_bytes(config)
 
 
 @dataclass
@@ -321,17 +323,10 @@ class ReplicaAck(Message):
     seqno: int = 0
     gen: int = 0
     category: str = "replica"
+    all_ft = True
 
     def payload_bytes(self, config: DsmConfig) -> int:
         return 16
-
-    def ft_bytes(self, config: DsmConfig) -> int:
-        return self.payload_bytes(config) + (
-            self.piggyback.size_bytes(config) if self.piggyback else 0
-        )
-
-    def size_bytes(self, config: DsmConfig) -> int:
-        return config.msg_header + self.ft_bytes(config)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ Fault-tolerance integration
 All FT behaviour is behind :class:`FtHooks` (a no-op here). The
 fault-tolerant system of the paper installs a real implementation
 (:class:`repro.core.ftmanager.FtManager`) that logs, checkpoints, trims
-and piggybacks without the base protocol knowing.
+and piggybacks without the base protocol knowing. Its own message types
+go into the same :attr:`DsmProcess.handlers` table as the protocol's.
 
 Recovery integration
 --------------------
@@ -124,13 +125,6 @@ class FtHooks:
     def on_diff_received(self, page: PageId, writer: int, diff_vt: VClock) -> None:
         """Home received and applied a diff (drives p0.v advertisements)."""
 
-    def handle_ft_message(self, src: int, msg: "Message") -> bool:
-        """Give the FT layer first pick of unknown messages (baselines)."""
-        return False
-
-    def record_if_channel_state(self, src: int, msg: "Message") -> None:
-        """Coordinated-checkpointing hook: record cut-crossing messages."""
-
 
 @dataclass
 class ProtocolStats:
@@ -158,7 +152,7 @@ class DsmProcess:
         config: DsmConfig,
         regions: RegionSet,
         engine: Engine,
-        send_fn: Callable[[int, int, Message], None],
+        send_fn: Callable[[int, int, Message, int, str, int], None],
         cpu: Optional[CpuModel] = None,
     ) -> None:
         self.pid = pid
@@ -170,6 +164,7 @@ class DsmProcess:
         #: one attribute test while nothing subscribes, and subscribers
         #: only read and record, so observation cannot perturb the run
         self.bus = engine.bus
+        #: ``Network.send(src, dst, msg, size, category, ft_bytes)``
         self._send_raw = send_fn
         self.cpu = cpu or CpuModel()
 
@@ -213,6 +208,19 @@ class DsmProcess:
         self.ft: FtHooks = FtHooks()
         #: recovery replay driver (duck-typed); None = live operation
         self.replay: Any = None
+        #: message type -> handler(src, msg), the one dispatch of
+        #: :meth:`handle_message`; an FT layer adds its own types
+        self.handlers: Dict[type, Callable[[int, Message], None]] = {
+            LockAcquireReq: self._manager_handle_acquire,
+            GrantInfo: self._handle_grant_info,
+            LockForward: self._handle_forward,
+            LockGrant: self._handle_grant,
+            DiffMsg: self._handle_diff,
+            PageFetchReq: self._handle_fetch_req,
+            PageFetchReply: self._handle_fetch_reply,
+            BarrierArrive: self._manager_handle_arrive,
+            BarrierRelease: self._handle_barrier_release,
+        }
 
         self._init_memory()
 
@@ -552,25 +560,23 @@ class DsmProcess:
                 lock_id=lock_id, acquirer=self.pid, acq_vt=self.vt, seq=seq
             )
             self._pending_acquires[lock_id] = req
-            manager = self.config.lock_manager(lock_id)
-            if manager == self.pid:
-                self._manager_handle_acquire(req)
-            else:
-                self._send(manager, req)
+            self._post(self.config.lock_manager(lock_id), req)
             grant: LockGrant = yield fut
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.LOCK_WAIT, wait)
             if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.LOCK_WAIT, wait, "acquire")
             self._complete_acquire(lock_id, grant, local=False)
-            yield from self.cpu.charge(
-                TimeBucket.OVERHEAD,
-                self.cpu.costs.message_handler
-                + len(grant.notices) * 1e-6,
-            )
+            yield from self._charge_notices(grant.notices)
         finally:
             if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "acquire", None)
+
+    def _charge_notices(self, notices: List[WriteNotice]) -> Tuple[Delay, ...]:
+        """The handler cost of a grant or release that carried ``notices``."""
+        return self.cpu.charge(
+            TimeBucket.OVERHEAD, self.cpu.costs.message_handler + len(notices) * 1e-6
+        )
 
     def _complete_acquire(self, lock_id: int, grant: LockGrant, local: bool) -> None:
         st = self.locks.token(lock_id)
@@ -634,13 +640,10 @@ class DsmProcess:
         self.ft.on_grant(lock_id, acquirer, acq_t)
         self._send(acquirer, grant)
         # tell the manager where the token went (recovery bookkeeping)
-        manager = self.config.lock_manager(lock_id)
-        info = GrantInfo(lock_id=lock_id, grantor=self.pid, grantee=acquirer)
-        if manager == self.pid:
-            self.locks.manager(lock_id).grant_observed(acquirer)
-            self.ft.on_owner_observed(lock_id, acquirer)
-        else:
-            self._send(manager, info)
+        self._post(
+            self.config.lock_manager(lock_id),
+            GrantInfo(lock_id=lock_id, grantor=self.pid, grantee=acquirer),
+        )
 
     def _record_self_grant(self, lock_id: int) -> None:
         """Tell a *distinct* node about a completed local (self) acquire:
@@ -688,10 +691,7 @@ class DsmProcess:
                 release = self._stashed_release
                 self._stashed_release = None
                 self._complete_barrier(release)
-                yield from self.cpu.charge(
-                    TimeBucket.OVERHEAD,
-                    self.cpu.costs.message_handler + len(release.notices) * 1e-6,
-                )
+                yield from self._charge_notices(release.notices)
                 return
             own = self.notices.own_after(self.pid, self.last_barrier_global[self.pid])
             arrive = BarrierArrive(
@@ -701,11 +701,7 @@ class DsmProcess:
             fut = Future(f"barrier{episode} @{self.pid}")
             self._barrier_future = fut
             self._pending_arrive = arrive
-            mgr = self.config.barrier_manager
-            if mgr == self.pid:
-                self._manager_handle_arrive(arrive)
-            else:
-                self._send(mgr, arrive)
+            self._post(self.config.barrier_manager, arrive)
             release: BarrierRelease = yield fut
             self._pending_arrive = None
             wait = self.engine.now - t0
@@ -713,10 +709,7 @@ class DsmProcess:
             if bus.on[WAIT]:
                 bus.emit(WAIT, self.pid, TimeBucket.BARRIER_WAIT, wait, "barrier")
             self._complete_barrier(release)
-            yield from self.cpu.charge(
-                TimeBucket.OVERHEAD,
-                self.cpu.costs.message_handler + len(release.notices) * 1e-6,
-            )
+            yield from self._charge_notices(release.notices)
         finally:
             if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "barrier", None)
@@ -798,40 +791,19 @@ class DsmProcess:
     # message handling (instantaneous; CPU cost becomes handler debt)
     # ------------------------------------------------------------------
     def handle_message(self, src: int, msg: Message) -> None:
-        if msg.piggyback is not None:
-            self.ft.on_piggyback(src, msg.piggyback)
-        self.cpu.accrue_handler(self.cpu.costs.message_handler)
-        if self.ft.handle_ft_message(src, msg):
-            return
-        self.ft.record_if_channel_state(src, msg)
-        if isinstance(msg, LockAcquireReq):
-            self._manager_handle_acquire(msg)
-        elif isinstance(msg, GrantInfo):
-            if msg.acq_t is not None:
-                # a peer's self-grant: no token moved, nothing to track
-                self.ft.on_self_grant_mirror(msg.grantor, msg.lock_id, msg.acq_t)
-            else:
-                self.locks.manager(msg.lock_id).grant_observed(msg.grantee)
-                self.ft.on_owner_observed(msg.lock_id, msg.grantee)
-        elif isinstance(msg, LockForward):
-            self._handle_forward(msg)
-        elif isinstance(msg, LockGrant):
-            self._handle_grant(msg)
-        elif isinstance(msg, DiffMsg):
-            self._handle_diff(src, msg)
-        elif isinstance(msg, PageFetchReq):
-            self._handle_fetch_req(msg)
-        elif isinstance(msg, PageFetchReply):
-            self._handle_fetch_reply(msg)
-        elif isinstance(msg, BarrierArrive):
-            self._manager_handle_arrive(msg)
-        elif isinstance(msg, BarrierRelease):
-            self._handle_barrier_release(msg)
-        else:
+        """Piggyback, then the handler's CPU debt, then the handler."""
+        pb = msg.piggyback
+        if pb is not None:
+            self.ft.on_piggyback(src, pb)
+        cpu = self.cpu
+        cpu.handler_debt += cpu.costs.message_handler
+        handle = self.handlers.get(type(msg))
+        if handle is None:
             raise RuntimeError(f"process {self.pid}: unknown message {msg!r}")
+        handle(src, msg)
 
     # -- locks --------------------------------------------------------------
-    def _manager_handle_acquire(self, req: LockAcquireReq) -> None:
+    def _manager_handle_acquire(self, src: int, req: LockAcquireReq) -> None:
         mgr = self.locks.manager(req.lock_id)
         if mgr.is_duplicate(req.acquirer, req.seq):
             return
@@ -842,12 +814,17 @@ class DsmProcess:
         fwd = LockForward(
             lock_id=req.lock_id, acquirer=req.acquirer, acq_vt=req.acq_vt, seq=req.seq
         )
-        if prev == self.pid:
-            self._handle_forward(fwd)
-        else:
-            self._send(prev, fwd)
+        self._post(prev, fwd)
 
-    def _handle_forward(self, fwd: LockForward) -> None:
+    def _handle_grant_info(self, src: int, msg: GrantInfo) -> None:
+        if msg.acq_t is not None:
+            # a peer's self-grant: no token moved, nothing to track
+            self.ft.on_self_grant_mirror(msg.grantor, msg.lock_id, msg.acq_t)
+        else:
+            self.locks.manager(msg.lock_id).grant_observed(msg.grantee)
+            self.ft.on_owner_observed(msg.lock_id, msg.grantee)
+
+    def _handle_forward(self, src: int, fwd: LockForward) -> None:
         st = self.locks.token(fwd.lock_id)
         if fwd.seq <= st.granted.get(fwd.acquirer, -1):
             return  # re-issued forward for a grant that already went out
@@ -863,7 +840,7 @@ class DsmProcess:
                 )
             st.successor = (fwd.acquirer, fwd.acq_vt, fwd.seq)
 
-    def _handle_grant(self, grant: LockGrant) -> None:
+    def _handle_grant(self, src: int, grant: LockGrant) -> None:
         if grant.seq and grant.seq <= self._completed_seq.get(grant.lock_id, 0):
             # grant for an acquire that recovery replay already accounted
             # for. Usually a duplicate of a transfer whose effect the
@@ -965,7 +942,7 @@ class DsmProcess:
             hp.snap_version = version
         return hp.snap
 
-    def _handle_fetch_req(self, req: PageFetchReq) -> None:
+    def _handle_fetch_req(self, src: int, req: PageFetchReq) -> None:
         hp = self.home[req.page]
 
         def reply() -> None:
@@ -983,14 +960,14 @@ class DsmProcess:
         else:
             hp.wait_fetch(req.requester, req.needed_v, reply)
 
-    def _handle_fetch_reply(self, reply: PageFetchReply) -> None:
+    def _handle_fetch_reply(self, src: int, reply: PageFetchReply) -> None:
         fut = self._fetch_waiting.pop(reply.page, None)
         if fut is not None:
             fut.resolve(reply)
         # else: stale reply to a pre-crash fetch; drop
 
     # -- barrier -------------------------------------------------------------
-    def _manager_handle_arrive(self, arrive: BarrierArrive) -> None:
+    def _manager_handle_arrive(self, src: int, arrive: BarrierArrive) -> None:
         mgr = self.barrier_mgr
         if mgr is None:
             raise RuntimeError(f"process {self.pid} is not the barrier manager")
@@ -1034,12 +1011,9 @@ class DsmProcess:
             release = BarrierRelease(
                 episode=done.episode, global_vt=global_vt, notices=missing
             )
-            if proc == self.pid:
-                self._handle_barrier_release(release)
-            else:
-                self._send(proc, release)
+            self._post(proc, release)
 
-    def _handle_barrier_release(self, release: BarrierRelease) -> None:
+    def _handle_barrier_release(self, src: int, release: BarrierRelease) -> None:
         if release.episode != self.barrier_episode:
             return  # duplicate release for an episode replay already covered
         fut = self._barrier_future
@@ -1063,20 +1037,14 @@ class DsmProcess:
         manager drops duplicate arrivals.
         """
         for lock_id, req in list(self._pending_acquires.items()):
-            manager = self.config.lock_manager(lock_id)
-            if manager == self.pid:
-                self._manager_handle_acquire(req)
-            else:
-                self._send(manager, req)
+            self._post(self.config.lock_manager(lock_id), req)
         for page, req in list(self._pending_fetch_req.items()):
             if self.regions.home_of(page) == recovered:
                 self._send(recovered, req)
         if self._pending_arrive is not None:
             mgr = self.config.barrier_manager
-            if mgr == self.pid:
-                self._manager_handle_arrive(self._pending_arrive)
-            elif mgr == recovered:
-                self._send(mgr, self._pending_arrive)
+            if mgr in (self.pid, recovered):
+                self._post(mgr, self._pending_arrive)
 
     def repair_forwards_for(self, recovered: int) -> None:
         """Manager-side repair: re-issue forwards lost in a crash.
@@ -1098,18 +1066,24 @@ class DsmProcess:
                 acq_vt=VClock.zero(self.n),
                 seq=nxt.seq,
             )
-            if recovered == self.pid:
-                self._handle_forward(fwd)
-            else:
-                self._send(recovered, fwd)
+            self._post(recovered, fwd)
 
     # ------------------------------------------------------------------
     # send plumbing
     # ------------------------------------------------------------------
+    def _post(self, dst: int, msg: Message) -> None:
+        """Send ``msg`` to ``dst``, or run its handler now when ``dst`` is
+        this process: no wire, no piggyback, no handler debt."""
+        if dst == self.pid:
+            self.handlers[type(msg)](dst, msg)
+        else:
+            self._send(dst, msg)
+
     def _send(self, dst: int, msg: Message) -> None:
         if dst == self.pid:
             raise RuntimeError("local sends must be handled locally")
         pb = self.ft.piggyback_for(dst)
         if pb is not None:
             msg.piggyback = pb
-        self._send_raw(self.pid, dst, msg)
+        size, ft_bytes = msg.wire_size(self.config)
+        self._send_raw(self.pid, dst, msg, size, msg.category, ft_bytes)

@@ -207,9 +207,9 @@ class InvariantMonitor:
         self.checks: Dict[str, int] = {k: 0 for k in INVARIANTS}
         self.violation_dump: Optional[Dict[str, Any]] = None
         self.crash_dumps: List[Dict[str, Any]] = []
-        n = cluster.config.num_procs
-        #: per-channel queue of sent-but-undelivered payload identities
-        self._chan: Dict[Tuple[int, int], deque] = {}
+        n = self._n = cluster.config.num_procs
+        #: channel ``src * n + dst`` -> sent-but-undelivered payload identities
+        self._chan: Dict[int, deque] = {}
         #: highest own vt component ever observed per process; never
         #: reset (a replay cannot legitimately overtake the pre-crash
         #: observation before re-executing the same intervals)
@@ -272,15 +272,16 @@ class InvariantMonitor:
     # event handlers
     # ==================================================================
     def _on_send(self, src: int, dst: int, payload: Any) -> None:
-        q = self._chan.get((src, dst))
+        key = src * self._n + dst
+        q = self._chan.get(key)
         if q is None:
-            q = self._chan[(src, dst)] = deque()
+            q = self._chan[key] = deque()
         q.append(payload)
         self._refresh_vclocks()
         self._check_stamps(src, payload)
 
     def _on_deliver(self, src: int, dst: int, payload: Any, epoch: int) -> None:
-        q = self._chan.get((src, dst))
+        q = self._chan.get(src * self._n + dst)
         in_order = bool(q) and q[0] is payload
         if in_order:
             q.popleft()
@@ -376,13 +377,11 @@ class InvariantMonitor:
         last = self._last_vt
         for host in self.cluster.hosts:
             proto = host.proto
-            if proto is None:
-                continue
+            if proto is None or proto.vt is last[host.pid]:
+                continue  # immutable clock, same object: nothing moved
             vt = proto.vt
             pid = host.pid
             prev = last[pid]
-            if vt is prev:
-                continue  # immutable clock, same object: nothing moved
             own = vt.v[pid]
             if own > hwm[pid]:
                 hwm[pid] = own

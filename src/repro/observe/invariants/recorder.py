@@ -54,9 +54,9 @@ PROBE_CATEGORIES = frozenset(
 def _describe(fn: Any) -> str:
     """Best-effort label for an engine event callable.
 
-    Continuations are ``partial(engine._step, proc, value)`` — name the
-    process; network deliveries and other lambdas fall back to their
-    qualified name.
+    Continuations are ``partial(engine._step, proc)`` — name the
+    process; network deliveries (``partial(Network._deliver, ...)``)
+    and lambdas fall back to their qualified name.
     """
     if isinstance(fn, functools.partial):
         name = getattr(fn.func, "__qualname__", repr(fn.func))

@@ -31,6 +31,11 @@ comparison instead of an O(log n) heap push + pop per immediate step.
 Consecutive ready continuations therefore trampoline through the deque
 without ever touching ``heapq``, while the merged execution order stays
 bit-identical to a single (time, seq) priority queue.
+
+A process has one continuation, ``partial(_step, proc)``, built once: a
+``Delay`` queues it, a resolved ``Future`` leaves its value in
+``proc.inbox`` and queues it. ``_step``, ``_wake`` and ``Network.send``
+assign ``(time, seq)`` inline, exactly as :meth:`schedule` would.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.trace import ENGINE_EVENT, EventBus
 
@@ -72,12 +77,6 @@ class Delay:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Delay({self.seconds!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Delay) and self.seconds == other.seconds
-
-    def __hash__(self) -> int:
-        return hash((Delay, self.seconds))
 
 
 class Future:
@@ -114,12 +113,6 @@ class Future:
         for cb in waiters:
             cb(value)
 
-    def add_callback(self, cb: Callable[[Any], None]) -> None:
-        if self._resolved:
-            cb(self._value)
-        else:
-            self._waiters.append(cb)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self._resolved else "pending"
         return f"<Future {self.label!r} {state}>"
@@ -135,7 +128,8 @@ _Event = Tuple[float, int, Callable[[], None]]
 class SimProcess:
     """Handle for a spawned coroutine; supports fail-stop kills."""
 
-    __slots__ = ("gen", "name", "alive", "done", "result", "engine", "_resume")
+    __slots__ = ("gen", "name", "alive", "done", "result", "engine", "inbox",
+                 "_resume", "_wake")
 
     def __init__(self, engine: "Engine", gen: Coroutine, name: str) -> None:
         self.engine = engine
@@ -144,8 +138,13 @@ class SimProcess:
         self.alive = True
         self.done = False
         self.result: Any = None
-        #: preallocated no-value continuation (Delay resumes, first step)
-        self._resume: Callable[[], None] = partial(engine._step, self, None)
+        #: the value the next step sends in (a resolved future's; None
+        #: for a Delay resume and the first step)
+        self.inbox: Any = None
+        #: the one continuation, preallocated
+        self._resume: Callable[[], None] = partial(engine._step, self)
+        #: a pending future's waiter
+        self._wake: Callable[[Any], None] = partial(engine._wake, self)
 
     def kill(self) -> None:
         """Fail-stop this process: it never runs again.
@@ -259,32 +258,44 @@ class Engine:
         self.call_soon(proc._resume)
         return proc
 
-    def _step(self, proc: SimProcess, value: Any) -> None:
+    def _step(self, proc: SimProcess) -> None:
         if not proc.alive or proc.done:
             return
+        value = proc.inbox
+        if value is not None:
+            proc.inbox = None
         try:
             effect = proc.gen.send(value)
         except StopIteration as stop:
             proc.done = True
             proc.result = stop.value
             return
-        # inline effect dispatch (the hottest call site in the simulator)
+        # inline effect dispatch and scheduling (the hottest call site in
+        # the simulator): the same (time, seq) ``schedule`` would assign
         if type(effect) is Delay:
-            self.schedule(effect.seconds, proc._resume)
+            seq = self._seq
+            self._seq = seq + 1
+            delay = effect.seconds
+            if delay == 0.0:
+                self._ready.append((self.now, seq, proc._resume))
+            else:
+                heapq.heappush(self._queue, (self.now + delay, seq, proc._resume))
         elif isinstance(effect, Future):
             if effect._resolved:
-                self.call_soon(partial(self._step, proc, effect._value))
+                self._wake(proc, effect._value)
             else:
-                effect._waiters.append(partial(self._future_step, proc))
-        elif isinstance(effect, Delay):
-            self.schedule(effect.seconds, proc._resume)
+                effect._waiters.append(proc._wake)
         else:
             raise SimulationError(
                 f"process {proc.name} yielded unsupported effect {effect!r}"
             )
 
-    def _future_step(self, proc: SimProcess, value: Any) -> None:
-        self.call_soon(partial(self._step, proc, value))
+    def _wake(self, proc: SimProcess, value: Any) -> None:
+        """Resume ``proc`` with ``value`` at the current instant."""
+        proc.inbox = value
+        seq = self._seq
+        self._seq = seq + 1
+        self._ready.append((self.now, seq, proc._resume))
 
     # ------------------------------------------------------------------
     # main loop
@@ -303,6 +314,8 @@ class Engine:
         heap = self._queue
         ready = self._ready
         steps = self.steps
+        now = self.now
+        limit = float("inf") if until is None else until
         taps = self.bus.listeners(ENGINE_EVENT)
         try:
             while ready or heap:
@@ -311,26 +324,22 @@ class Engine:
                 # merge the sorted ready FIFO with the time heap: both are
                 # ordered by (time, seq), so comparing heads reproduces the
                 # exact total order of a single priority queue
-                if not ready:
-                    ev = heap[0]
-                    from_heap = True
-                elif heap and heap[0] < ready[0]:
-                    ev = heap[0]
-                    from_heap = True
-                else:
+                if ready and not (heap and heap[0] < ready[0]):
                     ev = ready[0]
-                    from_heap = False
-                t = ev[0]
-                if until is not None and t > until:
-                    self.now = until
-                    return until
-                if from_heap:
-                    heapq.heappop(heap)
-                else:
+                    if ev[0] > limit:
+                        self.now = until
+                        return until
                     ready.popleft()
-                if t > self.now:
-                    self.now = t
-                elif t < self.now - 1e-12:
+                else:
+                    ev = heap[0]
+                    if ev[0] > limit:
+                        self.now = until
+                        return until
+                    heapq.heappop(heap)
+                t = ev[0]
+                if t > now:
+                    self.now = now = t
+                elif t < now - 1e-12:
                     raise SimulationError("time went backwards")
                 steps += 1
                 self.steps = steps
@@ -343,7 +352,7 @@ class Engine:
                 if steps > max_steps:
                     raise SimulationError(
                         f"exceeded {max_steps} events; suspected livelock "
-                        f"at t={self.now}"
+                        f"at t={now}"
                     )
         finally:
             self.steps = steps
@@ -364,30 +373,3 @@ class Engine:
             )
         return self.now
 
-
-def sleep(seconds: float) -> Iterator[Any]:
-    """Coroutine helper: ``yield from sleep(t)``."""
-    yield Delay(seconds)
-
-
-def gather(futures: List[Future], label: str = "gather") -> Future:
-    """Return a future resolving (to the list of values) when all inputs do."""
-    out = Future(label)
-    remaining = [len(futures)]
-    values: List[Any] = [None] * len(futures)
-    if not futures:
-        out.resolve([])
-        return out
-
-    def make_cb(i: int) -> Callable[[Any], None]:
-        def cb(v: Any) -> None:
-            values[i] = v
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                out.resolve(values)
-
-        return cb
-
-    for i, f in enumerate(futures):
-        f.add_callback(make_cb(i))
-    return out

@@ -10,13 +10,23 @@ Traffic is accounted per category so that the Table 2 comparison (base
 HLRC protocol traffic vs. piggybacked CGC/LLT control traffic) falls out
 directly: every send carries a ``category`` string and an ``ft_bytes``
 component counting only the fault-tolerance piggyback portion.
+
+Fast path
+---------
+A message is one hop each way. :meth:`Network.send` records traffic
+inline, reads the channel's ``[latency, byte_time, clear]`` record and
+queues one ``partial(_deliver, ...)`` event with the ``(time, seq)``
+``Engine.schedule`` would give it. The ``SEND``/``DELIVER`` subscriber
+lists are hoisted once: unobserved, a message pays one list test a side.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.trace import DELIVER, SEND
@@ -30,14 +40,10 @@ class NetworkConfig:
 
     latency: float = 20e-6  # one-way wire+software latency (s)
     bandwidth: float = 100e6  # bytes/s per channel
-    per_message_cpu: float = 3e-6  # send/receive handler CPU cost (s)
 
     @property
     def byte_time(self) -> float:
         return 1.0 / self.bandwidth
-
-    def transfer_time(self, size: int) -> float:
-        return self.latency + size * self.byte_time
 
     def link(self, src: int, dst: int) -> Tuple[float, float]:
         """(latency, byte_time) for the src->dst link. Uniform here."""
@@ -69,21 +75,21 @@ class MetaClusterConfig(NetworkConfig):
 
 
 class TrafficStats:
-    """Byte and message counters, split by category and FT piggyback."""
+    """Byte and message counters, split by category and FT piggyback;
+    :meth:`Network.send` updates them inline, totals are sums on read."""
 
     def __init__(self) -> None:
         self.bytes_by_category: Dict[str, int] = defaultdict(int)
         self.msgs_by_category: Dict[str, int] = defaultdict(int)
         self.ft_bytes: int = 0
-        self.total_bytes: int = 0
-        self.total_msgs: int = 0
 
-    def record(self, category: str, size: int, ft_bytes: int) -> None:
-        self.bytes_by_category[category] += size
-        self.msgs_by_category[category] += 1
-        self.ft_bytes += ft_bytes
-        self.total_bytes += size
-        self.total_msgs += 1
+    @property
+    def total_bytes(self) -> int:
+        return sum(self.bytes_by_category.values())
+
+    @property
+    def total_msgs(self) -> int:
+        return sum(self.msgs_by_category.values())
 
     @property
     def base_bytes(self) -> int:
@@ -107,12 +113,14 @@ class Network:
         self.n = n
         self.config = config or NetworkConfig()
         self.traffic = TrafficStats()
-        self._handlers: Dict[int, Handler] = {}
-        # FIFO enforcement: earliest admissible delivery time per channel
-        self._channel_clear: Dict[Tuple[int, int], float] = defaultdict(float)
-        # (latency, byte_time) per channel; config is frozen so link() is
-        # pure and can be memoized
-        self._links: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        self._handlers: List[Optional[Handler]] = [None] * n
+        #: src * n + dst -> [latency, byte_time, clear], made on first
+        #: use: the link's cost (config is frozen, so link() is pure) and
+        #: the earliest admissible delivery time, which keeps it FIFO
+        self._channels: Dict[int, List[float]] = {}
+        bus = engine.bus
+        self._send_taps = bus.listeners(SEND)
+        self._deliver_taps = bus.listeners(DELIVER)
         #: epoch counter: a flush invalidates every in-flight message
         self.epoch = 0
         #: bytes/messages currently in flight (sent, not yet delivered);
@@ -142,30 +150,42 @@ class Network:
         piggyback); ``ft_bytes`` is the piggybacked fault-tolerance control
         portion of ``size``, accounted separately for Table 2.
         """
-        if dst == src:
-            raise ValueError("loopback sends are not modeled; call locally")
-        if size < 0 or ft_bytes < 0 or ft_bytes > size:
-            raise ValueError(f"bad sizes: size={size} ft_bytes={ft_bytes}")
-        bus = self.engine.bus
-        if bus.on[SEND]:
-            bus.emit(SEND, src, dst, payload)
-        self.traffic.record(category, size, ft_bytes)
-        now = self.engine.now
-        key = (src, dst)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = self.config.link(src, dst)
-        latency, byte_time = link
-        arrival = now + latency + size * byte_time
+        n = self.n
+        # range-checked: channel src * n + dst must not alias another
+        if src == dst or not (
+            0 <= src < n and 0 <= dst < n and 0 <= ft_bytes <= size
+        ):
+            raise ValueError(f"bad send p{src}->p{dst} (loopback is not "
+                             f"modeled): size={size} ft_bytes={ft_bytes}")
+        for tap in self._send_taps:
+            tap(src, dst, payload)
+        traffic = self.traffic
+        traffic.bytes_by_category[category] += size
+        traffic.msgs_by_category[category] += 1
+        traffic.ft_bytes += ft_bytes
+        channel = self._channels.get(src * n + dst)
+        if channel is None:
+            channel = [*self.config.link(src, dst), 0.0]
+            self._channels[src * n + dst] = channel
+        engine = self.engine
+        now = engine.now
+        arrival = now + channel[0] + size * channel[1]
         # FIFO per channel: a later send never overtakes an earlier one.
-        arrival = max(arrival, self._channel_clear[key])
-        self._channel_clear[key] = arrival
-        epoch = self.epoch
+        if channel[2] > arrival:
+            arrival = channel[2]
+        channel[2] = arrival
         self.inflight_bytes += size
         self.inflight_msgs += 1
-        self.engine.schedule(
-            arrival - now, lambda: self._deliver(src, dst, payload, epoch, size)
-        )
+        # ``engine.schedule(delay, ...)`` inlined: the same (time, seq)
+        delay = arrival - now
+        seq = engine._seq
+        engine._seq = seq + 1
+        event = (now + delay, seq,
+                 partial(self._deliver, src, dst, payload, self.epoch, size))
+        if delay == 0.0:
+            engine._ready.append(event)
+        else:
+            heapq.heappush(engine._queue, event)
 
     def flush_epoch(self) -> None:
         """Invalidate every message currently in flight (global rollback)."""
@@ -174,16 +194,15 @@ class Network:
     def _deliver(
         self, src: int, dst: int, payload: Any, epoch: int, size: int = 0
     ) -> None:
-        bus = self.engine.bus
-        if bus.on[DELIVER]:
-            # before the epoch test: a message a rollback voided is still
-            # announced, with the epoch it was sent in
-            bus.emit(DELIVER, src, dst, payload, epoch)
+        # before the epoch test: a message a rollback voided is still
+        # announced, with the epoch it was sent in
+        for tap in self._deliver_taps:
+            tap(src, dst, payload, epoch)
         self.inflight_bytes -= size
         self.inflight_msgs -= 1
         if epoch != self.epoch:
             return  # message belonged to a rolled-back epoch
-        handler = self._handlers.get(dst)
+        handler = self._handlers[dst]
         if handler is None:
             raise RuntimeError(f"no handler registered for node {dst}")
         handler(src, payload)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator
+from typing import Dict, Tuple
 
 from repro.sim.engine import Delay
 
@@ -108,17 +108,19 @@ class CpuModel:
             raise ValueError("negative handler cost")
         self.handler_debt += seconds
 
-    def drain_debt(self) -> Iterator[Delay]:
+    # driven with ``yield from``: a one-``Delay`` tuple, or () (no event)
+    # when nothing is owed, not a generator per call
+    def drain_debt(self) -> Tuple[Delay, ...]:
         """Charge accumulated handler debt to OVERHEAD; yields the delay."""
         debt, self.handler_debt = self.handler_debt, 0.0
         if debt > 0:
             self.stats.seconds[TimeBucket.OVERHEAD] += debt
-            yield Delay(debt)
+            return (Delay(debt),)
+        return ()
 
-    def charge(self, bucket: TimeBucket, seconds: float) -> Iterator[Delay]:
+    def charge(self, bucket: TimeBucket, seconds: float) -> Tuple[Delay, ...]:
         """Charge ``seconds`` to ``bucket``, advancing virtual time."""
         if seconds < 0:
             raise ValueError(f"negative time charge: {seconds}")
         self.stats.seconds[bucket] += seconds
-        if seconds > 0:
-            yield Delay(seconds)
+        return (Delay(seconds),) if seconds > 0 else ()

@@ -117,6 +117,8 @@ class CheckpointStore:
 
     def pending_keys(self) -> List[Any]:
         """Torn (marker-less) keys, in insertion order (deterministic)."""
+        if not self._pending:  # the common case: no scan over every key
+            return []
         return [k for k in self._data if k in self._pending]
 
     def committed_keys(self) -> List[Any]:

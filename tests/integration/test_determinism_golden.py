@@ -13,14 +13,25 @@ Two layers of protection:
   counters recorded **before** the fast-path optimizations landed; any
   drift means an optimization changed simulation semantics, not just
   speed.
+
+Each pin also holds the engine's event count and a sha256 of its
+``(time, seq)`` stream. Crash points are step-indexed, so a host-only
+change that adds or drops one zero-delay event would reshuffle every
+sweep point while leaving the virtual times above untouched.
 """
+
+import hashlib
+from array import array
 
 import pytest
 
+from repro.sim.trace import ENGINE_EVENT
 from tests.conftest import make_app, make_cluster
 
 #: exact pre-optimization values for (app, procs=4, ft) configurations;
 #: wall times are pinned as float hex so comparison is bit-identical
+#: ``steps``/``events_sha256`` were recorded later, on the engine and
+#: network the one-hop send path replaced
 GOLDEN = {
     ("lu", False): {
         "wall_time_hex": "0x1.610937ad9b121p-6",
@@ -28,6 +39,11 @@ GOLDEN = {
         "total_msgs": 1590,
         "bytes_by_category": {"barrier": 38784, "diff": 167398, "page": 548688},
         "msgs_by_category": {"barrier": 144, "diff": 480, "page": 966},
+        "steps": 4471,
+        "events_sha256": (
+            "71fe2731fea4d33cd027d08bc1b8f97b"
+            "a119eb11d3f032a62c8c075ddb9a4ad8"
+        ),
     },
     ("lu", True): {
         # re-recorded when a home began patching its open twin with
@@ -40,6 +56,11 @@ GOLDEN = {
         "total_msgs": 1592,
         "bytes_by_category": {"barrier": 39484, "diff": 167508, "page": 557276},
         "msgs_by_category": {"barrier": 144, "diff": 480, "page": 968},
+        "steps": 5535,
+        "events_sha256": (
+            "34576beac062ff35c349836ef41f689e"
+            "a2ec0cc537d5a88e0235814bc5e05f44"
+        ),
     },
     ("counter", False): {
         "wall_time_hex": "0x1.f58cedc7fd695p-9",
@@ -49,6 +70,11 @@ GOLDEN = {
             "barrier": 2912, "diff": 586, "lock": 2052, "page": 48848,
         },
         "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 31, "page": 86},
+        "steps": 430,
+        "events_sha256": (
+            "4eef0df83c194f6db34c9e6acde5d2de"
+            "5a5bfa7e730f7f685eb811cb976b8441"
+        ),
     },
     ("counter", True): {
         # re-recorded when grantors began logging the acquirer's *actual*
@@ -62,6 +88,11 @@ GOLDEN = {
             "barrier": 2984, "diff": 630, "lock": 3596, "page": 50590,
         },
         "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 46, "page": 88},
+        "steps": 544,
+        "events_sha256": (
+            "5c9b5c2c66dc2591c430ed2c176f9b11"
+            "f71672dada0e1c2b458bd4afe89d8485"
+        ),
     },
     # Barnes, recorded on the parent of the commit that rewrote its force
     # phase as a collect-then-evaluate kernel: interaction counts feed
@@ -77,6 +108,11 @@ GOLDEN = {
         "msgs_by_category": {
             "barrier": 72, "diff": 258, "lock": 219, "page": 1356,
         },
+        "steps": 4922,
+        "events_sha256": (
+            "8bc20fab725e403036c8a0efd7358b91"
+            "736a04b221603320f07a418d36e5047d"
+        ),
     },
     ("barnes", True): {
         "wall_time_hex": "0x1.d1a290df4db14p-5",
@@ -88,6 +124,11 @@ GOLDEN = {
         "msgs_by_category": {
             "barrier": 72, "diff": 258, "lock": 283, "page": 1362,
         },
+        "steps": 5582,
+        "events_sha256": (
+            "2b53d4ca442fc8301fb8d3a5c835b89a"
+            "914aabba9ab196ebda6bc9a5670aa62a"
+        ),
     },
     # buddy replication on (DESIGN.md §11): the replica stream is its own
     # traffic category; its ack timing also shifts checkpoint trimming,
@@ -106,8 +147,52 @@ GOLDEN = {
         "msgs_by_category": {
             "barrier": 36, "diff": 9, "lock": 46, "page": 88, "replica": 132,
         },
+        "steps": 692,
+        "events_sha256": (
+            "0ac971e08b76c7c945c7cc9b2da4898b"
+            "52771bb1867c3b6ca363f875c762ac3a"
+        ),
     },
 }
+
+
+def event_stream(cluster):
+    """Tap ``cluster``'s engine; the returned callable gives the step
+    count and a sha256 of every executed event's ``(time, seq)``."""
+    times, seqs = array("d"), array("q")
+
+    def tap(event):
+        times.append(event[0])
+        seqs.append(event[1])
+
+    cluster.engine.bus.subscribe(ENGINE_EVENT, tap)
+
+    def digest():
+        blob = times.tobytes() + seqs.tobytes()
+        return {
+            "steps": cluster.engine.steps,
+            "events_sha256": hashlib.sha256(blob).hexdigest(),
+        }
+
+    return digest
+
+
+def simulated(result):
+    """The pinned simulated results of one run."""
+    traffic = result.traffic
+    return {
+        "wall_time_hex": result.wall_time.hex(),
+        "total_bytes": traffic.total_bytes,
+        "total_msgs": traffic.total_msgs,
+        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
+        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
+    }
+
+
+def without_stream(pin):
+    """A pin without its event count and stream hash (for runs whose
+    observer schedules events of its own)."""
+    return {k: v for k, v in pin.items() if k not in ("steps", "events_sha256")}
 
 
 def run_once(app_name: str, ft):
@@ -117,15 +202,9 @@ def run_once(app_name: str, ft):
         cluster = make_cluster(4, ft=True, ft_config=FtConfig(replicate=True))
     else:
         cluster = make_cluster(4, ft=ft)
+    stream = event_stream(cluster)
     result = cluster.run(make_app(app_name))
-    traffic = result.traffic
-    return {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
+    return {**simulated(result), **stream()}
 
 
 @pytest.mark.parametrize("app_name", ["lu", "counter", "barnes"])
@@ -156,16 +235,9 @@ def test_golden_unchanged_with_armed_breakpoint():
     """
     cluster = make_cluster(4, ft=True)
     cluster.engine.break_at_step(10**9, lambda: None)
+    stream = event_stream(cluster)
     result = cluster.run(make_app("counter"))
-    traffic = result.traffic
-    got = {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
-    assert got == GOLDEN[("counter", True)]
+    assert {**simulated(result), **stream()} == GOLDEN[("counter", True)]
 
 
 def test_golden_unchanged_with_sampling_enabled():
@@ -182,15 +254,8 @@ def test_golden_unchanged_with_sampling_enabled():
     observer = ClusterObserver(cluster, interval=1e-3, sample_on_barrier=True)
     result = cluster.run(make_app("counter"))
     observer.sample()
-    traffic = result.traffic
-    got = {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
-    assert got == GOLDEN[("counter", True)]
+    # the ticker's own events move the step count, never a result
+    assert simulated(result) == without_stream(GOLDEN[("counter", True)])
     # and the observer did actually observe
     assert observer.registry.samples_taken > 10
     assert observer.registry.series_by_name("ft.log_volatile_bytes")
@@ -222,15 +287,8 @@ def test_golden_unchanged_with_windowing_enabled():
     )
     result = cluster.run(make_app("counter"))
     observer.sample()
-    traffic = result.traffic
-    got = {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
-    assert got == GOLDEN[("counter", True)]
+    # the ticker's own events move the step count, never a result
+    assert simulated(result) == without_stream(GOLDEN[("counter", True)])
     # the rotation actually rotated: multiple windows, and window-merge
     # equals whole-run merge for every op class that observed anything
     for name in observer.registry.latency_names():
@@ -260,20 +318,13 @@ def test_golden_unchanged_with_span_tracing_enabled():
 
     cluster = make_cluster(4, ft=True)
     tracer = SpanTracer(cluster)
+    stream = event_stream(cluster)
     result = cluster.run(make_app("counter"))
-    traffic = result.traffic
-    got = {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
-    assert got == GOLDEN[("counter", True)]
+    assert {**simulated(result), **stream()} == GOLDEN[("counter", True)]
     # and the tracer did actually trace: spans for every kind of
     # blocking operation, one causal edge per sent message
     assert not tracer.validate()
-    assert len(tracer.edges) == traffic.total_msgs
+    assert len(tracer.edges) == result.traffic.total_msgs
     kinds = {s.kind for s in tracer.spans}
     assert {"app", "compute", "fetch", "acquire", "barrier", "flush",
             "ckpt", "ckpt_write"} <= kinds
@@ -292,17 +343,64 @@ def test_golden_unchanged_with_monitor_attached():
 
     cluster = make_cluster(4, ft=True)
     monitor = InvariantMonitor(cluster)
+    stream = event_stream(cluster)
     result = cluster.run(make_app("counter"))
     assert monitor.finish() == []
-    traffic = result.traffic
-    got = {
-        "wall_time_hex": result.wall_time.hex(),
-        "total_bytes": traffic.total_bytes,
-        "total_msgs": traffic.total_msgs,
-        "bytes_by_category": dict(sorted(traffic.bytes_by_category.items())),
-        "msgs_by_category": dict(sorted(traffic.msgs_by_category.items())),
-    }
-    assert got == GOLDEN[("counter", True)]
+    assert {**simulated(result), **stream()} == GOLDEN[("counter", True)]
     # and the monitor did actually monitor
     for kind in INVARIANTS:
         assert monitor.checks[kind] > 0, f"{kind} never checked"
+
+
+#: a session run with one fail-stop (p1 after step 300), without and with
+#: buddy replication: the recovery queries, replies and queued deliveries
+#: of a crash take paths no failure-free pin above reaches
+CRASH_GOLDEN = {
+    False: {
+        "wall_time_hex": "0x1.b7bfd12478775p-5",
+        "total_bytes": 33067,
+        "total_msgs": 238,
+        "bytes_by_category": {
+            "barrier": 976, "diff": 858, "lock": 9488, "page": 17040,
+            "recovery": 4705,
+        },
+        "msgs_by_category": {
+            "barrier": 12, "diff": 13, "lock": 160, "page": 30, "recovery": 23,
+        },
+        "steps": 570,
+        "events_sha256": (
+            "09050b99fc570c7e21a4b71e3fc3dad7"
+            "c3ddcab61230a4903179a19214d13ee4"
+        ),
+    },
+    True: {
+        "wall_time_hex": "0x1.c49dd1b1fae6cp-5",
+        "total_bytes": 56895,
+        "total_msgs": 461,
+        "bytes_by_category": {
+            "barrier": 1040, "diff": 858, "lock": 10336, "page": 18176,
+            "recovery": 4014, "replica": 22471,
+        },
+        "msgs_by_category": {
+            "barrier": 12, "diff": 13, "lock": 176, "page": 32, "recovery": 23,
+            "replica": 205,
+        },
+        "steps": 825,
+        "events_sha256": (
+            "4c518a4a5a2bad94ee9c812fc83918ac"
+            "cc454dc451059761dd503c01731e9c9b"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("replicate", [False, True], ids=["ft", "ft-repl"])
+def test_crash_run_matches_golden(replicate):
+    from repro.core import FtConfig
+
+    cluster = make_cluster(4, ft=True, ft_config=FtConfig(replicate=replicate))
+    cluster.schedule_crash_at_step(1, 300)
+    stream = event_stream(cluster)
+    result = cluster.run(make_app("session"))
+    assert (result.crashes, result.recoveries) == (1, 1)
+    assert {**simulated(result), **stream()} == CRASH_GOLDEN[replicate]

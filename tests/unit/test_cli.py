@@ -40,8 +40,8 @@ OPTIONS = {
     "tables": {"--scale"},
     "crashsweep": {
         "--procs", "--steps", "--size", "--rate", "--l", "--replicate",
-        "--no-replicate", "--every", "--classes", "--faults", "--out",
-        "-v", "--verbose",
+        "--no-replicate", "--every", "--classes", "--faults", "--seed",
+        "--out", "-v", "--verbose",
     },
     "observe": {
         "--procs", "--steps", "--size", "--rate", "--l", "--no-ft",
@@ -457,6 +457,29 @@ def test_crashsweep_session_subcommand(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["app"] == "session"
     assert payload["ok"] is True
+
+
+def test_crashsweep_seed_reaches_the_app(tmp_path, capsys):
+    """``--seed`` is the app config's seed: 42 is the default's reference
+    run, another seed another one, and only a given seed is recorded (a
+    committed record without one regenerates byte for byte)."""
+    import json
+
+    def sweep(*seed):
+        out_path = tmp_path / f"sweep{''.join(seed)}.json"
+        assert main([
+            "crashsweep", "session", "--procs", "4", "--steps", "1",
+            "--every", "60", "--classes", "barrier",
+            "--out", str(out_path), *seed,
+        ]) == 0
+        return json.loads(out_path.read_text())
+
+    default, s42, s3 = sweep(), sweep("--seed", "42"), sweep("--seed", "3")
+    assert "seed" not in default
+    assert (s42["seed"], s3["seed"]) == (42, 3)
+    assert s42["reference"] == default["reference"]
+    assert s3["reference"] != default["reference"]
+    assert capsys.readouterr().out.count("SWEEP OK") == 3
 
 
 def test_observe_overlapping_failures_exit_with_clean_error(tmp_path, capsys):

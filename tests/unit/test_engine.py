@@ -8,8 +8,6 @@ from repro.sim.engine import (
     Future,
     SimProcessKilled,
     SimulationError,
-    gather,
-    sleep,
 )
 
 
@@ -214,35 +212,6 @@ def test_run_until_done_detects_deadlock():
     handle = eng.spawn(proc())
     with pytest.raises(SimulationError, match="deadlock"):
         eng.run_until_done([handle])
-
-
-def test_sleep_helper():
-    eng = Engine()
-    t = []
-
-    def proc():
-        yield from sleep(3.0)
-        t.append(eng.now)
-
-    eng.spawn(proc())
-    eng.run()
-    assert t == [3.0]
-
-
-def test_gather_resolves_when_all_do():
-    futs = [Future(str(i)) for i in range(3)]
-    out = gather(futs)
-    futs[1].resolve("b")
-    assert not out.resolved
-    futs[0].resolve("a")
-    futs[2].resolve("c")
-    assert out.resolved
-    assert out.value == ["a", "b", "c"]
-
-
-def test_gather_empty_resolves_immediately():
-    out = gather([])
-    assert out.resolved and out.value == []
 
 
 def test_determinism_same_schedule_same_trace():

@@ -34,10 +34,7 @@ class Harness:
                 config=self.config,
                 regions=self.regions,
                 engine=self.engine,
-                send_fn=lambda s, d, m: self.network.send(
-                    s, d, m, m.size_bytes(self.config), m.category,
-                    m.ft_bytes(self.config),
-                ),
+                send_fn=self.network.send,
             )
             for i in range(n)
         ]
@@ -161,7 +158,7 @@ def test_stale_fetch_reply_dropped():
         page=PageId(0, 0), data=b"\x00" * 64, version=VClock((0, 0))
     )
     # no pending fetch: must not crash nor corrupt anything
-    p1._handle_fetch_reply(reply)
+    p1.handle_message(0, reply)
 
 
 def test_grant_carries_only_window_notices():
