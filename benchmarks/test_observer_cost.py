@@ -39,9 +39,10 @@ no one dumped and every emit site fired on one bus-wide flag
 The fifth and sixth gates are the two trace observers on the serving
 crash run, best of three a side, sides alternated, each < 2 x: a
 ``SpanTracer`` reads 1.46-1.50 (1.34 s against 0.90 s), the flat
-``Tracer`` with every kind 1.26-1.50 (1.10-1.36 s against 0.84-0.90 s),
-on a 2-core x86-64 box. Before per-kind emit gating they read 1.51 and 1.44
-(EXPERIMENTS.md "Observer attach cost").
+``Tracer`` with every kind 1.07-1.20 (0.96-1.00 s against 0.83-0.92 s),
+on a 2-core x86-64 box. It read 1.26-1.50 while it formatted every
+event's text as it recorded it, and before per-kind emit gating 1.44
+(the ``SpanTracer`` 1.51; EXPERIMENTS.md "Observer attach cost").
 
 Don't run it beside other simulator processes: every gate but the
 second is a ratio of host times.

@@ -391,8 +391,9 @@ def add_observe_arguments(p: Parser) -> None:
 def run_observe(parser: Parser, args: argparse.Namespace) -> int:
     """Run one workload with the observability layer attached and emit a
     run report: per-node time series (log sizes, diff traffic, simulator
-    rates), wait histograms, tail latencies and summary tables. The full
-    report is written as JSONL; a rendered version is printed."""
+    rates), tail latencies of waits, requests and recoveries, and summary
+    tables. The full report is written as JSONL; a rendered version is
+    printed."""
     from repro import observe
     from repro.core.recovery import OverlappingFailureError
 

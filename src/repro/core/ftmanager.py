@@ -67,9 +67,8 @@ PIGGYBACK_MAX_PAGE_VERSIONS = 16
 class FtConfig:
     """Feature switches and tuning of the FT layer."""
 
+    #: off only for ablation A1 (unbounded log growth without LLT)
     llt_enabled: bool = True
-    cgc_enabled: bool = True
-    piggyback_enabled: bool = True
     #: buddy-replication tier: mirror committed checkpoints + sender-log
     #: segments into the ring buddy's volatile memory, so recovery can
     #: proceed from the replica when overlapping failures would otherwise
@@ -264,8 +263,6 @@ class FtManager(FtHooks):
     # FtHooks — lazy propagation (§4.4.4)
     # ==================================================================
     def piggyback_for(self, dst: int) -> Optional[Piggyback]:
-        if not self.config.piggyback_enabled:
-            return None
         adverts: Tuple[Tuple[PageId, int], ...] = ()
         pending = self.pending_adverts.get(dst)
         if not pending and self._sent_gen.get(dst) == self.trim.gen:
@@ -379,8 +376,7 @@ class FtManager(FtHooks):
         self.trim.learn_tckp(self.pid, tckp, proc.barrier_episode)
         if self.repl is not None:
             self.repl.on_ckpt_commit(seqno)
-        if self.config.cgc_enabled:
-            self.run_cgc()
+        self.run_cgc()
 
         self.stats.checkpoints_taken += 1
         disk_log = self.logs.diff.saved_bytes

@@ -4,6 +4,8 @@ Records are immutable values: a log is appended to, trimmed (Rules
 1-3.2), saved with a checkpoint and served to a recovering peer, never
 edited, so the log, its checkpointed copy, the log restored from it and
 a buddy's image share the record objects and copy only the containers.
+Even the one correction, a grant's predicted timestamp replaced by the
+actual one (:meth:`GrantLog.confirm`), is made in a new bucket.
 Per process the FT layer keeps:
 
 * ``wn_log`` — write notices it generated. This is physically the base
@@ -67,9 +69,11 @@ class GrantLog:
     the peer. A self-grant is a pair too — its acq half under the bucket
     of :meth:`DsmConfig.self_grant_holder`, its rel half at that holder.
 
-    A bucket is append-only, replaced wholesale by :meth:`trim` and
-    patched in place only by :meth:`confirm` (the invariant monitor's
-    incremental scan relies on exactly that).
+    A bucket is append-only and otherwise replaced wholesale, by
+    :meth:`trim` and by a :meth:`confirm` that changes an entry: a list
+    object at a given length holds the same entries for as long as it is
+    a bucket (the invariant monitor's incremental scan relies on exactly
+    that).
     """
 
     def __init__(self, num_procs: int) -> None:
@@ -112,7 +116,8 @@ class GrantLog:
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
     ) -> bool:
         """An AcqAck landed (rel side): replace the predicted timestamp
-        with the acquirer's actual one (§4.2.1 pair symmetry).
+        with the acquirer's actual one (§4.2.1 pair symmetry), in a copy
+        of the bucket, like every other change.
 
         The grantor's own component is identical in the prediction and
         the actual vt (both equal ``rel_vt[grantor]`` bumped nowhere), so
@@ -127,6 +132,7 @@ class GrantLog:
             e = lst[i]
             if e.lock_id == lock_id and e.acq_t[own_pid] == comp and not e.local:
                 if e.acq_t is not actual_t and e.acq_t != actual_t:
+                    lst = self.entries[acquirer] = list(lst)
                     lst[i] = RelEntry(lock_id, actual_t)
                 return True
         return False

@@ -24,13 +24,7 @@ from repro.observe.invariants import (
 )
 from repro.observe.latency import LatencyHistogram, exact_percentile
 from repro.observe.observer import ClusterObserver
-from repro.observe.registry import (
-    CLUSTER_NODE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.observe.registry import CLUSTER_NODE, Counter, MetricsRegistry
 from repro.observe.report import (
     KEY_LATENCIES,
     KEY_SERIES,
@@ -77,8 +71,6 @@ __all__ = [
     "CritSegment",
     "DEFAULT_RULES",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "INVARIANTS",
     "InvariantMonitor",
     "KEY_LATENCIES",

@@ -2,7 +2,7 @@
 
 The repo's pipelines each leave one kind of artifact in ``benchmarks/``:
 
-* ``OBSERVE_<app>.jsonl`` — run reports (series/hists/latency records)
+* ``OBSERVE_<app>.jsonl`` — run reports (series/latency records)
 * ``TRACE_<app>.json``    — Chrome trace-event span DAGs
 * ``SWEEP_<app>*.json``   — crash-sweep campaign summaries
 * ``FLIGHT_<app>.json``   — invariant-monitor crash flight records

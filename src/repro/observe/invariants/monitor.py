@@ -85,17 +85,14 @@ scan would). Why skipping is sound:
    protocol's back. A baseline reset (``FAILURE``, ``RECOVERY_LIVE``, a
    detected vt regression) forgets every home. Corruption that keeps all
    four counters is left to the next full scan.
-2. **§4.2.1 rel/acq pairs.** Log buckets are append-only, replaced
-   wholesale by ``GrantLog.trim`` (a new list object) and patched
-   in place only by ``GrantLog.confirm`` when an ``AcqAck`` is handled. A
-   verified (acquirer, grantor) pair therefore stays verified while both
-   buckets are the same list objects at the same lengths, no ``AcqAck``
-   for it was delivered, and neither side's liveness changed
-   (``FAILURE`` / ``RECOVERY_LIVE`` forget every pair; an ``AcqAck``
-   that reached a down grantor is handled when its queue drains right
-   after ``RECOVERY_LIVE``, which is why that handler forgets *after*
-   its scan too). The acquirer's own checkpoint cut only rises, which
-   only takes entries out of consideration.
+2. **§4.2.1 rel/acq pairs.** Log buckets are append-only and otherwise
+   replaced wholesale, by ``GrantLog.trim`` and by a ``GrantLog.confirm``
+   that changes an entry (a new list object each time). A verified
+   (acquirer, grantor) pair therefore stays verified while both buckets
+   are the same list objects at the same lengths and neither side's
+   liveness changed (``FAILURE`` / ``RECOVERY_LIVE`` forget every pair).
+   The acquirer's own checkpoint cut only rises, which only takes
+   entries out of consideration.
 3. **Per message**, a host whose ``proto.vt`` is the very object seen
    last time is skipped: clocks are immutable, so there is nothing to
    compare and its high-water mark is current. Every host is still
@@ -122,7 +119,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.dsm.messages import AcqAck
 from repro.dsm.vclock import VClock
 from repro.observe.invariants.recorder import FlightRecorder
 from repro.sim.trace import (
@@ -311,10 +307,6 @@ class InvariantMonitor:
         self._deliveries += 1
         if self._deliveries % SCAN_EVERY == 0:
             self._scan_structural()
-        if type(payload) is AcqAck:
-            # the grantor's handler runs after this event and may patch
-            # its rel bucket in place: re-verify the pair at the next scan
-            self._pairs_ok.pop((src, dst), None)
 
     def _on_ckpt_write_begin(self, pid: int, seqno: int, nbytes: int) -> None:
         self._ckpt_writing.add(pid)
@@ -340,9 +332,6 @@ class InvariantMonitor:
     def _on_recovery_live(self, pid: int) -> None:
         self._last_vt[pid] = None
         self._scan_structural(full=True)
-        # the host's queue drains right after this event, and with it
-        # the AcqAcks that were delivered while it was down
-        self._forget()
 
     def _forget(self) -> None:
         """Nothing verified so far may be relied on: the next structural

@@ -5,20 +5,21 @@ post-mortem.
 The recorder is a fixed-size ring (``collections.deque`` with
 ``maxlen``), so it is O(1) per event. Records are raw tuples while the
 run is live; they are normalized to JSON-friendly dicts only when a dump
-is requested (on an invariant violation or a crash), which keeps the hot
-path to one deque append. An engine event is the engine's own tuple,
-rung by the bound ``ring.append`` itself — no Python frame per event;
-FT/recovery events store their payload, and both resolve to text lazily
-at dump time.
+is requested (on an invariant violation or a crash). An engine event is
+the engine's own tuple, rung by the bound ``ring.append`` itself — no
+Python frame per event; every other record is the flat tracer's
+:class:`~repro.sim.trace.TraceEvent`, made by the same
+:func:`~repro.sim.trace.recording` subscriber, and resolves to text
+only at dump time.
 
 Record shapes:
 
 * ``(time, seq, fn)`` — one engine event about to execute. Engine steps
   are consecutive and the newest one is ``engine.steps``, so a dump
   numbers each by its position among the engine records in the ring
-* ``("probe", time, step, event, pid, args)`` — one event of the
+* a ``TraceEvent`` of a send or a delivery (``pid`` is the source,
+  ``args`` ``(dst, type name, category)``), or of the
   ``PROBE_CATEGORIES`` (dumped as its timeline category and text)
-* ``("send"|"deliver", time, step, src, dst, msg_type, category)``
 
 A flight record (assembled by the monitor) is a dict with ``reason``,
 ``time``/``step``, the violation list, per-invariant check counters, a
@@ -35,7 +36,9 @@ from collections import deque
 from typing import Any, Dict, List
 
 from repro.render import Table
-from repro.sim.trace import DELIVER, ENGINE_EVENT, SEND, TEXT
+from repro.sim.trace import (
+    DELIVER, ENGINE_EVENT, SEND, TEXT, TraceEvent, recording,
+)
 
 __all__ = [
     "FlightRecorder",
@@ -94,25 +97,13 @@ class FlightRecorder:
         self._attached_at = engine.steps
         bus = engine.bus
         bus.subscribe(ENGINE_EVENT, self.ring.append)
-        bus.subscribe(SEND, functools.partial(self._on_message, "send"))
-        bus.subscribe(DELIVER, functools.partial(self._on_message, "deliver"))
-        for event, (category, _) in TEXT.items():
-            if category in PROBE_CATEGORIES:
-                bus.subscribe(event, functools.partial(self._on_probe, event))
+        probes = [event for event, (category, _) in TEXT.items()
+                  if category in PROBE_CATEGORIES]
+        for event in (SEND, DELIVER, *probes):
+            bus.subscribe(event, recording(engine, event, self._keep))
 
-    # -- producers (hot path: one append each) --------------------------
-    def _on_probe(self, event: str, pid: int, *args: Any) -> None:
-        engine = self._engine
-        self.ring.append(("probe", engine.now, engine.steps, event, pid, args))
-        self._others += 1
-
-    def _on_message(self, which: str, src: int, dst: int, msg: Any,
-                    epoch: int = 0) -> None:
-        engine = self._engine
-        self.ring.append(
-            (which, engine.now, engine.steps, src, dst,
-             type(msg).__name__, getattr(msg, "category", "?"))
-        )
+    def _keep(self, ev: TraceEvent) -> None:
+        self.ring.append(ev)
         self._others += 1
 
     # -- dump ------------------------------------------------------------
@@ -124,28 +115,26 @@ class FlightRecorder:
         # engine records are consecutive steps, and the newest one is the
         # step running now: number them back from it
         step = self._engine.steps - sum(
-            1 for rec in self.ring if type(rec[0]) is not str
+            1 for rec in self.ring if type(rec) is not TraceEvent
         )
         for rec in self.ring:
-            kind = rec[0]
-            if type(kind) is not str:  # the engine's (time, seq, fn)
+            if type(rec) is not TraceEvent:  # the engine's (time, seq, fn)
                 step += 1
                 out.append(
-                    {"rec": "engine", "time": kind, "step": step,
+                    {"rec": "engine", "time": rec[0], "step": step,
                      "event": _describe(rec[2])}
                 )
-            elif kind == "probe":
-                category, detail = TEXT[rec[3]]
+            elif rec.event in (SEND, DELIVER):
+                dst, name, category = rec.args
                 out.append(
-                    {"rec": "probe", "time": rec[1], "step": rec[2],
-                     "pid": rec[4], "kind": category,
-                     "detail": detail(*rec[5])}
+                    {"rec": rec.event, "time": rec.time, "step": rec.step,
+                     "src": rec.pid, "dst": dst, "msg": name,
+                     "category": category}
                 )
-            else:  # send | deliver
+            else:
                 out.append(
-                    {"rec": kind, "time": rec[1], "step": rec[2],
-                     "src": rec[3], "dst": rec[4], "msg": rec[5],
-                     "category": rec[6]}
+                    {"rec": "probe", "time": rec.time, "step": rec.step,
+                     "pid": rec.pid, "kind": rec.kind, "detail": rec.detail}
                 )
         return out
 

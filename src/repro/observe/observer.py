@@ -29,6 +29,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
+from repro.observe.latency import LatencyHistogram
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
 from repro.sim.trace import (
     APP_LATENCY,
@@ -50,10 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ClusterObserver"]
 
-#: wait op -> metric stem: ``dsm.<stem>_wait_s`` is the fixed-bucket
-#: histogram, ``lat.<op>`` the percentile distribution (DESIGN.md §12).
-#: Home waits charge PAGE_WAIT too but have no histogram of their own.
-_WAIT_METRICS = {"fetch": "fetch", "acquire": "lock", "barrier": "barrier"}
+#: wait ops with a distribution, ``lat.<op>`` (DESIGN.md §12). Home
+#: waits charge PAGE_WAIT too but have no distribution of their own.
+_WAIT_OPS = ("fetch", "acquire", "barrier")
 
 #: a host's sampled row (``_install_host_gauges``): ``dsm.<stat>`` for each
 #: protocol stat, then with FT on, then with buddy replication on
@@ -95,9 +95,9 @@ class ClusterObserver:
         self._next_episode = 0
         #: (steps, now) at the previous sample, for the events/sec series
         self._last_rate_point = (0, 0.0)
-        #: (pid, wait op) -> its two distributions, created up front so
-        #: a node that never waited still reports them, empty
-        self._waits: Dict[Tuple[int, str], Tuple[Any, Any]] = {}
+        #: (pid, wait op) -> its distribution, created up front so a
+        #: node that never waited still reports it, empty
+        self._waits: Dict[Tuple[int, str], LatencyHistogram] = {}
         #: pid -> seqno -> virtual time its replica commit was sent to
         #: the current buddy; popped by the ack that covers it
         self._commit_sent: Dict[int, Dict[int, float]] = {}
@@ -105,11 +105,8 @@ class ClusterObserver:
         reg = self.registry
         for host in cluster.hosts:
             self._install_host_gauges(host)
-            for op, stem in _WAIT_METRICS.items():
-                self._waits[host.pid, op] = (
-                    reg.histogram(f"dsm.{stem}_wait_s", host.pid),
-                    reg.latency(f"lat.{op}", host.pid),
-                )
+            for op in _WAIT_OPS:
+                self._waits[host.pid, op] = reg.latency(f"lat.{op}", host.pid)
         subscribe = cluster.engine.bus.subscribe
         subscribe(WAIT, self._on_wait)
         subscribe(BARRIER_DONE, self._on_barrier)
@@ -233,10 +230,9 @@ class ClusterObserver:
     # event handlers (record only)
     # ------------------------------------------------------------------
     def _on_wait(self, pid: int, bucket: Any, seconds: float, op: str) -> None:
-        metrics = self._waits.get((pid, op))
-        if metrics is not None:
-            metrics[0].observe(seconds)
-            metrics[1].observe(seconds)
+        lat = self._waits.get((pid, op))
+        if lat is not None:
+            lat.observe(seconds)
 
     def _on_app_latency(self, pid: int, name: str, seconds: float) -> None:
         """A workload's own latency op class (the session serving app's

@@ -1,30 +1,28 @@
-"""Metrics registry: counters, gauges and histograms with per-node series.
+"""Metrics registry: counters, gauge rows and latency histograms.
 
 The registry is the single collection point of the observability layer
-(DESIGN.md §7). Three metric kinds exist:
+(DESIGN.md §7). Each observation is kept once, in one of three forms:
 
 ``Counter``
     A monotonically increasing value (bytes trimmed, checkpoints taken).
-    Incremented at instrumentation sites; sampled into a time series by
-    the sampler.
+    Incremented at instrumentation sites; sampled into a time series as
+    the one-value row of a gauge reader.
 
-``Gauge``
-    A value read on demand, usually through a callback closing over live
-    protocol/FT state (volatile log bytes, retained checkpoints). Gauges
-    make most of the instrumentation *passive*: the instrumented layers
-    keep their existing counters and the registry merely reads them at
-    sample time, so a disabled registry costs nothing on the hot path.
-
-``Histogram``
-    A distribution of observed values (fetch latency, lock wait) with
-    fixed bucket bounds plus count/sum/min/max. Histograms are exported
-    in the run-report summary rather than sampled over time.
+gauge rows (:meth:`MetricsRegistry.gauges`)
+    Values read on demand at each sample, a row at a time, by a callback
+    closing over live protocol/FT state (volatile log bytes, retained
+    checkpoints). They make most of the instrumentation *passive*: the
+    instrumented layers keep their existing counters and the registry
+    merely reads them at sample time, so a disabled registry costs
+    nothing on the hot path.
 
 ``LatencyHistogram``
     A log-bucketed percentile distribution (DESIGN.md §12): deterministic
     bucket placement, bounded-relative-error p50/p90/p99/p999, and
     elementwise-mergeable counts so per-node distributions roll up into
-    cluster-wide ones. Created through :meth:`MetricsRegistry.latency`.
+    cluster-wide ones. Created through :meth:`MetricsRegistry.latency`;
+    every wait, request and recovery phase is observed here and nowhere
+    else.
 
 Determinism guarantee
 ---------------------
@@ -38,7 +36,6 @@ this.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -47,18 +44,10 @@ from repro.observe.slo.windows import WindowedLatency, merge_windowed
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
     "Points",
-    "DEFAULT_LATENCY_BUCKETS",
 ]
-
-#: histogram bounds for simulated wait/latency seconds (20us .. 100ms)
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 1e-1,
-)
 
 
 class Counter:
@@ -77,75 +66,6 @@ class Counter:
                 f"counter {self.name!r} is monotonic; cannot add {amount}"
             )
         self.value += amount
-
-
-class Gauge:
-    """Point-in-time value, read through ``fn`` or set explicitly."""
-
-    __slots__ = ("name", "node", "fn", "_value")
-
-    def __init__(
-        self, name: str, node: int, fn: Optional[Callable[[], float]] = None
-    ) -> None:
-        self.name = name
-        self.node = node
-        self.fn = fn
-        self._value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def read(self) -> float:
-        if self.fn is not None:
-            return float(self.fn())
-        return self._value
-
-
-class Histogram:
-    """Fixed-bucket distribution with count/sum/min/max."""
-
-    __slots__ = ("name", "node", "bounds", "bucket_counts", "count", "total",
-                 "min", "max")
-
-    def __init__(
-        self,
-        name: str,
-        node: int,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        self.name = name
-        self.node = node
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError(f"histogram {name!r} bounds must ascend: {bounds}")
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        # first bound >= value; past the last bound, the overflow bucket
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max if self.count else 0.0,
-        }
 
 
 #: node id used for cluster-wide (not per-process) metrics
@@ -193,10 +113,6 @@ class Points(abc.Sequence):
         return repr(list(self))
 
 
-def _by_name(table: Dict[Key, Any], name: str) -> Dict[int, Any]:
-    return {node: m for (n, node), m in sorted(table.items()) if n == name}
-
-
 class MetricsRegistry:
     """Registry of named per-node metrics plus their sampled series.
 
@@ -216,8 +132,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[Key, Counter] = {}
-        self._gauges: Dict[Key, Gauge] = {}
-        self._histograms: Dict[Key, Histogram] = {}
         self._latencies: Dict[Key, LatencyHistogram] = {}
         self._axis = array("d")
         #: key -> (x column, index of its first x there, value column)
@@ -260,22 +174,6 @@ class MetricsRegistry:
             self._counters[key] = c
         return c
 
-    def gauge(
-        self,
-        name: str,
-        node: int = CLUSTER_NODE,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> Gauge:
-        key = (name, node)
-        g = self._gauges.get(key)
-        if g is None:
-            g = Gauge(name, node, fn)
-            self.gauges((name,), node, lambda: (g.read(),))
-            self._gauges[key] = g
-        elif fn is not None:
-            g.fn = fn
-        return g
-
     def gauges(
         self, names: Sequence[str], node: int, read: Callable[[], Sequence[float]]
     ) -> None:
@@ -294,18 +192,6 @@ class MetricsRegistry:
             )
         entry = self._series[key] = (xs, len(xs), array("d"))
         return entry
-
-    def histogram(
-        self,
-        name: str,
-        node: int = CLUSTER_NODE,
-        bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        key = (name, node)
-        h = self._histograms.get(key)
-        if h is None:
-            h = self._histograms[key] = Histogram(name, node, bounds)
-        return h
 
     def latency(self, name: str, node: int = CLUSTER_NODE) -> LatencyHistogram:
         """Log-bucketed percentile distribution (interned by (name, node))."""
@@ -354,7 +240,7 @@ class MetricsRegistry:
         return len(self._axis)
 
     def names(self) -> List[str]:
-        keys = {*self._series, *self._histograms, *self._latencies}
+        keys = {*self._series, *self._latencies}
         return sorted({name for name, _ in keys})
 
     @property
@@ -378,14 +264,10 @@ class MetricsRegistry:
             hit = self._derived[key] = (version, build())
         return hit[1]
 
-    def histograms_by_name(self, name: str) -> Dict[int, Histogram]:
-        return _by_name(self._histograms, name)
-
-    def histogram_names(self) -> List[str]:
-        return sorted({name for name, _ in self._histograms})
-
     def latencies_by_name(self, name: str) -> Dict[int, LatencyHistogram]:
-        return _by_name(self._latencies, name)
+        return {
+            node: h for (n, node), h in sorted(self._latencies.items()) if n == name
+        }
 
     def latency_names(self) -> List[str]:
         return sorted({name for name, _ in self._latencies})

@@ -1,13 +1,12 @@
 """Run reports: JSONL export and plain-text rendering of observed runs.
 
 A *run report* is the structured outcome of one observed cluster run:
-the registry's per-node time series, histogram summaries and end-of-run
-totals. It round-trips through JSONL — one self-describing record per
-line — so CI can parse it with nothing but ``json.loads``:
+the registry's per-node time series, latency distributions and
+end-of-run totals. It round-trips through JSONL — one self-describing
+record per line — so CI can parse it with nothing but ``json.loads``:
 
 * ``{"record": "header", ...}``   — run metadata (first line)
 * ``{"record": "series", ...}``   — one per (metric, node) series
-* ``{"record": "hist", ...}``     — one per (metric, node) histogram
 * ``{"record": "lat", ...}``      — one per (op class, node) percentile
   distribution, plus one cluster-merged record per op class
   (``node = -1``); carries both summary percentiles and the raw log
@@ -25,7 +24,9 @@ line — so CI can parse it with nothing but ``json.loads``:
 
 The header's ``schema`` is :data:`REPORT_SCHEMA`; :func:`load_jsonl`
 rejects a report written at any other (re-record it, there is no
-converter).
+converter). Schema 4 dropped schema 3's ``hist`` records: fixed-bucket
+copies of the ``lat.fetch``/``lat.acquire``/``lat.barrier``
+distributions.
 
 Rendering reuses the repo's ASCII reporting layer
 (:mod:`repro.render`), so Figure 4-style curves and overview
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 #: the one report schema written and read
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 #: series a healthy FT run report must contain (CI smoke asserts these):
 #: per-node stable+volatile log size, diff traffic and the retained
@@ -124,17 +125,6 @@ def build_report(
         {"record": "series", "metric": name, "node": node, "points": points}
         for (name, node), points in registry.series.items()
     ]
-    hists = []
-    for name in registry.histogram_names():
-        for node, h in registry.histograms_by_name(name).items():
-            hists.append(
-                {
-                    "record": "hist",
-                    "metric": name,
-                    "node": node,
-                    **h.summary(),
-                }
-            )
     lats = []
     for name in registry.latency_names():
         per_node = registry.latencies_by_name(name)
@@ -196,7 +186,6 @@ def build_report(
     return {
         "header": header,
         "series": series,
-        "hists": hists,
         "lats": lats,
         "wlats": wlats,
         "recoveries": recovery_recs,
@@ -206,7 +195,7 @@ def build_report(
 
 
 def write_jsonl(path: str, report: Dict[str, Any]) -> None:
-    records = [report["header"], *report["series"], *report["hists"]]
+    records = [report["header"], *report["series"]]
     for key in ("lats", "wlats", "recoveries", "slos"):
         records += report.get(key, ())
     records.append(report["summary"])
@@ -219,7 +208,7 @@ def write_jsonl(path: str, report: Dict[str, Any]) -> None:
 def load_jsonl(path: str) -> Dict[str, Any]:
     """Parse a JSONL run report into the structured form."""
     out: Dict[str, Any] = {
-        "header": None, "series": [], "hists": [], "lats": [], "wlats": [],
+        "header": None, "series": [], "lats": [], "wlats": [],
         "recoveries": [], "slos": [], "summary": None,
     }
     with open(path, "r", encoding="utf-8") as fh:
@@ -239,8 +228,6 @@ def load_jsonl(path: str) -> Dict[str, Any]:
                 out["header"] = rec
             elif kind == "series":
                 out["series"].append(rec)
-            elif kind == "hist":
-                out["hists"].append(rec)
             elif kind == "lat":
                 out["lats"].append(rec)
             elif kind == "wlat":
@@ -496,22 +483,4 @@ def render_report(report: Dict[str, Any]) -> str:
 
     parts.extend(_latency_sections(report))
     parts.extend(slo_sections(report))
-
-    if report["hists"]:
-        waits = Table(
-            "synchronization waits",
-            ["metric", "node", "count", "mean", "max"],
-        )
-        for rec in report["hists"]:
-            if not rec["count"]:
-                continue
-            waits.add(
-                rec["metric"],
-                f"p{rec['node']}",
-                rec["count"],
-                f"{rec['mean'] * 1e6:.1f} us",
-                f"{rec['max'] * 1e6:.1f} us",
-            )
-        if waits.rows:
-            parts.append(waits.render())
     return "\n\n".join(parts)

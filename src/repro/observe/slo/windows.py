@@ -27,7 +27,7 @@ the recovery degradation timeline.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List
 
 from repro.observe.latency.engine import (
     DEFAULT_BASE,
@@ -65,9 +65,6 @@ class WindowedLatency(LatencyHistogram):
     def window_index(self, t: float) -> int:
         return int(t // self.window_s)
 
-    def window_bounds(self, index: int) -> Tuple[float, float]:
-        return index * self.window_s, (index + 1) * self.window_s
-
     def observe(self, value: float) -> None:
         value = max(float(value), 0.0)  # as LatencyHistogram.observe
         index = self.bucket_index(value)  # total and window: one geometry
@@ -79,18 +76,6 @@ class WindowedLatency(LatencyHistogram):
                 self.name, self.node, base=self.base, growth=self.growth
             )
         h.add(value, index)
-
-    def merged_windows(self) -> LatencyHistogram:
-        """All windows merged back into one histogram (== the total)."""
-        out = LatencyHistogram(
-            self.name, self.node, base=self.base, growth=self.growth
-        )
-        for w in sorted(self.windows):
-            out.merge_from(self.windows[w])
-        return out
-
-    def windows_to_dicts(self) -> List[Dict[str, object]]:
-        return window_records(self.windows, self.window_s)
 
 
 def window_records(

@@ -12,9 +12,7 @@ intact and readable by the restarted incarnation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.sim.engine import Delay
+from typing import Any, Dict, List, Optional
 
 __all__ = ["DiskConfig", "Disk", "CheckpointStore", "ReplicaStore"]
 
@@ -29,14 +27,13 @@ class DiskConfig:
 
 
 class Disk:
-    """One node's local disk; tracks cumulative traffic and busy time."""
+    """One node's local disk: its cost model, and the write traffic and
+    busy time the FT layer charges at the site of each write."""
 
     def __init__(self, config: Optional[DiskConfig] = None) -> None:
         self.config = config or DiskConfig()
         self.bytes_written: int = 0
-        self.bytes_read: int = 0
         self.write_time: float = 0.0
-        self.read_time: float = 0.0
 
     def write_cost(self, nbytes: int) -> float:
         if nbytes <= 0:
@@ -47,21 +44,6 @@ class Disk:
         if nbytes <= 0:
             return 0.0
         return self.config.seek_time + nbytes / self.config.read_bandwidth
-
-    def write(self, nbytes: int) -> Iterator[Delay]:
-        """Coroutine: block for the duration of a write of ``nbytes``."""
-        cost = self.write_cost(nbytes)
-        self.bytes_written += max(nbytes, 0)
-        self.write_time += cost
-        if cost > 0:
-            yield Delay(cost)
-
-    def read(self, nbytes: int) -> Iterator[Delay]:
-        cost = self.read_cost(nbytes)
-        self.bytes_read += max(nbytes, 0)
-        self.read_time += cost
-        if cost > 0:
-            yield Delay(cost)
 
 
 class CheckpointStore:

@@ -16,8 +16,11 @@ event). Observers (metrics, spans, invariants, flight recorder, the flat
 tracer below) call ``bus.subscribe(kind, fn)`` and do nothing else to
 the cluster; they must only read and record, so attaching any of them,
 in any order, leaves the run bit-identical.
-Payloads become the text of debug timelines and flight records
-(``"begin seqno=3 bytes=4096"``) here too, in :data:`TEXT`.
+Both recorders of catalogued events, the flat tracer below and the
+flight ring, keep one :class:`TraceEvent` per event through one
+subscriber, :func:`recording`; its text for debug timelines and flight
+records (``"begin seqno=3 bytes=4096"``) is rendered through
+:data:`TEXT` here only when read.
 
 A :class:`Tracer` attaches to a :class:`~repro.cluster.DsmCluster`
 *before* ``run`` and records protocol-level events with virtual
@@ -31,11 +34,11 @@ timestamps — the simulator's answer to a real DSM's debug logs::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
-__all__ = ["CATALOGUE", "TEXT", "EventBus", "TraceEvent", "Tracer"]
+__all__ = ["CATALOGUE", "TEXT", "EventBus", "TraceEvent", "Tracer", "recording"]
 
 # ----------------------------------------------------------------------
 # the catalogue: every event kind, with its positional payload
@@ -143,10 +146,10 @@ class EventBus:
 # ----------------------------------------------------------------------
 # text: what timelines and flight records print for an event
 # ----------------------------------------------------------------------
-#: kind -> (category, detail of the payload after ``pid``)
+#: kind -> (category, detail of the recorded payload after ``pid``; a
+#: send's is ``(dst, type name, category)``)
 TEXT: Dict[str, Tuple[str, Callable[..., str]]] = {
-    SEND: ("send", lambda dst, msg: (
-        f"-> p{dst}  {type(msg).__name__} ({msg.category})")),
+    SEND: ("send", lambda dst, name, category: f"-> p{dst}  {name} ({category})"),
     LOCK_ACQUIRED: ("lock", lambda lock_id, grantor, local: (
         f"acquired L{lock_id} " + ("local" if local else f"from p{grantor}"))),
     LOCK_RELEASE: ("lock", lambda lock_id: f"release L{lock_id}"),
@@ -179,21 +182,31 @@ TEXT: Dict[str, Tuple[str, Callable[..., str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One catalogued event as recorded: its payload, not its text.
+
+    ``step`` is the engine event index at emission — with a deterministic
+    engine, (pid, step) names one reproducible point in the execution,
+    which is what the crash-sweep campaign enumerates as injection
+    targets. ``args`` is the payload after ``pid``; a message keeps
+    ``(dst, type name, category)`` and never the message itself, so a
+    trace pins no payload of the run. The line's category and text are
+    rendered through :data:`TEXT` when read."""
+
     time: float
+    step: int
+    event: str
     pid: int
-    kind: str  # send | lock | barrier | flush | fetch | ckpt | failure | ...
-    detail: str
-    #: engine event index at emission — with a deterministic engine,
-    #: (pid, step) names one reproducible point in the execution, which
-    #: is what the crash-sweep campaign enumerates as injection targets
-    step: int = -1
-    #: the catalogue kind behind the line and its payload after ``pid``
-    #: (a send keeps its destination but not the message: a trace must
-    #: not pin every payload of the run), for readers that want fields
-    event: str = ""
-    args: Tuple = ()
+    args: Tuple
+
+    @property
+    def kind(self) -> str:
+        """The timeline category: send | lock | barrier | flush | ..."""
+        return TEXT[self.event][0]
+
+    @property
+    def detail(self) -> str:
+        return TEXT[self.event][1](*self.args)
 
     def render(self) -> str:
         # a negative step means "emitted before the engine ran any
@@ -203,6 +216,25 @@ class TraceEvent:
             f"{self.time * 1e3:10.4f} ms "
             f"#{step} p{self.pid}  {self.kind:<10} {self.detail}"
         )
+
+
+def recording(
+    engine: Any, event: str, keep: Callable[[TraceEvent], None]
+) -> Callable[..., None]:
+    """The subscriber to ``event`` that hands ``keep`` one
+    :class:`TraceEvent` per emission: the flat :class:`Tracer` and the
+    flight recorder both record through it."""
+    # tuple.__new__ builds the record without a Python-level __new__
+    new = tuple.__new__
+    if event in (SEND, DELIVER):
+        def on_message(src: int, dst: int, msg: Any, epoch: int = 0) -> None:
+            keep(new(TraceEvent, (engine.now, engine.steps, event, src,
+                                  (dst, type(msg).__name__, msg.category))))
+        return on_message
+
+    def on_event(pid: int, *args: Any) -> None:
+        keep(new(TraceEvent, (engine.now, engine.steps, event, pid, args)))
+    return on_event
 
 
 class Tracer:
@@ -236,31 +268,16 @@ class Tracer:
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         self.dropped = 0
-        bus = cluster.engine.bus
-        for event, (category, detail) in TEXT.items():
+        engine = cluster.engine
+        for event, (category, _) in TEXT.items():
             if category in self.kinds:
-                bus.subscribe(event, partial(self._record, event, category, detail))
+                engine.bus.subscribe(event, recording(engine, event, self._keep))
 
-    # ------------------------------------------------------------------
-    def _record(
-        self, event: str, category: str, detail: Callable[..., str],
-        pid: int, *args: Any,
-    ) -> None:
-        if len(self.events) >= self.max_events:
+    def _keep(self, ev: TraceEvent) -> None:
+        if len(self.events) < self.max_events:
+            self.events.append(ev)
+        else:
             self.dropped += 1
-            return
-        engine = self.cluster.engine
-        self.events.append(
-            TraceEvent(
-                engine.now,
-                pid,
-                category,
-                detail(*args),
-                engine.steps,
-                event,
-                args[:1] if event is SEND else args,
-            )
-        )
 
     # ------------------------------------------------------------------
     def filter(

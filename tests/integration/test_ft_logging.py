@@ -64,12 +64,15 @@ def test_cgc_bounds_checkpoint_window():
 
 
 def test_cgc_disabled_window_grows():
-    cfg = FtConfig(cgc_enabled=False)
-    cluster, _ = run_ft("water-spatial", l_fraction=0.03, ft_config=cfg, steps=5)
+    from repro.observe import seed_violation
+
+    cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.03)
+    seed_violation(cluster, "cgc")  # every CGC pass collects nothing
+    cluster.run(make_app("water-spatial", steps=5))
     windows = [h.ckpt_mgr.max_window for h in cluster.hosts]
     cluster2, _ = run_ft("water-spatial", l_fraction=0.03, steps=5)
     windows2 = [h.ckpt_mgr.max_window for h in cluster2.hosts]
-    assert max(windows) >= max(windows2)
+    assert max(windows) > max(windows2)
 
 
 def test_rel_logs_bounded_by_rule2():
@@ -101,9 +104,11 @@ def test_piggyback_traffic_accounted():
     assert res.traffic.ft_overhead_percent() < 50
 
 
-def test_piggyback_disabled_no_ft_traffic_but_no_gc():
-    cfg = FtConfig(piggyback_enabled=False)
-    cluster, res = run_ft("water-spatial", ft_config=cfg, steps=3)
+def test_piggyback_disabled_no_ft_traffic_but_no_gc(monkeypatch):
+    from repro.core.ftmanager import FtManager
+
+    monkeypatch.setattr(FtManager, "piggyback_for", lambda self, dst: None)
+    cluster, res = run_ft("water-spatial", steps=3)
     assert res.traffic.ft_bytes == 0
     # without propagated Tckp, Tmin stays zero and CGC frees nothing
     assert all(h.ckpt_mgr.pages_discarded_bytes == 0 for h in cluster.hosts)

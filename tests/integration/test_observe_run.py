@@ -52,9 +52,9 @@ def test_key_series_track_the_run():
             pts = reg.get_series("ft.log_disk_bytes", host.pid)
             assert [x for x, _ in pts] == list(range(1, len(pts) + 1))
 
-    # wait histograms saw every barrier crossing
+    # wait distributions saw every barrier crossing
     for host in cluster.hosts:
-        h = reg.histograms_by_name("dsm.barrier_wait_s")[host.pid]
+        h = reg.latencies_by_name("lat.barrier")[host.pid]
         assert h.count == host.proto.stats.barriers
 
 
@@ -76,12 +76,13 @@ def test_report_roundtrip_from_real_run(tmp_path):
     text = render_report(again)
     assert "repro observe — counter on 4 simulated nodes" in text
     assert "log size (volatile) vs virtual time" in text
-    assert "synchronization waits" in text
+    assert "latency percentiles (virtual time)" in text
+    assert "synchronization waits" not in text
 
 
 def test_serving_report_bytes_are_pinned(tmp_path):
     """Every byte the observed serving path writes, recorded at PR 18's
-    HEAD (before the columnar registry): sampled series, wait histograms,
+    HEAD (before the columnar registry): sampled series,
     ``lat``/``wlat`` records, the recovery, the SLO verdict built from the
     first report, the summary. Nothing here is re-recorded for a change
     that only reads the run.
@@ -95,7 +96,13 @@ def test_serving_report_bytes_are_pinned(tmp_path):
 
     The ``render_report`` pin and the round trip were recorded at PR 20's
     HEAD, before a report's series became views of the registry's columns:
-    the text rendered from the live report and from the loaded file."""
+    the text rendered from the live report and from the loaded file.
+
+    Re-recorded once more at schema 4, which drops the fixed-bucket wait
+    histograms: the JSONL is the previous pin's bytes without its 12
+    ``hist`` lines and with ``schema`` 4 (475,293 -> 473,058 bytes), the
+    text the previous pin's without its "synchronization waits" table
+    (15,907 -> 15,095 bytes). Nothing else in either moved."""
     import hashlib
 
     from repro import DsmCluster, DsmConfig
@@ -141,14 +148,14 @@ def test_serving_report_bytes_are_pinned(tmp_path):
     path = tmp_path / "serve.jsonl"
     write_jsonl(str(path), report)
     data = path.read_bytes()
-    assert len(data) == 475_293
+    assert len(data) == 473_058
     assert hashlib.sha256(data).hexdigest() == (
-        "e7f38180cc1584ee7df3870b61271ef1d2b17ffbc4f7e6f170e70477403276c3"
+        "93eee99499e76a3a43f794e7198dad04db458d1b748f33c341f072aed6721851"
     )
     loaded = load_jsonl(str(path))
     assert loaded["series"] == report["series"]
     for text in (render_report(report), render_report(loaded)):
-        assert len(text.encode()) == 15_907
+        assert len(text.encode()) == 15_095
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "662351ee9c06724af2adfe2e017a438038e2711df7197d289e06f02b294af592"
+            "9a4db75cbd29ee37aa347e05a4521990c705e9f487cf516a7412be96a8cc3275"
         )

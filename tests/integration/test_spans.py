@@ -257,12 +257,8 @@ def test_tracing_composes_with_flat_tracer_and_observer():
             "checks": seen["monitor"].checks,
             "ring": seen["monitor"].recorder.dump(),
             "series": registry.series,
-            "histograms": {
-                name: {n: h.summary() for n, h in registry.histograms_by_name(name).items()}
-                for name in registry.histogram_names()
-            },
             "latencies": {
-                name: {n: h.buckets for n, h in registry.latencies_by_name(name).items()}
+                name: {n: h.to_dict() for n, h in registry.latencies_by_name(name).items()}
                 for name in registry.latency_names()
             },
         }

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import LOCK_RELEASE, SEND, TraceEvent, Tracer
 
 from tests.conftest import make_app, make_cluster
 
@@ -21,6 +21,12 @@ def test_tracer_records_protocol_events():
     # timestamps are nondecreasing
     times = [e.time for e in tracer.events]
     assert times == sorted(times)
+    # a send keeps its destination, type name and category, never the
+    # message: a trace pins no payload, and its line renders when read
+    send = tracer.filter(kind="send")[0]
+    dst, name, category = send.args
+    assert send.event == SEND and all(type(a) in (int, str) for a in send.args)
+    assert send.detail == f"-> p{dst}  {name} ({category})"
 
 
 def test_tracer_kind_filtering():
@@ -62,11 +68,12 @@ def test_tracer_render_and_cap():
 def test_render_shows_placeholder_for_unset_step():
     """Events emitted before the engine runs any event must not render
     as the confusing ``#-1``."""
-    ev = TraceEvent(time=1e-3, pid=2, kind="lock", detail="x", step=-1)
+    ev = TraceEvent(time=1e-3, step=-1, event=LOCK_RELEASE, pid=2, args=(7,))
     assert "#-1" not in ev.render()
     assert "#——" in ev.render()
     # a real step still renders numerically
-    assert "#42" in TraceEvent(1e-3, 2, "lock", "x", step=42).render()
+    assert "#42" in ev._replace(step=42).render()
+    assert ev.render().endswith("p2  lock       release L7")
 
 
 def test_render_passthrough_filters():

@@ -102,6 +102,24 @@ def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "unsupported sweep schema 1: re-record with `repro crashsweep`" in out
 
+    # a run report written before the wait histograms were dropped (its
+    # header at schema 3, a ``hist`` line after the series) is MALFORMED,
+    # with a diagnosis and no traceback
+    path = observe_artifact(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["schema"] = 3
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+    lines.insert(1, '{"count": 3, "max": 0.001, "mean": 0.0005, '
+                    '"metric": "dsm.barrier_wait_s", "min": 0.0001, '
+                    '"node": 0, "record": "hist", "total": 0.0015}\n')
+    path.write_text("".join(lines))
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "MALFORMED" in captured.out
+    assert "unsupported run-report schema 3: re-record" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
 
 def test_committed_trace_artifact_loads():
     art = load_artifact("benchmarks/results/TRACE_counter.json")

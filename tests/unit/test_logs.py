@@ -284,6 +284,24 @@ def test_confirm_skips_a_self_grant_mirror_with_the_same_identity():
     assert rel.count() == 2
 
 
+def test_a_changing_confirm_replaces_the_bucket_and_leaves_the_old_list():
+    """A bucket list is never edited: whoever holds it (a scan's
+    signature, a checkpoint's copy) keeps reading what it held. A confirm
+    that changes an entry installs a new list; one that changes nothing
+    keeps the bucket."""
+    rel = GrantLog(N)  # owned by process 3
+    predicted, actual = vt(0, 0, 4, 5), vt(1, 0, 4, 5)
+    rel.append(2, 7, predicted)
+    held = rel.entries[2]
+    assert rel.confirm(2, 7, actual, own_pid=3)
+    assert [e.acq_t for e in held] == [predicted]
+    assert rel.entries[2] is not held
+    assert [e.acq_t for e in rel.entries[2]] == [actual]
+    unchanged = rel.entries[2]
+    assert rel.confirm(2, 7, actual, own_pid=3)
+    assert rel.entries[2] is unchanged
+
+
 @given(
     st.lists(st.integers(1, 30), min_size=0, max_size=25),
     st.integers(0, 35),

@@ -8,8 +8,6 @@ from repro.observe import (
     CLUSTER_NODE,
     ClusterObserver,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     build_report,
     load_jsonl,
@@ -32,32 +30,6 @@ def test_counter_monotonic():
     assert c.value == 3.5
 
 
-def test_gauge_set_and_callback():
-    g = Gauge("g", 0)
-    assert g.read() == 0.0
-    g.set(7)
-    assert g.read() == 7.0
-    state = {"v": 1}
-    g2 = Gauge("g2", 0, fn=lambda: state["v"])
-    assert g2.read() == 1.0
-    state["v"] = 9
-    assert g2.read() == 9.0
-
-
-def test_histogram_buckets_and_summary():
-    h = Histogram("h", 0, bounds=(1.0, 2.0))
-    for v in (0.5, 1.5, 1.5, 5.0):
-        h.observe(v)
-    assert h.bucket_counts == [1, 2, 1]
-    s = h.summary()
-    assert s["count"] == 4
-    assert s["min"] == 0.5 and s["max"] == 5.0
-    assert s["mean"] == pytest.approx(8.5 / 4)
-    assert Histogram("empty", 0).summary() == {
-        "count": 0, "total": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -65,14 +37,14 @@ def test_registry_interns_metrics():
     reg = MetricsRegistry()
     assert reg.counter("a", 1) is reg.counter("a", 1)
     assert reg.counter("a", 1) is not reg.counter("a", 2)
-    assert reg.gauge("b", 1) is reg.gauge("b", 1)
-    assert reg.histogram("c", 1) is reg.histogram("c", 1)
+    assert reg.latency("c", 1) is reg.latency("c", 1)
+    assert reg.latency("c", 1) is not reg.latency("c", 2)
 
 
 def test_registry_sample_snapshots_counters_and_gauges():
     reg = MetricsRegistry()
     c = reg.counter("hits", 3)
-    reg.gauge("depth", 3, fn=lambda: c.value * 10)
+    reg.gauges(("depth",), 3, lambda: (c.value * 10,))
     c.inc(2)
     reg.sample(0.5)
     c.inc()
@@ -84,28 +56,14 @@ def test_registry_sample_snapshots_counters_and_gauges():
     assert "hits" in reg.names() and "depth" in reg.names()
 
 
-def test_histogram_bisection_equals_linear_scan():
-    """The oracle is ``observe`` as it was: first bound >= value, else the
-    overflow bucket."""
-    bounds = (1e-5, 1e-4, 1e-4, 1e-3)
-    h = Histogram("h", 0, bounds=bounds)
-    expect = [0] * (len(bounds) + 1)
-    for v in (0.0, 1e-5, 2e-5, 1e-4, 1.0000001e-4, 1e-3, 2e-3, -1.0):
-        h.observe(v)
-        expect[next((i for i, b in enumerate(bounds) if v <= b), -1)] += 1
-    assert h.bucket_counts == expect
-    with pytest.raises(ValueError, match="ascend"):
-        Histogram("h", 0, bounds=(2.0, 1.0))
-
-
 def test_one_key_is_one_kind_of_series():
     """A key has one column: sampling it twice, or recording into a
     sampled series, used to interleave points silently."""
     reg = MetricsRegistry()
     reg.counter("a", 1)
     with pytest.raises(ValueError, match=r"\('a', 1\) already has a series"):
-        reg.gauge("a", 1)
-    reg.gauge("b", 1)
+        reg.gauges(("a",), 1, lambda: (0,))
+    reg.gauges(("b",), 1, lambda: (0,))
     with pytest.raises(ValueError, match=r"\('b', 1\) already has a series"):
         reg.counter("b", 1)
     with pytest.raises(ValueError, match=r"\('b', 1\) already has a series"):
@@ -121,7 +79,7 @@ def test_record_onto_a_sampled_key_is_an_error():
         reg.record("a", 1, 0.5, 1.0)
     reg.record("r", 1, 0.5, 1.0)
     with pytest.raises(ValueError, match=r"\('r', 1\) already has a series"):
-        reg.gauge("r", 1)
+        reg.gauges(("r",), 1, lambda: (0,))
     reg.sample(1.0)
     assert reg.get_series("a", 1) == [(1.0, 0.0)]
     assert reg.get_series("r", 1) == [(0.5, 1.0)]
@@ -150,8 +108,8 @@ class TupleListModel:
     def sample(self, x):
         for key, c in self.counters.items():
             self.series.setdefault(key, []).append((x, c.value))
-        for key, g in self.gauges.items():
-            self.series.setdefault(key, []).append((x, g.read()))
+        for key, read in self.gauges.items():
+            self.series.setdefault(key, []).append((x, float(read())))
 
     def names(self):
         keys = set(self.series) | set(self.counters) | set(self.gauges)
@@ -194,6 +152,7 @@ def test_columnar_registry_matches_tuple_list_model(ops):
     any order read back as the per-point tuple lists did."""
     reg, model = MetricsRegistry(), TupleListModel()
     rows = {}  # node -> the live state behind its two-column reader
+    cells = {}  # (name, node) -> the value behind its one-column reader
     x = 0
     for op, name, node, n in ops:
         x += 1
@@ -201,8 +160,11 @@ def test_columnar_registry_matches_tuple_list_model(ops):
             reg.counter(name, node).inc(n)
             model.counters.setdefault((name, node), Counter(name, node)).inc(n)
         elif op == "set":
-            reg.gauge(name, node).set(n)
-            model.gauges.setdefault((name, node), Gauge(name, node)).set(n)
+            if (name, node) not in cells:
+                cell = cells[name, node] = [0]
+                reg.gauges((name,), node, lambda c=cell: (c[0],))
+                model.gauges[name, node] = lambda c=cell: c[0]
+            cells[name, node][0] = n
         elif op == "row":
             if node not in rows:
                 state = rows[node] = {"a": 0, "b": 0.5}
@@ -211,9 +173,7 @@ def test_columnar_registry_matches_tuple_list_model(ops):
                     lambda s=state: (s["a"], s["b"]),
                 )
                 for col in "ab":
-                    model.gauges["row." + col, node] = Gauge(
-                        "row." + col, node, fn=lambda s=state, c=col: s[c]
-                    )
+                    model.gauges["row." + col, node] = lambda s=state, c=col: s[c]
             rows[node]["a"] += n
             rows[node]["b"] *= 1.5
         elif op == "record":
@@ -324,14 +284,13 @@ def test_report_roundtrip_and_validation(tmp_path):
     reg.counter("ft.log_volatile_bytes", 0).inc(10)
     reg.counter("ft.log_saved_bytes", 0).inc(4)
     reg.counter("dsm.diff_bytes_sent", 0).inc(2)
-    reg.gauge("ft.ckpts_retained", 0, lambda: 2.0)
-    reg.histogram("dsm.fetch_wait_s", 0).observe(1e-4)
+    reg.gauges(("ft.ckpts_retained",), 0, lambda: (2.0,))
     reg.latency("lat.fetch", 0).observe(5e-5)
     reg.latency("lat.acquire", 0).observe(2e-4)
     reg.latency("lat.barrier", 1).observe(1e-3)
     reg.sample(0.25)
     report = build_report(reg, {"app": "unit"})
-    assert report["header"]["schema"] == 3
+    assert report["header"]["schema"] == 4
     assert validate_report(report) == []
     # no windowed collection -> no wlat records, and that's valid
     assert report["wlats"] == [] and "window_s" not in report["header"]
@@ -344,23 +303,24 @@ def test_report_roundtrip_and_validation(tmp_path):
     again = load_jsonl(str(path))
     assert again["header"]["app"] == "unit"
     assert again["series"] == report["series"]
-    assert again["hists"] == report["hists"]
     assert again["lats"] == report["lats"]
     assert validate_report(again) == []
 
 
 def test_load_jsonl_rejects_other_schemas(tmp_path):
-    """A report is schema 3 or rejected: old artifacts are re-recorded,
+    """A report is schema 4 or rejected: old artifacts are re-recorded,
     not converted."""
     report = build_report(MetricsRegistry(), {"app": "unit"})
-    report["header"]["schema"] = 2
     path = tmp_path / "old.jsonl"
-    write_jsonl(str(path), report)
-    with pytest.raises(
-        ValueError,
-        match="unsupported run-report schema 2: re-record with `repro observe`",
-    ):
-        load_jsonl(str(path))
+    for schema in (2, 3):
+        report["header"]["schema"] = schema
+        write_jsonl(str(path), report)
+        with pytest.raises(
+            ValueError,
+            match=f"unsupported run-report schema {schema}: re-record with "
+            "`repro observe`",
+        ):
+            load_jsonl(str(path))
 
 
 def test_validate_report_flags_missing_series():
@@ -377,10 +337,19 @@ def test_load_jsonl_rejects_unknown_record(tmp_path):
     path.write_text('{"record": "mystery"}\n')
     with pytest.raises(ValueError, match="mystery"):
         load_jsonl(str(path))
+    # schema 3's fixed-bucket wait histograms are gone: a ``hist`` line is
+    # unknown, even under a current header
+    write_jsonl(str(path), build_report(MetricsRegistry(), {"app": "unit"}))
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(1, '{"count": 1, "metric": "dsm.fetch_wait_s", "node": 0, '
+                    '"record": "hist"}\n')
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="unknown run-report record: .*'hist'"):
+        load_jsonl(str(path))
 
 
 # ---------------------------------------------------------------------------
-# schema 3: windowed latency, recovery and SLO records
+# the records schema 3 added: windowed latency, recovery and SLO
 # ---------------------------------------------------------------------------
 def _windowed_registry():
     """A registry collecting windows off a fake virtual clock."""
@@ -390,7 +359,7 @@ def _windowed_registry():
     reg.counter("ft.log_volatile_bytes", 0).inc(10)
     reg.counter("ft.log_saved_bytes", 0).inc(4)
     reg.counter("dsm.diff_bytes_sent", 0).inc(2)
-    reg.gauge("ft.ckpts_retained", 0, lambda: 2.0)
+    reg.gauges(("ft.ckpts_retained",), 0, lambda: (2.0,))
     for t, v in [(0.1e-3, 5e-5), (0.2e-3, 2e-4), (2.5e-3, 8e-4)]:
         now["t"] = t
         reg.latency("lat.request", 0).observe(v)
@@ -415,7 +384,7 @@ def test_schema3_roundtrip_with_windows_recoveries_and_slos(tmp_path):
     report = build_report(
         reg, {"app": "unit"}, recoveries=[recovery], slos=slos
     )
-    assert report["header"]["schema"] == 3
+    assert report["header"]["schema"] == 4
     assert report["header"]["window_s"] == pytest.approx(1e-3)
     assert validate_report(report) == []
     # wlat records are cluster-merged only, one per non-empty window
@@ -530,7 +499,7 @@ def test_series_view_reads_as_the_pair_lists_it_replaced(tmp_path):
     for i in range(3):
         early.inc(i)
         reg.sample(0.5 * i)
-    reg.gauge("late", 0, lambda: 7.0)  # registers at sample 3: start > 0
+    reg.gauges(("late",), 0, lambda: (7.0,))  # registers at sample 3: start > 0
     reg.sample(1.5)
     reg.counter("not.yet", 0)
     pts = reg.get_series("early", 0)

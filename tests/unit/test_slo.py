@@ -26,7 +26,7 @@ from repro.observe.slo import (
     render_timeline,
 )
 from repro.observe.slo.engine import parse_duration
-from repro.observe.slo.windows import merge_windowed
+from repro.observe.slo.windows import merge_windowed, window_records
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -110,7 +110,10 @@ def _assert_same_distribution(a, b):
 @settings(max_examples=100, deadline=None)
 def test_window_merge_equals_whole_run_merge(evs):
     wl = _windowed(evs)
-    _assert_same_distribution(wl.merged_windows(), wl)
+    total = LatencyHistogram("lat.x", 0)
+    for h in merge_windowed([wl], name="lat.x").values():
+        total.merge_from(h)
+    _assert_same_distribution(total, wl)
     # every observation landed in the window containing its instant
     assert sum(h.count for h in wl.windows.values()) == wl.count
 
@@ -174,7 +177,6 @@ def test_window_index_is_pure_function_of_instant():
     assert wl.window_index(0.0) == 0
     assert wl.window_index(0.9999e-3) == 0
     assert wl.window_index(1e-3) == 1
-    assert wl.window_bounds(3) == (3e-3, 4e-3)
 
 
 def test_windowed_requires_clock_and_positive_window():
@@ -184,10 +186,11 @@ def test_windowed_requires_clock_and_positive_window():
         WindowedLatency("x", 0, clock=lambda: 0.0, window_s=0.0)
 
 
-def test_windows_to_dicts_time_ordered_with_bounds():
+def test_window_records_time_ordered_with_bounds():
     wl = _windowed([(2.5e-3, 1e-6), (0.2e-3, 2e-6), (2.6e-3, 3e-6)])
-    recs = wl.windows_to_dicts()
+    recs = window_records(wl.windows, wl.window_s, record="wlat")
     assert [r["window"] for r in recs] == [0, 2]
+    assert all(r["record"] == "wlat" for r in recs)
     assert recs[1]["t0"] == pytest.approx(2e-3)
     assert recs[1]["t1"] == pytest.approx(3e-3)
     assert recs[1]["count"] == 2
