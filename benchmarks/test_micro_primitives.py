@@ -192,7 +192,8 @@ def test_bench_registry_sample(benchmark):
 
 
 def test_bench_windowed_observe(benchmark):
-    """20 k seeded latencies filed over 600 one-millisecond windows."""
+    """20 k seeded latencies filed over 600 one-millisecond windows of the
+    registry's table."""
     import random
 
     from repro.observe import MetricsRegistry
@@ -208,11 +209,12 @@ def test_bench_windowed_observe(benchmark):
         for i, v in enumerate(values):
             now[0] = i * 3e-5
             lat.observe(v)
-        return lat
+        return registry
 
-    lat = benchmark.pedantic(run, rounds=5, iterations=1)
-    assert lat.count == 20_000 and len(lat.windows) == 600
-    assert sum(h.count for h in lat.windows.values()) == 20_000
+    registry = benchmark.pedantic(run, rounds=5, iterations=1)
+    table = registry.windows("lat.request")
+    assert registry.latency("lat.request", 0).count == 20_000
+    assert len(table) == 600 and sum(h.count for h in table.values()) == 20_000
 
 
 def test_bench_build_report_twice(benchmark):

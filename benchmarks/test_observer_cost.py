@@ -18,14 +18,15 @@ two runs made here, so neither needs a baseline file:
   each in a fresh interpreter (this file run as a script) that reads its
   own ``VmHWM`` (``ru_maxrss`` survives ``exec``, so under pytest it
   reads this process's size on both sides): < 35 MB. Reports that boxed
-  every point read 47 MB, reports that view the registry's columns 13 MB.
+  every point read 47 MB, reports that view the registry's columns 13 MB,
+  and 8.5 MB once no node kept latency windows of its own.
 
 The third gate is the invariant monitor's: ``repro monitor barnes --procs
 8`` over ``repro barnes --procs 8 --ft``, each the best of three fresh
 processes, < 3 x. Incremental scans read 1.18 s against 0.82 s plain
 (1.4x, 1.3-2.0x over the apps tried); it was 6.33 s (6.3x, up to 7.4x)
 when every scan visited every page and every pair (EXPERIMENTS.md
-"Invariant-monitor attach cost").
+"Host-cost history", PR 14).
 
 The fourth gate is the crash sweep's, in the ledger's ``sweep_session``
 shape (4 nodes, default ``SessionConfig``, L = 0.1, every 25th point of
@@ -34,7 +35,7 @@ the single-fault classes, 120 of them drawn at seed 42): the loop of 120
 three loops a side, < 1.5 x. It reads 1.38 (2.39 s against 1.74 s);
 it read 1.62 (2.82 s) while every point's monitor filled a flight ring
 no one dumped and every emit site fired on one bus-wide flag
-(EXPERIMENTS.md "Observation pays for what is read").
+(EXPERIMENTS.md "Host-cost history", PR 25).
 
 The fifth and sixth gates are the two trace observers on the serving
 crash run, best of three a side, sides alternated, each < 2 x: a

@@ -504,9 +504,6 @@ class ReplayDriver:
         self.home_pool: Dict[PageId, List[_PoolEntry]] = {}
         self.live = False
         self.on_live = lambda: None
-        self.stats_replayed_acquires = 0
-        self.stats_replayed_barriers = 0
-        self.stats_replayed_fetches = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -659,7 +656,6 @@ class ReplayDriver:
         proto._completed_seq[lock_id] = seq
         self.advance_vt(entry.acq_t)
         proto.stats.lock_acquires += 1
-        self.stats_replayed_acquires += 1
         return True
         yield  # pragma: no cover — generator form for protocol symmetry
 
@@ -672,7 +668,6 @@ class ReplayDriver:
         self.advance_vt(global_vt)
         proto.last_barrier_global = global_vt
         self.ft.logs.bar[episode] = global_vt
-        self.stats_replayed_barriers += 1
         return True
         yield  # pragma: no cover
 
@@ -686,7 +681,6 @@ class ReplayDriver:
         entry.state = PageState.RO
         entry.needed_v = None
         proto.have_v[page] = version
-        self.stats_replayed_fetches += 1
 
     def _collect_page(self, page: PageId) -> Iterator[Any]:
         """First miss on ``page``: fetch starting copy + all diff logs."""

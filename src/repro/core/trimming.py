@@ -31,7 +31,7 @@ query at all), so :meth:`learn_tckp` is a join and two stamps and nothing
 else. A per-node (N, N) mirror with running column minima made a query a
 field read, but cost O(N^2) ints per node -- half of ``scale128``'s heap
 -- and a column recompute on the update side that took 78 % of host time
-in a checkpointing N = 256 run (EXPERIMENTS.md "Trim bounds at width").
+in a checkpointing N = 256 run (EXPERIMENTS.md "Host-cost history").
 ``tests/unit/test_trimming.py`` checks the bounds against a plain-loop
 model over randomized learn sequences and pins the per-node footprint.
 """

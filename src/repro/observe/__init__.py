@@ -40,7 +40,6 @@ from repro.observe.slo import (
     BurnRule,
     Objective,
     SloResult,
-    WindowedLatency,
     build_timeline,
     evaluate_report_slos,
     evaluate_slo,
@@ -82,7 +81,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "Violation",
-    "WindowedLatency",
     "build_report",
     "build_timeline",
     "compute_critical_path",

@@ -150,32 +150,27 @@ def _verdict(dash: Dict[str, Any]) -> str:
     return "REPORT FAILED:\n" + "\n".join(f"  - {p}" for p in problems)
 
 
+def _sections(dash: Dict[str, Any]) -> List[str]:
+    """Every non-empty section, in the order both renderings show them."""
+    return [
+        _inventory(dash),
+        *_observe_sections(dash),
+        *_sweep_sections(dash),
+        *filter(None, (_trace_section(dash), _flight_section(dash))),
+        _verdict(dash),
+    ]
+
+
 def render_dashboard(dash: Dict[str, Any]) -> str:
     """The unified analytics dashboard as plain text."""
     title = "repro analytics dashboard"
-    sections: List[str] = [f"{title}\n{'#' * len(title)}", _inventory(dash)]
-    sections.extend(_observe_sections(dash))
-    sections.extend(_sweep_sections(dash))
-    for block in (_trace_section(dash), _flight_section(dash)):
-        if block:
-            sections.append(block)
-    sections.append(_verdict(dash))
-    return "\n\n".join(sections)
+    return "\n\n".join([f"{title}\n{'#' * len(title)}", *_sections(dash)])
 
 
 def render_html(dash: Dict[str, Any]) -> str:
     """The same dashboard as one self-contained HTML page."""
     banner = "ok" if dash["ok"] else "failed"
-    blocks: List[str] = [_inventory(dash)]
-    blocks.extend(_observe_sections(dash))
-    blocks.extend(_sweep_sections(dash))
-    for block in (_trace_section(dash), _flight_section(dash)):
-        if block:
-            blocks.append(block)
-    blocks.append(_verdict(dash))
-    body = "\n".join(
-        f"<pre>{_html.escape(b)}</pre>" for b in blocks
-    )
+    body = "\n".join(f"<pre>{_html.escape(b)}</pre>" for b in _sections(dash))
     color = "#2a7" if dash["ok"] else "#c33"
     return (
         "<!DOCTYPE html>\n"

@@ -64,6 +64,9 @@ _FT_GAUGES = ("ft.log_volatile_bytes", "ft.log_saved_bytes",
               "ft.checkpoints_taken", "ft.ckpts_retained")
 _REPLICA_GAUGES = ("ft.replica_bytes", "ft.replica_lag")
 
+#: samples after which neither cadence samples again
+MAX_SAMPLES = 100_000
+
 
 class ClusterObserver:
     """Samples a cluster's protocol/FT/simulator state into a registry."""
@@ -74,7 +77,6 @@ class ClusterObserver:
         registry: Optional[MetricsRegistry] = None,
         interval: Optional[float] = None,
         sample_on_barrier: bool = True,
-        max_samples: int = 100_000,
         window_s: Optional[float] = None,
     ) -> None:
         self.cluster = cluster
@@ -87,7 +89,6 @@ class ClusterObserver:
             )
         self.interval = interval
         self.sample_on_barrier = sample_on_barrier
-        self.max_samples = max_samples
         #: completed recoveries' phase records (tagged with pid), the
         #: run report's ``recovery`` records and the degradation
         #: timeline's crash marks
@@ -212,13 +213,13 @@ class ClusterObserver:
         if episode < self._next_episode:
             return
         self._next_episode = episode + 1
-        if self.registry.samples_taken < self.max_samples:
+        if self.registry.samples_taken < MAX_SAMPLES:
             self.sample()
 
     def _tick(self) -> None:
         engine = self.cluster.engine
         self.sample()
-        if self.registry.samples_taken >= self.max_samples:
+        if self.registry.samples_taken >= MAX_SAMPLES:
             return
         # do not keep the event queue alive on our own: if nothing else
         # is pending the run is over (or deadlocked) and rescheduling
@@ -245,9 +246,6 @@ class ClusterObserver:
     ) -> None:
         """Record the Figure 4 point: stable log size at checkpoint N."""
         self.registry.record("ft.log_disk_bytes", pid, ckpt_no, disk_log_bytes)
-        self.registry.record(
-            "ft.ckpt_times", pid, self.cluster.engine.now, ckpt_no
-        )
 
     def _on_ckpt_write(self, pid: int, seqno: int, duration_s: float) -> None:
         """One checkpoint's write+commit duration (stage → commit marker)."""
@@ -286,9 +284,6 @@ class ClusterObserver:
         reg.latency("lat.recovery", pid).observe(rec["total"])
         for phase in ("detect", "restore", "handshake", "replay"):
             reg.latency(f"lat.recovery.{phase}", pid).observe(rec[phase])
-        reg.record(
-            "ft.recovery_total_s", pid, self.cluster.engine.now, rec["total"]
-        )
         self.recovery_records.append(dict(rec, pid=pid))
 
     def _on_llt(self, pid: int, trimmed: Dict[str, int]) -> None:

@@ -24,6 +24,13 @@ gauge rows (:meth:`MetricsRegistry.gauges`)
     every wait, request and recovery phase is observed here and nowhere
     else.
 
+window table (:meth:`MetricsRegistry.windows`)
+    With windowed collection on, one cluster-wide ``LatencyHistogram``
+    per (op class, virtual-time window), filed at observe time by every
+    node's histogram of that class (DESIGN.md §13). It is what the run
+    report's ``wlat`` records, the SLO engine and the degradation
+    timeline read; no node keeps windows of its own.
+
 Determinism guarantee
 ---------------------
 Every registry operation only *reads* simulation state or mutates
@@ -40,7 +47,6 @@ from collections import abc
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.observe.latency import LatencyHistogram
-from repro.observe.slo.windows import WindowedLatency, merge_windowed
 
 __all__ = [
     "Counter",
@@ -73,6 +79,36 @@ CLUSTER_NODE = -1
 
 
 Key = Tuple[str, int]
+
+
+class WindowedLatency(LatencyHistogram):
+    """One node's distribution of an op class that also files each
+    observation into the class's window table, shared by every node: the
+    histogram of window ``w`` covers virtual time ``[w·window_s,
+    (w+1)·window_s)`` and is the cluster's, not this node's."""
+
+    __slots__ = ("clock", "window_s", "windows")
+
+    def __init__(
+        self,
+        name: str,
+        node: int,
+        clock: Callable[[], float],
+        window_s: float,
+        windows: Dict[int, LatencyHistogram],
+    ) -> None:
+        super().__init__(name, node)
+        self.clock, self.window_s, self.windows = clock, window_s, windows
+
+    def observe(self, value: float) -> None:
+        value = max(float(value), 0.0)  # as LatencyHistogram.observe
+        index = self.bucket_index(value)  # total and window: one geometry
+        self.add(value, index)
+        w = int(self.clock() // self.window_s)
+        h = self.windows.get(w)
+        if h is None:
+            h = self.windows[w] = LatencyHistogram(self.name, CLUSTER_NODE)
+        h.add(value, index)
 
 
 class Points(abc.Sequence):
@@ -141,12 +177,14 @@ class MetricsRegistry:
         #: derived() memo: key -> (version, value)
         self._derived: Dict[Any, Tuple[Any, Any]] = {}
         # windowed collection (DESIGN.md §13): once enable_windows() set a
-        # clock callback and a window width, latency() transparently hands
-        # out WindowedLatency instances so every existing instrumentation
-        # site also rotates per-window — the clock only *reads* virtual
-        # time, preserving the layer's read-only guarantee
+        # clock callback and a window width, latency() hands out
+        # WindowedLatency instances that file into the op class's table —
+        # the clock only *reads* virtual time, preserving the layer's
+        # read-only guarantee
         self.clock: Optional[Callable[[], float]] = None
         self.window_s: Optional[float] = None
+        #: op class -> window index -> the cluster's histogram there
+        self._windows: Dict[str, Dict[int, LatencyHistogram]] = {}
 
     def enable_windows(
         self, clock: Callable[[], float], window_s: float
@@ -198,12 +236,11 @@ class MetricsRegistry:
         key = (name, node)
         h = self._latencies.get(key)
         if h is None:
-            if self.window_s is not None:
-                h = WindowedLatency(
-                    name, node, clock=self.clock, window_s=self.window_s
-                )
-            else:
+            if self.window_s is None:
                 h = LatencyHistogram(name, node)
+            else:
+                table = self._windows.setdefault(name, {})
+                h = WindowedLatency(name, node, self.clock, self.window_s, table)
             self._latencies[key] = h
         return h
 
@@ -281,15 +318,8 @@ class MetricsRegistry:
             if parts else None
         )
 
-    def merged_windows(self, name: str) -> Dict[int, LatencyHistogram]:
-        """Cluster-merged per-window histograms under ``name``.
-
-        Empty when windowed collection is off (or nothing was observed);
-        the input to the SLO engine and the degradation timeline.
-        """
-        parts = [
-            h
-            for h in self.latencies_by_name(name).values()
-            if isinstance(h, WindowedLatency)
-        ]
-        return merge_windowed(parts, name=name, node=CLUSTER_NODE)
+    def windows(self, name: str) -> Dict[int, LatencyHistogram]:
+        """``{window index: cluster histogram}`` under ``name``: the table
+        itself, to read only. Empty when windowed collection is off (or
+        nothing was observed)."""
+        return self._windows.get(name, {})

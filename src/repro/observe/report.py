@@ -11,10 +11,10 @@ record per line — so CI can parse it with nothing but ``json.loads``:
   distribution, plus one cluster-merged record per op class
   (``node = -1``); carries both summary percentiles and the raw log
   buckets so readers can re-merge across runs
-* ``{"record": "wlat", ...}``     — one per (op class, window) fixed
-  virtual-time window of the cluster-merged distribution, carrying the
-  window index/bounds plus the same log-bucket payload as ``lat``
-  (only when the run collected windows)
+* ``{"record": "wlat", ...}``     — one per histogram of the registry's
+  window table: an (op class, fixed virtual-time window) pair, cluster-
+  wide, carrying the window index/bounds plus the same log-bucket
+  payload as ``lat`` (only when the run collected windows)
 * ``{"record": "recovery", ...}`` — one per completed recovery: the pid
   plus the phase anatomy (detect/restore/handshake/replay/total), the
   degradation timeline's crash marks
@@ -46,7 +46,6 @@ from repro.render import (
     format_duration,
 )
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
-from repro.observe.slo.windows import window_records
 
 __all__ = [
     "build_report",
@@ -111,8 +110,8 @@ def build_report(
     observer's ``recovery_records`` list (crash runs); ``slos`` a list
     of :class:`~repro.observe.slo.SloResult` (or pre-dumped dicts) when
     the run evaluated objectives. Windowed (``wlat``) records appear
-    automatically whenever the registry collected windows — cluster-
-    merged only (``node = -1``), which bounds report size at
+    whenever the registry collected windows, one per histogram of its
+    window table (``node = -1``), so report size is bounded at
     ``windows x op classes`` regardless of cluster size.
 
     A report is a read-only value over the registry: a series' ``points``
@@ -147,15 +146,17 @@ def build_report(
     window_s = registry.window_s
     if window_s is not None:
         for name in registry.latency_names():
-            # every observation bumps a count, so while the op class's total
-            # stands an earlier build's records hold
-            parts = registry.latencies_by_name(name).values()
+            table = registry.windows(name)
+            # every observation bumps a window's count, so while the op
+            # class's total stands an earlier build's records hold
             wlats += registry.derived(
-                ("wlat", name), (window_s, sum(h.count for h in parts)),
-                lambda: window_records(
-                    registry.merged_windows(name), window_s,
-                    record="wlat", metric=name, node=CLUSTER_NODE,
-                ),
+                ("wlat", name), sum(h.count for h in table.values()),
+                lambda: [
+                    {"record": "wlat", "metric": name, "node": CLUSTER_NODE,
+                     "window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
+                     "window_s": window_s, **h.to_dict()}
+                    for w, h in sorted(table.items())
+                ],
             )
     recovery_recs = [
         {"record": "recovery", **rec} for rec in (recoveries or ())

@@ -1,9 +1,9 @@
-"""Serving-oriented observability: windowed tails, SLOs, degradation.
+"""Serving-oriented observability: SLOs and degradation over windowed tails.
 
-Three pieces built for the open-loop session workload (DESIGN.md §13):
+Two pieces built for the open-loop session workload, both reading a run
+report's ``wlat`` records (one per histogram of the registry's window
+table, DESIGN.md §13):
 
-* :mod:`.windows` — rotate the latency percentile engine into fixed
-  virtual-time windows so reports carry p50/p99 *series over time*;
 * :mod:`.engine` — declarative latency objectives with multi-window
   burn-rate evaluation (the exit-nonzero SLO gate);
 * :mod:`.timeline` — overlay crash/recovery-phase marks on the windowed
@@ -25,18 +25,15 @@ from repro.observe.slo.timeline import (
     reconvergence,
     render_timeline,
 )
-from repro.observe.slo.windows import WindowedLatency, merge_windowed
 
 __all__ = [
     "BurnRule",
     "DEFAULT_RULES",
     "Objective",
     "SloResult",
-    "WindowedLatency",
     "build_timeline",
     "evaluate_report_slos",
     "evaluate_slo",
-    "merge_windowed",
     "parse_duration",
     "parse_slo",
     "reconvergence",

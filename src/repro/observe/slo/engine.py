@@ -7,8 +7,8 @@ An *objective* is a declarative bound on a latency op class::
 meaning: at most ``100 - 99 = 1 %`` of requests may exceed 5 ms of
 virtual time — the percentile defines the **error budget** (fraction of
 requests allowed over the threshold), the threshold defines what "bad"
-means. Objectives are evaluated over the windowed histograms collected
-by :class:`~repro.observe.slo.windows.WindowedLatency`:
+means. Objectives are evaluated over a run report's ``wlat`` records,
+one per histogram of the registry's window table (DESIGN.md §13):
 
 * a window's **bad fraction** is ``count_over(threshold) / count``
   (conservative per the engine's documented boundary bias);
@@ -27,9 +27,9 @@ order-of-magnitude budget burn over 3 windows and a *slow* rule
 catching sustained 2x burn over 8. Spans are clamped to the run length
 so short smoke runs still evaluate.
 
-Everything here is pure post-processing of histogram counts — no
-simulation state is read, so SLO evaluation can run offline against a
-loaded report artifact (the ``repro report`` dashboard does).
+Everything here is pure post-processing of report records — no
+simulation state is read, so SLO evaluation runs the same against a
+live report and a loaded artifact (the ``repro report`` dashboard).
 """
 
 from __future__ import annotations
@@ -136,27 +136,21 @@ DEFAULT_RULES: Tuple[BurnRule, ...] = (
 )
 
 
-def _span_burn(
-    ordered: List[Tuple[int, LatencyHistogram]],
-    end: int,
-    span: int,
-    threshold: float,
-    budget: float,
-) -> float:
-    """Burn rate over the ``span`` windows ending at position ``end``."""
-    lo = max(0, end - span + 1)
-    count = bad = 0
-    for _, h in ordered[lo : end + 1]:
-        count += h.count
-        bad += h.count_over(threshold)
-    if count == 0:
-        return 0.0
-    return (bad / count) / budget
+def cluster_wlats(report: Dict[str, Any], metric: str) -> List[Dict[str, Any]]:
+    """A (loaded) run report's cluster ``wlat`` records of ``metric``, in
+    window order; per-node extensions are ignored, not double-counted."""
+    return sorted(
+        (rec for rec in report.get("wlats", ())
+         if rec["metric"] == metric and rec.get("node", -1) == -1),
+        key=lambda rec: rec["window"],
+    )
 
 
 @dataclass
 class SloResult:
-    """One objective's evaluation over a run's windowed histograms."""
+    """One objective's evaluation over a run's windowed histograms: a
+    ``per_window`` row is ``window``, ``bad`` and ``burn``; the window's
+    count and percentiles are its ``wlat`` record's."""
 
     objective: Objective
     window_s: float
@@ -178,47 +172,42 @@ class SloResult:
 
 
 def evaluate_slo(
-    windows: Dict[int, LatencyHistogram],
-    objective: Objective,
-    window_s: float,
-    rules: Sequence[BurnRule] = DEFAULT_RULES,
+    wlats: Sequence[Dict[str, Any]], objective: Objective
 ) -> SloResult:
-    """Evaluate one objective over ``{window index: histogram}``.
+    """Evaluate one objective over its op class's ``wlat`` records, in
+    window order, with :data:`DEFAULT_RULES`.
 
     Rule spans are clamped to the number of observed windows so short
     runs still evaluate; each window is checked as the endpoint of every
     rule's spans, so a violation names the window where the sustained
     burn was detected.
     """
-    ordered = sorted(windows.items())
     threshold, budget = objective.threshold_s, objective.budget
+    counts = [rec["count"] for rec in wlats]
+    bads = [LatencyHistogram.from_dict(rec).count_over(threshold) for rec in wlats]
+
+    def burn(lo: int, hi: int) -> float:
+        """Burn rate over the windows at positions ``lo`` to ``hi``."""
+        count = sum(counts[lo : hi + 1])
+        return (sum(bads[lo : hi + 1]) / count) / budget if count else 0.0
+
     per_window: List[Dict[str, Any]] = []
     violations: List[Dict[str, Any]] = []
-    for pos, (w, h) in enumerate(ordered):
-        bad = h.count_over(threshold)
-        burn = (bad / h.count) / budget if h.count else 0.0
+    for pos, rec in enumerate(wlats):
         per_window.append(
-            {
-                "window": w,
-                "t0": w * window_s,
-                "count": h.count,
-                "bad": bad,
-                "p50": h.percentile(50.0),
-                "p99": h.percentile(99.0),
-                "burn": burn,
-            }
+            {"window": rec["window"], "bad": bads[pos], "burn": burn(pos, pos)}
         )
-        for rule in rules:
-            long_span = min(rule.long_windows, len(ordered))
+        for rule in DEFAULT_RULES:
+            long_span = min(rule.long_windows, len(wlats))
             short_span = min(rule.short_windows, long_span)
-            long_burn = _span_burn(ordered, pos, long_span, threshold, budget)
-            short_burn = _span_burn(ordered, pos, short_span, threshold, budget)
+            long_burn = burn(max(0, pos - long_span + 1), pos)
+            short_burn = burn(max(0, pos - short_span + 1), pos)
             if long_burn >= rule.max_burn and short_burn >= rule.max_burn:
                 violations.append(
                     {
                         "rule": rule.name,
-                        "window": w,
-                        "t0": w * window_s,
+                        "window": rec["window"],
+                        "t0": rec["t0"],
                         "long_windows": long_span,
                         "short_windows": short_span,
                         "long_burn": long_burn,
@@ -226,34 +215,17 @@ def evaluate_slo(
                         "max_burn": rule.max_burn,
                     }
                 )
+    window_s = float(wlats[0]["window_s"]) if wlats else 1e-3
     return SloResult(objective, window_s, per_window, violations)
 
 
 def evaluate_report_slos(
-    report: Dict[str, Any],
-    objectives: Sequence[Objective],
-    rules: Sequence[BurnRule] = DEFAULT_RULES,
+    report: Dict[str, Any], objectives: Sequence[Objective]
 ) -> List[SloResult]:
-    """Evaluate objectives against a (loaded) run report's ``wlat`` records.
-
-    Offline counterpart of evaluating a live registry: reconstructs each
-    cluster-merged window histogram from the report and runs the same
-    rules, so the dashboard gates on exactly what the run gated on.
-    """
-    results: List[SloResult] = []
-    for objective in objectives:
-        windows: Dict[int, LatencyHistogram] = {}
-        window_s = 0.0
-        for rec in report.get("wlats", ()):
-            # wlat records are cluster-merged (node -1); tolerate per-node
-            # extensions by ignoring them rather than double-counting
-            if rec["metric"] != objective.metric or rec.get("node", -1) != -1:
-                continue
-            windows[int(rec["window"])] = LatencyHistogram.from_dict(
-                rec, name=rec["metric"], node=rec.get("node", -1)
-            )
-            window_s = float(rec["window_s"])
-        results.append(
-            evaluate_slo(windows, objective, window_s or 1e-3, rules)
-        )
-    return results
+    """Evaluate objectives against a (loaded) run report's ``wlat``
+    records: a live run gates on its first report, the dashboard on the
+    written one, and both read the same records."""
+    return [
+        evaluate_slo(cluster_wlats(report, objective.metric), objective)
+        for objective in objectives
+    ]

@@ -3,9 +3,9 @@
 The question the serving workload exists to answer (ROADMAP item 1,
 LLFT in PAPERS.md): when a node fails, *how far does the tail degrade
 and how fast does it re-converge*? This module overlays the recovery
-anatomy collected by PR 8 (per-incarnation detect/restore/handshake/
-replay phase records) on the windowed p99 series collected by
-:mod:`~repro.observe.slo.windows`, and measures the blast radius as
+anatomy (per-incarnation detect/restore/handshake/replay phase
+records) on the windowed p99 of the report's ``wlat`` records, and
+measures the blast radius as
 **windows-to-SLO-reconvergence**: the number of windows after the crash
 window until the windowed p99 drops back under the objective's
 threshold and stays there for the rest of the run.
@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.render import ascii_series, format_duration
 
-from repro.observe.slo.engine import Objective
+from repro.observe.slo.engine import Objective, cluster_wlats
 
 __all__ = ["build_timeline", "reconvergence", "render_timeline"]
 
@@ -34,31 +34,14 @@ def build_timeline(
 ) -> Optional[Dict[str, Any]]:
     """Fold a run report's ``wlat`` + ``recovery`` records into a timeline.
 
-    Returns None when the report carries no cluster-merged windowed
-    series for ``metric`` (windowing disabled).
+    The timeline holds the metric's ``wlat`` records themselves, in
+    window order. Returns None when the report carries none (windowing
+    disabled).
     """
-    wlats = sorted(
-        (
-            rec
-            for rec in report.get("wlats", ())
-            if rec["metric"] == metric and rec.get("node", -1) == -1
-        ),
-        key=lambda r: r["window"],
-    )
+    wlats = cluster_wlats(report, metric)
     if not wlats:
         return None
     window_s = float(wlats[0]["window_s"])
-    series = [
-        {
-            "window": int(rec["window"]),
-            "t0": float(rec["t0"]),
-            "t1": float(rec["t1"]),
-            "count": int(rec["count"]),
-            "p50": float(rec["p50"]),
-            "p99": float(rec["p99"]),
-        }
-        for rec in wlats
-    ]
     marks: List[Dict[str, Any]] = []
     for rec in report.get("recoveries", ()):
         crash_t = float(rec["crash_time"])
@@ -76,12 +59,7 @@ def build_timeline(
             }
         )
     marks.sort(key=lambda m: m["crash_time"])
-    return {
-        "metric": metric,
-        "window_s": window_s,
-        "series": series,
-        "marks": marks,
-    }
+    return {"metric": metric, "window_s": window_s, "wlats": wlats, "marks": marks}
 
 
 def reconvergence(
@@ -95,10 +73,9 @@ def reconvergence(
     window; None means the run ended still out of SLO (blast radius
     exceeded the observation horizon).
     """
-    series = timeline["series"]
     out: List[Dict[str, Any]] = []
     for mark in timeline["marks"]:
-        tail = [s for s in series if s["window"] >= mark["crash_window"]]
+        tail = [s for s in timeline["wlats"] if s["window"] >= mark["crash_window"]]
         reconverged: Optional[int] = None
         for i, s in enumerate(tail):
             if all(t["p99"] <= objective.threshold_s for t in tail[i:]):
@@ -132,8 +109,8 @@ def render_timeline(
     chart = ascii_series(
         title,
         {
-            "p99": [(s["t0"], s["p99"]) for s in timeline["series"]],
-            "p50": [(s["t0"], s["p50"]) for s in timeline["series"]],
+            "p99": [(s["t0"], s["p99"]) for s in timeline["wlats"]],
+            "p50": [(s["t0"], s["p50"]) for s in timeline["wlats"]],
         },
         xlabel="s",
         ylabel="s",

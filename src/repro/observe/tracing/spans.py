@@ -177,6 +177,12 @@ def _edge_key(msg: Any) -> Tuple:
     return ("msg", type(msg).__name__)
 
 
+#: spans and edges a tracer keeps; later ones are counted as dropped and
+#: ``validate`` reports the DAG incomplete
+MAX_SPANS = 2_000_000
+MAX_EDGES = 2_000_000
+
+
 class SpanTracer:
     """Records a span DAG with causal edges for one cluster run.
 
@@ -184,16 +190,9 @@ class SpanTracer:
     Observation is strictly read-only (see module docstring).
     """
 
-    def __init__(
-        self,
-        cluster: Any,
-        max_spans: int = 2_000_000,
-        max_edges: int = 2_000_000,
-    ) -> None:
+    def __init__(self, cluster: Any) -> None:
         self.cluster = cluster
         self.engine = cluster.engine
-        self.max_spans = max_spans
-        self.max_edges = max_edges
         self.spans: List[Span] = []
         self.edges: List[CausalEdge] = []
         #: (pid, time) per observed fail-stop, in order — the critical
@@ -237,7 +236,7 @@ class SpanTracer:
             parent=parent,
             step0=step,
         )
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped_spans += 1
             span.status = "dropped"
             return span
@@ -303,7 +302,7 @@ class SpanTracer:
             step0=self.engine.steps,
             step1=self.engine.steps,
         )
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped_spans += 1
             return
         self.spans.append(span)
@@ -365,7 +364,7 @@ class SpanTracer:
 
     def _on_send(self, src: int, dst: int, msg: Any) -> None:
         """A message becomes a causal edge (side table; payload untouched)."""
-        if len(self.edges) >= self.max_edges:
+        if len(self.edges) >= MAX_EDGES:
             self.dropped_edges += 1
             return
         open_span = self._innermost(src)
@@ -529,6 +528,6 @@ class SpanTracer:
             errors.append(
                 f"capacity exceeded: {self.dropped_spans} spans / "
                 f"{self.dropped_edges} edges dropped — DAG incomplete "
-                "(raise max_spans/max_edges)"
+                "(raise MAX_SPANS/MAX_EDGES)"
             )
         return errors

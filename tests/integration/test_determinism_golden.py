@@ -273,11 +273,11 @@ def test_golden_unchanged_with_windowing_enabled():
     """Windowed tail-latency rotation must not perturb the observed run.
 
     With windowing on, every latency observation additionally files into
-    the fixed virtual-time window containing the observation instant.
-    The rotation's clock callback reads the engine's virtual time and
-    nothing else (DESIGN.md §13), so all golden pins must hold, and
-    merging every window back together must reproduce the whole-run
-    distribution exactly.
+    its op class's cluster histogram for the fixed virtual-time window
+    containing the observation instant. The clock callback reads the
+    engine's virtual time and nothing else (DESIGN.md §13), so all golden
+    pins must hold, and merging every window of the table back together
+    must reproduce the whole-run distribution exactly.
     """
     from repro.observe import ClusterObserver
 
@@ -289,11 +289,11 @@ def test_golden_unchanged_with_windowing_enabled():
     observer.sample()
     # the ticker's own events move the step count, never a result
     assert simulated(result) == without_stream(GOLDEN[("counter", True)])
-    # the rotation actually rotated: multiple windows, and window-merge
-    # equals whole-run merge for every op class that observed anything
+    # the table actually rotated: multiple windows, and their merge
+    # equals the nodes' merge for every op class that observed anything
     for name in observer.registry.latency_names():
         total = observer.registry.merged_latency(name)
-        windows = observer.registry.merged_windows(name)
+        windows = observer.registry.windows(name)
         if total is None or not total.count:
             continue
         assert windows, name
@@ -302,7 +302,7 @@ def test_golden_unchanged_with_windowing_enabled():
         assert merged.buckets == total.buckets, name
         for p in (50.0, 99.0):
             assert merged.percentile(p) == total.percentile(p), name
-    assert len(observer.registry.merged_windows("lat.acquire")) > 1
+    assert len(observer.registry.windows("lat.acquire")) > 1
 
 
 def test_golden_unchanged_with_span_tracing_enabled():

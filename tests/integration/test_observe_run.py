@@ -1,8 +1,14 @@
 """End-to-end observation of an FT run: registry contents + run report."""
 
+import gc
+
+import pytest
+
 from repro.observe import (
     CLUSTER_NODE,
     ClusterObserver,
+    LatencyHistogram,
+    MetricsRegistry,
     build_report,
     load_jsonl,
     render_report,
@@ -80,31 +86,11 @@ def test_report_roundtrip_from_real_run(tmp_path):
     assert "synchronization waits" not in text
 
 
-def test_serving_report_bytes_are_pinned(tmp_path):
-    """Every byte the observed serving path writes, recorded at PR 18's
-    HEAD (before the columnar registry): sampled series,
-    ``lat``/``wlat`` records, the recovery, the SLO verdict built from the
-    first report, the summary. Nothing here is re-recorded for a change
-    that only reads the run.
-
-    Re-recorded once, at PR 20, which changes the run: self-grants live in
-    the rel/acq logs, so ``ft.rel_log_entries``, ``ft.trim_rel_entries``
-    and ``ft.replica_bytes`` (and the byte totals above them) count them,
-    and the recovery handshake ships their twins, 1.92 us longer — every
-    barrier-triggered sample after the live switch is stamped that much
-    later. All other sampled values are the ones recorded at PR 18.
-
-    The ``render_report`` pin and the round trip were recorded at PR 20's
-    HEAD, before a report's series became views of the registry's columns:
-    the text rendered from the live report and from the loaded file.
-
-    Re-recorded once more at schema 4, which drops the fixed-bucket wait
-    histograms: the JSONL is the previous pin's bytes without its 12
-    ``hist`` lines and with ``schema`` 4 (475,293 -> 473,058 bytes), the
-    text the previous pin's without its "synchronization waits" table
-    (15,907 -> 15,095 bytes). Nothing else in either moved."""
-    import hashlib
-
+@pytest.fixture(scope="module")
+def serving():
+    """The observed serving crash run the pins below read: the observer,
+    and the report built twice, the second time with the SLO verdict
+    evaluated from the first, as ``repro observe`` does."""
     from repro import DsmCluster, DsmConfig
     from repro.apps.session import SessionApp, SessionConfig
     from repro.core import FtConfig, LogOverflowPolicy
@@ -143,14 +129,52 @@ def test_serving_report_bytes_are_pinned(tmp_path):
     slos = evaluate_report_slos(report, [parse_slo("p99(lat.request)<100ms")])
     report = build(slos)
     assert (result.crashes, result.recoveries) == (1, 1)
+    return observer, report
+
+
+def test_serving_report_bytes_are_pinned(serving, tmp_path):
+    """Every byte the observed serving path writes, recorded at PR 18's
+    HEAD (before the columnar registry): sampled series,
+    ``lat``/``wlat`` records, the recovery, the SLO verdict built from the
+    first report, the summary. Nothing here is re-recorded for a change
+    that only reads the run.
+
+    Re-recorded once, at PR 20, which changes the run: self-grants live in
+    the rel/acq logs, so ``ft.rel_log_entries``, ``ft.trim_rel_entries``
+    and ``ft.replica_bytes`` (and the byte totals above them) count them,
+    and the recovery handshake ships their twins, 1.92 us longer — every
+    barrier-triggered sample after the live switch is stamped that much
+    later. All other sampled values are the ones recorded at PR 18.
+
+    The ``render_report`` pin and the round trip were recorded at PR 20's
+    HEAD, before a report's series became views of the registry's columns:
+    the text rendered from the live report and from the loaded file.
+
+    Re-recorded at schema 4, which drops the fixed-bucket wait
+    histograms: the JSONL is the previous pin's bytes without its 12
+    ``hist`` lines and with ``schema`` 4 (475,293 -> 473,058 bytes), the
+    text the previous pin's without its "synchronization waits" table
+    (15,907 -> 15,095 bytes).
+
+    Re-recorded when the registry began keeping one cluster histogram per
+    (op class, window) in place of per-node windows merged at report time
+    (473,058 -> 468,533 bytes). The JSONL moved in three ways only:
+    ``sum``/``mean`` of 15 of the 251 ``wlat`` records in their last bits
+    (the table adds across nodes in time order, the merge added node
+    sums); 96 -> 91 series (the 4 ``ft.ckpt_times`` and 1
+    ``ft.recovery_total_s`` nobody read); ``slo`` ``per_window`` rows
+    carry ``window``/``bad``/``burn`` only. The text did not move."""
+    import hashlib
+
+    observer, report = serving
     assert report["summary"]["samples"] == 140
-    assert (len(report["series"]), len(report["wlats"])) == (96, 251)
+    assert (len(report["series"]), len(report["wlats"])) == (91, 251)
     path = tmp_path / "serve.jsonl"
     write_jsonl(str(path), report)
     data = path.read_bytes()
-    assert len(data) == 473_058
+    assert len(data) == 468_533
     assert hashlib.sha256(data).hexdigest() == (
-        "93eee99499e76a3a43f794e7198dad04db458d1b748f33c341f072aed6721851"
+        "b2dc2bbdbcb3b36d1d8e3eb3d4daa21735380b7dad6bd3fa0f72956aa0e786dd"
     )
     loaded = load_jsonl(str(path))
     assert loaded["series"] == report["series"]
@@ -159,3 +183,31 @@ def test_serving_report_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "9a4db75cbd29ee37aa347e05a4521990c705e9f487cf516a7412be96a8cc3275"
         )
+
+
+def _window_histograms(registry):
+    """Latency histograms held by the registry other than its per-(op
+    class, node) totals, wherever they are kept: a walk over the
+    registry's own containers and histograms."""
+    totals = {
+        id(h) for name in registry.latency_names()
+        for h in registry.latencies_by_name(name).values()
+    }
+    seen, stack, found = set(), [registry], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not isinstance(
+            obj, (MetricsRegistry, LatencyHistogram, dict, list, tuple)
+        ):
+            continue
+        seen.add(id(obj))
+        found += isinstance(obj, LatencyHistogram) and id(obj) not in totals
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_one_histogram_per_op_class_and_window(serving):
+    """The registry holds exactly one histogram per ``wlat`` record: no
+    node keeps windows of its own (per-node windows held 472 here)."""
+    observer, report = serving
+    assert _window_histograms(observer.registry) == len(report["wlats"]) == 251

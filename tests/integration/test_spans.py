@@ -220,9 +220,12 @@ def test_validate_flags_unclosed_spans():
     assert any("unclosed span" in e for e in errors)
 
 
-def test_validate_flags_capacity_overflow():
+def test_validate_flags_capacity_overflow(monkeypatch):
+    from repro.observe.tracing import spans
+
+    monkeypatch.setattr(spans, "MAX_SPANS", 10)
     cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
-    tracer = SpanTracer(cluster, max_spans=10)
+    tracer = SpanTracer(cluster)
     cluster.run(make_app("counter"))
     assert tracer.dropped_spans > 0
     assert any("capacity exceeded" in e for e in tracer.validate())

@@ -461,12 +461,12 @@ def test_record_between_builds_shows_in_the_second_report_only():
     reg.record("ft.log_disk_bytes", 0, 1, 100)
     first = build_report(reg, {"app": "unit"})
     reg.record("ft.log_disk_bytes", 0, 2, 150)
-    reg.record("ft.ckpt_times", 0, 0.3, 2)
+    reg.record("sim.events_per_vsec", -1, 0.3, 2)
     second = build_report(reg, {"app": "unit"})
     assert _points_of(first, "ft.log_disk_bytes") == [[1.0, 100.0]]
     assert _points_of(second, "ft.log_disk_bytes") == [[1.0, 100.0], [2.0, 150.0]]
-    assert not [r for r in first["series"] if r["metric"] == "ft.ckpt_times"]
-    assert _points_of(second, "ft.ckpt_times") == [[0.3, 2.0]]
+    assert not [r for r in first["series"] if r["metric"] == "sim.events_per_vsec"]
+    assert _points_of(second, "sim.events_per_vsec") == [[0.3, 2.0]]
 
 
 def test_latency_observed_between_builds_moves_lat_and_wlat():

@@ -1,23 +1,21 @@
-"""Unit tests for the SLO layer: windowed rotation, burn-rate engine,
-and the recovery degradation timeline (DESIGN.md §13).
+"""Unit tests for the SLO layer: the registry's window table, the
+burn-rate engine and the recovery degradation timeline (DESIGN.md §13).
 
-The windowing contract mirrors the percentile engine's: which window an
-observation lands in is a pure function of the observation instant, so
-rotation is insertion-order invariant and merging every window's
-histogram reproduces the whole-run histogram exactly (counts, buckets,
-min/max, percentiles; the float ``sum`` up to addition reordering).
+The window table's contract mirrors the percentile engine's: which
+window an observation lands in is a pure function of the observation
+instant, so the table is insertion-order invariant, equals the per-node
+windows merged node by node, and merging every window reproduces the
+whole-run histogram exactly (counts, buckets, min/max, percentiles; the
+float ``sum`` up to addition reordering).
 """
-
-import random
 
 import pytest
 
 from repro.observe.latency import LatencyHistogram
+from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
+from repro.observe.report import build_report, load_jsonl, write_jsonl
 from repro.observe.slo import (
     DEFAULT_RULES,
-    BurnRule,
-    Objective,
-    WindowedLatency,
     build_timeline,
     evaluate_report_slos,
     evaluate_slo,
@@ -26,7 +24,6 @@ from repro.observe.slo import (
     render_timeline,
 )
 from repro.observe.slo.engine import parse_duration
-from repro.observe.slo.windows import merge_windowed, window_records
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -71,23 +68,27 @@ def test_parse_slo_rejects(bad):
 
 
 # ---------------------------------------------------------------------------
-# windowed rotation
+# the window table
 # ---------------------------------------------------------------------------
-def _windowed(events, window_s=1e-3):
-    """Build a WindowedLatency from [(t, value), ...] events."""
+def _registry(events, window_s=1e-3):
+    """A registry fed ``[(t, node, value), ...]`` off a fake virtual clock."""
     now = {"t": 0.0}
-    wl = WindowedLatency("lat.x", 0, clock=lambda: now["t"], window_s=window_s)
-    for t, v in events:
+    reg = MetricsRegistry()
+    reg.enable_windows(lambda: now["t"], window_s)
+    for t, node, v in events:
         now["t"] = t
-        wl.observe(v)
-    return wl
+        reg.latency("lat.x", node).observe(v)
+    return reg
 
 
-#: virtual observation instants and durations, both spanning wide ranges
+#: virtual observation instants, observing nodes and durations
+instants = st.floats(min_value=0.0, max_value=0.05,
+                     allow_nan=False, allow_infinity=False)
+nodes = st.integers(min_value=0, max_value=3)
 events = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=0.05,
-                  allow_nan=False, allow_infinity=False),
+        instants,
+        nodes,
         st.floats(min_value=1e-9, max_value=1.0,
                   allow_nan=False, allow_infinity=False),
     ),
@@ -95,47 +96,69 @@ events = st.lists(
     max_size=200,
 )
 
+#: every percentile the report and the SLO engine read, and the extremes
+PERCENTILES = (0.0, 50.0, 90.0, 99.0, 99.9, 100.0)
+
 
 def _assert_same_distribution(a, b):
     assert a.count == b.count
     assert a.zero_count == b.zero_count
     assert a.buckets == b.buckets
     assert a.min == b.min and a.max == b.max
-    for p in (50.0, 90.0, 99.0, 99.9):
+    for p in PERCENTILES:
         assert a.percentile(p) == b.percentile(p)
     assert a.total == pytest.approx(b.total)  # float addition reordering
 
 
 @given(events)
 @settings(max_examples=100, deadline=None)
+def test_window_table_equals_per_node_then_merge_fold(evs):
+    """The reference is the fold the table replaced: each node keeps its
+    own windows, and a cluster window is their merge, node by node. Only
+    the float ``total`` may differ (the table adds across nodes in time
+    order)."""
+    per_node = {}
+    for t, node, v in evs:
+        windows = per_node.setdefault(node, {})
+        w = int(t // 1e-3)
+        windows.setdefault(w, LatencyHistogram("lat.x", node)).observe(v)
+    reference = {}
+    for node in sorted(per_node):
+        for w, h in per_node[node].items():
+            reference.setdefault(w, LatencyHistogram("lat.x")).merge_from(h)
+    table = _registry(evs).windows("lat.x")
+    assert sorted(table) == sorted(reference)
+    for w, h in reference.items():
+        _assert_same_distribution(table[w], h)
+
+
+@given(events)
+@settings(max_examples=100, deadline=None)
 def test_window_merge_equals_whole_run_merge(evs):
-    wl = _windowed(evs)
-    total = LatencyHistogram("lat.x", 0)
-    for h in merge_windowed([wl], name="lat.x").values():
-        total.merge_from(h)
-    _assert_same_distribution(total, wl)
-    # every observation landed in the window containing its instant
-    assert sum(h.count for h in wl.windows.values()) == wl.count
+    reg = _registry(evs)
+    windows = reg.windows("lat.x").values()
+    _assert_same_distribution(
+        LatencyHistogram.merged(windows), reg.merged_latency("lat.x")
+    )
 
 
 @given(events, st.randoms())
 @settings(max_examples=100, deadline=None)
 def test_rotation_insertion_order_invariance(evs, rng):
-    a = _windowed(evs)
+    a = _registry(evs).windows("lat.x")
     shuffled = list(evs)
     rng.shuffle(shuffled)
-    b = _windowed(shuffled)
-    assert sorted(a.windows) == sorted(b.windows)
-    for w in a.windows:
-        _assert_same_distribution(a.windows[w], b.windows[w])
-    _assert_same_distribution(a, b)
+    b = _registry(shuffled).windows("lat.x")
+    assert sorted(a) == sorted(b)
+    for w in a:
+        _assert_same_distribution(a[w], b[w])
 
 
 #: durations as the clamp sees them: exact zeros and negative float dust too
 dusty_events = st.lists(
     st.tuples(
-        st.floats(min_value=0.0, max_value=0.05,
-                  allow_nan=False, allow_infinity=False),
+        instants,
+        st.just(0),
         st.one_of(
             st.sampled_from([0.0, -0.0, -1e-18, 1e-9]),
             st.floats(min_value=1e-12, max_value=1e3,
@@ -150,12 +173,13 @@ dusty_events = st.lists(
 @given(dusty_events)
 @settings(max_examples=100, deadline=None)
 def test_fused_observe_equals_observing_total_then_window(evs):
-    """The oracle is ``observe`` as it was: the total histogram observes
-    the value, then a plain histogram for the window observes it again."""
-    wl = _windowed(evs)
+    """The oracle is a node's ``observe`` done twice: the total histogram
+    observes the value, then a plain histogram for the window observes
+    it again."""
+    reg = _registry(evs)
     total = LatencyHistogram("lat.x", 0)
     windows = {}
-    for t, v in evs:
+    for t, _, v in evs:
         total.observe(v)
         w = int(t // 1e-3)
         if w not in windows:
@@ -166,29 +190,28 @@ def test_fused_observe_equals_observing_total_then_window(evs):
         # ``total`` compared with ==: the same additions in the same order
         return (h.count, h.buckets, h.zero_count, h.min, h.max, h.total)
 
-    assert state(wl) == state(total)
-    assert sorted(wl.windows) == sorted(windows)
+    assert state(reg.latency("lat.x", 0)) == state(total)
+    table = reg.windows("lat.x")
+    assert sorted(table) == sorted(windows)
     for w, h in windows.items():
-        assert state(wl.windows[w]) == state(h)
+        assert state(table[w]) == state(h)
 
 
 def test_window_index_is_pure_function_of_instant():
-    wl = _windowed([(0.0, 1e-6)], window_s=1e-3)
-    assert wl.window_index(0.0) == 0
-    assert wl.window_index(0.9999e-3) == 0
-    assert wl.window_index(1e-3) == 1
+    reg = _registry([(0.0, 0, 1e-6), (0.9999e-3, 0, 1e-6), (1e-3, 0, 1e-6)])
+    table = reg.windows("lat.x")
+    assert {w: h.count for w, h in table.items()} == {0: 2, 1: 1}
 
 
-def test_windowed_requires_clock_and_positive_window():
-    with pytest.raises(ValueError, match="clock"):
-        WindowedLatency("x", 0, clock=None)
+def test_windows_require_a_positive_width():
     with pytest.raises(ValueError, match="window_s"):
-        WindowedLatency("x", 0, clock=lambda: 0.0, window_s=0.0)
+        MetricsRegistry().enable_windows(lambda: 0.0, 0.0)
+    assert MetricsRegistry().windows("lat.x") == {}  # off: no table
 
 
 def test_window_records_time_ordered_with_bounds():
-    wl = _windowed([(2.5e-3, 1e-6), (0.2e-3, 2e-6), (2.6e-3, 3e-6)])
-    recs = window_records(wl.windows, wl.window_s, record="wlat")
+    reg = _registry([(2.5e-3, 0, 1e-6), (0.2e-3, 0, 2e-6), (2.6e-3, 0, 3e-6)])
+    recs = build_report(reg, {})["wlats"]
     assert [r["window"] for r in recs] == [0, 2]
     assert all(r["record"] == "wlat" for r in recs)
     assert recs[1]["t0"] == pytest.approx(2e-3)
@@ -196,12 +219,15 @@ def test_window_records_time_ordered_with_bounds():
     assert recs[1]["count"] == 2
 
 
-def test_merge_windowed_across_nodes():
-    a = _windowed([(0.1e-3, 1e-6), (1.1e-3, 2e-6)])
-    b = _windowed([(1.2e-3, 3e-6), (2.2e-3, 4e-6)])
-    merged = merge_windowed([a, b], name="lat.x")
-    assert sorted(merged) == [0, 1, 2]
-    assert merged[1].count == 2  # one observation from each node
+def test_nodes_share_one_histogram_per_window():
+    reg = _registry([(0.1e-3, 0, 1e-6), (1.1e-3, 0, 2e-6),
+                     (1.2e-3, 1, 3e-6), (2.2e-3, 1, 4e-6)])
+    table = reg.windows("lat.x")
+    assert reg.latency("lat.x", 0).windows is table
+    assert reg.latency("lat.x", 1).windows is table
+    assert sorted(table) == [0, 1, 2]
+    assert table[1].count == 2  # one observation from each node
+    assert {h.node for h in table.values()} == {CLUSTER_NODE}
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +238,24 @@ def _hist(values):
     for v in values:
         h.observe(v)
     return h
+
+
+def _wlat_record(window, values, window_s=1e-3, metric="lat.request"):
+    h = _hist(values)
+    return {
+        "record": "wlat",
+        "metric": metric,
+        "node": -1,
+        "window": window,
+        "t0": window * window_s,
+        "t1": (window + 1) * window_s,
+        "window_s": window_s,
+        **h.to_dict(),
+    }
+
+
+def _wlats(values_by_window):
+    return [_wlat_record(w, vs, metric="lat.x") for w, vs in values_by_window]
 
 
 def test_count_over_boundary_and_conservatism():
@@ -227,18 +271,18 @@ def test_count_over_boundary_and_conservatism():
 
 def test_evaluate_slo_healthy_run_has_no_violations():
     obj = parse_slo("p99(lat.x) < 1ms")
-    windows = {w: _hist([1e-5] * 50) for w in range(6)}
-    res = evaluate_slo(windows, obj, 1e-3)
+    res = evaluate_slo(_wlats((w, [1e-5] * 50) for w in range(6)), obj)
     assert res.ok
-    assert [pw["window"] for pw in res.per_window] == list(range(6))
-    assert all(pw["burn"] == 0.0 for pw in res.per_window)
+    # a row is the verdict only: count and percentiles are the wlat record's
+    assert res.per_window == [
+        {"window": w, "bad": 0, "burn": 0.0} for w in range(6)
+    ]
 
 
 def test_evaluate_slo_sustained_burn_fires_rules():
     obj = parse_slo("p99(lat.x) < 1ms")
     # every observation busts the threshold: burn = (1.0)/0.01 = 100x
-    windows = {w: _hist([5e-3] * 20) for w in range(6)}
-    res = evaluate_slo(windows, obj, 1e-3)
+    res = evaluate_slo(_wlats((w, [5e-3] * 20) for w in range(6)), obj)
     assert not res.ok
     fired = {v["rule"] for v in res.violations}
     assert fired == {"fast", "slow"}
@@ -251,17 +295,16 @@ def test_evaluate_slo_recovered_run_stops_alerting():
     drops back under the threshold, later windows stop violating even
     though the long span still remembers the bad stretch."""
     obj = parse_slo("p99(lat.x) < 1ms")
-    rules = (BurnRule("fast", long_windows=3, short_windows=1, max_burn=8.0),)
-    windows = {0: _hist([5e-3] * 20), 1: _hist([5e-3] * 20)}
-    windows.update({w: _hist([1e-5] * 20) for w in range(2, 8)})
-    res = evaluate_slo(windows, obj, 1e-3, rules=rules)
+    wlats = _wlats([(0, [5e-3] * 20), (1, [5e-3] * 20)])
+    wlats += _wlats((w, [1e-5] * 20) for w in range(2, 8))
+    res = evaluate_slo(wlats, obj)
     assert not res.ok
     assert max(v["window"] for v in res.violations) <= 2
 
 
 def test_evaluate_slo_spans_clamped_to_run_length():
     obj = parse_slo("p99(lat.x) < 1ms")
-    res = evaluate_slo({0: _hist([5e-3] * 10)}, obj, 1e-3)
+    res = evaluate_slo(_wlats([(0, [5e-3] * 10)]), obj)
     assert not res.ok  # one bad window still evaluates (spans clamp to 1)
     assert all(v["long_windows"] == 1 for v in res.violations)
 
@@ -274,7 +317,7 @@ def test_default_rules_shape():
 
 def test_slo_result_to_dict_carries_spec_and_verdict():
     obj = parse_slo("p99(lat.x) < 1ms")
-    res = evaluate_slo({0: _hist([1e-5] * 10)}, obj, 1e-3)
+    res = evaluate_slo(_wlats([(0, [1e-5] * 10)]), obj)
     d = res.to_dict()
     assert d["spec"] == obj.spec and d["ok"] is True
     assert d["window_s"] == 1e-3 and d["violations"] == []
@@ -283,20 +326,6 @@ def test_slo_result_to_dict_carries_spec_and_verdict():
 # ---------------------------------------------------------------------------
 # degradation timeline
 # ---------------------------------------------------------------------------
-def _wlat_record(window, values, window_s=1e-3, metric="lat.request"):
-    h = _hist(values)
-    return {
-        "record": "wlat",
-        "metric": metric,
-        "node": -1,
-        "window": window,
-        "t0": window * window_s,
-        "t1": (window + 1) * window_s,
-        "window_s": window_s,
-        **h.to_dict(),
-    }
-
-
 def _report(p99s, recoveries=()):
     """Synthetic loaded report: one wlat record per window."""
     return {
@@ -319,7 +348,7 @@ def test_build_timeline_folds_wlats_and_crash_marks():
     report = _report([1e-5, 1e-5, 5e-3, 5e-3, 1e-5], recoveries=[CRASH])
     tl = build_timeline(report)
     assert tl["window_s"] == 1e-3
-    assert [s["window"] for s in tl["series"]] == list(range(5))
+    assert tl["wlats"] == report["wlats"]  # the records, not copies of them
     (mark,) = tl["marks"]
     assert mark["crash_window"] == 2
     assert mark["live_window"] == 3  # crash_time + total = 3.6ms
@@ -368,15 +397,17 @@ def test_render_timeline_failure_free():
 # ---------------------------------------------------------------------------
 # offline evaluation against a report artifact
 # ---------------------------------------------------------------------------
-def test_evaluate_report_slos_matches_live_windows():
-    obj = parse_slo("p99(lat.request) < 1ms")
-    values = {0: [1e-5] * 20, 1: [5e-3] * 20, 2: [5e-3] * 20}
-    report = {
-        "wlats": [_wlat_record(w, vs) for w, vs in values.items()],
-    }
-    (offline,) = evaluate_report_slos(report, [obj])
-    live = evaluate_slo(
-        {w: _hist(vs) for w, vs in values.items()}, obj, 1e-3
-    )
+def test_evaluate_report_slos_matches_live_windows(tmp_path):
+    """A live report and the same report written and loaded again
+    evaluate to the same verdict, row for row."""
+    reg = _registry([(w * 1e-3, w % 2, v) for w in range(3)
+                     for v in ([1e-5] if w == 0 else [5e-3]) * 20])
+    live_report = build_report(reg, {})
+    path = tmp_path / "run.jsonl"
+    write_jsonl(str(path), live_report)
+    obj = parse_slo("p99(lat.x) < 1ms")
+    (live,) = evaluate_report_slos(live_report, [obj])
+    (offline,) = evaluate_report_slos(load_jsonl(str(path)), [obj])
+    assert not live.ok
     assert offline.per_window == live.per_window
     assert offline.violations == live.violations
