@@ -1,0 +1,170 @@
+"""End-to-end smokes of the ``repro`` command line, one ``python -m repro``
+(or ``benchmarks/sample_profile.py``) process per invocation.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_cli_smokes.py
+
+Each case is one check that used to be a shell assertion: exit codes
+that must be zero or must not be, and text the output must hold. The
+artifacts the report and serving cases write (dashboards, run reports,
+a sweep summary) land under pytest's temporary directory: ``--basetemp
+DIR`` keeps them in ``DIR`` (CI uploads them from there). About 20 s in
+all, half of it the sampling profiles.
+"""
+
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+#: the serving run of the SLO cases: the session app at 55 % utilization
+#: against the calibrated 60 ms p99 objective (EXPERIMENTS.md "SLO
+#: reconvergence under faults")
+SERVING = ("observe", "session", "--procs", "4", "--steps", "40",
+           "--rate", "800", "--slo", "p99(lat.request)<60ms")
+
+
+def run(*argv, script=None):
+    """One process: ``python -m repro ARGV`` (or ``python SCRIPT ARGV``)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, script] if script else [sys.executable, "-m", "repro"]
+    return subprocess.run(
+        cmd + [str(a) for a in argv], capture_output=True, text=True,
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def ok(proc):
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_every_subcommand_has_help():
+    """The registry is the front door: ``--help`` of the bare run form and
+    of each registered subcommand exits 0, and the retired bench flags
+    are gone from all of them."""
+    from repro.__main__ import COMMANDS
+
+    text = ok(run("--help")) + "".join(ok(run(sub, "--help")) for sub in COMMANDS)
+    for retired in ("--bench-json", "--suite", "--smoke"):
+        assert retired not in text
+
+
+def test_untraced_sampling_profile():
+    """The SIGPROF sampler runs every ledger workload to the end (a tick
+    on an instruction without a line number used to crash it after the
+    tables) and attributes samples to the apps' own files; its memory
+    half prints resident size per stage and the lines holding the traced
+    heap at the peak of one body."""
+    script = os.path.join(ROOT, "benchmarks", "sample_profile.py")
+    out = {
+        w: ok(run("--workload", w, "--smoke", script=script))
+        for w in ("paper8", "scale128", "serve_session", "sweep_session")
+    }
+    assert "apps/barnes.py:" in out["paper8"]
+    memory = ok(run("--workload", "serve_session", "--smoke", "--memory",
+                    "--rows", "5", script=script))
+    assert "x body" in memory and "observe/" in memory
+
+
+def test_flat_trace_follows_a_recovered_node():
+    """Events come from the running code, not from wrappers around the
+    first incarnation: p1 keeps logging locks after it recovers."""
+    lines = ok(run("counter", "--procs", "4", "--ft", "--crash", "1@0.5",
+                   "--trace", "lock,barrier,recovery")).splitlines()
+    live = next(
+        i for i, line in enumerate(lines) if re.search(r" p1 +recovery +live", line)
+    )
+    assert any(re.search(r" p1 +lock ", line) for line in lines[live:])
+
+
+# ----------------------------------------------------------------------
+# the unified analytics report over one pass of each pipeline
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def report_dir(tmp_path_factory):
+    """One pass of each pipeline on the counter app, collected into one
+    artifact directory for the aggregator; every pass exits 0."""
+    base = tmp_path_factory.mktemp("report")
+    arts = base / "arts"
+    arts.mkdir()
+    ok(run("observe", "counter", "--procs", "4", "--steps", "4",
+           "--out", arts / "OBSERVE_counter.jsonl"))
+    ok(run("trace", "counter", "--procs", "4",
+           "--out", arts / "TRACE_counter.json",
+           "--report", base / "trace_critpath.txt"))
+    ok(run("crashsweep", "counter", "--procs", "4", "--steps", "2",
+           "--size", "256", "--every", "40",
+           "--out", arts / "SWEEP_counter.json"))
+    ok(run("monitor", "counter", "--procs", "4", "--steps", "4"))
+    return arts
+
+
+def test_unified_analytics_dashboard(report_dir):
+    """Every artifact loads and validates and the sweep is OK (``report``
+    exits 1 on either failing); the dashboard also renders the sweep's
+    recovery-anatomy section."""
+    ok(run("report", report_dir, "--html", report_dir / "dashboard.html"))
+    assert (report_dir / "dashboard.html").stat().st_size > 0
+
+
+def test_malformed_artifact_fails_the_report(tmp_path):
+    (tmp_path / "SWEEP_bad.json").write_text('{"not": "a sweep"}\n')
+    assert run("report", tmp_path).returncode != 0, (
+        "malformed artifact was NOT detected"
+    )
+
+
+# ----------------------------------------------------------------------
+# serving: the SLO gate, its seeded failure, and overlapping failures
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def serving_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("serving")
+
+
+@pytest.fixture(scope="module")
+def serving_pass(serving_dir):
+    return run(*SERVING, "--out", serving_dir / "OBSERVE_session.jsonl")
+
+
+@pytest.fixture(scope="module")
+def serving_crash(serving_dir):
+    return run(*SERVING, "--crash", "1@0.1",
+               "--out", serving_dir / "OBSERVE_session_crash.jsonl")
+
+
+def test_serving_slo_gate_passes(serving_pass):
+    """Failure-free, the windowed tail stays inside the objective: exit 0
+    (``observe`` also exits 1 on a report that fails validation)."""
+    ok(serving_pass)
+
+
+def test_seeded_slo_violation_fails_the_gate(serving_crash):
+    """The same run through a crash: the recovery stall blows the
+    objective, so the exit code is nonzero. An SLO gate that stays green
+    through a 50 ms outage is broken."""
+    assert serving_crash.returncode != 0, "seeded SLO violation was NOT gated"
+
+
+def test_overlapping_failures_exit_with_a_diagnosis(tmp_path):
+    """A second fail-stop inside the first victim's recovery window
+    without replication exceeds the single-fault model: a nonzero exit
+    with the OverlappingFailureError diagnosis, not a silent pass or an
+    unhandled traceback."""
+    proc = run("observe", "session", "--procs", "4", "--steps", "6",
+               "--rate", "2500", "--crash", "1@0.2", "--crash2", "2@0.6",
+               "--out", tmp_path / "OBSERVE_overlap.jsonl")
+    assert proc.returncode != 0, "overlapping-failure schedule was NOT rejected"
+    assert "overlapping failures" in proc.stderr
+
+
+def test_serving_dashboard(serving_dir, serving_pass, serving_crash):
+    """The aggregator renders the windowed reports of both serving runs,
+    the degradation timeline of the crash run included."""
+    ok(run("report", serving_dir, "--html", serving_dir / "dashboard.html"))
+    assert (serving_dir / "dashboard.html").stat().st_size > 0

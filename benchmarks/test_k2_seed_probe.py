@@ -15,7 +15,7 @@ failing point) says where.
 
 The 4-node k=2 sweeps at the CLI's default seed passed while 192 of
 these points failed: the failures lived at other seeds and at 8 nodes
-(DESIGN.md §11, "The live switch counted a token twice"; EXPERIMENTS.md
+(DESIGN.md §9, "Overlap root causes"; EXPERIMENTS.md
 "Overlapping failures across seeds" has the table before and after).
 """
 

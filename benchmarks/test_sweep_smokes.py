@@ -32,7 +32,7 @@ SWEEPS = {
     "counter_k2": COUNTER + ("--faults", "2"),
     # the 8-node session line (60 points) failed 11 points — deadlocks
     # and a silent lost update — until the live switch counted each token
-    # once (DESIGN.md §11, "The live switch counted a token twice")
+    # once (DESIGN.md §9, "Overlap root causes")
     "session_k2": ("session", "--procs", "8", "--faults", "2",
                    "--classes", "recovery,double"),
     # one failure at a time, repeated: second crashes on every other node

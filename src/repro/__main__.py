@@ -548,7 +548,7 @@ def add_monitor_arguments(p: Parser) -> None:
 
 def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
     """Run one fault-tolerant workload under the online invariant monitor
-    (DESIGN.md §9): the paper's LLT/CGC bounds, vector-clock monotonicity,
+    (DESIGN.md §7.6): the paper's LLT/CGC bounds, vector-clock monotonicity,
     per-channel FIFO and structural recoverability, checked continuously.
     Exits nonzero on any violation and writes a post-mortem flight record
     (last-events ring + node state snapshot) as JSON."""

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.checkpoint import CheckpointManager
 from repro.core.ftmanager import FtConfig, FtManager
 from repro.core.policies import CheckpointPolicy, LogOverflowPolicy
+from repro.core.recovery import RecoveryManager, answer_query
 from repro.dsm.config import DsmConfig
 from repro.dsm.messages import Message, RecoveryDone, RecoveryQuery, RecoveryReply
 from repro.dsm.pages import RegionSet, SharedRegion
@@ -63,8 +64,6 @@ class ProcHost:
         self.crashed_count = 0
         self.recovered_count = 0
         self.queued: List[Tuple[int, Message]] = []
-        #: recovery responder installed by core.recovery when FT is on
-        self.responder: Any = None
         #: active RecoveryManager while this host is recovering
         self.recovery_mgr: Any = None
         #: app-done flag (kept across crash/recovery incarnations)
@@ -72,7 +71,7 @@ class ProcHost:
         #: virtual time of the most recent fail-stop (-1: never crashed)
         self.last_crash_time = -1.0
         #: phase anatomy of every *completed* recovery (one record per
-        #: incarnation that reached the live switch, DESIGN.md §12);
+        #: incarnation that reached the live switch, DESIGN.md §7.3);
         #: host-level so crash-sweep readers can harvest it after the
         #: run — a recovery killed by a second crash records nothing
         self.recovery_phases: List[Dict[str, float]] = []
@@ -241,8 +240,6 @@ class DsmCluster:
                 self._install_ft(host)
 
     def _install_ft(self, host: ProcHost) -> None:
-        from repro.core.recovery import RecoveryResponder
-
         footprint = self.regions.total_bytes
         if host.ckpt_mgr is None:  # reused across recoveries (stable storage)
             host.ckpt_mgr = CheckpointManager(
@@ -258,7 +255,6 @@ class DsmCluster:
             from repro.core.replica import Replicator
 
             host.ft.repl = Replicator(host.ft, host)
-        host.responder = RecoveryResponder(host)
 
     @property
     def replication(self) -> bool:
@@ -407,7 +403,6 @@ class DsmCluster:
         # all volatile state dies with the process
         host.proto = None
         host.ft = None
-        host.responder = None
         host.state = {}
         if self.replication:
             # the replicas this node held for peers die with its memory;
@@ -432,8 +427,6 @@ class DsmCluster:
         global_rollback(self)
 
     def _start_recovery(self, pid: int) -> None:
-        from repro.core.recovery import RecoveryManager
-
         host = self.hosts[pid]
         if host.live or host.finished or host.recovering:
             return  # already back (or a restarted recovery is underway)
@@ -461,7 +454,7 @@ class DsmCluster:
                 return  # stale reply (recovery finished); drop
             host.recovery_mgr.on_reply(src, msg)
             return
-        if host.responder is None:
+        if host.ft is None:
             if not self.ft_enabled:
                 raise RuntimeError(
                     f"recovery query for node {dst} but FT is not enabled"
@@ -472,7 +465,7 @@ class DsmCluster:
             self.held_recovery_msgs += 1
             host.queued.append((src, msg))
             return
-        host.responder.handle(src, msg)
+        answer_query(host, src, msg)
 
     # ------------------------------------------------------------------
     # results

@@ -305,12 +305,6 @@ class CheckpointManager:
         self._update_window()
         return freed
 
-    # ------------------------------------------------------------------
-    # recovery-side queries
-    # ------------------------------------------------------------------
-    def restart_checkpoint(self) -> Optional[Checkpoint]:
-        return self.latest
-
     @property
     def retained_seqnos(self) -> List[int]:
         out = {

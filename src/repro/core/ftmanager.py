@@ -184,7 +184,7 @@ class FtManager(FtHooks):
         self.stats.time_logging += 0.5e-6
         if grantor != self.pid:
             # confirm the actual acquire timestamp to the grantor, whose
-            # rel-entry holds a prediction (§4.2.1 / DESIGN.md §9)
+            # rel-entry holds a prediction (§4.2.1 / DESIGN.md §7.6)
             self.proc._send(
                 grantor, AcqAck(lock_id=lock_id, acquirer=self.pid, acq_t=acq_t)
             )

@@ -64,14 +64,13 @@ from repro.sim.node import TimeBucket
 from repro.sim.trace import (
     RECOVERY_ANNOTATE,
     RECOVERY_LIVE,
-    RECOVERY_PHASES,
     REPL_FETCH,
     RPHASE,
 )
 
 __all__ = [
     "OverlappingFailureError",
-    "RecoveryResponder",
+    "answer_query",
     "RecoveryManager",
     "ReplayDriver",
 ]
@@ -99,48 +98,40 @@ def _sum_key(t: VClock) -> int:
 # ======================================================================
 
 
-class RecoveryResponder:
-    """Serves recovery queries from this host's :class:`FtImage` — or,
-    for a query ``about`` a lost peer, from the replicated image this
-    host holds as that peer's buddy.
+def answer_query(host: Any, src: int, query: RecoveryQuery) -> None:
+    """Serve ``src``'s recovery query from ``host``'s :class:`FtImage` —
+    or, for a query ``about`` a lost peer, from the replicated image
+    ``host`` holds as that peer's buddy.
 
     Responses are computed in the message handler ("recovery of a process
     does not interfere with other operational processes") and their CPU
     cost is accrued as handler debt.
     """
-
-    def __init__(self, host: Any) -> None:
-        self.host = host
-
-    def handle(self, src: int, query: RecoveryQuery) -> None:
-        host = self.host
-        if query.about is None:
-            payload, size = FtImage.live(host.ft).answer(
-                query.kind, src, query.detail
+    if query.about is None:
+        payload, size = FtImage.live(host.ft).answer(query.kind, src, query.detail)
+        if payload is NO_REPLICA:
+            raise RuntimeError(
+                f"p{host.pid} retains no usable starting copy for "
+                f"{query.detail} (Rule 3 violated)"
             )
-            if payload is NO_REPLICA:
-                raise RuntimeError(
-                    f"p{host.pid} retains no usable starting copy for "
-                    f"{query.detail} (Rule 3 violated)"
-                )
+    else:
+        # ``src`` lost peer ``about`` to an overlapping failure
+        rec = best_record(host, query.about)
+        if rec is not None:
+            payload, size = rec.image.answer(query.kind, src, query.detail)
         else:
-            # ``src`` lost peer ``about`` to an overlapping failure
-            rec = best_record(host, query.about)
-            if rec is not None:
-                payload, size = rec.image.answer(query.kind, src, query.detail)
-            else:
-                payload, size = NO_REPLICA, 8  # no committed record survives
-        reply = RecoveryReply(
-            kind=query.kind,
-            responder=host.pid,
-            payload=payload,
-            payload_size=size,
-            qid=query.qid,
-            responder_crash_time=host.last_crash_time,
-            responder_recovering=host.recovering,
-        )
-        host.proto.cpu.accrue_handler(20e-6)
-        host.cluster.send(host.pid, src, reply)
+            payload, size = NO_REPLICA, 8  # no committed record survives
+    reply = RecoveryReply(
+        kind=query.kind,
+        responder=host.pid,
+        payload=payload,
+        payload_size=size,
+        qid=query.qid,
+        responder_crash_time=host.last_crash_time,
+        responder_recovering=host.recovering,
+    )
+    host.proto.cpu.accrue_handler(20e-6)
+    host.cluster.send(host.pid, src, reply)
 
 
 # ======================================================================
@@ -159,7 +150,7 @@ class RecoveryManager:
         #: from peers that failed at-or-after this instant signal overlap
         self.crash_time = host.last_crash_time
         self._pending: Dict[int, Future] = {}
-        #: phase-boundary virtual times (recovery anatomy, DESIGN.md §12):
+        #: phase-boundary virtual times (recovery anatomy, DESIGN.md §7.3):
         #: begin / restore end / handshake end, filled as the procedure
         #: advances; a killed incarnation's partial marks die with it
         self._t_begin = -1.0
@@ -308,7 +299,7 @@ class RecoveryManager:
                 e for e in host.queued if not isinstance(e[1], RecoveryQuery)
             ]
             for s, m in held:
-                host.responder.handle(s, m)
+                answer_query(host, s, m)
 
         # a crash during a checkpoint disk write leaves a marker-less
         # (torn) record on stable storage; it must not be a restart point
@@ -317,7 +308,7 @@ class RecoveryManager:
         if torn and bus.on[RECOVERY_ANNOTATE]:
             bus.emit(RECOVERY_ANNOTATE, self.pid, "discarded_torn n", torn)
 
-        ckpt: Optional[Checkpoint] = host.ckpt_mgr.restart_checkpoint()
+        ckpt: Optional[Checkpoint] = host.ckpt_mgr.latest
         if ckpt is not None:
             self._restore_from_checkpoint(proto, ft, ckpt)
             host.state = ckpt.restore_app_state()
@@ -373,9 +364,11 @@ class RecoveryManager:
         host.recovery_mgr = None
 
     def _finish_phases(self) -> None:
-        """Record this incarnation's completed recovery anatomy.
+        """Record this incarnation's completed recovery anatomy in
+        ``host.recovery_phases``, the one place it is kept (observers
+        read the newest record at ``RECOVERY_LIVE``).
 
-        Emitted at the live switch, *before* the ``RECOVERY_LIVE`` event
+        Runs at the live switch, *before* the ``RECOVERY_LIVE`` event,
         so the span tracer closes the replay child span while its parent
         recovery span is still open. Phase durations (all virtual time):
 
@@ -409,9 +402,6 @@ class RecoveryManager:
             "replica_fetch_s": self.replica_fetch_s,
         }
         host.recovery_phases.append(rec)
-        bus = self.cluster.engine.bus
-        if bus.on[RECOVERY_PHASES]:
-            bus.emit(RECOVERY_PHASES, self.pid, rec)
 
     def _go_live(self) -> None:
         """Called by the driver at the live switch."""

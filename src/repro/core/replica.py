@@ -331,11 +331,11 @@ class Replicator:
 
     # -- buddy assignment ----------------------------------------------
     def choose_buddy(self) -> Optional[int]:
-        """First live, non-recovering host in ring order after ``pid``."""
+        """First live host in ring order after ``pid`` (a recovering host
+        is not live until its live switch)."""
         for k in range(1, self.n):
             j = (self.pid + k) % self.n
-            h = self.cluster.hosts[j]
-            if h.live and not h.recovering:
+            if self.cluster.hosts[j].live:
                 return j
         return None
 

@@ -261,7 +261,7 @@ class AcqAck(Message):
     rel/acq pair converge to the same vector time.  Until this ack lands
     the grantor's entry is the (componentwise smaller) prediction, which
     replay joins identically except across a recovery-forced checkpoint —
-    the asymmetry documented in DESIGN.md §9.
+    the asymmetry documented in DESIGN.md §7.6.
     """
 
     lock_id: int = 0

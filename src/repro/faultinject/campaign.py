@@ -246,7 +246,7 @@ class SweepSummary:
 
 #: phases of one recovery, in execution order (the keys every
 #: ``recovery_phases`` record carries alongside ``total``)
-RECOVERY_PHASES = ("detect", "restore", "handshake", "replay", "resume")
+_PHASES = ("detect", "restore", "handshake", "replay", "resume")
 
 #: percentiles reported for per-class recovery-time distributions (small
 #: populations, so these are *exact* sorted-list percentiles at rank
@@ -281,7 +281,7 @@ def recovery_distributions(
             },
             "phase_means_s": {
                 ph: sum(r.get(ph, 0.0) for r in recs) / n
-                for ph in RECOVERY_PHASES
+                for ph in _PHASES
             },
             "mean_replica_fetches": (
                 sum(r.get("replica_fetches", 0) for r in recs) / n

@@ -10,7 +10,7 @@ reported values are bundled for side-by-side comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import DsmCluster, DsmConfig
@@ -175,9 +175,6 @@ class ExperimentResult:
     setup: AppSetup
     cluster: DsmCluster
     result: RunResult
-    #: metrics registry sampled during the run (FT runs only); the
-    #: figure/table layer reads series from here instead of bespoke probes
-    registry: Optional[Any] = None
 
     @property
     def hosts(self):
@@ -198,8 +195,6 @@ def run_ft(
     policy_factory: Optional[Callable[[int, int], Any]] = None,
 ) -> ExperimentResult:
     """Run with fault tolerance (OF policy at the setup's L)."""
-    from repro.observe import ClusterObserver
-
     factory = policy_factory or (
         lambda pid, fp: LogOverflowPolicy(setup.l_fraction, fp)
     )
@@ -210,9 +205,5 @@ def run_ft(
         ft_config=ft_config,
         policy_factory=factory,
     )
-    # event-driven observation only (no time ticker): checkpoint and
-    # barrier recording are passive reads, so the run stays bit-identical
-    observer = ClusterObserver(cluster, interval=None, sample_on_barrier=True)
     result = cluster.run(setup.make_app())
-    observer.sample()
-    return ExperimentResult(setup, cluster, result, registry=observer.registry)
+    return ExperimentResult(setup, cluster, result)

@@ -94,9 +94,8 @@ def figure4(
     Returns ``{app: {"measured": [(ckpt#, bytes)], "unbounded":
     [(ckpt#, bytes)]}}`` where "unbounded" is the paper's dotted
     L-bytes-per-checkpoint growth line without LLT. The measured curve
-    comes from the observability registry's per-node
-    ``ft.log_disk_bytes`` series (recorded at every checkpoint by the
-    attached :class:`~repro.observe.ClusterObserver`).
+    is the FT layer's own record, each node's ``FtStats.log_points``
+    (one point per checkpoint).
     """
     from repro.harness.experiment import PAPER
     from repro.harness.tables import run_all_experiments
@@ -104,20 +103,11 @@ def figure4(
     experiments = experiments or run_all_experiments(scale)
     out: Dict[str, Dict[str, List[Tuple[int, float]]]] = {}
     for name, (_base, ft) in experiments.items():
-        if ft.registry is None:
-            raise ValueError(
-                f"{name}: FT experiment has no metrics registry; run it "
-                "through harness.experiment.run_ft"
-            )
         # per checkpoint number, the max stable log size across nodes
         per_ckpt: Dict[int, float] = {}
-        for _node, points in ft.registry.series_by_name(
-            "ft.log_disk_bytes"
-        ).items():
-            for ckpt_no, size in points:
-                per_ckpt[int(ckpt_no)] = max(
-                    per_ckpt.get(int(ckpt_no), 0.0), float(size)
-                )
+        for host in ft.hosts:
+            for ckpt_no, size in host.ft.stats.log_points:
+                per_ckpt[ckpt_no] = max(per_ckpt.get(ckpt_no, 0.0), float(size))
         measured = sorted(per_ckpt.items())
         l_bytes = PAPER[name].l_fraction * ft.result.footprint_bytes
         unbounded = [(k, k * l_bytes) for k, _ in measured]

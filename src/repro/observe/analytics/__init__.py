@@ -1,5 +1,5 @@
 """Cross-artifact analytics: aggregate every pipeline's output into one
-dashboard (DESIGN.md §12, the ``repro report`` command).
+dashboard (DESIGN.md §7.3, the ``repro report`` command).
 
     from repro.observe.analytics import (
         discover_artifacts, load_artifact, build_dashboard, render_dashboard,

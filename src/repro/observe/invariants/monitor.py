@@ -3,7 +3,7 @@
 An :class:`InvariantMonitor` attaches to a
 :class:`~repro.cluster.DsmCluster` *before* ``run`` and continuously
 checks five invariant classes derived from the paper (Sultan et al.,
-SC 2000); see DESIGN.md §9 for the catalog mapping each check to its
+SC 2000); see DESIGN.md §7.6 for the catalog mapping each check to its
 theorem/section. Like the observer and the span tracer it is strictly
 read-only: it subscribes to the run's event bus (``repro.sim.trace``)
 and performs no scheduling, no sends and no state mutation — a monitored
@@ -18,7 +18,7 @@ The five invariant classes:
     copy belongs to the latest committed checkpoint (never collected);
     and the retained window is monotone — the per-page oldest-retained
     seqno never decreases across trims. (The paper's "at most two
-    checkpoints" claim is knowledge-relative — see DESIGN.md §9 for why
+    checkpoints" claim is knowledge-relative — see DESIGN.md §7.6 for why
     the literal count can legitimately exceed 2 under stale ``T̂ckp``.)
 
 ``llt``
@@ -102,10 +102,11 @@ scan would). Why skipping is sound:
    passed once is remembered by identity, and an in-order delivery —
    the very object checked at its send — is not checked again.
 
-On the first violation — and on every crash — the attached
+On the first violation the attached
 :class:`~repro.observe.invariants.recorder.FlightRecorder` state is
 snapshotted into a post-mortem flight record (JSON + ASCII, see
-``recorder.py``). The ring exists only where such a dump is read: with
+``recorder.py``); :meth:`flight_record` makes one on demand (the CLI's
+end-of-run record). The ring exists only where such a dump is read: with
 ``ring_size=0`` the monitor builds no recorder and makes no dump, and
 checks exactly as before. The crash-sweep campaign runs that way — a
 sweep point carries a verdict, never a flight record, and a failing
@@ -141,6 +142,10 @@ INVARIANTS = ("cgc", "llt", "vclock", "fifo", "recoverability")
 #: what every sweep and the ledger run at; scanning at every delivery
 #: costs ``sweep_session`` +27 % host time (ROADMAP item 5)
 SCAN_EVERY = 10
+
+#: distinct violations kept; later ones are counted in
+#: ``dropped_violations``
+MAX_VIOLATIONS = 64
 
 #: message attributes carrying vector-clock stamps (happened-before check)
 _STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "diff_vt", "global_vt")
@@ -182,27 +187,19 @@ class InvariantMonitor:
     :data:`SCAN_EVERY`-th message delivery; those scans are incremental
     (module docstring), the scan at every recovery and the final :meth:`finish`
     scan always run and are full. Violations are collected,
-    deduplicated on (invariant, pid, detail) and capped; with a flight
-    ring (``ring_size > 0``) the first one snapshots a flight record
-    (:attr:`violation_dump`), as does every crash (:attr:`crash_dumps`,
-    last four kept).
+    deduplicated on (invariant, pid, detail) and capped at
+    :data:`MAX_VIOLATIONS`; with a flight ring (``ring_size > 0``) the
+    first one snapshots a flight record (:attr:`violation_dump`).
     """
 
-    def __init__(
-        self,
-        cluster: Any,
-        ring_size: int = 256,
-        max_violations: int = 64,
-    ) -> None:
+    def __init__(self, cluster: Any, ring_size: int = 256) -> None:
         self.cluster = cluster
-        self.max_violations = max_violations
         #: the flight ring, or None (``ring_size`` 0: nothing reads a dump)
         self.recorder = FlightRecorder(ring_size) if ring_size > 0 else None
         self.violations: List[Violation] = []
         self.dropped_violations = 0
         self.checks: Dict[str, int] = {k: 0 for k in INVARIANTS}
         self.violation_dump: Optional[Dict[str, Any]] = None
-        self.crash_dumps: List[Dict[str, Any]] = []
         n = self._n = cluster.config.num_procs
         #: channel ``src * n + dst`` -> sent-but-undelivered payload identities
         self._chan: Dict[int, deque] = {}
@@ -319,15 +316,9 @@ class InvariantMonitor:
         self._ckpt_writing.discard(pid)
 
     def _on_failure(self, pid: int) -> None:
-        # emitted before the kill: snapshot the victim's last state
         self._ckpt_writing.discard(pid)
         self._last_vt[pid] = None
         self._forget()
-        if self.recorder is not None:
-            self.crash_dumps.append(
-                self.flight_record(f"crash of p{pid} (fail-stop)")
-            )
-            del self.crash_dumps[:-4]
 
     def _on_recovery_live(self, pid: int) -> None:
         self._last_vt[pid] = None
@@ -347,7 +338,7 @@ class InvariantMonitor:
         if key in self._seen:
             return
         self._seen.add(key)
-        if len(self.violations) >= self.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             self.dropped_violations += 1
             return
         eng = self.cluster.engine
@@ -627,7 +618,7 @@ class InvariantMonitor:
         if full:
             self._forget()
         hosts = self.cluster.hosts
-        live = [h for h in hosts if h.live and not h.recovering]
+        live = [h for h in hosts if h.live]
         chains_ok = self._chains_ok
         for host in hosts:
             mgr = host.ckpt_mgr
@@ -659,8 +650,7 @@ class InvariantMonitor:
                         f"restart checkpoint {mgr.latest.seqno} is not a "
                         "committed stable-storage key",
                     )
-            if (host.live and not host.recovering
-                    and pid not in self._ckpt_writing):
+            if host.live and pid not in self._ckpt_writing:
                 torn = mgr.store.pending_keys()
                 if torn:
                     self._violate(
@@ -685,7 +675,7 @@ class InvariantMonitor:
                 if not mine or g == i:
                     continue
                 peer = hosts[g]
-                if (peer.ft is None or not peer.live or peer.recovering):
+                if peer.ft is None or not peer.live:
                     continue
                 rel = peer.ft.logs.rel.entries[i]
                 sig = (mine, len(mine), rel, len(rel))
@@ -858,7 +848,7 @@ class InvariantMonitor:
         for host in hosts:
             ft = host.ft
             repl = getattr(ft, "repl", None) if ft is not None else None
-            if repl is None or not host.live or host.recovering:
+            if repl is None or not host.live:
                 continue
             pid = host.pid
             mgr = host.ckpt_mgr
@@ -897,7 +887,7 @@ class InvariantMonitor:
             for protected in rstore.protected_pids():
                 st = rstore.store_for(protected)
                 p_host = hosts[protected]
-                p_live = p_host.live and not p_host.recovering
+                p_live = p_host.live
                 p_latest = (
                     p_host.ckpt_mgr.next_seqno - 1
                     if p_live and p_host.ckpt_mgr is not None else None

@@ -5,7 +5,8 @@ post-mortem.
 The recorder is a fixed-size ring (``collections.deque`` with
 ``maxlen``), so it is O(1) per event. Records are raw tuples while the
 run is live; they are normalized to JSON-friendly dicts only when a dump
-is requested (on an invariant violation or a crash). An engine event is
+is requested (on an invariant violation, or at the end of a CLI run).
+An engine event is
 the engine's own tuple, rung by the bound ``ring.append`` itself — no
 Python frame per event; every other record is the flat tracer's
 :class:`~repro.sim.trace.TraceEvent`, made by the same
@@ -153,7 +154,11 @@ def write_flight_record(path: str, record: Dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def render_flight_record(record: Dict[str, Any], tail: int = 30) -> str:
+#: ring events a rendered flight record shows, newest last
+FLIGHT_TAIL = 30
+
+
+def render_flight_record(record: Dict[str, Any]) -> str:
     """ASCII post-mortem: reason, violations, node states, event tail."""
     lines = [
         f"FLIGHT RECORD — {record['reason']}",
@@ -170,7 +175,7 @@ def render_flight_record(record: Dict[str, Any], tail: int = 30) -> str:
                 f"{v['detail']}"
             )
     else:
-        lines.append("no invariant violations (crash post-mortem)")
+        lines.append("no invariant violations")
     lines.append("")
 
     nodes = Table(
@@ -194,7 +199,7 @@ def render_flight_record(record: Dict[str, Any], tail: int = 30) -> str:
     lines.append("")
 
     events = record.get("events", [])
-    shown = events[-tail:]
+    shown = events[-FLIGHT_TAIL:]
     lines.append(
         f"last {len(shown)} of {len(events)} ring events "
         f"({record.get('events_recorded', len(events))} recorded in total):"

@@ -1,4 +1,4 @@
-"""Tail-latency percentile engine (DESIGN.md §12).
+"""Tail-latency percentile engine (DESIGN.md §7.3).
 
 Log-bucketed, deterministic, mergeable virtual-time histograms feeding
 the run report's p50/p90/p99/p999 tables. See :mod:`.engine`.

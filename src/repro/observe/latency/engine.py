@@ -1,7 +1,7 @@
 """Log-bucketed latency histograms: deterministic, mergeable, bounded error.
 
 The percentile engine behind the run report's tail-latency tables
-(DESIGN.md §12). An HDR-histogram-style structure specialised for the
+(DESIGN.md §7.3). An HDR-histogram-style structure specialised for the
 simulator's *virtual-time* durations:
 
 * **log buckets** — bucket ``i`` covers ``(base·g^(i-1), base·g^i]``
@@ -61,9 +61,9 @@ PERCENTILE_LABELS: Dict[float, str] = {
 }
 
 
-#: (base, growth) -> [upper_bound(0), upper_bound(1), ...]: one table per
-#: geometry, shared by its histograms and extended as larger values arrive
-_BOUNDS: Dict[Tuple[float, float], List[float]] = {}
+#: [upper_bound(0), upper_bound(1), ...]: the one bound table, shared by
+#: every histogram and extended as larger values arrive
+_BOUNDS: List[float] = [DEFAULT_BASE]
 
 
 def _rank(p: float, n: int) -> int:
@@ -84,27 +84,15 @@ def exact_percentile(values: List[float], p: float) -> float:
 
 
 class LatencyHistogram:
-    """Sparse log-bucketed distribution of non-negative durations."""
+    """Sparse log-bucketed distribution of non-negative durations, all in
+    one bucket geometry (:data:`DEFAULT_BASE`, :data:`DEFAULT_GROWTH`)."""
 
-    __slots__ = ("name", "node", "base", "growth", "_bounds", "buckets",
-                 "zero_count", "count", "total", "min", "max")
+    __slots__ = ("name", "node", "buckets", "zero_count", "count", "total",
+                 "min", "max")
 
-    def __init__(
-        self,
-        name: str = "",
-        node: int = -1,
-        base: float = DEFAULT_BASE,
-        growth: float = DEFAULT_GROWTH,
-    ) -> None:
-        if base <= 0:
-            raise ValueError(f"base must be positive: {base}")
-        if growth <= 1.0:
-            raise ValueError(f"growth must exceed 1: {growth}")
+    def __init__(self, name: str, node: int) -> None:
         self.name = name
         self.node = node
-        self.base = base
-        self.growth = growth
-        self._bounds = _BOUNDS.setdefault((base, growth), [self.upper_bound(0)])
         #: sparse {bucket index: count}; index i covers (ub(i-1), ub(i)]
         self.buckets: Dict[int, int] = {}
         self.zero_count = 0
@@ -116,18 +104,19 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
     # bucket geometry
     # ------------------------------------------------------------------
-    def upper_bound(self, index: int) -> float:
-        return self.base * self.growth ** index
+    @staticmethod
+    def upper_bound(index: int) -> float:
+        return DEFAULT_BASE * DEFAULT_GROWTH ** index
 
     def bucket_index(self, value: float) -> int:
         """Smallest ``i >= 0`` with ``upper_bound(i) >= value``.
 
-        One bisection over the geometry's bound table, whose entry ``i``
-        is the very float ``upper_bound(i)`` returns, so the mapping is
-        exact by construction — the monotonicity the error bound and the
+        One bisection over the bound table, whose entry ``i`` is the very
+        float ``upper_bound(i)`` returns, so the mapping is exact by
+        construction — the monotonicity the error bound and the
         order-invariance guarantee both rest on.
         """
-        bounds = self._bounds
+        bounds = _BOUNDS
         while bounds[-1] < value:
             bounds.append(self.upper_bound(len(bounds)))
         return bisect_left(bounds, value)
@@ -156,12 +145,6 @@ class LatencyHistogram:
 
     def merge_from(self, other: "LatencyHistogram") -> None:
         """Add ``other``'s counts into this histogram (elementwise)."""
-        if (other.base, other.growth) != (self.base, self.growth):
-            raise ValueError(
-                f"cannot merge histograms with different geometry: "
-                f"base {self.base} vs {other.base}, "
-                f"growth {self.growth} vs {other.growth}"
-            )
         for i, c in other.buckets.items():
             self.buckets[i] = self.buckets.get(i, 0) + c
         self.zero_count += other.zero_count
@@ -173,14 +156,12 @@ class LatencyHistogram:
 
     @classmethod
     def merged(
-        cls, parts: Iterable["LatencyHistogram"], name: str = "", node: int = -1
+        cls, parts: Iterable["LatencyHistogram"], name: str, node: int
     ) -> "LatencyHistogram":
-        out = None
+        out = cls(name, node)
         for h in parts:
-            if out is None:
-                out = cls(name or h.name, node, base=h.base, growth=h.growth)
             out.merge_from(h)
-        return out if out is not None else cls(name, node)
+        return out
 
     # ------------------------------------------------------------------
     # percentiles
@@ -255,8 +236,8 @@ class LatencyHistogram:
     def to_dict(self) -> Dict[str, Any]:
         ordered = sorted(self.buckets.items())
         return {
-            "base": self.base,
-            "growth": self.growth,
+            "base": DEFAULT_BASE,
+            "growth": DEFAULT_GROWTH,
             "zero": self.zero_count,
             "buckets": list(map(list, ordered)),
             "sum": self.total,
@@ -267,7 +248,15 @@ class LatencyHistogram:
     def from_dict(
         cls, data: Dict[str, Any], name: str = "", node: int = -1
     ) -> "LatencyHistogram":
-        h = cls(name, node, base=data["base"], growth=data["growth"])
+        """A histogram from its ``to_dict`` record; a record written in
+        another bucket geometry raises ``ValueError``."""
+        if (data["base"], data["growth"]) != (DEFAULT_BASE, DEFAULT_GROWTH):
+            raise ValueError(
+                f"histogram record in another geometry: base {data['base']}, "
+                f"growth {data['growth']} (expected {DEFAULT_BASE}, "
+                f"{DEFAULT_GROWTH})"
+            )
+        h = cls(name, node)
         h.zero_count = int(data.get("zero", 0))
         h.buckets = {int(i): int(c) for i, c in data.get("buckets", ())}
         h.count = int(data["count"])

@@ -39,7 +39,7 @@ from repro.sim.trace import (
     CKPT_WRITE_END,
     FAILURE,
     LLT,
-    RECOVERY_PHASES,
+    RECOVERY_LIVE,
     REPL_ACK,
     REPL_COMMIT,
     REPL_RETARGET,
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ClusterObserver"]
 
-#: wait ops with a distribution, ``lat.<op>`` (DESIGN.md §12). Home
+#: wait ops with a distribution, ``lat.<op>`` (DESIGN.md §7.3). Home
 #: waits charge PAGE_WAIT too but have no distribution of their own.
 _WAIT_OPS = ("fetch", "acquire", "barrier")
 
@@ -82,7 +82,7 @@ class ClusterObserver:
         self.cluster = cluster
         self.registry = registry if registry is not None else MetricsRegistry()
         if window_s is not None:
-            # windowed tail-latency collection (DESIGN.md §13): the clock
+            # windowed tail-latency collection (DESIGN.md §7.4): the clock
             # callback reads the engine's virtual time and nothing else
             self.registry.enable_windows(
                 clock=lambda: cluster.engine.now, window_s=window_s
@@ -116,7 +116,7 @@ class ClusterObserver:
         subscribe(CKPT_WRITE_END, self._on_ckpt_write)
         subscribe(LLT, self._on_llt)
         subscribe(CGC, self._on_cgc)
-        subscribe(RECOVERY_PHASES, self._on_recovery_phases)
+        subscribe(RECOVERY_LIVE, self._on_recovery_live)
         subscribe(REPL_COMMIT, self._on_repl_commit)
         subscribe(REPL_ACK, self._on_repl_ack)
         # commits sent to a buddy that is gone, or by an incarnation that
@@ -273,13 +273,12 @@ class ClusterObserver:
     def _forget_commits(self, pid: int, *_: Any) -> None:
         self._commit_sent.pop(pid, None)
 
-    def _on_recovery_phases(self, pid: int, rec: Dict[str, float]) -> None:
-        """One completed recovery's phase anatomy (DESIGN.md §12).
-
-        ``rec`` is the per-incarnation record appended to
-        ``host.recovery_phases`` by the recovery manager: end-to-end
-        duration plus detection/restore/handshake/replay phases.
-        """
+    def _on_recovery_live(self, pid: int) -> None:
+        """One completed recovery's phase anatomy (DESIGN.md §7.3): the
+        record the recovery manager appended to ``host.recovery_phases``
+        just before the live switch — end-to-end duration plus
+        detection/restore/handshake/replay phases."""
+        rec = self.cluster.hosts[pid].recovery_phases[-1]
         reg = self.registry
         reg.latency("lat.recovery", pid).observe(rec["total"])
         for phase in ("detect", "restore", "handshake", "replay"):

@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauge rows and latency histograms.
 
 The registry is the single collection point of the observability layer
-(DESIGN.md §7). Each observation is kept once, in one of three forms:
+(DESIGN.md §7.2). Each observation is kept once, in one of three forms:
 
 ``Counter``
     A monotonically increasing value (bytes trimmed, checkpoints taken).
@@ -17,7 +17,7 @@ gauge rows (:meth:`MetricsRegistry.gauges`)
     nothing on the hot path.
 
 ``LatencyHistogram``
-    A log-bucketed percentile distribution (DESIGN.md §12): deterministic
+    A log-bucketed percentile distribution (DESIGN.md §7.3): deterministic
     bucket placement, bounded-relative-error p50/p90/p99/p999, and
     elementwise-mergeable counts so per-node distributions roll up into
     cluster-wide ones. Created through :meth:`MetricsRegistry.latency`;
@@ -27,7 +27,7 @@ gauge rows (:meth:`MetricsRegistry.gauges`)
 window table (:meth:`MetricsRegistry.windows`)
     With windowed collection on, one cluster-wide ``LatencyHistogram``
     per (op class, virtual-time window), filed at observe time by every
-    node's histogram of that class (DESIGN.md §13). It is what the run
+    node's histogram of that class (DESIGN.md §7.4). It is what the run
     report's ``wlat`` records, the SLO engine and the degradation
     timeline read; no node keeps windows of its own.
 
@@ -159,7 +159,7 @@ class MetricsRegistry:
     monotone axis works (Figure 4 records against checkpoint number via
     :meth:`record`).
 
-    Storage is columnar (DESIGN.md §7): a series is a column of doubles
+    Storage is columnar (DESIGN.md §7.2): a series is a column of doubles
     over an x column — the one axis ``sample(x)`` appends to, from the
     sample count at which the metric registered, or a ``record()``
     series' own. Every read accessor, and a report, hands out
@@ -176,7 +176,7 @@ class MetricsRegistry:
         self._readers: List[Tuple[Callable[[], Sequence[float]], List[array]]] = []
         #: derived() memo: key -> (version, value)
         self._derived: Dict[Any, Tuple[Any, Any]] = {}
-        # windowed collection (DESIGN.md §13): once enable_windows() set a
+        # windowed collection (DESIGN.md §7.4): once enable_windows() set a
         # clock callback and a window width, latency() hands out
         # WindowedLatency instances that file into the op class's table —
         # the clock only *reads* virtual time, preserving the layer's

@@ -2,7 +2,7 @@
 
 Two pieces built for the open-loop session workload, both reading a run
 report's ``wlat`` records (one per histogram of the registry's window
-table, DESIGN.md §13):
+table, DESIGN.md §7.4):
 
 * :mod:`.engine` — declarative latency objectives with multi-window
   burn-rate evaluation (the exit-nonzero SLO gate);

@@ -8,7 +8,7 @@ meaning: at most ``100 - 99 = 1 %`` of requests may exceed 5 ms of
 virtual time — the percentile defines the **error budget** (fraction of
 requests allowed over the threshold), the threshold defines what "bad"
 means. Objectives are evaluated over a run report's ``wlat`` records,
-one per histogram of the registry's window table (DESIGN.md §13):
+one per histogram of the registry's window table (DESIGN.md §7.4):
 
 * a window's **bad fraction** is ``count_over(threshold) / count``
   (conservative per the engine's documented boundary bias);

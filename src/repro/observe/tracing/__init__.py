@@ -1,6 +1,6 @@
 """Causal span tracing: span DAG + critical path + Perfetto export.
 
-See DESIGN.md §8. Typical use::
+See DESIGN.md §7.5. Typical use::
 
     from repro.observe.tracing import SpanTracer, compute_critical_path
 

@@ -13,7 +13,8 @@ second of the end-to-end run to a cause:
   same timeline.
 * no wait covers the current point → the **gap** back to the previous
   wait is attributed by overlapping op spans, in precedence order
-  compute → ckpt-disk → recovery, with the unexplained remainder
+  compute → ckpt-disk → recovery → down (a victim's failure-detection
+  window), with the unexplained remainder
   charged to protocol ``overhead`` (handler debt, flushes, logging —
   exactly what the OVERHEAD/LOG_CKPT buckets hold).
 
@@ -61,6 +62,13 @@ RECONCILED_BUCKETS = (
     TimeBucket.LOCK_WAIT,
     TimeBucket.BARRIER_WAIT,
 )
+
+#: reconciliation tolerances (module docstring)
+RECONCILE_REL_TOL = 1e-6
+RECONCILE_ABS_TOL = 1e-9
+
+#: lock chains the report lists
+WORST_CHAINS = 5
 
 _BUCKET_KIND = {
     TimeBucket.COMPUTE: "compute",
@@ -120,25 +128,6 @@ class _GapIndex:
         for s in tracer.spans:
             if s.status in ("closed", "abandoned") and s.kind in self.by_kind:
                 self.by_kind[s.kind][s.pid].append(s)
-        # synthesize a "down" interval per crash, from the fail-stop to
-        # RECOVERY_BEGIN: the failure-detection window, during
-        # which the victim's timeline is legitimately empty
-        for pid, t_crash in tracer.crash_points:
-            rec_starts = sorted(
-                s.t0 for s in self.by_kind["recovery"][pid] if s.t0 >= t_crash
-            )
-            if rec_starts:
-                self.by_kind["down"][pid].append(
-                    Span(
-                        sid=-1,
-                        pid=pid,
-                        kind="down",
-                        t0=t_crash,
-                        t1=rec_starts[0],
-                        status="closed",
-                        detail="awaiting failure detection",
-                    )
-                )
         self._t1s: Dict[Tuple[str, int], List[float]] = {}
         for kind, per_pid in self.by_kind.items():
             for pid, spans in per_pid.items():
@@ -311,12 +300,10 @@ def node_time_totals(tracer: SpanTracer) -> Dict[int, Dict[str, float]]:
     return totals
 
 
-def reconcile_with_time_stats(
-    tracer: SpanTracer,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-9,
-) -> List[str]:
-    """Cross-check span sums against TimeStats; empty list = reconciled."""
+def reconcile_with_time_stats(tracer: SpanTracer) -> List[str]:
+    """Cross-check span sums against TimeStats within
+    :data:`RECONCILE_REL_TOL`/:data:`RECONCILE_ABS_TOL`; empty list =
+    reconciled."""
     errors: List[str] = []
     totals = node_time_totals(tracer)
     for host in tracer.cluster.hosts:
@@ -327,7 +314,9 @@ def reconcile_with_time_stats(
         for bucket in RECONCILED_BUCKETS:
             want = stats.seconds[bucket]
             got = totals[host.pid][_BUCKET_KIND[bucket]]
-            if abs(got - want) > max(abs_tol, rel_tol * abs(want)):
+            if abs(got - want) > max(
+                RECONCILE_ABS_TOL, RECONCILE_REL_TOL * abs(want)
+            ):
                 errors.append(
                     f"p{host.pid} {bucket.value}: spans sum to {got:.9g}s "
                     f"but TimeStats has {want:.9g}s "
@@ -337,9 +326,10 @@ def reconcile_with_time_stats(
 
 
 def worst_lock_chains(
-    tracer: SpanTracer, top: int = 5
+    tracer: SpanTracer,
 ) -> List[Tuple[int, float, int, List[Span]]]:
-    """Longest cumulative lock-wait chains, grouped by lock id.
+    """The :data:`WORST_CHAINS` longest cumulative lock-wait chains,
+    grouped by lock id.
 
     Returns ``(lock_id, total_wait, n_waits, worst_spans)`` sorted by
     total wait descending.
@@ -354,7 +344,7 @@ def worst_lock_chains(
         total = sum(s.duration for s in spans)
         chains.append((lock_id, total, len(spans), spans[:3]))
     chains.sort(key=lambda c: -c[1])
-    return chains[:top]
+    return chains[:WORST_CHAINS]
 
 
 def render_critpath_report(

@@ -9,7 +9,8 @@ record into the Trace Event Format understood by Perfetto
   spans (app/compute/fetch/acquire/barrier/flush/ckpt), tid 1 the
   retroactive wait spans (page/lock/barrier waits, which overlap their
   enclosing op), tid 2 the bracketed spans (ckpt_write, recovery — closed
-  out of LIFO order with respect to ops during a crash);
+  out of LIFO order with respect to ops during a crash) and the ``down``
+  detection windows;
 * every closed/abandoned span becomes an ``"X"`` complete event
   (``ts``/``dur`` in microseconds of virtual time);
 * every delivered causal edge becomes an ``"s"`` → ``"f"`` flow pair
@@ -44,7 +45,7 @@ _SCALE = 1e6  # virtual seconds -> trace microseconds
 def _tid_for(kind: str) -> int:
     if kind in WAIT_KINDS:
         return TID_WAITS
-    if kind in ("ckpt_write", "recovery", "rphase", "repl"):
+    if kind in ("ckpt_write", "recovery", "rphase", "repl", "down"):
         return TID_PROBES
     return TID_OPS
 

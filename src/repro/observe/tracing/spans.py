@@ -20,6 +20,9 @@ Span kinds (all built from events on the run's bus, ``repro.sim.trace``)
   (the stable-storage write), ``recovery`` (failure-detection to live
   switch) with its ``rphase`` children, and ``repl`` (one checkpoint's
   buddy transfer);
+* ``down`` spans, one per fail-stop: from the ``FAILURE`` event to the
+  victim's next span (its recovery, or under the coordinated baseline's
+  global rollback its respawned ``app``) — the failure-detection window;
 * wait spans, created *retroactively* at every ``WAIT`` event:
   ``page_wait``, ``lock_wait``, ``barrier_wait``. The protocol emits it
   beside ``cpu.stats.add(bucket, seconds)``, exactly once per wait, at
@@ -39,7 +42,8 @@ SpanTracer attached.
 Crash/recovery semantics
 ------------------------
 A fail-stop closes every open span on the victim as ``abandoned`` (the
-cluster emits ``FAILURE`` before killing the incarnation).
+cluster emits ``FAILURE`` before killing the incarnation) and opens its
+``down`` span, which the victim's next span closes.
 Recovery incarnations open fresh spans — ids are globally unique and
 every span carries its ``incarnation`` (the host's ``crashed_count`` at
 open), so the final incarnation's spans are exactly the ones that
@@ -102,6 +106,7 @@ OP_KINDS = (
     "recovery",
     "rphase",
     "repl",
+    "down",
 )
 
 #: op -> (span detail, machine-readable key) of its OP_OPEN operand
@@ -195,10 +200,6 @@ class SpanTracer:
         self.engine = cluster.engine
         self.spans: List[Span] = []
         self.edges: List[CausalEdge] = []
-        #: (pid, time) per observed fail-stop, in order — the critical
-        #: path uses these to attribute detection windows (crash ->
-        #: recovery begin) on the victim's timeline
-        self.crash_points: List[Tuple[int, float]] = []
         self.dropped_spans = 0
         self.dropped_edges = 0
         #: open spans per pid, in open order (innermost last). A plain
@@ -224,6 +225,9 @@ class SpanTracer:
     ) -> Span:
         now, step = self.engine.now, self.engine.steps
         open_list = self._open.setdefault(pid, [])
+        if open_list and open_list[-1].kind == "down":
+            # the first span after a fail-stop ends its detection window
+            self._close_span(open_list[-1])
         parent = open_list[-1].sid if open_list else None
         span = Span(
             sid=len(self.spans),
@@ -415,9 +419,10 @@ class SpanTracer:
 
     def _on_failure(self, pid: int) -> None:
         # announced by cluster.crash after its guard, before the kill:
-        # everything open on the victim dies with the incarnation
-        self.crash_points.append((pid, self.engine.now))
+        # everything open on the victim dies with the incarnation, and
+        # the victim is down until its next span opens
         self._abandon_all(pid)
+        self._open_span(pid, "down", "awaiting failure detection")
 
     def _on_begin(self, kind: str, text: Any, pid: int, *args: Any) -> None:
         self._open_span(pid, kind, text(*args))
@@ -428,11 +433,9 @@ class SpanTracer:
             self._close_span(span)
 
     def _on_rphase(self, pid: int, phase: str, edge: str) -> None:
-        # recovery-phase anatomy (DESIGN.md §12): restore/handshake/
+        # recovery-phase anatomy (DESIGN.md §7.3): restore/handshake/
         # replay child spans nested under the open recovery span
-        # (detection elapses while the node is down, so it has no span
-        # of its own — the critical path attributes it from the crash
-        # point instead)
+        # (detection is the ``down`` span before it)
         if edge == "begin":
             self._open_span(pid, "rphase", phase)
         else:

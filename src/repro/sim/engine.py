@@ -182,7 +182,6 @@ class Engine:
         self._queue: List[_Event] = []  # time heap (delay > 0)
         self._ready: Deque[_Event] = deque()  # FIFO, sorted by (time, seq)
         self._seq = 0
-        self._processes: List[SimProcess] = []
         self.steps: int = 0
         #: step-indexed breakpoints for fault injection: sorted
         #: (step, fn) pairs; fn runs right after the event whose 1-based
@@ -254,7 +253,6 @@ class Engine:
     def spawn(self, gen: Coroutine, name: str = "proc") -> SimProcess:
         """Start driving a coroutine; returns its process handle."""
         proc = SimProcess(self, gen, name)
-        self._processes.append(proc)
         self.call_soon(proc._resume)
         return proc
 

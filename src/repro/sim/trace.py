@@ -64,7 +64,6 @@ RECOVERY_BEGIN = "recovery_begin"
 RECOVERY_ANNOTATE = "recovery_annotate"
 RECOVERY_LIVE = "recovery_live"
 RPHASE = "rphase"
-RECOVERY_PHASES = "recovery_phases"
 REPL_RETARGET = "repl_retarget"
 REPL_SYNC = "repl_sync"
 REPL_BEGIN = "repl_begin"
@@ -103,7 +102,6 @@ CATALOGUE: Dict[str, Tuple[str, ...]] = {
     RECOVERY_ANNOTATE: ("pid", "label", "value"),
     RECOVERY_LIVE: ("pid",),
     RPHASE: ("pid", "phase", "edge"),
-    RECOVERY_PHASES: ("pid", "rec"),
     REPL_RETARGET: ("pid", "old", "new", "gen"),
     REPL_SYNC: ("pid", "seqno", "dst"),
     REPL_BEGIN: ("pid", "seqno", "dst"),

@@ -310,8 +310,8 @@ def test_overlapping_failure_holds_messages_then_degrades():
     assert cluster.held_recovery_msgs >= 1
 
 
-#: one pinned double-fault point per symptom of DESIGN.md §11 "The live
-#: switch counted a token twice" (default app config but the seed, L = 0.1):
+#: one pinned double-fault point per symptom of DESIGN.md §9 "Overlap
+#: root causes" (default app config but the seed, L = 0.1):
 #: (app, seed, procs, replicate, base (step, victim), point (step, victim))
 LIVE_SWITCH_PINS = {
     "recovery_done_held_for_a_down_manager": (

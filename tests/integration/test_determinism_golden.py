@@ -78,7 +78,7 @@ GOLDEN = {
     },
     ("counter", True): {
         # re-recorded when grantors began logging the acquirer's *actual*
-        # acquire timestamp (AcqAck, DESIGN.md §9): one extra lock-class
+        # acquire timestamp (AcqAck, DESIGN.md §7.6): one extra lock-class
         # message per remote acquire, and the timing shift nudges page
         # traffic
         "wall_time_hex": "0x1.1b301f578928ap-5",
@@ -130,7 +130,7 @@ GOLDEN = {
             "914aabba9ab196ebda6bc9a5670aa62a"
         ),
     },
-    # buddy replication on (DESIGN.md §11): the replica stream is its own
+    # buddy replication on (DESIGN.md §9): the replica stream is its own
     # traffic category; its ack timing also shifts checkpoint trimming,
     # which nudges the base-protocol byte counts slightly. Re-recorded at
     # PR 20 (replica bytes 100180 -> 100284, nothing else): a shipped
@@ -246,7 +246,7 @@ def test_golden_unchanged_with_sampling_enabled():
     A ClusterObserver with both cadences on (virtual-time ticker at 1 ms
     plus barrier-episode sampling) only reads state, so every timestamp
     and traffic counter must still match the golden pins — the
-    observability layer's core guarantee (DESIGN.md §7).
+    observability layer's core guarantee (DESIGN.md §7.2).
     """
     from repro.observe import ClusterObserver
 
@@ -275,7 +275,7 @@ def test_golden_unchanged_with_windowing_enabled():
     With windowing on, every latency observation additionally files into
     its op class's cluster histogram for the fixed virtual-time window
     containing the observation instant. The clock callback reads the
-    engine's virtual time and nothing else (DESIGN.md §13), so all golden
+    engine's virtual time and nothing else (DESIGN.md §7.4), so all golden
     pins must hold, and merging every window of the table back together
     must reproduce the whole-run distribution exactly.
     """
@@ -297,7 +297,7 @@ def test_golden_unchanged_with_windowing_enabled():
         if total is None or not total.count:
             continue
         assert windows, name
-        merged = type(total).merged(windows.values(), name=name)
+        merged = type(total).merged(windows.values(), name, total.node)
         assert merged.count == total.count, name
         assert merged.buckets == total.buckets, name
         for p in (50.0, 99.0):
@@ -312,7 +312,7 @@ def test_golden_unchanged_with_span_tracing_enabled():
     only records: no messages, no CPU charges, no clock perturbation.
     Every timestamp and traffic counter must still match the golden
     pins — the span DAG is an observation, not a participant
-    (DESIGN.md §8).
+    (DESIGN.md §7.5).
     """
     from repro.observe.tracing import SpanTracer
 
@@ -337,7 +337,7 @@ def test_golden_unchanged_with_monitor_attached():
     event tap but only reads protocol state — no messages, no CPU
     charges, no clock perturbation. Every timestamp and traffic counter
     must still match the golden pins, while the monitor demonstrably
-    checked every invariant class and found nothing (DESIGN.md §9).
+    checked every invariant class and found nothing (DESIGN.md §7.6).
     """
     from repro.observe import INVARIANTS, InvariantMonitor
 

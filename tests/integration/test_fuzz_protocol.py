@@ -9,6 +9,7 @@ mid-run validation read must observe the exact expected running sum —
 a far stronger check than the hand-written scenarios.
 """
 
+import functools
 from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -130,20 +131,32 @@ def run_fuzz(seed: int, crash: Tuple[int, float] | None, ft: bool = True):
 SEEDS = list(range(12))
 
 
+@pytest.fixture(scope="module")
+def fault_free():
+    """seed -> (final memory, wall time) of its monitored FT run without a
+    crash, run once per seed for the whole module; the memory is frozen,
+    so a test can only read it."""
+    @functools.lru_cache(maxsize=None)
+    def run(seed):
+        mem, res = run_fuzz(seed, None)
+        mem.setflags(write=False)
+        return mem, res.wall_time
+
+    return run
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fuzz_base_vs_ft_identical(seed):
+def test_fuzz_base_vs_ft_identical(seed, fault_free):
     base_mem, _ = run_fuzz(seed, None, ft=False)
-    ft_mem, _ = run_fuzz(seed, None, ft=True)
+    ft_mem, _ = fault_free(seed)
     assert np.array_equal(base_mem, ft_mem)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("frac", [0.15, 0.45])
-def test_fuzz_crash_recovery_exact(seed, frac):
-    _, golden = run_fuzz(seed, None)
-    T = golden.wall_time
+def test_fuzz_crash_recovery_exact(seed, frac, fault_free):
+    golden_mem, T = fault_free(seed)
     victim = seed % N_PROCS
-    golden_mem, _ = run_fuzz(seed, None)
     crashed_mem, res = run_fuzz(seed, (victim, T * frac))
     # check_result already validated every node's per-round sums and the
     # final total; additionally the final memory must be bit-identical

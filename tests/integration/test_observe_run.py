@@ -52,11 +52,14 @@ def test_key_series_track_the_run():
     # in-flight channel gauges drain to zero by the end of the run
     assert reg.get_series("sim.channel_msgs_inflight", CLUSTER_NODE)[-1][1] == 0
 
-    # figure-4 series: one point per checkpoint, x = checkpoint number
+    # figure-4 series: one point per checkpoint, x = checkpoint number,
+    # equal to the FT layer's own record (what figure4 reads)
+    assert any(host.ft.stats.checkpoints_taken for host in cluster.hosts)
     for host in cluster.hosts:
         if host.ft.stats.checkpoints_taken:
             pts = reg.get_series("ft.log_disk_bytes", host.pid)
             assert [x for x, _ in pts] == list(range(1, len(pts) + 1))
+            assert pts == [list(p) for p in host.ft.stats.log_points]
 
     # wait distributions saw every barrier crossing
     for host in cluster.hosts:

@@ -6,6 +6,8 @@ each kind of process (ordinary, lock manager, barrier manager, home) at
 many points and check the final results against the golden model.
 """
 
+import functools
+
 import pytest
 
 from repro import DsmCluster, DsmConfig
@@ -18,6 +20,14 @@ def golden_time(name, n=8, l_fraction=0.2, **kw):
     cluster = make_cluster(num_procs=n, ft=True, l_fraction=l_fraction)
     res = cluster.run(make_app(name, **kw))
     return res.wall_time
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """``golden_time``, run once per distinct configuration in this module
+    (runs are deterministic: the failure-free runtime is a pure function
+    of its arguments)."""
+    return functools.lru_cache(maxsize=None)(golden_time)
 
 
 def run_with_crash(name, victim, at_time, n=8, l_fraction=0.2, **kw):
@@ -34,18 +44,18 @@ def run_with_crash(name, victim, at_time, n=8, l_fraction=0.2, **kw):
 
 @pytest.mark.parametrize("victim", [0, 1, 3, 7])
 @pytest.mark.parametrize("frac", [0.1, 0.3, 0.5])
-def test_counter_crash_matrix(victim, frac):
-    T = golden_time("counter")
+def test_counter_crash_matrix(victim, frac, golden):
+    T = golden("counter")
     cluster, res = run_with_crash("counter", victim, T * frac)
     assert res.crashes == 1
     assert res.recoveries == 1
 
 
 @pytest.mark.parametrize("victim", [1, 6])
-def test_counter_late_crash(victim):
+def test_counter_late_crash(victim, golden):
     """A crash near the end either recovers cleanly or is a no-op (the
     victim may already have finished); results are validated either way."""
-    T = golden_time("counter")
+    T = golden("counter")
     cluster, res = run_with_crash("counter", victim, T * 0.75)
     assert res.crashes == res.recoveries
 
@@ -56,27 +66,27 @@ def test_counter_late_crash(victim):
 
 
 @pytest.mark.parametrize("victim,frac", [(3, 0.1), (3, 0.5), (0, 0.3), (2, 0.6)])
-def test_water_nsq_recovery(victim, frac):
-    T = golden_time("water-nsq")
+def test_water_nsq_recovery(victim, frac, golden):
+    T = golden("water-nsq")
     cluster, res = run_with_crash("water-nsq", victim, T * frac)
     assert res.recoveries == 1
 
 
 @pytest.mark.parametrize("victim,frac", [(3, 0.15), (0, 0.5), (5, 0.4)])
-def test_water_spatial_recovery(victim, frac):
-    T = golden_time("water-spatial")
+def test_water_spatial_recovery(victim, frac, golden):
+    T = golden("water-spatial")
     run_with_crash("water-spatial", victim, T * frac)
 
 
 @pytest.mark.parametrize("victim,frac", [(3, 0.2), (0, 0.5), (2, 0.1), (5, 0.7)])
-def test_barnes_recovery(victim, frac):
-    T = golden_time("barnes")
+def test_barnes_recovery(victim, frac, golden):
+    T = golden("barnes")
     run_with_crash("barnes", victim, T * frac)
 
 
 @pytest.mark.parametrize("victim,frac", [(1, 0.3), (0, 0.6)])
-def test_lu_recovery(victim, frac):
-    T = golden_time("lu")
+def test_lu_recovery(victim, frac, golden):
+    T = golden("lu")
     run_with_crash("lu", victim, T * frac)
 
 
@@ -85,18 +95,18 @@ def test_lu_recovery(victim, frac):
 # ---------------------------------------------------------------------------
 
 
-def test_crash_before_first_checkpoint_restarts_from_initial():
+def test_crash_before_first_checkpoint_restarts_from_initial(golden):
     """Very early crash: the victim restarts from the virtual checkpoint 0."""
-    T = golden_time("counter")
+    T = golden("counter")
     cluster, res = run_with_crash("counter", 3, T * 0.01)
     assert cluster.hosts[3].recovered_count == 1
     # no real checkpoint existed yet at crash time in most configs; either
     # way the result check inside run() passed
 
 
-def test_crash_of_barrier_manager():
+def test_crash_of_barrier_manager(golden):
     """Process 0 is the barrier manager; its episode state must rebuild."""
-    T = golden_time("barnes")
+    T = golden("barnes")
     cluster, res = run_with_crash("barnes", 0, T * 0.4)
     mgr = cluster.hosts[0].proto.barrier_mgr
     assert mgr is not None
@@ -108,10 +118,10 @@ def test_crash_of_barrier_manager():
     assert history == list(range(history[0], mgr.next_episode))
 
 
-def test_crash_with_llt_aggressively_trimming():
+def test_crash_with_llt_aggressively_trimming(golden):
     """Small L: many checkpoints, heavy trimming — recovery must still
     find every diff it needs (Rule 3 end-to-end)."""
-    T = golden_time("water-spatial", l_fraction=0.02)
+    T = golden("water-spatial", l_fraction=0.02)
     cluster, res = run_with_crash(
         "water-spatial", 3, T * 0.6, l_fraction=0.02
     )
@@ -119,9 +129,9 @@ def test_crash_with_llt_aggressively_trimming():
     assert all(h.ft.logs.diff.bytes_discarded > 0 for h in cluster.hosts)
 
 
-def test_recovered_process_ft_state_reusable():
+def test_recovered_process_ft_state_reusable(golden):
     """After recovery the process checkpoints and trims again normally."""
-    T = golden_time("water-spatial", l_fraction=0.05)
+    T = golden("water-spatial", l_fraction=0.05)
     cluster, res = run_with_crash(
         "water-spatial", 3, T * 0.3, l_fraction=0.05, steps=4
     )
@@ -129,16 +139,16 @@ def test_recovered_process_ft_state_reusable():
     assert h.ft.stats.checkpoints_taken >= 1
 
 
-def test_crash_noop_after_finish():
+def test_crash_noop_after_finish(golden):
     """A crash scheduled after the app finished is ignored."""
-    T = golden_time("counter")
+    T = golden("counter")
     cluster, res = run_with_crash("counter", 3, T * 100)
     assert res.crashes == 0
     assert res.recoveries == 0
 
 
-def test_recovery_traffic_is_categorized():
-    T = golden_time("counter")
+def test_recovery_traffic_is_categorized(golden):
+    T = golden("counter")
     cluster, res = run_with_crash("counter", 3, T * 0.4)
     assert res.traffic.bytes_by_category["recovery"] > 0
 
@@ -146,19 +156,26 @@ def test_recovery_traffic_is_categorized():
 FAST_DETECT = {"failure_detection_delay": 2e-3}
 
 
-def test_two_sequential_failures_different_victims():
+@pytest.fixture(scope="module")
+def first_crash_runtime(golden):
+    """Runtime of counter on 8 nodes whose p3 fail-stops at 0.2 of the
+    failure-free runtime, detected after 2 ms: where the two-crash
+    schedules below place their second crash."""
+    cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
+    cluster.schedule_crash(3, at_time=golden("counter") * 0.2)
+    res = cluster.run(make_app("counter"))
+    assert res.recoveries == 1
+    return res.wall_time
+
+
+def test_two_sequential_failures_different_victims(golden, first_crash_runtime):
     """Single-fault at a time, but repeated: crash 3, recover, crash 5.
 
     A short failure-detection delay keeps the two recoveries strictly
     sequential (the paper's single-fault assumption).
     """
-    T = golden_time("counter")
-    cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
-    cluster.schedule_crash(3, at_time=T * 0.2)
-    res1 = cluster.run(make_app("counter"))
-    assert res1.recoveries == 1
-    T1 = res1.wall_time
-
+    T = golden("counter")
+    T1 = first_crash_runtime
     cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
     cluster.schedule_crash(3, at_time=T * 0.2)
     cluster.schedule_crash(5, at_time=T1 * 0.55)
@@ -167,7 +184,7 @@ def test_two_sequential_failures_different_victims():
     assert res.crashes >= 1
 
 
-def test_same_victim_crashes_twice():
+def test_same_victim_crashes_twice(golden, first_crash_runtime):
     """Crash p3, then crash p3 again — whenever the second crash lands.
 
     The second fail-stop may hit while p3 is still *recovering* from the
@@ -176,11 +193,8 @@ def test_same_victim_crashes_twice():
     interrupts a recovery yields one fewer completed recovery than
     crashes, and the final recovery always completes.
     """
-    T = golden_time("counter")
-    cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
-    cluster.schedule_crash(3, at_time=T * 0.2)
-    T1 = cluster.run(make_app("counter")).wall_time
-
+    T = golden("counter")
+    T1 = first_crash_runtime
     cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
     cluster.schedule_crash(3, at_time=T * 0.2)
     cluster.schedule_crash(3, at_time=T1 * 0.55)
@@ -193,7 +207,7 @@ def test_same_victim_crashes_twice():
     assert cluster.hosts[3].live and cluster.hosts[3].finished
 
 
-def test_crash_during_recovery_restarts_recovery():
+def test_crash_during_recovery_restarts_recovery(golden):
     """Regression: a fail-stop of a *recovering* host must not be ignored.
 
     The second crash is pinned inside the first recovery's window (after
@@ -201,7 +215,7 @@ def test_crash_during_recovery_restarts_recovery():
     recovery incarnation. The restarted recovery must finish and the run
     must produce the failure-free result.
     """
-    T = golden_time("counter")
+    T = golden("counter")
     cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.2, **FAST_DETECT)
     crash_t = T * 0.2
     # recovery starts at crash_t + 2ms; the restore disk read alone takes
@@ -221,25 +235,30 @@ def test_crash_during_recovery_restarts_recovery():
 # ---------------------------------------------------------------------------
 
 
-def kvstore_32(crash):
-    """Default kvstore on 32 nodes; ``crash(cluster, t_free)`` injects."""
+def kvstore_32_run(crash=None):
+    """Default kvstore on 32 nodes; ``crash(cluster)`` injects."""
     from repro.apps.kvstore import KvStoreApp, KvStoreConfig
 
-    def cluster():
-        return make_cluster(num_procs=32, ft=True, l_fraction=0.1)
-
-    t_free = cluster().run(KvStoreApp(KvStoreConfig())).wall_time
-    crashed = cluster()
-    crash(crashed, t_free)
-    res = crashed.run(KvStoreApp(KvStoreConfig()))  # check_result validates
-    assert res.crashes == 1 and res.recoveries == 1
+    cluster = make_cluster(num_procs=32, ft=True, l_fraction=0.1)
+    if crash is not None:
+        crash(cluster)
+    return cluster.run(KvStoreApp(KvStoreConfig()))  # check_result validates
 
 
-def test_kvstore_32_procs_crash_p5_at_half_verifies():
+@pytest.fixture(scope="module")
+def kvstore_32_free():
+    """The failure-free runtime of ``kvstore_32_run``."""
+    return kvstore_32_run().wall_time
+
+
+def test_kvstore_32_procs_crash_p5_at_half_verifies(kvstore_32_free):
     """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``: a home's
     logged diff used to carry a remote writer's bytes, and the recovered
     p5 replayed it over newer data (``scan sum 1030.0 != 1033.0``)."""
-    kvstore_32(lambda c, t_free: c.schedule_crash(5, at_time=0.5 * t_free))
+    res = kvstore_32_run(
+        lambda c: c.schedule_crash(5, at_time=0.5 * kvstore_32_free)
+    )
+    assert res.crashes == 1 and res.recoveries == 1
 
 
 def test_kvstore_32_procs_crash_p1_at_step_2192_keeps_one_token():
@@ -247,7 +266,8 @@ def test_kvstore_32_procs_crash_p1_at_step_2192_keeps_one_token():
     recovery used to leave the placement to ``LockTable.token()``'s lazy
     "the manager starts with the token" while p30 held the real one, and
     the two holders overwrote p15's ``+5`` (``kv total 1028.0 != 1033.0``)."""
-    kvstore_32(lambda c, t_free: c.schedule_crash_at_step(1, 2192))
+    res = kvstore_32_run(lambda c: c.schedule_crash_at_step(1, 2192))
+    assert res.crashes == 1 and res.recoveries == 1
 
 
 def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():

@@ -1,4 +1,4 @@
-"""Integration tests for the buddy-replication tier (DESIGN.md §11).
+"""Integration tests for the buddy-replication tier (DESIGN.md §9).
 
 End-to-end claims: a replicated cluster mirrors committed checkpoints
 into ring buddies and keeps acks flowing; buddy death re-targets the
@@ -16,7 +16,9 @@ import pytest
 
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
-from repro.sim.trace import FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, Tracer
+from repro.sim.trace import (
+    ENGINE_EVENT, FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, Tracer,
+)
 from tests.conftest import make_app, make_cluster
 
 N = 4
@@ -152,6 +154,7 @@ def test_protected_death_mid_transfer_leaves_committed_base():
 # ---------------------------------------------------------------------------
 # the tentpole: overlapping failures survived
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
 def overlap_schedule():
     """A (first_crash, second_crash) time pair where the second victim
     dies inside the first victim's recovery window — discovered against
@@ -190,6 +193,31 @@ def test_overlapping_failures_survived_with_replication(second_victim):
     # at least one recovery actually read a buddy replica
     fetches = [e for e in tracer.events if e.detail.startswith("fetch kind=")]
     assert fetches, "no replica fetch despite overlapping failures"
+
+
+def test_a_host_is_never_live_and_recovering_at_once():
+    """``live`` alone says a host is up: the live switch clears
+    ``recovering`` before it sets ``live``, and a crash clears both.
+    Checked at every engine event of an overlapping double crash with
+    replication on."""
+    t1, t2 = overlap_schedule()
+    cluster = replicated_cluster()
+    both, recovering = set(), set()
+
+    def check(event):
+        for h in cluster.hosts:
+            if h.recovering:
+                recovering.add(h.pid)
+                if h.live:
+                    both.add(h.pid)
+
+    cluster.engine.bus.subscribe(ENGINE_EVENT, check)
+    cluster.schedule_crash(3, at_time=t1)
+    cluster.schedule_crash(0, at_time=t2)
+    res = cluster.run(make_app("counter"))
+    check(None)
+    assert res.crashes == res.recoveries == 2
+    assert recovering == {0, 3} and not both
 
 
 def test_overlapping_failures_degrade_without_replication():

@@ -153,6 +153,73 @@ def test_worst_lock_chains_and_report():
     assert "reconciliation: span self-times match" in report
 
 
+#: per-cause critical-path totals of the counter run below, recorded
+#: while the detection window was rebuilt from crash points after the
+#: run instead of being recorded as a span
+CRASH_RUN_TOTALS = {
+    "barrier straggler p1": 2.0880000000000898e-05,
+    "barrier straggler p3": 4.1759999999999194e-05,
+    "barrier-wait (release from p0)": 4.111999999999931e-05,
+    "ckpt-disk": 0.03497540527777779,
+    "compute": 0.000900000000000004,
+    "down (detection)": 0.05000000000000001,
+    "fetch-wait on p0": 0.00021626000000000877,
+    "fetch-wait on p1": 9.24000000000107e-05,
+    "fetch-wait on p2": 9.24000000000107e-05,
+    "fetch-wait on p3": 9.24000000000107e-05,
+    "lock-wait behind p0": 6.338000000001231e-05,
+    "lock-wait behind p1": 4.227999999999979e-05,
+    "lock-wait behind p2": 4.259999999999887e-05,
+    "msg flight LockAcquireReq": 4.164000000000424e-05,
+    "msg flight PageFetchReq": 0.0003300600000000058,
+    "overhead": 0.0016601499999999375,
+    "recovery": 0.011202136111111219,
+}
+
+
+def test_detection_window_is_one_recorded_span():
+    _, _, free = traced_run()
+    cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
+    tracer = SpanTracer(cluster)
+    cluster.schedule_crash(1, at_time=0.5 * free.wall_time)
+    result = cluster.run(make_app("counter"))
+    assert result.crashes == 1 and tracer.validate() == []
+    (down,) = tracer.spans_by_kind("down")
+    (recovery,) = tracer.spans_by_kind("recovery")
+    assert (down.pid, down.status, down.detail) == (
+        1, "closed", "awaiting failure detection"
+    )
+    assert down.t0 == cluster.hosts[1].last_crash_time
+    assert down.t1 == recovery.t0
+    assert down.t1 - down.t0 == pytest.approx(
+        cluster.config.failure_detection_delay
+    )
+    # the abandoned spans end where the down span begins
+    assert {s.t1 for s in tracer.abandoned_spans(pid=1)} == {down.t0}
+    assert per_cause_totals(compute_critical_path(tracer)) == CRASH_RUN_TOTALS
+
+
+def test_coordinated_rollback_trace_validates():
+    """A global rollback emits no RECOVERY_BEGIN: the victim's respawned
+    app span ends its detection window."""
+    from repro import DsmConfig
+    from repro.baselines.coordinated import coordinated_cluster
+
+    free = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.1).run(
+        make_app("counter")
+    )
+    cluster = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.1)
+    tracer = SpanTracer(cluster)
+    cluster.schedule_crash(1, at_time=0.4 * free.wall_time)
+    result = cluster.run(make_app("counter"))
+    assert result.crashes == 1 and result.recoveries == 1
+    assert tracer.validate() == []
+    assert not tracer.spans_by_kind("recovery")
+    (down,) = tracer.spans_by_kind("down")
+    respawned = [s for s in tracer.spans_by_kind("app", pid=1) if s.t0 >= down.t0]
+    assert respawned and respawned[0].t0 == down.t1
+
+
 # ----------------------------------------------------------------------
 # Chrome trace export
 # ----------------------------------------------------------------------

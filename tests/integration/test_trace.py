@@ -145,7 +145,8 @@ def test_spans_on_crashed_node_are_abandoned_not_leaked():
     assert not tracer.open_spans()
     abandoned = tracer.abandoned_spans(pid=2)
     assert abandoned
-    crash_t = tracer.crash_points[0][1]
+    (down,) = tracer.spans_by_kind("down", pid=2)
+    crash_t = down.t0
     assert all(s.t1 == crash_t for s in abandoned)
     assert all(s.incarnation == 0 for s in abandoned)
     # no other node lost spans

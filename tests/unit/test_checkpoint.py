@@ -191,11 +191,11 @@ def test_discard_torn_falls_back_to_previous_checkpoint():
     assert mgr.discard_torn() == 1
     assert mgr.torn_discarded == 1
     assert ("ckpt", 2) not in mgr.store
-    assert mgr.restart_checkpoint() is c1
+    assert mgr.latest is c1
     # the torn seqno is burned, not reused
     c3 = mk_ckpt(0, 3, vt(6, 0, 0, 0))
     mgr.commit(c3, {P0: (b"\x03" * 64, vt(6, 0, 0, 0))})
-    assert mgr.restart_checkpoint() is c3
+    assert mgr.latest is c3
 
 
 def test_discard_torn_noop_when_clean():

@@ -21,6 +21,7 @@ from repro.observe.latency import (
     DEFAULT_GROWTH,
     PERCENTILES,
     LatencyHistogram,
+    engine,
     exact_percentile,
 )
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
@@ -92,7 +93,7 @@ def test_exact_percentile_rank_rule():
 @given(samples, samples)
 @settings(max_examples=150, deadline=None)
 def test_merge_equals_concatenation(a, b):
-    merged = LatencyHistogram.merged([fill(a), fill(b)], name="m")
+    merged = LatencyHistogram.merged([fill(a), fill(b)], "m", 0)
     concat = fill(a + b, name="m")
     assert merged.buckets == concat.buckets
     assert merged.zero_count == concat.zero_count
@@ -104,11 +105,14 @@ def test_merge_equals_concatenation(a, b):
     assert merged.total == pytest.approx(concat.total)
 
 
-def test_merge_rejects_mismatched_geometry():
-    a = LatencyHistogram("a", 0)
-    b = LatencyHistogram("b", 0, growth=2.0)
-    with pytest.raises(ValueError, match="geometry"):
-        a.merge_from(b)
+def test_from_dict_rejects_another_geometry():
+    """Every histogram shares one geometry; a record from outside the
+    program written in another one is refused, not misread."""
+    record = fill([1e-6, 2e-3]).to_dict()
+    assert LatencyHistogram.from_dict(record).buckets == fill([1e-6, 2e-3]).buckets
+    for field, value in (("growth", 2.0), ("base", 1e-6)):
+        with pytest.raises(ValueError, match="geometry"):
+            LatencyHistogram.from_dict({**record, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +212,10 @@ def test_registry_latency_interning_and_merge():
 # ---------------------------------------------------------------------------
 def reference_bucket_index(h, value):
     """``bucket_index`` as it was: a log, then corrected by comparison."""
-    if value <= h.base:
+    base, growth = engine.DEFAULT_BASE, engine.DEFAULT_GROWTH
+    if value <= base:
         return 0
-    i = max(0, math.ceil(math.log(value / h.base) / math.log(h.growth)))
+    i = max(0, math.ceil(math.log(value / base) / math.log(growth)))
     while h.upper_bound(i) < value:
         i += 1
     while i > 0 and h.upper_bound(i - 1) >= value:
@@ -234,8 +239,9 @@ def reference_percentile(h, p):
 
 
 def _check_bucket_index(h):
-    values = [h.base, h.base / 2, math.nextafter(h.base, 0.0),
-              math.nextafter(h.base, 1.0), 1e9, 1e9 + 1.0]
+    base = engine.DEFAULT_BASE
+    values = [base, base / 2, math.nextafter(base, 0.0),
+              math.nextafter(base, 1.0), 1e9, 1e9 + 1.0]
     for i in range(201):
         ub = h.upper_bound(i)
         values += [ub, math.nextafter(ub, 0.0), math.nextafter(ub, math.inf)]
@@ -248,14 +254,18 @@ def _check_bucket_index(h):
 @pytest.mark.parametrize(
     "geometry", [{}, {"base": 1e-6, "growth": 1.5}, {"base": 3e-9, "growth": 1.01}]
 )
-def test_bucket_index_matches_log_and_correct_reference(geometry):
-    _check_bucket_index(LatencyHistogram("h", 0, **geometry))
+def test_bucket_index_matches_log_and_correct_reference(geometry, monkeypatch):
+    # the geometry is a pair of module constants; other values are tried
+    # by patching them together with a fresh bound table
+    if geometry:
+        monkeypatch.setattr(engine, "DEFAULT_BASE", geometry["base"])
+        monkeypatch.setattr(engine, "DEFAULT_GROWTH", geometry["growth"])
+        monkeypatch.setattr(engine, "_BOUNDS", [geometry["base"]])
+    _check_bucket_index(LatencyHistogram("h", 0))
 
 
 def test_bucket_index_oracle_catches_a_seeded_mutation(monkeypatch):
     import bisect
-
-    from repro.observe.latency import engine
 
     monkeypatch.setattr(engine, "bisect_left", bisect.bisect_right)
     with pytest.raises(AssertionError):
@@ -267,7 +277,8 @@ def test_bound_table_is_upper_bound_itself():
     initial table, which is what makes the bisection exact."""
     h = LatencyHistogram("h", 0)
     assert h.bucket_index(1e12) > 160
-    assert h._bounds == [h.upper_bound(i) for i in range(len(h._bounds))]
+    bounds = engine._BOUNDS
+    assert bounds == [h.upper_bound(i) for i in range(len(bounds))]
 
 
 def _summary_cases():

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.checkpoint import CheckpointManager, PageCopy
 from repro.core.logs import VolatileLogs
-from repro.core.recovery import RecoveryResponder
+from repro.core.recovery import answer_query
 from repro.core.replica import (
     NO_REPLICA,
     FtImage,
@@ -58,8 +58,9 @@ class FakeHost:
     def ask(self, about, kind="handshake", requester=2):
         """What this host's responder answers ``requester`` about the
         replicated image of ``about``."""
-        RecoveryResponder(self).handle(
-            requester, RecoveryQuery(kind=kind, requester=requester, about=about)
+        answer_query(
+            self, requester,
+            RecoveryQuery(kind=kind, requester=requester, about=about),
         )
         return self.replies.pop().payload
 

@@ -1,5 +1,5 @@
 """Unit tests for the SLO layer: the registry's window table, the
-burn-rate engine and the recovery degradation timeline (DESIGN.md §13).
+burn-rate engine and the recovery degradation timeline (DESIGN.md §7.4).
 
 The window table's contract mirrors the percentile engine's: which
 window an observation lands in is a pure function of the observation
@@ -125,7 +125,7 @@ def test_window_table_equals_per_node_then_merge_fold(evs):
     reference = {}
     for node in sorted(per_node):
         for w, h in per_node[node].items():
-            reference.setdefault(w, LatencyHistogram("lat.x")).merge_from(h)
+            reference.setdefault(w, LatencyHistogram("lat.x", -1)).merge_from(h)
     table = _registry(evs).windows("lat.x")
     assert sorted(table) == sorted(reference)
     for w, h in reference.items():
@@ -138,7 +138,7 @@ def test_window_merge_equals_whole_run_merge(evs):
     reg = _registry(evs)
     windows = reg.windows("lat.x").values()
     _assert_same_distribution(
-        LatencyHistogram.merged(windows), reg.merged_latency("lat.x")
+        LatencyHistogram.merged(windows, "lat.x", -1), reg.merged_latency("lat.x")
     )
 
 
