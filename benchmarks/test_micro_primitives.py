@@ -150,9 +150,10 @@ def test_bench_monitor_quiescent_scan(benchmark):
     )
     monitor = InvariantMonitor(cluster)
     cluster.run(BarnesApp(BarnesConfig(n_bodies=128, steps=2)))
-    monitor._scan_structural(full=True)
+    scan = monitor.checkers["recoverability"].scan
+    scan(full=True, final=False)
     before = monitor.checks["recoverability"]
-    benchmark(monitor._scan_structural)
+    benchmark(scan, full=False, final=False)
     assert monitor.checks["recoverability"] > before
     assert not monitor.finish()
 

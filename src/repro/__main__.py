@@ -541,7 +541,8 @@ def add_monitor_arguments(p: Parser) -> None:
                    help="flight-record JSON path, written on violation "
                    "(default benchmarks/FLIGHT_<app>.json)")
     p.add_argument("--seed-violation", default=None,
-                   choices=["cgc", "llt", "vclock", "fifo", "recoverability"],
+                   choices=["cgc", "llt", "vclock", "fifo", "recoverability",
+                            "lock"],
                    help="sabotage the run so the named invariant class is "
                    "violated (self-test: the exit code must be nonzero)")
 
@@ -549,7 +550,8 @@ def add_monitor_arguments(p: Parser) -> None:
 def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
     """Run one fault-tolerant workload under the online invariant monitor
     (DESIGN.md §7.6): the paper's LLT/CGC bounds, vector-clock monotonicity,
-    per-channel FIFO and structural recoverability, checked continuously.
+    per-channel FIFO, structural recoverability and one token per lock,
+    checked continuously.
     Exits nonzero on any violation and writes a post-mortem flight record
     (last-events ring + node state snapshot) as JSON."""
     from repro import observe
@@ -566,10 +568,10 @@ def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
     try:
         result = run.run(cluster)
     except Exception as exc:  # seeded sabotage can corrupt the run
-        if not monitor.violations:
-            raise
         run_error = exc
     monitor.finish()
+    if run_error is not None and not monitor.violations:
+        raise run_error
 
     run.print_header(result)
     if run_error is not None:

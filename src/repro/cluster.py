@@ -26,7 +26,14 @@ from repro.core.ftmanager import FtConfig, FtManager
 from repro.core.policies import CheckpointPolicy, LogOverflowPolicy
 from repro.core.recovery import RecoveryManager, answer_query
 from repro.dsm.config import DsmConfig
-from repro.dsm.messages import Message, RecoveryDone, RecoveryQuery, RecoveryReply
+from repro.dsm.locks import token_holders
+from repro.dsm.messages import (
+    LockGrant,
+    Message,
+    RecoveryDone,
+    RecoveryQuery,
+    RecoveryReply,
+)
 from repro.dsm.pages import RegionSet, SharedRegion
 from repro.dsm.protocol import DsmProcess
 from repro.sim.engine import Engine, SimProcess
@@ -332,8 +339,11 @@ class DsmCluster:
             )
 
     def host_diagnostics(self) -> str:
-        """Per-host liveness/wait state, for debuggable deadlock reports."""
+        """Per-host liveness/wait state, for debuggable deadlock reports;
+        then, per lock some host waits on, where its token rests and
+        which hosts hold a ``LockGrant`` for it in their queue."""
         lines = []
+        waited = set()
         for h in self.hosts:
             parts = [
                 f"p{h.pid}:",
@@ -348,6 +358,7 @@ class DsmCluster:
             if p is not None:
                 if p._lock_waiting:
                     parts.append(f"lock_waits={sorted(p._lock_waiting)}")
+                    waited.update(p._lock_waiting)
                 if p._fetch_waiting:
                     parts.append(
                         f"fetch_waits={sorted(tuple(k) for k in p._fetch_waiting)}"
@@ -364,6 +375,17 @@ class DsmCluster:
             if rm is not None and rm._pending:
                 parts.append(f"recovery_waits={sorted(rm._pending)}")
             lines.append("  " + " ".join(parts))
+        tables = [h.proto.locks for h in self.hosts if h.proto is not None]
+        for lock_id in sorted(waited):
+            queued = [
+                h.pid for h in self.hosts
+                if any(isinstance(m, LockGrant) and m.lock_id == lock_id
+                       for _src, m in h.queued)
+            ]
+            lines.append(
+                f"  lock {lock_id}: token_resting_at="
+                f"{token_holders(tables, lock_id)} grant_queued_at={queued}"
+            )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

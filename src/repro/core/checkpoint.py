@@ -261,6 +261,25 @@ class CheckpointManager:
         self.max_window = max(self.max_window, self.window_size)
 
     # ------------------------------------------------------------------
+    # storage facts: what is wrong, or None (the invariant monitor checks
+    # them during a run, the sweep oracle at its end)
+    # ------------------------------------------------------------------
+    def restart_problem(self) -> Optional[str]:
+        """The restart checkpoint must be a committed store key."""
+        if self.latest is None:
+            return None
+        key = ("ckpt", self.latest.seqno)
+        if key in self.store and not self.store.is_pending(key):
+            return None
+        return (f"restart checkpoint {self.latest.seqno} is not a "
+                "committed stable-storage key")
+
+    def torn_problem(self) -> Optional[str]:
+        """No key may lack its commit marker (outside a write window)."""
+        torn = self.store.pending_keys()
+        return f"stable store holds torn keys {torn}" if torn else None
+
+    # ------------------------------------------------------------------
     # Rule 3.1 — checkpoint garbage collection
     # ------------------------------------------------------------------
     def collect(self, tmin: VClock, seqno_ceiling: Optional[int] = None) -> int:

@@ -19,12 +19,12 @@ number so re-sent requests after recovery are idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.vclock import VClock
 
-__all__ = ["LockState", "LockManagerState", "LockTable"]
+__all__ = ["LockState", "LockManagerState", "LockTable", "token_holders"]
 
 
 @dataclass
@@ -209,3 +209,19 @@ class LockTable:
                 st.chain.append(ChainEntry(h, 0))
                 seen.add(h)
                 walk(h)
+
+
+def token_holders(tables: Iterable[LockTable], lock_id: int) -> List[int]:
+    """The pids among ``tables`` where ``lock_id``'s token rests: every
+    table whose state says ``has_token``, and a manager that never
+    touched the lock, which holds the initial token implicitly
+    (:meth:`LockTable.token`). Reads, never creates state. Exactly one
+    token per lock, resting here or a ``LockGrant`` in flight, is the
+    invariant; the end-of-run oracle, the online lock checker and the
+    deadlock diagnosis all count with this."""
+    out = []
+    for table in tables:
+        st = table._tokens.get(lock_id)
+        if st.has_token if st is not None else table.manages(lock_id):
+            out.append(table.pid)
+    return out

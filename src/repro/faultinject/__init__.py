@@ -21,6 +21,7 @@ from repro.faultinject.campaign import (
     check_oracle,
     load_sweep,
     recovery_distributions,
+    validate_sweep,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "check_oracle",
     "load_sweep",
     "recovery_distributions",
+    "validate_sweep",
 ]

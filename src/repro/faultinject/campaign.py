@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.recovery import OverlappingFailureError
+from repro.dsm.locks import token_holders
 from repro.observe.latency import exact_percentile
 from repro.sim.trace import (
     CKPT_WRITE_BEGIN,
@@ -64,6 +65,7 @@ __all__ = [
     "check_oracle",
     "load_sweep",
     "recovery_distributions",
+    "validate_sweep",
 ]
 
 #: sweep JSON schema: points carry outcome counters and per-point
@@ -312,21 +314,81 @@ def render_recovery_by_class(by_class: Dict[str, Dict[str, Any]]) -> str:
 
 def load_sweep(source: Any) -> Dict[str, Any]:
     """Load a sweep JSON artifact (a path or an already-parsed dict);
-    anything but the current schema is rejected, not converted."""
+    anything but a well-formed current-schema artifact is rejected, not
+    converted (``ValueError`` naming the first problem)."""
     if isinstance(source, dict):
         data = source
     else:
         with open(source) as fh:
             data = json.load(fh)
+    errors = validate_sweep(data)
+    if errors:
+        raise ValueError(errors[0])
+    return data
+
+
+#: the numbers a ``recovery_by_class`` row must carry (the report reads them)
+_BY_CLASS_NUMBERS = (
+    "count", "mean_total_s", "p50_total_s", "p90_total_s", "p99_total_s",
+    "max_total_s",
+)
+
+
+def validate_sweep(data: Any) -> List[str]:
+    """Structural checks on a sweep artifact; empty list = valid. Any
+    parsed JSON value may be passed: a wrong shape is an error in the
+    list, never an exception."""
+
+    def number(v: Any) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
     if not isinstance(data, dict) or "points" not in data:
-        raise ValueError("not a sweep artifact: missing 'points'")
+        return ["not a sweep artifact: missing 'points'"]
     schema = data.get("schema", 1)  # the first artifacts carried no key
     if schema != SWEEP_SCHEMA:
-        raise ValueError(
-            f"unsupported sweep schema {schema!r}: re-record with "
-            "`repro crashsweep`"
-        )
-    return data
+        return [f"unsupported sweep schema {schema!r}: re-record with "
+                "`repro crashsweep`"]
+    errors = [
+        f"sweep missing key {key!r}"
+        for key in ("outcomes", "ok", "classes", "recovery_by_class")
+        if key not in data
+    ]
+    if errors:
+        return errors
+    points = data["points"]
+    if not isinstance(points, list) or not all(
+        isinstance(p, dict) and {"class", "step", "victim", "outcome"} <= set(p)
+        for p in points
+    ):
+        errors.append("points is not a list of crash-point objects")
+    outcomes = data["outcomes"]
+    if not isinstance(outcomes, dict) or not all(
+        number(v) for v in outcomes.values()
+    ):
+        errors.append("outcomes is not a mapping of counts")
+    if not isinstance(data["ok"], bool):
+        errors.append("ok is not a boolean")
+    if not isinstance(data["classes"], list):
+        errors.append("classes is not a list")
+    by_class = data["recovery_by_class"]
+    if not isinstance(by_class, dict):
+        return errors + ["recovery_by_class is not a mapping"]
+    for cls, row in by_class.items():
+        if not isinstance(row, dict):
+            errors.append(f"recovery_by_class[{cls!r}] is not an object")
+            continue
+        missing = [k for k in _BY_CLASS_NUMBERS if not number(row.get(k))]
+        if missing:
+            errors.append(f"recovery_by_class[{cls!r}] lacks {missing}")
+        means = row.get("phase_means_s", {})
+        if not isinstance(means, dict) or not all(
+            number(v) for v in means.values()
+        ):
+            errors.append(
+                f"recovery_by_class[{cls!r}].phase_means_s is not a "
+                "mapping of numbers"
+            )
+    return errors
 
 
 # ======================================================================
@@ -355,19 +417,11 @@ def check_oracle(cluster: Any, reference: Dict[str, bytes]) -> None:
             problems.append(
                 f"p{host.pid} leaked {len(host.queued)} queued message(s)"
             )
-        if host.store.pending_keys():
-            problems.append(
-                f"p{host.pid} store holds torn keys {host.store.pending_keys()}"
-            )
         mgr = host.ckpt_mgr
         if mgr is not None:
-            if mgr.latest is not None:
-                key = ("ckpt", mgr.latest.seqno)
-                if key not in mgr.store or mgr.store.is_pending(key):
-                    problems.append(
-                        f"p{host.pid} restart checkpoint {mgr.latest.seqno} "
-                        "not committed on stable storage"
-                    )
+            for problem in (mgr.torn_problem(), mgr.restart_problem()):
+                if problem is not None:
+                    problems.append(f"p{host.pid} {problem}")
             committed = mgr.store.committed_keys()
             for seqno in mgr.retained_seqnos:
                 if seqno != 0 and ("ckpt", seqno) not in committed:
@@ -376,18 +430,10 @@ def check_oracle(cluster: Any, reference: Dict[str, bytes]) -> None:
                         f"{seqno} but lost its record"
                     )
     tables = [h.proto.locks for h in cluster.hosts if h.proto is not None]
-    snapshots = [t.token_snapshot() for t in tables]  # reads, never creates
-    for lock_id in sorted({l for snap in snapshots for l in snap}):
-        tokens = sum(snap[lock_id][0] for snap in snapshots if lock_id in snap)
-        untouched_manager = any(
-            t.manages(lock_id) and lock_id not in snap
-            for t, snap in zip(tables, snapshots)
-        )
-        if tokens + untouched_manager != 1:
-            problems.append(
-                f"lock {lock_id}: {tokens + untouched_manager} tokens at end "
-                "of run"
-            )
+    for lock_id in sorted(set().union(*(t.known_locks() for t in tables))):
+        tokens = len(token_holders(tables, lock_id))
+        if tokens != 1:
+            problems.append(f"lock {lock_id}: {tokens} tokens at end of run")
     for region in cluster.regions:
         got = cluster.shared_snapshot(region).tobytes()
         want = reference.get(region.name)
@@ -727,7 +773,9 @@ class CrashSweep:
             )
         except Exception as exc:  # deadlock / protocol invariant / oracle
             error = f"{type(exc).__name__}: {exc}"
-            if monitor is not None and monitor.violations:
+            # the end-of-run checks too: a deadlocked run's stalled lock
+            # shows only once its network has drained
+            if monitor is not None and monitor.finish():
                 error += (
                     "; invariant violations: "
                     + "; ".join(v.render() for v in monitor.violations[:3])

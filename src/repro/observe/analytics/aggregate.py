@@ -138,14 +138,11 @@ def _load_trace(path: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:
 
 
 def _load_sweep(path: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:
-    from repro.faultinject.campaign import load_sweep
+    from repro.faultinject.campaign import validate_sweep
 
-    data = load_sweep(path)
-    errors: List[str] = []
-    for key in ("outcomes", "ok", "classes", "recovery_by_class"):
-        if key not in data:
-            errors.append(f"sweep missing key {key!r}")
-    return data, errors
+    with open(path) as fh:
+        data = json.load(fh)
+    return data, validate_sweep(data)
 
 
 def _load_flight(path: str) -> Tuple[Optional[Dict[str, Any]], List[str]]:

@@ -43,6 +43,7 @@ from repro.sim.trace import (
 
 __all__ = [
     "FlightRecorder",
+    "node_snapshot",
     "render_flight_record",
     "validate_flight_record",
     "write_flight_record",
@@ -218,6 +219,37 @@ def render_flight_record(record: Dict[str, Any]) -> str:
                 f"{e['msg']} ({e['category']})"
             )
     return "\n".join(lines)
+
+
+def node_snapshot(host: Any) -> Dict[str, Any]:
+    """One node's state in a flight record."""
+    out: Dict[str, Any] = {
+        "pid": host.pid,
+        "live": host.live,
+        "recovering": host.recovering,
+        "finished": host.finished,
+        "crashes": host.crashed_count,
+        "recoveries": host.recovered_count,
+        "queued": len(host.queued),
+        "vt": None,
+    }
+    if host.proto is not None:
+        out["vt"] = list(host.proto.vt)
+    mgr = host.ckpt_mgr
+    if mgr is not None:
+        out["retained_seqnos"] = mgr.retained_seqnos
+        out["window_size"] = mgr.window_size
+        out["latest_ckpt"] = (
+            mgr.latest.seqno if mgr.latest is not None else None
+        )
+    ft = host.ft
+    if ft is not None:
+        out["log_volatile_bytes"] = ft.logs.diff.volatile_bytes
+        out["log_saved_bytes"] = ft.logs.diff.saved_bytes
+        out["rel_entries"] = ft.logs.rel.count()
+        out["acq_entries"] = ft.logs.acq.count()
+        out["checkpoints_taken"] = ft.stats.checkpoints_taken
+    return out
 
 
 def validate_flight_record(record: Any) -> List[str]:

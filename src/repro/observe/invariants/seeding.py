@@ -18,7 +18,8 @@ until setup. This module sabotages behaviour — it is a test fixture,
 not an observer, which is why it alone still replaces methods.
 
 Some seeds corrupt protocol state the run itself depends on (``vclock``
-zeroes a vector time; ``recoverability`` deletes checkpoint copies), so
+zeroes a vector time; ``recoverability`` deletes checkpoint copies;
+``lock`` doubles a token), so
 the run may legitimately die after the violation is detected — callers
 catch exceptions and assert the violation was recorded first.
 """
@@ -152,12 +153,37 @@ def _seed_recoverability(cluster: Any) -> None:
     cluster._install_ft = install
 
 
+def _seed_lock(cluster: Any) -> None:
+    """Break the one-token rule: the first grantor to send a
+    ``LockGrant`` keeps ``has_token`` too, so the lock has two tokens
+    from that send on. Mutual exclusion is gone with it; callers must
+    tolerate a crash or a wrong result after detection."""
+    orig_install = cluster._install_ft
+    state = {"armed": True}
+
+    def install(host: Any) -> None:
+        orig_install(host)
+        proto = host.proto
+        orig_grant_to = proto._grant_to
+
+        def grant_to(lock_id: int, acquirer: int, *args: Any) -> None:
+            orig_grant_to(lock_id, acquirer, *args)
+            if state["armed"] and acquirer != proto.pid:
+                state["armed"] = False
+                proto.locks.token(lock_id).has_token = True
+
+        proto._grant_to = grant_to
+
+    cluster._install_ft = install
+
+
 SEEDS = {
     "cgc": _seed_cgc,
     "llt": _seed_llt,
     "vclock": _seed_vclock,
     "fifo": _seed_fifo,
     "recoverability": _seed_recoverability,
+    "lock": _seed_lock,
 }
 
 

@@ -114,9 +114,10 @@ class Network:
         self.config = config or NetworkConfig()
         self.traffic = TrafficStats()
         self._handlers: List[Optional[Handler]] = [None] * n
-        #: src * n + dst -> [latency, byte_time, clear], made on first
-        #: use: the link's cost (config is frozen, so link() is pure) and
-        #: the earliest admissible delivery time, which keeps it FIFO
+        #: src * n + dst -> [latency, byte_time, clear, last], made on
+        #: first use: the link's cost (config is frozen, so link() is
+        #: pure), the earliest admissible arrival and the event time of
+        #: the last delivery queued, which together keep it FIFO
         self._channels: Dict[int, List[float]] = {}
         bus = engine.bus
         self._send_taps = bus.listeners(SEND)
@@ -165,7 +166,7 @@ class Network:
         traffic.ft_bytes += ft_bytes
         channel = self._channels.get(src * n + dst)
         if channel is None:
-            channel = [*self.config.link(src, dst), 0.0]
+            channel = [*self.config.link(src, dst), 0.0, 0.0]
             self._channels[src * n + dst] = channel
         engine = self.engine
         now = engine.now
@@ -176,11 +177,17 @@ class Network:
         channel[2] = arrival
         self.inflight_bytes += size
         self.inflight_msgs += 1
-        # ``engine.schedule(delay, ...)`` inlined: the same (time, seq)
+        # ``engine.schedule(delay, ...)`` inlined: the same (time, seq),
+        # except that ``now + (arrival - now)`` can round one ulp below
+        # the previous delivery's time on an equal or clamped arrival
         delay = arrival - now
+        when = now + delay
+        if when < channel[3]:
+            when = channel[3]
+        channel[3] = when
         seq = engine._seq
         engine._seq = seq + 1
-        event = (now + delay, seq,
+        event = (when, seq,
                  partial(self._deliver, src, dst, payload, self.epoch, size))
         if delay == 0.0:
             engine._ready.append(event)

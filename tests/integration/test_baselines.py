@@ -16,25 +16,56 @@ from repro.sim.network import MetaClusterConfig
 
 from tests.conftest import make_app, make_cluster
 
+# The fault-free runs below are shared by the tests of this module, which
+# only read them: each is deterministic, so one run stands for every copy.
+
+
+@pytest.fixture(scope="module")
+def page_logged():
+    """A fault-free 8-node page-logging water-nsq run (result validated)."""
+    c = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+    c.run(make_app("water-nsq"))
+    return c
+
+
+@pytest.fixture(scope="module")
+def coordinated_rounds():
+    """A fault-free 8-node coordinated water-spatial run at L = 0.05."""
+    c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.05)
+    c.run(make_app("water-spatial"))
+    return c
+
+
+@pytest.fixture(scope="module")
+def coordinated_wall_time():
+    """app -> the fault-free wall time of its 8-node coordinated run at
+    L = 0.1, made once per app."""
+    times = {}
+
+    def wall_time(app_name):
+        if app_name not in times:
+            c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+            times[app_name] = c.run(make_app(app_name)).wall_time
+        return times[app_name]
+
+    return wall_time
+
 
 # ---------------------------------------------------------------------------
 # page logging
 # ---------------------------------------------------------------------------
 
 
-def test_page_logging_correct_and_bigger():
+def test_page_logging_correct_and_bigger(page_logged):
     diff_cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.1)
     diff_cluster.run(make_app("water-nsq"))
-    page_c = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
-    page_c.run(make_app("water-nsq"))  # validates result
     d = sum(h.ft.logs.diff.bytes_created for h in diff_cluster.hosts)
-    p = sum(h.ft.logs.diff.bytes_created for h in page_c.hosts)
+    p = sum(h.ft.logs.diff.bytes_created for h in page_logged.hosts)
     assert p > 2 * d
 
 
-def test_page_logging_recovery_works():
-    c = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
-    T = c.run(make_app("water-nsq")).wall_time
+def test_page_logging_recovery_works(page_logged):
+    T = page_logged.engine.now
     c2 = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
     c2.schedule_crash(3, at_time=T * 0.4)
     res = c2.run(make_app("water-nsq"))
@@ -61,9 +92,8 @@ def test_coordinated_commit_drops_the_barrier_managers_history_too():
     assert all(not h.ft.logs.bar_history for h in c.hosts[1:])
 
 
-def test_coordinated_round_commits_and_discards():
-    c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.05)
-    c.run(make_app("water-spatial"))
+def test_coordinated_round_commits_and_discards(coordinated_rounds):
+    c = coordinated_rounds
     ft0 = c.hosts[0].ft
     assert ft0.coord.rounds_committed >= 1
     assert ft0.coord.round_latencies
@@ -78,18 +108,15 @@ def test_coordinated_round_commits_and_discards():
             assert len(copies) <= 2  # seed may linger until first commit
 
 
-def test_coordinated_checkpoints_are_aligned():
-    c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.05)
-    c.run(make_app("water-spatial"))
-    rounds = {h.ft.round_id for h in c.hosts}
+def test_coordinated_checkpoints_are_aligned(coordinated_rounds):
+    rounds = {h.ft.round_id for h in coordinated_rounds.hosts}
     assert len(rounds) == 1
 
 
 @pytest.mark.parametrize("app_name2", ["counter", "water-spatial", "barnes"])
 @pytest.mark.parametrize("frac", [0.3, 0.6])
-def test_coordinated_global_rollback(app_name2, frac):
-    c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
-    T = c.run(make_app(app_name2)).wall_time
+def test_coordinated_global_rollback(app_name2, frac, coordinated_wall_time):
+    T = coordinated_wall_time(app_name2)
     c2 = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
     c2.schedule_crash(3, at_time=T * frac)
     res = c2.run(make_app(app_name2))  # validates result
@@ -98,7 +125,7 @@ def test_coordinated_global_rollback(app_name2, frac):
     assert all(h.recovered_count == 1 for h in c2.hosts)
 
 
-def test_rollback_loses_everyones_work():
+def test_rollback_loses_everyones_work(coordinated_wall_time):
     """The cost the paper avoids: rollback re-executes on all nodes, so
     the stretch exceeds the single-victim replay of the independent
     scheme for the same crash point."""
@@ -109,8 +136,7 @@ def test_rollback_loses_everyones_work():
     ind2.schedule_crash(3, at_time=T * 0.6)
     t_ind = ind2.run(make_app("water-spatial")).wall_time
 
-    co = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
-    Tc = co.run(make_app("water-spatial")).wall_time
+    Tc = coordinated_wall_time("water-spatial")
     co2 = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
     co2.schedule_crash(3, at_time=Tc * 0.6)
     t_co = co2.run(make_app("water-spatial")).wall_time

@@ -36,6 +36,34 @@ def _factories(**app_overrides):
     return cluster_factory, app_factory
 
 
+@pytest.fixture(scope="module")
+def counter_reference():
+    """The failure-free run of ``_factories()``, fully traced: (cluster,
+    trace events, region snapshots). Tests only read it."""
+    cluster_factory, app_factory = _factories()
+    cluster = cluster_factory()
+    tracer = Tracer(cluster)
+    cluster.run(app_factory())
+    reference = {
+        region.name: cluster.shared_snapshot(region).tobytes()
+        for region in cluster.regions
+    }
+    return cluster, tracer.events, reference
+
+
+@pytest.fixture(scope="module")
+def mid_run_window(counter_reference):
+    """(victim, step, begin, live): a crash at the reference's middle
+    event and the recovery window it opens."""
+    _cluster, events, _reference = counter_reference
+    ev = events[len(events) // 2]
+    cluster_factory, app_factory = _factories()
+    begin, live = _recovery_window(
+        cluster_factory, app_factory, ev.pid, ev.step
+    )
+    return ev.pid, ev.step, begin, live
+
+
 # ======================================================================
 # end-to-end sweep
 # ======================================================================
@@ -183,22 +211,17 @@ def test_crash_manager_before_inflight_grant_completes():
 # ======================================================================
 
 
-def test_crash_during_checkpoint_write_recovers_from_previous():
+def test_crash_during_checkpoint_write_recovers_from_previous(
+    counter_reference,
+):
     """A fail-stop mid checkpoint-disk-write leaves a torn record;
     recovery must discard it and restart from the previous checkpoint,
     and the final result must match the failure-free run."""
     cluster_factory, app_factory = _factories()
-
-    ref = cluster_factory()
-    tracer = Tracer(ref, kinds={"ckpt_write"})
-    ref.run(app_factory())
-    reference = {
-        region.name: ref.shared_snapshot(region).tobytes()
-        for region in ref.regions
-    }
+    _ref, events, reference = counter_reference
     begins = {}
     window = None
-    for ev in tracer.events:
+    for ev in (e for e in events if e.kind == "ckpt_write"):
         tag = ev.detail.split()[1]
         if ev.detail.startswith("begin"):
             begins[(ev.pid, tag)] = ev.step
@@ -221,14 +244,8 @@ def test_crash_during_checkpoint_write_recovers_from_previous():
     check_oracle(cluster, reference)
 
 
-def test_oracle_detects_divergence():
-    cluster_factory, app_factory = _factories()
-    cluster = cluster_factory()
-    cluster.run(app_factory())
-    reference = {
-        region.name: cluster.shared_snapshot(region).tobytes()
-        for region in cluster.regions
-    }
+def test_oracle_detects_divergence(counter_reference):
+    cluster, _events, reference = counter_reference
     check_oracle(cluster, reference)  # identical run passes
     bad = {name: b"\x00" * len(data) for name, data in reference.items()}
     with pytest.raises(OracleViolation, match="diverged"):
@@ -283,22 +300,13 @@ def _recovery_window(cluster_factory, app_factory, victim, step):
     return begin, live
 
 
-def _mid_run_point(cluster_factory, app_factory):
-    cluster = cluster_factory()
-    tracer = Tracer(cluster)
-    cluster.run(app_factory())
-    ev = tracer.events[len(tracer.events) // 2]
-    return ev.pid, ev.step
-
-
-def test_overlapping_failure_holds_messages_then_degrades():
+def test_overlapping_failure_holds_messages_then_degrades(mid_run_window):
     """Crash a *responder* inside another node's recovery: queries to it
     are held (not lost) while it is down, drained after it recovers, and
     the recovering requester then degrades with a clean diagnostic
     instead of silently diverging or hanging."""
     cluster_factory, app_factory = _factories()
-    victim, step = _mid_run_point(cluster_factory, app_factory)
-    begin, live = _recovery_window(cluster_factory, app_factory, victim, step)
+    victim, step, begin, live = mid_run_window
 
     cluster = cluster_factory()
     other = (victim + 1) % 4
@@ -353,20 +361,15 @@ def test_overlapping_recoveries_keep_one_token(pin):
         assert "depends on p2, which failed" in res.error
 
 
-def test_recrash_of_recovering_host_restarts_recovery():
+def test_recrash_of_recovering_host_restarts_recovery(
+    counter_reference, mid_run_window,
+):
     """Crashing the same victim inside its own recovery window restarts
     recovery from the same stable state and still reaches the
     failure-free result (peers' logs are intact: not an overlap)."""
     cluster_factory, app_factory = _factories()
-    victim, step = _mid_run_point(cluster_factory, app_factory)
-    begin, live = _recovery_window(cluster_factory, app_factory, victim, step)
-
-    ref = cluster_factory()
-    ref.run(app_factory())
-    reference = {
-        region.name: ref.shared_snapshot(region).tobytes()
-        for region in ref.regions
-    }
+    victim, step, begin, live = mid_run_window
+    reference = counter_reference[2]
 
     cluster = cluster_factory()
     cluster.schedule_crash_at_step(victim, step)

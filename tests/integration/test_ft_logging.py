@@ -19,9 +19,24 @@ def run_ft(name="counter", l_fraction=0.1, n=8, ft_config=None, **app_kw):
     return cluster, res
 
 
-def test_results_identical_with_ft_enabled(app_name):
+@pytest.fixture(scope="module")
+def shared_run():
+    """``run_ft`` made once per argument set, for the tests that only
+    read the cluster and the result (each run is deterministic)."""
+    runs = {}
+
+    def get(name, l_fraction=0.1, **app_kw):
+        key = (name, l_fraction, tuple(sorted(app_kw.items())))
+        if key not in runs:
+            runs[key] = run_ft(name, l_fraction, **app_kw)
+        return runs[key]
+
+    return get
+
+
+def test_results_identical_with_ft_enabled(app_name, shared_run):
     """Fault tolerance must not change application results."""
-    cluster, _ = run_ft(app_name)
+    cluster, _ = shared_run(app_name)
     # check_result already ran inside cluster.run
 
 
@@ -34,8 +49,8 @@ def test_checkpoints_taken_under_log_overflow():
     assert sum(s.checkpoints_taken for s in res2.ft_stats) <= sum(ckpts)
 
 
-def test_diff_logs_grow_and_get_saved():
-    cluster, res = run_ft("water-spatial", l_fraction=0.1)
+def test_diff_logs_grow_and_get_saved(shared_run):
+    cluster, res = shared_run("water-spatial")
     for h in cluster.hosts:
         log = h.ft.logs.diff
         assert log.bytes_created > 0
@@ -43,8 +58,8 @@ def test_diff_logs_grow_and_get_saved():
             assert h.ft.stats.logs_saved_bytes > 0
 
 
-def test_llt_discards_logs():
-    cluster, res = run_ft("water-spatial", l_fraction=0.05, steps=5)
+def test_llt_discards_logs(shared_run):
+    cluster, res = shared_run("water-spatial", 0.05, steps=5)
     discarded = sum(h.ft.logs.diff.bytes_discarded for h in cluster.hosts)
     created = sum(h.ft.logs.diff.bytes_created for h in cluster.hosts)
     assert created > 0
@@ -57,8 +72,8 @@ def test_llt_disabled_keeps_everything():
     assert all(h.ft.logs.diff.bytes_discarded == 0 for h in cluster.hosts)
 
 
-def test_cgc_bounds_checkpoint_window():
-    cluster, _ = run_ft("water-spatial", l_fraction=0.05, steps=5)
+def test_cgc_bounds_checkpoint_window(shared_run):
+    cluster, _ = shared_run("water-spatial", 0.05, steps=5)
     for h in cluster.hosts:
         assert h.ckpt_mgr.max_window <= 4  # paper: at most 3 + our seed
 
@@ -98,8 +113,8 @@ def test_wn_log_trimming_respects_rule1():
         assert all(n.interval >= 1 for n in own)
 
 
-def test_piggyback_traffic_accounted():
-    cluster, res = run_ft("water-spatial")
+def test_piggyback_traffic_accounted(shared_run):
+    cluster, res = shared_run("water-spatial")
     assert res.traffic.ft_bytes > 0
     assert res.traffic.ft_overhead_percent() < 50
 
@@ -114,8 +129,8 @@ def test_piggyback_disabled_no_ft_traffic_but_no_gc(monkeypatch):
     assert all(h.ckpt_mgr.pages_discarded_bytes == 0 for h in cluster.hosts)
 
 
-def test_disk_traffic_recorded():
-    cluster, res = run_ft("water-spatial", l_fraction=0.05)
+def test_disk_traffic_recorded(shared_run):
+    cluster, res = shared_run("water-spatial", 0.05)
     total_disk = sum(b for b, _ in res.disk_stats)
     assert total_disk > 0
     for h in cluster.hosts:
@@ -123,10 +138,10 @@ def test_disk_traffic_recorded():
             assert h.disk.write_time > 0
 
 
-def test_log_ckpt_time_bucket_populated():
+def test_log_ckpt_time_bucket_populated(shared_run):
     from repro.sim.node import TimeBucket
 
-    cluster, res = run_ft("water-spatial", l_fraction=0.05)
+    cluster, res = shared_run("water-spatial", 0.05)
     lc = sum(ts.seconds[TimeBucket.LOG_CKPT] for ts in res.time_stats)
     assert lc > 0
 
@@ -171,8 +186,8 @@ def test_manual_checkpoint_api():
     assert all(s.checkpoints_taken == 1 for s in res.ft_stats)
 
 
-def test_figure4_log_points_recorded():
-    cluster, res = run_ft("water-spatial", l_fraction=0.05, steps=5)
+def test_figure4_log_points_recorded(shared_run):
+    cluster, res = shared_run("water-spatial", 0.05, steps=5)
     any_points = False
     for s in res.ft_stats:
         for ckpt_no, size in s.log_points:

@@ -111,7 +111,7 @@ def run_fuzz(seed: int, crash: Tuple[int, float] | None, ft: bool = True):
     monitor = None
     if ft:
         # the invariant monitor rides along on every FT fuzz run: any
-        # trim/vclock/FIFO/recoverability violation fails the test even
+        # trim/vclock/FIFO/recoverability/lock violation fails the test even
         # when the final memory happens to come out right
         from repro.observe import InvariantMonitor
 
@@ -120,7 +120,7 @@ def run_fuzz(seed: int, crash: Tuple[int, float] | None, ft: bool = True):
         cluster.schedule_crash(crash[0], at_time=crash[1])
     app = FuzzApp(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("repro.observe.invariants.monitor.SCAN_EVERY", 20)
+        mp.setattr("repro.observe.invariants.recoverability.SCAN_EVERY", 20)
         res = cluster.run(app)
     if monitor is not None:
         violations = monitor.finish()

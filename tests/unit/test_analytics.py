@@ -121,6 +121,60 @@ def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _broken_sweeps():
+    """name -> a committed sweep broken in one way the report reads."""
+    good = load_sweep("benchmarks/SWEEP_counter.json")
+    cls = next(iter(good["recovery_by_class"]))
+
+    def broken(edit):
+        data = json.loads(json.dumps(good))
+        edit(data)
+        return data
+
+    return {
+        "outcomes_list": broken(lambda d: d.update(outcomes=[])),
+        "row_only_count": broken(
+            lambda d: d["recovery_by_class"].update({cls: {"count": 3}})
+        ),
+        "row_not_object": broken(
+            lambda d: d["recovery_by_class"].update({cls: 7})
+        ),
+        "by_class_list": broken(lambda d: d.update(recovery_by_class=[])),
+        "phase_means_text": broken(
+            lambda d: d["recovery_by_class"][cls].update(phase_means_s="x")
+        ),
+        "point_lacks_fields": broken(lambda d: d["points"].append({})),
+        "ok_string": broken(lambda d: d.update(ok="yes")),
+        "json_list": [good],
+        "json_null": None,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_broken_sweeps()))
+def test_malformed_sweep_is_reported_not_raised(name, tmp_path, capsys):
+    """Any JSON value gives a list of problems, never an exception; the
+    report names the file MALFORMED and exits nonzero."""
+    from repro.faultinject import validate_sweep
+
+    data = _broken_sweeps()[name]
+    assert validate_sweep(data)
+    path = tmp_path / "SWEEP_broken.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "MALFORMED" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_committed_sweeps_validate_clean():
+    from repro.faultinject import validate_sweep
+
+    for name in ("counter", "counter_k2", "kvstore", "session",
+                 "session_k2", "kvstore_k2"):
+        with open(f"benchmarks/SWEEP_{name}.json") as fh:
+            assert validate_sweep(json.load(fh)) == [], name
+
+
 def test_committed_trace_artifact_loads():
     art = load_artifact("benchmarks/results/TRACE_counter.json")
     assert art.kind == "trace" and art.ok, art.errors

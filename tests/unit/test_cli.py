@@ -280,7 +280,8 @@ llt                  15            0
 vclock              483            0
 fifo                241            0
 recoverability       25            0
-total               779   ALL INVARIANTS HELD"""
+lock                 24            0
+total               803   ALL INVARIANTS HELD"""
 
 
 def test_monitor_subcommand_with_crash(capsys):
@@ -298,7 +299,8 @@ llt                  15            0
 vclock              527            0
 fifo                263            0
 recoverability       28            0
-total               848   ALL INVARIANTS HELD"""
+lock                 22            0
+total               870   ALL INVARIANTS HELD"""
 
 
 #: first violation of each seeded sabotage: (pid, engine step, detail).
@@ -328,6 +330,11 @@ SEEDED_FIRST = {
         0, 383,
         "page (0, 0) has no retained checkpoint copies — no recovery "
         "could obtain a starting copy",
+    ),
+    "lock": (
+        1, 17,
+        "lock 0: 2 tokens as p0's LockGrant reaches p1 (resting at [0], "
+        "waking at [], 1 in flight)",
     ),
 }
 

@@ -5,7 +5,7 @@ The two halves of the monitor's contract:
 * **No false positives** — a healthy run (failure-free or with a clean
   crash/recovery) reports zero violations while every invariant class
   actually gets exercised.
-* **No false negatives** — for each of the five invariant classes, a
+* **No false negatives** — for each of the six invariant classes, a
   seeded protocol sabotage (`repro.observe.invariants.seeding`) must be
   detected as exactly that class, and the resulting flight record must
   be structurally valid and renderable.
@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core import FtConfig
 from repro.core.logs import RelEntry
 from repro.observe.invariants import monitor as monitor_mod
+from repro.observe.invariants import recoverability
 from repro.sim.engine import Engine
 from repro.sim.trace import RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
@@ -42,7 +43,7 @@ def cadence(scan_every):
     """The structural scan runs every ``scan_every``-th delivery inside
     (every shipped caller runs at the module constant; tests vary it)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monitor_mod, "SCAN_EVERY", scan_every)
+        mp.setattr(recoverability, "SCAN_EVERY", scan_every)
         yield
 
 
@@ -148,11 +149,24 @@ def test_violations_deduplicated_and_capped(monkeypatch):
 # ---------------------------------------------------------------------------
 # incremental scans vs. the full scan they stand in for
 # ---------------------------------------------------------------------------
-class FullScanMonitor(InvariantMonitor):
+def with_recoverability(checker):
+    """A monitor class whose recoverability checker is ``checker``."""
+    return type(f"{checker.__name__}Monitor", (InvariantMonitor,), {
+        "CHECKERS": tuple(
+            checker if c.name == "recoverability" else c
+            for c in InvariantMonitor.CHECKERS
+        ),
+    })
+
+
+class FullScan(recoverability.RecoverabilityChecker):
     """The oracle: every periodic scan visits everything."""
 
-    def _scan_structural(self, full=False, final=False):
-        super()._scan_structural(full=True, final=final)
+    def scan(self, full, final):
+        super().scan(full=True, final=final)
+
+
+FullScanMonitor = with_recoverability(FullScan)
 
 
 def verdicts(monitor):
@@ -272,13 +286,13 @@ def corrupt_first_confirm(cluster):
     cluster._install_ft = install
 
 
-class BlindToReplacedBuckets(InvariantMonitor):
+class BlindToReplacedBuckets(recoverability.RecoverabilityChecker):
     """Seeded mutation of the pair signature: a verified pair stays
     verified while its buckets keep their lengths, whatever lists they
     are."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, monitor):
+        super().__init__(monitor)
         hosts = self.cluster.hosts
 
         class ByLength(dict):
@@ -307,7 +321,7 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     got, want = run(InvariantMonitor)
     assert want and got == want
     assert "stamps a timestamp beyond" in want[0][3]
-    got, want = run(BlindToReplacedBuckets)
+    got, want = run(with_recoverability(BlindToReplacedBuckets))
     assert got != want  # the differential check catches the mutation
 
 
@@ -362,13 +376,87 @@ def test_lost_self_grant_mirror_is_a_recoverability_violation():
     rel.entries[acquirer] = [e for e in rel.entries[acquirer] if e is not entry]
 
     cluster.network.inflight_msgs += 1  # as if a notification were under way
-    monitor._scan_structural(full=True, final=True)
+    monitor.checkers["recoverability"].scan(full=True, final=True)
     assert monitor.violations == []
     cluster.network.inflight_msgs -= 1
     (violation,) = monitor.finish()
     assert violation.invariant == "recoverability" and violation.pid == acquirer
     assert f"lock {entry.lock_id}," in violation.detail
     assert f"holder p0's rel_log[{acquirer}]" in violation.detail
+
+
+# ---------------------------------------------------------------------------
+# the lock checker: one token per lock, and a waiter's token on its way
+# ---------------------------------------------------------------------------
+def drop_first_forward(cluster):
+    """Sabotage: the first ``LockForward`` any host handles is lost, so
+    its acquirer waits behind a token that rests idle."""
+    from repro.dsm.messages import LockForward
+
+    orig_install = cluster._install_ft
+    armed = [True]
+
+    def install(host):
+        orig_install(host)
+        handle = host.proto.handlers[LockForward]
+
+        def drop(src, fwd):
+            if armed[0]:
+                armed[0] = False
+                return
+            handle(src, fwd)
+
+        host.proto.handlers[LockForward] = drop
+
+    cluster._install_ft = install
+
+
+def test_lock_deadlock_names_the_token_and_is_a_lock_violation():
+    """The deadlock report says where each waited-on lock's token rests
+    and which hosts queue a grant for it; the monitor's end-of-run
+    check (asked after the failed run, as sweeps and the CLI do) names
+    the stall: a sweep point reports it instead of a bare deadlock."""
+    cluster = make_cluster(num_procs=4, ft=True)
+    monitor = InvariantMonitor(cluster)
+    drop_first_forward(cluster)
+    with pytest.raises(RuntimeError, match="deadlock") as info:
+        cluster.run(make_app("counter"))
+    assert "lock_waits=[0]" in str(info.value)
+    assert "lock 0: token_resting_at=[0] grant_queued_at=[]" in str(info.value)
+    (violation,) = monitor.finish()
+    assert violation.invariant == "lock"
+    assert "rests idle at p0, with no grant, request" in violation.detail
+
+
+def test_token_count_after_a_live_switch_is_taken_after_the_drain():
+    """p1's token is flipped as its queue drains at the live switch: the
+    count after the switch reports it at the very next delivery — after
+    the drain, so a queued grant the drain turns into the token is not
+    counted twice (the overlap pins in test_crashsweep run that case)."""
+    from repro.sim.trace import RECOVERY_LIVE
+
+    cluster = make_cluster(num_procs=4, ft=True)
+    monitor = InvariantMonitor(cluster)
+    host = cluster.hosts[1]
+    live_at = []
+    cluster.engine.bus.subscribe(
+        RECOVERY_LIVE, lambda pid: live_at.append(cluster.engine.steps)
+    )
+    orig_drain = host.drain_queue
+
+    def drain():
+        orig_drain()
+        st = host.proto.locks.token(0)
+        st.has_token = not st.has_token
+
+    host.drain_queue = drain
+    cluster.schedule_crash_at_step(1, 250)
+    with contextlib.suppress(Exception):  # the sabotaged run may not end well
+        cluster.run(make_app("counter"))
+    first = monitor.violations[0]
+    assert first.invariant == "lock"
+    assert "tokens after p1's live switch" in first.detail
+    assert live_at[0] < first.step <= live_at[0] + 5
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.logs import GrantLog
 from repro.dsm.config import DsmConfig
-from repro.dsm.locks import ChainEntry, LockManagerState, LockTable
+from repro.dsm.locks import ChainEntry, LockManagerState, LockTable, token_holders
 from repro.dsm.vclock import VClock
 
 N = 4
@@ -17,6 +17,19 @@ def test_manager_initially_holds_token():
     assert st.rel_vt == VClock.zero(N)
     st2 = t.token(1)  # managed by pid 1
     assert not st2.has_token
+
+
+def test_token_holders_counts_the_untouched_manager_and_creates_nothing():
+    config = DsmConfig(num_procs=N)
+    tables = [LockTable(pid=p, config=config) for p in range(N)]
+    # lock 1 is managed by p1, which never touched it: its token rests there
+    assert token_holders(tables, 1) == [1]
+    assert all(t.known_locks() == [] for t in tables)
+    tables[1].token(1).has_token = False  # p1 granted it away ...
+    tables[3].token(1).has_token = True  # ... and p3 holds it now
+    assert token_holders(tables, 1) == [3]
+    tables[2].token(1).has_token = True  # a second token
+    assert token_holders(tables, 1) == [2, 3]
 
 
 def test_manager_access_control():

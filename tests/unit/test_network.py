@@ -32,6 +32,19 @@ def test_fifo_per_channel_even_when_sizes_differ():
     assert [m for _, m in inbox[1]] == ["big", "small"]
 
 
+def test_fifo_when_the_clamped_time_rounds_down():
+    """The second send's arrival is clamped to the first's, but
+    ``now + (arrival - now)`` rounds one ulp below it at this ``now``:
+    the delivery may not overtake (kvstore seed 5, 4 nodes, replicated,
+    delivered a ReplicaUpdate ahead of a PageFetchReply this way)."""
+    eng, net, inbox = make_net(latency=20e-6, bandwidth=100e6)
+    for t, name, size in ((2.056e-05, "first", 4106), (2.088e-05, "second", 1)):
+        eng.schedule(t, lambda name=name, size=size: net.send(
+            0, 1, name, size=size, category="x"))
+    eng.run()
+    assert [m for _, m in inbox[1]] == ["first", "second"]
+
+
 def test_channels_are_independent():
     eng, net, inbox = make_net(latency=10e-6, bandwidth=1e6)
     net.send(0, 1, "big", size=100000, category="x")
