@@ -5,10 +5,11 @@
 
 Twelve configurations, (app, nodes, replicate) for session, kvstore and
 counter at 4 and 8 nodes, replication off and on. For each app seed one
-``CrashSweep`` over the ``recovery`` and ``double`` classes (faults=2, no
-monitor) runs every enumerated point: 5,760 points, about 2 minutes on
-one core. The contract: with replication no point fails or degrades;
-without it a point may also end ``degraded``, by an
+``CrashSweep`` over the ``recovery`` and ``double`` classes (no monitor)
+runs every enumerated point: 5,760 points, about 2.5 minutes on one
+core. The contract is the sweep's own verdict,
+``SweepSummary.failures()``: with replication no point fails or
+degrades; without it a point may also end ``degraded``, by an
 ``OverlappingFailureError`` that names one of its two victims. Anything
 else fails the probe, and the per-configuration table (``-v``: and every
 failing point) says where.
@@ -69,19 +70,14 @@ def probe(app: str, n: int, replicate: bool) -> Tuple[Counter, List[Tuple]]:
                 ft_config=FtConfig(replicate=replicate),
             ),
             lambda: app_cls(cfg_cls(seed=seed)),
-            classes=("recovery", "double"), faults=2, monitor=False,
+            classes=("recovery", "double"), monitor=False,
         )
-        for point in sweep.enumerate_points():
-            res = sweep.run_point(point)
-            outcomes[res.outcome] += 1
-            named = res.error is not None and any(
-                f"p{pid}" in res.error
-                for pid in (point.victim, point.base and point.base[1])
-            )
-            if res.outcome == "failed" or (
-                res.outcome == "degraded" and (replicate or not named)
-            ):
-                bad.append((seed, point, res.outcome, res.error or ""))
+        summary = sweep.run()
+        outcomes.update(summary.outcomes())
+        bad += [
+            (seed, r.point, r.outcome, r.error or "")
+            for r in summary.failures()
+        ]
     return outcomes, bad
 
 

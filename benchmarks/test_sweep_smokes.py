@@ -28,7 +28,8 @@ SWEEPS = {
     "counter": COUNTER,
     # a fault budget of 2 with buddy replication (implied by --faults 2):
     # a second fail-stop inside the first victim's recovery window, plus
-    # buddy-death and mid-transfer points, must recover via the replica
+    # the ckpt_write points that kill a replicated write's buddy, must
+    # recover via the replica
     "counter_k2": COUNTER + ("--faults", "2"),
     # the 8-node session line (60 points) failed 11 points — deadlocks
     # and a silent lost update — until the live switch counted each token

@@ -302,11 +302,10 @@ def add_crashsweep_arguments(p: Parser) -> None:
                    help="crash after every Nth traced event (default 25)")
     p.add_argument("--classes", default=None,
                    help="comma-separated crash-point classes (default: all "
-                   "classes the --faults budget allows, out of "
-                   + ",".join(CLASSES) + ")")
+                   "but double, out of " + ",".join(CLASSES) + ")")
     p.add_argument("--faults", type=int, default=1, choices=(1, 2),
-                   help="fault budget: 2 adds the double/repl classes and "
-                   "implies --replicate unless --no-replicate")
+                   help="fault budget: 2 adds the double class and implies "
+                   "--replicate unless --no-replicate")
     p.add_argument("--no-replicate", action="store_true",
                    help="keep replication off even with --faults 2 (overlap "
                    "points then degrade explicitly instead of recovering)")
@@ -323,9 +322,10 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     """Crash-point sweep fault-injection campaign: enumerate crash points
     of a traced failure-free run, re-run the app once per point, and
     assert the recovery-equivalence oracle."""
-    from repro.faultinject import CrashSweep
+    from repro.faultinject.campaign import DEFAULT_CLASSES, CrashSweep
 
     replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
+    classes = DEFAULT_CLASSES + (("double",) if args.faults >= 2 else ())
     sweep = CrashSweep(
         cluster_factory=lambda: make_cluster(
             args.procs, l=args.l, replicate=replicate
@@ -334,8 +334,7 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
             args.app, args.steps, args.size, args.rate, args.seed
         ),
         every=args.every,
-        classes=tuple(args.classes.split(",")) if args.classes else None,
-        faults=args.faults,
+        classes=tuple(args.classes.split(",")) if args.classes else classes,
     )
 
     def progress(res: Any) -> None:
@@ -359,7 +358,7 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     out = args.out or f"benchmarks/SWEEP_{args.app}{suffix}.json"
     seed = {} if args.seed is None else {"seed": args.seed}
     write_text(out, summary.to_json(
-        app=args.app, procs=args.procs, replicate=replicate, **seed
+        app=args.app, procs=args.procs, faults=args.faults, **seed
     ))
     print(f"written to {out}")
     for r in summary.failures():

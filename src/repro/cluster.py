@@ -341,9 +341,12 @@ class DsmCluster:
     def host_diagnostics(self) -> str:
         """Per-host liveness/wait state, for debuggable deadlock reports;
         then, per lock some host waits on, where its token rests and
-        which hosts hold a ``LockGrant`` for it in their queue."""
+        which hosts hold a ``LockGrant`` for it in their queue; then, per
+        barrier episode some host waits on, who its manager has heard
+        from."""
         lines = []
         waited = set()
+        episodes = set()
         for h in self.hosts:
             parts = [
                 f"p{h.pid}:",
@@ -371,6 +374,7 @@ class DsmCluster:
                     parts.append(
                         f"barrier_wait=ep{p._pending_arrive.episode}"
                     )
+                    episodes.add(p._pending_arrive.episode)
             rm = h.recovery_mgr
             if rm is not None and rm._pending:
                 parts.append(f"recovery_waits={sorted(rm._pending)}")
@@ -385,6 +389,17 @@ class DsmCluster:
             lines.append(
                 f"  lock {lock_id}: token_resting_at="
                 f"{token_holders(tables, lock_id)} grant_queued_at={queued}"
+            )
+        mgr = self.hosts[self.config.barrier_manager]
+        for episode in sorted(episodes):
+            head = f"  barrier ep{episode}: manager=p{mgr.pid}"
+            if not mgr.live:
+                lines.append(f"{head} down")
+                continue
+            state = mgr.proto.barrier_mgr
+            arrived = sorted(state.current.arrived) if state.current else []
+            lines.append(
+                f"{head} arrived={arrived} next_episode={state.next_episode}"
             )
         return "\n".join(lines)
 

@@ -7,23 +7,24 @@ A sweep is three phases:
    ``(victim, step)`` a complete name for a crash point: any re-run with
    the same configs executes the identical event order up to the
    injection.
-2. **Enumeration** — every Nth traced event, plus targeted classes:
-   mid lock transfer, mid barrier, during a checkpoint disk write
-   (between ``CKPT_WRITE_BEGIN`` and ``CKPT_WRITE_END``), and — from
-   single-crash discovery runs — during another node's recovery. With
-   ``faults=2`` the schedule adds the ``double`` class (second crashes
-   across recovery windows opened at several reference anchors: the
-   recovering node again, its ring buddy — both ends of the replica
-   chain — and a plain responder) and the ``repl`` class (either end of
-   a checkpoint's begin→commit replication window, from the reference
-   run's ``REPL_BEGIN``/``REPL_COMMIT`` events).
+2. **Enumeration** — one table, :data:`CLASSES`, with a row per class
+   and two shapes of row. A *trace* row reads the reference trace:
+   every Nth event (``every``), the step before and the step of each
+   lock acquisition or barrier event (``lock``, ``barrier``), and the
+   midpoint of each checkpoint disk write (``ckpt_write``: the writer,
+   and its buddy when ``REPL_BEGIN`` shows the write was replicated). A
+   *window* row puts a second crash against the recovery window that a
+   base crash at a reference anchor opens, found by single-crash
+   discovery runs: inside it (``recovery``, ``double``) or after the
+   base victim went live (``sequential``).
 3. **Injection runs** — one fresh cluster per point with
    ``schedule_crash_at_step``; each must satisfy :func:`check_oracle`
    (recovery equivalence — the same bit-identical bar at k=2 as at
    k=1) or raise
    :class:`~repro.core.recovery.OverlappingFailureError` (explicit
-   degradation, acceptable only for the ``recovery``/``double``/
-   ``repl`` classes).
+   degradation, which :meth:`SweepSummary.failures` accepts only
+   without replication, for a second crash inside a recovery window,
+   and when the error names one of the point's two victims).
 
 By default the online invariant monitor
 (:class:`~repro.observe.invariants.InvariantMonitor`) rides along on the
@@ -37,8 +38,9 @@ would pass.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.recovery import OverlappingFailureError
 from repro.dsm.locks import token_holders
@@ -50,13 +52,14 @@ from repro.sim.trace import (
     RECOVERY_BEGIN,
     RECOVERY_LIVE,
     REPL_BEGIN,
-    REPL_COMMIT,
     Tracer,
 )
 
 __all__ = [
     "CLASSES",
+    "DEFAULT_CLASSES",
     "SWEEP_SCHEMA",
+    "ClassRow",
     "CrashPoint",
     "PointResult",
     "SweepSummary",
@@ -75,34 +78,71 @@ __all__ = [
 #: distributions. :func:`load_sweep` rejects any other schema.
 SWEEP_SCHEMA = 2
 
-CLASSES = (
+
+@dataclass(frozen=True)
+class ClassRow:
+    """Where one crash-point class puts its crashes.
+
+    A *trace* row (no ``anchors``) places one crash on the reference
+    trace: with a ``marker``, at the step before and the step of each
+    event it matches; ``every`` takes the sweep's stride and
+    ``ckpt_write`` the midpoint of each checkpoint write instead.
+
+    A *window* row places a second crash after a base crash at each of
+    ``anchors`` (fractions of the reference events), at ``fractions`` of
+    the window that base opens: its recovery begin to its live switch,
+    or, ``after_live``, the live switch to the end of the run. The
+    victims are the nodes ``offsets`` after the base victim (``None``:
+    every other node).
+    """
+
+    marker: Optional[Callable[[Any], bool]] = None
+    anchors: Tuple[float, ...] = ()
+    fractions: Tuple[float, ...] = ()
+    offsets: Optional[Tuple[int, ...]] = None
+    after_live: bool = False
+
+    @property
+    def overlaps(self) -> bool:
+        """The second crash lands inside the base crash's recovery window."""
+        return bool(self.anchors) and not self.after_live
+
+
+#: the crash-point classes, in enumeration order
+CLASSES: Dict[str, ClassRow] = {
+    "every": ClassRow(),
+    # just before an acquisition completes (token in flight) and just after
+    "lock": ClassRow(marker=lambda ev: ev.event == LOCK_ACQUIRED),
+    "barrier": ClassRow(marker=lambda ev: ev.kind == "barrier"),
+    "ckpt_write": ClassRow(),
+    # the recovering node again (recovery must restart cleanly) and a
+    # responder (an overlap: explicit degrade, or a buddy-replica fetch
+    # when replication is on)
+    "recovery": ClassRow(
+        anchors=(0.45,), fractions=(0.25, 0.5, 0.75), offsets=(0, 1)
+    ),
+    # repeated single failures: the first victim answers the second
+    # victim's handshake from logs it rebuilt itself; ring neighbours in
+    # both directions and the lock managers all matter
+    "sequential": ClassRow(
+        anchors=(0.2, 0.45, 0.7), fractions=(0.02, 0.08, 0.2, 0.4, 0.7),
+        after_live=True,
+    ),
+    # k=2: the cascading restart (0), both ends of the replica chain (+1:
+    # the ring buddy, also a responder) and a plain responder (+2)
+    "double": ClassRow(
+        anchors=(0.2, 0.45, 0.7),
+        fractions=(0.1, 0.25, 0.4, 0.55, 0.7, 0.85),
+        offsets=(0, 1, 2),
+    ),
+}
+
+#: what a sweep runs unless told otherwise: every class with at most one
+#: crash inside a recovery window at a time (``repro crashsweep --faults
+#: 2`` adds ``double``)
+DEFAULT_CLASSES = (
     "every", "lock", "barrier", "ckpt_write", "recovery", "sequential",
-    "double", "repl",
 )
-
-#: classes enumerable from a single-fault budget
-SINGLE_FAULT_CLASSES = (
-    "every", "lock", "barrier", "ckpt_write", "recovery", "sequential",
-)
-
-#: classes that may legitimately end in explicit degradation: a second
-#: failure overlapping a recovery (or killing a replica chain) can
-#: exceed what the configured replication degree retains
-DEGRADABLE_CLASSES = ("recovery", "double", "repl")
-
-#: window fractions probed for crashes inside another node's recovery
-RECOVERY_FRACTIONS = (0.25, 0.5, 0.75)
-
-#: the double-fault schedule probes more anchors and finer window
-#: fractions than the single-fault recovery class: base crashes at
-#: several points of the reference run, second crashes across each
-#: opened recovery window
-DOUBLE_ANCHOR_FRACTIONS = (0.2, 0.45, 0.7)
-DOUBLE_WINDOW_FRACTIONS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
-
-#: the sequential class shares those anchors; its second crashes sit at
-#: these fractions of what is left of the run once the anchor went live
-SEQUENTIAL_FRACTIONS = (0.02, 0.08, 0.2, 0.4, 0.7)
 
 
 class OracleViolation(AssertionError):
@@ -114,8 +154,8 @@ class CrashPoint:
     """One injection target: fail-stop ``victim`` after engine step ``step``.
 
     ``base`` (step, victim) schedules a *first* crash before this one —
-    used by the ``recovery`` class, whose points live inside the recovery
-    window that the base crash opens.
+    the window classes' points sit against the recovery window that the
+    base crash opens.
     """
 
     cls: str
@@ -144,7 +184,8 @@ class SweepSummary:
     reference_steps: int
     reference_events: int
     reference_wall_time: float
-    faults: int = 1
+    #: whether the swept cluster replicates (read off the reference run)
+    replicate: bool = False
     results: List[PointResult] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
@@ -155,17 +196,25 @@ class SweepSummary:
         return out
 
     def failures(self) -> List[PointResult]:
-        """Points that fail acceptance: every point must recover (or be
-        harmlessly missed), and explicit degradation may appear only
-        where a second failure overlapped a recovery or destroyed a
-        replica chain."""
+        """Points that fail acceptance: every ``failed`` point, and every
+        ``degraded`` one except where the single-fault model runs out —
+        the cluster does not replicate, the point's class puts its second
+        crash inside the base crash's recovery window, and the error
+        names one of the point's two victims."""
         return [
             r for r in self.results
-            if r.outcome == "failed" or (
-                r.outcome == "degraded"
-                and r.point.cls not in DEGRADABLE_CLASSES
-            )
+            if r.outcome == "failed"
+            or (r.outcome == "degraded" and not self._may_degrade(r))
         ]
+
+    def _may_degrade(self, r: PointResult) -> bool:
+        p = r.point
+        if self.replicate or not CLASSES[p.cls].overlaps:
+            return False
+        return any(
+            re.search(rf"\bp{pid}\b", r.error or "")
+            for pid in (p.victim, p.base[1])
+        )
 
     @property
     def ok(self) -> bool:
@@ -185,7 +234,7 @@ class SweepSummary:
             **meta,
             "schema": SWEEP_SCHEMA,
             "every": self.every,
-            "faults": self.faults,
+            "replicate": self.replicate,
             "classes": list(self.classes),
             "reference": {
                 "steps": self.reference_steps,
@@ -469,27 +518,17 @@ class CrashSweep:
         cluster_factory: Callable[[], Any],
         app_factory: Callable[[], Any],
         every: int = 25,
-        classes: Optional[Tuple[str, ...]] = None,
-        faults: int = 1,
+        classes: Tuple[str, ...] = DEFAULT_CLASSES,
         monitor: bool = True,
     ) -> None:
-        if faults not in (1, 2):
-            raise ValueError("--faults must be 1 or 2")
-        if classes is None:
-            classes = CLASSES if faults >= 2 else SINGLE_FAULT_CLASSES
         unknown = set(classes) - set(CLASSES)
         if unknown:
             raise ValueError(f"unknown crash-point classes: {sorted(unknown)}")
-        if faults < 2 and ({"double", "repl"} & set(classes)):
-            raise ValueError(
-                "the double/repl crash-point classes need --faults 2"
-            )
         if every < 1:
             raise ValueError("--every must be >= 1")
         self.cluster_factory = cluster_factory
         self.app_factory = app_factory
         self.every = every
-        self.faults = faults
         self.classes = tuple(c for c in CLASSES if c in classes)
         #: attach the online invariant monitor to the reference run and
         #: every injection run (read-only, so step indices stay valid);
@@ -497,15 +536,16 @@ class CrashSweep:
         self.monitor = monitor
         self.reference_snapshots: Dict[str, bytes] = {}
         self.reference_trace: List[Any] = []
-        #: cluster width, read off the reference run's cluster
+        #: cluster width and replication, read off the reference run's cluster
         self.num_procs = 0
+        self.replicate = False
         self.reference_steps = 0
         self.reference_wall_time = 0.0
         self.notes: List[str] = []
         #: recovery windows (begin, live, last step of the run)
         #: discovered by single-crash runs, keyed by the base crash
-        #: (step, victim) — shared by the recovery, sequential and double
-        #: classes so anchors are probed at most once
+        #: (step, victim) — shared by the window classes so anchors are
+        #: probed at most once
         self._windows: Dict[Tuple[int, int], Optional[Tuple[int, int, int]]] = {}
 
     def _attach_monitor(self, cluster: Any):
@@ -537,6 +577,7 @@ class CrashSweep:
             )
         self.reference_trace = tracer.events
         self.num_procs = cluster.config.num_procs
+        self.replicate = cluster.replication
         self.reference_steps = cluster.engine.steps
         self.reference_wall_time = result.wall_time
         self.reference_snapshots = {
@@ -548,58 +589,50 @@ class CrashSweep:
     # enumeration
     # ------------------------------------------------------------------
     def enumerate_points(self) -> List[CrashPoint]:
+        """Every class's points, class by class in table order; a point
+        a class places twice is run once."""
         if not self.reference_trace:
             self.run_reference()
-        points: List[CrashPoint] = []
-        seen: set = set()
-
-        def add(cls: str, step: int, victim: int, base=None) -> None:
-            if step < 1:
-                return
-            key = (cls, step, victim, base)
-            if key in seen:
-                return
-            seen.add(key)
-            points.append(CrashPoint(cls, step, victim, base))
-
         events = [e for e in self.reference_trace if e.step >= 1]
-        if "every" in self.classes:
-            for i in range(0, len(events), self.every):
-                ev = events[i]
-                add("every", ev.step, ev.pid)
-        if "lock" in self.classes:
+        points: Dict[CrashPoint, None] = {}
+        for cls in self.classes:
+            row = CLASSES[cls]
+            place = self._window_points if row.anchors else self._trace_points
+            for step, victim, base in place(cls, row, events):
+                if step >= 1:
+                    points.setdefault(CrashPoint(cls, step, victim, base))
+        return list(points)
+
+    def _trace_points(
+        self, cls: str, row: ClassRow, events: List[Any]
+    ) -> Iterator[Tuple[int, int, None]]:
+        if row.marker is not None:
             for ev in events:
-                if ev.event == LOCK_ACQUIRED:
-                    # just before completion (token in flight) and just after
-                    add("lock", ev.step - 1, ev.pid)
-                    add("lock", ev.step, ev.pid)
-        if "barrier" in self.classes:
-            for ev in events:
-                if ev.kind == "barrier":
-                    add("barrier", ev.step - 1, ev.pid)
-                    add("barrier", ev.step, ev.pid)
-        if "ckpt_write" in self.classes:
+                if row.marker(ev):
+                    yield ev.step - 1, ev.pid, None
+                    yield ev.step, ev.pid, None
+        elif cls == "every":
+            for ev in events[:: self.every]:
+                yield ev.step, ev.pid, None
+        else:  # ckpt_write
             begins: Dict[Tuple[int, int], int] = {}  # (pid, seqno) -> step
+            buddies: Dict[Tuple[int, int], int] = {}  # (pid, seqno) -> buddy
             for ev in events:
-                if ev.event == CKPT_WRITE_BEGIN:
+                if ev.event == REPL_BEGIN:
+                    buddies[(ev.pid, ev.args[0])] = ev.args[1]
+                elif ev.event == CKPT_WRITE_BEGIN:
                     begins[(ev.pid, ev.args[0])] = ev.step
                 elif ev.event == CKPT_WRITE_END:
-                    b = begins.pop((ev.pid, ev.args[0]), None)
+                    key = (ev.pid, ev.args[0])
+                    b = begins.pop(key, None)
                     if b is None:
                         continue
                     # strictly inside the write: after it started, before
                     # the commit marker lands
                     mid = max(b, min((b + ev.step) // 2, ev.step - 1))
-                    add("ckpt_write", mid, ev.pid)
-        if "recovery" in self.classes:
-            points.extend(self._recovery_points())
-        if "sequential" in self.classes:
-            points.extend(self._sequential_points())
-        if "double" in self.classes:
-            points.extend(self._double_points())
-        if "repl" in self.classes:
-            points.extend(self._repl_points(events))
-        return points
+                    yield mid, ev.pid, None
+                    if key in buddies:  # dies holding a torn replica record
+                        yield mid, buddies.pop(key), None
 
     def _recovery_window(
         self, anchor_step: int, anchor_pid: int
@@ -630,126 +663,32 @@ class CrashSweep:
         return window
 
     def _window_points(
-        self,
-        cls: str,
-        anchor_frac: float,
-        window_fracs: Tuple[float, ...],
-        victims: Tuple[int, ...],
-        after_live: bool = False,
-    ) -> List[CrashPoint]:
-        """Second-crash points inside the recovery window opened by a
-        base crash at ``anchor_frac`` of the reference event stream — or,
-        ``after_live``, between its live switch and the end of the run."""
-        events = [e for e in self.reference_trace if e.step >= 1]
+        self, cls: str, row: ClassRow, events: List[Any]
+    ) -> Iterator[Tuple[int, int, Tuple[int, int]]]:
         if not events:
-            return []
-        anchor = events[int(len(events) * anchor_frac)]
-        base = (anchor.step, anchor.pid)
-        window = self._recovery_window(anchor.step, anchor.pid)
-        if window is None:
-            self.notes.append(
-                f"recovery window for base crash p{anchor.pid}@{anchor.step} "
-                f"too narrow; {cls} points for this anchor skipped"
-            )
-            return []
-        lo, hi = window[1:] if after_live else window[:2]
+            return
         n = self.num_procs
-        out: List[CrashPoint] = []
-        seen: set = set()
-        for frac in window_fracs:
-            step = lo + max(1, int((hi - lo) * frac))
-            if step >= hi:
-                step = hi - 1
-            for off in victims:
-                victim = (anchor.pid + off) % n
-                key = (step, victim)
-                if key not in seen:  # fractions collapse on short windows
-                    seen.add(key)
-                    out.append(CrashPoint(cls, step, victim, base))
-        return out
-
-    def _recovery_points(self) -> List[CrashPoint]:
-        """One crash mid-reference, then points inside the recovery
-        window it opens: the same victim again (recovery must restart
-        cleanly) and a responder (overlapping failure — explicit degrade,
-        or a buddy-replica fetch when replication is on)."""
-        return self._window_points("recovery", 0.45, RECOVERY_FRACTIONS, (0, 1))
-
-    def _sequential_points(self) -> List[CrashPoint]:
-        """Repeated single failures: for each double-class anchor, second
-        crashes spread over the rest of the run *after* the anchor went
-        live — the first victim answers the second victim's handshake
-        from logs it rebuilt itself — on every other node (ring
-        neighbours in both directions and the lock managers all matter).
-        Nothing overlaps: any outcome but recovered/no_crash fails."""
-        others = tuple(range(1, self.num_procs))
-        out: List[CrashPoint] = []
-        for anchor_frac in DOUBLE_ANCHOR_FRACTIONS:
-            out.extend(
-                self._window_points(
-                    "sequential", anchor_frac, SEQUENTIAL_FRACTIONS, others,
-                    after_live=True,
+        offsets = range(1, n) if row.offsets is None else row.offsets
+        for anchor_frac in row.anchors:
+            anchor = events[int(len(events) * anchor_frac)]
+            base = (anchor.step, anchor.pid)
+            window = self._recovery_window(*base)
+            if window is None:
+                self.notes.append(
+                    f"recovery window for base crash p{anchor.pid}@"
+                    f"{anchor.step} too narrow; {cls} points for this "
+                    "anchor skipped"
                 )
-            )
-        return out
-
-    def _double_points(self) -> List[CrashPoint]:
-        """The k=2 schedule: base crashes at several reference anchors,
-        second crashes across each opened recovery window. Victim offsets
-        cover the cascading restart (0: the recovering node again), both
-        ends of the replica chain (+1: the anchor's ring buddy, which
-        holds its replicated FT state *and* serves as a responder), and a
-        plain responder that holds no replica of the anchor (+2)."""
-        out: List[CrashPoint] = []
-        for anchor_frac in DOUBLE_ANCHOR_FRACTIONS:
-            out.extend(
-                self._window_points(
-                    "double", anchor_frac, DOUBLE_WINDOW_FRACTIONS, (0, 1, 2)
-                )
-            )
-        return out
-
-    def _repl_points(self, events: List[Any]) -> List[CrashPoint]:
-        """Crashes in the middle of a replication exchange, enumerated
-        from the reference run's ``repl`` events: for each checkpoint's
-        begin→commit replication window, kill the buddy (it dies holding
-        a torn replica record) and the sender (its checkpoint commits
-        but the replica ack never arrives)."""
-        windows: Dict[Tuple[int, int], int] = {}  # (pid, seqno) -> step
-        out: List[CrashPoint] = []
-        found = False
-        for ev in events:
-            if ev.event == REPL_BEGIN:
-                found = True
-                windows[(ev.pid, ev.args[0])] = ev.step
-            elif ev.event == REPL_COMMIT:
-                seqno, buddy = ev.args
-                b = windows.pop((ev.pid, seqno), None)
-                if b is None:
-                    continue
-                mid = max(b, min((b + ev.step) // 2, ev.step - 1))
-                out.append(CrashPoint("repl", mid, buddy))
-                out.append(CrashPoint("repl", mid, ev.pid))
-        if not found:
-            self.notes.append(
-                "no replication events in the reference run (replication "
-                "disabled?); repl class skipped"
-            )
-        return out
+                continue
+            lo, hi = window[1:] if row.after_live else window[:2]
+            for frac in row.fractions:
+                step = min(lo + max(1, int((hi - lo) * frac)), hi - 1)
+                for off in offsets:
+                    yield step, (anchor.pid + off) % n, base
 
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
-    @staticmethod
-    def _collect_phases(cluster: Any) -> List[Dict[str, float]]:
-        """Every completed recovery's phase record, tagged with its pid
-        (recoveries cut short by a second kill leave no record)."""
-        return [
-            dict(rec, pid=host.pid)
-            for host in cluster.hosts
-            for rec in host.recovery_phases
-        ]
-
     def run_point(self, point: CrashPoint) -> PointResult:
         cluster = self.cluster_factory()
         monitor = self._attach_monitor(cluster)
@@ -757,68 +696,44 @@ class CrashSweep:
         if point.base is not None:
             base_step, base_victim = point.base
             cluster.schedule_crash_at_step(base_victim, base_step)
-        expected_crashes = 1 + (1 if point.base else 0)
+        outcome, errors = "failed", []
         try:
-            result = cluster.run(self.app_factory())
+            cluster.run(self.app_factory())
         except OverlappingFailureError as exc:
             # explicitly degraded: the cluster aborted mid-recovery, so
             # the monitor's in-flight state is not a verdict — drop it
-            return PointResult(
-                point,
-                "degraded",
-                crashes=cluster.crashes,
-                recoveries=cluster.recoveries,
-                error=str(exc),
-                recovery_phases=self._collect_phases(cluster),
-            )
-        except Exception as exc:  # deadlock / protocol invariant / oracle
-            error = f"{type(exc).__name__}: {exc}"
-            # the end-of-run checks too: a deadlocked run's stalled lock
-            # shows only once its network has drained
-            if monitor is not None and monitor.finish():
-                error += (
-                    "; invariant violations: "
-                    + "; ".join(v.render() for v in monitor.violations[:3])
-                )
-            return PointResult(
-                point,
-                "failed",
-                crashes=cluster.crashes,
-                recoveries=cluster.recoveries,
-                error=error,
-                recovery_phases=self._collect_phases(cluster),
-            )
-        phases = self._collect_phases(cluster)
+            outcome, monitor = "degraded", None
+            errors.append(str(exc))
+        except Exception as exc:  # deadlock / protocol invariant
+            # the end-of-run checks below too: a deadlocked run's stalled
+            # lock shows only once its network has drained
+            errors.append(f"{type(exc).__name__}: {exc}")
         if monitor is not None and monitor.finish():
-            return PointResult(
-                point,
-                "failed",
-                crashes=result.crashes,
-                recoveries=result.recoveries,
-                error="invariant violations: "
-                + "; ".join(v.render() for v in monitor.violations[:3]),
-                recovery_phases=phases,
+            errors.append(
+                "invariant violations: "
+                + "; ".join(v.render() for v in monitor.violations[:3])
             )
-        try:
-            check_oracle(cluster, self.reference_snapshots)
-        except OracleViolation as exc:
-            return PointResult(
-                point,
-                "failed",
-                crashes=result.crashes,
-                recoveries=result.recoveries,
-                error=str(exc),
-                recovery_phases=phases,
-            )
-        outcome = (
-            "recovered" if result.crashes >= expected_crashes else "no_crash"
-        )
+        if not errors:
+            try:
+                check_oracle(cluster, self.reference_snapshots)
+            except OracleViolation as exc:
+                errors.append(str(exc))
+        if not errors:
+            crashed = cluster.crashes >= (2 if point.base else 1)
+            outcome = "recovered" if crashed else "no_crash"
         return PointResult(
             point,
             outcome,
-            crashes=result.crashes,
-            recoveries=result.recoveries,
-            recovery_phases=phases,
+            crashes=cluster.crashes,
+            recoveries=cluster.recoveries,
+            error="; ".join(errors) or None,
+            # every completed recovery, tagged with its pid (recoveries
+            # cut short by a second kill leave no record)
+            recovery_phases=[
+                dict(rec, pid=host.pid)
+                for host in cluster.hosts
+                for rec in host.recovery_phases
+            ],
         )
 
     # ------------------------------------------------------------------
@@ -832,7 +747,7 @@ class CrashSweep:
             reference_steps=self.reference_steps,
             reference_events=len(self.reference_trace),
             reference_wall_time=self.reference_wall_time,
-            faults=self.faults,
+            replicate=self.replicate,
             notes=list(self.notes),
         )
         for point in points:

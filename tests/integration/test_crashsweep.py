@@ -16,9 +16,12 @@ from repro import DsmCluster, DsmConfig
 from repro.apps import APPS
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
-from repro.faultinject import CrashPoint, CrashSweep, OracleViolation, check_oracle
+from repro.faultinject import (
+    CrashPoint, CrashSweep, OracleViolation, PointResult, SweepSummary,
+    check_oracle,
+)
 from repro.sim.engine import Future
-from repro.sim.trace import Tracer
+from repro.sim.trace import REPL_BEGIN, REPL_COMMIT, Tracer
 from tests.conftest import make_app, make_cluster
 
 FAST_DETECT = {"failure_detection_delay": 2e-3}
@@ -95,8 +98,9 @@ def test_sweep_counter_bounded():
 
 def test_sweep_rejects_unknown_class_and_nonft_cluster():
     cluster_factory, app_factory = _factories()
-    with pytest.raises(ValueError, match="unknown crash-point classes"):
-        CrashSweep(cluster_factory, app_factory, classes=("bogus",))
+    for bogus in ("bogus", "repl"):  # repl points are ckpt_write points
+        with pytest.raises(ValueError, match="unknown crash-point classes"):
+            CrashSweep(cluster_factory, app_factory, classes=(bogus,))
     sweep = CrashSweep(
         lambda: make_cluster(num_procs=4, ft=False), app_factory
     )
@@ -106,10 +110,7 @@ def test_sweep_rejects_unknown_class_and_nonft_cluster():
 
 def test_sequential_class_is_every_other_node_after_the_live_switch():
     """One failure at a time, repeated: each second crash lands after its
-    anchor went live, every node but the anchor takes one, and — nothing
-    overlaps — a degraded point fails the sweep."""
-    from repro.faultinject.campaign import PointResult
-
+    anchor went live and every node but the anchor takes one."""
     cluster_factory, app_factory = _factories()
     sweep = CrashSweep(cluster_factory, app_factory, classes=("sequential",))
     points = sweep.enumerate_points()
@@ -124,8 +125,61 @@ def test_sequential_class_is_every_other_node_after_the_live_switch():
         assert hit == set(range(4)) - {anchor}
     summary = sweep.run()
     assert summary.ok and set(summary.outcomes()) <= {"recovered", "no_crash"}
-    summary.results.append(PointResult(points[0], "degraded"))
+
+
+#: (replicate, class, error, accepted): the one verdict on a degraded
+#: point whose base crash is p1's and whose second crash is p2's
+DEGRADE_VERDICTS = {
+    "in_window_naming_a_victim": (False, "recovery", "depends on p2", True),
+    "names_the_base_victim": (False, "double", "p1 failed again", True),
+    "under_replication": (True, "recovery", "depends on p2", False),
+    "after_live": (False, "sequential", "depends on p2", False),
+    "names_neither_victim": (False, "double", "depends on p3", False),
+    "names_a_longer_pid": (False, "double", "depends on p12", False),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGRADE_VERDICTS))
+def test_degraded_point_verdict(case):
+    """A degraded point passes only without replication, for a second
+    crash inside the base crash's recovery window, with an error naming
+    one of its two victims; a failed point never passes."""
+    replicate, cls, error, accepted = DEGRADE_VERDICTS[case]
+    point = CrashPoint(cls, 120, 2, base=(100, 1))
+    summary = SweepSummary(
+        every=25, classes=(cls,), reference_steps=500, reference_events=400,
+        reference_wall_time=0.01, replicate=replicate,
+        results=[PointResult(point, "degraded", error=error)],
+    )
+    assert summary.ok is accepted
+    summary.results.append(PointResult(point, "failed", error=error))
     assert not summary.ok
+
+
+def test_replicated_write_crashes_writer_and_buddy():
+    """Every replicated checkpoint write (``REPL_BEGIN``…``REPL_COMMIT``)
+    yields ``ckpt_write`` points for the writer and for its buddy at the
+    write's midpoint; the write's replication needs no class of its own."""
+    sweep = CrashSweep(
+        lambda: make_cluster(
+            num_procs=4, ft=True, ft_config=FtConfig(replicate=True),
+            **FAST_DETECT,
+        ),
+        _factories()[1],
+        classes=("ckpt_write",),
+    )
+    points = set(sweep.enumerate_points())
+    begins, writes = {}, 0
+    for ev in sweep.reference_trace:
+        if ev.event == REPL_BEGIN:
+            begins[(ev.pid, ev.args[0])] = ev.step
+        elif ev.event == REPL_COMMIT:
+            b = begins.pop((ev.pid, ev.args[0]))
+            mid = max(b, min((b + ev.step) // 2, ev.step - 1))
+            assert CrashPoint("ckpt_write", mid, ev.pid) in points
+            assert CrashPoint("ckpt_write", mid, ev.args[1]) in points
+            writes += 1
+    assert writes and sweep.replicate
 
 
 def test_sweep_builds_one_cluster_per_run():
@@ -350,7 +404,7 @@ def test_overlapping_recoveries_keep_one_token(pin):
             ft_config=FtConfig(replicate=replicate),
         ),
         lambda: spec.app(spec.config(seed=seed)),
-        classes=("double",), faults=2,
+        classes=("double",),
     )
     sweep.run_reference()
     res = sweep.run_point(CrashPoint("double", step, victim, base))
@@ -418,3 +472,22 @@ def test_deadlock_error_includes_per_host_diagnostics():
     assert "p0: live=True recovering=False finished=False" in msg
     assert "p1: live=True recovering=False finished=True" in msg
     assert "queued=" in msg
+
+
+class _BarrierShortApp(_StuckApp):
+    """p2 finishes without arriving: the others wait at episode 0 forever."""
+
+    def run(self, proc, state):
+        if proc.pid != 2:
+            yield from proc.barrier()
+
+
+def test_deadlock_error_names_the_barrier_managers_arrivals():
+    cluster = make_cluster(num_procs=3)
+    with pytest.raises(RuntimeError) as exc_info:
+        cluster.run(_BarrierShortApp())
+    msg = str(exc_info.value)
+    assert msg.startswith("deadlock:")
+    assert "p0: live=True recovering=False finished=False" in msg
+    assert "barrier_wait=ep0" in msg
+    assert "barrier ep0: manager=p0 arrived=[0, 1] next_episode=0" in msg
