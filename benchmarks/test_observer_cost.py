@@ -32,10 +32,12 @@ The fourth gate is the crash sweep's, in the ledger's ``sweep_session``
 shape (4 nodes, default ``SessionConfig``, L = 0.1, every 25th point of
 the single-fault classes, 120 of them drawn at seed 42): the loop of 120
 ``run_point`` calls with the monitor against ``monitor=False``, best of
-three loops a side, < 1.5 x. It reads 1.38 (2.39 s against 1.74 s);
-it read 1.62 (2.82 s) while every point's monitor filled a flight ring
-no one dumped and every emit site fired on one bus-wide flag
-(EXPERIMENTS.md "Host-cost history", PR 25).
+three loops a side, < 1.5 x. It reads 1.24-1.26 (2.75 s against
+2.22 s) since each point's monitor joins at the point's first crash
+step; it read 1.35-1.62 while the monitor checked every point from step
+0, and 1.62 (2.82 s) while every point's monitor also filled a flight
+ring no one dumped and every emit site fired on one bus-wide flag
+(EXPERIMENTS.md "Host-cost history").
 
 The fifth and sixth gates are the two trace observers on the serving
 crash run, best of three a side, sides alternated, each < 2 x: a

@@ -340,10 +340,10 @@ class DsmCluster:
 
     def host_diagnostics(self) -> str:
         """Per-host liveness/wait state, for debuggable deadlock reports;
-        then, per lock some host waits on, where its token rests and
-        which hosts hold a ``LockGrant`` for it in their queue; then, per
-        barrier episode some host waits on, who its manager has heard
-        from."""
+        then, per lock some host waits on, where its token rests, which
+        hosts hold a ``LockGrant`` for it in their queue and, with FT on,
+        its newest grant in the grant logs; then, per barrier episode
+        some host waits on, who its manager has heard from."""
         lines = []
         waited = set()
         episodes = set()
@@ -386,10 +386,13 @@ class DsmCluster:
                 if any(isinstance(m, LockGrant) and m.lock_id == lock_id
                        for _src, m in h.queued)
             ]
-            lines.append(
+            line = (
                 f"  lock {lock_id}: token_resting_at="
                 f"{token_holders(tables, lock_id)} grant_queued_at={queued}"
             )
+            if self.ft_enabled:
+                line += f" newest_grant={self._newest_grant(lock_id)}"
+            lines.append(line)
         mgr = self.hosts[self.config.barrier_manager]
         for episode in sorted(episodes):
             head = f"  barrier ep{episode}: manager=p{mgr.pid}"
@@ -402,6 +405,40 @@ class DsmCluster:
                 f"{head} arrived={arrived} next_episode={state.next_episode}"
             )
         return "\n".join(lines)
+
+    def _newest_grant(self, lock_id: int) -> str:
+        """The newest grant of ``lock_id`` in the hosts' grant logs, as
+        ``pG->pA@acq_t`` (G = A for a self-grant) and the halves of its
+        §4.2.1 pair that hold it, e.g. ``acq@pA+rel@pG``. A grant is
+        known by its grantor's own component, as ``GrantLog.confirm``
+        knows it; one lock's grants are causally ordered, so the newest
+        has the largest stamp."""
+        #: (grantor, acquirer, grantor's component) -> [stamp sum, the
+        #: larger stamp (a grantor may log a prediction), halves]
+        grants: Dict[Tuple[int, int, int], List[Any]] = {}
+        for h in self.hosts:
+            if h.ft is None:
+                continue
+            for half, log in (("acq", h.ft.logs.acq), ("rel", h.ft.logs.rel)):
+                for peer, bucket in enumerate(log.entries):
+                    a = peer if half == "rel" else h.pid
+                    for e in bucket:
+                        if e.lock_id != lock_id:
+                            continue
+                        g = a if e.local else (h.pid if half == "rel" else peer)
+                        grant = grants.setdefault(
+                            (g, a, e.acq_t[g]), [-1, None, []]
+                        )
+                        grant[2].append(f"{half}@p{h.pid}")
+                        size = sum(e.acq_t)
+                        if size > grant[0]:
+                            grant[:2] = size, e.acq_t
+        if not grants:
+            return "none"
+        (g, a, _), (_, t, halves) = max(
+            grants.items(), key=lambda kv: (kv[1][0], kv[0])
+        )
+        return f"p{g}->p{a}@{tuple(t)} in {'+'.join(sorted(halves))}"
 
     # ------------------------------------------------------------------
     # failure / recovery orchestration

@@ -28,17 +28,23 @@ A sweep is three phases:
 
 By default the online invariant monitor
 (:class:`~repro.observe.invariants.InvariantMonitor`) rides along on the
-reference and every injection run: it is read-only, so the step indices
-stay transferable, and it turns silently-wrong recoveries (trim bound
-overshoot, vector-clock regression, lost rel/acq mirror entries) into
-explicit ``failed`` points even when the oracle's end-state comparison
-would pass.
+reference run from step 0 and joins every injection run at its first
+crash step: it is read-only, so the step indices stay transferable, and
+it turns silently-wrong recoveries (trim bound overshoot, vector-clock
+regression, lost rel/acq mirror entries) into explicit ``failed`` points
+even when the oracle's end-state comparison would pass. Up to its first
+crash a point *is* the reference run, which the monitor has checked
+already; the reference records ``(now, seq)`` after every step, and a
+point whose clock or scheduling counter differs at the join fails
+(``prefix diverged``) instead of being judged by a monitor that skipped
+a prefix it never checked.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -48,6 +54,7 @@ from repro.observe.latency import exact_percentile
 from repro.sim.trace import (
     CKPT_WRITE_BEGIN,
     CKPT_WRITE_END,
+    ENGINE_EVENT,
     LOCK_ACQUIRED,
     RECOVERY_BEGIN,
     RECOVERY_LIVE,
@@ -530,9 +537,10 @@ class CrashSweep:
         self.app_factory = app_factory
         self.every = every
         self.classes = tuple(c for c in CLASSES if c in classes)
-        #: attach the online invariant monitor to the reference run and
-        #: every injection run (read-only, so step indices stay valid);
-        #: a violation turns the point into ``failed``
+        #: attach the online invariant monitor to the reference run and,
+        #: at its first crash step, every injection run (read-only, so
+        #: step indices stay valid); a violation turns the point into
+        #: ``failed``
         self.monitor = monitor
         self.reference_snapshots: Dict[str, bytes] = {}
         self.reference_trace: List[Any] = []
@@ -540,6 +548,10 @@ class CrashSweep:
         self.num_procs = 0
         self.replicate = False
         self.reference_steps = 0
+        #: the reference run's clock and scheduling counter once step s
+        #: has run, at index s (16 B a step)
+        self.reference_now = array("d")
+        self.reference_seq = array("q")
         self.reference_wall_time = 0.0
         self.notes: List[str] = []
         #: recovery windows (begin, live, last step of the run)
@@ -564,7 +576,17 @@ class CrashSweep:
             raise RuntimeError("crash sweep requires an FT-enabled cluster")
         tracer = Tracer(cluster, max_events=1_000_000)
         monitor = self._attach_monitor(cluster)
+        engine = cluster.engine
+        now, seq = array("d", [engine.now]), array("q")
+
+        def record(_event: Any) -> None:
+            # before step s runs: its clock, and the counter step s - 1 left
+            now.append(engine.now)
+            seq.append(engine._seq)
+
+        engine.bus.subscribe(ENGINE_EVENT, record)
         result = cluster.run(self.app_factory())
+        seq.append(engine._seq)
         if monitor is not None and monitor.finish():
             raise RuntimeError(
                 "invariant violation in the failure-free reference run: "
@@ -578,7 +600,8 @@ class CrashSweep:
         self.reference_trace = tracer.events
         self.num_procs = cluster.config.num_procs
         self.replicate = cluster.replication
-        self.reference_steps = cluster.engine.steps
+        self.reference_steps = engine.steps
+        self.reference_now, self.reference_seq = now, seq
         self.reference_wall_time = result.wall_time
         self.reference_snapshots = {
             region.name: cluster.shared_snapshot(region).tobytes()
@@ -689,9 +712,28 @@ class CrashSweep:
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
+    def _join(self, cluster: Any, step: int, joined: List[Any]) -> None:
+        """At the point's first crash step, before the crash: the prefix
+        must be the reference run's, then the monitor joins."""
+        engine = cluster.engine
+        if step > self.reference_steps or (engine.now, engine._seq) != (
+            self.reference_now[step], self.reference_seq[step]
+        ):
+            raise RuntimeError(
+                f"prefix diverged from the reference run at step {step}"
+            )
+        joined.append(self._attach_monitor(cluster))
+
     def run_point(self, point: CrashPoint) -> PointResult:
         cluster = self.cluster_factory()
-        monitor = self._attach_monitor(cluster)
+        first = point.step if point.base is None else min(
+            point.step, point.base[0]
+        )
+        joined: List[Any] = []
+        # registered before the crashes: at the same step it fires first
+        cluster.engine.break_at_step(
+            first, lambda: self._join(cluster, first, joined)
+        )
         cluster.schedule_crash_at_step(point.victim, point.step)
         if point.base is not None:
             base_step, base_victim = point.base
@@ -702,12 +744,14 @@ class CrashSweep:
         except OverlappingFailureError as exc:
             # explicitly degraded: the cluster aborted mid-recovery, so
             # the monitor's in-flight state is not a verdict — drop it
-            outcome, monitor = "degraded", None
+            outcome = "degraded"
             errors.append(str(exc))
         except Exception as exc:  # deadlock / protocol invariant
             # the end-of-run checks below too: a deadlocked run's stalled
             # lock shows only once its network has drained
             errors.append(f"{type(exc).__name__}: {exc}")
+        # none when the run ended before its first crash step
+        monitor = joined[0] if joined and outcome != "degraded" else None
         if monitor is not None and monitor.finish():
             errors.append(
                 "invariant violations: "

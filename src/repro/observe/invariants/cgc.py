@@ -31,6 +31,15 @@ class CgcChecker:
     def subscriptions(self):
         return [(CGC, self._check)]
 
+    def adopt(self) -> None:
+        """Each retained window's oldest checkpoint is its floor."""
+        for host in self.cluster.hosts:
+            mgr = host.ckpt_mgr
+            if mgr is not None:
+                for page, copies in mgr.page_copies.items():
+                    if copies:
+                        self._floor[(host.pid, page)] = copies[0].ckpt_seqno
+
     def _check(self, pid: int, *_payload: Any) -> None:
         host = self.cluster.hosts[pid]
         ft, mgr = host.ft, host.ckpt_mgr

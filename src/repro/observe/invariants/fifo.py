@@ -20,12 +20,19 @@ class FifoChecker:
     def __init__(self, monitor: Any) -> None:
         self._violate = partial(monitor._violate, self.name)
         self.checks = 0
+        self._net = monitor.cluster.network
         self._n = monitor.cluster.config.num_procs
         #: channel ``src * n + dst`` -> sent-but-undelivered payloads
         self._chan: Dict[int, deque] = {}
 
     def subscriptions(self):
         return [(SEND, self._on_send), (DELIVER, self._on_deliver)]
+
+    def adopt(self) -> None:
+        """Queue the messages in flight, in delivery order: per channel
+        that is send order, which is what the channels held."""
+        for src, dst, payload, _epoch in self._net.in_flight():
+            self._on_send(src, dst, payload)
 
     def _on_send(self, src: int, dst: int, payload: Any) -> None:
         key = src * self._n + dst

@@ -88,6 +88,15 @@ class LockChecker:
             (RECOVERY_LIVE, self._on_live),
         ]
 
+    def adopt(self) -> None:
+        """Count the messages in flight in the current epoch, as their
+        sends did; the waiter cadence goes on from the deliveries so far."""
+        net = self._net
+        self._deliveries = net.traffic.total_msgs - net.inflight_msgs
+        for src, dst, payload, epoch in net.in_flight():
+            if epoch == net.epoch:
+                self._on_send(src, dst, payload)
+
     def _sync_epoch(self) -> None:
         epoch = self._net.epoch
         if epoch != self._epoch:

@@ -1,7 +1,7 @@
 """Online invariant monitor: the paper's theorems as runtime assertions.
 
 An :class:`InvariantMonitor` attaches to a
-:class:`~repro.cluster.DsmCluster` *before* ``run`` and checks six
+:class:`~repro.cluster.DsmCluster` and checks six
 invariant classes while it goes, one checker module per structure, as
 the paper argues recoverability one structure at a time: ``cgc``,
 ``llt``, ``vclock``, ``fifo``, ``recoverability`` and ``lock`` (DESIGN.md
@@ -9,12 +9,22 @@ the paper argues recoverability one structure at a time: ``cgc``,
 argument). It only reads: a monitored run is bit-identical to an
 unmonitored one (golden-determinism test). The monitor is the checkers,
 the bus they share, one violation sink and the flight record. A checker
-is built as ``Checker(monitor)`` and has a ``name``, a ``checks`` count
-and ``subscriptions()``, its ``(kind, handler)`` pairs; it may define
-``forget()`` (drop every memo) and ``finish()`` (its end-of-run check).
+is built as ``Checker(monitor)`` and has a ``name``, a ``checks`` count,
+``subscriptions()``, its ``(kind, handler)`` pairs, and ``adopt()``,
+which sets its memory from the live cluster; it may define ``forget()``
+(drop every memo) and ``finish()`` (its end-of-run check).
 It reports through ``monitor._violate`` and reaches no other checker: a
 vector-time regression found by ``vclock`` reaches the recoverability
 memos as :meth:`InvariantMonitor.forget`.
+
+Built before ``run`` a monitor sees every step; built mid-run (a crash
+sweep joins each point at its first crash step, from a breakpoint) each
+checker adopts what it would remember after a *clean* prefix, so the
+monitor reaches the verdicts a monitor attached from step 0 would
+(DESIGN.md §7.6 has the adoption contract). Only a prefix free of
+crashes and violations is adopted soundly: the sweep joins only where
+its ``(now, seq)`` record shows the point's prefix is the monitored
+reference run's.
 
 On the first violation the
 :class:`~repro.observe.invariants.recorder.FlightRecorder` ring is
@@ -92,6 +102,8 @@ class InvariantMonitor:
         self._seen: Set[Tuple[str, int, str]] = set()
         #: name -> checker, in dispatch order
         self.checkers = {c.name: c(self) for c in self.CHECKERS}
+        for c in self.checkers.values():
+            c.adopt()
         self._subscribe()
 
     def _subscribe(self) -> None:

@@ -86,6 +86,24 @@ class RecoverabilityChecker:
             (RECOVERY_LIVE, self._on_live),
         ]
 
+    def adopt(self) -> None:
+        """The scan cadence goes on from the deliveries so far; a live
+        host with a staged checkpoint is inside its write window (stage
+        and ``CKPT_WRITE_BEGIN`` share an engine event, as do
+        ``CKPT_WRITE_END`` and the commit); each buddy's acks so far are
+        their high-water mark. The memos start empty: the first scan is
+        a full scan."""
+        net = self.cluster.network
+        self._deliveries = net.traffic.total_msgs - net.inflight_msgs
+        for host in self.cluster.hosts:
+            if not host.live:
+                continue
+            if host.ckpt_mgr is not None and host.ckpt_mgr.store.pending_keys():
+                self._writing.add(host.pid)
+            repl = getattr(host.ft, "repl", None)
+            if repl is not None:
+                self._acked_hwm[host.pid] = max(0, repl.acked_seqno)
+
     def _on_deliver(self, src: int, dst: int, payload: Any, epoch: int) -> None:
         self._deliveries += 1
         if self._deliveries % SCAN_EVERY == 0:

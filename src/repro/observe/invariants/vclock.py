@@ -61,6 +61,15 @@ class VclockChecker:
             (FAILURE, self._reset), (RECOVERY_LIVE, self._reset),
         ]
 
+    def adopt(self) -> None:
+        """Each host's vector time is its baseline, and its own component
+        its high-water mark (vector time only rises in a clean prefix)."""
+        for host in self.cluster.hosts:
+            if host.proto is not None:
+                vt = host.proto.vt
+                self._last_vt[host.pid] = vt
+                self._hwm[host.pid] = vt.v[host.pid]
+
     def _on_send(self, src: int, dst: int, payload: Any) -> None:
         """The vector times, then every stamp ``payload`` carries."""
         self._refresh()

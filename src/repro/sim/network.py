@@ -26,7 +26,9 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.trace import DELIVER, SEND
@@ -193,6 +195,18 @@ class Network:
             engine._ready.append(event)
         else:
             heapq.heappush(engine._queue, event)
+
+    def in_flight(self) -> Iterator[Tuple[int, int, Any, int]]:
+        """``(src, dst, payload, epoch)`` of every message sent and not
+        yet delivered, in delivery (``(time, seq)``) order, read off the
+        engine's ready deque and heap. Read-only."""
+        deliver = self._deliver  # a seeded sabotage may wrap it
+        engine = self.engine
+        for _t, _seq, fn in sorted(
+            chain(engine._ready, engine._queue), key=itemgetter(0, 1)
+        ):
+            if type(fn) is partial and fn.func == deliver:
+                yield fn.args[:4]
 
     def flush_epoch(self) -> None:
         """Invalidate every message currently in flight (global rollback)."""

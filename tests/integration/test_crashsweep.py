@@ -331,6 +331,64 @@ def test_oracle_detects_duplicated_token():
 
 
 # ======================================================================
+# the monitor joins each point at its first crash step
+# ======================================================================
+
+
+def joins(sweep):
+    """Record the step at which each of ``sweep``'s monitors attaches."""
+    steps = []
+    attach = sweep._attach_monitor
+
+    def recorded(cluster):
+        steps.append(cluster.engine.steps)
+        return attach(cluster)
+
+    sweep._attach_monitor = recorded
+    return steps
+
+
+def test_monitor_joins_a_point_at_its_first_crash_step():
+    cluster_factory, app_factory = _factories()
+    sweep = CrashSweep(cluster_factory, app_factory)
+    sweep.run_reference()
+    end = sweep.reference_steps
+    steps = joins(sweep)
+    single = CrashPoint("every", end // 2, 1, None)
+    based = CrashPoint("sequential", end - 40, 2, (end // 3, 1))
+    assert sweep.run_point(single).outcome == "recovered"
+    assert sweep.run_point(based).outcome == "recovered"
+    # past the end of the run: no crash, no join, nothing to judge
+    late = sweep.run_point(CrashPoint("every", end + 100, 1, None))
+    assert (late.outcome, late.error, late.crashes) == ("no_crash", None, 0)
+    assert steps == [end // 2, end // 3]
+
+
+def test_a_point_whose_prefix_drifts_from_the_reference_fails():
+    """A monitor that joins at the first crash step relies on the prefix
+    being the reference run, which it checked from step 0. An app
+    factory that hands every run after the reference another seed breaks
+    that: each point fails at its join, none is judged recovered."""
+    seeds = iter(range(1, 100))
+
+    def cluster_factory():
+        return make_cluster(num_procs=4, ft=True, **FAST_DETECT)
+
+    def app_factory():
+        return make_app("session", seed=next(seeds))
+
+    sweep = CrashSweep(cluster_factory, app_factory, every=90, classes=("every",))
+    points = sweep.enumerate_points()[:3]
+    for point in points:
+        res = sweep.run_point(point)
+        assert res.outcome == "failed"
+        assert res.error == (
+            "RuntimeError: prefix diverged from the reference run at step "
+            f"{point.step}"
+        )
+
+
+# ======================================================================
 # overlapping failures (hold path + explicit degradation)
 # ======================================================================
 

@@ -13,6 +13,8 @@ The two halves of the monitor's contract:
 
 import contextlib
 import json
+import re
+from collections import deque
 
 import pytest
 
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core import FtConfig
 from repro.core.logs import RelEntry
+from repro.dsm.vclock import VClock
 from repro.observe.invariants import monitor as monitor_mod
 from repro.observe.invariants import recoverability
 from repro.sim.engine import Engine
@@ -412,17 +415,22 @@ def drop_first_forward(cluster):
 
 
 def test_lock_deadlock_names_the_token_and_is_a_lock_violation():
-    """The deadlock report says where each waited-on lock's token rests
-    and which hosts queue a grant for it; the monitor's end-of-run
-    check (asked after the failed run, as sweeps and the CLI do) names
-    the stall: a sweep point reports it instead of a bare deadlock."""
+    """The deadlock report says where each waited-on lock's token rests,
+    which hosts queue a grant for it and its newest grant pair (p0's
+    first acquire, a self-grant whose rel half p1 holds); the monitor's
+    end-of-run check (asked after the failed run, as sweeps and the CLI
+    do) names the stall: a sweep point reports it instead of a bare
+    deadlock."""
     cluster = make_cluster(num_procs=4, ft=True)
     monitor = InvariantMonitor(cluster)
     drop_first_forward(cluster)
     with pytest.raises(RuntimeError, match="deadlock") as info:
         cluster.run(make_app("counter"))
     assert "lock_waits=[0]" in str(info.value)
-    assert "lock 0: token_resting_at=[0] grant_queued_at=[]" in str(info.value)
+    assert (
+        "lock 0: token_resting_at=[0] grant_queued_at=[] "
+        "newest_grant=p0->p0@(1, 0, 0, 0) in acq@p0+rel@p1\n"
+    ) in str(info.value)
     (violation,) = monitor.finish()
     assert violation.invariant == "lock"
     assert "rests idle at p0, with no grant, request" in violation.detail
@@ -457,6 +465,130 @@ def test_token_count_after_a_live_switch_is_taken_after_the_drain():
     assert first.invariant == "lock"
     assert "tokens after p1's live switch" in first.detail
     assert live_at[0] < first.step <= live_at[0] + 5
+
+
+# ---------------------------------------------------------------------------
+# adoption: a monitor built mid-run takes its memory from the cluster
+# ---------------------------------------------------------------------------
+class _Stop(Exception):
+    """Ends a run at the breakpoint where a monitor joined it."""
+
+
+#: checker attributes that are not memory: references, counts of checks
+#: made, and the memo caches, which a joining monitor starts empty (its
+#: first look at every stamp, chain and pair is a full one)
+_NOT_MEMORY = {
+    "cluster", "_net", "_n", "_violate", "_forget_all", "checks",
+    "_stamps_ok", "_stamp_shape", "_chains_ok", "_pairs_ok",
+}
+
+
+def canon(x):
+    """A run-independent form: two runs hold equal, distinct objects."""
+    if isinstance(x, dict):
+        return {k: canon(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, deque)):
+        return [canon(v) for v in x]
+    if isinstance(x, set):
+        return sorted(x)
+    if isinstance(x, VClock):
+        return tuple(x)
+    if x is None or isinstance(x, (int, float, str)):
+        return x
+    return re.sub(r" at 0x[0-9a-f]+", "", repr(x))  # a message
+
+
+def memory(monitor):
+    """Each checker's memory. An emptied channel queue and a lock count
+    back at zero are dropped: the cold checker keeps their keys. A
+    missing queue is an empty one, and ``_all_locks`` also asks every
+    table, where a lock no table knows rests at its manager."""
+    out = {
+        name: {k: canon(v) for k, v in vars(c).items() if k not in _NOT_MEMORY}
+        for name, c in monitor.checkers.items()
+    }
+    for name, key in (("fifo", "_chan"), ("lock", "_grants"), ("lock", "_asks")):
+        out[name][key] = {k: v for k, v in out[name][key].items() if v}
+    return out
+
+
+def look(monitor):
+    """Let a monitor from step 0 look at the cluster now. It reads vector
+    times at messages, CGC floors at passes and buddy acks at scans, so
+    between two looks it holds older ones, which the next look replaces
+    before anything is checked against them."""
+    checkers = monitor.checkers
+    checkers["vclock"]._refresh()
+    for host in monitor.cluster.hosts:
+        checkers["cgc"]._check(host.pid)
+    checkers["recoverability"]._scan_replicas(False)
+
+
+def test_adopted_memory_equals_the_cold_monitors():
+    """At every 25th step before the first crash of a replicated 4-node
+    session run, a monitor built on a fresh run broken there holds what
+    the monitor attached from step 0 holds. At L = 0.05 three nodes
+    write a checkpoint between steps 417 and 480."""
+    def cluster():
+        return make_cluster(
+            num_procs=4, ft=True, l_fraction=0.05,
+            ft_config=FtConfig(replicate=True),
+        )
+
+    crash, strides = 700, range(25, 700, 25)
+    cold = cluster()
+    monitor = InvariantMonitor(cold)
+    held = {}
+
+    def snapshot(step):
+        look(monitor)
+        held[step] = memory(monitor)
+
+    for step in strides:
+        cold.engine.break_at_step(step, lambda s=step: snapshot(s))
+    cold.schedule_crash_at_step(1, crash)
+    cold.run(make_app("session"))
+    assert monitor.finish() == [] and cold.crashes == 1
+    assert any(held[s]["fifo"]["_chan"] for s in strides)
+    assert any(held[s]["lock"]["_grants"] for s in strides)
+    assert any(held[s]["recoverability"]["_writing"] for s in strides)
+    for step in strides:
+        fresh = cluster()
+        joined = []
+
+        def join():
+            joined.append(InvariantMonitor(fresh, ring_size=0))
+            raise _Stop
+
+        fresh.engine.break_at_step(step, join)
+        with pytest.raises(_Stop):
+            fresh.run(make_app("session"))
+        assert memory(joined[0]) == held[step], f"step {step}"
+
+
+@pytest.mark.parametrize("kind", INVARIANTS)
+def test_adopted_monitor_reports_the_first_seeded_violation(kind):
+    """Joined halfway to the cold monitor's first detection, at the
+    shipped scan cadence, a monitor reports the same first violation at
+    the same step."""
+    cold = run_monitored(kind=kind, scan_every=recoverability.SCAN_EVERY)
+    first = cold.violations[0]
+    cluster = make_cluster(num_procs=4, ft=True)
+    seed_violation(cluster, kind)
+    joined = []
+    cluster.engine.break_at_step(
+        first.step // 2, lambda: joined.append(InvariantMonitor(cluster))
+    )
+    try:
+        cluster.run(make_app("counter"))
+    except Exception:
+        if not joined[0].violations:
+            raise
+    (monitor,) = joined
+    got = monitor.finish()[0]
+    assert (got.invariant, got.pid, got.step) == (
+        first.invariant, first.pid, first.step
+    )
 
 
 # ---------------------------------------------------------------------------
