@@ -325,6 +325,9 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     from repro.faultinject.campaign import DEFAULT_CLASSES, CrashSweep
 
     replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
+    if replicate and args.faults >= 2 and args.procs < 3:
+        parser.error("--faults 2 with replication needs --procs 3 or more: "
+                     "two overlapping crashes of two nodes leave no survivor")
     classes = DEFAULT_CLASSES + (("double",) if args.faults >= 2 else ())
     sweep = CrashSweep(
         cluster_factory=lambda: make_cluster(

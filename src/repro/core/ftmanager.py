@@ -205,6 +205,10 @@ class FtManager(FtHooks):
             self.repl.op(("self", holder, lock_id, acq_t, seq))
 
     def on_self_grant_mirror(self, grantor: int, lock_id: int, acq_t: VClock) -> None:
+        # one drained late (queued while we were down) may be below the
+        # Rule 2 bound already, which the row-delta LLT does not revisit
+        if acq_t[grantor] <= self.trim.rel_bound(grantor):
+            return
         self.logs.rel.append(grantor, lock_id, acq_t, local=True)
         if self.repl is not None:
             self.repl.op(("mself", grantor, lock_id, acq_t))
@@ -214,10 +218,6 @@ class FtManager(FtHooks):
         # managed_owners current so replica-served recoveries agree
         if self.repl is not None:
             self.repl.op(("owner", lock_id, owner))
-
-    def on_barrier_complete(self, episode: int, global_vt: VClock) -> None:
-        # the manager's half; a buddy's image has it as shipped (no op)
-        self.logs.bar_history[episode] = global_vt
 
     def on_barrier_done(self, episode: int, global_vt: VClock) -> None:
         self.logs.bar[episode] = global_vt
@@ -418,7 +418,7 @@ class FtManager(FtHooks):
         out["wn"] += self.proc.notices.trim_creator_before(
             self.pid, trim.wn_keep_from()
         )
-        # barrier log analogue, both halves
+        # barrier log analogue
         out["bar"] += self.logs.trim_barriers(trim.bar_keep_from())
         self._llt_gen = trim.gen
         self.stats.rel_entries_trimmed += out["rel"] + out["acq"]

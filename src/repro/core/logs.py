@@ -20,9 +20,9 @@ Per process the FT layer keeps:
   reach stable storage (§4.2.1). A local re-acquire (self-grant, our
   addition) is such a pair as well: ``local`` entries, the rel half at
   the lock's manager. Both logs are one class, :class:`GrantLog`.
-* ``bar`` / ``bar_history`` — episode -> global vt: the barriers this
-  process passed and, at the barrier manager, the episodes it completed
-  (the twin a participant's recovery asks for), trimmed together.
+* ``bar`` — episode -> global vt of the barriers this process passed.
+  Every participant's is the twin of every other's: a recovering node
+  (the barrier manager too) restores its own from its peers'.
 * ``diff_log(p)`` — per page, every diff this process created, stamped
   with the creator's vector time and its append sequence number. The
   dominant log by volume, the one LLT targets (§5: "We consider only the
@@ -272,32 +272,26 @@ class VolatileLogs:
         self.rel = GrantLog(num_procs)
         self.acq = GrantLog(num_procs)
         self.diff = DiffLog()
-        #: episode -> global vt of the barriers this process passed ...
+        #: episode -> global vt of the barriers this process passed
         self.bar: Dict[int, VClock] = {}
-        #: ... and of those it completed as the barrier manager
-        self.bar_history: Dict[int, VClock] = {}
 
     def copy(self) -> "VolatileLogs":
-        """An independent copy of all five logs, sharing their records (a
+        """An independent copy of all four logs, sharing their records (a
         buddy's image of this process advances through the same methods)."""
         out = VolatileLogs(self.pid, self.n)
         out.rel = self.rel.copy()
         out.acq = self.acq.copy()
         out.diff = self.diff.copy()
         out.bar = dict(self.bar)
-        out.bar_history = dict(self.bar_history)
         return out
 
     def clear(self) -> None:
         """Drop every log (a committed coordinated cut obsoletes them)."""
-        for log in (self.rel, self.acq, self.diff, self.bar, self.bar_history):
+        for log in (self.rel, self.acq, self.diff, self.bar):
             log.clear()
 
     def trim_barriers(self, min_keep_episode: int) -> int:
-        """Both halves against one bound; returns passed episodes dropped."""
+        """Drop the episodes before ``min_keep_episode``; returns how many."""
         old = len(self.bar)
         self.bar = {e: t for e, t in self.bar.items() if e >= min_keep_episode}
-        self.bar_history = {
-            e: t for e, t in self.bar_history.items() if e >= min_keep_episode
-        }
         return old - len(self.bar)

@@ -10,10 +10,10 @@ test suite *proves* that LLT/CGC retain exactly enough state:
 2. **Handshake** with every peer, collecting: ``rel_log[me]`` entries
    (grants to the failed process — drive acquire replay), ``acq_log``
    mirrors of the failed process's own grants (restore its ``rel_log``),
-   peers' write-notice logs, barrier history (or mirrors, when the failed
-   process managed the barrier), and all diffs peers retain for pages
-   homed at the failed process. Self-grants travel inside the two grant
-   logs as ``local`` entries.
+   peers' write-notice logs, their barrier logs (the failed process's
+   own, restored), and all diffs peers retain for pages homed at the
+   failed process. Self-grants travel inside the two grant logs as
+   ``local`` entries.
 3. **Replay**: the application re-runs from the restored state; the
    :class:`ReplayDriver` satisfies each synchronization operation from
    the logs and each page miss by *local emulation of a home* — an
@@ -341,7 +341,7 @@ class RecoveryManager:
         # 2. handshake ----------------------------------------------------
         self._rphase("handshake", "begin")
         replies = yield from self.query_all("handshake")
-        driver = ReplayDriver(proto, ft, self, tckp, ckpt)
+        driver = ReplayDriver(proto, ft, self, tckp)
         driver.ingest_handshakes(replies)
 
         home_diffs = yield from self.query_all("home_diffs")
@@ -461,7 +461,6 @@ class ReplayDriver:
         ft: FtManager,
         rm: RecoveryManager,
         tckp: VClock,
-        ckpt: Optional[Checkpoint],
     ) -> None:
         self.proto = proto
         self.ft = ft
@@ -480,7 +479,8 @@ class ReplayDriver:
         self.peer_token_holders: Dict[int, int] = {}
         #: lock -> {proc: (successor, seq)} pointers, for chain rebuilds
         self.succ_edges: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        self.bar_history: Dict[int, VClock] = {}
+        #: episode -> global vt: the union of the peers' barrier logs
+        self.bar: Dict[int, VClock] = {}
         #: collected peers' write notices (NOT merged into proto.notices:
         #: only happened-before ones are surfaced, at vt advances)
         self.peer_notices = NoticeTable(proto.n)
@@ -524,9 +524,7 @@ class ReplayDriver:
                 )
             for wn in payload["wn"]:
                 self.peer_notices.add(wn)
-            self.bar_history.update(payload["bar_history"])
-            for episode, global_vt in payload["bar_mirror"]:
-                self.bar_history.setdefault(episode, global_vt)
+            self.bar.update(payload["bar"])
             self.ft.trim.learn_tckp(src, payload["tckp"], payload["bar_ep"])
             self.owner_reports.update(payload["managed_owners"])
             for lock_id, (has_token, held, succ, succ_seq) in payload[
@@ -543,13 +541,18 @@ class ReplayDriver:
         for records in self.acquire_records.values():
             records.sort(key=lambda r: r[0].acq_t[me])
 
-        # if we are the barrier manager, rebuild its episode state
-        if proto.barrier_mgr is not None and self.bar_history:
-            mgr = proto.barrier_mgr
-            self.ft.logs.bar_history = dict(self.bar_history)
-            last = max(self.bar_history)
-            mgr.next_episode = last + 1
-            mgr.last_global = self.bar_history[last]
+        # the union is our own barrier log too (LLT trims it as usual);
+        # as the barrier manager, resume after its newest episode, or at
+        # our restart point when no peer retains one from there on
+        self.ft.logs.bar.update(self.bar)
+        mgr = proto.barrier_mgr
+        if mgr is not None:
+            last = max(self.bar, default=-1)
+            if last >= proto.barrier_episode:
+                mgr.next_episode, mgr.last_global = last + 1, self.bar[last]
+            else:
+                mgr.next_episode = proto.barrier_episode
+                mgr.last_global = proto.last_barrier_global
 
     def ingest_home_diffs(
         self, replies: Dict[int, Dict[PageId, List[Tuple[VClock, Diff]]]]
@@ -650,14 +653,12 @@ class ReplayDriver:
         yield  # pragma: no cover — generator form for protocol symmetry
 
     def replay_barrier(self, episode: int) -> Iterator[Any]:
-        global_vt = self.bar_history.get(episode)
+        global_vt = self.bar.get(episode)
         if global_vt is None:
             self.go_live()
             return False
-        proto = self.proto
         self.advance_vt(global_vt)
-        proto.last_barrier_global = global_vt
-        self.ft.logs.bar[episode] = global_vt
+        self.proto.last_barrier_global = global_vt
         return True
         yield  # pragma: no cover
 

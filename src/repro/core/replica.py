@@ -130,7 +130,7 @@ class FtImage:
     ) -> None:
         self.pid = pid
         self.regions = regions
-        #: rel/acq/diff logs and both barrier halves
+        #: rel/acq/diff and barrier logs
         self.logs = logs
         #: retained checkpoint copies of the pages homed at ``pid``
         self.page_copies = page_copies
@@ -183,7 +183,7 @@ class FtImage:
         return (
             (logs.rel.count() + logs.acq.count()) * REL_ENTRY_WIRE
             + len(self.wn) * NOTICE_WIRE
-            + (len(logs.bar_history) + len(logs.bar)) * VT_WIRE
+            + len(logs.bar) * VT_WIRE
             + sum(
                 _diff_wire(e.diff) for es in logs.diff.per_page.values() for e in es
             )
@@ -210,15 +210,13 @@ class FtImage:
                 wn, sync = ft.proc.notices.own_after(self.pid, 0), SyncState.of(ft)
             rel_entries = self.logs.rel.for_peer(requester)
             acq_mirror = self.logs.acq.for_peer(requester)
-            bar_history = dict(self.logs.bar_history)
-            bar_mirror = list(self.logs.bar.items())
+            bar = dict(self.logs.bar)
             payload = {
                 "managed_owners": sync.managed_owners,
                 "rel_entries": rel_entries,
                 "acq_mirror": acq_mirror,
                 "wn": wn,
-                "bar_history": bar_history,
-                "bar_mirror": bar_mirror,
+                "bar": bar,
                 "tckp": sync.tckp,
                 "bar_ep": sync.bar_ep,
                 "tokens": sync.tokens,
@@ -227,7 +225,7 @@ class FtImage:
             size = (
                 (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
                 + len(wn) * NOTICE_WIRE
-                + (len(bar_history) + len(bar_mirror)) * VT_WIRE
+                + len(bar) * VT_WIRE
                 + len(sync.tokens) * 8
                 + VT_WIRE
             )

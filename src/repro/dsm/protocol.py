@@ -102,9 +102,6 @@ class FtHooks:
     def on_owner_observed(self, lock_id: int, owner: int) -> None:
         """Managed lock: the token's observed owner advanced to ``owner``."""
 
-    def on_barrier_complete(self, episode: int, global_vt: VClock) -> None:
-        """This process, the barrier manager, completed ``episode``."""
-
     def on_barrier_done(self, episode: int, global_vt: VClock) -> None:
         """This process passed barrier ``episode``."""
 
@@ -979,7 +976,6 @@ class DsmProcess:
         if done is None:
             return
         global_vt = done.global_vt()
-        self.ft.on_barrier_complete(done.episode, global_vt)
         self.cpu.accrue_handler(
             self.cpu.costs.message_handler * self.n
             + len(done.notices) * 0.5e-6

@@ -230,9 +230,10 @@ def test_varying_cluster_sizes():
 
 
 def test_barrier_manager_keeps_no_per_episode_state():
-    """The completed-episode log is FT state (``VolatileLogs.bar_history``,
-    fed by ``FtHooks.on_barrier_complete``): a run with FT off leaves
-    nothing behind at the manager, however many barriers it passed."""
+    """The barrier log is FT state (``VolatileLogs.bar``, fed by
+    ``FtHooks.on_barrier_done`` at every participant): a run with FT off
+    leaves nothing behind at the manager, however many barriers it
+    passed."""
     cluster = make_cluster(num_procs=4)
     cluster.run(make_app("barnes"))
     mgr = cluster.hosts[0].proto.barrier_mgr

@@ -78,18 +78,17 @@ def test_page_logging_recovery_works(page_logged):
 
 
 def test_coordinated_commit_drops_the_barrier_managers_history_too():
-    """"Drop ALL volatile logs" includes the barrier manager's half of the
-    barrier pair (it lived in ``dsm/`` and survived every commit): after
-    the last committed round it holds no more than the episodes since."""
+    """"Drop ALL volatile logs" includes the barrier log (once it lived in
+    ``dsm/`` and survived every commit): after the last committed round
+    every node, the manager too, holds only the episodes since."""
     c = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.05)
     c.run(make_app("barnes"))
-    ft0 = c.hosts[0].ft
     mgr = c.hosts[0].proto.barrier_mgr
-    assert ft0.coord.rounds_committed >= 2
-    # the manager completes an episode before it passes it itself
-    assert len(ft0.logs.bar_history) <= len(ft0.logs.bar) + 1
-    assert len(ft0.logs.bar_history) < mgr.next_episode
-    assert all(not h.ft.logs.bar_history for h in c.hosts[1:])
+    assert c.hosts[0].ft.coord.rounds_committed >= 2
+    for h in c.hosts:
+        bar = list(h.ft.logs.bar)
+        assert len(bar) < mgr.next_episode
+        assert bar == list(range(mgr.next_episode - len(bar), mgr.next_episode))
 
 
 def test_coordinated_round_commits_and_discards(coordinated_rounds):

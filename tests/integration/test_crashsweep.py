@@ -473,6 +473,44 @@ def test_overlapping_recoveries_keep_one_token(pin):
         assert "depends on p2, which failed" in res.error
 
 
+#: one pinned 2-node point per symptom of DESIGN.md §6 root causes 4 and
+#: 5 (app defaults but the seed, no replication): (app, seed, L, base
+#: (step, victim), point (class, step, victim))
+TWO_NODE_PINS = {
+    # p1 recovered its barrier log from replay alone; the manager's later
+    # restart found the episodes between nowhere
+    "counter_overlap_barrier_log_restored": (
+        "counter", 42, 0.1, (101, 1), ("recovery", 127, 0)),
+    "counter_sequential_barrier_log_restored": (
+        "counter", 42, 0.1, (101, 1), ("sequential", 143, 0)),
+    # LLT trimmed every episode before the manager's checkpoint: its
+    # episode count comes from that checkpoint
+    "session_manager_count_from_checkpoint": (
+        "session", 1, 0.02, (214, 1), ("sequential", 238, 0)),
+    # a self-grant mirror drained at the live switch below the Rule 2 bound
+    "session_late_self_grant_mirror_trimmed": (
+        "session", 1, 0.02, (71, 0), ("sequential", 185, 1)),
+}
+
+
+@pytest.mark.parametrize("pin", list(TWO_NODE_PINS))
+def test_two_node_cluster_recovers_under_the_monitor(pin):
+    """With one peer, the barrier log survives a crash only if the
+    recovering node restores its own from that peer's: each point lost a
+    barrier episode (deadlock or ``barrier episode mismatch``) or left a
+    stale self-grant mirror that the monitor flagged."""
+    app, seed, l, base, (cls, step, victim) = TWO_NODE_PINS[pin]
+    spec = APPS[app]
+    sweep = CrashSweep(
+        lambda: make_cluster(num_procs=2, ft=True, l_fraction=l),
+        lambda: spec.app(spec.config(seed=seed)),
+        classes=(cls,),
+    )
+    sweep.run_reference()
+    res = sweep.run_point(CrashPoint(cls, step, victim, base))
+    assert res.outcome == "recovered", res.error
+
+
 def test_recrash_of_recovering_host_restarts_recovery(
     counter_reference, mid_run_window,
 ):

@@ -166,7 +166,17 @@ def test_serving_report_bytes_are_pinned(serving, tmp_path):
     (the table adds across nodes in time order, the merge added node
     sums); 96 -> 91 series (the 4 ``ft.ckpt_times`` and 1
     ``ft.recovery_total_s`` nobody read); ``slo`` ``per_window`` rows
-    carry ``window``/``bad``/``burn`` only. The text did not move."""
+    carry ``window``/``bad``/``burn`` only. The text did not move.
+
+    Re-recorded when the barrier manager's second barrier log went and a
+    recovering node began restoring its barrier log from its peers'
+    (468,533 -> 468,580 bytes; text 15,095 -> 15,096). The manager's
+    handshake reply and replica images carry each episode once: the
+    handshake takes 276.3 us, not 276.6, every sample after it moves in
+    its last bits, the replica-bytes plot tops out at 1.27e+04, not
+    1.3e+04, and ``ft_bytes`` falls 82,332 -> 82,140. The restored
+    episodes add 64 B to the recovered p3's full sync to p0 and are
+    trimmed by p3's next LLT pass (``ft.trim_bar_entries``)."""
     import hashlib
 
     observer, report = serving
@@ -175,16 +185,16 @@ def test_serving_report_bytes_are_pinned(serving, tmp_path):
     path = tmp_path / "serve.jsonl"
     write_jsonl(str(path), report)
     data = path.read_bytes()
-    assert len(data) == 468_533
+    assert len(data) == 468_580
     assert hashlib.sha256(data).hexdigest() == (
-        "b2dc2bbdbcb3b36d1d8e3eb3d4daa21735380b7dad6bd3fa0f72956aa0e786dd"
+        "5bb685f3e90b3c621f3e34e9c1cb6724eba2694f8bf055159bef31fb5aa83ace"
     )
     loaded = load_jsonl(str(path))
     assert loaded["series"] == report["series"]
     for text in (render_report(report), render_report(loaded)):
-        assert len(text.encode()) == 15_095
+        assert len(text.encode()) == 15_096
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9a4db75cbd29ee37aa347e05a4521990c705e9f487cf516a7412be96a8cc3275"
+            "1cd052b418a9717a4fddf40441b0ef09e6842b71446adc085685fc689f9dbccd"
         )
 
 

@@ -111,9 +111,9 @@ def test_crash_of_barrier_manager(golden):
     mgr = cluster.hosts[0].proto.barrier_mgr
     assert mgr is not None
     assert mgr.next_episode > 0
-    # its half of the barrier log came back too (from the handshakes),
+    # its barrier log came back too (from the peers' in the handshakes),
     # and the new incarnation kept appending to it: no gap up to the end
-    history = list(cluster.hosts[0].ft.logs.bar_history)
+    history = list(cluster.hosts[0].ft.logs.bar)
     assert history and history[-1] == mgr.next_episode - 1
     assert history == list(range(history[0], mgr.next_episode))
 

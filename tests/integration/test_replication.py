@@ -247,17 +247,11 @@ def assert_live_and_replica_agree(app_name, crash=None):
       shipped, still owned by the manager itself, has sent no ``owner``
       op, so the replica may lack locks the live node lists with itself
       as owner (the requester then falls back to its own arithmetic).
-    * ``bar_history`` (``logs.bar_history``, non-empty at the barrier
-      manager only) is as of the shipped image: a ``bar`` op advances
-      ``logs.bar``, the half every node keeps, and completing an episode
-      sends no op. Compared as what ``ingest_handshakes`` consumes,
-      history ∪ mirror; the handshake size may differ by ``VT_WIRE`` per
-      episode the replica's history lacks.
-    """
-    from repro.core.replica import VT_WIRE, FtImage, best_record
 
-    def episodes(payload):
-        return {**dict(payload["bar_mirror"]), **payload["bar_history"]}
+    Everything else, the barrier log and the handshake's size included,
+    is exact.
+    """
+    from repro.core.replica import FtImage, best_record
 
     def has_token(payload):
         return {lock: t[0] for lock, t in payload["tokens"].items()}
@@ -278,13 +272,11 @@ def assert_live_and_replica_agree(app_name, crash=None):
             want, want_size = live.answer("handshake", j)
             got, got_size = replica.answer("handshake", j)
             for field in (
-                "rel_entries", "acq_mirror", "wn", "tckp", "bar_ep",
+                "rel_entries", "acq_mirror", "wn", "bar", "tckp", "bar_ep",
                 "completed_seq",
             ):
                 assert got[field] == want[field], (i, j, field)
-            assert episodes(got) == episodes(want), (i, j)
-            stale = len(want["bar_history"]) - len(got["bar_history"])
-            assert got_size == want_size - stale * VT_WIRE, (i, j)
+            assert got_size == want_size, (i, j)
             assert has_token(got) == has_token(want), (i, j)
             for lock_id, owner in want["managed_owners"].items():
                 assert got["managed_owners"].get(lock_id, i) == owner, (i, j)

@@ -47,6 +47,6 @@ def test_sequential_episodes():
             done = m.arrive(p, ep, VClock.zero(N).with_component(p, ep + 1), [])
         assert done.episode == ep
     assert m.next_episode == 3
-    # the log of completed episodes is FT state: it lives beside its twin
-    # in ``VolatileLogs`` (``bar_history``), fed by a hook at the manager
+    # the log of completed episodes is FT state: every participant's
+    # ``VolatileLogs.bar``, the twins a recovering manager rebuilds from
     assert not hasattr(m, "history")

@@ -113,6 +113,14 @@ def test_crash_requires_ft(capsys):
         assert "--crash requires fault tolerance" in _usage_error(argv, capsys)
 
 
+def test_replicated_crashsweep_with_two_faults_needs_three_nodes(capsys):
+    """Two overlapping crashes of a 2-node cluster leave no replica
+    holder, so every replicated overlap point would degrade."""
+    line = _usage_error(["crashsweep", "counter", "--procs", "2", "--faults", "2"],
+                        capsys)
+    assert "--faults 2 with replication needs --procs 3" in line
+
+
 def test_crash2_requires_crash(capsys):
     for sub in ("observe", "trace"):
         line = _usage_error([sub, "counter", "--crash2", "1@0.5"], capsys)

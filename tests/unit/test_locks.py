@@ -191,7 +191,7 @@ def test_recovering_manager_places_a_token_a_peer_reported():
         vt=VClock.zero(N),
     )
     rm = SimpleNamespace(host=SimpleNamespace(queued=[]))
-    driver = ReplayDriver(proto, None, rm, VClock.zero(N), None)
+    driver = ReplayDriver(proto, None, rm, VClock.zero(N))
     driver.peer_token_holders[1] = 3  # p3's handshake: has_token for lock 1
     assert proto.locks.manages(1) and 1 not in proto.locks.known_locks()
 

@@ -221,35 +221,32 @@ def test_diff_log_counters_match_a_saved_set_model(steps):
 
 
 def test_barrier_log_trim():
-    """One trim for both halves of the barrier pair: the episodes this
-    process passed and, at the barrier manager, the ones it completed."""
+    """The barrier log keeps the episodes from the bound on and reports
+    how many it dropped, as LLT counts them."""
     logs = VolatileLogs(0, N)
     for ep in range(5):
         logs.bar[ep] = vt(ep, ep, ep, ep)
-    for ep in range(4):
-        logs.bar_history[ep] = vt(ep, ep, ep, ep)
-    assert logs.trim_barriers(3) == 3  # counts the passed half, as LLT reports
+    assert logs.trim_barriers(3) == 3
     assert list(logs.bar) == [3, 4]
-    assert list(logs.bar_history) == [3]
     assert logs.trim_barriers(3) == 0
-    assert (list(logs.bar), list(logs.bar_history)) == ([3, 4], [3])
+    assert list(logs.bar) == [3, 4]
 
 
-def test_volatile_logs_copy_and_clear_cover_all_five_logs():
+def test_volatile_logs_copy_and_clear_cover_all_four_logs():
     logs = VolatileLogs(0, N)
     logs.rel.append(1, 0, vt(0, 3, 0, 0))
     logs.acq.append(2, 0, vt(4, 0, 0, 0))
     entry = logs.diff.append(P, some_diff(8), vt(1, 0, 0, 0))
-    logs.bar[0] = logs.bar_history[0] = vt(1, 1, 1, 1)
+    logs.bar[0] = vt(1, 1, 1, 1)
     image = logs.copy()
     logs.clear()
     assert (logs.rel.count(), logs.acq.count(), logs.diff.volatile_bytes) == (0, 0, 0)
     assert logs.diff.bytes_discarded == entry.size_bytes
-    assert (logs.bar, logs.bar_history) == ({}, {})
+    assert logs.bar == {}
     # the image holds the same records in containers of its own
     assert image.diff.per_page[P][0] is entry
     assert (image.rel.count(), image.acq.count()) == (1, 1)
-    assert image.bar == image.bar_history == {0: vt(1, 1, 1, 1)}
+    assert image.bar == {0: vt(1, 1, 1, 1)}
 
 
 def test_self_grant_log_trim():

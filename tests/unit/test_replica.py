@@ -124,7 +124,7 @@ def test_torn_record_falls_back_to_previous_committed_base():
     assert rec is not None and rec.seqno == 1
     # the committed image advanced too, so the fallback answer is not
     # missing the events since begin(2)
-    assert host.ask(about=0)["bar_mirror"] == [(3, VClock.zero(N))]
+    assert host.ask(about=0)["bar"] == {3: VClock.zero(N)}
     store = host.replica_store.store_for(0)
     assert store.is_pending(("replica", 2))
 
