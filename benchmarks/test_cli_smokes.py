@@ -7,8 +7,8 @@ Each case is one check that used to be a shell assertion: exit codes
 that must be zero or must not be, and text the output must hold. The
 artifacts the report and serving cases write (dashboards, run reports,
 a sweep summary) land under pytest's temporary directory: ``--basetemp
-DIR`` keeps them in ``DIR`` (CI uploads them from there). About 20 s in
-all, half of it the sampling profiles.
+DIR`` keeps them in ``DIR`` (CI uploads them from there). About 30 s in
+all: 10 s the sampling profiles, 12 s the example scripts.
 """
 
 import os
@@ -80,6 +80,18 @@ def test_flat_trace_follows_a_recovered_node():
         i for i, line in enumerate(lines) if re.search(r" p1 +recovery +live", line)
     )
     assert any(re.search(r" p1 +lock ", line) for line in lines[live:])
+
+
+@pytest.mark.parametrize("script", sorted(
+    name for name in os.listdir(os.path.join(ROOT, "examples"))
+    if name.endswith(".py")
+))
+def test_example_runs(script):
+    """Every example script runs to the end; the fault-injection tour
+    prints WRONG for a recovery that missed the golden result, so no
+    output may hold it."""
+    out = ok(run(script=os.path.join(ROOT, "examples", script)))
+    assert "WRONG" not in out
 
 
 # ----------------------------------------------------------------------

@@ -45,24 +45,49 @@ from repro.sim.trace import Tracer
 Parser = argparse.ArgumentParser
 
 
+# ---- argument types: out-of-range input is a one-line usage error ----
+def at_least(cast: Callable[[str], Any], low: float,
+             inclusive: bool = True) -> Callable[[str], Any]:
+    """``argparse`` ``type=`` of a ``cast`` number at least ``low`` (above
+    it unless ``inclusive``); NaN is out of every range."""
+    def parse(text: str) -> Any:
+        value = cast(text)  # a ValueError reads "invalid int value: ..."
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r}: must be {'>=' if inclusive else '>'} {low}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+POSITIVE_INT = at_least(int, 1)
+COUNT = at_least(int, 0)
+POSITIVE = at_least(float, 0, inclusive=False)
+NON_NEGATIVE = at_least(float, 0)
+
+
 # ---- argument groups, declared once ----
 def add_workload(p: Parser, procs: int) -> None:
     p.add_argument("app", choices=list(APPS), help="workload to run")
-    p.add_argument("--procs", type=int, default=procs,
+    p.add_argument("--procs", type=POSITIVE_INT, default=procs,
                    help=f"cluster size (default {procs})")
-    p.add_argument("--steps", type=int, default=None, help="application steps")
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--steps", type=POSITIVE_INT, default=None,
+                   help="application steps")
+    p.add_argument("--size", type=POSITIVE_INT, default=None,
                    help="problem size (app-specific)")
 
 
 def add_rate(p: Parser) -> None:
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=POSITIVE, default=None,
                    help="open-loop arrival rate, requests per virtual second "
                    "per process (session app only)")
 
 
 def add_ft(p: Parser, no_ft: bool = False, replicate: bool = True) -> None:
-    p.add_argument("--l", type=float, default=0.1, help="OF policy L fraction")
+    p.add_argument("--l", type=POSITIVE, default=0.1,
+                   help="OF policy L fraction")
     if no_ft:
         p.add_argument("--no-ft", action="store_true",
                        help="run the base protocol, without fault tolerance")
@@ -232,7 +257,7 @@ def add_run_arguments(p: Parser) -> None:
     p.add_argument("--trace", default=None, metavar="KINDS",
                    help="comma-separated trace kinds ("
                    + ",".join(sorted(Tracer.KINDS)) + ")")
-    p.add_argument("--trace-limit", type=int, default=60)
+    p.add_argument("--trace-limit", type=COUNT, default=60)
 
 
 def run_app(parser: Parser, args: argparse.Namespace) -> int:
@@ -292,15 +317,29 @@ def run_tables(parser: Parser, args: argparse.Namespace) -> int:
 
 
 # ---- crashsweep ----
+def parse_classes(text: str) -> Tuple[str, ...]:
+    """``argparse`` ``type=`` of ``crashsweep --classes``."""
+    from repro.faultinject.campaign import CLASSES
+
+    classes = tuple(text.split(","))
+    unknown = [c for c in classes if c not in CLASSES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown crash-point classes {','.join(unknown)} (choose from "
+            + ",".join(CLASSES) + ")"
+        )
+    return classes
+
+
 def add_crashsweep_arguments(p: Parser) -> None:
     from repro.faultinject.campaign import CLASSES
 
     add_workload(p, procs=4)
     add_rate(p)
     add_ft(p)
-    p.add_argument("--every", type=int, default=25,
+    p.add_argument("--every", type=POSITIVE_INT, default=25,
                    help="crash after every Nth traced event (default 25)")
-    p.add_argument("--classes", default=None,
+    p.add_argument("--classes", type=parse_classes, default=None,
                    help="comma-separated crash-point classes (default: all "
                    "but double, out of " + ",".join(CLASSES) + ")")
     p.add_argument("--faults", type=int, default=1, choices=(1, 2),
@@ -337,7 +376,7 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
             args.app, args.steps, args.size, args.rate, args.seed
         ),
         every=args.every,
-        classes=tuple(args.classes.split(",")) if args.classes else classes,
+        classes=args.classes or classes,
     )
 
     def progress(res: Any) -> None:
@@ -376,10 +415,12 @@ def add_observe_arguments(p: Parser) -> None:
     add_rate(p)
     add_ft(p, no_ft=True)
     add_faults(p, crash2=True)
-    p.add_argument("--interval", type=float, default=1e-3, metavar="SECONDS",
+    p.add_argument("--interval", type=NON_NEGATIVE, default=1e-3,
+                   metavar="SECONDS",
                    help="virtual-time sampling cadence (default 1e-3); 0 "
                    "leaves barrier-episode sampling only")
-    p.add_argument("--window", type=float, default=1e-3, metavar="SECONDS",
+    p.add_argument("--window", type=NON_NEGATIVE, default=1e-3,
+                   metavar="SECONDS",
                    help="width of the windows every latency op class rotates "
                    "through (default 1e-3); 0 disables windowing (and SLOs)")
     p.add_argument("--slo", action="append", default=None, metavar="SPEC",
@@ -534,6 +575,8 @@ def run_trace(parser: Parser, args: argparse.Namespace) -> int:
 
 # ---- monitor ----
 def add_monitor_arguments(p: Parser) -> None:
+    from repro.observe.invariants import SEEDS
+
     add_workload(p, procs=4)
     add_ft(p, replicate=False)
     add_faults(p)
@@ -542,9 +585,7 @@ def add_monitor_arguments(p: Parser) -> None:
     p.add_argument("--flight", default=None, metavar="PATH",
                    help="flight-record JSON path, written on violation "
                    "(default benchmarks/FLIGHT_<app>.json)")
-    p.add_argument("--seed-violation", default=None,
-                   choices=["cgc", "llt", "vclock", "fifo", "recoverability",
-                            "lock"],
+    p.add_argument("--seed-violation", default=None, choices=list(SEEDS),
                    help="sabotage the run so the named invariant class is "
                    "violated (self-test: the exit code must be nonzero)")
 

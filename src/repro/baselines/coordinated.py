@@ -393,7 +393,6 @@ def global_rollback(cluster: Any) -> None:
     # rebuild protocols
     for host in cluster.hosts:
         host.proto = host.make_protocol()
-        host.proto.rebind_homes()
     if committed == 0:
         # no committed cut yet: restart from the very beginning
         cluster.app.init_shared(cluster)

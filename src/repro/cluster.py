@@ -239,7 +239,6 @@ class DsmCluster:
         self.regions.seal()
         for host in self.hosts:
             host.proto = host.make_protocol()
-            host.proto.rebind_homes()
         app.init_shared(self)
         for host in self.hosts:
             host.state = app.init_state(host.pid)

@@ -284,7 +284,6 @@ class RecoveryManager:
 
         # 1. rebuild volatile infrastructure -----------------------------
         proto = host.make_protocol()
-        proto.rebind_homes()
         host.proto = proto
         cluster._install_ft(host)  # fresh FtManager over the surviving store
         ft: FtManager = host.ft

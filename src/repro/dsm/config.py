@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 __all__ = ["DsmConfig"]
 
@@ -21,42 +21,34 @@ class DsmConfig:
         VM page; the default here is smaller so that scaled-down problem
         sizes still span many pages (sharing patterns, not footprints,
         drive the paper's results).
-    msg_header:
-        Modeled wire header per protocol message.
-    notice_bytes:
-        Wire size of one write notice (creator, interval, page id).
-    vt_entry_bytes:
-        Wire size of one vector-timestamp component.
-    home_policy:
-        ``"round_robin"`` (default), ``"blocked"`` (contiguous chunks), or
-        ``"explicit"`` (application assigns homes before sharing starts,
-        standing in for first-touch allocation).
-    barrier_manager:
-        Static placement of the barrier manager (lock managers are
-        round-robin over processes, :meth:`lock_manager`).
+    failure_detection_delay:
+        Failure detection latency of the recovery manager (seconds).
+
+    Pages are homed round-robin over processes and lock managers too
+    (:meth:`lock_manager`); the barrier manager and the wire sizes below
+    are constants.
     """
 
     num_procs: int = 8
     page_size: int = 1024
-    msg_header: int = 32
-    notice_bytes: int = 12
-    vt_entry_bytes: int = 4
-    home_policy: str = "round_robin"
-    barrier_manager: int = 0
-    # failure detection latency for the recovery manager
     failure_detection_delay: float = 50e-3
-    # recovery handshake/query message base size
-    recovery_msg_bytes: int = 64
+
+    #: process 0 manages every barrier
+    barrier_manager: ClassVar[int] = 0
+    #: modeled wire header per protocol message
+    msg_header: ClassVar[int] = 32
+    #: wire size of one write notice (creator, interval, page id)
+    notice_bytes: ClassVar[int] = 12
+    #: wire size of one vector-timestamp component
+    vt_entry_bytes: ClassVar[int] = 4
+    #: recovery handshake/query message base size
+    recovery_msg_bytes: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
         if self.num_procs < 1:
             raise ValueError("num_procs must be >= 1")
         if self.page_size < 8 or self.page_size % 8 != 0:
             raise ValueError("page_size must be a multiple of 8 and >= 8")
-        if self.home_policy not in ("round_robin", "blocked", "explicit"):
-            raise ValueError(f"unknown home_policy {self.home_policy!r}")
-        if not (0 <= self.barrier_manager < self.num_procs):
-            raise ValueError("barrier_manager out of range")
 
     def vt_bytes(self) -> int:
         """Wire size of one full vector timestamp."""

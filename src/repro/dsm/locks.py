@@ -54,10 +54,6 @@ class LockManagerState:
         self.owner_pos: int = 0
         self.last_seq: Dict[int, int] = {}  # acquirer -> highest seq seen
 
-    @property
-    def last_requester(self) -> int:
-        return self.chain[-1].acquirer
-
     def is_duplicate(self, acquirer: int, seq: int) -> bool:
         return seq <= self.last_seq.get(acquirer, -1)
 

@@ -1,10 +1,8 @@
 """Paged shared memory: regions, homes, per-process page tables.
 
 A :class:`SharedRegion` is a named, typed slab of shared address space,
-split into fixed-size pages. Every page has a *home* process assigned when
-the region is allocated (round-robin, blocked, or explicitly by the
-application — the stand-in for first-touch placement, which is what makes
-the Barnes home/update imbalance of §5.2 reproducible).
+split into fixed-size pages. Every page has one fixed *home* process,
+round-robin over the processes by page index within its region.
 
 Each process keeps a full local backing array per region plus a
 :class:`PageEntry` per page recording the coherence state a VM-based
@@ -16,8 +14,8 @@ both dirty and shared).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -75,46 +73,17 @@ class SharedRegion:
         self.num_pages = max(1, -(-nbytes // config.page_size))
         self.nbytes = self.num_pages * config.page_size
         self.elems_per_page = config.page_size // self.elem_size
-        self._homes: List[int] = self._default_homes()
-        #: RegionSet this region belongs to (set by ``RegionSet.allocate``);
-        #: used to reject home reassignment after sharing starts
-        self._owner: Optional["RegionSet"] = None
         #: interned PageId per index — hot paths construct these constantly
         self._page_ids: List[PageId] = [
             PageId(region_id, i) for i in range(self.num_pages)
         ]
 
-    def _default_homes(self) -> List[int]:
-        n = self.config.num_procs
-        if self.config.home_policy == "blocked":
-            per = -(-self.num_pages // n)
-            return [min(i // per, n - 1) for i in range(self.num_pages)]
-        # round_robin is also the starting point for "explicit"
-        return [i % n for i in range(self.num_pages)]
-
     # -- home placement ----------------------------------------------------
     def home_of(self, page_index: int) -> int:
-        return self._homes[page_index]
-
-    def set_home(self, page_index: int, proc: int) -> None:
-        """Explicit home assignment (first-touch stand-in).
-
-        Only legal before any sharing has happened: once the owning
-        :class:`RegionSet` is sealed, every process has derived its home
-        directory and page states from the placement, so reassignment is
-        rejected.
-        """
-        if self._owner is not None and self._owner.sealed:
-            raise RuntimeError(
-                f"cannot reassign home of {self.name!r}[{page_index}]: "
-                "region set is sealed (sharing has started)"
-            )
-        if not (0 <= proc < self.config.num_procs):
-            raise ValueError(f"proc {proc} out of range")
-        self._homes[page_index] = proc
+        return page_index % self.config.num_procs
 
     def pages_homed_at(self, proc: int) -> List[int]:
-        return [i for i, h in enumerate(self._homes) if h == proc]
+        return list(range(proc, self.num_pages, self.config.num_procs))
 
     # -- address arithmetic --------------------------------------------------
     def page_of_element(self, elem: int) -> int:
@@ -157,12 +126,11 @@ class RegionSet:
         if self.sealed:
             raise RuntimeError("regions cannot be allocated after sharing starts")
         region = SharedRegion(len(self._regions), name, num_elements, dtype, self.config)
-        region._owner = self
         self._regions.append(region)
         return region
 
     def seal(self) -> None:
-        """Freeze allocation and home placement (sharing begins)."""
+        """Freeze allocation (sharing begins)."""
         self.sealed = True
 
     def __getitem__(self, region_id: int) -> SharedRegion:
@@ -178,11 +146,6 @@ class RegionSet:
     def total_bytes(self) -> int:
         """Shared-memory footprint (Table 1 column)."""
         return sum(r.nbytes for r in self._regions)
-
-    def all_page_ids(self) -> List[PageId]:
-        return [
-            PageId(r.region_id, i) for r in self._regions for i in range(r.num_pages)
-        ]
 
     def home_of(self, pid: PageId) -> int:
         return self._regions[pid.region].home_of(pid.index)

@@ -237,23 +237,6 @@ class DsmProcess:
                 self.entries[pid_] = entry
                 self.have_v[pid_] = VClock.zero(self.n)
 
-    def rebind_homes(self) -> None:
-        """Re-derive home directory after explicit home placement changes.
-
-        Must be called before any sharing (the cluster does this when the
-        region set is sealed).
-        """
-        self.home = HomeDirectory(self.n)
-        for region in self.regions:
-            for i in range(region.num_pages):
-                pid_ = region.page_id(i)
-                entry = self.entries[pid_]
-                if region.home_of(i) == self.pid:
-                    entry.state = PageState.RO
-                    self.home.add_page(pid_)
-                elif entry.state is not PageState.INVALID and not self.is_home(pid_):
-                    entry.state = PageState.INVALID
-
     def is_home(self, page: PageId) -> bool:
         return page in self.home
 

@@ -14,9 +14,10 @@ A sweep is three phases:
    midpoint of each checkpoint disk write (``ckpt_write``: the writer,
    and its buddy when ``REPL_BEGIN`` shows the write was replicated). A
    *window* row puts a second crash against the recovery window that a
-   base crash at a reference anchor opens, found by single-crash
-   discovery runs: inside it (``recovery``, ``double``) or after the
-   base victim went live (``sequential``).
+   base crash at a reference anchor opens: inside it (``recovery``,
+   ``double``) or after the base victim went live (``sequential``). A
+   single-crash discovery run finds the window; it is injected and
+   judged like any point, and one that fails is a ``failed`` point.
 3. **Injection runs** — one fresh cluster per point with
    ``schedule_crash_at_step``; each must satisfy :func:`check_oracle`
    (recovery equivalence — the same bit-identical bar at k=2 as at
@@ -45,7 +46,8 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.recovery import OverlappingFailureError
@@ -559,6 +561,8 @@ class CrashSweep:
         #: (step, victim) — shared by the window classes so anchors are
         #: probed at most once
         self._windows: Dict[Tuple[int, int], Optional[Tuple[int, int, int]]] = {}
+        #: discovery runs that did not pass, as ``failed`` points
+        self.failed_discoveries: List[PointResult] = []
 
     def _attach_monitor(self, cluster: Any):
         if not self.monitor:
@@ -658,30 +662,37 @@ class CrashSweep:
                         yield mid, buddies.pop(key), None
 
     def _recovery_window(
-        self, anchor_step: int, anchor_pid: int
+        self, cls: str, anchor_step: int, anchor_pid: int
     ) -> Optional[Tuple[int, int, int]]:
-        """Discovery run: crash ``anchor_pid`` at ``anchor_step`` and
-        trace the (begin, live) step window its recovery opens, and the
-        run's last step. Cached — the classes share anchors."""
+        """Discovery run: the base crash alone, injected and judged like
+        any point, reads the (begin, live) step window the victim's
+        recovery opens and the run's last step. A discovery run that does
+        not pass is a ``failed`` point of ``cls`` and opens no window.
+        Cached — the classes share anchors."""
         base = (anchor_step, anchor_pid)
         if base in self._windows:
             return self._windows[base]
         cluster = self.cluster_factory()
-        tracer = Tracer(cluster, kinds={"recovery"}, max_events=1_000_000)
-        cluster.schedule_crash_at_step(anchor_pid, anchor_step)
-        cluster.run(self.app_factory())
-        begin = live = None
-        for ev in tracer.events:
-            if ev.pid != anchor_pid:
-                continue
-            if ev.event == RECOVERY_BEGIN and begin is None:
-                begin = ev.step
-            elif ev.event == RECOVERY_LIVE and begin is not None:
-                live = ev.step
-                break
+        engine = cluster.engine
+        begin: List[int] = []
+        live: List[int] = []
+
+        def on_begin(pid: int, _incarnation: int) -> None:
+            if pid == anchor_pid and not begin:
+                begin.append(engine.steps)
+
+        def on_live(pid: int) -> None:
+            if pid == anchor_pid and begin and not live:
+                live.append(engine.steps)
+
+        engine.bus.subscribe(RECOVERY_BEGIN, on_begin)
+        engine.bus.subscribe(RECOVERY_LIVE, on_live)
+        res = self.run_point(CrashPoint(cls, anchor_step, anchor_pid), cluster)
         window = None
-        if begin is not None and live is not None and live > begin + 1:
-            window = (begin, live, cluster.engine.steps)
+        if res.outcome not in ("recovered", "no_crash"):
+            self.failed_discoveries.append(replace(res, outcome="failed"))
+        elif live and live[0] > begin[0] + 1:
+            window = (begin[0], live[0], engine.steps)
         self._windows[base] = window
         return window
 
@@ -695,12 +706,18 @@ class CrashSweep:
         for anchor_frac in row.anchors:
             anchor = events[int(len(events) * anchor_frac)]
             base = (anchor.step, anchor.pid)
-            window = self._recovery_window(*base)
+            window = self._recovery_window(cls, *base)
             if window is None:
+                failed = any(
+                    (r.point.step, r.point.victim) == base
+                    for r in self.failed_discoveries
+                )
                 self.notes.append(
                     f"recovery window for base crash p{anchor.pid}@"
-                    f"{anchor.step} too narrow; {cls} points for this "
-                    "anchor skipped"
+                    f"{anchor.step} "
+                    + ("not found (discovery run failed)" if failed
+                       else "too narrow")
+                    + f"; {cls} points for this anchor skipped"
                 )
                 continue
             lo, hi = window[1:] if row.after_live else window[:2]
@@ -724,8 +741,12 @@ class CrashSweep:
             )
         joined.append(self._attach_monitor(cluster))
 
-    def run_point(self, point: CrashPoint) -> PointResult:
-        cluster = self.cluster_factory()
+    def run_point(self, point: CrashPoint, cluster: Any = None) -> PointResult:
+        """Inject ``point`` into ``cluster`` (default: a fresh one from
+        the factory; a caller's may carry read-only subscribers) and
+        judge the run."""
+        if cluster is None:
+            cluster = self.cluster_factory()
         first = point.step if point.base is None else min(
             point.step, point.base[0]
         )
@@ -794,8 +815,8 @@ class CrashSweep:
             replicate=self.replicate,
             notes=list(self.notes),
         )
-        for point in points:
-            res = self.run_point(point)
+        # discovery runs that failed first: enumeration has run them
+        for res in chain(self.failed_discoveries, map(self.run_point, points)):
             summary.results.append(res)
             if progress is not None:
                 progress(res)

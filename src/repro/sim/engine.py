@@ -173,8 +173,7 @@ class Engine:
     """Virtual-clock event loop.
 
     Events at equal times fire in scheduling order (a stable tiebreaker
-    keeps the simulation deterministic). :meth:`run` drains the queue or
-    stops at ``until``.
+    keeps the simulation deterministic). :meth:`run` drains the queue.
     """
 
     def __init__(self) -> None:
@@ -300,11 +299,10 @@ class Engine:
     # ------------------------------------------------------------------
     def run(
         self,
-        until: Optional[float] = None,
         max_steps: int = 500_000_000,
         stop: Optional[Callable[[], bool]] = None,
     ) -> float:
-        """Process events until the queue drains or ``until`` is reached.
+        """Process events until the queue drains.
 
         ``stop`` (when given) is evaluated before every event; the loop
         exits as soon as it returns True. Returns the final virtual time.
@@ -313,7 +311,6 @@ class Engine:
         ready = self._ready
         steps = self.steps
         now = self.now
-        limit = float("inf") if until is None else until
         taps = self.bus.listeners(ENGINE_EVENT)
         try:
             while ready or heap:
@@ -323,17 +320,9 @@ class Engine:
                 # ordered by (time, seq), so comparing heads reproduces the
                 # exact total order of a single priority queue
                 if ready and not (heap and heap[0] < ready[0]):
-                    ev = ready[0]
-                    if ev[0] > limit:
-                        self.now = until
-                        return until
-                    ready.popleft()
+                    ev = ready.popleft()
                 else:
-                    ev = heap[0]
-                    if ev[0] > limit:
-                        self.now = until
-                        return until
-                    heapq.heappop(heap)
+                    ev = heapq.heappop(heap)
                 t = ev[0]
                 if t > now:
                     self.now = now = t
@@ -355,19 +344,3 @@ class Engine:
         finally:
             self.steps = steps
         return self.now
-
-    def run_until_done(
-        self, procs: List[SimProcess], max_steps: int = 500_000_000
-    ) -> float:
-        """Run until every process in ``procs`` has finished or been killed."""
-        self.run(
-            max_steps=max_steps,
-            stop=lambda: all(p.done or not p.alive for p in procs),
-        )
-        pending = [p.name for p in procs if not p.done and p.alive]
-        if pending:
-            raise SimulationError(
-                f"simulation deadlock: queue drained with processes blocked: {pending}"
-            )
-        return self.now
-

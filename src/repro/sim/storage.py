@@ -129,9 +129,6 @@ class CheckpointStore:
     def keys(self) -> List[Any]:
         return list(self._data.keys())
 
-    def size_of(self, key: Any) -> int:
-        return self._sizes[key]
-
     @property
     def used_bytes(self) -> int:
         return sum(self._sizes.values())

@@ -277,50 +277,11 @@ class Tracer:
         else:
             self.dropped += 1
 
-    # ------------------------------------------------------------------
-    def filter(
-        self, kind: Optional[str] = None, pid: Optional[int] = None
-    ) -> List[TraceEvent]:
-        return [
-            e
-            for e in self.events
-            if (kind is None or e.kind == kind)
-            and (pid is None or e.pid == pid)
-        ]
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
-    def render(
-        self,
-        limit: int = 100,
-        kind: Optional[str] = None,
-        pid: Optional[int] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> str:
-        """A timeline of (up to ``limit``) events.
-
-        ``kind``/``pid`` select an event class or node; ``since``/
-        ``until`` bound the virtual-time window (seconds, inclusive) —
-        so a crash-sweep debugging session can zoom straight to the
-        events around an injected crash point instead of slicing
-        ``tracer.events`` by hand.
-        """
-        events = [
-            e
-            for e in self.events
-            if (kind is None or e.kind == kind)
-            and (pid is None or e.pid == pid)
-            and (since is None or e.time >= since)
-            and (until is None or e.time <= until)
-        ]
-        lines = [e.render() for e in events[:limit]]
-        if len(events) > limit:
-            lines.append(f"... {len(events) - limit} more events")
+    def render(self, limit: int = 100) -> str:
+        """A timeline of the first ``limit`` events."""
+        lines = [e.render() for e in self.events[:limit]]
+        if len(self.events) > limit:
+            lines.append(f"... {len(self.events) - limit} more events")
         if self.dropped:
             lines.append(f"... {self.dropped} events dropped (max_events)")
         return "\n".join(lines)

@@ -55,15 +55,15 @@ def counter_reference():
 
 
 @pytest.fixture(scope="module")
-def mid_run_window(counter_reference):
+def mid_run_window():
     """(victim, step, begin, live): a crash at the reference's middle
-    event and the recovery window it opens."""
-    _cluster, events, _reference = counter_reference
-    ev = events[len(events) // 2]
-    cluster_factory, app_factory = _factories()
-    begin, live = _recovery_window(
-        cluster_factory, app_factory, ev.pid, ev.step
-    )
+    event and the recovery window it opens, found by the sweep's own
+    discovery run."""
+    sweep = CrashSweep(*_factories())
+    sweep.run_reference()
+    ev = sweep.reference_trace[len(sweep.reference_trace) // 2]
+    begin, live, _end = sweep._recovery_window("recovery", ev.step, ev.pid)
+    assert not sweep.failed_discoveries
     return ev.pid, ev.step, begin, live
 
 
@@ -198,6 +198,40 @@ def test_sweep_builds_one_cluster_per_run():
     summary = sweep.run()
     assert summary.ok and summary.results
     assert len(builds) == 1 + len(sweep._windows) + len(summary.results)
+
+
+def test_a_failed_discovery_run_is_a_failed_point():
+    """A discovery run is injected and judged like any point: when the
+    base crash's recovery itself breaks, the sweep reports a ``failed``
+    point of the window class that asked for it and places nothing
+    against that anchor, instead of raising out of enumeration."""
+    cluster_factory, app_factory = _factories()
+
+    def sabotaged_factory():
+        cluster = cluster_factory()
+        install = cluster._install_ft
+
+        def install_ft(host):
+            if host.recovering:
+                raise RuntimeError(f"p{host.pid} recovery sabotaged")
+            install(host)
+
+        cluster._install_ft = install_ft
+        return cluster
+
+    sweep = CrashSweep(sabotaged_factory, app_factory, classes=("recovery",))
+    summary = sweep.run()
+    (res,) = summary.results
+    events = [e for e in sweep.reference_trace if e.step >= 1]
+    anchor = events[int(len(events) * 0.45)]
+    assert res.point == CrashPoint("recovery", anchor.step, anchor.pid)
+    assert res.outcome == "failed" and not summary.ok
+    assert res.error == f"RuntimeError: p{anchor.pid} recovery sabotaged"
+    assert summary.notes == [
+        f"recovery window for base crash p{anchor.pid}@{anchor.step} not "
+        "found (discovery run failed); recovery points for this anchor "
+        "skipped"
+    ]
 
 
 def test_sweep_session_lock_class():
@@ -391,25 +425,6 @@ def test_a_point_whose_prefix_drifts_from_the_reference_fails():
 # ======================================================================
 # overlapping failures (hold path + explicit degradation)
 # ======================================================================
-
-
-def _recovery_window(cluster_factory, app_factory, victim, step):
-    """Run with one crash; return the victim's recovery (begin, live)."""
-    cluster = cluster_factory()
-    tracer = Tracer(cluster, kinds={"recovery"})
-    cluster.schedule_crash_at_step(victim, step)
-    cluster.run(app_factory())
-    begin = live = None
-    for ev in tracer.events:
-        if ev.pid != victim:
-            continue
-        if ev.detail.startswith("begin") and begin is None:
-            begin = ev.step
-        elif ev.detail == "live" and begin is not None:
-            live = ev.step
-            break
-    assert begin is not None and live is not None
-    return begin, live
 
 
 def test_overlapping_failure_holds_messages_then_degrades(mid_run_window):

@@ -323,7 +323,6 @@ def test_checkpoint_restored_log_and_buddy_image_share_the_live_records():
     image = best_record(cluster.hosts[(host.pid + 1) % N], host.pid).image
     # restore the way a recovery does: fresh protocol + FT manager
     host.proto = proto = host.make_protocol()
-    proto.rebind_homes()
     cluster._install_ft(host)
     RecoveryManager(host)._restore_from_checkpoint(proto, host.ft, ckpt)
     restored = host.ft.logs.diff

@@ -372,12 +372,40 @@ def test_monitor_subcommand_seeded_violation(kind, tmp_path, capsys):
     assert dump["step"] == first["step"]  # snapshotted when it was found
 
 
-def test_crashsweep_rejects_bad_class():
+def test_crashsweep_rejects_bad_class(capsys):
     with pytest.raises(SystemExit):
-        # argparse exits on unknown app; unknown class raises ValueError
         main(["crashsweep", "not-an-app"])
-    with pytest.raises(ValueError, match="unknown crash-point classes"):
-        main(["crashsweep", "counter", "--classes", "bogus"])
+    line = _usage_error(["crashsweep", "counter", "--classes", "lock,bogus"],
+                        capsys)
+    assert line.endswith("unknown crash-point classes bogus (choose from "
+                         "every,lock,barrier,ckpt_write,recovery,sequential,"
+                         "double)")
+
+
+@pytest.mark.parametrize("argv, flag, want", [
+    (["crashsweep", "counter", "--every", "0"], "--every", ">= 1"),
+    (["counter", "--procs", "0"], "--procs", ">= 1"),
+    (["crashsweep", "counter", "--procs", "0"], "--procs", ">= 1"),
+    (["monitor", "counter", "--procs", "0"], "--procs", ">= 1"),
+    (["observe", "counter", "--procs", "0"], "--procs", ">= 1"),
+    (["counter", "--steps", "-1"], "--steps", ">= 1"),
+    (["counter", "--size", "0"], "--size", ">= 1"),
+    (["observe", "counter", "--window", "-1"], "--window", ">= 0"),
+    (["observe", "counter", "--interval", "-1"], "--interval", ">= 0"),
+    (["counter", "--ft", "--l", "-1"], "--l", "> 0"),
+    (["crashsweep", "counter", "--l", "0"], "--l", "> 0"),
+    (["counter", "--l", "nan"], "--l", "> 0"),
+    (["session", "--rate", "-5"], "--rate", "> 0"),
+    (["counter", "--trace-limit", "-5"], "--trace-limit", ">= 0"),
+])
+def test_out_of_range_input_is_a_usage_error(argv, flag, want, capsys):
+    """Out-of-range numbers end in a one-line argparse diagnosis (exit
+    2), not a traceback from deep inside the run."""
+    value = argv[argv.index(flag) + 1]
+    assert _usage_error(argv, capsys) == (
+        f"{build_parser(argv[0] if argv[0] in COMMANDS else 'run').prog}: "
+        f"error: argument {flag}: bad value {value!r}: must be {want}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,6 @@ def test_negative_delay_rejected():
         Delay(-0.5)
 
 
-def test_run_until_stops_at_deadline():
-    eng = Engine()
-    fired = []
-    eng.schedule(1.0, lambda: fired.append(1))
-    eng.schedule(5.0, lambda: fired.append(2))
-    eng.run(until=2.0)
-    assert fired == [1]
-    assert eng.now == 2.0
-
-
 def test_coroutine_delay_advances_clock():
     eng = Engine()
     times = []
@@ -201,17 +191,6 @@ def test_unsupported_effect_raises():
     eng.spawn(proc())
     with pytest.raises(SimulationError, match="unsupported effect"):
         eng.run()
-
-
-def test_run_until_done_detects_deadlock():
-    eng = Engine()
-
-    def proc():
-        yield Future("never")
-
-    handle = eng.spawn(proc())
-    with pytest.raises(SimulationError, match="deadlock"):
-        eng.run_until_done([handle])
 
 
 def test_determinism_same_schedule_same_trace():

@@ -42,12 +42,11 @@ def test_manager_access_control():
 
 def test_chain_append_and_forward_target():
     m = LockManagerState(manager=0)
-    assert m.last_requester == 0
     prev = m.append(2, 1)
     assert prev == 0
     prev = m.append(3, 1)
     assert prev == 2
-    assert m.last_requester == 3
+    assert m.append(1, 1) == 3
 
 
 def test_duplicate_detection():

@@ -41,20 +41,6 @@ def test_round_robin_homes():
     assert r.pages_homed_at(1) == [1, 5]
 
 
-def test_blocked_homes():
-    r = SharedRegion(0, "r", 64, "float64", cfg(home_policy="blocked"))
-    homes = [r.home_of(i) for i in range(8)]
-    assert homes == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_explicit_home_assignment():
-    r = SharedRegion(0, "r", 64, "float64", cfg(home_policy="explicit"))
-    r.set_home(3, 2)
-    assert r.home_of(3) == 2
-    with pytest.raises(ValueError):
-        r.set_home(0, 99)
-
-
 def test_region_set_allocation_and_seal():
     rs = RegionSet(cfg())
     a = rs.allocate("a", 16)
@@ -70,8 +56,7 @@ def test_region_set_allocation_and_seal():
 def test_region_set_page_ids_and_homes():
     rs = RegionSet(cfg())
     a = rs.allocate("a", 16)  # 2 pages
-    ids = rs.all_page_ids()
-    assert PageId(0, 0) in ids and PageId(0, 1) in ids
+    assert [a.page_id(i) for i in range(2)] == [PageId(0, 0), PageId(0, 1)]
     assert rs.home_of(PageId(0, 1)) == 1
     assert PageId(0, 0) in rs.pages_homed_at(0)
 
@@ -91,27 +76,10 @@ def test_bad_page_size_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         DsmConfig(num_procs=0)
-    with pytest.raises(ValueError):
-        DsmConfig(home_policy="nope")
-    with pytest.raises(ValueError):
-        DsmConfig(num_procs=4, barrier_manager=7)
+    # the wire sizes and the barrier manager are constants, not knobs
+    for constant in ("home_policy", "barrier_manager", "msg_header"):
+        with pytest.raises(TypeError):
+            DsmConfig(**{constant: 0})
     c = DsmConfig(num_procs=4)
     assert c.lock_manager(6) == 2
     assert c.vt_bytes() == 16
-
-
-def test_set_home_rejected_after_seal():
-    rs = RegionSet(cfg(home_policy="explicit"))
-    r = rs.allocate("a", 64)
-    r.set_home(0, 3)  # legal: sharing has not started
-    rs.seal()
-    with pytest.raises(RuntimeError, match="sealed"):
-        r.set_home(0, 1)
-    assert r.home_of(0) == 3  # placement unchanged by the rejected call
-
-
-def test_set_home_unowned_region_is_unrestricted():
-    # a bare SharedRegion (no RegionSet) has no seal to enforce
-    r = SharedRegion(0, "r", 64, "float64", cfg(home_policy="explicit"))
-    r.set_home(1, 2)
-    assert r.home_of(1) == 2

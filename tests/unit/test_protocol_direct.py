@@ -43,8 +43,8 @@ class Harness:
 
     def run(self, *gens):
         handles = [self.engine.spawn(g) for g in gens]
-        self.engine.run_until_done(handles)
-        self.engine.run()  # drain in-flight deliveries
+        self.engine.run()  # the handles, then in-flight deliveries
+        assert all(h.done for h in handles)
         return handles
 
 

@@ -35,7 +35,6 @@ def test_store_put_get_delete():
     assert ("ckpt", 1) in s
     assert s.get(("ckpt", 1)) == {"x": 1}
     assert s.used_bytes == 150
-    assert s.size_of(("log", 2)) == 50
     assert s.delete(("log", 2)) == 50
     assert s.used_bytes == 100
     assert ("log", 2) not in s
