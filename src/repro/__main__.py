@@ -40,7 +40,7 @@ from repro.apps import APPS, make_app
 from repro.core import FtConfig, LogOverflowPolicy
 from repro.sim.network import MetaClusterConfig, NetworkConfig
 from repro.sim.node import TimeBucket
-from repro.sim.trace import Tracer
+from repro.sim.trace import TEXT, timeline
 
 Parser = argparse.ArgumentParser
 
@@ -66,6 +66,19 @@ POSITIVE_INT = at_least(int, 1)
 COUNT = at_least(int, 0)
 POSITIVE = at_least(float, 0, inclusive=False)
 NON_NEGATIVE = at_least(float, 0)
+
+
+def comma_list(choices: Sequence[str]) -> Callable[[str], Tuple[str, ...]]:
+    """``argparse`` ``type=`` of a comma-separated list of ``choices``."""
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(text.split(","))
+        if not set(names) <= set(choices):
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r}: must be comma-separated names from "
+                + ",".join(choices)
+            )
+        return names
+    return parse
 
 
 # ---- argument groups, declared once ----
@@ -253,25 +266,20 @@ def add_run_arguments(p: Parser) -> None:
     p.add_argument("--wan", type=float, default=None, metavar="SECONDS",
                    help="meta-cluster mode: split the cluster in two halves "
                    "joined by a WAN link with this one-way latency")
-    # derived from Tracer.KINDS so the help cannot drift from the tracer
-    p.add_argument("--trace", default=None, metavar="KINDS",
-                   help="comma-separated trace kinds ("
-                   + ",".join(sorted(Tracer.KINDS)) + ")")
+    # derived from TEXT so the help cannot drift from what can be traced
+    categories = sorted({category for category, _ in TEXT.values()})
+    p.add_argument("--trace", type=comma_list(categories), default=(),
+                   metavar="CATEGORIES", help="comma-separated event "
+                   "categories to print (" + ",".join(categories) + ")")
     p.add_argument("--trace-limit", type=COUNT, default=60)
 
 
 def run_app(parser: Parser, args: argparse.Namespace) -> int:
     """Run a DSM workload on the simulated fault-tolerant HLRC cluster
     (SC 2000 reproduction)."""
-    kinds = set(args.trace.split(",")) if args.trace else set()
-    unknown = kinds - Tracer.KINDS
-    if unknown:
-        print(f"unknown trace kinds: {','.join(sorted(unknown))} "
-              f"(choose from {','.join(sorted(Tracer.KINDS))})", file=sys.stderr)
-        return 2
     run = RunBuilder(parser, args, args.ft)
     cluster = run.cluster()
-    tracer = Tracer(cluster, kinds=kinds) if kinds else None
+    events = timeline(cluster.engine, args.trace)
     result = run.run(cluster)
 
     print(f"app           {args.app} on {args.procs} simulated nodes")
@@ -291,9 +299,12 @@ def run_app(parser: Parser, args: argparse.Namespace) -> int:
         print(f"ft piggyback  {result.traffic.ft_bytes:10d} bytes "
               f"({result.traffic.ft_overhead_percent():.2f} %)")
     print_failures(result, " — results verified")
-    if tracer:
+    if args.trace:
         print("\ntrace:")
-        print(tracer.render(limit=args.trace_limit))
+        for ev in events[: args.trace_limit]:
+            print(ev.render())
+        if len(events) > args.trace_limit:
+            print(f"... {len(events) - args.trace_limit} more events")
     return 0
 
 
@@ -317,20 +328,6 @@ def run_tables(parser: Parser, args: argparse.Namespace) -> int:
 
 
 # ---- crashsweep ----
-def parse_classes(text: str) -> Tuple[str, ...]:
-    """``argparse`` ``type=`` of ``crashsweep --classes``."""
-    from repro.faultinject.campaign import CLASSES
-
-    classes = tuple(text.split(","))
-    unknown = [c for c in classes if c not in CLASSES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown crash-point classes {','.join(unknown)} (choose from "
-            + ",".join(CLASSES) + ")"
-        )
-    return classes
-
-
 def add_crashsweep_arguments(p: Parser) -> None:
     from repro.faultinject.campaign import CLASSES
 
@@ -339,7 +336,7 @@ def add_crashsweep_arguments(p: Parser) -> None:
     add_ft(p)
     p.add_argument("--every", type=POSITIVE_INT, default=25,
                    help="crash after every Nth traced event (default 25)")
-    p.add_argument("--classes", type=parse_classes, default=None,
+    p.add_argument("--classes", type=comma_list(tuple(CLASSES)), default=None,
                    help="comma-separated crash-point classes (default: all "
                    "but double, out of " + ",".join(CLASSES) + ")")
     p.add_argument("--faults", type=int, default=1, choices=(1, 2),

@@ -38,7 +38,7 @@ from repro.dsm.pages import RegionSet, SharedRegion
 from repro.dsm.protocol import DsmProcess
 from repro.sim.engine import Engine, SimProcess
 from repro.sim.network import Network, NetworkConfig, TrafficStats
-from repro.sim.node import CpuModel, TimeStats
+from repro.sim.node import TimeStats
 from repro.sim.storage import CheckpointStore, Disk, DiskConfig, ReplicaStore
 from repro.sim.trace import FAILURE, OP_CLOSE, OP_OPEN, RECOVERY_BEGIN
 
@@ -100,7 +100,6 @@ class ProcHost:
             regions=cluster.regions,
             engine=cluster.engine,
             send_fn=cluster.network.send,
-            cpu=CpuModel(),
         )
 
     def deliver(self, src: int, msg: Message) -> None:

@@ -150,7 +150,6 @@ class DsmProcess:
         regions: RegionSet,
         engine: Engine,
         send_fn: Callable[[int, int, Message, int, str, int], None],
-        cpu: Optional[CpuModel] = None,
     ) -> None:
         self.pid = pid
         self.config = config
@@ -163,7 +162,7 @@ class DsmProcess:
         self.bus = engine.bus
         #: ``Network.send(src, dst, msg, size, category, ft_bytes)``
         self._send_raw = send_fn
-        self.cpu = cpu or CpuModel()
+        self.cpu = CpuModel()
 
         self.vt = VClock.zero(self.n)
         self.notices = NoticeTable(self.n)

@@ -2,8 +2,9 @@
 
 A sweep is three phases:
 
-1. **Reference run** — failure-free, with a :class:`Tracer` recording
-   every protocol event *with its engine step index*. Determinism makes
+1. **Reference run** — failure-free, with a
+   :func:`~repro.sim.trace.timeline` of the :data:`COUNTED` categories
+   recording each event *with its engine step index*. Determinism makes
    ``(victim, step)`` a complete name for a crash point: any re-run with
    the same configs executes the identical event order up to the
    injection.
@@ -54,6 +55,7 @@ from repro.core.recovery import OverlappingFailureError
 from repro.dsm.locks import token_holders
 from repro.observe.latency import exact_percentile
 from repro.sim.trace import (
+    BARRIER_DONE,
     CKPT_WRITE_BEGIN,
     CKPT_WRITE_END,
     ENGINE_EVENT,
@@ -61,11 +63,14 @@ from repro.sim.trace import (
     RECOVERY_BEGIN,
     RECOVERY_LIVE,
     REPL_BEGIN,
-    Tracer,
+    TEXT,
+    TraceEvent,
+    timeline,
 )
 
 __all__ = [
     "CLASSES",
+    "COUNTED",
     "DEFAULT_CLASSES",
     "SWEEP_SCHEMA",
     "ClassRow",
@@ -87,15 +92,22 @@ __all__ = [
 #: distributions. :func:`load_sweep` rejects any other schema.
 SWEEP_SCHEMA = 2
 
+#: the timeline categories the reference run records, all but ``llt``
+#: and ``cgc``: ``every`` strides over their events and a window row's
+#: anchors are fractions of them, so changing this set moves every
+#: ``every`` point and every anchor of every recorded sweep
+COUNTED = frozenset(category for category, _ in TEXT.values()) - {"llt", "cgc"}
+
 
 @dataclass(frozen=True)
 class ClassRow:
     """Where one crash-point class puts its crashes.
 
     A *trace* row (no ``anchors``) places one crash on the reference
-    trace: with a ``marker``, at the step before and the step of each
-    event it matches; ``every`` takes the sweep's stride and
-    ``ckpt_write`` the midpoint of each checkpoint write instead.
+    trace: with a ``marker`` (a bus event kind), at the step before and
+    the step of each event of that kind; ``every`` takes the sweep's
+    stride and ``ckpt_write`` the midpoint of each checkpoint write
+    instead.
 
     A *window* row places a second crash after a base crash at each of
     ``anchors`` (fractions of the reference events), at ``fractions`` of
@@ -105,7 +117,7 @@ class ClassRow:
     every other node).
     """
 
-    marker: Optional[Callable[[Any], bool]] = None
+    marker: Optional[str] = None
     anchors: Tuple[float, ...] = ()
     fractions: Tuple[float, ...] = ()
     offsets: Optional[Tuple[int, ...]] = None
@@ -121,8 +133,8 @@ class ClassRow:
 CLASSES: Dict[str, ClassRow] = {
     "every": ClassRow(),
     # just before an acquisition completes (token in flight) and just after
-    "lock": ClassRow(marker=lambda ev: ev.event == LOCK_ACQUIRED),
-    "barrier": ClassRow(marker=lambda ev: ev.kind == "barrier"),
+    "lock": ClassRow(marker=LOCK_ACQUIRED),
+    "barrier": ClassRow(marker=BARRIER_DONE),
     "ckpt_write": ClassRow(),
     # the recovering node again (recovery must restart cleanly) and a
     # responder (an overlap: explicit degrade, or a buddy-replica fetch
@@ -545,7 +557,7 @@ class CrashSweep:
         #: ``failed``
         self.monitor = monitor
         self.reference_snapshots: Dict[str, bytes] = {}
-        self.reference_trace: List[Any] = []
+        self.reference_trace: List[TraceEvent] = []
         #: cluster width and replication, read off the reference run's cluster
         self.num_procs = 0
         self.replicate = False
@@ -578,9 +590,9 @@ class CrashSweep:
         cluster = self.cluster_factory()
         if not cluster.ft_enabled:
             raise RuntimeError("crash sweep requires an FT-enabled cluster")
-        tracer = Tracer(cluster, max_events=1_000_000)
-        monitor = self._attach_monitor(cluster)
         engine = cluster.engine
+        events = timeline(engine, COUNTED)
+        monitor = self._attach_monitor(cluster)
         now, seq = array("d", [engine.now]), array("q")
 
         def record(_event: Any) -> None:
@@ -596,12 +608,7 @@ class CrashSweep:
                 "invariant violation in the failure-free reference run: "
                 + "; ".join(v.render() for v in monitor.violations[:3])
             )
-        if tracer.dropped:
-            raise RuntimeError(
-                f"reference trace overflowed ({tracer.dropped} dropped); "
-                "the sweep would miss crash points"
-            )
-        self.reference_trace = tracer.events
+        self.reference_trace = events
         self.num_procs = cluster.config.num_procs
         self.replicate = cluster.replication
         self.reference_steps = engine.steps
@@ -631,11 +638,11 @@ class CrashSweep:
         return list(points)
 
     def _trace_points(
-        self, cls: str, row: ClassRow, events: List[Any]
+        self, cls: str, row: ClassRow, events: List[TraceEvent]
     ) -> Iterator[Tuple[int, int, None]]:
         if row.marker is not None:
             for ev in events:
-                if row.marker(ev):
+                if ev.event == row.marker:
                     yield ev.step - 1, ev.pid, None
                     yield ev.step, ev.pid, None
         elif cls == "every":
@@ -697,7 +704,7 @@ class CrashSweep:
         return window
 
     def _window_points(
-        self, cls: str, row: ClassRow, events: List[Any]
+        self, cls: str, row: ClassRow, events: List[TraceEvent]
     ) -> Iterator[Tuple[int, int, Tuple[int, int]]]:
         if not events:
             return

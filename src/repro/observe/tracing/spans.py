@@ -2,7 +2,7 @@
 
 A :class:`SpanTracer` attaches to a :class:`~repro.cluster.DsmCluster`
 *before* ``run`` and upgrades observability from flat events (the
-:class:`~repro.sim.trace.Tracer` timeline) to a **span DAG**: every
+:func:`~repro.sim.trace.timeline`) to a **span DAG**: every
 blocking protocol operation becomes a span ``[t0, t1]`` on its node's
 timeline, and every message becomes a **causal edge** between the span
 that sent it and the node that received it. On top of the DAG live the

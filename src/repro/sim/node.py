@@ -22,7 +22,6 @@ models CPU stealing without preemptive scheduling.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.sim.engine import Delay
@@ -76,7 +75,6 @@ class TimeStats:
         return f"TimeStats({parts})"
 
 
-@dataclass
 class CpuCosts:
     """Per-operation CPU cost constants (seconds), Pentium-II class.
 
@@ -85,20 +83,22 @@ class CpuCosts:
     measured handler costs.
     """
 
-    page_fault_handler: float = 15e-6  # trap + request construction
-    message_handler: float = 8e-6  # generic protocol handler fixed cost
-    twin_create_per_byte: float = 1.0 / 180e6  # memcpy of a page
-    diff_compute_per_byte: float = 1.0 / 120e6  # word-compare scan
-    diff_apply_per_byte: float = 1.0 / 180e6
-    log_append_per_byte: float = 1.0 / 200e6  # volatile-memory copy
-    checkpoint_pack_per_byte: float = 1.0 / 150e6
+    page_fault_handler = 15e-6  # trap + request construction
+    message_handler = 8e-6  # generic protocol handler fixed cost
+    twin_create_per_byte = 1.0 / 180e6  # memcpy of a page
+    diff_compute_per_byte = 1.0 / 120e6  # word-compare scan
+    diff_apply_per_byte = 1.0 / 180e6
+    log_append_per_byte = 1.0 / 200e6  # volatile-memory copy
+    checkpoint_pack_per_byte = 1.0 / 150e6
 
 
 class CpuModel:
     """Tracks handler debt for one node and issues time charges."""
 
-    def __init__(self, costs: CpuCosts | None = None) -> None:
-        self.costs = costs or CpuCosts()
+    #: every node runs on the same CPU
+    costs = CpuCosts
+
+    def __init__(self) -> None:
         self.handler_debt: float = 0.0
         self.stats = TimeStats()
 

@@ -1,4 +1,4 @@
-"""The instrumentation seam: one typed event bus, and the flat tracer on it.
+"""The instrumentation seam: one typed event bus, and the flat timeline on it.
 
 Every layer announces what it does on the :class:`EventBus` its engine
 owns (``engine.bus``): a fixed catalogue of event kinds with positional
@@ -12,33 +12,31 @@ sweep's monitor, which reads sends and deliveries, does not make every
 lock, fetch and op span pay for an ``emit`` to nobody. A node that
 recovers is announced like any other. ``Engine.run`` hoists the
 ``ENGINE_EVENT`` subscriber list once per run instead (one test per
-event). Observers (metrics, spans, invariants, flight recorder, the flat
-tracer below) call ``bus.subscribe(kind, fn)`` and do nothing else to
+event). Observers (metrics, spans, invariants, flight recorder, the
+timeline below) call ``bus.subscribe(kind, fn)`` and do nothing else to
 the cluster; they must only read and record, so attaching any of them,
 in any order, leaves the run bit-identical.
-Both recorders of catalogued events, the flat tracer below and the
+Both recorders of catalogued events, the timeline below and the
 flight ring, keep one :class:`TraceEvent` per event through one
 subscriber, :func:`recording`; its text for debug timelines and flight
 records (``"begin seqno=3 bytes=4096"``) is rendered through
 :data:`TEXT` here only when read.
 
-A :class:`Tracer` attaches to a :class:`~repro.cluster.DsmCluster`
-*before* ``run`` and records protocol-level events with virtual
+A :func:`timeline` subscribes to a cluster's engine *before* ``run``
+and returns the list its events fill, in emission order with virtual
 timestamps — the simulator's answer to a real DSM's debug logs::
 
     cluster = DsmCluster(...)
-    tracer = Tracer(cluster, kinds={"lock", "ckpt"})
+    events = timeline(cluster.engine, {"lock", "ckpt"})
     cluster.run(app)
-    print(tracer.render(limit=50))
+    print("\n".join(ev.render() for ev in events[:50]))
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Any, Callable, Collection, Dict, List, NamedTuple, Tuple
 
-__all__ = ["CATALOGUE", "TEXT", "EventBus", "TraceEvent", "Tracer", "recording"]
+__all__ = ["CATALOGUE", "TEXT", "EventBus", "TraceEvent", "recording", "timeline"]
 
 # ----------------------------------------------------------------------
 # the catalogue: every event kind, with its positional payload
@@ -207,12 +205,9 @@ class TraceEvent(NamedTuple):
         return TEXT[self.event][1](*self.args)
 
     def render(self) -> str:
-        # a negative step means "emitted before the engine ran any
-        # event" (e.g. during setup) — render a placeholder, not #-1
-        step = f"{self.step:<7d}" if self.step >= 0 else f"{'——':<7}"
         return (
             f"{self.time * 1e3:10.4f} ms "
-            f"#{step} p{self.pid}  {self.kind:<10} {self.detail}"
+            f"#{self.step:<7d} p{self.pid}  {self.kind:<10} {self.detail}"
         )
 
 
@@ -220,8 +215,8 @@ def recording(
     engine: Any, event: str, keep: Callable[[TraceEvent], None]
 ) -> Callable[..., None]:
     """The subscriber to ``event`` that hands ``keep`` one
-    :class:`TraceEvent` per emission: the flat :class:`Tracer` and the
-    flight recorder both record through it."""
+    :class:`TraceEvent` per emission: :func:`timeline` and the flight
+    recorder both record through it."""
     # tuple.__new__ builds the record without a Python-level __new__
     new = tuple.__new__
     if event in (SEND, DELIVER):
@@ -235,53 +230,11 @@ def recording(
     return on_event
 
 
-class Tracer:
-    """Records the events of the chosen categories as a flat timeline."""
-
-    KINDS = {
-        "send",
-        "lock",
-        "barrier",
-        "flush",
-        "fetch",
-        "ckpt",
-        "ckpt_write",
-        "recovery",
-        "rphase",
-        "repl",
-        "failure",
-    }
-
-    def __init__(
-        self,
-        cluster: Any,
-        kinds: Optional[Iterable[str]] = None,
-        max_events: int = 100_000,
-    ) -> None:
-        self.cluster = cluster
-        self.kinds: Set[str] = set(kinds) if kinds else set(self.KINDS)
-        unknown = self.kinds - self.KINDS
-        if unknown:
-            raise ValueError(f"unknown trace kinds: {sorted(unknown)}")
-        self.max_events = max_events
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
-        engine = cluster.engine
-        for event, (category, _) in TEXT.items():
-            if category in self.kinds:
-                engine.bus.subscribe(event, recording(engine, event, self._keep))
-
-    def _keep(self, ev: TraceEvent) -> None:
-        if len(self.events) < self.max_events:
-            self.events.append(ev)
-        else:
-            self.dropped += 1
-
-    def render(self, limit: int = 100) -> str:
-        """A timeline of the first ``limit`` events."""
-        lines = [e.render() for e in self.events[:limit]]
-        if len(self.events) > limit:
-            lines.append(f"... {len(self.events) - limit} more events")
-        if self.dropped:
-            lines.append(f"... {self.dropped} events dropped (max_events)")
-        return "\n".join(lines)
+def timeline(engine: Any, categories: Collection[str]) -> List[TraceEvent]:
+    """The list that ``engine``'s later events of ``categories`` (the
+    first field of :data:`TEXT`) fill as the run goes, in emission order."""
+    events: List[TraceEvent] = []
+    for event, (category, _) in TEXT.items():
+        if category in categories:
+            engine.bus.subscribe(event, recording(engine, event, events.append))
+    return events

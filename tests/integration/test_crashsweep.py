@@ -20,8 +20,9 @@ from repro.faultinject import (
     CrashPoint, CrashSweep, OracleViolation, PointResult, SweepSummary,
     check_oracle,
 )
+from repro.faultinject.campaign import COUNTED
 from repro.sim.engine import Future
-from repro.sim.trace import REPL_BEGIN, REPL_COMMIT, Tracer
+from repro.sim.trace import LOCK_ACQUIRED, REPL_BEGIN, REPL_COMMIT, timeline
 from tests.conftest import make_app, make_cluster
 
 FAST_DETECT = {"failure_detection_delay": 2e-3}
@@ -45,13 +46,13 @@ def counter_reference():
     trace events, region snapshots). Tests only read it."""
     cluster_factory, app_factory = _factories()
     cluster = cluster_factory()
-    tracer = Tracer(cluster)
+    events = timeline(cluster.engine, COUNTED)
     cluster.run(app_factory())
     reference = {
         region.name: cluster.shared_snapshot(region).tobytes()
         for region in cluster.regions
     }
-    return cluster, tracer.events, reference
+    return cluster, events, reference
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +272,7 @@ def test_crash_manager_before_inflight_grant_completes():
         return make_app("session", rate=5000.0)
 
     ref = cluster_factory()
-    tracer = Tracer(ref, kinds={"lock"})
+    events = timeline(ref.engine, {"lock"})
     ref.run(app_factory())
     reference = {
         region.name: ref.shared_snapshot(region).tobytes()
@@ -281,9 +282,11 @@ def test_crash_manager_before_inflight_grant_completes():
     # the windows where the token is in flight to a (crashable) manager
     points = [
         ev.step - 1
-        for ev in tracer.events
+        for ev in events
         if ev.pid == 0
-        and ev.detail.startswith("acquired L0 from")
+        and ev.event == LOCK_ACQUIRED
+        and ev.args[0] == 0
+        and not ev.args[2]
         and ev.step > 1
     ]
     assert points, "no remote acquires of a self-managed lock in reference"

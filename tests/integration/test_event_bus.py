@@ -20,7 +20,7 @@ from repro.observe import (
     SpanTracer,
 )
 from repro.sim.engine import Engine
-from repro.sim.trace import CATALOGUE, ENGINE_EVENT, EventBus, Tracer
+from repro.sim.trace import CATALOGUE, ENGINE_EVENT, TEXT, EventBus, timeline
 
 from tests.conftest import make_app, make_cluster
 
@@ -41,7 +41,7 @@ def attach_everything(cluster):
         "observer": ClusterObserver(cluster, interval=1e-3, window_s=1e-3),
         "spans": SpanTracer(cluster),
         "monitor": InvariantMonitor(cluster),
-        "flat": Tracer(cluster),
+        "flat": timeline(cluster.engine, {c for c, _ in TEXT.values()}),
     }
 
 

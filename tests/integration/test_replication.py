@@ -17,7 +17,7 @@ import pytest
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
 from repro.sim.trace import (
-    ENGINE_EVENT, FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, Tracer,
+    ENGINE_EVENT, FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, timeline,
 )
 from tests.conftest import make_app, make_cluster
 
@@ -77,12 +77,12 @@ def test_buddy_death_retargets_then_rebuddies():
     # to the next live ring node (p2), then return to p1 once recovered
     _, free = run_free(**FAST_DETECT)
     cluster = replicated_cluster(**FAST_DETECT)
-    tracer = Tracer(cluster, kinds={"repl"})
+    events = timeline(cluster.engine, {"repl"})
     cluster.schedule_crash(1, at_time=0.3 * free.wall_time)
     res = cluster.run(make_app("counter"))
     assert res.crashes == 1 and res.recoveries == 1
 
-    retargets = [e for e in tracer.events if e.detail.startswith("retarget")]
+    retargets = [e for e in events if e.detail.startswith("retarget")]
     p0_retargets = [e for e in retargets if e.pid == 0]
     # p0 lost its buddy (→ p2), then re-buddied back to p1 at recovery
     assert any("old=1 new=2" in e.detail for e in p0_retargets)
@@ -118,11 +118,11 @@ def test_protected_death_mid_transfer_leaves_committed_base():
     buddy keeps the pending record invisible and serves the previous
     committed base until the recovered incarnation re-syncs."""
     ref = replicated_cluster(**FAST_DETECT)
-    ref_tracer = Tracer(ref, kinds={"repl"})
+    ref_events = timeline(ref.engine, {"repl"})
     ref.run(make_app("counter"))
     # pick p0's second checkpoint transfer so a committed base exists
     begins = [
-        e for e in ref_tracer.events
+        e for e in ref_events
         if e.pid == 0 and e.detail.startswith("begin seqno=2")
     ]
     assert begins, "reference run never began transferring ckpt 2"
@@ -185,13 +185,13 @@ def overlap_schedule():
 def test_overlapping_failures_survived_with_replication(second_victim):
     t1, t2 = overlap_schedule()
     cluster = replicated_cluster()
-    tracer = Tracer(cluster, kinds={"repl"})
+    events = timeline(cluster.engine, {"repl"})
     cluster.schedule_crash(3, at_time=t1)
     cluster.schedule_crash(second_victim, at_time=t2)
     res = cluster.run(make_app("counter"))  # check_result validates
     assert res.crashes == 2 and res.recoveries == 2
     # at least one recovery actually read a buddy replica
-    fetches = [e for e in tracer.events if e.detail.startswith("fetch kind=")]
+    fetches = [e for e in events if e.detail.startswith("fetch kind=")]
     assert fetches, "no replica fetch despite overlapping failures"
 
 

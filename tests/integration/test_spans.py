@@ -306,10 +306,12 @@ def test_tracing_composes_with_flat_tracer_and_observer():
     import dataclasses
 
     from repro.observe import ClusterObserver, InvariantMonitor
-    from repro.sim.trace import Tracer
+    from repro.sim.trace import TEXT, timeline
 
     attachers = {
-        "flat": Tracer,
+        "flat": lambda cluster: timeline(
+            cluster.engine, {c for c, _ in TEXT.values()}
+        ),
         "spans": SpanTracer,
         "obs": lambda cluster: ClusterObserver(cluster, interval=1e-3),
         "monitor": InvariantMonitor,
@@ -323,7 +325,7 @@ def test_tracing_composes_with_flat_tracer_and_observer():
         assert seen["spans"].validate() == []
         registry = seen["obs"].registry
         return {
-            "trace": seen["flat"].events,
+            "trace": seen["flat"],
             "spans": [dataclasses.asdict(s) for s in seen["spans"].spans],
             "edges": [dataclasses.asdict(e) for e in seen["spans"].edges],
             "checks": seen["monitor"].checks,

@@ -1,19 +1,19 @@
-"""Tests for the protocol tracer."""
+"""Tests for the flat run timeline."""
 
 from collections import Counter
 
-import pytest
-
-from repro.sim.trace import LOCK_RELEASE, SEND, TraceEvent, Tracer
+from repro.sim.trace import SEND, timeline
 
 from tests.conftest import make_app, make_cluster
 
 
 def test_tracer_records_protocol_events():
     cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.05)
-    tracer = Tracer(cluster)
+    events = timeline(
+        cluster.engine, {"send", "lock", "barrier", "flush", "fetch", "ckpt"}
+    )
     cluster.run(make_app("counter"))
-    counts = Counter(e.kind for e in tracer.events)
+    counts = Counter(e.kind for e in events)
     assert counts["send"] > 0
     assert counts["lock"] >= 4 * 3  # every proc acquires per step
     assert counts["barrier"] > 0
@@ -21,11 +21,11 @@ def test_tracer_records_protocol_events():
     assert counts["fetch"] > 0
     assert counts["ckpt"] > 0
     # timestamps are nondecreasing
-    times = [e.time for e in tracer.events]
+    times = [e.time for e in events]
     assert times == sorted(times)
     # a send keeps its destination, type name and category, never the
     # message: a trace pins no payload, and its line renders when read
-    send = next(e for e in tracer.events if e.kind == "send")
+    send = next(e for e in events if e.kind == "send")
     dst, name, category = send.args
     assert send.event == SEND and all(type(a) in (int, str) for a in send.args)
     assert send.detail == f"-> p{dst}  {name} ({category})"
@@ -33,15 +33,9 @@ def test_tracer_records_protocol_events():
 
 def test_tracer_kind_filtering():
     cluster = make_cluster(num_procs=4)
-    tracer = Tracer(cluster, kinds={"lock"})
+    events = timeline(cluster.engine, {"lock"})
     cluster.run(make_app("counter"))
-    assert tracer.events and {e.kind for e in tracer.events} == {"lock"}
-
-
-def test_tracer_rejects_unknown_kind():
-    cluster = make_cluster(num_procs=2)
-    with pytest.raises(ValueError):
-        Tracer(cluster, kinds={"nope"})
+    assert events and {e.kind for e in events} == {"lock"}
 
 
 def test_tracer_records_failures():
@@ -49,34 +43,42 @@ def test_tracer_records_failures():
     T = make_cluster(num_procs=4, ft=True, l_fraction=0.2).run(
         make_app("counter")
     ).wall_time
-    tracer = Tracer(cluster, kinds={"failure"})
+    events = timeline(cluster.engine, {"failure"})
     cluster.schedule_crash(2, at_time=T * 0.4)
     cluster.run(make_app("counter"))
-    assert [e.kind for e in tracer.events] == ["failure"]
+    assert [e.kind for e in events] == ["failure"]
 
 
-def test_tracer_render_and_cap():
-    cluster = make_cluster(num_procs=4)
-    tracer = Tracer(cluster, max_events=10)
-    cluster.run(make_app("counter"))
-    assert tracer.dropped > 0
-    lines = tracer.render(limit=5).splitlines()
-    assert lines[:5] == [e.render() for e in tracer.events[:5]]
-    assert lines[5:] == [
-        "... 5 more events",
-        f"... {tracer.dropped} events dropped (max_events)",
+def test_tracer_render_and_cap(capsys):
+    """``repro run --trace`` prints the first ``--trace-limit`` events of
+    the run's timeline and counts the rest on one line."""
+    from repro import __main__ as cli
+
+    cluster = cli.make_cluster(4, ft=False)
+    events = timeline(cluster.engine, {"lock"})
+    cluster.run(cli.make_app("counter"))
+    argv = ["counter", "--procs", "4", "--trace", "lock", "--trace-limit", "5"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.split("\ntrace:\n")[1].splitlines()
+    assert lines == [e.render() for e in events[:5]] + [
+        f"... {len(events) - 5} more events"
     ]
 
 
-def test_render_shows_placeholder_for_unset_step():
-    """Events emitted before the engine runs any event must not render
-    as the confusing ``#-1``."""
-    ev = TraceEvent(time=1e-3, step=-1, event=LOCK_RELEASE, pid=2, args=(7,))
-    assert "#-1" not in ev.render()
-    assert "#——" in ev.render()
-    # a real step still renders numerically
-    assert "#42" in ev._replace(step=42).render()
-    assert ev.render().endswith("p2  lock       release L7")
+def test_render_pins_a_setup_time_step_zero_line():
+    """Events emitted while a run sets up, before the engine runs any
+    event, are step 0: replication's first retarget and sync are ``#0``."""
+    from repro.core import FtConfig
+
+    cluster = make_cluster(
+        num_procs=4, ft=True, ft_config=FtConfig(replicate=True)
+    )
+    events = timeline(cluster.engine, {"repl"})
+    cluster.run(make_app("counter"))
+    assert [e.render() for e in events[:2]] == [
+        "    0.0000 ms #0       p0  repl       retarget old=None new=1 gen=1",
+        "    0.0000 ms #0       p0  repl       sync seqno=0 dst=1",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -92,18 +94,18 @@ def test_tracer_keeps_a_recovered_nodes_protocol_events():
     """Events come from the code that runs, not from wrappers around the
     first incarnation: a recovered node keeps announcing its locks,
     barriers and flushes (the wrapping tracer logged none of them)."""
+    protocol_kinds = ("lock", "barrier", "flush", "fetch", "ckpt")
     cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
-    tracer = Tracer(cluster)
+    events = timeline(cluster.engine, {"recovery", *protocol_kinds})
     cluster.schedule_crash(1, at_time=_ft_runtime() * 0.5)
     result = cluster.run(make_app("counter"))
     assert result.crashes == 1 and result.recoveries == 1
     live = next(
-        i for i, e in enumerate(tracer.events)
+        i for i, e in enumerate(events)
         if e.pid == 1 and e.kind == "recovery" and e.detail == "live"
     )
-    protocol_kinds = ("lock", "barrier", "flush", "fetch", "ckpt")
     after = {pid: [] for pid in range(4)}
-    for e in tracer.events[live:]:
+    for e in events[live:]:
         if e.kind in protocol_kinds:
             after[e.pid].append(e.kind)
     for kind in ("lock", "barrier", "flush"):
@@ -168,10 +170,10 @@ def test_span_dag_validates_after_mid_transfer_crash():
 
     # reference run: find a step inside a ckpt_write window on p1
     ref_cluster = make_cluster(num_procs=4, ft=True, l_fraction=0.1)
-    ref = Tracer(ref_cluster, kinds={"ckpt_write"})
+    ref = timeline(ref_cluster.engine, {"ckpt_write"})
     ref_cluster.run(make_app("counter"))
     begins = [
-        e for e in ref.events
+        e for e in ref
         if e.pid == 1 and e.detail.startswith("begin")
     ]
     assert begins, "reference run must checkpoint on p1"

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.__main__ import COMMANDS, build_parser, main
+from repro.sim.trace import TEXT
+
+#: what ``--trace`` accepts and its help lists: every category of TEXT
+TRACE_CATEGORIES = ",".join(sorted({category for category, _ in TEXT.values()}))
 
 
 def test_base_run(capsys):
@@ -148,23 +152,18 @@ def test_parser_rejects_unknown_app():
         build_parser().parse_args(["not-an-app"])
 
 
-def test_trace_help_is_derived_from_tracer_kinds():
-    """The --trace help text must list exactly Tracer.KINDS — it is
-    generated from it, so it can never omit kinds again (it used to
-    hand-maintain a stale list without ckpt_write/recovery)."""
-    from repro.sim.trace import Tracer
-
+def test_trace_help_is_derived_from_text():
+    """The --trace help text lists exactly the categories of
+    ``sim.trace.TEXT``: it is generated from them, so it cannot omit one
+    that can be printed (llt and cgc included)."""
     help_text = build_parser().format_help()
-    assert ",".join(sorted(Tracer.KINDS)) in help_text.replace("\n", "").replace(
-        " ", ""
-    )
+    assert "llt" in TRACE_CATEGORIES and "cgc" in TRACE_CATEGORIES
+    assert TRACE_CATEGORIES in help_text.replace("\n", "").replace(" ", "")
 
 
 def test_trace_flag_rejects_unknown_kind(capsys):
-    assert main(["counter", "--ft", "--trace", "bogus"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown trace kinds: bogus" in err
-    assert "ckpt_write" in err  # the choices are listed from Tracer.KINDS
+    line = _usage_error(["counter", "--ft", "--trace", "bogus"], capsys)
+    assert line.endswith(f"must be comma-separated names from {TRACE_CATEGORIES}")
 
 
 def test_crashsweep_subcommand(tmp_path, capsys):
@@ -377,9 +376,9 @@ def test_crashsweep_rejects_bad_class(capsys):
         main(["crashsweep", "not-an-app"])
     line = _usage_error(["crashsweep", "counter", "--classes", "lock,bogus"],
                         capsys)
-    assert line.endswith("unknown crash-point classes bogus (choose from "
-                         "every,lock,barrier,ckpt_write,recovery,sequential,"
-                         "double)")
+    assert line.endswith("bad value 'lock,bogus': must be comma-separated "
+                         "names from every,lock,barrier,ckpt_write,recovery,"
+                         "sequential,double")
 
 
 @pytest.mark.parametrize("argv, flag, want", [
@@ -397,10 +396,15 @@ def test_crashsweep_rejects_bad_class(capsys):
     (["counter", "--l", "nan"], "--l", "> 0"),
     (["session", "--rate", "-5"], "--rate", "> 0"),
     (["counter", "--trace-limit", "-5"], "--trace-limit", ">= 0"),
+    (["counter", "--trace", "lock,"], "--trace",
+     "comma-separated names from " + TRACE_CATEGORIES),
+    (["crashsweep", "counter", "--classes", "lock,"], "--classes",
+     "comma-separated names from every,lock,barrier,ckpt_write,recovery,"
+     "sequential,double"),
 ])
 def test_out_of_range_input_is_a_usage_error(argv, flag, want, capsys):
-    """Out-of-range numbers end in a one-line argparse diagnosis (exit
-    2), not a traceback from deep inside the run."""
+    """Out-of-range numbers and unknown names end in a one-line argparse
+    diagnosis (exit 2), not a traceback from deep inside the run."""
     value = argv[argv.index(flag) + 1]
     assert _usage_error(argv, capsys) == (
         f"{build_parser(argv[0] if argv[0] in COMMANDS else 'run').prog}: "
