@@ -2,6 +2,7 @@
 
     python3 benchmarks/sample_profile.py --workload paper8 [--seed 42] [--smoke]
                                          [--reps N] [--rows N] [--memory]
+                                         [--messages]
 
 The ledger's per-layer instrument is cProfile (``ledger/trace.py``). It
 counts calls exactly and charges each about a microsecond, so code made
@@ -25,7 +26,12 @@ peak", so that body runs twice: once to learn how high the traced heap
 gets, once more with the profiling timer watching for it to come within
 3 % of that; the summary line says whether it did, or how far below the
 highest snapshot of the second pass was taken. Traced, a body is several
-times slower. Writes nothing.
+times slower.
+
+``--messages`` asks what one body sends instead: count and simulated
+bytes per message type, ``ReplicaUpdate`` split by its kind (an ``op`` by
+the log event it carries), so a traffic claim can show its message mix.
+Writes nothing.
 """
 
 from __future__ import annotations
@@ -177,6 +183,40 @@ def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> i
     return 0
 
 
+def report_messages(body: Callable[[], object], rows: int) -> int:
+    """Run one body counting every ``Network.send``: count and simulated
+    wire bytes per message type, most bytes first."""
+    from repro.sim.network import Network
+
+    counts: Counter = Counter()
+    sizes: Counter = Counter()
+    send = Network.send
+
+    def counting_send(self, src, dst, payload, size, category, ft_bytes=0):
+        name = type(payload).__name__
+        if name == "ReplicaUpdate":
+            kind = payload.kind
+            name += f"[{payload.body[0] if kind == 'op' else kind}]"
+        counts[name] += 1
+        sizes[name] += size
+        return send(self, src, dst, payload, size, category, ft_bytes)
+
+    Network.send = counting_send
+    try:
+        body()
+    finally:
+        Network.send = send
+    total_n, total_b = sum(counts.values()), sum(sizes.values())
+    print(f"{'msgs':>9} {'msg %':>6} {'sim MB':>9} {'MB %':>6}  message type")
+    for name, nbytes in sizes.most_common(rows):
+        print(
+            f"{counts[name]:9d} {100 * counts[name] / total_n:6.1f} "
+            f"{nbytes / 1e6:9.3f} {100 * nbytes / total_b:6.1f}  {name}"
+        )
+    print(f"{total_n:9d} {100.0:6.1f} {total_b / 1e6:9.3f} {100.0:6.1f}  total")
+    return 0 if total_n else 1
+
+
 def short(path: str) -> str:
     """``apps/barnes.py`` for the package's files, the base name otherwise."""
     if path.startswith(SRC):
@@ -196,8 +236,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--smoke", action="store_true", help="the ledger's tiny sizes")
     p.add_argument("--reps", type=int, default=1, help="runs of the body")
     p.add_argument("--rows", type=int, default=25, help="rows per table")
-    p.add_argument("--memory", action="store_true",
-                   help="resident size per stage and the lines holding the heap")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--memory", action="store_true",
+                      help="resident size per stage and the lines holding the heap")
+    mode.add_argument("--messages", action="store_true",
+                      help="count and sim-bytes per message type of one body")
     args = p.parse_args(argv)
     stages = [("imports", rss_mb())]
     make_body = workloads.WORKLOADS[args.workload].make_body
@@ -206,6 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     body = make_body(args.seed, args.smoke)
     if args.memory:
         return report_memory(body, args.reps, args.rows, stages)
+    if args.messages:
+        return report_messages(body, args.rows)
     cpu0 = time.process_time()
     self_n, cum_n, line_n = sample(lambda: [body() for _ in range(args.reps)])
     cpu_s = time.process_time() - cpu0

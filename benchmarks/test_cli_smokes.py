@@ -59,7 +59,8 @@ def test_untraced_sampling_profile():
     on an instruction without a line number used to crash it after the
     tables) and attributes samples to the apps' own files; its memory
     half prints resident size per stage and the lines holding the traced
-    heap at the peak of one body."""
+    heap at the peak of one body; its message half prints the serving
+    body's message mix, replica updates split by op."""
     script = os.path.join(ROOT, "benchmarks", "sample_profile.py")
     out = {
         w: ok(run("--workload", w, "--smoke", script=script))
@@ -69,6 +70,10 @@ def test_untraced_sampling_profile():
     memory = ok(run("--workload", "serve_session", "--smoke", "--memory",
                     "--rows", "5", script=script))
     assert "x body" in memory and "observe/" in memory
+    mix = ok(run("--workload", "serve_session", "--smoke", "--messages",
+                 script=script))
+    assert "LockGrant" in mix and "ReplicaUpdate[rel]" in mix
+    assert mix.splitlines()[-1].endswith("total")
 
 
 def test_flat_trace_follows_a_recovered_node():

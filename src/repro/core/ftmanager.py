@@ -172,19 +172,23 @@ class FtManager(FtHooks):
         """``diff`` as logged (page logging records it at whole-page cost)."""
         return diff
 
-    def on_grant(self, lock_id: int, acquirer: int, acq_t: VClock) -> None:
-        self.logs.rel.append(acquirer, lock_id, acq_t)
+    def on_grant(
+        self, lock_id: int, acquirer: int, acq_t: VClock, provisional: bool
+    ) -> None:
+        self.logs.rel.append(acquirer, lock_id, acq_t, provisional=provisional)
         self.stats.time_logging += 0.5e-6
         self.proc.cpu.accrue_handler(0.5e-6)
         if self.repl is not None:
-            self.repl.op(("rel", acquirer, lock_id, acq_t))
+            self.repl.op(("rel", acquirer, lock_id, acq_t, provisional))
 
-    def on_acquire_done(self, lock_id: int, grantor: int, acq_t: VClock) -> None:
+    def on_acquire_done(
+        self, lock_id: int, grantor: int, acq_t: VClock, provisional: bool
+    ) -> None:
         self.logs.acq.append(grantor, lock_id, acq_t)
         self.stats.time_logging += 0.5e-6
-        if grantor != self.pid:
-            # confirm the actual acquire timestamp to the grantor, whose
-            # rel-entry holds a prediction (§4.2.1 / DESIGN.md §7.6)
+        if provisional and grantor != self.pid:
+            # the grantor logged a prediction (it had no request stamp):
+            # confirm the actual acquire timestamp (§4.2.1 / DESIGN.md §7.6)
             self.proc._send(
                 grantor, AcqAck(lock_id=lock_id, acquirer=self.pid, acq_t=acq_t)
             )

@@ -4,8 +4,9 @@ Records are immutable values: a log is appended to, trimmed (Rules
 1-3.2), saved with a checkpoint and served to a recovering peer, never
 edited, so the log, its checkpointed copy, the log restored from it and
 a buddy's image share the record objects and copy only the containers.
-Even the one correction, a grant's predicted timestamp replaced by the
-actual one (:meth:`GrantLog.confirm`), is made in a new bucket.
+Even the one correction, a provisional grant's predicted timestamp
+replaced by the actual one (:meth:`GrantLog.confirm`), is made in a new
+bucket.
 Per process the FT layer keeps:
 
 * ``wn_log`` — write notices it generated. This is physically the base
@@ -58,6 +59,9 @@ class RelEntry:
     #: a self-grant: the acquirer took its own resting token. Replay fuel
     #: like any acquire, but no token moved and no AcqAck confirms it
     local: bool = False
+    #: a grant made without the request's stamp: ``acq_t`` is a prediction
+    #: from the zero clock until the acquirer's AcqAck confirms it
+    provisional: bool = False
 
 
 class GrantLog:
@@ -84,9 +88,10 @@ class GrantLog:
         self._count = 0
 
     def append(
-        self, peer: int, lock_id: int, acq_t: VClock, local: bool = False
+        self, peer: int, lock_id: int, acq_t: VClock, local: bool = False,
+        provisional: bool = False,
     ) -> None:
-        self.entries[peer].append(RelEntry(lock_id, acq_t, local))
+        self.entries[peer].append(RelEntry(lock_id, acq_t, local, provisional))
         self._count += 1
 
     def for_peer(self, peer: int) -> List[RelEntry]:
@@ -115,25 +120,27 @@ class GrantLog:
     def confirm(
         self, acquirer: int, lock_id: int, actual_t: VClock, own_pid: int
     ) -> bool:
-        """An AcqAck landed (rel side): replace the predicted timestamp
-        with the acquirer's actual one (§4.2.1 pair symmetry), in a copy
-        of the bucket, like every other change.
+        """An AcqAck landed (rel side): replace a provisional grant's
+        predicted timestamp with the acquirer's actual one (§4.2.1 pair
+        symmetry), in a copy of the bucket, like every other change.
 
         The grantor's own component is identical in the prediction and
         the actual vt (both equal ``rel_vt[grantor]`` bumped nowhere), so
         ``(lock_id, acq_t[grantor])`` identifies the grant — among real
         grants: a self-grant mirror can carry the same pair and is
-        skipped. Returns False when the entry was already trimmed under
-        Rule 2 (the acquirer checkpointed past it — nothing left to fix).
+        skipped. Returns True when it rewrote the entry: False when the
+        entry was already exact, or already trimmed under Rule 2 (the
+        acquirer checkpointed past it — nothing left to fix).
         """
         lst = self.entries[acquirer]
         comp = actual_t[own_pid]
         for i in range(len(lst) - 1, -1, -1):
             e = lst[i]
             if e.lock_id == lock_id and e.acq_t[own_pid] == comp and not e.local:
-                if e.acq_t is not actual_t and e.acq_t != actual_t:
-                    lst = self.entries[acquirer] = list(lst)
-                    lst[i] = RelEntry(lock_id, actual_t)
+                if not e.provisional and e.acq_t == actual_t:
+                    return False
+                lst = self.entries[acquirer] = list(lst)
+                lst[i] = RelEntry(lock_id, actual_t)
                 return True
         return False
 

@@ -744,16 +744,21 @@ class ReplayDriver:
         transfer the grantors made after answering our handshake, so its
         last entry supersedes the (possibly long-stale) token snapshots the
         replies carried — without it a transfer races the handshake round
-        and the manager resurrects the token at itself.
+        and the manager resurrects the token at itself. Each transfer in
+        it also spent its grantor's successor pointer, which a reply
+        taken before the grant still shows: that edge is history, not a
+        waiter, and is left out of the chain rebuild.
         """
         proto = self.proto
         locks = proto.locks
         proto.replay = None
         self.apply_home_diffs(None)
         queued_owner: Dict[int, int] = {}
+        spent: Set[Tuple[int, int, int]] = set()
         for _src, qmsg in self.rm.host.queued:
             if isinstance(qmsg, GrantInfo) and locks.manages(qmsg.lock_id):
                 queued_owner[qmsg.lock_id] = qmsg.grantee
+                spent.add((qmsg.lock_id, qmsg.grantor, qmsg.grantee))
 
         def owner(lock_id: int) -> Optional[int]:
             if not locks.manages(lock_id):
@@ -778,6 +783,8 @@ class ReplayDriver:
         for lock_id in set(locks.managed_locks()) | {
             l for l in all_locks | set(self.succ_edges) if locks.manages(l)
         }:
-            locks.restore_chain(
-                lock_id, owner(lock_id), self.succ_edges.get(lock_id, {})
-            )
+            edges = self.succ_edges.get(lock_id, {})
+            locks.restore_chain(lock_id, owner(lock_id), {
+                p: edge for p, edge in edges.items()
+                if (lock_id, p, edge[0]) not in spent
+            })

@@ -256,8 +256,8 @@ class FtImage:
         logs, sync = self.logs, self.sync
         if kind == "rel":
             # the protected node granted lock_id away: log + token left
-            _, acquirer, lock_id, acq_t = op
-            logs.rel.append(acquirer, lock_id, acq_t)
+            _, acquirer, lock_id, acq_t, provisional = op
+            logs.rel.append(acquirer, lock_id, acq_t, provisional=provisional)
             sync.tokens[lock_id] = (False, False, None, 0)
         elif kind == "rel_fix":
             _, acquirer, lock_id, actual_t = op

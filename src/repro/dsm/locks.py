@@ -34,7 +34,8 @@ class LockState:
     has_token: bool = False
     held: bool = False
     rel_vt: Optional[VClock] = None  # vt snapshot at last release here
-    successor: Optional[Tuple[int, VClock, int]] = None  # (acquirer, acq_vt, seq)
+    #: (acquirer, acq_vt, seq); acq_vt None when the stamp was lost
+    successor: Optional[Tuple[int, Optional[VClock], int]] = None
     #: acquirer -> highest request seq this process has granted; makes
     #: re-issued forwards after a recovery idempotent
     granted: Dict[int, int] = field(default_factory=dict)
@@ -44,6 +45,9 @@ class LockState:
 class ChainEntry:
     acquirer: int
     seq: int
+    #: the vector time the queued request carried; ``None`` for an entry
+    #: rebuilt after a crash, whose request died with the old manager
+    acq_vt: Optional[VClock] = None
 
 
 class LockManagerState:
@@ -57,10 +61,12 @@ class LockManagerState:
     def is_duplicate(self, acquirer: int, seq: int) -> bool:
         return seq <= self.last_seq.get(acquirer, -1)
 
-    def append(self, acquirer: int, seq: int) -> int:
+    def append(
+        self, acquirer: int, seq: int, acq_vt: Optional[VClock] = None
+    ) -> int:
         """Record a new request; returns the previous chain tail (forward target)."""
         prev = self.chain[-1].acquirer
-        self.chain.append(ChainEntry(acquirer, seq))
+        self.chain.append(ChainEntry(acquirer, seq, acq_vt))
         self.last_seq[acquirer] = seq
         self._prune()
         return prev

@@ -130,11 +130,15 @@ class LockAcquireReq(Message):
 
 @dataclass
 class LockForward(Message):
-    """Lock manager -> last requester (distributed queueing)."""
+    """Lock manager -> last requester (distributed queueing).
+
+    ``acq_vt`` is the stamp of the acquirer's request, or ``None`` on a
+    repair forward whose request stamp did not survive a crash.
+    """
 
     lock_id: int = 0
     acquirer: int = 0
-    acq_vt: VClock = None  # type: ignore[assignment]
+    acq_vt: Optional[VClock] = None
     seq: int = 0
     category: str = "lock"
 
@@ -171,6 +175,9 @@ class LockGrant(Message):
     ``seq`` echoes the acquire request's sequence number: a recovered
     process uses it to discard queued grants whose acquire its replay
     already accounted for (the token must not be duplicated).
+    ``provisional`` says the grantor did not know the request's stamp and
+    logged a prediction, which the acquirer confirms with an
+    :class:`AcqAck`; the bit rides in the 12 fixed bytes.
     """
 
     lock_id: int = 0
@@ -178,6 +185,7 @@ class LockGrant(Message):
     rel_vt: VClock = None  # type: ignore[assignment]
     notices: List[WriteNotice] = field(default_factory=list)
     seq: int = 0
+    provisional: bool = False
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
@@ -253,21 +261,21 @@ class BarrierRelease(Message):
 
 @dataclass
 class AcqAck(Message):
-    """Acquirer -> grantor: the *actual* timestamp of a completed acquire.
+    """Acquirer -> grantor: the *actual* timestamp of a provisional grant.
 
-    The grantor logged a rel-entry with a predicted acquirer timestamp at
-    grant time (it cannot know the acquirer's vt at completion); the
-    acquirer confirms the real one so both halves of the §4.2.1 replicated
-    rel/acq pair converge to the same vector time.  Until this ack lands
-    the grantor's entry is the (componentwise smaller) prediction, which
-    replay joins identically except across a recovery-forced checkpoint —
-    the asymmetry documented in DESIGN.md §7.6.
+    A grantor that knows the request's stamp logs the acquirer's exact
+    post-acquire vt. One that granted on a repair forward whose stamp died
+    in a crash logs a prediction from the zero clock and marks the grant
+    provisional; the acquirer answers only such a grant with this ack,
+    so both halves of the §4.2.1 replicated rel/acq pair converge to the
+    same vector time (DESIGN.md §7.6). Fault-tolerance traffic whole.
     """
 
     lock_id: int = 0
     acquirer: int = 0
     acq_t: VClock = None  # type: ignore[assignment]
     category: str = "lock"
+    all_ft = True
 
     def payload_bytes(self, config: DsmConfig) -> int:
         return 8 + config.vt_bytes()

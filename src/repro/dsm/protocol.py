@@ -87,10 +87,15 @@ class FtHooks:
         """True when homes must twin/diff their own pages (FT logging)."""
         return False
 
-    def on_grant(self, lock_id: int, acquirer: int, acq_t: VClock) -> None:
-        """This process granted ``lock_id``; ``acq_t`` is the acquirer's new vt."""
+    def on_grant(
+        self, lock_id: int, acquirer: int, acq_t: VClock, provisional: bool
+    ) -> None:
+        """This process granted ``lock_id``; ``acq_t`` is the acquirer's new
+        vt, exact unless ``provisional`` (the request's stamp was lost)."""
 
-    def on_acquire_done(self, lock_id: int, grantor: int, acq_t: VClock) -> None:
+    def on_acquire_done(
+        self, lock_id: int, grantor: int, acq_t: VClock, provisional: bool
+    ) -> None:
         """This process completed an acquire granted by ``grantor``."""
 
     def on_self_grant(self, lock_id: int, acq_t: VClock) -> None:
@@ -571,7 +576,9 @@ class DsmProcess:
         self.vt = self.vt.bump(self.pid).join(grant.rel_vt)
         self.stats.lock_acquires += 1
         if not local:
-            self.ft.on_acquire_done(lock_id, grant.grantor, self.vt)
+            self.ft.on_acquire_done(
+                lock_id, grant.grantor, self.vt, grant.provisional
+            )
         if self.bus.on[LOCK_ACQUIRED]:
             self.bus.emit(LOCK_ACQUIRED, self.pid, lock_id, grant.grantor, local)
 
@@ -593,18 +600,29 @@ class DsmProcess:
         yield from self.ft.at_sync_point()
 
     def _grant_to(
-        self, lock_id: int, acquirer: int, acq_vt: VClock, seq: int = 0
+        self, lock_id: int, acquirer: int, acq_vt: Optional[VClock], seq: int = 0
     ) -> None:
+        """Pass the token to ``acquirer``, whose request carried ``acq_vt``.
+
+        The acquirer's vt cannot move while it waits, so its post-acquire
+        vt is exactly ``acq_vt.bump(acquirer).join(rel_vt)``. A forward
+        whose stamp died in a crash has ``acq_vt=None``: the grant ships
+        every notice, logs a prediction from the zero clock and is marked
+        provisional, and only such a grant is confirmed by an ``AcqAck``.
+        """
         st = self.locks.token(lock_id)
         assert st.has_token and not st.held
         st.granted[acquirer] = max(st.granted.get(acquirer, -1), seq)
         rel_vt = st.rel_vt or VClock.zero(self.n)
+        provisional = acq_vt is None
+        if provisional:
+            acq_vt = VClock.zero(self.n)
         notices = self.notices.between(acq_vt, rel_vt)
         # exclude the acquirer's own notices; it has its own writes
         notices = [wn for wn in notices if wn.creator != acquirer]
         grant = LockGrant(
             lock_id=lock_id, grantor=self.pid, rel_vt=rel_vt, notices=notices,
-            seq=seq,
+            seq=seq, provisional=provisional,
         )
         if acquirer == self.pid:
             # forwarded-to-self: the token never leaves; complete locally
@@ -616,7 +634,7 @@ class DsmProcess:
         st.has_token = False
         # mirror the acquirer's post-acquire vt (including its bump)
         acq_t = acq_vt.bump(acquirer).join(rel_vt)
-        self.ft.on_grant(lock_id, acquirer, acq_t)
+        self.ft.on_grant(lock_id, acquirer, acq_t, provisional)
         self._send(acquirer, grant)
         # tell the manager where the token went (recovery bookkeeping)
         self._post(
@@ -789,7 +807,7 @@ class DsmProcess:
         if mgr.in_chain_at_or_after_owner(req.acquirer):
             # re-sent request already queued in the live chain
             return
-        prev = mgr.append(req.acquirer, req.seq)
+        prev = mgr.append(req.acquirer, req.seq, req.acq_vt)
         fwd = LockForward(
             lock_id=req.lock_id, acquirer=req.acquirer, acq_vt=req.acq_vt, seq=req.seq
         )
@@ -1009,13 +1027,18 @@ class DsmProcess:
     def resend_pending(self, recovered: int) -> None:
         """Re-issue requests the failed process may have consumed.
 
-        Called when a :class:`RecoveryDone` for ``recovered`` arrives. All
-        re-sent requests are idempotent: the lock manager dedupes by
-        sequence number, fetches are naturally idempotent, and the barrier
-        manager drops duplicate arrivals.
+        Called when a :class:`RecoveryDone` for ``recovered`` arrives. Each
+        request goes only to the process it was sent to, and only when
+        that is ``recovered``: a lock request lives on in a live manager's
+        chain (a forward lost with ``recovered`` is the manager's to
+        repair), so re-sending it there could only race the grant already
+        on its way. All re-sent requests are idempotent: the lock manager
+        dedupes by sequence number, fetches are naturally idempotent, and
+        the barrier manager drops duplicate arrivals.
         """
         for lock_id, req in list(self._pending_acquires.items()):
-            self._post(self.config.lock_manager(lock_id), req)
+            if self.config.lock_manager(lock_id) == recovered:
+                self._send(recovered, req)
         for page, req in list(self._pending_fetch_req.items()):
             if self.regions.home_of(page) == recovered:
                 self._send(recovered, req)
@@ -1029,7 +1052,9 @@ class DsmProcess:
 
         For every managed lock whose token rests at ``recovered`` and that
         has a waiter after it in the chain, re-send the forward — the
-        original may have been consumed by the failed incarnation.
+        original may have been consumed by the failed incarnation. It
+        carries the stamp the chain kept from the waiter's request, or
+        ``None`` for an entry rebuilt without one.
         """
         for lock_id in self.locks.managed_locks():
             mgr = self.locks.manager(lock_id)
@@ -1041,7 +1066,7 @@ class DsmProcess:
             fwd = LockForward(
                 lock_id=lock_id,
                 acquirer=nxt.acquirer,
-                acq_vt=VClock.zero(self.n),
+                acq_vt=nxt.acq_vt,
                 seq=nxt.seq,
             )
             self._post(recovered, fwd)

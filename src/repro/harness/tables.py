@@ -84,8 +84,9 @@ def table2(
             "% overhead",
             "Paper: % overhead",
         ],
-        note="CGC traffic = piggybacked checkpoint timestamps + p0.v "
-        "advertisements; the paper reports 0.15-0.25 %.",
+        note="CGC traffic = all fault-tolerance bytes: piggybacked "
+        "checkpoint timestamps + p0.v advertisements, and AcqAcks (none "
+        "in a failure-free run); the paper reports 0.15-0.25 %.",
     )
     for name, (_base, ft) in experiments.items():
         traffic = ft.result.traffic

@@ -254,28 +254,27 @@ class RecoverabilityChecker:
 
         * entries at or below ``own_cut`` (``i``'s checkpoint cut) are
           dead and may linger until ``i``'s next LLT pass — skipped;
-        * a grantor logs the grant-time prediction of the acquire stamp,
-          which the acquirer's AcqAck corrects when they diverge; entries
-          match on lock id plus the grantor's own vt component, and must
-          agree exactly once the run has quiesced (``final``), within
-          prediction <= actual before. A missing match is flagged only
-          when the grantor keeps an *older* grant for us: trimming drops
-          a prefix in grant order, so an older one kept and a newer one
-          missing is a loss;
+        * entries match on lock id plus the grantor's own vt component
+          and must agree exactly, at every scan. Only a *provisional*
+          grant (made without the request's stamp) logs a prediction,
+          which the acquirer's AcqAck corrects: until the run has
+          quiesced (``final``) it may be prediction <= actual. A missing
+          match is flagged only when the grantor keeps an *older* grant
+          for us: trimming drops a prefix in grant order, so an older
+          one kept and a newer one missing is a loss;
         * a self-grant (``local``) pairs with its holder ``g``, but ``i``
           logs its half before the notification to ``g`` is sent: its
           twin is demanded only at quiescence with nothing in flight.
         """
-        theirs: Dict[Tuple[int, int], List[VClock]] = {}
+        theirs: Dict[Tuple[int, int], List[Any]] = {}
         oldest_rel = None
         for e in rel:
             if e.local:
                 continue
-            t = e.acq_t
-            own = t[g]
+            own = e.acq_t[g]
             if oldest_rel is None or own < oldest_rel:
                 oldest_rel = own
-            theirs.setdefault((e.lock_id, own), []).append(t)
+            theirs.setdefault((e.lock_id, own), []).append(e)
         # the periodic scans never ask for a self-grant's twin
         mirrors: Optional[Set[Tuple[int, VClock]]] = None
         if final and not self.cluster.network.inflight_msgs:
@@ -306,30 +305,31 @@ class RecoverabilityChecker:
                         "lost an entry",
                     )
                     return False
-            elif final:
-                if actual not in logged:
-                    self._violate(
-                        i, f"p{g}'s rel_log[{i}] entry for lock "
-                        f"{e.lock_id} does not exactly match "
-                        f"the acquirer's actual timestamp "
-                        f"{tuple(actual)} after quiescence — "
-                        "the §4.2.1 pair disagrees (AcqAck "
-                        "fix-up lost)",
-                    )
-                    return False
+                continue
+            if any(r.acq_t == actual for r in logged):
+                continue
+            if not final and any(
+                r.provisional and r.acq_t.leq(actual) for r in logged
+            ):
+                continue  # a provisional grant's AcqAck is on its way
+            if all(r.acq_t.leq(actual) for r in logged):
+                self._violate(
+                    i, f"p{g}'s rel_log[{i}] entry for lock "
+                    f"{e.lock_id} does not exactly match "
+                    f"the acquirer's actual timestamp {tuple(actual)}"
+                    + (" after quiescence" if final else "")
+                    + " — the §4.2.1 pair disagrees (a wrong grant "
+                    "stamp, or an AcqAck fix-up lost)",
+                )
             else:
-                for t in logged:
-                    if t.leq(actual):
-                        break
-                else:
-                    self._violate(
-                        i, f"p{g}'s rel_log[{i}] entry for lock "
-                        f"{e.lock_id} stamps a timestamp beyond "
-                        f"the acquirer's actual {tuple(actual)} "
-                        "— the grantor logged an acquire that "
-                        "never happened",
-                    )
-                    return False
+                self._violate(
+                    i, f"p{g}'s rel_log[{i}] entry for lock "
+                    f"{e.lock_id} stamps a timestamp beyond "
+                    f"the acquirer's actual {tuple(actual)} "
+                    "— the grantor logged an acquire that "
+                    "never happened",
+                )
+            return False
         return True
 
     def _scan_replicas(self, final: bool) -> None:

@@ -95,7 +95,7 @@ class TrafficStats:
 
     @property
     def base_bytes(self) -> int:
-        """Protocol traffic excluding the FT piggyback component."""
+        """Protocol traffic excluding the fault-tolerance bytes."""
         return self.total_bytes - self.ft_bytes
 
     def ft_overhead_percent(self) -> float:

@@ -457,11 +457,13 @@ LIVE_SWITCH_PINS = {
     "owed_grant_is_not_a_second_token": (
         "kvstore", 0, 8, True, (332, 4), (587, 5)),
     "owed_grant_completes_the_replayed_acquire": (
-        "session", 9, 8, True, (2429, 3), (2447, 4)),
+        "session", 7, 8, True, (1434, 5), (1865, 6)),
     "owed_grant_carries_its_notices": (
-        "session", 0, 8, True, (2566, 6), (2586, 7)),
+        "session", 3, 8, True, (624, 2), (655, 3)),
     "no_answer_taken_from_a_rebuilding_responder": (
-        "kvstore", 1, 4, False, (115, 0), (171, 2)),
+        "session", 9, 4, False, (473, 2), (549, 3)),
+    "spent_successor_pointer_is_not_a_waiter": (
+        "session", 42, 8, True, (1427, 1), (1676, 3)),
 }
 
 
@@ -488,7 +490,7 @@ def test_overlapping_recoveries_keep_one_token(pin):
         assert res.outcome == "recovered", res.error
     else:
         assert res.outcome == "degraded", res.error
-        assert "depends on p2, which failed" in res.error
+        assert f"depends on p{victim}, which failed" in res.error
 
 
 #: one pinned 2-node point per symptom of DESIGN.md §6 root causes 4 and
@@ -504,10 +506,10 @@ TWO_NODE_PINS = {
     # LLT trimmed every episode before the manager's checkpoint: its
     # episode count comes from that checkpoint
     "session_manager_count_from_checkpoint": (
-        "session", 1, 0.02, (214, 1), ("sequential", 238, 0)),
+        "session", 1, 0.02, (131, 1), ("sequential", 244, 0)),
     # a self-grant mirror drained at the live switch below the Rule 2 bound
     "session_late_self_grant_mirror_trimmed": (
-        "session", 1, 0.02, (71, 0), ("sequential", 185, 1)),
+        "session", 1, 0.02, (65, 0), ("sequential", 175, 1)),
 }
 
 

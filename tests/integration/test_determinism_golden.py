@@ -77,21 +77,22 @@ GOLDEN = {
         ),
     },
     ("counter", True): {
-        # re-recorded when grantors began logging the acquirer's *actual*
-        # acquire timestamp (AcqAck, DESIGN.md §7.6): one extra lock-class
-        # message per remote acquire, and the timing shift nudges page
-        # traffic
-        "wall_time_hex": "0x1.1b301f578928ap-5",
-        "total_bytes": 57800,
-        "total_msgs": 179,
+        # re-recorded when a grantor that knows the request's stamp began
+        # logging the acquirer's exact timestamp: only a provisional grant
+        # is confirmed by an AcqAck (DESIGN.md §7.6), so a failure-free
+        # run sends none (lock 46 -> 36 msgs, as many as without FT), and
+        # the timing shift nudges page traffic
+        "wall_time_hex": "0x1.1afb915b5c9cdp-5",
+        "total_bytes": 57240,
+        "total_msgs": 169,
         "bytes_by_category": {
-            "barrier": 2984, "diff": 630, "lock": 3596, "page": 50590,
+            "barrier": 2984, "diff": 630, "lock": 2838, "page": 50788,
         },
-        "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 46, "page": 88},
-        "steps": 544,
+        "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 36, "page": 88},
+        "steps": 530,
         "events_sha256": (
-            "5c9b5c2c66dc2591c430ed2c176f9b11"
-            "f71672dada0e1c2b458bd4afe89d8485"
+            "db0e752b7588d6e8a5e08b34b617c70b"
+            "8b83224d60199d000d372e026e7fe4a2"
         ),
     },
     # Barnes, recorded on the parent of the commit that rewrote its force
@@ -115,19 +116,21 @@ GOLDEN = {
         ),
     },
     ("barnes", True): {
-        "wall_time_hex": "0x1.d1a290df4db14p-5",
-        "total_bytes": 889743,
-        "total_msgs": 1975,
+        # re-recorded with the counter pin above: no AcqAck (lock 283 ->
+        # 219 msgs, the base run's)
+        "wall_time_hex": "0x1.d0821fa5a4982p-5",
+        "total_bytes": 887295,
+        "total_msgs": 1913,
         "bytes_by_category": {
-            "barrier": 16416, "diff": 77741, "lock": 21460, "page": 774126,
+            "barrier": 16416, "diff": 77741, "lock": 17876, "page": 775262,
         },
         "msgs_by_category": {
-            "barrier": 72, "diff": 258, "lock": 283, "page": 1362,
+            "barrier": 72, "diff": 258, "lock": 219, "page": 1364,
         },
-        "steps": 5582,
+        "steps": 5506,
         "events_sha256": (
-            "2b53d4ca442fc8301fb8d3a5c835b89a"
-            "914aabba9ab196ebda6bc9a5670aa62a"
+            "8378917b1cb001dffc4e0f5918776201"
+            "d70c1ad20198c20098b14d6c77c28440"
         ),
     },
     # buddy replication on (DESIGN.md §9): the replica stream is its own
@@ -138,21 +141,23 @@ GOLDEN = {
     # self-grant mirror is a 40-byte grant entry, no longer a bare vt
     ("counter", "ft-repl"): {
         # re-recorded when the barrier manager's second barrier log went:
-        # its replica images no longer ship it (4 episodes x 32 B)
-        "wall_time_hex": "0x1.2042dd88524dfp-5",
-        "total_bytes": 157428,
-        "total_msgs": 311,
+        # its replica images no longer ship it (4 episodes x 32 B); and
+        # again when exact grant stamps dropped the AcqAcks (lock 46 ->
+        # 36 msgs) and the rel_fix ops they shipped (replica 132 -> 122)
+        "wall_time_hex": "0x1.200088e6eee1ap-5",
+        "total_bytes": 155988,
+        "total_msgs": 291,
         "bytes_by_category": {
-            "barrier": 2962, "diff": 608, "lock": 3354, "page": 50348,
-            "replica": 100156,
+            "barrier": 2928, "diff": 586, "lock": 2794, "page": 50348,
+            "replica": 99332,
         },
         "msgs_by_category": {
-            "barrier": 36, "diff": 9, "lock": 46, "page": 88, "replica": 132,
+            "barrier": 36, "diff": 9, "lock": 36, "page": 88, "replica": 122,
         },
-        "steps": 692,
+        "steps": 667,
         "events_sha256": (
-            "2a260ccdd07505ea48ab4a90c3b17bbb"
-            "5a5bb01468c74c7a9f9c93ecaf97ab00"
+            "a559149e5b73d2b75dbfaaa48c2fdbab"
+            "2c25ba7bfc4d34991eef4a00f4379f80"
         ),
     },
 }
@@ -360,39 +365,45 @@ def test_golden_unchanged_with_monitor_attached():
 CRASH_GOLDEN = {
     False: {
         # re-recorded when the barrier manager's second barrier log went:
-        # its handshake reply carries each episode once (-32 B, -0.32 us)
-        "wall_time_hex": "0x1.b7bf25580165dp-5",
-        "total_bytes": 33035,
-        "total_msgs": 238,
+        # its handshake reply carries each episode once (-32 B, -0.32 us);
+        # and when exact grant stamps dropped the AcqAcks (lock 160 -> 127
+        # msgs; the crash step now falls later in the run) and a pending
+        # lock request went to a recovered process only when it is the
+        # lock's manager (one re-sent LockAcquireReq fewer)
+        "wall_time_hex": "0x1.b7a672328daf5p-5",
+        "total_bytes": 31183,
+        "total_msgs": 205,
         "bytes_by_category": {
-            "barrier": 976, "diff": 858, "lock": 9488, "page": 17040,
+            "barrier": 976, "diff": 858, "lock": 7636, "page": 17040,
             "recovery": 4673,
         },
         "msgs_by_category": {
-            "barrier": 12, "diff": 13, "lock": 160, "page": 30, "recovery": 23,
+            "barrier": 12, "diff": 13, "lock": 127, "page": 30, "recovery": 23,
         },
-        "steps": 570,
+        "steps": 542,
         "events_sha256": (
-            "8c4842a65fe85b6704a064a74304d741"
-            "ee8e3d5f79ad281c7a46d9946eca773f"
+            "6d52b5f0ef837c4f9569d04649bd0c73"
+            "7e4167ea9a99b399c27acb864477f543"
         ),
     },
     True: {
-        "wall_time_hex": "0x1.c49dd1b1fae6cp-5",
-        "total_bytes": 56895,
-        "total_msgs": 461,
+        # re-recorded with the one above (lock 176 -> 138 msgs, replica
+        # 205 -> 169: no rel_fix ops)
+        "wall_time_hex": "0x1.c4bef7d5b462bp-5",
+        "total_bytes": 52727,
+        "total_msgs": 389,
         "bytes_by_category": {
-            "barrier": 1040, "diff": 858, "lock": 10336, "page": 18176,
-            "recovery": 4014, "replica": 22471,
+            "barrier": 1040, "diff": 858, "lock": 8200, "page": 19312,
+            "recovery": 4014, "replica": 19303,
         },
         "msgs_by_category": {
-            "barrier": 12, "diff": 13, "lock": 176, "page": 32, "recovery": 23,
-            "replica": 205,
+            "barrier": 12, "diff": 13, "lock": 138, "page": 34, "recovery": 23,
+            "replica": 169,
         },
-        "steps": 825,
+        "steps": 747,
         "events_sha256": (
-            "4c518a4a5a2bad94ee9c812fc83918ac"
-            "cc454dc451059761dd503c01731e9c9b"
+            "0f7bce8a65c7c58e149475bb73d311ff"
+            "36f02f3e8a8620f77591f89e6e73c4a9"
         ),
     },
 }

@@ -224,3 +224,36 @@ def test_rel_acq_entry_counts_equal_the_scan():
     logs.rel.clear(), logs.acq.clear()
     assert (logs.rel.count(), logs.acq.count()) == (0, 0)
     assert not any(logs.rel.entries) and not any(logs.acq.entries)
+
+
+@pytest.mark.parametrize("name", ["counter", "kvstore", "session", "barnes"])
+def test_exact_grant_stamps_need_no_acq_ack(name):
+    """Every grant of a failure-free run is made from the request's
+    stamp, so the grantor logs the acquirer's actual post-acquire vt: the
+    two halves of each §4.2.1 pair are equal when the acquire completes,
+    and no AcqAck (nor the ``rel_fix`` replica op one would ship) is
+    sent."""
+    from repro.dsm.messages import AcqAck, ReplicaUpdate
+    from repro.sim.trace import LOCK_ACQUIRED, SEND
+
+    cluster = make_cluster(
+        num_procs=4, ft=True, ft_config=FtConfig(replicate=True)
+    )
+    bus, hosts = cluster.engine.bus, cluster.hosts
+    sent, pairs = [], []
+    bus.subscribe(SEND, lambda src, dst, msg: sent.append(msg))
+
+    def acquired(pid, lock_id, grantor, local):
+        if not local:
+            entry = hosts[grantor].ft.logs.rel.entries[pid][-1]
+            pairs.append((entry.lock_id, entry.acq_t, entry.provisional))
+            assert pairs[-1] == (lock_id, hosts[pid].proto.vt, False)
+
+    bus.subscribe(LOCK_ACQUIRED, acquired)
+    cluster.run(make_app(name))
+    cluster.engine.run()  # drain what the app's end left in flight
+    assert pairs, "no remote grant: nothing was checked"
+    assert not [m for m in sent if isinstance(m, AcqAck)]
+    ops = [m.body[0] for m in sent
+           if isinstance(m, ReplicaUpdate) and m.kind == "op"]
+    assert "rel" in ops and "rel_fix" not in ops

@@ -230,6 +230,53 @@ def test_crash_during_recovery_restarts_recovery(golden):
     assert cluster.hosts[3].live and cluster.hosts[3].finished
 
 
+def test_a_repaired_forward_carries_the_waiters_stamp(monkeypatch):
+    """p1 fail-stopped after step 200 of a 4-node counter run, holding
+    lock 0's token with p2 queued behind it; the forward died with p1.
+    The manager keeps each request's stamp in its chain, so the forward
+    it repairs carries p2's own: p1's grant is exact (not provisional),
+    ships only the notices after that stamp, and draws no AcqAck."""
+    from repro.dsm.messages import AcqAck, LockForward, LockGrant
+    from repro.dsm.protocol import DsmProcess
+    from repro.observe import InvariantMonitor
+    from repro.sim.trace import SEND
+
+    cluster = make_cluster(num_procs=4, ft=True)
+    monitor = InvariantMonitor(cluster, ring_size=0)
+    sent, repaired = [], []
+    cluster.engine.bus.subscribe(SEND, lambda *e: sent.append(e))
+    repair, post = DsmProcess.repair_forwards_for, DsmProcess._post
+
+    def repair_with_spy(proto, recovered):
+        def spy(dst, msg):
+            if isinstance(msg, LockForward):
+                pending = cluster.hosts[msg.acquirer].proto._pending_acquires
+                repaired.append((dst, msg, pending[msg.lock_id].acq_vt))
+            post(proto, dst, msg)
+
+        proto._post = spy
+        try:
+            repair(proto, recovered)
+        finally:
+            del proto._post
+
+    monkeypatch.setattr(DsmProcess, "repair_forwards_for", repair_with_spy)
+    cluster.schedule_crash_at_step(1, 200)
+    res = cluster.run(make_app("counter"))
+    assert res.crashes == res.recoveries == 1
+    assert monitor.finish() == []
+    [(dst, fwd, stamp)] = repaired
+    assert (dst, fwd.lock_id, fwd.acquirer) == (1, 0, 2)
+    assert fwd.acq_vt is stamp  # the waiter's request stamp, kept
+    [grant] = [
+        m for src, to, m in sent
+        if isinstance(m, LockGrant) and (src, to, m.seq) == (1, 2, fwd.seq)
+    ]
+    assert not grant.provisional and grant.notices
+    assert all(wn.interval > stamp[wn.creator] for wn in grant.notices)
+    assert not [m for _, _, m in sent if isinstance(m, AcqAck)]
+
+
 # ---------------------------------------------------------------------------
 # schedules that used to lose updates (DESIGN.md §6, "root causes")
 # ---------------------------------------------------------------------------
@@ -261,12 +308,13 @@ def test_kvstore_32_procs_crash_p5_at_half_verifies(kvstore_32_free):
     assert res.crashes == 1 and res.recoveries == 1
 
 
-def test_kvstore_32_procs_crash_p1_at_step_2192_keeps_one_token():
-    """p1 manages L1 but had not touched it when it fail-stopped; its
-    recovery used to leave the placement to ``LockTable.token()``'s lazy
-    "the manager starts with the token" while p30 held the real one, and
-    the two holders overwrote p15's ``+5`` (``kv total 1028.0 != 1033.0``)."""
-    res = kvstore_32_run(lambda c: c.schedule_crash_at_step(1, 2192))
+def test_kvstore_32_procs_crash_of_an_untouched_manager_keeps_one_token():
+    """p1 manages L1 but had not touched it when it fail-stopped after
+    step 2100; its recovery used to leave the placement to
+    ``LockTable.token()``'s lazy "the manager starts with the token" while
+    p30 held the real one, and the two holders overwrote p15's ``+5``
+    (``kv total 1028.0 != 1033.0``)."""
+    res = kvstore_32_run(lambda c: c.schedule_crash_at_step(1, 2100))
     assert res.crashes == 1 and res.recoveries == 1
 
 

@@ -350,11 +350,13 @@ def test_checkpoint_restored_log_and_buddy_image_share_the_live_records():
     ]
 
 
-#: p1 fail-stopped after engine step 244: its recovery's repair forward
-#: makes a grantor's predicted acquire timestamp differ from the actual
-#: one, so a ``rel_fix`` op really rewrites an entry (failure-free runs,
-#: and most crash points, never do)
-SESSION_CRASH = (1, 244)
+#: p0 fail-stopped after engine step 51: the forward it had consumed
+#: for lock 0, which it manages, died with it, so at its live switch it
+#: grants its resting token to the waiting p3 without the request's
+#: stamp. That grant is provisional, p3's AcqAck changes the logged
+#: prediction, and a ``rel_fix`` op really rewrites an entry
+#: (failure-free runs, and most crash points, send no AcqAck at all)
+SESSION_CRASH = (0, 51)
 
 
 @pytest.mark.parametrize(

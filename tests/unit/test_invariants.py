@@ -36,7 +36,7 @@ from repro.dsm.vclock import VClock
 from repro.observe.invariants import monitor as monitor_mod
 from repro.observe.invariants import recoverability
 from repro.sim.engine import Engine
-from repro.sim.trace import RECOVERY_ANNOTATE
+from repro.sim.trace import DELIVER, LOCK_ACQUIRED, RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
 from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
 
@@ -259,6 +259,13 @@ def test_incremental_scan_matches_full_scan_fuzz(seed, frac, scan_every):
     assert got == want == []
 
 
+#: p0 fail-stopped after engine step 404 of the 4-node session run: at
+#: its live switch it grants a lock it manages on a repair forward whose
+#: request stamp died with it, and that provisional grant draws an
+#: AcqAck (a failure-free run sends none)
+CONFIRMED_CRASH = (0, 404)
+
+
 def corrupt_first_confirm(cluster):
     """Sabotage only a replaced bucket can show: the first AcqAck any
     grantor handles leaves a rel entry stamped *beyond* the acquirer's
@@ -287,6 +294,80 @@ def corrupt_first_confirm(cluster):
         rel.confirm = confirm
 
     cluster._install_ft = install
+
+
+def mislogged_grants(cluster, stamp_of):
+    """Seeded mutation: every grantor logs ``stamp_of(acq_vt, acquirer,
+    rel_vt)`` for a grant instead of the acquirer's actual timestamp,
+    ``acq_vt.bump(acquirer).join(rel_vt)``, and marks nothing
+    provisional."""
+    orig_install = cluster._install_ft
+
+    def install(host):
+        orig_install(host)
+        proto, ft = host.proto, host.ft
+        grant_to, on_grant = proto._grant_to, ft.on_grant
+
+        def mislogged(lock_id, acquirer, acq_vt, seq=0):
+            zero = VClock.zero(proto.n)
+            rel_vt = proto.locks.token(lock_id).rel_vt or zero
+            logged = stamp_of(acq_vt or zero, acquirer, rel_vt)
+            ft.on_grant = lambda lock, acq, _acq_t, _prov: on_grant(
+                lock, acq, logged, False
+            )
+            try:
+                grant_to(lock_id, acquirer, acq_vt, seq)
+            finally:
+                del ft.on_grant
+
+        proto._grant_to = mislogged
+
+    cluster._install_ft = install
+
+
+MISLOGGED = {
+    # the release vt never joined: the grantor's own component is stale,
+    # so the acquire looks missing behind an older-looking grant
+    "unjoined": (lambda acq_vt, acquirer, rel_vt: acq_vt.bump(acquirer),
+                 "is missing from"),
+    # the request's stamp ignored, as for a lost one, but not marked
+    # provisional: no AcqAck will come, and a prediction <= actual is
+    # no longer allowed for an exact grant
+    "unstamped": (lambda acq_vt, acquirer, rel_vt:
+                  VClock.zero(len(acq_vt.v)).bump(acquirer).join(rel_vt),
+                  "does not exactly match the acquirer's actual"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(MISLOGGED))
+def test_a_mislogged_grant_is_caught_at_the_first_scan(mutation):
+    """Every grant made from a known stamp is exact, so the pair check
+    demands equality at every scan, not only after quiescence: the first
+    scan after the first acquire whose logged stamp differs from the
+    actual one names that pair."""
+    stamp_of, says = MISLOGGED[mutation]
+    cluster = make_cluster(num_procs=4, ft=True)
+    mislogged_grants(cluster, stamp_of)
+    monitor = InvariantMonitor(cluster)
+    engine, bus = cluster.engine, cluster.engine.bus
+    wrong, delivered = [], []
+
+    def acquired(pid, lock_id, grantor, local):
+        logged = cluster.hosts[grantor].ft.logs.rel.entries[pid][-1].acq_t
+        if not local and not wrong and logged != cluster.hosts[pid].proto.vt:
+            wrong.append((engine.steps, pid, grantor))
+
+    bus.subscribe(LOCK_ACQUIRED, acquired)
+    bus.subscribe(DELIVER, lambda *_: delivered.append(engine.steps))
+    with cadence(1), contextlib.suppress(Exception):
+        cluster.run(make_app("session"))
+    assert wrong, "no logged stamp was wrong: the mutation did not fire"
+    step, acquirer, grantor = wrong[0]
+    first = monitor.violations[0]
+    assert (first.invariant, first.pid) == ("recoverability", acquirer)
+    assert f"p{grantor}'s rel_log[{acquirer}]" in first.detail
+    assert says in first.detail and "quiescence" not in first.detail
+    assert first.step == min(d for d in delivered if d > step)
 
 
 class BlindToReplacedBuckets(recoverability.RecoverabilityChecker):
@@ -318,7 +399,8 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
         cluster = make_cluster(num_procs=4, ft=True)
         corrupt_first_confirm(cluster)
         return both_ways(
-            cluster, make_app("session"), 1, monitor_cls=monitor_cls
+            cluster, make_app("session"), 1, monitor_cls=monitor_cls,
+            crashes=(CONFIRMED_CRASH,),
         )
 
     got, want = run(InvariantMonitor)

@@ -271,12 +271,12 @@ def test_confirm_skips_a_self_grant_mirror_with_the_same_identity():
     """A mirror can share (lock, acq_t[holder]) with a real grant: the
     AcqAck must patch the grant, never the mirror."""
     rel = GrantLog(N)  # owned by process 3
-    rel.append(2, 7, vt(0, 0, 4, 5))  # real grant, predicted timestamp
+    rel.append(2, 7, vt(0, 0, 4, 5), provisional=True)  # predicted timestamp
     rel.append(2, 7, vt(0, 0, 6, 5), local=True)  # later self-grant of p2
     actual = vt(1, 0, 4, 5)
     assert rel.confirm(2, 7, actual, own_pid=3)
     real, mirror = rel.for_peer(2)
-    assert real.acq_t == actual and not real.local
+    assert real.acq_t == actual and not real.local and not real.provisional
     assert mirror.acq_t == vt(0, 0, 6, 5) and mirror.local
     assert rel.count() == 2
 
@@ -284,19 +284,37 @@ def test_confirm_skips_a_self_grant_mirror_with_the_same_identity():
 def test_a_changing_confirm_replaces_the_bucket_and_leaves_the_old_list():
     """A bucket list is never edited: whoever holds it (a scan's
     signature, a checkpoint's copy) keeps reading what it held. A confirm
-    that changes an entry installs a new list; one that changes nothing
-    keeps the bucket."""
+    that changes an entry installs a new list and says so; one that
+    changes nothing keeps the bucket and returns False, so no ``rel_fix``
+    replica op is shipped for it."""
     rel = GrantLog(N)  # owned by process 3
     predicted, actual = vt(0, 0, 4, 5), vt(1, 0, 4, 5)
-    rel.append(2, 7, predicted)
+    rel.append(2, 7, predicted, provisional=True)
     held = rel.entries[2]
     assert rel.confirm(2, 7, actual, own_pid=3)
     assert [e.acq_t for e in held] == [predicted]
     assert rel.entries[2] is not held
-    assert [e.acq_t for e in rel.entries[2]] == [actual]
+    assert [(e.acq_t, e.provisional) for e in rel.entries[2]] == [(actual, False)]
     unchanged = rel.entries[2]
-    assert rel.confirm(2, 7, actual, own_pid=3)
+    assert not rel.confirm(2, 7, actual, own_pid=3)
     assert rel.entries[2] is unchanged
+
+
+def test_confirm_rewrites_only_what_it_changes():
+    """An exact grant entry is left alone (False, same bucket); a
+    provisional one whose prediction happens to be the actual stamp is
+    rewritten all the same, to clear its flag."""
+    rel = GrantLog(N)  # owned by process 3
+    exact = vt(1, 0, 4, 5)
+    rel.append(2, 7, exact)
+    held = rel.entries[2]
+    assert not rel.confirm(2, 7, exact, own_pid=3)
+    assert rel.entries[2] is held
+    rel.append(1, 7, exact, provisional=True)
+    assert rel.confirm(1, 7, exact, own_pid=3)
+    assert [(e.acq_t, e.provisional) for e in rel.entries[1]] == [(exact, False)]
+    # nothing left to confirm: the entry was trimmed under Rule 2
+    assert not rel.confirm(0, 7, exact, own_pid=3)
 
 
 @given(

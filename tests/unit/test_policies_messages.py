@@ -136,6 +136,19 @@ def test_grant_size_scales_with_notices():
     assert g2.wire_size(CFG)[0] > g0.wire_size(CFG)[0]
 
 
+def test_provisional_bit_rides_in_the_grant_fixed_fields():
+    """Marking a grant provisional costs no wire byte; the AcqAck that
+    confirms it is fault-tolerance traffic whole."""
+    wn = WriteNotice(0, 1, P, VT)
+    exact = LockGrant(lock_id=0, grantor=0, rel_vt=VT, notices=[wn])
+    provisional = LockGrant(
+        lock_id=0, grantor=0, rel_vt=VT, notices=[wn], provisional=True
+    )
+    assert provisional.wire_size(CFG) == exact.wire_size(CFG)
+    size, ft = AcqAck(lock_id=3, acquirer=1, acq_t=VT).wire_size(CFG)
+    assert ft == size - CFG.msg_header > 0
+
+
 def test_diff_msg_size_includes_diff():
     d = Diff(((0, b"\x01" * 10),))
     m = DiffMsg(page=P, writer=0, diff=d, diff_vt=VT)
@@ -202,8 +215,10 @@ def _old_pair(msg, config):
     them before ``wire_size`` replaced both."""
     pb = msg.piggyback.size_bytes(config) if msg.piggyback else 0
     payload = msg.payload_bytes(config)
-    if isinstance(msg, (ReplicaUpdate, ReplicaAck)):
-        # the whole message is FT overhead traffic
+    if isinstance(msg, (ReplicaUpdate, ReplicaAck, AcqAck)):
+        # the whole message is FT overhead traffic (an AcqAck is sent by
+        # the FT layer only: counted as FT since it stopped riding on the
+        # base protocol's lock traffic)
         return config.msg_header + payload + pb, payload + pb
     return config.msg_header + payload + pb, pb
 

@@ -148,3 +148,30 @@ def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
     assert summary.startswith("traced heap ") and "at the peak of one body" in summary
     assert "near the first pass's peak" in summary
     assert "held by the toy body" in top
+
+
+def test_message_mix_counts_every_send_and_splits_replica_ops(capsys):
+    """``--messages``: one row per message type, a ``ReplicaUpdate`` per
+    kind (an ``op`` per log event), adding up to what the network saw;
+    ``Network.send`` is itself again afterwards."""
+    from repro.core import FtConfig
+    from repro.sim.network import Network
+    from tests.conftest import make_app, make_cluster
+
+    mod = _load()
+    send = Network.send
+    clusters = []
+
+    def body():
+        cluster = make_cluster(4, ft=True, ft_config=FtConfig(replicate=True))
+        clusters.append(cluster)
+        cluster.run(make_app("counter"))
+
+    assert mod.report_messages(body, rows=100) == 0
+    assert Network.send is send
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    counts = {row[-1]: int(row[0]) for row in rows}
+    traffic = clusters[0].network.traffic
+    assert counts.pop("total") == traffic.total_msgs == sum(counts.values())
+    assert counts["LockGrant"] > 0 and counts["ReplicaUpdate[rel]"] > 0
+    assert "ReplicaUpdate" not in counts and "AcqAck" not in counts
