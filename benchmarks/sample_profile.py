@@ -31,7 +31,11 @@ times slower.
 ``--messages`` asks what one body sends instead: count and simulated
 bytes per message type, ``ReplicaUpdate`` split by its kind (an ``op`` by
 the log event it carries), so a traffic claim can show its message mix.
-Writes nothing.
+Two more columns show the vector timestamps a type carries in its fields
+and piggyback: the MB they cost on the wire, and the MB the same stamps
+would cost sent dense (4 B per component); a ``DiffMsg``'s interval is
+counted as its stamp. Stamps inside replica images and recovery answers
+are part of those bodies' sizes and are not split out. Writes nothing.
 """
 
 from __future__ import annotations
@@ -183,13 +187,34 @@ def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> i
     return 0
 
 
+def stamp_bytes(payload: object, n: int) -> Tuple[int, int]:
+    """``(on the wire, dense)`` bytes of the vector timestamps one message
+    carries in its fields and piggyback, on an ``n``-node cluster."""
+    from repro.dsm.messages import DiffMsg
+    from repro.dsm.vclock import COMPONENT_BYTES, VClock
+
+    stamps = [v for v in vars(payload).values() if type(v) is VClock]
+    pb = payload.piggyback
+    if pb is not None:
+        stamps += [tckp for _proc, tckp, _bar_ep in pb.tckps]
+    wire = sum(t.wire_bytes() for t in stamps)
+    dense = COMPONENT_BYTES * n * len(stamps)
+    if type(payload) is DiffMsg:  # the interval stands for the writer's clock
+        wire += COMPONENT_BYTES
+        dense += COMPONENT_BYTES * n
+    return wire, dense
+
+
 def report_messages(body: Callable[[], object], rows: int) -> int:
-    """Run one body counting every ``Network.send``: count and simulated
-    wire bytes per message type, most bytes first."""
+    """Run one body counting every ``Network.send``: count, simulated
+    wire bytes and stamp bytes (sent, and dense) per message type, most
+    bytes first."""
     from repro.sim.network import Network
 
     counts: Counter = Counter()
     sizes: Counter = Counter()
+    stamps: Counter = Counter()
+    dense: Counter = Counter()
     send = Network.send
 
     def counting_send(self, src, dst, payload, size, category, ft_bytes=0):
@@ -199,6 +224,9 @@ def report_messages(body: Callable[[], object], rows: int) -> int:
             name += f"[{payload.body[0] if kind == 'op' else kind}]"
         counts[name] += 1
         sizes[name] += size
+        wire, full = stamp_bytes(payload, self.n)
+        stamps[name] += wire
+        dense[name] += full
         return send(self, src, dst, payload, size, category, ft_bytes)
 
     Network.send = counting_send
@@ -207,13 +235,20 @@ def report_messages(body: Callable[[], object], rows: int) -> int:
     finally:
         Network.send = send
     total_n, total_b = sum(counts.values()), sum(sizes.values())
-    print(f"{'msgs':>9} {'msg %':>6} {'sim MB':>9} {'MB %':>6}  message type")
+    print(
+        f"{'msgs':>9} {'msg %':>6} {'sim MB':>9} {'MB %':>6} "
+        f"{'stamp MB':>9} {'dense MB':>9}  message type"
+    )
     for name, nbytes in sizes.most_common(rows):
         print(
             f"{counts[name]:9d} {100 * counts[name] / total_n:6.1f} "
-            f"{nbytes / 1e6:9.3f} {100 * nbytes / total_b:6.1f}  {name}"
+            f"{nbytes / 1e6:9.3f} {100 * nbytes / total_b:6.1f} "
+            f"{stamps[name] / 1e6:9.3f} {dense[name] / 1e6:9.3f}  {name}"
         )
-    print(f"{total_n:9d} {100.0:6.1f} {total_b / 1e6:9.3f} {100.0:6.1f}  total")
+    print(
+        f"{total_n:9d} {100.0:6.1f} {total_b / 1e6:9.3f} {100.0:6.1f} "
+        f"{sum(stamps.values()) / 1e6:9.3f} {sum(dense.values()) / 1e6:9.3f}  total"
+    )
     return 0 if total_n else 1
 
 

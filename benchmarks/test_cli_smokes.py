@@ -60,7 +60,8 @@ def test_untraced_sampling_profile():
     tables) and attributes samples to the apps' own files; its memory
     half prints resident size per stage and the lines holding the traced
     heap at the peak of one body; its message half prints the serving
-    body's message mix, replica updates split by op."""
+    body's message mix, replica updates split by op, and the stamp bytes
+    of scale128's."""
     script = os.path.join(ROOT, "benchmarks", "sample_profile.py")
     out = {
         w: ok(run("--workload", w, "--smoke", script=script))
@@ -74,6 +75,18 @@ def test_untraced_sampling_profile():
                  script=script))
     assert "LockGrant" in mix and "ReplicaUpdate[rel]" in mix
     assert mix.splitlines()[-1].endswith("total")
+    # at 128 nodes a page's version names its few writers, so fetch
+    # stamps go sparse; a barrier's global stamp is dense and stays so
+    wide = ok(run("--workload", "scale128", "--smoke", "--messages",
+                  script=script))
+    stamp_mb = {
+        row[-1]: (float(row[4]), float(row[5]))
+        for row in map(str.split, wide.splitlines()[1:])
+    }
+    sent, dense = stamp_mb["PageFetchReq"]
+    assert 0 < sent < dense / 2
+    sent, dense = stamp_mb["BarrierRelease"]
+    assert 0 < sent == dense
 
 
 def test_flat_trace_follows_a_recovered_node():

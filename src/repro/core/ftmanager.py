@@ -229,7 +229,7 @@ class FtManager(FtHooks):
         if self.repl is not None:
             self.repl.op(("bar", episode, global_vt))
 
-    def on_diff_received(self, page: PageId, writer: int, diff_vt: VClock) -> None:
+    def on_diff_received(self, page: PageId, writer: int) -> None:
         self.page_writers.setdefault(page, set()).add(writer)
 
     def message_handlers(self) -> Dict[type, Callable[[int, Any], None]]:

@@ -36,10 +36,10 @@ dies — so recovery has a second source that answers the same way:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import PageCopy, maximal_starting_copy
-from repro.core.logs import VolatileLogs
+from repro.core.logs import RelEntry, VolatileLogs
 from repro.dsm.messages import ReplicaAck, ReplicaUpdate, WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
@@ -62,17 +62,25 @@ __all__ = [
 
 NO_REPLICA = "__noreplica__"  # sentinel payload: nothing usable to answer from
 
-# modeled wire sizes
-REL_ENTRY_WIRE = 40  # lock id + vt
+# modeled wire sizes; every stamp costs its own VClock.wire_bytes()
+ENTRY_WIRE = 8  # a log record's fixed fields (lock id, peer, flags)
 NOTICE_WIRE = 16
-VT_WIRE = 32
 
 DiffEntries = List[Tuple[VClock, Any]]  # [(diff.T, diff)]
 
 
-def _diff_wire(diff: Any) -> int:
+def _diff_wire(diff: Any, t: VClock) -> int:
     """Modelled size of one logged diff with its timestamp."""
-    return diff.size_bytes + VT_WIRE
+    return diff.size_bytes + t.wire_bytes()
+
+
+def _grants_wire(buckets: Iterable[List[RelEntry]]) -> int:
+    """Modelled size of grant-log entries, each with its stamp."""
+    return sum(ENTRY_WIRE + e.acq_t.wire_bytes() for b in buckets for e in b)
+
+
+def _stamps_wire(stamps: Iterable[VClock]) -> int:
+    return sum(t.wire_bytes() for t in stamps)
 
 
 # ======================================================================
@@ -181,19 +189,21 @@ class FtImage:
         """Modelled size of the whole (copied) image on the wire."""
         logs, sync = self.logs, self.sync
         return (
-            (logs.rel.count() + logs.acq.count()) * REL_ENTRY_WIRE
+            _grants_wire(logs.rel.entries) + _grants_wire(logs.acq.entries)
             + len(self.wn) * NOTICE_WIRE
-            + len(logs.bar) * VT_WIRE
+            + _stamps_wire(logs.bar.values())
             + sum(
-                _diff_wire(e.diff) for es in logs.diff.per_page.values() for e in es
+                _diff_wire(e.diff, e.t)
+                for es in logs.diff.per_page.values()
+                for e in es
             )
             + sum(
-                len(c.data) + VT_WIRE
+                len(c.data) + c.version.wire_bytes()
                 for copies in self.page_copies.values()
                 for c in copies
             )
             + (len(sync.tokens) + len(sync.managed_owners)) * 8
-            + VT_WIRE
+            + sync.tckp.wire_bytes()
         )
 
     # -- the one answerer -----------------------------------------------
@@ -223,29 +233,29 @@ class FtImage:
                 "completed_seq": sync.completed_seq,
             }
             size = (
-                (len(rel_entries) + len(acq_mirror)) * REL_ENTRY_WIRE
+                _grants_wire((rel_entries, acq_mirror))
                 + len(wn) * NOTICE_WIRE
-                + len(bar) * VT_WIRE
+                + _stamps_wire(bar.values())
                 + len(sync.tokens) * 8
-                + VT_WIRE
+                + sync.tckp.wire_bytes()
             )
             return payload, size
         if kind == "page_diffs":
             entries = self._diffs(detail)
-            return entries, sum(_diff_wire(d) for _, d in entries)
+            return entries, sum(_diff_wire(d, t) for t, d in entries)
         if kind == "home_diffs":
             out = {
                 page: self._diffs(page)
                 for page, es in self.logs.diff.per_page.items()
                 if es and self.regions.home_of(page) == requester
             }
-            return out, sum(_diff_wire(d) for es in out.values() for _, d in es)
+            return out, sum(_diff_wire(d, t) for es in out.values() for t, d in es)
         if kind == "starting_copy":
             page, ceiling = detail
             copy = maximal_starting_copy(self.page_copies.get(page, ()), ceiling)
             if copy is None:
                 return NO_REPLICA, 8
-            return (copy.data, copy.version), len(copy.data) + VT_WIRE
+            return (copy.data, copy.version), len(copy.data) + copy.version.wire_bytes()
         raise RuntimeError(f"unknown recovery query kind {kind!r}")
 
     # -- replica advance ------------------------------------------------
@@ -286,7 +296,13 @@ class FtImage:
 
 
 def _op_size(op: Tuple) -> int:
-    return _diff_wire(op[1].diff) if op[0] == "diff" else REL_ENTRY_WIRE
+    kind = op[0]
+    if kind == "diff":
+        return _diff_wire(op[1].diff, op[1].t)
+    if kind == "owner":
+        return ENTRY_WIRE  # lock id and new owner: no stamp
+    # a barrier op carries its global vt third, every grant op its acq_t fourth
+    return ENTRY_WIRE + (op[2] if kind == "bar" else op[3]).wire_bytes()
 
 
 @dataclass

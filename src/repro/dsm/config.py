@@ -26,7 +26,7 @@ class DsmConfig:
 
     Pages are homed round-robin over processes and lock managers too
     (:meth:`lock_manager`); the barrier manager and the wire sizes below
-    are constants.
+    are constants. A vector timestamp costs :meth:`VClock.wire_bytes`.
     """
 
     num_procs: int = 8
@@ -39,8 +39,6 @@ class DsmConfig:
     msg_header: ClassVar[int] = 32
     #: wire size of one write notice (creator, interval, page id)
     notice_bytes: ClassVar[int] = 12
-    #: wire size of one vector-timestamp component
-    vt_entry_bytes: ClassVar[int] = 4
     #: recovery handshake/query message base size
     recovery_msg_bytes: ClassVar[int] = 64
 
@@ -49,10 +47,6 @@ class DsmConfig:
             raise ValueError("num_procs must be >= 1")
         if self.page_size < 8 or self.page_size % 8 != 0:
             raise ValueError("page_size must be a multiple of 8 and >= 8")
-
-    def vt_bytes(self) -> int:
-        """Wire size of one full vector timestamp."""
-        return self.vt_entry_bytes * self.num_procs
 
     def lock_manager(self, lock_id: int) -> int:
         """Static manager assignment for a lock."""

@@ -7,6 +7,12 @@ network accounts: the ``piggyback`` field (when present) carries the
 lazily propagated LLT/CGC control data of §4.4.4 and its size is
 accounted as ``ft_bytes`` so Table 2 can compare it against base protocol
 traffic; a replication message is fault-tolerance traffic whole.
+
+A vector timestamp costs :meth:`VClock.wire_bytes` (dense, or a bitmap of
+its nonzero components followed by those): the bit saying which form a
+stamp took, like the bit saying a ``LockForward`` or ``GrantInfo``
+carries none, rides in the message's fixed bytes. A diff carries only its
+writer's interval, the one component the home reads.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId
-from repro.dsm.vclock import VClock
+from repro.dsm.vclock import COMPONENT_BYTES, VClock
 
 __all__ = [
     "WriteNotice",
@@ -71,9 +77,10 @@ class Piggyback:
     tckps: Tuple[Tuple[int, VClock, int], ...] = ()  # (proc, Tckp, bar_ep)
     page_versions: Tuple[Tuple[PageId, int], ...] = ()
 
-    def size_bytes(self, config: DsmConfig) -> int:
-        size = len(self.tckps) * (config.vt_bytes() + 6)
-        size += len(self.page_versions) * 12  # page id (8) + version (4)
+    def size_bytes(self) -> int:
+        size = len(self.page_versions) * 12  # page id (8) + version (4)
+        for _proc, tckp, _bar_ep in self.tckps:
+            size += tckp.wire_bytes() + 6
         return size
 
 
@@ -97,7 +104,7 @@ class Message:
         + piggyback) and its fault-tolerance share."""
         payload = self.payload_bytes(config)
         pb = self.piggyback
-        ft = pb.size_bytes(config) if pb is not None else 0
+        ft = pb.size_bytes() if pb is not None else 0
         size = config.msg_header + payload + ft
         return size, (payload + ft if self.all_ft else ft)
 
@@ -107,7 +114,7 @@ def _notices_bytes(notices: List[WriteNotice], config: DsmConfig) -> int:
     # notices are reconstructed from interval tables, so only distinct
     # interval vts are shipped — modeled as one vt per notice creator
     # interval, folded into notice_bytes for simplicity.
-    return len(notices) * (config.notice_bytes + config.vt_entry_bytes)
+    return len(notices) * (config.notice_bytes + COMPONENT_BYTES)
 
 
 @dataclass
@@ -125,7 +132,7 @@ class LockAcquireReq(Message):
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + config.vt_bytes()
+        return 12 + self.acq_vt.wire_bytes()
 
 
 @dataclass
@@ -143,7 +150,8 @@ class LockForward(Message):
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + config.vt_bytes()
+        vt = self.acq_vt
+        return 12 + (vt.wire_bytes() if vt is not None else 0)
 
 
 @dataclass
@@ -165,7 +173,8 @@ class GrantInfo(Message):
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + (config.vt_bytes() if self.acq_t is not None else 0)
+        t = self.acq_t
+        return 12 + (t.wire_bytes() if t is not None else 0)
 
 
 @dataclass
@@ -189,21 +198,25 @@ class LockGrant(Message):
     category: str = "lock"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return 12 + self.rel_vt.wire_bytes() + _notices_bytes(self.notices, config)
 
 
 @dataclass
 class DiffMsg(Message):
-    """Writer -> home: end-of-interval diff for one page."""
+    """Writer -> home: end-of-interval diff for one page.
+
+    ``interval`` is the writer's interval that made the diff: the home
+    needs no other component of the writer's clock to order it.
+    """
 
     page: PageId = None  # type: ignore[assignment]
     writer: int = 0
     diff: Diff = None  # type: ignore[assignment]
-    diff_vt: VClock = None  # type: ignore[assignment]
+    interval: int = 0
     category: str = "diff"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + self.diff.size_bytes
+        return 8 + COMPONENT_BYTES + self.diff.size_bytes
 
 
 @dataclass
@@ -216,7 +229,7 @@ class PageFetchReq(Message):
     category: str = "page"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes()
+        return 8 + self.needed_v.wire_bytes()
 
 
 @dataclass
@@ -229,7 +242,7 @@ class PageFetchReply(Message):
     category: str = "page"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + len(self.data)
+        return 8 + self.version.wire_bytes() + len(self.data)
 
 
 @dataclass
@@ -243,7 +256,7 @@ class BarrierArrive(Message):
     category: str = "barrier"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return 8 + self.vt.wire_bytes() + _notices_bytes(self.notices, config)
 
 
 @dataclass
@@ -256,7 +269,9 @@ class BarrierRelease(Message):
     category: str = "barrier"
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes() + _notices_bytes(self.notices, config)
+        return (
+            8 + self.global_vt.wire_bytes() + _notices_bytes(self.notices, config)
+        )
 
 
 @dataclass
@@ -278,7 +293,7 @@ class AcqAck(Message):
     all_ft = True
 
     def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + config.vt_bytes()
+        return 8 + self.acq_t.wire_bytes()
 
 
 # ---------------------------------------------------------------------------

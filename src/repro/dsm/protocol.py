@@ -124,7 +124,7 @@ class FtHooks:
     def on_piggyback(self, src: int, pb: Piggyback) -> None:
         pass
 
-    def on_diff_received(self, page: PageId, writer: int, diff_vt: VClock) -> None:
+    def on_diff_received(self, page: PageId, writer: int) -> None:
         """Home received and applied a diff (drives p0.v advertisements)."""
 
 
@@ -498,7 +498,7 @@ class DsmProcess:
                         page=page,
                         writer=self.pid,
                         diff=diff,
-                        diff_vt=self.vt,
+                        interval=new_interval,
                     ),
                 )
                 self.stats.diffs_sent += 1
@@ -905,7 +905,7 @@ class DsmProcess:
 
     def _handle_diff(self, src: int, msg: DiffMsg) -> None:
         hp = self.home[msg.page]
-        interval = msg.diff_vt[msg.writer]
+        interval = msg.interval
         if hp.is_duplicate(msg.writer, interval):
             return
         # one apply charge per copy written (page, and twin when open)
@@ -915,7 +915,7 @@ class DsmProcess:
         hp.advance(msg.writer, interval)
         hp.applied_bytes += msg.diff.size_bytes
         self.have_v[msg.page] = self.have_v[msg.page].join(hp.version)
-        self.ft.on_diff_received(msg.page, msg.writer, msg.diff_vt)
+        self.ft.on_diff_received(msg.page, msg.writer)
         hp.service_pending()
 
     def page_snapshot(self, page: PageId, hp: Optional["HomePage"] = None) -> bytes:

@@ -33,6 +33,17 @@ Either representation materializes the other lazily: the component tuple
 built from the array only when something actually asks for it, so chains
 of wide lattice ops never pay O(n) Python-object churn per step. Callers
 never see which representation is live.
+
+Wire encoding
+-------------
+A stamp travels in the smaller of two lossless forms (a compact
+encoding, cf. Singhal & Kshemkalyani, IPL 1992): dense, ``n`` components of
+:data:`COMPONENT_BYTES` each, or sparse, a bitmap of the nonzero
+components followed by those components. :meth:`VClock.wire_bytes` is
+that size; the one bit saying which form was chosen rides in the fixed
+fields of the message carrying the stamp. A page's version names only
+its writers, so most stamps are sparse at width; a global stamp (a
+barrier's) stays dense.
 """
 
 from __future__ import annotations
@@ -41,7 +52,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["VClock", "vmin", "vmax"]
+__all__ = ["VClock", "vmin", "vmax", "COMPONENT_BYTES"]
+
+#: wire size of one vector-timestamp component
+COMPONENT_BYTES = 4
 
 #: width at which lattice ops switch from tuple loops to NumPy (module
 #: alias of :attr:`VClock.ARRAY_WIDTH` — globals resolve faster than
@@ -52,7 +66,7 @@ _ARRAY_WIDTH = 16
 class VClock:
     """Immutable vector timestamp over ``n`` processes."""
 
-    __slots__ = ("_t", "_a", "_n")
+    __slots__ = ("_t", "_a", "_n", "_w")
 
     #: width at which lattice ops switch from tuple loops to NumPy
     ARRAY_WIDTH = _ARRAY_WIDTH
@@ -67,6 +81,7 @@ class VClock:
         self._t: Optional[Tuple[int, ...]] = t
         self._a: Optional[np.ndarray] = None
         self._n = len(t)
+        self._w: Optional[int] = None
 
     @classmethod
     def _make(cls, v: Tuple[int, ...]) -> "VClock":
@@ -75,6 +90,7 @@ class VClock:
         self._t = v
         self._a = None
         self._n = len(v)
+        self._w = None
         return self
 
     @classmethod
@@ -85,6 +101,7 @@ class VClock:
         self._t = None
         self._a = a
         self._n = len(a)
+        self._w = None
         return self
 
     @classmethod
@@ -120,6 +137,22 @@ class VClock:
             a.setflags(write=False)
             self._a = a
         return a
+
+    def wire_bytes(self) -> int:
+        """Bytes this stamp costs on the wire: ``min(4·n, ⌈n/8⌉ + 4·nnz)``.
+
+        Counted on first use and kept (clocks are immutable): most clocks
+        are never sent, so the constructors only mark the slot unknown.
+        """
+        w = self._w
+        if w is None:
+            n, t = self._n, self._t
+            nnz = n - t.count(0) if t is not None else int(np.count_nonzero(self._a))
+            w = (n + 7) // 8 + COMPONENT_BYTES * nnz
+            if w > COMPONENT_BYTES * n:
+                w = COMPONENT_BYTES * n
+            self._w = w
+        return w
 
     def __len__(self) -> int:
         return self._n

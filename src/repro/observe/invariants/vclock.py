@@ -4,7 +4,8 @@ Per-node vector-time monotonicity at every observable point (the
 baseline resets on a fail-stop: replay legitimately rewinds), and
 happened-before consistency of every vector-clock stamp on every sent
 and delivered message: no stamp component may exceed the highest value
-its owner has ever been observed to reach.
+its owner has ever been observed to reach. A ``DiffMsg`` carries its
+writer's interval instead of a stamp: the same bound holds for it.
 
 Why skipping is sound: clocks are immutable, so a host whose
 ``proto.vt`` is the object seen last time has nothing to compare; every
@@ -22,13 +23,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.dsm.messages import DiffMsg
 from repro.dsm.vclock import VClock
 from repro.sim.trace import DELIVER, FAILURE, RECOVERY_LIVE, SEND
 
 __all__ = ["VclockChecker"]
 
 #: message attributes carrying vector-clock stamps (happened-before check)
-_STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "diff_vt", "global_vt")
+_STAMP_ATTRS = ("vt", "acq_vt", "rel_vt", "global_vt")
 
 #: stamp clocks remembered as verified, at most (emptied when full)
 _STAMP_MEMO = 4096
@@ -84,6 +86,15 @@ class VclockChecker:
                 hasattr(payload, "piggyback"),
             )
         attrs, has_notices, has_piggyback = shape
+        if cls is DiffMsg:
+            w, interval = payload.writer, payload.interval
+            if interval > self._hwm[w]:
+                self._violate(
+                    src, f"DiffMsg.interval {interval} runs ahead of p{w}'s "
+                    f"highest observed vector time {self._hwm[w]} "
+                    "(happened-before violated: the diff names an interval "
+                    "its writer never started)",
+                )
         ok = self._stamps_ok
         for attr in attrs:
             t = getattr(payload, attr)

@@ -459,9 +459,9 @@ LIVE_SWITCH_PINS = {
     "owed_grant_completes_the_replayed_acquire": (
         "session", 7, 8, True, (1434, 5), (1865, 6)),
     "owed_grant_carries_its_notices": (
-        "session", 3, 8, True, (624, 2), (655, 3)),
+        "session", 3, 8, True, (622, 2), (654, 3)),
     "no_answer_taken_from_a_rebuilding_responder": (
-        "session", 9, 4, False, (473, 2), (549, 3)),
+        "session", 9, 4, False, (472, 2), (548, 3)),
     "spent_successor_pointer_is_not_a_waiter": (
         "session", 42, 8, True, (1427, 1), (1676, 3)),
 }

@@ -31,18 +31,22 @@ from tests.conftest import make_app, make_cluster
 #: exact pre-optimization values for (app, procs=4, ft) configurations;
 #: wall times are pinned as float hex so comparison is bit-identical
 #: ``steps``/``events_sha256`` were recorded later, on the engine and
-#: network the one-hop send path replaced
+#: network the one-hop send path replaced. Every pin here and in
+#: ``CRASH_GOLDEN`` was re-recorded when stamps went on the wire in their
+#: sparse form where shorter and a diff began carrying its interval
+#: instead of its writer's clock: bytes and times fall, message counts
+#: hold
 GOLDEN = {
     ("lu", False): {
-        "wall_time_hex": "0x1.610937ad9b121p-6",
-        "total_bytes": 754870,
+        "wall_time_hex": "0x1.60d08d6d153a0p-6",
+        "total_bytes": 745198,
         "total_msgs": 1590,
-        "bytes_by_category": {"barrier": 38784, "diff": 167398, "page": 548688},
+        "bytes_by_category": {"barrier": 38685, "diff": 161638, "page": 544875},
         "msgs_by_category": {"barrier": 144, "diff": 480, "page": 966},
-        "steps": 4471,
+        "steps": 4469,
         "events_sha256": (
-            "71fe2731fea4d33cd027d08bc1b8f97b"
-            "a119eb11d3f032a62c8c075ddb9a4ad8"
+            "0b72c4a6b8b681be935090babc0da6fb"
+            "9fa96be0f7ed1c2764fa015d56155775"
         ),
     },
     ("lu", True): {
@@ -51,29 +55,29 @@ GOLDEN = {
         # 90.7 ms, because LU's owners write their own homed blocks while
         # neighbours' diffs arrive, so a fifth of the FT run was logging
         # and checkpointing other processes' bytes
-        "wall_time_hex": "0x1.7398daf93a25dp-4",
-        "total_bytes": 764268,
+        "wall_time_hex": "0x1.738b4c1a6498fp-4",
+        "total_bytes": 754581,
         "total_msgs": 1592,
-        "bytes_by_category": {"barrier": 39484, "diff": 167508, "page": 557276},
+        "bytes_by_category": {"barrier": 39385, "diff": 161748, "page": 553448},
         "msgs_by_category": {"barrier": 144, "diff": 480, "page": 968},
-        "steps": 5535,
+        "steps": 5536,
         "events_sha256": (
-            "34576beac062ff35c349836ef41f689e"
-            "a2ec0cc537d5a88e0235814bc5e05f44"
+            "3504bee232f7c32e3825caaf8b775a49"
+            "a7eb3f368c709de37135e81525532129"
         ),
     },
     ("counter", False): {
-        "wall_time_hex": "0x1.f58cedc7fd695p-9",
-        "total_bytes": 54398,
+        "wall_time_hex": "0x1.f52ffba9926ecp-9",
+        "total_bytes": 53323,
         "total_msgs": 162,
         "bytes_by_category": {
-            "barrier": 2912, "diff": 586, "lock": 2052, "page": 48848,
+            "barrier": 2902, "diff": 478, "lock": 1945, "page": 47998,
         },
         "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 31, "page": 86},
         "steps": 430,
         "events_sha256": (
-            "4eef0df83c194f6db34c9e6acde5d2de"
-            "5a5bfa7e730f7f685eb811cb976b8441"
+            "52f2490c054b89d3c93160d89e7093c2"
+            "3ae1c9becc9527f8c3de9f06ac0d8ad3"
         ),
     },
     ("counter", True): {
@@ -82,17 +86,17 @@ GOLDEN = {
         # is confirmed by an AcqAck (DESIGN.md §7.6), so a failure-free
         # run sends none (lock 46 -> 36 msgs, as many as without FT), and
         # the timing shift nudges page traffic
-        "wall_time_hex": "0x1.1afb915b5c9cdp-5",
-        "total_bytes": 57240,
+        "wall_time_hex": "0x1.1af5619672f36p-5",
+        "total_bytes": 56158,
         "total_msgs": 169,
         "bytes_by_category": {
-            "barrier": 2984, "diff": 630, "lock": 2838, "page": 50788,
+            "barrier": 2974, "diff": 522, "lock": 2731, "page": 49931,
         },
         "msgs_by_category": {"barrier": 36, "diff": 9, "lock": 36, "page": 88},
         "steps": 530,
         "events_sha256": (
-            "db0e752b7588d6e8a5e08b34b617c70b"
-            "8b83224d60199d000d372e026e7fe4a2"
+            "180226afdb6df8157e9ca533edefaf98"
+            "693323941478acb370939bc7090e8252"
         ),
     },
     # Barnes, recorded on the parent of the commit that rewrote its force
@@ -100,37 +104,37 @@ GOLDEN = {
     # ``proc.compute`` and accelerations feed positions, which decide the
     # next tree, so a kernel that moves one bit or one count moves these
     ("barnes", False): {
-        "wall_time_hex": "0x1.505255d9ab0ebp-5",
-        "total_bytes": 882241,
+        "wall_time_hex": "0x1.4feb7723949d6p-5",
+        "total_bytes": 864647,
         "total_msgs": 1905,
         "bytes_by_category": {
-            "barrier": 16416, "diff": 77741, "lock": 17876, "page": 770208,
+            "barrier": 16383, "diff": 74645, "lock": 17801, "page": 755818,
         },
         "msgs_by_category": {
             "barrier": 72, "diff": 258, "lock": 219, "page": 1356,
         },
-        "steps": 4922,
+        "steps": 4921,
         "events_sha256": (
-            "8bc20fab725e403036c8a0efd7358b91"
-            "736a04b221603320f07a418d36e5047d"
+            "df69457e87d8d1bb7d9282576145c682"
+            "347f535300800ab9880ab1d2b90c0eda"
         ),
     },
     ("barnes", True): {
         # re-recorded with the counter pin above: no AcqAck (lock 283 ->
         # 219 msgs, the base run's)
-        "wall_time_hex": "0x1.d0821fa5a4982p-5",
-        "total_bytes": 887295,
+        "wall_time_hex": "0x1.cfea853fb24d7p-5",
+        "total_bytes": 869629,
         "total_msgs": 1913,
         "bytes_by_category": {
-            "barrier": 16416, "diff": 77741, "lock": 17876, "page": 775262,
+            "barrier": 16383, "diff": 74645, "lock": 17801, "page": 760800,
         },
         "msgs_by_category": {
             "barrier": 72, "diff": 258, "lock": 219, "page": 1364,
         },
-        "steps": 5506,
+        "steps": 5505,
         "events_sha256": (
-            "8378917b1cb001dffc4e0f5918776201"
-            "d70c1ad20198c20098b14d6c77c28440"
+            "cd17fba3ed00debd6ee0de3e56fddfac"
+            "a68bf109872528829ca26104bc77c474"
         ),
     },
     # buddy replication on (DESIGN.md §9): the replica stream is its own
@@ -144,20 +148,20 @@ GOLDEN = {
         # its replica images no longer ship it (4 episodes x 32 B); and
         # again when exact grant stamps dropped the AcqAcks (lock 46 ->
         # 36 msgs) and the rel_fix ops they shipped (replica 132 -> 122)
-        "wall_time_hex": "0x1.200088e6eee1ap-5",
-        "total_bytes": 155988,
+        "wall_time_hex": "0x1.1ff9678a7dc79p-5",
+        "total_bytes": 150131,
         "total_msgs": 291,
         "bytes_by_category": {
-            "barrier": 2928, "diff": 586, "lock": 2794, "page": 50348,
-            "replica": 99332,
+            "barrier": 2918, "diff": 478, "lock": 2687, "page": 49479,
+            "replica": 94569,
         },
         "msgs_by_category": {
             "barrier": 36, "diff": 9, "lock": 36, "page": 88, "replica": 122,
         },
         "steps": 667,
         "events_sha256": (
-            "a559149e5b73d2b75dbfaaa48c2fdbab"
-            "2c25ba7bfc4d34991eef4a00f4379f80"
+            "18762b3599a555f7af3c068de9432ae5"
+            "f67c4c74685c7f74f373a0fd85398c59"
         ),
     },
 }
@@ -370,40 +374,40 @@ CRASH_GOLDEN = {
         # msgs; the crash step now falls later in the run) and a pending
         # lock request went to a recovered process only when it is the
         # lock's manager (one re-sent LockAcquireReq fewer)
-        "wall_time_hex": "0x1.b7a672328daf5p-5",
-        "total_bytes": 31183,
+        "wall_time_hex": "0x1.b7946e79f1712p-5",
+        "total_bytes": 29818,
         "total_msgs": 205,
         "bytes_by_category": {
-            "barrier": 976, "diff": 858, "lock": 7636, "page": 17040,
-            "recovery": 4673,
+            "barrier": 976, "diff": 702, "lock": 7350, "page": 16813,
+            "recovery": 3977,
         },
         "msgs_by_category": {
             "barrier": 12, "diff": 13, "lock": 127, "page": 30, "recovery": 23,
         },
         "steps": 542,
         "events_sha256": (
-            "6d52b5f0ef837c4f9569d04649bd0c73"
-            "7e4167ea9a99b399c27acb864477f543"
+            "5986b7428ffe9e5195b35d17c1b5d1dd"
+            "2810ab34aef7d483d5148fd92c7e46da"
         ),
     },
     True: {
         # re-recorded with the one above (lock 176 -> 138 msgs, replica
         # 205 -> 169: no rel_fix ops)
-        "wall_time_hex": "0x1.c4bef7d5b462bp-5",
-        "total_bytes": 52727,
+        "wall_time_hex": "0x1.c46b6ae5cc5e1p-5",
+        "total_bytes": 47204,
         "total_msgs": 389,
         "bytes_by_category": {
-            "barrier": 1040, "diff": 858, "lock": 8200, "page": 19312,
-            "recovery": 4014, "replica": 19303,
+            "barrier": 1040, "diff": 702, "lock": 7903, "page": 19030,
+            "recovery": 3545, "replica": 14984,
         },
         "msgs_by_category": {
             "barrier": 12, "diff": 13, "lock": 138, "page": 34, "recovery": 23,
             "replica": 169,
         },
-        "steps": 747,
+        "steps": 748,
         "events_sha256": (
-            "0f7bce8a65c7c58e149475bb73d311ff"
-            "36f02f3e8a8620f77591f89e6e73c4a9"
+            "07249e143d0e5e38a08b2a9f796931a0"
+            "e4d573ae50e1dee467a404abff570ab3"
         ),
     },
 }

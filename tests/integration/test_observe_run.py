@@ -184,7 +184,15 @@ def test_serving_report_bytes_are_pinned(serving, tmp_path):
     p3's live switch makes peers re-send only the requests it manages:
     1,583 -> 1,335 messages, ``ft_bytes`` 82,140 -> 75,180, virtual time
     133.037 -> 132.619 ms, 140 -> 139 samples. Shorter lock handoffs move
-    requests between the 1 ms windows: 251 -> 262 ``wlat`` records."""
+    requests between the 1 ms windows: 251 -> 262 ``wlat`` records.
+
+    Re-recorded when stamps went on the wire in their sparse form where
+    shorter, a diff began carrying its interval only, and replica and
+    recovery payloads were sized from their own stamps, not from 8-node
+    ones (471,074 -> 470,825 bytes; text length unchanged). Message
+    counts hold (1,335); bytes fall 202,070 -> 176,383, ``ft_bytes``
+    75,180 -> 52,161, virtual time 132.619 -> 132.606 ms; the sampled
+    byte series and the samples' timestamps move with them."""
     import hashlib
 
     observer, report = serving
@@ -193,16 +201,16 @@ def test_serving_report_bytes_are_pinned(serving, tmp_path):
     path = tmp_path / "serve.jsonl"
     write_jsonl(str(path), report)
     data = path.read_bytes()
-    assert len(data) == 471_074
+    assert len(data) == 470_825
     assert hashlib.sha256(data).hexdigest() == (
-        "59d68651bcb2bf916a9448fda2b14a8a5b0c2b453b4dea0b817190db3aeb4c69"
+        "54460f4126fb4cfc66990d3959dd4a743833d25195fce05d13f2ee0358d86c4d"
     )
     loaded = load_jsonl(str(path))
     assert loaded["series"] == report["series"]
     for text in (render_report(report), render_report(loaded)):
         assert len(text.encode()) == 15_151
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f974b3c234cd42eb8680468a3dcd562f5d08db8006e1becc2199426138f19244"
+            "8687955a056ec63c16af86e15a2236dce4c471331e83fb83928e14220a562daf"
         )
 
 

@@ -160,25 +160,30 @@ def test_worst_lock_chains_and_report():
 #: log (0.64 us shorter); the rest re-recorded when exact grant stamps
 #: dropped the AcqAcks, whose handler cost at each grantor was on the
 #: path (``overhead`` 1.660 -> 1.531 ms; the shifted crash time moves
-#: the barrier wait, two fetch waits and ``ckpt-disk``)
+#: the barrier wait, two fetch waits and ``ckpt-disk``); the fetch and
+#: lock waits, ``msg flight PageFetchReq``, ``overhead``, ``recovery``,
+#: ``ckpt-disk`` and ``down`` (in its last bit) re-recorded when stamps
+#: went sparse on the wire and a diff carried its interval: shorter
+#: messages, so waits a few tenths of a us shorter and ``recovery``
+#: 11.2015 -> 11.1945 ms
 CRASH_RUN_TOTALS = {
     "barrier straggler p1": 2.0880000000000898e-05,
     "barrier straggler p3": 4.1759999999999194e-05,
     "barrier-wait (release from p0)": 6.247999999999909e-05,
-    "ckpt-disk": 0.03497987527777778,
+    "ckpt-disk": 0.03498044027777778,
     "compute": 0.000900000000000004,
-    "down (detection)": 0.05,
-    "fetch-wait on p0": 0.00024706000000000803,
-    "fetch-wait on p1": 9.24000000000107e-05,
-    "fetch-wait on p2": 0.00012320000000000993,
-    "fetch-wait on p3": 9.24000000000107e-05,
-    "lock-wait behind p0": 6.338000000001231e-05,
-    "lock-wait behind p1": 4.227999999999979e-05,
-    "lock-wait behind p2": 4.259999999999887e-05,
+    "down (detection)": 0.049999999999999996,
+    "fetch-wait on p0": 0.00024674000000000863,
+    "fetch-wait on p1": 9.206999999999987e-05,
+    "fetch-wait on p2": 0.00012275999999999975,
+    "fetch-wait on p3": 9.206999999999987e-05,
+    "lock-wait behind p0": 6.327000000001229e-05,
+    "lock-wait behind p1": 4.2209999999999774e-05,
+    "lock-wait behind p2": 4.256999999999894e-05,
     "msg flight LockAcquireReq": 4.164000000000424e-05,
-    "msg flight PageFetchReq": 0.00035062000000000515,
-    "overhead": 0.0015311299999999318,
-    "recovery": 0.011201496111111209,
+    "msg flight PageFetchReq": 0.00034919000000001744,
+    "overhead": 0.0015314599999999299,
+    "recovery": 0.011194546111111203,
 }
 
 

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core import FtConfig
 from repro.core.logs import RelEntry
+from repro.dsm.messages import DiffMsg
 from repro.dsm.vclock import VClock
 from repro.observe.invariants import monitor as monitor_mod
 from repro.observe.invariants import recoverability
@@ -408,6 +409,39 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     assert "stamps a timestamp beyond" in want[0][3]
     got, want = run(with_recoverability(BlindToReplacedBuckets))
     assert got != want  # the differential check catches the mutation
+
+
+def test_a_diff_ahead_of_its_writers_clock_is_reported_at_its_send():
+    """A ``DiffMsg`` carries its writer's interval, not a stamp: the
+    vclock checker holds it to the writer's highest observed vector time
+    as it does every stamp, at the send that carries it."""
+    cluster = make_cluster(num_procs=4, ft=True)
+    monitor = InvariantMonitor(cluster)
+    sent = []
+    orig_install = cluster._install_ft
+
+    def install(host):
+        orig_install(host)
+        proto = host.proto
+        send = proto._send
+
+        def ahead(dst, msg):
+            if type(msg) is DiffMsg and not sent:
+                msg.interval += 5
+                sent.append((cluster.engine.steps, proto.pid, msg.interval))
+            send(dst, msg)
+
+        proto._send = ahead
+
+    cluster._install_ft = install
+    with contextlib.suppress(Exception):
+        cluster.run(make_app("counter"))
+    assert sent, "no diff was sent: the mutation did not fire"
+    step, writer, interval = sent[0]
+    assert monitor.violations, "a diff ahead of its writer went unreported"
+    first = monitor.violations[0]
+    assert (first.invariant, first.pid, first.step) == ("vclock", writer, step)
+    assert f"DiffMsg.interval {interval} runs ahead of p{writer}'s" in first.detail
 
 
 # ---------------------------------------------------------------------------

@@ -82,4 +82,3 @@ def test_config_validation():
             DsmConfig(**{constant: 0})
     c = DsmConfig(num_procs=4)
     assert c.lock_manager(6) == 2
-    assert c.vt_bytes() == 16

@@ -112,21 +112,63 @@ P = PageId(0, 0)
 
 
 def test_piggyback_size():
-    assert Piggyback().size_bytes(CFG) == 0
-    assert Piggyback(tckps=((0, VT, 1),)).size_bytes(CFG) == CFG.vt_bytes() + 6
+    assert VT.wire_bytes() == 16  # dense: every component is nonzero
+    assert Piggyback().size_bytes() == 0
+    assert Piggyback(tckps=((0, VT, 1),)).size_bytes() == 16 + 6
+    sparse = VClock((0, 0, 7, 0))  # 1 B bitmap + one component
     pb = Piggyback(
-        tckps=((0, VT, 1), (2, VT, 0)),
+        tckps=((0, VT, 1), (2, sparse, 0)),
         page_versions=((P, 3), (PageId(0, 1), 5)),
     )
-    assert pb.size_bytes(CFG) == 2 * (CFG.vt_bytes() + 6) + 24
+    assert pb.size_bytes() == (16 + 6) + (5 + 6) + 24
 
 
 def test_message_sizes_include_header_and_piggyback():
     req = LockAcquireReq(lock_id=1, acquirer=2, acq_vt=VT, seq=1)
     base, ft = req.wire_size(CFG)
-    assert (base, ft) == (CFG.msg_header + 12 + CFG.vt_bytes(), 0)
+    assert (base, ft) == (CFG.msg_header + 12 + 16, 0)
     req.piggyback = Piggyback(tckps=((0, VT, 1),))
-    assert req.wire_size(CFG) == (base + CFG.vt_bytes() + 6, CFG.vt_bytes() + 6)
+    assert req.wire_size(CFG) == (base + 16 + 6, 16 + 6)
+
+
+def test_every_stamp_costs_its_own_encoding():
+    """Each stamp-carrying message is charged its stamps' wire_bytes(),
+    not a dense vector per stamp."""
+    sparse = VClock((0, 3, 0, 0))
+    assert sparse.wire_bytes() == 5
+    wn = WriteNotice(1, 3, P, sparse)
+    notices = 16  # one write notice, whatever its stamp
+    for msg, fixed in [
+        (LockAcquireReq(lock_id=1, acquirer=2, acq_vt=sparse, seq=1), 12),
+        (LockForward(lock_id=1, acquirer=2, acq_vt=sparse, seq=1), 12),
+        (GrantInfo(lock_id=0, grantor=0, grantee=0, acq_t=sparse), 12),
+        (LockGrant(lock_id=0, grantor=0, rel_vt=sparse, notices=[wn]), 12 + notices),
+        (PageFetchReq(page=P, requester=1, needed_v=sparse), 8),
+        (PageFetchReply(page=P, data=b"\x00" * 64, version=sparse), 8 + 64),
+        (BarrierArrive(episode=1, proc=2, vt=sparse, notices=[wn]), 8 + notices),
+        (BarrierRelease(episode=1, global_vt=sparse, notices=[]), 8),
+        (AcqAck(lock_id=3, acquirer=1, acq_t=sparse), 8),
+    ]:
+        assert msg.payload_bytes(CFG) == fixed + 5, type(msg).__name__
+
+
+def test_a_repair_forward_without_a_stamp_is_charged_none():
+    """A ``LockForward`` whose request stamp died with its manager
+    carries no stamp: its absence is a bit in the fixed fields."""
+    repair = LockForward(lock_id=1, acquirer=2, acq_vt=None, seq=1)
+    stamped = LockForward(lock_id=1, acquirer=2, acq_vt=VT, seq=1)
+    assert repair.payload_bytes(CFG) == 12
+    assert stamped.payload_bytes(CFG) == 12 + VT.wire_bytes()
+
+
+def test_a_fetch_for_a_page_one_peer_wrote_stays_small_at_width():
+    """At 256 nodes a page version naming one writer costs a 32 B bitmap
+    and one component, not 256 components."""
+    cfg = DsmConfig(num_procs=256)
+    needed = VClock.zero(256).with_component(17, 9)
+    req = PageFetchReq(page=P, requester=3, needed_v=needed)
+    assert req.wire_size(cfg) == (76, 0)
+    assert cfg.msg_header + 8 + 256 * 4 == 1064  # dense
 
 
 def test_grant_size_scales_with_notices():
@@ -151,8 +193,8 @@ def test_provisional_bit_rides_in_the_grant_fixed_fields():
 
 def test_diff_msg_size_includes_diff():
     d = Diff(((0, b"\x01" * 10),))
-    m = DiffMsg(page=P, writer=0, diff=d, diff_vt=VT)
-    assert m.wire_size(CFG)[0] == CFG.msg_header + 8 + CFG.vt_bytes() + d.size_bytes
+    m = DiffMsg(page=P, writer=0, diff=d, interval=2)
+    assert m.wire_size(CFG)[0] == CFG.msg_header + 8 + 4 + d.size_bytes
 
 
 def test_fetch_reply_size_includes_page():
@@ -163,7 +205,7 @@ def test_fetch_reply_size_includes_page():
 def test_grant_info_self_variant_bigger():
     plain = GrantInfo(lock_id=0, grantor=0, grantee=1)
     selfg = GrantInfo(lock_id=0, grantor=0, grantee=0, acq_t=VT)
-    assert selfg.wire_size(CFG)[0] == plain.wire_size(CFG)[0] + CFG.vt_bytes()
+    assert selfg.wire_size(CFG)[0] == plain.wire_size(CFG)[0] + VT.wire_bytes()
 
 
 def _every_message_class():
@@ -189,10 +231,11 @@ def _samples():
     return [
         LockAcquireReq(lock_id=1, acquirer=2, acq_vt=VT, seq=1),
         LockForward(lock_id=1, acquirer=2, acq_vt=VT, seq=1),
+        LockForward(lock_id=1, acquirer=2, acq_vt=None, seq=1),
         GrantInfo(lock_id=0, grantor=0, grantee=1),
         GrantInfo(lock_id=0, grantor=0, grantee=0, acq_t=VT),
         LockGrant(lock_id=0, grantor=0, rel_vt=VT, notices=[wn, wn]),
-        DiffMsg(page=P, writer=0, diff=Diff(((0, b"\x01" * 10),)), diff_vt=VT),
+        DiffMsg(page=P, writer=0, diff=Diff(((0, b"\x01" * 10),)), interval=2),
         PageFetchReq(page=P, requester=1, needed_v=VT),
         PageFetchReply(page=P, data=b"\x00" * 64, version=VT),
         BarrierArrive(episode=1, proc=2, vt=VT, notices=[wn]),
@@ -213,7 +256,7 @@ def _samples():
 def _old_pair(msg, config):
     """``(size_bytes, ft_bytes)`` as the two per-class methods computed
     them before ``wire_size`` replaced both."""
-    pb = msg.piggyback.size_bytes(config) if msg.piggyback else 0
+    pb = msg.piggyback.size_bytes() if msg.piggyback else 0
     payload = msg.payload_bytes(config)
     if isinstance(msg, (ReplicaUpdate, ReplicaAck, AcqAck)):
         # the whole message is FT overhead traffic (an AcqAck is sent by

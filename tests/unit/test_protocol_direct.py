@@ -101,7 +101,7 @@ def test_home_dedupes_replayed_diffs():
     p0, _p1 = h.procs
     page = PageId(0, 0)
     d = Diff(((0, np.float64(7.0).tobytes()),))
-    msg = DiffMsg(page=page, writer=1, diff=d, diff_vt=VClock((0, 3)))
+    msg = DiffMsg(page=page, writer=1, diff=d, interval=3)
     p0._handle_diff(1, msg)
     assert p0.typed_view(h.region)[0] == 7.0
     assert p0.home[page].version[1] == 3
@@ -139,7 +139,7 @@ def test_home_logged_diff_holds_only_the_homes_own_writes():
         v = yield from p0.write_range(h.region, 0, 1)
         v[0] = 1.0
         p0._handle_diff(
-            1, DiffMsg(page=page, writer=1, diff=remote, diff_vt=VClock((0, 3)))
+            1, DiffMsg(page=page, writer=1, diff=remote, interval=3)
         )
         yield from p0.release(0)
 

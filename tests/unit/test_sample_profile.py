@@ -175,3 +175,10 @@ def test_message_mix_counts_every_send_and_splits_replica_ops(capsys):
     assert counts.pop("total") == traffic.total_msgs == sum(counts.values())
     assert counts["LockGrant"] > 0 and counts["ReplicaUpdate[rel]"] > 0
     assert "ReplicaUpdate" not in counts and "AcqAck" not in counts
+    # stamp columns: never above dense; a diff's interval is 4 B of 16
+    stamp_mb = {row[-1]: (float(row[4]), float(row[5])) for row in rows}
+    assert all(sent <= dense for sent, dense in stamp_mb.values())
+    assert stamp_mb["DiffMsg"] == (
+        round(4 * counts["DiffMsg"] / 1e6, 3), round(16 * counts["DiffMsg"] / 1e6, 3)
+    )
+    assert stamp_mb["ReplicaUpdate[rel]"] == (0.0, 0.0)  # inside the body

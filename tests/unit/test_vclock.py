@@ -211,3 +211,63 @@ def test_wide_operand_interning():
         assert lo.join(hi) is hi
         assert lo.meet(hi) is lo
         assert hi.meet(lo) is lo
+
+
+# -- wire encoding -------------------------------------------------------
+#
+# A reference codec: a stamp is sent dense (4 B per component) or as a
+# bitmap of its nonzero components followed by those components,
+# whichever is shorter; the one format bit travels outside the stamp.
+
+ENCODING_WIDTHS = [1, 2, 8, 16, 64, 128, 256]
+
+
+def _encode(v):
+    """``(sparse?, bytes)`` of the shorter lossless form of ``v``."""
+    dense = b"".join(x.to_bytes(4, "little") for x in v)
+    bitmap = bytearray((len(v) + 7) // 8)
+    for i, x in enumerate(v):
+        if x:
+            bitmap[i // 8] |= 1 << (i % 8)
+    sparse = bytes(bitmap) + b"".join(x.to_bytes(4, "little") for x in v if x)
+    return (True, sparse) if len(sparse) < len(dense) else (False, dense)
+
+
+def _decode(is_sparse, data, n):
+    if not is_sparse:
+        return tuple(int.from_bytes(data[4 * i : 4 * i + 4], "little")
+                     for i in range(n))
+    nbitmap = (n + 7) // 8
+    values = iter(
+        int.from_bytes(data[k : k + 4], "little")
+        for k in range(nbitmap, len(data), 4)
+    )
+    return tuple(
+        next(values) if data[i // 8] >> (i % 8) & 1 else 0 for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("w", ENCODING_WIDTHS)
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_wire_bytes_is_the_shorter_lossless_encoding(w, density):
+    import random
+
+    import numpy as np
+
+    rng = random.Random(w * 1000 + int(density * 100))
+    v = tuple(rng.randint(1, 2**31) if rng.random() < density else 0
+              for _ in range(w))
+    is_sparse, data = _encode(v)
+    assert _decode(is_sparse, data, w) == v
+    assert VClock(v).wire_bytes() == len(data)
+    assert VClock.from_array(np.array(v, dtype=np.int64)).wire_bytes() == len(data)
+    # a clock built by updates is sized from its own components
+    built = VClock.zero(w).with_components({i: x for i, x in enumerate(v) if x})
+    assert built == VClock(v) and built.wire_bytes() == len(data)
+
+
+@pytest.mark.parametrize("w", ENCODING_WIDTHS)
+def test_zero_clock_costs_its_bitmap(w):
+    assert VClock.zero(w).wire_bytes() == (w + 7) // 8
+    full = VClock((1,) * w)
+    assert full.wire_bytes() == 4 * w  # dense: the bitmap would add
