@@ -11,7 +11,7 @@ A3 — diff logging vs whole-page logging (related work [25]): diffs cut
 from conftest import SCALE, emit
 
 from repro import DsmCluster, DsmConfig
-from repro.baselines import page_logging_cluster
+from repro.baselines import PageLoggingCluster
 from repro.core import BarrierCoordinatedPolicy, FtConfig, LogOverflowPolicy
 from repro.harness.experiment import HARNESS_DISK, paper_setups, run_ft
 from repro.render import Table
@@ -87,7 +87,7 @@ def test_ablation_a3_page_vs_diff_logging(results_dir, benchmark):
     setup = _setup("water-nsq")
     diff_ex = benchmark.pedantic(lambda: run_ft(setup), rounds=1, iterations=1)
 
-    cluster = page_logging_cluster(
+    cluster = PageLoggingCluster(
         DsmConfig(num_procs=8),
         l_fraction=setup.l_fraction,
         disk_config=HARNESS_DISK,

@@ -12,7 +12,7 @@ from conftest import emit
 
 from repro import DsmCluster, DsmConfig
 from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
-from repro.baselines import coordinated_cluster
+from repro.baselines import CoordinatedCluster
 from repro.core import LogOverflowPolicy
 from repro.harness.experiment import HARNESS_DISK
 from repro.render import Table
@@ -42,7 +42,7 @@ def _independent(wan):
 
 
 def _coordinated(wan):
-    return coordinated_cluster(
+    return CoordinatedCluster(
         DsmConfig(num_procs=8),
         l_fraction=0.08,
         net_config=_net(wan),

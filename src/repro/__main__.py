@@ -157,9 +157,9 @@ def make_cluster(
     if not ft:
         return DsmCluster(config=config, net_config=net)
     if coordinated:
-        from repro.baselines import coordinated_cluster
+        from repro.baselines import CoordinatedCluster
 
-        return coordinated_cluster(config, l_fraction=l, net_config=net)
+        return CoordinatedCluster(config, l_fraction=l, net_config=net)
     return DsmCluster(
         config=config,
         net_config=net,

@@ -1,26 +1,29 @@
 """Comparison baselines from the paper's related-work section (§2).
 
-* :mod:`repro.baselines.page_logging` — whole-page logging in the style
-  of Richard & Singhal [25] ("Whole pages are logged ... which, combined
+Each baseline is a :class:`~repro.cluster.DsmCluster` subclass that names
+its FT manager:
+
+* :class:`PageLoggingCluster` — whole-page logging in the style of
+  Richard & Singhal [25] ("Whole pages are logged ... which, combined
   with their large size, makes the scheme very expensive"). Used by the
   ablation benchmark to quantify the diff-logging advantage.
-* Coordinated checkpointing (Costa et al. [9] style) is expressed through
-  :class:`repro.core.policies.BarrierCoordinatedPolicy` — every process
-  checkpoints at the same barrier episodes, so the set of checkpoints is
-  globally consistent without extra messages.
+* :class:`CoordinatedCluster` — coordinated checkpointing in the style of
+  Costa et al. [9]: :class:`CoordinatedFt`'s marker rounds take globally
+  consistent checkpoints, and any failure rolls every process back to
+  the last committed cut. The meta-cluster benchmarks measure it.
 """
 
 from repro.baselines.coordinated import (
+    CoordinatedCluster,
     CoordinatedFt,
-    coordinated_cluster,
     global_rollback,
 )
-from repro.baselines.page_logging import PageLoggingFt, page_logging_cluster
+from repro.baselines.page_logging import PageLoggingCluster, PageLoggingFt
 
 __all__ = [
     "PageLoggingFt",
-    "page_logging_cluster",
+    "PageLoggingCluster",
     "CoordinatedFt",
-    "coordinated_cluster",
+    "CoordinatedCluster",
     "global_rollback",
 ]

@@ -29,7 +29,8 @@ Design (barrier-anchored consistent cut + channel-state markers):
 4. Acks flow to the coordinator; ``CoordCommit`` discards all volatile
    logs and all pre-round stable state everywhere.
 
-Recovery is **global rollback** (:func:`global_rollback`): every process
+Recovery is **global rollback** (:func:`global_rollback`, which
+:class:`CoordinatedCluster` runs on every detected failure): every process
 is restarted from the last committed cut, recorded channel-state
 messages are re-injected, in-flight messages of the aborted epoch are
 flushed, and execution resumes live — no logs, no replay, but all
@@ -43,8 +44,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.cluster import DsmCluster
 from repro.core.checkpoint import Checkpoint
-from repro.core.ftmanager import FtConfig, FtManager
+from repro.core.ftmanager import FtManager
 from repro.core.logs import DiffLog
 from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
@@ -60,7 +62,7 @@ __all__ = [
     "CoordCommit",
     "CoordinatedFt",
     "CoordStats",
-    "coordinated_cluster",
+    "CoordinatedCluster",
     "global_rollback",
 ]
 
@@ -76,7 +78,7 @@ class CoordPrepare(Message):
     cut_episode: int = 0
     category: str = "coord"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 12
 
 
@@ -85,7 +87,7 @@ class CoordMarker(Message):
     round_id: int = 0
     category: str = "coord"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8
 
 
@@ -95,7 +97,7 @@ class CoordAck(Message):
     proc: int = 0
     category: str = "coord"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8
 
 
@@ -104,7 +106,7 @@ class CoordCommit(Message):
     round_id: int = 0
     category: str = "coord"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8
 
 
@@ -356,13 +358,6 @@ class CoordinatedFt(FtManager):
                 del copies[:-1]
         mgr._update_window()
 
-    # -- the independent-scheme machinery is disabled ---------------------------
-    def run_llt(self):  # pragma: no cover - coordinated GC supersedes it
-        return {}
-
-    def run_cgc(self) -> int:  # pragma: no cover
-        return 0
-
 
 # ---------------------------------------------------------------------------
 # global rollback recovery
@@ -372,11 +367,11 @@ class CoordinatedFt(FtManager):
 def global_rollback(cluster: Any) -> None:
     """Roll every process back to the last committed coordinated cut.
 
-    Called by the cluster's failure path when the FT layer is
-    :class:`CoordinatedFt`. All volatile state is discarded, in-flight
-    messages of the aborted epoch are flushed, each process restores its
-    round snapshot (or the initial state if no round committed), channel
-    state is re-injected, and the applications resume live.
+    :class:`CoordinatedCluster` runs it once a failure is detected. All
+    volatile state is discarded, in-flight messages of the aborted epoch
+    are flushed, each process restores its round snapshot (or the initial
+    state if no round committed), channel state is re-injected, and the
+    applications resume live.
     """
     committed = max(
         (h.ft.committed_round for h in cluster.hosts if h.ft is not None),
@@ -511,20 +506,25 @@ def _restore_round(host: Any, round_id: int) -> None:
             m.current = ep
 
 
-def coordinated_cluster(
-    config: Optional[DsmConfig] = None,
-    l_fraction: float = 0.1,
-    **cluster_kw: Any,
-):
-    """A cluster whose FT layer is coordinated checkpointing + rollback."""
-    from repro import DsmCluster
+class CoordinatedCluster(DsmCluster):
+    """A cluster whose FT layer is coordinated checkpointing, with the
+    OF policy at ``l_fraction`` starting the rounds, and whose recovery
+    rolls every process back to the last committed cut."""
 
-    cluster = DsmCluster(
-        config or DsmConfig(),
-        ft=True,
-        policy_factory=lambda pid, fp: LogOverflowPolicy(l_fraction, fp),
-        ft_factory=CoordinatedFt,
-        **cluster_kw,
-    )
-    cluster.recovery_style = "rollback"
-    return cluster
+    ft_class = CoordinatedFt
+
+    def __init__(
+        self,
+        config: Optional[DsmConfig] = None,
+        l_fraction: float = 0.1,
+        **cluster_kw: Any,
+    ) -> None:
+        super().__init__(
+            config,
+            ft=True,
+            policy_factory=lambda pid, fp: LogOverflowPolicy(l_fraction, fp),
+            **cluster_kw,
+        )
+
+    def _start_recovery(self, pid: int) -> None:
+        global_rollback(self)

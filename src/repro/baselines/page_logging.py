@@ -21,17 +21,16 @@ model intact and its recovery exact.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-import numpy as np
-
-from repro import DsmCluster, DsmConfig
-from repro.core.ftmanager import FtConfig, FtManager
-from repro.core.policies import CheckpointPolicy, LogOverflowPolicy
+from repro.cluster import DsmCluster
+from repro.core.ftmanager import FtManager
+from repro.core.policies import LogOverflowPolicy
+from repro.dsm.config import DsmConfig
 from repro.dsm.diff import RUN_HEADER_BYTES, Diff
 from repro.dsm.pages import PageId
 
-__all__ = ["PageLoggingFt", "page_logging_cluster"]
+__all__ = ["PageLoggingFt", "PageLoggingCluster"]
 
 
 def _page_costed(diff: Diff, page_bytes: int) -> Diff:
@@ -49,16 +48,21 @@ class PageLoggingFt(FtManager):
         return _page_costed(diff, len(self.proc.page_bytes(page)))
 
 
-def page_logging_cluster(
-    config: Optional[DsmConfig] = None,
-    l_fraction: float = 0.1,
-    **cluster_kw,
-) -> DsmCluster:
-    """A cluster whose FT layer uses whole-page logging."""
-    return DsmCluster(
-        config or DsmConfig(),
-        ft=True,
-        policy_factory=lambda pid, fp: LogOverflowPolicy(l_fraction, fp),
-        ft_factory=PageLoggingFt,
-        **cluster_kw,
-    )
+class PageLoggingCluster(DsmCluster):
+    """A cluster whose FT layer uses whole-page logging, with the OF
+    policy at ``l_fraction``."""
+
+    ft_class = PageLoggingFt
+
+    def __init__(
+        self,
+        config: Optional[DsmConfig] = None,
+        l_fraction: float = 0.1,
+        **cluster_kw: Any,
+    ) -> None:
+        super().__init__(
+            config,
+            ft=True,
+            policy_factory=lambda pid, fp: LogOverflowPolicy(l_fraction, fp),
+            **cluster_kw,
+        )

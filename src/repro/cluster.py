@@ -141,7 +141,14 @@ class RunResult:
 
 
 class DsmCluster:
-    """A simulated cluster running one DSM application."""
+    """A simulated cluster running one DSM application.
+
+    A baseline FT scheme is a subclass: it names its FT manager in
+    :attr:`ft_class` and may override :meth:`_start_recovery`.
+    """
+
+    #: the FT manager every node runs when ``ft`` is on
+    ft_class = FtManager
 
     def __init__(
         self,
@@ -151,7 +158,6 @@ class DsmCluster:
         ft: bool = False,
         ft_config: Optional[FtConfig] = None,
         policy_factory: Optional[PolicyFactory] = None,
-        ft_factory: Optional[Callable[..., FtManager]] = None,
     ) -> None:
         self.config = config or DsmConfig()
         self.net_config = net_config or NetworkConfig()
@@ -161,8 +167,6 @@ class DsmCluster:
         self.policy_factory = policy_factory or (
             lambda pid, fp: LogOverflowPolicy(0.1, fp)
         )
-        #: FtManager class/constructor (swap in baseline FT layers)
-        self.ft_factory = ft_factory or FtManager
         self.engine = Engine()
         self.network = Network(self.engine, self.config.num_procs, self.net_config)
         self.regions = RegionSet(self.config)
@@ -179,10 +183,6 @@ class DsmCluster:
         self._unfinished = 0
         #: pending failure injections: (time, pid)
         self._crash_schedule: List[Tuple[float, int]] = []
-        #: "independent" (the paper's log-based single-process recovery)
-        #: or "rollback" (coordinated baseline: everyone restarts from
-        #: the last global cut)
-        self.recovery_style = "independent"
         #: recovery queries held because the responder was down (§4.3
         #: overlapping-failure message-hold path)
         self.held_recovery_msgs = 0
@@ -194,7 +194,7 @@ class DsmCluster:
         return self.regions.allocate(name, num_elements, dtype)
 
     def send(self, src: int, dst: int, msg: Message) -> None:
-        size, ft_bytes = msg.wire_size(self.config)
+        size, ft_bytes = msg.wire_size()
         self.network.send(src, dst, msg, size, msg.category, ft_bytes)
 
     def schedule_crash(self, pid: int, at_time: float) -> None:
@@ -251,7 +251,7 @@ class DsmCluster:
                 host.pid, self.config.num_procs, host.store
             )
         policy = self.policy_factory(host.pid, footprint)
-        host.ft = self.ft_factory(
+        host.ft = self.ft_class(
             host.proto, policy, host.ckpt_mgr, host.disk, self.ft_config
         )
         host.ft.proc_host = host
@@ -483,22 +483,14 @@ class DsmCluster:
             self.engine.schedule(
                 self.config.failure_detection_delay, self._recompute_buddies
             )
-        if self.recovery_style == "rollback":
-            self.engine.schedule(
-                self.config.failure_detection_delay, self._global_rollback
-            )
-        else:
-            self.engine.schedule(
-                self.config.failure_detection_delay,
-                lambda: self._start_recovery(pid),
-            )
-
-    def _global_rollback(self) -> None:
-        from repro.baselines.coordinated import global_rollback
-
-        global_rollback(self)
+        self.engine.schedule(
+            self.config.failure_detection_delay,
+            lambda: self._start_recovery(pid),
+        )
 
     def _start_recovery(self, pid: int) -> None:
+        """Recover ``pid`` alone, by log-based replay (§4.3), once its
+        failure is detected."""
         host = self.hosts[pid]
         if host.live or host.finished or host.recovering:
             return  # already back (or a restarted recovery is underway)

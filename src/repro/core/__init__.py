@@ -18,10 +18,7 @@ from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.core.policies import (
     BarrierCoordinatedPolicy,
     CheckpointPolicy,
-    IntervalPolicy,
     LogOverflowPolicy,
-    ManualPolicy,
-    NeverPolicy,
 )
 from repro.core.trimming import TrimmingInfo
 from repro.core.ftmanager import FtManager, FtConfig
@@ -35,10 +32,7 @@ __all__ = [
     "CheckpointManager",
     "CheckpointPolicy",
     "LogOverflowPolicy",
-    "IntervalPolicy",
     "BarrierCoordinatedPolicy",
-    "ManualPolicy",
-    "NeverPolicy",
     "TrimmingInfo",
     "FtManager",
     "FtConfig",

@@ -1,24 +1,22 @@
 """Checkpointing policies (§5.1 and the §5.4 discussion).
 
-The decision of *when* a node checkpoints is purely local and pluggable.
-The paper evaluates the **log-overflow (OF)** policy: checkpoint when the
-volatile log exceeds a fraction ``L`` of the shared-memory footprint
-(L = 1.0 for Barnes, 0.1 for the Water apps). The conclusions sketch two
-alternatives we also provide: a **barrier-coordinated** policy (every
-process checkpoints at the same barriers, amortizing the coordination the
-application already performs) and a **manual** application-driven policy
-(the exported checkpoint API, enabling memory-exclusion style
-optimizations). An **interval** policy (every k flushed intervals) is a
-simple baseline.
+The decision of *when* a node checkpoints is purely local. The paper
+evaluates the **log-overflow (OF)** policy: checkpoint when the volatile
+log exceeds a fraction ``L`` of the shared-memory footprint (L = 1.0 for
+Barnes, 0.1 for the Water apps). Its conclusions sketch a
+**barrier-coordinated** alternative (every process checkpoints at the
+same barriers, amortizing the coordination the application already
+performs), which ablation A2 measures.
 
 Policies are consulted at synchronization points only — matching the
 paper's restriction that all logging/trimming happens at sync points —
-and may inspect the whole FT manager.
+and may inspect the whole FT manager. A requested checkpoint is taken at
+the application's next ``ckpt_point()`` safe point.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ftmanager import FtManager
@@ -26,23 +24,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CheckpointPolicy",
     "LogOverflowPolicy",
-    "IntervalPolicy",
     "BarrierCoordinatedPolicy",
-    "ManualPolicy",
-    "NeverPolicy",
 ]
 
 
 class CheckpointPolicy:
     """Decides at each sync point whether to take a checkpoint now."""
 
-    name = "abstract"
-
     def should_checkpoint(self, ft: "FtManager", at_barrier: bool) -> bool:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
 
 
 class LogOverflowPolicy(CheckpointPolicy):
@@ -54,45 +44,17 @@ class LogOverflowPolicy(CheckpointPolicy):
     Figure 4).
     """
 
-    name = "log_overflow"
-
     def __init__(self, l_fraction: float, footprint_bytes: int) -> None:
         if l_fraction <= 0:
             raise ValueError("L must be positive")
         if footprint_bytes <= 0:
             raise ValueError("footprint must be positive")
-        self.l_fraction = l_fraction
         self.threshold = int(l_fraction * footprint_bytes)
 
     def should_checkpoint(self, ft: "FtManager", at_barrier: bool) -> bool:
         # the log accumulated since the last save: this is what grows by
         # up to L between checkpoints (the paper's Figure 4 slope)
         return ft.logs.diff.unsaved_bytes >= self.threshold
-
-    def describe(self) -> str:
-        return f"OF L = {self.l_fraction}"
-
-
-class IntervalPolicy(CheckpointPolicy):
-    """Checkpoint every ``k`` flushed intervals."""
-
-    name = "interval"
-
-    def __init__(self, every_intervals: int) -> None:
-        if every_intervals < 1:
-            raise ValueError("interval count must be >= 1")
-        self.every = every_intervals
-        self._last = 0
-
-    def should_checkpoint(self, ft: "FtManager", at_barrier: bool) -> bool:
-        cur = ft.proc.vt[ft.proc.pid]
-        if cur - self._last >= self.every:
-            self._last = cur
-            return True
-        return False
-
-    def describe(self) -> str:
-        return f"every {self.every} intervals"
 
 
 class BarrierCoordinatedPolicy(CheckpointPolicy):
@@ -104,8 +66,6 @@ class BarrierCoordinatedPolicy(CheckpointPolicy):
     applications like Barnes.
     """
 
-    name = "barrier_coordinated"
-
     def __init__(self, every_barriers: int = 1) -> None:
         if every_barriers < 1:
             raise ValueError("barrier count must be >= 1")
@@ -116,21 +76,3 @@ class BarrierCoordinatedPolicy(CheckpointPolicy):
             return False
         episode = ft.proc.barrier_episode
         return episode > 0 and episode % self.every == 0
-
-
-class ManualPolicy(CheckpointPolicy):
-    """Only the application's explicit ``proc.checkpoint()`` checkpoints."""
-
-    name = "manual"
-
-    def should_checkpoint(self, ft: "FtManager", at_barrier: bool) -> bool:
-        return False
-
-
-class NeverPolicy(CheckpointPolicy):
-    """No checkpoints at all (logging-only runs, for ablations)."""
-
-    name = "never"
-
-    def should_checkpoint(self, ft: "FtManager", at_barrier: bool) -> bool:
-        return False

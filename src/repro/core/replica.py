@@ -40,7 +40,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import PageCopy, maximal_starting_copy
 from repro.core.logs import RelEntry, VolatileLogs
-from repro.dsm.messages import ReplicaAck, ReplicaUpdate, WriteNotice
+from repro.dsm.messages import (
+    NOTICE_BYTES,
+    ReplicaAck,
+    ReplicaUpdate,
+    WriteNotice,
+)
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.sim.trace import (
@@ -64,7 +69,6 @@ NO_REPLICA = "__noreplica__"  # sentinel payload: nothing usable to answer from
 
 # modeled wire sizes; every stamp costs its own VClock.wire_bytes()
 ENTRY_WIRE = 8  # a log record's fixed fields (lock id, peer, flags)
-NOTICE_WIRE = 16
 
 DiffEntries = List[Tuple[VClock, Any]]  # [(diff.T, diff)]
 
@@ -190,7 +194,7 @@ class FtImage:
         logs, sync = self.logs, self.sync
         return (
             _grants_wire(logs.rel.entries) + _grants_wire(logs.acq.entries)
-            + len(self.wn) * NOTICE_WIRE
+            + len(self.wn) * NOTICE_BYTES
             + _stamps_wire(logs.bar.values())
             + sum(
                 _diff_wire(e.diff, e.t)
@@ -234,7 +238,7 @@ class FtImage:
             }
             size = (
                 _grants_wire((rel_entries, acq_mirror))
-                + len(wn) * NOTICE_WIRE
+                + len(wn) * NOTICE_BYTES
                 + _stamps_wire(bar.values())
                 + len(sync.tokens) * 8
                 + sync.tckp.wire_bytes()

@@ -25,8 +25,8 @@ class DsmConfig:
         Failure detection latency of the recovery manager (seconds).
 
     Pages are homed round-robin over processes and lock managers too
-    (:meth:`lock_manager`); the barrier manager and the wire sizes below
-    are constants. A vector timestamp costs :meth:`VClock.wire_bytes`.
+    (:meth:`lock_manager`); the barrier manager is a constant. Message
+    sizes are the wire format's, in :mod:`repro.dsm.messages`.
     """
 
     num_procs: int = 8
@@ -35,12 +35,6 @@ class DsmConfig:
 
     #: process 0 manages every barrier
     barrier_manager: ClassVar[int] = 0
-    #: modeled wire header per protocol message
-    msg_header: ClassVar[int] = 32
-    #: wire size of one write notice (creator, interval, page id)
-    notice_bytes: ClassVar[int] = 12
-    #: recovery handshake/query message base size
-    recovery_msg_bytes: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
         if self.num_procs < 1:

@@ -1,9 +1,8 @@
 """Protocol message types and their modeled wire sizes.
 
-Each message computes its own payload size from the
-:class:`~repro.dsm.config.DsmConfig` cost model, and
-:meth:`Message.wire_size` turns it into the ``(size, ft_bytes)`` pair the
-network accounts: the ``piggyback`` field (when present) carries the
+Each message computes its own payload size, and :meth:`Message.wire_size`
+adds :data:`MSG_HEADER` and turns it into the ``(size, ft_bytes)`` pair
+the network accounts: the ``piggyback`` field (when present) carries the
 lazily propagated LLT/CGC control data of §4.4.4 and its size is
 accounted as ``ft_bytes`` so Table 2 can compare it against base protocol
 traffic; a replication message is fault-tolerance traffic whole.
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import COMPONENT_BYTES, VClock
@@ -44,7 +42,19 @@ __all__ = [
     "AcqAck",
     "ReplicaUpdate",
     "ReplicaAck",
+    "MSG_HEADER",
+    "NOTICE_BYTES",
+    "RECOVERY_MSG_BYTES",
 ]
+
+#: modeled wire header per protocol message
+MSG_HEADER = 32
+#: wire size of one write notice: its (creator, interval, page id) record
+#: and one component for the creator interval's stamp, which the receiver
+#: rebuilds from its interval tables
+NOTICE_BYTES = 12 + COMPONENT_BYTES
+#: recovery handshake/query message base size
+RECOVERY_MSG_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -96,25 +106,17 @@ class Message:
     #: piggyback (a class attribute, not a field)
     all_ft = False
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         raise NotImplementedError
 
-    def wire_size(self, config: DsmConfig) -> Tuple[int, int]:
+    def wire_size(self) -> Tuple[int, int]:
         """``(size, ft_bytes)``: the modeled wire size (header + payload
         + piggyback) and its fault-tolerance share."""
-        payload = self.payload_bytes(config)
+        payload = self.payload_bytes()
         pb = self.piggyback
         ft = pb.size_bytes() if pb is not None else 0
-        size = config.msg_header + payload + ft
+        size = MSG_HEADER + payload + ft
         return size, (payload + ft if self.all_ft else ft)
-
-
-def _notices_bytes(notices: List[WriteNotice], config: DsmConfig) -> int:
-    # one (creator, interval, page) record per notice; timestamps of
-    # notices are reconstructed from interval tables, so only distinct
-    # interval vts are shipped — modeled as one vt per notice creator
-    # interval, folded into notice_bytes for simplicity.
-    return len(notices) * (config.notice_bytes + COMPONENT_BYTES)
 
 
 @dataclass
@@ -131,7 +133,7 @@ class LockAcquireReq(Message):
     seq: int = 0
     category: str = "lock"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 12 + self.acq_vt.wire_bytes()
 
 
@@ -149,7 +151,7 @@ class LockForward(Message):
     seq: int = 0
     category: str = "lock"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         vt = self.acq_vt
         return 12 + (vt.wire_bytes() if vt is not None else 0)
 
@@ -172,7 +174,7 @@ class GrantInfo(Message):
     acq_t: Optional[VClock] = None  # set for self-grants only
     category: str = "lock"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         t = self.acq_t
         return 12 + (t.wire_bytes() if t is not None else 0)
 
@@ -197,8 +199,8 @@ class LockGrant(Message):
     provisional: bool = False
     category: str = "lock"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
-        return 12 + self.rel_vt.wire_bytes() + _notices_bytes(self.notices, config)
+    def payload_bytes(self) -> int:
+        return 12 + self.rel_vt.wire_bytes() + len(self.notices) * NOTICE_BYTES
 
 
 @dataclass
@@ -215,7 +217,7 @@ class DiffMsg(Message):
     interval: int = 0
     category: str = "diff"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8 + COMPONENT_BYTES + self.diff.size_bytes
 
 
@@ -228,7 +230,7 @@ class PageFetchReq(Message):
     needed_v: VClock = None  # type: ignore[assignment]
     category: str = "page"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8 + self.needed_v.wire_bytes()
 
 
@@ -241,7 +243,7 @@ class PageFetchReply(Message):
     version: VClock = None  # type: ignore[assignment]
     category: str = "page"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8 + self.version.wire_bytes() + len(self.data)
 
 
@@ -255,8 +257,8 @@ class BarrierArrive(Message):
     notices: List[WriteNotice] = field(default_factory=list)
     category: str = "barrier"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
-        return 8 + self.vt.wire_bytes() + _notices_bytes(self.notices, config)
+    def payload_bytes(self) -> int:
+        return 8 + self.vt.wire_bytes() + len(self.notices) * NOTICE_BYTES
 
 
 @dataclass
@@ -268,9 +270,9 @@ class BarrierRelease(Message):
     notices: List[WriteNotice] = field(default_factory=list)
     category: str = "barrier"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return (
-            8 + self.global_vt.wire_bytes() + _notices_bytes(self.notices, config)
+            8 + self.global_vt.wire_bytes() + len(self.notices) * NOTICE_BYTES
         )
 
 
@@ -292,7 +294,7 @@ class AcqAck(Message):
     category: str = "lock"
     all_ft = True
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8 + self.acq_t.wire_bytes()
 
 
@@ -329,7 +331,7 @@ class ReplicaUpdate(Message):
     category: str = "replica"
     all_ft = True
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 16 + self.body_size
 
 
@@ -348,7 +350,7 @@ class ReplicaAck(Message):
     category: str = "replica"
     all_ft = True
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 16
 
 
@@ -366,7 +368,7 @@ class RecoveryQuery(Message):
     parameters (a page id, a logical-time bound). ``about`` names whose
     state is asked for: the responder's own by default, or a lost peer's
     whose replicated image the responder holds as its buddy. Part of the
-    constant modelled ``recovery_msg_bytes`` either way.
+    constant modelled :data:`RECOVERY_MSG_BYTES` either way.
     """
 
     kind: str = ""
@@ -376,8 +378,8 @@ class RecoveryQuery(Message):
     about: Optional[int] = None
     category: str = "recovery"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
-        return config.recovery_msg_bytes
+    def payload_bytes(self) -> int:
+        return RECOVERY_MSG_BYTES
 
 
 @dataclass
@@ -400,8 +402,8 @@ class RecoveryReply(Message):
     responder_recovering: bool = False
     category: str = "recovery"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
-        return config.recovery_msg_bytes + self.payload_size
+    def payload_bytes(self) -> int:
+        return RECOVERY_MSG_BYTES + self.payload_size
 
 
 @dataclass
@@ -411,5 +413,5 @@ class RecoveryDone(Message):
     proc: int = 0
     category: str = "recovery"
 
-    def payload_bytes(self, config: DsmConfig) -> int:
+    def payload_bytes(self) -> int:
         return 8

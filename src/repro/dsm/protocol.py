@@ -278,14 +278,6 @@ class DsmProcess:
         yield from self.cpu.drain_debt()
         yield from self.ft.at_safe_point()
 
-    def checkpoint(self) -> Iterator[Any]:
-        """Application-requested checkpoint, taken immediately (the
-        exported API of §5.4; the call site is by definition safe)."""
-        yield from self.cpu.drain_debt()
-        take = getattr(self.ft, "take_checkpoint", None)
-        if take is not None:
-            yield from take()
-
     # ------------------------------------------------------------------
     # application API — shared memory access
     # ------------------------------------------------------------------
@@ -1088,5 +1080,5 @@ class DsmProcess:
         pb = self.ft.piggyback_for(dst)
         if pb is not None:
             msg.piggyback = pb
-        size, ft_bytes = msg.wire_size(self.config)
+        size, ft_bytes = msg.wire_size()
         self._send_raw(self.pid, dst, msg, size, msg.category, ft_bytes)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import DsmCluster, DsmConfig
-from repro.baselines import coordinated_cluster, page_logging_cluster
+from repro.baselines import CoordinatedCluster, PageLoggingCluster
 from repro.core import LogOverflowPolicy
 from repro.sim.network import MetaClusterConfig
 
@@ -23,7 +23,7 @@ from tests.conftest import make_app, make_cluster
 @pytest.fixture(scope="module")
 def page_logged():
     """A fault-free 8-node page-logging water-nsq run (result validated)."""
-    c = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+    c = PageLoggingCluster(DsmConfig(num_procs=8), l_fraction=0.1)
     c.run(make_app("water-nsq"))
     return c
 
@@ -31,7 +31,7 @@ def page_logged():
 @pytest.fixture(scope="module")
 def coordinated_rounds():
     """A fault-free 8-node coordinated water-spatial run at L = 0.05."""
-    c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.05)
+    c = CoordinatedCluster(DsmConfig(num_procs=8), l_fraction=0.05)
     c.run(make_app("water-spatial"))
     return c
 
@@ -44,7 +44,7 @@ def coordinated_wall_time():
 
     def wall_time(app_name):
         if app_name not in times:
-            c = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+            c = CoordinatedCluster(DsmConfig(num_procs=8), l_fraction=0.1)
             times[app_name] = c.run(make_app(app_name)).wall_time
         return times[app_name]
 
@@ -66,7 +66,7 @@ def test_page_logging_correct_and_bigger(page_logged):
 
 def test_page_logging_recovery_works(page_logged):
     T = page_logged.engine.now
-    c2 = page_logging_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+    c2 = PageLoggingCluster(DsmConfig(num_procs=8), l_fraction=0.1)
     c2.schedule_crash(3, at_time=T * 0.4)
     res = c2.run(make_app("water-nsq"))
     assert res.recoveries == 1
@@ -81,7 +81,7 @@ def test_coordinated_commit_drops_the_barrier_managers_history_too():
     """"Drop ALL volatile logs" includes the barrier log (once it lived in
     ``dsm/`` and survived every commit): after the last committed round
     every node, the manager too, holds only the episodes since."""
-    c = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.05)
+    c = CoordinatedCluster(DsmConfig(num_procs=4), l_fraction=0.05)
     c.run(make_app("barnes"))
     mgr = c.hosts[0].proto.barrier_mgr
     assert c.hosts[0].ft.coord.rounds_committed >= 2
@@ -116,7 +116,7 @@ def test_coordinated_checkpoints_are_aligned(coordinated_rounds):
 @pytest.mark.parametrize("frac", [0.3, 0.6])
 def test_coordinated_global_rollback(app_name2, frac, coordinated_wall_time):
     T = coordinated_wall_time(app_name2)
-    c2 = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+    c2 = CoordinatedCluster(DsmConfig(num_procs=8), l_fraction=0.1)
     c2.schedule_crash(3, at_time=T * frac)
     res = c2.run(make_app(app_name2))  # validates result
     assert res.recoveries == 1
@@ -136,7 +136,7 @@ def test_rollback_loses_everyones_work(coordinated_wall_time):
     t_ind = ind2.run(make_app("water-spatial")).wall_time
 
     Tc = coordinated_wall_time("water-spatial")
-    co2 = coordinated_cluster(DsmConfig(num_procs=8), l_fraction=0.1)
+    co2 = CoordinatedCluster(DsmConfig(num_procs=8), l_fraction=0.1)
     co2.schedule_crash(3, at_time=Tc * 0.6)
     t_co = co2.run(make_app("water-spatial")).wall_time
 
@@ -154,7 +154,7 @@ def test_coordinated_round_latency_grows_with_wan():
     scheme has no such round at all."""
     lat = {}
     for wan in (0.5e-3, 5e-3):
-        c = coordinated_cluster(
+        c = CoordinatedCluster(
             DsmConfig(num_procs=8),
             l_fraction=0.05,
             net_config=MetaClusterConfig(

@@ -4,7 +4,6 @@ logging, checkpointing, LLT and CGC invariants (§4.2, §4.4, §5)."""
 import pytest
 
 from repro.core import FtConfig
-from repro.core.policies import NeverPolicy
 from repro import DsmCluster, DsmConfig
 from repro.core import LogOverflowPolicy
 
@@ -147,43 +146,14 @@ def test_log_ckpt_time_bucket_populated(shared_run):
 
 
 def test_never_policy_takes_no_checkpoints():
+    """An OF threshold the run never reaches: logging without checkpoints."""
     cluster = DsmCluster(
         DsmConfig(num_procs=4),
         ft=True,
-        policy_factory=lambda pid, fp: NeverPolicy(),
+        policy_factory=lambda pid, fp: LogOverflowPolicy(1e6, fp),
     )
     res = cluster.run(make_app("counter"))
     assert all(s.checkpoints_taken == 0 for s in res.ft_stats)
-
-
-def test_manual_checkpoint_api():
-    """proc.checkpoint() takes a checkpoint on demand (§5.4 API)."""
-    from repro.apps.base import DsmApp
-    from repro.core.policies import ManualPolicy
-
-    class App(DsmApp):
-        name = "manual"
-
-        def configure(self, cluster):
-            self.r = cluster.allocate("r", 64)
-
-        def init_state(self, pid):
-            return {}
-
-        def run(self, proc, state):
-            v = yield from proc.write_range(self.r, proc.pid, proc.pid + 1)
-            v[0] = 1.0
-            yield from proc.barrier()
-            yield from proc.checkpoint()
-            yield from proc.barrier()
-
-    cluster = DsmCluster(
-        DsmConfig(num_procs=4),
-        ft=True,
-        policy_factory=lambda pid, fp: ManualPolicy(),
-    )
-    res = cluster.run(App())
-    assert all(s.checkpoints_taken == 1 for s in res.ft_stats)
 
 
 def test_figure4_log_points_recorded(shared_run):

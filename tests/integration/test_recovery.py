@@ -299,9 +299,13 @@ def kvstore_32_free():
 
 
 def test_kvstore_32_procs_crash_p5_at_half_verifies(kvstore_32_free):
-    """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``: a home's
-    logged diff used to carry a remote writer's bytes, and the recovered
-    p5 replayed it over newer data (``scan sum 1030.0 != 1033.0``)."""
+    """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``, a smoke:
+    a home's logged diff used to carry a remote writer's bytes, and the
+    recovered p5 replayed it over newer data (``scan sum 1030.0 !=
+    1033.0``). With that fix undone the run now verifies anyway, as does
+    every schedule a bounded search tried (each of the 32 victims at
+    0.05...0.95 of the run, and after every 30th step up to 4590);
+    ``test_fuzz_2049_crash_p1_at_every_7th_step_verifies`` is the pin."""
     res = kvstore_32_run(
         lambda c: c.schedule_crash(5, at_time=0.5 * kvstore_32_free)
     )

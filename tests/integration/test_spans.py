@@ -213,12 +213,12 @@ def test_coordinated_rollback_trace_validates():
     """A global rollback emits no RECOVERY_BEGIN: the victim's respawned
     app span ends its detection window."""
     from repro import DsmConfig
-    from repro.baselines.coordinated import coordinated_cluster
+    from repro.baselines import CoordinatedCluster
 
-    free = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.1).run(
+    free = CoordinatedCluster(DsmConfig(num_procs=4), l_fraction=0.1).run(
         make_app("counter")
     )
-    cluster = coordinated_cluster(DsmConfig(num_procs=4), l_fraction=0.1)
+    cluster = CoordinatedCluster(DsmConfig(num_procs=4), l_fraction=0.1)
     tracer = SpanTracer(cluster)
     cluster.schedule_crash(1, at_time=0.4 * free.wall_time)
     result = cluster.run(make_app("counter"))

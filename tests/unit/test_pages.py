@@ -76,8 +76,8 @@ def test_bad_page_size_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         DsmConfig(num_procs=0)
-    # the wire sizes and the barrier manager are constants, not knobs
-    for constant in ("home_policy", "barrier_manager", "msg_header"):
+    # the home placement and the barrier manager are constants, not knobs
+    for constant in ("home_policy", "barrier_manager"):
         with pytest.raises(TypeError):
             DsmConfig(**{constant: 0})
     c = DsmConfig(num_procs=4)
