@@ -188,8 +188,10 @@ def test_bench_registry_sample(benchmark):
             registry.sample(i * 1e-3)
 
     benchmark.pedantic(run, rounds=5, iterations=1)
-    assert registry.samples_taken == 5000
-    assert len(registry.get_series("ft.ckpts_retained", 7)) == 5000
+    # five rounds when timed, one under --benchmark-disable
+    taken = registry.samples_taken
+    assert taken in (1000, 5000)
+    assert len(registry.get_series("ft.ckpts_retained", 7)) == taken
 
 
 def test_bench_windowed_observe(benchmark):

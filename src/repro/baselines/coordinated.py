@@ -54,6 +54,9 @@ from repro.dsm.messages import Message
 from repro.dsm.vclock import VClock
 from repro.sim.engine import Delay
 from repro.sim.node import TimeBucket
+from repro.sim.trace import (
+    CHECKPOINT_TAKEN, CKPT_WRITE_BEGIN, CKPT_WRITE_END, OP_CLOSE, OP_OPEN,
+)
 
 __all__ = [
     "CoordPrepare",
@@ -226,6 +229,9 @@ class CoordinatedFt(FtManager):
 
     def take_coordinated_checkpoint(self, round_id: int) -> Iterator[Any]:
         proc = self.proc
+        bus = proc.bus
+        if bus.on[OP_OPEN]:
+            bus.emit(OP_OPEN, self.pid, "ckpt", None)
         yield from proc.cpu.drain_debt()
         yield from proc._end_interval()
         proc.vt = proc.vt.bump(self.pid)
@@ -242,17 +248,28 @@ class CoordinatedFt(FtManager):
         write_cost = self.disk.write_cost(total)
         self.disk.bytes_written += total
         self.disk.write_time += write_cost
+        seqno = self.ckpt_mgr.next_seqno
         t0 = proc.engine.now
+        if bus.on[CKPT_WRITE_BEGIN]:
+            bus.emit(CKPT_WRITE_BEGIN, self.pid, seqno, total)
         yield from proc.cpu.charge(TimeBucket.LOG_CKPT, write_cost)
-        self.stats.time_disk += proc.engine.now - t0
+        duration = proc.engine.now - t0
+        if bus.on[CKPT_WRITE_END]:
+            bus.emit(CKPT_WRITE_END, self.pid, seqno, duration)
+        self.stats.time_disk += duration
 
         ckpt = Checkpoint.of(
-            proc, self.ckpt_mgr.next_seqno, state_blob, own_notices=[],
-            diff_log=DiffLog(),
+            proc, seqno, state_blob, own_notices=[], diff_log=DiffLog(),
         )
         self.ckpt_mgr.commit(ckpt, homed)
         self.stats.checkpoints_taken += 1
         self.stats.ckpt_page_bytes += page_bytes
+        taken = self.stats.checkpoints_taken
+        if bus.on[CHECKPOINT_TAKEN]:
+            bus.emit(CHECKPOINT_TAKEN, self.pid, taken, proc.vt,
+                     self.logs.diff.saved_bytes)
+        if bus.on[OP_CLOSE]:
+            bus.emit(OP_CLOSE, self.pid, "ckpt", taken)
         self._round_snapshot = (ckpt, proto_blob)
         self.round_id = round_id
 

@@ -429,6 +429,7 @@ class DsmProcess:
             self._home_waiting[page] = fut
             hp.wait_fetch(self.pid, needed, lambda: fut.resolve(None))
             yield fut
+            del self._home_waiting[page]
             wait = self.engine.now - t0
             self.cpu.stats.add(TimeBucket.PAGE_WAIT, wait)
             if bus.on[WAIT]:

@@ -13,6 +13,9 @@ from repro import DsmCluster, DsmConfig
 from repro.baselines import CoordinatedCluster, PageLoggingCluster
 from repro.core import LogOverflowPolicy
 from repro.sim.network import MetaClusterConfig
+from repro.sim.trace import (
+    CHECKPOINT_TAKEN, CKPT_WRITE_BEGIN, CKPT_WRITE_END, timeline,
+)
 
 from tests.conftest import make_app, make_cluster
 
@@ -110,6 +113,22 @@ def test_coordinated_round_commits_and_discards(coordinated_rounds):
 def test_coordinated_checkpoints_are_aligned(coordinated_rounds):
     rounds = {h.ft.round_id for h in coordinated_rounds.hosts}
     assert len(rounds) == 1
+
+
+def test_coordinated_checkpoints_are_on_the_bus():
+    """A coordinated snapshot emits what an independent checkpoint does:
+    one ``CHECKPOINT_TAKEN`` per counted checkpoint, inside its write."""
+    c = CoordinatedCluster(DsmConfig(num_procs=4), l_fraction=0.02)
+    events = timeline(c.engine, {"ckpt", "ckpt_write"})
+    c.run(make_app("counter"))
+    taken = [(e.pid, e.args[0]) for e in events if e.event == CHECKPOINT_TAKEN]
+    assert sorted(taken) == [
+        (h.pid, k + 1) for h in c.hosts
+        for k in range(h.ft.stats.checkpoints_taken)
+    ]
+    assert len(taken) >= 8
+    kinds = [e.event for e in events if e.pid == 0]
+    assert kinds[:3] == [CKPT_WRITE_BEGIN, CKPT_WRITE_END, CHECKPOINT_TAKEN]
 
 
 @pytest.mark.parametrize("app_name2", ["counter", "water-spatial", "barnes"])

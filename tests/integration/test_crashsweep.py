@@ -12,8 +12,6 @@ import json
 
 import pytest
 
-from repro import DsmCluster, DsmConfig
-from repro.apps import APPS
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
 from repro.faultinject import (
@@ -24,6 +22,7 @@ from repro.faultinject.campaign import COUNTED
 from repro.sim.engine import Future
 from repro.sim.trace import LOCK_ACQUIRED, REPL_BEGIN, REPL_COMMIT, timeline
 from tests.conftest import make_app, make_cluster
+from tests.pins import PINS
 
 FAST_DETECT = {"failure_detection_delay": 2e-3}
 
@@ -426,6 +425,21 @@ def test_a_point_whose_prefix_drifts_from_the_reference_fails():
 
 
 # ======================================================================
+# pinned schedules
+# ======================================================================
+
+
+@pytest.mark.parametrize("name", list(PINS))
+def test_pin(name):
+    """Each pinned schedule (tests/pins.py) meets the sweep's verdict,
+    monitor and oracle on, with the outcome its row names."""
+    summary = PINS[name].judge()
+    [res] = summary.results
+    assert not summary.failures(), res.error
+    assert res.outcome == PINS[name].outcome, res.error
+
+
+# ======================================================================
 # overlapping failures (hold path + explicit degradation)
 # ======================================================================
 
@@ -446,89 +460,6 @@ def test_overlapping_failure_holds_messages_then_degrades(mid_run_window):
         cluster.run(app_factory())
     # the requester's query to the down responder took the hold path
     assert cluster.held_recovery_msgs >= 1
-
-
-#: one pinned double-fault point per symptom of DESIGN.md §9 "Overlap
-#: root causes" (default app config but the seed, L = 0.1):
-#: (app, seed, procs, replicate, base (step, victim), point (step, victim))
-LIVE_SWITCH_PINS = {
-    "recovery_done_held_for_a_down_manager": (
-        "session", 0, 8, True, (2479, 6), (2603, 0)),
-    "owed_grant_is_not_a_second_token": (
-        "kvstore", 0, 8, True, (332, 4), (587, 5)),
-    "owed_grant_completes_the_replayed_acquire": (
-        "session", 7, 8, True, (1434, 5), (1865, 6)),
-    "owed_grant_carries_its_notices": (
-        "session", 3, 8, True, (622, 2), (654, 3)),
-    "no_answer_taken_from_a_rebuilding_responder": (
-        "session", 9, 4, False, (472, 2), (548, 3)),
-    "spent_successor_pointer_is_not_a_waiter": (
-        "session", 42, 8, True, (1427, 1), (1676, 3)),
-}
-
-
-@pytest.mark.parametrize("pin", list(LIVE_SWITCH_PINS))
-def test_overlapping_recoveries_keep_one_token(pin):
-    """Two overlapping recoveries end with the failure-free result, one
-    token per lock and no invariant violation — or, without replication,
-    in an explicit degradation naming the overlapping peer. Each point
-    deadlocked, lost an update, doubled a token or replayed a self-grant
-    without its token while the live switch counted tokens twice."""
-    app, seed, procs, replicate, base, (step, victim) = LIVE_SWITCH_PINS[pin]
-    spec = APPS[app]
-    sweep = CrashSweep(
-        lambda: DsmCluster(
-            DsmConfig(num_procs=procs), ft=True,
-            ft_config=FtConfig(replicate=replicate),
-        ),
-        lambda: spec.app(spec.config(seed=seed)),
-        classes=("double",),
-    )
-    sweep.run_reference()
-    res = sweep.run_point(CrashPoint("double", step, victim, base))
-    if replicate:
-        assert res.outcome == "recovered", res.error
-    else:
-        assert res.outcome == "degraded", res.error
-        assert f"depends on p{victim}, which failed" in res.error
-
-
-#: one pinned 2-node point per symptom of DESIGN.md §6 root causes 4 and
-#: 5 (app defaults but the seed, no replication): (app, seed, L, base
-#: (step, victim), point (class, step, victim))
-TWO_NODE_PINS = {
-    # p1 recovered its barrier log from replay alone; the manager's later
-    # restart found the episodes between nowhere
-    "counter_overlap_barrier_log_restored": (
-        "counter", 42, 0.1, (101, 1), ("recovery", 127, 0)),
-    "counter_sequential_barrier_log_restored": (
-        "counter", 42, 0.1, (101, 1), ("sequential", 143, 0)),
-    # LLT trimmed every episode before the manager's checkpoint: its
-    # episode count comes from that checkpoint
-    "session_manager_count_from_checkpoint": (
-        "session", 1, 0.02, (131, 1), ("sequential", 244, 0)),
-    # a self-grant mirror drained at the live switch below the Rule 2 bound
-    "session_late_self_grant_mirror_trimmed": (
-        "session", 1, 0.02, (65, 0), ("sequential", 175, 1)),
-}
-
-
-@pytest.mark.parametrize("pin", list(TWO_NODE_PINS))
-def test_two_node_cluster_recovers_under_the_monitor(pin):
-    """With one peer, the barrier log survives a crash only if the
-    recovering node restores its own from that peer's: each point lost a
-    barrier episode (deadlock or ``barrier episode mismatch``) or left a
-    stale self-grant mirror that the monitor flagged."""
-    app, seed, l, base, (cls, step, victim) = TWO_NODE_PINS[pin]
-    spec = APPS[app]
-    sweep = CrashSweep(
-        lambda: make_cluster(num_procs=2, ft=True, l_fraction=l),
-        lambda: spec.app(spec.config(seed=seed)),
-        classes=(cls,),
-    )
-    sweep.run_reference()
-    res = sweep.run_point(CrashPoint(cls, step, victim, base))
-    assert res.outcome == "recovered", res.error
 
 
 def test_recrash_of_recovering_host_restarts_recovery(

@@ -10,10 +10,8 @@ import functools
 
 import pytest
 
-from repro import DsmCluster, DsmConfig
-from repro.core import LogOverflowPolicy
-
 from tests.conftest import make_app, make_cluster
+from tests.pins import PINS
 
 
 def golden_time(name, n=8, l_fraction=0.2, **kw):
@@ -278,27 +276,21 @@ def test_a_repaired_forward_carries_the_waiters_stamp(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# schedules that used to lose updates (DESIGN.md §6, "root causes")
+# DESIGN.md §6 root cause 1 (the other step pins: tests/pins.py)
 # ---------------------------------------------------------------------------
 
 
-def kvstore_32_run(crash=None):
-    """Default kvstore on 32 nodes; ``crash(cluster)`` injects."""
+def kvstore_32_run(crash_at=None):
+    """Default kvstore on 32 nodes, p5 fail-stopped at ``crash_at``."""
     from repro.apps.kvstore import KvStoreApp, KvStoreConfig
 
     cluster = make_cluster(num_procs=32, ft=True, l_fraction=0.1)
-    if crash is not None:
-        crash(cluster)
+    if crash_at is not None:
+        cluster.schedule_crash(5, at_time=crash_at)
     return cluster.run(KvStoreApp(KvStoreConfig()))  # check_result validates
 
 
-@pytest.fixture(scope="module")
-def kvstore_32_free():
-    """The failure-free runtime of ``kvstore_32_run``."""
-    return kvstore_32_run().wall_time
-
-
-def test_kvstore_32_procs_crash_p5_at_half_verifies(kvstore_32_free):
+def test_kvstore_32_procs_crash_p5_at_half_verifies():
     """``python -m repro kvstore --procs 32 --ft --crash 5@0.5``, a smoke:
     a home's logged diff used to carry a remote writer's bytes, and the
     recovered p5 replayed it over newer data (``scan sum 1030.0 !=
@@ -306,19 +298,7 @@ def test_kvstore_32_procs_crash_p5_at_half_verifies(kvstore_32_free):
     every schedule a bounded search tried (each of the 32 victims at
     0.05...0.95 of the run, and after every 30th step up to 4590);
     ``test_fuzz_2049_crash_p1_at_every_7th_step_verifies`` is the pin."""
-    res = kvstore_32_run(
-        lambda c: c.schedule_crash(5, at_time=0.5 * kvstore_32_free)
-    )
-    assert res.crashes == 1 and res.recoveries == 1
-
-
-def test_kvstore_32_procs_crash_of_an_untouched_manager_keeps_one_token():
-    """p1 manages L1 but had not touched it when it fail-stopped after
-    step 2100; its recovery used to leave the placement to
-    ``LockTable.token()``'s lazy "the manager starts with the token" while
-    p30 held the real one, and the two holders overwrote p15's ``+5``
-    (``kv total 1028.0 != 1033.0``)."""
-    res = kvstore_32_run(lambda c: c.schedule_crash_at_step(1, 2100))
+    res = kvstore_32_run(0.5 * kvstore_32_run().wall_time)
     assert res.crashes == 1 and res.recoveries == 1
 
 
@@ -327,7 +307,7 @@ def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
     step of the 924-step run: before the home-side diff rule, any step in
     358...853 ended with ``p1 round 0: saw sum 117.0, expected 118`` (p0's
     logged diff carried p1's bytes and reverted one cell on replay)."""
-    from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
+    from tests.fuzz_app import N_PROCS, FuzzApp
 
     for step in range(7, 924, 7):
         cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
@@ -340,68 +320,35 @@ def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
 # victim went live (DESIGN.md §6, root cause 3)
 # ---------------------------------------------------------------------------
 
-
-SEQUENTIAL = [
-    # (app, n, first, second, frac, gap, replicate)   what PR 19's tree did
-    ("counter", 4, 1, 0, 0.2, 0.01, False),  # deadlock [0, 1, 2, 3]
-    ("counter", 8, 1, 0, 0.2, 0.05, False),  # deadlock
-    ("session", 4, 0, 1, 0.2, 0.01, False),  # session table total 98.0 != 105.0
-    ("session", 4, 0, 1, 0.4, 0.05, False),  # session table total 112.0 != 105.0
-    ("session", 4, 3, 2, 0.2, 0.01, False),  # deadlock
-    ("session", 4, 3, 2, 0.4, 0.2, True),  # deadlock [2]
-    ("session", 8, 7, 4, 0.6, 0.05, False),  # deadlock
-]
-
-
-def sequential_run(app_name, n, replicate, crashes=(), monitored=False):
-    """Default-size ``app_name`` on ``n`` nodes with ``crashes`` =
-    ``[(pid, time)]``; returns (cluster, result, monitor)."""
-    from repro.apps import APPS
-    from repro.core import FtConfig
-    from repro.observe import InvariantMonitor
-
-    cluster = DsmCluster(
-        DsmConfig(num_procs=n),
-        ft=True,
-        ft_config=FtConfig(replicate=replicate),
-        policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
-    )
-    monitor = InvariantMonitor(cluster) if monitored else None
-    for pid, at_time in crashes:
-        cluster.schedule_crash(pid, at_time)
-    spec = APPS[app_name]
-    result = cluster.run(spec.app(spec.config()))  # check_result validates
-    return cluster, result, monitor
+#: each ``self_grant_twins_*`` row, by the time-based schedule its steps
+#: were read off: (app, n, first, second, frac, gap, replicate)
+SEQUENTIAL = {
+    "counter-4-1-0-0.2-0.01-False": "self_grant_twins_counter4",
+    "counter-8-1-0-0.2-0.05-False": "self_grant_twins_counter8",
+    "session-4-0-1-0.2-0.01-False": "self_grant_twins_session4_p0_early",
+    "session-4-0-1-0.4-0.05-False": "self_grant_twins_session4_p0_late",
+    "session-4-3-2-0.2-0.01-False": "self_grant_twins_session4_p3",
+    "session-4-3-2-0.4-0.2-True": "self_grant_twins_session4_replicated",
+    "session-8-7-4-0.6-0.05-False": "self_grant_twins_session8",
+}
 
 
-def sequential_schedule(app_name, n, first, second, frac, gap, replicate):
-    """The two crashes of one SEQUENTIAL row, and the failure-free memory:
-    ``second`` fail-stops ``gap * t_free`` after ``first`` went live."""
-    free, res, _ = sequential_run(app_name, n, replicate)
-    t_free = res.wall_time
-    reference = [free.shared_snapshot(r).tobytes() for r in free.regions]
-    once, _, _ = sequential_run(app_name, n, replicate, [(first, frac * t_free)])
-    live = frac * t_free + once.hosts[first].recovery_phases[0]["total"]
-    crashes = [(first, frac * t_free), (second, live + gap * t_free)]
-    return crashes, reference
-
-
-@pytest.mark.parametrize("app_name,n,first,second,frac,gap,replicate", SEQUENTIAL)
-def test_sequential_failures_recover(app_name, n, first, second, frac, gap, replicate):
-    """One failure at a time, repeated: the first victim recovers and
-    holds, as lock manager or ring buddy, the twins of its peers'
-    self-grants again, so the second victim replays all of its acquires.
-    Before the self-grant pair lived in the rel/acq logs nothing restored
-    those twins, and the second victim went live early."""
-    crashes, reference = sequential_schedule(
-        app_name, n, first, second, frac, gap, replicate
-    )
-    cluster, res, _ = sequential_run(app_name, n, replicate, crashes)
+@pytest.mark.parametrize("name", SEQUENTIAL.values(), ids=SEQUENTIAL.keys())
+def test_sequential_failures_recover(name):
+    """Both victims recover to the failure-free memory, and a restored
+    self-grant twin is not logged twice (``test_pin`` judges the rest)."""
+    pin = PINS[name]
+    free = pin.cluster()
+    free.run(pin.make_app())
+    cluster = pin.cluster()
+    for step, victim in (pin.base, pin.point):
+        cluster.schedule_crash_at_step(victim, step)
+    res = cluster.run(pin.make_app())
     assert res.crashes == res.recoveries == 2
-    assert [
-        cluster.shared_snapshot(r).tobytes() for r in cluster.regions
-    ] == reference
-    for host in cluster.hosts:  # a restored twin is not logged twice
+    assert [cluster.shared_snapshot(r).tobytes() for r in cluster.regions] == [
+        free.shared_snapshot(r).tobytes() for r in free.regions
+    ]
+    for host in cluster.hosts:
         for bucket in host.ft.logs.rel.entries:
             mirrors = [(e.lock_id, e.acq_t) for e in bucket if e.local]
             assert len(mirrors) == len(set(mirrors))

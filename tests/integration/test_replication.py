@@ -20,6 +20,7 @@ from repro.sim.trace import (
     ENGINE_EVENT, FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, timeline,
 )
 from tests.conftest import make_app, make_cluster
+from tests.pins import PINS
 
 N = 4
 FAST_DETECT = {"failure_detection_delay": 2e-3}
@@ -235,7 +236,7 @@ def test_overlapping_failures_degrade_without_replication():
 def assert_live_and_replica_agree(app_name, crash=None):
     """Every answer node ``i``'s live image gives equals the one the image
     its ring buddy holds gives, modelled size included, once the run has
-    quiesced (network drained).
+    quiesced (network drained); ``crash`` is a ``(step, victim)``.
 
     Knowingly coarser on the replica, with the reason:
 
@@ -258,7 +259,8 @@ def assert_live_and_replica_agree(app_name, crash=None):
 
     cluster = replicated_cluster()
     if crash is not None:
-        cluster.schedule_crash_at_step(*crash)
+        step, victim = crash
+        cluster.schedule_crash_at_step(victim, step)
     cluster.run(make_app(app_name))
     assert cluster.recoveries == (crash is not None)
     cluster.engine.run()  # drain what the app's end left in flight
@@ -350,13 +352,8 @@ def test_checkpoint_restored_log_and_buddy_image_share_the_live_records():
     ]
 
 
-#: p0 fail-stopped after engine step 51: the forward it had consumed
-#: for lock 0, which it manages, died with it, so at its live switch it
-#: grants its resting token to the waiting p3 without the request's
-#: stamp. That grant is provisional, p3's AcqAck changes the logged
-#: prediction, and a ``rel_fix`` op really rewrites an entry
-#: (failure-free runs, and most crash points, send no AcqAck at all)
-SESSION_CRASH = (0, 51)
+#: a ``rel_fix`` op really rewrites an entry (tests/pins.py says why)
+SESSION_CRASH = PINS["provisional_grant_replicated"].point
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,139 @@
+"""Every step-pinned crash schedule, in one table.
+
+A row names one deterministic run (app, seed, nodes, L, replication) and
+one crash point in it: its class, the base crash ``(step, victim)`` it
+sits against (``None``: a single crash), its own ``(step, victim)``, the
+outcome the sweep's verdict must reach and the root cause it guards
+(``"§6.3"``: DESIGN.md §6, root cause 3). A row fails that verdict with
+its fix undone; moved timing can carry it off its root cause, so a
+change that moves timing re-checks each row under that mutant.
+
+``test_crashsweep.py::test_pin`` judges every row; a test that needs a
+schedule for another purpose looks it up by name.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+from repro.apps import APPS
+from repro.core import FtConfig
+from repro.faultinject import CrashPoint, CrashSweep, SweepSummary
+
+from tests.conftest import SMALL, make_cluster
+
+
+@dataclass(frozen=True)
+class Pin:
+    app: str
+    seed: int
+    procs: int
+    l: float
+    replicate: bool
+    cls: str
+    base: Optional[Tuple[int, int]]
+    point: Tuple[int, int]
+    outcome: str
+    guards: str
+    #: the app at ``tests.conftest.SMALL`` sizes instead of its defaults
+    small: bool = False
+
+    def cluster(self):
+        return make_cluster(
+            num_procs=self.procs, ft=True, l_fraction=self.l,
+            ft_config=FtConfig(replicate=self.replicate),
+        )
+
+    def make_app(self):
+        spec = APPS[self.app]
+        sizes = SMALL[self.app] if self.small else {}
+        return spec.app(spec.config(seed=self.seed, **sizes))
+
+    def judge(self) -> SweepSummary:
+        """The sweep's verdict on this one point, monitor and oracle on."""
+        sweep = CrashSweep(self.cluster, self.make_app, classes=(self.cls,))
+        sweep.run_reference()
+        step, victim = self.point
+        res = sweep.run_point(CrashPoint(self.cls, step, victim, self.base))
+        return SweepSummary(
+            sweep.every, sweep.classes, sweep.reference_steps,
+            len(sweep.reference_trace), sweep.reference_wall_time,
+            replicate=sweep.replicate, results=[res],
+        )
+
+
+def _sequential(app, procs, replicate, base, point):
+    return Pin(app, 42, procs, 0.1, replicate, "sequential", base, point,
+               "recovered", "§6.3")
+
+
+def _double(app, seed, procs, base, point, guards, replicate=True):
+    return Pin(app, seed, procs, 0.1, replicate, "double", base, point,
+               "recovered" if replicate else "degraded", guards)
+
+
+PINS = {
+    # §6: one failure at a time. The symptom each row shows without its fix
+    "untouched_manager_places_its_token": Pin(  # `kv total 1028.0 != 1033.0`
+        "kvstore", 42, 32, 0.1, False, "every", None, (2100, 1),
+        "recovered", "§6.2"),
+    # a second crash after the first victim went live: deadlock, or
+    # `session table total 98.0 (112.0) != 105.0`
+    "self_grant_twins_counter4": _sequential(
+        "counter", 4, False, (187, 1), (335, 0)),
+    "self_grant_twins_counter8": _sequential(
+        "counter", 8, False, (419, 1), (959, 0)),
+    "self_grant_twins_session4_p0_early": _sequential(
+        "session", 4, False, (510, 0), (580, 1)),
+    "self_grant_twins_session4_p0_late": _sequential(
+        "session", 4, False, (919, 0), (1100, 1)),
+    "self_grant_twins_session4_p3": _sequential(
+        "session", 4, False, (510, 3), (621, 2)),
+    "self_grant_twins_session4_replicated": _sequential(
+        "session", 4, True, (1140, 3), (1515, 2)),
+    "self_grant_twins_session8": _sequential(
+        "session", 8, False, (2162, 7), (2399, 4)),
+    # N = 2: a lost barrier episode (deadlock or `barrier episode
+    # mismatch`), or a stale self-grant mirror the monitor flags
+    "counter_overlap_barrier_log_restored": Pin(
+        "counter", 42, 2, 0.1, False, "recovery", (101, 1), (127, 0),
+        "recovered", "§6.4"),
+    "counter_sequential_barrier_log_restored": Pin(
+        "counter", 42, 2, 0.1, False, "sequential", (101, 1), (143, 0),
+        "recovered", "§6.4"),
+    "session_manager_count_from_checkpoint": Pin(
+        "session", 1, 2, 0.02, False, "sequential", (131, 1), (244, 0),
+        "recovered", "§6.4"),
+    "session_late_self_grant_mirror_trimmed": Pin(
+        "session", 1, 2, 0.02, False, "sequential", (65, 0), (175, 1),
+        "recovered", "§6.5"),
+    # §9: overlapping failures
+    "queued_grant_is_the_token": _double(  # deadlock in `lock_waits=[0]`
+        "session", 5, 4, (292, 1), (300, 2), "§9.1"),
+    "release_stashed_for_the_barrier": _double(  # deadlock at a barrier
+        "kvstore", 2, 8, (312, 4), (679, 6), "§9 stash"),
+    "recovery_done_held_for_a_down_manager": _double(  # deadlock
+        "session", 0, 8, (2479, 6), (2603, 0), "§9.3"),
+    "owed_grant_is_not_a_second_token": _double(  # `lock 4: 2 tokens`
+        "kvstore", 0, 8, (332, 4), (587, 5), "§9.4"),
+    "owed_grant_completes_the_replayed_acquire": _double(  # deadlock
+        "session", 7, 8, (1434, 5), (1865, 6), "§9.4"),
+    "owed_grant_carries_its_notices": _double(  # `total 141.0 != 148.0`
+        "session", 3, 8, (622, 2), (654, 3), "§9.4"),
+    # `replay: self-grant of lock 0 without token at 3`; degrades instead
+    "no_answer_taken_from_a_rebuilding_responder": _double(
+        "session", 9, 4, (472, 2), (548, 3), "§9.5", replicate=False),
+    "spent_successor_pointer_is_not_a_waiter": _double(  # deadlock
+        "session", 42, 8, (1427, 1), (1676, 3), "§9.6"),
+    # read by other tests: p0's live switch grants on a repair forward
+    # whose request stamp died with it, so the provisional grant draws an
+    # AcqAck (no failure-free run sends one) and, replicated, a `rel_fix`
+    # op rewrites the buddy's rel entry
+    "provisional_grant_replicated": Pin(
+        "session", 42, 4, 0.2, True, "every", None, (51, 0), "recovered",
+        "§9 one answer", small=True),
+    "provisional_grant_confirmed": Pin(
+        "session", 42, 4, 0.2, False, "every", None, (404, 0), "recovered",
+        "§6.3", small=True),
+}

@@ -39,7 +39,8 @@ from repro.observe.invariants import recoverability
 from repro.sim.engine import Engine
 from repro.sim.trace import DELIVER, LOCK_ACQUIRED, RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
-from tests.integration.test_fuzz_protocol import N_PROCS, FuzzApp
+from tests.fuzz_app import N_PROCS, FuzzApp
+from tests.pins import PINS
 
 
 @contextlib.contextmanager
@@ -260,13 +261,6 @@ def test_incremental_scan_matches_full_scan_fuzz(seed, frac, scan_every):
     assert got == want == []
 
 
-#: p0 fail-stopped after engine step 404 of the 4-node session run: at
-#: its live switch it grants a lock it manages on a repair forward whose
-#: request stamp died with it, and that provisional grant draws an
-#: AcqAck (a failure-free run sends none)
-CONFIRMED_CRASH = (0, 404)
-
-
 def corrupt_first_confirm(cluster):
     """Sabotage only a replaced bucket can show: the first AcqAck any
     grantor handles leaves a rel entry stamped *beyond* the acquirer's
@@ -396,12 +390,16 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     """A corrected grant arrives as a replaced bucket: the incremental
     scan right after it sees what a full scan sees; a signature that
     ignores which list a bucket is does not."""
+    # p0's live switch grants on a repair forward whose request stamp
+    # died with it, and that provisional grant draws an AcqAck
+    pin = PINS["provisional_grant_confirmed"]
+
     def run(monitor_cls):
-        cluster = make_cluster(num_procs=4, ft=True)
+        cluster = pin.cluster()
         corrupt_first_confirm(cluster)
         return both_ways(
-            cluster, make_app("session"), 1, monitor_cls=monitor_cls,
-            crashes=(CONFIRMED_CRASH,),
+            cluster, pin.make_app(), 1, monitor_cls=monitor_cls,
+            crashes=(pin.point[::-1],),
         )
 
     got, want = run(InvariantMonitor)
@@ -449,17 +447,14 @@ def test_a_diff_ahead_of_its_writers_clock_is_reported_at_its_send():
 # ---------------------------------------------------------------------------
 def test_sequential_failure_schedule_monitored_clean():
     """The pinned schedule that used to deadlock (p1, then p0 right after
-    p1 went live), monitor attached: both recoveries, no violation."""
-    from tests.integration.test_recovery import (
-        SEQUENTIAL, sequential_run, sequential_schedule,
-    )
-
-    app_name, n, first, second, frac, gap, replicate = SEQUENTIAL[0]
-    assert (app_name, n, first, second) == ("counter", 4, 1, 0)
-    crashes, _ = sequential_schedule(*SEQUENTIAL[0])
-    cluster, res, monitor = sequential_run(
-        app_name, n, replicate, crashes, monitored=True
-    )
+    p1 went live), monitor attached from the first step (the sweep joins
+    it at the first crash): both recoveries, no violation."""
+    pin = PINS["self_grant_twins_counter4"]
+    cluster = pin.cluster()
+    monitor = InvariantMonitor(cluster)
+    for step, victim in (pin.base, pin.point):
+        cluster.schedule_crash_at_step(victim, step)
+    res = cluster.run(pin.make_app())
     assert res.crashes == res.recoveries == 2
     assert monitor.finish() == []
     assert monitor.checks["recoverability"] > 0
@@ -470,13 +465,12 @@ def test_lost_self_grant_mirror_is_a_recoverability_violation():
     acq logs. Drop one of them behind the protocol's back: at quiescence
     the final scan names the lock and the holder; while messages are
     still in flight a missing twin proves nothing and is not flagged."""
-    from tests.integration.test_recovery import sequential_run
-
-    free, res, _ = sequential_run("session", 4, False)
-    cluster, res, monitor = sequential_run(
-        "session", 4, False, [(0, 0.2 * res.wall_time)], monitored=True
-    )
-    assert res.recoveries == 1
+    pin = PINS["self_grant_twins_session4_p0_early"]
+    cluster = pin.cluster()
+    monitor = InvariantMonitor(cluster)
+    step, victim = pin.base
+    cluster.schedule_crash_at_step(victim, step)
+    assert cluster.run(pin.make_app()).recoveries == 1
     cluster.engine.run()  # drain what the app's end left in flight
     assert not cluster.network.inflight_msgs
     rel = cluster.hosts[0].ft.logs.rel

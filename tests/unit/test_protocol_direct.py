@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
-from repro.dsm.messages import DiffMsg, PageFetchReply, WriteNotice
+from repro.dsm.messages import (
+    DiffMsg, LockForward, PageFetchReply, WriteNotice,
+)
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Future
 from repro.sim.network import Network
 
 
@@ -94,6 +96,66 @@ def test_fetch_waits_for_required_version():
 
     h.run(reader(), late_writer())
     assert seen == [42.0]
+
+
+def test_home_waits_for_an_in_flight_diff_of_its_own_page():
+    """A notice that names a diff to the home's own page before the diff
+    arrives: the home's access waits for it, then reads the diffed bytes.
+    With equal latency on every link a diff reaches its home first, so
+    only a hand-driven order gets here."""
+    h = Harness(n=2, elements=8, page_size=64)  # single page, home p0
+    p0, p1 = h.procs
+    page = PageId(0, 0)
+    seen = []
+
+    def home_reader():
+        p0.entries[page].needed_v = VClock((0, 3))  # p1's interval 3
+        v = yield from p0.read_range(h.region, 0, 1)
+        seen.append((float(v[0]), h.engine.now))
+
+    def late_diff():
+        yield from p1.compute(1e-3)
+        d = Diff(((0, np.float64(7.0).tobytes()),))
+        p0._handle_diff(1, DiffMsg(page=page, writer=1, diff=d, interval=3))
+
+    h.run(home_reader(), late_diff())
+    assert seen == [(7.0, pytest.approx(1e-3))]
+    assert p0.entries[page].needed_v is None
+    assert not p0._home_waiting  # the deadlock report names no stale wait
+
+
+def test_a_forward_to_its_own_acquirer_completes_the_acquire_here():
+    """A forward that reaches its own acquirer while the token rests
+    there (a recovery placed it): the token never leaves, the waiting
+    acquire completes with the forward's seq, and the self-grant is
+    announced to the node keeping its twin, as a fast-path one is."""
+
+    class Recording(FtHooks):
+        def __init__(self):
+            self.grants, self.own, self.mirrored = [], [], []
+
+        def on_grant(self, lock_id, acquirer, acq_t, provisional):
+            self.grants.append(lock_id)
+
+        def on_self_grant(self, lock_id, acq_t):
+            self.own.append(lock_id)
+
+        def on_self_grant_mirror(self, grantor, lock_id, acq_t):
+            self.mirrored.append((grantor, lock_id))
+
+    h = Harness(n=2)
+    p0, p1 = h.procs  # p0 manages lock 0
+    p0.ft, p1.ft = Recording(), Recording()
+    st = p1.locks.token(0)
+    st.has_token, st.held = True, False
+    fut = p1._lock_waiting[0] = Future("lock0 @1")
+    p1._handle_forward(0, LockForward(lock_id=0, acquirer=1, acq_vt=p1.vt, seq=4))
+    grant = fut.value
+    assert (grant.grantor, grant.seq, grant.provisional) == (1, 4, False)
+    assert st.has_token and st.granted == {1: 4}
+    h.engine.run()
+    assert p1.ft.grants == [] and p1.ft.own == [0]
+    assert p0.ft.mirrored == [(1, 0)]
 
 
 def test_home_dedupes_replayed_diffs():
