@@ -9,6 +9,8 @@ paper workloads, preserving the sharing patterns that drive the results:
   dynamics with per-molecule locks, small footprint.
 * :mod:`repro.apps.water_spatial` — Water-Spatial: 3-D cell-decomposed
   MD, regular iteration structure.
+* :mod:`repro.apps.water` — the water system both water apps
+  decompose: molecules, regions, pair term and golden integrator.
 * :mod:`repro.apps.lu` — blocked LU decomposition (extra workload).
 
 :data:`APPS` is the one table of runnable workloads; the command line's
@@ -38,23 +40,23 @@ __all__ = [
 
 
 class AppSpec(NamedTuple):
-    """How the command line's generic knobs map onto one workload."""
+    """How the command line's generic knobs map onto one workload (its
+    config class is ``app.Config``)."""
 
     app: Type[DsmApp]
-    config: Type[AppConfig]
     size_field: str  # the config field ``--size`` sets
     has_steps: bool = True  # ``--steps`` applies (LU's length is its size)
     has_rate: bool = False  # ``--rate`` applies (open-loop apps only)
 
 
 APPS: Dict[str, AppSpec] = {
-    "counter": AppSpec(CounterApp, CounterConfig, "n_elements"),
-    "kvstore": AppSpec(KvStoreApp, KvStoreConfig, "n_keys"),
-    "session": AppSpec(SessionApp, SessionConfig, "n_keys", has_rate=True),
-    "barnes": AppSpec(BarnesApp, BarnesConfig, "n_bodies"),
-    "water-nsq": AppSpec(WaterNsqApp, WaterNsqConfig, "n_molecules"),
-    "water-spatial": AppSpec(WaterSpatialApp, WaterSpatialConfig, "n_molecules"),
-    "lu": AppSpec(LuApp, LuConfig, "matrix_size", has_steps=False),
+    "counter": AppSpec(CounterApp, "n_elements"),
+    "kvstore": AppSpec(KvStoreApp, "n_keys"),
+    "session": AppSpec(SessionApp, "n_keys", has_rate=True),
+    "barnes": AppSpec(BarnesApp, "n_bodies"),
+    "water-nsq": AppSpec(WaterNsqApp, "n_molecules"),
+    "water-spatial": AppSpec(WaterSpatialApp, "n_molecules"),
+    "lu": AppSpec(LuApp, "matrix_size", has_steps=False),
 }
 
 
@@ -68,7 +70,7 @@ def make_app(
     """A fresh instance of workload ``name``; unset knobs keep the
     config's defaults, knobs the workload does not have are ignored."""
     spec = APPS[name]
-    cfg = spec.config()
+    cfg = spec.app.Config()
     if seed is not None:
         cfg.seed = seed
     if steps and spec.has_steps:

@@ -19,7 +19,7 @@ bit modulo node numbering — which the result check exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -151,28 +151,10 @@ class _Tree:
                 other = int(crec[F_BODY])
                 cx, cy, cz, h = crec[F_CX], crec[F_CY], crec[F_CZ], crec[F_HALF]
                 self.init_internal(child, cx, cy, cz, h)
-                # re-insert displaced body from this internal node
-                depth += self._place(child, other, alloc)
-                node = child
-            else:
-                node = child
-
-    def _place(self, node: int, body: int, alloc: "Allocator") -> int:
-        """Place a single displaced body under ``node`` (no conflicts)."""
-        depth = 0
-        p = alloc.pos[body]
-        while True:
-            depth += 1
-            rec = self.nodes[node]
-            oct_ = self.octant_of(rec, p)
-            child = int(rec[F_CHILD0 + oct_])
-            if child < 0:
-                idx = alloc.take()
-                cx, cy, cz, h = self.child_center(rec, oct_)
-                self.init_leaf(idx, body, cx, cy, cz, h)
-                rec[F_CHILD0 + oct_] = float(idx)
-                return depth
-            node = child  # descend (only happens after repeated splits)
+                # the displaced body lands one level down: every slot of
+                # the fresh internal node is free
+                depth += self.insert(child, other, alloc.pos[other], alloc)
+            node = child
 
     # -- center of mass -----------------------------------------------------
     def compute_com(self, root: int, pos: np.ndarray) -> int:
@@ -291,12 +273,12 @@ class _Tree:
         return np.add.accumulate(padded, axis=1)[np.arange(n), count], counts
 
 
-class Allocator:
-    """Node allocation front-end; shared-counter or local."""
+class Allocator(NamedTuple):
+    """Node allocation front-end: the bodies' positions and the source of
+    fresh node ids (a shared-counter chunk or a local counter)."""
 
-    def __init__(self, pos: np.ndarray) -> None:
-        self.pos = pos
-        self.take = lambda: (_ for _ in ()).throw(RuntimeError("unbound"))  # type: ignore
+    pos: np.ndarray
+    take: Callable[[], int]
 
 
 def reference_barnes(cfg: BarnesConfig) -> np.ndarray:
@@ -309,7 +291,6 @@ def reference_barnes(cfg: BarnesConfig) -> np.ndarray:
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         center = (lo + hi) / 2.0
         half = float((hi - lo).max() / 2.0 * 1.01 + 1e-9)
-        alloc = Allocator(pos)
         counter = [0]
 
         def take() -> int:
@@ -318,7 +299,7 @@ def reference_barnes(cfg: BarnesConfig) -> np.ndarray:
                 raise RuntimeError("node pool exhausted")
             return counter[0]
 
-        alloc.take = take
+        alloc = Allocator(pos, take)
         root = take()
         tree.init_internal(root, center[0], center[1], center[2], half)
         for b in range(n):
@@ -334,9 +315,7 @@ def reference_barnes(cfg: BarnesConfig) -> np.ndarray:
 
 class BarnesApp(DsmApp):
     name = "barnes"
-
-    def __init__(self, cfg: BarnesConfig | None = None) -> None:
-        self.cfg = cfg or BarnesConfig()
+    Config = BarnesConfig
 
     # ------------------------------------------------------------------
     def configure(self, cluster: Any) -> None:
@@ -353,9 +332,6 @@ class BarnesApp(DsmApp):
         pos, vel = plummer_bodies(self.cfg)
         cluster.write_initial(self.r_pos, pos.ravel())
         cluster.write_initial(self.r_vel, vel.ravel())
-
-    def init_state(self, pid: int) -> Dict[str, Any]:
-        return {"step": 0, "phase": 0}
 
     # ------------------------------------------------------------------
     def run(self, proc: DsmProcess, state: Dict[str, Any]) -> Iterator[Any]:
@@ -411,7 +387,6 @@ class BarnesApp(DsmApp):
                 octs.setdefault(_Tree.octant_of(rootrec, pos[b]), []).append(b)
 
             chunk: List[int] = []
-            alloc = Allocator(pos)
 
             def take() -> int:
                 if not chunk:
@@ -421,7 +396,7 @@ class BarnesApp(DsmApp):
                     )
                 return chunk.pop(0)
 
-            alloc.take = take
+            alloc = Allocator(pos, take)
             need = cfg.alloc_chunk  # headroom for one insertion's splits
 
             def refill() -> Iterator[Any]:

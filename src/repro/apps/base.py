@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dsm.config import DsmConfig
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["AppConfig", "DsmApp", "golden", "phase_loop", "block_partition"]
@@ -63,9 +62,21 @@ def golden(model: Callable[[Any], np.ndarray], cfg: AppConfig) -> np.ndarray:
 
 
 class DsmApp:
-    """One shared-memory workload."""
+    """One shared-memory workload.
+
+    ``Config`` names the app's configuration class: ``App(cfg)`` runs
+    ``cfg`` and ``App()`` that class's defaults. An app without a config
+    defines its own ``__init__``. Each process starts from the state
+    ``{"step": 0, "phase": 0}``, the position :func:`phase_loop` resumes
+    from; an app that keeps more private state overrides
+    :meth:`init_state`.
+    """
 
     name: str = "app"
+    Config: type = AppConfig
+
+    def __init__(self, cfg: Optional[AppConfig] = None) -> None:
+        self.cfg = cfg or self.Config()
 
     def configure(self, cluster: Any) -> None:
         """Allocate shared regions (and optionally assign homes)."""
@@ -82,7 +93,7 @@ class DsmApp:
 
     def init_state(self, pid: int) -> Dict[str, Any]:
         """The initial private (checkpointable) state of process ``pid``."""
-        raise NotImplementedError
+        return {"step": 0, "phase": 0}
 
     def run(self, proc: DsmProcess, state: Dict[str, Any]) -> Iterator[Any]:
         """The process body (coroutine). Must follow the resumability rules."""

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator
 
-import numpy as np
-
 from repro.apps.base import AppConfig, DsmApp, block_partition, phase_loop
 from repro.dsm.protocol import DsmProcess
 
@@ -30,9 +28,7 @@ class CounterConfig(AppConfig):
 
 class CounterApp(DsmApp):
     name = "counter"
-
-    def __init__(self, cfg: CounterConfig | None = None) -> None:
-        self.cfg = cfg or CounterConfig()
+    Config = CounterConfig
 
     def configure(self, cluster: Any) -> None:
         self.r_counter = cluster.allocate("counter", 8)

@@ -58,9 +58,7 @@ def _op_delta(pid: int, step: int, op: int) -> float:
 
 class KvStoreApp(DsmApp):
     name = "kvstore"
-
-    def __init__(self, cfg: KvStoreConfig | None = None) -> None:
-        self.cfg = cfg or KvStoreConfig()
+    Config = KvStoreConfig
 
     def configure(self, cluster: Any) -> None:
         self.r_kv = cluster.allocate("kv", self.cfg.n_keys)

@@ -90,12 +90,7 @@ def _solve_upper(diag: np.ndarray, b: np.ndarray) -> None:
 
 class LuApp(DsmApp):
     name = "lu"
-
-    def __init__(self, cfg: LuConfig | None = None) -> None:
-        self.cfg = cfg
-
-        if cfg is None:
-            self.cfg = LuConfig()
+    Config = LuConfig
 
     # ------------------------------------------------------------------
     def configure(self, cluster: Any) -> None:
@@ -104,9 +99,6 @@ class LuApp(DsmApp):
 
     def init_shared(self, cluster: Any) -> None:
         cluster.write_initial(self.r_a, _initial_matrix(self.cfg).ravel())
-
-    def init_state(self, pid: int) -> Dict[str, Any]:
-        return {"step": 0, "phase": 0}
 
     # ------------------------------------------------------------------
     def _block_ranges(self, bi: int, bj: int) -> List[Tuple[int, int]]:

@@ -156,34 +156,26 @@ def _write_delta(pid: int, r: int) -> float:
 
 class SessionApp(DsmApp):
     name = "session"
+    Config = SessionConfig
 
-    def __init__(self, cfg: SessionConfig | None = None) -> None:
-        self.cfg = cfg or SessionConfig()
-        self._cdf = _zipf_cdf(self.cfg)
-        #: per-pid arrival schedules, derived lazily from the config (not
-        #: run state: pure, so sharing the cache across incarnations and
-        #: replays is safe)
-        self._arrivals: Dict[int, np.ndarray] = {}
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        return _zipf_cdf(self.cfg)
 
     def configure(self, cluster: Any) -> None:
         self.r_sessions = cluster.allocate("sessions", self.cfg.n_keys)
-
-    def init_state(self, pid: int) -> Dict[str, Any]:
-        return {"step": 0, "phase": 0}
 
     # ------------------------------------------------------------------
     # the open-loop schedule
     # ------------------------------------------------------------------
     def arrivals(self, pid: int) -> np.ndarray:
-        """Virtual arrival time of every request of process ``pid``."""
-        arr = self._arrivals.get(pid)
-        if arr is None:
-            cfg = self.cfg
-            n = cfg.steps * cfg.requests_per_step
-            rng = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM))
-            gaps = rng.exponential(1.0 / cfg.rate, size=n)
-            arr = self._arrivals[pid] = np.cumsum(gaps)
-        return arr
+        """Virtual arrival time of every request of process ``pid``: a
+        pure function of the config, so an incarnation that replays
+        draws the same schedule."""
+        cfg = self.cfg
+        n = cfg.steps * cfg.requests_per_step
+        rng = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM))
+        return np.cumsum(rng.exponential(1.0 / cfg.rate, size=n))
 
     def _stripe(self, key: int) -> int:
         return key * self.cfg.n_stripes // self.cfg.n_keys

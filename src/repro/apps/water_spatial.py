@@ -21,38 +21,23 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, block_partition, golden, phase_loop
+from repro.apps.base import block_partition, phase_loop
+from repro.apps.water import WaterApp, WaterConfig, integrate, pair_term
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["WaterSpatialConfig", "WaterSpatialApp"]
 
 
 @dataclass
-class WaterSpatialConfig(AppConfig):
+class WaterSpatialConfig(WaterConfig):
     """Scaled-down Water-Spatial problem (paper: 262,144 molecules)."""
 
     n_molecules: int = 216
-    steps: int = 3
-    cells_per_side: int = 4
-    cell_capacity: int = 64  # membership slots per cell
-    dt: float = 1e-3
     cutoff: float = 0.3
     pair_cost: float = 2e-6
+    cells_per_side: int = 4
+    cell_capacity: int = 64  # membership slots per cell
     bin_cost: float = 0.3e-6
-    #: static shared parameter table, written once (see water_nsq)
-    static_elements: int = 0
-
-
-def _initial_conditions(cfg: WaterSpatialConfig) -> Tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(cfg.seed)
-    side = int(np.ceil(cfg.n_molecules ** (1 / 3)))
-    grid = np.stack(
-        np.meshgrid(*([np.arange(side)] * 3), indexing="ij"), axis=-1
-    ).reshape(-1, 3)[: cfg.n_molecules]
-    pos = (grid + 0.5) / side + rng.normal(0, 0.01, (cfg.n_molecules, 3))
-    pos %= 1.0
-    vel = rng.normal(0, 0.05, (cfg.n_molecules, 3))
-    return pos, vel
 
 
 def _cell_of(pos: np.ndarray, c: int) -> np.ndarray:
@@ -88,82 +73,48 @@ def _forces_for_cell(
     # the loop changes no values (same fancy-index, same subtraction)
     nb_pos = pos[neighbor_members]
     for k, i in enumerate(members):
-        d = nb_pos - pos[i]
-        d -= np.rint(d)
-        r2 = np.einsum("ij,ij->i", d, d)
-        mask = (r2 < cut2) & (r2 > 1e-12)
-        idx = np.flatnonzero(mask)
+        idx, contrib = pair_term(nb_pos - pos[i], cut2)
         count += len(idx)
-        if len(idx) == 0:
-            continue
-        r2m = r2[idx]
-        mag = np.clip(1e-4 / (r2m * r2m) - 1e-4 / r2m, -10.0, 10.0)
-        f[k] -= ((mag / np.sqrt(r2m))[:, None] * d[idx]).sum(axis=0)
+        if len(idx):
+            f[k] -= contrib.sum(axis=0)
     return f, count
+
+
+def _cell_forces(cfg: WaterSpatialConfig, pos: np.ndarray) -> np.ndarray:
+    """The force on every molecule, cell by cell in the apps' order."""
+    c = cfg.cells_per_side
+    n_cells = c * c * c
+    cell_idx = _cell_of(pos, c)
+    members_by_cell = [np.flatnonzero(cell_idx == cell) for cell in range(n_cells)]
+    force = np.zeros_like(pos)
+    for cell in range(n_cells):
+        members = members_by_cell[cell]
+        if len(members) == 0:
+            continue
+        nb = np.concatenate([members_by_cell[c2] for c2 in _neighbors(cell, c)])
+        nb.sort()
+        f, _ = _forces_for_cell(members, nb, pos, cfg)
+        force[members] = f
+    return force
 
 
 def reference_water_spatial(cfg: WaterSpatialConfig) -> np.ndarray:
     """Sequential golden model using the identical cell/order scheme."""
-    pos, vel = _initial_conditions(cfg)
-    c = cfg.cells_per_side
-    n_cells = c * c * c
-    for _ in range(cfg.steps):
-        cell_idx = _cell_of(pos, c)
-        members_by_cell = [
-            np.flatnonzero(cell_idx == cell) for cell in range(n_cells)
-        ]
-        force = np.zeros_like(pos)
-        for cell in range(n_cells):
-            members = members_by_cell[cell]
-            if len(members) == 0:
-                continue
-            nb = np.concatenate(
-                [members_by_cell[c2] for c2 in _neighbors(cell, c)]
-            )
-            nb.sort()
-            f, _ = _forces_for_cell(members, nb, pos, cfg)
-            force[members] = f
-        vel += cfg.dt * force
-        pos += cfg.dt * vel
-        pos %= 1.0
-    return pos
+    return integrate(cfg, lambda pos: _cell_forces(cfg, pos))
 
 
-class WaterSpatialApp(DsmApp):
+class WaterSpatialApp(WaterApp):
     name = "water-spatial"
+    Config = WaterSpatialConfig
+    reference = staticmethod(reference_water_spatial)
+    rtol, atol = 1e-9, 1e-12
 
-    def __init__(self, cfg: WaterSpatialConfig | None = None) -> None:
-        self.cfg = cfg or WaterSpatialConfig()
-
-    # ------------------------------------------------------------------
-    def configure(self, cluster: Any) -> None:
-        cfg = self.cfg
-        n = cfg.n_molecules
-        n_cells = cfg.cells_per_side ** 3
-        self.r_pos = cluster.allocate("pos", n * 3)
-        self.r_vel = cluster.allocate("vel", n * 3)
-        self.r_force = cluster.allocate("force", n * 3)
+    def configure_own(self, cluster: Any) -> None:
         # membership table: [count, slot0, slot1, ...] per cell
         self.r_cells = cluster.allocate(
-            "cells", n_cells * (cfg.cell_capacity + 1)
+            "cells", self.cfg.cells_per_side ** 3 * (self.cfg.cell_capacity + 1)
         )
-        if cfg.static_elements:
-            self.r_params = cluster.allocate("params", cfg.static_elements)
 
-    def init_shared(self, cluster: Any) -> None:
-        pos, vel = _initial_conditions(self.cfg)
-        cluster.write_initial(self.r_pos, pos.ravel())
-        cluster.write_initial(self.r_vel, vel.ravel())
-        if self.cfg.static_elements:
-            rng = np.random.default_rng(self.cfg.seed + 1)
-            cluster.write_initial(
-                self.r_params, rng.uniform(0, 1, self.cfg.static_elements)
-            )
-
-    def init_state(self, pid: int) -> Dict[str, Any]:
-        return {"step": 0, "phase": 0}
-
-    # ------------------------------------------------------------------
     def _cell_slice(self, cell: int) -> Tuple[int, int]:
         w = self.cfg.cell_capacity + 1
         return cell * w, (cell + 1) * w
@@ -174,8 +125,7 @@ class WaterSpatialApp(DsmApp):
         c = cfg.cells_per_side
         n_cells = c * c * c
         my_cells = block_partition(n_cells, proc.n, proc.pid)
-        if cfg.static_elements:
-            yield from proc.read_range(self.r_params, 0, cfg.static_elements)
+        yield from self.read_params(proc)
 
         def read_cell_members(cell: int) -> Iterator[Any]:
             lo, hi = self._cell_slice(cell)
@@ -242,9 +192,3 @@ class WaterSpatialApp(DsmApp):
         yield from phase_loop(
             proc, state, cfg.steps, [phase_bin, phase_forces, phase_integrate]
         )
-
-    # ------------------------------------------------------------------
-    def check_result(self, cluster: Any) -> None:
-        got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_molecules * 3]
-        want = golden(reference_water_spatial, self.cfg).ravel()
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

@@ -46,7 +46,6 @@ class PaperValues:
     problem_size: str
     footprint_mb: float
     base_time_s: float
-    l_fraction: float
     ckpts_taken: str
     exe_increase_pct: float
     log_disk_overhead_pct: float
@@ -61,7 +60,6 @@ PAPER: Dict[str, PaperValues] = {
         problem_size="256 k bodies, 60 steps",
         footprint_mb=43.0,
         base_time_s=1663.0,
-        l_fraction=1.0,
         ckpts_taken="6-10",
         exe_increase_pct=61.0,
         log_disk_overhead_pct=6.8,
@@ -73,7 +71,6 @@ PAPER: Dict[str, PaperValues] = {
         problem_size="19,683 molecules",
         footprint_mb=12.6,
         base_time_s=1634.0,
-        l_fraction=0.1,
         ckpts_taken="9",
         exe_increase_pct=0.6,
         log_disk_overhead_pct=0.4,
@@ -85,7 +82,6 @@ PAPER: Dict[str, PaperValues] = {
         problem_size="256 k molecules",
         footprint_mb=257.3,
         base_time_s=2569.0,
-        l_fraction=0.1,
         ckpts_taken="5",
         exe_increase_pct=7.0,
         log_disk_overhead_pct=3.6,
@@ -133,10 +129,6 @@ def paper_setups(scale: str = "default") -> List[AppSetup]:
         nsq = WaterNsqConfig(
             n_molecules=96, steps=8, pair_cost=120e-6, static_elements=8192
         )
-        # NOTE: the paper uses L = 1.0 for Barnes because its full-scale
-        # run logs ~10x its footprint per node; the scaled run logs
-        # ~2-3x, so the equivalent policy pressure (6-10 checkpoints per
-        # node) needs a proportionally smaller L (EXPERIMENTS.md).
         spatial = WaterSpatialConfig(
             n_molecules=343,
             steps=8,
@@ -150,6 +142,10 @@ def paper_setups(scale: str = "default") -> List[AppSetup]:
         AppSetup(
             "barnes",
             lambda c=barnes: BarnesApp(c),
+            # the paper uses L = 1.0 for Barnes because its full-scale
+            # run logs ~10x its footprint per node; the scaled run logs
+            # ~2-3x, so the equivalent policy pressure (6-10 checkpoints
+            # per node) needs a proportionally smaller L (EXPERIMENTS.md)
             l_fraction=0.25,
             problem_size=f"{barnes.n_bodies} bodies, {barnes.steps} steps",
         ),

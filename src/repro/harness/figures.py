@@ -4,14 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.experiment import (
-    AppSetup,
-    ExperimentResult,
-    paper_setups,
-    run_base,
-    run_ft,
-)
-from repro.render import Table, ascii_series, format_pct
+from repro.harness.experiment import ExperimentResult
+from repro.render import Table, ascii_series
 from repro.sim.node import TimeBucket
 
 __all__ = ["figure3", "figure3_table", "figure4", "figure4_render"]
@@ -93,11 +87,11 @@ def figure4(
 
     Returns ``{app: {"measured": [(ckpt#, bytes)], "unbounded":
     [(ckpt#, bytes)]}}`` where "unbounded" is the paper's dotted
-    L-bytes-per-checkpoint growth line without LLT. The measured curve
-    is the FT layer's own record, each node's ``FtStats.log_points``
-    (one point per checkpoint).
+    growth line without LLT, L bytes per checkpoint at the run's own L
+    (``AppSetup.l_fraction``). The measured curve is the FT layer's own
+    record, each node's ``FtStats.log_points`` (one point per
+    checkpoint).
     """
-    from repro.harness.experiment import PAPER
     from repro.harness.tables import run_all_experiments
 
     experiments = experiments or run_all_experiments(scale)
@@ -109,7 +103,7 @@ def figure4(
             for ckpt_no, size in host.ft.stats.log_points:
                 per_ckpt[ckpt_no] = max(per_ckpt.get(ckpt_no, 0.0), float(size))
         measured = sorted(per_ckpt.items())
-        l_bytes = PAPER[name].l_fraction * ft.result.footprint_bytes
+        l_bytes = ft.setup.l_fraction * ft.result.footprint_bytes
         unbounded = [(k, k * l_bytes) for k, _ in measured]
         out[name] = {"measured": measured, "unbounded": unbounded}
     return out

@@ -30,8 +30,8 @@ SMALL = {
 
 
 def make_app(name: str, **overrides):
-    spec = APPS[name]
-    return spec.app(spec.config(**{**SMALL[name], **overrides}))
+    app = APPS[name].app
+    return app(app.Config(**{**SMALL[name], **overrides}))
 
 
 def make_cluster(

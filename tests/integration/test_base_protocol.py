@@ -12,6 +12,8 @@ import pytest
 from repro import DsmCluster, DsmConfig
 from repro.apps.base import DsmApp
 from repro.dsm.protocol import DsmProcess
+from repro.sim.network import MetaClusterConfig
+from repro.sim.trace import WAIT
 
 from tests.conftest import make_app, make_cluster
 
@@ -113,26 +115,19 @@ def test_lock_ping_pong_carries_latest_value():
 
 
 def test_home_waits_for_inflight_diff():
-    """A reader whose home copy lags must block until the diff arrives,
-    never read stale data."""
-
-    class App(MiniApp):
-        def body(self, proc, state):
-            if proc.pid == 1:
-                yield from proc.acquire(0)
-                v = yield from proc.write_range(self.r, 0, 1)
-                v[0] = 42
-                yield from proc.release(0)
-            else:
-                # tiny delay so p1 acquires first
-                yield from proc.compute(1e-3)
-                yield from proc.acquire(0)
-                v = yield from proc.read_range(self.r, 0, 1)
-                state["out"] = float(v[0])
-                yield from proc.release(0)
-
-    cluster = run_mini(App(), n=2)
-    assert cluster.hosts[0].state["out"] == 42.0
+    """A home whose own copy lags a write notice must block until the
+    diff arrives, never read stale data. At equal link latency a diff
+    reaches its home first; across a slow WAN the notice can win."""
+    cluster = DsmCluster(
+        DsmConfig(num_procs=8),
+        net_config=MetaClusterConfig(
+            cluster_size=4, wan_latency=1e-3, wan_bandwidth=1e6
+        ),
+    )
+    waits = []
+    cluster.engine.bus.subscribe(WAIT, lambda pid, bucket, s, op: waits.append(op))
+    cluster.run(make_app("counter"))  # check_result validates
+    assert waits.count("home_wait") >= 1
 
 
 def test_reader_without_sync_may_be_stale_but_not_torn():

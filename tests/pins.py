@@ -46,9 +46,9 @@ class Pin:
         )
 
     def make_app(self):
-        spec = APPS[self.app]
+        app = APPS[self.app].app
         sizes = SMALL[self.app] if self.small else {}
-        return spec.app(spec.config(seed=self.seed, **sizes))
+        return app(app.Config(seed=self.seed, **sizes))
 
     def judge(self) -> SweepSummary:
         """The sweep's verdict on this one point, monitor and oracle on."""

@@ -21,7 +21,16 @@ from repro.apps.barnes import (
 )
 from repro.apps.base import _golden, block_partition, golden
 from repro.apps.lu import LuConfig, _factor_diag, _initial_matrix, reference_lu
-from repro.apps.water_spatial import WaterSpatialConfig, _cell_of, _neighbors
+from repro.apps.water import _initial_conditions
+from repro.apps.water_nsq import _pair_forces, reference_water_nsq
+from repro.apps.water_spatial import (
+    WaterSpatialConfig,
+    _cell_forces,
+    _cell_of,
+    _neighbors,
+    reference_water_spatial,
+)
+from repro.harness.experiment import paper_setups
 
 
 # -- the app table --------------------------------------------------------
@@ -31,9 +40,9 @@ def test_make_app_maps_the_generic_knobs_per_app():
     from repro.apps import APPS, make_app
 
     for name, spec in APPS.items():
-        defaults = spec.config()
+        defaults = spec.app.Config()
         app = make_app(name, steps=7, size=96, rate=1234.0)
-        assert isinstance(app, spec.app) and type(app.cfg) is spec.config
+        assert isinstance(app, spec.app) and type(app.cfg) is spec.app.Config
         assert getattr(app.cfg, spec.size_field) == 96
         assert app.cfg.steps == (7 if spec.has_steps else defaults.steps)
         if spec.has_rate:
@@ -82,6 +91,41 @@ def test_neighbors_small_grid_dedupes():
     assert len(nb) == 8  # 2^3 cells total, all are neighbours
 
 
+# -- the water system --------------------------------------------------------
+
+
+#: sha256 of each water golden output at ``paper_setups("smoke")`` sizes,
+#: recorded on the commit before the two apps shared one water module
+WATER_SHA256 = {
+    "water-nsq": (
+        reference_water_nsq,
+        "1c643d5ff2579b00f8485973b3d38c386251c2431f7659f2e911750ea1360450",
+    ),
+    "water-spatial": (
+        reference_water_spatial,
+        "61948fa2f881bd7aff371b8bdefe4a805fa392f3c2a17072bb61a840bc8b61b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WATER_SHA256))
+def test_reference_water_output_is_pinned_bitwise(name):
+    model, sha = WATER_SHA256[name]
+    cfg = next(s for s in paper_setups("smoke") if s.name == name).make_app().cfg
+    assert hashlib.sha256(model(cfg).tobytes()).hexdigest() == sha
+
+
+def test_cell_forces_equal_all_pairs_forces():
+    """Cells at least a cutoff wide see every pair within the cutoff, so
+    Water-Spatial's decomposition computes Water-Nsquared's forces (up to
+    the order of summation)."""
+    cfg = WaterSpatialConfig(n_molecules=64, cells_per_side=4, cutoff=0.25)
+    pos, _vel = _initial_conditions(cfg)
+    pairs, npairs = _pair_forces(pos, 0, cfg.n_molecules, cfg.cutoff)
+    assert npairs > cfg.n_molecules  # the cutoff is not vacuous
+    np.testing.assert_allclose(_cell_forces(cfg, pos), pairs, rtol=1e-12, atol=1e-15)
+
+
 # -- Barnes octree properties ------------------------------------------------
 
 
@@ -103,8 +147,7 @@ def build_into(nodes, cfg, pos, order, skip_every=0):
             counter[0] += 1
         return counter[0]
 
-    alloc = Allocator(pos)
-    alloc.take = take
+    alloc = Allocator(pos, take)
     root = take()
     tree.init_internal(root, center[0], center[1], center[2], half)
     for b in order:
