@@ -1,5 +1,6 @@
 """End-to-end smokes of the ``repro`` command line, one ``python -m repro``
-(or ``benchmarks/sample_profile.py``) process per invocation.
+(or ``benchmarks/sample_profile.py``, ``benchmarks/ledger/run.py``) process
+per invocation.
 
     PYTHONPATH=src python -m pytest benchmarks/test_cli_smokes.py
 
@@ -7,8 +8,9 @@ Each case is one check that used to be a shell assertion: exit codes
 that must be zero or must not be, and text the output must hold. The
 artifacts the report and serving cases write (dashboards, run reports,
 a sweep summary) land under pytest's temporary directory: ``--basetemp
-DIR`` keeps them in ``DIR`` (CI uploads them from there). About 30 s in
-all: 10 s the sampling profiles, 12 s the example scripts.
+DIR`` keeps them in ``DIR`` (CI uploads them from there). About 45 s in
+all: 12 s the ledger smoke, 10 s the sampling profiles, 12 s the example
+scripts.
 """
 
 import os
@@ -52,6 +54,31 @@ def test_every_subcommand_has_help():
     text = ok(run("--help")) + "".join(ok(run(sub, "--help")) for sub in COMMANDS)
     for retired in ("--bench-json", "--suite", "--smoke"):
         assert retired not in text
+
+
+#: the simulated-result fingerprint of each ledger workload at ``--smoke``
+#: sizes: a host-only change must leave every one of them as it is
+LEDGER_SMOKE_FINGERPRINTS = {
+    "paper8": "04d1f0fc28824bd1f0e0b5c9282bd67a1c69656c180172dfc72a2bc61994d9f2",
+    "scale128": "852e4fc7433dea51f3cc5a7a125ffc7e7702d01a877366c9b3be826761069f8d",
+    "serve_session": "c2dae359ec1c34a5a50c38e19f6fa873b479a295cd9bc259123e008907be298e",
+    "sweep_session": "5b8369d8aef6ef63cc93f9f099f8fc4f2deb8520597d0ccb0aaf138561bc58c8",
+}
+
+
+def test_ledger_smoke_fingerprints_are_pinned():
+    """The repo's benchmark (BENCHMARK.json) at tiny sizes, ~12 s: all four
+    workloads and their traced repetition pass every check (a repetition
+    whose fingerprint differs from the first one's fails one), and each
+    workload's fingerprint is the pinned one. Writes nothing."""
+    script = os.path.join(ROOT, "benchmarks", "ledger", "run.py")
+    out = ok(run("--smoke", script=script))
+    found = dict(re.findall(
+        r"^(\S+): seed .*\n  simulated-result fingerprint ([0-9a-f]{64})$",
+        out, re.M,
+    ))
+    assert found == LEDGER_SMOKE_FINGERPRINTS
+    assert out.splitlines()[-1] == "all checks passed"
 
 
 def test_untraced_sampling_profile():

@@ -54,7 +54,6 @@ from repro.dsm.messages import (
     RecoveryDone,
     RecoveryQuery,
     RecoveryReply,
-    WriteNotice,
 )
 from repro.dsm.pages import PageEntry, PageId, PageState
 from repro.dsm.protocol import DsmProcess

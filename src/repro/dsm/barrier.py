@@ -11,7 +11,7 @@ times for every barrier" (§4.2.1) for replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.dsm.messages import WriteNotice
 from repro.dsm.vclock import VClock, vmax

@@ -28,7 +28,7 @@ rule).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class Diff:
         """Per-run ``(offset, data)`` view (materialized on demand)."""
         r = self._runs
         if r is None:
-            bounds = np.cumsum(self.lengths).tolist()
+            bounds = self.lengths.cumsum().tolist()
             starts = [0] + bounds[:-1]
             payload = self.payload
             r = self._runs = tuple(
@@ -146,9 +146,14 @@ def _scatter_index(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Standard repeat/cumsum trick: payload byte ``k`` of run ``r`` lands at
     ``offsets[r] + (k - payload_start[r])``.
     """
-    bounds = np.cumsum(lengths)
-    starts = np.concatenate((bounds[:1] * 0, bounds[:-1]))
-    return np.arange(int(bounds[-1])) + np.repeat(offsets - starts, lengths)
+    bounds = lengths.cumsum()
+    return np.arange(bounds[-1]) + (offsets - (bounds - lengths)).repeat(lengths)
+
+
+#: per page size, a ``False``-padded mask: ``compute_diff`` overwrites its
+#: inside before reading it and never writes the pads, which close runs at
+#: the page edges, so no call sees another's mask
+_PADDED: Dict[int, np.ndarray] = {}
 
 
 def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
@@ -157,13 +162,18 @@ def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
         raise ValueError(f"shape mismatch: {twin.shape} vs {page.shape}")
     if twin.dtype != np.uint8 or page.dtype != np.uint8:
         raise TypeError("pages must be uint8 arrays")
-    neq = twin != page
-    if not neq.any():
+    # ufuncs and C array methods only: at page sizes the Python wrappers
+    # (``np.flatnonzero``, ``ndarray.any``/``min``) cost more than a kernel
+    n = len(page)
+    padded = _PADDED.get(n)
+    if padded is None:
+        padded = _PADDED[n] = np.zeros(n + 2, dtype=bool)
+    neq = padded[1:-1]
+    np.not_equal(twin, page, out=neq)
+    if not neq[neq.argmax()]:  # argmax: the first changed byte, if any
         return _EMPTY_DIFF
-    # Boundaries where the mask flips; prepend/append sentinels so that
-    # runs touching the page edges are closed.
-    padded = np.concatenate(([False], neq, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    # boundaries where the mask flips
+    edges = np.not_equal(padded[1:], padded[:-1]).nonzero()[0]
     starts, ends = edges[0::2], edges[1::2]
     lengths = ends - starts
     if len(starts) == 1:
@@ -188,8 +198,8 @@ def apply_diff(page: np.ndarray, diff: Diff) -> None:
         page[off:end] = np.frombuffer(diff.payload, dtype=np.uint8)
         return
     ends = offsets + lengths
-    if int(offsets.min()) < 0 or int(ends.max()) > n:
-        bad = int(np.flatnonzero((offsets < 0) | (ends > n))[0])
+    if offsets[offsets.argmin()] < 0 or ends[ends.argmax()] > n:
+        bad = int(((offsets < 0) | (ends > n)).nonzero()[0][0])
         raise ValueError(
             f"diff run [{int(offsets[bad])},{int(ends[bad])}) outside page "
             f"of {n} bytes"

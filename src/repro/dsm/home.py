@@ -11,13 +11,11 @@ already raced ahead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
-from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Future
 
 __all__ = ["HomePage", "HomeDirectory"]
 
@@ -93,6 +91,9 @@ class HomeDirectory:
     def __init__(self, num_procs: int) -> None:
         self.n = num_procs
         self._pages: Dict[PageId, HomePage] = {}
+        #: the dict's own ``get``, called once per page access without a
+        #: Python frame of its own
+        self.get: Callable[[PageId], Optional[HomePage]] = self._pages.get
 
     def add_page(self, page: PageId) -> HomePage:
         hp = HomePage(page, self.n)
@@ -104,9 +105,6 @@ class HomeDirectory:
 
     def __getitem__(self, page: PageId) -> HomePage:
         return self._pages[page]
-
-    def get(self, page: PageId) -> Optional[HomePage]:
-        return self._pages.get(page)
 
     def pages(self) -> List[PageId]:
         return list(self._pages.keys())

@@ -17,7 +17,7 @@ writer's interval, the one component the home reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dsm.diff import Diff
 from repro.dsm.pages import PageId

@@ -74,7 +74,7 @@ class SharedRegion:
         self.nbytes = self.num_pages * config.page_size
         self.elems_per_page = config.page_size // self.elem_size
         #: interned PageId per index — hot paths construct these constantly
-        self._page_ids: List[PageId] = [
+        self.page_ids: List[PageId] = [
             PageId(region_id, i) for i in range(self.num_pages)
         ]
 
@@ -86,18 +86,14 @@ class SharedRegion:
         return list(range(proc, self.num_pages, self.config.num_procs))
 
     # -- address arithmetic --------------------------------------------------
-    def page_of_element(self, elem: int) -> int:
-        if not (0 <= elem < self.num_elements):
-            raise IndexError(f"element {elem} out of region {self.name}")
-        return (elem * self.elem_size) // self.config.page_size
-
     def pages_for_range(self, lo: int, hi: int) -> range:
         """Pages covering elements ``[lo, hi)``."""
         if lo >= hi:
             return range(0)
-        first = self.page_of_element(lo)
-        last = self.page_of_element(hi - 1)
-        return range(first, last + 1)
+        if lo < 0 or hi > self.num_elements:
+            raise IndexError(f"elements [{lo},{hi}) out of region {self.name}")
+        size, page = self.elem_size, self.config.page_size
+        return range(lo * size // page, (hi - 1) * size // page + 1)
 
     def page_slice(self, page_index: int) -> Tuple[int, int]:
         """Byte range [lo, hi) of ``page_index`` within the region."""
@@ -105,7 +101,7 @@ class SharedRegion:
         return lo, lo + self.config.page_size
 
     def page_id(self, page_index: int) -> PageId:
-        return self._page_ids[page_index]
+        return self.page_ids[page_index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

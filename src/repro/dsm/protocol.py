@@ -31,7 +31,7 @@ the logs are exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -177,6 +177,7 @@ class DsmProcess:
 
         # local memory: one uint8 backing array per region
         self.backing: Dict[int, np.ndarray] = {}
+        self._views: Dict[int, np.ndarray] = {}
         self.entries: Dict[PageId, PageEntry] = {}
         # version of the local copy (what we know we have)
         self.have_v: Dict[PageId, VClock] = {}
@@ -229,8 +230,11 @@ class DsmProcess:
     # memory setup
     # ------------------------------------------------------------------
     def _init_memory(self) -> None:
+        # backing arrays are never replaced, so each typed view is made once
         for region in self.regions:
-            self.backing[region.region_id] = np.zeros(region.nbytes, dtype=np.uint8)
+            rid = region.region_id
+            raw = self.backing[rid] = np.zeros(region.nbytes, dtype=np.uint8)
+            self._views[rid] = raw.view(region.dtype)[: region.num_elements]
             for i in range(region.num_pages):
                 pid_ = region.page_id(i)
                 entry = PageEntry()
@@ -251,8 +255,7 @@ class DsmProcess:
 
     def typed_view(self, region: SharedRegion) -> np.ndarray:
         """The whole region as its element dtype (local copy)."""
-        raw = self.backing[region.region_id]
-        return raw.view(region.dtype)[: region.num_elements]
+        return self._views[region.region_id]
 
     # ------------------------------------------------------------------
     # application API — computation
@@ -283,12 +286,7 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def read_range(self, region: SharedRegion, lo: int, hi: int) -> Iterator[Any]:
         """Make elements [lo, hi) readable; returns the typed local view."""
-        pages = region.pages_for_range(lo, hi)
-        if self._range_ready(region, pages, for_write=False):
-            return self.typed_view(region)[lo:hi]
-        for idx in pages:
-            yield from self._ensure_valid(region.page_id(idx))
-        return self.typed_view(region)[lo:hi]
+        return self._access(region, lo, hi, False)
 
     def write_range(self, region: SharedRegion, lo: int, hi: int) -> Iterator[Any]:
         """Make elements [lo, hi) writable; returns the typed local view.
@@ -296,87 +294,55 @@ class DsmProcess:
         The caller must only write inside the declared range (the
         simulator stands in for per-page write protection).
         """
-        pages = region.pages_for_range(lo, hi)
-        if self._range_ready(region, pages, for_write=True):
-            return self.typed_view(region)[lo:hi]
-        for idx in pages:
-            yield from self._ensure_writable(region.page_id(idx))
-        return self.typed_view(region)[lo:hi]
+        return self._access(region, lo, hi, True)
 
-    def _range_ready(self, region: SharedRegion, pages: range, for_write: bool) -> bool:
-        """True when every page in ``pages`` can be served without a yield.
+    def _access(
+        self, region: SharedRegion, lo: int, hi: int, write: bool
+    ) -> Iterator[Any]:
+        """One pass over the pages of elements [lo, hi), in order.
 
-        This is the no-yield fast path of ``read_range``/``write_range``:
-        when there is no handler debt to drain and every covered page is
-        already valid (and dirty, for writes), the per-page
-        ``_ensure_valid``/``_ensure_writable`` loop would execute zero
-        yields, so it can be skipped wholesale. The check is pure except
-        for clearing ``needed_v`` on satisfied home pages — exactly the
-        side effect ``_ensure_home_ready`` would have performed — and
-        mutates nothing when it returns False, so the fallback slow path
-        starts from pristine state.
+        At each page: drain the handler debt owed so far, bring the page
+        up to its ``needed_v`` (a home waits for in-flight diffs, any
+        other process fetches), and on a write twin it at its first write
+        of the interval. A page that needs none of these yields nothing.
         """
-        if self.cpu.handler_debt or self.replay is not None:
-            return False
+        cpu = self.cpu
         entries = self.entries
         home = self.home
-        have_v = self.have_v
-        page_id = region.page_id
-        satisfied_homes: List[PageEntry] = []
-        for idx in pages:
-            page = page_id(idx)
+        pages = region.pages_for_range(lo, hi)
+        for page in region.page_ids[pages.start : pages.stop]:
+            if cpu.handler_debt:
+                yield from cpu.drain_debt()
             entry = entries[page]
-            if for_write and not entry.dirty:
-                return False
-            hp = home.get(page)
             needed = entry.needed_v
+            hp = home.get(page)
             if hp is not None:
-                if needed is not None:
-                    if not needed.leq(hp.version):
-                        return False
-                    satisfied_homes.append(entry)
-            else:
-                if entry.state is PageState.INVALID:
-                    return False
-                if needed is not None and not needed.leq(have_v[page]):
-                    return False
-        for entry in satisfied_homes:
-            entry.needed_v = None
-        return True
-
-    def _ensure_valid(self, page: PageId) -> Iterator[Any]:
-        yield from self.cpu.drain_debt()
-        entry = self.entries[page]
-        if self.is_home(page):
-            yield from self._ensure_home_ready(page, entry)
-            return
-        if entry.state is not PageState.INVALID and (
-            entry.needed_v is None or entry.needed_v.leq(self.have_v[page])
-        ):
-            return
-        yield from self._fetch(page, entry)
-
-    def _ensure_writable(self, page: PageId) -> Iterator[Any]:
-        yield from self._ensure_valid(page)
-        entry = self.entries[page]
-        if entry.dirty:
-            return
-        fault = self.cpu.costs.page_fault_handler
-        is_home = self.is_home(page)
-        region = self.regions[page.region]
-        if not is_home:
-            # base protocol: twin needed to produce the diff for the home
-            twin_cost = fault + region.config.page_size * self.cpu.costs.twin_create_per_byte
-            yield from self.cpu.charge(TimeBucket.OVERHEAD, twin_cost)
-            entry.twin = self.page_bytes(page).copy()
-        elif self.ft.home_wants_diffs():
-            # FT-only overhead: the home twins its own page to log a diff
-            twin_cost = fault + region.config.page_size * self.cpu.costs.twin_create_per_byte
-            yield from self.cpu.charge(TimeBucket.LOG_CKPT, twin_cost)
-            entry.twin = self.page_bytes(page).copy()
-        entry.dirty = True
-        entry.state = PageState.RW
-        self._dirty.append(page)
+                if self.replay is None and (needed is None or needed.leq(hp.version)):
+                    entry.needed_v = None
+                else:
+                    yield from self._ensure_home_ready(page, entry)
+            elif entry.state is PageState.INVALID or (
+                needed is not None and not needed.leq(self.have_v[page])
+            ):
+                yield from self._fetch(page, entry)
+            if write and not entry.dirty:
+                costs = cpu.costs
+                twin_cost = (
+                    costs.page_fault_handler
+                    + region.config.page_size * costs.twin_create_per_byte
+                )
+                if hp is None:
+                    # base protocol: twin needed to produce the diff for the home
+                    yield from cpu.charge(TimeBucket.OVERHEAD, twin_cost)
+                    entry.twin = self.page_bytes(page).copy()
+                elif self.ft.home_wants_diffs():
+                    # FT-only overhead: the home twins its own page to log a diff
+                    yield from cpu.charge(TimeBucket.LOG_CKPT, twin_cost)
+                    entry.twin = self.page_bytes(page).copy()
+                entry.dirty = True
+                entry.state = PageState.RW
+                self._dirty.append(page)
+        return self._views[region.region_id][lo:hi]
 
     def _fetch(self, page: PageId, entry: PageEntry) -> Iterator[Any]:
         bus = self.bus

@@ -11,7 +11,7 @@ reported values are bundled for side-by-side comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import DsmCluster, DsmConfig
 from repro.apps.barnes import BarnesApp, BarnesConfig

@@ -10,11 +10,10 @@ large discarded-log fractions — is the reproduction target.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.harness.experiment import (
     PAPER,
-    AppSetup,
     ExperimentResult,
     paper_setups,
     run_base,

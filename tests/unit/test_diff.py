@@ -75,6 +75,9 @@ def test_apply_out_of_bounds_rejected():
     d = Diff(((250, b"\x01" * 10),))
     with pytest.raises(ValueError):
         apply_diff(page(), d)
+    for runs in (((0, b"a"), (250, b"\x01" * 10)), ((-1, b"a"), (9, b"b"))):
+        with pytest.raises(ValueError, match=r"diff run \[(250|-1),"):
+            apply_diff(page(), Diff(runs))
 
 
 def test_shape_and_dtype_validation():
@@ -177,3 +180,80 @@ def test_out_of_bounds_runs_rejected_from_array_repr():
     d = Diff(((PAGE - 2, b"abcd"),))  # run extends past the page end
     with pytest.raises(ValueError):
         apply_diff(page(0), d)
+
+
+# -- the kernels against the NumPy-wrapper versions they replaced ----------
+
+
+def _reference_scatter_index(offsets, lengths):
+    bounds = np.cumsum(lengths)
+    starts = np.concatenate((bounds[:1] * 0, bounds[:-1]))
+    return np.arange(int(bounds[-1])) + np.repeat(offsets - starts, lengths)
+
+
+def reference_compute_diff(twin, page):
+    neq = twin != page
+    if not neq.any():
+        return Diff(())
+    padded = np.concatenate(([False], neq, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    if len(starts) == 1:
+        payload = page[int(starts[0]) : int(ends[0])].tobytes()
+    else:
+        payload = page[neq].tobytes()
+    return Diff.from_arrays(starts, lengths, payload)
+
+
+def reference_apply_diff(page, diff):
+    offsets, lengths = diff.offsets, diff.lengths
+    if len(offsets) == 1:
+        off = int(offsets[0])
+        page[off : off + int(lengths[0])] = np.frombuffer(diff.payload, np.uint8)
+    elif len(offsets):
+        page[_reference_scatter_index(offsets, lengths)] = np.frombuffer(
+            diff.payload, np.uint8
+        )
+
+
+@st.composite
+def page_pairs(draw):
+    """A twin and a page differing where ``flip`` says, by a nonzero xor."""
+    n = draw(st.sampled_from([1, 2, 64, PAGE, 4096]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    twin = rng.integers(0, 256, n, dtype=np.uint8)
+    flip = np.zeros(n, dtype=bool)
+    kind = draw(st.sampled_from(["none", "one", "edges", "all", "ones", "random"]))
+    if kind == "one":
+        flip[draw(st.integers(0, n - 1))] = True
+    elif kind == "edges":  # runs that touch byte 0 and the last byte
+        flip[: draw(st.integers(1, n))] = True
+        flip[n - draw(st.integers(1, n)) :] = True
+    elif kind == "all":
+        flip[:] = True
+    elif kind == "ones":  # every other byte: the most one-byte runs
+        flip[draw(st.integers(0, 1)) :: 2] = True
+    elif kind == "random":
+        flip = rng.random(n) < draw(st.floats(0, 1))
+    return twin, twin ^ (flip * rng.integers(1, 256, n, dtype=np.uint8))
+
+
+@given(page_pairs())
+@settings(max_examples=300)
+def test_kernels_match_the_reference_kernels(pair):
+    twin, cur = pair
+    got, want = compute_diff(twin, cur), reference_compute_diff(twin, cur)
+    for mine, ref in ((got.offsets, want.offsets), (got.lengths, want.lengths)):
+        assert mine.dtype == np.int64 and not mine.flags.writeable
+        assert mine.tolist() == ref.tolist()
+    assert got.payload == want.payload
+    out, ref_out = twin.copy(), twin.copy()
+    apply_diff(out, got)
+    reference_apply_diff(ref_out, want)
+    assert np.array_equal(out, ref_out) and np.array_equal(out, cur)
+    if len(got.offsets) > 1:
+        assert np.array_equal(
+            _scatter_index(got.offsets, got.lengths),
+            _reference_scatter_index(want.offsets, want.lengths),
+        )

@@ -18,16 +18,18 @@ def test_region_geometry():
     assert r.elems_per_page == 8
 
 
-def test_page_of_element_and_ranges():
+def test_pages_for_range():
     r = SharedRegion(0, "r", 24, "float64", cfg())
-    assert r.page_of_element(0) == 0
-    assert r.page_of_element(7) == 0
-    assert r.page_of_element(8) == 1
+    assert list(r.pages_for_range(0, 1)) == [0]
+    assert list(r.pages_for_range(7, 8)) == [0]
+    assert list(r.pages_for_range(8, 9)) == [1]
     assert list(r.pages_for_range(0, 8)) == [0]
     assert list(r.pages_for_range(7, 9)) == [0, 1]
+    assert list(r.pages_for_range(0, 24)) == [0, 1, 2]
     assert list(r.pages_for_range(5, 5)) == []
-    with pytest.raises(IndexError):
-        r.page_of_element(24)
+    for lo, hi in ((24, 25), (-1, 3), (20, 25)):
+        with pytest.raises(IndexError):
+            r.pages_for_range(lo, hi)
 
 
 def test_page_slice():

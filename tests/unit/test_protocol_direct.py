@@ -18,7 +18,7 @@ from repro.dsm.messages import (
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Engine, Future
+from repro.sim.engine import Delay, Engine, Future
 from repro.sim.network import Network
 
 
@@ -443,3 +443,80 @@ def test_dirty_page_invalidation_is_protocol_error():
     ]
     with pytest.raises(RuntimeError, match="dirty"):
         p1._apply_notices(batch)
+
+
+def _step(gen, value, effects):
+    """Resume ``gen`` with ``value``; record what it yields, or its return."""
+    try:
+        effects.append(gen.send(value))
+    except StopIteration as stop:
+        return stop.value
+    return None
+
+
+def _delays(effects):
+    return [e.seconds if isinstance(e, Delay) else e for e in effects]
+
+
+def test_one_read_pass_drains_debt_at_each_page():
+    """p0 reads pages 0-3: a home page whose notice is already applied, an
+    INVALID page homed at p1, a home page whose diff is still in flight,
+    and a valid page. Debt owed on arrival at a page is drained there,
+    before that page's fetch or wait, and not at the end of the range."""
+    h = Harness(n=2, elements=32, page_size=64)  # 4 pages, homes alternate
+    p0 = h.procs[0]
+    pages = [PageId(0, i) for i in range(4)]
+    p0.entries[pages[0]].needed_v = VClock((0, 0))
+    p0.entries[pages[2]].needed_v = VClock((0, 3))
+    p0.entries[pages[3]].state = PageState.RO
+    cpu, effects = p0.cpu, []
+    cpu.accrue_handler(1e-6)
+    gen = p0.read_range(h.region, 0, 32)
+    _step(gen, None, effects)
+    _step(gen, None, effects)  # past the drain: the fetch of page 1 waits
+    fetch = effects[-1]
+    assert fetch is p0._fetch_waiting[pages[1]]
+    assert p0.entries[pages[0]].needed_v is None  # satisfied, cleared inline
+    cpu.accrue_handler(2e-6)
+    data = np.full(64, 9, dtype=np.uint8).tobytes()
+    reply = PageFetchReply(page=pages[1], data=data, version=VClock((0, 0)))
+    _step(gen, reply, effects)  # the copy-in charge
+    _step(gen, None, effects)
+    _step(gen, None, effects)  # past the drain: the home waits for the diff
+    home_wait = effects[-1]
+    assert home_wait is p0._home_waiting[pages[2]]
+    cpu.accrue_handler(4e-6)
+    _step(gen, None, effects)
+    view = _step(gen, None, effects)
+    copy_in = 64 * cpu.costs.twin_create_per_byte
+    assert _delays(effects) == [1e-6, fetch, copy_in, 2e-6, home_wait, 4e-6]
+    assert len(view) == 32 and view[8] == np.frombuffer(data, np.float64)[0]
+    assert p0.entries[pages[2]].needed_v is None
+    assert cpu.handler_debt == 0.0
+
+
+def test_one_write_pass_twins_only_clean_pages_and_drains_at_dirty_ones():
+    """A dirty page in a write range still drains the debt owed on arrival
+    there; only the clean page is twinned. Skipping dirty pages would
+    carry page 1's debt over to page 2."""
+    h = Harness(n=3, elements=24, page_size=64)  # pages 1, 2 homed at p1, p2
+    p0 = h.procs[0]
+    one, two = PageId(0, 1), PageId(0, 2)
+    for page in (one, two):
+        p0.entries[page].state = PageState.RO
+    h.run(p0.write_range(h.region, 8, 16))  # page 1 dirty from here on
+    twin_one = p0.entries[one].twin
+    assert twin_one is not None and p0.entries[two].twin is None
+    cpu, effects = p0.cpu, []
+    cpu.accrue_handler(1e-6)
+    gen = p0.write_range(h.region, 8, 24)
+    _step(gen, None, effects)  # page 1's drain
+    cpu.accrue_handler(2e-6)
+    _step(gen, None, effects)  # page 2's drain
+    _step(gen, None, effects)  # page 2's twin
+    twin_cost = cpu.costs.page_fault_handler + 64 * cpu.costs.twin_create_per_byte
+    assert _delays(effects) == [1e-6, 2e-6, twin_cost]
+    assert _step(gen, None, effects) is not None
+    assert p0.entries[one].twin is twin_one
+    assert p0.entries[two].twin is not None
+    assert p0._dirty == [one, two]
