@@ -106,6 +106,62 @@ def test_bench_vclock_join(benchmark):
     assert out is False
 
 
+#: the width of the ledger's ``scale128`` clocks (array-backed)
+WIDE = 128
+
+
+def test_bench_wide_vclock_join(benchmark):
+    """Two overlapping wide clocks: neither dominates, so the join is a
+    new clock."""
+    a = VClock(range(WIDE))
+    b = VClock(range(WIDE, 0, -1))
+    out = benchmark(a.join, b)
+    assert out is not a and out is not b and out.v == tuple(map(max, a, b))
+
+
+def test_bench_wide_vclock_leq(benchmark):
+    a = VClock(range(WIDE))
+    b = a.bump(WIDE - 1)
+    assert benchmark(a.leq, b) is True
+
+
+def test_bench_wide_vclock_with_components(benchmark):
+    a = VClock(range(WIDE))
+    updates = {c: 1000 + c for c in range(0, 120, 6)}
+    out = benchmark(a.with_components, updates)
+    assert len(updates) == 20 and out[0] == 1000 and out[1] == 1
+
+
+def test_bench_wide_barrier_release_notices(benchmark):
+    """One barrier release at N = 128 applied by process 1: two notices
+    from each of the 127 other creators (intervals 1 and 2) over 64 pages,
+    so each page folds about four creators into one new ``needed_v``."""
+    from repro.dsm.config import DsmConfig
+    from repro.dsm.pages import RegionSet
+    from repro.dsm.protocol import DsmProcess
+
+    config = DsmConfig(num_procs=WIDE, page_size=64)
+    regions = RegionSet(config)
+    regions.allocate("r", 64 * 8)
+    regions.seal()
+    zero = VClock.zero(WIDE)
+    notices = [
+        WriteNotice(c, i, PageId(0, (c + 32 * (i - 1)) % 64), zero.with_component(c, i))
+        for c in range(WIDE)
+        if c != 1
+        for i in (1, 2)
+    ]
+
+    def setup():
+        proc = DsmProcess(1, config, regions, Engine(), lambda *a: None)
+        return (proc,), {}
+
+    applied = benchmark.pedantic(
+        lambda proc: proc._apply_notices(notices), setup=setup, rounds=50
+    )
+    assert applied == len(notices) == 254
+
+
 def test_bench_notice_table_add(benchmark):
     """A barrier release's worth of notices: 8 creators x 100 intervals in
     arrival order (appends), then the same list again (all duplicates)."""
@@ -117,7 +173,7 @@ def test_bench_notice_table_add(benchmark):
 
     def run():
         t = NoticeTable(8)
-        return len(t.add_all(notices)), len(t.add_all(notices))
+        return sum(map(t.add, notices)), sum(map(t.add, notices))
 
     assert benchmark(run) == (800, 0)
 

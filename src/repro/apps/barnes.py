@@ -209,7 +209,7 @@ class _Tree:
         keep = (ch >= 0) & (ch < len(nd))
         keep[keep] = live[ch[keep]]
         flat = ch[keep].tolist()
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        ends = keep.cumsum()[7::8].tolist()  # kept slots up to each row's end
         return (
             live,
             leaf_body.astype(np.int64).tolist(),
@@ -429,7 +429,8 @@ class BarnesApp(DsmApp):
                 # which on the writer's own homed pages would clobber
                 # concurrently applied remote diffs
                 changed = (local != orig).reshape(-1, NODE_W)
-                for idx in np.flatnonzero(changed.any(axis=1)).tolist():
+                rows = np.logical_or.reduce(changed, axis=1).nonzero()[0]
+                for idx in rows.tolist():
                     lo, hi = idx * NODE_W, (idx + 1) * NODE_W
                     view = yield from proc.write_range(app.r_nodes, lo, hi)
                     stored = changed[idx]

@@ -61,12 +61,14 @@ def pair_term(
     d -= np.rint(d)  # minimum image in the unit box
     r2 = np.einsum("ij,ij->i", d, d)
     mask = (r2 < cutoff2) & (r2 > 1e-12)
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     if len(idx) == 0:
         return idx, None
     r2m = r2[idx]
-    # soft LJ-like magnitude, bounded to keep the integrator stable
-    mag = np.clip(1e-4 / (r2m * r2m) - 1e-4 / r2m, -10.0, 10.0)
+    # soft LJ-like magnitude, bounded to keep the integrator stable (what
+    # np.clip computes, without its Python wrappers)
+    mag = 1e-4 / (r2m * r2m) - 1e-4 / r2m
+    np.minimum(np.maximum(mag, -10.0, out=mag), 10.0, out=mag)
     return idx, (mag / np.sqrt(r2m))[:, None] * d[idx]
 
 

@@ -45,7 +45,7 @@ def _pair_forces(
         idx, contrib = pair_term(pos[i + 1 :] - pos[i], cutoff2)
         npairs += len(idx)
         if len(idx):
-            f[i] -= contrib.sum(axis=0)
+            f[i] -= np.add.reduce(contrib, axis=0)
             f[i + 1 + idx] += contrib
     return f, npairs
 
@@ -84,7 +84,7 @@ class WaterNsqApp(WaterApp):
             pos = flat.reshape(n, 3).copy()
             f, npairs = _pair_forces(pos, part.start, part.stop, cfg.cutoff)
             yield from proc.compute(cfg.pair_cost * max(npairs, 1))
-            touched = np.flatnonzero(np.abs(f).sum(axis=1) > 0)
+            touched = (np.add.reduce(np.abs(f), axis=1) > 0).nonzero()[0]
             for b, block in enumerate(lock_blocks):
                 sel = touched[(touched >= block.start) & (touched < block.stop)]
                 if len(sel) == 0:

@@ -76,7 +76,7 @@ def _forces_for_cell(
         idx, contrib = pair_term(nb_pos - pos[i], cut2)
         count += len(idx)
         if len(idx):
-            f[k] -= contrib.sum(axis=0)
+            f[k] -= np.add.reduce(contrib, axis=0)
     return f, count
 
 

@@ -179,7 +179,7 @@ class DsmCluster:
         self._started = False
         self.crashes = 0
         self.recoveries = 0
-        #: hosts whose app main has not returned yet (stop predicate)
+        #: hosts whose app main has not returned yet (the last halts the run)
         self._unfinished = 0
         #: pending failure injections: (time, pid)
         self._crash_schedule: List[Tuple[float, int]] = []
@@ -318,17 +318,17 @@ class DsmCluster:
             yield from self.app.run(host.proto, host.state)
             host.finished = True
             self._unfinished -= 1
+            if self._unfinished == 0:
+                self.engine.halt()
         finally:
             if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, host.pid, "app", None)
 
     def _run_loop(self, max_steps: int) -> None:
-        # the stop predicate runs after every event; a counter maintained
-        # by _app_main keeps it O(1) instead of a scan over all hosts
+        # _app_main counts hosts down and halts the engine at the last one
         self._unfinished = sum(1 for h in self.hosts if not h.finished)
-        self.engine.run(
-            max_steps=max_steps, stop=lambda: self._unfinished == 0
-        )
+        if self._unfinished:
+            self.engine.run(max_steps=max_steps)
         pending = [h.pid for h in self.hosts if not h.finished]
         if pending:
             raise RuntimeError(

@@ -32,8 +32,6 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.core.logs import VolatileLogs
 from repro.core.policies import CheckpointPolicy
@@ -283,7 +281,7 @@ class FtManager(FtHooks):
         # piggyback there; unchanged (and still-zero) rows are skipped
         # without being visited.
         trim = self.trim
-        changed = np.flatnonzero(trim.row_gen > self._sent_gen.get(dst, 0))
+        changed = (trim.row_gen > self._sent_gen.get(dst, 0)).nonzero()[0]
         tckps = []
         for proc in changed.tolist():
             if proc == dst:
@@ -409,7 +407,7 @@ class FtManager(FtHooks):
         # entries appended since then always exceed it (an acquire bumps
         # the acquirer past its own last checkpoint cut)
         trim = self.trim
-        changed = np.flatnonzero(trim.row_gen > self._llt_gen).tolist()
+        changed = (trim.row_gen > self._llt_gen).nonzero()[0].tolist()
         for j in changed:
             if j == self.pid:
                 continue

@@ -15,7 +15,7 @@ append.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List
+from typing import List
 
 from repro.dsm.messages import WriteNotice
 from repro.dsm.vclock import VClock
@@ -52,18 +52,21 @@ class NoticeTable:
         wns.insert(end, notice)
         return True
 
-    def add_all(self, notices: Iterable[WriteNotice]) -> List[WriteNotice]:
-        """Insert many; returns the ones that were new."""
-        return [n for n in notices if self.add(n)]
-
     def between(self, low: VClock, high: VClock) -> List[WriteNotice]:
         """Notices with ``low[c] < interval <= high[c]`` for their creator.
 
         This is exactly the happened-before set a lock grantor with release
-        time ``high`` must send to an acquirer at time ``low``.
+        time ``high`` must send to an acquirer at time ``low``. Wide clocks
+        visit only the creators whose component moved.
         """
+        if self.n >= VClock.ARRAY_WIDTH:
+            lo_a, hi_a = low.as_array(), high.as_array()
+            moved = (hi_a > lo_a).nonzero()[0]
+            rows = zip(moved.tolist(), lo_a[moved].tolist(), hi_a[moved].tolist())
+        else:
+            rows = zip(range(self.n), low.v, high.v)
         out: List[WriteNotice] = []
-        for c, (lo, hi) in enumerate(zip(low, high)):
+        for c, lo, hi in rows:
             if hi > lo:
                 ivs = self._intervals[c]
                 start, end = bisect_right(ivs, lo), bisect_right(ivs, hi)

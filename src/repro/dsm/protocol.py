@@ -687,22 +687,10 @@ class DsmProcess:
         """Record received notices and invalidate the pages they name.
 
         The one write-notice path (grants, barrier releases, recovery
-        replay): notices already in the table and our own are dropped,
-        the rest are grouped by page and each page is invalidated once.
-        Returns how many notices were new.
-        """
-        fresh = self.notices.add_all(
-            wn for wn in notices if wn.creator != self.pid
-        )
-        by_page: Dict[PageId, List[WriteNotice]] = {}
-        for wn in fresh:
-            by_page.setdefault(wn.page, []).append(wn)
-        for page, group in by_page.items():
-            self._invalidate(page, group)
-        return len(fresh)
-
-    def _invalidate(self, page: PageId, group: List[WriteNotice]) -> None:
-        """Fold one page's new notices, in arrival order, into ``needed_v``.
+        replay), one pass over the batch: our own notices and those
+        already in the table are dropped, and each new one is folded, in
+        arrival order, into its page's ``needed_v``. Returns how many
+        notices were new.
 
         The minimal version accumulates *write intervals* per creator —
         page versions at homes advance only when diffs are applied, so
@@ -710,38 +698,53 @@ class DsmProcess:
         never materialize. A notice raises its creator's component unless
         the version needed so far *with* it is still covered by the local
         copy; once one notice is not covered, none after it is (which
-        makes the outcome depend on arrival order). The new clock is
-        built once per page, not once per notice.
+        makes the outcome depend on arrival order). A page's state is read
+        at its first new notice, and its new clock is built once, after
+        the pass, in order of first appearance.
         """
-        entry = self.entries[page]
-        have = self.have_v[page]
-        base = entry.needed_v
-        if base is None:
-            base = VClock.zero(self.n)
-            covered = True
-        else:
-            covered = base.leq(have)
-        known = base.v
-        newer: Dict[int, int] = {}
-        for wn in group:
-            creator, interval = wn.creator, wn.interval
-            if interval <= newer.get(creator, known[creator]):
+        me = self.pid
+        add = self.notices.add
+        # page -> [new components, components needed so far, the local
+        # copy's version while it still covers them (else None), needed_v]
+        folds: Dict[PageId, list] = {}
+        fresh = 0
+        for wn in notices:
+            creator = wn.creator
+            if creator == me or not add(wn):
                 continue
-            if covered:
+            interval = wn.interval
+            fresh += 1
+            fold = folds.get(wn.page)
+            if fold is None:
+                have = self.have_v[wn.page]
+                base = self.entries[wn.page].needed_v
+                if base is None:
+                    base = VClock.zero(self.n)
+                elif not base.leq(have):
+                    have = None
+                fold = folds[wn.page] = [{}, base.v, have, base]
+            newer = fold[0]
+            if interval <= newer.get(creator, fold[1][creator]):
+                continue
+            have = fold[2]
+            if have is not None:
                 if interval <= have[creator]:
                     continue  # local copy already incorporates these writes
-                covered = False
+                fold[2] = None
             newer[creator] = interval
-        if not newer:
-            return
-        entry.needed_v = base.with_components(newer)
-        if not self.is_home(page):
-            if entry.dirty:
-                raise RuntimeError(
-                    f"invalidation hit dirty page {page} at {self.pid}; "
-                    "intervals must be flushed before applying notices"
-                )
-            entry.state = PageState.INVALID
+        for page, (newer, _, _, base) in folds.items():
+            if not newer:
+                continue
+            entry = self.entries[page]
+            entry.needed_v = base.with_components(newer)
+            if not self.is_home(page):
+                if entry.dirty:
+                    raise RuntimeError(
+                        f"invalidation hit dirty page {page} at {self.pid}; "
+                        "intervals must be flushed before applying notices"
+                    )
+                entry.state = PageState.INVALID
+        return fresh
 
     # ------------------------------------------------------------------
     # message handling (instantaneous; CPU cost becomes handler debt)
@@ -956,7 +959,7 @@ class DsmProcess:
                 keep = (wn_creator != proc) & (
                     wn_interval > vt.as_array()[wn_creator]
                 )
-                missing = [notices[k] for k in np.flatnonzero(keep).tolist()]
+                missing = [notices[k] for k in keep.nonzero()[0].tolist()]
             else:
                 missing = [
                     wn

@@ -26,8 +26,11 @@ NumPy dispatch overhead dwarfs the O(n) loop. Past
 :data:`VClock.ARRAY_WIDTH` components the balance flips — every lattice
 operation becomes O(n) Python-level work on the tuple path — so wide
 clocks store a read-only ``int64`` array and run ``join``/``meet``/
-``leq`` (and the :func:`vmin`/:func:`vmax` folds) vectorized, checking
-operand dominance first so the dominated-join case allocates nothing.
+``leq`` (and the :func:`vmin`/:func:`vmax` folds) vectorized: one
+``np.maximum``/``np.minimum`` per call, compared with each operand as
+bytes, so a dominated join still returns the existing operand. Each
+wide kernel is ufunc calls and ``tobytes`` only: ``ndarray.all``/``any``
+go through NumPy's Python wrappers, which cost more than the kernel.
 Either representation materializes the other lazily: the component tuple
 ``v`` (canonical for hashing, equality and iteration at every width) is
 built from the array only when something actually asks for it, so chains
@@ -110,7 +113,7 @@ class VClock:
         arr = np.array(a, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError(f"expected 1-d components, got shape {arr.shape}")
-        if arr.size and int(arr.min()) < 0:
+        if arr.size and np.minimum.reduce(arr) < 0:
             raise ValueError("negative component")
         return cls._make_arr(arr)
 
@@ -175,7 +178,7 @@ class VClock:
             return False
         a, b = self._a, other._a
         if a is not None and b is not None:
-            return bool((a == b).all())
+            return a.tobytes() == b.tobytes()
         return self.v == other.v
 
     def __hash__(self) -> int:
@@ -192,7 +195,8 @@ class VClock:
         if self._n != other._n:
             self._check(other)
         if self._n >= _ARRAY_WIDTH:
-            return bool((self.as_array() <= other.as_array()).all())
+            y = other.as_array()
+            return np.maximum(self.as_array(), y).tobytes() == y.tobytes()
         a, b = self._t, other._t
         if a is None:
             a = self.v
@@ -219,13 +223,13 @@ class VClock:
         if self._n != other._n:
             self._check(other)
         if self._n >= _ARRAY_WIDTH:
-            x, y = self.as_array(), other.as_array()
-            ge = x >= y
-            if ge.all():
+            out = np.maximum(self.as_array(), other.as_array())
+            b = out.tobytes()
+            if b == self._a.tobytes():
                 return self
-            if not ge.any() or (y >= x).all():
+            if b == other._a.tobytes():
                 return other
-            return VClock._make_arr(np.maximum(x, y))
+            return VClock._make_arr(out)
         a, b = self._t, other._t
         if a is None:
             a = self.v
@@ -247,13 +251,13 @@ class VClock:
         if self._n != other._n:
             self._check(other)
         if self._n >= _ARRAY_WIDTH:
-            x, y = self.as_array(), other.as_array()
-            le = x <= y
-            if le.all():
+            out = np.minimum(self.as_array(), other.as_array())
+            b = out.tobytes()
+            if b == self._a.tobytes():
                 return self
-            if not le.any() or (y <= x).all():
+            if b == other._a.tobytes():
                 return other
-            return VClock._make_arr(np.minimum(x, y))
+            return VClock._make_arr(out)
         a, b = self._t, other._t
         if a is None:
             a = self.v
@@ -312,19 +316,16 @@ class VClock:
         :meth:`with_component` for folding a list of write notices.
         """
         n = self._n
+        out = self.as_array().copy() if n >= _ARRAY_WIDTH else list(self.v)
         for i, value in updates.items():
             if not (0 <= i < n):
                 raise IndexError(i)
             if value < 0:
                 raise ValueError(f"negative component: {value}")
+            out[i] = value
         if n >= _ARRAY_WIDTH:
-            out = self.as_array().copy()
-            out[list(updates)] = list(updates.values())
             return VClock._make_arr(out)
-        v = list(self.v)
-        for i, value in updates.items():
-            v[i] = value
-        return VClock._make(tuple(v))
+        return VClock._make(tuple(out))
 
     def _check(self, other: "VClock") -> None:
         if self._n != other._n:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Tuple
 
 from repro.sim.trace import ENGINE_EVENT, EventBus
 
@@ -188,6 +188,8 @@ class Engine:
         #: costs one int comparison per event in the main loop.
         self._breakpoints: List[Tuple[int, Callable[[], None]]] = []
         self._next_break: int = -1
+        #: set by :meth:`halt`; the main loop tests it before every event
+        self._halted = False
         #: the run's one instrumentation seam (see ``sim.trace``); every
         #: layer reaches it through the engine it already holds. The main
         #: loop itself emits ``ENGINE_EVENT`` with the event's own
@@ -297,16 +299,16 @@ class Engine:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_steps: int = 500_000_000,
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Process events until the queue drains.
+    def halt(self) -> None:
+        """Make the running :meth:`run` return before its next event."""
+        self._halted = True
 
-        ``stop`` (when given) is evaluated before every event; the loop
-        exits as soon as it returns True. Returns the final virtual time.
+    def run(self, max_steps: int = 500_000_000) -> float:
+        """Process events until the queue drains or :meth:`halt` is called.
+
+        Returns the final virtual time.
         """
+        self._halted = False
         heap = self._queue
         ready = self._ready
         steps = self.steps
@@ -314,7 +316,7 @@ class Engine:
         taps = self.bus.listeners(ENGINE_EVENT)
         try:
             while ready or heap:
-                if stop is not None and stop():
+                if self._halted:
                     break
                 # merge the sorted ready FIFO with the time heap: both are
                 # ordered by (time, seq), so comparing heads reproduces the

@@ -31,6 +31,18 @@ def test_equal_times_fire_in_scheduling_order():
     assert out == [0, 1, 2, 3, 4]
 
 
+def test_halt_returns_before_the_next_event_and_the_next_run_resumes():
+    eng = Engine()
+    out = []
+    eng.schedule(1.0, lambda: (out.append("a"), eng.halt()))
+    eng.schedule(1.0, lambda: out.append("b"))
+    eng.schedule(2.0, lambda: out.append("c"))
+    assert eng.run() == 1.0
+    assert out == ["a"] and eng.steps == 1
+    eng.run()
+    assert out == ["a", "b", "c"] and eng.steps == 3
+
+
 def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
