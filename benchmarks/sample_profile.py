@@ -17,6 +17,13 @@ layer across commits, this to decide which layer to look at.
 Builds the body from ``ledger/workloads.py`` as the ledger does, warms it
 with one smoke-sized run, and prints self and cumulative shares per
 (file, function) and the top source lines over ``--reps`` runs of it.
+A tick that lands in a garbage-collector pause would be charged to
+whatever line allocated the object that triggered it (a ``__init__``, a
+tuple). So the line after the header gives the collector's own share of
+the CPU time and its collections per generation, timed through
+``gc.callbacks``, and such a tick is delivered in that callback once the
+pause ends, reading as ``sample_profile.py:collector_pause``. No
+collector setting is changed.
 
 ``--memory`` asks where the ledger's ``peak_rss_mb`` comes from instead:
 resident size after the imports, after the warm-up and after the untraced
@@ -77,22 +84,45 @@ def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
     cum_n.update(on_stack)
 
 
-def sample(body: Callable[[], object]) -> Tuple[Counter, Counter, Counter]:
+class GcPauses:
+    """CPU seconds spent inside collections and the number of collections
+    per generation, counted by :meth:`collector_pause`."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.by_gen: Counter = Counter()
+        self._t0 = 0.0
+
+    def collector_pause(self, phase: str, info: dict) -> None:
+        """The ``gc.callbacks`` entry."""
+        if phase == "start":
+            self._t0 = time.process_time()
+        else:
+            self.seconds += time.process_time() - self._t0
+            self.by_gen[info["generation"]] += 1
+
+
+def sample(
+    body: Callable[[], object]
+) -> Tuple[Counter, Counter, Counter, GcPauses]:
     """Run ``body`` under the profiling timer; samples by function (self,
-    cumulative) and by source line."""
+    cumulative) and by source line, and the collector's pauses."""
     self_n: Counter = Counter()
     cum_n: Counter = Counter()
     line_n: Counter = Counter()
+    pauses = GcPauses()
     signal.signal(
         signal.SIGPROF,
         lambda _signum, frame: on_tick(frame, self_n, cum_n, line_n),
     )
+    gc.callbacks.append(pauses.collector_pause)
     signal.setitimer(signal.ITIMER_PROF, TICK_S, TICK_S)
     try:
         body()
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0.0)
-    return self_n, cum_n, line_n
+        gc.callbacks.remove(pauses.collector_pause)
+    return self_n, cum_n, line_n, pauses
 
 
 def rss_mb() -> Tuple[float, float]:
@@ -287,12 +317,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.messages:
         return report_messages(body, args.rows)
     cpu0 = time.process_time()
-    self_n, cum_n, line_n = sample(lambda: [body() for _ in range(args.reps)])
+    self_n, cum_n, line_n, pauses = sample(
+        lambda: [body() for _ in range(args.reps)]
+    )
     cpu_s = time.process_time() - cpu0
     total = sum(self_n.values())
     print(
         f"{args.workload}, seed {args.seed}: {total} samples in {cpu_s:.2f} s "
         f"of CPU time (the kernel's tick bounds the rate)"
+    )
+    gens = ", ".join(f"gen {g}: {pauses.by_gen[g]}" for g in range(3))
+    print(
+        f"collector: {100 * pauses.seconds / cpu_s:.1f} % of the CPU time in "
+        f"{sum(pauses.by_gen.values())} collections ({gens})"
     )
     for title, order in (("self", self_n), ("cumulative", cum_n)):
         print(f"\n{'self %':>7} {'cum %':>7}  function, by {title} share")

@@ -84,7 +84,9 @@ def test_ledger_smoke_fingerprints_are_pinned():
 def test_untraced_sampling_profile():
     """The SIGPROF sampler runs every ledger workload to the end (a tick
     on an instruction without a line number used to crash it after the
-    tables) and attributes samples to the apps' own files; its memory
+    tables), attributes samples to the apps' own files and gives the
+    collector's share of the CPU time and collections per generation on
+    the line after its header; its memory
     half prints resident size per stage and the lines holding the traced
     heap at the peak of one body; its message half prints the serving
     body's message mix, replica updates split by op, and the stamp bytes
@@ -95,6 +97,12 @@ def test_untraced_sampling_profile():
         for w in ("paper8", "scale128", "serve_session", "sweep_session")
     }
     assert "apps/barnes.py:" in out["paper8"]
+    for text in out.values():
+        assert re.search(
+            r"^collector: \d+\.\d % of the CPU time in \d+ collections "
+            r"\(gen 0: \d+, gen 1: \d+, gen 2: \d+\)$",
+            text.splitlines()[1],
+        ), text.splitlines()[:2]
     memory = ok(run("--workload", "serve_session", "--smoke", "--memory",
                     "--rows", "5", script=script))
     assert "x body" in memory and "observe/" in memory

@@ -7,7 +7,7 @@ from repro.dsm.interval import NoticeTable
 from repro.dsm.messages import WriteNotice
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay, Engine, Future
+from repro.sim.engine import Engine, Future
 
 PAGE = 4096
 
@@ -66,7 +66,7 @@ def test_bench_engine_timers(benchmark):
 
     def ticker(k, dt):
         for _ in range(k):
-            yield Delay(dt)
+            yield dt
 
     def run():
         eng = Engine()

@@ -51,10 +51,9 @@ import numpy as np
 
 from repro.apps.base import AppConfig, DsmApp, phase_loop
 from repro.dsm.protocol import DsmProcess
-from repro.sim.engine import Delay
 from repro.sim.trace import APP_LATENCY
 
-__all__ = ["SessionConfig", "SessionApp"]
+__all__ = ["SessionConfig", "SessionApp", "request_table"]
 
 #: seed-stream tags (third element of the RNG seed tuple) so the arrival
 #: process and per-request draws never collide with other apps' streams
@@ -105,48 +104,55 @@ def _zipf_cdf(cfg: SessionConfig) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-#: entries each draw cache holds; a run asks for ``procs * steps *
-#: requests_per_step`` request draws (96 by default) and at most
-#: ``procs * n_users`` home draws
-_DRAW_CACHE = 1 << 14
+#: request tables the cache holds, one per (config, pid): a sweep asks
+#: for one config's ``procs`` tables at every point, recovery and check
+_TABLE_CACHE = 64
+
+#: one request: (arrival time, key, is_read)
+Request = Tuple[float, int, bool]
 
 
-@functools.lru_cache(maxsize=_DRAW_CACHE)
-def _request_draws(seed: int, pid: int, r: int) -> Tuple[float, ...]:
-    """The four uniforms (user, affinity, key, read/write) of request ``r``."""
-    rng = np.random.default_rng((seed, pid, _REQUEST_STREAM, r))
-    return tuple(rng.random(4).tolist())
+def request_table(cfg: SessionConfig, pid: int) -> Tuple[Request, ...]:
+    """Every request of process ``pid``, in order, built once per process
+    for each config value.
 
-
-@functools.lru_cache(maxsize=_DRAW_CACHE)
-def _home_draw(seed: int, pid: int, user: int) -> float:
-    """The uniform that places ``user``'s sticky home key."""
-    return float(
-        np.random.default_rng((seed, pid, _ARRIVAL_STREAM, user)).random()
-    )
-
-
-def _request_params(
-    cfg: SessionConfig, cdf: np.ndarray, pid: int, r: int
-) -> Tuple[int, int, bool]:
-    """(user, key, is_read) of request ``r`` of process ``pid``.
-
-    Pure function of ``(seed, pid, r)`` — per-request RNG streams are
-    created on the fly (nothing to checkpoint), the kvstore discipline.
-    The uniform draws are memoised: a crash sweep, recovery replay and
-    ``check_result`` ask for the same requests over and over, and
-    building a generator costs far more than the arithmetic below.
+    A pure function of ``(config, pid)``: the arrival process is one
+    generator per process, and each request's draws (user, affinity,
+    key, read/write) come from a generator of its own (nothing to
+    checkpoint), the kvstore discipline. A crash sweep, recovery replay
+    and ``check_result`` ask for the same requests over and over, and
+    building a generator costs far more than the arithmetic.
     """
-    u_user, u_aff, u_key, u_rw = _request_draws(cfg.seed, pid, r)
-    user = int(u_user * cfg.n_users) % cfg.n_users
-    if u_aff < cfg.session_affinity:
-        # sticky home key: a stable pseudo-random cell per (pid, user),
-        # itself zipf-distributed so hot users share hot cells
-        key = int(cdf.searchsorted(_home_draw(cfg.seed, pid, user)))
-    else:
-        key = int(cdf.searchsorted(u_key))
-    key = min(key, cfg.n_keys - 1)
-    return user, key, bool(u_rw < cfg.read_fraction)
+    return _request_table(type(cfg), tuple(vars(cfg).values()), pid)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _request_table(
+    cfg_type: type, fields: Tuple, pid: int
+) -> Tuple[Request, ...]:
+    cfg = cfg_type(*fields)
+    n = cfg.steps * cfg.requests_per_step
+    arrivals = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM))
+    cdf = _zipf_cdf(cfg)
+    homes: Dict[int, int] = {}
+    table = []
+    for r, arrival in enumerate(
+        np.cumsum(arrivals.exponential(1.0 / cfg.rate, size=n)).tolist()
+    ):
+        rng = np.random.default_rng((cfg.seed, pid, _REQUEST_STREAM, r))
+        u_user, u_aff, u_key, u_rw = rng.random(4).tolist()
+        user = int(u_user * cfg.n_users) % cfg.n_users
+        if u_aff < cfg.session_affinity:
+            # sticky home key: a stable pseudo-random cell per (pid, user),
+            # itself zipf-distributed so hot users share hot cells
+            key = homes.get(user)
+            if key is None:
+                home = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM, user))
+                key = homes[user] = int(cdf.searchsorted(home.random()))
+        else:
+            key = int(cdf.searchsorted(u_key))
+        table.append((arrival, min(key, cfg.n_keys - 1), u_rw < cfg.read_fraction))
+    return tuple(table)
 
 
 def _write_delta(pid: int, r: int) -> float:
@@ -158,24 +164,8 @@ class SessionApp(DsmApp):
     name = "session"
     Config = SessionConfig
 
-    @functools.cached_property
-    def _cdf(self) -> np.ndarray:
-        return _zipf_cdf(self.cfg)
-
     def configure(self, cluster: Any) -> None:
         self.r_sessions = cluster.allocate("sessions", self.cfg.n_keys)
-
-    # ------------------------------------------------------------------
-    # the open-loop schedule
-    # ------------------------------------------------------------------
-    def arrivals(self, pid: int) -> np.ndarray:
-        """Virtual arrival time of every request of process ``pid``: a
-        pure function of the config, so an incarnation that replays
-        draws the same schedule."""
-        cfg = self.cfg
-        n = cfg.steps * cfg.requests_per_step
-        rng = np.random.default_rng((cfg.seed, pid, _ARRIVAL_STREAM))
-        return np.cumsum(rng.exponential(1.0 / cfg.rate, size=n))
 
     def _stripe(self, key: int) -> int:
         return key * self.cfg.n_stripes // self.cfg.n_keys
@@ -183,20 +173,19 @@ class SessionApp(DsmApp):
     # ------------------------------------------------------------------
     def run(self, proc: DsmProcess, state: Dict[str, Any]) -> Iterator[Any]:
         cfg = self.cfg
-        arrivals = self.arrivals(proc.pid)
+        requests = request_table(cfg, proc.pid)
 
         def phase_serve(proc: DsmProcess, state: Dict, step: int) -> Iterator[Any]:
             for i in range(cfg.requests_per_step):
                 r = step * cfg.requests_per_step + i
-                arrival = float(arrivals[r])
+                arrival, key, is_read = requests[r]
                 now = proc.engine.now
                 if now < arrival:
                     # ahead of schedule: idle until the arrival. A bare
-                    # Delay charges no TimeBucket, so Figure-3 breakdowns
+                    # delay charges no TimeBucket, so Figure-3 breakdowns
                     # and span reconciliation stay exact
-                    yield Delay(arrival - now)
+                    yield arrival - now
                 service_start = proc.engine.now
-                _user, key, is_read = _request_params(cfg, self._cdf, proc.pid, r)
                 stripe = self._stripe(key)
                 yield from proc.acquire(stripe)
                 if is_read:
@@ -224,11 +213,11 @@ class SessionApp(DsmApp):
     # verification
     # ------------------------------------------------------------------
     def expected_total(self, num_procs: int) -> float:
-        cfg = self.cfg
         total = 0.0
         for pid in range(num_procs):
-            for r in range(cfg.steps * cfg.requests_per_step):
-                _user, _key, is_read = _request_params(cfg, self._cdf, pid, r)
+            for r, (_arrival, _key, is_read) in enumerate(
+                request_table(self.cfg, pid)
+            ):
                 if not is_read:
                     total += _write_delta(pid, r)
         return total

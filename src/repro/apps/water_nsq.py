@@ -38,7 +38,7 @@ def _pair_forces(
     pos: np.ndarray, lo: int, hi: int, cutoff: float
 ) -> tuple[np.ndarray, int]:
     """Forces from pairs (i, j) with lo <= i < hi, j > i; returns (f, npairs)."""
-    f = np.zeros_like(pos)
+    f = np.zeros(pos.shape, pos.dtype)
     npairs = 0
     cutoff2 = cutoff * cutoff
     for i in range(lo, hi):

@@ -52,7 +52,6 @@ from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
 from repro.dsm.messages import Message
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay
 from repro.sim.node import TimeBucket
 from repro.sim.trace import (
     CHECKPOINT_TAKEN, CKPT_WRITE_BEGIN, CKPT_WRITE_END, OP_CLOSE, OP_OPEN,
@@ -157,7 +156,7 @@ class CoordinatedFt(FtManager):
         self.proc_host: Any = None
 
     # -- round initiation ---------------------------------------------------
-    def at_sync_point(self, at_barrier: bool = False) -> Iterator[Delay]:
+    def at_sync_point(self, at_barrier: bool = False) -> Iterator[float]:
         if (
             self.pid == self.COORDINATOR
             and self.prepare_pending is None

@@ -42,7 +42,6 @@ from repro.dsm.messages import AcqAck, Piggyback, ReplicaAck, ReplicaUpdate
 from repro.dsm.pages import PageId
 from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay
 from repro.sim.node import TimeBucket
 from repro.sim.storage import Disk
 from repro.sim.trace import (
@@ -154,7 +153,7 @@ class FtManager(FtHooks):
 
     def on_interval_flush(
         self, page: PageId, diff: Diff, vt: VClock, is_home: bool
-    ) -> Iterator[Delay]:
+    ) -> Iterator[float]:
         # empty diffs are logged too (header-only records): the write
         # notice they correspond to advances the page version at the
         # home, and replay must be able to advance the emulated copy to
@@ -255,7 +254,7 @@ class FtManager(FtHooks):
     # ==================================================================
     # FtHooks — checkpoint policy evaluation
     # ==================================================================
-    def at_sync_point(self, at_barrier: bool = False) -> Iterator[Delay]:
+    def at_sync_point(self, at_barrier: bool = False) -> Iterator[float]:
         if self.policy.should_checkpoint(self, at_barrier):
             self.checkpoint_requested = True
         return

@@ -58,7 +58,7 @@ from repro.dsm.messages import (
 from repro.dsm.pages import PageEntry, PageId, PageState
 from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay, Future
+from repro.sim.engine import Future
 from repro.sim.node import TimeBucket
 from repro.sim.trace import (
     RECOVERY_ANNOTATE,
@@ -169,7 +169,7 @@ class RecoveryManager:
             # never reuse a qid a killed incarnation has in flight, or a
             # stale reply could resolve the wrong future
             qid = self.host.next_qid()
-            fut = Future(f"recovery {kind} -> {dst}")
+            fut = Future(("recovery", kind, dst))
             self._pending[qid] = fut
             self.cluster.send(
                 self.pid,
@@ -214,7 +214,7 @@ class RecoveryManager:
                 # live. Deadlock-free: in any mutually-recovering pair
                 # exactly one side sees overlap (above) and either
                 # degrades or completes via the replica path.
-                yield Delay(self.cluster.config.failure_detection_delay)
+                yield float(self.cluster.config.failure_detection_delay)
                 continue
             return reply.payload
 

@@ -58,7 +58,7 @@ from repro.dsm.messages import (
 )
 from repro.dsm.pages import PageEntry, PageId, PageState, RegionSet, SharedRegion
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay, Engine, Future
+from repro.sim.engine import Engine, Future
 from repro.sim.node import CpuModel, TimeBucket
 from repro.sim.trace import (
     BARRIER_DONE,
@@ -79,7 +79,7 @@ class FtHooks:
 
     def on_interval_flush(
         self, page: PageId, diff: Diff, vt: VClock, is_home: bool
-    ) -> Iterator[Delay]:
+    ) -> Iterator[float]:
         """A diff for ``page`` was created at interval flush (vt = new vt)."""
         return iter(())
 
@@ -110,11 +110,11 @@ class FtHooks:
     def on_barrier_done(self, episode: int, global_vt: VClock) -> None:
         """This process passed barrier ``episode``."""
 
-    def at_sync_point(self, at_barrier: bool = False) -> Iterator[Delay]:
+    def at_sync_point(self, at_barrier: bool = False) -> Iterator[float]:
         """Called at sync points (after release, before barrier arrival)."""
         return iter(())
 
-    def at_safe_point(self) -> Iterator[Delay]:
+    def at_safe_point(self) -> Iterator[float]:
         """Called at application-declared checkpoint-safe points."""
         return iter(())
 
@@ -260,7 +260,7 @@ class DsmProcess:
     # ------------------------------------------------------------------
     # application API — computation
     # ------------------------------------------------------------------
-    def compute(self, seconds: float) -> Iterator[Delay]:
+    def compute(self, seconds: float) -> Iterator[float]:
         """Charge ``seconds`` of application computation."""
         bus = self.bus
         if bus.on[OP_OPEN]:
@@ -352,7 +352,7 @@ class DsmProcess:
             yield from self.replay.replay_fetch(page, entry)
         else:
             t0 = self.engine.now
-            fut = Future(f"fetch p{page} @{self.pid}")
+            fut = Future(("fetch", page, self.pid))
             self._fetch_waiting[page] = fut
             needed = entry.needed_v or VClock.zero(self.n)
             req = PageFetchReq(page=page, requester=self.pid, needed_v=needed)
@@ -391,7 +391,7 @@ class DsmProcess:
             if bus.on[OP_OPEN]:
                 bus.emit(OP_OPEN, self.pid, "home_wait", page)
             t0 = self.engine.now
-            fut = Future(f"homewait p{page} @{self.pid}")
+            fut = Future(("homewait", page, self.pid))
             self._home_waiting[page] = fut
             hp.wait_fetch(self.pid, needed, lambda: fut.resolve(None))
             yield fut
@@ -497,7 +497,7 @@ class DsmProcess:
                 self._record_self_grant(lock_id)
                 return
             t0 = self.engine.now
-            fut = Future(f"lock{lock_id} @{self.pid}")
+            fut = Future(("lock", lock_id, self.pid))
             self._lock_waiting[lock_id] = fut
             req = LockAcquireReq(
                 lock_id=lock_id, acquirer=self.pid, acq_vt=self.vt, seq=seq
@@ -515,7 +515,7 @@ class DsmProcess:
             if bus.on[OP_CLOSE]:
                 bus.emit(OP_CLOSE, self.pid, "acquire", None)
 
-    def _charge_notices(self, notices: List[WriteNotice]) -> Tuple[Delay, ...]:
+    def _charge_notices(self, notices: List[WriteNotice]) -> Tuple[float, ...]:
         """The handler cost of a grant or release that carried ``notices``."""
         return self.cpu.charge(
             TimeBucket.OVERHEAD, self.cpu.costs.message_handler + len(notices) * 1e-6
@@ -654,7 +654,7 @@ class DsmProcess:
                 episode=episode, proc=self.pid, vt=self.vt, notices=own
             )
             t0 = self.engine.now
-            fut = Future(f"barrier{episode} @{self.pid}")
+            fut = Future(("barrier", episode, self.pid))
             self._barrier_future = fut
             self._pending_arrive = arrive
             self._post(self.config.barrier_manager, arrive)

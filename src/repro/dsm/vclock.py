@@ -150,7 +150,7 @@ class VClock:
         w = self._w
         if w is None:
             n, t = self._n, self._t
-            nnz = n - t.count(0) if t is not None else int(np.count_nonzero(self._a))
+            nnz = n - t.count(0) if t is not None else len(self._a.nonzero()[0])
             w = (n + 7) // 8 + COMPONENT_BYTES * nnz
             if w > COMPONENT_BYTES * n:
                 w = COMPONENT_BYTES * n

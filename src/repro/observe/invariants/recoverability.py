@@ -32,15 +32,23 @@ sound:
    all four counters is left to the next full scan.
 2. **§4.2.1 pairs.** Log buckets are append-only or replaced wholesale
    (``GrantLog.trim``, and a ``GrantLog.confirm`` that changes an
-   entry, install a new list), so a verified pair stays verified while
-   both buckets are the same lists at the same lengths and neither side
-   failed or went live (those forget every pair). The acquirer's own
-   checkpoint cut only rises, which only takes entries out of view.
+   entry, install a new list), so while both buckets of a verified pair
+   are the same lists and neither side failed or went live (those
+   forget every pair), what it verified still holds and the check only
+   *extends*: it indexes the grantor's entries appended since, and
+   checks the acquirer's appended entries plus those it let pass as
+   "missing, nothing older kept" (an appended grant may match one, or
+   be older than it). Every other verdict on an old entry is monotone
+   in appends: an exact or provisional match stays in the index, and
+   the acquirer's own checkpoint cut only rises, which only takes
+   entries out of view. A replaced bucket is a new list: the pair is
+   checked from scratch.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.dsm.vclock import VClock
@@ -54,6 +62,27 @@ __all__ = ["SCAN_EVERY", "RecoverabilityChecker"]
 #: ledger run at; scanning at every delivery costs ``sweep_session``
 #: +27 % host time
 SCAN_EVERY = 10
+
+
+class _Pair:
+    """What one §4.2.1 pair check verified: the two buckets (holding the
+    lists keeps their identities from being reused) and how much of each
+    it read, the index of the grantor's entries, and the acquirer's
+    entries it let pass only because nothing older was kept."""
+
+    __slots__ = ("mine", "n_mine", "rel", "n_rel", "theirs", "oldest_rel",
+                 "missing")
+
+    def __init__(self, mine: List[Any], rel: List[Any]) -> None:
+        self.mine = mine
+        self.n_mine = 0
+        self.rel = rel
+        self.n_rel = 0
+        #: (lock id, grantor's own component) -> the grantor's entries
+        self.theirs: Dict[Tuple[int, int], List[Any]] = {}
+        self.oldest_rel: Optional[int] = None
+        #: positions in ``mine``, ascending
+        self.missing: List[int] = []
 
 
 class RecoverabilityChecker:
@@ -71,10 +100,9 @@ class RecoverabilityChecker:
         #: discarded page bytes, len(page_copies)) when all of its page
         #: chains last verified clean
         self._chains_ok: Dict[int, Tuple[int, ...]] = {}
-        #: (acquirer, grantor) -> (acq bucket, len, rel bucket, len) at
-        #: which the §4.2.1 pair last verified clean; holding the list
-        #: objects keeps their identities from being reused
-        self._pairs_ok: Dict[Tuple[int, int], Tuple[list, int, list, int]] = {}
+        #: (acquirer, grantor) -> what the §4.2.1 pair check verified
+        #: when that pair was last clean
+        self._pairs_ok: Dict[Tuple[int, int], _Pair] = {}
         #: per-pid high-water mark of buddy-acked replica seqnos (the
         #: trim-never-ahead-of-ack bound; survives re-buddy resets)
         self._acked_hwm: Dict[int, int] = {}
@@ -196,12 +224,12 @@ class RecoverabilityChecker:
                     continue
                 rel = peer.ft.logs.rel.entries[i]
                 seen = pairs_ok.get((i, g))
-                if (seen is not None
-                        and seen[0] is mine and seen[1] == len(mine)
-                        and seen[2] is rel and seen[3] == len(rel)):
+                if seen is None or seen.mine is not mine or seen.rel is not rel:
+                    seen = _Pair(mine, rel)
+                elif seen.n_mine == len(mine) and seen.n_rel == len(rel):
                     continue
-                if self._check_pair(i, g, mine, rel, own_cut, final):
-                    pairs_ok[(i, g)] = (mine, len(mine), rel, len(rel))
+                if self._check_pair(i, g, seen, own_cut, final):
+                    pairs_ok[(i, g)] = seen
                 else:
                     pairs_ok.pop((i, g), None)
         self._scan_replicas(final)
@@ -245,12 +273,14 @@ class RecoverabilityChecker:
                 clean = False
         return clean
 
-    def _check_pair(self, i: int, g: int, mine: List[Any], rel: List[Any],
-                    own_cut: int, final: bool) -> bool:
+    def _check_pair(self, i: int, g: int, pair: _Pair, own_cut: int,
+                    final: bool) -> bool:
         """§4.2.1 replication of one live (acquirer ``i``, grantor ``g``)
-        pair: every acquire in ``mine`` (``i``'s ``acq_log[g]``) must be in
-        ``rel`` (``g``'s ``rel_log[i]``), or a replay of ``i`` loses a
-        grant. True when nothing was flagged. What metadata allows:
+        pair, extending what ``pair`` verified: every acquire in
+        ``pair.mine`` (``i``'s ``acq_log[g]``) must be in ``pair.rel``
+        (``g``'s ``rel_log[i]``), or a replay of ``i`` loses a grant. True
+        when nothing was flagged; ``pair`` then records what was read.
+        What metadata allows:
 
         * entries at or below ``own_cut`` (``i``'s checkpoint cut) are
           dead and may linger until ``i``'s next LLT pass — skipped;
@@ -266,20 +296,27 @@ class RecoverabilityChecker:
           logs its half before the notification to ``g`` is sent: its
           twin is demanded only at quiescence with nothing in flight.
         """
-        theirs: Dict[Tuple[int, int], List[Any]] = {}
-        oldest_rel = None
-        for e in rel:
+        mine, rel = pair.mine, pair.rel
+        theirs = pair.theirs
+        oldest_rel = pair.oldest_rel
+        for e in islice(rel, pair.n_rel, None):
             if e.local:
                 continue
             own = e.acq_t[g]
             if oldest_rel is None or own < oldest_rel:
                 oldest_rel = own
             theirs.setdefault((e.lock_id, own), []).append(e)
+        pair.n_rel = len(rel)
+        pair.oldest_rel = oldest_rel
         # the periodic scans never ask for a self-grant's twin
         mirrors: Optional[Set[Tuple[int, VClock]]] = None
         if final and not self.cluster.network.inflight_msgs:
             mirrors = {(e.lock_id, e.acq_t) for e in rel if e.local}
-        for e in mine:
+        todo = pair.missing + list(range(pair.n_mine, len(mine)))
+        missing = pair.missing = []
+        pair.n_mine = len(mine)
+        for k in todo:
+            e = mine[k]
             actual = e.acq_t
             if actual[i] <= own_cut:
                 continue  # dead: below our own restart cut
@@ -305,6 +342,7 @@ class RecoverabilityChecker:
                         "lost an entry",
                     )
                     return False
+                missing.append(k)
                 continue
             if any(r.acq_t == actual for r in logged):
                 continue

@@ -10,13 +10,12 @@ wiring that runs application processes as coroutines
 (:mod:`repro.sim.cluster`).
 """
 
-from repro.sim.engine import Delay, Engine, Future, SimProcessKilled
+from repro.sim.engine import Engine, Future, SimProcessKilled
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import TimeBucket, TimeStats
 from repro.sim.storage import CheckpointStore, Disk, DiskConfig
 
 __all__ = [
-    "Delay",
     "Engine",
     "Future",
     "SimProcessKilled",

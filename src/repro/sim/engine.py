@@ -4,8 +4,10 @@ The engine owns a virtual clock and a priority queue of events. Simulated
 processes are plain Python generators: they ``yield`` *effects* and the
 engine resumes them when the effect completes. Two effects exist:
 
-``Delay(seconds)``
-    Resume the coroutine after ``seconds`` of virtual time.
+a ``float``
+    A delay: resume the coroutine after that many seconds of virtual
+    time. It must not be negative (``ValueError``); a ``float`` subclass
+    such as ``numpy.float64`` is a delay too.
 
 ``Future``
     Resume the coroutine when some other party calls
@@ -33,9 +35,14 @@ without ever touching ``heapq``, while the merged execution order stays
 bit-identical to a single (time, seq) priority queue.
 
 A process has one continuation, ``partial(_step, proc)``, built once: a
-``Delay`` queues it, a resolved ``Future`` leaves its value in
+delay queues it, a resolved ``Future`` leaves its value in
 ``proc.inbox`` and queues it. ``_step``, ``_wake`` and ``Network.send``
 assign ``(time, seq)`` inline, exactly as :meth:`schedule` would.
+
+Neither effect costs more than the simulation needs: a delay is the
+number itself (the CPU model hands out one-element tuples of it, driven
+with ``yield from``), and a ``Future``'s label is whatever tuple its
+maker names it by, formatted only by ``repr`` and in errors.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ from typing import Any, Callable, Deque, Generator, List, Tuple
 from repro.sim.trace import ENGINE_EVENT, EventBus
 
 __all__ = [
-    "Delay",
     "Future",
     "Engine",
     "SimProcess",
@@ -65,30 +71,18 @@ class SimProcessKilled(Exception):
     """Thrown into a coroutine when its process is fail-stopped."""
 
 
-class Delay:
-    """Effect: resume the yielding coroutine after ``seconds`` of sim time."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative delay: {seconds}")
-        self.seconds = seconds
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Delay({self.seconds!r})"
-
-
 class Future:
     """A one-shot resolvable value; coroutines block on it by yielding it.
 
     Multiple coroutines may wait on the same future; all are resumed with
     the same value (in registration order, at the same virtual instant).
+    ``label`` names it, say ``("fetch", page, pid)``; only ``repr`` and
+    the errors below format it.
     """
 
     __slots__ = ("_resolved", "_value", "_waiters", "label")
 
-    def __init__(self, label: str = "") -> None:
+    def __init__(self, label: Any = ()) -> None:
         self._resolved = False
         self._value: Any = None
         self._waiters: List[Callable[[Any], None]] = []
@@ -139,7 +133,7 @@ class SimProcess:
         self.done = False
         self.result: Any = None
         #: the value the next step sends in (a resolved future's; None
-        #: for a Delay resume and the first step)
+        #: for a delay's resume and the first step)
         self.inbox: Any = None
         #: the one continuation, preallocated
         self._resume: Callable[[], None] = partial(engine._step, self)
@@ -271,14 +265,15 @@ class Engine:
             return
         # inline effect dispatch and scheduling (the hottest call site in
         # the simulator): the same (time, seq) ``schedule`` would assign
-        if type(effect) is Delay:
+        if isinstance(effect, float):
             seq = self._seq
             self._seq = seq + 1
-            delay = effect.seconds
-            if delay == 0.0:
+            if effect > 0.0:
+                heapq.heappush(self._queue, (self.now + effect, seq, proc._resume))
+            elif effect == 0.0:
                 self._ready.append((self.now, seq, proc._resume))
             else:
-                heapq.heappush(self._queue, (self.now + delay, seq, proc._resume))
+                raise ValueError(f"negative delay: {effect!r}")
         elif isinstance(effect, Future):
             if effect._resolved:
                 self._wake(proc, effect._value)

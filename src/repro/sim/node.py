@@ -24,8 +24,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, Tuple
 
-from repro.sim.engine import Delay
-
 __all__ = ["TimeBucket", "TimeStats", "CpuModel"]
 
 
@@ -108,19 +106,20 @@ class CpuModel:
             raise ValueError("negative handler cost")
         self.handler_debt += seconds
 
-    # driven with ``yield from``: a one-``Delay`` tuple, or () (no event)
-    # when nothing is owed, not a generator per call
-    def drain_debt(self) -> Tuple[Delay, ...]:
+    # driven with ``yield from``: a one-delay tuple (the engine's delay
+    # effect is the float itself), or () (no event) when nothing is owed,
+    # not a generator per call
+    def drain_debt(self) -> Tuple[float, ...]:
         """Charge accumulated handler debt to OVERHEAD; yields the delay."""
         debt, self.handler_debt = self.handler_debt, 0.0
         if debt > 0:
             self.stats.seconds[TimeBucket.OVERHEAD] += debt
-            return (Delay(debt),)
+            return (debt,)
         return ()
 
-    def charge(self, bucket: TimeBucket, seconds: float) -> Tuple[Delay, ...]:
+    def charge(self, bucket: TimeBucket, seconds: float) -> Tuple[float, ...]:
         """Charge ``seconds`` to ``bucket``, advancing virtual time."""
         if seconds < 0:
             raise ValueError(f"negative time charge: {seconds}")
         self.stats.seconds[bucket] += seconds
-        return (Delay(seconds),) if seconds > 0 else ()
+        return (seconds,) if seconds > 0 else ()

@@ -1,9 +1,9 @@
 """Unit tests for the discrete-event engine and coroutine trampoline."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import (
-    Delay,
     Engine,
     Future,
     SimProcessKilled,
@@ -47,8 +47,51 @@ def test_negative_delay_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
         eng.schedule(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        Delay(-0.5)
+
+    def proc():
+        yield -0.5
+
+    eng.spawn(proc())
+    with pytest.raises(ValueError, match="negative delay"):
+        eng.run()
+
+
+@pytest.mark.parametrize("delay", [0.0, 1.5, np.float64(0.25)])
+def test_a_float_effect_resumes_where_schedule_would_put_it(delay):
+    """A yielded float queues its process at the same ``(time, seq)``, in
+    the same queue, as ``schedule`` would: the ready FIFO at zero, the
+    time heap otherwise."""
+    def queued(eng):
+        return ([ev[:2] for ev in eng._ready], [ev[:2] for ev in eng._queue])
+
+    def proc():
+        yield delay
+
+    eng, ref = Engine(), Engine()
+    for e in (eng, ref):
+        e.schedule(0.5, lambda: None)
+        e.run()  # now = 0.5, seq 0 used
+        e.break_at_step(2, e.halt)
+    eng.spawn(proc())
+    eng.run()  # the spawn step yields the delay and takes seq 2
+    ref.call_soon(lambda: None)
+    ref.run()
+    ref.schedule(delay, lambda: None)
+    assert queued(eng) == queued(ref)
+    want = [(0.5 + delay, 2)]
+    assert queued(eng) == ((want, []) if delay == 0.0 else ([], want))
+
+
+@pytest.mark.parametrize("effect", [1, True, "1.0", None, (1.0,)])
+def test_any_other_effect_is_a_simulation_error(effect):
+    eng = Engine()
+
+    def proc():
+        yield effect
+
+    eng.spawn(proc())
+    with pytest.raises(SimulationError, match="unsupported effect"):
+        eng.run()
 
 
 def test_coroutine_delay_advances_clock():
@@ -57,9 +100,9 @@ def test_coroutine_delay_advances_clock():
 
     def proc():
         times.append(eng.now)
-        yield Delay(1.5)
+        yield 1.5
         times.append(eng.now)
-        yield Delay(0.5)
+        yield 0.5
         times.append(eng.now)
 
     eng.spawn(proc())
@@ -132,7 +175,7 @@ def test_yield_from_composition():
     order = []
 
     def inner():
-        yield Delay(1.0)
+        yield 1.0
         order.append("inner")
         return 99
 
@@ -152,7 +195,7 @@ def test_kill_stops_process():
     def proc():
         try:
             while True:
-                yield Delay(1.0)
+                yield 1.0
                 progressed.append(eng.now)
         except SimProcessKilled:
             raise
@@ -185,7 +228,7 @@ def test_process_result_captured():
     eng = Engine()
 
     def proc():
-        yield Delay(1.0)
+        yield 1.0
         return "done"
 
     handle = eng.spawn(proc())
@@ -212,7 +255,7 @@ def test_determinism_same_schedule_same_trace():
 
         def proc(name, delay):
             for _ in range(3):
-                yield Delay(delay)
+                yield delay
                 trace.append((name, eng.now))
 
         eng.spawn(proc("a", 1.0))
@@ -285,7 +328,7 @@ def test_kill_process_sitting_in_ready_queue():
 
     def victim():
         ran.append("victim")
-        yield Delay(1.0)
+        yield 1.0
 
     proc = eng.spawn(victim())  # first step queued via call_soon
     proc.kill()
@@ -324,7 +367,7 @@ def test_breakpoint_fires_after_named_step():
 
     def ticker():
         for _ in range(5):
-            yield Delay(1.0)
+            yield 1.0
 
     eng.spawn(ticker())
     eng.break_at_step(3, lambda: fired.append(eng.steps))
@@ -337,7 +380,7 @@ def test_breakpoint_in_past_rejected():
 
     def ticker():
         for _ in range(5):
-            yield Delay(1.0)
+            yield 1.0
 
     eng.spawn(ticker())
     eng.run()
@@ -351,7 +394,7 @@ def test_multiple_breakpoints_fire_in_order():
 
     def ticker():
         for _ in range(10):
-            yield Delay(1.0)
+            yield 1.0
 
     eng.spawn(ticker())
     eng.break_at_step(5, lambda: fired.append("b"))
@@ -365,7 +408,7 @@ def test_unreached_breakpoint_is_harmless():
     fired = []
 
     def ticker():
-        yield Delay(1.0)
+        yield 1.0
 
     eng.spawn(ticker())
     eng.break_at_step(10**9, lambda: fired.append("x"))

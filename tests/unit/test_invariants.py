@@ -380,8 +380,9 @@ class BlindToReplacedBuckets(recoverability.RecoverabilityChecker):
                 if seen is None:
                     return default
                 i, g = key
-                return (hosts[i].ft.logs.acq.entries[g], seen[1],
-                        hosts[g].ft.logs.rel.entries[i], seen[3])
+                seen.mine = hosts[i].ft.logs.acq.entries[g]
+                seen.rel = hosts[g].ft.logs.rel.entries[i]
+                return seen
 
         self._pairs_ok = ByLength()
 
@@ -406,6 +407,63 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     assert want and got == want
     assert "stamps a timestamp beyond" in want[0][3]
     got, want = run(with_recoverability(BlindToReplacedBuckets))
+    assert got != want  # the differential check catches the mutation
+
+
+class ForgetsMissing(recoverability.RecoverabilityChecker):
+    """Seeded mutation of the pair extension: it checks only the
+    acquirer's appended entries, never again those it let pass as
+    missing with nothing older kept."""
+
+    def _check_pair(self, i, g, pair, own_cut, final):
+        pair.missing = []
+        return super()._check_pair(i, g, pair, own_cut, final)
+
+
+def late_first_grant_log(cluster, delay=1e-3):
+    """Sabotage only a recheck of a missing entry can show: the first
+    exact grant any grantor makes to an acquirer it keeps nothing for
+    reaches its ``rel_log`` ``delay`` after the grant, appended in place
+    (the pair is extended, not rebuilt), stamped beyond the acquirer's
+    actual timestamp. Until then the acquirer's half is missing with
+    nothing older kept, which is legal."""
+    orig_install = cluster._install_ft
+    armed = [True]
+
+    def install(host):
+        orig_install(host)
+        ft = host.ft
+        on_grant = ft.on_grant
+
+        def late(lock_id, acquirer, acq_t, provisional):
+            if armed[0] and not provisional and not ft.logs.rel.entries[acquirer]:
+                armed[0] = False
+                bad = acq_t.with_component(acquirer, acq_t[acquirer] + 1)
+                cluster.engine.schedule(
+                    delay, lambda: on_grant(lock_id, acquirer, bad, False)
+                )
+                return
+            on_grant(lock_id, acquirer, acq_t, provisional)
+
+        ft.on_grant = late
+
+    cluster._install_ft = install
+
+
+def test_a_missing_entry_is_rechecked_when_its_grant_lands_late():
+    """The extension rechecks the entries it let pass as missing: a grant
+    logged after its acquire is matched (and here found wrong) at the
+    scan after it lands, as a full scan finds it; an extension that
+    forgets them never looks again."""
+    def run(monitor_cls):
+        cluster = make_cluster(num_procs=4, ft=True)
+        late_first_grant_log(cluster)
+        return both_ways(cluster, make_app("session"), 1, monitor_cls=monitor_cls)
+
+    got, want = run(InvariantMonitor)
+    assert want and got == want
+    assert "stamps a timestamp beyond" in want[0][3]
+    got, want = run(with_recoverability(ForgetsMissing))
     assert got != want  # the differential check catches the mutation
 
 

@@ -1,9 +1,9 @@
 """No hot path of the simulator enters NumPy's Python wrappers.
 
-``ndarray.sum``/``any``/``all``, ``np.clip``, ``np.cumsum`` and
-``np.flatnonzero`` each run a Python frame in ``numpy``'s ``_methods.py``,
-``fromnumeric.py`` or ``numeric.py`` before the C loop they end in, and on
-the small arrays of the protocol, the FT manager and the app kernels that
+``ndarray.sum``/``any``/``all``, ``np.clip``, ``np.cumsum``,
+``np.flatnonzero`` and ``np.count_nonzero`` each run a Python frame in
+``numpy``'s ``_methods.py``, ``fromnumeric.py`` or ``numeric.py`` before
+the C loop they end in, and on the small arrays of the protocol, the FT manager and the app kernels that
 frame costs more than the loop. The runtime counterpart of
 ``test_imports_used.py``: each run below goes under ``sys.setprofile``,
 and the test fails naming every caller in :data:`GUARDED_MODULES` or
@@ -20,12 +20,13 @@ import pytest
 from tests.conftest import make_app, make_cluster
 
 _FROMNUMERIC = inspect.unwrap(np.sum).__code__.co_filename
-#: the files whose frames are wrappers, and the one function of numeric.py
+#: the files whose frames are wrappers: ``numeric.py`` holds
+#: ``flatnonzero`` and ``count_nonzero``, among others
 WRAPPER_FILES = {
     _FROMNUMERIC,
     os.path.join(os.path.dirname(_FROMNUMERIC), "_methods.py"),
+    inspect.unwrap(np.count_nonzero).__code__.co_filename,
 }
-FLATNONZERO = inspect.unwrap(np.flatnonzero).__code__
 
 #: every function of these modules is guarded
 GUARDED_MODULES = ("repro.dsm.", "repro.core.ftmanager")
@@ -53,7 +54,9 @@ def wrapper_callers(run):
         if event != "call":
             return
         code = frame.f_code
-        if code.co_filename not in WRAPPER_FILES and code is not FLATNONZERO:
+        # a wrapper's ``_dispatcher`` frame comes with the wrapper itself
+        if (code.co_filename not in WRAPPER_FILES
+                or code.co_name.endswith("_dispatcher")):
             return
         caller = frame.f_back
         module = caller.f_globals.get("__name__", "")
@@ -72,8 +75,10 @@ def wrapper_callers(run):
 
 
 def test_the_spy_sees_a_wrapper_called_from_a_guarded_name():
+    x = np.zeros(3) + 1.0
+
     def pair_term():  # named after a kernel; its module is this test's
-        np.flatnonzero(np.ones(3)) + np.ones(4).sum()
+        np.flatnonzero(x) + x.sum() + np.count_nonzero(x)
 
     assert not wrapper_callers(pair_term)
     KERNELS.add((__name__, "pair_term"))
@@ -83,6 +88,7 @@ def test_the_spy_sees_a_wrapper_called_from_a_guarded_name():
         KERNELS.discard((__name__, "pair_term"))
     assert {f.rsplit(" -> ", 1)[1] for f in found} == {
         "numeric.py::flatnonzero",
+        "numeric.py::count_nonzero",
         "_methods.py::_sum",
     }
 

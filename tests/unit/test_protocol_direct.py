@@ -18,7 +18,7 @@ from repro.dsm.messages import (
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Delay, Engine, Future
+from repro.sim.engine import Engine, Future
 from repro.sim.network import Network
 
 
@@ -454,10 +454,6 @@ def _step(gen, value, effects):
     return None
 
 
-def _delays(effects):
-    return [e.seconds if isinstance(e, Delay) else e for e in effects]
-
-
 def test_one_read_pass_drains_debt_at_each_page():
     """p0 reads pages 0-3: a home page whose notice is already applied, an
     INVALID page homed at p1, a home page whose diff is still in flight,
@@ -489,7 +485,7 @@ def test_one_read_pass_drains_debt_at_each_page():
     _step(gen, None, effects)
     view = _step(gen, None, effects)
     copy_in = 64 * cpu.costs.twin_create_per_byte
-    assert _delays(effects) == [1e-6, fetch, copy_in, 2e-6, home_wait, 4e-6]
+    assert effects == [1e-6, fetch, copy_in, 2e-6, home_wait, 4e-6]
     assert len(view) == 32 and view[8] == np.frombuffer(data, np.float64)[0]
     assert p0.entries[pages[2]].needed_v is None
     assert cpu.handler_debt == 0.0
@@ -515,7 +511,7 @@ def test_one_write_pass_twins_only_clean_pages_and_drains_at_dirty_ones():
     _step(gen, None, effects)  # page 2's drain
     _step(gen, None, effects)  # page 2's twin
     twin_cost = cpu.costs.page_fault_handler + 64 * cpu.costs.twin_create_per_byte
-    assert _delays(effects) == [1e-6, 2e-6, twin_cost]
+    assert effects == [1e-6, 2e-6, twin_cost]
     assert _step(gen, None, effects) is not None
     assert p0.entries[one].twin is twin_one
     assert p0.entries[two].twin is not None
