@@ -20,10 +20,10 @@ with one smoke-sized run, and prints self and cumulative shares per
 A tick that lands in a garbage-collector pause would be charged to
 whatever line allocated the object that triggered it (a ``__init__``, a
 tuple). So the line after the header gives the collector's own share of
-the CPU time and its collections per generation, timed through
-``gc.callbacks``, and such a tick is delivered in that callback once the
-pause ends, reading as ``sample_profile.py:collector_pause``. No
-collector setting is changed.
+the CPU time, its collections per generation and the objects they freed,
+timed and counted through ``gc.callbacks``, and such a tick is delivered
+in that callback once the pause ends, reading as
+``sample_profile.py:collector_pause``. No collector setting is changed.
 
 ``--memory`` asks where the ledger's ``peak_rss_mb`` comes from instead:
 resident size after the imports, after the warm-up and after the untraced
@@ -33,7 +33,11 @@ peak", so that body runs twice: once to learn how high the traced heap
 gets, once more with the profiling timer watching for it to come within
 3 % of that; the summary line says whether it did, or how far below the
 highest snapshot of the second pass was taken. Traced, a body is several
-times slower.
+times slower. The last line counts the cyclic garbage of one more body:
+the objects only the collector could free, and how many of them are
+``repro`` objects (a finished cluster frees itself, so that reads 0).
+The collector keeps them for counting (``gc.DEBUG_SAVEALL``) during that
+body alone.
 
 ``--messages`` asks what one body sends instead: count and simulated
 bytes per message type, ``ReplicaUpdate`` split by its kind (an ``op`` by
@@ -85,12 +89,14 @@ def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
 
 
 class GcPauses:
-    """CPU seconds spent inside collections and the number of collections
-    per generation, counted by :meth:`collector_pause`."""
+    """CPU seconds spent inside collections, and the number of collections
+    and of objects they freed per generation, counted by
+    :meth:`collector_pause`."""
 
     def __init__(self) -> None:
         self.seconds = 0.0
         self.by_gen: Counter = Counter()
+        self.freed_by_gen: Counter = Counter()
         self._t0 = 0.0
 
     def collector_pause(self, phase: str, info: dict) -> None:
@@ -100,6 +106,7 @@ class GcPauses:
         else:
             self.seconds += time.process_time() - self._t0
             self.by_gen[info["generation"]] += 1
+            self.freed_by_gen[info["generation"]] += info["collected"]
 
 
 def sample(
@@ -214,7 +221,27 @@ def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> i
         f"{peak / 2**20:.1f} MB at the peak of one body"
     )
     print("\n".join(memory_lines(snapshot, rows)))
+    total, ours = cyclic_garbage(body)
+    print(f"\ncyclic garbage of one body: {total} objects, {ours} of them repro.*")
     return 0
+
+
+def cyclic_garbage(body: Callable[[], object]) -> Tuple[int, int]:
+    """Objects that one run of ``body`` leaves to the collector, and how
+    many of them are ``repro`` objects: the collector saves what it finds
+    unreachable in ``gc.garbage`` during the run and a final collection,
+    and they are counted and released."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        body()
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+    total = len(gc.garbage)
+    ours = sum(type(o).__module__.startswith("repro.") for o in gc.garbage)
+    gc.garbage.clear()
+    return total, ours
 
 
 def stamp_bytes(payload: object, n: int) -> Tuple[int, int]:
@@ -326,7 +353,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{args.workload}, seed {args.seed}: {total} samples in {cpu_s:.2f} s "
         f"of CPU time (the kernel's tick bounds the rate)"
     )
-    gens = ", ".join(f"gen {g}: {pauses.by_gen[g]}" for g in range(3))
+    gens = ", ".join(
+        f"gen {g}: {pauses.by_gen[g]} freeing {pauses.freed_by_gen[g]}"
+        for g in range(3)
+    )
     print(
         f"collector: {100 * pauses.seconds / cpu_s:.1f} % of the CPU time in "
         f"{sum(pauses.by_gen.values())} collections ({gens})"

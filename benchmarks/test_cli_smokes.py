@@ -100,12 +100,24 @@ def test_untraced_sampling_profile():
     for text in out.values():
         assert re.search(
             r"^collector: \d+\.\d % of the CPU time in \d+ collections "
-            r"\(gen 0: \d+, gen 1: \d+, gen 2: \d+\)$",
+            r"\(gen 0: \d+ freeing \d+, gen 1: \d+ freeing \d+, "
+            r"gen 2: \d+ freeing \d+\)$",
             text.splitlines()[1],
         ), text.splitlines()[:2]
-    memory = ok(run("--workload", "serve_session", "--smoke", "--memory",
-                    "--rows", "5", script=script))
-    assert "x body" in memory and "observe/" in memory
+    memory = {
+        w: ok(run("--workload", w, "--smoke", "--memory", "--rows", "5",
+                  script=script))
+        for w in out
+    }
+    assert "x body" in memory["serve_session"]
+    assert "observe/" in memory["serve_session"]
+    # a finished cluster frees itself: no body leaves a repro object to
+    # the collector
+    for text in memory.values():
+        assert re.search(
+            r"^cyclic garbage of one body: \d+ objects, 0 of them repro\.\*$",
+            text.splitlines()[-1],
+        ), text.splitlines()[-1]
     mix = ok(run("--workload", "serve_session", "--smoke", "--messages",
                  script=script))
     assert "LockGrant" in mix and "ReplicaUpdate[rel]" in mix

@@ -19,7 +19,9 @@ two runs made here, so neither needs a baseline file:
   own ``VmHWM`` (``ru_maxrss`` survives ``exec``, so under pytest it
   reads this process's size on both sides): < 35 MB. Reports that boxed
   every point read 47 MB, reports that view the registry's columns 13 MB,
-  and 8.5 MB once no node kept latency windows of its own.
+  and 8.5 MB once no node kept latency windows of its own. It reads
+  9.0 MB (42.3 MB plain, 51.3 MB observed) since a dropped cluster frees
+  itself, and read 9.0 MB (45.3, 54.3 MB) just before.
 
 The third gate is the invariant monitor's: ``repro monitor barnes --procs
 8`` over ``repro barnes --procs 8 --ft``, each the best of three fresh

@@ -122,8 +122,8 @@ def _timed_run(app, n, ft, l_fraction=0.2, reps=3):
             policy_factory=lambda pid, fp: LogOverflowPolicy(l_fraction, fp),
         )
         application = SCALE_APPS[app](n)
-        # the previous cluster is cyclic garbage: collect it now, or its
-        # generation-2 pass is billed to whichever run crosses the threshold
+        # whatever earlier code left to the collector is collected now,
+        # not billed to whichever run crosses the threshold
         gc.collect()
         t0 = time.perf_counter()
         result = cluster.run(application)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster import DsmCluster
 from repro.core.checkpoint import Checkpoint
@@ -51,6 +51,7 @@ from repro.core.logs import DiffLog
 from repro.core.policies import LogOverflowPolicy
 from repro.dsm.config import DsmConfig
 from repro.dsm.messages import Message
+from repro.dsm.protocol import Handler
 from repro.dsm.vclock import VClock
 from repro.sim.node import TimeBucket
 from repro.sim.trace import (
@@ -126,6 +127,15 @@ class CoordStats:
 # ---------------------------------------------------------------------------
 
 
+def _record_then(handle: Handler, proc: Any, src: int, msg: Message) -> None:
+    """Record ``msg`` as channel state while ``src``'s marker is awaited,
+    then handle it."""
+    ft = proc.ft
+    if src in ft.awaiting_markers:
+        ft.channel_state.append((src, msg))
+    handle(proc, src, msg)
+
+
 class CoordinatedFt(FtManager):
     """Globally coordinated checkpointing via barrier-anchored rounds.
 
@@ -152,8 +162,6 @@ class CoordinatedFt(FtManager):
         self._round_snapshot: Optional[Tuple[Checkpoint, bytes]] = None
         self._round_t0 = 0.0
         self.acks: Set[int] = set()
-        #: set by the cluster: the ProcHost we live on
-        self.proc_host: Any = None
 
     # -- round initiation ---------------------------------------------------
     def at_sync_point(self, at_barrier: bool = False) -> Iterator[float]:
@@ -182,22 +190,17 @@ class CoordinatedFt(FtManager):
         self.proc._send(dst, msg)
 
     # -- message handling ------------------------------------------------------
-    def message_handlers(self) -> Dict[type, Callable[[int, Any], None]]:
+    def message_handlers(self) -> Dict[type, Handler]:
         # a protocol message crossing the cut is recorded as channel
         # state, then handled; the FT layer's own messages are not
         return {
-            **{t: partial(self._record_then, h) for t, h in self.proc.handlers.items()},
+            **{t: partial(_record_then, h) for t, h in self.proc.handlers.items()},
             **super().message_handlers(),
-            CoordPrepare: self._handle_prepare, CoordMarker: self._handle_marker,
-            CoordAck: self._handle_ack,
-            CoordCommit: lambda src, msg: self._apply_commit(msg.round_id),
+            CoordPrepare: lambda p, src, m: p.ft._handle_prepare(src, m),
+            CoordMarker: lambda p, src, m: p.ft._handle_marker(src, m),
+            CoordAck: lambda p, src, m: p.ft._handle_ack(src, m),
+            CoordCommit: lambda p, src, m: p.ft._apply_commit(m.round_id),
         }
-
-    def _record_then(self, handle: Callable[[int, Any], None], src: int,
-                     msg: Message) -> None:
-        if src in self.awaiting_markers:
-            self.channel_state.append((src, msg))
-        handle(src, msg)
 
     def _handle_prepare(self, src: int, msg: CoordPrepare) -> None:
         if msg.round_id > self.round_id:
@@ -239,7 +242,7 @@ class CoordinatedFt(FtManager):
         # protocol bookkeeping a consistent cut needs (heavier than the
         # independent scheme's minimal checkpoint — a point the paper
         # makes in favour of its approach)
-        state_blob = pickle.dumps(self.app_state_fn())
+        state_blob = pickle.dumps(self.app_state())
         proto_blob = pickle.dumps(self._protocol_snapshot())
         homed = Checkpoint.homed_pages(proc)
         page_bytes = sum(len(d) for d, _ in homed.values())
@@ -287,20 +290,9 @@ class CoordinatedFt(FtManager):
         # the remaining peers' markers arrive
 
     def _protocol_snapshot(self) -> Dict[str, Any]:
+        """What ``_restore_round`` reads back: lock queue state is left
+        out, since the rollback rebuilds every manager chain."""
         proc = self.proc
-        mgr_chains = {
-            lock_id: (
-                [(e.acquirer, e.seq) for e in proc.locks.manager(lock_id).chain],
-                proc.locks.manager(lock_id).owner_pos,
-                dict(proc.locks.manager(lock_id).last_seq),
-            )
-            for lock_id in proc.locks.managed_locks()
-        }
-        successors = {
-            lock_id: st.successor
-            for lock_id, st in proc.locks._tokens.items()
-            if st.successor is not None
-        }
         bar = None
         if proc.barrier_mgr is not None:
             m = proc.barrier_mgr
@@ -312,8 +304,6 @@ class CoordinatedFt(FtManager):
                 m.current.episode if m.current else None,
             )
         return {
-            "mgr_chains": mgr_chains,
-            "successors": successors,
             "barrier_mgr": bar,
             "completed_seq": dict(proc._completed_seq),
             "notices": proc.notices.all_notices(),

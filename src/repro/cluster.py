@@ -12,6 +12,10 @@ Typical use::
     app = WaterSpatialApp(WaterSpatialConfig(n_molecules=64, steps=3))
     result = cluster.run(app)
     print(result.wall_time, result.traffic.total_bytes)
+
+The cluster is the root of everything it builds: nothing it owns holds a
+strong reference back to it, so dropping the last outside reference frees
+the whole run by reference counting (DESIGN.md §5, "Ownership").
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.dsm.messages import (
 )
 from repro.dsm.pages import RegionSet, SharedRegion
 from repro.dsm.protocol import DsmProcess
-from repro.sim.engine import Engine, SimProcess
+from repro.sim.engine import Engine, SimProcess, back_ref
 from repro.sim.network import Network, NetworkConfig, TrafficStats
 from repro.sim.node import TimeStats
 from repro.sim.storage import CheckpointStore, Disk, DiskConfig, ReplicaStore
@@ -54,7 +58,7 @@ class ProcHost:
     """Everything living on one node."""
 
     def __init__(self, cluster: "DsmCluster", pid: int) -> None:
-        self.cluster = cluster
+        self.cluster = back_ref(cluster)
         self.pid = pid
         self.disk = Disk(cluster.disk_config)
         self.store = CheckpointStore(pid)  # stable storage: survives crashes
@@ -179,8 +183,6 @@ class DsmCluster:
         self._started = False
         self.crashes = 0
         self.recoveries = 0
-        #: hosts whose app main has not returned yet (the last halts the run)
-        self._unfinished = 0
         #: pending failure injections: (time, pid)
         self._crash_schedule: List[Tuple[float, int]] = []
         #: recovery queries held because the responder was down (§4.3
@@ -213,7 +215,8 @@ class DsmCluster:
         """
         if not self.ft_enabled:
             raise RuntimeError("cannot recover from crashes without FT enabled")
-        self.engine.break_at_step(step, lambda: self.crash(pid))
+        me = back_ref(self)
+        self.engine.break_at_step(step, lambda: me.crash(pid))
 
     # ------------------------------------------------------------------
     # run
@@ -221,9 +224,10 @@ class DsmCluster:
     def run(self, app: Any, max_steps: int = 500_000_000) -> RunResult:
         self.setup(app)
         self.start()
+        me = back_ref(self)
         for at_time, pid in self._crash_schedule:
             self.engine.schedule(
-                max(0.0, at_time - self.engine.now), lambda p=pid: self.crash(p)
+                max(0.0, at_time - self.engine.now), lambda p=pid: me.crash(p)
             )
         self._run_loop(max_steps)
         if self.app is not None:
@@ -254,8 +258,7 @@ class DsmCluster:
         host.ft = self.ft_class(
             host.proto, policy, host.ckpt_mgr, host.disk, self.ft_config
         )
-        host.ft.proc_host = host
-        host.ft.app_state_fn = lambda h=host: h.state
+        host.ft.proc_host = back_ref(host)
         if self.replication:
             from repro.core.replica import Replicator
 
@@ -311,23 +314,12 @@ class DsmCluster:
             self._recompute_buddies()
 
     def _app_main(self, host: ProcHost) -> Iterator[Any]:
-        bus = self.engine.bus
-        if bus.on[OP_OPEN]:
-            bus.emit(OP_OPEN, host.pid, "app", host.crashed_count)
-        try:
-            yield from self.app.run(host.proto, host.state)
-            host.finished = True
-            self._unfinished -= 1
-            if self._unfinished == 0:
-                self.engine.halt()
-        finally:
-            if bus.on[OP_CLOSE]:
-                bus.emit(OP_CLOSE, host.pid, "app", None)
+        """A fresh coroutine running ``host``'s application main."""
+        return _app_coroutine(self.app, host, self.hosts, self.engine)
 
     def _run_loop(self, max_steps: int) -> None:
-        # _app_main counts hosts down and halts the engine at the last one
-        self._unfinished = sum(1 for h in self.hosts if not h.finished)
-        if self._unfinished:
+        # the last app main to finish halts the engine
+        if not all(h.finished for h in self.hosts):
             self.engine.run(max_steps=max_steps)
         pending = [h.pid for h in self.hosts if not h.finished]
         if pending:
@@ -476,16 +468,18 @@ class DsmCluster:
         host.proto = None
         host.ft = None
         host.state = {}
+        me = back_ref(self)
         if self.replication:
             # the replicas this node held for peers die with its memory;
             # survivors re-buddy once the failure is detected
             host.replica_store.clear()
             self.engine.schedule(
-                self.config.failure_detection_delay, self._recompute_buddies
+                self.config.failure_detection_delay,
+                lambda: me._recompute_buddies(),
             )
         self.engine.schedule(
             self.config.failure_detection_delay,
-            lambda: self._start_recovery(pid),
+            lambda: me._start_recovery(pid),
         )
 
     def _start_recovery(self, pid: int) -> None:
@@ -532,6 +526,26 @@ class DsmCluster:
         answer_query(host, src, msg)
 
     # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def __del__(self) -> None:
+        # Three kinds of edge close cycles by design: a pending event or
+        # a live coroutine reaches the engine that runs it, a subscriber
+        # the engine it listens to, and a node the network that delivers
+        # to it. They go with the cluster, so that reference counting
+        # frees everything it owned; a finished run has no live coroutine.
+        engine = self.__dict__.get("engine")
+        if engine is None:  # __init__ did not get that far
+            return
+        engine.bus.clear()  # a killed coroutine's finally announces nothing
+        for host in self.__dict__.get("hosts", ()):
+            proc = host.simproc
+            if proc is not None and proc.alive and not proc.done:
+                proc.kill()
+        engine.discard()
+        self.network.detach()
+
+    # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def result(self) -> RunResult:
@@ -575,3 +589,20 @@ class DsmCluster:
             lo, hi = region.page_slice(i)
             out[lo:hi] = proto.backing[region.region_id][lo:hi]
         return out.view(region.dtype)[: region.num_elements]
+
+
+def _app_coroutine(
+    app: Any, host: ProcHost, hosts: List[ProcHost], engine: Engine
+) -> Iterator[Any]:
+    # a module function, so that the coroutine's frame holds no cluster
+    bus = engine.bus
+    if bus.on[OP_OPEN]:
+        bus.emit(OP_OPEN, host.pid, "app", host.crashed_count)
+    try:
+        yield from app.run(host.proto, host.state)
+        host.finished = True
+        if all(h.finished for h in hosts):
+            engine.halt()
+    finally:
+        if bus.on[OP_CLOSE]:
+            bus.emit(OP_CLOSE, host.pid, "app", None)

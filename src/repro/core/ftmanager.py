@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.core.logs import VolatileLogs
@@ -40,8 +40,9 @@ from repro.core.trimming import TrimmingInfo
 from repro.dsm.diff import Diff
 from repro.dsm.messages import AcqAck, Piggyback, ReplicaAck, ReplicaUpdate
 from repro.dsm.pages import PageId
-from repro.dsm.protocol import DsmProcess, FtHooks
+from repro.dsm.protocol import DsmProcess, FtHooks, Handler
 from repro.dsm.vclock import VClock
+from repro.sim.engine import back_ref
 from repro.sim.node import TimeBucket
 from repro.sim.storage import Disk
 from repro.sim.trace import (
@@ -101,7 +102,8 @@ class FtManager(FtHooks):
         disk: Disk,
         config: Optional[FtConfig] = None,
     ) -> None:
-        self.proc = proc
+        #: the process owns this manager (``proc.ft``): a weak edge back
+        self.proc = back_ref(proc)
         self.pid = proc.pid
         self.n = proc.n
         self.policy = policy
@@ -127,10 +129,8 @@ class FtManager(FtHooks):
         self.repl: Any = None
         #: a policy asked for a checkpoint; taken at the next safe point
         self.checkpoint_requested = False
-        #: supplies the application's resumable private state
-        self.app_state_fn: Callable[[], Any] = lambda: {}
-        #: set by the cluster: the ProcHost we live on (None when the
-        #: manager is driven directly, e.g. in unit tests)
+        #: set by the cluster: a weak proxy of the ProcHost we live on,
+        #: which owns us (None when the manager is driven directly)
         self.proc_host: Any = None
         self._install()
 
@@ -229,12 +229,18 @@ class FtManager(FtHooks):
     def on_diff_received(self, page: PageId, writer: int) -> None:
         self.page_writers.setdefault(page, set()).add(writer)
 
-    def message_handlers(self) -> Dict[type, Callable[[int, Any], None]]:
-        """This layer's own message types, for ``proc.handlers``."""
+    def app_state(self) -> Any:
+        """The application's resumable private state, as checkpointed."""
+        return self.proc_host.state if self.proc_host is not None else {}
+
+    def message_handlers(self) -> Dict[type, Handler]:
+        """This layer's own message types, for ``proc.handlers``: plain
+        functions of ``(proc, src, msg)`` that reach this manager as
+        ``proc.ft``."""
         return {
-            ReplicaUpdate: self._handle_replica_update,
-            ReplicaAck: self._handle_replica_ack,
-            AcqAck: self._handle_acq_ack,
+            ReplicaUpdate: lambda p, src, m: p.ft._handle_replica_update(src, m),
+            ReplicaAck: lambda p, src, m: p.ft._handle_replica_ack(src, m),
+            AcqAck: lambda p, src, m: p.ft._handle_acq_ack(src, m),
         }
 
     def _handle_replica_update(self, src: int, msg: ReplicaUpdate) -> None:
@@ -321,7 +327,7 @@ class FtManager(FtHooks):
             self.run_llt()
 
         # -- snapshot ----------------------------------------------------
-        state_blob = pickle.dumps(self.app_state_fn())
+        state_blob = pickle.dumps(self.app_state())
         homed = Checkpoint.homed_pages(proc)
         pack_cost = sum(len(d) for d, _ in homed.values()) * (
             proc.cpu.costs.checkpoint_pack_per_byte

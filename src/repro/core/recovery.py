@@ -58,7 +58,7 @@ from repro.dsm.messages import (
 from repro.dsm.pages import PageEntry, PageId, PageState
 from repro.dsm.protocol import DsmProcess
 from repro.dsm.vclock import VClock
-from repro.sim.engine import Future
+from repro.sim.engine import Future, back_ref
 from repro.sim.node import TimeBucket
 from repro.sim.trace import (
     RECOVERY_ANNOTATE,
@@ -142,7 +142,8 @@ class RecoveryManager:
     """Drives the recovery of one failed process."""
 
     def __init__(self, host: Any) -> None:
-        self.host = host
+        #: the host holds us as ``recovery_mgr`` while it recovers
+        self.host = back_ref(host)
         self.cluster = host.cluster
         self.pid = host.pid
         #: when the incarnation this manager recovers crashed; replies
@@ -325,7 +326,6 @@ class RecoveryManager:
                 )
                 proto.home[page].version = seed.version
                 proto.have_v[page] = seed.version
-        ft.app_state_fn = lambda h=host: h.state
         tckp = ckpt.tckp if ckpt is not None else VClock.zero(proto.n)
 
         # disk read: restart checkpoint + saved logs
@@ -460,7 +460,8 @@ class ReplayDriver:
         rm: RecoveryManager,
         tckp: VClock,
     ) -> None:
-        self.proto = proto
+        #: the process holds us as ``replay`` until the live switch
+        self.proto = back_ref(proto)
         self.ft = ft
         self.rm = rm
         self.tckp = tckp

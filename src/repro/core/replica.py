@@ -48,6 +48,7 @@ from repro.dsm.messages import (
 )
 from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
+from repro.sim.engine import back_ref
 from repro.sim.trace import (
     REPL_ACK,
     REPL_BEGIN,
@@ -333,8 +334,10 @@ class Replicator:
     """Streams one node's FT state into its ring buddy's volatile memory."""
 
     def __init__(self, ft: Any, host: Any) -> None:
-        self.ft = ft
-        self.host = host
+        #: the manager owns this replicator (``ft.repl``) and the host
+        #: owns the manager: weak edges back to both
+        self.ft = back_ref(ft)
+        self.host = back_ref(host)
         self.cluster = host.cluster
         self.bus = host.cluster.engine.bus
         self.pid = ft.pid

@@ -210,19 +210,11 @@ class DsmProcess:
         self.ft: FtHooks = FtHooks()
         #: recovery replay driver (duck-typed); None = live operation
         self.replay: Any = None
-        #: message type -> handler(src, msg), the one dispatch of
-        #: :meth:`handle_message`; an FT layer adds its own types
-        self.handlers: Dict[type, Callable[[int, Message], None]] = {
-            LockAcquireReq: self._manager_handle_acquire,
-            GrantInfo: self._handle_grant_info,
-            LockForward: self._handle_forward,
-            LockGrant: self._handle_grant,
-            DiffMsg: self._handle_diff,
-            PageFetchReq: self._handle_fetch_req,
-            PageFetchReply: self._handle_fetch_reply,
-            BarrierArrive: self._manager_handle_arrive,
-            BarrierRelease: self._handle_barrier_release,
-        }
+        #: message type -> handler(proc, src, msg), the one dispatch of
+        #: :meth:`handle_message`; an FT layer adds its own types. Plain
+        #: functions, not bound methods, so the table holds no reference
+        #: back to this process.
+        self.handlers: Dict[type, Handler] = dict(PROTOCOL_HANDLERS)
 
         self._init_memory()
 
@@ -759,7 +751,7 @@ class DsmProcess:
         handle = self.handlers.get(type(msg))
         if handle is None:
             raise RuntimeError(f"process {self.pid}: unknown message {msg!r}")
-        handle(src, msg)
+        handle(self, src, msg)
 
     # -- locks --------------------------------------------------------------
     def _manager_handle_acquire(self, src: int, req: LockAcquireReq) -> None:
@@ -1040,7 +1032,7 @@ class DsmProcess:
         """Send ``msg`` to ``dst``, or run its handler now when ``dst`` is
         this process: no wire, no piggyback, no handler debt."""
         if dst == self.pid:
-            self.handlers[type(msg)](dst, msg)
+            self.handlers[type(msg)](self, dst, msg)
         else:
             self._send(dst, msg)
 
@@ -1052,3 +1044,20 @@ class DsmProcess:
             msg.piggyback = pb
         size, ft_bytes = msg.wire_size()
         self._send_raw(self.pid, dst, msg, size, msg.category, ft_bytes)
+
+
+#: a message handler: ``handler(proc, src, msg)``
+Handler = Callable[[DsmProcess, int, Message], None]
+
+#: the protocol's own message types, the start of every process's table
+PROTOCOL_HANDLERS: Dict[type, Handler] = {
+    LockAcquireReq: DsmProcess._manager_handle_acquire,
+    GrantInfo: DsmProcess._handle_grant_info,
+    LockForward: DsmProcess._handle_forward,
+    LockGrant: DsmProcess._handle_grant,
+    DiffMsg: DsmProcess._handle_diff,
+    PageFetchReq: DsmProcess._handle_fetch_req,
+    PageFetchReply: DsmProcess._handle_fetch_reply,
+    BarrierArrive: DsmProcess._manager_handle_arrive,
+    BarrierRelease: DsmProcess._handle_barrier_release,
+}

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -758,9 +759,11 @@ class CrashSweep:
             point.step, point.base[0]
         )
         joined: List[Any] = []
-        # registered before the crashes: at the same step it fires first
+        # registered before the crashes: at the same step it fires first;
+        # the engine must not hold its own cluster
+        ref = weakref.ref(cluster)
         cluster.engine.break_at_step(
-            first, lambda: self._join(cluster, first, joined)
+            first, lambda: self._join(ref(), first, joined)
         )
         cluster.schedule_crash_at_step(point.victim, point.step)
         if point.base is not None:

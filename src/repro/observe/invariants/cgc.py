@@ -9,7 +9,6 @@ falls. ("At most two checkpoints" is knowledge-relative: under a stale
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Tuple
 
 from repro.sim.trace import CGC
@@ -21,8 +20,8 @@ class CgcChecker:
     name = "cgc"
 
     def __init__(self, monitor: Any) -> None:
-        self.cluster = monitor.cluster
-        self._violate = partial(monitor._violate, self.name)
+        self.hosts = monitor.cluster.hosts
+        self._violate = monitor.sink(self.name)
         self.checks = 0
         #: per-(pid, page) oldest retained checkpoint seqno (the
         #: monotonicity floor)
@@ -33,7 +32,7 @@ class CgcChecker:
 
     def adopt(self) -> None:
         """Each retained window's oldest checkpoint is its floor."""
-        for host in self.cluster.hosts:
+        for host in self.hosts:
             mgr = host.ckpt_mgr
             if mgr is not None:
                 for page, copies in mgr.page_copies.items():
@@ -41,7 +40,7 @@ class CgcChecker:
                         self._floor[(host.pid, page)] = copies[0].ckpt_seqno
 
     def _check(self, pid: int, *_payload: Any) -> None:
-        host = self.cluster.hosts[pid]
+        host = self.hosts[pid]
         ft, mgr = host.ft, host.ckpt_mgr
         if ft is None or mgr is None:
             return

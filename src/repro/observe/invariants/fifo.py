@@ -6,7 +6,6 @@ crashes — the network outlives process incarnations).
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Dict
 
 from repro.sim.trace import DELIVER, SEND
@@ -18,7 +17,7 @@ class FifoChecker:
     name = "fifo"
 
     def __init__(self, monitor: Any) -> None:
-        self._violate = partial(monitor._violate, self.name)
+        self._violate = monitor.sink(self.name)
         self.checks = 0
         self._net = monitor.cluster.network
         self._n = monitor.cluster.config.num_procs

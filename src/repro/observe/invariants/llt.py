@@ -9,7 +9,6 @@ bounds ahead of reality would trim entries recovery still needs.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any
 
 from repro.sim.trace import LLT
@@ -21,8 +20,9 @@ class LltChecker:
     name = "llt"
 
     def __init__(self, monitor: Any) -> None:
-        self.cluster = monitor.cluster
-        self._violate = partial(monitor._violate, self.name)
+        self.hosts = monitor.cluster.hosts
+        self.regions = monitor.cluster.regions
+        self._violate = monitor.sink(self.name)
         self.checks = 0
 
     def subscriptions(self):
@@ -32,7 +32,7 @@ class LltChecker:
         """Nothing to take: a pass is checked against the logs alone."""
 
     def _check(self, pid: int, *_payload: Any) -> None:
-        host = self.cluster.hosts[pid]
+        host = self.hosts[pid]
         ft = host.ft
         if ft is None:
             return
@@ -98,7 +98,7 @@ class LltChecker:
         # frontier validity: trimming knowledge must lag reality — a
         # frontier ahead of reality would have trimmed entries that
         # recovery still needs
-        hosts = self.cluster.hosts
+        hosts = self.hosts
         for j in range(ft.n):
             if j == pid:
                 continue
@@ -119,7 +119,7 @@ class LltChecker:
                     f"{tuple(peer_mgr.latest.tckp)} — trim frontier ran "
                     "ahead of reality",
                 )
-        home_of = self.cluster.regions.home_of
+        home_of = self.regions.home_of
         for page, v in trim.p0v.items():
             home_mgr = hosts[home_of(page)].ckpt_mgr
             if home_mgr is None:

@@ -38,7 +38,6 @@ traffic goes out between dropping the token and sending the grant).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.dsm.locks import token_holders
@@ -67,9 +66,9 @@ class LockChecker:
     name = "lock"
 
     def __init__(self, monitor: Any) -> None:
-        self.cluster = monitor.cluster
+        self.hosts = monitor.cluster.hosts
         self._net = monitor.cluster.network
-        self._violate = partial(monitor._violate, self.name)
+        self._violate = monitor.sink(self.name)
         self.checks = 0
         self._deliveries = 0
         self._epoch = self._net.epoch
@@ -153,7 +152,7 @@ class LockChecker:
     def _all_locks(self) -> Iterable[int]:
         self._sync_epoch()
         known = set(self._grants)
-        for host in self.cluster.hosts:
+        for host in self.hosts:
             if host.proto is not None:
                 known.update(host.proto.locks.known_locks())
         return sorted(known)
@@ -161,7 +160,7 @@ class LockChecker:
     def _tables(self) -> Optional[List[Any]]:
         """Every host's lock table, or None while a host is down or
         recovering."""
-        hosts = self.cluster.hosts
+        hosts = self.hosts
         for h in hosts:
             if not h.live:
                 return None
@@ -170,7 +169,7 @@ class LockChecker:
     def _census(self, tables: List[Any], lock_id: int):
         """(resting pids, waking pids, grants in flight) of one lock."""
         waking = [
-            h.pid for h in self.cluster.hosts
+            h.pid for h in self.hosts
             if type(h.simproc.inbox) is LockGrant
             and h.simproc.inbox.lock_id == lock_id
             and h.simproc.inbox.grantor != h.pid
@@ -202,7 +201,7 @@ class LockChecker:
         """No waiter behind a token that rests idle with nothing on its
         way to move it."""
         waiters: Dict[int, list] = {}
-        for h in self.cluster.hosts:
+        for h in self.hosts:
             if not h.live:
                 return
             for lock_id in h.proto._lock_waiting:
@@ -210,7 +209,7 @@ class LockChecker:
         self._sync_epoch()
         if not waiters or self._dones:
             return
-        tables = [h.proto.locks for h in self.cluster.hosts]
+        tables = [h.proto.locks for h in self.hosts]
         for lock_id, waiting in sorted(waiters.items()):
             if self._asks.get(lock_id, 0) or self._grants.get(lock_id, 0):
                 continue

@@ -37,7 +37,8 @@ deterministic re-run of ``run_point`` under ``InvariantMonitor(cluster)``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.observe.invariants.cgc import CgcChecker
 from repro.observe.invariants.fifo import FifoChecker
@@ -46,6 +47,7 @@ from repro.observe.invariants.lock import LockChecker
 from repro.observe.invariants.recorder import FlightRecorder, node_snapshot
 from repro.observe.invariants.recoverability import RecoverabilityChecker
 from repro.observe.invariants.vclock import VclockChecker
+from repro.sim.engine import back_ref
 from repro.sim.trace import DELIVER, SEND
 
 __all__ = ["INVARIANTS", "Violation", "InvariantMonitor"]
@@ -127,6 +129,14 @@ class InvariantMonitor:
     def checks(self) -> Dict[str, int]:
         """invariant class -> checks made so far"""
         return {name: self.checkers[name].checks for name in INVARIANTS}
+
+    def sink(self, invariant: str) -> Callable[[int, str], None]:
+        """A checker's ``(pid, detail)`` violation sink for ``invariant``.
+
+        The cluster's bus holds the checkers, and this monitor holds the
+        cluster, so a sink reaches the monitor weakly: keep the monitor
+        referenced while its run goes on."""
+        return partial(InvariantMonitor._violate, back_ref(self), invariant)
 
     def _violate(self, invariant: str, pid: int, detail: str) -> None:
         """The one violation sink: dedup, cap, first-violation dump."""

@@ -37,6 +37,7 @@ from collections import deque
 from typing import Any, Dict, List
 
 from repro.render import Table
+from repro.sim.engine import SimProcess
 from repro.sim.trace import (
     DELIVER, ENGINE_EVENT, SEND, TEXT, TraceEvent, recording,
 )
@@ -59,10 +60,13 @@ PROBE_CATEGORIES = frozenset(
 def _describe(fn: Any) -> str:
     """Best-effort label for an engine event callable.
 
-    Continuations are ``partial(engine._step, proc)`` — name the
-    process; network deliveries (``partial(Network._deliver, ...)``)
-    and lambdas fall back to their qualified name.
+    A continuation is the :class:`~repro.sim.engine.SimProcess` itself
+    — name the process; network deliveries
+    (``partial(Network._deliver, ...)``) and lambdas fall back to their
+    qualified name.
     """
+    if isinstance(fn, SimProcess):
+        return f"SimProcess({fn.name})"
     if isinstance(fn, functools.partial):
         name = getattr(fn.func, "__qualname__", repr(fn.func))
         for a in fn.args:

@@ -47,7 +47,6 @@ sound:
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -89,8 +88,10 @@ class RecoverabilityChecker:
     name = "recoverability"
 
     def __init__(self, monitor: Any) -> None:
-        self.cluster = monitor.cluster
-        self._violate = partial(monitor._violate, self.name)
+        self.hosts = monitor.cluster.hosts
+        self.regions = monitor.cluster.regions
+        self._net = monitor.cluster.network
+        self._violate = monitor.sink(self.name)
         self.checks = 0
         self._deliveries = 0
         #: pids inside a ckpt_write begin/end window (torn stable-store
@@ -121,9 +122,9 @@ class RecoverabilityChecker:
         ``CKPT_WRITE_END`` and the commit); each buddy's acks so far are
         their high-water mark. The memos start empty: the first scan is
         a full scan."""
-        net = self.cluster.network
+        net = self._net
         self._deliveries = net.traffic.total_msgs - net.inflight_msgs
-        for host in self.cluster.hosts:
+        for host in self.hosts:
             if not host.live:
                 continue
             if host.ckpt_mgr is not None and host.ckpt_mgr.store.pending_keys():
@@ -169,7 +170,7 @@ class RecoverabilityChecker:
         exact agreement (the run has quiesced)."""
         if full:
             self.forget()
-        hosts = self.cluster.hosts
+        hosts = self.hosts
         live = [h for h in hosts if h.live]
         chains_ok = self._chains_ok
         for host in hosts:
@@ -187,7 +188,7 @@ class RecoverabilityChecker:
                 # (the ones homed at this node) rather than page_copies'
                 # own keys, so a vanished page is a violation, not a
                 # silent skip
-                for page in self.cluster.regions.pages_homed_at(pid):
+                for page in self.regions.pages_homed_at(pid):
                     if not self._check_chain(
                         pid, page, mgr.page_copies.get(page), peers
                     ):
@@ -310,7 +311,7 @@ class RecoverabilityChecker:
         pair.oldest_rel = oldest_rel
         # the periodic scans never ask for a self-grant's twin
         mirrors: Optional[Set[Tuple[int, VClock]]] = None
-        if final and not self.cluster.network.inflight_msgs:
+        if final and not self._net.inflight_msgs:
             mirrors = {(e.lock_id, e.acq_t) for e in rel if e.local}
         todo = pair.missing + list(range(pair.n_mine, len(mine)))
         missing = pair.missing = []
@@ -376,7 +377,7 @@ class RecoverabilityChecker:
         a re-buddy resets ``acked_seqno`` while state acked (and trimmed)
         earlier waits for the re-sync — an exposure window, not a bug.
         """
-        hosts = self.cluster.hosts
+        hosts = self.hosts
         for host in hosts:
             ft = host.ft
             repl = getattr(ft, "repl", None) if ft is not None else None
@@ -431,7 +432,7 @@ class RecoverabilityChecker:
                         # flight — a drained network is what makes the
                         # record definitively torn rather than pending)
                         if (final and p_live and p_host.finished
-                                and not self.cluster.network.inflight_msgs):
+                                and not self._net.inflight_msgs):
                             self._violate(
                                 holder.pid, f"replica record {key} of p{protected} "
                                 "is still torn (begin without commit) "

@@ -20,11 +20,11 @@ the other checkers through the monitor (``InvariantMonitor.forget``).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsm.messages import DiffMsg
 from repro.dsm.vclock import VClock
+from repro.sim.engine import back_ref
 from repro.sim.trace import DELIVER, FAILURE, RECOVERY_LIVE, SEND
 
 __all__ = ["VclockChecker"]
@@ -40,9 +40,9 @@ class VclockChecker:
     name = "vclock"
 
     def __init__(self, monitor: Any) -> None:
-        self.cluster = monitor.cluster
-        self._violate = partial(monitor._violate, self.name)
-        self._forget_all = monitor.forget
+        self.hosts = monitor.cluster.hosts
+        self._violate = monitor.sink(self.name)
+        self._monitor = back_ref(monitor)
         self.checks = 0
         n = monitor.cluster.config.num_procs
         #: highest own vt component ever observed per process; never
@@ -66,7 +66,7 @@ class VclockChecker:
     def adopt(self) -> None:
         """Each host's vector time is its baseline, and its own component
         its high-water mark (vector time only rises in a clean prefix)."""
-        for host in self.cluster.hosts:
+        for host in self.hosts:
             if host.proto is not None:
                 vt = host.proto.vt
                 self._last_vt[host.pid] = vt
@@ -119,7 +119,7 @@ class VclockChecker:
     def _refresh(self, *_event: Any) -> None:
         hwm = self._hwm
         last = self._last_vt
-        for host in self.cluster.hosts:
+        for host in self.hosts:
             proto = host.proto
             if proto is None or proto.vt is last[host.pid]:
                 continue  # immutable clock, same object: nothing moved
@@ -133,7 +133,7 @@ class VclockChecker:
                 self._violate(
                     pid, f"vector time regressed: {tuple(prev)} -> {tuple(vt)}"
                 )
-                self._forget_all()  # Rule 3 was verified against the old vt
+                self._monitor.forget()  # Rule 3 was verified against the old vt
             last[pid] = vt
         self.checks += 1
 

@@ -79,13 +79,16 @@ class ClusterObserver:
         sample_on_barrier: bool = True,
         window_s: Optional[float] = None,
     ) -> None:
-        self.cluster = cluster
+        # the cluster's bus holds this observer, so it keeps the parts it
+        # reads, never the cluster itself
+        self.engine = engine = cluster.engine
+        self.hosts = cluster.hosts
         self.registry = registry if registry is not None else MetricsRegistry()
         if window_s is not None:
             # windowed tail-latency collection (DESIGN.md §7.4): the clock
             # callback reads the engine's virtual time and nothing else
             self.registry.enable_windows(
-                clock=lambda: cluster.engine.now, window_s=window_s
+                clock=lambda: engine.now, window_s=window_s
             )
         self.interval = interval
         self.sample_on_barrier = sample_on_barrier
@@ -102,13 +105,15 @@ class ClusterObserver:
         #: pid -> seqno -> virtual time its replica commit was sent to
         #: the current buddy; popped by the ack that covers it
         self._commit_sent: Dict[int, Dict[int, float]] = {}
-        self._install_cluster_gauges()
+        self._install_cluster_gauges(cluster.network)
         reg = self.registry
         for host in cluster.hosts:
-            self._install_host_gauges(host)
+            self._install_host_gauges(
+                host, cluster.ft_enabled, cluster.replication
+            )
             for op in _WAIT_OPS:
                 self._waits[host.pid, op] = reg.latency(f"lat.{op}", host.pid)
-        subscribe = cluster.engine.bus.subscribe
+        subscribe = engine.bus.subscribe
         subscribe(WAIT, self._on_wait)
         subscribe(BARRIER_DONE, self._on_barrier)
         subscribe(APP_LATENCY, self._on_app_latency)
@@ -126,11 +131,10 @@ class ClusterObserver:
         if interval is not None:
             if interval <= 0:
                 raise ValueError(f"sample interval must be positive: {interval}")
-            cluster.engine.schedule(interval, self._tick)
+            engine.schedule(interval, self._tick)
 
-    def _install_cluster_gauges(self) -> None:
-        engine = self.cluster.engine
-        net = self.cluster.network
+    def _install_cluster_gauges(self, net: Any) -> None:
+        engine = self.engine
         traffic = net.traffic
         self.registry.gauges(
             ("sim.events", "sim.channel_bytes_inflight",
@@ -143,14 +147,14 @@ class ClusterObserver:
             ),
         )
 
-    def _install_host_gauges(self, host: "ProcHost") -> None:
+    def _install_host_gauges(
+        self, host: "ProcHost", ft_enabled: bool, replication: bool
+    ) -> None:
         """One reader per host: each sample reads the host's row once.
 
         A crashed host (``proto``/``ft`` are None until recovery installs
         the next incarnation) reads 0 for the state it has lost.
         """
-        ft_enabled = self.cluster.ft_enabled
-        replication = self.cluster.replication
         proto_stats = attrgetter(*_PROTO_STATS)
         no_proto = (0.0,) * len(_PROTO_STATS)
 
@@ -192,7 +196,7 @@ class ClusterObserver:
     # ------------------------------------------------------------------
     def sample(self) -> None:
         """Snapshot every gauge/counter at the current virtual time."""
-        engine = self.cluster.engine
+        engine = self.engine
         now = engine.now
         self.registry.sample(now)
         last_steps, last_now = self._last_rate_point
@@ -217,7 +221,7 @@ class ClusterObserver:
             self.sample()
 
     def _tick(self) -> None:
-        engine = self.cluster.engine
+        engine = self.engine
         self.sample()
         if self.registry.samples_taken >= MAX_SAMPLES:
             return
@@ -252,7 +256,7 @@ class ClusterObserver:
         self.registry.latency("lat.ckpt", pid).observe(duration_s)
 
     def _on_repl_commit(self, pid: int, seqno: int, dst: int) -> None:
-        self._commit_sent.setdefault(pid, {})[seqno] = self.cluster.engine.now
+        self._commit_sent.setdefault(pid, {})[seqno] = self.engine.now
 
     def _on_repl_ack(self, pid: int, seqno: int) -> None:
         """Replica transfer/ack lag: checkpoint commit send → buddy ack.
@@ -263,7 +267,7 @@ class ClusterObserver:
         sent = self._commit_sent.get(pid)
         if not sent:
             return
-        now = self.cluster.engine.now
+        now = self.engine.now
         lag = self.registry.latency("lat.replica_ack", pid)
         for s in sorted(sent):
             if s > seqno:
@@ -278,7 +282,7 @@ class ClusterObserver:
         record the recovery manager appended to ``host.recovery_phases``
         just before the live switch — end-to-end duration plus
         detection/restore/handshake/replay phases."""
-        rec = self.cluster.hosts[pid].recovery_phases[-1]
+        rec = self.hosts[pid].recovery_phases[-1]
         reg = self.registry
         reg.latency("lat.recovery", pid).observe(rec["total"])
         for phase in ("detect", "restore", "handshake", "replay"):

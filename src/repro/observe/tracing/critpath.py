@@ -286,12 +286,12 @@ def node_time_totals(tracer: SpanTracer) -> Dict[int, Dict[str, float]]:
     final ``TimeStats`` covers only the last incarnation — the span sums
     must filter the same way to reconcile.
     """
-    cluster = tracer.cluster
+    hosts = tracer.hosts
     totals: Dict[int, Dict[str, float]] = {
         h.pid: {_BUCKET_KIND[b]: 0.0 for b in RECONCILED_BUCKETS}
-        for h in cluster.hosts
+        for h in hosts
     }
-    final_inc = {h.pid: h.crashed_count for h in cluster.hosts}
+    final_inc = {h.pid: h.crashed_count for h in hosts}
     for s in tracer.spans:
         if s.status != "closed" or s.incarnation != final_inc[s.pid]:
             continue
@@ -306,7 +306,7 @@ def reconcile_with_time_stats(tracer: SpanTracer) -> List[str]:
     reconciled."""
     errors: List[str] = []
     totals = node_time_totals(tracer)
-    for host in tracer.cluster.hosts:
+    for host in tracer.hosts:
         proto = host.proto
         if proto is None:  # crashed and never recovered (shouldn't happen)
             continue

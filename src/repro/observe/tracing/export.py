@@ -56,7 +56,7 @@ def to_chrome_trace(
     """The span DAG as a Trace Event Format dict (json.dump and load
     into Perfetto)."""
     events: List[Dict[str, Any]] = []
-    pids = sorted({h.pid for h in tracer.cluster.hosts})
+    pids = sorted({h.pid for h in tracer.hosts})
     for pid in pids:
         events.append(
             {

@@ -196,8 +196,11 @@ class SpanTracer:
     """
 
     def __init__(self, cluster: Any) -> None:
-        self.cluster = cluster
+        # the cluster's bus holds this tracer, so it keeps the parts it
+        # reads, never the cluster itself
         self.engine = cluster.engine
+        self.hosts = cluster.hosts
+        self.network = cluster.network
         self.spans: List[Span] = []
         self.edges: List[CausalEdge] = []
         self.dropped_spans = 0
@@ -236,7 +239,7 @@ class SpanTracer:
             t0=now,
             detail=detail,
             key=key,
-            incarnation=self.cluster.hosts[pid].crashed_count,
+            incarnation=self.hosts[pid].crashed_count,
             parent=parent,
             step0=step,
         )
@@ -298,7 +301,7 @@ class SpanTracer:
             t0=t0,
             detail=parent.detail if parent is not None else "",
             key=parent.key if parent is not None else None,
-            incarnation=self.cluster.hosts[pid].crashed_count,
+            incarnation=self.hosts[pid].crashed_count,
             t1=now,
             status="closed",
             parent=parent.sid if parent is not None else None,
@@ -393,7 +396,7 @@ class SpanTracer:
         edge = pending.pop(0)
         if not pending:
             del self._inflight[id(msg)]
-        if epoch != self.cluster.network.epoch:
+        if epoch != self.network.epoch:
             edge.status = "dropped"
             return
         edge.t_recv = self.engine.now
@@ -522,7 +525,7 @@ class SpanTracer:
                     f"edge received before sent: eid={e.eid} "
                     f"{e.msg_type} p{e.src}->p{e.dst}"
                 )
-            if e.status == "dropped" and self.cluster.network.epoch == 0:
+            if e.status == "dropped" and self.network.epoch == 0:
                 errors.append(
                     f"edge dropped without a rollback epoch: eid={e.eid} "
                     f"{e.msg_type} p{e.src}->p{e.dst}"

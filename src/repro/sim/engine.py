@@ -34,10 +34,12 @@ Consecutive ready continuations therefore trampoline through the deque
 without ever touching ``heapq``, while the merged execution order stays
 bit-identical to a single (time, seq) priority queue.
 
-A process has one continuation, ``partial(_step, proc)``, built once: a
-delay queues it, a resolved ``Future`` leaves its value in
-``proc.inbox`` and queues it. ``_step``, ``_wake`` and ``Network.send``
-assign ``(time, seq)`` inline, exactly as :meth:`schedule` would.
+A process is its own continuation: calling the :class:`SimProcess` runs
+its next step, so a delay queues the process itself, and a resolved
+``Future`` leaves its value in ``proc.inbox`` and queues it. Nothing a
+process holds points back at it, so a finished one is freed by reference
+counting. Steps, wakes and ``Network.send`` assign ``(time, seq)``
+inline, exactly as :meth:`schedule` would.
 
 Neither effect costs more than the simulation needs: a delay is the
 number itself (the CPU model hands out one-element tuples of it, driven
@@ -48,19 +50,36 @@ maker names it by, formatted only by ``repr`` and in errors.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
-from functools import partial
-from typing import Any, Callable, Deque, Generator, List, Tuple
+from typing import Any, Callable, Deque, Generator, List, Tuple, TypeVar
 
 from repro.sim.trace import ENGINE_EVENT, EventBus
 
 __all__ = [
+    "back_ref",
     "Future",
     "Engine",
     "SimProcess",
     "SimProcessKilled",
     "SimulationError",
 ]
+
+
+T = TypeVar("T")
+
+
+def back_ref(owner: T) -> T:
+    """A weak proxy of ``owner``, for an object that ``owner`` holds to
+    reach it without closing a reference cycle (a proxy passes as is).
+
+    A cluster owns its hosts, a host its protocol and FT manager, a
+    manager its replicator: each reaches its owner through one of these,
+    so a dropped cluster is freed by reference counting alone.
+    """
+    if isinstance(owner, weakref.ProxyTypes):
+        return owner
+    return weakref.proxy(owner)
 
 
 class SimulationError(RuntimeError):
@@ -76,6 +95,7 @@ class Future:
 
     Multiple coroutines may wait on the same future; all are resumed with
     the same value (in registration order, at the same virtual instant).
+    The waiters are the waiting :class:`SimProcess` objects.
     ``label`` names it, say ``("fetch", page, pid)``; only ``repr`` and
     the errors below format it.
     """
@@ -85,7 +105,7 @@ class Future:
     def __init__(self, label: Any = ()) -> None:
         self._resolved = False
         self._value: Any = None
-        self._waiters: List[Callable[[Any], None]] = []
+        self._waiters: List[SimProcess] = []
         self.label = label
 
     @property
@@ -104,8 +124,8 @@ class Future:
         self._resolved = True
         self._value = value
         waiters, self._waiters = self._waiters, []
-        for cb in waiters:
-            cb(value)
+        for proc in waiters:
+            _wake(proc, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "resolved" if self._resolved else "pending"
@@ -120,10 +140,14 @@ _Event = Tuple[float, int, Callable[[], None]]
 
 
 class SimProcess:
-    """Handle for a spawned coroutine; supports fail-stop kills."""
+    """Handle for a spawned coroutine; supports fail-stop kills.
 
-    __slots__ = ("gen", "name", "alive", "done", "result", "engine", "inbox",
-                 "_resume", "_wake")
+    Calling it runs the coroutine's next step: the process is the event
+    callable the engine queues, so it needs no continuation object that
+    would point back at it.
+    """
+
+    __slots__ = ("gen", "name", "alive", "done", "result", "engine", "inbox")
 
     def __init__(self, engine: "Engine", gen: Coroutine, name: str) -> None:
         self.engine = engine
@@ -135,10 +159,40 @@ class SimProcess:
         #: the value the next step sends in (a resolved future's; None
         #: for a delay's resume and the first step)
         self.inbox: Any = None
-        #: the one continuation, preallocated
-        self._resume: Callable[[], None] = partial(engine._step, self)
-        #: a pending future's waiter
-        self._wake: Callable[[Any], None] = partial(engine._wake, self)
+
+    def __call__(self) -> None:
+        if not self.alive or self.done:
+            return
+        value = self.inbox
+        if value is not None:
+            self.inbox = None
+        try:
+            effect = self.gen.send(value)
+        except StopIteration as stop:
+            self.done = True
+            self.result = stop.value
+            return
+        # inline effect dispatch and scheduling (the hottest call site in
+        # the simulator): the same (time, seq) ``schedule`` would assign
+        if isinstance(effect, float):
+            engine = self.engine
+            seq = engine._seq
+            engine._seq = seq + 1
+            if effect > 0.0:
+                heapq.heappush(engine._queue, (engine.now + effect, seq, self))
+            elif effect == 0.0:
+                engine._ready.append((engine.now, seq, self))
+            else:
+                raise ValueError(f"negative delay: {effect!r}")
+        elif isinstance(effect, Future):
+            if effect._resolved:
+                _wake(self, effect._value)
+            else:
+                effect._waiters.append(self)
+        else:
+            raise SimulationError(
+                f"process {self.name} yielded unsupported effect {effect!r}"
+            )
 
     def kill(self) -> None:
         """Fail-stop this process: it never runs again.
@@ -161,6 +215,15 @@ class SimProcess:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("alive" if self.alive else "killed")
         return f"<SimProcess {self.name} {state}>"
+
+
+def _wake(proc: SimProcess, value: Any) -> None:
+    """Resume ``proc`` with ``value`` at the current instant."""
+    proc.inbox = value
+    engine = proc.engine
+    seq = engine._seq
+    engine._seq = seq + 1
+    engine._ready.append((engine.now, seq, proc))
 
 
 class Engine:
@@ -217,6 +280,19 @@ class Engine:
         """True while any event is scheduled, now or later."""
         return bool(self._ready or self._queue)
 
+    def discard(self) -> None:
+        """Drop every pending event and breakpoint.
+
+        What a halted run leaves queued (deliveries in flight, process
+        continuations, timers) reaches back to this engine; a cluster
+        discards it when it is dropped, so that reference counting alone
+        frees what it owned.
+        """
+        self._queue.clear()
+        self._ready.clear()
+        self._breakpoints.clear()
+        self._next_break = -1
+
     def break_at_step(self, step: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` right after the ``step``-th event executes.
 
@@ -248,48 +324,8 @@ class Engine:
     def spawn(self, gen: Coroutine, name: str = "proc") -> SimProcess:
         """Start driving a coroutine; returns its process handle."""
         proc = SimProcess(self, gen, name)
-        self.call_soon(proc._resume)
+        self.call_soon(proc)
         return proc
-
-    def _step(self, proc: SimProcess) -> None:
-        if not proc.alive or proc.done:
-            return
-        value = proc.inbox
-        if value is not None:
-            proc.inbox = None
-        try:
-            effect = proc.gen.send(value)
-        except StopIteration as stop:
-            proc.done = True
-            proc.result = stop.value
-            return
-        # inline effect dispatch and scheduling (the hottest call site in
-        # the simulator): the same (time, seq) ``schedule`` would assign
-        if isinstance(effect, float):
-            seq = self._seq
-            self._seq = seq + 1
-            if effect > 0.0:
-                heapq.heappush(self._queue, (self.now + effect, seq, proc._resume))
-            elif effect == 0.0:
-                self._ready.append((self.now, seq, proc._resume))
-            else:
-                raise ValueError(f"negative delay: {effect!r}")
-        elif isinstance(effect, Future):
-            if effect._resolved:
-                self._wake(proc, effect._value)
-            else:
-                effect._waiters.append(proc._wake)
-        else:
-            raise SimulationError(
-                f"process {proc.name} yielded unsupported effect {effect!r}"
-            )
-
-    def _wake(self, proc: SimProcess, value: Any) -> None:
-        """Resume ``proc`` with ``value`` at the current instant."""
-        proc.inbox = value
-        seq = self._seq
-        self._seq = seq + 1
-        self._ready.append((self.now, seq, proc._resume))
 
     # ------------------------------------------------------------------
     # main loop

@@ -138,6 +138,10 @@ class Network:
             raise ValueError(f"node {node_id} out of range 0..{self.n - 1}")
         self._handlers[node_id] = handler
 
+    def detach(self) -> None:
+        """Forget every endpoint's handler (the cluster's teardown)."""
+        self._handlers = [None] * self.n
+
     def send(
         self,
         src: int,

@@ -138,6 +138,12 @@ class EventBus:
         for fn in self._subs[kind]:
             fn(*payload)
 
+    def clear(self) -> None:
+        """Drop every subscriber; hoisted lists are emptied in place."""
+        for kind, subs in self._subs.items():
+            subs.clear()
+            self.on[kind] = False
+
 
 # ----------------------------------------------------------------------
 # text: what timelines and flight records print for an event

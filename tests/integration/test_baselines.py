@@ -132,7 +132,9 @@ def test_coordinated_checkpoints_are_on_the_bus():
 
 
 @pytest.mark.parametrize("app_name2", ["counter", "water-spatial", "barnes"])
-@pytest.mark.parametrize("frac", [0.3, 0.6])
+# at 0.9 of counter's run most hosts have finished before the victim
+# fails, and all of them run again after the rollback
+@pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
 def test_coordinated_global_rollback(app_name2, frac, coordinated_wall_time):
     T = coordinated_wall_time(app_name2)
     c2 = CoordinatedCluster(DsmConfig(num_procs=8), l_fraction=0.1)

@@ -372,7 +372,7 @@ class BlindToReplacedBuckets(recoverability.RecoverabilityChecker):
 
     def __init__(self, monitor):
         super().__init__(monitor)
-        hosts = self.cluster.hosts
+        hosts = self.hosts
 
         class ByLength(dict):
             def get(self, key, default=None):
@@ -571,11 +571,11 @@ def drop_first_forward(cluster):
         orig_install(host)
         handle = host.proto.handlers[LockForward]
 
-        def drop(src, fwd):
+        def drop(proc, src, fwd):
             if armed[0]:
                 armed[0] = False
                 return
-            handle(src, fwd)
+            handle(proc, src, fwd)
 
         host.proto.handlers[LockForward] = drop
 

@@ -185,7 +185,10 @@ def test_recovering_manager_places_a_token_a_peer_reported():
 
     from repro.core.recovery import ReplayDriver
 
-    proto = SimpleNamespace(
+    class Proto(SimpleNamespace):  # the driver reaches its process weakly
+        pass
+
+    proto = Proto(
         pid=1, n=N, locks=LockTable(pid=1, config=DsmConfig(num_procs=N)), replay=None,
         vt=VClock.zero(N),
     )

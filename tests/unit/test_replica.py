@@ -65,13 +65,18 @@ class FakeHost:
         return self.replies.pop().payload
 
 
+class FakeFt(SimpleNamespace):
+    """A namespace a replicator can reach weakly, as it does its manager."""
+
+
 def make_replicator(pid=0, n=N):
-    ft = SimpleNamespace(
+    host = FakeHost(pid)
+    ft = FakeFt(
         pid=pid,
         n=n,
         ckpt_mgr=SimpleNamespace(next_seqno=1),
+        proc_host=host,  # holds the host, which the cluster does for real
     )
-    host = FakeHost(pid)
     return Replicator(ft, host), ft
 
 

@@ -140,7 +140,7 @@ def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
     _toy_ledger(monkeypatch, body)
     argv = ["--workload", "toy", "--memory", "--reps", "2", "--rows", "1"]
     assert _load().main(argv) == 0
-    stages, heap = capsys.readouterr().out.split("\n\n")
+    stages, heap, garbage = capsys.readouterr().out.split("\n\n")
     header, *rows = stages.splitlines()
     assert header.split() == ["RSS", "MB", "peak", "MB", "after"]
     assert [row.split(None, 2)[2] for row in rows] == ["imports", "warm-up", "2 x body"]
@@ -148,6 +148,7 @@ def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
     assert summary.startswith("traced heap ") and "at the peak of one body" in summary
     assert "near the first pass's peak" in summary
     assert "held by the toy body" in top
+    assert garbage == "cyclic garbage of one body: 0 objects, 0 of them repro.*\n"
 
 
 def test_message_mix_counts_every_send_and_splits_replica_ops(capsys):
@@ -182,3 +183,24 @@ def test_message_mix_counts_every_send_and_splits_replica_ops(capsys):
         round(4 * counts["DiffMsg"] / 1e6, 3), round(16 * counts["DiffMsg"] / 1e6, 3)
     )
     assert stamp_mb["ReplicaUpdate[rel]"] == (0.0, 0.0)  # inside the body
+
+
+def test_cyclic_garbage_counts_what_only_the_collector_frees():
+    """One body's unreachable cycles are counted, ``repro`` objects
+    apart; an object freed by reference counting is not counted, and the
+    collector is left as it was found."""
+    import gc
+
+    from repro.sim.engine import Future
+
+    mod = _load()
+
+    def body():
+        loop = []
+        loop.append(loop)  # a cycle of a list
+        future = Future()
+        future.label = future  # a cycle of a repro object, and its
+        Future()  # waiter list; this one is freed at once
+
+    assert mod.cyclic_garbage(body) == (3, 1)
+    assert gc.get_debug() == 0 and gc.garbage == []
