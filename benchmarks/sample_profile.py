@@ -2,7 +2,7 @@
 
     python3 benchmarks/sample_profile.py --workload paper8 [--seed 42] [--smoke]
                                          [--reps N] [--rows N] [--memory]
-                                         [--messages]
+                                         [--messages] [--imports]
 
 The ledger's per-layer instrument is cProfile (``ledger/trace.py``). It
 counts calls exactly and charges each about a microsecond, so code made
@@ -24,6 +24,9 @@ the CPU time, its collections per generation and the objects they freed,
 timed and counted through ``gc.callbacks``, and such a tick is delivered
 in that callback once the pause ends, reading as
 ``sample_profile.py:collector_pause``. No collector setting is changed.
+Every dataclass's generated ``__init__`` is compiled from ``<string>``,
+so such a row is named by the class of its ``self``:
+``<string>:__init__[RelEntry]``.
 
 ``--memory`` asks where the ledger's ``peak_rss_mb`` comes from instead:
 resident size after the imports, after the warm-up and after the untraced
@@ -47,16 +50,28 @@ and piggyback: the MB they cost on the wire, and the MB the same stamps
 would cost sent dense (4 B per component); a ``DiffMsg``'s interval is
 counted as its stamp. Stamps inside replica images and recovery answers
 are part of those bodies' sizes and are not split out. Writes nothing.
+
+``--imports`` asks what the import share of the ledger's ``setup_s``
+pays for instead: the ``repro`` modules a fresh interpreter loads on
+``import workloads``, run as the ledger runs it (from ``ledger/``, under
+this process's environment, so with ``PYTHONDONTWRITEBYTECODE`` set every
+module is compiled from source). Per module: self and cumulative import
+time from ``-X importtime``, source lines and the dataclasses it defines
+(each ``exec``s its generated methods), by self time; then a total line.
+The workload is not run.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import linecache
 import os
+import re
 import resource
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -73,17 +88,28 @@ NEAR_PEAK = 0.97
 RATCHET = 1.1
 
 
+def function_key(frame) -> Tuple[str, str]:
+    """``(file, function)`` of a frame. A generated method (a dataclass's
+    ``__init__``) is compiled from ``<string>`` under the same name for
+    every class, so its class is named too: ``__init__[RelEntry]``."""
+    code = frame.f_code
+    if code.co_filename == "<string>" and code.co_varnames[:1] == ("self",):
+        owner = type(frame.f_locals.get("self")).__name__
+        return code.co_filename, f"{code.co_name}[{owner}]"
+    return code.co_filename, code.co_name
+
+
 def on_tick(frame, self_n: Counter, cum_n: Counter, line_n: Counter) -> None:
     """Count one sample: the interrupted function, its line, its callers."""
     code = frame.f_code
-    self_n[code.co_filename, code.co_name] += 1
+    self_n[function_key(frame)] += 1
     # f_lineno is None when the tick lands on an instruction without a
     # line (RESUME, a generated dataclass __init__)
     lineno = frame.f_lineno
     line_n[code.co_filename, code.co_firstlineno if lineno is None else lineno] += 1
     on_stack = set()
     while frame is not None:
-        on_stack.add((frame.f_code.co_filename, frame.f_code.co_name))
+        on_stack.add(function_key(frame))
         frame = frame.f_back
     cum_n.update(on_stack)
 
@@ -309,6 +335,58 @@ def report_messages(body: Callable[[], object], rows: int) -> int:
     return 0 if total_n else 1
 
 
+#: one ``-X importtime`` row: self and cumulative microseconds, module
+IMPORT_ROW = re.compile(r"^import time:\s+(\d+) \|\s+(\d+) \| *(\S+)$")
+
+#: what the fresh interpreter prints after the import: per loaded
+#: ``repro`` module, its source file and the dataclasses it defines
+LOADED = (
+    "import dataclasses, json, sys; import workloads; "
+    "print(json.dumps({name: [m.__file__, sum("
+    "isinstance(v, type) and dataclasses.is_dataclass(v) "
+    "and v.__module__ == name for v in vars(m).values())] "
+    "for name, m in sys.modules.items() if name.split('.')[0] == 'repro'}))"
+)
+
+
+def report_imports() -> int:
+    """The ``repro`` modules a fresh ``import workloads`` loads, as the
+    ledger's import sample runs it, with their import times, source lines
+    and dataclasses."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", LOADED],
+        cwd=os.path.join(HERE, "ledger"), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    # a submodule imported before its package gets a second row: the
+    # package's import, which finds it loaded (self time is summed)
+    self_us: Counter = Counter()
+    cum_us: Counter = Counter()
+    for m in map(IMPORT_ROW.match, done.stderr.splitlines()):
+        if m:
+            self_us[m.group(3)] += int(m.group(1))
+            cum_us[m.group(3)] = max(cum_us[m.group(3)], int(m.group(2)))
+    rows = []
+    for name, (source, dataclasses) in loaded.items():
+        with open(source, encoding="utf-8") as fh:
+            lines = sum(1 for _ in fh)
+        rows.append((self_us[name], cum_us[name], lines, dataclasses, name))
+    cached = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    print(f"fresh `import workloads`, bytecode writing {cached}")
+    print(f"{'self ms':>8} {'cum ms':>8} {'lines':>6} {'dcls':>5}  module")
+    for self_us, cum_us, lines, dataclasses, name in sorted(rows, reverse=True):
+        print(f"{self_us / 1e3:8.1f} {cum_us / 1e3:8.1f} {lines:6d} "
+              f"{dataclasses:5d}  {name}")
+    print(
+        f"total: {len(rows)} repro modules, {sum(r[2] for r in rows)} lines, "
+        f"{sum(r[3] for r in rows)} dataclasses, "
+        f"{sum(r[0] for r in rows) / 1e3:.1f} ms self"
+    )
+    return 0 if rows else 1
+
+
 def short(path: str) -> str:
     """``apps/barnes.py`` for the package's files, the base name otherwise."""
     if path.startswith(SRC):
@@ -333,7 +411,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="resident size per stage and the lines holding the heap")
     mode.add_argument("--messages", action="store_true",
                       help="count and sim-bytes per message type of one body")
+    mode.add_argument("--imports", action="store_true",
+                      help="the repro modules a fresh `import workloads` loads")
     args = p.parse_args(argv)
+    if args.imports:
+        return report_imports()
     stages = [("imports", rss_mb())]
     make_body = workloads.WORKLOADS[args.workload].make_body
     make_body(args.seed, True)()  # warm-up: imports, caches, lazy set-up

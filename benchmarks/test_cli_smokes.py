@@ -136,6 +136,22 @@ def test_untraced_sampling_profile():
     assert 0 < sent == dense
 
 
+def test_import_profile_of_a_fresh_process():
+    """``sample_profile.py --imports`` lists the ``repro`` modules a fresh
+    ``import workloads`` loads, as the ledger's set-up sample does, with a
+    total line; the span tracer is not among them (the observe package
+    resolves its re-exports on first use)."""
+    script = os.path.join(ROOT, "benchmarks", "sample_profile.py")
+    text = ok(run("--workload", "paper8", "--smoke", "--imports", script=script))
+    assert re.search(
+        r"^total: \d+ repro modules, \d+ lines, \d+ dataclasses, "
+        r"\d+\.\d ms self$",
+        text.splitlines()[-1],
+    ), text.splitlines()[-1]
+    assert re.search(r"  repro\.dsm\.protocol$", text, re.M)
+    assert "tracing" not in text
+
+
 def test_flat_trace_follows_a_recovered_node():
     """Events come from the running code, not from wrappers around the
     first incarnation: p1 keeps logging locks after it recovers."""

@@ -54,8 +54,9 @@ class TrimmingInfo:
     def __init__(self, pid: int, num_procs: int) -> None:
         self.pid = pid
         self.n = num_procs
-        #: last known checkpoint timestamp per process (own is exact)
-        self.tckp: List[VClock] = [VClock.zero(num_procs) for _ in range(num_procs)]
+        #: last known checkpoint timestamp per process (own is exact);
+        #: every row starts as the one interned zero clock
+        self.tckp: List[VClock] = [VClock.zero(num_procs)] * num_procs
         #: last known checkpointed barrier episode per process
         self.bar_ep: List[int] = [0] * num_procs
         #: page -> last known p0.v[self] at the page's home (Rule 3.2 input)

@@ -223,6 +223,7 @@ class DsmProcess:
     # ------------------------------------------------------------------
     def _init_memory(self) -> None:
         # backing arrays are never replaced, so each typed view is made once
+        zero = VClock.zero(self.n)
         for region in self.regions:
             rid = region.region_id
             raw = self.backing[rid] = np.zeros(region.nbytes, dtype=np.uint8)
@@ -235,7 +236,7 @@ class DsmProcess:
                     entry.state = PageState.RO
                     self.home.add_page(pid_)
                 self.entries[pid_] = entry
-                self.have_v[pid_] = VClock.zero(self.n)
+                self.have_v[pid_] = zero
 
     def is_home(self, page: PageId) -> bool:
         return page in self.home

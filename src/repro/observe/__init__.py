@@ -12,54 +12,65 @@ See DESIGN.md §7. Typical use::
     write_jsonl("run.jsonl", report)
 """
 
-from repro.observe.invariants import (
-    INVARIANTS,
-    FlightRecorder,
-    InvariantMonitor,
-    Violation,
-    render_flight_record,
-    seed_violation,
-    validate_flight_record,
-    write_flight_record,
-)
-from repro.observe.latency import LatencyHistogram, exact_percentile
-from repro.observe.observer import ClusterObserver
-from repro.observe.registry import CLUSTER_NODE, Counter, MetricsRegistry
-from repro.observe.report import (
-    KEY_LATENCIES,
-    KEY_SERIES,
-    build_report,
-    latency_table,
-    load_jsonl,
-    render_report,
-    validate_report,
-    write_jsonl,
-)
-from repro.observe.slo import (
-    DEFAULT_RULES,
-    BurnRule,
-    Objective,
-    SloResult,
-    build_timeline,
-    evaluate_report_slos,
-    evaluate_slo,
-    parse_slo,
-    reconvergence,
-    render_timeline,
-)
-from repro.observe.tracing import (
-    CausalEdge,
-    CritSegment,
-    Span,
-    SpanTracer,
-    compute_critical_path,
-    node_time_totals,
-    per_cause_totals,
-    reconcile_with_time_stats,
-    render_critpath_report,
-    to_chrome_trace,
-    worst_lock_chains,
-)
+from repro.lazy import lazy_exports
+
+_INVARIANTS = "repro.observe.invariants"
+_LATENCY = "repro.observe.latency"
+_OBSERVER = "repro.observe.observer"
+_REGISTRY = "repro.observe.registry"
+_REPORT = "repro.observe.report"
+_SLO = "repro.observe.slo"
+_TRACING = "repro.observe.tracing"
+
+# each name resolves on first access (a subpackage resolves its own the
+# same way), so an observed run does not compile the tracing package,
+# the invariant monitor or the SLO timeline unless it uses them
+_EXPORTS = {
+    "INVARIANTS": _INVARIANTS,
+    "InvariantMonitor": _INVARIANTS,
+    "Violation": _INVARIANTS,
+    "FlightRecorder": _INVARIANTS,
+    "render_flight_record": _INVARIANTS,
+    "validate_flight_record": _INVARIANTS,
+    "write_flight_record": _INVARIANTS,
+    "seed_violation": _INVARIANTS,
+    "LatencyHistogram": _LATENCY,
+    "exact_percentile": _LATENCY,
+    "ClusterObserver": _OBSERVER,
+    "CLUSTER_NODE": _REGISTRY,
+    "Counter": _REGISTRY,
+    "MetricsRegistry": _REGISTRY,
+    "KEY_LATENCIES": _REPORT,
+    "KEY_SERIES": _REPORT,
+    "build_report": _REPORT,
+    "latency_table": _REPORT,
+    "load_jsonl": _REPORT,
+    "render_report": _REPORT,
+    "validate_report": _REPORT,
+    "write_jsonl": _REPORT,
+    "DEFAULT_RULES": _SLO,
+    "BurnRule": _SLO,
+    "Objective": _SLO,
+    "SloResult": _SLO,
+    "evaluate_report_slos": _SLO,
+    "evaluate_slo": _SLO,
+    "parse_slo": _SLO,
+    "build_timeline": _SLO,
+    "reconvergence": _SLO,
+    "render_timeline": _SLO,
+    "CausalEdge": _TRACING,
+    "Span": _TRACING,
+    "SpanTracer": _TRACING,
+    "CritSegment": _TRACING,
+    "compute_critical_path": _TRACING,
+    "node_time_totals": _TRACING,
+    "per_cause_totals": _TRACING,
+    "reconcile_with_time_stats": _TRACING,
+    "render_critpath_report": _TRACING,
+    "worst_lock_chains": _TRACING,
+    "to_chrome_trace": _TRACING,
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BurnRule",

@@ -1,18 +1,25 @@
 """Online invariant monitoring: paper-bound runtime assertions plus a
 bounded crash flight recorder (see ``monitor.py`` for the catalog)."""
 
-from repro.observe.invariants.monitor import (
-    INVARIANTS,
-    InvariantMonitor,
-    Violation,
-)
-from repro.observe.invariants.recorder import (
-    FlightRecorder,
-    render_flight_record,
-    validate_flight_record,
-    write_flight_record,
-)
-from repro.observe.invariants.seeding import SEEDS, seed_violation
+from repro.lazy import lazy_exports
+
+_MONITOR = "repro.observe.invariants.monitor"
+_RECORDER = "repro.observe.invariants.recorder"
+#: the sabotage seeds are a test fixture: loaded only when asked for
+_SEEDING = "repro.observe.invariants.seeding"
+
+_EXPORTS = {
+    "INVARIANTS": _MONITOR,
+    "InvariantMonitor": _MONITOR,
+    "Violation": _MONITOR,
+    "FlightRecorder": _RECORDER,
+    "render_flight_record": _RECORDER,
+    "validate_flight_record": _RECORDER,
+    "write_flight_record": _RECORDER,
+    "SEEDS": _SEEDING,
+    "seed_violation": _SEEDING,
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "INVARIANTS",

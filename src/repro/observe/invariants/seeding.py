@@ -17,6 +17,12 @@ sees the reordered stream. Seeds that hook the FT layer wrap
 until setup. This module sabotages behaviour — it is a test fixture,
 not an observer, which is why it alone still replaces methods.
 
+A wrapper is stored on the object whose method it replaces, so it calls
+the class's function on a :func:`~repro.sim.engine.back_ref` proxy of
+that object rather than closing over its bound method: a seeded cluster
+is freed by reference counting like any other (DESIGN.md §5,
+"Ownership").
+
 Some seeds corrupt protocol state the run itself depends on (``vclock``
 zeroes a vector time; ``recoverability`` deletes checkpoint copies;
 ``lock`` doubles a token), so
@@ -26,34 +32,45 @@ catch exceptions and assert the violation was recorded first.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
+
+from repro.sim.engine import back_ref
 
 __all__ = ["SEEDS", "seed_violation"]
+
+
+def after_install(cluster: Any, hook: Callable[[Any], None]) -> None:
+    """Run ``hook(host)`` right after each FT install of ``cluster``
+    (the per-host managers do not exist until setup)."""
+    install_ft = type(cluster)._install_ft
+    owner = back_ref(cluster)
+
+    def install(host: Any) -> None:
+        install_ft(owner, host)
+        hook(host)
+
+    cluster._install_ft = install
 
 
 def _seed_cgc(cluster: Any) -> None:
     """Break Rule 3.1: CGC passes never collect anything, so stale
     copies at or below Tmin pile up in every page's retained window."""
-    orig_install = cluster._install_ft
 
-    def install(host: Any) -> None:
-        orig_install(host)
+    def hook(host: Any) -> None:
         host.ckpt_mgr.collect = lambda tmin, seqno_ceiling=None: 0
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 def _seed_llt(cluster: Any) -> None:
     """Break Rules 2/3.2: LLT passes skip the diff-log and rel-log
     trims, so entries at or below the derived bounds are retained."""
-    orig_install = cluster._install_ft
 
-    def install(host: Any) -> None:
-        orig_install(host)
+    def hook(host: Any) -> None:
         host.ft.logs.diff.trim_page = lambda page, creator, min_keep: 0
         host.ft.logs.rel.trim = lambda peer, component, bound: 0
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 def _seed_vclock(cluster: Any) -> None:
@@ -61,25 +78,23 @@ def _seed_vclock(cluster: Any) -> None:
     vector time is zeroed — the next send/delivery refresh sees the
     regression. The run usually cannot survive this corruption; callers
     must tolerate a crash after detection."""
-    orig_install = cluster._install_ft
     state = {"armed": True}
 
-    def install(host: Any) -> None:
-        orig_install(host)
+    def hook(host: Any) -> None:
         if host.pid != 1:
             return
-        proto = host.proto
-        orig_complete = proto._complete_barrier
+        proto = back_ref(host.proto)
+        complete_barrier = type(host.proto)._complete_barrier
 
         def complete(release: Any) -> None:
-            orig_complete(release)
+            complete_barrier(proto, release)
             if state["armed"]:
                 state["armed"] = False
                 proto.vt = type(proto.vt).zero(proto.n)
 
         proto._complete_barrier = complete
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 def _seed_fifo(cluster: Any) -> None:
@@ -88,9 +103,9 @@ def _seed_fifo(cluster: Any) -> None:
     and delivered after that follower — a one-time adjacent swap. Only
     holding when a follower is guaranteed to arrive keeps the sabotaged
     run from deadlocking on a request that never lands."""
-    net = cluster.network
-    orig_send = net.send
-    orig_deliver = net._deliver
+    net = back_ref(cluster.network)
+    orig_send = type(cluster.network).send
+    orig_deliver = type(cluster.network)._deliver
     chan = (1, 0)
     state: dict = {"inflight": 0, "held": None, "done": False}
 
@@ -98,7 +113,7 @@ def _seed_fifo(cluster: Any) -> None:
              category: str, ft_bytes: int = 0) -> None:
         if (src, dst) == chan:
             state["inflight"] += 1
-        orig_send(src, dst, payload, size, category, ft_bytes)
+        orig_send(net, src, dst, payload, size, category, ft_bytes)
 
     def deliver(src: int, dst: int, payload: Any, epoch: int,
                 size: int = 0) -> None:
@@ -110,12 +125,12 @@ def _seed_fifo(cluster: Any) -> None:
                 return
             if state["held"] is not None:
                 state["done"] = True
-                orig_deliver(src, dst, payload, epoch, size)
+                orig_deliver(net, src, dst, payload, epoch, size)
                 h_payload, h_epoch, h_size = state["held"]
                 state["held"] = None
-                orig_deliver(src, dst, h_payload, h_epoch, h_size)
+                orig_deliver(net, src, dst, h_payload, h_epoch, h_size)
                 return
-        orig_deliver(src, dst, payload, epoch, size)
+        orig_deliver(net, src, dst, payload, epoch, size)
 
     net.send = send
     net._deliver = deliver
@@ -127,18 +142,16 @@ def _seed_recoverability(cluster: Any) -> None:
     recovery could obtain a starting copy for it. Corrupts state a later
     recovery would need; callers must tolerate a crash after
     detection."""
-    orig_install = cluster._install_ft
     state = {"armed": True}
 
-    def install(host: Any) -> None:
-        orig_install(host)
+    def hook(host: Any) -> None:
         if host.pid != 0:
             return
-        mgr = host.ckpt_mgr
-        orig_commit = mgr.commit_staged
+        mgr = back_ref(host.ckpt_mgr)
+        commit_staged = type(host.ckpt_mgr).commit_staged
 
         def commit(*args: Any, **kwargs: Any) -> Any:
-            out = orig_commit(*args, **kwargs)
+            out = commit_staged(mgr, *args, **kwargs)
             if state["armed"] and mgr.page_copies:
                 state["armed"] = False
                 # drop the key, not just the copies: an empty list would
@@ -150,7 +163,7 @@ def _seed_recoverability(cluster: Any) -> None:
 
         mgr.commit_staged = commit
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 def _seed_lock(cluster: Any) -> None:
@@ -158,23 +171,21 @@ def _seed_lock(cluster: Any) -> None:
     ``LockGrant`` keeps ``has_token`` too, so the lock has two tokens
     from that send on. Mutual exclusion is gone with it; callers must
     tolerate a crash or a wrong result after detection."""
-    orig_install = cluster._install_ft
     state = {"armed": True}
 
-    def install(host: Any) -> None:
-        orig_install(host)
-        proto = host.proto
-        orig_grant_to = proto._grant_to
+    def hook(host: Any) -> None:
+        proto = back_ref(host.proto)
+        grant_to_fn = type(host.proto)._grant_to
 
         def grant_to(lock_id: int, acquirer: int, *args: Any) -> None:
-            orig_grant_to(lock_id, acquirer, *args)
+            grant_to_fn(proto, lock_id, acquirer, *args)
             if state["armed"] and acquirer != proto.pid:
                 state["armed"] = False
                 proto.locks.token(lock_id).has_token = True
 
         proto._grant_to = grant_to
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 SEEDS = {

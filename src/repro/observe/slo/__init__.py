@@ -10,21 +10,25 @@ table, DESIGN.md §7.4):
   p99 series and measure windows-to-SLO-reconvergence.
 """
 
-from repro.observe.slo.engine import (
-    DEFAULT_RULES,
-    BurnRule,
-    Objective,
-    SloResult,
-    evaluate_report_slos,
-    evaluate_slo,
-    parse_duration,
-    parse_slo,
-)
-from repro.observe.slo.timeline import (
-    build_timeline,
-    reconvergence,
-    render_timeline,
-)
+from repro.lazy import lazy_exports
+
+_ENGINE = "repro.observe.slo.engine"
+_TIMELINE = "repro.observe.slo.timeline"
+
+_EXPORTS = {
+    "DEFAULT_RULES": _ENGINE,
+    "BurnRule": _ENGINE,
+    "Objective": _ENGINE,
+    "SloResult": _ENGINE,
+    "evaluate_report_slos": _ENGINE,
+    "evaluate_slo": _ENGINE,
+    "parse_duration": _ENGINE,
+    "parse_slo": _ENGINE,
+    "build_timeline": _TIMELINE,
+    "reconvergence": _TIMELINE,
+    "render_timeline": _TIMELINE,
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BurnRule",

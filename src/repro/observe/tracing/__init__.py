@@ -12,23 +12,28 @@ See DESIGN.md §7.5. Typical use::
     json.dump(to_chrome_trace(tracer), open("trace.json", "w"))
 """
 
-from repro.observe.tracing.critpath import (
-    CritSegment,
-    compute_critical_path,
-    node_time_totals,
-    per_cause_totals,
-    reconcile_with_time_stats,
-    render_critpath_report,
-    worst_lock_chains,
-)
-from repro.observe.tracing.export import to_chrome_trace
-from repro.observe.tracing.spans import (
-    OP_KINDS,
-    WAIT_KINDS,
-    CausalEdge,
-    Span,
-    SpanTracer,
-)
+from repro.lazy import lazy_exports
+
+_CRITPATH = "repro.observe.tracing.critpath"
+_EXPORT = "repro.observe.tracing.export"
+_SPANS = "repro.observe.tracing.spans"
+
+_EXPORTS = {
+    "CritSegment": _CRITPATH,
+    "compute_critical_path": _CRITPATH,
+    "node_time_totals": _CRITPATH,
+    "per_cause_totals": _CRITPATH,
+    "reconcile_with_time_stats": _CRITPATH,
+    "render_critpath_report": _CRITPATH,
+    "worst_lock_chains": _CRITPATH,
+    "to_chrome_trace": _EXPORT,
+    "OP_KINDS": _SPANS,
+    "WAIT_KINDS": _SPANS,
+    "CausalEdge": _SPANS,
+    "Span": _SPANS,
+    "SpanTracer": _SPANS,
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CausalEdge",

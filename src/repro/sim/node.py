@@ -40,11 +40,15 @@ class TimeBucket(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: the buckets in declaration order, iterated once rather than per process
+_BUCKETS = tuple(TimeBucket)
+
+
 class TimeStats:
     """Accumulated virtual seconds per bucket for one process."""
 
     def __init__(self) -> None:
-        self.seconds: Dict[TimeBucket, float] = {b: 0.0 for b in TimeBucket}
+        self.seconds: Dict[TimeBucket, float] = dict.fromkeys(_BUCKETS, 0.0)
 
     def add(self, bucket: TimeBucket, seconds: float) -> None:
         if seconds < 0:

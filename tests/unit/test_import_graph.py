@@ -1,0 +1,76 @@
+"""A fresh process compiles only what its run uses (DESIGN.md §5, "Cold
+start").
+
+The package ``__init__``s below resolve their re-exports on first access
+(``repro.lazy``), so what an observed run, a crash sweep or the paper
+harness imports does not pull in the span tracer, the invariant monitor
+and its sabotage seeds, the SLO timeline or the table and figure
+builders. Every public name still resolves to its defining module's
+object.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+
+LAZY_PACKAGES = [
+    "repro.observe",
+    "repro.observe.invariants",
+    "repro.observe.tracing",
+    "repro.observe.slo",
+    "repro.harness",
+]
+
+#: modules (and packages, with everything under them) the default
+#: imports must leave unloaded
+UNUSED = [
+    "repro.observe.tracing",
+    "repro.observe.invariants",
+    "repro.observe.slo.timeline",
+    "repro.harness.tables",
+    "repro.harness.figures",
+]
+
+
+def test_default_imports_leave_the_unused_modules_unloaded():
+    code = (
+        "import json, sys; "
+        "import repro.observe, repro.faultinject, repro.harness.experiment; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    loaded = json.loads(out)
+    assert "repro.faultinject.campaign" in loaded  # it sees repro at all
+    assert [
+        m for m in loaded
+        if any(m == u or m.startswith(u + ".") for u in UNUSED)
+    ] == []
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_every_public_name_resolves_to_its_defining_module(name):
+    package = importlib.import_module(name)
+    table = package._EXPORTS
+    assert sorted(table) == sorted(package.__all__)
+    listed = dir(package)
+    for attr in package.__all__:
+        value = getattr(package, attr)
+        module = table[attr]
+        assert value is getattr(importlib.import_module(module), attr), attr
+        # a class or function was defined there (or in that subpackage)
+        defined_in = getattr(value, "__module__", module)
+        assert defined_in == module or defined_in.startswith(module + "."), attr
+        assert attr in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(package, "no_such_name")

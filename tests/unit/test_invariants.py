@@ -36,6 +36,7 @@ from repro.dsm.messages import DiffMsg
 from repro.dsm.vclock import VClock
 from repro.observe.invariants import monitor as monitor_mod
 from repro.observe.invariants import recoverability
+from repro.observe.invariants.seeding import after_install
 from repro.sim.engine import Engine
 from repro.sim.trace import DELIVER, LOCK_ACQUIRED, RECOVERY_ANNOTATE
 from tests.conftest import make_app, make_cluster
@@ -564,11 +565,9 @@ def drop_first_forward(cluster):
     its acquirer waits behind a token that rests idle."""
     from repro.dsm.messages import LockForward
 
-    orig_install = cluster._install_ft
     armed = [True]
 
-    def install(host):
-        orig_install(host)
+    def hook(host):
         handle = host.proto.handlers[LockForward]
 
         def drop(proc, src, fwd):
@@ -579,7 +578,7 @@ def drop_first_forward(cluster):
 
         host.proto.handlers[LockForward] = drop
 
-    cluster._install_ft = install
+    after_install(cluster, hook)
 
 
 def test_lock_deadlock_names_the_token_and_is_a_lock_violation():
