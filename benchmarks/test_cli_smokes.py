@@ -87,8 +87,9 @@ def test_untraced_sampling_profile():
     tables), attributes samples to the apps' own files and gives the
     collector's share of the CPU time and collections per generation on
     the line after its header; its memory
-    half prints resident size per stage and the lines holding the traced
-    heap at the peak of one body; its message half prints the serving
+    half prints resident size per stage, the lines holding the traced
+    heap at the peak of one body, and what the body's last cluster holds
+    once finished and adds when built; its message half prints the serving
     body's message mix, replica updates split by op, and the stamp bytes
     of scale128's."""
     script = os.path.join(ROOT, "benchmarks", "sample_profile.py")
@@ -112,12 +113,19 @@ def test_untraced_sampling_profile():
     assert "x body" in memory["serve_session"]
     assert "observe/" in memory["serve_session"]
     # a finished cluster frees itself: no body leaves a repro object to
-    # the collector
+    # the collector; before that, what its last cluster holds and adds
     for text in memory.values():
+        held, added, garbage = text.splitlines()[-3:]
+        assert re.search(
+            r"^one finished cluster holds \d+\.\d\d MB traced$", held
+        ), held
+        assert float(held.split()[4]) > 0, held
+        assert re.search(r"^one build adds \d+ gc-tracked objects$", added), added
+        assert int(added.split()[3]) > 0, added
         assert re.search(
             r"^cyclic garbage of one body: \d+ objects, 0 of them repro\.\*$",
-            text.splitlines()[-1],
-        ), text.splitlines()[-1]
+            garbage,
+        ), garbage
     mix = ok(run("--workload", "serve_session", "--smoke", "--messages",
                  script=script))
     assert "LockGrant" in mix and "ReplicaUpdate[rel]" in mix

@@ -25,7 +25,9 @@ At the paper's widths (≤ 8) a Python tuple beats any array: per-call
 NumPy dispatch overhead dwarfs the O(n) loop. Past
 :data:`VClock.ARRAY_WIDTH` components the balance flips — every lattice
 operation becomes O(n) Python-level work on the tuple path — so wide
-clocks store a read-only ``int64`` array and run ``join``/``meet``/
+clocks store a read-only ``int32`` array (half the bytes of ``int64``;
+every constructor and update holds a component to :data:`MAX_COMPONENT`,
+so one never wraps) and run ``join``/``meet``/
 ``leq`` (and the :func:`vmin`/:func:`vmax` folds) vectorized: one
 ``np.maximum``/``np.minimum`` per call, compared with each operand as
 bytes, so a dominated join still returns the existing operand. Each
@@ -51,19 +53,35 @@ barrier's) stays dense.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, NoReturn, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["VClock", "vmin", "vmax", "COMPONENT_BYTES"]
+__all__ = ["VClock", "vmin", "vmax", "COMPONENT_BYTES", "MAX_COMPONENT"]
 
 #: wire size of one vector-timestamp component
 COMPONENT_BYTES = 4
+
+#: the largest component a clock holds at any width: what a wide clock's
+#: ``int32`` array and a 4-byte wire component can carry
+MAX_COMPONENT = 2**31 - 1
 
 #: width at which lattice ops switch from tuple loops to NumPy (module
 #: alias of :attr:`VClock.ARRAY_WIDTH` — globals resolve faster than
 #: attributes on the per-message hot path)
 _ARRAY_WIDTH = 16
+
+
+def _dtype(n: int) -> type:
+    """Component dtype of an ``n``-wide clock's array: ``int32`` where the
+    array is the clock's storage, ``int64`` for a narrow clock's view."""
+    return np.int32 if n >= _ARRAY_WIDTH else np.int64
+
+
+def _overflow(value: int) -> NoReturn:
+    """Raise for a component above :data:`MAX_COMPONENT` (callers compare
+    inline: the updates are on the per-notice path)."""
+    raise ValueError(f"component {value} exceeds {MAX_COMPONENT}")
 
 
 class VClock:
@@ -79,8 +97,11 @@ class VClock:
 
     def __init__(self, v: Iterable[int]):
         t = tuple(int(x) for x in v)
-        if any(x < 0 for x in t):
-            raise ValueError(f"negative component in {t}")
+        if t:
+            if min(t) < 0:
+                raise ValueError(f"negative component in {t}")
+            if max(t) > MAX_COMPONENT:
+                _overflow(max(t))
         self._t: Optional[Tuple[int, ...]] = t
         self._a: Optional[np.ndarray] = None
         self._n = len(t)
@@ -98,7 +119,8 @@ class VClock:
 
     @classmethod
     def _make_arr(cls, a: np.ndarray) -> "VClock":
-        """Wrap an already-validated int64 component array without checks."""
+        """Wrap an already-validated component array of the width's dtype
+        without checks."""
         self = object.__new__(cls)
         a.setflags(write=False)
         self._t = None
@@ -113,9 +135,12 @@ class VClock:
         arr = np.array(a, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError(f"expected 1-d components, got shape {arr.shape}")
-        if arr.size and np.minimum.reduce(arr) < 0:
-            raise ValueError("negative component")
-        return cls._make_arr(arr)
+        if arr.size:
+            if np.minimum.reduce(arr) < 0:
+                raise ValueError("negative component")
+            if np.maximum.reduce(arr) > MAX_COMPONENT:
+                _overflow(int(np.maximum.reduce(arr)))
+        return cls._make_arr(arr.astype(_dtype(len(arr)), copy=False))
 
     @classmethod
     def zero(cls, n: int) -> "VClock":
@@ -133,10 +158,11 @@ class VClock:
         return t
 
     def as_array(self) -> np.ndarray:
-        """Read-only ``int64`` view of the components (cached)."""
+        """Read-only array of the components (cached): ``int32`` at
+        :attr:`ARRAY_WIDTH` and up, ``int64`` below."""
         a = self._a
         if a is None:
-            a = np.array(self._t, dtype=np.int64)
+            a = np.array(self._t, dtype=_dtype(self._n))
             a.setflags(write=False)
             self._a = a
         return a
@@ -282,12 +308,18 @@ class VClock:
             raise ValueError("cannot decrease a component")
         if n >= _ARRAY_WIDTH:
             out = self.as_array().copy()
-            out[i] += by
+            value = int(out[i]) + by
+            if value > MAX_COMPONENT:
+                _overflow(value)
+            out[i] = value
             return VClock._make_arr(out)
         v = self._t
         if v is None:
             v = self.v
-        return VClock._make(v[:i] + (v[i] + by,) + v[i + 1 :])
+        value = v[i] + by
+        if value > MAX_COMPONENT:
+            _overflow(value)
+        return VClock._make(v[:i] + (value,) + v[i + 1 :])
 
     def with_component(self, i: int, value: int) -> "VClock":
         n = self._n
@@ -295,6 +327,8 @@ class VClock:
             raise IndexError(i)
         if value < 0:
             raise ValueError(f"negative component: {value}")
+        if value > MAX_COMPONENT:
+            _overflow(value)
         if n >= _ARRAY_WIDTH:
             a = self.as_array()
             if int(a[i]) == value:
@@ -322,6 +356,8 @@ class VClock:
                 raise IndexError(i)
             if value < 0:
                 raise ValueError(f"negative component: {value}")
+            if value > MAX_COMPONENT:
+                _overflow(value)
             out[i] = value
         if n >= _ARRAY_WIDTH:
             return VClock._make_arr(out)

@@ -39,10 +39,10 @@ UNUSED = [
 ]
 
 
-def test_default_imports_leave_the_unused_modules_unloaded():
+def modules_loaded_by(imports):
+    """The modules a fresh interpreter holds after ``import <imports>``."""
     code = (
-        "import json, sys; "
-        "import repro.observe, repro.faultinject, repro.harness.experiment; "
+        f"import json, sys; import {imports}; "
         "print(json.dumps(sorted(sys.modules)))"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -50,12 +50,28 @@ def test_default_imports_leave_the_unused_modules_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_default_imports_leave_the_unused_modules_unloaded():
+    loaded = modules_loaded_by(
+        "repro.observe, repro.faultinject, repro.harness.experiment"
+    )
     assert "repro.faultinject.campaign" in loaded  # it sees repro at all
     assert [
         m for m in loaded
         if any(m == u or m.startswith(u + ".") for u in UNUSED)
     ] == []
+
+
+def test_a_cluster_loads_recovery_and_replication_when_first_needed():
+    """Recovery and buddy replication are imported where a crash, a
+    recovery query or a replicated run first needs them: a fresh process
+    that builds and runs failure-free clusters compiles neither."""
+    loaded = modules_loaded_by("repro.cluster, repro.harness.experiment")
+    assert "repro.core.ftmanager" in loaded
+    assert "repro.core.recovery" not in loaded
+    assert "repro.core.replica" not in loaded
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

@@ -1,10 +1,11 @@
 """Unit + property tests for vector timestamps."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dsm.vclock import VClock, vmax, vmin
+from repro.dsm.vclock import MAX_COMPONENT, VClock, vmax, vmin
 
 clocks = st.lists(st.integers(0, 50), min_size=4, max_size=4).map(VClock)
 
@@ -20,6 +21,30 @@ def test_zero_and_basics():
 def test_negative_component_rejected():
     with pytest.raises(ValueError):
         VClock((1, -1))
+
+
+@pytest.mark.parametrize("w", [8, 128])
+def test_a_component_past_int32_is_rejected_not_wrapped(w):
+    """Wide clocks store ``int32``: every constructor and update holds a
+    component to ``MAX_COMPONENT`` at every width, so none wraps."""
+    top = MAX_COMPONENT
+    z = VClock.zero(w)
+    over = [0] * w
+    over[3] = top + 1
+    for make in (
+        lambda: VClock(over),
+        lambda: VClock.from_array(np.array(over, dtype=np.int64)),
+        lambda: z.with_component(3, top + 1),
+        lambda: z.with_components({1: 2, 3: top + 1}),
+        lambda: z.bump(3, top + 1),
+        lambda: z.with_component(3, top).bump(3),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    edge = z.bump(3, top)
+    assert edge[3] == top and int(edge.as_array()[3]) == top
+    assert edge == VClock.from_array(np.array(edge.v)) == VClock(edge.v)
+    assert edge.join(z.with_component(2, top)).v[2:4] == (top, top)
 
 
 def test_leq_and_lt():
