@@ -3,8 +3,9 @@ detection check, one ``repro monitor`` process per invariant class.
 
     PYTHONPATH=src python -m pytest benchmarks/test_seeded_violations.py
 
-Each run sabotages one class (``--seed-violation``,
-``repro/observe/invariants/seeding.py``) and must exit nonzero, leaving
+Each run sabotages one class (``--seed-violation``: the run is inside the
+``with`` block of that class's entry of
+``repro.faultinject.mutants.MUTANTS``) and must exit nonzero, leaving
 a flight record that validates and names only that class. A monitor
 that stays silent on a seeded bug is broken. The records are written
 under pytest's temporary directory: ``--basetemp DIR`` keeps them in

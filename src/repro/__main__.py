@@ -29,6 +29,7 @@ failure-free pre-pass behind ``PID@FRAC``, the timed run — are
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -572,7 +573,7 @@ def run_trace(parser: Parser, args: argparse.Namespace) -> int:
 
 # ---- monitor ----
 def add_monitor_arguments(p: Parser) -> None:
-    from repro.observe.invariants import SEEDS
+    from repro.observe.invariants import INVARIANTS
 
     add_workload(p, procs=4)
     add_ft(p, replicate=False)
@@ -582,7 +583,7 @@ def add_monitor_arguments(p: Parser) -> None:
     p.add_argument("--flight", default=None, metavar="PATH",
                    help="flight-record JSON path, written on violation "
                    "(default benchmarks/FLIGHT_<app>.json)")
-    p.add_argument("--seed-violation", default=None, choices=list(SEEDS),
+    p.add_argument("--seed-violation", default=None, choices=INVARIANTS,
                    help="sabotage the run so the named invariant class is "
                    "violated (self-test: the exit code must be nonzero)")
 
@@ -600,16 +601,19 @@ def run_monitor(parser: Parser, args: argparse.Namespace) -> int:
     run = RunBuilder(parser, args, ft=True)
     cluster = run.cluster()
     monitor = observe.InvariantMonitor(cluster, ring_size=args.ring)
+    sabotage = contextlib.nullcontext()
     if args.seed_violation:
-        # after the attach: the fifo seed reorders outside the monitor's view
-        observe.seed_violation(cluster, args.seed_violation)
+        from repro.faultinject.mutants import MUTANTS
+
+        sabotage = MUTANTS[args.seed_violation]()
 
     result = run_error = None
-    try:
-        result = run.run(cluster)
-    except Exception as exc:  # seeded sabotage can corrupt the run
-        run_error = exc
-    monitor.finish()
+    with sabotage:
+        try:
+            result = run.run(cluster)
+        except Exception as exc:  # seeded sabotage can corrupt the run
+            run_error = exc
+        monitor.finish()
     if run_error is not None and not monitor.violations:
         raise run_error
 

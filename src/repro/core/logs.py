@@ -110,14 +110,18 @@ class GrantLog:
     def trim(self, peer: int, component: int, bound: int) -> int:
         """Rule 2: keep ``peer``'s entries with ``acq_t[component] >
         bound`` — the acquirer's component against its checkpoint cut,
-        whichever half this is. Returns the number dropped."""
+        whichever half this is. Returns the number dropped; a trim that
+        drops nothing keeps the bucket it found (the monitor extends a
+        pair whose bucket is the same list instead of rebuilding it)."""
         old = self.entries[peer]
         if not old:
             return 0
         kept = [e for e in old if e.acq_t[component] > bound]
-        self.entries[peer] = kept or EMPTY
-        self._count -= len(old) - len(kept)
-        return len(old) - len(kept)
+        dropped = len(old) - len(kept)
+        if dropped:
+            self.entries[peer] = kept or EMPTY
+            self._count -= dropped
+        return dropped
 
     def copy(self) -> "GrantLog":
         out = GrantLog(self.n)

@@ -275,6 +275,20 @@ class RecoveryManager:
         if bus.on[RPHASE]:
             bus.emit(RPHASE, self.pid, phase, edge)
 
+    def answer_held(self) -> None:
+        """Answer the recovery queries held while we were down *now*, not
+        at go-live: a peer recovering concurrently would otherwise wait on
+        us while we wait on it (replies carry responder_recovering=True,
+        so the peer retries, degrades or falls back to our buddy)."""
+        host = self.host
+        held = [(s, m) for (s, m) in host.queued if isinstance(m, RecoveryQuery)]
+        if held:
+            host.queued = [
+                e for e in host.queued if not isinstance(e[1], RecoveryQuery)
+            ]
+            for s, m in held:
+                answer_query(host, s, m)
+
     def recover_and_resume(self) -> Iterator[Any]:
         host = self.host
         cluster = self.cluster
@@ -288,17 +302,7 @@ class RecoveryManager:
         cluster._install_ft(host)  # fresh FtManager over the surviving store
         ft: FtManager = host.ft
 
-        # answer recovery queries held while we were down *now*, not at
-        # go-live: a peer recovering concurrently would otherwise wait on
-        # us while we wait on it (replies carry responder_recovering=True,
-        # so the peer retries, degrades or falls back to our buddy)
-        held = [(s, m) for (s, m) in host.queued if isinstance(m, RecoveryQuery)]
-        if held:
-            host.queued = [
-                e for e in host.queued if not isinstance(e[1], RecoveryQuery)
-            ]
-            for s, m in held:
-                answer_query(host, s, m)
+        self.answer_held()
 
         # a crash during a checkpoint disk write leaves a marker-less
         # (torn) record on stable storage; it must not be a restart point
@@ -733,6 +737,21 @@ class ReplayDriver:
         self.finalize()
         self.on_live()
 
+    def queued_transfers(
+        self,
+    ) -> Tuple[Dict[int, int], Set[Tuple[int, int, int]]]:
+        """The ``GrantInfo`` stream queued for the locks we manage: each
+        lock's newest owner, and the ``(lock, grantor, grantee)`` edges
+        its transfers spent."""
+        locks = self.proto.locks
+        queued_owner: Dict[int, int] = {}
+        spent: Set[Tuple[int, int, int]] = set()
+        for _src, qmsg in self.rm.host.queued:
+            if isinstance(qmsg, GrantInfo) and locks.manages(qmsg.lock_id):
+                queued_owner[qmsg.lock_id] = qmsg.grantee
+                spent.add((qmsg.lock_id, qmsg.grantor, qmsg.grantee))
+        return queued_owner, spent
+
     def finalize(self) -> None:
         """Place every lock token by one rule: held here, or wherever the
         lock's manager says.
@@ -753,12 +772,7 @@ class ReplayDriver:
         locks = proto.locks
         proto.replay = None
         self.apply_home_diffs(None)
-        queued_owner: Dict[int, int] = {}
-        spent: Set[Tuple[int, int, int]] = set()
-        for _src, qmsg in self.rm.host.queued:
-            if isinstance(qmsg, GrantInfo) and locks.manages(qmsg.lock_id):
-                queued_owner[qmsg.lock_id] = qmsg.grantee
-                spent.add((qmsg.lock_id, qmsg.grantor, qmsg.grantee))
+        queued_owner, spent = self.queued_transfers()
 
         def owner(lock_id: int) -> Optional[int]:
             if not locks.manages(lock_id):

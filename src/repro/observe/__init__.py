@@ -33,7 +33,6 @@ _EXPORTS = {
     "render_flight_record": _INVARIANTS,
     "validate_flight_record": _INVARIANTS,
     "write_flight_record": _INVARIANTS,
-    "seed_violation": _INVARIANTS,
     "LatencyHistogram": _LATENCY,
     "exact_percentile": _LATENCY,
     "ClusterObserver": _OBSERVER,
@@ -109,7 +108,6 @@ __all__ = [
     "render_critpath_report",
     "render_flight_record",
     "render_report",
-    "seed_violation",
     "to_chrome_trace",
     "validate_flight_record",
     "validate_report",

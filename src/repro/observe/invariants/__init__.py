@@ -5,8 +5,6 @@ from repro.lazy import lazy_exports
 
 _MONITOR = "repro.observe.invariants.monitor"
 _RECORDER = "repro.observe.invariants.recorder"
-#: the sabotage seeds are a test fixture: loaded only when asked for
-_SEEDING = "repro.observe.invariants.seeding"
 
 _EXPORTS = {
     "INVARIANTS": _MONITOR,
@@ -16,8 +14,6 @@ _EXPORTS = {
     "render_flight_record": _RECORDER,
     "validate_flight_record": _RECORDER,
     "write_flight_record": _RECORDER,
-    "SEEDS": _SEEDING,
-    "seed_violation": _SEEDING,
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -29,6 +25,4 @@ __all__ = [
     "render_flight_record",
     "validate_flight_record",
     "write_flight_record",
-    "SEEDS",
-    "seed_violation",
 ]

@@ -22,12 +22,11 @@ from repro.apps.base import DsmApp
 from repro.baselines import CoordinatedCluster
 from repro.core import FtConfig
 from repro.faultinject import CrashPoint, CrashSweep
-from repro.observe import ClusterObserver, InvariantMonitor, seed_violation
-from repro.observe.invariants import SEEDS
+from repro.faultinject.mutants import MUTANTS
+from repro.observe import INVARIANTS, ClusterObserver, InvariantMonitor
 from repro.sim.engine import Future
 from repro.sim.trace import FAILURE, RECOVERY_BEGIN
 from tests.conftest import make_app, make_cluster
-from tests.unit.test_invariants import drop_first_forward
 
 FAST_DETECT = {"failure_detection_delay": 2e-3}
 
@@ -87,19 +86,19 @@ def _coordinated() -> Tuple[Any, List[Any]]:
     return cluster, []
 
 
-def _sabotaged(name: str, sabotage: Callable[[Any], None]):
-    """A monitored run under a seeded sabotage: its wrappers are stored
-    on the objects whose methods they replace."""
+def _sabotaged(name: str, mutant: str):
+    """A monitored run built and run under a mutant of the table, which
+    patches classes, not the objects of this run."""
 
     def scenario() -> Tuple[Any, List[Any]]:
-        cluster = make_cluster(num_procs=4, ft=True)
-        monitor = InvariantMonitor(cluster)
-        sabotage(cluster)
-        try:
-            cluster.run(make_app("counter"))
-        except Exception:  # the sabotage may kill the run after detection
-            pass
-        assert monitor.finish()
+        with MUTANTS[mutant]():
+            cluster = make_cluster(num_procs=4, ft=True)
+            monitor = InvariantMonitor(cluster)
+            try:
+                cluster.run(make_app("counter"))
+            except Exception:  # the sabotage may kill the run after detection
+                pass
+            assert monitor.finish()
         return cluster, [monitor]
 
     scenario.__name__ = f"_{name}"
@@ -108,11 +107,8 @@ def _sabotaged(name: str, sabotage: Callable[[Any], None]):
 
 SCENARIOS: List[Callable[[], Tuple[Any, List[Any]]]] = [
     _base, _ft, _replicated_crash, _sweep_point, _observed, _coordinated,
-    *(
-        _sabotaged(f"seeded_{kind}", lambda c, kind=kind: seed_violation(c, kind))
-        for kind in SEEDS
-    ),
-    _sabotaged("drop_first_forward", drop_first_forward),
+    *(_sabotaged(f"seeded_{kind}", kind) for kind in INVARIANTS),
+    _sabotaged("drop_first_forward", "drop_first_forward"),
 ]
 
 

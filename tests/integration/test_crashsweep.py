@@ -19,6 +19,7 @@ from repro.faultinject import (
     check_oracle,
 )
 from repro.faultinject.campaign import COUNTED
+from repro.faultinject.mutants import MUTANTS
 from repro.sim.engine import Future
 from repro.sim.trace import LOCK_ACQUIRED, REPL_BEGIN, REPL_COMMIT, timeline
 from tests.conftest import make_app, make_cluster
@@ -205,22 +206,9 @@ def test_a_failed_discovery_run_is_a_failed_point():
     base crash's recovery itself breaks, the sweep reports a ``failed``
     point of the window class that asked for it and places nothing
     against that anchor, instead of raising out of enumeration."""
-    cluster_factory, app_factory = _factories()
-
-    def sabotaged_factory():
-        cluster = cluster_factory()
-        install = cluster._install_ft
-
-        def install_ft(host):
-            if host.recovering:
-                raise RuntimeError(f"p{host.pid} recovery sabotaged")
-            install(host)
-
-        cluster._install_ft = install_ft
-        return cluster
-
-    sweep = CrashSweep(sabotaged_factory, app_factory, classes=("recovery",))
-    summary = sweep.run()
+    sweep = CrashSweep(*_factories(), classes=("recovery",))
+    with MUTANTS["recovery_raises"]():
+        summary = sweep.run()
     (res,) = summary.results
     events = [e for e in sweep.reference_trace if e.step >= 1]
     anchor = events[int(len(events) * 0.45)]
@@ -432,11 +420,14 @@ def test_a_point_whose_prefix_drifts_from_the_reference_fails():
 @pytest.mark.parametrize("name", list(PINS))
 def test_pin(name):
     """Each pinned schedule (tests/pins.py) meets the sweep's verdict,
-    monitor and oracle on, with the outcome its row names."""
-    summary = PINS[name].judge()
-    [res] = summary.results
-    assert not summary.failures(), res.error
-    assert res.outcome == PINS[name].outcome, res.error
+    monitor and oracle on, with the outcome its row names, and misses it
+    under the mutant that undoes the fix the row guards."""
+    pin = PINS[name]
+    met, error = pin.meets()
+    assert met, error
+    with MUTANTS[pin.guards]():
+        met, error = pin.meets()
+    assert not met, f"{name} still passes under {pin.guards}"
 
 
 # ======================================================================

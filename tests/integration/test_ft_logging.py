@@ -78,11 +78,11 @@ def test_cgc_bounds_checkpoint_window(shared_run):
 
 
 def test_cgc_disabled_window_grows():
-    from repro.observe import seed_violation
+    from repro.faultinject.mutants import MUTANTS
 
     cluster = make_cluster(num_procs=8, ft=True, l_fraction=0.03)
-    seed_violation(cluster, "cgc")  # every CGC pass collects nothing
-    cluster.run(make_app("water-spatial", steps=5))
+    with MUTANTS["cgc"]():  # every CGC pass collects nothing
+        cluster.run(make_app("water-spatial", steps=5))
     windows = [h.ckpt_mgr.max_window for h in cluster.hosts]
     cluster2, _ = run_ft("water-spatial", l_fraction=0.03, steps=5)
     windows2 = [h.ckpt_mgr.max_window for h in cluster2.hosts]

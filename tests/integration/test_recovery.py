@@ -10,6 +10,7 @@ import functools
 
 import pytest
 
+from repro.faultinject.mutants import MUTANTS
 from tests.conftest import make_app, make_cluster
 from tests.pins import PINS
 
@@ -304,15 +305,22 @@ def test_kvstore_32_procs_crash_p5_at_half_verifies():
 
 def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
     """``FuzzApp(2049)``, 8 procs, p1 fail-stopped after every 7th engine
-    step of the 924-step run: before the home-side diff rule, any step in
-    358...853 ended with ``p1 round 0: saw sum 117.0, expected 118`` (p0's
-    logged diff carried p1's bytes and reverted one cell on replay)."""
+    step of the 924-step run. Without the home-side diff rule (mutant
+    ``home_twin_unpatched``) 69 of those steps, 343...819, end with ``p1
+    round 0: saw sum 117.0, expected 118``: p0's logged diff carried p1's
+    bytes and reverted one cell on replay. Step 462 is the pin."""
     from tests.fuzz_app import N_PROCS, FuzzApp
 
-    for step in range(7, 924, 7):
+    def run(step):
         cluster = make_cluster(num_procs=N_PROCS, ft=True, l_fraction=0.05)
         cluster.schedule_crash_at_step(1, step)
         cluster.run(FuzzApp(2049))  # check_result validates
+
+    for step in range(7, 924, 7):
+        run(step)
+    with MUTANTS["home_twin_unpatched"](), \
+            pytest.raises(AssertionError, match="saw sum 117.0, expected 118"):
+        run(462)
 
 
 # ---------------------------------------------------------------------------

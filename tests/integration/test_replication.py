@@ -16,11 +16,11 @@ import pytest
 
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
+from repro.faultinject.mutants import MUTANTS
 from repro.sim.trace import (
     ENGINE_EVENT, FAILURE, RECOVERY_BEGIN, RECOVERY_LIVE, timeline,
 )
 from tests.conftest import make_app, make_cluster
-from tests.pins import PINS
 
 N = 4
 FAST_DETECT = {"failure_detection_delay": 2e-3}
@@ -352,8 +352,13 @@ def test_checkpoint_restored_log_and_buddy_image_share_the_live_records():
     ]
 
 
-#: a ``rel_fix`` op really rewrites an entry (tests/pins.py says why)
-SESSION_CRASH = PINS["provisional_grant_replicated"].point
+#: ``(step, victim)``: p0's live switch grants on a repair forward whose
+#: request stamp died with it, so the provisional grant draws an AcqAck
+#: and a ``rel_fix`` op rewrites the buddy's rel entry. Not a crash pin:
+#: with ``rel_fix`` dropped the run still recovers, since no later
+#: recovery reads the buddy's stale prediction; only the agreement of the
+#: two answers shows that mutant
+SESSION_CRASH = (51, 0)
 
 
 @pytest.mark.parametrize(
@@ -364,15 +369,9 @@ def test_live_image_and_buddy_replica_answer_alike(app_name, crash):
     assert_live_and_replica_agree(app_name, crash)
 
 
-def test_answer_agreement_catches_a_dropped_op_case(monkeypatch):
+def test_answer_agreement_catches_a_dropped_op_case():
     """Seeded mutation: an op application that ignores ``rel_fix`` leaves
     a predicted timestamp in the replica's rel log."""
-    from repro.core.replica import FtImage
-
-    apply = FtImage.apply
-    monkeypatch.setattr(
-        FtImage, "apply",
-        lambda self, op: None if op[0] == "rel_fix" else apply(self, op),
-    )
-    with pytest.raises(AssertionError, match="rel_entries"):
+    with MUTANTS["rel_fix_dropped"](), \
+            pytest.raises(AssertionError, match="rel_entries"):
         assert_live_and_replica_agree("session", SESSION_CRASH)

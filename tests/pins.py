@@ -3,13 +3,16 @@
 A row names one deterministic run (app, seed, nodes, L, replication) and
 one crash point in it: its class, the base crash ``(step, victim)`` it
 sits against (``None``: a single crash), its own ``(step, victim)``, the
-outcome the sweep's verdict must reach and the root cause it guards
-(``"§6.3"``: DESIGN.md §6, root cause 3). A row fails that verdict with
-its fix undone; moved timing can carry it off its root cause, so a
-change that moves timing re-checks each row under that mutant.
+outcome the sweep's verdict must reach and the mutant it guards against:
+the ``repro.faultinject.mutants.MUTANTS`` entry that undoes one fix
+(DESIGN.md §6 and §9 name each root cause's mutant).
 
-``test_crashsweep.py::test_pin`` judges every row; a test that needs a
-schedule for another purpose looks it up by name.
+``test_crashsweep.py::test_pin`` judges every row twice: it must meet
+the verdict as it is and miss it under its mutant. Moved timing can
+carry a row off its root cause; the second judgement says so, and the
+row is then relocated (the k=2 probe run under the mutant lists
+candidates). A test that needs a schedule for another purpose looks it
+up by name.
 """
 
 from __future__ import annotations
@@ -50,22 +53,24 @@ class Pin:
         sizes = SMALL[self.app] if self.small else {}
         return app(app.Config(seed=self.seed, **sizes))
 
-    def judge(self) -> SweepSummary:
-        """The sweep's verdict on this one point, monitor and oracle on."""
+    def meets(self) -> Tuple[bool, Optional[str]]:
+        """The sweep's verdict on this one point, monitor and oracle on:
+        whether it holds with the row's outcome, and the point's error."""
         sweep = CrashSweep(self.cluster, self.make_app, classes=(self.cls,))
         sweep.run_reference()
         step, victim = self.point
         res = sweep.run_point(CrashPoint(self.cls, step, victim, self.base))
-        return SweepSummary(
+        summary = SweepSummary(
             sweep.every, sweep.classes, sweep.reference_steps,
             len(sweep.reference_trace), sweep.reference_wall_time,
             replicate=sweep.replicate, results=[res],
         )
+        return not summary.failures() and res.outcome == self.outcome, res.error
 
 
 def _sequential(app, procs, replicate, base, point):
     return Pin(app, 42, procs, 0.1, replicate, "sequential", base, point,
-               "recovered", "§6.3")
+               "recovered", "self_grant_mirrors_lost")
 
 
 def _double(app, seed, procs, base, point, guards, replicate=True):
@@ -74,10 +79,10 @@ def _double(app, seed, procs, base, point, guards, replicate=True):
 
 
 PINS = {
-    # §6: one failure at a time. The symptom each row shows without its fix
+    # §6: one failure at a time. The symptom each row shows under its mutant
     "untouched_manager_places_its_token": Pin(  # `kv total 1028.0 != 1033.0`
         "kvstore", 42, 32, 0.1, False, "every", None, (2100, 1),
-        "recovered", "§6.2"),
+        "recovered", "peer_token_reports_ignored"),
     # a second crash after the first victim went live: deadlock, or
     # `session table total 98.0 (112.0) != 105.0`
     "self_grant_twins_counter4": _sequential(
@@ -95,45 +100,41 @@ PINS = {
     "self_grant_twins_session8": _sequential(
         "session", 8, False, (2162, 7), (2399, 4)),
     # N = 2: a lost barrier episode (deadlock or `barrier episode
-    # mismatch`), or a stale self-grant mirror the monitor flags
+    # mismatch`), or a late self-grant mirror the llt checker flags
     "counter_overlap_barrier_log_restored": Pin(
         "counter", 42, 2, 0.1, False, "recovery", (101, 1), (127, 0),
-        "recovered", "§6.4"),
+        "recovered", "barrier_log_replayed_only"),
     "counter_sequential_barrier_log_restored": Pin(
         "counter", 42, 2, 0.1, False, "sequential", (101, 1), (143, 0),
-        "recovered", "§6.4"),
+        "recovered", "barrier_log_replayed_only"),
     "session_manager_count_from_checkpoint": Pin(
         "session", 1, 2, 0.02, False, "sequential", (131, 1), (244, 0),
-        "recovered", "§6.4"),
+        "recovered", "barrier_log_replayed_only"),
     "session_late_self_grant_mirror_trimmed": Pin(
         "session", 1, 2, 0.02, False, "sequential", (65, 0), (175, 1),
-        "recovered", "§6.5"),
-    # §9: overlapping failures
-    "queued_grant_is_the_token": _double(  # deadlock in `lock_waits=[0]`
-        "session", 5, 4, (292, 1), (300, 2), "§9.1"),
-    "release_stashed_for_the_barrier": _double(  # deadlock at a barrier
-        "kvstore", 2, 8, (312, 4), (679, 6), "§9 stash"),
+        "recovered", "late_mirror_kept"),
+    # §9: overlapping failures. No schedule found fails under
+    # `queued_grant_not_the_token` or `release_not_stashed` any more: a
+    # direct handler test in test_protocol_direct.py kills each
     "recovery_done_held_for_a_down_manager": _double(  # deadlock
-        "session", 0, 8, (2479, 6), (2603, 0), "§9.3"),
+        "session", 0, 8, (2479, 6), (2603, 0), "recovery_done_dropped"),
     "owed_grant_is_not_a_second_token": _double(  # `lock 4: 2 tokens`
-        "kvstore", 0, 8, (332, 4), (587, 5), "§9.4"),
+        "kvstore", 0, 8, (332, 4), (587, 5), "owed_grant_left_to_the_drain"),
     "owed_grant_completes_the_replayed_acquire": _double(  # deadlock
-        "session", 7, 8, (1434, 5), (1865, 6), "§9.4"),
+        "session", 7, 8, (1434, 5), (1865, 6), "owed_grant_left_to_the_drain"),
     "owed_grant_carries_its_notices": _double(  # `total 141.0 != 148.0`
-        "session", 3, 8, (622, 2), (654, 3), "§9.4"),
+        "session", 3, 8, (622, 2), (654, 3), "owed_grant_left_to_the_drain"),
     # `replay: self-grant of lock 0 without token at 3`; degrades instead
     "no_answer_taken_from_a_rebuilding_responder": _double(
-        "session", 9, 4, (472, 2), (548, 3), "§9.5", replicate=False),
+        "session", 9, 4, (472, 2), (548, 3), "rebuilding_answer_taken",
+        replicate=False),
     "spent_successor_pointer_is_not_a_waiter": _double(  # deadlock
-        "session", 42, 8, (1427, 1), (1676, 3), "§9.6"),
-    # read by other tests: p0's live switch grants on a repair forward
+        "session", 42, 8, (1427, 1), (1676, 3), "spent_edge_kept"),
+    # read by a monitor test: p0's live switch grants on a repair forward
     # whose request stamp died with it, so the provisional grant draws an
-    # AcqAck (no failure-free run sends one) and, replicated, a `rel_fix`
-    # op rewrites the buddy's rel entry
-    "provisional_grant_replicated": Pin(
-        "session", 42, 4, 0.2, True, "every", None, (51, 0), "recovered",
-        "§9 one answer", small=True),
+    # AcqAck (no failure-free run sends one). Without the self-grant
+    # mirrors the monitor flags a twin-less self-grant at the end
     "provisional_grant_confirmed": Pin(
         "session", 42, 4, 0.2, False, "every", None, (404, 0), "recovered",
-        "§6.3", small=True),
+        "self_grant_mirrors_lost", small=True),
 }

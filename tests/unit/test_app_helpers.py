@@ -30,6 +30,7 @@ from repro.apps.water_spatial import (
     _neighbors,
     reference_water_spatial,
 )
+from repro.faultinject.mutants import MUTANTS
 from repro.harness.experiment import paper_setups
 
 
@@ -360,36 +361,17 @@ def test_force_kernel_with_no_bodies_and_with_a_dead_root():
     assert scalar_force_on(empty, 1, 0, pos[0])[1] == 0
 
 
-class _PairwiseNumpy:
-    """``numpy``, except that ``add.accumulate`` sums every prefix with
-    ``np.sum`` (pairwise over a contiguous row): the seeded mutation."""
-
-    class add:
-        @staticmethod
-        def accumulate(a, axis):
-            assert axis == 1
-            out = np.empty_like(a)
-            for b in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    cols = np.ascontiguousarray(a[b, : j + 1].T)
-                    out[b, j] = np.sum(cols, axis=1)
-            return out
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-def test_force_oracle_catches_a_reassociated_sum(monkeypatch):
+def test_force_oracle_catches_a_reassociated_sum():
     """``np.sum`` adds the same terms in another order: the last bits
     move, ``check_result``'s rtol=1e-9 passes it, the oracle must not."""
     _name, *case = next(c for c in force_cases() if c[0] == "n=40 theta=0.6")
     nodes, cfg, pos, root, _used = case
     check_kernel_against_scalar(*case)
     exact, _ = _Tree(nodes, cfg).forces(root, range(40), pos)
-    monkeypatch.setattr(barnes, "np", _PairwiseNumpy())
-    with pytest.raises(AssertionError):
-        check_kernel_against_scalar(*case)
-    mutant, counts = _Tree(nodes, cfg).forces(root, range(40), pos)
+    with MUTANTS["pairwise_sum"]():
+        with pytest.raises(AssertionError):
+            check_kernel_against_scalar(*case)
+        mutant, counts = _Tree(nodes, cfg).forces(root, range(40), pos)
     np.testing.assert_allclose(mutant, exact, rtol=1e-9, atol=1e-12)
     assert not np.array_equal(mutant, exact) and min(counts) > 8
 

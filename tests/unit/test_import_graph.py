@@ -3,10 +3,9 @@ start").
 
 The package ``__init__``s below resolve their re-exports on first access
 (``repro.lazy``), so what an observed run, a crash sweep or the paper
-harness imports does not pull in the span tracer, the invariant monitor
-and its sabotage seeds, the SLO timeline or the table and figure
-builders. Every public name still resolves to its defining module's
-object.
+harness imports does not pull in the span tracer, the invariant monitor,
+the SLO timeline, the table and figure builders or the mutant table.
+Every public name still resolves to its defining module's object.
 """
 
 import importlib
@@ -36,6 +35,7 @@ UNUSED = [
     "repro.observe.slo.timeline",
     "repro.harness.tables",
     "repro.harness.figures",
+    "repro.faultinject.mutants",
 ]
 
 
@@ -72,6 +72,17 @@ def test_a_cluster_loads_recovery_and_replication_when_first_needed():
     assert "repro.core.ftmanager" in loaded
     assert "repro.core.recovery" not in loaded
     assert "repro.core.replica" not in loaded
+
+
+def test_a_mutant_loads_what_it_patches_when_entered():
+    """The mutant table adds itself to what ``repro.faultinject`` loads:
+    Barnes and the recoverability checker come with the entry that
+    patches them."""
+    loaded = set(modules_loaded_by("repro.faultinject.mutants"))
+    assert loaded - set(modules_loaded_by("repro.faultinject")) == {
+        "repro.faultinject.mutants"
+    }
+    assert not loaded & {"repro.apps.barnes", "repro.observe.invariants"}
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

@@ -1,4 +1,5 @@
-"""Every top-level import in ``src/repro`` is read somewhere in its module.
+"""Every top-level import in ``src/repro`` is read somewhere in its module,
+and no test module imports another.
 
 An ``ast`` scan stands in for a linter: a module's top-level ``import``/
 ``from ... import`` names must each appear as a name in the module's code,
@@ -10,6 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+TESTS = Path(__file__).resolve().parents[1]
 
 
 def _imported(tree):
@@ -74,3 +76,45 @@ def test_the_scan_sees_an_unused_import():
         "def f(x: 'Dict[int, int]') -> None:\n    return os.path.join(x)\n"
     )
     assert set(_imported(tree)) - _used(tree) == {"List"}
+
+
+def _test_module_imports(tree):
+    """``(line, module)`` of each import of a test module in ``tree``: a
+    ``tests.unit``/``tests.integration`` module, or a relative one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                yield node.lineno, "." * node.level + (node.module or "")
+                continue
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[:2] in (["tests", "unit"], ["tests", "integration"]):
+                yield node.lineno, name
+
+
+def test_no_test_module_imports_another():
+    """Helpers two test files share live in ``tests/conftest.py``,
+    ``tests/pins.py``, ``tests/fuzz_app.py`` or the mutant table, never
+    in a test module: importing one runs its module-level code again and
+    ties the two files together."""
+    found = [
+        f"{path.relative_to(TESTS.parent)}:{line} imports {name}"
+        for path in sorted(TESTS.rglob("test_*.py"))
+        for line, name in _test_module_imports(ast.parse(path.read_text()))
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_the_scan_sees_a_test_module_import():
+    tree = ast.parse(
+        "import tests.conftest\nfrom tests.pins import PINS\n"
+        "from tests.unit.test_x import f\nimport tests.integration.test_y\n"
+        "from . import test_z\n"
+    )
+    assert list(_test_module_imports(tree)) == [
+        (3, "tests.unit.test_x"), (4, "tests.integration.test_y"), (5, "."),
+    ]

@@ -6,9 +6,9 @@ The two halves of the monitor's contract:
   crash/recovery) reports zero violations while every invariant class
   actually gets exercised.
 * **No false negatives** — for each of the six invariant classes, a
-  seeded protocol sabotage (`repro.observe.invariants.seeding`) must be
-  detected as exactly that class, and the resulting flight record must
-  be structurally valid and renderable.
+  seeded protocol sabotage (``repro.faultinject.mutants.MUTANTS[kind]``)
+  must be detected as exactly that class, and the resulting flight
+  record must be structurally valid and renderable.
 """
 
 import contextlib
@@ -23,22 +23,21 @@ from repro.observe import (
     FlightRecorder,
     InvariantMonitor,
     render_flight_record,
-    seed_violation,
     validate_flight_record,
     write_flight_record,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.core import FtConfig
-from repro.core.logs import RelEntry
 from repro.dsm.messages import DiffMsg
 from repro.dsm.vclock import VClock
+from repro.faultinject.mutants import MUTANTS
 from repro.observe.invariants import monitor as monitor_mod
 from repro.observe.invariants import recoverability
-from repro.observe.invariants.seeding import after_install
 from repro.sim.engine import Engine
-from repro.sim.trace import DELIVER, LOCK_ACQUIRED, RECOVERY_ANNOTATE
+from repro.sim.trace import DELIVER, LOCK_ACQUIRED, RECOVERY_ANNOTATE, SEND
 from tests.conftest import make_app, make_cluster
 from tests.fuzz_app import N_PROCS, FuzzApp
 from tests.pins import PINS
@@ -53,16 +52,19 @@ def cadence(scan_every):
         yield
 
 
+def sabotage(kind):
+    """The mutant that seeds invariant class ``kind``; none for ``None``."""
+    return contextlib.nullcontext() if kind is None else MUTANTS[kind]()
+
+
 def run_monitored(kind=None, crash=None, num_procs=4, scan_every=1):
     """One counter run with the monitor attached; optionally seeded
     with a violation or a scheduled crash. Returns the monitor."""
     cluster = make_cluster(num_procs=num_procs, ft=True)
     monitor = InvariantMonitor(cluster)
-    if kind is not None:
-        seed_violation(cluster, kind)
     if crash is not None:
         cluster.schedule_crash_at_step(*crash)
-    with cadence(scan_every):
+    with cadence(scan_every), sabotage(kind):
         try:
             cluster.run(make_app("counter"))
         except Exception:
@@ -133,10 +135,13 @@ def test_seeded_violation_detected(kind, tmp_path):
     assert f"[{kind}]" in text
 
 
-def test_unknown_seed_rejected():
-    cluster = make_cluster(num_procs=2, ft=True)
-    with pytest.raises(ValueError, match="unknown seed"):
-        seed_violation(cluster, "nonsense")
+def test_unknown_seed_rejected(capsys):
+    """Each invariant class has its seed in the mutant table, and the CLI
+    offers those six and nothing else."""
+    assert set(INVARIANTS) <= set(MUTANTS)
+    with pytest.raises(SystemExit):
+        main(["monitor", "counter", "--seed-violation", "nonsense"])
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_violations_deduplicated_and_capped(monkeypatch):
@@ -155,16 +160,6 @@ def test_violations_deduplicated_and_capped(monkeypatch):
 # ---------------------------------------------------------------------------
 # incremental scans vs. the full scan they stand in for
 # ---------------------------------------------------------------------------
-def with_recoverability(checker):
-    """A monitor class whose recoverability checker is ``checker``."""
-    return type(f"{checker.__name__}Monitor", (InvariantMonitor,), {
-        "CHECKERS": tuple(
-            checker if c.name == "recoverability" else c
-            for c in InvariantMonitor.CHECKERS
-        ),
-    })
-
-
 class FullScan(recoverability.RecoverabilityChecker):
     """The oracle: every periodic scan visits everything."""
 
@@ -172,25 +167,27 @@ class FullScan(recoverability.RecoverabilityChecker):
         super().scan(full=True, final=final)
 
 
-FullScanMonitor = with_recoverability(FullScan)
+class FullScanMonitor(InvariantMonitor):
+    CHECKERS = tuple(
+        FullScan if c.name == "recoverability" else c
+        for c in InvariantMonitor.CHECKERS
+    )
 
 
 def verdicts(monitor):
     return [(v.invariant, v.pid, v.step, v.detail) for v in monitor.violations]
 
 
-def both_ways(cluster, app, scan_every, monitor_cls=InvariantMonitor,
-              kind=None, crashes=()):
+def both_ways(cluster, app, scan_every, kind=None, crashes=()):
     """Run ``app`` once with an incremental monitor and a full-scan
     shadow on the same bus (both only read, so they see the same run and
-    scan at the same deliveries); return the two verdict lists."""
-    incremental = monitor_cls(cluster)
+    scan at the same deliveries); return the two verdict lists. A mutant
+    of the memo changes incremental scans only: the shadow's are full."""
+    incremental = InvariantMonitor(cluster)
     shadow = FullScanMonitor(cluster)
-    if kind is not None:
-        seed_violation(cluster, kind)
     for pid, step in crashes:
         cluster.schedule_crash_at_step(pid, step)
-    with cadence(scan_every):
+    with cadence(scan_every), sabotage(kind):
         try:
             cluster.run(app)
         except Exception:
@@ -262,76 +259,10 @@ def test_incremental_scan_matches_full_scan_fuzz(seed, frac, scan_every):
     assert got == want == []
 
 
-def corrupt_first_confirm(cluster):
-    """Sabotage only a replaced bucket can show: the first AcqAck any
-    grantor handles leaves a rel entry stamped *beyond* the acquirer's
-    actual timestamp, in a new list of the same length, as a confirm that
-    changes an entry installs one."""
-    orig_install = cluster._install_ft
-    armed = [True]
-
-    def install(host):
-        orig_install(host)
-        rel = host.ft.logs.rel
-        orig_confirm = rel.confirm
-
-        def confirm(acquirer, lock_id, actual_t, own_pid):
-            out = orig_confirm(acquirer, lock_id, actual_t, own_pid)
-            bucket = rel.entries[acquirer]
-            for k, e in enumerate(bucket):
-                if armed[0] and e.lock_id == lock_id and e.acq_t == actual_t:
-                    armed[0] = False
-                    bad = RelEntry(lock_id, actual_t.with_component(
-                        acquirer, actual_t[acquirer] + 1
-                    ))
-                    rel.entries[acquirer] = bucket[:k] + [bad] + bucket[k + 1:]
-            return out
-
-        rel.confirm = confirm
-
-    cluster._install_ft = install
-
-
-def mislogged_grants(cluster, stamp_of):
-    """Seeded mutation: every grantor logs ``stamp_of(acq_vt, acquirer,
-    rel_vt)`` for a grant instead of the acquirer's actual timestamp,
-    ``acq_vt.bump(acquirer).join(rel_vt)``, and marks nothing
-    provisional."""
-    orig_install = cluster._install_ft
-
-    def install(host):
-        orig_install(host)
-        proto, ft = host.proto, host.ft
-        grant_to, on_grant = proto._grant_to, ft.on_grant
-
-        def mislogged(lock_id, acquirer, acq_vt, seq=0):
-            zero = VClock.zero(proto.n)
-            rel_vt = proto.locks.token(lock_id).rel_vt or zero
-            logged = stamp_of(acq_vt or zero, acquirer, rel_vt)
-            ft.on_grant = lambda lock, acq, _acq_t, _prov: on_grant(
-                lock, acq, logged, False
-            )
-            try:
-                grant_to(lock_id, acquirer, acq_vt, seq)
-            finally:
-                del ft.on_grant
-
-        proto._grant_to = mislogged
-
-    cluster._install_ft = install
-
-
+#: each ``mislogged_*`` mutant, and what the first violation then says
 MISLOGGED = {
-    # the release vt never joined: the grantor's own component is stale,
-    # so the acquire looks missing behind an older-looking grant
-    "unjoined": (lambda acq_vt, acquirer, rel_vt: acq_vt.bump(acquirer),
-                 "is missing from"),
-    # the request's stamp ignored, as for a lost one, but not marked
-    # provisional: no AcqAck will come, and a prediction <= actual is
-    # no longer allowed for an exact grant
-    "unstamped": (lambda acq_vt, acquirer, rel_vt:
-                  VClock.zero(len(acq_vt.v)).bump(acquirer).join(rel_vt),
-                  "does not exactly match the acquirer's actual"),
+    "unjoined": "is missing from",
+    "unstamped": "does not exactly match the acquirer's actual",
 }
 
 
@@ -341,9 +272,7 @@ def test_a_mislogged_grant_is_caught_at_the_first_scan(mutation):
     demands equality at every scan, not only after quiescence: the first
     scan after the first acquire whose logged stamp differs from the
     actual one names that pair."""
-    stamp_of, says = MISLOGGED[mutation]
     cluster = make_cluster(num_procs=4, ft=True)
-    mislogged_grants(cluster, stamp_of)
     monitor = InvariantMonitor(cluster)
     engine, bus = cluster.engine, cluster.engine.bus
     wrong, delivered = [], []
@@ -355,37 +284,16 @@ def test_a_mislogged_grant_is_caught_at_the_first_scan(mutation):
 
     bus.subscribe(LOCK_ACQUIRED, acquired)
     bus.subscribe(DELIVER, lambda *_: delivered.append(engine.steps))
-    with cadence(1), contextlib.suppress(Exception):
+    with cadence(1), MUTANTS[f"mislogged_{mutation}"](), \
+            contextlib.suppress(Exception):
         cluster.run(make_app("session"))
     assert wrong, "no logged stamp was wrong: the mutation did not fire"
     step, acquirer, grantor = wrong[0]
     first = monitor.violations[0]
     assert (first.invariant, first.pid) == ("recoverability", acquirer)
     assert f"p{grantor}'s rel_log[{acquirer}]" in first.detail
-    assert says in first.detail and "quiescence" not in first.detail
+    assert MISLOGGED[mutation] in first.detail and "quiescence" not in first.detail
     assert first.step == min(d for d in delivered if d > step)
-
-
-class BlindToReplacedBuckets(recoverability.RecoverabilityChecker):
-    """Seeded mutation of the pair signature: a verified pair stays
-    verified while its buckets keep their lengths, whatever lists they
-    are."""
-
-    def __init__(self, monitor):
-        super().__init__(monitor)
-        hosts = self.hosts
-
-        class ByLength(dict):
-            def get(self, key, default=None):
-                seen = dict.get(self, key)
-                if seen is None:
-                    return default
-                i, g = key
-                seen.mine = hosts[i].ft.logs.acq.entries[g]
-                seen.rel = hosts[g].ft.logs.rel.entries[i]
-                return seen
-
-        self._pairs_ok = ByLength()
 
 
 def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
@@ -396,59 +304,18 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     # died with it, and that provisional grant draws an AcqAck
     pin = PINS["provisional_grant_confirmed"]
 
-    def run(monitor_cls):
-        cluster = pin.cluster()
-        corrupt_first_confirm(cluster)
+    def run():
         return both_ways(
-            cluster, pin.make_app(), 1, monitor_cls=monitor_cls,
+            pin.cluster(), pin.make_app(), 1, kind="corrupt_first_confirm",
             crashes=(pin.point[::-1],),
         )
 
-    got, want = run(InvariantMonitor)
+    got, want = run()
     assert want and got == want
     assert "stamps a timestamp beyond" in want[0][3]
-    got, want = run(with_recoverability(BlindToReplacedBuckets))
+    with MUTANTS["blind_to_replaced_buckets"]():
+        got, want = run()
     assert got != want  # the differential check catches the mutation
-
-
-class ForgetsMissing(recoverability.RecoverabilityChecker):
-    """Seeded mutation of the pair extension: it checks only the
-    acquirer's appended entries, never again those it let pass as
-    missing with nothing older kept."""
-
-    def _check_pair(self, i, g, pair, own_cut, final):
-        pair.missing = []
-        return super()._check_pair(i, g, pair, own_cut, final)
-
-
-def late_first_grant_log(cluster, delay=1e-3):
-    """Sabotage only a recheck of a missing entry can show: the first
-    exact grant any grantor makes to an acquirer it keeps nothing for
-    reaches its ``rel_log`` ``delay`` after the grant, appended in place
-    (the pair is extended, not rebuilt), stamped beyond the acquirer's
-    actual timestamp. Until then the acquirer's half is missing with
-    nothing older kept, which is legal."""
-    orig_install = cluster._install_ft
-    armed = [True]
-
-    def install(host):
-        orig_install(host)
-        ft = host.ft
-        on_grant = ft.on_grant
-
-        def late(lock_id, acquirer, acq_t, provisional):
-            if armed[0] and not provisional and not ft.logs.rel.entries[acquirer]:
-                armed[0] = False
-                bad = acq_t.with_component(acquirer, acq_t[acquirer] + 1)
-                cluster.engine.schedule(
-                    delay, lambda: on_grant(lock_id, acquirer, bad, False)
-                )
-                return
-            on_grant(lock_id, acquirer, acq_t, provisional)
-
-        ft.on_grant = late
-
-    cluster._install_ft = install
 
 
 def test_a_missing_entry_is_rechecked_when_its_grant_lands_late():
@@ -456,15 +323,15 @@ def test_a_missing_entry_is_rechecked_when_its_grant_lands_late():
     logged after its acquire is matched (and here found wrong) at the
     scan after it lands, as a full scan finds it; an extension that
     forgets them never looks again."""
-    def run(monitor_cls):
-        cluster = make_cluster(num_procs=4, ft=True)
-        late_first_grant_log(cluster)
-        return both_ways(cluster, make_app("session"), 1, monitor_cls=monitor_cls)
+    def run():
+        return both_ways(make_cluster(num_procs=4, ft=True), make_app("session"),
+                         1, kind="late_first_grant_log")
 
-    got, want = run(InvariantMonitor)
+    got, want = run()
     assert want and got == want
     assert "stamps a timestamp beyond" in want[0][3]
-    got, want = run(with_recoverability(ForgetsMissing))
+    with MUTANTS["forgets_missing"]():
+        got, want = run()
     assert got != want  # the differential check catches the mutation
 
 
@@ -475,23 +342,13 @@ def test_a_diff_ahead_of_its_writers_clock_is_reported_at_its_send():
     cluster = make_cluster(num_procs=4, ft=True)
     monitor = InvariantMonitor(cluster)
     sent = []
-    orig_install = cluster._install_ft
 
-    def install(host):
-        orig_install(host)
-        proto = host.proto
-        send = proto._send
+    def diff_sent(src, dst, msg):
+        if type(msg) is DiffMsg and not sent:
+            sent.append((cluster.engine.steps, src, msg.interval))
 
-        def ahead(dst, msg):
-            if type(msg) is DiffMsg and not sent:
-                msg.interval += 5
-                sent.append((cluster.engine.steps, proto.pid, msg.interval))
-            send(dst, msg)
-
-        proto._send = ahead
-
-    cluster._install_ft = install
-    with contextlib.suppress(Exception):
+    cluster.engine.bus.subscribe(SEND, diff_sent)
+    with MUTANTS["diff_ahead"](), contextlib.suppress(Exception):
         cluster.run(make_app("counter"))
     assert sent, "no diff was sent: the mutation did not fire"
     step, writer, interval = sent[0]
@@ -560,27 +417,6 @@ def test_lost_self_grant_mirror_is_a_recoverability_violation():
 # ---------------------------------------------------------------------------
 # the lock checker: one token per lock, and a waiter's token on its way
 # ---------------------------------------------------------------------------
-def drop_first_forward(cluster):
-    """Sabotage: the first ``LockForward`` any host handles is lost, so
-    its acquirer waits behind a token that rests idle."""
-    from repro.dsm.messages import LockForward
-
-    armed = [True]
-
-    def hook(host):
-        handle = host.proto.handlers[LockForward]
-
-        def drop(proc, src, fwd):
-            if armed[0]:
-                armed[0] = False
-                return
-            handle(proc, src, fwd)
-
-        host.proto.handlers[LockForward] = drop
-
-    after_install(cluster, hook)
-
-
 def test_lock_deadlock_names_the_token_and_is_a_lock_violation():
     """The deadlock report says where each waited-on lock's token rests,
     which hosts queue a grant for it and its newest grant pair (p0's
@@ -588,11 +424,11 @@ def test_lock_deadlock_names_the_token_and_is_a_lock_violation():
     end-of-run check (asked after the failed run, as sweeps and the CLI
     do) names the stall: a sweep point reports it instead of a bare
     deadlock."""
-    cluster = make_cluster(num_procs=4, ft=True)
-    monitor = InvariantMonitor(cluster)
-    drop_first_forward(cluster)
-    with pytest.raises(RuntimeError, match="deadlock") as info:
-        cluster.run(make_app("counter"))
+    with MUTANTS["drop_first_forward"]():
+        cluster = make_cluster(num_procs=4, ft=True)
+        monitor = InvariantMonitor(cluster)
+        with pytest.raises(RuntimeError, match="deadlock") as info:
+            cluster.run(make_app("counter"))
     assert "lock_waits=[0]" in str(info.value)
     assert (
         "lock 0: token_resting_at=[0] grant_queued_at=[] "
@@ -612,21 +448,13 @@ def test_token_count_after_a_live_switch_is_taken_after_the_drain():
 
     cluster = make_cluster(num_procs=4, ft=True)
     monitor = InvariantMonitor(cluster)
-    host = cluster.hosts[1]
     live_at = []
     cluster.engine.bus.subscribe(
         RECOVERY_LIVE, lambda pid: live_at.append(cluster.engine.steps)
     )
-    orig_drain = host.drain_queue
-
-    def drain():
-        orig_drain()
-        st = host.proto.locks.token(0)
-        st.has_token = not st.has_token
-
-    host.drain_queue = drain
     cluster.schedule_crash_at_step(1, 250)
-    with contextlib.suppress(Exception):  # the sabotaged run may not end well
+    # the sabotaged run may not end well
+    with MUTANTS["token_flip_at_drain"](), contextlib.suppress(Exception):
         cluster.run(make_app("counter"))
     first = monitor.violations[0]
     assert first.invariant == "lock"
@@ -741,13 +569,13 @@ def test_adopted_monitor_reports_the_first_seeded_violation(kind):
     cold = run_monitored(kind=kind, scan_every=recoverability.SCAN_EVERY)
     first = cold.violations[0]
     cluster = make_cluster(num_procs=4, ft=True)
-    seed_violation(cluster, kind)
     joined = []
     cluster.engine.break_at_step(
         first.step // 2, lambda: joined.append(InvariantMonitor(cluster))
     )
     try:
-        cluster.run(make_app("counter"))
+        with MUTANTS[kind]():
+            cluster.run(make_app("counter"))
     except Exception:
         if not joined[0].violations:
             raise

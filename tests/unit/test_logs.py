@@ -42,6 +42,18 @@ def test_rel_log_append_and_trim_rule2():
     assert rl.count() == 2
 
 
+def test_a_trim_that_drops_nothing_keeps_the_bucket():
+    """No bucket is edited, and none is replaced for nothing: a trim that
+    keeps every entry leaves the same list in place."""
+    rl = GrantLog(N)
+    rl.append(1, 0, vt(0, 3, 0, 0))
+    rl.append(1, 0, vt(0, 7, 0, 0))
+    bucket = rl.entries[1]
+    assert rl.trim(1, 1, 2) == 0
+    assert rl.entries[1] is bucket and len(bucket) == 2 and rl.count() == 2
+    assert rl.trim(1, 1, 3) == 1 and rl.entries[1] is not bucket
+
+
 def test_rel_log_restore():
     rl = GrantLog(N)
     rl.append(1, 0, vt(0, 3, 0, 0))

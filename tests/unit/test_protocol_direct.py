@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from repro.dsm.config import DsmConfig
 from repro.dsm.diff import Diff
 from repro.dsm.messages import (
-    DiffMsg, LockForward, PageFetchReply, WriteNotice,
+    BarrierRelease, DiffMsg, LockForward, LockGrant, PageFetchReply,
+    WriteNotice,
 )
 from repro.dsm.pages import PageId, PageState, RegionSet
 from repro.dsm.protocol import DsmProcess, FtHooks
 from repro.dsm.vclock import VClock
+from repro.faultinject.mutants import MUTANTS
 from repro.sim.engine import Engine, Future
 from repro.sim.network import Network
 
@@ -156,6 +158,47 @@ def test_a_forward_to_its_own_acquirer_completes_the_acquire_here():
     h.engine.run()
     assert p1.ft.grants == [] and p1.ft.own == [0]
     assert p0.ft.mirrored == [(1, 0)]
+
+
+def test_a_queued_grant_for_the_last_replayed_acquire_is_the_token():
+    """A grant for an acquire replay already completed is a duplicate,
+    except the one that queued while this host was down and answers its
+    last replayed acquire, the token untouched since: a dead process
+    cannot grant onward, so that grant is the token (DESIGN.md §9, root
+    cause 1). No crash schedule found needs it any more; this test is
+    what fails under ``queued_grant_not_the_token``."""
+    def accepted(seq):
+        p1 = Harness(n=2).procs[1]  # lock 0 is managed at p0
+        p1._completed_seq[0] = 3
+        p1._handle_grant(0, LockGrant(
+            lock_id=0, grantor=0, rel_vt=VClock.zero(2), seq=seq,
+        ))
+        return p1.locks.token(0).has_token
+
+    assert accepted(3) and not accepted(2)
+    with MUTANTS["queued_grant_not_the_token"]():
+        assert not accepted(3)
+
+
+def test_a_release_that_lands_before_the_barrier_call_completes_it():
+    """A release that answers a pre-crash arrival can land before the
+    re-executed barrier call: it is kept, and that call completes with it
+    and sends no second arrival (DESIGN.md §9, the stash). No crash
+    schedule found needs it any more; this test is what fails under
+    ``release_not_stashed``."""
+    def episode_after_barrier():
+        h = Harness(n=2)
+        p1 = h.procs[1]
+        p1._handle_barrier_release(
+            0, BarrierRelease(episode=0, global_vt=VClock.zero(2))
+        )
+        h.engine.spawn(p1.barrier())
+        h.engine.run()
+        return p1.barrier_episode
+
+    assert episode_after_barrier() == 1
+    with MUTANTS["release_not_stashed"]():
+        assert episode_after_barrier() == 0  # its arrival waits for p0's
 
 
 def test_home_dedupes_replayed_diffs():
