@@ -4,11 +4,11 @@
     PYTHONPATH=src python benchmarks/test_k2_seed_probe.py [-v]
 
 Twelve configurations, (app, nodes, replicate) for session, kvstore and
-counter at 4 and 8 nodes, replication off and on. For each app seed one
-``CrashSweep`` over the ``recovery`` and ``double`` classes (no monitor)
-runs every enumerated point: 5,760 points, about 2.5 minutes on one
-core. The contract is the sweep's own verdict,
-``SweepSummary.failures()``: with replication no point fails or
+counter at 4 and 8 nodes, replication off and on. Each app seed is a
+``Schedule`` (L = 0.1, no crash point) whose sweep over the ``recovery``
+and ``double`` classes (no monitor) runs every enumerated point: 5,760
+points, about 2.5 minutes on one core. The contract is the sweep's own
+verdict, ``campaign.accepted``: with replication no point fails or
 degrades; without it a point may also end ``degraded``, by an
 ``OverlappingFailureError`` that names one of its two victims. Anything
 else fails the probe, and the per-configuration table (``-v``: and every
@@ -25,23 +25,13 @@ import time
 from collections import Counter
 from typing import List, Tuple
 
-from repro import DsmCluster, DsmConfig
-from repro.apps import (
-    CounterApp, CounterConfig, KvStoreApp, KvStoreConfig, SessionApp,
-    SessionConfig,
-)
-from repro.core import FtConfig
-from repro.faultinject import CrashSweep
+from repro.faultinject import Schedule
 
-#: app -> (app class, config class, seeds)
-APPS = {
-    "session": (SessionApp, SessionConfig, range(12)),
-    "kvstore": (KvStoreApp, KvStoreConfig, range(6)),
-    "counter": (CounterApp, CounterConfig, range(6)),
-}
+#: app -> its seeds
+SEEDS = {"session": range(12), "kvstore": range(6), "counter": range(6)}
 CONFIGS = [
     (app, n, replicate)
-    for app in APPS for n in (4, 8) for replicate in (False, True)
+    for app in SEEDS for n in (4, 8) for replicate in (False, True)
 ]
 
 #: error substring -> symptom name, first match wins
@@ -61,18 +51,12 @@ def _symptom(error: str) -> str:
 def probe(app: str, n: int, replicate: bool) -> Tuple[Counter, List[Tuple]]:
     """Run one configuration over its seeds: (outcome counts, failing
     points as ``(seed, point, outcome, error)``)."""
-    app_cls, cfg_cls, seeds = APPS[app]
     outcomes, bad = Counter(), []
-    for seed in seeds:
-        sweep = CrashSweep(
-            lambda: DsmCluster(
-                DsmConfig(num_procs=n), ft=True,
-                ft_config=FtConfig(replicate=replicate),
-            ),
-            lambda: app_cls(cfg_cls(seed=seed)),
-            classes=("recovery", "double"), monitor=False,
-        )
-        summary = sweep.run()
+    for seed in SEEDS[app]:
+        schedule = Schedule(app, n, replicate=replicate, config={"seed": seed})
+        summary = schedule.sweep(
+            classes=("recovery", "double"), monitor=False
+        ).run()
         outcomes.update(summary.outcomes())
         bad += [
             (seed, r.point, r.outcome, r.error or "")
@@ -93,7 +77,7 @@ def run_probe(verbose: bool = False) -> Tuple[str, int]:
         t0 = time.time()
         outcomes, bad = probe(app, n, replicate)
         total += len(bad)
-        seeds = APPS[app][2]
+        seeds = SEEDS[app]
         symptoms = Counter(_symptom(b[3]) for b in bad)
         rows.append(
             f"| {app} {seeds[0]}–{seeds[-1]} | {n} | "

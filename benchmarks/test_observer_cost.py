@@ -64,10 +64,7 @@ import time
 
 import numpy as np
 
-from repro import DsmCluster, DsmConfig
-from repro.apps.session import SessionApp, SessionConfig
-from repro.core import FtConfig, LogOverflowPolicy
-from repro.faultinject import CrashSweep
+from repro.faultinject import Schedule
 from repro.observe import (
     ClusterObserver, build_report, evaluate_report_slos, parse_slo,
 )
@@ -82,25 +79,18 @@ SPAN_GATE = 2.0
 TIMELINE_GATE = 2.0
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-CFG = SessionConfig(
+#: the serving run: 8 replicated nodes, L = 0.1
+SERVE = Schedule("session", 8, replicate=True, config=dict(
     steps=40, requests_per_step=16, n_keys=1024, n_stripes=16,
     n_users=64, rate=600.0, seed=42,
-)
-
-
-def cluster():
-    return DsmCluster(
-        config=DsmConfig(num_procs=8), ft=True,
-        ft_config=FtConfig(replicate=True),
-        policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
-    )
+))
 
 
 def crash_run(attached, t_free, attach=None):
     """Host seconds of one crash run: observed and reported, or plain
     with ``attach(cluster)`` (another observer) attached when given."""
     t0 = time.perf_counter()
-    c = cluster()
+    c = SERVE.cluster()
     if attached:
         observer = ClusterObserver(
             c, interval=1e-3, sample_on_barrier=True, window_s=1e-3
@@ -108,7 +98,7 @@ def crash_run(attached, t_free, attach=None):
     if attach is not None:
         attach(c)
     c.schedule_crash(3, 0.5 * t_free)
-    result = c.run(SessionApp(CFG))
+    result = c.run(SERVE.make_app())
     assert (result.crashes, result.recoveries) == (1, 1)
     if attached:
         observer.sample()
@@ -122,7 +112,7 @@ def crash_run(attached, t_free, attach=None):
 
 
 def test_observed_run_costs_under_two_and_a_half_plain_runs():
-    t_free = cluster().run(SessionApp(CFG)).wall_time
+    t_free = SERVE.cluster().run(SERVE.make_app()).wall_time
     plain = observed = float("inf")
     for _ in range(3):
         plain = min(plain, crash_run(False, t_free))
@@ -136,7 +126,7 @@ def test_observed_run_costs_under_two_and_a_half_plain_runs():
 def attached_ratio(attach):
     """Best-of-three host seconds of the serving crash run, plain and
     with ``attach`` attached, sides alternated."""
-    t_free = cluster().run(SessionApp(CFG)).wall_time
+    t_free = SERVE.cluster().run(SERVE.make_app()).wall_time
     plain = attached = float("inf")
     for _ in range(3):
         plain = min(plain, crash_run(False, t_free))
@@ -208,12 +198,7 @@ def test_monitored_run_costs_under_three_plain_runs():
 def sweep_loop_seconds(monitor):
     """Host seconds of the 120 injection runs of a ledger-shaped session
     sweep, with or without the invariant monitor (reference run untimed)."""
-    sweep = CrashSweep(
-        lambda: DsmCluster(
-            config=DsmConfig(num_procs=4), ft=True,
-            policy_factory=lambda pid, fp: LogOverflowPolicy(0.1, fp),
-        ),
-        lambda: SessionApp(SessionConfig()),
+    sweep = Schedule("session", 4).sweep(
         every=25, classes=("every", "lock", "barrier", "ckpt_write"),
         monitor=monitor,
     )
@@ -237,7 +222,8 @@ def test_sweep_under_the_monitor_costs_under_one_and_a_half_plain_sweeps():
 
 
 if __name__ == "__main__":
-    crash_run(sys.argv[1] == "observed", cluster().run(SessionApp(CFG)).wall_time)
+    t_free = SERVE.cluster().run(SERVE.make_app()).wall_time
+    crash_run(sys.argv[1] == "observed", t_free)
     with open("/proc/self/status") as status:
         (hwm,) = [line for line in status if line.startswith("VmHWM:")]
     print(json.dumps({"peak_rss_mb": int(hwm.split()[1]) / 1024.0}))

@@ -34,11 +34,11 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro import DsmCluster, DsmConfig
-from repro.apps import APPS, make_app
-from repro.core import FtConfig, LogOverflowPolicy
+from repro.apps import APPS
+from repro.faultinject.campaign import Schedule
 from repro.sim.network import MetaClusterConfig, NetworkConfig
 from repro.sim.node import TimeBucket
 from repro.sim.trace import TEXT, timeline
@@ -143,48 +143,27 @@ def add_faults(p: Parser, crash2: bool = False) -> None:
 
 
 # ---- the shared run builder ----
-def make_cluster(
-    procs: int,
-    ft: bool = True,
-    l: float = 0.1,
-    replicate: bool = False,
-    coordinated: bool = False,
-    wan: Optional[float] = None,
-) -> DsmCluster:
-    config = DsmConfig(num_procs=procs)
-    net = NetworkConfig()
-    if wan is not None:
-        net = MetaClusterConfig(cluster_size=max(1, procs // 2), wan_latency=wan)
-    if not ft:
-        return DsmCluster(config=config, net_config=net)
-    if coordinated:
-        from repro.baselines import CoordinatedCluster
-
-        return CoordinatedCluster(config, l_fraction=l, net_config=net)
-    return DsmCluster(
-        config=config,
-        net_config=net,
-        ft=True,
-        ft_config=FtConfig(replicate=True) if replicate else None,
-        policy_factory=lambda pid, fp: LogOverflowPolicy(l, fp),
-    )
-
-
-def schedule_crashes(
-    cluster_factory: Callable[[], DsmCluster],
-    app_factory: Callable[[], Any],
-    specs: Sequence[CrashSpec],
-) -> List[Tuple[int, float]]:
-    """The ``(pid, virtual time)`` crash schedule for ``specs``: one
-    failure-free pre-pass learns the runtime the fractions refer to."""
-    if not specs:
-        return []
-    t_free = cluster_factory().run(app_factory()).wall_time
-    return [(spec.pid, spec.frac * t_free) for spec in specs]
+def flag_schedule(
+    parser: Parser, args: argparse.Namespace, replicate: bool
+) -> Schedule:
+    """The run the workload and FT flags name. Only ``--size`` can make
+    an app config its ``__post_init__`` rejects (argparse bounds the
+    other knobs), so a rejected one is a usage error naming it."""
+    spec = APPS[args.app]
+    fields = spec.fields(args.steps, args.size, getattr(args, "rate", None),
+                         getattr(args, "seed", None))
+    try:
+        spec.app.Config(**fields)
+    except ValueError as exc:
+        parser.error(f"argument --size: bad value {str(args.size)!r}: must "
+                     f"be a size {args.app} accepts ({exc})")
+    return Schedule(args.app, args.procs, args.l, replicate, fields)
 
 
 class RunBuilder:
-    """What ``run``, ``observe``, ``trace`` and ``monitor`` share."""
+    """What ``run``, ``observe``, ``trace`` and ``monitor`` share: the
+    run's :class:`Schedule` (no crash point: ``--crash`` is a time)
+    builds the app and the FT cluster."""
 
     def __init__(self, parser: Parser, args: argparse.Namespace, ft: bool) -> None:
         self.args = args
@@ -203,20 +182,30 @@ class RunBuilder:
                     f"argument {flag}: bad value {spec.text!r}: PID must be "
                     f"below --procs {args.procs} (expected PID@FRAC)"
                 )
-        self.crashes = schedule_crashes(
-            self.cluster, self.app, [s for s in (crash, crash2) if s]
-        )
+        self.schedule = flag_schedule(parser, args, self.replicate)
+        # (pid, virtual time) crashes: one failure-free pre-pass learns
+        # the runtime the fractions refer to
+        specs = [s for s in (crash, crash2) if s]
+        self.crashes = []
+        if specs:
+            t_free = self.cluster().run(self.schedule.make_app()).wall_time
+            self.crashes = [(s.pid, s.frac * t_free) for s in specs]
 
     def cluster(self) -> DsmCluster:
         a = self.args  # flags a subcommand does not declare are off
-        return make_cluster(
-            a.procs, self.ft, a.l, self.replicate,
-            getattr(a, "coordinated", False), getattr(a, "wan", None),
+        wan = getattr(a, "wan", None)
+        net = NetworkConfig() if wan is None else MetaClusterConfig(
+            cluster_size=max(1, a.procs // 2), wan_latency=wan
         )
+        if self.ft and not getattr(a, "coordinated", False):
+            return self.schedule.cluster(net)
+        if not self.ft:
+            return DsmCluster(DsmConfig(num_procs=a.procs), net_config=net)
+        from repro.baselines import CoordinatedCluster
 
-    def app(self) -> Any:
-        a = self.args
-        return make_app(a.app, a.steps, a.size, getattr(a, "rate", None))
+        return CoordinatedCluster(
+            DsmConfig(num_procs=a.procs), l_fraction=a.l, net_config=net
+        )
 
     def run(self, cluster: DsmCluster) -> Any:
         """Run the app on ``cluster`` (from :meth:`cluster`, observers
@@ -226,7 +215,7 @@ class RunBuilder:
             cluster.schedule_crash(pid, at_time)
         t0 = time.time()
         try:
-            return cluster.run(self.app())
+            return cluster.run(self.schedule.make_app())
         finally:
             self.host_s = time.time() - t0
 
@@ -359,22 +348,15 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     """Crash-point sweep fault-injection campaign: enumerate crash points
     of a traced failure-free run, re-run the app once per point, and
     assert the recovery-equivalence oracle."""
-    from repro.faultinject.campaign import DEFAULT_CLASSES, CrashSweep
+    from repro.faultinject.campaign import DEFAULT_CLASSES
 
     replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
     if replicate and args.faults >= 2 and args.procs < 3:
         parser.error("--faults 2 with replication needs --procs 3 or more: "
                      "two overlapping crashes of two nodes leave no survivor")
     classes = DEFAULT_CLASSES + (("double",) if args.faults >= 2 else ())
-    sweep = CrashSweep(
-        cluster_factory=lambda: make_cluster(
-            args.procs, l=args.l, replicate=replicate
-        ),
-        app_factory=lambda: make_app(
-            args.app, args.steps, args.size, args.rate, args.seed
-        ),
-        every=args.every,
-        classes=args.classes or classes,
+    sweep = flag_schedule(parser, args, replicate).sweep(
+        every=args.every, classes=args.classes or classes
     )
 
     def progress(res: Any) -> None:

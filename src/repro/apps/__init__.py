@@ -19,7 +19,7 @@ paper workloads, preserving the sharing patterns that drive the results:
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Type
+from typing import Any, Dict, NamedTuple, Optional, Type
 
 from repro.apps.barnes import BarnesApp, BarnesConfig
 from repro.apps.base import AppConfig, DsmApp
@@ -48,6 +48,22 @@ class AppSpec(NamedTuple):
     has_steps: bool = True  # ``--steps`` applies (LU's length is its size)
     has_rate: bool = False  # ``--rate`` applies (open-loop apps only)
 
+    def fields(
+        self,
+        steps: Optional[int] = None,
+        size: Optional[int] = None,
+        rate: Optional[float] = None,
+        seed: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        """The config fields the knobs set; unset knobs keep the config's
+        defaults, knobs the workload does not have are ignored."""
+        knobs = {
+            "seed": seed, self.size_field: size,
+            "steps": steps if self.has_steps else None,
+            "rate": rate if self.has_rate else None,
+        }
+        return {name: v for name, v in knobs.items() if v is not None}
+
 
 APPS: Dict[str, AppSpec] = {
     "counter": AppSpec(CounterApp, "n_elements"),
@@ -60,23 +76,9 @@ APPS: Dict[str, AppSpec] = {
 }
 
 
-def make_app(
-    name: str,
-    steps: Optional[int] = None,
-    size: Optional[int] = None,
-    rate: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> DsmApp:
-    """A fresh instance of workload ``name``; unset knobs keep the
-    config's defaults, knobs the workload does not have are ignored."""
-    spec = APPS[name]
-    cfg = spec.app.Config()
-    if seed is not None:
-        cfg.seed = seed
-    if steps and spec.has_steps:
-        cfg.steps = steps
-    if size:
-        setattr(cfg, spec.size_field, size)
-    if rate and spec.has_rate:
-        cfg.rate = rate
-    return spec.app(cfg)
+def make_app(name: str, **fields: Any) -> DsmApp:
+    """A fresh instance of workload ``name`` whose config sets ``fields``
+    (the command line's knobs give them through :meth:`AppSpec.fields`);
+    the config's ``__post_init__`` rejects a bad one (``ValueError``)."""
+    app = APPS[name].app
+    return app(app.Config(**fields))

@@ -27,10 +27,15 @@ class LuConfig(AppConfig):
     block_size: int = 8
     flop_cost: float = 5e-9  # virtual seconds per scalar fused op
 
+    def __post_init__(self) -> None:
+        if self.matrix_size % self.block_size:
+            raise ValueError(
+                f"matrix_size must be a multiple of block_size "
+                f"{self.block_size}: {self.matrix_size}"
+            )
+
     @property
     def n_blocks(self) -> int:
-        if self.matrix_size % self.block_size:
-            raise ValueError("matrix_size must be a multiple of block_size")
         return self.matrix_size // self.block_size
 
 

@@ -17,7 +17,9 @@ from repro.faultinject.campaign import (
     CrashSweep,
     OracleViolation,
     PointResult,
+    Schedule,
     SweepSummary,
+    accepted,
     check_oracle,
     load_sweep,
     recovery_distributions,
@@ -30,7 +32,9 @@ __all__ = [
     "CrashSweep",
     "OracleViolation",
     "PointResult",
+    "Schedule",
     "SweepSummary",
+    "accepted",
     "check_oracle",
     "load_sweep",
     "recovery_distributions",

@@ -24,9 +24,8 @@ A sweep is three phases:
    (recovery equivalence — the same bit-identical bar at k=2 as at
    k=1) or raise
    :class:`~repro.core.recovery.OverlappingFailureError` (explicit
-   degradation, which :meth:`SweepSummary.failures` accepts only
-   without replication, for a second crash inside a recovery window,
-   and when the error names one of the point's two victims).
+   degradation, which the verdict, :func:`accepted`, allows only where
+   the single-fault model runs out).
 
 By default the online invariant monitor
 (:class:`~repro.observe.invariants.InvariantMonitor`) rides along on the
@@ -76,10 +75,12 @@ __all__ = [
     "SWEEP_SCHEMA",
     "ClassRow",
     "CrashPoint",
+    "Schedule",
     "PointResult",
     "SweepSummary",
     "OracleViolation",
     "CrashSweep",
+    "accepted",
     "check_oracle",
     "load_sweep",
     "recovery_distributions",
@@ -218,25 +219,8 @@ class SweepSummary:
         return out
 
     def failures(self) -> List[PointResult]:
-        """Points that fail acceptance: every ``failed`` point, and every
-        ``degraded`` one except where the single-fault model runs out —
-        the cluster does not replicate, the point's class puts its second
-        crash inside the base crash's recovery window, and the error
-        names one of the point's two victims."""
-        return [
-            r for r in self.results
-            if r.outcome == "failed"
-            or (r.outcome == "degraded" and not self._may_degrade(r))
-        ]
-
-    def _may_degrade(self, r: PointResult) -> bool:
-        p = r.point
-        if self.replicate or not CLASSES[p.cls].overlaps:
-            return False
-        return any(
-            re.search(rf"\bp{pid}\b", r.error or "")
-            for pid in (p.victim, p.base[1])
-        )
+        """The points the verdict (:func:`accepted`) does not accept."""
+        return [r for r in self.results if not accepted(r, self.replicate)]
 
     @property
     def ok(self) -> bool:
@@ -315,6 +299,22 @@ class SweepSummary:
             lines.append("")
             lines.append(render_recovery_by_class(by_class))
         return "\n".join(lines)
+
+
+def accepted(result: PointResult, replicate: bool) -> bool:
+    """The verdict on one point of a cluster that does or does not
+    ``replicate``. A ``failed`` point fails. A ``degraded`` one fails
+    except where the single-fault model runs out: the cluster does not
+    replicate, the point's class puts its second crash inside the base
+    crash's recovery window, and the error names one of the point's two
+    victims."""
+    p = result.point
+    if result.outcome != "degraded":
+        return result.outcome != "failed"
+    return not replicate and CLASSES[p.cls].overlaps and any(
+        re.search(rf"\bp{pid}\b", result.error or "")
+        for pid in (p.victim, p.base[1])
+    )
 
 
 #: phases of one recovery, in execution order (the keys every
@@ -831,3 +831,56 @@ class CrashSweep:
             if progress is not None:
                 progress(res)
         return summary
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One deterministic run, as a hashable, picklable value: workload
+    ``app`` with ``config`` overrides on ``procs`` FT nodes, log-overflow
+    policy at ``l``, buddy replication on or off, optionally one crash
+    ``point``. ``config`` is ``(field, value)`` pairs sorted by field (a
+    mapping is sorted into them). The cluster and the apps are imported
+    only when a schedule builds them."""
+
+    app: str
+    procs: int
+    l: float = 0.1
+    replicate: bool = False
+    config: Tuple[Tuple[str, Any], ...] = ()
+    point: Optional[CrashPoint] = None
+
+    def __post_init__(self) -> None:
+        pairs = tuple(sorted(dict(self.config).items()))
+        object.__setattr__(self, "config", pairs)
+
+    def cluster(self, net_config: Any = None) -> Any:
+        """A fresh cluster (default network: flat); the command line's
+        FT runs build theirs here too."""
+        from repro import DsmCluster, DsmConfig
+        from repro.core import FtConfig, LogOverflowPolicy
+
+        return DsmCluster(
+            DsmConfig(num_procs=self.procs), net_config=net_config, ft=True,
+            ft_config=FtConfig(replicate=self.replicate),
+            policy_factory=lambda pid, fp: LogOverflowPolicy(self.l, fp),
+        )
+
+    def make_app(self) -> Any:
+        from repro.apps import make_app
+
+        return make_app(self.app, **dict(self.config))
+
+    def sweep(self, **kw: Any) -> CrashSweep:
+        """A sweep of this run; ``kw`` are :class:`CrashSweep`'s options."""
+        return CrashSweep(self.cluster, self.make_app, **kw)
+
+    def run(self) -> PointResult:
+        """The reference run, then :attr:`point` in a fresh cluster,
+        monitor and oracle on: the result as :func:`accepted` judges it
+        (a degrade it does not allow is ``failed``)."""
+        sweep = self.sweep(classes=(self.point.cls,))
+        sweep.run_reference()
+        res = sweep.run_point(self.point)
+        if accepted(res, self.replicate):
+            return res
+        return replace(res, outcome="failed")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro import DsmCluster, DsmConfig
-from repro.apps import APPS
+from repro import apps
 from repro.core import FtConfig, LogOverflowPolicy
 
 # tier-1 is a function of the tree: every hypothesis test replays the same
@@ -30,8 +30,7 @@ SMALL = {
 
 
 def make_app(name: str, **overrides):
-    app = APPS[name].app
-    return app(app.Config(**{**SMALL[name], **overrides}))
+    return apps.make_app(name, **{**SMALL[name], **overrides})
 
 
 def make_cluster(

@@ -21,7 +21,7 @@ from repro import DsmConfig
 from repro.apps.base import DsmApp
 from repro.baselines import CoordinatedCluster
 from repro.core import FtConfig
-from repro.faultinject import CrashPoint, CrashSweep
+from repro.faultinject import CrashPoint, Schedule
 from repro.faultinject.mutants import MUTANTS
 from repro.observe import INVARIANTS, ClusterObserver, InvariantMonitor
 from repro.sim.engine import Future
@@ -54,14 +54,12 @@ def _replicated_crash() -> Tuple[Any, List[Any]]:
 
 
 def _sweep_point() -> Tuple[Any, List[Any]]:
-    def cluster_factory():
-        return make_cluster(num_procs=4, ft=True, l_fraction=0.2, **FAST_DETECT)
-
-    sweep = CrashSweep(
-        cluster_factory, lambda: make_app("counter", steps=2, n_elements=256)
+    schedule = Schedule(
+        "counter", 4, 0.2, config={"steps": 2, "n_elements": 256}
     )
+    sweep = schedule.sweep()
     sweep.run_reference()
-    cluster = cluster_factory()
+    cluster = schedule.cluster()
     point = CrashPoint("every", sweep.reference_steps // 2, 1, None)
     assert sweep.run_point(point, cluster).outcome == "recovered"
     return cluster, [sweep]

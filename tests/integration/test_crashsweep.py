@@ -9,19 +9,21 @@ plus a bounded end-to-end sweep with the recovery-equivalence oracle.
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
 from repro.faultinject import (
-    CrashPoint, CrashSweep, OracleViolation, PointResult, SweepSummary,
+    CrashPoint, CrashSweep, OracleViolation, PointResult, Schedule, accepted,
     check_oracle,
 )
-from repro.faultinject.campaign import COUNTED
 from repro.faultinject.mutants import MUTANTS
 from repro.sim.engine import Future
-from repro.sim.trace import LOCK_ACQUIRED, REPL_BEGIN, REPL_COMMIT, timeline
+from repro.sim.trace import LOCK_ACQUIRED, REPL_BEGIN, REPL_COMMIT
 from tests.conftest import make_app, make_cluster
 from tests.pins import PINS
 
@@ -40,28 +42,28 @@ def _factories(**app_overrides):
     return cluster_factory, app_factory
 
 
-@pytest.fixture(scope="module")
-def counter_reference():
-    """The failure-free run of ``_factories()``, fully traced: (cluster,
-    trace events, region snapshots). Tests only read it."""
-    cluster_factory, app_factory = _factories()
-    cluster = cluster_factory()
-    events = timeline(cluster.engine, COUNTED)
-    cluster.run(app_factory())
-    reference = {
-        region.name: cluster.shared_snapshot(region).tobytes()
-        for region in cluster.regions
-    }
-    return cluster, events, reference
+#: the serving workload at 5000 requests/s on 4 nodes, L = 0.1
+SERVING = (
+    partial(make_cluster, num_procs=4, ft=True, l_fraction=0.1, **FAST_DETECT),
+    partial(make_app, "session", rate=5000.0),
+)
 
 
 @pytest.fixture(scope="module")
-def mid_run_window():
+def counter_sweep():
+    """A sweep of ``_factories()`` whose reference run is done: its
+    trace and region snapshots. Tests only read them."""
+    sweep = CrashSweep(*_factories())
+    sweep.run_reference()
+    return sweep
+
+
+@pytest.fixture(scope="module")
+def mid_run_window(counter_sweep):
     """(victim, step, begin, live): a crash at the reference's middle
     event and the recovery window it opens, found by the sweep's own
     discovery run."""
-    sweep = CrashSweep(*_factories())
-    sweep.run_reference()
+    sweep = counter_sweep
     ev = sweep.reference_trace[len(sweep.reference_trace) // 2]
     begin, live, _end = sweep._recovery_window("recovery", ev.step, ev.pid)
     assert not sweep.failed_discoveries
@@ -102,9 +104,7 @@ def test_sweep_rejects_unknown_class_and_nonft_cluster():
     for bogus in ("bogus", "repl"):  # repl points are ckpt_write points
         with pytest.raises(ValueError, match="unknown crash-point classes"):
             CrashSweep(cluster_factory, app_factory, classes=(bogus,))
-    sweep = CrashSweep(
-        lambda: make_cluster(num_procs=4, ft=False), app_factory
-    )
+    sweep = CrashSweep(partial(make_cluster, num_procs=4), app_factory)
     with pytest.raises(RuntimeError, match="FT-enabled"):
         sweep.run_reference()
 
@@ -145,16 +145,11 @@ def test_degraded_point_verdict(case):
     """A degraded point passes only without replication, for a second
     crash inside the base crash's recovery window, with an error naming
     one of its two victims; a failed point never passes."""
-    replicate, cls, error, accepted = DEGRADE_VERDICTS[case]
+    replicate, cls, error, passes = DEGRADE_VERDICTS[case]
     point = CrashPoint(cls, 120, 2, base=(100, 1))
-    summary = SweepSummary(
-        every=25, classes=(cls,), reference_steps=500, reference_events=400,
-        reference_wall_time=0.01, replicate=replicate,
-        results=[PointResult(point, "degraded", error=error)],
-    )
-    assert summary.ok is accepted
-    summary.results.append(PointResult(point, "failed", error=error))
-    assert not summary.ok
+    degraded = PointResult(point, "degraded", error=error)
+    assert accepted(degraded, replicate) is passes
+    assert not accepted(PointResult(point, "failed", error=error), replicate)
 
 
 def test_replicated_write_crashes_writer_and_buddy():
@@ -227,14 +222,7 @@ def test_sweep_session_lock_class():
     points. Its zipfian hot keys build deep wait chains, which the
     uniform workloads rarely do — this is the coverage that exposed the
     restore_chain stale-seq token loss."""
-
-    def cluster_factory():
-        return make_cluster(num_procs=4, ft=True, l_fraction=0.1, **FAST_DETECT)
-
-    def app_factory():
-        return make_app("session", rate=5000.0)
-
-    sweep = CrashSweep(cluster_factory, app_factory, every=90, classes=("lock",))
+    sweep = CrashSweep(*SERVING, every=90, classes=("lock",))
     summary = sweep.run()
     assert summary.results, "sweep enumerated no lock crash points"
     assert summary.ok, [
@@ -251,25 +239,13 @@ def test_crash_manager_before_inflight_grant_completes():
     completed-seq dedup, was dropped, and the token was lost — the run
     deadlocked. Every such window must now recover to the failure-free
     result."""
-
-    def cluster_factory():
-        return make_cluster(num_procs=4, ft=True, l_fraction=0.1, **FAST_DETECT)
-
-    def app_factory():
-        return make_app("session", rate=5000.0)
-
-    ref = cluster_factory()
-    events = timeline(ref.engine, {"lock"})
-    ref.run(app_factory())
-    reference = {
-        region.name: ref.shared_snapshot(region).tobytes()
-        for region in ref.regions
-    }
+    sweep = CrashSweep(*SERVING, monitor=False)
+    sweep.run_reference()
     # p0 manages L0 (lock_id % n): its remote acquires of L0 are exactly
     # the windows where the token is in flight to a (crashable) manager
     points = [
         ev.step - 1
-        for ev in events
+        for ev in sweep.reference_trace
         if ev.pid == 0
         and ev.event == LOCK_ACQUIRED
         and ev.args[0] == 0
@@ -278,10 +254,8 @@ def test_crash_manager_before_inflight_grant_completes():
     ]
     assert points, "no remote acquires of a self-managed lock in reference"
     for step in points:
-        cluster = cluster_factory()
-        cluster.schedule_crash_at_step(0, step)
-        cluster.run(app_factory())
-        check_oracle(cluster, reference)
+        res = sweep.run_point(CrashPoint("lock", step, 0))
+        assert res.outcome == "recovered", res.error
 
 
 # ======================================================================
@@ -290,13 +264,14 @@ def test_crash_manager_before_inflight_grant_completes():
 
 
 def test_crash_during_checkpoint_write_recovers_from_previous(
-    counter_reference,
+    counter_sweep,
 ):
     """A fail-stop mid checkpoint-disk-write leaves a torn record;
     recovery must discard it and restart from the previous checkpoint,
     and the final result must match the failure-free run."""
     cluster_factory, app_factory = _factories()
-    _ref, events, reference = counter_reference
+    events = counter_sweep.reference_trace
+    reference = counter_sweep.reference_snapshots
     begins = {}
     window = None
     for ev in (e for e in events if e.kind == "ckpt_write"):
@@ -322,25 +297,28 @@ def test_crash_during_checkpoint_write_recovers_from_previous(
     check_oracle(cluster, reference)
 
 
-def test_oracle_detects_divergence(counter_reference):
-    cluster, _events, reference = counter_reference
+def finished_counter_run():
+    cluster_factory, app_factory = _factories()
+    cluster = cluster_factory()
+    cluster.run(app_factory())
+    return cluster
+
+
+def test_oracle_detects_divergence(counter_sweep):
+    cluster = finished_counter_run()
+    reference = counter_sweep.reference_snapshots
     check_oracle(cluster, reference)  # identical run passes
     bad = {name: b"\x00" * len(data) for name, data in reference.items()}
     with pytest.raises(OracleViolation, match="diverged"):
         check_oracle(cluster, bad)
 
 
-def test_oracle_detects_duplicated_token():
+def test_oracle_detects_duplicated_token(counter_sweep):
     """Bit-identical memory is not enough: two resting tokens for one
     lock (what a recovered manager used to mint for a lock it had never
     touched) fail the oracle."""
-    cluster_factory, app_factory = _factories()
-    cluster = cluster_factory()
-    cluster.run(app_factory())
-    reference = {
-        region.name: cluster.shared_snapshot(region).tobytes()
-        for region in cluster.regions
-    }
+    cluster = finished_counter_run()
+    reference = counter_sweep.reference_snapshots
     check_oracle(cluster, reference)
     lock_id, holder = next(
         (l, h.pid)
@@ -395,13 +373,12 @@ def test_a_point_whose_prefix_drifts_from_the_reference_fails():
     that: each point fails at its join, none is judged recovered."""
     seeds = iter(range(1, 100))
 
-    def cluster_factory():
-        return make_cluster(num_procs=4, ft=True, **FAST_DETECT)
-
     def app_factory():
         return make_app("session", seed=next(seeds))
 
-    sweep = CrashSweep(cluster_factory, app_factory, every=90, classes=("every",))
+    sweep = CrashSweep(
+        _factories()[0], app_factory, every=90, classes=("every",)
+    )
     points = sweep.enumerate_points()[:3]
     for point in points:
         res = sweep.run_point(point)
@@ -419,15 +396,44 @@ def test_a_point_whose_prefix_drifts_from_the_reference_fails():
 
 @pytest.mark.parametrize("name", list(PINS))
 def test_pin(name):
-    """Each pinned schedule (tests/pins.py) meets the sweep's verdict,
-    monitor and oracle on, with the outcome its row names, and misses it
-    under the mutant that undoes the fix the row guards."""
-    pin = PINS[name]
-    met, error = pin.meets()
-    assert met, error
-    with MUTANTS[pin.guards]():
-        met, error = pin.meets()
-    assert not met, f"{name} still passes under {pin.guards}"
+    """Each pinned schedule (tests/pins.py), run and judged by the sweep's
+    verdict with monitor and oracle on, ends with the outcome its row
+    names, and misses it under the mutant that undoes the fix the row
+    guards."""
+    schedule, outcome, guards = PINS[name]
+    res = schedule.run()
+    assert res.outcome == outcome, res.error
+    with MUTANTS[guards]():
+        res = schedule.run()
+    assert res.outcome != outcome, f"{name} still passes under {guards}"
+
+
+def test_a_schedule_is_a_picklable_value():
+    """A schedule survives a pickle round trip, as a worker process needs
+    it to; its config is sorted pairs, whatever order it came in."""
+    schedule = PINS["provisional_grant_confirmed"].schedule
+    assert pickle.loads(pickle.dumps(schedule)) == schedule
+    assert Schedule("counter", 4, config={"steps": 2, "seed": 1}).config == (
+        ("seed", 1), ("steps", 2),
+    )
+
+
+def test_schedule_run_is_the_sweeps_run_point():
+    """``Schedule.run`` judges the same ``PointResult`` that ``run_point``
+    of a sweep over the schedule's run gives, on two single crashes and
+    a second crash against a base crash."""
+    schedule = Schedule("counter", 4, config={"steps": 2, "n_elements": 256})
+    sweep = schedule.sweep()
+    sweep.run_reference()
+    end = sweep.reference_steps
+    for point in (
+        CrashPoint("every", end // 4, 1),
+        CrashPoint("every", end // 2, 3),
+        CrashPoint("sequential", end - 40, 2, (end // 3, 1)),
+    ):
+        want = sweep.run_point(point)
+        assert want.outcome == "recovered", want.error
+        assert replace(schedule, point=point).run() == want
 
 
 # ======================================================================
@@ -454,14 +460,14 @@ def test_overlapping_failure_holds_messages_then_degrades(mid_run_window):
 
 
 def test_recrash_of_recovering_host_restarts_recovery(
-    counter_reference, mid_run_window,
+    counter_sweep, mid_run_window,
 ):
     """Crashing the same victim inside its own recovery window restarts
     recovery from the same stable state and still reaches the
     failure-free result (peers' logs are intact: not an overlap)."""
     cluster_factory, app_factory = _factories()
     victim, step, begin, live = mid_run_window
-    reference = counter_reference[2]
+    reference = counter_sweep.reference_snapshots
 
     cluster = cluster_factory()
     cluster.schedule_crash_at_step(victim, step)

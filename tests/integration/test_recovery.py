@@ -328,30 +328,21 @@ def test_fuzz_2049_crash_p1_at_every_7th_step_verifies():
 # victim went live (DESIGN.md §6, root cause 3)
 # ---------------------------------------------------------------------------
 
-#: each ``self_grant_twins_*`` row, by the time-based schedule its steps
-#: were read off: (app, n, first, second, frac, gap, replicate)
-SEQUENTIAL = {
-    "counter-4-1-0-0.2-0.01-False": "self_grant_twins_counter4",
-    "counter-8-1-0-0.2-0.05-False": "self_grant_twins_counter8",
-    "session-4-0-1-0.2-0.01-False": "self_grant_twins_session4_p0_early",
-    "session-4-0-1-0.4-0.05-False": "self_grant_twins_session4_p0_late",
-    "session-4-3-2-0.2-0.01-False": "self_grant_twins_session4_p3",
-    "session-4-3-2-0.4-0.2-True": "self_grant_twins_session4_replicated",
-    "session-8-7-4-0.6-0.05-False": "self_grant_twins_session8",
-}
 
-
-@pytest.mark.parametrize("name", SEQUENTIAL.values(), ids=SEQUENTIAL.keys())
+@pytest.mark.parametrize(
+    "name", [name for name in PINS if name.startswith("self_grant_twins_")]
+)
 def test_sequential_failures_recover(name):
     """Both victims recover to the failure-free memory, and a restored
     self-grant twin is not logged twice (``test_pin`` judges the rest)."""
-    pin = PINS[name]
-    free = pin.cluster()
-    free.run(pin.make_app())
-    cluster = pin.cluster()
-    for step, victim in (pin.base, pin.point):
+    schedule = PINS[name].schedule
+    free = schedule.cluster()
+    free.run(schedule.make_app())
+    cluster = schedule.cluster()
+    point = schedule.point
+    for step, victim in (point.base, (point.step, point.victim)):
         cluster.schedule_crash_at_step(victim, step)
-    res = cluster.run(pin.make_app())
+    res = cluster.run(schedule.make_app())
     assert res.crashes == res.recoveries == 2
     assert [cluster.shared_snapshot(r).tobytes() for r in cluster.regions] == [
         free.shared_snapshot(r).tobytes() for r in free.regions

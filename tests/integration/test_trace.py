@@ -54,10 +54,12 @@ def test_tracer_render_and_cap(capsys):
     the run's timeline and counts the rest on one line."""
     from repro import __main__ as cli
 
-    cluster = cli.make_cluster(4, ft=False)
-    events = timeline(cluster.engine, {"lock"})
-    cluster.run(cli.make_app("counter"))
     argv = ["counter", "--procs", "4", "--trace", "lock", "--trace-limit", "5"]
+    parser = cli.build_parser()
+    run = cli.RunBuilder(parser, parser.parse_args(argv), ft=False)
+    cluster = run.cluster()
+    events = timeline(cluster.engine, {"lock"})
+    run.run(cluster)
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.split("\ntrace:\n")[1].splitlines()
     assert lines == [e.render() for e in events[:5]] + [

@@ -1,14 +1,15 @@
 """Every step-pinned crash schedule, in one table.
 
-A row names one deterministic run (app, seed, nodes, L, replication) and
-one crash point in it: its class, the base crash ``(step, victim)`` it
-sits against (``None``: a single crash), its own ``(step, victim)``, the
-outcome the sweep's verdict must reach and the mutant it guards against:
-the ``repro.faultinject.mutants.MUTANTS`` entry that undoes one fix
+A row is a ``repro.faultinject.Schedule`` — one deterministic run (app,
+seed, nodes, L, replication) and one crash point in it: its class, the
+base crash ``(step, victim)`` it sits against (``None``: a single crash),
+its own ``(step, victim)`` — with the outcome its judged ``run()`` must
+reach and the mutant it guards against: the
+``repro.faultinject.mutants.MUTANTS`` entry that undoes one fix
 (DESIGN.md §6 and §9 name each root cause's mutant).
 
-``test_crashsweep.py::test_pin`` judges every row twice: it must meet
-the verdict as it is and miss it under its mutant. Moved timing can
+``test_crashsweep.py::test_pin`` judges every row twice: it must reach
+its outcome as it is and miss it under its mutant. Moved timing can
 carry a row off its root cause; the second judgement says so, and the
 row is then relocated (the k=2 probe run under the mutant lists
 candidates). A test that needs a schedule for another purpose looks it
@@ -17,70 +18,48 @@ up by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from repro.apps import APPS
-from repro.core import FtConfig
-from repro.faultinject import CrashPoint, CrashSweep, SweepSummary
+from repro.faultinject import CrashPoint, Schedule
 
-from tests.conftest import SMALL, make_cluster
+from tests.conftest import SMALL
 
 
-@dataclass(frozen=True)
-class Pin:
-    app: str
-    seed: int
-    procs: int
-    l: float
-    replicate: bool
-    cls: str
-    base: Optional[Tuple[int, int]]
-    point: Tuple[int, int]
+class Pin(NamedTuple):
+    schedule: Schedule
     outcome: str
     guards: str
-    #: the app at ``tests.conftest.SMALL`` sizes instead of its defaults
-    small: bool = False
 
-    def cluster(self):
-        return make_cluster(
-            num_procs=self.procs, ft=True, l_fraction=self.l,
-            ft_config=FtConfig(replicate=self.replicate),
-        )
 
-    def make_app(self):
-        app = APPS[self.app].app
-        sizes = SMALL[self.app] if self.small else {}
-        return app(app.Config(seed=self.seed, **sizes))
-
-    def meets(self) -> Tuple[bool, Optional[str]]:
-        """The sweep's verdict on this one point, monitor and oracle on:
-        whether it holds with the row's outcome, and the point's error."""
-        sweep = CrashSweep(self.cluster, self.make_app, classes=(self.cls,))
-        sweep.run_reference()
-        step, victim = self.point
-        res = sweep.run_point(CrashPoint(self.cls, step, victim, self.base))
-        summary = SweepSummary(
-            sweep.every, sweep.classes, sweep.reference_steps,
-            len(sweep.reference_trace), sweep.reference_wall_time,
-            replicate=sweep.replicate, results=[res],
-        )
-        return not summary.failures() and res.outcome == self.outcome, res.error
+def pin(
+    app: str, seed: int, procs: int, l: float, replicate: bool, cls: str,
+    base: Optional[Tuple[int, int]], point: Tuple[int, int], outcome: str,
+    guards: str, small: bool = False,
+) -> Pin:
+    """A row: ``small`` runs the app at ``tests.conftest.SMALL`` sizes
+    instead of its defaults."""
+    step, victim = point
+    config = {**(SMALL[app] if small else {}), "seed": seed}
+    return Pin(
+        Schedule(app, procs, l, replicate, config,
+                 CrashPoint(cls, step, victim, base)),
+        outcome, guards,
+    )
 
 
 def _sequential(app, procs, replicate, base, point):
-    return Pin(app, 42, procs, 0.1, replicate, "sequential", base, point,
+    return pin(app, 42, procs, 0.1, replicate, "sequential", base, point,
                "recovered", "self_grant_mirrors_lost")
 
 
 def _double(app, seed, procs, base, point, guards, replicate=True):
-    return Pin(app, seed, procs, 0.1, replicate, "double", base, point,
+    return pin(app, seed, procs, 0.1, replicate, "double", base, point,
                "recovered" if replicate else "degraded", guards)
 
 
 PINS = {
     # §6: one failure at a time. The symptom each row shows under its mutant
-    "untouched_manager_places_its_token": Pin(  # `kv total 1028.0 != 1033.0`
+    "untouched_manager_places_its_token": pin(  # `kv total 1028.0 != 1033.0`
         "kvstore", 42, 32, 0.1, False, "every", None, (2100, 1),
         "recovered", "peer_token_reports_ignored"),
     # a second crash after the first victim went live: deadlock, or
@@ -101,16 +80,16 @@ PINS = {
         "session", 8, False, (2162, 7), (2399, 4)),
     # N = 2: a lost barrier episode (deadlock or `barrier episode
     # mismatch`), or a late self-grant mirror the llt checker flags
-    "counter_overlap_barrier_log_restored": Pin(
+    "counter_overlap_barrier_log_restored": pin(
         "counter", 42, 2, 0.1, False, "recovery", (101, 1), (127, 0),
         "recovered", "barrier_log_replayed_only"),
-    "counter_sequential_barrier_log_restored": Pin(
+    "counter_sequential_barrier_log_restored": pin(
         "counter", 42, 2, 0.1, False, "sequential", (101, 1), (143, 0),
         "recovered", "barrier_log_replayed_only"),
-    "session_manager_count_from_checkpoint": Pin(
+    "session_manager_count_from_checkpoint": pin(
         "session", 1, 2, 0.02, False, "sequential", (131, 1), (244, 0),
         "recovered", "barrier_log_replayed_only"),
-    "session_late_self_grant_mirror_trimmed": Pin(
+    "session_late_self_grant_mirror_trimmed": pin(
         "session", 1, 2, 0.02, False, "sequential", (65, 0), (175, 1),
         "recovered", "late_mirror_kept"),
     # §9: overlapping failures. No schedule found fails under
@@ -134,7 +113,7 @@ PINS = {
     # whose request stamp died with it, so the provisional grant draws an
     # AcqAck (no failure-free run sends one). Without the self-grant
     # mirrors the monitor flags a twin-less self-grant at the end
-    "provisional_grant_confirmed": Pin(
+    "provisional_grant_confirmed": pin(
         "session", 42, 4, 0.2, False, "every", None, (404, 0), "recovered",
         "self_grant_mirrors_lost", small=True),
 }

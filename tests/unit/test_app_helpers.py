@@ -42,7 +42,7 @@ def test_make_app_maps_the_generic_knobs_per_app():
 
     for name, spec in APPS.items():
         defaults = spec.app.Config()
-        app = make_app(name, steps=7, size=96, rate=1234.0)
+        app = make_app(name, **spec.fields(steps=7, size=96, rate=1234.0))
         assert isinstance(app, spec.app) and type(app.cfg) is spec.app.Config
         assert getattr(app.cfg, spec.size_field) == 96
         assert app.cfg.steps == (7 if spec.has_steps else defaults.steps)

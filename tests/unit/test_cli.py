@@ -403,6 +403,13 @@ def test_crashsweep_rejects_bad_class(capsys):
     (["crashsweep", "counter", "--classes", "lock,"], "--classes",
      "comma-separated names from every,lock,barrier,ckpt_write,recovery,"
      "sequential,double"),
+    # sizes the app's config rejects, not a traceback from inside the run
+    (["session", "--size", "4", "--procs", "2"], "--size", "a size session "
+     "accepts (n_stripes must be in [1, n_keys]: 8)"),
+    (["kvstore", "--size", "4"], "--size",
+     "a size kvstore accepts (n_stripes must be in [1, n_keys]: 8)"),
+    (["lu", "--size", "3"], "--size",
+     "a size lu accepts (matrix_size must be a multiple of block_size 8: 3)"),
 ])
 def test_out_of_range_input_is_a_usage_error(argv, flag, want, capsys):
     """Out-of-range numbers and unknown names end in a one-line argparse

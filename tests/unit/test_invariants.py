@@ -302,12 +302,13 @@ def test_in_place_patch_is_seen_at_the_same_scan_and_its_mutation_is_not():
     ignores which list a bucket is does not."""
     # p0's live switch grants on a repair forward whose request stamp
     # died with it, and that provisional grant draws an AcqAck
-    pin = PINS["provisional_grant_confirmed"]
+    schedule = PINS["provisional_grant_confirmed"].schedule
+    point = schedule.point
 
     def run():
         return both_ways(
-            pin.cluster(), pin.make_app(), 1, kind="corrupt_first_confirm",
-            crashes=(pin.point[::-1],),
+            schedule.cluster(), schedule.make_app(), 1,
+            kind="corrupt_first_confirm", crashes=((point.victim, point.step),),
         )
 
     got, want = run()
@@ -365,12 +366,13 @@ def test_sequential_failure_schedule_monitored_clean():
     """The pinned schedule that used to deadlock (p1, then p0 right after
     p1 went live), monitor attached from the first step (the sweep joins
     it at the first crash): both recoveries, no violation."""
-    pin = PINS["self_grant_twins_counter4"]
-    cluster = pin.cluster()
+    schedule = PINS["self_grant_twins_counter4"].schedule
+    cluster = schedule.cluster()
     monitor = InvariantMonitor(cluster)
-    for step, victim in (pin.base, pin.point):
+    point = schedule.point
+    for step, victim in (point.base, (point.step, point.victim)):
         cluster.schedule_crash_at_step(victim, step)
-    res = cluster.run(pin.make_app())
+    res = cluster.run(schedule.make_app())
     assert res.crashes == res.recoveries == 2
     assert monitor.finish() == []
     assert monitor.checks["recoverability"] > 0
@@ -381,12 +383,12 @@ def test_lost_self_grant_mirror_is_a_recoverability_violation():
     acq logs. Drop one of them behind the protocol's back: at quiescence
     the final scan names the lock and the holder; while messages are
     still in flight a missing twin proves nothing and is not flagged."""
-    pin = PINS["self_grant_twins_session4_p0_early"]
-    cluster = pin.cluster()
+    schedule = PINS["self_grant_twins_session4_p0_early"].schedule
+    cluster = schedule.cluster()
     monitor = InvariantMonitor(cluster)
-    step, victim = pin.base
+    step, victim = schedule.point.base
     cluster.schedule_crash_at_step(victim, step)
-    assert cluster.run(pin.make_app()).recoveries == 1
+    assert cluster.run(schedule.make_app()).recoveries == 1
     cluster.engine.run()  # drain what the app's end left in flight
     assert not cluster.network.inflight_msgs
     rel = cluster.hosts[0].ft.logs.rel
