@@ -30,7 +30,9 @@ so such a row is named by the class of its ``self``:
 
 ``--memory`` asks where the ledger's ``peak_rss_mb`` comes from instead:
 resident size after the imports, after the warm-up and after the untraced
-repetitions, then which source lines hold the ``tracemalloc``-traced heap
+repetitions; the modules the warm-up imported beyond ``import workloads``
+(count, then names: each is resident in every process that runs the
+workload); then which source lines hold the ``tracemalloc``-traced heap
 at the peak of one more body. A snapshot cannot be asked for "at the
 peak", so that body runs twice: once to learn how high the traced heap
 gets, once more with the profiling timer watching for it to come within
@@ -289,13 +291,19 @@ def memory_lines(snapshot: tracemalloc.Snapshot, rows: int) -> List[str]:
     return out
 
 
-def report_memory(body: Callable[[], object], reps: int, rows: int, stages) -> int:
+def report_memory(
+    body: Callable[[], object], reps: int, rows: int, stages, warm_imports=()
+) -> int:
     for _ in range(reps):
         body()
     stages.append((f"{reps} x body", rss_mb()))
     print(f"{'RSS MB':>8} {'peak MB':>8}  after")
     for stage, (now, peak) in stages:
         print(f"{now:8.1f} {peak:8.1f}  {stage}")
+    print(
+        f"the warm-up imported {len(warm_imports)} modules beyond "
+        f"`import workloads`: {', '.join(warm_imports) or '-'}"
+    )
     snapshot, size, peak = snapshot_near_peak(body)
     which = (
         "near the first pass's peak"
@@ -491,11 +499,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return report_imports()
     stages = [("imports", rss_mb())]
     make_body = workloads.WORKLOADS[args.workload].make_body
+    imported = set(sys.modules)
     make_body(args.seed, True)()  # warm-up: imports, caches, lazy set-up
     stages.append(("warm-up", rss_mb()))
+    warm_imports = sorted(set(sys.modules) - imported)
     body = make_body(args.seed, args.smoke)
     if args.memory:
-        return report_memory(body, args.reps, args.rows, stages)
+        return report_memory(body, args.reps, args.rows, stages, warm_imports)
     if args.messages:
         return report_messages(body, args.rows)
     cpu0 = time.process_time()

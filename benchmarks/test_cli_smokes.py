@@ -87,7 +87,8 @@ def test_untraced_sampling_profile():
     tables), attributes samples to the apps' own files and gives the
     collector's share of the CPU time and collections per generation on
     the line after its header; its memory
-    half prints resident size per stage, the lines holding the traced
+    half prints resident size per stage, the modules the warm-up
+    imported (no numpy.testing for paper8), the lines holding the traced
     heap at the peak of one body, and what the body's last cluster holds
     once finished and adds when built; its message half prints the serving
     body's message mix, replica updates split by op, and the stamp bytes
@@ -112,6 +113,11 @@ def test_untraced_sampling_profile():
     }
     assert "x body" in memory["serve_session"]
     assert "observe/" in memory["serve_session"]
+    # the line after the stages names what the warm-up imported; the
+    # paper apps' result checks import no numpy.testing
+    warm = [line for line in memory["paper8"].splitlines()
+            if line.startswith("the warm-up imported ")]
+    assert len(warm) == 1 and "numpy.testing" not in warm[0], warm
     # a finished cluster frees itself: no body leaves a repro object to
     # the collector; before that, what its last cluster holds and adds
     for text in memory.values():

@@ -19,11 +19,28 @@ bit modulo node numbering — which the result check exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, block_partition, golden, phase_loop
+from repro.apps.base import (
+    AppConfig,
+    DsmApp,
+    assert_close,
+    block_partition,
+    golden,
+    phase_loop,
+)
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["BarnesConfig", "BarnesApp"]
@@ -85,11 +102,31 @@ def plummer_bodies(cfg: BarnesConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Tree:
-    """Octree operations over a flat node array (shared or local)."""
+    """Octree operations over a flat node array (shared or local).
 
-    def __init__(self, nodes: np.ndarray, cfg: BarnesConfig) -> None:
+    Given a ``saved`` dict, the tree snapshots each node row there, by
+    index, before its first store into the row: what the row held before
+    this tree wrote it, which is what Barnes' insert phase publishes
+    against.
+    """
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        cfg: BarnesConfig,
+        saved: Optional[Dict[int, np.ndarray]] = None,
+    ) -> None:
         self.nodes = nodes.reshape(-1, NODE_W)
         self.cfg = cfg
+        self.saved = saved
+
+    def _store(self, idx: int) -> np.ndarray:
+        """Row ``idx``, about to be written (snapshotted first if asked)."""
+        rec = self.nodes[idx]
+        saved = self.saved
+        if saved is not None and idx not in saved:
+            saved[idx] = rec.copy()
+        return rec
 
     # -- geometry ---------------------------------------------------------
     @staticmethod
@@ -109,7 +146,7 @@ class _Tree:
         return cx, cy, cz, h
 
     def init_internal(self, idx: int, cx: float, cy: float, cz: float, h: float) -> None:
-        rec = self.nodes[idx]
+        rec = self._store(idx)
         rec[:] = 0.0
         rec[F_TYPE] = INTERNAL
         rec[F_CX], rec[F_CY], rec[F_CZ] = cx, cy, cz
@@ -117,7 +154,7 @@ class _Tree:
         rec[F_CHILD0 : F_CHILD0 + 8] = -1.0
 
     def init_leaf(self, idx: int, body: int, cx: float, cy: float, cz: float, h: float) -> None:
-        rec = self.nodes[idx]
+        rec = self._store(idx)
         rec[:] = 0.0
         rec[F_TYPE] = LEAF
         rec[F_BODY] = float(body)
@@ -143,7 +180,7 @@ class _Tree:
                 idx = alloc.take()
                 cx, cy, cz, h = self.child_center(rec, oct_)
                 self.init_leaf(idx, body, cx, cy, cz, h)
-                rec[F_CHILD0 + oct_] = float(idx)
+                self._store(node)[F_CHILD0 + oct_] = float(idx)
                 return depth
             crec = self.nodes[child]
             if crec[F_TYPE] == LEAF:
@@ -416,25 +453,26 @@ class BarnesApp(DsmApp):
                 nview = yield from proc.read_range(
                     app.r_nodes, 0, cfg.nodes_cap() * NODE_W
                 )
-                local = nview.copy()
-                orig = local.copy()
-                tree = _Tree(local, cfg)
+                tree = _Tree(nview.copy(), cfg, saved={})
                 levels = 0
                 for b in octs[oct_]:
                     if len(chunk) < need:
                         yield from refill()
                     levels += tree.insert(root, b, pos[b], alloc)
-                # publish exactly the *elements* this process stored — a
-                # bulk copy-back would also write stale unchanged bytes,
-                # which on the writer's own homed pages would clobber
-                # concurrently applied remote diffs
-                changed = (local != orig).reshape(-1, NODE_W)
-                rows = np.logical_or.reduce(changed, axis=1).nonzero()[0]
-                for idx in rows.tolist():
-                    lo, hi = idx * NODE_W, (idx + 1) * NODE_W
-                    view = yield from proc.write_range(app.r_nodes, lo, hi)
-                    stored = changed[idx]
-                    view[stored] = local[lo:hi][stored]
+                # publish exactly the *elements* this process changed, row
+                # by ascending row — a bulk copy-back would also write stale
+                # unchanged bytes, which on the writer's own homed pages
+                # would clobber concurrently applied remote diffs
+                saved = tree.saved
+                for idx in sorted(saved):
+                    row = tree.nodes[idx]
+                    stored = row != saved[idx]
+                    if np.logical_or.reduce(stored):
+                        lo = idx * NODE_W
+                        view = yield from proc.write_range(
+                            app.r_nodes, lo, lo + NODE_W
+                        )
+                        view[stored] = row[stored]
                 yield from proc.compute(cfg.insert_cost * max(levels, 1))
                 yield from proc.release(OCTANT_LOCK0 + oct_)
             yield from proc.barrier()
@@ -494,4 +532,4 @@ class BarnesApp(DsmApp):
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_bodies * 3]
         want = golden(reference_barnes, self.cfg).ravel()
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        assert_close(got, want, rtol=1e-9, atol=1e-12)

@@ -29,7 +29,14 @@ import numpy as np
 
 from repro.dsm.protocol import DsmProcess
 
-__all__ = ["AppConfig", "DsmApp", "golden", "phase_loop", "block_partition"]
+__all__ = [
+    "AppConfig",
+    "DsmApp",
+    "assert_close",
+    "golden",
+    "phase_loop",
+    "block_partition",
+]
 
 
 @dataclass
@@ -59,6 +66,32 @@ def golden(model: Callable[[Any], np.ndarray], cfg: AppConfig) -> np.ndarray:
     read-only; an input the model rejects raises on every call.
     """
     return _golden(model, type(cfg), dataclasses.astuple(cfg))
+
+
+def assert_close(got: Any, want: Any, rtol: float, atol: float) -> None:
+    """Pass when ``got`` and ``want`` have one shape and ``|got - want| <=
+    atol + rtol * |want|`` holds elementwise, NaN matching NaN; otherwise
+    raise an ``AssertionError`` naming how many elements differ and the
+    largest absolute and relative error among them.
+
+    This is what ``numpy.testing.assert_allclose`` tests. A result check
+    runs in every process that runs an app, and ``numpy.testing`` would
+    load ``unittest`` and some sixty more modules into each of them.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        raise AssertionError(f"shapes differ: {got.shape} != {want.shape}")
+    bad = ~np.isclose(got, want, rtol=rtol, atol=atol, equal_nan=True)
+    n_bad = int(np.count_nonzero(bad))
+    if n_bad:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            err = np.abs(got[bad] - want[bad])
+            rel = err / np.abs(want[bad])
+        raise AssertionError(
+            f"not close at rtol={rtol}, atol={atol}: {n_bad} of {got.size} "
+            f"elements differ; largest absolute error {err.max():.6g}, "
+            f"largest relative error {rel.max():.6g}"
+        )
 
 
 class DsmApp:

@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, golden, phase_loop
+from repro.apps.base import AppConfig, DsmApp, assert_close, golden, phase_loop
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["LuConfig", "LuApp"]
@@ -192,4 +192,4 @@ class LuApp(DsmApp):
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_a)
         want = golden(reference_lu, self.cfg).ravel()
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
+        assert_close(got, want, rtol=1e-9, atol=1e-10)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.base import AppConfig, DsmApp, golden
+from repro.apps.base import AppConfig, DsmApp, assert_close, golden
 from repro.dsm.protocol import DsmProcess
 
 __all__ = ["WaterConfig", "WaterApp", "pair_term", "integrate"]
@@ -128,4 +128,4 @@ class WaterApp(DsmApp):
     def check_result(self, cluster: Any) -> None:
         got = cluster.shared_snapshot(self.r_pos)[: self.cfg.n_molecules * 3]
         want = golden(self.reference, self.cfg).ravel()
-        np.testing.assert_allclose(got, want, rtol=self.rtol, atol=self.atol)
+        assert_close(got, want, rtol=self.rtol, atol=self.atol)

@@ -33,9 +33,15 @@ from repro.dsm.pages import PageId
 __all__ = ["PageLoggingFt", "PageLoggingCluster"]
 
 
+class _PageCosted(Diff):
+    """A diff whose sizes are set, not read off its buffers."""
+
+    __slots__ = ("payload_bytes", "size_bytes")
+
+
 def _page_costed(diff: Diff, page_bytes: int) -> Diff:
     """The same runs as ``diff``, costed as one whole-page log record."""
-    out = Diff.from_arrays(diff.offsets, diff.lengths, diff.payload)
+    out = _PageCosted.from_arrays(diff.edges, diff.payload)
     out.payload_bytes = page_bytes
     out.size_bytes = page_bytes + RUN_HEADER_BYTES
     return out

@@ -7,11 +7,17 @@ fault-tolerance layer logs ("logs only changes made to a page", §2).
 
 Representation
 --------------
-A diff is three flat pieces: an ``int64`` array of run ``offsets``, an
-``int64`` array of run ``lengths``, and one contiguous ``payload`` bytes
-buffer holding every run's data back to back. Compared to the previous
-per-run ``(offset, bytes)`` tuples this allocates O(1) Python objects per
-diff instead of O(runs), and both ends of the hot path are vectorized:
+A diff is two flat buffers: its run edges, each run's start and end
+back to back (``[s0, e0, s1, e1, ...]``, the positions where
+:func:`compute_diff`'s change mask flips) as ``int32``, and its
+``payload``, every run's data back to back. ``Diff.edges`` is the
+read-only ``int32`` array over the first, made on access: an array's own
+header is ~110 bytes, more than the average logged diff's edges, and a
+diff is kept far longer than it is read. ``offsets``, ``lengths``, the
+per-run ``runs`` tuples, both sizes, ``==`` and ``hash`` are derived
+from the two buffers, so a retained diff costs its payload, 8 bytes a
+run and a fixed 114 bytes of headers (the ``Diff`` and two ``bytes``).
+Both ends of the hot path are vectorized:
 :func:`compute_diff` gathers the payload with the mask that found the
 runs and :func:`apply_diff` scatters it with one fancy-indexed write, so
 the many-tiny-runs case costs the same per byte as the single-run case.
@@ -28,7 +34,8 @@ rule).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -38,103 +45,88 @@ __all__ = ["Diff", "compute_diff", "apply_diff"]
 #: alignment — 8 bytes, matching compact diff encodings in real systems.
 RUN_HEADER_BYTES = 8
 
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_I64.setflags(write=False)
-
 
 class Diff:
     """An encoded page diff: sorted, non-overlapping, non-adjacent runs.
 
-    Immutable. ``payload_bytes``/``size_bytes`` are computed once at
-    construction: size accounting runs on every send, log append and
-    trim decision, so recomputing the sums there dominated profiles.
+    Immutable. ``payload_bytes``/``size_bytes`` are two ``len`` calls:
+    size accounting runs on every send, log append and trim decision, so
+    it reads the two buffers' lengths and sums nothing per run.
     """
 
-    __slots__ = (
-        "offsets",
-        "lengths",
-        "payload",
-        "payload_bytes",
-        "size_bytes",
-        "_runs",
-        "_hash",
-    )
+    __slots__ = ("_edges", "payload")
 
     def __init__(self, runs: Iterable[Tuple[int, bytes]] = ()) -> None:
         runs = tuple(runs)
-        if runs:
-            self.offsets = np.fromiter(
-                (o for o, _ in runs), dtype=np.int64, count=len(runs)
-            )
-            self.lengths = np.fromiter(
-                (len(d) for _, d in runs), dtype=np.int64, count=len(runs)
-            )
-            self.offsets.setflags(write=False)
-            self.lengths.setflags(write=False)
-            self.payload = b"".join(d for _, d in runs)
-        else:
-            self.offsets = _EMPTY_I64
-            self.lengths = _EMPTY_I64
-            self.payload = b""
-        self._runs: Optional[Tuple[Tuple[int, bytes], ...]] = runs
-        self._hash: Optional[int] = None
-        self.payload_bytes = len(self.payload)
-        #: modeled encoded size (payload + per-run headers)
-        self.size_bytes = self.payload_bytes + RUN_HEADER_BYTES * len(runs)
+        self._edges = np.fromiter(
+            chain.from_iterable((o, o + len(d)) for o, d in runs),
+            dtype=np.int32,
+            count=2 * len(runs),
+        ).tobytes()
+        self.payload = b"".join(d for _, d in runs)
 
     @classmethod
-    def from_arrays(
-        cls, offsets: np.ndarray, lengths: np.ndarray, payload: bytes
-    ) -> "Diff":
-        """Wrap already-validated run arrays without re-encoding."""
+    def from_arrays(cls, edges: np.ndarray, payload: bytes) -> "Diff":
+        """A diff of already-validated run ``edges`` (an integer array)
+        and their ``payload``."""
         self = object.__new__(cls)
-        offsets.setflags(write=False)
-        lengths.setflags(write=False)
-        self.offsets = offsets
-        self.lengths = lengths
+        self._edges = np.asarray(edges, dtype=np.int32).tobytes()
         self.payload = payload
-        self._runs = None
-        self._hash = None
-        self.payload_bytes = len(payload)
-        self.size_bytes = self.payload_bytes + RUN_HEADER_BYTES * len(offsets)
         return self
 
     @property
+    def payload_bytes(self) -> int:
+        return len(self.payload)
+
+    @property
+    def size_bytes(self) -> int:
+        """Modeled encoded size: the payload and a header per run."""
+        # a run's two int32 edges are 8 bytes of the buffer
+        return len(self.payload) + RUN_HEADER_BYTES * (len(self._edges) // 8)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Each run's start and end back to back (read-only ``int32``)."""
+        return np.frombuffer(self._edges, dtype=np.int32)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Each run's first byte."""
+        return self.edges[0::2]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each run's byte count."""
+        edges = self.edges
+        return edges[1::2] - edges[0::2]
+
+    @property
     def runs(self) -> Tuple[Tuple[int, bytes], ...]:
-        """Per-run ``(offset, data)`` view (materialized on demand)."""
-        r = self._runs
-        if r is None:
-            bounds = self.lengths.cumsum().tolist()
-            starts = [0] + bounds[:-1]
-            payload = self.payload
-            r = self._runs = tuple(
-                (o, payload[s:e])
-                for o, s, e in zip(self.offsets.tolist(), starts, bounds)
-            )
-        return r
+        """Per-run ``(offset, data)`` tuples (built on each call)."""
+        edges = self.edges.tolist()
+        starts, ends = edges[0::2], edges[1::2]
+        payload, out, pos = self.payload, [], 0
+        for s, e in zip(starts, ends):
+            out.append((s, payload[pos : pos + e - s]))
+            pos += e - s
+        return tuple(out)
 
     @property
     def empty(self) -> bool:
-        return len(self.offsets) == 0
+        return not self._edges
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Diff)
             and self.payload == other.payload
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.lengths, other.lengths)
+            and self._edges == other._edges
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(
-                (self.offsets.tobytes(), self.lengths.tobytes(), self.payload)
-            )
-        return h
+        return hash((self._edges, self.payload))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Diff({len(self.offsets)} runs, {self.payload_bytes}B)"
+        return f"Diff({len(self._edges) // 8} runs, {self.payload_bytes}B)"
 
 
 _EMPTY_DIFF = Diff(())
@@ -172,38 +164,36 @@ def compute_diff(twin: np.ndarray, page: np.ndarray) -> Diff:
     np.not_equal(twin, page, out=neq)
     if not neq[neq.argmax()]:  # argmax: the first changed byte, if any
         return _EMPTY_DIFF
-    # boundaries where the mask flips
+    # boundaries where the mask flips: each run's start and end
     edges = np.not_equal(padded[1:], padded[:-1]).nonzero()[0]
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
-    if len(starts) == 1:
-        payload = page[int(starts[0]) : int(ends[0])].tobytes()
+    if len(edges) == 2:
+        payload = page[int(edges[0]) : int(edges[1])].tobytes()
     else:
         # the changed bytes in ascending order are the runs back to back
         payload = page[neq].tobytes()
-    return Diff.from_arrays(starts, lengths, payload)
+    return Diff.from_arrays(edges, payload)
 
 
 def apply_diff(page: np.ndarray, diff: Diff) -> None:
     """Apply ``diff`` in place to ``page`` (uint8)."""
-    offsets, lengths = diff.offsets, diff.lengths
-    k = len(offsets)
+    edges = diff.edges
+    k = len(edges)
     if k == 0:
         return
     n = len(page)
-    if k == 1:
-        off, end = int(offsets[0]), int(offsets[0] + lengths[0])
+    if k == 2:
+        off, end = int(edges[0]), int(edges[1])
         if off < 0 or end > n:
             raise ValueError(f"diff run [{off},{end}) outside page of {n} bytes")
         page[off:end] = np.frombuffer(diff.payload, dtype=np.uint8)
         return
-    ends = offsets + lengths
+    offsets, ends = edges[0::2], edges[1::2]
     if offsets[offsets.argmin()] < 0 or ends[ends.argmax()] > n:
         bad = int(((offsets < 0) | (ends > n)).nonzero()[0][0])
         raise ValueError(
             f"diff run [{int(offsets[bad])},{int(ends[bad])}) outside page "
             f"of {n} bytes"
         )
-    page[_scatter_index(offsets, lengths)] = np.frombuffer(
+    page[_scatter_index(offsets, ends - offsets)] = np.frombuffer(
         diff.payload, dtype=np.uint8
     )

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.recovery import OverlappingFailureError
 from repro.dsm.locks import token_holders
 from repro.observe.latency import exact_percentile
 from repro.sim.trace import (
@@ -753,6 +752,10 @@ class CrashSweep:
         """Inject ``point`` into ``cluster`` (default: a fresh one from
         the factory; a caller's may carry read-only subscribers) and
         judge the run."""
+        # here, not at module level: a failure-free run of any kind loads
+        # neither recovery nor replication
+        from repro.core.recovery import OverlappingFailureError
+
         if cluster is None:
             cluster = self.cluster_factory()
         first = point.step if point.base is None else min(

@@ -196,14 +196,10 @@ def reference_compute_diff(twin, page):
     if not neq.any():
         return Diff(())
     padded = np.concatenate(([False], neq, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
-    if len(starts) == 1:
-        payload = page[int(starts[0]) : int(ends[0])].tobytes()
-    else:
-        payload = page[neq].tobytes()
-    return Diff.from_arrays(starts, lengths, payload)
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return Diff(
+        (s, page[s:e].tobytes()) for s, e in zip(edges[0::2], edges[1::2])
+    )
 
 
 def reference_apply_diff(page, diff):
@@ -244,10 +240,11 @@ def page_pairs(draw):
 def test_kernels_match_the_reference_kernels(pair):
     twin, cur = pair
     got, want = compute_diff(twin, cur), reference_compute_diff(twin, cur)
-    for mine, ref in ((got.offsets, want.offsets), (got.lengths, want.lengths)):
-        assert mine.dtype == np.int64 and not mine.flags.writeable
-        assert mine.tolist() == ref.tolist()
+    for d in (got, want):  # the kernel and ``Diff(runs)``: one representation
+        assert d.edges.dtype == np.int32 and not d.edges.flags.writeable
+    assert got.edges.tolist() == want.edges.tolist()
     assert got.payload == want.payload
+    assert got == want and hash(got) == hash(want)
     out, ref_out = twin.copy(), twin.copy()
     apply_diff(out, got)
     reference_apply_diff(ref_out, want)
@@ -257,3 +254,63 @@ def test_kernels_match_the_reference_kernels(pair):
             _scatter_index(got.offsets, got.lengths),
             _reference_scatter_index(want.offsets, want.lengths),
         )
+
+
+# -- one edge buffer per diff ------------------------------------------
+
+
+def _retained_bytes(d):
+    """``sys.getsizeof`` over the diff and every distinct object it keeps
+    alive: its slots' values and any array a view of them rests on."""
+    import sys
+
+    seen, stack = {}, [d]
+    stack += [getattr(d, name) for name in Diff.__slots__]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is None:
+            continue
+        seen[id(obj)] = sys.getsizeof(obj)
+        if isinstance(obj, np.ndarray):
+            stack.append(obj.base)
+    return sum(seen.values())
+
+
+#: the per-diff overhead that does not grow with its runs: the ``Diff``
+#: object and the headers of its two ``bytes`` buffers (114 B; keeping
+#: the edges as an ``ndarray`` would add ~80 B of array header)
+FIXED_BYTES = 128
+
+
+@pytest.mark.parametrize("k", [1, 8, 64])
+def test_a_diff_retains_its_payload_eight_bytes_a_run_and_a_fixed_header(k):
+    """A diff used to keep an ``int64`` edge array alive through its
+    ``offsets`` view, a separate ``lengths`` array and a run-tuple cache:
+    three arrays, 24 bytes a run and 545 bytes of headers, for a record
+    the wire and the log cost at 8 bytes a run."""
+    twin = np.zeros(4096, dtype=np.uint8)
+    cur = twin.copy()
+    for r in range(k):
+        cur[r * 64 : r * 64 + 5] = r + 1
+    d = compute_diff(twin, cur)
+    assert len(d.offsets) == k and d.payload_bytes == 5 * k
+    assert _retained_bytes(d) <= d.payload_bytes + 8 * k + FIXED_BYTES
+    built = Diff(d.runs)
+    assert _retained_bytes(built) <= d.payload_bytes + 8 * k + FIXED_BYTES
+
+
+@given(bytes_pages, bytes_pages)
+def test_derived_views_agree_with_the_run_tuples(twin, cur):
+    d = compute_diff(twin, cur)
+    runs = d.runs
+    assert d.offsets.tolist() == [o for o, _ in runs]
+    assert d.lengths.tolist() == [len(b) for _, b in runs]
+    assert d.payload == b"".join(b for _, b in runs)
+    again = Diff(runs)  # the tuples round-trip to the same diff
+    assert again.runs == runs
+    assert again.edges.tolist() == d.edges.tolist()
+    assert again == d and hash(again) == hash(d)
+    if runs:  # another byte, or the same bytes one position on, differ
+        off, data = runs[-1]
+        assert Diff(runs[:-1] + ((off, bytes([data[0] ^ 1]) + data[1:]),)) != d
+        assert Diff(runs[:-1] + ((off + 1, data),)) != d

@@ -39,9 +39,10 @@ UNUSED = [
 ]
 
 
-def modules_loaded_by(imports):
-    """The modules a fresh interpreter holds after ``import <imports>``."""
-    code = (
+def modules_loaded_by(imports, statement=False):
+    """The modules a fresh interpreter holds after ``import <imports>``
+    (with ``statement``, ``imports`` is a program that prints them)."""
+    code = imports if statement else (
         f"import json, sys; import {imports}; "
         "print(json.dumps(sorted(sys.modules)))"
     )
@@ -67,11 +68,43 @@ def test_default_imports_leave_the_unused_modules_unloaded():
 def test_a_cluster_loads_recovery_and_replication_when_first_needed():
     """Recovery and buddy replication are imported where a crash, a
     recovery query or a replicated run first needs them: a fresh process
-    that builds and runs failure-free clusters compiles neither."""
-    loaded = modules_loaded_by("repro.cluster, repro.harness.experiment")
-    assert "repro.core.ftmanager" in loaded
-    assert "repro.core.recovery" not in loaded
-    assert "repro.core.replica" not in loaded
+    that builds and runs failure-free clusters compiles neither, and the
+    crash campaign imports the overlap error it catches only in the run
+    that may raise it, so ``python -m repro`` loads neither either."""
+    for imports in ("repro.cluster, repro.harness.experiment",
+                    "repro.faultinject", "repro.__main__"):
+        loaded = modules_loaded_by(imports)
+        assert "repro.core.ftmanager" in loaded, imports
+        assert "repro.core.recovery" not in loaded, imports
+        assert "repro.core.replica" not in loaded, imports
+
+
+#: the paper apps and LU at 2-node smoke sizes
+SMOKE_APPS = [
+    ("barnes", {"n_bodies": 32, "steps": 1}),
+    ("water-nsq", {"n_molecules": 27, "steps": 1}),
+    ("water-spatial", {"n_molecules": 64, "steps": 1}),
+    ("lu", {"matrix_size": 16, "block_size": 8}),
+]
+
+
+def test_no_paper_app_result_check_loads_numpy_testing():
+    """Barnes, both Waters and LU check their results with
+    ``apps.base.assert_close``: ``numpy.testing.assert_allclose`` loaded
+    ``numpy.testing``, ``unittest`` and some sixty more modules into every
+    process at its first check."""
+    code = (
+        "import json, sys\n"
+        "from repro import DsmCluster, DsmConfig\n"
+        "from repro.apps import make_app\n"
+        f"for name, fields in {SMOKE_APPS!r}:\n"
+        "    app = make_app(name, **fields)\n"
+        "    DsmCluster(DsmConfig(num_procs=2)).run(app)  # checks its result\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = set(modules_loaded_by(code, statement=True))
+    assert {"repro.apps.barnes", "repro.apps.lu"} <= loaded
+    assert not loaded & {"numpy.testing", "unittest"}
 
 
 def test_a_mutant_loads_what_it_patches_when_entered():

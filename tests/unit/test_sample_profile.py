@@ -164,9 +164,10 @@ def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
     argv = ["--workload", "toy", "--memory", "--reps", "2", "--rows", "1"]
     assert _load().main(argv) == 0
     stages, heap, garbage = capsys.readouterr().out.split("\n\n")
-    header, *rows = stages.splitlines()
+    header, *rows, modules = stages.splitlines()
     assert header.split() == ["RSS", "MB", "peak", "MB", "after"]
     assert [row.split(None, 2)[2] for row in rows] == ["imports", "warm-up", "2 x body"]
+    assert modules == "the warm-up imported 0 modules beyond `import workloads`: -"
     summary, _header, top = heap.splitlines()
     assert summary.startswith("traced heap ") and "at the peak of one body" in summary
     assert "near the first pass's peak" in summary
@@ -176,6 +177,27 @@ def test_memory_mode_prints_the_stages_and_the_heap_lines(monkeypatch, capsys):
         "one finished cluster holds 0.00 MB traced\n"
         "one build adds 0 gc-tracked objects\n"
         "cyclic garbage of one body: 0 objects, 0 of them repro.*\n"
+    )
+
+
+def test_memory_mode_names_the_modules_the_warm_up_imported(monkeypatch, capsys):
+    """A result check that called ``numpy.testing`` loaded it and some
+    sixty modules with it into the ledger's ``paper8`` at its first
+    Barnes check, where no stage said so; the line after the stages
+    lists what the warm-up body imported."""
+    import sys
+
+    def body():
+        import colorsys  # a module nothing here has imported
+
+        return colorsys
+
+    monkeypatch.delitem(sys.modules, "colorsys", raising=False)
+    _toy_ledger(monkeypatch, body)
+    assert _load().main(["--workload", "toy", "--memory", "--rows", "1"]) == 0
+    stages = capsys.readouterr().out.split("\n\n")[0]
+    assert stages.splitlines()[-1] == (
+        "the warm-up imported 1 modules beyond `import workloads`: colorsys"
     )
 
 
