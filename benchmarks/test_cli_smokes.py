@@ -195,28 +195,38 @@ def test_example_runs(script):
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
     """One pass of each pipeline on the counter app, collected into one
-    artifact directory for the aggregator; every pass exits 0."""
+    artifact directory for the aggregator; every pass exits 0. Returns
+    the directory and what ``observe`` and ``crashsweep`` printed."""
     base = tmp_path_factory.mktemp("report")
     arts = base / "arts"
     arts.mkdir()
-    ok(run("observe", "counter", "--procs", "4", "--steps", "4",
-           "--out", arts / "OBSERVE_counter.jsonl"))
+    observed = ok(run("observe", "counter", "--procs", "4", "--steps", "4",
+                      "--out", arts / "OBSERVE_counter.jsonl"))
     ok(run("trace", "counter", "--procs", "4",
            "--out", arts / "TRACE_counter.json",
            "--report", base / "trace_critpath.txt"))
-    ok(run("crashsweep", "counter", "--procs", "4", "--steps", "2",
-           "--size", "256", "--every", "40",
-           "--out", arts / "SWEEP_counter.json"))
+    swept = ok(run("crashsweep", "counter", "--procs", "4", "--steps", "2",
+                   "--size", "256", "--every", "40",
+                   "--out", arts / "SWEEP_counter.json"))
     ok(run("monitor", "counter", "--procs", "4", "--steps", "4"))
-    return arts
+    return arts, {"observe": observed, "crashsweep": swept}
 
 
 def test_unified_analytics_dashboard(report_dir):
     """Every artifact loads and validates and the sweep is OK (``report``
-    exits 1 on either failing); the dashboard also renders the sweep's
-    recovery-anatomy section."""
-    ok(run("report", report_dir, "--html", report_dir / "dashboard.html"))
-    assert (report_dir / "dashboard.html").stat().st_size > 0
+    exits 1 on either failing); the dashboard shows the sweep's per-class
+    table and the run report's overview table as ``crashsweep`` and
+    ``observe`` printed them, and writes the HTML page CI uploads."""
+    arts, printed = report_dir
+    out = ok(run("report", arts, "--html", arts / "dashboard.html"))
+    assert (arts / "dashboard.html").stat().st_size > 0
+    swept = printed["crashsweep"].splitlines()
+    table = swept[1:swept.index("")]  # the class rows, down to SWEEP OK
+    assert table[-1].endswith("SWEEP OK")
+    assert "\n".join(table) in out
+    overview = printed["observe"].split("\n\n")[0]
+    assert overview.startswith("repro observe — counter on 4 simulated nodes")
+    assert overview in out
 
 
 def test_malformed_artifact_fails_the_report(tmp_path):

@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import DsmCluster, DsmConfig
 from repro.apps import APPS
@@ -348,7 +348,7 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     """Crash-point sweep fault-injection campaign: enumerate crash points
     of a traced failure-free run, re-run the app once per point, and
     assert the recovery-equivalence oracle."""
-    from repro.faultinject.campaign import DEFAULT_CLASSES
+    from repro.faultinject.campaign import DEFAULT_CLASSES, render_sweep
 
     replicate = (args.replicate or args.faults >= 2) and not args.no_replicate
     if replicate and args.faults >= 2 and args.procs < 3:
@@ -370,18 +370,16 @@ def run_crashsweep(parser: Parser, args: argparse.Namespace) -> int:
     summary = sweep.run(progress=progress)
     host_s = time.time() - t0
 
+    meta = {"app": args.app, "procs": args.procs, "faults": args.faults}
+    if args.seed is not None:
+        meta["seed"] = args.seed
     print(f"crash sweep   {args.app} on {args.procs} simulated nodes "
           f"({len(summary.results)} points, {host_s:.1f}s host time)")
-    print(summary.render())
-    for note in summary.notes:
-        print(f"note: {note}")
+    print(render_sweep(summary.to_dict(**meta)))
 
     suffix = "_k2" if args.faults >= 2 else ""
     out = args.out or f"benchmarks/SWEEP_{args.app}{suffix}.json"
-    seed = {} if args.seed is None else {"seed": args.seed}
-    write_text(out, summary.to_json(
-        app=args.app, procs=args.procs, faults=args.faults, **seed
-    ))
+    write_text(out, summary.to_json(**meta))
     print(f"written to {out}")
     for r in summary.failures():
         print(f"FAIL {r.point.cls} p{r.point.victim}@{r.point.step}: {r.error}",
@@ -481,7 +479,7 @@ def run_observe(parser: Parser, args: argparse.Namespace) -> int:
     observe.write_jsonl(out, report)
     print(f"\nwritten to {out}")
 
-    errors = observe.validate_report(report, require_ft=run.ft)
+    errors = observe.validate_report(report)
     for e in errors:
         print(f"INVALID: {e}", file=sys.stderr)
     if errors:
@@ -626,24 +624,168 @@ def add_report_arguments(p: Parser) -> None:
                    help="also write the dashboard as a standalone HTML page")
 
 
-def run_report(parser: Parser, args: argparse.Namespace) -> int:
-    """Aggregate every pipeline's artifacts (OBSERVE run reports, TRACE
-    span DAGs, SWEEP campaign summaries, FLIGHT records) into one
-    analytics dashboard. Read-only. Exits nonzero on any malformed
-    artifact, failed sweep or present flight record."""
-    from repro.observe import analytics
+class ArtifactKind(NamedTuple):
+    """One kind of artifact ``repro report`` reads: its name (a file
+    ``OBSERVE_*.json[l]`` is an ``observe`` artifact), a top-level key
+    only its content has, and the reader, validator and renderer of the
+    module that writes it. The renderer is the function the writing
+    command prints with (``repro trace`` prints no trace; its renderer
+    gives the trace's extent), and sees only what the validator passed."""
 
-    paths = analytics.discover_artifacts(args.paths)
+    name: str
+    shape: str
+    parse: Callable[[str], Any]
+    validate: Callable[[Any], List[str]]
+    render: Callable[[Any], str]
+
+    @property
+    def prefix(self) -> str:
+        return self.name.upper() + "_"
+
+
+def load_json(path: str) -> Any:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def artifact_kinds() -> Tuple[ArtifactKind, ...]:
+    """The kinds in the order ``repro report`` lists them."""
+    from repro.faultinject.campaign import render_sweep, validate_sweep
+    from repro.observe.invariants.recorder import (
+        render_flight_record, validate_flight_record,
+    )
+    from repro.observe.report import load_jsonl, render_report, validate_report
+    from repro.observe.tracing.export import render_trace, validate_trace
+
+    return (
+        ArtifactKind("observe", "record", load_jsonl, validate_report,
+                     render_report),
+        ArtifactKind("trace", "traceEvents", load_json, validate_trace,
+                     render_trace),
+        ArtifactKind("sweep", "points", load_json, validate_sweep,
+                     render_sweep),
+        ArtifactKind("flight", "violations", load_json,
+                     validate_flight_record, render_flight_record),
+    )
+
+
+def sniff(path: str, data: Any = None) -> Optional[ArtifactKind]:
+    """The kind of a file: by its name's prefix, else by the shape of its
+    (first) JSON value ``data``."""
+    base = os.path.basename(path)
+    for kind in artifact_kinds():
+        if base.startswith(kind.prefix) or (
+            isinstance(data, dict) and kind.shape in data
+        ):
+            return kind
+    return None
+
+
+def discover(paths: Sequence[str]) -> List[str]:
+    """The artifact files under ``paths``, kind-major, then by path.
+
+    Directories are walked recursively and yield the ``.json``/``.jsonl``
+    files whose name carries a kind's prefix. A file named explicitly is
+    always taken: naming it asserts that it is an artifact.
+    """
+    found: List[str] = []
+    for p in paths:
+        if not os.path.isdir(p):
+            found.append(p)
+            continue
+        for root, _dirs, files in sorted(os.walk(p)):
+            found += [
+                os.path.join(root, f) for f in sorted(files)
+                if f.endswith((".json", ".jsonl")) and sniff(f)
+            ]
+    order = (*artifact_kinds(), None)  # an unknown file comes last
+    found.sort(key=lambda p: (order.index(sniff(p)), p))
+    return found
+
+
+def read_artifact(path: str) -> Tuple[str, Any, List[str], str]:
+    """``(kind name, data, errors, rendered text)`` of one artifact file.
+    A file that cannot be read, parsed, validated clean or rendered comes
+    back with errors and no text; nothing raises."""
+    kind = sniff(path)
+    try:
+        if kind is None:
+            with open(path) as fh:
+                text = fh.read(1 << 20)
+            if path.endswith(".jsonl"):
+                text = text.splitlines()[0]
+            kind = sniff(path, json.loads(text))
+        if kind is None:
+            return "unknown", None, ["unrecognized artifact shape"], ""
+        data = kind.parse(path)
+        errors = kind.validate(data)
+        return kind.name, data, errors, "" if errors else kind.render(data)
+    except FileNotFoundError:
+        error = "file not found"
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        error = f"unparseable: {exc}"
+    return kind.name if kind else "unknown", None, [error], ""
+
+
+def html_page(title: str, blocks: Sequence[str], ok: bool) -> str:
+    """``blocks`` as one self-contained HTML page under a status banner."""
+    from html import escape
+
+    body = "\n".join(f"<pre>{escape(b)}</pre>" for b in blocks)
+    color = "#2a7" if ok else "#c33"
+    return (
+        "<!DOCTYPE html>\n"
+        f"<html><head><meta charset='utf-8'><title>{title}</title>"
+        "<style>"
+        "body{font-family:monospace;margin:2em;background:#fafafa}"
+        "pre{background:#fff;border:1px solid #ddd;padding:1em;"
+        "overflow-x:auto}"
+        f".banner{{color:#fff;background:{color};padding:.5em 1em;"
+        "font-weight:bold}"
+        "</style></head><body>"
+        f"<div class='banner'>{title} — {'ok' if ok else 'failed'}</div>\n"
+        f"{body}\n"
+        "</body></html>\n"
+    )
+
+
+def run_report(parser: Parser, args: argparse.Namespace) -> int:
+    """Show every pipeline's artifacts (OBSERVE run reports, TRACE span
+    DAGs, SWEEP campaign summaries, FLIGHT records) in one dashboard, each
+    as the command that wrote it printed it. Read-only. Exits nonzero on
+    any malformed artifact, failed sweep or present flight record."""
+    from repro.render import Table
+
+    paths = discover(args.paths)
     if not paths:
         print(f"no artifacts found under {args.paths}", file=sys.stderr)
         return 1
-    dash = analytics.build_dashboard([analytics.load_artifact(p) for p in paths])
-    print(analytics.render_dashboard(dash))
+    inventory = Table("artifact inventory", ["kind", "file", "status"])
+    shown: List[str] = []
+    problems: List[str] = []
+    for path in paths:
+        kind, data, errors, text = read_artifact(path)
+        inventory.add(kind, path, f"MALFORMED: {errors[0]}" if errors else "ok")
+        if errors:
+            problems.append(f"malformed {kind} artifact {path}: {errors[0]}")
+            continue
+        shown.append(f"{path}\n{'-' * len(path)}\n{text}")
+        if kind == "sweep" and not data["ok"]:
+            problems.append(f"crash sweep {path} reported failure")
+        if kind == "flight":
+            problems.append(f"flight record {path} present ({data['reason']})")
+    verdict = (
+        "REPORT FAILED:\n" + "\n".join(f"  - {p}" for p in problems)
+        if problems else "REPORT OK: all artifacts valid"
+    )
+    blocks = [inventory.render(), *shown, verdict]
+    title = "repro analytics dashboard"
+    print("\n\n".join([f"{title}\n{'#' * len(title)}", *blocks]))
     if args.html:
         with open(args.html, "w") as fh:
-            fh.write(analytics.render_html(dash))
+            fh.write(html_page(title, blocks, not problems))
         print(f"\nhtml dashboard written to {args.html}")
-    return 0 if dash["ok"] else 1
+    return 1 if problems else 0
 
 
 # ---- the registry ----

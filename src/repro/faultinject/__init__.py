@@ -21,8 +21,8 @@ from repro.faultinject.campaign import (
     SweepSummary,
     accepted,
     check_oracle,
-    load_sweep,
     recovery_distributions,
+    render_sweep,
     validate_sweep,
 )
 
@@ -36,7 +36,7 @@ __all__ = [
     "SweepSummary",
     "accepted",
     "check_oracle",
-    "load_sweep",
     "recovery_distributions",
+    "render_sweep",
     "validate_sweep",
 ]

@@ -81,8 +81,8 @@ __all__ = [
     "CrashSweep",
     "accepted",
     "check_oracle",
-    "load_sweep",
     "recovery_distributions",
+    "render_sweep",
     "validate_sweep",
 ]
 
@@ -90,7 +90,7 @@ __all__ = [
 #: ``recovery_phases`` (one record per completed recovery: detect/
 #: restore/handshake/replay/resume/total durations plus replica-fetch
 #: counters), the summary the aggregated ``recovery_by_class``
-#: distributions. :func:`load_sweep` rejects any other schema.
+#: distributions. :func:`validate_sweep` rejects any other schema.
 SWEEP_SCHEMA = 2
 
 #: the timeline categories the reference run records, all but ``llt``
@@ -269,36 +269,6 @@ class SweepSummary:
     def to_json(self, **meta: Any) -> str:
         return json.dumps(self.to_dict(**meta), indent=2, sort_keys=True)
 
-    def render(self) -> str:
-        per_class: Dict[str, Dict[str, int]] = {}
-        for r in self.results:
-            per_class.setdefault(r.point.cls, {})
-            per_class[r.point.cls][r.outcome] = (
-                per_class[r.point.cls].get(r.outcome, 0) + 1
-            )
-        lines = [
-            f"{'class':<12} {'points':>6} {'recovered':>9} {'no_crash':>8} "
-            f"{'degraded':>8} {'failed':>6}"
-        ]
-        for cls in self.classes:
-            counts = per_class.get(cls, {})
-            lines.append(
-                f"{cls:<12} {sum(counts.values()):>6} "
-                f"{counts.get('recovered', 0):>9} "
-                f"{counts.get('no_crash', 0):>8} "
-                f"{counts.get('degraded', 0):>8} "
-                f"{counts.get('failed', 0):>6}"
-            )
-        lines.append(
-            f"{'total':<12} {len(self.results):>6}   "
-            + ("SWEEP OK" if self.ok else "SWEEP FAILED")
-        )
-        by_class = self.recovery_by_class()
-        if by_class:
-            lines.append("")
-            lines.append(render_recovery_by_class(by_class))
-        return "\n".join(lines)
-
 
 def accepted(result: PointResult, replicate: bool) -> bool:
     """The verdict on one point of a cluster that does or does not
@@ -382,19 +352,37 @@ def render_recovery_by_class(by_class: Dict[str, Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def load_sweep(source: Any) -> Dict[str, Any]:
-    """Load a sweep JSON artifact (a path or an already-parsed dict);
-    anything but a well-formed current-schema artifact is rejected, not
-    converted (``ValueError`` naming the first problem)."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
-    errors = validate_sweep(data)
-    if errors:
-        raise ValueError(errors[0])
-    return data
+def render_sweep(data: Dict[str, Any]) -> str:
+    """One sweep as ``repro crashsweep`` prints it and ``repro report``
+    shows it: points and outcomes per class, the verdict, the per-class
+    recovery times and the notes. ``data`` is a
+    :meth:`SweepSummary.to_dict` value, or its JSON read back, which
+    :func:`validate_sweep` passed."""
+    per_class: Dict[str, Dict[str, int]] = {}
+    for p in data["points"]:
+        counts = per_class.setdefault(p["class"], {})
+        counts[p["outcome"]] = counts.get(p["outcome"], 0) + 1
+    lines = [
+        f"{'class':<12} {'points':>6} {'recovered':>9} {'no_crash':>8} "
+        f"{'degraded':>8} {'failed':>6}"
+    ]
+    for cls in data["classes"]:
+        counts = per_class.get(cls, {})
+        lines.append(
+            f"{cls:<12} {sum(counts.values()):>6} "
+            f"{counts.get('recovered', 0):>9} "
+            f"{counts.get('no_crash', 0):>8} "
+            f"{counts.get('degraded', 0):>8} "
+            f"{counts.get('failed', 0):>6}"
+        )
+    lines.append(
+        f"{'total':<12} {len(data['points']):>6}   "
+        + ("SWEEP OK" if data["ok"] else "SWEEP FAILED")
+    )
+    if data["recovery_by_class"]:
+        lines += ["", render_recovery_by_class(data["recovery_by_class"])]
+    lines += [f"note: {note}" for note in data["notes"]]
+    return "\n".join(lines)
 
 
 #: the numbers a ``recovery_by_class`` row must carry (the report reads them)
@@ -420,7 +408,7 @@ def validate_sweep(data: Any) -> List[str]:
                 "`repro crashsweep`"]
     errors = [
         f"sweep missing key {key!r}"
-        for key in ("outcomes", "ok", "classes", "recovery_by_class")
+        for key in ("outcomes", "ok", "classes", "notes", "recovery_by_class")
         if key not in data
     ]
     if errors:
@@ -428,6 +416,7 @@ def validate_sweep(data: Any) -> List[str]:
     points = data["points"]
     if not isinstance(points, list) or not all(
         isinstance(p, dict) and {"class", "step", "victim", "outcome"} <= set(p)
+        and isinstance(p["class"], str) and isinstance(p["outcome"], str)
         for p in points
     ):
         errors.append("points is not a list of crash-point objects")
@@ -438,8 +427,11 @@ def validate_sweep(data: Any) -> List[str]:
         errors.append("outcomes is not a mapping of counts")
     if not isinstance(data["ok"], bool):
         errors.append("ok is not a boolean")
-    if not isinstance(data["classes"], list):
-        errors.append("classes is not a list")
+    for key in ("classes", "notes"):
+        if not isinstance(data[key], list) or not all(
+            isinstance(v, str) for v in data[key]
+        ):
+            errors.append(f"{key} is not a list of strings")
     by_class = data["recovery_by_class"]
     if not isinstance(by_class, dict):
         return errors + ["recovery_by_class is not a mapping"]

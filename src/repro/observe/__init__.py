@@ -42,7 +42,6 @@ _EXPORTS = {
     "KEY_LATENCIES": _REPORT,
     "KEY_SERIES": _REPORT,
     "build_report": _REPORT,
-    "latency_table": _REPORT,
     "load_jsonl": _REPORT,
     "render_report": _REPORT,
     "validate_report": _REPORT,
@@ -100,7 +99,6 @@ __all__ = [
     "parse_slo",
     "reconvergence",
     "render_timeline",
-    "latency_table",
     "load_jsonl",
     "node_time_totals",
     "per_cause_totals",

@@ -231,7 +231,7 @@ class LatencyHistogram:
         return out
 
     # ------------------------------------------------------------------
-    # serialization (run-report "lat" records, analytics merging)
+    # serialization (run-report "lat" records, merging across runs)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         ordered = sorted(self.buckets.items())

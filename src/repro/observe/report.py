@@ -53,8 +53,6 @@ __all__ = [
     "load_jsonl",
     "validate_report",
     "render_report",
-    "latency_table",
-    "slo_sections",
     "KEY_SERIES",
     "KEY_LATENCIES",
 ]
@@ -62,12 +60,12 @@ __all__ = [
 #: the one report schema written and read
 REPORT_SCHEMA = 4
 
-#: series a healthy FT run report must contain (CI smoke asserts these):
-#: per-node stable+volatile log size, diff traffic and the retained
-#: checkpoint count (the paper's bounded-window claim) over virtual
-#: time; the ``ft.replica_*`` pair (buddy-held replica bytes, own
-#: replication lag in checkpoints) is required only of replication-
-#: enabled runs (``header["replicate"]``)
+#: series a healthy run report must contain (CI smoke asserts these):
+#: per-node diff traffic, and for an FT run (``header["ft"]``) the
+#: stable+volatile log size and the retained checkpoint count (the
+#: paper's bounded-window claim) over virtual time; the ``ft.replica_*``
+#: pair (buddy-held replica bytes, own replication lag in checkpoints)
+#: is required only of replication-enabled runs (``header["replicate"]``)
 KEY_SERIES = (
     "ft.log_volatile_bytes",
     "ft.log_saved_bytes",
@@ -108,11 +106,11 @@ def build_report(
     is the cluster's :class:`~repro.cluster.RunResult` (optional — unit
     tests build reports from bare registries). ``recoveries`` is the
     observer's ``recovery_records`` list (crash runs); ``slos`` a list
-    of :class:`~repro.observe.slo.SloResult` (or pre-dumped dicts) when
-    the run evaluated objectives. Windowed (``wlat``) records appear
-    whenever the registry collected windows, one per histogram of its
-    window table (``node = -1``), so report size is bounded at
-    ``windows x op classes`` regardless of cluster size.
+    of :class:`~repro.observe.slo.SloResult` when the run evaluated
+    objectives. Windowed (``wlat``) records appear whenever the registry
+    collected windows, one per histogram of its window table
+    (``node = -1``), so report size is bounded at ``windows x op
+    classes`` regardless of cluster size.
 
     A report is a read-only value over the registry: a series' ``points``
     is a :class:`~repro.observe.registry.Points` view of its columns, as
@@ -161,13 +159,7 @@ def build_report(
     recovery_recs = [
         {"record": "recovery", **rec} for rec in (recoveries or ())
     ]
-    slo_recs = [
-        {
-            "record": "slo",
-            **(s.to_dict() if hasattr(s, "to_dict") else dict(s)),
-        }
-        for s in (slos or ())
-    ]
+    slo_recs = [{"record": "slo", **s.to_dict()} for s in (slos or ())]
     summary: Dict[str, Any] = {"record": "summary", "samples": registry.samples_taken}
     if result is not None:
         summary.update(
@@ -244,25 +236,24 @@ def load_jsonl(path: str) -> Dict[str, Any]:
     return out
 
 
-def validate_report(report: Dict[str, Any], require_ft: bool = True) -> List[str]:
-    """Sanity-check a (loaded) run report; returns human-readable errors."""
+def validate_report(report: Dict[str, Any]) -> List[str]:
+    """Sanity-check a (loaded) run report; returns human-readable errors.
+    Its header says which key series it must carry (``ft``,
+    ``replicate``)."""
     errors: List[str] = []
-    if not report.get("header"):
+    header = report.get("header") or {}
+    if not header:
         errors.append("missing header record")
     if report.get("summary") is None:
         errors.append("missing summary record")
     by_metric: Dict[str, List[Dict[str, Any]]] = {}
     for rec in report.get("series", ()):
         by_metric.setdefault(rec["metric"], []).append(rec)
-    required = (
-        KEY_SERIES if require_ft
-        else tuple(n for n in KEY_SERIES if not n.startswith("ft."))
-    )
-    if not (report.get("header") or {}).get("replicate"):
-        required = tuple(
-            n for n in required if not n.startswith("ft.replica")
-        )
-    for name in required:
+    for name in KEY_SERIES:
+        if name.startswith("ft.") and not header.get("ft"):
+            continue
+        if name.startswith("ft.replica") and not header.get("replicate"):
+            continue
         recs = by_metric.get(name)
         if not recs:
             errors.append(f"missing key series {name!r}")
@@ -283,7 +274,7 @@ def validate_report(report: Dict[str, Any], require_ft: bool = True) -> List[str
         missing = [f for f in _WLAT_FIELDS if f not in rec]
         if missing:
             errors.append(f"wlat record {i} missing fields {missing}")
-    if (report.get("header") or {}).get("window_s") and not report.get("wlats"):
+    if header.get("window_s") and not report.get("wlats"):
         errors.append("header declares windowed collection but no wlat records")
     for i, rec in enumerate(report.get("recoveries", ())):
         missing = [f for f in _RECOVERY_FIELDS if f not in rec]
@@ -295,16 +286,15 @@ def validate_report(report: Dict[str, Any], require_ft: bool = True) -> List[str
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-def latency_table(
-    lats: List[Dict[str, Any]], title: str = "latency percentiles (virtual time)"
-) -> Table:
-    """The run report's tail-latency table from ``lat`` records.
-
-    One row per (op class, node) with observations, ordered cluster-
-    merged row first per class; shared with the analytics dashboard.
-    """
+def _latency_sections(report: Dict[str, Any]) -> List[str]:
+    """The tail-latency table, one row per (op class, node) with
+    observations, the cluster-merged row first per class; then the
+    busiest class's distribution."""
+    lats = report.get("lats") or []
+    if not any(rec.get("count") for rec in lats):
+        return []
     table = Table(
-        title,
+        "latency percentiles (virtual time)",
         ["op class", "node", "count", "p50", "p90", "p99", "p999", "max"],
         note="cluster rows merge every node's log-bucket histogram; "
         "estimates carry the engine's documented relative-error bound",
@@ -322,14 +312,7 @@ def latency_table(
             *(format_duration(rec[k]) for k in ("p50", "p90", "p99", "p999",
                                                 "max")),
         )
-    return table
-
-
-def _latency_sections(report: Dict[str, Any]) -> List[str]:
-    lats = report.get("lats") or []
-    if not any(rec.get("count") for rec in lats):
-        return []
-    parts = [latency_table(lats).render()]
+    parts = [table.render()]
     # one distribution chart for the busiest op class (cluster-merged)
     merged = [r for r in lats if r["node"] == CLUSTER_NODE and r.get("count")]
     if merged:
@@ -364,7 +347,7 @@ def _timeline_metric(report: Dict[str, Any]) -> str:
     return max(counts, key=counts.get) if counts else ""
 
 
-def slo_sections(report: Dict[str, Any]) -> List[str]:
+def _slo_sections(report: Dict[str, Any]) -> List[str]:
     """Degradation timeline + SLO burn-rate sections."""
     # lazy: repro.observe.slo is an optional consumer of this module's
     # report dicts, not a load-time dependency
@@ -483,5 +466,5 @@ def render_report(report: Dict[str, Any]) -> str:
             )
 
     parts.extend(_latency_sections(report))
-    parts.extend(slo_sections(report))
+    parts.extend(_slo_sections(report))
     return "\n\n".join(parts)

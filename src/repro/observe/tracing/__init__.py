@@ -26,7 +26,9 @@ _EXPORTS = {
     "reconcile_with_time_stats": _CRITPATH,
     "render_critpath_report": _CRITPATH,
     "worst_lock_chains": _CRITPATH,
+    "render_trace": _EXPORT,
     "to_chrome_trace": _EXPORT,
+    "validate_trace": _EXPORT,
     "OP_KINDS": _SPANS,
     "WAIT_KINDS": _SPANS,
     "CausalEdge": _SPANS,
@@ -47,6 +49,8 @@ __all__ = [
     "per_cause_totals",
     "reconcile_with_time_stats",
     "render_critpath_report",
+    "render_trace",
     "to_chrome_trace",
+    "validate_trace",
     "worst_lock_chains",
 ]

@@ -18,7 +18,8 @@ record into the Trace Event Format understood by Perfetto
   Perfetto draws the message arrows.
 
 Virtual seconds are scaled by 1e6: one trace microsecond == one
-simulated microsecond.
+simulated microsecond. ``validate_trace`` and ``render_trace`` are how
+``repro report`` checks and shows a written trace.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.observe.tracing.spans import SpanTracer, WAIT_KINDS
 
-__all__ = ["to_chrome_trace", "TID_OPS", "TID_WAITS", "TID_PROBES"]
+__all__ = [
+    "render_trace", "to_chrome_trace", "validate_trace",
+    "TID_OPS", "TID_WAITS", "TID_PROBES",
+]
 
 TID_OPS = 0
 TID_WAITS = 1
@@ -137,3 +141,25 @@ def to_chrome_trace(
     if meta:
         out["otherData"] = dict(meta)
     return out
+
+
+def validate_trace(data: Any) -> List[str]:
+    """Structural checks on a trace; empty list = valid. Any parsed JSON
+    value may be passed: a wrong shape is an error, never an exception."""
+    events = data.get("traceEvents") if isinstance(data, dict) else None
+    if not isinstance(events, list):
+        return ["traceEvents missing or not a list"]
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict) or "ph" not in ev:
+            return [f"trace event {i} has no phase ('ph')"]
+    return []
+
+
+def render_trace(data: Dict[str, Any]) -> str:
+    """A trace's extent: the nodes with spans, the spans, the message
+    flows."""
+    events = data["traceEvents"]
+    spans = [ev for ev in events if ev["ph"] == "X"]
+    flows = sum(1 for ev in events if ev["ph"] == "s")
+    nodes = len({ev.get("pid") for ev in spans})
+    return f"span trace: {nodes} nodes, {len(spans)} spans, {flows} message flows"

@@ -1,52 +1,71 @@
-"""Unit tests for the cross-artifact analytics aggregator and the
-``repro report`` dashboard (sniffing, validation, malformed-artifact exit
-discipline, HTML output, one schema per artifact kind).
+"""Unit tests for ``repro report``: one row per artifact kind (the file
+prefix and content key that mark it, the writing module's reader,
+validator and renderer), sniffing and discovery, malformed-artifact exit
+discipline, HTML output, one schema per artifact kind, and the promise
+that the report shows each artifact as its own command printed it.
 """
 
+import contextlib
+import glob
+import io
 import json
+import re
+import shutil
 
 import pytest
 
-from repro.__main__ import main
-from repro.faultinject import SWEEP_SCHEMA, load_sweep, recovery_distributions
-from repro.observe import ClusterObserver, build_report, write_jsonl
-from repro.observe.analytics import (
-    build_dashboard,
-    discover_artifacts,
-    load_artifact,
-    render_dashboard,
-    render_html,
-    sniff_kind,
+from repro.__main__ import discover, main, read_artifact, sniff
+from repro.faultinject import (
+    SWEEP_SCHEMA,
+    recovery_distributions,
+    render_sweep,
+    validate_sweep,
 )
+from repro.observe import render_flight_record
 
-from tests.conftest import make_app, make_cluster
 
-def observe_artifact(tmp_path, name="OBSERVE_counter.jsonl"):
-    cluster = make_cluster(num_procs=4, ft=True)
-    obs = ClusterObserver(cluster, interval=1e-3)
-    result = cluster.run(make_app("counter"))
-    obs.sample()
-    report = build_report(
-        obs.registry, {"app": "counter", "ft": True}, result=result
-    )
+@pytest.fixture(scope="module")
+def observed(tmp_path_factory):
+    """One ``repro observe`` run of a 4-node FT counter: its JSONL file
+    and the text the command printed for it."""
+    path = tmp_path_factory.mktemp("observe") / "OBSERVE_counter.jsonl"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["observe", "counter", "--procs", "4", "--steps", "4",
+                     "--out", str(path)]) == 0
+    printed = out.getvalue()
+    return path, printed[: printed.index("\n\nwritten to")]
+
+
+def observe_artifact(observed, tmp_path, name="OBSERVE_counter.jsonl"):
     path = tmp_path / name
-    write_jsonl(str(path), report)
+    shutil.copy(observed[0], path)
     return path
+
+
+def load(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
 # sniffing and discovery
 # ---------------------------------------------------------------------------
 def test_sniff_kind_by_prefix_and_content():
-    assert sniff_kind("benchmarks/OBSERVE_lu.jsonl") == "observe"
-    assert sniff_kind("x/TRACE_counter.json") == "trace"
-    assert sniff_kind("SWEEP_counter_k2.json") == "sweep"
-    assert sniff_kind("FLIGHT_counter.json") == "flight"
-    # renamed files fall back to content shape
-    assert sniff_kind("weird.json", {"traceEvents": []}) == "trace"
-    assert sniff_kind("weird.json", {"points": [], "outcomes": {}}) == "sweep"
-    assert sniff_kind("weird.json", {"violations": [], "checks": {}}) == "flight"
-    assert sniff_kind("weird.json", {"other": 1}) == "unknown"
+    def kind(path, data=None):
+        found = sniff(path, data)
+        return found.name if found else None
+
+    assert kind("benchmarks/OBSERVE_lu.jsonl") == "observe"
+    assert kind("x/TRACE_counter.json") == "trace"
+    assert kind("SWEEP_counter_k2.json") == "sweep"
+    assert kind("FLIGHT_counter.json") == "flight"
+    # renamed files fall back to content shape, one key per kind
+    assert kind("weird.jsonl", {"record": "header"}) == "observe"
+    assert kind("weird.json", {"traceEvents": []}) == "trace"
+    assert kind("weird.json", {"points": [], "outcomes": {}}) == "sweep"
+    assert kind("weird.json", {"violations": [], "checks": {}}) == "flight"
+    assert kind("weird.json", {"other": 1}) is None
 
 
 def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
@@ -56,46 +75,84 @@ def test_discover_walks_directories_and_keeps_explicit_files(tmp_path):
     (sub / "TRACE_app.json").write_text('{"traceEvents": []}')
     (tmp_path / "notes.txt").write_text("ignored")
     (tmp_path / "test_foo.py").write_text("ignored")
-    found = discover_artifacts([str(tmp_path)])
+    found = discover([str(tmp_path)])
     names = [p.rsplit("/", 1)[-1] for p in found]
     assert names == ["TRACE_app.json", "SWEEP_x.json"]  # kind-major order
     # naming a file explicitly always includes it
     extra = tmp_path / "mystery.json"
     extra.write_text("{}")
-    assert str(extra) in discover_artifacts([str(extra)])
+    assert str(extra) in discover([str(extra)])
 
 
 # ---------------------------------------------------------------------------
 # one schema per artifact kind: committed fixtures are at it, others rejected
 # ---------------------------------------------------------------------------
+COMMITTED_SWEEPS = sorted(glob.glob("benchmarks/SWEEP_*.json"))
+
+
 @pytest.mark.parametrize(
     "name",
     ["counter", "counter_k2", "kvstore", "session", "session_k2", "kvstore_k2"],
 )
 def test_committed_sweeps_are_current_schema(name):
-    path = f"benchmarks/SWEEP_{name}.json"
-    data = load_sweep(path)
+    kind, data, errors, _text = read_artifact(f"benchmarks/SWEEP_{name}.json")
+    assert (kind, errors) == ("sweep", [])
     assert data["schema"] == SWEEP_SCHEMA
     assert data["ok"] is True
     assert data["recovery_by_class"]
-    art = load_artifact(path)
-    assert art.kind == "sweep" and art.ok
 
 
-def test_load_sweep_rejects_other_schemas():
-    data = load_sweep("benchmarks/SWEEP_counter.json")
+def test_committed_sweeps_validate_clean():
+    for name in ("counter", "counter_k2", "kvstore", "session",
+                 "session_k2", "kvstore_k2"):
+        assert validate_sweep(load(f"benchmarks/SWEEP_{name}.json")) == [], name
+
+
+def test_committed_trace_artifact_loads():
+    kind, _data, errors, _text = read_artifact(
+        "benchmarks/results/TRACE_counter.json"
+    )
+    assert (kind, errors) == ("trace", []), errors
+
+
+def test_report_shows_the_committed_artifacts():
+    """The six committed sweeps and the committed span trace validate
+    clean (``report`` exits 0), and each sweep shows as ``repro
+    crashsweep`` printed it, per-class recovery table included."""
+    assert len(COMMITTED_SWEEPS) == 6
+    trace = "benchmarks/results/TRACE_counter.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["report", trace, *COMMITTED_SWEEPS]) == 0
+    text = out.getvalue()
+    for path in [trace, *COMMITTED_SWEEPS]:
+        assert re.search(rf"\| {re.escape(path)} +\| ok", text), path
+    for path in COMMITTED_SWEEPS:
+        block = render_sweep(load(path))
+        assert "recovery time by crash class" in block
+        assert f"{path}\n{'-' * len(path)}\n{block}\n" in text
+    assert "span trace: 4 nodes, " in text
+
+
+def test_load_sweep_rejects_other_schemas(tmp_path):
+    """The report's sweep row reads a sweep at the current schema or
+    names the command that re-records it; it converts nothing."""
+    data = load("benchmarks/SWEEP_counter.json")
+    path = tmp_path / "SWEEP_old.json"
     del data["schema"]  # what PR 4 wrote
-    with pytest.raises(
-        ValueError, match="unsupported sweep schema 1: re-record with `repro"
-    ):
-        load_sweep(data)
+    path.write_text(json.dumps(data))
+    assert read_artifact(str(path))[2] == [
+        "unsupported sweep schema 1: re-record with `repro crashsweep`"
+    ]
     data["schema"] = 99
-    with pytest.raises(ValueError, match="unsupported sweep schema 99"):
-        load_sweep(data)
+    path.write_text(json.dumps(data))
+    assert read_artifact(str(path))[2][0].startswith(
+        "unsupported sweep schema 99"
+    )
 
 
-def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
-    data = load_sweep("benchmarks/SWEEP_counter.json")
+def test_report_cli_names_the_unsupported_schema(observed, tmp_path, capsys):
+    data = load("benchmarks/SWEEP_counter.json")
     data["schema"] = 1
     (tmp_path / "SWEEP_old.json").write_text(json.dumps(data))
     assert main(["report", str(tmp_path)]) == 1
@@ -105,7 +162,7 @@ def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
     # a run report written before the wait histograms were dropped (its
     # header at schema 3, a ``hist`` line after the series) is MALFORMED,
     # with a diagnosis and no traceback
-    path = observe_artifact(tmp_path)
+    path = observe_artifact(observed, tmp_path)
     lines = path.read_text().splitlines(keepends=True)
     header = json.loads(lines[0])
     header["schema"] = 3
@@ -123,7 +180,7 @@ def test_report_cli_names_the_unsupported_schema(tmp_path, capsys):
 
 def _broken_sweeps():
     """name -> a committed sweep broken in one way the report reads."""
-    good = load_sweep("benchmarks/SWEEP_counter.json")
+    good = load("benchmarks/SWEEP_counter.json")
     cls = next(iter(good["recovery_by_class"]))
 
     def broken(edit):
@@ -144,6 +201,9 @@ def _broken_sweeps():
             lambda d: d["recovery_by_class"][cls].update(phase_means_s="x")
         ),
         "point_lacks_fields": broken(lambda d: d["points"].append({})),
+        "point_class_list": broken(lambda d: d["points"][0].update({"class": []})),
+        "classes_hold_object": broken(lambda d: d["classes"].append({})),
+        "notes_text": broken(lambda d: d.update(notes="x")),
         "ok_string": broken(lambda d: d.update(ok="yes")),
         "json_list": [good],
         "json_null": None,
@@ -154,8 +214,6 @@ def _broken_sweeps():
 def test_malformed_sweep_is_reported_not_raised(name, tmp_path, capsys):
     """Any JSON value gives a list of problems, never an exception; the
     report names the file MALFORMED and exits nonzero."""
-    from repro.faultinject import validate_sweep
-
     data = _broken_sweeps()[name]
     assert validate_sweep(data)
     path = tmp_path / "SWEEP_broken.json"
@@ -164,20 +222,6 @@ def test_malformed_sweep_is_reported_not_raised(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "MALFORMED" in captured.out
     assert "Traceback" not in captured.out + captured.err
-
-
-def test_committed_sweeps_validate_clean():
-    from repro.faultinject import validate_sweep
-
-    for name in ("counter", "counter_k2", "kvstore", "session",
-                 "session_k2", "kvstore_k2"):
-        with open(f"benchmarks/SWEEP_{name}.json") as fh:
-            assert validate_sweep(json.load(fh)) == [], name
-
-
-def test_committed_trace_artifact_loads():
-    art = load_artifact("benchmarks/results/TRACE_counter.json")
-    assert art.kind == "trace" and art.ok, art.errors
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +244,63 @@ def test_recovery_distributions_exact_percentiles():
 
 
 # ---------------------------------------------------------------------------
+# one renderer per artifact
+# ---------------------------------------------------------------------------
+def test_report_prints_each_artifact_as_its_command_did(
+    observed, tmp_path, capsys
+):
+    """A run report and a flight record show in ``repro report`` exactly
+    as ``repro observe`` and ``repro monitor`` printed them."""
+    observe_artifact(observed, tmp_path)
+    flight = tmp_path / "FLIGHT_counter.json"
+    assert main(["monitor", "counter", "--procs", "4", "--seed-violation",
+                 "llt", "--flight", str(flight)]) == 1
+    printed = capsys.readouterr().out
+    record = printed[printed.index("FLIGHT RECORD — "):
+                     printed.index("\n\nflight record written to")]
+    assert record == render_flight_record(load(flight))
+
+    assert main(["report", str(tmp_path)]) == 1  # a flight record fails it
+    out = capsys.readouterr().out
+    assert observed[1] in out
+    assert record in out
+
+
+def test_crashsweep_prints_its_sweep_with_render_sweep(tmp_path, capsys):
+    path = tmp_path / "SWEEP_counter.json"
+    assert main(["crashsweep", "counter", "--procs", "4", "--steps", "2",
+                 "--size", "256", "--every", "40", "--out", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("crash sweep   counter on 4 simulated nodes")
+    block = "\n".join(lines[1:lines.index(f"written to {path}")])
+    assert block == render_sweep(load(path))
+    # a sweep's notes print last in its block
+    noted = render_sweep(dict(load(path), notes=["window too narrow"]))
+    assert noted == f"{block}\nnote: window too narrow"
+    assert main(["report", str(path)]) == 0
+    assert block in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
 # dashboard + exit discipline
 # ---------------------------------------------------------------------------
-def test_dashboard_green_path(tmp_path):
-    observe_artifact(tmp_path)
-    arts = [load_artifact(p) for p in discover_artifacts([str(tmp_path)])]
-    dash = build_dashboard(arts)
-    assert dash["ok"]
-    text = render_dashboard(dash)
+def test_dashboard_green_path(observed, tmp_path, capsys):
+    observe_artifact(observed, tmp_path)
+    assert main(["report", str(tmp_path)]) == 0
+    text = capsys.readouterr().out
     assert "REPORT OK" in text
-    assert "tail latency by op class" in text
+    assert "latency percentiles (virtual time)" in text
     assert "lat.fetch" in text
 
 
-def test_dashboard_flags_malformed_artifact(tmp_path):
+def test_dashboard_flags_malformed_artifact(tmp_path, capsys):
     bad = tmp_path / "SWEEP_bad.json"
     bad.write_text('{"not": "a sweep"}')
-    dash = build_dashboard([load_artifact(str(bad))])
-    assert not dash["ok"]
-    assert "MALFORMED" in render_dashboard(dash)
+    assert read_artifact(str(bad))[2] == [
+        "not a sweep artifact: missing 'points'"
+    ]
+    assert main(["report", str(bad)]) == 1
+    assert "MALFORMED" in capsys.readouterr().out
 
 
 _FLIGHT = {
@@ -227,13 +309,14 @@ _FLIGHT = {
 }
 
 
-def test_dashboard_flags_flight_record(tmp_path):
+def test_dashboard_flags_flight_record(tmp_path, capsys):
     p = tmp_path / "FLIGHT_counter.json"
     p.write_text(json.dumps(_FLIGHT))
-    dash = build_dashboard([load_artifact(str(p))])
     # a flight record only exists because an invariant tripped
-    assert not dash["ok"]
-    assert "flight record" in render_dashboard(dash)
+    assert main(["report", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert f"flight record {p} present (violations)" in out
+    assert render_flight_record(_FLIGHT) in out
 
 
 @pytest.mark.parametrize("text", [
@@ -255,17 +338,26 @@ def test_report_cli_diagnoses_malformed_flight_record(text, tmp_path, capsys):
     assert "MALFORMED" in capsys.readouterr().out
 
 
-def test_html_rendering_escapes_and_banners(tmp_path):
-    observe_artifact(tmp_path)
-    arts = [load_artifact(p) for p in discover_artifacts([str(tmp_path)])]
-    html = render_html(build_dashboard(arts))
+def test_html_rendering_escapes_and_banners(observed, tmp_path):
+    observe_artifact(observed, tmp_path)
+    page = tmp_path / "dash.html"
+    assert main(["report", str(tmp_path), "--html", str(page)]) == 0
+    html = page.read_text()
     assert html.startswith("<!DOCTYPE html>")
     assert "dashboard — ok" in html
     assert "<pre>" in html
 
+    (tmp_path / "FLIGHT_x.json").write_text(
+        json.dumps(dict(_FLIGHT, reason="<b> & co"))
+    )
+    assert main(["report", str(tmp_path), "--html", str(page)]) == 1
+    html = page.read_text()
+    assert "dashboard — failed" in html
+    assert "&lt;b&gt; &amp; co" in html and "<b>" not in html
 
-def test_report_cli_exit_codes(tmp_path, capsys):
-    observe_artifact(tmp_path)
+
+def test_report_cli_exit_codes(observed, tmp_path, capsys):
+    observe_artifact(observed, tmp_path)
     html = tmp_path / "dash.html"
     assert main(["report", str(tmp_path), "--html", str(html)]) == 0
     assert html.read_text().startswith("<!DOCTYPE html>")

@@ -216,7 +216,7 @@ def test_observe_subcommand_no_ft(tmp_path, capsys):
     from repro.observe import load_jsonl, validate_report
 
     report = load_jsonl(str(out_path))
-    assert validate_report(report, require_ft=False) == []
+    assert validate_report(report) == []
     # base runs carry no FT series at all
     assert all(not r["metric"].startswith("ft.") for r in report["series"])
 

@@ -289,7 +289,7 @@ def test_report_roundtrip_and_validation(tmp_path):
     reg.latency("lat.acquire", 0).observe(2e-4)
     reg.latency("lat.barrier", 1).observe(1e-3)
     reg.sample(0.25)
-    report = build_report(reg, {"app": "unit"})
+    report = build_report(reg, {"app": "unit", "ft": True})
     assert report["header"]["schema"] == 4
     assert validate_report(report) == []
     # no windowed collection -> no wlat records, and that's valid
@@ -324,11 +324,13 @@ def test_load_jsonl_rejects_other_schemas(tmp_path):
 
 
 def test_validate_report_flags_missing_series():
-    report = build_report(MetricsRegistry(), {"app": "unit"})
+    report = build_report(MetricsRegistry(), {"app": "unit", "ft": True})
     errors = validate_report(report)
     assert any("ft.log_volatile_bytes" in e for e in errors)
-    # a base-protocol report only requires the DSM series
-    errors = validate_report(report, require_ft=False)
+    # a base-protocol report (its header says no ft) only requires the
+    # DSM series
+    errors = validate_report(build_report(MetricsRegistry(), {"app": "unit"}))
+    assert any("dsm.diff_bytes_sent" in e for e in errors)
     assert all("ft." not in e for e in errors)
 
 
@@ -379,11 +381,10 @@ def test_schema3_roundtrip_with_windows_recoveries_and_slos(tmp_path):
         "detect": 0.5e-3, "restore": 0.1e-3, "handshake": 0.2e-3,
         "replay": 0.1e-3,
     }
-    base = build_report(reg, {"app": "unit"}, recoveries=[recovery])
+    meta = {"app": "unit", "ft": True}
+    base = build_report(reg, meta, recoveries=[recovery])
     slos = evaluate_report_slos(base, [parse_slo("p99(lat.request)<50ms")])
-    report = build_report(
-        reg, {"app": "unit"}, recoveries=[recovery], slos=slos
-    )
+    report = build_report(reg, meta, recoveries=[recovery], slos=slos)
     assert report["header"]["schema"] == 4
     assert report["header"]["window_s"] == pytest.approx(1e-3)
     assert validate_report(report) == []
