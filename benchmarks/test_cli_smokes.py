@@ -177,6 +177,16 @@ def test_flat_trace_follows_a_recovered_node():
     assert any(re.search(r" p1 +lock ", line) for line in lines[live:])
 
 
+def test_paper_tables_at_smoke_scale():
+    """``repro tables`` runs the three paper apps once, base and FT, and
+    renders every table and figure of the harness from those runs."""
+    out = ok(run("tables", "--scale", "smoke"))
+    for title in ("Table 1:", "Table 2:", "Table 3:", "Table 4:", "Figure 3:",
+                  "Figure 4 (barnes):", "Figure 4 (water-nsq):",
+                  "Figure 4 (water-spatial):"):
+        assert re.search(f"^{re.escape(title)}", out, re.M), title
+
+
 @pytest.mark.parametrize("script", sorted(
     name for name in os.listdir(os.path.join(ROOT, "examples"))
     if name.endswith(".py")

@@ -262,8 +262,7 @@ def test_bench_windowed_observe(benchmark):
     now = [0.0]
 
     def run():
-        registry = MetricsRegistry()
-        registry.enable_windows(lambda: now[0], 1e-3)
+        registry = MetricsRegistry(lambda: now[0], 1e-3)
         lat = registry.latency("lat.request", 0)
         for i, v in enumerate(values):
             now[0] = i * 3e-5

@@ -11,12 +11,10 @@ Public entry points::
 
     from repro import DsmCluster, DsmConfig
     from repro.core import LogOverflowPolicy
-    from repro.apps import BarnesApp, WaterNsqApp, WaterSpatialApp
+    from repro.apps import APPS, make_app
 """
 
-from repro.cluster import DsmCluster, RunResult
+from repro.cluster import DsmCluster
 from repro.dsm.config import DsmConfig
 
-__version__ = "1.0.0"
-
-__all__ = ["DsmCluster", "RunResult", "DsmConfig", "__version__"]
+__all__ = ["DsmCluster", "DsmConfig"]

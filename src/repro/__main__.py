@@ -397,10 +397,10 @@ def add_observe_arguments(p: Parser) -> None:
                    metavar="SECONDS",
                    help="virtual-time sampling cadence (default 1e-3); 0 "
                    "leaves barrier-episode sampling only")
-    p.add_argument("--window", type=NON_NEGATIVE, default=1e-3,
+    p.add_argument("--window", type=POSITIVE, default=1e-3,
                    metavar="SECONDS",
                    help="width of the windows every latency op class rotates "
-                   "through (default 1e-3); 0 disables windowing (and SLOs)")
+                   "through (default 1e-3)")
     p.add_argument("--slo", action="append", default=None, metavar="SPEC",
                    help="latency objective, e.g. 'p99(lat.request)<5ms' "
                    "(repeatable), evaluated with multi-window burn-rate "
@@ -425,9 +425,6 @@ def run_observe(parser: Parser, args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"bad --slo: {exc}", file=sys.stderr)
             return 2
-    if objectives and not args.window:
-        print("--slo requires windowed collection (drop --window 0)", file=sys.stderr)
-        return 2
 
     run = RunBuilder(parser, args, ft=not args.no_ft)
     cluster = run.cluster()
@@ -435,7 +432,7 @@ def run_observe(parser: Parser, args: argparse.Namespace) -> int:
         cluster,
         interval=args.interval or None,
         sample_on_barrier=True,
-        window_s=args.window or None,
+        window_s=args.window,
     )
     try:
         result = run.run(cluster)

@@ -21,22 +21,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, NamedTuple, Optional, Type
 
-from repro.apps.barnes import BarnesApp, BarnesConfig
-from repro.apps.base import AppConfig, DsmApp
-from repro.apps.counter import CounterApp, CounterConfig
-from repro.apps.kvstore import KvStoreApp, KvStoreConfig
-from repro.apps.lu import LuApp, LuConfig
-from repro.apps.session import SessionApp, SessionConfig
-from repro.apps.water_nsq import WaterNsqApp, WaterNsqConfig
+from repro.apps.barnes import BarnesApp
+from repro.apps.base import DsmApp
+from repro.apps.counter import CounterApp
+from repro.apps.kvstore import KvStoreApp
+from repro.apps.lu import LuApp
+from repro.apps.session import SessionApp
+from repro.apps.water_nsq import WaterNsqApp
 from repro.apps.water_spatial import WaterSpatialApp, WaterSpatialConfig
 
-__all__ = [
-    "APPS", "AppConfig", "AppSpec", "DsmApp", "make_app",
-    "BarnesApp", "BarnesConfig", "CounterApp", "CounterConfig",
-    "KvStoreApp", "KvStoreConfig", "LuApp", "LuConfig",
-    "SessionApp", "SessionConfig", "WaterNsqApp", "WaterNsqConfig",
-    "WaterSpatialApp", "WaterSpatialConfig",
-]
+__all__ = ["APPS", "make_app", "WaterSpatialApp", "WaterSpatialConfig"]
 
 
 class AppSpec(NamedTuple):

@@ -13,17 +13,7 @@ its FT manager:
   the last committed cut. The meta-cluster benchmarks measure it.
 """
 
-from repro.baselines.coordinated import (
-    CoordinatedCluster,
-    CoordinatedFt,
-    global_rollback,
-)
-from repro.baselines.page_logging import PageLoggingCluster, PageLoggingFt
+from repro.baselines.coordinated import CoordinatedCluster
+from repro.baselines.page_logging import PageLoggingCluster
 
-__all__ = [
-    "PageLoggingFt",
-    "PageLoggingCluster",
-    "CoordinatedFt",
-    "CoordinatedCluster",
-    "global_rollback",
-]
+__all__ = ["CoordinatedCluster", "PageLoggingCluster"]

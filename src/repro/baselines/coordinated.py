@@ -146,7 +146,7 @@ class CoordinatedFt(FtManager):
 
     COORDINATOR = 0
 
-    def __init__(self, proc, policy, ckpt_mgr, disk, config=None) -> None:
+    def __init__(self, proc, policy, ckpt_mgr, disk, config) -> None:
         super().__init__(proc, policy, ckpt_mgr, disk, config)
         self.coord = CoordStats()
         self.round_id = 0  # last round this process snapshotted

@@ -221,7 +221,7 @@ class DsmCluster:
     # ------------------------------------------------------------------
     # run
     # ------------------------------------------------------------------
-    def run(self, app: Any, max_steps: int = 500_000_000) -> RunResult:
+    def run(self, app: Any) -> RunResult:
         self.setup(app)
         self.start()
         me = back_ref(self)
@@ -229,7 +229,15 @@ class DsmCluster:
             self.engine.schedule(
                 max(0.0, at_time - self.engine.now), lambda p=pid: me.crash(p)
             )
-        self._run_loop(max_steps)
+        # the last app main to finish halts the engine
+        if not all(h.finished for h in self.hosts):
+            self.engine.run()
+        pending = [h.pid for h in self.hosts if not h.finished]
+        if pending:
+            raise RuntimeError(
+                f"deadlock: event queue drained, processes not finished: "
+                f"{pending}\n{self.host_diagnostics()}"
+            )
         if self.app is not None:
             self.app.check_result(self)
         return self.result()
@@ -320,17 +328,6 @@ class DsmCluster:
     def _app_main(self, host: ProcHost) -> Iterator[Any]:
         """A fresh coroutine running ``host``'s application main."""
         return _app_coroutine(self.app, host, self.hosts, self.engine)
-
-    def _run_loop(self, max_steps: int) -> None:
-        # the last app main to finish halts the engine
-        if not all(h.finished for h in self.hosts):
-            self.engine.run(max_steps=max_steps)
-        pending = [h.pid for h in self.hosts if not h.finished]
-        if pending:
-            raise RuntimeError(
-                f"deadlock: event queue drained, processes not finished: "
-                f"{pending}\n{self.host_diagnostics()}"
-            )
 
     def host_diagnostics(self) -> str:
         """Per-host liveness/wait state, for debuggable deadlock reports;

@@ -13,27 +13,7 @@ going beyond the paper's own prototype, which did not implement
 recovery).
 """
 
-from repro.core.logs import DiffLog, DiffLogEntry, GrantLog, VolatileLogs
-from repro.core.checkpoint import Checkpoint, CheckpointManager
-from repro.core.policies import (
-    BarrierCoordinatedPolicy,
-    CheckpointPolicy,
-    LogOverflowPolicy,
-)
-from repro.core.trimming import TrimmingInfo
-from repro.core.ftmanager import FtManager, FtConfig
+from repro.core.policies import BarrierCoordinatedPolicy, LogOverflowPolicy
+from repro.core.ftmanager import FtConfig
 
-__all__ = [
-    "DiffLog",
-    "DiffLogEntry",
-    "GrantLog",
-    "VolatileLogs",
-    "Checkpoint",
-    "CheckpointManager",
-    "CheckpointPolicy",
-    "LogOverflowPolicy",
-    "BarrierCoordinatedPolicy",
-    "TrimmingInfo",
-    "FtManager",
-    "FtConfig",
-]
+__all__ = ["BarrierCoordinatedPolicy", "FtConfig", "LogOverflowPolicy"]

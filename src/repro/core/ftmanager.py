@@ -99,7 +99,7 @@ class FtManager(FtHooks):
         policy: CheckpointPolicy,
         ckpt_mgr: CheckpointManager,
         disk: Disk,
-        config: Optional[FtConfig] = None,
+        config: FtConfig,
     ) -> None:
         #: the process owns this manager (``proc.ft``): a weak edge back
         self.proc = back_ref(proc)
@@ -108,7 +108,7 @@ class FtManager(FtHooks):
         self.policy = policy
         self.ckpt_mgr = ckpt_mgr
         self.disk = disk
-        self.config = config or FtConfig()
+        self.config = config
         self.logs = VolatileLogs(self.pid, self.n)
         self.trim = TrimmingInfo(self.pid, self.n)
         self.stats = FtStats()

@@ -7,19 +7,3 @@ coherence through *write notices* (page invalidations) ordered by
 *vector timestamps*, distributed queue-based locks whose grant messages
 carry write notices, and manager-based barriers.
 """
-
-from repro.dsm.config import DsmConfig
-from repro.dsm.vclock import VClock
-from repro.dsm.pages import PageId, PageState, SharedRegion
-from repro.dsm.diff import Diff, compute_diff, apply_diff
-
-__all__ = [
-    "DsmConfig",
-    "VClock",
-    "PageId",
-    "PageState",
-    "SharedRegion",
-    "Diff",
-    "compute_diff",
-    "apply_diff",
-]

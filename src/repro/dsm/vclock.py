@@ -299,16 +299,14 @@ class VClock:
         return VClock._make(out)
 
     # -- updates -----------------------------------------------------------
-    def bump(self, i: int, by: int = 1) -> "VClock":
-        """New clock with component ``i`` advanced by ``by``."""
+    def bump(self, i: int) -> "VClock":
+        """New clock with component ``i`` advanced by one."""
         n = self._n
         if not (0 <= i < n):
             raise IndexError(i)
-        if by < 0:
-            raise ValueError("cannot decrease a component")
         if n >= _ARRAY_WIDTH:
             out = self.as_array().copy()
-            value = int(out[i]) + by
+            value = int(out[i]) + 1
             if value > MAX_COMPONENT:
                 _overflow(value)
             out[i] = value
@@ -316,7 +314,7 @@ class VClock:
         v = self._t
         if v is None:
             v = self.v
-        value = v[i] + by
+        value = v[i] + 1
         if value > MAX_COMPONENT:
             _overflow(value)
         return VClock._make(v[:i] + (value,) + v[i + 1 :])

@@ -11,32 +11,6 @@ second failures that exceed the paper's single-fault model). Silent
 divergence, hangs and leaked messages are campaign failures.
 """
 
-from repro.faultinject.campaign import (
-    SWEEP_SCHEMA,
-    CrashPoint,
-    CrashSweep,
-    OracleViolation,
-    PointResult,
-    Schedule,
-    SweepSummary,
-    accepted,
-    check_oracle,
-    recovery_distributions,
-    render_sweep,
-    validate_sweep,
-)
+from repro.faultinject.campaign import CrashSweep, Schedule
 
-__all__ = [
-    "SWEEP_SCHEMA",
-    "CrashPoint",
-    "CrashSweep",
-    "OracleViolation",
-    "PointResult",
-    "Schedule",
-    "SweepSummary",
-    "accepted",
-    "check_oracle",
-    "recovery_distributions",
-    "render_sweep",
-    "validate_sweep",
-]
+__all__ = ["CrashSweep", "Schedule"]

@@ -28,7 +28,7 @@ A sweep is three phases:
    the single-fault model runs out).
 
 By default the online invariant monitor
-(:class:`~repro.observe.invariants.InvariantMonitor`) rides along on the
+(:class:`~repro.observe.invariants.monitor.InvariantMonitor`) rides along on the
 reference run from step 0 and joins every injection run at its first
 crash step: it is read-only, so the step indices stay transferable, and
 it turns silently-wrong recoveries (trim bound overshoot, vector-clock

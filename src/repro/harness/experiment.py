@@ -11,7 +11,7 @@ reported values are bundled for side-by-side comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import DsmCluster, DsmConfig
 from repro.apps.barnes import BarnesApp, BarnesConfig
@@ -25,6 +25,7 @@ __all__ = [
     "PAPER",
     "AppSetup",
     "ExperimentResult",
+    "Experiments",
     "paper_setups",
     "run_base",
     "run_ft",
@@ -175,6 +176,11 @@ class ExperimentResult:
     @property
     def hosts(self):
         return self.cluster.hosts
+
+
+#: the (base, FT) result pair of each paper app, which every table and
+#: figure reads
+Experiments = Dict[str, Tuple[ExperimentResult, ExperimentResult]]
 
 
 def run_base(setup: AppSetup, num_procs: int = NUM_PROCS) -> ExperimentResult:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import Experiments
 from repro.render import Table, ascii_series
 from repro.sim.node import TimeBucket
 
@@ -21,19 +21,13 @@ BREAKDOWN = [
 ]
 
 
-def figure3(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Dict[str, Dict[str, Dict[str, float]]]:
+def figure3(experiments: Experiments) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Figure 3 data: normalized execution-time breakdown per app.
 
     Returns ``{app: {"base"|"ft": {component: percent-of-base-time}}}``:
     the left/right bars of the paper's figure, both normalized to the
     base run's mean execution time (the left bar sums to 100).
     """
-    from repro.harness.tables import run_all_experiments
-
-    experiments = experiments or run_all_experiments(scale)
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name, (base, ft) in experiments.items():
         base_mean = base.result.mean_time_stats
@@ -52,12 +46,9 @@ def figure3(
     return out
 
 
-def figure3_table(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Table:
+def figure3_table(experiments: Experiments) -> Table:
     """Figure 3 rendered as a table (base | FT columns per component)."""
-    data = figure3(experiments, scale)
+    data = figure3(experiments)
     t = Table(
         "Figure 3: Normalized execution time breakdown (% of base run)",
         ["Component"]
@@ -79,10 +70,7 @@ def figure3_table(
     return t
 
 
-def figure4(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
+def figure4(experiments: Experiments) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """Figure 4 data: stable-storage log size vs checkpoint number.
 
     Returns ``{app: {"measured": [(ckpt#, bytes)], "unbounded":
@@ -92,9 +80,6 @@ def figure4(
     record, each node's ``FtStats.log_points`` (one point per
     checkpoint).
     """
-    from repro.harness.tables import run_all_experiments
-
-    experiments = experiments or run_all_experiments(scale)
     out: Dict[str, Dict[str, List[Tuple[int, float]]]] = {}
     for name, (_base, ft) in experiments.items():
         # per checkpoint number, the max stable log size across nodes
@@ -109,11 +94,8 @@ def figure4(
     return out
 
 
-def figure4_render(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> str:
-    data = figure4(experiments, scale)
+def figure4_render(experiments: Experiments) -> str:
+    data = figure4(experiments)
     charts = []
     for name, series in data.items():
         charts.append(

@@ -1,7 +1,7 @@
 """Regeneration of the paper's Tables 1-4 (§5).
 
-Each function runs the required experiments (or reuses supplied results)
-and returns a :class:`~repro.render.Table` whose rows mirror the
+Each function reads the (base, FT) result pairs of
+:func:`run_all_experiments` and returns a :class:`~repro.render.Table` whose rows mirror the
 paper's columns, with the paper's reported values alongside where they
 exist. Absolute numbers differ (scaled problems, simulated hardware);
 the *shape* — which app pays most, roughly what percentages, Wmax ≤ 3,
@@ -10,11 +10,9 @@ large discarded-log fractions — is the reproduction target.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 from repro.harness.experiment import (
     PAPER,
-    ExperimentResult,
+    Experiments,
     paper_setups,
     run_base,
     run_ft,
@@ -24,9 +22,7 @@ from repro.render import Table, format_bytes, format_pct
 __all__ = ["table1", "table2", "table3", "table4", "run_all_experiments"]
 
 
-def run_all_experiments(
-    scale: str = "default",
-) -> Dict[str, Tuple[ExperimentResult, ExperimentResult]]:
+def run_all_experiments(scale: str = "default") -> Experiments:
     """(base, ft) result pairs per app — shared by all tables/figures."""
     out = {}
     for setup in paper_setups(scale):
@@ -34,12 +30,8 @@ def run_all_experiments(
     return out
 
 
-def table1(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Table:
+def table1(experiments: Experiments) -> Table:
     """Table 1: applications and their characteristics."""
-    experiments = experiments or run_all_experiments(scale)
     t = Table(
         "Table 1: Applications used and their characteristics",
         [
@@ -68,12 +60,8 @@ def table1(
     return t
 
 
-def table2(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Table:
+def table2(experiments: Experiments) -> Table:
     """Table 2: message traffic overhead of CGC/LLT control data."""
-    experiments = experiments or run_all_experiments(scale)
     t = Table(
         "Table 2: Message traffic overhead of CGC and LLT (piggybacked)",
         [
@@ -99,12 +87,8 @@ def table2(
     return t
 
 
-def table3(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Table:
+def table3(experiments: Experiments) -> Table:
     """Table 3: performance of independent checkpointing with CGC+LLT."""
-    experiments = experiments or run_all_experiments(scale)
     t = Table(
         "Table 3: Performance of independent checkpointing with CGC and LLT",
         [
@@ -142,12 +126,8 @@ def table3(
     return t
 
 
-def table4(
-    experiments: Optional[Dict[str, Tuple[ExperimentResult, ExperimentResult]]] = None,
-    scale: str = "default",
-) -> Table:
+def table4(experiments: Experiments) -> Table:
     """Table 4: overall efficiency of CGC and LLT."""
-    experiments = experiments or run_all_experiments(scale)
     t = Table(
         "Table 4: Overall efficiency of CGC and LLT",
         [

@@ -2,7 +2,7 @@
 
 See DESIGN.md §7. Typical use::
 
-    from repro.observe import ClusterObserver
+    from repro.observe import ClusterObserver, build_report, write_jsonl
 
     cluster = DsmCluster(..., ft=True)
     obs = ClusterObserver(cluster, interval=1e-3)   # virtual-time cadence
@@ -14,102 +14,27 @@ See DESIGN.md §7. Typical use::
 
 from repro.lazy import lazy_exports
 
-_INVARIANTS = "repro.observe.invariants"
-_LATENCY = "repro.observe.latency"
-_OBSERVER = "repro.observe.observer"
-_REGISTRY = "repro.observe.registry"
+_MONITOR = "repro.observe.invariants.monitor"
+_RECORDER = "repro.observe.invariants.recorder"
 _REPORT = "repro.observe.report"
-_SLO = "repro.observe.slo"
-_TRACING = "repro.observe.tracing"
+_SLO = "repro.observe.slo.engine"
 
-# each name resolves on first access (a subpackage resolves its own the
-# same way), so an observed run does not compile the tracing package,
-# the invariant monitor or the SLO timeline unless it uses them
+# each name resolves on first access, so an observed run compiles the
+# invariant monitor or the SLO engine only when it uses them
 _EXPORTS = {
-    "INVARIANTS": _INVARIANTS,
-    "InvariantMonitor": _INVARIANTS,
-    "Violation": _INVARIANTS,
-    "FlightRecorder": _INVARIANTS,
-    "render_flight_record": _INVARIANTS,
-    "validate_flight_record": _INVARIANTS,
-    "write_flight_record": _INVARIANTS,
-    "LatencyHistogram": _LATENCY,
-    "exact_percentile": _LATENCY,
-    "ClusterObserver": _OBSERVER,
-    "CLUSTER_NODE": _REGISTRY,
-    "Counter": _REGISTRY,
-    "MetricsRegistry": _REGISTRY,
-    "KEY_LATENCIES": _REPORT,
-    "KEY_SERIES": _REPORT,
+    "INVARIANTS": _MONITOR,
+    "InvariantMonitor": _MONITOR,
+    "render_flight_record": _RECORDER,
+    "validate_flight_record": _RECORDER,
+    "write_flight_record": _RECORDER,
+    "ClusterObserver": "repro.observe.observer",
+    "MetricsRegistry": "repro.observe.registry",
     "build_report": _REPORT,
-    "load_jsonl": _REPORT,
     "render_report": _REPORT,
     "validate_report": _REPORT,
     "write_jsonl": _REPORT,
-    "DEFAULT_RULES": _SLO,
-    "BurnRule": _SLO,
-    "Objective": _SLO,
-    "SloResult": _SLO,
     "evaluate_report_slos": _SLO,
-    "evaluate_slo": _SLO,
     "parse_slo": _SLO,
-    "build_timeline": _SLO,
-    "reconvergence": _SLO,
-    "render_timeline": _SLO,
-    "CausalEdge": _TRACING,
-    "Span": _TRACING,
-    "SpanTracer": _TRACING,
-    "CritSegment": _TRACING,
-    "compute_critical_path": _TRACING,
-    "node_time_totals": _TRACING,
-    "per_cause_totals": _TRACING,
-    "reconcile_with_time_stats": _TRACING,
-    "render_critpath_report": _TRACING,
-    "worst_lock_chains": _TRACING,
-    "to_chrome_trace": _TRACING,
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "BurnRule",
-    "CLUSTER_NODE",
-    "CausalEdge",
-    "ClusterObserver",
-    "Counter",
-    "CritSegment",
-    "DEFAULT_RULES",
-    "FlightRecorder",
-    "INVARIANTS",
-    "InvariantMonitor",
-    "KEY_LATENCIES",
-    "KEY_SERIES",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "Objective",
-    "SloResult",
-    "Span",
-    "SpanTracer",
-    "Violation",
-    "build_report",
-    "build_timeline",
-    "compute_critical_path",
-    "evaluate_report_slos",
-    "evaluate_slo",
-    "exact_percentile",
-    "parse_slo",
-    "reconvergence",
-    "render_timeline",
-    "load_jsonl",
-    "node_time_totals",
-    "per_cause_totals",
-    "reconcile_with_time_stats",
-    "render_critpath_report",
-    "render_flight_record",
-    "render_report",
-    "to_chrome_trace",
-    "validate_flight_record",
-    "validate_report",
-    "worst_lock_chains",
-    "write_flight_record",
-    "write_jsonl",
-]
+__all__ = list(_EXPORTS)

@@ -162,6 +162,17 @@ def write_flight_record(path: str, record: Dict[str, Any]) -> None:
 #: ring events a rendered flight record shows, newest last
 FLIGHT_TAIL = 30
 
+#: the fields :func:`render_flight_record` reads of a node, and of an
+#: event of each ``rec`` kind
+_NODE_FIELDS = ("pid", "live", "recovering", "finished")
+_MSG_FIELDS = ("time", "step", "src", "dst", "msg", "category")
+_EVENT_FIELDS = {
+    "engine": ("time", "step", "event"),
+    "probe": ("time", "step", "pid", "kind", "detail"),
+    "send": _MSG_FIELDS,
+    "deliver": _MSG_FIELDS,
+}
+
 
 def render_flight_record(record: Dict[str, Any]) -> str:
     """ASCII post-mortem: reason, violations, node states, event tail."""
@@ -259,7 +270,8 @@ def node_snapshot(host: Any) -> Dict[str, Any]:
 def validate_flight_record(record: Any) -> List[str]:
     """Structural checks on a flight record; empty list = valid. Any
     parsed JSON value may be passed: a wrong shape is an error in the
-    list, never an exception."""
+    list, never an exception. A valid record holds every field
+    :func:`render_flight_record` reads."""
     if not isinstance(record, dict):
         return [f"flight record is not a JSON object ({type(record).__name__})"]
     errors = [
@@ -271,8 +283,7 @@ def validate_flight_record(record: Any) -> List[str]:
     if errors:
         return errors
     for key in ("time", "step"):
-        value = record[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(record[key]):
             errors.append(f"{key} is not a number")
     rows: Dict[str, List[Dict[str, Any]]] = {}
     for key in ("violations", "events", "nodes"):
@@ -288,13 +299,19 @@ def validate_flight_record(record: Any) -> List[str]:
             if key not in v:
                 errors.append(f"violation {i} missing {key!r}")
     for i, e in enumerate(rows.get("events", ())):
-        if e.get("rec") not in ("engine", "probe", "send", "deliver"):
+        fields = _EVENT_FIELDS.get(e.get("rec"))
+        if fields is None:
             errors.append(f"event {i} has unknown rec {e.get('rec')!r}")
-        elif "time" not in e or "step" not in e:
-            errors.append(f"event {i} missing time/step")
+            continue
+        missing = [key for key in fields if key not in e]
+        if missing:
+            errors.append(f"event {i} ({e['rec']}) missing {missing}")
+        elif not _is_number(e["time"]) or not isinstance(e["step"], int):
+            errors.append(f"event {i} time/step is not a number/an integer")
     for i, n in enumerate(rows.get("nodes", ())):
-        if "pid" not in n or "live" not in n:
-            errors.append(f"node {i} missing pid/live")
+        missing = [key for key in _NODE_FIELDS if key not in n]
+        if missing:
+            errors.append(f"node {i} missing {missing}")
     if not isinstance(record["checks"], dict):
         errors.append("checks is not a mapping")
     try:
@@ -302,3 +319,7 @@ def validate_flight_record(record: Any) -> List[str]:
     except (TypeError, ValueError) as exc:
         errors.append(f"not JSON-serializable: {exc}")
     return errors
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -245,18 +245,16 @@ class LatencyHistogram:
         }
 
     @classmethod
-    def from_dict(
-        cls, data: Dict[str, Any], name: str = "", node: int = -1
-    ) -> "LatencyHistogram":
-        """A histogram from its ``to_dict`` record; a record written in
-        another bucket geometry raises ``ValueError``."""
+    def from_dict(cls, data: Dict[str, Any]) -> "LatencyHistogram":
+        """An unnamed histogram (node -1) from its ``to_dict`` record; a
+        record written in another bucket geometry raises ``ValueError``."""
         if (data["base"], data["growth"]) != (DEFAULT_BASE, DEFAULT_GROWTH):
             raise ValueError(
                 f"histogram record in another geometry: base {data['base']}, "
                 f"growth {data['growth']} (expected {DEFAULT_BASE}, "
                 f"{DEFAULT_GROWTH})"
             )
-        h = cls(name, node)
+        h = cls("", -1)
         h.zero_count = int(data.get("zero", 0))
         h.buckets = {int(i): int(c) for i, c in data.get("buckets", ())}
         h.count = int(data["count"])

@@ -74,22 +74,17 @@ class ClusterObserver:
     def __init__(
         self,
         cluster: "DsmCluster",
-        registry: Optional[MetricsRegistry] = None,
         interval: Optional[float] = None,
         sample_on_barrier: bool = True,
-        window_s: Optional[float] = None,
+        window_s: float = 1e-3,
     ) -> None:
         # the cluster's bus holds this observer, so it keeps the parts it
         # reads, never the cluster itself
         self.engine = engine = cluster.engine
         self.hosts = cluster.hosts
-        self.registry = registry if registry is not None else MetricsRegistry()
-        if window_s is not None:
-            # windowed tail-latency collection (DESIGN.md §7.4): the clock
-            # callback reads the engine's virtual time and nothing else
-            self.registry.enable_windows(
-                clock=lambda: engine.now, window_s=window_s
-            )
+        # latency windows (DESIGN.md §7.4) of the engine's virtual time,
+        # which the clock callback reads and nothing else
+        self.registry = MetricsRegistry(lambda: engine.now, window_s)
         self.interval = interval
         self.sample_on_barrier = sample_on_barrier
         #: completed recoveries' phase records (tagged with pid), the

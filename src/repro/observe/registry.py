@@ -25,9 +25,9 @@ gauge rows (:meth:`MetricsRegistry.gauges`)
     else.
 
 window table (:meth:`MetricsRegistry.windows`)
-    With windowed collection on, one cluster-wide ``LatencyHistogram``
-    per (op class, virtual-time window), filed at observe time by every
-    node's histogram of that class (DESIGN.md §7.4). It is what the run
+    One cluster-wide ``LatencyHistogram`` per (op class, virtual-time
+    window), filed at observe time by every node's histogram of that
+    class (DESIGN.md §7.4). It is what the run
     report's ``wlat`` records, the SLO engine and the degradation
     timeline read; no node keeps windows of its own.
 
@@ -164,9 +164,18 @@ class MetricsRegistry:
     sample count at which the metric registered, or a ``record()``
     series' own. Every read accessor, and a report, hands out
     :class:`Points` views of the columns.
+
+    Every latency distribution also files its observations into windows
+    ``window_s`` wide of the time ``clock()`` reads (DESIGN.md §7.4); the
+    clock only *reads* virtual time, preserving the layer's read-only
+    guarantee.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float], window_s: float) -> None:
+        if window_s <= 0:
+            raise ValueError(f"window_s must be positive: {window_s}")
+        self.clock = clock
+        self.window_s = window_s
         self._counters: Dict[Key, Counter] = {}
         self._latencies: Dict[Key, LatencyHistogram] = {}
         self._axis = array("d")
@@ -176,29 +185,8 @@ class MetricsRegistry:
         self._readers: List[Tuple[Callable[[], Sequence[float]], List[array]]] = []
         #: derived() memo: key -> (version, value)
         self._derived: Dict[Any, Tuple[Any, Any]] = {}
-        # windowed collection (DESIGN.md §7.4): once enable_windows() set a
-        # clock callback and a window width, latency() hands out
-        # WindowedLatency instances that file into the op class's table —
-        # the clock only *reads* virtual time, preserving the layer's
-        # read-only guarantee
-        self.clock: Optional[Callable[[], float]] = None
-        self.window_s: Optional[float] = None
         #: op class -> window index -> the cluster's histogram there
         self._windows: Dict[str, Dict[int, LatencyHistogram]] = {}
-
-    def enable_windows(
-        self, clock: Callable[[], float], window_s: float
-    ) -> None:
-        """Turn on windowed latency collection for metrics created later.
-
-        Must run before the first ``latency()`` call for any op class
-        that should rotate (histograms are interned; already-created
-        ones keep their kind).
-        """
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive: {window_s}")
-        self.clock = clock
-        self.window_s = window_s
 
     # ------------------------------------------------------------------
     # metric factories (interned by (name, node))
@@ -232,15 +220,13 @@ class MetricsRegistry:
         return entry
 
     def latency(self, name: str, node: int = CLUSTER_NODE) -> LatencyHistogram:
-        """Log-bucketed percentile distribution (interned by (name, node))."""
+        """Log-bucketed percentile distribution (interned by (name, node))
+        that also files into the op class's window table."""
         key = (name, node)
         h = self._latencies.get(key)
         if h is None:
-            if self.window_s is None:
-                h = LatencyHistogram(name, node)
-            else:
-                table = self._windows.setdefault(name, {})
-                h = WindowedLatency(name, node, self.clock, self.window_s, table)
+            table = self._windows.setdefault(name, {})
+            h = WindowedLatency(name, node, self.clock, self.window_s, table)
             self._latencies[key] = h
         return h
 
@@ -320,6 +306,5 @@ class MetricsRegistry:
 
     def windows(self, name: str) -> Dict[int, LatencyHistogram]:
         """``{window index: cluster histogram}`` under ``name``: the table
-        itself, to read only. Empty when windowed collection is off (or
-        nothing was observed)."""
+        itself, to read only. Empty while nothing was observed."""
         return self._windows.get(name, {})

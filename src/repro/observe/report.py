@@ -14,7 +14,7 @@ record per line — so CI can parse it with nothing but ``json.loads``:
 * ``{"record": "wlat", ...}``     — one per histogram of the registry's
   window table: an (op class, fixed virtual-time window) pair, cluster-
   wide, carrying the window index/bounds plus the same log-bucket
-  payload as ``lat`` (only when the run collected windows)
+  payload as ``lat``
 * ``{"record": "recovery", ...}`` — one per completed recovery: the pid
   plus the phase anatomy (detect/restore/handshake/replay/total), the
   degradation timeline's crash marks
@@ -106,11 +106,10 @@ def build_report(
     is the cluster's :class:`~repro.cluster.RunResult` (optional — unit
     tests build reports from bare registries). ``recoveries`` is the
     observer's ``recovery_records`` list (crash runs); ``slos`` a list
-    of :class:`~repro.observe.slo.SloResult` when the run evaluated
-    objectives. Windowed (``wlat``) records appear whenever the registry
-    collected windows, one per histogram of its window table
-    (``node = -1``), so report size is bounded at ``windows x op
-    classes`` regardless of cluster size.
+    of :class:`~repro.observe.slo.engine.SloResult` when the run evaluated
+    objectives. Windowed (``wlat``) records are one per histogram of the
+    registry's window table (``node = -1``), so report size is bounded
+    at ``windows x op classes`` regardless of cluster size.
 
     A report is a read-only value over the registry: a series' ``points``
     is a :class:`~repro.observe.registry.Points` view of its columns, as
@@ -142,20 +141,19 @@ def build_report(
                 )
     wlats: List[Dict[str, Any]] = []
     window_s = registry.window_s
-    if window_s is not None:
-        for name in registry.latency_names():
-            table = registry.windows(name)
-            # every observation bumps a window's count, so while the op
-            # class's total stands an earlier build's records hold
-            wlats += registry.derived(
-                ("wlat", name), sum(h.count for h in table.values()),
-                lambda: [
-                    {"record": "wlat", "metric": name, "node": CLUSTER_NODE,
-                     "window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
-                     "window_s": window_s, **h.to_dict()}
-                    for w, h in sorted(table.items())
-                ],
-            )
+    for name in registry.latency_names():
+        table = registry.windows(name)
+        # every observation bumps a window's count, so while the op
+        # class's total stands an earlier build's records hold
+        wlats += registry.derived(
+            ("wlat", name), sum(h.count for h in table.values()),
+            lambda: [
+                {"record": "wlat", "metric": name, "node": CLUSTER_NODE,
+                 "window": w, "t0": w * window_s, "t1": (w + 1) * window_s,
+                 "window_s": window_s, **h.to_dict()}
+                for w, h in sorted(table.items())
+            ],
+        )
     recovery_recs = [
         {"record": "recovery", **rec} for rec in (recoveries or ())
     ]
@@ -367,8 +365,7 @@ def _slo_sections(report: Dict[str, Any]) -> List[str]:
                     float(rec["threshold_s"]),
                 )
                 break
-        if timeline is not None:
-            parts.append(render_timeline(timeline, objective))
+        parts.append(render_timeline(timeline, objective))
     if slos:
         table = Table(
             "SLO burn-rate evaluation",

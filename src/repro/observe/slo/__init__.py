@@ -12,34 +12,12 @@ table, DESIGN.md §7.4):
 
 from repro.lazy import lazy_exports
 
-_ENGINE = "repro.observe.slo.engine"
 _TIMELINE = "repro.observe.slo.timeline"
 
 _EXPORTS = {
-    "DEFAULT_RULES": _ENGINE,
-    "BurnRule": _ENGINE,
-    "Objective": _ENGINE,
-    "SloResult": _ENGINE,
-    "evaluate_report_slos": _ENGINE,
-    "evaluate_slo": _ENGINE,
-    "parse_duration": _ENGINE,
-    "parse_slo": _ENGINE,
+    "Objective": "repro.observe.slo.engine",
     "build_timeline": _TIMELINE,
-    "reconvergence": _TIMELINE,
     "render_timeline": _TIMELINE,
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "BurnRule",
-    "DEFAULT_RULES",
-    "Objective",
-    "SloResult",
-    "build_timeline",
-    "evaluate_report_slos",
-    "evaluate_slo",
-    "parse_duration",
-    "parse_slo",
-    "reconvergence",
-    "render_timeline",
-]
+__all__ = list(_EXPORTS)

@@ -31,16 +31,13 @@ PHASES = ("detect", "restore", "handshake", "replay")
 
 def build_timeline(
     report: Dict[str, Any], metric: str = "lat.request"
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """Fold a run report's ``wlat`` + ``recovery`` records into a timeline.
 
-    The timeline holds the metric's ``wlat`` records themselves, in
-    window order. Returns None when the report carries none (windowing
-    disabled).
+    The timeline holds the metric's cluster ``wlat`` records themselves,
+    in window order; the report carries at least one.
     """
     wlats = cluster_wlats(report, metric)
-    if not wlats:
-        return None
     window_s = float(wlats[0]["window_s"])
     marks: List[Dict[str, Any]] = []
     for rec in report.get("recoveries", ()):

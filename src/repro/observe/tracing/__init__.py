@@ -2,7 +2,9 @@
 
 See DESIGN.md §7.5. Typical use::
 
-    from repro.observe.tracing import SpanTracer, compute_critical_path
+    from repro.observe.tracing import (
+        SpanTracer, compute_critical_path, to_chrome_trace,
+    )
 
     cluster = DsmCluster(..., ft=True)
     tracer = SpanTracer(cluster)        # attach BEFORE run
@@ -15,42 +17,14 @@ See DESIGN.md §7.5. Typical use::
 from repro.lazy import lazy_exports
 
 _CRITPATH = "repro.observe.tracing.critpath"
-_EXPORT = "repro.observe.tracing.export"
-_SPANS = "repro.observe.tracing.spans"
 
 _EXPORTS = {
-    "CritSegment": _CRITPATH,
     "compute_critical_path": _CRITPATH,
     "node_time_totals": _CRITPATH,
-    "per_cause_totals": _CRITPATH,
     "reconcile_with_time_stats": _CRITPATH,
     "render_critpath_report": _CRITPATH,
-    "worst_lock_chains": _CRITPATH,
-    "render_trace": _EXPORT,
-    "to_chrome_trace": _EXPORT,
-    "validate_trace": _EXPORT,
-    "OP_KINDS": _SPANS,
-    "WAIT_KINDS": _SPANS,
-    "CausalEdge": _SPANS,
-    "Span": _SPANS,
-    "SpanTracer": _SPANS,
+    "to_chrome_trace": "repro.observe.tracing.export",
+    "SpanTracer": "repro.observe.tracing.spans",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "CausalEdge",
-    "CritSegment",
-    "OP_KINDS",
-    "Span",
-    "SpanTracer",
-    "WAIT_KINDS",
-    "compute_critical_path",
-    "node_time_totals",
-    "per_cause_totals",
-    "reconcile_with_time_stats",
-    "render_critpath_report",
-    "render_trace",
-    "to_chrome_trace",
-    "validate_trace",
-    "worst_lock_chains",
-]
+__all__ = list(_EXPORTS)

@@ -152,9 +152,6 @@ class Span:
     def duration(self) -> float:
         return max(0.0, self.t1 - self.t0) if self.t1 >= 0.0 else 0.0
 
-    def overlaps(self, a: float, b: float) -> bool:
-        return self.t1 > a and self.t0 < b
-
 
 @dataclass
 class CausalEdge:

@@ -103,11 +103,13 @@ class Table:
         return self.render()
 
 
-def ascii_histogram(
-    title: str,
-    buckets: Sequence[Tuple[str, float]],
-    width: int = 40,
-) -> str:
+#: columns of a histogram's bar area
+BAR_WIDTH = 40
+#: columns and rows of a series chart's plot area
+CHART_WIDTH, CHART_HEIGHT = 60, 12
+
+
+def ascii_histogram(title: str, buckets: Sequence[Tuple[str, float]]) -> str:
     """Render labelled bucket counts as a horizontal ASCII bar chart.
 
     ``buckets`` is ``[(label, count), ...]``. Degenerate distributions
@@ -117,6 +119,7 @@ def ascii_histogram(
     area, and a single-occupied-bucket distribution renders its one bar
     centered rather than pinned against a meaningless scale.
     """
+    width = BAR_WIDTH
     lines = [title, "=" * len(title)]
     label_w = max((len(lbl) for lbl, _ in buckets), default=0)
     occupied = [(lbl, c) for lbl, c in buckets if c > 0]
@@ -150,8 +153,6 @@ def ascii_histogram(
 def ascii_series(
     title: str,
     series: Dict[str, Sequence[Tuple[float, float]]],
-    width: int = 60,
-    height: int = 12,
     xlabel: str = "",
     ylabel: str = "",
     window_s: Optional[float] = None,
@@ -171,6 +172,7 @@ def ascii_series(
     y0, y1 = min(ys), max(ys)
     xr = x1 - x0
     yr = y1 - y0
+    width, height = CHART_WIDTH, CHART_HEIGHT
     grid = [[" "] * width for _ in range(height)]
     marks = "ox+*#@"
     legend = []

@@ -68,6 +68,9 @@ __all__ = [
 
 T = TypeVar("T")
 
+#: engine steps after which :meth:`Engine.run` calls the run a livelock
+MAX_STEPS = 500_000_000
+
 
 def back_ref(owner: T) -> T:
     """A weak proxy of ``owner``, for an object that ``owner`` holds to
@@ -107,10 +110,6 @@ class Future:
         self._value: Any = None
         self._waiters: List[SimProcess] = []
         self.label = label
-
-    @property
-    def resolved(self) -> bool:
-        return self._resolved
 
     @property
     def value(self) -> Any:
@@ -334,15 +333,17 @@ class Engine:
         """Make the running :meth:`run` return before its next event."""
         self._halted = True
 
-    def run(self, max_steps: int = 500_000_000) -> float:
+    def run(self) -> float:
         """Process events until the queue drains or :meth:`halt` is called.
 
-        Returns the final virtual time.
+        Returns the final virtual time. A run past :data:`MAX_STEPS`
+        events is a :class:`SimulationError`.
         """
         self._halted = False
         heap = self._queue
         ready = self._ready
         steps = self.steps
+        limit = MAX_STEPS
         now = self.now
         taps = self.bus.listeners(ENGINE_EVENT)
         try:
@@ -369,9 +370,9 @@ class Engine:
                 ev[2]()
                 if steps == self._next_break:
                     self._fire_breakpoints()
-                if steps > max_steps:
+                if steps > limit:
                     raise SimulationError(
-                        f"exceeded {max_steps} events; suspected livelock "
+                        f"exceeded {limit} events; suspected livelock "
                         f"at t={now}"
                     )
         finally:

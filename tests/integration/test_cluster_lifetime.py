@@ -21,7 +21,8 @@ from repro import DsmConfig
 from repro.apps.base import DsmApp
 from repro.baselines import CoordinatedCluster
 from repro.core import FtConfig
-from repro.faultinject import CrashPoint, Schedule
+from repro.faultinject import Schedule
+from repro.faultinject.campaign import CrashPoint
 from repro.faultinject.mutants import MUTANTS
 from repro.observe import INVARIANTS, ClusterObserver, InvariantMonitor
 from repro.sim.engine import Future

@@ -17,8 +17,12 @@ import pytest
 
 from repro.core import FtConfig
 from repro.core.recovery import OverlappingFailureError
-from repro.faultinject import (
-    CrashPoint, CrashSweep, OracleViolation, PointResult, Schedule, accepted,
+from repro.faultinject import CrashSweep, Schedule
+from repro.faultinject.campaign import (
+    CrashPoint,
+    OracleViolation,
+    PointResult,
+    accepted,
     check_oracle,
 )
 from repro.faultinject.mutants import MUTANTS

@@ -13,12 +13,9 @@ import pytest
 
 from repro.core import FtConfig
 from repro.dsm.vclock import VClock
-from repro.observe import (
-    ClusterObserver,
-    FlightRecorder,
-    InvariantMonitor,
-    SpanTracer,
-)
+from repro.observe import ClusterObserver, InvariantMonitor
+from repro.observe.invariants.recorder import FlightRecorder
+from repro.observe.tracing.spans import SpanTracer
 from repro.sim.engine import Engine
 from repro.sim.trace import CATALOGUE, ENGINE_EVENT, TEXT, EventBus, timeline
 

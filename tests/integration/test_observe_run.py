@@ -5,16 +5,16 @@ import gc
 import pytest
 
 from repro.observe import (
-    CLUSTER_NODE,
     ClusterObserver,
-    LatencyHistogram,
     MetricsRegistry,
     build_report,
-    load_jsonl,
     render_report,
     validate_report,
     write_jsonl,
 )
+from repro.observe.latency.engine import LatencyHistogram
+from repro.observe.registry import CLUSTER_NODE
+from repro.observe.report import load_jsonl
 from tests.conftest import make_app, make_cluster
 
 

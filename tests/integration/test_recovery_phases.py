@@ -12,7 +12,8 @@ that globally; here we check the records themselves are identical).
 import pytest
 
 from repro.core import FtConfig
-from repro.observe import ClusterObserver, SpanTracer
+from repro.observe import ClusterObserver
+from repro.observe.tracing.spans import SpanTracer
 
 from tests.conftest import make_app, make_cluster
 

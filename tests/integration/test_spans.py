@@ -7,15 +7,14 @@ import pytest
 
 from repro.observe.tracing import (
     SpanTracer,
-    WAIT_KINDS,
     compute_critical_path,
     node_time_totals,
-    per_cause_totals,
     reconcile_with_time_stats,
     render_critpath_report,
     to_chrome_trace,
-    worst_lock_chains,
 )
+from repro.observe.tracing.critpath import per_cause_totals, worst_lock_chains
+from repro.observe.tracing.spans import WAIT_KINDS
 from repro.sim.node import TimeBucket
 
 from tests.conftest import make_app, make_cluster

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from repro.faultinject import CrashPoint, Schedule
+from repro.faultinject import Schedule
+from repro.faultinject.campaign import CrashPoint
 
 from tests.conftest import SMALL
 
@@ -109,6 +110,11 @@ PINS = {
         replicate=False),
     "spent_successor_pointer_is_not_a_waiter": _double(  # deadlock
         "session", 42, 8, (1427, 1), (1676, 3), "spent_edge_kept"),
+    "queued_grant_stream_places_the_token": _double(  # `lock 3: 2 tokens`
+        "kvstore", 0, 4, (516, 2), (547, 3), "queued_owner_ignored"),
+    "lock_request_resent_to_the_recovered_manager_only": _double(  # deadlock
+        "session", 3, 4, (941, 3), (998, 0),
+        "lock_request_resent_to_every_manager"),
     # read by a monitor test: p0's live switch grants on a repair forward
     # whose request stamp died with it, so the provisional grant draws an
     # AcqAck (no failure-free run sends one). Without the self-grant

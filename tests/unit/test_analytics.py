@@ -15,7 +15,7 @@ import shutil
 import pytest
 
 from repro.__main__ import discover, main, read_artifact, sniff
-from repro.faultinject import (
+from repro.faultinject.campaign import (
     SWEEP_SCHEMA,
     recovery_distributions,
     render_sweep,
@@ -336,6 +336,33 @@ def test_report_cli_diagnoses_malformed_flight_record(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["report", str(path)]) == 1
     assert "MALFORMED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record, error", [
+    (dict(_FLIGHT, nodes=[{"pid": 0, "live": True}]),
+     "node 0 missing ['recovering', 'finished']"),
+    (dict(_FLIGHT, events=[{"rec": "probe", "time": 0.0, "step": 1}]),
+     "event 0 (probe) missing ['pid', 'kind', 'detail']"),
+    (dict(_FLIGHT, events=[{"rec": "engine", "time": 0.0, "step": 1}]),
+     "event 0 (engine) missing ['event']"),
+    (dict(_FLIGHT, events=[{"rec": "send", "time": 0.0, "step": 1, "src": 0}]),
+     "event 0 (send) missing ['dst', 'msg', 'category']"),
+    (dict(_FLIGHT, events=[{"rec": "engine", "time": 0.0, "step": 1.5,
+                            "event": "x"}]),
+     "event 0 time/step is not a number/an integer"),
+])
+def test_report_names_the_field_a_flight_record_lacks(
+    record, error, tmp_path, capsys
+):
+    """A record the validator passes is one the renderer can print: a
+    node or an event short of a field it reads is MALFORMED, naming the
+    field, not an ``unparseable`` render failure."""
+    path = tmp_path / "FLIGHT_z.json"
+    path.write_text(json.dumps(record))
+    assert main(["report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"MALFORMED: {error}" in out
+    assert "unparseable" not in out
 
 
 def test_html_rendering_escapes_and_banners(observed, tmp_path):

@@ -198,7 +198,7 @@ def test_observe_subcommand(tmp_path, capsys):
     assert "repro observe — counter on 4 simulated nodes" in out
     assert f"written to {out_path}" in out
 
-    from repro.observe import load_jsonl, validate_report
+    from repro.observe.report import load_jsonl, validate_report
 
     report = load_jsonl(str(out_path))
     assert validate_report(report) == []
@@ -213,7 +213,7 @@ def test_observe_subcommand_no_ft(tmp_path, capsys):
         "--out", str(out_path),
     ])
     assert rc == 0
-    from repro.observe import load_jsonl, validate_report
+    from repro.observe.report import load_jsonl, validate_report
 
     report = load_jsonl(str(out_path))
     assert validate_report(report) == []
@@ -391,7 +391,7 @@ def test_crashsweep_rejects_bad_class(capsys):
     (["observe", "counter", "--procs", "0"], "--procs", ">= 1"),
     (["counter", "--steps", "-1"], "--steps", ">= 1"),
     (["counter", "--size", "0"], "--size", ">= 1"),
-    (["observe", "counter", "--window", "-1"], "--window", ">= 0"),
+    (["observe", "counter", "--window", "0"], "--window", "> 0"),
     (["observe", "counter", "--interval", "-1"], "--interval", ">= 0"),
     (["counter", "--ft", "--l", "-1"], "--l", "> 0"),
     (["crashsweep", "counter", "--l", "0"], "--l", "> 0"),
@@ -445,7 +445,7 @@ def test_observe_session_windowed_slo_pass(tmp_path, capsys):
     assert "degradation timeline" in out
     assert "SLO burn-rate evaluation" in out
 
-    from repro.observe import load_jsonl, validate_report
+    from repro.observe.report import load_jsonl, validate_report
 
     report = load_jsonl(str(out_path))
     assert validate_report(report) == []
@@ -466,10 +466,11 @@ def test_observe_session_slo_violation_gates_nonzero(tmp_path, capsys):
 
 
 def test_observe_slo_requires_windowing(capsys):
-    rc = main(["observe", "session", "--window", "0",
-               "--slo", "p99(lat.request)<5ms"])
-    assert rc == 2
-    assert "--slo requires windowed collection" in capsys.readouterr().err
+    # an SLO is judged over windows, and a run without them is refused
+    # before it starts
+    line = _usage_error(["observe", "session", "--window", "0",
+                         "--slo", "p99(lat.request)<5ms"], capsys)
+    assert line.endswith("argument --window: bad value '0': must be > 0")
 
 
 def test_observe_rejects_bad_slo_spec(capsys):
@@ -489,7 +490,7 @@ def test_observe_session_crash_carries_recovery_records(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "crash: p1 down" in out
 
-    from repro.observe import load_jsonl
+    from repro.observe.report import load_jsonl
 
     report = load_jsonl(str(out_path))
     assert report["recoveries"] and report["recoveries"][0]["pid"] == 1

@@ -1,5 +1,6 @@
 """Every top-level import in ``src/repro`` is read somewhere in its module,
-and no test module imports another.
+every name a package re-exports is imported through it by a caller, and
+no test module imports another.
 
 An ``ast`` scan stands in for a linter: a module's top-level ``import``/
 ``from ... import`` names must each appear as a name in the module's code,
@@ -8,10 +9,24 @@ are skipped, since their imports are re-exports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 TESTS = Path(__file__).resolve().parents[1]
+
+#: the packages under ``src/repro``
+PACKAGES = sorted(
+    ".".join(init.relative_to(SRC.parent).parent.parts)
+    for init in SRC.rglob("__init__.py")
+)
+
+#: where the callers of the public surface are: the program, the
+#: benchmarks (the ledger included), the examples, and the code samples
+#: of README.md and DESIGN.md
+CALLER_DIRS = ("src", "benchmarks", "examples")
+SAMPLE_DOCS = ("README.md", "DESIGN.md")
 
 
 def _imported(tree):
@@ -76,6 +91,117 @@ def test_the_scan_sees_an_unused_import():
         "def f(x: 'Dict[int, int]') -> None:\n    return os.path.join(x)\n"
     )
     assert set(_imported(tree)) - _used(tree) == {"List"}
+
+
+def _through_packages(tree):
+    """``(package, name)`` for each name ``tree`` imports through a package
+    of :data:`PACKAGES`: ``from package import name``, or ``alias.name``
+    where ``alias`` is bound to the package by ``from parent import
+    package`` or ``import package as alias``."""
+    found, alias = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            for a in node.names:
+                if node.module in PACKAGES:
+                    found.add((node.module, a.name))
+                if f"{node.module}.{a.name}" in PACKAGES:
+                    alias[a.asname or a.name] = f"{node.module}.{a.name}"
+        elif isinstance(node, ast.Import):
+            alias.update(
+                (a.asname, a.name) for a in node.names
+                if a.asname and a.name in PACKAGES
+            )
+    found.update(
+        (alias[node.value.id], node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id in alias
+    )
+    return found
+
+
+def _python_samples(text):
+    """The ``python`` code blocks of a Markdown text."""
+    fence, block = None, []
+    for line in text.splitlines():
+        if line.startswith("```"):
+            if fence == "python":
+                yield "\n".join(block)
+            fence = None if fence is not None else line[3:].strip()
+            block = []
+        elif fence is not None:
+            block.append(line)
+
+
+def _caller_imports():
+    """Every ``(package, name)`` the callers import through a package."""
+    trees = [
+        ast.parse(path.read_text(), filename=str(path))
+        for top in CALLER_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    trees += [
+        ast.parse(sample)
+        for doc in SAMPLE_DOCS
+        for sample in _python_samples((ROOT / doc).read_text())
+    ]
+    return set().union(*map(_through_packages, trees))
+
+
+def _exported(package):
+    """The names ``package`` re-exports: its ``__all__`` and the lazy
+    table (``_EXPORTS``) it resolves them from."""
+    module = importlib.import_module(package)
+    return set(getattr(module, "__all__", ())) | set(getattr(module, "_EXPORTS", ()))
+
+
+def test_every_re_export_has_a_caller():
+    """A package re-exports a name only while a module of the program, the
+    benchmarks or the examples, or a README/DESIGN code sample imports it
+    through that package; tests import from the defining module."""
+    used = _caller_imports()
+    unread = sorted(
+        f"{package}.{name}"
+        for package in PACKAGES
+        for name in _exported(package)
+        if (package, name) not in used
+    )
+    assert not unread, f"{len(unread)} re-exports no caller imports:\n" + "\n".join(unread)
+
+
+def test_every_import_through_a_package_is_exported():
+    """What anything, tests included, imports through a package is a
+    submodule or a name the package re-exports."""
+    wrong = []
+    for top in (*CALLER_DIRS, "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for package, name in _through_packages(ast.parse(path.read_text())):
+                if (
+                    name not in _exported(package)
+                    and importlib.util.find_spec(f"{package}.{name}") is None
+                ):
+                    wrong.append(f"{path.relative_to(ROOT)}: {package}.{name}")
+    assert not wrong, "\n".join(sorted(wrong))
+
+
+def test_the_census_sees_each_form_of_import():
+    tree = ast.parse(
+        "from repro.observe import ClusterObserver\n"
+        "from repro import observe\nimport repro.observe.slo as slo\n"
+        "def f():\n    from repro.observe import tracing\n"
+        "    return observe.build_report, tracing.SpanTracer, slo.Objective\n"
+    )
+    assert _through_packages(tree) == {
+        ("repro", "observe"),
+        ("repro.observe", "ClusterObserver"),
+        ("repro.observe", "build_report"),
+        ("repro.observe", "tracing"),
+        ("repro.observe.tracing", "SpanTracer"),
+        ("repro.observe.slo", "Objective"),
+    }
+    assert list(_python_samples(
+        "```bash\nfrom repro import X\n```\n```python\nfrom repro import Y\n```\n"
+    )) == ["from repro import Y"]
 
 
 def _test_module_imports(tree):

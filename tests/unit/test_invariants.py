@@ -12,6 +12,7 @@ The two halves of the monitor's contract:
 """
 
 import contextlib
+import dataclasses
 import json
 import re
 from collections import deque
@@ -20,18 +21,20 @@ import pytest
 
 from repro.observe import (
     INVARIANTS,
-    FlightRecorder,
     InvariantMonitor,
     render_flight_record,
     validate_flight_record,
     write_flight_record,
 )
+from repro.observe.invariants.recorder import FlightRecorder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.core import FtConfig
-from repro.dsm.messages import DiffMsg
+from repro.core.logs import RelEntry
+from repro.dsm.messages import DiffMsg, WriteNotice
+from repro.dsm.pages import PageId
 from repro.dsm.vclock import VClock
 from repro.faultinject.mutants import MUTANTS
 from repro.observe.invariants import monitor as monitor_mod
@@ -589,6 +592,139 @@ def test_adopted_monitor_reports_the_first_seeded_violation(kind):
 
 
 # ---------------------------------------------------------------------------
+# each llt and cgc violation site, from one tampered structure
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def finished():
+    """A clean monitored FT run whose structures a test may tamper with."""
+    return run_monitored()
+
+
+def settled(monitor, checker, pid):
+    """``pid``'s FT manager after one more LLT or CGC pass, which the
+    monitor checked clean: a check holds right after its pass, not at an
+    arbitrary end-of-run instant."""
+    ft = monitor.cluster.hosts[pid].ft
+    (ft.run_llt if checker == "llt" else ft.run_cgc)()
+    assert monitor.violations == []
+    return ft
+
+
+def flagged(monitor, checker, pid):
+    """The details ``checker``'s check of ``pid`` reports now."""
+    monitor.checkers[checker]._check(pid)
+    return [v.detail for v in monitor.violations]
+
+
+def test_llt_flags_drifted_byte_accounting(finished):
+    log = settled(finished, "llt", 0).logs.diff
+    actual = log.volatile_bytes
+    log._volatile += 8
+    assert flagged(finished, "llt", 0) == [
+        f"diff-log byte accounting drifted: counter reports {actual + 8}, "
+        f"entries sum to {actual}"
+    ]
+
+
+def test_llt_flags_an_acq_entry_at_the_own_checkpoint(finished):
+    ft = settled(finished, "llt", 0)
+    bound = ft.trim.acq_bound()
+    ft.logs.acq.entries[1] = [RelEntry(0, ft.trim.tckp[0])]
+    assert flagged(finished, "llt", 0) == [
+        f"acq_log retains entries with acq_t[0] <= own Tckp[0]={bound} "
+        "after LLT (Rule 2 trim missed)"
+    ]
+
+
+def test_llt_flags_a_barrier_episode_below_the_peers_checkpoints(finished):
+    ft = settled(finished, "llt", 0)
+    keep_from = ft.trim.bar_keep_from()
+    ft.logs.bar[keep_from - 1] = VClock.zero(ft.n)
+    assert flagged(finished, "llt", 0) == [
+        f"barrier log retains episodes below {keep_from} after LLT"
+    ]
+
+
+def test_llt_flags_an_own_notice_rule_1_trims(finished):
+    ft = settled(finished, "llt", 0)
+    keep_from = ft.trim.wn_keep_from()
+    proto = finished.cluster.hosts[0].proto
+    proto.notices.add(WriteNotice(0, keep_from - 1, PageId(0, 0), proto.vt))
+    assert flagged(finished, "llt", 0) == [
+        f"1 own write notices from intervals below {keep_from} retained "
+        "after LLT (Rule 1 trim missed)"
+    ]
+
+
+def test_llt_flags_a_stamp_known_of_a_node_without_a_checkpoint(finished):
+    known = settled(finished, "llt", 0).trim.tckp[1]
+    finished.cluster.hosts[1].ckpt_mgr.latest = None
+    assert flagged(finished, "llt", 0) == [
+        f"knows checkpoint stamp {tuple(known)} for p1, which has never "
+        "committed a checkpoint"
+    ]
+
+
+def test_llt_flags_a_stamp_ahead_of_the_peers_checkpoint(finished):
+    trim = settled(finished, "llt", 0).trim
+    actual = finished.cluster.hosts[1].ckpt_mgr.latest.tckp
+    # a component neither the own (Rule 1) nor p1's (Rule 2) bound reads
+    trim.tckp[1] = known = trim.tckp[1].with_component(2, actual[2] + 1)
+    assert flagged(finished, "llt", 0) == [
+        f"T̂ckp_1 knowledge {tuple(known)} exceeds p1's actual latest "
+        f"checkpoint {tuple(actual)} — trim frontier ran ahead of reality"
+    ]
+
+
+def test_llt_flags_a_learned_p0v_ahead_of_the_home(finished):
+    trim = settled(finished, "llt", 0).trim
+    page, v = next((pg, v) for pg, v in trim.p0v.items() if v)
+    home = finished.cluster.regions.home_of(page)
+    copies = finished.cluster.hosts[home].ckpt_mgr.page_copies[page]
+    copies[0] = dataclasses.replace(
+        copies[0], version=copies[0].version.with_component(0, v - 1)
+    )
+    assert flagged(finished, "llt", 0) == [
+        f"learned p0.v[0]={v} for page {tuple(page)} exceeds the home's "
+        f"actual maximal-starting-copy component {v - 1}"
+    ]
+
+
+def settled_window(monitor):
+    """``(pid, page, copies)``: a home's retained copies of a page, at
+    least two, right after its CGC pass."""
+    for host in monitor.cluster.hosts:
+        settled(monitor, "cgc", host.pid)
+        for page, copies in host.ckpt_mgr.page_copies.items():
+            if len(copies) >= 2:
+                return host.pid, page, copies
+    raise AssertionError("no node retains two copies of a page")
+
+
+def test_cgc_flags_a_newest_copy_older_than_the_latest_checkpoint(finished):
+    pid, page, copies = settled_window(finished)
+    latest = finished.cluster.hosts[pid].ckpt_mgr.latest.seqno
+    copies.pop()
+    assert flagged(finished, "cgc", pid) == [
+        f"page {tuple(page)}: newest retained copy is from checkpoint "
+        f"{copies[-1].ckpt_seqno} but the latest committed checkpoint is "
+        f"{latest} — the restart checkpoint's copies must never be collected"
+    ]
+
+
+def test_cgc_flags_a_regressed_window_floor(finished):
+    pid, page, copies = settled_window(finished)
+    floor = copies[0].ckpt_seqno
+    assert finished.checkers["cgc"]._floor[(pid, page)] == floor
+    copies[0] = dataclasses.replace(copies[0], ckpt_seqno=floor - 1)
+    assert flagged(finished, "cgc", pid) == [
+        f"page {tuple(page)}: oldest retained checkpoint regressed from "
+        f"{floor} to {floor - 1} — the retained window must evolve only by "
+        "prefix-drop or append"
+    ]
+
+
+# ---------------------------------------------------------------------------
 # flight recorder
 # ---------------------------------------------------------------------------
 def test_flight_recorder_ring_is_bounded():
@@ -619,6 +755,15 @@ def test_flight_record_mixes_engine_probe_and_message_events(clean_monitor):
     # engine events carry a human-readable label, not a repr of a partial
     engine = [e for e in dump["events"] if e["rec"] == "engine"]
     assert any("(" in e["event"] for e in engine)
+    # the renderer prints what the validator passed, one event of each kind
+    first = {}
+    for e in dump["events"]:
+        first.setdefault(e["rec"], e)
+    record = dict(dump, events=list(first.values()))
+    assert validate_flight_record(record) == []
+    text = render_flight_record(record)
+    assert text.count(" engine   ") == 1 and text.count(" probe    p") == 1
+    assert " send     p" in text and " deliver  p" in text
 
 
 def test_validate_flight_record_flags_malformed(clean_monitor):

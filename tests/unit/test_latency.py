@@ -17,13 +17,8 @@ import random
 
 import pytest
 
-from repro.observe.latency import (
-    DEFAULT_GROWTH,
-    PERCENTILES,
-    LatencyHistogram,
-    engine,
-    exact_percentile,
-)
+from repro.observe.latency import LatencyHistogram, engine, exact_percentile
+from repro.observe.latency.engine import DEFAULT_GROWTH, PERCENTILES
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -179,7 +174,7 @@ def test_empty_histogram_summary():
 
 def test_serialization_roundtrip():
     h = fill([1e-6, 5e-5, 5e-5, 2e-3, 0.0], name="lat.fetch", node=3)
-    again = LatencyHistogram.from_dict(h.to_dict(), name=h.name, node=h.node)
+    again = LatencyHistogram.from_dict(h.to_dict())
     assert again.buckets == h.buckets
     assert again.zero_count == h.zero_count
     assert again.count == h.count
@@ -192,7 +187,7 @@ def test_serialization_roundtrip():
 # registry integration
 # ---------------------------------------------------------------------------
 def test_registry_latency_interning_and_merge():
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     a = reg.latency("lat.fetch", 0)
     assert reg.latency("lat.fetch", 0) is a
     b = reg.latency("lat.fetch", 1)

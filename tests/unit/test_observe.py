@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observe import (
-    CLUSTER_NODE,
     ClusterObserver,
-    Counter,
     MetricsRegistry,
     build_report,
-    load_jsonl,
     validate_report,
     write_jsonl,
 )
+from repro.observe.registry import CLUSTER_NODE, Counter
+from repro.observe.report import load_jsonl
 from tests.conftest import make_app, make_cluster
 
 
@@ -34,7 +33,7 @@ def test_counter_monotonic():
 # registry
 # ---------------------------------------------------------------------------
 def test_registry_interns_metrics():
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     assert reg.counter("a", 1) is reg.counter("a", 1)
     assert reg.counter("a", 1) is not reg.counter("a", 2)
     assert reg.latency("c", 1) is reg.latency("c", 1)
@@ -42,7 +41,7 @@ def test_registry_interns_metrics():
 
 
 def test_registry_sample_snapshots_counters_and_gauges():
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     c = reg.counter("hits", 3)
     reg.gauges(("depth",), 3, lambda: (c.value * 10,))
     c.inc(2)
@@ -59,7 +58,7 @@ def test_registry_sample_snapshots_counters_and_gauges():
 def test_one_key_is_one_kind_of_series():
     """A key has one column: sampling it twice, or recording into a
     sampled series, used to interleave points silently."""
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     reg.counter("a", 1)
     with pytest.raises(ValueError, match=r"\('a', 1\) already has a series"):
         reg.gauges(("a",), 1, lambda: (0,))
@@ -73,7 +72,7 @@ def test_one_key_is_one_kind_of_series():
 
 
 def test_record_onto_a_sampled_key_is_an_error():
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     reg.counter("a", 1)
     with pytest.raises(ValueError, match=r"\('a', 1\) is sampled"):
         reg.record("a", 1, 0.5, 1.0)
@@ -86,7 +85,7 @@ def test_record_onto_a_sampled_key_is_an_error():
 
 
 def test_gauge_row_reader_must_fill_every_column():
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     reg.gauges(("a", "b"), 0, lambda: (1,))
     with pytest.raises(ValueError, match="filled 1 of 2 columns"):
         reg.sample(0.0)
@@ -150,7 +149,7 @@ _op = st.one_of(
 def test_columnar_registry_matches_tuple_list_model(ops):
     """Late registration, ``inc``, ``set``, ``sample`` and ``record`` in
     any order read back as the per-point tuple lists did."""
-    reg, model = MetricsRegistry(), TupleListModel()
+    reg, model = MetricsRegistry(lambda: 0.0, 1e-3), TupleListModel()
     rows = {}  # node -> the live state behind its two-column reader
     cells = {}  # (name, node) -> the value behind its one-column reader
     x = 0
@@ -280,7 +279,7 @@ def test_replica_series_sampled_per_node():
 # run reports
 # ---------------------------------------------------------------------------
 def test_report_roundtrip_and_validation(tmp_path):
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     reg.counter("ft.log_volatile_bytes", 0).inc(10)
     reg.counter("ft.log_saved_bytes", 0).inc(4)
     reg.counter("dsm.diff_bytes_sent", 0).inc(2)
@@ -292,8 +291,11 @@ def test_report_roundtrip_and_validation(tmp_path):
     report = build_report(reg, {"app": "unit", "ft": True})
     assert report["header"]["schema"] == 4
     assert validate_report(report) == []
-    # no windowed collection -> no wlat records, and that's valid
-    assert report["wlats"] == [] and "window_s" not in report["header"]
+    # every observation fell in window 0 of the clock, which stood still
+    assert [(r["metric"], r["window"]) for r in report["wlats"]] == [
+        ("lat.acquire", 0), ("lat.barrier", 0), ("lat.fetch", 0),
+    ]
+    assert report["header"]["window_s"] == 1e-3
     # every op class grows a cluster-merged record alongside the
     # per-node ones
     merged = {r["metric"] for r in report["lats"] if r["node"] == CLUSTER_NODE}
@@ -310,7 +312,7 @@ def test_report_roundtrip_and_validation(tmp_path):
 def test_load_jsonl_rejects_other_schemas(tmp_path):
     """A report is schema 4 or rejected: old artifacts are re-recorded,
     not converted."""
-    report = build_report(MetricsRegistry(), {"app": "unit"})
+    report = build_report(MetricsRegistry(lambda: 0.0, 1e-3), {"app": "unit"})
     path = tmp_path / "old.jsonl"
     for schema in (2, 3):
         report["header"]["schema"] = schema
@@ -324,12 +326,12 @@ def test_load_jsonl_rejects_other_schemas(tmp_path):
 
 
 def test_validate_report_flags_missing_series():
-    report = build_report(MetricsRegistry(), {"app": "unit", "ft": True})
+    report = build_report(MetricsRegistry(lambda: 0.0, 1e-3), {"app": "unit", "ft": True})
     errors = validate_report(report)
     assert any("ft.log_volatile_bytes" in e for e in errors)
     # a base-protocol report (its header says no ft) only requires the
     # DSM series
-    errors = validate_report(build_report(MetricsRegistry(), {"app": "unit"}))
+    errors = validate_report(build_report(MetricsRegistry(lambda: 0.0, 1e-3), {"app": "unit"}))
     assert any("dsm.diff_bytes_sent" in e for e in errors)
     assert all("ft." not in e for e in errors)
 
@@ -341,7 +343,7 @@ def test_load_jsonl_rejects_unknown_record(tmp_path):
         load_jsonl(str(path))
     # schema 3's fixed-bucket wait histograms are gone: a ``hist`` line is
     # unknown, even under a current header
-    write_jsonl(str(path), build_report(MetricsRegistry(), {"app": "unit"}))
+    write_jsonl(str(path), build_report(MetricsRegistry(lambda: 0.0, 1e-3), {"app": "unit"}))
     lines = path.read_text().splitlines(keepends=True)
     lines.insert(1, '{"count": 1, "metric": "dsm.fetch_wait_s", "node": 0, '
                     '"record": "hist"}\n')
@@ -356,8 +358,7 @@ def test_load_jsonl_rejects_unknown_record(tmp_path):
 def _windowed_registry():
     """A registry collecting windows off a fake virtual clock."""
     now = {"t": 0.0}
-    reg = MetricsRegistry()
-    reg.enable_windows(lambda: now["t"], 1e-3)
+    reg = MetricsRegistry(lambda: now["t"], 1e-3)
     reg.counter("ft.log_volatile_bytes", 0).inc(10)
     reg.counter("ft.log_saved_bytes", 0).inc(4)
     reg.counter("dsm.diff_bytes_sent", 0).inc(2)
@@ -495,7 +496,7 @@ def test_latency_observed_between_builds_moves_lat_and_wlat():
 # a series is a view of the registry's columns: semantics and allocation
 # ---------------------------------------------------------------------------
 def test_series_view_reads_as_the_pair_lists_it_replaced(tmp_path):
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     early = reg.counter("early", 0)
     for i in range(3):
         early.inc(i)
@@ -551,7 +552,7 @@ def test_reports_hold_views_not_boxed_pairs(tmp_path):
     import tracemalloc
 
     n_series, n_samples = 64, 2_000
-    reg = MetricsRegistry()
+    reg = MetricsRegistry(lambda: 0.0, 1e-3)
     tick = [0]
     reg.gauges(
         [f"m{i:02d}" for i in range(n_series)], 0,

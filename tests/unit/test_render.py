@@ -3,6 +3,9 @@
 import pytest
 
 from repro.render import (
+    BAR_WIDTH,
+    CHART_HEIGHT,
+    CHART_WIDTH,
     Table,
     ascii_histogram,
     ascii_series,
@@ -65,8 +68,6 @@ def test_ascii_series_renders_marks():
     out = ascii_series(
         "S",
         {"one": [(0, 0.0), (1, 1.0)], "two": [(0, 1.0), (1, 0.0)]},
-        width=20,
-        height=5,
     )
     assert "o = one" in out and "x = two" in out
     assert "o" in out.splitlines()[3]
@@ -77,8 +78,8 @@ def test_ascii_series_empty():
 
 
 def test_ascii_series_constant_series():
-    height = 12
-    out = ascii_series("S", {"flat": [(0, 5.0), (1, 5.0)]}, height=height)
+    height = CHART_HEIGHT
+    out = ascii_series("S", {"flat": [(0, 5.0), (1, 5.0)]})
     assert "flat" in out
     # a flat series still draws its marks, centered vertically instead of
     # collapsed onto the bottom axis row
@@ -106,10 +107,10 @@ def test_ascii_series_window_labelled_x_axis():
 
 
 def test_ascii_series_single_point():
-    out = ascii_series("S", {"pt": [(3.0, 7.0)]}, width=20, height=5)
+    out = ascii_series("S", {"pt": [(3.0, 7.0)]})
     grid = [l[1:] for l in out.splitlines() if l.startswith("|")]
     # both ranges degenerate: the single mark is centered, not cornered
-    assert grid[5 // 2][20 // 2] == "o"
+    assert grid[CHART_HEIGHT // 2][CHART_WIDTH // 2] == "o"
     assert sum(r.count("o") for r in grid) == 1
 
 
@@ -122,31 +123,29 @@ def test_format_duration_tiers():
 
 
 def test_ascii_histogram_multi_bucket():
-    out = ascii_histogram(
-        "H", [("10 us", 40), ("20 us", 0), ("40 us", 4)], width=20
-    )
+    out = ascii_histogram("H", [("10 us", 40), ("20 us", 0), ("40 us", 4)])
     lines = out.splitlines()
     assert lines[0] == "H"
     # proportional bars, at least one mark for any nonzero count
-    assert "#" * 20 in out
-    assert any(l.rstrip().endswith("4") and l.count("#") == 2 for l in lines)
+    assert "#" * BAR_WIDTH in out
+    assert any(l.rstrip().endswith("4") and l.count("#") == 4 for l in lines)
     # zero-count rows draw an empty bar and no trailing spaces
     assert all(l == l.rstrip() for l in lines)
 
 
 def test_ascii_histogram_empty_is_centered_placeholder():
-    out = ascii_histogram("H", [], width=40)
+    out = ascii_histogram("H", [])
     assert "(no samples)" in out
     # centered in the bar area, not flush-left
     assert out.splitlines()[-1].startswith(" ")
     # all-zero buckets degrade identically to no buckets at all
-    zeros = ascii_histogram("H", [("a", 0), ("b", 0)], width=40)
+    zeros = ascii_histogram("H", [("a", 0), ("b", 0)])
     assert "(no samples)" in zeros
     assert "#" not in zeros
 
 
 def test_ascii_histogram_single_bucket_centered():
-    out = ascii_histogram("H", [("55 us", 43)], width=40)
+    out = ascii_histogram("H", [("55 us", 43)])
     lines = out.splitlines()
     assert "(single-bucket distribution)" in out
     bar_line = next(l for l in lines if "#" in l)
@@ -154,4 +153,4 @@ def test_ascii_histogram_single_bucket_centered():
     # axis at full width
     bar = bar_line.split("|")[1]
     assert bar.startswith(" ") and "43" in bar_line
-    assert bar_line.count("#") < 40
+    assert bar_line.count("#") < BAR_WIDTH

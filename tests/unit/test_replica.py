@@ -194,7 +194,7 @@ def make_ckpt_mgr(seqnos, page="P"):
     mgr.seed_initial_pages({page: b"\x00" * 64})
     for s in seqnos:
         mgr.page_copies[page].append(
-            PageCopy(s, VClock.zero(N).bump(0, s), b"\x01" * 64)
+            PageCopy(s, VClock.zero(N).with_component(0, s), b"\x01" * 64)
         )
         mgr.pages_retained_bytes += 64
         mgr.next_seqno = s + 1

@@ -14,16 +14,18 @@ import pytest
 from repro.observe.latency import LatencyHistogram
 from repro.observe.registry import CLUSTER_NODE, MetricsRegistry
 from repro.observe.report import build_report, load_jsonl, write_jsonl
-from repro.observe.slo import (
+from repro.observe.slo.engine import (
     DEFAULT_RULES,
-    build_timeline,
     evaluate_report_slos,
     evaluate_slo,
+    parse_duration,
     parse_slo,
+)
+from repro.observe.slo.timeline import (
+    build_timeline,
     reconvergence,
     render_timeline,
 )
-from repro.observe.slo.engine import parse_duration
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -73,8 +75,7 @@ def test_parse_slo_rejects(bad):
 def _registry(events, window_s=1e-3):
     """A registry fed ``[(t, node, value), ...]`` off a fake virtual clock."""
     now = {"t": 0.0}
-    reg = MetricsRegistry()
-    reg.enable_windows(lambda: now["t"], window_s)
+    reg = MetricsRegistry(lambda: now["t"], window_s)
     for t, node, v in events:
         now["t"] = t
         reg.latency("lat.x", node).observe(v)
@@ -205,8 +206,8 @@ def test_window_index_is_pure_function_of_instant():
 
 def test_windows_require_a_positive_width():
     with pytest.raises(ValueError, match="window_s"):
-        MetricsRegistry().enable_windows(lambda: 0.0, 0.0)
-    assert MetricsRegistry().windows("lat.x") == {}  # off: no table
+        MetricsRegistry(lambda: 0.0, 0.0)
+    assert MetricsRegistry(lambda: 0.0, 1e-3).windows("lat.x") == {}  # nothing observed
 
 
 def test_window_records_time_ordered_with_bounds():
@@ -355,12 +356,11 @@ def test_build_timeline_folds_wlats_and_crash_marks():
     assert mark["phases"]["detect"] == pytest.approx(1e-3)
 
 
-def test_build_timeline_none_without_windowed_series():
-    assert build_timeline({"wlats": [], "recoveries": [CRASH]}) is None
-    # per-node extensions alone don't make a cluster timeline
-    rec = _wlat_record(0, [1e-5])
-    rec["node"] = 2
-    assert build_timeline({"wlats": [rec]}) is None
+def test_build_timeline_reads_cluster_windows_only():
+    # a per-node extension is not counted beside the cluster's window
+    cluster, per_node = _wlat_record(0, [1e-5]), _wlat_record(0, [1e-5])
+    per_node["node"] = 2
+    assert build_timeline({"wlats": [per_node, cluster]})["wlats"] == [cluster]
 
 
 def test_reconvergence_counts_windows_back_under_slo():
